@@ -251,7 +251,7 @@ func (m *Manager) ReleaseReg(slot, warpInCta int) {
 	side := m.sideOfSlot[slot]
 	if p.warpLocks[warpInCta] == side {
 		p.warpLocks[warpInCta] = noSide
-		if m.Faults.Trip(fault.CorruptLeaseRelease, -1, -1, warpInCta,
+		if m.Faults.Armed(fault.CorruptLeaseRelease) && m.Faults.Trip(fault.CorruptLeaseRelease, -1, -1, warpInCta,
 			fmt.Sprintf("released warp lock %d of slot %d without decrementing the active-lock count", warpInCta, slot)) {
 			return // injected accounting corruption: lost decrement
 		}

@@ -106,6 +106,12 @@ func NewPlan(kind Kind, seed uint64, spread int) *Plan {
 	return &Plan{Kind: kind, Nth: 1 + int(z%uint64(spread))}
 }
 
+// Armed reports whether the plan waits for opportunities of this kind.
+// It is small enough to inline: hot-path callers whose Trip detail must
+// be formatted test it first, so a run with no plan (or a plan of a
+// different kind) never pays for the string.
+func (p *Plan) Armed(kind Kind) bool { return p != nil && p.Kind == kind }
+
 // Trip reports whether the fault fires at this opportunity. kind names
 // the opportunity the caller is offering; non-matching kinds never
 // fire. A nil plan never fires.

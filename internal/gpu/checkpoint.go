@@ -277,13 +277,9 @@ func (s *Sim) AuditCheckpoint(l *kernel.Launch, blob []byte) (int64, error) {
 		return 0, simerr.New(simerr.KindUnschedulable, -1,
 			"kernel %s does not fit on an SM (%s)", launch.Kernel.Name, occ.Limiter)
 	}
-	sms := make([]*smcore.SM, s.Cfg.NumSMs)
-	for i := range sms {
-		sm, err := smcore.New(i, &s.Cfg, &launch, occ, s.ms)
-		if err != nil {
-			return 0, simerr.Wrap(simerr.KindLaunch, -1, err)
-		}
-		sms[i] = sm
+	sms, err := s.newSMs(&launch, occ)
+	if err != nil {
+		return 0, simerr.Wrap(simerr.KindLaunch, -1, err)
 	}
 	p, err := s.decodePayload(blob, modeSingle, []string{launch.Kernel.Name}, nil)
 	if err != nil {

@@ -25,6 +25,7 @@ func (r *refMem) Store32(a uint32, v uint32) { r.m[a&^3] = v }
 func refExecute(t *testing.T, k *kernel.Kernel, grid int, params []uint32, gm *refMem) {
 	t.Helper()
 	wpb := k.WarpsPerBlock()
+	ops := warp.DecodeKernel(k)
 	for cta := 0; cta < grid; cta++ {
 		env := warp.Env{
 			CtaID: cta, GridDim: grid, BlockDim: k.BlockDim,
@@ -38,7 +39,7 @@ func refExecute(t *testing.T, k *kernel.Kernel, grid int, params []uint32, gm *r
 			lanes := min(threadsLeft, kernel.WarpSize)
 			threadsLeft -= lanes
 			warps[i] = warp.NewState(k.RegsPerThread, warp.LanesMask(lanes))
-			warps[i].WarpInCta = i
+			warps[i].BindBlock(&env, i)
 		}
 		for steps := 0; ; steps++ {
 			if steps > 4_000_000 {
@@ -67,7 +68,7 @@ func refExecute(t *testing.T, k *kernel.Kernel, grid int, params []uint32, gm *r
 					continue
 				}
 				pc, _, _ := w.PC()
-				res, err := w.Execute(&k.Instrs[pc], &env)
+				res, err := w.Execute(&ops[pc], &env, nil)
 				if err != nil {
 					t.Fatalf("reference executor: %v", err)
 				}

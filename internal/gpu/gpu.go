@@ -155,6 +155,25 @@ func (s *Sim) Occupancy(k *kernel.Kernel) core.Occupancy {
 	return core.ComputeOccupancy(&s.Cfg, k)
 }
 
+// newSMs builds the machine's SMs for a whole-GPU launch. The kernel is
+// lowered once; every SM (and so every engine worker) shares the one
+// read-only program.
+func (s *Sim) newSMs(l *kernel.Launch, occ core.Occupancy) ([]*smcore.SM, error) {
+	tl := []smcore.TenantLaunch{{Launch: l, Occ: occ, Prog: smcore.NewProgram(&s.Cfg, l.Kernel, occ)}}
+	sms := make([]*smcore.SM, s.Cfg.NumSMs)
+	for i := range sms {
+		sm, err := smcore.NewMulti(i, &s.Cfg, tl, s.ms)
+		if err != nil {
+			return nil, err
+		}
+		if s.Faults != nil {
+			sm.SetFaults(s.Faults)
+		}
+		sms[i] = sm
+	}
+	return sms, nil
+}
+
 // Run executes one kernel launch to completion and returns the run
 // statistics. Run may be called repeatedly; global memory and the L2
 // persist across launches (call FlushCaches for cold-cache runs).
@@ -183,16 +202,9 @@ func (s *Sim) RunCtx(ctx context.Context, l *kernel.Launch) (*stats.GPU, error) 
 			"kernel %s does not fit on an SM (%s)", launch.Kernel.Name, occ.Limiter)
 	}
 
-	sms := make([]*smcore.SM, s.Cfg.NumSMs)
-	for i := range sms {
-		sm, err := smcore.New(i, &s.Cfg, &launch, occ, s.ms)
-		if err != nil {
-			return nil, simerr.Wrap(simerr.KindLaunch, -1, err)
-		}
-		if s.Faults != nil {
-			sm.SetFaults(s.Faults)
-		}
-		sms[i] = sm
+	sms, err := s.newSMs(&launch, occ)
+	if err != nil {
+		return nil, simerr.Wrap(simerr.KindLaunch, -1, err)
 	}
 
 	stride := s.Cfg.InvariantStride

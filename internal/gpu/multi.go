@@ -84,6 +84,14 @@ func (s *Sim) runPlaced(ctx context.Context, spec *tenancy.Spec, launches []*ker
 		return nil, simerr.Wrap(simerr.KindUnschedulable, -1, err)
 	}
 
+	// Each tenant's kernel is lowered once per distinct occupancy
+	// grant and shared by every SM holding that grant.
+	type grant struct {
+		tenant int
+		occ    core.Occupancy
+	}
+	progs := make(map[grant]*smcore.Program)
+
 	// Build only the SMs the placement populated; an SM with no tenants
 	// would idle for the whole run. SM IDs keep their real indices so
 	// memory-system routing is unaffected.
@@ -95,12 +103,17 @@ func (s *Sim) runPlaced(ctx context.Context, spec *tenancy.Spec, launches []*ker
 		}
 		tls := make([]smcore.TenantLaunch, len(plan.Tenants))
 		for j, ta := range plan.Tenants {
+			key := grant{ta.Tenant, ta.Occ}
+			if progs[key] == nil {
+				progs[key] = smcore.NewProgram(&s.Cfg, launches[ta.Tenant].Kernel, ta.Occ)
+			}
 			tls[j] = smcore.TenantLaunch{
 				ID:      ta.Tenant,
 				Launch:  launches[ta.Tenant],
 				Occ:     ta.Occ,
 				CapRegs: ta.Regs,
 				CapSmem: ta.Smem,
+				Prog:    progs[key],
 			}
 		}
 		sm, err := smcore.NewMulti(si, &s.Cfg, tls, s.ms)
@@ -428,16 +441,9 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 			continue
 		}
 		l, occ := launches[ti], occs[ti]
-		sms := make([]*smcore.SM, s.Cfg.NumSMs)
-		for i := range sms {
-			sm, err := smcore.New(i, &s.Cfg, l, occ, s.ms)
-			if err != nil {
-				return nil, simerr.Wrap(simerr.KindLaunch, now, err)
-			}
-			if s.Faults != nil {
-				sm.SetFaults(s.Faults)
-			}
-			sms[i] = sm
+		sms, err := s.newSMs(l, occ)
+		if err != nil {
+			return nil, simerr.Wrap(simerr.KindLaunch, now, err)
 		}
 		chk := invariant.New(stride, invariant.ClassAll, sms, s.ms)
 		eng := newCycleEngine(sms, workers, s.engineOpts())

@@ -51,7 +51,9 @@ func Eval(op Opcode, a, b, c uint32) uint32 {
 	case FMUL:
 		return f32bits(f32frombits(a) * f32frombits(b))
 	case FFMA:
-		return f32bits(f32frombits(a)*f32frombits(b) + f32frombits(c))
+		// The explicit conversion rounds the product, so no architecture
+		// may fuse the multiply-add: results match amd64 everywhere.
+		return f32bits(float32(f32frombits(a)*f32frombits(b)) + f32frombits(c))
 	case FMIN:
 		return f32bits(float32(math.Min(float64(f32frombits(a)), float64(f32frombits(b)))))
 	case FMAX:

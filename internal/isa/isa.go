@@ -196,7 +196,7 @@ const (
 	SrCtaidY                 // block y-index within the grid
 	SrNtidY                  // block y-dimension
 	SrNctaidY                // grid y-dimension
-	numSpecials
+	NumSpecials
 )
 
 var specialNames = [...]string{
@@ -214,7 +214,7 @@ func (s Special) String() string {
 }
 
 // Valid reports whether s is a defined special register.
-func (s Special) Valid() bool { return s < numSpecials }
+func (s Special) Valid() bool { return s < NumSpecials }
 
 // OperandKind discriminates Operand.
 type OperandKind uint8

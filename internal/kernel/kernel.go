@@ -13,7 +13,7 @@ import (
 
 // WarpSize is the number of threads per warp, fixed at 32 as on NVIDIA
 // hardware and in GPGPU-Sim.
-const WarpSize = 32
+const WarpSize = isa.Lanes
 
 // MaxPredRegs is the number of predicate registers per thread.
 const MaxPredRegs = 8

@@ -217,17 +217,14 @@ func (s *System) RestoreState(c SystemCheckpoint) error {
 	return nil
 }
 
-// Checkpoint captures the backing store: all materialized pages and the
-// allocator cursor.
+// Checkpoint captures the backing store: all materialized pages, in
+// ascending index order, and the allocator cursor.
 func (g *Global) Checkpoint() GlobalCheckpoint {
 	c := GlobalCheckpoint{Brk: g.brk}
-	idxs := make([]uint32, 0, len(g.pages))
-	for idx := range g.pages {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for _, idx := range idxs {
-		c.Pages = append(c.Pages, PageCheckpoint{Index: idx, Data: append([]byte(nil), g.pages[idx]...)})
+	for idx, p := range g.pages {
+		if p != nil {
+			c.Pages = append(c.Pages, PageCheckpoint{Index: uint32(idx), Data: append([]byte(nil), p[:]...)})
+		}
 	}
 	return c
 }
@@ -239,8 +236,13 @@ func (g *Global) RestoreState(c GlobalCheckpoint) error {
 		if len(p.Data) != pageSize {
 			return fmt.Errorf("memory snapshot: page %d has %d bytes, want %d", p.Index, len(p.Data), pageSize)
 		}
-		g.pages[p.Index] = append([]byte(nil), p.Data...)
+		if p.Index >= 1<<(32-pageBits) {
+			return fmt.Errorf("memory snapshot: page index %d beyond the 32-bit address space", p.Index)
+		}
+		g.cover(p.Index)
+		g.pages[p.Index] = (*[pageSize]byte)(append([]byte(nil), p.Data...))
 	}
 	g.brk = c.Brk
+	g.cover(g.brk >> pageBits)
 	return nil
 }

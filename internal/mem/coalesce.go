@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"math/bits"
 
 	"gpushare/internal/kernel"
 )
@@ -44,32 +45,44 @@ func Coalesce(addrs *[kernel.WarpSize]uint32, active uint32, lineSz int, buf []u
 // words mapping to the same bank across the active lanes — the number of
 // serialized scratchpad cycles the access costs. Lanes reading the same
 // word broadcast and do not conflict. banks must be positive.
+//
+// It runs on every issued scratchpad instruction, so it works on fixed
+// stack storage: the distinct words seen so far are chained per bucket
+// (the bank number folded to six bits, so one bank per chain for up to
+// 64 banks; entries of another bank folded onto the chain are skipped),
+// and each lane walks only its own chain, which both recognises a
+// broadcast and counts the words sharing the bank.
 func BankConflictDegree(addrs *[kernel.WarpSize]uint32, active uint32, banks int) int {
-	if active == 0 {
-		return 1
-	}
-	// words[b] collects the distinct word addresses seen on bank b.
-	words := make(map[int][]uint32, banks)
+	const buckets = 64
+	var (
+		head  [buckets]uint8          // first entry of the bucket's chain, +1; 0 = empty
+		next  [kernel.WarpSize]uint8  // next entry in the chain, +1
+		words [kernel.WarpSize]uint32 // distinct words seen
+		bank  [kernel.WarpSize]uint32 // and their banks
+		n     uint8                   // entries used
+	)
+	nb, pow2 := uint32(banks), banks&(banks-1) == 0
 	deg := 1
-	for lane := 0; lane < kernel.WarpSize; lane++ {
-		if active&(1<<lane) == 0 {
-			continue
+lanes:
+	for m := active; m != 0; m &= m - 1 {
+		word := addrs[bits.TrailingZeros32(m)] >> 2
+		b := word & (nb - 1)
+		if !pow2 {
+			b = word % nb
 		}
-		word := addrs[lane] >> 2
-		b := int(word) % banks
-		dup := false
-		for _, w := range words[b] {
-			if w == word {
-				dup = true
-				break
+		same := 1 // distinct words on bank b, this one included
+		for e := head[b%buckets]; e != 0; e = next[e-1] {
+			if bank[e-1] == b {
+				if words[e-1] == word {
+					continue lanes // broadcast: no extra cycle
+				}
+				same++
 			}
 		}
-		if !dup {
-			words[b] = append(words[b], word)
-			if len(words[b]) > deg {
-				deg = len(words[b])
-			}
-		}
+		words[n], bank[n], next[n] = word, b, head[b%buckets]
+		n++
+		head[b%buckets] = n
+		deg = max(deg, same)
 	}
 	return deg
 }

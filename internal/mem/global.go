@@ -3,6 +3,8 @@
 // partitions, and the interconnect glue between SMs and partitions.
 package mem
 
+import "encoding/binary"
+
 const pageBits = 16 // 64 KiB pages
 const pageSize = 1 << pageBits
 
@@ -10,13 +12,16 @@ const pageSize = 1 << pageBits
 // byte-addressable space with a bump allocator. Address 0 is kept
 // unallocated so kernels can use 0 as a null pointer.
 type Global struct {
-	pages map[uint32][]byte
+	// pages is a dense page table indexed by addr>>pageBits; nil marks a
+	// page nothing has stored to yet. It covers every allocated address
+	// and grows only in Alloc, Store32 and RestoreState, never on a load.
+	pages []*[pageSize]byte
 	brk   uint32
 }
 
 // NewGlobal returns an empty global memory.
 func NewGlobal() *Global {
-	return &Global{pages: make(map[uint32][]byte), brk: 256}
+	return &Global{brk: 256}
 }
 
 // Alloc reserves n bytes and returns the base address, 256-byte aligned
@@ -24,44 +29,44 @@ func NewGlobal() *Global {
 func (g *Global) Alloc(n int) uint32 {
 	base := (g.brk + 255) &^ 255
 	g.brk = base + uint32(n)
+	g.cover(g.brk >> pageBits)
 	return base
 }
 
-func (g *Global) page(addr uint32) []byte {
-	p, ok := g.pages[addr>>pageBits]
-	if !ok {
-		p = make([]byte, pageSize)
-		g.pages[addr>>pageBits] = p
+// cover extends the page table to include page index idx.
+func (g *Global) cover(idx uint32) {
+	if need := int(idx) + 1; need > len(g.pages) {
+		g.pages = append(g.pages, make([]*[pageSize]byte, need-len(g.pages))...)
 	}
-	return p
 }
 
 // Load32 reads a little-endian 32-bit word. Unaligned addresses are
 // clamped to word alignment (our ISA is word-oriented). Reading an
 // untouched page returns zero without materializing it, which keeps the
-// load path free of map writes: the parallel cycle engine lets every SM
-// read global memory concurrently during a cycle (stores are staged per
-// SM and applied between cycles), and that is only race-free because
-// loads never mutate the page table.
+// load path free of page-table writes: the parallel cycle engine lets
+// every SM read global memory concurrently during a cycle (stores are
+// staged per SM and applied between cycles), and that is only race-free
+// because loads never mutate the page table.
 func (g *Global) Load32(addr uint32) uint32 {
 	a := addr &^ 3
-	p, ok := g.pages[a>>pageBits]
-	if !ok {
+	idx := a >> pageBits
+	if int(idx) >= len(g.pages) || g.pages[idx] == nil {
 		return 0
 	}
-	o := a & (pageSize - 1)
-	return uint32(p[o]) | uint32(p[o+1])<<8 | uint32(p[o+2])<<16 | uint32(p[o+3])<<24
+	return binary.LittleEndian.Uint32(g.pages[idx][a&(pageSize-1):])
 }
 
 // Store32 writes a little-endian 32-bit word.
 func (g *Global) Store32(addr uint32, v uint32) {
 	a := addr &^ 3
-	p := g.page(a)
-	o := a & (pageSize - 1)
-	p[o] = byte(v)
-	p[o+1] = byte(v >> 8)
-	p[o+2] = byte(v >> 16)
-	p[o+3] = byte(v >> 24)
+	idx := a >> pageBits
+	g.cover(idx)
+	p := g.pages[idx]
+	if p == nil {
+		p = new([pageSize]byte)
+		g.pages[idx] = p
+	}
+	binary.LittleEndian.PutUint32(p[a&(pageSize-1):], v)
 }
 
 // WriteWords copies words into memory starting at addr.

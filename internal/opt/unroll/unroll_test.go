@@ -125,9 +125,11 @@ func TestApplyPreservesSemantics(t *testing.T) {
 		run := func(kk *kernel.Kernel) *warp.State {
 			w := warp.NewState(kk.RegsPerThread, warp.LanesMask(32))
 			env := &warp.Env{BlockDim: 32, GridDim: 1}
+			w.BindBlock(env, 0)
+			ops := warp.DecodeKernel(kk)
 			for !w.Finished() {
 				pc, _, _ := w.PC()
-				w.Execute(&kk.Instrs[pc], env)
+				w.Execute(&ops[pc], env, nil)
 			}
 			return w
 		}

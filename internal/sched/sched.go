@@ -105,11 +105,15 @@ func posOfSlot(warps []WarpInfo, slot int) int {
 }
 
 func (s *lrr) Order(warps []WarpInfo, out []int) []int {
-	n := len(warps)
 	start := posOfSlot(warps, s.last) + 1 // -1 (not found) resumes at 0
-	for i := 0; i < n; i++ {
-		w := &warps[(start+i)%n]
-		if w.HasWork {
+	// Rotate without a modulo per warp: [start, n) then [0, start).
+	for i := range warps[start:] {
+		if w := &warps[start+i]; w.HasWork {
+			out = append(out, w.Slot)
+		}
+	}
+	for i := range warps[:start] {
+		if w := &warps[i]; w.HasWork {
 			out = append(out, w.Slot)
 		}
 	}

@@ -58,6 +58,19 @@ func (sm *SM) AuditBarriers() error {
 				sm.ID, bs, b.ctaID, b.arrived, nLive)
 		}
 	}
+	for ti := range sm.tens {
+		t := &sm.tens[ti]
+		nParked := 0
+		for wi := 0; wi < t.nBlocks*t.wpb; wi++ {
+			if wc := &sm.warps[t.warpBase+wi]; wc.live && wc.atBarrier {
+				nParked++
+			}
+		}
+		if t.parked != nParked {
+			return fmt.Errorf("SM%d tenant %d: parked-warp count %d but %d warps parked at a barrier (BarrierWaits would drift)",
+				sm.ID, t.id, t.parked, nParked)
+		}
+	}
 	return nil
 }
 
@@ -204,7 +217,7 @@ func (sm *SM) stallReason(ws int, now int64) string {
 	t := &sm.tens[sm.blocks[bs].tn]
 	ls := bs - t.blockBase
 	in := &t.launch.Kernel.Instrs[pc]
-	needRegs, needPreds := sm.dependencyMasks(in)
+	needRegs, needPreds := dependencyMasks(in)
 	if hit := needRegs & wc.pendingRegs; hit != 0 {
 		if hit&wc.loadRegs != 0 {
 			return fmt.Sprintf("scoreboard: waiting on in-flight global load (regs %#x)", hit)
@@ -226,9 +239,8 @@ func (sm *SM) stallReason(ws int, now int64) string {
 		return "shared-register lock held by partner block (Fig. 5 wait)"
 	}
 	if isa.IsSharedMem(in.Op) {
-		b := &sm.blocks[bs]
-		var addrs [32]uint32
-		active := wc.w.EffAddrs(in, &b.env, &addrs)
+		var addrs isa.Row
+		active := wc.w.EffAddrs(&t.meta[pc].op, &addrs)
 		if t.shr.SmemNeedsLock(ls, &addrs, active) && t.shr.WouldBlockSmem(ls) {
 			return "scratchpad lock held by partner block (Fig. 4 wait)"
 		}

@@ -244,6 +244,9 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 	if len(c.Scheds) != len(sm.scheds) {
 		return fmt.Errorf("SM%d: snapshot has %d schedulers, SM has %d", sm.ID, len(c.Scheds), len(sm.scheds))
 	}
+	for i := range sm.tens {
+		sm.tens[i].parked = 0
+	}
 	for i := range sm.warps {
 		wc := &sm.warps[i]
 		s := &c.Warps[i]
@@ -253,6 +256,9 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 		wc.live = s.Live
 		wc.finished = s.Finished
 		wc.atBarrier = s.AtBarrier
+		if wc.live && wc.atBarrier {
+			sm.tens[wc.tn].parked++
+		}
 		wc.pendingRegs = s.PendingRegs
 		wc.pendingPreds = s.PendingPreds
 		wc.loadRegs = s.LoadRegs
@@ -291,6 +297,10 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 			Params:    t.launch.Params,
 			Gmem:      &sm.gmem,
 			Smem:      b.smem,
+		}
+		for wi := 0; wi < b.wpb; wi++ {
+			w := sm.warps[b.warpBase+wi].w
+			w.BindBlock(&b.env, w.WarpInCta)
 		}
 	}
 	for i := range sm.tens {

@@ -4,20 +4,26 @@ import (
 	"fmt"
 	"os"
 
+	"gpushare/internal/config"
+	"gpushare/internal/core"
 	"gpushare/internal/isa"
 	"gpushare/internal/kernel"
+	"gpushare/internal/opt/liveness"
 	"gpushare/internal/sched"
+	"gpushare/internal/warp"
 )
 
 // The ready-set issue engine (see DESIGN.md "The ready-set issue
 // engine"). Two ideas, both exploiting that a kernel's instruction
 // stream is static:
 //
-//  1. metaEntry: everything tryIssue derives from an instruction —
-//     scoreboard dependency masks, destination masks, execution unit,
-//     memory class, shared-pool reach, arithmetic latency — is computed
-//     once per PC at SM construction, turning per-cycle operand walks
-//     into single array loads.
+//  1. Program: everything tryIssue needs from an instruction is lowered
+//     once per launch into one per-PC table — the timing metadata
+//     (scoreboard dependency masks, destination masks, execution unit,
+//     memory class, shared-pool reach, arithmetic latency) and the
+//     decoded functional op the warp executes a register row at a
+//     time. The table is immutable, so every SM and engine worker of
+//     the launch shares one copy.
 //
 //  2. Warp snapshots: each warp's sched.WarpInfo is cached and
 //     recomputed only when an event that can change one of its inputs
@@ -30,7 +36,8 @@ import (
 // cycle rebuilds every view and ranks with the legacy sort, which is
 // the reference the snapshot path is audited and tested against.
 
-// metaEntry is the static per-PC issue metadata.
+// metaEntry is one PC of a Program: the static issue metadata and the
+// decoded instruction.
 type metaEntry struct {
 	regMask     uint64 // GPR scoreboard dependencies (sources + destination)
 	dstRegMask  uint64 // GPR destination bit, if any
@@ -39,6 +46,7 @@ type metaEntry struct {
 	unit        uint8  // isa.Unit
 	flags       uint8
 	lat         int64 // SP/SFU issue-to-writeback latency incl. RF bank conflicts
+	op          warp.Op
 }
 
 const (
@@ -47,15 +55,25 @@ const (
 	metaSharedPool                   // touches a register in the shared pool (>= PrivateRegs)
 )
 
-// buildMeta precomputes the metadata table for one tenant's kernel.
-// privateRegs is the tenant occupancy's private/shared register split.
-func (sm *SM) buildMeta(k *kernel.Kernel, privateRegs int) []metaEntry {
-	meta := make([]metaEntry, len(k.Instrs))
+// Program is a kernel lowered for the issue path under one occupancy
+// (the private/shared register split decides which instructions need
+// the pair lock). It is read-only after NewProgram.
+type Program struct {
+	meta []metaEntry
+	// futureShared[pc] reports whether a warp at pc can still touch the
+	// shared register pool; nil unless early release applies (§VIII).
+	futureShared []bool
+}
+
+// NewProgram lowers kernel k once for a launch. The result depends only
+// on the configuration, the kernel and the occupancy's register split,
+// so SMs granted the same occupancy share one Program.
+func NewProgram(cfg *config.Config, k *kernel.Kernel, occ core.Occupancy) *Program {
+	p := &Program{meta: make([]metaEntry, len(k.Instrs))}
 	for pc := range k.Instrs {
 		in := &k.Instrs[pc]
-		me := &meta[pc]
-		regs, preds := sm.dependencyMasks(in)
-		me.regMask, me.predMask = regs, preds
+		me := &p.meta[pc]
+		me.regMask, me.predMask = dependencyMasks(in)
 		if r, ok := in.DstReg(); ok {
 			me.dstRegMask = 1 << uint(r)
 		}
@@ -69,18 +87,20 @@ func (sm *SM) buildMeta(k *kernel.Kernel, privateRegs int) []metaEntry {
 		if isa.IsSharedMem(in.Op) {
 			me.flags |= metaSharedMem
 		}
-		if in.MaxReg() >= privateRegs {
+		if in.MaxReg() >= occ.PrivateRegs {
 			me.flags |= metaSharedPool
 		}
-		switch isa.UnitOf(in.Op) {
-		case isa.UnitSFU:
-			me.lat = int64(sm.cfg.SFULat)
-		default:
-			me.lat = int64(sm.cfg.SPLat)
+		me.lat = int64(cfg.SPLat)
+		if isa.UnitOf(in.Op) == isa.UnitSFU {
+			me.lat = int64(cfg.SFULat)
 		}
-		me.lat += sm.rfConflictCycles(in)
+		me.lat += rfConflictCycles(cfg, in)
+		me.op = warp.Decode(in)
 	}
-	return meta
+	if cfg.EarlyRegRelease && cfg.Sharing == config.ShareRegisters && occ.Pairs > 0 {
+		p.futureShared = liveness.FutureSharedUse(k, occ.PrivateRegs)
+	}
+	return p
 }
 
 // envNoSnapshot reads GPUSHARE_NOSNAPSHOT: any value other than empty
@@ -198,7 +218,7 @@ func (sm *SM) referenceInfo(ws int) sched.WarpInfo {
 		wi.Category = t.shr.Category(bs - t.blockBase)
 		if pc, _, ok := wc.w.PC(); ok {
 			in := &t.launch.Kernel.Instrs[pc]
-			need, _ := sm.dependencyMasks(in)
+			need, _ := dependencyMasks(in)
 			wi.WaitingLong = need&wc.loadRegs != 0
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"gpushare/internal/config"
 	"gpushare/internal/core"
 	"gpushare/internal/fault"
+	"gpushare/internal/isa"
 	"gpushare/internal/kernel"
 	"gpushare/internal/mem"
 	"gpushare/internal/mem/cache"
@@ -133,8 +134,8 @@ type SM struct {
 	Stats stats.SM
 
 	// scratch buffers reused across cycles
-	lineBuf []uint32
-	regBuf  []int
+	lineBuf   []uint32
+	smemAddrs isa.Row // effective addresses of the scratchpad instruction being issued
 }
 
 // New builds an SM for a single kernel launch: a one-tenant SM with no
@@ -256,12 +257,15 @@ func (sm *SM) LaunchBlock(slot, ctaID int) error {
 		wc := &sm.warps[b.warpBase+wi]
 		wc.w.Reset(warp.LanesMask(lanes))
 		wc.w.BlockSlot = slot
-		wc.w.WarpInCta = wi
+		wc.w.BindBlock(&b.env, wi)
 		wc.w.DynID = sm.nextDyn
 		sm.nextDyn++
 		wc.live = true
 		wc.finished = false
-		wc.atBarrier = false
+		if wc.atBarrier {
+			wc.atBarrier = false
+			t.parked--
+		}
 		wc.pendingRegs = 0
 		wc.pendingPreds = 0
 		wc.loadRegs = 0

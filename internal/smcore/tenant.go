@@ -6,11 +6,9 @@ import (
 	"gpushare/internal/config"
 	"gpushare/internal/core"
 	"gpushare/internal/fault"
-	"gpushare/internal/isa"
 	"gpushare/internal/kernel"
 	"gpushare/internal/mem"
 	"gpushare/internal/mem/cache"
-	"gpushare/internal/opt/liveness"
 	"gpushare/internal/sched"
 	"gpushare/internal/stats"
 	"gpushare/internal/warp"
@@ -27,6 +25,11 @@ type TenantLaunch struct {
 	Occ     core.Occupancy
 	CapRegs int // register cap for this tenant on this SM (0 = no cap)
 	CapSmem int // scratchpad byte cap for this tenant on this SM (0 = no cap)
+
+	// Prog is NewProgram(cfg, Launch.Kernel, Occ), built once by the
+	// caller and shared by every SM that hosts this tenant under this
+	// occupancy. nil makes the SM lower the kernel itself.
+	Prog *Program
 }
 
 // tenantCtx is one tenant's state on an SM. Each tenant owns a
@@ -42,8 +45,7 @@ type tenantCtx struct {
 	shr    *core.Manager
 	wpb    int // warps per block for this tenant's kernel
 
-	instrs       []isa.Instr // launch.Kernel.Instrs, cached for the issue path
-	meta         []metaEntry
+	meta         []metaEntry // the tenant's Program, indexed by PC
 	futureShared []bool
 
 	blockBase int // first block slot owned by this tenant
@@ -61,6 +63,13 @@ type tenantCtx struct {
 	regsPerBlock       int
 	smemPerBlock       int
 	pairRegs, pairSmem int
+
+	// parked counts this tenant's live warps waiting at a barrier, kept
+	// in step with every flip of warpCtx.atBarrier so Tick charges
+	// BarrierWaits without scanning the warps. It deliberately counts
+	// parked warps, not blockCtx.arrived, which a SkipBarrierArrival
+	// fault desynchronises.
+	parked int
 
 	st stats.Tenant
 }
@@ -100,7 +109,6 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 		t := tenantCtx{
 			id:           tl.ID,
 			launch:       tl.Launch,
-			instrs:       k.Instrs,
 			occ:          tl.Occ,
 			shr:          core.NewManager(cfg, tl.Occ, wpb),
 			wpb:          wpb,
@@ -118,9 +126,11 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 		case config.ShareScratchpad:
 			t.pairSmem = core.PairQuantum(t.smemPerBlock, cfg.T)
 		}
-		if cfg.EarlyRegRelease && cfg.Sharing == config.ShareRegisters && tl.Occ.Pairs > 0 {
-			t.futureShared = liveness.FutureSharedUse(k, tl.Occ.PrivateRegs)
+		prog := tl.Prog
+		if prog == nil {
+			prog = NewProgram(cfg, k, tl.Occ)
 		}
+		t.meta, t.futureShared = prog.meta, prog.futureShared
 		t.st.SMs = 1
 		totalBlocks += tl.Occ.Max
 		totalWarps += tl.Occ.Max * wpb
@@ -140,7 +150,6 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 	sm.blocks = make([]blockCtx, totalBlocks)
 	for ti := range sm.tens {
 		t := &sm.tens[ti]
-		t.meta = sm.buildMeta(t.launch.Kernel, t.occ.PrivateRegs)
 		for ls := 0; ls < t.nBlocks; ls++ {
 			b := &sm.blocks[t.blockBase+ls]
 			b.tn = ti
@@ -252,7 +261,7 @@ func (sm *SM) releaseBlock(t *tenantCtx, bs int, partnerLive bool, now int64, ws
 		}
 	}
 	if relRegs > 0 || relSmem > 0 {
-		if sm.faults.Trip(fault.CorruptTenantCap, now, sm.ID, ws,
+		if sm.faults.Armed(fault.CorruptTenantCap) && sm.faults.Trip(fault.CorruptTenantCap, now, sm.ID, ws,
 			fmt.Sprintf("block in slot %d finished but its tenant cap charge (%d regs, %d smem) was not released", bs, relRegs, relSmem)) {
 			return // injected leak: the ledger diverges from live blocks
 		}

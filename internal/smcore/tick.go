@@ -3,10 +3,10 @@ package smcore
 import (
 	"fmt"
 
+	"gpushare/internal/config"
 	"gpushare/internal/core"
 	"gpushare/internal/fault"
 	"gpushare/internal/isa"
-	"gpushare/internal/kernel"
 	"gpushare/internal/mem"
 	"gpushare/internal/simerr"
 	"gpushare/internal/warp"
@@ -81,10 +81,10 @@ func (sm *SM) Tick(now int64) (bool, error) {
 			sm.Stats.IdleCycles++
 		}
 	}
-	for i := range sm.warps {
-		if sm.warps[i].live && sm.warps[i].atBarrier {
-			sm.Stats.BarrierWaits++
-			sm.tens[sm.blocks[sm.warps[i].w.BlockSlot].tn].st.BarrierWaits++
+	for i := range sm.tens {
+		if t := &sm.tens[i]; t.parked != 0 {
+			sm.Stats.BarrierWaits += int64(t.parked)
+			t.st.BarrierWaits += int64(t.parked)
 		}
 	}
 	return issued > 0, nil
@@ -92,9 +92,9 @@ func (sm *SM) Tick(now int64) (bool, error) {
 
 // dependencyMasks returns the GPR and predicate scoreboard bits the
 // instruction depends on (sources and destinations, for RAW and WAW).
-func (sm *SM) dependencyMasks(in *isa.Instr) (regs uint64, preds uint8) {
-	sm.regBuf = in.Regs(sm.regBuf[:0])
-	for _, r := range sm.regBuf {
+func dependencyMasks(in *isa.Instr) (regs uint64, preds uint8) {
+	var buf [4]int
+	for _, r := range in.Regs(buf[:0]) {
 		regs |= 1 << uint(r)
 	}
 	if in.Guarded() {
@@ -166,7 +166,6 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, int, er
 	bs := wc.w.BlockSlot
 	b := &sm.blocks[bs]
 	ls := bs - t.blockBase
-	in := &t.instrs[pc]
 
 	// Register sharing: instructions touching the shared register pool
 	// need the warp-pair lock (Fig. 3). A successful acquire can change
@@ -186,12 +185,15 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, int, er
 	}
 
 	// Scratchpad sharing: accesses into the shared region need the
-	// block-pair lock (Fig. 4).
-	var smemAddrs [kernel.WarpSize]uint32
+	// block-pair lock (Fig. 4). The effective addresses are computed
+	// once here and serve the lock check, the executor and the
+	// bank-conflict model.
+	var smemAddrs *isa.Row
 	var smemActive uint32
 	if me.flags&metaSharedMem != 0 {
-		smemActive = wc.w.EffAddrs(in, &b.env, &smemAddrs)
-		if t.shr.SmemNeedsLock(ls, &smemAddrs, smemActive) {
+		smemAddrs = &sm.smemAddrs
+		smemActive = wc.w.EffAddrs(&me.op, smemAddrs)
+		if t.shr.SmemNeedsLock(ls, smemAddrs, smemActive) {
 			epoch := t.shr.Epoch()
 			if !t.shr.TryAcquireSmem(ls) {
 				sm.Stats.BlockLockWait++
@@ -217,11 +219,11 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, int, er
 	}
 
 	// All checks passed: execute functionally and model timing.
-	res, err := wc.w.Execute(in, &b.env)
+	res, err := wc.w.Execute(&me.op, &b.env, smemAddrs)
 	if err != nil {
 		return false, blockNone, &simerr.SimError{
 			Kind: simerr.KindExec, Cycle: now, SM: sm.ID, Warp: ws,
-			Msg: fmt.Sprintf("functional fault executing pc %d (%s)", pc, in.String()), Err: err,
+			Msg: fmt.Sprintf("functional fault executing pc %d (%s)", pc, t.launch.Kernel.Instrs[pc].String()), Err: err,
 		}
 	}
 	sm.Stats.WarpInstrs++
@@ -230,10 +232,11 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, int, er
 	sm.Stats.ThreadInstrs += active
 	t.st.ThreadInstrs += active
 
-	switch {
+	switch op := me.op.Code; {
 	case res.Kind == warp.ResBarrier:
 		if !res.Finished {
 			wc.atBarrier = true
+			t.parked++
 			if sm.faults.Trip(fault.SkipBarrierArrival, now, sm.ID, ws,
 				"warp parked at barrier without incrementing the arrival count") {
 				break // injected fault: the block's barrier can never release
@@ -241,22 +244,22 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, int, er
 			b.arrived++
 			sm.checkBarrier(bs)
 		}
-	case in.Op == isa.BRA, in.Op == isa.EXIT, in.Op == isa.NOP:
+	case op == isa.BRA, op == isa.EXIT, op == isa.NOP:
 		// Control instructions retire immediately.
-	case isa.IsSharedMem(in.Op):
+	case me.flags&metaSharedMem != 0:
 		*memUsed = true
-		deg := mem.BankConflictDegree(&smemAddrs, smemActive, sm.cfg.SmemBanks)
+		deg := mem.BankConflictDegree(smemAddrs, smemActive, sm.cfg.SmemBanks)
 		sm.Stats.BankConflicts += int64(deg - 1)
 		sm.lsuBusy = now + int64(deg-1)
-		if in.Op == isa.LDS {
+		if op == isa.LDS {
 			lat := int64(sm.cfg.SmemLat + deg - 1)
 			sm.scheduleWB(now, now+lat, ws, wc.gen, me.dstRegMask, 0, nil)
 			wc.pendingRegs |= me.dstRegMask
 		}
-	case in.Op == isa.LDG:
+	case op == isa.LDG:
 		*memUsed = true
-		sm.issueGlobalLoad(ws, wc, in, res, now)
-	case in.Op == isa.STG:
+		sm.issueGlobalLoad(ws, wc, me.dstRegMask, res, now)
+	case op == isa.STG:
 		*memUsed = true
 		sm.issueGlobalStore(res, now)
 	default:
@@ -287,8 +290,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, int, er
 
 // issueGlobalLoad coalesces a load into line transactions and routes each
 // through the L1 / MSHR / memory system.
-func (sm *SM) issueGlobalLoad(ws int, wc *warpCtx, in *isa.Instr, res warp.Result, now int64) {
-	dstMask := uint64(1) << in.Dst.Reg
+func (sm *SM) issueGlobalLoad(ws int, wc *warpCtx, dstMask uint64, res warp.Result, now int64) {
 	lines := mem.Coalesce(res.GlobalAddrs, res.Active, sm.cfg.L1LineSz, sm.lineBuf[:0])
 	sm.lineBuf = lines[:0]
 	sm.Stats.CoalescedAccess += int64(len(lines))
@@ -415,7 +417,7 @@ func (sm *SM) drainReplies(now int64) {
 	if req == nil {
 		return
 	}
-	if sm.faults.Trip(fault.DropMemReply, now, sm.ID, -1,
+	if sm.faults.Armed(fault.DropMemReply) && sm.faults.Trip(fault.DropMemReply, now, sm.ID, -1,
 		fmt.Sprintf("discarded reply for line %#x; its load group never completes", req.LineAddr)) {
 		return // injected fault: the reply vanishes between networks and MSHR
 	}
@@ -444,7 +446,10 @@ func (sm *SM) checkBarrier(bs int) {
 	for wi := 0; wi < b.wpb; wi++ {
 		wc := &sm.warps[b.warpBase+wi]
 		if wc.live && !wc.finished {
-			wc.atBarrier = false
+			if wc.atBarrier {
+				wc.atBarrier = false
+				sm.tens[b.tn].parked--
+			}
 			sm.markDirty(b.warpBase + wi)
 		}
 	}
@@ -503,18 +508,19 @@ func (sm *SM) PendingWork() bool {
 // rfConflictCycles returns the extra operand-read cycles caused by
 // register-file bank conflicts (Fig. 3's banked register file), when the
 // model is enabled: source registers mapping to the same bank serialize.
-func (sm *SM) rfConflictCycles(in *isa.Instr) int64 {
-	nb := sm.cfg.RFBanks
+func rfConflictCycles(cfg *config.Config, in *isa.Instr) int64 {
+	nb := cfg.RFBanks
 	if nb <= 0 {
 		return 0
 	}
-	sm.regBuf = in.SrcRegs(sm.regBuf[:0])
-	if len(sm.regBuf) < 2 {
+	var buf [3]int
+	srcs := in.SrcRegs(buf[:0])
+	if len(srcs) < 2 {
 		return 0
 	}
 	var seen uint64
 	extra := int64(0)
-	for _, r := range sm.regBuf {
+	for _, r := range srcs {
 		bank := uint64(1) << uint(r%nb)
 		if seen&bank != 0 {
 			extra++

@@ -1,6 +1,7 @@
 package warp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -56,11 +57,11 @@ type Result struct {
 	// For global memory instructions: per-lane byte addresses, valid for
 	// lanes in Active. The timing model coalesces these into cache-line
 	// transactions.
-	GlobalAddrs *[kernel.WarpSize]uint32
+	GlobalAddrs *isa.Row
 	// For scratchpad instructions: per-lane byte addresses within the
 	// block's scratchpad, used for bank-conflict modelling and the
 	// shared-region access check (Fig. 4 of the paper).
-	SharedAddrs *[kernel.WarpSize]uint32
+	SharedAddrs *isa.Row
 	IsStore     bool
 
 	Finished bool // warp has no live lanes left
@@ -71,33 +72,34 @@ type State struct {
 	ID        int   // hardware warp slot within the SM
 	DynID     int64 // dynamic (launch-order) warp id; lower = older
 	BlockSlot int   // hardware block slot within the SM
-	WarpInCta int   // warp index within its thread block
+	WarpInCta int   // warp index within its thread block; set by BindBlock
 
 	Lanes uint32 // lanes that exist (last warp of a block may be partial)
 
 	simt  SIMT
-	regs  []uint32 // regsPerThread x 32, lane-major within a register
+	regs  []uint32 // regsPerThread rows of 32 lanes: register r is regs[r*32 : r*32+32]
 	preds [kernel.MaxPredRegs]uint32
 
-	nregs int
+	// specials holds every special register as a row, so a decoded
+	// operand reads %tid or %ctaid exactly as it reads a register.
+	// BindBlock fills it; the values are fixed for the block's lifetime.
+	specials [isa.NumSpecials]isa.Row
 
-	// Scratch address buffers handed out via Result.GlobalAddrs /
-	// SharedAddrs. The core consumes a Result before this warp executes
-	// again, so reusing them is safe and removes a 128-byte allocation
-	// per memory instruction. Lanes outside Result.Active hold stale
-	// values, which Result already documents as invalid.
-	gaddrs [kernel.WarpSize]uint32
-	saddrs [kernel.WarpSize]uint32
+	// Scratch address row handed out via Result.GlobalAddrs /
+	// SharedAddrs when the caller supplied none. The core consumes a
+	// Result before this warp executes again, so reusing it is safe.
+	// Lanes outside Result.Active are not meaningful.
+	addrs isa.Row
 }
 
 // NewState allocates warp state for a kernel with nregs registers per
-// thread. lanes is the existence mask.
+// thread. lanes is the existence mask. The special registers read as
+// zero until BindBlock.
 func NewState(nregs int, lanes uint32) *State {
 	return &State{
 		Lanes: lanes,
 		simt:  NewSIMT(lanes),
 		regs:  make([]uint32, nregs*kernel.WarpSize),
-		nregs: nregs,
 	}
 }
 
@@ -108,6 +110,44 @@ func (w *State) Reset(lanes uint32) {
 	w.simt = NewSIMT(lanes)
 	clear(w.regs)
 	clear(w.preds[:])
+}
+
+// BindBlock places the warp at index warpInCta of the block env
+// describes and fills the special-register rows: the block constants
+// (%ctaid, %ntid, %nctaid and their y forms) as broadcast rows, the
+// per-warp ones (%tid, %tid.y, %lane, %warpid) per lane. The SM calls it
+// at every block launch and after restoring a checkpoint.
+func (w *State) BindBlock(env *Env, warpInCta int) {
+	w.WarpInCta = warpInCta
+	gridY := 1
+	if env.GridDimY > 1 {
+		gridY = env.GridDimY
+	}
+	fillRow(&w.specials[isa.SrCtaid], uint32(env.CtaID))
+	fillRow(&w.specials[isa.SrCtaidY], uint32(env.CtaIDY))
+	fillRow(&w.specials[isa.SrNtid], uint32(env.BlockDim))
+	fillRow(&w.specials[isa.SrNtidY], uint32(env.dimY()))
+	fillRow(&w.specials[isa.SrNctaid], uint32(env.GridDim))
+	fillRow(&w.specials[isa.SrNctaidY], uint32(gridY))
+	fillRow(&w.specials[isa.SrWarpCta], uint32(warpInCta))
+	tid, tidY := &w.specials[isa.SrTid], &w.specials[isa.SrTidY]
+	for lane := 0; lane < kernel.WarpSize; lane++ {
+		t := warpInCta*kernel.WarpSize + lane
+		w.specials[isa.SrLane][lane] = uint32(lane)
+		tid[lane], tidY[lane] = uint32(t), 0
+		if env.BlockDim > 0 {
+			tidY[lane] = uint32(t / env.BlockDim)
+			if env.dimY() > 1 {
+				tid[lane] = uint32(t % env.BlockDim)
+			}
+		}
+	}
+}
+
+func fillRow(r *isa.Row, v uint32) {
+	for i := range r {
+		r[i] = v
+	}
 }
 
 // Finished reports whether every lane has exited.
@@ -151,90 +191,67 @@ func (w *State) SetReg(r, lane int, v uint32) { w.regs[r*kernel.WarpSize+lane] =
 func (w *State) Pred(p int) uint32 { return w.preds[p] }
 
 // guardMask returns the lanes of mask that pass the instruction's guard.
-func (w *State) guardMask(in *isa.Instr, mask uint32) uint32 {
-	if !in.Guarded() {
+func (w *State) guardMask(op *Op, mask uint32) uint32 {
+	if op.guard == isa.NoPred {
 		return mask
 	}
-	pm := w.preds[in.GuardPred]
-	if in.GuardNeg {
+	pm := w.preds[op.guard]
+	if op.guardNeg {
 		pm = ^pm
 	}
 	return mask & pm
 }
 
-// readOperand evaluates a source operand for one lane.
-func (w *State) readOperand(o isa.Operand, lane int, env *Env) uint32 {
-	switch o.Kind {
-	case isa.OpReg:
-		return w.Reg(int(o.Reg), lane)
-	case isa.OpImm:
-		return uint32(o.Imm)
-	case isa.OpSpecial:
-		switch o.Spec {
-		case isa.SrTid:
-			t := w.WarpInCta*kernel.WarpSize + lane
-			if env.dimY() > 1 {
-				return uint32(t % env.BlockDim)
-			}
-			return uint32(t)
-		case isa.SrTidY:
-			return uint32((w.WarpInCta*kernel.WarpSize + lane) / env.BlockDim)
-		case isa.SrCtaid:
-			return uint32(env.CtaID)
-		case isa.SrCtaidY:
-			return uint32(env.CtaIDY)
-		case isa.SrNtid:
-			return uint32(env.BlockDim)
-		case isa.SrNtidY:
-			return uint32(env.dimY())
-		case isa.SrNctaid:
-			return uint32(env.GridDim)
-		case isa.SrNctaidY:
-			if env.GridDimY > 1 {
-				return uint32(env.GridDimY)
-			}
-			return 1
-		case isa.SrLane:
-			return uint32(lane)
-		case isa.SrWarpCta:
-			return uint32(w.WarpInCta)
-		}
+// row resolves a decoded operand to the 32 lane values it reads.
+func (w *State) row(o *operand) *isa.Row {
+	switch {
+	case o.imm != nil:
+		return o.imm
+	case o.special:
+		return &w.specials[o.idx]
 	}
-	return 0
+	return w.regRow(int(o.idx))
 }
 
-// EffAddrs computes the effective per-lane byte addresses of a memory
-// instruction without executing it, for pre-issue checks (scratchpad
-// shared-region detection and coalescing cost estimation). It returns the
-// set of lanes that would execute after applying the guard.
-func (w *State) EffAddrs(in *isa.Instr, env *Env, addrs *[kernel.WarpSize]uint32) uint32 {
+// regRow returns register r as a row of the register file.
+func (w *State) regRow(r int) *isa.Row {
+	return (*isa.Row)(w.regs[r*kernel.WarpSize:])
+}
+
+// EffAddrs computes the effective byte address of every lane of a
+// memory instruction into addrs without executing it, and returns the
+// lanes that would execute after applying the guard. The SM issue stage
+// uses it for the scratchpad shared-region check and then hands the
+// same addresses to Execute.
+func (w *State) EffAddrs(op *Op, addrs *isa.Row) uint32 {
 	_, mask := w.simt.Top()
-	active := w.guardMask(in, mask)
-	for lane := 0; lane < kernel.WarpSize; lane++ {
-		if active&(1<<lane) == 0 {
-			continue
-		}
-		addrs[lane] = w.readOperand(in.A, lane, env) + uint32(in.Off)
+	base := w.row(&op.a)
+	for i := range addrs {
+		addrs[i] = base[i] + op.off
 	}
-	return active
+	return w.guardMask(op, mask)
 }
 
-// Execute functionally executes the instruction at the warp's current PC
-// and advances control flow. The caller (the SM issue stage) is
-// responsible for having verified that in is the instruction at the
-// current PC and that all issue conditions hold. A non-nil error means
-// the kernel itself is faulty (a barrier inside divergent control flow,
-// a scratchpad access out of bounds); the warp state is left as-is and
-// the simulation must abort.
-func (w *State) Execute(in *isa.Instr, env *Env) (Result, error) {
-	pc, mask := w.simt.Top()
-	_ = pc
-	active := w.guardMask(in, mask)
+// Execute functionally executes op, the decoded instruction at the
+// warp's current PC, and advances control flow. The caller (the SM
+// issue stage) is responsible for having verified that op belongs to
+// the current PC and that all issue conditions hold. addrs, when
+// non-nil, are the effective addresses EffAddrs already computed for
+// this memory instruction; nil means compute them here. A non-nil error
+// means the kernel itself is faulty (a barrier inside divergent control
+// flow, a scratchpad access out of bounds); the simulation must abort.
+//
+// Every data instruction is one dispatch on the opcode followed by a
+// loop over whole rows (isa.EvalRow and friends); lanes outside the
+// active mask keep their destination and predicate values.
+func (w *State) Execute(op *Op, env *Env, addrs *isa.Row) (Result, error) {
+	_, mask := w.simt.Top()
+	active := w.guardMask(op, mask)
 	res := Result{Kind: ResNormal, Active: active}
 
-	switch in.Op {
+	switch op.Code {
 	case isa.BRA:
-		w.simt.Branch(active, in.Target, in.Reconv)
+		w.simt.Branch(active, op.target, op.reconv)
 		res.Finished = w.simt.Done()
 		return res, nil
 
@@ -254,112 +271,71 @@ func (w *State) Execute(in *isa.Instr, env *Env) (Result, error) {
 		return res, nil
 
 	case isa.SETP:
-		p := int(in.Dst.Reg)
-		var set uint32
-		for lane := 0; lane < kernel.WarpSize; lane++ {
-			if active&(1<<lane) == 0 {
-				continue
-			}
-			a := w.readOperand(in.A, lane, env)
-			bv := w.readOperand(in.B, lane, env)
-			if isa.EvalCmp(in.Cmp, a, bv) {
-				set |= 1 << lane
-			}
-		}
-		w.preds[p] = (w.preds[p] &^ active) | set
+		set := isa.CmpRow(op.cmp, w.row(&op.a), w.row(&op.b))
+		w.preds[op.dst] = (w.preds[op.dst] &^ active) | (set & active)
 
 	case isa.SELP:
-		d := int(in.Dst.Reg)
-		pm := w.preds[in.C.Reg]
-		for lane := 0; lane < kernel.WarpSize; lane++ {
-			if active&(1<<lane) == 0 {
-				continue
-			}
-			a := w.readOperand(in.A, lane, env)
-			bv := w.readOperand(in.B, lane, env)
-			var c uint32
-			if pm&(1<<lane) != 0 {
-				c = 1
-			}
-			w.SetReg(d, lane, isa.Eval(isa.SELP, a, bv, c))
-		}
+		isa.SelRow(w.regRow(int(op.dst)), w.row(&op.a), w.row(&op.b), w.preds[op.c.idx], active)
 
 	case isa.LDP:
-		d := int(in.Dst.Reg)
-		v := env.Params[in.Off]
-		for lane := 0; lane < kernel.WarpSize; lane++ {
-			if active&(1<<lane) != 0 {
-				w.SetReg(d, lane, v)
-			}
+		dst, v := w.regRow(int(op.dst)), env.Params[op.off]
+		for m := active; m != 0; m &= m - 1 {
+			dst[bits.TrailingZeros32(m)] = v
 		}
+
+	case isa.NOP:
+		// No destination: nothing to compute.
 
 	case isa.LDG, isa.STG:
-		addrs := &w.gaddrs
-		for lane := 0; lane < kernel.WarpSize; lane++ {
-			if active&(1<<lane) == 0 {
-				continue
-			}
-			addrs[lane] = w.readOperand(in.A, lane, env) + uint32(in.Off)
-		}
-		if in.Op == isa.LDG {
-			d := int(in.Dst.Reg)
-			for lane := 0; lane < kernel.WarpSize; lane++ {
-				if active&(1<<lane) != 0 {
-					w.SetReg(d, lane, env.Gmem.Load32(addrs[lane]))
-				}
-			}
-		} else {
-			res.IsStore = true
-			for lane := 0; lane < kernel.WarpSize; lane++ {
-				if active&(1<<lane) != 0 {
-					env.Gmem.Store32(addrs[lane], w.readOperand(in.B, lane, env))
-				}
-			}
+		if addrs == nil {
+			addrs = &w.addrs
+			w.EffAddrs(op, addrs)
 		}
 		res.GlobalAddrs = addrs
-
-	case isa.LDS, isa.STS:
-		addrs := &w.saddrs
-		for lane := 0; lane < kernel.WarpSize; lane++ {
-			if active&(1<<lane) == 0 {
-				continue
-			}
-			addrs[lane] = w.readOperand(in.A, lane, env) + uint32(in.Off)
-		}
-		if in.Op == isa.LDS {
-			d := int(in.Dst.Reg)
-			for lane := 0; lane < kernel.WarpSize; lane++ {
-				if active&(1<<lane) != 0 {
-					v, err := load32(env.Smem, addrs[lane])
-					if err != nil {
-						return res, fmt.Errorf("warp %d lane %d: %w", w.ID, lane, err)
-					}
-					w.SetReg(d, lane, v)
-				}
+		if op.Code == isa.LDG {
+			dst := w.regRow(int(op.dst))
+			for m := active; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				dst[lane] = env.Gmem.Load32(addrs[lane])
 			}
 		} else {
 			res.IsStore = true
-			for lane := 0; lane < kernel.WarpSize; lane++ {
-				if active&(1<<lane) != 0 {
-					if err := store32(env.Smem, addrs[lane], w.readOperand(in.B, lane, env)); err != nil {
-						return res, fmt.Errorf("warp %d lane %d: %w", w.ID, lane, err)
-					}
+			val := w.row(&op.b)
+			for m := active; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				env.Gmem.Store32(addrs[lane], val[lane])
+			}
+		}
+
+	case isa.LDS, isa.STS:
+		if addrs == nil {
+			addrs = &w.addrs
+			w.EffAddrs(op, addrs)
+		}
+		res.SharedAddrs = addrs
+		if op.Code == isa.LDS {
+			dst := w.regRow(int(op.dst))
+			for m := active; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				v, ok := load32(env.Smem, addrs[lane])
+				if !ok {
+					return res, w.smemFault(lane, "load", addrs[lane], len(env.Smem))
+				}
+				dst[lane] = v
+			}
+		} else {
+			res.IsStore = true
+			val := w.row(&op.b)
+			for m := active; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				if !store32(env.Smem, addrs[lane], val[lane]) {
+					return res, w.smemFault(lane, "store", addrs[lane], len(env.Smem))
 				}
 			}
 		}
-		res.SharedAddrs = addrs
 
 	default: // plain ALU / SFU
-		d := int(in.Dst.Reg)
-		for lane := 0; lane < kernel.WarpSize; lane++ {
-			if active&(1<<lane) == 0 {
-				continue
-			}
-			a := w.readOperand(in.A, lane, env)
-			bv := w.readOperand(in.B, lane, env)
-			c := w.readOperand(in.C, lane, env)
-			w.SetReg(d, lane, isa.Eval(in.Op, a, bv, c))
-		}
+		isa.EvalRow(op.Code, w.regRow(int(op.dst)), w.row(&op.a), w.row(&op.b), w.row(&op.c), active)
 	}
 
 	w.simt.Advance()
@@ -368,26 +344,28 @@ func (w *State) Execute(in *isa.Instr, env *Env) (Result, error) {
 }
 
 // load32 reads a little-endian 32-bit word from scratchpad. Accesses are
-// clamped to word alignment; an out-of-bounds access denotes a kernel
-// bug and is reported as an error.
-func load32(b []byte, addr uint32) (uint32, error) {
-	a := addr &^ 3
-	if int64(a)+4 > int64(len(b)) {
-		return 0, fmt.Errorf("scratchpad load at byte %d out of bounds (size %d)", addr, len(b))
+// clamped to word alignment; ok is false for an out-of-bounds access,
+// which denotes a kernel bug (see smemFault).
+func load32(b []byte, addr uint32) (v uint32, ok bool) {
+	a := int(addr &^ 3)
+	if a+4 > len(b) {
+		return 0, false
 	}
-	return uint32(b[a]) | uint32(b[a+1])<<8 | uint32(b[a+2])<<16 | uint32(b[a+3])<<24, nil
+	return binary.LittleEndian.Uint32(b[a:]), true
 }
 
-func store32(b []byte, addr uint32, v uint32) error {
-	a := addr &^ 3
-	if int64(a)+4 > int64(len(b)) {
-		return fmt.Errorf("scratchpad store at byte %d out of bounds (size %d)", addr, len(b))
+func store32(b []byte, addr uint32, v uint32) (ok bool) {
+	a := int(addr &^ 3)
+	if a+4 > len(b) {
+		return false
 	}
-	b[a] = byte(v)
-	b[a+1] = byte(v >> 8)
-	b[a+2] = byte(v >> 16)
-	b[a+3] = byte(v >> 24)
-	return nil
+	binary.LittleEndian.PutUint32(b[a:], v)
+	return true
+}
+
+// smemFault is the error for an out-of-bounds scratchpad access.
+func (w *State) smemFault(lane int, what string, addr uint32, size int) error {
+	return fmt.Errorf("warp %d lane %d: scratchpad %s at byte %d out of bounds (size %d)", w.ID, lane, what, addr, size)
 }
 
 // LanesMask returns a mask with the low n lanes set.

@@ -30,7 +30,8 @@ func testEnv() (*Env, *fakeMem) {
 // mustExec runs one instruction and fails the test on a functional fault.
 func mustExec(t *testing.T, w *State, in *isa.Instr, env *Env) Result {
 	t.Helper()
-	res, err := w.Execute(in, env)
+	op := Decode(in)
+	res, err := w.Execute(&op, env, nil)
 	if err != nil {
 		t.Fatalf("Execute(%s): %v", in.Op, err)
 	}
@@ -40,7 +41,7 @@ func mustExec(t *testing.T, w *State, in *isa.Instr, env *Env) Result {
 func TestExecuteSpecials(t *testing.T) {
 	env, _ := testEnv()
 	w := NewState(8, LanesMask(32))
-	w.WarpInCta = 1
+	w.BindBlock(env, 1)
 	mustExec(t, w, &isa.Instr{Op: isa.MOV, GuardPred: isa.NoPred, Dst: isa.Reg(0), A: isa.Sreg(isa.SrTid)}, env)
 	if got := w.Reg(0, 5); got != 32+5 {
 		t.Errorf("tid lane 5 = %d, want 37", got)
@@ -62,6 +63,7 @@ func TestExecuteSpecials(t *testing.T) {
 func TestExecuteGuardedALU(t *testing.T) {
 	env, _ := testEnv()
 	w := NewState(8, LanesMask(32))
+	w.BindBlock(env, 0)
 	// p0 = lane < 4
 	mustExec(t, w, &isa.Instr{Op: isa.SETP, GuardPred: isa.NoPred, Cmp: isa.CmpLT,
 		Dst: isa.Pred(0), A: isa.Sreg(isa.SrLane), B: isa.Imm(4)}, env)
@@ -86,6 +88,7 @@ func TestExecuteGuardedALU(t *testing.T) {
 func TestExecuteParamLoad(t *testing.T) {
 	env, _ := testEnv()
 	w := NewState(4, LanesMask(32))
+	w.BindBlock(env, 0)
 	mustExec(t, w, &isa.Instr{Op: isa.LDP, GuardPred: isa.NoPred, Dst: isa.Reg(0), Off: 1}, env)
 	if w.Reg(0, 31) != 222 {
 		t.Errorf("param = %d", w.Reg(0, 31))
@@ -95,6 +98,7 @@ func TestExecuteParamLoad(t *testing.T) {
 func TestExecuteGlobalLoadStore(t *testing.T) {
 	env, fm := testEnv()
 	w := NewState(8, LanesMask(32))
+	w.BindBlock(env, 0)
 	// r0 = lane*4 + 1000
 	mustExec(t, w, &isa.Instr{Op: isa.MOV, GuardPred: isa.NoPred, Dst: isa.Reg(0), A: isa.Sreg(isa.SrLane)}, env)
 	mustExec(t, w, &isa.Instr{Op: isa.SHL, GuardPred: isa.NoPred, Dst: isa.Reg(0), A: isa.Reg(0), B: isa.Imm(2)}, env)
@@ -118,6 +122,7 @@ func TestExecuteGlobalLoadStore(t *testing.T) {
 func TestExecuteSharedMemAndBankInfo(t *testing.T) {
 	env, _ := testEnv()
 	w := NewState(8, LanesMask(32))
+	w.BindBlock(env, 0)
 	mustExec(t, w, &isa.Instr{Op: isa.MOV, GuardPred: isa.NoPred, Dst: isa.Reg(0), A: isa.Sreg(isa.SrLane)}, env)
 	mustExec(t, w, &isa.Instr{Op: isa.SHL, GuardPred: isa.NoPred, Dst: isa.Reg(0), A: isa.Reg(0), B: isa.Imm(2)}, env)
 	mustExec(t, w, &isa.Instr{Op: isa.MOV, GuardPred: isa.NoPred, Dst: isa.Reg(1), A: isa.Imm(5)}, env)
@@ -134,11 +139,13 @@ func TestExecuteSharedMemAndBankInfo(t *testing.T) {
 func TestExecuteBarrierErrorsWhenDiverged(t *testing.T) {
 	env, _ := testEnv()
 	w := NewState(4, LanesMask(32))
+	w.BindBlock(env, 0)
 	// Diverge with a guarded branch, then try a barrier.
 	mustExec(t, w, &isa.Instr{Op: isa.SETP, GuardPred: isa.NoPred, Cmp: isa.CmpLT,
 		Dst: isa.Pred(0), A: isa.Sreg(isa.SrLane), B: isa.Imm(16)}, env)
 	mustExec(t, w, &isa.Instr{Op: isa.BRA, GuardPred: 0, Target: 5, Reconv: 6}, env)
-	_, err := w.Execute(&isa.Instr{Op: isa.BAR, GuardPred: isa.NoPred}, env)
+	bar := Decode(&isa.Instr{Op: isa.BAR, GuardPred: isa.NoPred})
+	_, err := w.Execute(&bar, env, nil)
 	if err == nil {
 		t.Fatal("barrier while diverged must report an error")
 	}
@@ -150,9 +157,11 @@ func TestExecuteBarrierErrorsWhenDiverged(t *testing.T) {
 func TestExecuteScratchpadOutOfBounds(t *testing.T) {
 	env, _ := testEnv()
 	w := NewState(4, LanesMask(32))
+	w.BindBlock(env, 0)
 	// Address far beyond the 512-byte scratchpad.
 	mustExec(t, w, &isa.Instr{Op: isa.MOV, GuardPred: isa.NoPred, Dst: isa.Reg(0), A: isa.Imm(4096)}, env)
-	_, err := w.Execute(&isa.Instr{Op: isa.LDS, GuardPred: isa.NoPred, Dst: isa.Reg(1), A: isa.Reg(0)}, env)
+	lds := Decode(&isa.Instr{Op: isa.LDS, GuardPred: isa.NoPred, Dst: isa.Reg(1), A: isa.Reg(0)})
+	_, err := w.Execute(&lds, env, nil)
 	if err == nil {
 		t.Fatal("out-of-bounds scratchpad load must report an error")
 	}
@@ -164,12 +173,17 @@ func TestExecuteScratchpadOutOfBounds(t *testing.T) {
 func TestEffAddrsMatchesExecute(t *testing.T) {
 	env, _ := testEnv()
 	w := NewState(8, LanesMask(32))
+	w.BindBlock(env, 0)
 	mustExec(t, w, &isa.Instr{Op: isa.MOV, GuardPred: isa.NoPred, Dst: isa.Reg(0), A: isa.Sreg(isa.SrLane)}, env)
 	mustExec(t, w, &isa.Instr{Op: isa.SHL, GuardPred: isa.NoPred, Dst: isa.Reg(0), A: isa.Reg(0), B: isa.Imm(3)}, env)
 	in := isa.Instr{Op: isa.LDS, GuardPred: isa.NoPred, Dst: isa.Reg(1), A: isa.Reg(0), Off: 16}
 	var pre [kernel.WarpSize]uint32
-	active := w.EffAddrs(&in, env, &pre)
-	res := mustExec(t, w, &in, env)
+	op := Decode(&in)
+	active := w.EffAddrs(&op, &pre)
+	res, err := w.Execute(&op, env, nil) // nil: Execute computes its own
+	if err != nil {
+		t.Fatal(err)
+	}
 	if active != res.Active {
 		t.Fatalf("active mismatch: %#x vs %#x", active, res.Active)
 	}
@@ -195,6 +209,7 @@ func TestPartialLastWarp(t *testing.T) {
 func TestResetClearsState(t *testing.T) {
 	env, _ := testEnv()
 	w := NewState(4, LanesMask(32))
+	w.BindBlock(env, 0)
 	mustExec(t, w, &isa.Instr{Op: isa.MOV, GuardPred: isa.NoPred, Dst: isa.Reg(3), A: isa.Imm(42)}, env)
 	mustExec(t, w, &isa.Instr{Op: isa.SETP, GuardPred: isa.NoPred, Cmp: isa.CmpEQ,
 		Dst: isa.Pred(2), A: isa.Imm(1), B: isa.Imm(1)}, env)

@@ -35,9 +35,11 @@ fi
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
-echo "== microbenchmarks (smcore SM tick, scheduler ranking, mem system tick + idle window, checkpoint roundtrip)"
-go test -run '^$' -bench 'BenchmarkSMTick$|BenchmarkSMTickManyWarps$|BenchmarkSchedOrder$|BenchmarkMemSystemTick$|BenchmarkMemSystemTickIdle|BenchmarkCheckpointRoundtrip$' \
-    -benchmem -benchtime "$microtime" ./internal/smcore/ ./internal/sched/ ./internal/mem/ ./internal/checkpoint/ | tee "$out"
+echo "== microbenchmarks (smcore SM tick incl. scratchpad kernel, warp executor, bank conflicts, scheduler ranking, mem system tick + idle window, checkpoint roundtrip)"
+# -p 1: packages run one after another; with the default (one per CPU)
+# two packages' benchmarks time each other's contention.
+go test -p 1 -run '^$' -bench 'BenchmarkSMTick$|BenchmarkSMTickManyWarps$|BenchmarkSMTickScratchpad$|BenchmarkWarpExecute$|BenchmarkBankConflictDegree$|BenchmarkSchedOrder$|BenchmarkMemSystemTick$|BenchmarkMemSystemTickIdle|BenchmarkCheckpointRoundtrip$' \
+    -benchmem -benchtime "$microtime" ./internal/smcore/ ./internal/warp/ ./internal/sched/ ./internal/mem/ ./internal/checkpoint/ | tee "$out"
 
 echo "== end-to-end engine (full hotspot simulation per op; two-tenant co-residency per op; blocked-heavy per-SM sleep per op; compute-bound mem-sleep per op)"
 go test -run '^$' -bench 'BenchmarkRunParallelSMs|BenchmarkCoResident|BenchmarkSMSleepMemBound|BenchmarkComputeBound' \
@@ -81,16 +83,20 @@ if [ "$mode" = "-record" ]; then
 fi
 
 # Allocation gate: every benchmark present in the baseline must not
-# allocate more per op than it did when the baseline was recorded. 1%
-# headroom keeps the gate exact for the zero-alloc microbenchmarks while
-# absorbing iteration-count amortization jitter in the end-to-end run
-# (its several hundred thousand allocs/op include one-time setup).
+# allocate more per op than it did when the baseline was recorded. The
+# 5% headroom rounds to zero for the zero-alloc microbenchmarks, so
+# their gate stays exact; it absorbs the run-to-run jitter of the
+# end-to-end runs, whose ten-odd thousand allocs/op are one-time set-up
+# plus sync.Pool refills that depend on when the collector runs (the
+# same binary reads 14768-15155 on BenchmarkCoResident). What the gate
+# is for, an allocation per cycle or per instruction, shows up as a
+# multiple, not a few percent.
 fail=0
 for name in $(echo "$rows" | awk '{print $1}'); do
     base=$(sed -n "s|.*\"$name\": {[^}]*\"allocs_op\": \([0-9]*\).*|\1|p" "$baseline")
     [ -n "$base" ] || continue
     cur=$(echo "$rows" | awk -v n="$name" '$1 == n {print $4}')
-    limit=$((base + base / 100))
+    limit=$((base + base / 20))
     if [ "$cur" -gt "$limit" ]; then
         echo "FAIL: $name allocs/op regressed: $cur > baseline $base" >&2
         fail=1

@@ -2,13 +2,14 @@
 # Pre-PR gate: vet + formatting + build + race-checked tests for the
 # concurrency-bearing packages (the runner's worker pool / singleflight,
 # the session layer, and the gserved daemon + client — including the
-# admission-saturation test), a fuzz smoke pass over the assembler,
-# ISA evaluator, and checkpoint decoder, an invariant-audited tier-1
-# run, a gserved smoke test (start on a random port, submit a job,
-# drain via SIGTERM), a crash-recovery smoke (kill -9 mid-job,
-# journal replay and checkpoint resume after restart), and a gsched
-# fleet smoke (coordinator + two workers, kill -9 one worker
-# mid-sweep, every job finishes byte-identical to a single-node run).
+# admission-saturation test), the allocation budget of the cycle path,
+# a fuzz smoke pass over the assembler, ISA evaluator, warp executor and
+# checkpoint decoder, an invariant-audited tier-1 run, a gserved smoke
+# test (start on a random port, submit a job, drain via SIGTERM), a
+# crash-recovery smoke (kill -9 mid-job, journal replay and checkpoint
+# resume after restart), and a gsched fleet smoke (coordinator + two
+# workers, kill -9 one worker mid-sweep, every job finishes
+# byte-identical to a single-node run).
 # Run from the repository root:
 #
 #     ./tools/check.sh          # race tests in -short mode (~seconds)
@@ -49,9 +50,13 @@ go test -race $short -timeout 30m -run 'TestEngineDeterminism|TestLaunchQueue|Te
 echo "== benchmark smoke + allocs/op gate (tools/bench.sh -quick)"
 ./tools/bench.sh -quick
 
-echo "== fuzz smoke (asm parser, ISA evaluator, checkpoint decoder)"
+echo "== allocation budget (mallocs per 1000 simulated cycles, lavaMD + MUM)"
+go test -count=1 -run 'TestAllocationBudget' ./internal/gpu/
+
+echo "== fuzz smoke (asm parser, ISA evaluator, warp executor vs per-lane reference, checkpoint decoder)"
 go test -fuzz=FuzzAssemble -fuzztime=10s ./internal/asm/
 go test -fuzz=FuzzEval -fuzztime=10s ./internal/isa/
+go test -run '^$' -fuzz=FuzzExecute -fuzztime=10s ./internal/warp/
 go test -fuzz=FuzzCheckpointDecode -fuzztime=10s ./internal/checkpoint/
 
 echo "== invariant-audited tier-1 (GPUSHARE_INVARIANT_STRIDE=256)"
@@ -71,6 +76,13 @@ cleanup_smoke() {
     rm -rf "$smoketmp"
 }
 trap cleanup_smoke EXIT
+# Each daemon below starts in the background with its log redirected,
+# and the handshake loop reads that log at once; create the logs first
+# so a read that beats the child's open finds an empty file, not a
+# missing one (which set -e turns into a spurious failure).
+for f in out crash1 crash2 w1 w2 gsched base; do
+    : >"$smoketmp/$f.log"
+done
 
 go build -o "$smoketmp/gserved" ./cmd/gserved
 "$smoketmp/gserved" -addr 127.0.0.1:0 -cachedir "$smoketmp/cache" \
