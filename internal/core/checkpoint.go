@@ -67,6 +67,7 @@ func (m *Manager) RestoreState(c ManagerCheckpoint) error {
 		p.smemLock = pc.SmemLock
 	}
 	m.epoch = c.Epoch
+	m.lockGen++ // lock state was replaced wholesale
 	m.LockAcquires = c.LockAcquires
 	m.OwnershipXfers = c.OwnershipXfers
 	return nil

@@ -81,6 +81,15 @@ type Manager struct {
 	// long as the epoch it was computed under is still current.
 	epoch uint64
 
+	// lockGen counts register-lock state changes: it advances on every
+	// new acquisition, every release and every block completion. A failed
+	// TryAcquireReg mutates nothing, so a warp seen waiting on the lock
+	// at generation g is still waiting while LockGen() == g — the SM's
+	// issue cards cache lock waits on that. Derived state: not part of
+	// the checkpoint; RestoreState advances it so no older observation
+	// survives a restore.
+	lockGen uint32
+
 	// Statistics.
 	LockAcquires   int64
 	OwnershipXfers int64
@@ -184,6 +193,7 @@ func (m *Manager) TryAcquireReg(slot, warpInCta int) bool {
 	}
 	p.warpLocks[warpInCta] = side
 	p.activeLocks[side]++
+	m.lockGen++
 	m.LockAcquires++
 	if p.Owner != side {
 		if p.Owner != noSide {
@@ -251,6 +261,7 @@ func (m *Manager) ReleaseReg(slot, warpInCta int) {
 	side := m.sideOfSlot[slot]
 	if p.warpLocks[warpInCta] == side {
 		p.warpLocks[warpInCta] = noSide
+		m.lockGen++
 		if m.Faults.Armed(fault.CorruptLeaseRelease) && m.Faults.Trip(fault.CorruptLeaseRelease, -1, -1, warpInCta,
 			fmt.Sprintf("released warp lock %d of slot %d without decrementing the active-lock count", warpInCta, slot)) {
 			return // injected accounting corruption: lost decrement
@@ -361,6 +372,7 @@ func (m *Manager) BlockFinished(slot int, partnerLive bool) {
 		}
 	}
 	p.activeLocks[side] = 0
+	m.lockGen++
 	if p.smemLock == side {
 		p.smemLock = noSide
 	}
@@ -384,6 +396,9 @@ func (m *Manager) Epoch() uint64 {
 	}
 	return m.epoch
 }
+
+// LockGen returns the register-lock generation (see Manager.lockGen).
+func (m *Manager) LockGen() uint32 { return m.lockGen }
 
 // RegLockNeededStatic is the metadata-table variant of RegNeedsLock:
 // touchesShared is the precomputed "instruction reaches the shared

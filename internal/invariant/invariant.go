@@ -26,7 +26,7 @@ const (
 	ClassScoreboard                   // pending bits have in-flight producers
 	ClassSIMT                         // reconvergence stack well-formedness
 	ClassMemory                       // request conservation across queues
-	ClassSnapshot                     // cached warp snapshots and ready sets match a recompute
+	ClassSnapshot                     // cached warp snapshots, ready sets, issue cards and censuses match a recompute
 	ClassTenancy                      // tenant isolation: slot ownership, pair locality, cap ledgers
 	ClassSleep                        // sleeping SMs really have no issueable warp and a sound wake cycle
 	ClassMemIdle                      // skipped memory partitions really have no due work: memoized horizons match scan recomputes
@@ -202,7 +202,7 @@ func (c *Checker) auditSM(sm *smcore.SM, now int64) error {
 		}
 	}
 	if c.classes&ClassSnapshot != 0 {
-		if err := sm.AuditSnapshots(); err != nil {
+		if err := sm.AuditSnapshots(now); err != nil {
 			return err
 		}
 	}

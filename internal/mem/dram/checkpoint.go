@@ -70,6 +70,7 @@ func (c *Channel) RestoreState(s Checkpoint, makeTag func(RequestCheckpoint) any
 		r := GetRequest()
 		r.Addr, r.IsWrite, r.Arrive, r.Done = rc.Addr, rc.IsWrite, rc.Arrive, rc.Done
 		r.Tag = makeTag(rc)
+		c.resolve(r)
 		c.queue = append(c.queue, r)
 	}
 	c.inflight = c.inflight[:0]

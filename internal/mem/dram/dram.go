@@ -19,6 +19,13 @@ type Request struct {
 	Tag     any   // opaque payload for the caller
 	Arrive  int64 // cycle the request entered the queue
 	Done    int64 // completion cycle, set by the scheduler
+
+	// bank and row are Addr resolved against the channel's geometry, once,
+	// by Enqueue (and by a checkpoint restore): every FR-FCFS scan and
+	// every next-event walk reads them for each queued request, and the
+	// mapping costs two divisions by a variable.
+	bank int
+	row  int64
 }
 
 // reqPool recycles Requests: at one allocation per memory access the
@@ -77,19 +84,17 @@ func NewChannel(banks, rowBytes int, t config.DRAMTiming, dataLat int) *Channel 
 	return ch
 }
 
-// bankOf maps a line address to its bank: rows are interleaved across
-// banks at row-buffer granularity.
-func (c *Channel) bankOf(addr uint32) int {
-	return int((int64(addr) / c.rowBytes) % int64(len(c.banks)))
-}
-
-// rowOf maps a line address to its row within the bank.
-func (c *Channel) rowOf(addr uint32) int64 {
-	return int64(addr) / (c.rowBytes * int64(len(c.banks)))
+// resolve maps r's line address to its bank — rows are interleaved
+// across banks at row-buffer granularity — and its row within the bank.
+func (c *Channel) resolve(r *Request) {
+	rowIdx := int64(r.Addr) / c.rowBytes
+	n := int64(len(c.banks))
+	r.bank, r.row = int(rowIdx%n), rowIdx/n
 }
 
 // Enqueue adds a request to the channel queue.
 func (c *Channel) Enqueue(r *Request) {
+	c.resolve(r)
 	if c.memoOK {
 		if at := c.schedulableAt(r); at < c.memoNext {
 			c.memoNext = at
@@ -101,12 +106,12 @@ func (c *Channel) Enqueue(r *Request) {
 // schedulableAt returns the earliest cycle r could be scheduled under
 // the current (frozen) bank state, unclamped.
 func (c *Channel) schedulableAt(r *Request) int64 {
-	b := &c.banks[c.bankOf(r.Addr)]
+	b := &c.banks[r.bank]
 	at := r.Arrive
 	if b.readyAt > at {
 		at = b.readyAt
 	}
-	if b.openRow != c.rowOf(r.Addr) {
+	if b.openRow != r.row {
 		// Needs an activate, gated by the row-cycle time.
 		if t := b.lastActivate + int64(c.timing.TRC); t > at {
 			at = t
@@ -208,8 +213,8 @@ func (c *Channel) scheduleOne(now int64) {
 		if r.Arrive > now {
 			continue
 		}
-		b := &c.banks[c.bankOf(r.Addr)]
-		if b.readyAt <= now && b.openRow == c.rowOf(r.Addr) {
+		b := &c.banks[r.bank]
+		if b.readyAt <= now && b.openRow == r.row {
 			pick = i
 			break
 		}
@@ -222,7 +227,7 @@ func (c *Channel) scheduleOne(now int64) {
 			if r.Arrive > now {
 				continue
 			}
-			b := &c.banks[c.bankOf(r.Addr)]
+			b := &c.banks[r.bank]
 			if b.readyAt <= now && now-b.lastActivate >= int64(c.timing.TRC) {
 				pick = i
 				break
@@ -235,7 +240,7 @@ func (c *Channel) scheduleOne(now int64) {
 	c.memoOK = false // bank state is about to change
 	r := c.queue[pick]
 	c.queue = append(c.queue[:pick], c.queue[pick+1:]...)
-	b := &c.banks[c.bankOf(r.Addr)]
+	b := &c.banks[r.bank]
 	t := &c.timing
 
 	var latency int64
@@ -252,7 +257,7 @@ func (c *Channel) scheduleOne(now int64) {
 			}
 		}
 		latency = pre + int64(t.TRCD) + int64(t.TCL)
-		b.openRow = c.rowOf(r.Addr)
+		b.openRow = r.row
 		b.lastActivate = now + pre
 		c.Stats.RowMisses++
 	}

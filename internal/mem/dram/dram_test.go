@@ -129,3 +129,45 @@ func TestSameBankSerializes(t *testing.T) {
 		t.Errorf("pending = %d after drain", ch.Pending())
 	}
 }
+
+// BenchmarkDRAMChannelTick measures one channel cycle — FR-FCFS scan,
+// completion sweep, next-event query — with a fixed number of requests
+// outstanding: each completed request is re-enqueued at a fresh
+// pseudo-random line, so the queue stays at its depth. deep_queue (64
+// outstanding on the Table I geometry, mostly row conflicts) is the
+// shape the latency-bound kernels put the channel in, where every scan
+// and every next-event walk visits the whole queue.
+func BenchmarkDRAMChannelTick(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		depth int
+	}{{"shallow_queue", 4}, {"deep_queue", 64}} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := config.Default()
+			ch := NewChannel(cfg.DRAMBanksPerPartition, cfg.DRAMRowBytes, cfg.DRAMTiming, cfg.DRAMDataLat)
+			rng := uint32(1)
+			next := func() uint32 { // xorshift32; lines are 128 bytes
+				rng ^= rng << 13
+				rng ^= rng >> 17
+				rng ^= rng << 5
+				return rng &^ 127
+			}
+			for i := 0; i < c.depth; i++ {
+				ch.Enqueue(&Request{Addr: next()})
+			}
+			var sink int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for now := int64(0); now < int64(b.N); now++ {
+				for _, r := range ch.Tick(now) {
+					*r = Request{Addr: next(), IsWrite: rng&(1<<20) != 0, Arrive: now}
+					ch.Enqueue(r)
+				}
+				sink += ch.NextEvent(now)
+			}
+			if sink == 0 {
+				b.Fatal("next-event query optimised away")
+			}
+		})
+	}
+}

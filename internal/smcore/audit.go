@@ -78,7 +78,9 @@ func (sm *SM) AuditBarriers() error {
 // register or predicate bit of a live warp must be covered by an
 // in-flight writeback event or an outstanding load group, and every
 // queued writeback must still be in the future. A pending bit with no
-// producer means a result was lost — the warp would wait forever.
+// producer means a result was lost — the warp would wait forever. The
+// wheel's memoized next deadline, which bounds every sleep and idle
+// skip, must equal a scan.
 func (sm *SM) AuditScoreboard(now int64) error {
 	covered := make(map[int]uint64)
 	coveredP := make(map[int]uint8)
@@ -101,6 +103,11 @@ func (sm *SM) AuditScoreboard(now int64) error {
 	})
 	if staleAt >= 0 {
 		return fmt.Errorf("SM%d: writeback event scheduled for cycle %d never fired (now %d)", sm.ID, staleAt, now)
+	}
+	if sm.wb.nextOK && sm.wb.next > now {
+		if scan := sm.wb.scanNext(now); scan != sm.wb.next {
+			return fmt.Errorf("SM%d: memoized next writeback deadline %d, wheel scan says %d (stale horizon memo)", sm.ID, sm.wb.next, scan)
+		}
 	}
 	for _, groups := range sm.mshr {
 		for _, g := range groups {
@@ -200,6 +207,26 @@ func (sm *SM) Forensics(now int64) simerr.SMDump {
 	return d
 }
 
+// scoreboardWait is the stall probe's scoreboard check: the pending
+// registers in needs, and whether it needs a pending predicate, from an
+// operand walk rather than the metadata table. The card audit shares it.
+func scoreboardWait(wc *warpCtx, in *isa.Instr) (regs uint64, preds bool) {
+	needRegs, needPreds := dependencyMasks(in)
+	return needRegs & wc.pendingRegs, needPreds&wc.pendingPreds != 0
+}
+
+// scoreboardClear reports whether warp ws's next instruction has no
+// scoreboard wait left, by the same operand walk.
+func (sm *SM) scoreboardClear(ws int) bool {
+	wc := &sm.warps[ws]
+	pc, _, ok := wc.w.PC()
+	if !ok {
+		return false
+	}
+	regs, preds := scoreboardWait(wc, &sm.tens[wc.tn].launch.Kernel.Instrs[pc])
+	return regs == 0 && !preds
+}
+
 // stallReason classifies, without mutating any state, why a live warp
 // cannot issue right now. It mirrors tryIssue's checks using the
 // read-only lock probes.
@@ -217,14 +244,12 @@ func (sm *SM) stallReason(ws int, now int64) string {
 	t := &sm.tens[sm.blocks[bs].tn]
 	ls := bs - t.blockBase
 	in := &t.launch.Kernel.Instrs[pc]
-	needRegs, needPreds := dependencyMasks(in)
-	if hit := needRegs & wc.pendingRegs; hit != 0 {
+	if hit, hitPreds := scoreboardWait(wc, in); hit != 0 {
 		if hit&wc.loadRegs != 0 {
 			return fmt.Sprintf("scoreboard: waiting on in-flight global load (regs %#x)", hit)
 		}
 		return fmt.Sprintf("scoreboard: waiting on writeback (regs %#x)", hit)
-	}
-	if needPreds&wc.pendingPreds != 0 {
+	} else if hitPreds {
 		return "scoreboard: waiting on predicate writeback"
 	}
 	if isa.UnitOf(in.Op) == isa.UnitMEM {

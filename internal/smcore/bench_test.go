@@ -152,3 +152,98 @@ func scratchpadKernel() *kernel.Kernel {
 // scratchpad kernel: the gate that holds the ld.shared/st.shared/
 // bar.sync issue path to zero allocations per cycle.
 func BenchmarkSMTickScratchpad(b *testing.B) { benchTicks(b, scratchpadKernel(), 1<<14, 48) }
+
+// benchBlockedTicks fills every block slot of one SM and ticks it for
+// b.N cycles with the memory system frozen (never ticked, so no reply
+// ever arrives): after warm-up cycles the SM is in whatever blocked
+// steady state the kernel and configuration produce, and every
+// iteration is one such cycle.
+func benchBlockedTicks(b *testing.B, cfg config.Config, k *kernel.Kernel, warm int64) *SM {
+	ms := mem.NewSystem(&cfg)
+	buf := ms.Global.Alloc(1 << 22)
+	l := &kernel.Launch{Kernel: k, GridDim: 1 << 10, Params: []uint32{buf}}
+	occ := core.ComputeOccupancy(&cfg, k)
+	sm, err := New(0, &cfg, l, occ, ms)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for slot := 0; slot < occ.Max; slot++ {
+		if err := sm.LaunchBlock(slot, slot); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var now int64
+	for ; now < warm; now++ {
+		if err := tickSM(sm, now); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tickSM(sm, now); err != nil {
+			b.Fatal(err)
+		}
+		now++
+	}
+	b.StopTimer()
+	return sm
+}
+
+// BenchmarkSMTickStalled is the census case: 48 warps, every one of
+// them blocked behind a full MSHR file. Each warp's first instruction
+// is a global load touching 32 distinct lines; the first to issue takes
+// all 32 MSHRs and then waits on the scoreboard for data that never
+// comes, and the rest can never issue their load. No cycle issues, so
+// after the first blocked walk each scheduler's slot is a census
+// replay.
+func BenchmarkSMTickStalled(b *testing.B) {
+	kb := kernel.NewBuilder("stalled", 192)
+	kb.Params(1).SetRegs(12)
+	kb.IMad(0, isa.Sreg(isa.SrCtaid), isa.Sreg(isa.SrNtid), isa.Sreg(isa.SrTid))
+	kb.Shl(0, isa.Reg(0), isa.Imm(7)) // one 128-byte line per thread
+	kb.LdParam(1, 0)
+	kb.IAdd(0, isa.Reg(0), isa.Reg(1))
+	kb.LdG(2, isa.Reg(0), 0)
+	kb.IAdd(2, isa.Reg(2), isa.Imm(1))
+	kb.Exit()
+	sm := benchBlockedTicks(b, config.Default(), kb.MustBuild(), 256)
+	if sm.Stats.BlockMemPipe == 0 || len(sm.mshr) < sm.cfg.L1MSHRs {
+		b.Fatalf("SM is not stalled on the MSHR file: %d lines outstanding, %d mem-pipe blocks", len(sm.mshr), sm.Stats.BlockMemPipe)
+	}
+}
+
+// BenchmarkSMTickLockWait is three register-sharing pairs with the
+// partner holding the lock: every warp of each pair's owner block takes
+// its lock at the first shared-pool access and never gives it back —
+// seven of the eight park at a barrier the eighth never reaches, and
+// that one spins on a dependent ALU chain — while the other block's
+// warps all wait on the Fig. 3 lock. The three spinning warps land on
+// one scheduler, whose LRR walk passes over lock-waiting warps on its
+// way to a spinner (the card hit path, censuses invalidated by every
+// issue); the other scheduler ranks only lock-waiting warps (a census
+// replay every cycle).
+func BenchmarkSMTickLockWait(b *testing.B) {
+	kb := kernel.NewBuilder("lockwait", 256)
+	kb.SetRegs(36)
+	kb.MovI(30, 0) // shared pool at t=0.1: takes the pair lock for good
+	kb.Setp(isa.CmpGE, 0, isa.Sreg(isa.SrTid), isa.Imm(32))
+	kb.BraIf(0, false, "park", "end") // warp-uniform: whole warps go one way
+	kb.Label("spin")
+	kb.IAdd(30, isa.Reg(30), isa.Imm(1))
+	kb.Bra("spin")
+	kb.Label("park")
+	kb.Bar()
+	kb.Label("end")
+	kb.Exit()
+	cfg := config.Default()
+	cfg.Sharing, cfg.T = config.ShareRegisters, 0.1
+	sm := benchBlockedTicks(b, cfg, kb.MustBuild(), 256)
+	if occ := sm.Occupancy(); occ.Pairs != 3 {
+		b.Fatalf("want 3 register-sharing pairs, got %+v", occ)
+	}
+	if sm.Stats.BlockLockWait < 12*int64(b.N) || sm.Stats.WarpInstrs < int64(b.N)/4 {
+		b.Fatalf("SM is not issuing past lock-waiting warps: %d lock waits, %d instrs in %d cycles",
+			sm.Stats.BlockLockWait, sm.Stats.WarpInstrs, b.N)
+	}
+}

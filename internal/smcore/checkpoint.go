@@ -19,8 +19,11 @@ import (
 // state: the scheduler view buffers and incremental ready rankings
 // (RestoreState marks every warp dirty, so the first refresh re-snapshots
 // and re-Syncs every slot — reproducing the identical sorted ranking),
-// the static issue metadata, and the free lists (allocation identity is
-// not machine state).
+// the issue cards and censuses (dropped with the views; the first walk
+// re-derives them), the static issue metadata, and the free lists
+// (allocation identity is not machine state). Payloads written before
+// the never-set sfu_busy field was dropped still decode: the JSON
+// decoder ignores the key.
 
 // WarpCheckpoint is one hardware warp slot.
 type WarpCheckpoint struct {
@@ -96,7 +99,6 @@ type Checkpoint struct {
 	MSHR     []MSHRCheckpoint   `json:"mshr"` // sorted by line address
 	WB       []WBCheckpoint     `json:"wb"`
 	LSUBusy  int64              `json:"lsu_busy"`
-	SFUBusy  int64              `json:"sfu_busy"`
 	DynProb  float64            `json:"dyn_prob"`
 	RNG      uint64             `json:"rng"`
 	NextDyn  int64              `json:"next_dyn"`
@@ -138,7 +140,6 @@ func (sm *SM) Checkpoint() Checkpoint {
 		Scheds:  make([]sched.Checkpoint, len(sm.scheds)),
 		L1:      sm.l1.Checkpoint(),
 		LSUBusy: sm.lsuBusy,
-		SFUBusy: sm.sfuBusy,
 		DynProb: sm.dynProb,
 		RNG:     sm.rng,
 		NextDyn: sm.nextDyn,
@@ -264,10 +265,14 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 		wc.loadRegs = s.LoadRegs
 		wc.gen = s.Gen
 	}
+	sm.liveBlocks = 0
 	for i := range sm.blocks {
 		b := &sm.blocks[i]
 		s := &c.Blocks[i]
 		b.live = s.Live
+		if b.live {
+			sm.liveBlocks++
+		}
 		b.ctaID = s.CtaID
 		b.activeWarps = s.ActiveWarps
 		b.arrived = s.Arrived
@@ -372,14 +377,13 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 	}
 
 	sm.lsuBusy = c.LSUBusy
-	sm.sfuBusy = c.SFUBusy
 	sm.dynProb = c.DynProb
 	sm.rng = c.RNG
 	sm.nextDyn = c.NextDyn
 	sm.finished = append([]int(nil), c.Finished...)
 	sm.Stats = c.Stats
 	for ws := range sm.warps {
-		sm.markDirty(ws)
+		sm.markDirty(ws) // also drops the warp's issue card and its scheduler's census
 	}
 	return nil
 }

@@ -43,7 +43,7 @@ type metaEntry struct {
 	dstRegMask  uint64 // GPR destination bit, if any
 	predMask    uint8  // predicate scoreboard dependencies
 	dstPredMask uint8  // predicate destination bit, if any
-	unit        uint8  // isa.Unit
+	kind        uint8  // execution unit kind: isa.Unit, global accesses split out (cards.go)
 	flags       uint8
 	lat         int64 // SP/SFU issue-to-writeback latency incl. RF bank conflicts
 	op          warp.Op
@@ -80,7 +80,7 @@ func NewProgram(cfg *config.Config, k *kernel.Kernel, occ core.Occupancy) *Progr
 		if in.Dst.Kind == isa.OpPred {
 			me.dstPredMask = 1 << in.Dst.Reg
 		}
-		me.unit = uint8(isa.UnitOf(in.Op))
+		me.kind = kindOf(in.Op)
 		if isa.IsGlobalMem(in.Op) {
 			me.flags |= metaGlobalMem
 		}
@@ -116,7 +116,13 @@ func envNoSnapshot() bool {
 // WarpInfo input (live/finished/atBarrier/DynID/PC/loadRegs); Category
 // changes are handled pair-wide by markPairDirty.
 func (sm *SM) markDirty(ws int) {
-	if sm.noSnapshot || sm.dirty[ws] {
+	if sm.noSnapshot {
+		return
+	}
+	// Before the already-dirty return: a card can be written (by a walk)
+	// for a warp that is still queued for re-snapshot.
+	sm.invalidateCard(ws)
+	if sm.dirty[ws] {
 		return
 	}
 	sm.dirty[ws] = true
@@ -230,9 +236,14 @@ func (sm *SM) referenceInfo(ws int) sched.WarpInfo {
 // recompute, and every incremental scheduler's ready structure must
 // equal the ranking of the cached views. Read-only. A mismatch means an
 // invalidation event was missed — the scheduler is ranking stale state.
-func (sm *SM) AuditSnapshots() error {
+// The issue cards and censuses layered on the snapshots are audited the
+// same way (auditCards).
+func (sm *SM) AuditSnapshots(now int64) error {
 	if sm.noSnapshot {
 		return nil
+	}
+	if err := sm.auditCards(now); err != nil {
+		return err
 	}
 	for si := range sm.scheds {
 		for pos, ws := range sm.schedWarps[si] {

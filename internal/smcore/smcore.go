@@ -88,7 +88,10 @@ type SM struct {
 
 	warps  []warpCtx
 	blocks []blockCtx
-	scheds []sched.Scheduler
+	// liveBlocks counts blocks[i].live (the sum of the tenants' ledger
+	// counts), so Idle and the residency high-water mark need no scan.
+	liveBlocks int
+	scheds     []sched.Scheduler
 	// schedWarps[i] lists the warp slots scheduler i manages.
 	schedWarps [][]int
 	// incr[i] is scheds[i] when the policy maintains an incremental
@@ -109,13 +112,17 @@ type SM struct {
 	slotPos    []int32
 	noSnapshot bool
 
+	// Issue cards and per-scheduler censuses (cards.go): cards is indexed
+	// by warp slot, census by scheduler. Derived state, like the views.
+	cards  []issueCard
+	census []census
+
 	l1       *cache.Cache
 	mshr     map[uint32][]*loadGroup
 	memSys   *mem.System
 	faults   *fault.Plan
 	wb       wbWheel
 	lsuBusy  int64 // LSU blocked until this cycle (bank conflicts)
-	sfuBusy  int64
 	dynProb  float64
 	rng      uint64
 	nextDyn  int64
@@ -184,15 +191,7 @@ func (sm *SM) SetDynProb(p float64) {
 func (sm *SM) DynProb() float64 { return sm.dynProb }
 
 // ActiveBlocks returns the number of live thread blocks.
-func (sm *SM) ActiveBlocks() int {
-	n := 0
-	for i := range sm.blocks {
-		if sm.blocks[i].live {
-			n++
-		}
-	}
-	return n
-}
+func (sm *SM) ActiveBlocks() int { return sm.liveBlocks }
 
 // FinishedSlots returns and clears the block slots that completed since
 // the last call; the dispatcher refills them.
@@ -277,14 +276,15 @@ func (sm *SM) LaunchBlock(slot, ctaID int) error {
 	if t.shr.Shared(slot - t.blockBase) {
 		sm.Stats.BlocksShared++
 	}
-	if n := sm.ActiveBlocks(); n > sm.Stats.MaxResidentTB {
-		sm.Stats.MaxResidentTB = n
+	sm.liveBlocks++
+	if sm.liveBlocks > sm.Stats.MaxResidentTB {
+		sm.Stats.MaxResidentTB = sm.liveBlocks
 	}
 	return nil
 }
 
 // Idle reports whether the SM has no live blocks.
-func (sm *SM) Idle() bool { return sm.ActiveBlocks() == 0 }
+func (sm *SM) Idle() bool { return sm.liveBlocks == 0 }
 
 // rand64 steps the SM's splitmix64 PRNG.
 func (sm *SM) rand64() uint64 {

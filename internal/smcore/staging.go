@@ -93,8 +93,8 @@ func (sm *SM) FlushMem(now int64) {
 
 // ProgressHorizon returns the earliest future cycle at which this SM's
 // state can change without external input (a memory reply or a block
-// launch): the next writeback deadline or the cycle a busy LSU/SFU
-// frees up. math.MaxInt64 when none is pending.
+// launch): the next writeback deadline or the cycle a busy LSU frees
+// up. math.MaxInt64 when none is pending.
 //
 // Completeness argument (this is what makes per-SM sleep exact): every
 // other piece of SM state that gates issue — barrier arrival counts,
@@ -109,9 +109,6 @@ func (sm *SM) ProgressHorizon(now int64) int64 {
 	next := sm.wb.nextAt(now)
 	if sm.lsuBusy > now && sm.lsuBusy < next {
 		next = sm.lsuBusy
-	}
-	if sm.sfuBusy > now && sm.sfuBusy < next {
-		next = sm.sfuBusy
 	}
 	return next
 }

@@ -82,6 +82,9 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 	if len(tens) == 0 {
 		return nil, fmt.Errorf("SM%d: no tenants", id)
 	}
+	if len(tens) > 256 {
+		return nil, fmt.Errorf("SM%d: %d tenants exceed the 256 an issue card can index", id, len(tens))
+	}
 	sm := &SM{
 		ID:      id,
 		cfg:     cfg,
@@ -177,6 +180,12 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 	sm.dirty = make([]bool, len(sm.warps))
 	sm.slotSched = make([]int32, len(sm.warps))
 	sm.slotPos = make([]int32, len(sm.warps))
+	sm.cards = make([]issueCard, len(sm.warps))
+	sm.census = make([]census, len(sm.scheds))
+	counts := make([]censusTenant, len(sm.scheds)*len(sm.tens))
+	for si := range sm.census {
+		sm.census[si].ten = counts[si*len(sm.tens) : (si+1)*len(sm.tens) : (si+1)*len(sm.tens)]
+	}
 	for si := range sm.scheds {
 		n := len(sm.schedWarps[si])
 		info := make([]sched.WarpInfo, n)
@@ -275,6 +284,7 @@ func (sm *SM) releaseBlock(t *tenantCtx, bs int, partnerLive bool, now int64, ws
 // tenant boundary, the cap ledger matches a from-scratch recount of the
 // live blocks' charges, and no tenant exceeds its hard caps.
 func (sm *SM) AuditTenancy() error {
+	smLive := 0
 	for ti := range sm.tens {
 		t := &sm.tens[ti]
 		wantRegs, wantSmem, live := 0, 0, 0
@@ -319,12 +329,16 @@ func (sm *SM) AuditTenancy() error {
 		if live != t.liveBlocks {
 			return fmt.Errorf("SM%d tenant %d: live-block counter %d but %d live blocks", sm.ID, t.id, t.liveBlocks, live)
 		}
+		smLive += live
 		if t.capRegs > 0 && t.usedRegs > t.capRegs {
 			return fmt.Errorf("SM%d tenant %d: register usage %d exceeds the %d-register cap", sm.ID, t.id, t.usedRegs, t.capRegs)
 		}
 		if t.capSmem > 0 && t.usedSmem > t.capSmem {
 			return fmt.Errorf("SM%d tenant %d: scratchpad usage %d exceeds the %d-byte cap", sm.ID, t.id, t.usedSmem, t.capSmem)
 		}
+	}
+	if smLive != sm.liveBlocks {
+		return fmt.Errorf("SM%d: live-block counter %d but %d live blocks (Idle would misreport)", sm.ID, sm.liveBlocks, smLive)
 	}
 	return nil
 }

@@ -47,9 +47,20 @@ func (sm *SM) Tick(now int64) (bool, error) {
 		// per-scheduler so one scheduler's pass can never clobber
 		// another's views within a cycle.
 		var order []int
+		var cen *census // nil under NoSnapshot: every warp is asked every cycle
 		if sm.noSnapshot {
 			order = sc.Order(sm.rebuildAll(si), sm.schedOrder[si][:0])
 		} else {
+			cen = &sm.census[si]
+			if cen.valid {
+				// Nothing this scheduler ranks has changed since a walk
+				// that issued nothing: if every class is still blocked,
+				// this walk would only repeat that one's verdicts.
+				if ok, structural := sm.replayCensus(cen, now, memUsed, sfuUsed); ok {
+					sawStructural = sawStructural || structural
+					continue
+				}
+			}
 			sm.refresh(si)
 			if inc := sm.incr[si]; inc != nil {
 				order = inc.OrderReady(sm.schedOrder[si][:0])
@@ -58,19 +69,27 @@ func (sm *SM) Tick(now int64) (bool, error) {
 			}
 		}
 		sm.schedOrder[si] = order[:0]
+		cacheable := cen != nil
 		for _, slot := range order {
-			ok, blocked, err := sm.tryIssue(slot, now, &memUsed, &sfuUsed)
+			ok, cls, err := sm.tryIssue(slot, now, &memUsed, &sfuUsed)
 			if err != nil {
 				return false, err
 			}
 			if ok {
 				sc.Issued(slot)
 				issued++
+				cacheable = false
 				break
 			}
-			if blocked == blockStructural {
+			if cls >= classClear {
 				sawStructural = true
 			}
+			if cls == classNone || cls == classUncached {
+				cacheable = false
+			}
+		}
+		if cen != nil {
+			cen.valid = cacheable && sm.takeCensus(cen, si, order)
 		}
 	}
 
@@ -109,26 +128,24 @@ func dependencyMasks(in *isa.Instr) (regs uint64, preds uint8) {
 	return regs, preds
 }
 
-// Issue-block classes: not a candidate at all, waiting on data (an
-// in-flight result), or blocked structurally.
-const (
-	blockNone = iota
-	blockData
-	blockStructural
-)
-
 // tryIssue attempts to issue the next instruction of warp slot ws.
-// It returns (issued, blocked, err): blocked classifies why a candidate
-// warp could not issue, which drives the stall/idle split; a non-nil
-// error is a functional execution fault that aborts the run.
-func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, int, error) {
+// It returns (issued, class, err): class says why a candidate warp
+// could not issue (cards.go) — classScoreboard is a data wait, every
+// higher class a structural block, which drives the stall/idle split;
+// a non-nil error is a functional execution fault that aborts the run.
+func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, error) {
+	if !sm.noSnapshot {
+		if cls := sm.cardVerdict(ws, now, *memUsed, *sfuUsed); cls != classNone {
+			return false, cls, nil
+		}
+	}
 	wc := &sm.warps[ws]
 	if !wc.live || wc.finished || wc.atBarrier {
-		return false, blockNone, nil
+		return false, classNone, nil
 	}
 	pc, _, ok := wc.w.PC()
 	if !ok {
-		return false, blockNone, nil
+		return false, classNone, nil
 	}
 	t := &sm.tens[wc.tn]
 	me := &t.meta[pc]
@@ -137,30 +154,13 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, int, er
 	// warp has issued everything before this instruction and waits for
 	// a result: a data wait, not a pipeline stall.
 	if me.regMask&wc.pendingRegs != 0 || me.predMask&wc.pendingPreds != 0 {
-		sm.Stats.BlockScoreboard++
-		t.st.BlockScoreboard++
-		return false, blockData, nil
+		return false, sm.block(ws, wc.tn, classScoreboard, reasonScoreboard), nil
 	}
 
-	// Structural hazards.
-	switch isa.Unit(me.unit) {
-	case isa.UnitSFU:
-		if *sfuUsed {
-			sm.Stats.BlockUnit++
-			t.st.BlockUnit++
-			return false, blockStructural, nil
-		}
-	case isa.UnitMEM:
-		if *memUsed || now < sm.lsuBusy {
-			sm.Stats.BlockUnit++
-			t.st.BlockUnit++
-			return false, blockStructural, nil
-		}
-		if me.flags&metaGlobalMem != 0 && len(sm.mshr) >= sm.cfg.L1MSHRs {
-			sm.Stats.BlockMemPipe++
-			t.st.BlockMemPipe++
-			return false, blockStructural, nil
-		}
+	// Structural hazards: execution unit, LSU, MSHR file.
+	cls := classClear + me.kind<<1
+	if r := sm.classReason(cls, now, *memUsed, *sfuUsed); r != reasonNone {
+		return false, sm.block(ws, wc.tn, cls, r), nil
 	}
 
 	bs := wc.w.BlockSlot
@@ -174,10 +174,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, int, er
 	if t.shr.RegLockNeededStatic(ls, me.flags&metaSharedPool != 0) {
 		epoch := t.shr.Epoch()
 		if !t.shr.TryAcquireReg(ls, wc.w.WarpInCta) {
-			sm.Stats.BlockLockWait++
-			t.st.BlockLockWait++
-			sm.Stats.SharedRegWaits++
-			return false, blockStructural, nil
+			return false, sm.block(ws, wc.tn, cls|classLockWait, reasonLockWait), nil
 		}
 		if t.shr.Epoch() != epoch {
 			sm.markPairDirty(bs)
@@ -199,7 +196,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, int, er
 				sm.Stats.BlockLockWait++
 				t.st.BlockLockWait++
 				sm.Stats.SharedMemWaits++
-				return false, blockStructural, nil
+				return false, classUncached, nil
 			}
 			if t.shr.Epoch() != epoch {
 				sm.markPairDirty(bs)
@@ -214,14 +211,16 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, int, er
 		if sm.dynProb <= 0 || sm.randFloat() >= sm.dynProb {
 			sm.Stats.BlockDynGate++
 			t.st.BlockDynGate++
-			return false, blockStructural, nil
+			return false, classUncached, nil
 		}
 	}
 
-	// All checks passed: execute functionally and model timing.
+	// All checks passed: execute functionally and model timing. The PC
+	// and the scoreboard are about to move, so the card goes first.
+	sm.cards[ws].class = classNone
 	res, err := wc.w.Execute(&me.op, &b.env, smemAddrs)
 	if err != nil {
-		return false, blockNone, &simerr.SimError{
+		return false, classNone, &simerr.SimError{
 			Kind: simerr.KindExec, Cycle: now, SM: sm.ID, Warp: ws,
 			Msg: fmt.Sprintf("functional fault executing pc %d (%s)", pc, t.launch.Kernel.Instrs[pc].String()), Err: err,
 		}
@@ -265,7 +264,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, int, er
 	default:
 		// SP / SFU arithmetic: unit, latency (incl. register-file bank
 		// conflicts), and destination masks all come from the table.
-		if isa.Unit(me.unit) == isa.UnitSFU {
+		if me.kind == kindSFU {
 			*sfuUsed = true
 		}
 		if me.dstRegMask != 0 || me.dstPredMask != 0 {
@@ -281,11 +280,11 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, int, er
 			"warp finished but its scheduler snapshot was not invalidated") {
 			// Injected fault: the scheduler keeps a ready snapshot for a
 			// finished warp. The snapshot auditor must catch this.
-			return true, blockNone, nil
+			return true, classNone, nil
 		}
 	}
 	sm.markDirty(ws)
-	return true, blockNone, nil
+	return true, classNone, nil
 }
 
 // issueGlobalLoad coalesces a load into line transactions and routes each
@@ -361,7 +360,7 @@ func (sm *SM) processWritebacks(now int64) {
 		evs := sm.wb.slots[i]
 		sm.wb.count -= len(evs)
 		for k := range evs {
-			sm.retireWB(&evs[k])
+			sm.retireWB(&evs[k], now)
 		}
 		sm.wb.slots[i] = evs[:0] // reuse the bucket's backing array
 	}
@@ -370,14 +369,14 @@ func (sm *SM) processWritebacks(now int64) {
 			delete(sm.wb.overflow, now)
 			sm.wb.count -= len(evs)
 			for k := range evs {
-				sm.retireWB(&evs[k])
+				sm.retireWB(&evs[k], now)
 			}
 		}
 	}
 }
 
 // retireWB applies one writeback event.
-func (sm *SM) retireWB(ev *wbEvent) {
+func (sm *SM) retireWB(ev *wbEvent, now int64) {
 	if ev.group != nil {
 		sm.completeGroupPart(ev.group)
 		return
@@ -388,6 +387,15 @@ func (sm *SM) retireWB(ev *wbEvent) {
 	}
 	wc.pendingRegs &^= ev.regMask
 	wc.pendingPreds &^= ev.predMask
+	// The StaleCard fault only takes opportunities where it matters: the
+	// card says "scoreboard" and this writeback landed the last operand.
+	if sm.faults.Armed(fault.StaleCard) && sm.cards[ev.warpSlot].class == classScoreboard &&
+		sm.scoreboardClear(ev.warpSlot) &&
+		sm.faults.Trip(fault.StaleCard, now, sm.ID, ev.warpSlot,
+			"writeback landed the warp's last operand but its issue card was not invalidated") {
+		return // injected fault: the warp stays "scoreboard-blocked"
+	}
+	sm.invalidateCard(ev.warpSlot)
 }
 
 // completeGroupPart retires one line of a load group, clearing the
@@ -473,6 +481,7 @@ func (sm *SM) warpFinished(ws int, now int64) {
 	}
 	// Block complete.
 	b.live = false
+	sm.liveBlocks--
 	partner := t.shr.PartnerSlot(ls)
 	partnerLive := partner >= 0 && sm.blocks[t.blockBase+partner].live
 	epoch := t.shr.Epoch()

@@ -44,8 +44,8 @@ go test -race $short ./internal/server/ ./internal/client/
 echo "== go test -race (fleet coordinator, wal journal)"
 go test -race $short ./internal/fleet/ ./internal/wal/
 
-echo "== go test -race (parallel cycle engine determinism, per-SM sleep, event-driven mem tick)"
-go test -race $short -timeout 30m -run 'TestEngineDeterminism|TestLaunchQueue|TestSMSleep|TestMemSleep' ./internal/gpu/
+echo "== go test -race (parallel cycle engine determinism, per-SM sleep, event-driven mem tick, issue cards + census vs NoSnapshot)"
+go test -race $short -timeout 30m -run 'TestEngineDeterminism|TestLaunchQueue|TestSMSleep|TestMemSleep|TestCensusExact|TestStaleCard' ./internal/gpu/
 
 echo "== benchmark smoke + allocs/op gate (tools/bench.sh -quick)"
 ./tools/bench.sh -quick
