@@ -12,8 +12,12 @@
 //
 //	POST /v1/jobs                     submit into the fair queue (fields of a
 //	                                  gserved submission plus "tenant",
-//	                                  "weight", "priority"); ?wait=1 blocks
-//	GET  /v1/jobs/{key}               poll one job fleet-wide
+//	                                  "weight", "priority"); ?wait=1 holds
+//	                                  the request until done or failed
+//	GET  /v1/jobs/{key}               one job's fleet-wide status; ?wait=
+//	                                  holds it (at most 20s) until the job
+//	                                  is terminal — a non-terminal reply
+//	                                  ("held":true) means ask again
 //	POST /v1/sweeps                   batch submit; GET /v1/sweeps lists all
 //	POST /v1/workers                  register a worker ({"url":..,"slots":..})
 //	GET  /v1/workers                  the registry with lease state
@@ -115,9 +119,9 @@ func main() {
 		fmt.Printf("gsched: %s: draining (deadline %s)\n", got, *drain)
 	}
 
-	// Drain first — the listener stays up so in-flight jobs remain
-	// pollable and new submissions receive an explicit 503 — then close
-	// the HTTP side.
+	// Drain first — the listener stays up so in-flight jobs stay
+	// reachable (held waits are answered as they finish) and new
+	// submissions receive an explicit 503 — then close the HTTP side.
 	drainErr := coord.Drain(*drain)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

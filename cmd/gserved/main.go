@@ -11,8 +11,13 @@
 // Endpoints:
 //
 //	POST /v1/jobs            submit or dedup one job ({"workload":..,"scale":..,
-//	                         "config":{..},"deadline_ms":..}); ?wait=1 blocks
-//	GET  /v1/jobs/{key}      poll one job (stats when done, diagnosis when failed)
+//	                         "config":{..},"deadline_ms":..}); ?wait=1 holds
+//	                         the request until the job is terminal
+//	GET  /v1/jobs/{key}      one job (stats when done, diagnosis when failed);
+//	                         ?wait= holds it (at most 20s) until the job is
+//	                         terminal — a non-terminal reply ("held":true)
+//	                         means ask again
+//	POST /v1/jobs/{key}/cancel   stop a job, keeping its checkpoint trail
 //	POST /v1/sweeps          batch submit; GET /v1/sweeps lists the inventory
 //	GET  /healthz /readyz /statusz
 //
@@ -122,9 +127,10 @@ func main() {
 		fmt.Printf("gserved: %s: draining (deadline %s)\n", got, *drain)
 	}
 
-	// Drain first — the listener stays up so in-flight jobs remain
-	// pollable and new submissions receive an explicit 503 instead of a
-	// connection refusal — then close the HTTP side.
+	// Drain first — the listener stays up so in-flight jobs stay
+	// reachable (held waits are answered as they finish) and new
+	// submissions receive an explicit 503 instead of a connection
+	// refusal — then close the HTTP side.
 	drainErr := srv.Drain(*drain)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -1,5 +1,5 @@
 // Package client is the Go client for gserved (internal/server): it
-// submits simulation jobs, polls them, and retries transient failures
+// submits simulation jobs, waits for them, and retries transient failures
 // with capped exponential backoff plus jitter. Only genuinely retryable
 // outcomes are retried — network errors and 429/502/503/504 shed
 // responses, whose Retry-After the client honors — so a 4xx rejection
@@ -109,15 +109,15 @@ func (c *Client) SubmitWait(ctx context.Context, req server.SubmitRequest) (*ser
 	if err := c.do(ctx, http.MethodPost, "/v1/jobs?wait=1", req, &st); err != nil {
 		return nil, err
 	}
-	if st.State == server.StateQueued || st.State == server.StateRunning {
-		// The server's wait was cut short (its request context ended);
-		// fall back to polling.
+	if !server.Terminal(st.State) {
+		// The job outlived the server's hold on the POST; keep waiting
+		// on its key.
 		return c.Wait(ctx, st.Key, 0)
 	}
 	return &st, nil
 }
 
-// Get polls one job by key.
+// Get fetches one job's current status by key.
 func (c *Client) Get(ctx context.Context, key string) (*server.JobStatus, error) {
 	var st server.JobStatus
 	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+key, nil, &st); err != nil {
@@ -126,20 +126,28 @@ func (c *Client) Get(ctx context.Context, key string) (*server.JobStatus, error)
 	return &st, nil
 }
 
-// Wait polls a job until it reaches a terminal state (done, failed, or
-// canceled — inspect State) or ctx ends. poll <= 0 defaults to 250ms.
+// Wait blocks until a job reaches a terminal state (done, failed, or
+// canceled — inspect State) or ctx ends. The waiting happens on the
+// server: each GET ?wait= is held there until the job finishes, so the
+// result arrives one round trip after completion; a job that outlives
+// one hold (the reply says Held) is asked for again at once. poll is
+// only the pause before re-asking a server that answered non-terminal
+// without holding — one that predates ?wait= — so that pairing degrades
+// to polling instead of spinning. poll <= 0 defaults to 250ms.
 func (c *Client) Wait(ctx context.Context, key string, poll time.Duration) (*server.JobStatus, error) {
 	if poll <= 0 {
 		poll = 250 * time.Millisecond
 	}
 	for {
-		st, err := c.Get(ctx, key)
-		if err != nil {
+		var st server.JobStatus
+		if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+key+"?wait=1", nil, &st); err != nil {
 			return nil, err
 		}
-		switch st.State {
-		case server.StateDone, server.StateFailed, server.StateCanceled:
-			return st, nil
+		if server.Terminal(st.State) {
+			return &st, nil
+		}
+		if st.Held {
+			continue
 		}
 		select {
 		case <-time.After(poll):
@@ -151,7 +159,7 @@ func (c *Client) Wait(ctx context.Context, key string, poll time.Duration) (*ser
 
 // Cancel aborts a queued or running job by key. The returned status is
 // the job's state at the moment of the call: a running job stops within
-// one cancellation stride, so poll until it reads canceled when that
+// one cancellation stride, so Wait until it reads canceled when that
 // matters. Cancellation keeps the job's checkpoint trail on the server
 // — this is the preemption primitive, not a deletion.
 func (c *Client) Cancel(ctx context.Context, key string) (*server.JobStatus, error) {

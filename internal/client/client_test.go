@@ -234,3 +234,55 @@ func TestContextCancelStopsRetries(t *testing.T) {
 		t.Fatal("ctx cancellation did not interrupt the backoff sleep")
 	}
 }
+
+// TestWaitPausesWhenServerDoesNotHold: a server that ignores ?wait= and
+// answers "running" at once (one that predates the held wait) turns Wait
+// into a paced poll, not a busy loop.
+func TestWaitPausesWhenServerDoesNotHold(t *testing.T) {
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		_ = json.NewEncoder(w).Encode(server.JobStatus{Key: "k", State: server.StateRunning})
+	}))
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if st, err := fastClient(ts.URL).Wait(ctx, "k", 100*time.Millisecond); err == nil {
+		t.Fatalf("Wait returned %+v for a job that never finished", st)
+	}
+	// One request per 100ms pause over one second; a spin would be
+	// thousands.
+	if n := calls.Load(); n < 2 || n > 12 {
+		t.Fatalf("%d requests in 1s at a 100ms pause, want about 10", n)
+	}
+}
+
+// TestWaitReasksHeldRepliesAtOnce: a non-terminal reply marked Held —
+// the server waited as long as it would — is followed by the next
+// request with no pause (the pause here is an hour), and every request
+// asks to be held.
+func TestWaitReasksHeldRepliesAtOnce(t *testing.T) {
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !server.WantsHold(r) {
+			t.Errorf("Wait sent %s without ?wait=", r.URL)
+		}
+		st := server.JobStatus{Key: "k", State: server.StateRunning, Held: true}
+		if calls.Add(1) == 4 {
+			st = server.JobStatus{Key: "k", State: server.StateCanceled}
+		}
+		_ = json.NewEncoder(w).Encode(st)
+	}))
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	st, err := fastClient(ts.URL).Wait(ctx, "k", time.Hour)
+	if err != nil || st.State != server.StateCanceled {
+		t.Fatalf("Wait = %+v, %v; want the canceled status", st, err)
+	}
+	if calls.Load() != 4 {
+		t.Fatalf("%d requests, want 4", calls.Load())
+	}
+}

@@ -13,18 +13,16 @@ import (
 )
 
 // schedulerLoop drains the fair queue onto free worker slots. It wakes
-// on kicks (admission, completion, requeue, registration) and on a
-// coarse ticker that retries jobs parked in dispatch backoff.
+// only on kicks: admission, completion, requeue, registration, a probe
+// sweep, and the expiry of a dispatch hold-down (dispatchFailed). An
+// idle coordinator does not wake at all.
 func (c *Coordinator) schedulerLoop() {
 	defer c.wg.Done()
-	tick := time.NewTicker(50 * time.Millisecond)
-	defer tick.Stop()
 	for {
 		select {
 		case <-c.baseCtx.Done():
 			return
 		case <-c.kick:
-		case <-tick.C:
 		}
 		c.scheduleOnce()
 	}
@@ -141,7 +139,10 @@ func (c *Coordinator) startDispatchLocked(j *fjob, w *worker) {
 }
 
 // runDispatch drives one dispatch attempt end to end: submit, crash
-// point, poll to terminal, record. Dispatch is at-least-once — the
+// point, held wait to terminal, record. The wait is the worker's GET
+// ?wait= (client.Wait): it returns one round trip after the worker
+// finishes, cancels, or drains the job, and cancelDispatch (lease
+// expiry, requeue) aborts it mid-hold. Dispatch is at-least-once — the
 // worker deduplicates by content key, so re-sending a job it already
 // holds (after a coordinator restart, or a requeue race) joins the
 // existing run or returns the cached result.
@@ -163,8 +164,8 @@ func (c *Coordinator) runDispatch(ctx context.Context, j *fjob, w *worker) {
 		return
 	}
 
-	if !terminalState(st.State) {
-		st, err = w.cl.Wait(ctx, j.key, c.opts.PollInterval)
+	if !server.Terminal(st.State) {
+		st, err = w.cl.Wait(ctx, j.key, 0)
 		if err != nil {
 			c.dispatchFailed(j, w, err)
 			return
@@ -181,11 +182,6 @@ func (c *Coordinator) runDispatch(ctx context.Context, j *fjob, w *worker) {
 	default:
 		c.dispatchFailed(j, w, fmt.Errorf("fleet: worker %s returned non-terminal state %q", w.id, st.State))
 	}
-}
-
-// terminalState reports whether a worker-side job state is final.
-func terminalState(s string) bool {
-	return s == server.StateDone || s == server.StateFailed || s == server.StateCanceled
 }
 
 // finish records a terminal result. The first terminal result wins:
@@ -205,18 +201,21 @@ func (c *Coordinator) finish(j *fjob, w *worker, st *server.JobStatus) {
 	j.preempting = false
 	j.cancelDispatch = nil
 	w.completed++
-	close(j.done)
-	crashed := c.crashed
-	c.mu.Unlock()
-
+	// Counted before done closes: whoever is released by it may read
+	// /statusz next.
 	if st.State == server.StateDone {
 		c.completed.Add(1)
 	} else {
 		c.failed.Add(1)
 	}
+	close(j.done)
+	crashed := c.crashed
+	c.mu.Unlock()
+
 	if c.jl != nil && !crashed {
 		_ = c.jl.Done(j.key)
 	}
+	c.signalSettled()
 	c.kickScheduler()
 }
 
@@ -233,9 +232,9 @@ func (c *Coordinator) requeueFromWorker(j *fjob, w *worker) {
 }
 
 // dispatchFailed handles a dispatch attempt that never produced a
-// terminal state: transport failure, worker shed, poll error. The job
-// goes back to the queue with a short hold-down so a flapping worker
-// cannot spin the scheduler.
+// terminal state: transport failure, worker shed, a held wait that
+// broke. The job goes back to the queue with a short hold-down so a
+// flapping worker cannot spin the scheduler.
 func (c *Coordinator) dispatchFailed(j *fjob, w *worker, err error) {
 	if c.baseCtx.Err() != nil {
 		return // coordinator stopping; journal owns the job now
@@ -258,15 +257,19 @@ func (c *Coordinator) dispatchFailed(j *fjob, w *worker, err error) {
 		j.state = JobFailed
 		j.preempting = false
 		j.cancelDispatch = nil
-		close(j.done)
 		c.failed.Add(1)
+		close(j.done)
 		if c.jl != nil && !c.crashed {
 			_ = c.jl.Done(j.key)
 		}
+		c.signalSettled()
 		return
 	}
 	j.notBefore = time.Now().Add(c.opts.ProbeInterval)
 	c.requeueLocked(j, false)
+	// The kick inside requeueLocked finds the job held down; this one
+	// lands when the hold-down is over.
+	time.AfterFunc(c.opts.ProbeInterval, c.kickScheduler)
 }
 
 // requeueLocked returns a job to the fair queue. preempted marks a

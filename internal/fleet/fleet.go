@@ -63,9 +63,6 @@ type Options struct {
 	// ProbeInterval is the failure-detector sweep period (0 =
 	// LeaseTTL/3). Each sweep probes every worker's /readyz.
 	ProbeInterval time.Duration
-	// PollInterval is how often a dispatched job is polled on its
-	// worker (0 = 100ms).
-	PollInterval time.Duration
 	// QueueDepth bounds admitted-but-unfinished jobs (0 = 1024); beyond
 	// it submissions are shed with 429.
 	QueueDepth int
@@ -169,7 +166,13 @@ type Coordinator struct {
 	jl *wal.Log
 
 	kick chan struct{}
-	wg   sync.WaitGroup
+	// settled is signaled (never blocking) whenever a job turns terminal;
+	// Drain waits on it.
+	settled chan struct{}
+	wg      sync.WaitGroup
+
+	// holdBound caps one ?wait= hold (server.HoldBound outside tests).
+	holdBound time.Duration
 
 	start time.Time
 
@@ -186,15 +189,16 @@ type Coordinator struct {
 
 // New builds the coordinator, registers the static worker set, replays
 // the journal, and starts the scheduler and failure-detector loops.
-func New(opts Options) (*Coordinator, error) {
+func New(opts Options) (*Coordinator, error) { return newCoordinator(opts, server.HoldBound) }
+
+// newCoordinator is New with the ?wait= hold bound as an argument, so
+// tests can watch a hold expire without waiting server.HoldBound.
+func newCoordinator(opts Options, holdBound time.Duration) (*Coordinator, error) {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 3 * time.Second
 	}
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = opts.LeaseTTL / 3
-	}
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = 100 * time.Millisecond
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 1024
@@ -226,7 +230,10 @@ func New(opts Options) (*Coordinator, error) {
 		jobs:    make(map[string]*fjob),
 		q:       newFairQueue(),
 		kick:    make(chan struct{}, 1),
+		settled: make(chan struct{}, 1),
 		start:   time.Now(),
+
+		holdBound: holdBound,
 	}
 	c.routes()
 
@@ -390,6 +397,14 @@ func (c *Coordinator) kickScheduler() {
 	}
 }
 
+// signalSettled tells a waiting Drain that a job just turned terminal.
+func (c *Coordinator) signalSettled() {
+	select {
+	case c.settled <- struct{}{}:
+	default:
+	}
+}
+
 // defaultWorkerID derives a path-safe worker id from a base URL: the
 // host:port, with the scheme and any trailing slash stripped.
 func defaultWorkerID(url string) string {
@@ -494,15 +509,21 @@ func (c *Coordinator) Drain(timeout time.Duration) error {
 	c.draining = true
 	c.mu.Unlock()
 
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+wait:
+	for {
 		c.mu.Lock()
 		n := c.outstandingLocked()
 		c.mu.Unlock()
 		if n == 0 {
 			break
 		}
-		time.Sleep(20 * time.Millisecond)
+		select {
+		case <-c.settled:
+		case <-deadline.C:
+			break wait
+		}
 	}
 	c.cancel()
 	done := make(chan struct{})

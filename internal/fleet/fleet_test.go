@@ -84,9 +84,6 @@ func startCoordinator(t *testing.T, opts fleet.Options) (*fleet.Coordinator, str
 	if opts.LeaseTTL == 0 {
 		opts.LeaseTTL = 500 * time.Millisecond
 	}
-	if opts.PollInterval == 0 {
-		opts.PollInterval = 20 * time.Millisecond
-	}
 	c, err := fleet.New(opts)
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
@@ -146,19 +143,18 @@ func submitJob(t *testing.T, base string, req fleet.SubmitRequest) fleet.JobStat
 	return st
 }
 
-// waitJob polls a fleet job until it is terminal.
+// waitJob holds GET ?wait= on a fleet job until it is terminal.
 func waitJob(t *testing.T, base, key string) fleet.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(90 * time.Second)
 	for time.Now().Before(deadline) {
 		var st fleet.JobStatus
-		if code := doJSON(t, "GET", base+"/v1/jobs/"+key, nil, &st); code != http.StatusOK {
+		if code := doJSON(t, "GET", base+"/v1/jobs/"+key+"?wait=1", nil, &st); code != http.StatusOK {
 			t.Fatalf("get %s = %d", key, code)
 		}
 		if st.State == fleet.JobDone || st.State == fleet.JobFailed {
 			return st
 		}
-		time.Sleep(15 * time.Millisecond)
 	}
 	t.Fatalf("job %s never reached a terminal state", key)
 	return fleet.JobStatus{}

@@ -45,8 +45,9 @@ func (c *Coordinator) Handler() http.Handler {
 }
 
 // handleSubmit is POST /v1/jobs: admit into the fair queue (202), join
-// an existing job by content key (200), or shed. ?wait=1 blocks until
-// the job reaches a terminal state anywhere in the fleet.
+// an existing job by content key (200), or shed. ?wait=1 holds the
+// request until the job reaches a terminal state anywhere in the fleet
+// (see waitAndReply).
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if !readBody(w, r, &req) {
@@ -68,20 +69,21 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, server.ErrorBody{Error: err.Error(), Kind: kind, RetryAfterSec: retry})
 		return
 	}
-	if r.URL.Query().Get("wait") != "" {
+	if server.WantsHold(r) {
 		c.waitAndReply(w, r, j)
 		return
 	}
 	writeJSON(w, code, c.status(j))
 }
 
-// waitAndReply blocks until the job finishes or the request context
-// ends (202 with current state — including the degraded-mode
-// Retry-After hint when no workers are live).
+// waitAndReply holds a submission until the job finishes (server.Hold:
+// at most the hold bound). A job that outlives the hold answers 202 with
+// the current state — including the degraded-mode Retry-After hint when
+// no workers are live — and the client goes on waiting with GET ?wait=.
+// A failed job answers 500 with the kind and diagnosis its worker
+// reported.
 func (c *Coordinator) waitAndReply(w http.ResponseWriter, r *http.Request, j *fjob) {
-	select {
-	case <-j.done:
-	case <-r.Context().Done():
+	if finished, _ := server.Hold(r, j.done, c.baseCtx.Done(), c.holdBound); !finished {
 		writeJSON(w, http.StatusAccepted, c.status(j))
 		return
 	}
@@ -90,11 +92,18 @@ func (c *Coordinator) waitAndReply(w http.ResponseWriter, r *http.Request, j *fj
 		writeJSON(w, http.StatusOK, st)
 		return
 	}
+	kind := st.ErrorKind
+	if kind == "" {
+		kind = "failed"
+	}
 	writeJSON(w, http.StatusInternalServerError, server.ErrorBody{
-		Error: st.Error, Kind: "failed"})
+		Error: st.Error, Kind: kind, Diagnosis: st.Diagnosis})
 }
 
-// handleGetJob is GET /v1/jobs/{key}.
+// handleGetJob is GET /v1/jobs/{key}: one job's status fleet-wide. With
+// ?wait= the reply is held until the job is done or failed (server.Hold:
+// at most the hold bound); a non-terminal reply carries Held — ask
+// again at once.
 func (c *Coordinator) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	c.mu.Lock()
@@ -105,7 +114,13 @@ func (c *Coordinator) handleGetJob(w http.ResponseWriter, r *http.Request) {
 			Error: fmt.Sprintf("unknown job key %q", key), Kind: "not-found"})
 		return
 	}
-	writeJSON(w, http.StatusOK, c.status(j))
+	lapsed := false
+	if server.WantsHold(r) {
+		_, lapsed = server.Hold(r, j.done, c.baseCtx.Done(), c.holdBound)
+	}
+	st := c.status(j)
+	st.Held = lapsed && !server.Terminal(st.State)
+	writeJSON(w, http.StatusOK, st)
 }
 
 // handleSweepSubmit is POST /v1/sweeps: batch admission with per-job

@@ -88,8 +88,8 @@ func (s *Server) retryAfter() int {
 
 // handleSubmit is POST /v1/jobs: validate, admit-or-shed, and either
 // report the queued job (202), the deduplicated or cached job (200), or
-// — with ?wait=1 — block until the job finishes or the request context
-// ends. Submissions are idempotent by job key.
+// — with ?wait=1 — hold the request until the job finishes (see
+// waitAndReply). Submissions are idempotent by job key.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	release, ok := s.readBody(w, r, &req)
@@ -111,21 +111,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		shed(w, out.httpStatus, msg, out.rejected, out.retryAfter)
 		return
 	}
-	if r.URL.Query().Get("wait") != "" {
+	if WantsHold(r) {
 		s.waitAndReply(w, r, out.jb)
 		return
 	}
 	writeJSON(w, out.httpStatus, s.status(out.jb))
 }
 
-// waitAndReply blocks until the job reaches a terminal state or the
-// request context ends. A finished job answers 200 (done) or a
-// structured 5xx (failed/canceled); an unfinished one answers 202 with
-// the current state so the client can poll.
+// waitAndReply holds a submission until the job reaches a terminal
+// state (Hold: at most the hold bound). A finished job answers 200
+// (done) or a structured 5xx (failed/canceled); one that outlives the
+// hold answers 202 with the current state, and the client goes on
+// waiting with GET ?wait=.
 func (s *Server) waitAndReply(w http.ResponseWriter, r *http.Request, jb *job) {
-	select {
-	case <-jb.done:
-	case <-r.Context().Done():
+	if finished, _ := Hold(r, jb.done, s.baseCtx.Done(), s.holdBound); !finished {
 		writeJSON(w, http.StatusAccepted, s.status(jb))
 		return
 	}
@@ -141,8 +140,12 @@ func (s *Server) waitAndReply(w http.ResponseWriter, r *http.Request, jb *job) {
 	}
 }
 
-// handleGetJob is GET /v1/jobs/{key}: poll one job, falling back to the
-// disk cache for keys computed by a previous process.
+// handleGetJob is GET /v1/jobs/{key}: one job's status, falling back to
+// the disk cache for keys computed by a previous process. With ?wait=
+// the reply is held until the job is terminal (Hold: at most the hold
+// bound) and is a 200 JobStatus in whatever state the job is then in —
+// canceled included, which the fleet coordinator must see to requeue.
+// A non-terminal reply to ?wait= carries Held: ask again at once.
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	jb, ok := s.lookupJob(key)
@@ -151,13 +154,19 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 			Error: fmt.Sprintf("unknown job key %q", key), Kind: "not-found"})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.status(jb))
+	lapsed := false
+	if WantsHold(r) {
+		_, lapsed = Hold(r, jb.done, s.baseCtx.Done(), s.holdBound)
+	}
+	st := s.status(jb)
+	st.Held = lapsed && !Terminal(st.State)
+	writeJSON(w, http.StatusOK, st)
 }
 
 // handleCancel is POST /v1/jobs/{key}/cancel: abort a queued or running
 // job. The response reports the job's state at the moment of the call —
-// a running job stops within one cancellation stride, so callers poll
-// until it reads canceled. Cancellation keeps the job's journal accept
+// a running job stops within one cancellation stride, so callers wait
+// (GET ?wait=) until it reads canceled. Cancellation keeps the job's journal accept
 // and checkpoint trail: it means "stop computing here", and the fleet
 // coordinator uses it to preempt, requeue, and later resume jobs.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

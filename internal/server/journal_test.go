@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gpushare/internal/client"
 	"gpushare/internal/fault"
 	"gpushare/internal/runner"
 	"gpushare/internal/server"
@@ -162,4 +164,83 @@ func TestJournalAcceptPrecedesWork(t *testing.T) {
 	if sz, err := c2.Status(ctx); err != nil || sz.Journal.Pending != 0 || sz.Journal.Appended < 2 {
 		t.Fatalf("journal after submit = %+v, %v; want accept+done appended, no lag", sz.Journal, err)
 	}
+}
+
+// TestJournalReplayLargerThanQueue: a replay of more jobs than the
+// admission queue holds feeds in as the worker makes room — every job
+// is re-admitted and finishes with no client involved — and a drain
+// that starts while the replay is blocked on a full queue ends it,
+// leaving the jobs it never re-admitted pending for the next start.
+func TestJournalReplayLargerThanQueue(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "journal.jsonl")
+	const n = 5
+	var wal string
+	keys := make([]string, n)
+	for i := range keys {
+		req := seededReq(uint64(60 + i))
+		req.Scale = 2 // ~100ms each: the drain below lands mid-replay
+		job := reqJob(req)
+		job.Scale = req.Scale
+		key, err := job.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = key
+		wal += journalLine(t, "accept", key, &req)
+	}
+	if err := os.WriteFile(jpath, []byte(wal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := server.Options{Workers: 1, QueueDepth: 1, SMWorkers: 1, JournalPath: jpath,
+		Runner: runnerOptsWithCache(dir)}
+
+	// One worker, a one-deep queue: once two jobs are in (one running,
+	// one queued) the replay has to wait for room, and the drain arrives
+	// long before the worker makes any.
+	s1 := server.New(opts)
+	c1 := client.New(newTestServer(t, s1).URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	for {
+		sz, err := c1.Status(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sz.Journal.Replayed >= 2 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := s1.Drain(60 * time.Second); err != nil {
+		t.Fatalf("drain during a blocked replay: %v", err)
+	}
+
+	_, _, c := startDaemon(t, opts)
+	sz, err := c.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sz.Journal.Replayed == 0 || sz.Journal.Replayed > n-2 {
+		t.Fatalf("second start replayed %d of %d: the drain should have finished what the first replay got in and left the rest",
+			sz.Journal.Replayed, n)
+	}
+	for i, key := range keys {
+		st, err := c.Wait(ctx, key, 0)
+		for isNotFound(err) { // still behind the full queue, not in the registry yet
+			time.Sleep(5 * time.Millisecond)
+			st, err = c.Wait(ctx, key, 0)
+		}
+		if err != nil || st.State != server.StateDone || st.Stats == nil {
+			t.Fatalf("replayed job %d = %+v, %v; want done", i, st, err)
+		}
+	}
+	if sz, err := c.Status(ctx); err != nil || sz.Journal.Pending != 0 {
+		t.Fatalf("journal after the replay = %+v, %v; want nothing pending", sz.Journal, err)
+	}
+}
+
+func isNotFound(err error) bool {
+	var apiErr *client.APIError
+	return errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusNotFound
 }

@@ -120,6 +120,10 @@ type Server struct {
 	queue    chan *job
 	draining bool
 	killed   bool
+	// space (on mu) is broadcast when a worker takes a job off the queue
+	// and when admission closes; journal replay waits on it while the
+	// queue is full.
+	space *sync.Cond
 	// memAgg folds the per-partition memory counters of every job this
 	// process simulated to completion (guarded by mu); /statusz serves
 	// it once the first contribution lands.
@@ -127,6 +131,9 @@ type Server struct {
 
 	wg    sync.WaitGroup
 	start time.Time
+
+	// holdBound caps one ?wait= hold (HoldBound outside tests).
+	holdBound time.Duration
 
 	// jl is the write-ahead job journal (nil when disabled).
 	jl       *journal
@@ -142,7 +149,11 @@ type Server struct {
 }
 
 // New builds the daemon core and starts its worker pool.
-func New(opts Options) *Server {
+func New(opts Options) *Server { return newServer(opts, HoldBound) }
+
+// newServer is New with the ?wait= hold bound as an argument, so tests
+// can watch a hold expire without waiting HoldBound.
+func newServer(opts Options, holdBound time.Duration) *Server {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -169,7 +180,10 @@ func New(opts Options) *Server {
 		jobs:    make(map[string]*job),
 		queue:   make(chan *job, opts.QueueDepth),
 		start:   time.Now(),
+
+		holdBound: holdBound,
 	}
+	s.space = sync.NewCond(&s.mu)
 	s.routes()
 
 	// Open and replay the job journal before serving: whatever a
@@ -199,7 +213,7 @@ func New(opts Options) *Server {
 
 // readmit re-admits journal-replayed jobs into the queue. It runs in the
 // background after the worker pool is up: a replay larger than the queue
-// simply feeds in as workers drain it, and a drain that starts meanwhile
+// blocks until a worker makes room, and a drain that starts meanwhile
 // abandons the rest (they stay pending in the journal for the next
 // start).
 func (s *Server) readmit(pending []journalRecord) {
@@ -212,33 +226,24 @@ func (s *Server) readmit(pending []journalRecord) {
 			s.jl.done(rec.Key)
 			continue
 		}
-		jb := &job{key: key, rjob: rjob, state: StateQueued, done: make(chan struct{})}
-		for {
-			s.mu.Lock()
-			if s.draining {
-				s.mu.Unlock()
-				return
-			}
-			if _, exists := s.jobs[key]; exists {
-				// Already resubmitted by a client since restart.
-				s.mu.Unlock()
-				break
-			}
-			enqueued := false
-			select {
-			case s.queue <- jb:
-				s.jobs[key] = jb
-				s.accepted.Add(1)
-				s.replayed.Add(1)
-				enqueued = true
-			default:
-			}
-			s.mu.Unlock()
-			if enqueued {
-				break
-			}
-			time.Sleep(10 * time.Millisecond) // queue full: wait for a worker
+		s.mu.Lock()
+		for !s.draining && s.jobs[key] == nil && len(s.queue) >= cap(s.queue) {
+			s.space.Wait()
 		}
+		if s.draining {
+			s.mu.Unlock()
+			return
+		}
+		// A key already in the registry was resubmitted by a client since
+		// restart; that admission owns it.
+		if s.jobs[key] == nil {
+			jb := &job{key: key, rjob: rjob, state: StateQueued, done: make(chan struct{})}
+			s.queue <- jb // cannot block: every producer holds mu
+			s.jobs[key] = jb
+			s.accepted.Add(1)
+			s.replayed.Add(1)
+		}
+		s.mu.Unlock()
 	}
 }
 
@@ -258,6 +263,7 @@ func (s *Server) worker() {
 // job's own deadline, then publishes the terminal state.
 func (s *Server) runJob(jb *job) {
 	s.mu.Lock()
+	s.space.Broadcast() // jb just left the queue
 	if jb.state == StateCanceled {
 		// Canceled while still queued (preemption or client cancel):
 		// never run. cancelJob already published the terminal state.
@@ -508,15 +514,24 @@ func (s *Server) Kill() {
 		return
 	}
 	s.killed = true
-	if !s.draining {
-		s.draining = true
-		close(s.queue)
-	}
+	s.stopAdmissionLocked()
 	s.mu.Unlock()
 	s.cancel()
 	if s.jl != nil {
 		s.jl.close()
 	}
+}
+
+// stopAdmissionLocked closes admission once: submissions are refused,
+// workers run the queue dry and exit, and a journal replay still waiting
+// for queue space gives up.
+func (s *Server) stopAdmissionLocked() {
+	if s.draining {
+		return
+	}
+	s.draining = true
+	close(s.queue)
+	s.space.Broadcast()
 }
 
 // jobLabel renders a job's workload field for status responses: the
@@ -588,10 +603,7 @@ func (s *Server) Draining() bool {
 // short cancellation grace, and is idempotent.
 func (s *Server) Drain(timeout time.Duration) error {
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.queue)
-	}
+	s.stopAdmissionLocked()
 	s.mu.Unlock()
 
 	done := make(chan struct{})

@@ -16,6 +16,12 @@ const (
 	StateCanceled = "canceled" // aborted by deadline or drain; resubmittable
 )
 
+// Terminal reports whether a job state is final: its done channel has
+// closed and no later status will differ.
+func Terminal(state string) bool {
+	return state == StateDone || state == StateFailed || state == StateCanceled
+}
+
 // Readiness states reported by GET /readyz. A load balancer or the
 // gsched coordinator keys off State: "draining" means alive and
 // finishing owed work (do not route new jobs, do not declare it dead),
@@ -87,6 +93,11 @@ type JobStatus struct {
 	// ("queue-full" or "draining"); empty for admitted jobs.
 	Rejected      string `json:"rejected,omitempty"`
 	RetryAfterSec int    `json:"retry_after_sec,omitempty"`
+	// Held marks a non-terminal answer to GET ?wait=: the daemon held the
+	// request as long as it would and the job is still going, so ask
+	// again at once. A daemon that ignores ?wait= never sets it, which is
+	// how client.Wait tells "re-ask now" from "pause, then poll".
+	Held bool `json:"held,omitempty"`
 }
 
 // SweepRequest is the body of POST /v1/sweeps.

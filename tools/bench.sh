@@ -47,6 +47,12 @@ echo "== end-to-end engine (full hotspot simulation per op; two-tenant co-reside
 go test -run '^$' -bench 'BenchmarkRunParallelSMs|BenchmarkCoResident|BenchmarkSMSleepMemBound|BenchmarkComputeBound' \
     -benchmem -benchtime "$e2etime" -timeout 30m ./internal/gpu/ | tee -a "$out"
 
+echo "== service layer (a fresh job through gsched vs straight to its worker; a gserved hit, whole HTTP round trip)"
+# BenchmarkFleetDispatch also prints worker-ms/job and dispatch-ms/job:
+# the same job sent to the worker directly, and what the fleet adds.
+go test -p 1 -run '^$' -bench 'BenchmarkFleetDispatch$|BenchmarkServerHit$' \
+    -benchmem -benchtime "$microtime" ./internal/fleet/ ./internal/server/ | tee -a "$out"
+
 # Normalize benchmark lines into "name ns b allocs" rows. Columns are
 # located by their unit suffix, not position: a benchmark that calls
 # b.SetBytes emits an extra MB/s column between ns/op and B/op, which a

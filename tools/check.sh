@@ -38,10 +38,10 @@ go build ./...
 echo "== go test -race (runner, harness)"
 go test -race $short ./internal/runner/ ./internal/harness/
 
-echo "== go test -race (server saturation + drain, client retries)"
+echo "== go test -race (server saturation + drain + held waits + replay past a full queue, client retries + Wait pacing)"
 go test -race $short ./internal/server/ ./internal/client/
 
-echo "== go test -race (fleet coordinator, wal journal)"
+echo "== go test -race (fleet coordinator incl. the stub-worker dispatch-protocol tests, wal journal)"
 go test -race $short ./internal/fleet/ ./internal/wal/
 
 echo "== go test -race (parallel cycle engine determinism, per-SM sleep, event-driven mem tick, issue cards + census vs NoSnapshot)"
@@ -224,19 +224,20 @@ if grep -q "\"op\":\"done\",\"key\":\"$key\"" "$smoketmp/journal.jsonl"; then
     exit 1
 fi
 
-# Restart: the journal replays the unfinished job, and polling its key
-# (computed by the dead process) must reach "done" (60s budget).
+# Restart: the journal replays the unfinished job, and a held wait on
+# its key (computed by the dead process) must come back "done" (60s
+# budget). The loop is for the window before the replay has re-admitted
+# the key (404) and for a hold that runs out first.
 start_crash_daemon "$smoketmp/crash2.log"
-i=0
+deadline=$(($(date +%s) + 60))
 done=""
-while [ $i -lt 600 ]; do
-    curl -s -o "$smoketmp/crashpoll.json" "http://$addr/v1/jobs/$key" || true
+while [ "$(date +%s)" -lt "$deadline" ]; do
+    curl -s -o "$smoketmp/crashpoll.json" "http://$addr/v1/jobs/$key?wait=1" || true
     if grep -q '"state":"done"' "$smoketmp/crashpoll.json"; then
         done=1
         break
     fi
     sleep 0.1
-    i=$((i + 1))
 done
 if [ -z "$done" ]; then
     echo "replayed job did not finish after restart:" >&2
@@ -368,12 +369,14 @@ w1pid=""
 
 # Every job must still reach done (shared 120s budget across the sweep;
 # the survivor re-runs the orphan, resuming from its checkpoint trail).
-i=0
+# Each request is a held wait on the coordinator; the loop covers a hold
+# that runs out before the requeued job is through.
+deadline=$(($(date +%s) + 120))
 for key in $keys; do
     jobdone=""
-    while [ $i -lt 1200 ]; do
+    while [ "$(date +%s)" -lt "$deadline" ]; do
         curl -s -o "$smoketmp/fleetjob_$key.json" \
-            "http://$schedaddr/v1/jobs/$key" || true
+            "http://$schedaddr/v1/jobs/$key?wait=1" || true
         if grep -q '"state":"done"' "$smoketmp/fleetjob_$key.json"; then
             jobdone=1
             break
@@ -382,7 +385,6 @@ for key in $keys; do
             break
         fi
         sleep 0.1
-        i=$((i + 1))
     done
     if [ -z "$jobdone" ]; then
         echo "fleet job $key did not finish after the worker kill:" >&2
