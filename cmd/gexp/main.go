@@ -77,7 +77,6 @@ func main() {
 		cacheDir = flag.String("cachedir", "", "on-disk result cache directory, reused across runs ('' disables)")
 		invar    = flag.Int64("invariants", 0, "audit simulator invariants every N cycles (0 disables; audited runs cache separately)")
 		strict   = flag.Bool("strict", false, "abort on the first failed simulation instead of rendering a zeroed cell with its diagnosis")
-		smw      = flag.Int("smworkers", 1, "cycle-engine workers inside each simulation (0 = GOMAXPROCS; results identical at any value — with -j parallelism, 1 avoids oversubscription)")
 		ckDir    = flag.String("checkpoint-dir", "", "mid-simulation checkpoint directory: retried attempts resume from the last snapshot instead of cycle 0; results identical either way ('' disables)")
 		ckStride = flag.Int64("checkpoint-stride", 100_000, "cycles between mid-simulation snapshots (with -checkpoint-dir)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -115,7 +114,6 @@ func main() {
 	s.CacheDir = *cacheDir
 	s.InvariantStride = *invar
 	s.SoftFail = !*strict
-	s.SMWorkers = *smw
 	s.CheckpointDir = *ckDir
 	s.CheckpointStride = *ckStride
 	s.Ctx = ctx

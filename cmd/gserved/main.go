@@ -59,7 +59,6 @@ func main() {
 		journal  = flag.String("journal", "", "write-ahead job journal file: admissions are fsync'd before queueing, and a killed daemon re-admits unfinished jobs on restart ('' disables)")
 		ckDir    = flag.String("checkpoint-dir", "", "mid-simulation checkpoint directory: retried attempts resume from the last snapshot instead of cycle 0 ('' disables)")
 		ckStride = flag.Int64("checkpoint-stride", 100_000, "cycles between mid-simulation snapshots (with -checkpoint-dir)")
-		smw      = flag.Int("smworkers", 1, "cycle-engine workers inside each simulation (0 = GOMAXPROCS; 1 avoids oversubscribing a busy farm; results identical at any value)")
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; '' disables). Kept off the job API listener so profiling is never exposed with the service port")
 	)
 	flag.Parse()
@@ -88,7 +87,6 @@ func main() {
 
 	srv := server.New(server.Options{
 		Workers:          *workers,
-		SMWorkers:        *smw,
 		QueueDepth:       *queue,
 		MaxBodyBytes:     *maxBody,
 		MaxInFlightBytes: *maxBytes,

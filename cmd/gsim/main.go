@@ -111,7 +111,6 @@ func main() {
 		verify   = flag.Bool("verify", true, "check functional outputs after the run")
 		showOcc  = flag.Bool("occupancy", false, "print the occupancy plan and exit")
 		cacheDir = flag.String("cachedir", "", "on-disk result cache directory: identical runs are served from cache ('' disables; ignored with -trace)")
-		smw      = flag.Int("smworkers", 0, "cycle-engine workers (0 = GOMAXPROCS, 1 = sequential; results identical at any value)")
 		noFF     = flag.Bool("noff", false, "disable the idle fast-forward (debugging; results identical either way)")
 		noMemSlp = flag.Bool("nomemsleep", false, "disable the event-driven memory tick (debugging; results identical either way)")
 		verbose  = flag.Bool("v", false, "print the per-partition memory breakdown after the run")
@@ -170,7 +169,6 @@ func main() {
 	fatal(err)
 	cfg.TraceInterval = *trace
 	cfg.InvariantStride = *invar
-	cfg.SMWorkers = *smw
 	cfg.NoFastForward = *noFF
 	cfg.NoMemSleep = *noMemSlp
 	cfg.CheckpointStride = *ckStride

@@ -235,32 +235,23 @@ type Config struct {
 	// the built-in default (500k cycles).
 	ProgressWindow int64
 
-	// SMWorkers sets the cycle engine's worker-pool size: each cycle the
-	// per-SM Tick calls fan out across this many goroutines behind a
-	// cycle barrier. 0 uses GOMAXPROCS, 1 forces the sequential in-line
-	// path. Results are bit-identical for every worker count (SM-to-
-	// memory traffic is staged per SM and merged in SM-index order), so
-	// SMWorkers is an engine knob, not a simulation parameter: it is
-	// excluded from the canonical configuration and cached results are
-	// shared across worker counts.
-	SMWorkers int `json:"-"`
-
 	// NoFastForward disables the idle fast-forward: normally, when no SM
 	// can issue (every warp is waiting on memory, writebacks, or
 	// barriers) the cycle loop jumps straight to the next pending-event
 	// horizon instead of burning empty cycles. The jump is exact —
 	// skipped cycles contribute their per-cycle statistics and every
 	// stride-aligned duty (invariant audits, traces, cancellation polls,
-	// the watchdog) still happens at its original cycle — so this too is
-	// an engine knob excluded from the canonical configuration; it
-	// exists for determinism regression tests and debugging.
+	// the watchdog) still happens at its original cycle — so this is an
+	// engine knob, not a simulation parameter: it is excluded from the
+	// canonical configuration, and it exists for determinism regression
+	// tests and debugging.
 	NoFastForward bool `json:"-"`
 
 	// NoSnapshot disables the event-driven warp-snapshot cache and the
 	// incremental scheduler ready sets: every cycle rebuilds every
 	// scheduler view from scratch (operand walks, sort-based ranking),
 	// exactly the pre-ready-set issue path. The snapshot engine is
-	// proven bit-identical to the recompute path, so like SMWorkers and
+	// proven bit-identical to the recompute path, so like
 	// NoFastForward this is an engine knob excluded from the canonical
 	// configuration; it exists as a determinism escape hatch
 	// (GPUSHARE_NOSNAPSHOT=1) and for the equivalence regression tests.
@@ -271,7 +262,7 @@ type Config struct {
 	// or preempted run can resume from the last checkpoint instead of
 	// cycle 0. Checkpointing cannot change results — the snapshot is
 	// taken at a cycle boundary and restore is bit-identical, proven by
-	// the determinism gates — so like SMWorkers it is an engine knob
+	// the determinism gates — so like NoFastForward it is an engine knob
 	// excluded from the canonical configuration and the sim-v1 result
 	// fingerprint: cached results are shared across stride settings. The
 	// idle fast-forward clamps its jump horizon to the next checkpoint
@@ -282,7 +273,7 @@ type Config struct {
 	// NoSMSleep disables the per-SM sleep/wake fast-forward: normally an
 	// SM whose warps are all blocked (memory replies, barriers, pipeline
 	// latency) with a provable wake cycle is skipped in the per-cycle
-	// fan-out until that cycle, or until an external event (memory
+	// loop until that cycle, or until an external event (memory
 	// reply, block launch) wakes it early, while busy SMs keep ticking.
 	// The skip is exact — a sleeping SM's skipped cycles contribute
 	// their per-cycle statistics via the same replay arithmetic as the
@@ -414,8 +405,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("InvariantStride must be non-negative, got %d", c.InvariantStride)
 	case c.ProgressWindow < 0:
 		return fmt.Errorf("ProgressWindow must be non-negative, got %d", c.ProgressWindow)
-	case c.SMWorkers < 0:
-		return fmt.Errorf("SMWorkers must be non-negative, got %d", c.SMWorkers)
 	case c.CheckpointStride < 0:
 		return fmt.Errorf("CheckpointStride must be non-negative, got %d", c.CheckpointStride)
 	case c.Sched > SchedOWF:

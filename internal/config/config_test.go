@@ -188,7 +188,7 @@ func TestCanonicalJSON(t *testing.T) {
 }
 
 // TestCanonicalJSONExcludesEngineKnobs pins the engine-knob exclusion:
-// worker counts, fast-forward, snapshot mode, and the checkpoint stride
+// fast-forward, snapshot mode, and the checkpoint stride
 // cannot change results, so they must not change job cache keys.
 func TestCanonicalJSONExcludesEngineKnobs(t *testing.T) {
 	c := Default()
@@ -196,7 +196,6 @@ func TestCanonicalJSONExcludesEngineKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SMWorkers = 7
 	c.NoFastForward = true
 	c.NoSnapshot = true
 	c.CheckpointStride = 4096

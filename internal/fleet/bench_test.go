@@ -18,7 +18,7 @@ import (
 // the worker with the timer stopped; worker-ms/job is that leg, and
 // dispatch-ms/job — what the fleet layer adds to a job — the difference.
 func BenchmarkFleetDispatch(b *testing.B) {
-	s := server.New(server.Options{Workers: 1, QueueDepth: 32, SMWorkers: 1}) // gserved's own default engine
+	s := server.New(server.Options{Workers: 1, QueueDepth: 32})
 	wts := httptest.NewServer(s.Handler())
 	c, err := fleet.New(fleet.Options{Workers: []string{wts.URL}})
 	if err != nil {

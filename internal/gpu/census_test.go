@@ -40,12 +40,10 @@ func scratchSharing() config.Config {
 // (cosched), and a census re-derived from nothing after a restore.
 func TestCensusExact(t *testing.T) {
 	audited := func(cfg config.Config) config.Config {
-		cfg.SMWorkers = 1
 		cfg.InvariantStride = 1
 		return cfg
 	}
 	reference := func(cfg config.Config) config.Config {
-		cfg.SMWorkers = 1
 		cfg.NoSnapshot = true
 		return cfg
 	}
@@ -121,7 +119,6 @@ func TestStaleCardCaught(t *testing.T) {
 	setup := func(stride int64) (*Sim, *kernel.Launch) {
 		cfg := config.Default()
 		cfg.NumSMs = 2
-		cfg.SMWorkers = 1
 		cfg.InvariantStride = stride
 		cfg.ProgressWindow = 2000
 		sim := MustNew(cfg)

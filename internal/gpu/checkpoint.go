@@ -2,8 +2,8 @@
 // a whole machine state at a cycle boundary, plus the per-run-mode loop
 // state needed to resume the surrounding dispatch loop. A checkpoint is
 // taken at the top of a cycle-loop iteration, so it captures the state
-// at the end of cycle N-1: staging buffers are empty, every in-flight
-// request sits in exactly one queue, and no scratch state is live.
+// at the end of cycle N-1: every in-flight request sits in exactly one
+// queue, and no scratch state is live.
 //
 // What is deliberately excluded:
 //   - idle fast-forward arm state (ffSnap/ffJumpTo/ffRetryAt): the jump
@@ -13,7 +13,7 @@
 //     the restorer marks every warp dirty and the first refresh rebuilds
 //     them exactly (see smcore.RestoreState);
 //   - the invariant checker's pass counter and any engine knobs
-//     (SMWorkers, NoSnapshot, CheckpointStride itself) — none of them
+//     (NoSnapshot, CheckpointStride itself) — none of them
 //     can change results, so none of them may invalidate a checkpoint.
 //
 // The payload cross-checks the simulator revision, the canonical

@@ -11,58 +11,24 @@ import (
 	"gpushare/internal/workloads"
 )
 
-// runWorkloadCK is runWorkload with checkpoint knobs: sink receives
-// snapshots every cfg.CheckpointStride cycles, and a non-nil restore
-// blob resumes the run from that snapshot instead of cycle 0.
+// runWorkloadCK is runWorkload with checkpoint knobs (see simulate).
 func runWorkloadCK(tb testing.TB, name string, cfg config.Config, scale int,
 	sink checkpoint.Sink, restore []byte) *stats.GPU {
 	tb.Helper()
-	spec, err := workloads.ByName(name)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sim, err := New(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sim.CheckpointSink = sink
-	sim.RestoreFrom = restore
-	inst := spec.Build(scale)
-	inst.Setup(sim.Mem)
-	g, err := sim.Run(inst.Launch)
+	g, err := simulate(cfg, name, nil, scale, sink, restore)
 	if err != nil {
 		tb.Fatalf("%s: %v", name, err)
-	}
-	if inst.Check != nil {
-		if err := inst.Check(sim.Mem); err != nil {
-			tb.Fatalf("%s: functional check: %v", name, err)
-		}
 	}
 	return g
 }
 
-// runMultiCK is runMulti with checkpoint knobs.
+// runMultiCK is runMulti with checkpoint knobs (see simulate).
 func runMultiCK(tb testing.TB, cfg config.Config, spec *tenancy.Spec, scale int,
 	sink checkpoint.Sink, restore []byte) *stats.GPU {
 	tb.Helper()
-	sim, err := New(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sim.CheckpointSink = sink
-	sim.RestoreFrom = restore
-	launches, checks := buildTenants(tb, sim, spec, scale)
-	g, err := sim.RunMulti(spec, launches)
+	g, err := simulate(cfg, "", spec, scale, sink, restore)
 	if err != nil {
 		tb.Fatalf("RunMulti(%s): %v", spec.Policy, err)
-	}
-	for i, check := range checks {
-		if check == nil {
-			continue
-		}
-		if err := check(); err != nil {
-			tb.Fatalf("tenant %d (%s): functional check: %v", i, spec.Tenants[i].Workload, err)
-		}
 	}
 	return g
 }
@@ -183,7 +149,7 @@ func TestCheckpointRejectsMismatchedRun(t *testing.T) {
 		sim := MustNew(gto)
 		sim.RestoreFrom = blob
 		spec := twoTenantSpec(tenancy.CoSched)
-		launches, _ := buildTenants(t, sim, spec, 1)
+		launches := buildTenants(t, sim, spec, 1)
 		_, err := sim.RunMulti(spec, launches)
 		wantCheckpointKind(t, err, "single-mode checkpoint in a multi-tenant run")
 	}
@@ -193,9 +159,8 @@ func TestCheckpointRejectsMismatchedRun(t *testing.T) {
 	wantCheckpointKind(t, restoreInto("gaussian", gto, corrupt), "corrupted checkpoint")
 
 	// Engine knobs are excluded from the identity cross-check: a
-	// checkpoint taken with one worker count must restore under another.
+	// checkpoint taken with the snapshot cache on must restore with it off.
 	knobbed := gto
-	knobbed.SMWorkers = 2
 	knobbed.NoSnapshot = true
 	if err := restoreInto("gaussian", knobbed, blob); err != nil {
 		t.Fatalf("engine knobs invalidated a checkpoint: %v", err)

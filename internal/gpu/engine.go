@@ -3,9 +3,6 @@ package gpu
 import (
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"gpushare/internal/fault"
 	"gpushare/internal/mem"
@@ -49,8 +46,8 @@ type engineOpts struct {
 
 // Per-SM sleep states. An SM is armed on a quiet cycle (counters
 // snapshotted), modelled on the next cycle (per-cycle delta measured,
-// wake cycle computed), and asleep after that: skipped in the fan-out
-// until its wake cycle or an external event, its counters replayed
+// wake cycle computed), and asleep after that: skipped by tick until
+// its wake cycle or an external event, its counters replayed
 // arithmetically from the model delta.
 const (
 	smAwake uint8 = iota
@@ -76,33 +73,23 @@ type wakeEnt struct {
 	i  int
 }
 
-// cycleEngine advances the SM array one cycle at a time, either inline
-// (workers == 1, the exact sequential order the simulator has always
-// used) or fanned across a pool of persistent worker goroutines with a
-// barrier per cycle.
+// cycleEngine advances the SM array one cycle at a time, in ascending
+// engine index on the calling goroutine. A simulation is single-
+// threaded by design (see DESIGN.md "Why a simulation is single-
+// threaded"); parallelism lives across simulations, in runner's farm
+// and gsched's workers.
 //
-// Parallel cycles are bit-identical to sequential ones: during the
-// parallel phase every SM is confined to its own state (plus read-only
-// global memory and its private reply port), with stores and outgoing
-// line requests staged per SM; after the barrier the engine flushes the
-// staging buffers in ascending SM index, reproducing the sequential
-// engine's interconnect arrival order exactly. See DESIGN.md.
-//
-// With sleep enabled the per-cycle fan-out covers only awake SMs (the
+// With sleep enabled the per-cycle loop covers only awake SMs (the
 // active list, ascending engine index), so sleeping SMs cost nothing;
-// transitions and wakes run on the main goroutine in ascending index
-// order, keeping every observable interleaving identical to the
-// sleep-off engine.
+// transitions and wakes also run in ascending index order, keeping
+// every observable interleaving identical to the sleep-off engine.
 type cycleEngine struct {
-	sms     []*smcore.SM
-	workers int
-	opt     engineOpts
+	sms []*smcore.SM
+	opt engineOpts
 
-	// Per-SM results for the current cycle. Each index is written by
-	// exactly one worker and read by the main goroutine after the
-	// barrier, so no further synchronization is needed.
+	// issued[i] reports whether SM i issued this cycle (read by the
+	// sleep transitions).
 	issued []bool
-	errs   []error
 
 	// active lists the engine indices ticking this cycle, ascending.
 	// Without sleep it is all SMs, built once.
@@ -114,24 +101,11 @@ type cycleEngine struct {
 	st   []smSleep
 	heap []wakeEnt
 	byID []int
-
-	start chan int64 // one token per worker per cycle
-	wg    sync.WaitGroup
-	next  atomic.Int64 // work-stealing cursor into active
-	once  sync.Once
 }
 
-// newCycleEngine builds the engine. workers <= 0 selects GOMAXPROCS;
-// the pool is capped at the SM count. With a single worker the engine
-// is a plain loop and spawns nothing.
-func newCycleEngine(sms []*smcore.SM, workers int, opt engineOpts) *cycleEngine {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(sms) {
-		workers = len(sms)
-	}
-	e := &cycleEngine{sms: sms, workers: workers, opt: opt}
+// newCycleEngine builds the engine over sms.
+func newCycleEngine(sms []*smcore.SM, opt engineOpts) *cycleEngine {
+	e := &cycleEngine{sms: sms, opt: opt}
 	e.active = make([]int, len(sms))
 	for i := range e.active {
 		e.active[i] = i
@@ -153,42 +127,15 @@ func newCycleEngine(sms []*smcore.SM, workers int, opt engineOpts) *cycleEngine 
 			e.byID[sm.ID] = i
 		}
 		// Replies pushed toward a sleeping SM after its wake cycle was
-		// computed must shorten the sleep; ms.Tick runs on the main
-		// goroutine, so the callback touches engine state safely.
+		// computed must shorten the sleep.
 		opt.ms.SetReplyObserver(e.onReply)
-	}
-	if workers > 1 {
-		e.errs = make([]error, len(sms))
-		e.start = make(chan int64)
-		for _, sm := range sms {
-			sm.SetStaged(true)
-		}
-		for w := 0; w < workers; w++ {
-			go e.worker()
-		}
 	}
 	return e
 }
 
-func (e *cycleEngine) worker() {
-	for now := range e.start {
-		for {
-			i := int(e.next.Add(1)) - 1
-			if i >= len(e.active) {
-				break
-			}
-			si := e.active[i]
-			issued, err := e.sms[si].Tick(now)
-			e.issued[si] = issued
-			e.errs[si] = err
-		}
-		e.wg.Done()
-	}
-}
-
 // tick runs one cycle across all awake SMs and reports whether any
-// issued an instruction. On error the lowest-index SM's error is
-// returned (the same one the sequential engine would surface first).
+// issued an instruction. The first (lowest-index) SM error aborts the
+// cycle.
 func (e *cycleEngine) tick(now int64) (bool, error) {
 	if e.opt.sleep {
 		e.processWakes(now)
@@ -200,46 +147,13 @@ func (e *cycleEngine) tick(now int64) (bool, error) {
 		}
 	}
 	any := false
-	if e.workers <= 1 {
-		for _, si := range e.active {
-			issued, err := e.sms[si].Tick(now)
-			if err != nil {
-				return false, err
-			}
-			e.issued[si] = issued
-			any = any || issued
-		}
-	} else if len(e.active) == 1 {
-		// One awake SM: skip the barrier, but keep the staged-mode
-		// flush (workers > 1 SMs always run staged).
-		si := e.active[0]
+	for _, si := range e.active {
 		issued, err := e.sms[si].Tick(now)
 		if err != nil {
 			return false, err
 		}
 		e.issued[si] = issued
-		any = issued
-		e.sms[si].FlushMem(now)
-	} else if len(e.active) > 1 {
-		e.next.Store(0)
-		e.wg.Add(e.workers)
-		for w := 0; w < e.workers; w++ {
-			e.start <- now
-		}
-		e.wg.Wait()
-		for _, si := range e.active {
-			if e.errs[si] != nil {
-				return false, e.errs[si]
-			}
-			any = any || e.issued[si]
-		}
-		// Post-barrier merge: publish staged stores and line requests in
-		// ascending SM order — the sequential interleaving. Sleeping SMs
-		// have empty staging buffers (they did not tick), so skipping
-		// them cannot reorder anything.
-		for _, si := range e.active {
-			e.sms[si].FlushMem(now)
-		}
+		any = any || issued
 	}
 	if e.opt.sleep {
 		e.transitions(now)
@@ -248,7 +162,7 @@ func (e *cycleEngine) tick(now int64) (bool, error) {
 }
 
 // processWakes wakes every SM whose wake cycle has arrived, before the
-// cycle's fan-out. Stale heap entries (the SM was woken early, or its
+// cycle's SM ticks. Stale heap entries (the SM was woken early, or its
 // wake cycle was shortened by a reply) are discarded.
 func (e *cycleEngine) processWakes(now int64) {
 	for len(e.heap) > 0 && e.heap[0].at <= now {
@@ -266,7 +180,7 @@ func (e *cycleEngine) processWakes(now int64) {
 }
 
 // transitions runs the per-SM sleep state machine after a cycle, in
-// ascending engine-index order on the main goroutine.
+// ascending engine-index order.
 //
 // An awake SM that stayed quiet arms: its counters are snapshotted so
 // the next cycle can serve as the sleep's model cycle. An armed SM
@@ -459,15 +373,12 @@ func (e *cycleEngine) heapPop() wakeEnt {
 	return top
 }
 
-// close shuts the worker pool down and detaches the reply observer
+// detach removes the engine's reply observer from the memory system
 // (time-sliced runs build one engine per slice against the persistent
-// memory system). Safe to call multiple times and on a sequential
-// engine.
-func (e *cycleEngine) close() {
+// memory system). A run that aborts with an error may skip it: nothing
+// ticks that memory system again.
+func (e *cycleEngine) detach() {
 	if e.opt.sleep {
 		e.opt.ms.SetReplyObserver(nil)
-	}
-	if e.start != nil {
-		e.once.Do(func() { close(e.start) })
 	}
 }

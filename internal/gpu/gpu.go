@@ -156,8 +156,7 @@ func (s *Sim) Occupancy(k *kernel.Kernel) core.Occupancy {
 }
 
 // newSMs builds the machine's SMs for a whole-GPU launch. The kernel is
-// lowered once; every SM (and so every engine worker) shares the one
-// read-only program.
+// lowered once; every SM shares the one read-only program.
 func (s *Sim) newSMs(l *kernel.Launch, occ core.Occupancy) ([]*smcore.SM, error) {
 	tl := []smcore.TenantLaunch{{Launch: l, Occ: occ, Prog: smcore.NewProgram(&s.Cfg, l.Kernel, occ)}}
 	sms := make([]*smcore.SM, s.Cfg.NumSMs)
@@ -276,14 +275,8 @@ func (s *Sim) RunCtx(ctx context.Context, l *kernel.Launch) (*stats.GPU, error) 
 		}
 	}
 
-	// Engine selection: a fault plan shares mutable state across SMs, so
-	// fault-injection runs stay on the exact sequential path.
-	workers := s.Cfg.SMWorkers
-	if s.Faults != nil {
-		workers = 1
-	}
-	eng := newCycleEngine(sms, workers, s.engineOpts())
-	defer eng.close()
+	eng := newCycleEngine(sms, s.engineOpts())
+	defer eng.detach()
 	chk.SetSleepSource(eng)
 	s.armMemSleep()
 
@@ -302,9 +295,9 @@ func (s *Sim) RunCtx(ctx context.Context, l *kernel.Launch) (*stats.GPU, error) 
 	var now int64
 	for now = startAt; ; now++ {
 		// Checkpoint at the top of the loop body: the state is exactly
-		// the end of cycle now-1 — staging buffers empty, no scratch
-		// live. The resumedAt guard keeps a restored run from instantly
-		// re-writing the checkpoint it came from.
+		// the end of cycle now-1, no scratch live. The resumedAt guard
+		// keeps a restored run from instantly re-writing the checkpoint
+		// it came from.
 		if sink != nil && now > 0 && now%ckStride == 0 && now != resumedAt {
 			eng.materialize(now - 1) // sleeping SMs' counters, exact to end of now-1
 			p, err := s.newPayload(modeSingle, kernels, nil, now, sms)

@@ -15,50 +15,25 @@ import (
 // correctness contract on a memory-bound workload: MUM's divergent
 // pointer chasing keeps requests, DRAM commands, and replies in flight
 // constantly, interleaved with idle memory spans the event-driven tick
-// skips. Every mem-sleep-on engine variant — worker counts,
-// fast-forward and snapshot modes, the env escape hatch, and resuming
-// from a mid-run checkpoint — must produce statistics (per-partition
-// busy/peak counters included) byte-identical to the straight-through
-// reference.
+// skips. Every mem-sleep-on engine variant — fast-forward and snapshot
+// modes, the env escape hatch, and resuming from a mid-run checkpoint —
+// must produce statistics (per-partition busy/peak counters included)
+// byte-identical to the straight-through reference.
 func TestMemSleepDeterminism(t *testing.T) {
 	refCfg := config.Default()
-	refCfg.SMWorkers = 1
 	refCfg.NoMemSleep = true
 	ref := runWorkload(t, "MUM", refCfg, 1)
 	refJSON := encodeJSON(t, ref)
 
-	variants := []struct {
-		name    string
-		workers int
-		noFF    bool
-		noSnap  bool
-	}{
-		{"workers=1", 1, false, false},
-		{"workers=gomaxprocs", 0, false, false},
-		{"workers=2 ff=off", 2, true, false},
-		{"workers=1 nosnapshot", 1, false, true},
-	}
+	variants := sleepVariants
 	if testing.Short() {
-		// check.sh's race leg runs in -short mode: keep the parallel
-		// variants (the ones the race detector can say anything about)
-		// and leave the sequential permutations to the full run.
+		// -short keeps one fast-forward-on and one fast-forward-off leg
+		// and leaves the other permutations to the full run.
 		variants = variants[1:3]
-	}
-	mkCfg := func(v struct {
-		name    string
-		workers int
-		noFF    bool
-		noSnap  bool
-	}) config.Config {
-		cfg := config.Default()
-		cfg.SMWorkers = v.workers
-		cfg.NoFastForward = v.noFF
-		cfg.NoSnapshot = v.noSnap
-		return cfg
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			if j := encodeJSON(t, runWorkload(t, "MUM", mkCfg(v), 1)); j != refJSON {
+			if j := encodeJSON(t, runWorkload(t, "MUM", v.cfg(), 1)); j != refJSON {
 				t.Error("mem-sleep-on stats diverge from the straight-through reference")
 			}
 		})
@@ -71,7 +46,6 @@ func TestMemSleepDeterminism(t *testing.T) {
 		}
 		t.Setenv("GPUSHARE_NOMEMSLEEP", "1")
 		cfg := config.Default()
-		cfg.SMWorkers = 1
 		if j := encodeJSON(t, runWorkload(t, "MUM", cfg, 1)); j != refJSON {
 			t.Error("GPUSHARE_NOMEMSLEEP=1 run diverges from Config.NoMemSleep reference")
 		}
@@ -86,7 +60,6 @@ func TestMemSleepDeterminism(t *testing.T) {
 			stride = 1
 		}
 		ckCfg := config.Default()
-		ckCfg.SMWorkers = 1
 		ckCfg.CheckpointStride = stride
 		sink := checkpoint.NewMemSink()
 		if j := encodeJSON(t, runWorkloadCK(t, "MUM", ckCfg, 1, sink, nil)); j != refJSON {
@@ -102,7 +75,7 @@ func TestMemSleepDeterminism(t *testing.T) {
 			restoreVariants = variants[:1]
 		}
 		for _, v := range restoreVariants {
-			if j := encodeJSON(t, runWorkloadCK(t, "MUM", mkCfg(v), 1, nil, sink.Get(mid))); j != refJSON {
+			if j := encodeJSON(t, runWorkloadCK(t, "MUM", v.cfg(), 1, nil, sink.Get(mid))); j != refJSON {
 				t.Errorf("restore at cycle %d under %s diverges from straight-through", mid, v.name)
 			}
 		}
@@ -110,10 +83,10 @@ func TestMemSleepDeterminism(t *testing.T) {
 }
 
 // TestMemSleepTenancyDeterminism extends the mem-sleep contract to all
-// three tenancy policies: for each, the event-driven memory tick (under
-// sequential and parallel engines) must match the straight-through
-// reference byte-for-byte. The time-slice leg additionally covers a
-// memory system that persists across per-slice engine rebuilds.
+// three tenancy policies: for each, the event-driven memory tick must
+// match the straight-through reference byte-for-byte. The time-slice
+// leg additionally covers a memory system that persists across
+// per-slice engine rebuilds.
 func TestMemSleepTenancyDeterminism(t *testing.T) {
 	for _, policy := range []tenancy.Policy{tenancy.Spatial, tenancy.CoSched, tenancy.TimeSlice} {
 		t.Run(policy.String(), func(t *testing.T) {
@@ -123,19 +96,10 @@ func TestMemSleepTenancyDeterminism(t *testing.T) {
 				return cfg
 			}
 			refCfg := baseCfg()
-			refCfg.SMWorkers = 1
 			refCfg.NoMemSleep = true
 			refJSON := encodeJSON(t, runMulti(t, refCfg, twoTenantSpec(policy), 1))
-			workerCounts := []int{1, 2}
-			if testing.Short() {
-				workerCounts = workerCounts[1:]
-			}
-			for _, workers := range workerCounts {
-				cfg := baseCfg()
-				cfg.SMWorkers = workers
-				if j := encodeJSON(t, runMulti(t, cfg, twoTenantSpec(policy), 1)); j != refJSON {
-					t.Errorf("workers=%d: mem-sleep-on stats diverge from straight-through", workers)
-				}
+			if j := encodeJSON(t, runMulti(t, baseCfg(), twoTenantSpec(policy), 1)); j != refJSON {
+				t.Error("mem-sleep-on stats diverge from straight-through")
 			}
 		})
 	}
@@ -152,7 +116,6 @@ func TestMemSleepMissedWakeCaught(t *testing.T) {
 	setup := func() (*Sim, *kernel.Launch) {
 		cfg := config.Default()
 		cfg.NumSMs = 4
-		cfg.SMWorkers = 1
 		cfg.InvariantStride = 8 // well under missedMemWakeSlack: the audit lands inside the corrupted window
 		sim := MustNew(cfg)
 		buf := sim.Mem.Alloc(64 * 1024)
@@ -202,7 +165,6 @@ func TestMemSleepMissedWakeCaught(t *testing.T) {
 // the mem-sleep speedup itself.
 func BenchmarkComputeBound(b *testing.B) {
 	cfg := config.Default()
-	cfg.SMWorkers = 1
 	k := memBoundKernel(b) // grid of 1: only the ALU path runs
 	run := func() {
 		sim := MustNew(cfg)

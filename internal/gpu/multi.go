@@ -34,7 +34,7 @@ func (s *Sim) RunMulti(spec *tenancy.Spec, launches []*kernel.Launch) (*stats.GP
 //     resident blocks drain — a deterministic context switch.
 //
 // The run is bit-deterministic for a given (config, spec, launches)
-// regardless of SMWorkers and snapshot mode, like RunCtx. Idle
+// regardless of snapshot mode, like RunCtx. Idle
 // fast-forward is not used (tenants progress at different rates, so a
 // globally frozen cycle is rare and not worth the horizon walks);
 // dynamic warp execution is rejected because its SM0-reference design
@@ -220,12 +220,8 @@ func (s *Sim) runPlaced(ctx context.Context, spec *tenancy.Spec, launches []*ker
 		window = progressWindow
 	}
 
-	workers := s.Cfg.SMWorkers
-	if s.Faults != nil {
-		workers = 1
-	}
-	eng := newCycleEngine(sms, workers, s.engineOpts())
-	defer eng.close()
+	eng := newCycleEngine(sms, s.engineOpts())
+	defer eng.detach()
 	chk.SetSleepSource(eng)
 	s.armMemSleep()
 
@@ -365,10 +361,6 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 	if window <= 0 {
 		window = progressWindow
 	}
-	workers := s.Cfg.SMWorkers
-	if s.Faults != nil {
-		workers = 1
-	}
 
 	next := make([]int, n)
 	total := make([]int, n)
@@ -446,20 +438,18 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 			return nil, simerr.Wrap(simerr.KindLaunch, now, err)
 		}
 		chk := invariant.New(stride, invariant.ClassAll, sms, s.ms)
-		eng := newCycleEngine(sms, workers, s.engineOpts())
+		eng := newCycleEngine(sms, s.engineOpts())
 		chk.SetSleepSource(eng)
 
 		var pending launchQueue
 		var sliceEnd, lastProgress int64
 		if rs != nil {
 			if err := s.restoreMachine(rs, sms); err != nil {
-				eng.close()
 				return nil, err
 			}
 			st := rs.Slice
 			var err error
 			if pending, err = loadQueue(st.Pending, len(sms)); err != nil {
-				eng.close()
 				return nil, err
 			}
 			now = rs.Cycle
@@ -474,7 +464,6 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 						break
 					}
 					if err := sm.LaunchBlock(slot, next[ti]); err != nil {
-						eng.close()
 						return nil, simerr.Wrap(simerr.KindInvariant, now, err)
 					}
 					next[ti]++
@@ -488,7 +477,6 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 				eng.materialize(now - 1) // sleeping SMs' counters, exact to end of now-1
 				p, err := s.newPayload(modeTimeslice, kernels, spec, now, sms)
 				if err != nil {
-					eng.close()
 					return nil, err
 				}
 				p.Slice = &sliceState{
@@ -505,26 +493,21 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 				}
 				blob, err := encodePayload(p)
 				if err != nil {
-					eng.close()
 					return nil, err
 				}
 				if err := sink.Put(now, blob); err != nil {
-					eng.close()
 					return nil, simerr.Wrap(simerr.KindCheckpoint, now, err)
 				}
 			}
 			if now >= maxCycles {
-				eng.close()
 				return nil, s.hangError(simerr.KindMaxCycles, now, sms,
 					fmt.Sprintf("timeslice run exceeded %d cycles (tenant %d's slice)", maxCycles, ti))
 			}
 			if now&(cancelStride-1) == 0 && ctx.Err() != nil {
-				eng.close()
 				return nil, simerr.Wrap(simerr.KindCanceled, now, ctx.Err())
 			}
 			anyIssued, err := eng.tick(now)
 			if err != nil {
-				eng.close()
 				if se, ok := simerr.As(err); ok && se.Dump == nil {
 					se.Dump = invariant.BuildDump(now, sms, s.ms)
 				}
@@ -532,7 +515,6 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 			}
 			s.ms.Tick(now)
 			if err := chk.Check(now); err != nil {
-				eng.close()
 				return nil, err
 			}
 
@@ -544,7 +526,6 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 				if now < sliceEnd && next[ti] < total[ti] {
 					eng.notifyLaunch(p.sm, now)
 					if err := sms[p.sm].LaunchBlock(p.slot, next[ti]); err != nil {
-						eng.close()
 						se := simerr.Wrap(simerr.KindInvariant, now, err)
 						se.SM = p.sm
 						se.Dump = invariant.BuildDump(now, sms, s.ms)
@@ -581,7 +562,6 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 			if anyIssued {
 				lastProgress = now
 			} else if now-lastProgress > window {
-				eng.close()
 				return nil, s.hangError(simerr.KindWatchdog, now, sms,
 					fmt.Sprintf("timeslice run: no instruction issued for %d cycles in tenant %d's slice (deadlock?)",
 						window, ti))
@@ -591,7 +571,7 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 		// SM is idle (zero per-cycle delta) — materialize regardless, so
 		// the replay bookkeeping is settled before stats collection.
 		eng.materialize(now)
-		eng.close()
+		eng.detach()
 
 		slice := &stats.GPU{ResidentTB: occ.Max}
 		var st stats.Tenant

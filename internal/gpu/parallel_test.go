@@ -7,35 +7,83 @@ import (
 
 	"gpushare/internal/checkpoint"
 	"gpushare/internal/config"
+	"gpushare/internal/kernel"
+	"gpushare/internal/mem"
 	"gpushare/internal/stats"
+	"gpushare/internal/tenancy"
 	"gpushare/internal/workloads"
 )
 
-// runWorkload builds a fresh simulator, executes the named workload at
-// the given scale, verifies its functional outputs, and returns the run
-// statistics.
-func runWorkload(tb testing.TB, name string, cfg config.Config, scale int) *stats.GPU {
-	tb.Helper()
-	spec, err := workloads.ByName(name)
-	if err != nil {
-		tb.Fatal(err)
-	}
+// simulate builds a fresh simulator, runs the named workload (spec ==
+// nil) or the spec's tenants on it, verifies every functional output,
+// and returns the run statistics. sink receives snapshots every
+// cfg.CheckpointStride cycles, and a non-nil restore blob resumes the
+// run from that snapshot instead of cycle 0. Failure is an error rather
+// than a testing.TB call, so goroutines other than the test's may use
+// it; runWorkload, runMulti and their CK variants are the wrappers
+// tests call.
+func simulate(cfg config.Config, name string, spec *tenancy.Spec, scale int,
+	sink checkpoint.Sink, restore []byte) (*stats.GPU, error) {
 	sim, err := New(cfg)
 	if err != nil {
-		tb.Fatal(err)
+		return nil, err
 	}
-	inst := spec.Build(scale)
-	inst.Setup(sim.Mem)
-	g, err := sim.Run(inst.Launch)
+	sim.CheckpointSink, sim.RestoreFrom = sink, restore
+	tenants := []tenancy.TenantSpec{{Workload: name}}
+	if spec != nil {
+		tenants = spec.Tenants
+	}
+	launches, checks, err := tenantLaunches(sim, tenants, scale)
 	if err != nil {
-		tb.Fatalf("%s: %v", name, err)
+		return nil, err
 	}
-	if inst.Check != nil {
-		if err := inst.Check(sim.Mem); err != nil {
-			tb.Fatalf("%s: functional check: %v", name, err)
+	var g *stats.GPU
+	if spec == nil {
+		g, err = sim.Run(launches[0])
+	} else {
+		g, err = sim.RunMulti(spec, launches)
+	}
+	if err != nil {
+		return nil, err
+	}
+	for i, check := range checks {
+		if check == nil {
+			continue
+		}
+		if err := check(sim.Mem); err != nil {
+			return nil, fmt.Errorf("tenant %d (%s): functional check: %w", i, tenants[i].Workload, err)
 		}
 	}
-	return g
+	return g, nil
+}
+
+// tenantLaunches instantiates one workload per tenant on the
+// simulator's global memory and returns the launches plus the
+// functional checkers to run after the simulation (nil where a workload
+// has none). A tenant's own Scale overrides scale.
+func tenantLaunches(sim *Sim, tenants []tenancy.TenantSpec, scale int) ([]*kernel.Launch, []func(*mem.Global) error, error) {
+	launches := make([]*kernel.Launch, len(tenants))
+	checks := make([]func(*mem.Global) error, len(tenants))
+	for i, ts := range tenants {
+		ws, err := workloads.ByName(ts.Workload)
+		if err != nil {
+			return nil, nil, err
+		}
+		sc := ts.Scale
+		if sc == 0 {
+			sc = scale
+		}
+		inst := ws.Build(sc)
+		inst.Setup(sim.Mem)
+		launches[i], checks[i] = inst.Launch, inst.Check
+	}
+	return launches, checks, nil
+}
+
+// runWorkload simulates the named workload at the given scale.
+func runWorkload(tb testing.TB, name string, cfg config.Config, scale int) *stats.GPU {
+	tb.Helper()
+	return runWorkloadCK(tb, name, cfg, scale, nil, nil)
 }
 
 // engineCases are the workload/config pairs the engine-determinism
@@ -66,34 +114,38 @@ var engineCases = []struct {
 	}},
 }
 
-// TestEngineDeterminism is the tentpole's correctness contract: the
-// parallel cycle engine and the idle fast-forward are engine knobs, not
-// simulation parameters. Every (SMWorkers, NoFastForward) combination
-// must produce statistics deep-equal — and, via the canonical JSON
-// encoding, byte-identical — to the reference sequential engine with
-// fast-forward disabled (the seed's exact cycle-by-cycle path).
+// TestEngineDeterminism is the engine's correctness contract: the idle
+// fast-forward, per-SM sleep and the snapshot cache are engine knobs,
+// not simulation parameters. Every combination must produce statistics
+// deep-equal — and, via the canonical JSON encoding, byte-identical —
+// to the reference engine with fast-forward and sleep disabled (the
+// seed's exact cycle-by-cycle path).
+//
+// Leg names are stable IDs. Their "workers=" prefix dates from the
+// removed intra-run worker pool and selects nothing; legs that differed
+// only in it are now repeat runs, which still pin run-to-run
+// repeatability on warm mem/dram sync.Pools.
 func TestEngineDeterminism(t *testing.T) {
 	variants := []struct {
 		name    string
-		workers int
 		noFF    bool
 		noSnap  bool
 		noSleep bool
 	}{
-		{"workers=1 ff=on", 1, false, false, false},
-		{"workers=gomaxprocs ff=on", 0, false, false, false},
-		{"workers=2 ff=off", 2, true, false, false},
+		{"workers=1 ff=on", false, false, false},
+		{"workers=gomaxprocs ff=on", false, false, false},
+		{"workers=2 ff=off", true, false, false},
 		// NoSnapshot disables the ready-set engine's cached warp
 		// snapshots and incremental rankings; the recompute path must
 		// stay bit-identical (the reference runs with snapshots on).
-		{"workers=1 ff=on nosnapshot", 1, false, true, false},
-		{"workers=2 ff=off nosnapshot", 2, true, true, false},
+		{"workers=1 ff=on nosnapshot", false, true, false},
+		{"workers=2 ff=off nosnapshot", true, true, false},
 		// NoSMSleep disables the per-SM sleep/wake fast-forward; the
 		// reference runs with sleep off, so these legs prove the awake
 		// engine is unchanged while the legs above prove sleep replays
 		// are exact.
-		{"workers=1 ff=on nosleep", 1, false, false, true},
-		{"workers=2 ff=off nosleep", 2, true, false, true},
+		{"workers=1 ff=on nosleep", false, false, true},
+		{"workers=2 ff=off nosleep", true, false, true},
 	}
 	for _, c := range engineCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -101,7 +153,6 @@ func TestEngineDeterminism(t *testing.T) {
 				t.Skip("simulation-heavy")
 			}
 			refCfg := c.cfg()
-			refCfg.SMWorkers = 1
 			refCfg.NoFastForward = true
 			refCfg.NoSMSleep = true
 			ref := runWorkload(t, c.workload, refCfg, 1)
@@ -112,13 +163,12 @@ func TestEngineDeterminism(t *testing.T) {
 			for _, v := range variants {
 				t.Run(v.name, func(t *testing.T) {
 					cfg := c.cfg()
-					cfg.SMWorkers = v.workers
 					cfg.NoFastForward = v.noFF
 					cfg.NoSnapshot = v.noSnap
 					cfg.NoSMSleep = v.noSleep
 					g := runWorkload(t, c.workload, cfg, 1)
 					if !reflect.DeepEqual(ref, g) {
-						t.Errorf("stats diverge from sequential reference:\n--- reference\n%s--- variant\n%s",
+						t.Errorf("stats diverge from reference:\n--- reference\n%s--- variant\n%s",
 							ref.Report(), g.Report())
 					}
 					j, err := g.EncodeJSON()
@@ -126,14 +176,14 @@ func TestEngineDeterminism(t *testing.T) {
 						t.Fatal(err)
 					}
 					if string(j) != string(refJSON) {
-						t.Error("canonical JSON encoding differs from sequential reference")
+						t.Error("canonical JSON encoding differs from reference")
 					}
 				})
 			}
 
 			// Checkpoint/restore is an engine knob too: (a) taking
 			// snapshots must not perturb the run, and (b) resuming from
-			// any snapshot — under any worker count, fast-forward, or
+			// any snapshot — under any fast-forward, sleep, or
 			// snapshot mode — must reproduce the straight-through bytes
 			// exactly.
 			t.Run("restore", func(t *testing.T) {
@@ -160,7 +210,6 @@ func TestEngineDeterminism(t *testing.T) {
 				mid := cycles[len(cycles)/2]
 				for _, v := range variants {
 					cfg := c.cfg()
-					cfg.SMWorkers = v.workers
 					cfg.NoFastForward = v.noFF
 					cfg.NoSnapshot = v.noSnap
 					cfg.NoSMSleep = v.noSleep
@@ -173,43 +222,27 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-// TestEngineWorkersValidation: a negative worker count is a
-// configuration error, not a silent fallback.
-func TestEngineWorkersValidation(t *testing.T) {
+// BenchmarkRunHotspot measures end-to-end wall-clock for a full
+// sharing-mode simulation (tools/bench.sh compares it against
+// BENCH_baseline.json).
+func BenchmarkRunHotspot(b *testing.B) {
 	cfg := config.Default()
-	cfg.SMWorkers = -1
-	if _, err := New(cfg); err == nil {
-		t.Fatal("SMWorkers=-1 accepted")
+	cfg.Sharing, cfg.T = config.ShareRegisters, 0.1
+	cfg.Sched = config.SchedOWF
+	spec, err := workloads.ByName("hotspot")
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkRunParallelSMs measures end-to-end wall-clock for a full
-// sharing-mode simulation at several engine worker counts; the speedup
-// of workers=8 over workers=1 is the tentpole's headline number
-// (tools/bench.sh compares it against BENCH_baseline.json).
-func BenchmarkRunParallelSMs(b *testing.B) {
-	for _, w := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			cfg := config.Default()
-			cfg.Sharing, cfg.T = config.ShareRegisters, 0.1
-			cfg.Sched = config.SchedOWF
-			cfg.SMWorkers = w
-			spec, err := workloads.ByName("hotspot")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sim, err := New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				inst := spec.Build(1)
-				inst.Setup(sim.Mem)
-				if _, err := sim.Run(inst.Launch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sim, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inst := spec.Build(1)
+		inst.Setup(sim.Mem)
+		if _, err := sim.Run(inst.Launch); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

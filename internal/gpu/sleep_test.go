@@ -109,47 +109,47 @@ func memBoundKernel(tb testing.TB) *kernel.Kernel {
 	return b.MustBuild()
 }
 
+// sleepVariant is one engine-knob leg of the SM-sleep and mem-sleep
+// determinism tests.
+type sleepVariant struct {
+	name         string
+	noFF, noSnap bool
+}
+
+func (v sleepVariant) cfg() config.Config {
+	cfg := config.Default()
+	cfg.NoFastForward = v.noFF
+	cfg.NoSnapshot = v.noSnap
+	return cfg
+}
+
+// Leg names are stable test IDs: their "workers=" prefix dates from the
+// removed intra-run worker pool and selects nothing (see
+// TestEngineDeterminism).
+var sleepVariants = []sleepVariant{
+	{"workers=1", false, false},
+	{"workers=gomaxprocs", false, false},
+	{"workers=2 ff=off", true, false},
+	{"workers=1 nosnapshot", false, true},
+}
+
 // TestSMSleepDeterminism pins the tentpole's correctness contract on a
 // workload where sleep actually dominates: MUM's divergent pointer
 // chasing keeps most warps blocked on memory replies, so SMs sleep and
-// wake constantly. Every sleep-on engine variant — worker counts,
-// fast-forward and snapshot modes, the env escape hatch, and resuming
-// from a checkpoint taken mid-run by a sleeping machine — must produce
-// statistics byte-identical to the sequential sleep-off reference.
+// wake constantly. Every sleep-on engine variant — fast-forward and
+// snapshot modes, the env escape hatch, and resuming from a checkpoint
+// taken mid-run by a sleeping machine — must produce statistics
+// byte-identical to the sleep-off reference.
 func TestSMSleepDeterminism(t *testing.T) {
 	refCfg := config.Default()
-	refCfg.SMWorkers = 1
 	refCfg.NoSMSleep = true
 	ref := runWorkload(t, "MUM", refCfg, 1)
 	refJSON := encodeJSON(t, ref)
 
-	variants := []struct {
-		name    string
-		workers int
-		noFF    bool
-		noSnap  bool
-	}{
-		{"workers=1", 1, false, false},
-		{"workers=gomaxprocs", 0, false, false},
-		{"workers=2 ff=off", 2, true, false},
-		{"workers=1 nosnapshot", 1, false, true},
-	}
-	mkCfg := func(v struct {
-		name    string
-		workers int
-		noFF    bool
-		noSnap  bool
-	}) config.Config {
-		cfg := config.Default()
-		cfg.SMWorkers = v.workers
-		cfg.NoFastForward = v.noFF
-		cfg.NoSnapshot = v.noSnap
-		return cfg
-	}
-	for _, v := range variants {
+	for _, v := range sleepVariants {
 		t.Run(v.name, func(t *testing.T) {
-			if j := encodeJSON(t, runWorkload(t, "MUM", mkCfg(v), 1)); j != refJSON {
-				t.Error("sleep-on stats diverge from the sleep-off sequential reference")
+			if j := encodeJSON(t, runWorkload(t, "MUM", v.cfg(), 1)); j != refJSON {
+				t.Error("sleep-on stats diverge from the sleep-off reference")
 			}
 		})
 	}
@@ -158,7 +158,6 @@ func TestSMSleepDeterminism(t *testing.T) {
 	t.Run("env-escape-hatch", func(t *testing.T) {
 		t.Setenv("GPUSHARE_NOSMSLEEP", "1")
 		cfg := config.Default()
-		cfg.SMWorkers = 1
 		if j := encodeJSON(t, runWorkload(t, "MUM", cfg, 1)); j != refJSON {
 			t.Error("GPUSHARE_NOSMSLEEP=1 run diverges from Config.NoSMSleep reference")
 		}
@@ -173,7 +172,6 @@ func TestSMSleepDeterminism(t *testing.T) {
 			stride = 1
 		}
 		ckCfg := config.Default()
-		ckCfg.SMWorkers = 1
 		ckCfg.CheckpointStride = stride
 		sink := checkpoint.NewMemSink()
 		if j := encodeJSON(t, runWorkloadCK(t, "MUM", ckCfg, 1, sink, nil)); j != refJSON {
@@ -184,8 +182,8 @@ func TestSMSleepDeterminism(t *testing.T) {
 			t.Fatalf("no checkpoints taken in %d cycles at stride %d", ref.Cycles, stride)
 		}
 		mid := cycles[len(cycles)/2]
-		for _, v := range variants {
-			if j := encodeJSON(t, runWorkloadCK(t, "MUM", mkCfg(v), 1, nil, sink.Get(mid))); j != refJSON {
+		for _, v := range sleepVariants {
+			if j := encodeJSON(t, runWorkloadCK(t, "MUM", v.cfg(), 1, nil, sink.Get(mid))); j != refJSON {
 				t.Errorf("restore at cycle %d under %s diverges from straight-through", mid, v.name)
 			}
 		}
@@ -209,7 +207,6 @@ type sleepEpisode struct {
 func TestSMSleepCheckpointWakeCycles(t *testing.T) {
 	cfg := config.Default()
 	cfg.NumSMs = 4
-	cfg.SMWorkers = 1
 	cfg.CheckpointStride = 64
 	k := sleepChainKernel(t)
 	launch := &kernel.Launch{Kernel: k, GridDim: cfg.NumSMs} // one block per SM: no refills, no launch wakes
@@ -295,7 +292,6 @@ func TestSMSleepMissedWakeCaught(t *testing.T) {
 	setup := func() (*Sim, *kernel.Launch) {
 		cfg := config.Default()
 		cfg.NumSMs = 2
-		cfg.SMWorkers = 1
 		cfg.InvariantStride = 32
 		sim := MustNew(cfg)
 		return sim, &kernel.Launch{Kernel: sleepChainKernel(t), GridDim: 2}
@@ -342,7 +338,6 @@ func TestSMSleepMissedWakeCaught(t *testing.T) {
 // run for the sleep speedup itself.
 func BenchmarkSMSleepMemBound(b *testing.B) {
 	cfg := config.Default()
-	cfg.SMWorkers = 1
 	cfg.NumSMs = 56
 	k := memBoundKernel(b)
 	grid := cfg.NumSMs // one warp per SM: a blocked SM has nothing else to issue

@@ -14,55 +14,21 @@ import (
 	"gpushare/internal/workloads"
 )
 
-// buildTenants instantiates one workload per tenant spec on the
-// simulator's global memory and returns the launches plus the
-// functional checkers to run after the simulation.
-func buildTenants(tb testing.TB, sim *Sim, spec *tenancy.Spec, scale int) ([]*kernel.Launch, []func() error) {
+// buildTenants instantiates the spec's workloads on the simulator's
+// global memory and returns their launches.
+func buildTenants(tb testing.TB, sim *Sim, spec *tenancy.Spec, scale int) []*kernel.Launch {
 	tb.Helper()
-	launches := make([]*kernel.Launch, len(spec.Tenants))
-	checks := make([]func() error, len(spec.Tenants))
-	for i, ts := range spec.Tenants {
-		ws, err := workloads.ByName(ts.Workload)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		sc := ts.Scale
-		if sc == 0 {
-			sc = scale
-		}
-		inst := ws.Build(sc)
-		inst.Setup(sim.Mem)
-		launches[i] = inst.Launch
-		if inst.Check != nil {
-			check := inst.Check
-			checks[i] = func() error { return check(sim.Mem) }
-		}
-	}
-	return launches, checks
-}
-
-// runMulti builds a fresh simulator, runs the spec's tenants under it,
-// verifies every tenant's functional output, and returns the stats.
-func runMulti(tb testing.TB, cfg config.Config, spec *tenancy.Spec, scale int) *stats.GPU {
-	tb.Helper()
-	sim, err := New(cfg)
+	launches, _, err := tenantLaunches(sim, spec.Tenants, scale)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	launches, checks := buildTenants(tb, sim, spec, scale)
-	g, err := sim.RunMulti(spec, launches)
-	if err != nil {
-		tb.Fatalf("RunMulti(%s): %v", spec.Policy, err)
-	}
-	for i, check := range checks {
-		if check == nil {
-			continue
-		}
-		if err := check(); err != nil {
-			tb.Fatalf("tenant %d (%s): functional check: %v", i, spec.Tenants[i].Workload, err)
-		}
-	}
-	return g
+	return launches
+}
+
+// runMulti simulates the spec's tenants on a fresh simulator.
+func runMulti(tb testing.TB, cfg config.Config, spec *tenancy.Spec, scale int) *stats.GPU {
+	tb.Helper()
+	return runMultiCK(tb, cfg, spec, scale, nil, nil)
 }
 
 // twoTenantSpec is the canonical two-tenant mix the tests share:
@@ -84,23 +50,25 @@ func twoTenantSpec(policy tenancy.Policy) *tenancy.Spec {
 // TestTenancyDeterminism extends the engine-determinism contract to all
 // three tenancy policies: for a fixed (config, spec, launches), the
 // statistics — per-tenant breakdowns included — must be deep-equal and
-// byte-identical under every engine worker count and snapshot mode.
+// byte-identical under every sleep and snapshot mode.
+//
+// Leg names are stable IDs; see TestEngineDeterminism for what their
+// "workers=" prefix means now (nothing).
 func TestTenancyDeterminism(t *testing.T) {
 	variants := []struct {
 		name    string
-		workers int
 		noSnap  bool
 		noSleep bool
 	}{
-		{"workers=gomaxprocs", 0, false, false},
-		{"workers=2", 2, false, false},
-		{"workers=1 nosnapshot", 1, true, false},
-		{"workers=2 nosnapshot", 2, true, false},
+		{"workers=gomaxprocs", false, false},
+		{"workers=2", false, false},
+		{"workers=1 nosnapshot", true, false},
+		{"workers=2 nosnapshot", true, false},
 		// The reference runs with per-SM sleep off; these legs prove
 		// the awake engine is unchanged while the legs above prove the
 		// sleep replays are exact under every policy.
-		{"workers=1 nosleep", 1, false, true},
-		{"workers=2 nosleep", 2, false, true},
+		{"workers=1 nosleep", false, true},
+		{"workers=2 nosleep", false, true},
 	}
 	for _, policy := range []tenancy.Policy{tenancy.Spatial, tenancy.CoSched, tenancy.TimeSlice} {
 		t.Run(policy.String(), func(t *testing.T) {
@@ -110,7 +78,6 @@ func TestTenancyDeterminism(t *testing.T) {
 				return cfg
 			}
 			refCfg := baseCfg()
-			refCfg.SMWorkers = 1
 			refCfg.NoSMSleep = true
 			ref := runMulti(t, refCfg, twoTenantSpec(policy), 1)
 			refJSON, err := ref.EncodeJSON()
@@ -123,12 +90,11 @@ func TestTenancyDeterminism(t *testing.T) {
 			for _, v := range variants {
 				t.Run(v.name, func(t *testing.T) {
 					cfg := baseCfg()
-					cfg.SMWorkers = v.workers
 					cfg.NoSnapshot = v.noSnap
 					cfg.NoSMSleep = v.noSleep
 					g := runMulti(t, cfg, twoTenantSpec(policy), 1)
 					if !reflect.DeepEqual(ref, g) {
-						t.Errorf("stats diverge from sequential reference:\n--- reference\n%s--- variant\n%s",
+						t.Errorf("stats diverge from reference:\n--- reference\n%s--- variant\n%s",
 							ref.Report(), g.Report())
 					}
 					j, err := g.EncodeJSON()
@@ -136,7 +102,7 @@ func TestTenancyDeterminism(t *testing.T) {
 						t.Fatal(err)
 					}
 					if string(j) != string(refJSON) {
-						t.Error("canonical JSON encoding differs from sequential reference")
+						t.Error("canonical JSON encoding differs from reference")
 					}
 				})
 			}
@@ -156,7 +122,6 @@ func TestTenancyDeterminism(t *testing.T) {
 					stride = 1
 				}
 				ckCfg := baseCfg()
-				ckCfg.SMWorkers = 1
 				ckCfg.CheckpointStride = stride
 				sink := checkpoint.NewMemSink()
 				if j := encodeJSON(t, runMultiCK(t, ckCfg, twoTenantSpec(policy), 1, sink, nil)); j != string(refJSON) {
@@ -168,7 +133,6 @@ func TestTenancyDeterminism(t *testing.T) {
 				}
 				for _, cy := range sampleCycles(cycles, 6) {
 					cfg := baseCfg()
-					cfg.SMWorkers = 1
 					g := runMultiCK(t, cfg, twoTenantSpec(policy), 1, nil, sink.Get(cy))
 					if j := encodeJSON(t, g); j != string(refJSON) {
 						t.Errorf("restore at cycle %d diverges from straight-through", cy)
@@ -185,7 +149,6 @@ func TestTenancyDeterminism(t *testing.T) {
 				mid := cycles[len(cycles)/2]
 				for _, v := range variants {
 					cfg := baseCfg()
-					cfg.SMWorkers = v.workers
 					cfg.NoSnapshot = v.noSnap
 					cfg.NoSMSleep = v.noSleep
 					if j := encodeJSON(t, runMultiCK(t, cfg, twoTenantSpec(policy), 1, nil, sink.Get(mid))); j != string(refJSON) {
@@ -204,7 +167,7 @@ func TestTenantStatsPopulated(t *testing.T) {
 	cfg := config.Default()
 	spec := twoTenantSpec(tenancy.CoSched)
 	sim := MustNew(cfg)
-	launches, _ := buildTenants(t, sim, spec, 1)
+	launches := buildTenants(t, sim, spec, 1)
 	g, err := sim.RunMulti(spec, launches)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +235,7 @@ func TestTenantCapFaultCaught(t *testing.T) {
 		cfg.InvariantStride = 32
 		spec := twoTenantSpec(tenancy.CoSched)
 		sim := MustNew(cfg)
-		launches, _ := buildTenants(t, sim, spec, 1)
+		launches := buildTenants(t, sim, spec, 1)
 		return sim, spec, launches
 	}
 
@@ -313,7 +276,7 @@ func TestRunMultiRejects(t *testing.T) {
 	cfg := config.Default()
 	sim := MustNew(cfg)
 	spec := twoTenantSpec(tenancy.CoSched)
-	launches, _ := buildTenants(t, sim, spec, 1)
+	launches := buildTenants(t, sim, spec, 1)
 
 	if _, err := sim.RunMulti(nil, launches); err == nil {
 		t.Error("nil spec accepted")

@@ -208,12 +208,6 @@ type Session struct {
 	// Workers bounds concurrent simulations during Precompute
 	// (0 = runtime.GOMAXPROCS(0); 1 preserves sequential execution).
 	Workers int
-	// SMWorkers sets every simulation's cycle-engine worker count
-	// (config.Config.SMWorkers): 0 = GOMAXPROCS, 1 = the sequential
-	// engine. An engine knob, not part of the simulated machine:
-	// results are bit-identical at any worker count, and it is excluded
-	// from cache keys.
-	SMWorkers int
 	// CacheDir enables the runner's on-disk result cache, reused across
 	// processes ("" disables it).
 	CacheDir string
@@ -297,7 +291,6 @@ func (s *Session) exec(spec *workloads.Spec, label string, cfg config.Config) (*
 	if s.InvariantStride > 0 {
 		cfg.InvariantStride = s.InvariantStride
 	}
-	cfg.SMWorkers = s.SMWorkers
 	job := runner.Job{Workload: spec.Name, Config: cfg, Scale: s.Scale}
 	if s.record != nil {
 		s.record(job)
@@ -331,7 +324,6 @@ func (s *Session) Precompute(ids ...string) error {
 	plan := &Session{
 		Scale:           s.Scale,
 		InvariantStride: s.InvariantStride,
-		SMWorkers:       s.SMWorkers,
 		record: func(j runner.Job) {
 			key, err := j.Key()
 			if err != nil || seen[key] {

@@ -42,7 +42,6 @@ func (s *Session) execTenancy(label string, spec *tenancy.Spec, cfg config.Confi
 	if s.InvariantStride > 0 {
 		cfg.InvariantStride = s.InvariantStride
 	}
-	cfg.SMWorkers = s.SMWorkers
 	job := runner.Job{Config: cfg, Scale: s.Scale, Tenancy: spec}
 	if s.record != nil {
 		s.record(job)

@@ -42,11 +42,7 @@ func (g *Global) cover(idx uint32) {
 
 // Load32 reads a little-endian 32-bit word. Unaligned addresses are
 // clamped to word alignment (our ISA is word-oriented). Reading an
-// untouched page returns zero without materializing it, which keeps the
-// load path free of page-table writes: the parallel cycle engine lets
-// every SM read global memory concurrently during a cycle (stores are
-// staged per SM and applied between cycles), and that is only race-free
-// because loads never mutate the page table.
+// untouched page returns zero without materializing it.
 func (g *Global) Load32(addr uint32) uint32 {
 	a := addr &^ 3
 	idx := a >> pageBits

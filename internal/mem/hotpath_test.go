@@ -70,9 +70,9 @@ func TestBankConflictDegreeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGlobalLoadNeverMaterialises pins the property the parallel engine
-// relies on: loads, from inside or beyond the page table, return zero
-// and leave the table exactly as it was.
+// TestGlobalLoadNeverMaterialises: loads, from inside or beyond the
+// page table, return zero and leave the table exactly as it was, so a
+// checkpoint carries only the pages something stored to.
 func TestGlobalLoadNeverMaterialises(t *testing.T) {
 	g := NewGlobal()
 	base := g.Alloc(3 * pageSize)

@@ -28,7 +28,7 @@ func (n *Network) Clear() {
 		}
 	}
 	n.memoNext = math.MaxInt64
-	n.memoDirty.Store(false)
+	n.memoDirty = false
 }
 
 // Inject enqueues a packet at dst with an absolute ready cycle,

@@ -3,10 +3,7 @@
 // delivery and a configurable per-cycle ejection bandwidth.
 package icnt
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // Packet is one message in flight.
 type Packet struct {
@@ -64,11 +61,8 @@ type Network struct {
 	// non-empty port lands behind a front with an earlier-or-equal
 	// readyAt, since readyAt is nondecreasing per port), while a pop
 	// can only raise it, which marks the memo dirty for a lazy rescan.
-	// memoDirty is atomic because reply-network Pops run concurrently
-	// (one SM worker per port); pushes and the NextReady rescan run on
-	// the main goroutine only, between cycle barriers.
 	memoNext  int64
-	memoDirty atomic.Bool
+	memoDirty bool
 }
 
 // New returns a network with the given number of destination ports and a
@@ -88,22 +82,14 @@ func (n *Network) Push(dst int, payload any, now int64) {
 }
 
 // Pop removes and returns the payload of the oldest packet at dst whose
-// latency has elapsed, or nil if none is deliverable this cycle.
-//
-// Concurrent Pops on distinct ports are safe: each port is
-// self-contained state. The parallel cycle engine relies on this to let
-// every SM drain its own reply port during a parallel cycle; the
-// NextReady memo is only marked dirty here (an atomic flag, stored
-// only when not already set, so the shared line stays read-mostly),
-// never recomputed.
+// latency has elapsed, or nil if none is deliverable this cycle. The
+// NextReady memo is only marked dirty here, never recomputed.
 func (n *Network) Pop(dst int, now int64) any {
 	q := &n.ports[dst]
 	if q.n == 0 || q.front().readyAt > now {
 		return nil
 	}
-	if !n.memoDirty.Load() {
-		n.memoDirty.Store(true)
-	}
+	n.memoDirty = true
 	return q.pop()
 }
 
@@ -117,9 +103,9 @@ func (n *Network) Pop(dst int, now int64) any {
 // the memo; between deliveries (exactly the idle spans the fast-forward
 // probes every quiet cycle) this is a clamp on a cached minimum.
 func (n *Network) NextReady(now int64) int64 {
-	if n.memoDirty.Load() {
+	if n.memoDirty {
 		n.memoNext = n.nextReadyAbs()
-		n.memoDirty.Store(false)
+		n.memoDirty = false
 	}
 	at := n.memoNext
 	if at == math.MaxInt64 {

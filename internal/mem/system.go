@@ -104,7 +104,7 @@ type System struct {
 	// per-SM sleep machinery uses it to wake a sleeping SM whose wake
 	// cycle predates the new reply's arrival would otherwise be missed —
 	// i.e. to shorten a sleep when fresh traffic arrives. Called from
-	// Tick only (single-goroutine), never from the SM workers.
+	// Tick only, never while an SM is ticking.
 	replyObs func(sm int, readyAt int64)
 }
 
@@ -113,7 +113,7 @@ type System struct {
 // every partition once and derives them fresh — which is also how a
 // restored system re-derives the memoized state a checkpoint never
 // carries. faults, when non-nil, injects MissedMemWake corruptions
-// (invariant-checker tests only). Called at run start, main goroutine.
+// (invariant-checker tests only). Called at run start.
 func (s *System) SetEventDriven(on bool, faults *fault.Plan) {
 	s.sleep = on
 	s.faults = faults
@@ -178,8 +178,7 @@ func (s *System) partitionOf(lineAddr uint32) int {
 // Send injects a line request from an SM at time now. In event-driven
 // mode the target partition's next-work memo absorbs the delivery
 // cycle, so a sleeping partition wakes exactly when the request crosses
-// the interconnect. Main goroutine only (sequential SM ticks call it
-// inline; parallel cycles stage requests and flush them post-barrier).
+// the interconnect.
 func (s *System) Send(req *LineRequest, now int64) {
 	pi := s.partitionOf(req.LineAddr)
 	s.toMem.Push(pi, req, now)

@@ -57,9 +57,8 @@ func startHoldDaemon(t *testing.T, s *server.Server) *holdDaemon {
 	return d
 }
 
-// holdOpts is one simulation at a time on the sequential engine, which
-// is the fast one for jobs this small.
-var holdOpts = server.Options{Workers: 1, QueueDepth: 4, SMWorkers: 1}
+// holdOpts is one simulation at a time.
+var holdOpts = server.Options{Workers: 1, QueueDepth: 4}
 
 // slowReq is a job of some 0.2s on holdOpts (some 5s under the race
 // detector): long enough that a test acts while it is still running.

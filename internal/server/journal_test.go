@@ -192,7 +192,7 @@ func TestJournalReplayLargerThanQueue(t *testing.T) {
 	if err := os.WriteFile(jpath, []byte(wal), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	opts := server.Options{Workers: 1, QueueDepth: 1, SMWorkers: 1, JournalPath: jpath,
+	opts := server.Options{Workers: 1, QueueDepth: 1, JournalPath: jpath,
 		Runner: runnerOptsWithCache(dir)}
 
 	// One worker, a one-deep queue: once two jobs are in (one running,

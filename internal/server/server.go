@@ -58,14 +58,6 @@ type Options struct {
 	MaxInFlightBytes int64
 	// MaxDeadline caps client-requested job deadlines (0 = 10m).
 	MaxDeadline time.Duration
-	// SMWorkers sets the cycle-engine worker count inside every
-	// simulation (config.Config.SMWorkers: 0 = GOMAXPROCS, 1 =
-	// sequential). A daemon-side knob — the field is excluded from the
-	// config wire format, so clients cannot set it — and invisible in
-	// results: statistics and cache keys are identical at any value.
-	// A farm already running Options.Workers concurrent simulations
-	// usually wants 1 here.
-	SMWorkers int
 	// Runner configures the underlying simulation farm (cache
 	// directory, per-attempt timeout, retries, verification, and —
 	// via its CheckpointDir/CheckpointStride — crash-tolerant
@@ -344,7 +336,6 @@ func (s *Server) buildJob(req *SubmitRequest) (runner.Job, string, error) {
 	if err := cfg.Validate(); err != nil {
 		return runner.Job{}, "", fmt.Errorf("invalid config: %w", err)
 	}
-	cfg.SMWorkers = s.opts.SMWorkers
 	rjob := runner.Job{Workload: req.Workload, Config: cfg, Scale: scale, Tenancy: req.Tenancy}
 	key, err := rjob.Key()
 	if err != nil {

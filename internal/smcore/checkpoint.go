@@ -12,9 +12,7 @@ import (
 )
 
 // This file serializes one SM's complete mutable state. Checkpoints are
-// taken at cycle boundaries (before any SM has ticked), where the
-// parallel-engine staging buffers (gmemProxy stores, outbox) are
-// guaranteed empty and are therefore excluded. Also deliberately
+// taken at cycle boundaries (before any SM has ticked). Deliberately
 // excluded, because they are caches rebuilt exactly from serialized
 // state: the scheduler view buffers and incremental ready rankings
 // (RestoreState marks every warp dirty, so the first refresh re-snapshots
@@ -300,7 +298,7 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 			BlockDim:  k.BlockDim,
 			BlockDimY: k.BlockDimY,
 			Params:    t.launch.Params,
-			Gmem:      &sm.gmem,
+			Gmem:      sm.memSys.Global,
 			Smem:      b.smem,
 		}
 		for wi := 0; wi < b.wpb; wi++ {

@@ -22,8 +22,8 @@ import (
 //     (scoreboard dependency masks, destination masks, execution unit,
 //     memory class, shared-pool reach, arithmetic latency) and the
 //     decoded functional op the warp executes a register row at a
-//     time. The table is immutable, so every SM and engine worker of
-//     the launch shares one copy.
+//     time. The table is immutable, so every SM of the launch shares
+//     one copy.
 //
 //  2. Warp snapshots: each warp's sched.WarpInfo is cached and
 //     recomputed only when an event that can change one of its inputs
@@ -104,7 +104,7 @@ func NewProgram(cfg *config.Config, k *kernel.Kernel, occ core.Occupancy) *Progr
 }
 
 // envNoSnapshot reads GPUSHARE_NOSNAPSHOT: any value other than empty
-// or "0" forces the recompute path. Like SMWorkers and NoFastForward
+// or "0" forces the recompute path. Like NoFastForward
 // it cannot change results, so it is safe as a plain env escape hatch.
 func envNoSnapshot() bool {
 	v := os.Getenv("GPUSHARE_NOSNAPSHOT")

@@ -87,3 +87,25 @@ func (sm *SM) AuditSleep(now int64) error {
 	}
 	return nil
 }
+
+// ProgressHorizon returns the earliest future cycle at which this SM's
+// state can change without external input (a memory reply or a block
+// launch): the next writeback deadline or the cycle a busy LSU frees
+// up. math.MaxInt64 when none is pending.
+//
+// Completeness argument (this is what makes per-SM sleep exact): every
+// other piece of SM state that gates issue — barrier arrival counts,
+// scoreboard dependency masks, pair-sharing leases, scheduler ready
+// sets, MSHR occupancy — changes only as a consequence of an issue, a
+// writeback retiring, a memory reply draining, or a block launch. If no
+// warp can issue at cycle `now` and the stall inputs are constant, no
+// warp can issue at any cycle before min(horizon, next reply, next
+// launch) either, so both the machine-global idle fast-forward and the
+// per-SM sleep may skip the intervening cycles exactly.
+func (sm *SM) ProgressHorizon(now int64) int64 {
+	next := sm.wb.nextAt(now)
+	if sm.lsuBusy > now && sm.lsuBusy < next {
+		next = sm.lsuBusy
+	}
+	return next
+}

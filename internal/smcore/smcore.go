@@ -129,14 +129,9 @@ type SM struct {
 	finished []int // block slots that completed this cycle
 
 	// free lists: load groups and MSHR waiter slices are recycled within
-	// the SM (single-threaded per SM, so no synchronization needed).
+	// the SM.
 	groupFree []*loadGroup
 	mshrFree  [][]*loadGroup
-
-	// parallel-engine staging (see staging.go)
-	staged bool
-	outbox []outboundLine
-	gmem   gmemProxy
 
 	Stats stats.SM
 
@@ -246,7 +241,7 @@ func (sm *SM) LaunchBlock(slot, ctaID int) error {
 		BlockDim:  k.BlockDim,
 		BlockDimY: k.BlockDimY,
 		Params:    t.launch.Params,
-		Gmem:      &sm.gmem,
+		Gmem:      sm.memSys.Global,
 		Smem:      b.smem,
 	}
 	threadsLeft := k.Threads()

@@ -94,7 +94,6 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 		dynProb: 1,
 		rng:     cfg.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15,
 	}
-	sm.gmem.base = ms.Global
 	if cfg.DynWarp && id == 0 {
 		// SM0 is the reference SM: non-owner memory instructions are
 		// disabled on it (§IV-C).

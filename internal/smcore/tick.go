@@ -331,6 +331,13 @@ func (sm *SM) sendOrMerge(line uint32, group *loadGroup, now int64) {
 	sm.sendLine(line, false, now)
 }
 
+// sendLine injects one line transaction into the memory system.
+func (sm *SM) sendLine(line uint32, isWrite bool, now int64) {
+	req := mem.GetLineRequest()
+	req.LineAddr, req.IsWrite, req.SM = line, isWrite, sm.ID
+	sm.memSys.Send(req, now)
+}
+
 // issueGlobalStore applies the write-evict L1 policy and forwards write
 // traffic to the memory system. Stores retire immediately (no fence).
 func (sm *SM) issueGlobalStore(res warp.Result, now int64) {

@@ -8,7 +8,7 @@ import (
 // Op is one instruction decoded for row-wise execution: the opcode and
 // control fields Execute dispatches on, with every source operand
 // resolved to the row it reads. An Op is immutable once decoded, so one
-// decoded program serves every warp, SM and engine worker of a launch.
+// decoded program serves every warp and SM of a launch.
 type Op struct {
 	Code isa.Opcode
 

@@ -1,9 +1,8 @@
 #!/bin/sh
 # Microbenchmark runner and perf-regression gate.
 #
-#     ./tools/bench.sh            # run benches, gate allocs/op against
-#                                 # BENCH_baseline.json, report the
-#                                 # parallel-engine speedup
+#     ./tools/bench.sh            # run benches, gate allocs/op and
+#                                 # ns/op against BENCH_baseline.json
 #     ./tools/bench.sh -quick     # smoke mode for check.sh: fewer
 #                                 # iterations, same allocs/op gate
 #     ./tools/bench.sh -record    # rewrite BENCH_baseline.json from the
@@ -14,7 +13,6 @@
 # ns/op is gated with a tolerance (15% in full mode, where -benchtime
 # gives stable numbers; 75% in -quick mode, whose few iterations are
 # noisy) so a perf-optimisation PR cannot silently give its win back.
-# The workers=1 vs workers=8 speedup is reported for humans.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -44,7 +42,7 @@ go test -p 1 -run '^$' -bench 'BenchmarkSMTick$|BenchmarkSMTickManyWarps$|Benchm
     -benchmem -benchtime "$microtime" ./internal/smcore/ ./internal/warp/ ./internal/sched/ ./internal/mem/ ./internal/mem/dram/ ./internal/checkpoint/ | tee "$out"
 
 echo "== end-to-end engine (full hotspot simulation per op; two-tenant co-residency per op; blocked-heavy per-SM sleep per op; compute-bound mem-sleep per op)"
-go test -run '^$' -bench 'BenchmarkRunParallelSMs|BenchmarkCoResident|BenchmarkSMSleepMemBound|BenchmarkComputeBound' \
+go test -run '^$' -bench 'BenchmarkRunHotspot$|BenchmarkCoResident|BenchmarkSMSleepMemBound|BenchmarkComputeBound' \
     -benchmem -benchtime "$e2etime" -timeout 30m ./internal/gpu/ | tee -a "$out"
 
 echo "== service layer (a fresh job through gsched vs straight to its worker; a gserved hit, whole HTTP round trip)"
@@ -115,16 +113,11 @@ done
 
 # Wall-time gate: ns/op may not drift more than $nstol% above the
 # recorded baseline. The two-tenant end-to-end benchmark is exempt (its
-# wall time depends on machine load); the multi-worker parallel-engine
-# legs are additionally exempt on single-CPU hosts, where the worker
-# pool only adds barrier overhead and its wall time says nothing about
-# scaling (the allocs/op gate above still applies to them).
-ncpu=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
+# wall time depends on machine load; the allocs/op gate above still
+# applies to it).
 for name in $(echo "$rows" | awk '{print $1}'); do
     case "$name" in
     BenchmarkCoResident*) continue ;;
-    BenchmarkRunParallelSMs/workers=1) ;;
-    BenchmarkRunParallelSMs*) [ "$ncpu" -lt 2 ] && continue ;;
     esac
     base=$(sed -n "s|.*\"$name\": {[^}]*\"ns_op\": \([0-9]*\).*|\1|p" "$baseline")
     [ -n "$base" ] && [ "$base" -gt 0 ] || continue
@@ -137,17 +130,5 @@ for name in $(echo "$rows" | awk '{print $1}'); do
         echo "ok:   $name ns/op $cur (baseline $base, limit $limit)"
     fi
 done
-
-# Parallel-engine speedup, for humans (not gated: wall time depends on
-# machine and load; the determinism tests gate correctness instead).
-echo "$rows" | awk '
-    $1 == "BenchmarkRunParallelSMs/workers=1" { w1 = $2 }
-    $1 == "BenchmarkRunParallelSMs/workers=8" { w8 = $2 }
-    END { if (w1 > 0 && w8 > 0)
-        printf "parallel engine: workers=8 is %.2fx faster than workers=1\n", w1 / w8 }
-'
-if [ "$ncpu" -lt 2 ]; then
-    echo "note: only $ncpu CPU online — parallel speedup is not measurable here (expect ~1.0x; the workers=8 number validates barrier overhead, not scaling)"
-fi
 
 exit $fail

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Pre-PR gate: vet + formatting + build + race-checked tests for the
 # concurrency-bearing packages (the runner's worker pool / singleflight,
-# the session layer, and the gserved daemon + client — including the
-# admission-saturation test), the allocation budget of the cycle path,
+# the session layer, the gserved daemon + client — including the
+# admission-saturation test — and four simulations run side by side),
+# the bench module's own tests, the allocation budget of the cycle path,
 # a fuzz smoke pass over the assembler, ISA evaluator, warp executor and
 # checkpoint decoder, an invariant-audited tier-1 run, a gserved smoke
 # test (start on a random port, submit a job, drain via SIGTERM), a
@@ -44,8 +45,11 @@ go test -race $short ./internal/server/ ./internal/client/
 echo "== go test -race (fleet coordinator incl. the stub-worker dispatch-protocol tests, wal journal)"
 go test -race $short ./internal/fleet/ ./internal/wal/
 
-echo "== go test -race (parallel cycle engine determinism, per-SM sleep, event-driven mem tick, issue cards + census vs NoSnapshot)"
-go test -race $short -timeout 30m -run 'TestEngineDeterminism|TestLaunchQueue|TestSMSleep|TestMemSleep|TestCensusExact|TestStaleCard' ./internal/gpu/
+echo "== go test -race (concurrent simulations share only the mem/dram pools; a run starts no goroutine)"
+go test -race -run 'TestConcurrentRunsIndependent|TestRunSpawnsNoGoroutines|TestLaunchQueue' ./internal/gpu/
+
+echo "== bench module (outside the root module: surface + golden tests of bench/)"
+(cd bench && go test ./...)
 
 echo "== benchmark smoke + allocs/op gate (tools/bench.sh -quick)"
 ./tools/bench.sh -quick
