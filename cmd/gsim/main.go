@@ -111,8 +111,6 @@ func main() {
 		verify   = flag.Bool("verify", true, "check functional outputs after the run")
 		showOcc  = flag.Bool("occupancy", false, "print the occupancy plan and exit")
 		cacheDir = flag.String("cachedir", "", "on-disk result cache directory: identical runs are served from cache ('' disables; ignored with -trace)")
-		noFF     = flag.Bool("noff", false, "disable the idle fast-forward (debugging; results identical either way)")
-		noMemSlp = flag.Bool("nomemsleep", false, "disable the event-driven memory tick (debugging; results identical either way)")
 		verbose  = flag.Bool("v", false, "print the per-partition memory breakdown after the run")
 		ckStride = flag.Int64("checkpoint-stride", 0, "write a machine snapshot every N cycles (0 disables; results identical either way)")
 		ckDir    = flag.String("checkpoint-dir", "", "directory for checkpoint files (with -checkpoint-stride; keeps the whole trail)")
@@ -169,8 +167,6 @@ func main() {
 	fatal(err)
 	cfg.TraceInterval = *trace
 	cfg.InvariantStride = *invar
-	cfg.NoFastForward = *noFF
-	cfg.NoMemSleep = *noMemSlp
 	cfg.CheckpointStride = *ckStride
 	if *bisect && cfg.CheckpointStride <= 0 {
 		cfg.CheckpointStride = 5000

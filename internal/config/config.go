@@ -235,65 +235,26 @@ type Config struct {
 	// the built-in default (500k cycles).
 	ProgressWindow int64
 
-	// NoFastForward disables the idle fast-forward: normally, when no SM
-	// can issue (every warp is waiting on memory, writebacks, or
-	// barriers) the cycle loop jumps straight to the next pending-event
-	// horizon instead of burning empty cycles. The jump is exact —
-	// skipped cycles contribute their per-cycle statistics and every
-	// stride-aligned duty (invariant audits, traces, cancellation polls,
-	// the watchdog) still happens at its original cycle — so this is an
-	// engine knob, not a simulation parameter: it is excluded from the
-	// canonical configuration, and it exists for determinism regression
-	// tests and debugging.
-	NoFastForward bool `json:"-"`
-
-	// NoSnapshot disables the event-driven warp-snapshot cache and the
-	// incremental scheduler ready sets: every cycle rebuilds every
-	// scheduler view from scratch (operand walks, sort-based ranking),
-	// exactly the pre-ready-set issue path. The snapshot engine is
-	// proven bit-identical to the recompute path, so like
-	// NoFastForward this is an engine knob excluded from the canonical
-	// configuration; it exists as a determinism escape hatch
-	// (GPUSHARE_NOSNAPSHOT=1) and for the equivalence regression tests.
-	NoSnapshot bool `json:"-"`
+	// Reference runs the engine's reference path: every scheduler
+	// rebuilds its warp views and asks every warp every cycle (no cached
+	// snapshots, incremental ready sets, issue cards or censuses), and
+	// every memory partition is ticked every cycle (no next-work
+	// horizons). The optimised path is proven byte-identical to it — it
+	// is the oracle of the determinism tests and the escape hatch
+	// GPUSHARE_REFERENCE=1 selects — so this is an engine mode, not a
+	// simulation parameter: it is excluded from the canonical
+	// configuration and the sim-v1 result fingerprint.
+	Reference bool `json:"-"`
 
 	// CheckpointStride, when positive, snapshots the full machine state
 	// every that many cycles into the run's checkpoint sink, so a crashed
 	// or preempted run can resume from the last checkpoint instead of
 	// cycle 0. Checkpointing cannot change results — the snapshot is
 	// taken at a cycle boundary and restore is bit-identical, proven by
-	// the determinism gates — so like NoFastForward it is an engine knob
+	// the determinism gates — so like Reference it is an engine knob
 	// excluded from the canonical configuration and the sim-v1 result
-	// fingerprint: cached results are shared across stride settings. The
-	// idle fast-forward clamps its jump horizon to the next checkpoint
-	// cycle, so every stride-aligned snapshot happens at its exact cycle
-	// even when the engine is skipping idle spans.
+	// fingerprint: cached results are shared across stride settings.
 	CheckpointStride int64 `json:"-"`
-
-	// NoSMSleep disables the per-SM sleep/wake fast-forward: normally an
-	// SM whose warps are all blocked (memory replies, barriers, pipeline
-	// latency) with a provable wake cycle is skipped in the per-cycle
-	// loop until that cycle, or until an external event (memory
-	// reply, block launch) wakes it early, while busy SMs keep ticking.
-	// The skip is exact — a sleeping SM's skipped cycles contribute
-	// their per-cycle statistics via the same replay arithmetic as the
-	// machine-global fast-forward — so like NoFastForward this is an
-	// engine knob excluded from the canonical configuration and the
-	// sim-v1 result fingerprint; it exists as a determinism escape hatch
-	// (GPUSHARE_NOSMSLEEP=1) and for the equivalence regression tests.
-	NoSMSleep bool `json:"-"`
-
-	// NoMemSleep disables the event-driven memory tick: normally memory
-	// partitions with no due work (no deliverable request, no
-	// schedulable or completing DRAM command, no matured L2 hit) are
-	// skipped via memoized next-work horizons, and when every partition
-	// is idle the whole memory tick early-outs in O(1). The skip is
-	// exact — horizons are maintained at every state change and every
-	// counter is event-derived — so like NoSMSleep this is an engine
-	// knob excluded from the canonical configuration and the sim-v1
-	// result fingerprint; it exists as a determinism escape hatch
-	// (GPUSHARE_NOMEMSLEEP=1) and for the equivalence regression tests.
-	NoMemSleep bool `json:"-"`
 }
 
 // Default returns the Table I baseline configuration.

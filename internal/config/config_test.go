@@ -188,16 +188,15 @@ func TestCanonicalJSON(t *testing.T) {
 }
 
 // TestCanonicalJSONExcludesEngineKnobs pins the engine-knob exclusion:
-// fast-forward, snapshot mode, and the checkpoint stride
-// cannot change results, so they must not change job cache keys.
+// reference mode and the checkpoint stride cannot change results, so
+// they must not change job cache keys.
 func TestCanonicalJSONExcludesEngineKnobs(t *testing.T) {
 	c := Default()
 	base, err := c.CanonicalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.NoFastForward = true
-	c.NoSnapshot = true
+	c.Reference = true
 	c.CheckpointStride = 4096
 	knobbed, _ := c.CanonicalJSON()
 	if string(base) != string(knobbed) {

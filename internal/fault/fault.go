@@ -33,7 +33,6 @@ const (
 	WorkerCrashMidJob         // a gserved worker dies abruptly (kill -9) while a dispatched job is running
 	CrashAfterDispatch        // the gsched coordinator dies between dispatching a job to a worker and recording the ack
 	HeartbeatBlackhole        // a network partition: the worker stays alive but every coordinator probe to it is dropped
-	MissedWake                // a sleeping SM's wake cycle is pushed past its true horizon: the sleep skips live work
 	MissedMemWake             // a memory partition's next-work cycle is pushed past its true horizon: the skip swallows live work
 	StaleCard                 // skip an issue-card invalidation at a writeback: the warp stays "scoreboard-blocked" after its operand landed
 )
@@ -62,8 +61,6 @@ func (k Kind) String() string {
 		return "crash-after-dispatch"
 	case HeartbeatBlackhole:
 		return "heartbeat-blackhole"
-	case MissedWake:
-		return "missed-wake"
 	case MissedMemWake:
 		return "missed-mem-wake"
 	case StaleCard:

@@ -6,6 +6,7 @@ import (
 	"gpushare/internal/checkpoint"
 	"gpushare/internal/config"
 	"gpushare/internal/fault"
+	"gpushare/internal/isa"
 	"gpushare/internal/kernel"
 	"gpushare/internal/simerr"
 	"gpushare/internal/tenancy"
@@ -32,8 +33,8 @@ func scratchSharing() config.Config {
 }
 
 // TestCensusExact: issue cards and the census replace the blocked-warp
-// path outright, so the NoSnapshot reference — which asks every warp
-// every cycle — is the oracle. Each case runs with the card/census
+// path outright, so Config.Reference — which asks every warp every
+// cycle — is the oracle. Each case runs with the card/census
 // audit on every cycle and must land on the reference bytes: MSHR-full
 // stalls (MUM), register-lock waits under the dyn gate (LIB),
 // scratchpad-lock waits (lavaMD), two tenants' classes in one census
@@ -41,10 +42,6 @@ func scratchSharing() config.Config {
 func TestCensusExact(t *testing.T) {
 	audited := func(cfg config.Config) config.Config {
 		cfg.InvariantStride = 1
-		return cfg
-	}
-	reference := func(cfg config.Config) config.Config {
-		cfg.NoSnapshot = true
 		return cfg
 	}
 	for _, c := range []struct {
@@ -62,7 +59,7 @@ func TestCensusExact(t *testing.T) {
 			}
 			want := encodeJSON(t, runWorkload(t, c.workload, reference(c.cfg()), 1))
 			if got := encodeJSON(t, runWorkload(t, c.workload, audited(c.cfg()), 1)); got != want {
-				t.Error("card/census run diverges from the NoSnapshot reference")
+				t.Error("card/census run diverges from the reference")
 			}
 		})
 	}
@@ -75,7 +72,7 @@ func TestCensusExact(t *testing.T) {
 			Tenants: []tenancy.TenantSpec{{Workload: "hotspot"}, {Workload: "lavaMD"}}}
 		want := encodeJSON(t, runMulti(t, reference(config.Default()), spec, 1))
 		if got := encodeJSON(t, runMulti(t, audited(config.Default()), spec, 1)); got != want {
-			t.Error("two-tenant card/census run diverges from the NoSnapshot reference")
+			t.Error("two-tenant card/census run diverges from the reference")
 		}
 	})
 
@@ -84,8 +81,8 @@ func TestCensusExact(t *testing.T) {
 			t.Skip("simulation-heavy at stride 1")
 		}
 		// The audit stride is part of the configuration a checkpoint is
-		// bound to, so every leg here audits; NoSnapshot still turns the
-		// cards (and their audit) off in the reference.
+		// bound to, so every leg here audits; reference mode still turns
+		// the cards (and their audit) off.
 		cfg := audited(regSharingDyn())
 		ref := runWorkload(t, "b+tree", reference(cfg), 1)
 		want := encodeJSON(t, ref)
@@ -93,7 +90,7 @@ func TestCensusExact(t *testing.T) {
 		ckCfg.CheckpointStride = ref.Cycles / 3
 		sink := checkpoint.NewMemSink()
 		if got := encodeJSON(t, runWorkloadCK(t, "b+tree", ckCfg, 1, sink, nil)); got != want {
-			t.Fatal("checkpointing card/census run diverges from the NoSnapshot reference")
+			t.Fatal("checkpointing card/census run diverges from the reference")
 		}
 		cycles := sink.List()
 		if len(cycles) == 0 {
@@ -101,12 +98,28 @@ func TestCensusExact(t *testing.T) {
 		}
 		mid := sink.Get(cycles[len(cycles)/2])
 		if got := encodeJSON(t, runWorkloadCK(t, "b+tree", cfg, 1, nil, mid)); got != want {
-			t.Error("card/census run restored mid-way diverges from the NoSnapshot reference")
+			t.Error("card/census run restored mid-way diverges from the reference")
 		}
 		if got := encodeJSON(t, runWorkloadCK(t, "b+tree", reference(cfg), 1, nil, mid)); got != want {
-			t.Error("NoSnapshot run restored from a card/census checkpoint diverges")
+			t.Error("reference run restored from a card/census checkpoint diverges")
 		}
 	})
+}
+
+// aluChainKernel is a one-warp dependent ALU chain: each IAdd reads the
+// register the previous one writes, so the warp stalls on the
+// scoreboard for the full SP pipeline latency between issues, and every
+// issue waits on exactly one writeback.
+func aluChainKernel(tb testing.TB) *kernel.Kernel {
+	tb.Helper()
+	b := kernel.NewBuilder("aluchain", 32)
+	b.SetRegs(8)
+	b.MovI(0, 0)
+	for i := 0; i < 64; i++ {
+		b.IAdd(0, isa.Reg(0), isa.Imm(1))
+	}
+	b.Exit()
+	return b.MustBuild()
 }
 
 // TestStaleCardCaught: the StaleCard fault skips one card invalidation
@@ -122,7 +135,7 @@ func TestStaleCardCaught(t *testing.T) {
 		cfg.InvariantStride = stride
 		cfg.ProgressWindow = 2000
 		sim := MustNew(cfg)
-		return sim, &kernel.Launch{Kernel: sleepChainKernel(t), GridDim: 2}
+		return sim, &kernel.Launch{Kernel: aluChainKernel(t), GridDim: 2}
 	}
 
 	sim, l := setup(8)

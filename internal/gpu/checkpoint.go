@@ -6,15 +6,14 @@
 // queue, and no scratch state is live.
 //
 // What is deliberately excluded:
-//   - idle fast-forward arm state (ffSnap/ffJumpTo/ffRetryAt): the jump
-//     is exact, so re-arming from scratch after a restore produces
-//     byte-identical statistics;
+//   - the memory system's partition horizons: memos of serialized
+//     state, re-derived by the first memory tick after a restore;
 //   - derived per-SM views (ready ranks, warp snapshots, free lists):
 //     the restorer marks every warp dirty and the first refresh rebuilds
 //     them exactly (see smcore.RestoreState);
 //   - the invariant checker's pass counter and any engine knobs
-//     (NoSnapshot, CheckpointStride itself) — none of them
-//     can change results, so none of them may invalidate a checkpoint.
+//     (Reference, CheckpointStride itself) — none of them can change
+//     results, so none of them may invalidate a checkpoint.
 //
 // The payload cross-checks the simulator revision, the canonical
 // configuration, the run mode, the kernel names, and (for multi-tenant

@@ -85,9 +85,7 @@ func captureGaussian(tb testing.TB, stride int64) (*checkpoint.MemSink, string) 
 }
 
 // TestCheckpointStrideComplete proves no stride multiple is ever
-// skipped: with idle fast-forward on (the default), the event horizon
-// must treat checkpoint cycles as obligations and land jumps exactly on
-// them, so the trail holds every multiple of the stride up to the last
+// skipped: the trail holds every multiple of the stride up to the last
 // loop iteration.
 func TestCheckpointStrideComplete(t *testing.T) {
 	const stride = 512
@@ -159,9 +157,10 @@ func TestCheckpointRejectsMismatchedRun(t *testing.T) {
 	wantCheckpointKind(t, restoreInto("gaussian", gto, corrupt), "corrupted checkpoint")
 
 	// Engine knobs are excluded from the identity cross-check: a
-	// checkpoint taken with the snapshot cache on must restore with it off.
+	// checkpoint taken by the optimised engine must restore in reference
+	// mode.
 	knobbed := gto
-	knobbed.NoSnapshot = true
+	knobbed.Reference = true
 	if err := restoreInto("gaussian", knobbed, blob); err != nil {
 		t.Fatalf("engine knobs invalidated a checkpoint: %v", err)
 	}

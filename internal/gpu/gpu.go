@@ -77,40 +77,26 @@ type Sim struct {
 	// is touched.
 	RestoreFrom []byte
 
-	// SleepTrace, when non-nil, observes every per-SM sleep entry with
-	// the SM's ID, the cycle the sleep was entered, and the computed
-	// wake cycle (test hook: the checkpoint determinism tests compare
-	// wake cycles across original and restored runs).
-	SleepTrace func(smID int, now, wakeAt int64)
-
 	ms *mem.System
 }
 
-// engineOpts builds the cycle-engine options for this run: per-SM
-// sleep is on unless dynamic warp execution is active (its issue gate
-// consumes per-attempt randomness, so no cycle is ever provably
-// frozen), a fault plan other than MissedWake is armed (fault trips
-// count opportunities, so skipping cycles would change which event is
-// corrupted), or the NoSMSleep escape hatch is set.
-func (s *Sim) engineOpts() engineOpts {
-	sleep := !s.Cfg.DynWarp && !s.Cfg.NoSMSleep && !envNoSMSleep() &&
-		(s.Faults == nil || s.Faults.Kind == fault.MissedWake)
-	return engineOpts{sleep: sleep, ms: s.ms, faults: s.Faults, trace: s.SleepTrace}
+// armMemSleep arms (or disarms) the event-driven memory tick for this
+// run: on unless the run is in reference mode or a fault plan other
+// than MissedMemWake is armed (fault trips count opportunities, so
+// skipping partition ticks would change which event is corrupted).
+// Called at run start, after any checkpoint restore; the memoized
+// horizons are derived fresh by the first memory tick either way.
+func (s *Sim) armMemSleep() {
+	on := !s.Cfg.Reference && (s.Faults == nil || s.Faults.Kind == fault.MissedMemWake)
+	s.ms.SetEventDriven(on, s.Faults)
 }
 
-// armMemSleep arms (or disarms) the event-driven memory tick for this
-// run: on unless the NoMemSleep knob or its escape hatch is set, or a
-// fault plan other than MissedMemWake is armed (fault trips count
-// opportunities, so skipping partition ticks would change which event
-// is corrupted). Unlike per-SM sleep, dynamic warp execution does not
-// disable it — the memory system consumes no randomness, so its idle
-// cycles are provably workless regardless of the issue gate. Called at
-// run start, after any checkpoint restore; the memoized horizons are
-// derived fresh by the first memory tick either way.
-func (s *Sim) armMemSleep() {
-	on := !s.Cfg.NoMemSleep && !envNoMemSleep() &&
-		(s.Faults == nil || s.Faults.Kind == fault.MissedMemWake)
-	s.ms.SetEventDriven(on, s.Faults)
+// envReference reads GPUSHARE_REFERENCE: any value other than empty or
+// "0" puts every simulator built while it is set in reference mode,
+// exactly like Config.Reference.
+func envReference() bool {
+	v := os.Getenv("GPUSHARE_REFERENCE")
+	return v != "" && v != "0"
 }
 
 // envInvariantStride reads GPUSHARE_INVARIANT_STRIDE: a positive
@@ -136,6 +122,7 @@ func New(cfg config.Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, simerr.Wrap(simerr.KindConfig, -1, err)
 	}
+	cfg.Reference = cfg.Reference || envReference()
 	ms := mem.NewSystem(&cfg)
 	return &Sim{Cfg: cfg, Mem: ms.Global, ms: ms}, nil
 }
@@ -171,6 +158,25 @@ func (s *Sim) newSMs(l *kernel.Launch, occ core.Occupancy) ([]*smcore.SM, error)
 		sms[i] = sm
 	}
 	return sms, nil
+}
+
+// tickSMs runs one cycle across the SM array, in ascending index on
+// the calling goroutine, and reports whether any SM issued an
+// instruction. The first (lowest-index) SM error aborts the cycle. A
+// simulation is single-threaded by design (see DESIGN.md "Why a
+// simulation is single-threaded") and the loop skips nothing (see "Why
+// the cycle loop skips nothing"): a blocked SM's tick is O(1) inside
+// SM.Tick, which is where that state lives.
+func tickSMs(sms []*smcore.SM, now int64) (bool, error) {
+	any := false
+	for _, sm := range sms {
+		issued, err := sm.Tick(now)
+		if err != nil {
+			return false, err
+		}
+		any = any || issued
+	}
+	return any, nil
 }
 
 // Run executes one kernel launch to completion and returns the run
@@ -275,22 +281,8 @@ func (s *Sim) RunCtx(ctx context.Context, l *kernel.Launch) (*stats.GPU, error) 
 		}
 	}
 
-	eng := newCycleEngine(sms, s.engineOpts())
-	defer eng.detach()
-	chk.SetSleepSource(eng)
 	s.armMemSleep()
-
-	// Idle fast-forward (see DESIGN.md): after a quiet cycle — no issue,
-	// no launch — one more cycle is simulated normally as the "model"
-	// frozen cycle, then the identical cycles up to the event horizon are
-	// applied arithmetically. Disabled under dynamic warp execution (the
-	// issue gate consumes per-attempt randomness, so no cycle is ever
-	// provably frozen), under fault injection, and by Config.NoFastForward.
-	ffOK := !s.Cfg.DynWarp && s.Faults == nil && !s.Cfg.NoFastForward
 	tracing := s.Trace != nil && s.Cfg.TraceInterval > 0
-	var ffSnap []stats.SM
-	ffJumpTo := int64(-1) // >= 0: current cycle is the model cycle; jump target
-	ffRetryAt := int64(0) // damping: no arm attempt before this cycle
 
 	var now int64
 	for now = startAt; ; now++ {
@@ -299,7 +291,6 @@ func (s *Sim) RunCtx(ctx context.Context, l *kernel.Launch) (*stats.GPU, error) 
 		// keeps a restored run from instantly re-writing the checkpoint
 		// it came from.
 		if sink != nil && now > 0 && now%ckStride == 0 && now != resumedAt {
-			eng.materialize(now - 1) // sleeping SMs' counters, exact to end of now-1
 			p, err := s.newPayload(modeSingle, kernels, nil, now, sms)
 			if err != nil {
 				return nil, err
@@ -326,7 +317,7 @@ func (s *Sim) RunCtx(ctx context.Context, l *kernel.Launch) (*stats.GPU, error) 
 		if now&(cancelStride-1) == 0 && ctx.Err() != nil {
 			return nil, simerr.Wrap(simerr.KindCanceled, now, ctx.Err())
 		}
-		anyIssued, err := eng.tick(now)
+		anyIssued, err := tickSMs(sms, now)
 		if err != nil {
 			if se, ok := simerr.As(err); ok && se.Dump == nil {
 				se.Dump = invariant.BuildDump(now, sms, s.ms)
@@ -340,11 +331,9 @@ func (s *Sim) RunCtx(ctx context.Context, l *kernel.Launch) (*stats.GPU, error) 
 		}
 
 		// Refill completed block slots after the CTA dispatch latency.
-		launched := false
 		for pending.len() > 0 && pending.front().at <= now {
 			p := pending.pop()
 			if nextCTA < totalBlocks {
-				eng.notifyLaunch(p.sm, now)
 				if err := sms[p.sm].LaunchBlock(p.slot, nextCTA); err != nil {
 					se := simerr.Wrap(simerr.KindInvariant, now, err)
 					se.SM = p.sm
@@ -352,7 +341,6 @@ func (s *Sim) RunCtx(ctx context.Context, l *kernel.Launch) (*stats.GPU, error) 
 					return nil, se
 				}
 				nextCTA++
-				launched = true
 			}
 		}
 		for si, sm := range sms {
@@ -366,7 +354,6 @@ func (s *Sim) RunCtx(ctx context.Context, l *kernel.Launch) (*stats.GPU, error) 
 		dyn.maybeAdjust(now)
 
 		if tracing && now%s.Cfg.TraceInterval == 0 {
-			eng.materialize(now)
 			s.traceSnapshot(now, sms, nextCTA, launch.GridDim)
 		}
 
@@ -385,9 +372,7 @@ func (s *Sim) RunCtx(ctx context.Context, l *kernel.Launch) (*stats.GPU, error) 
 		}
 
 		// Deadlock detection: forward progress is an SM issuing an
-		// instruction, reported directly by the engine (equivalent to
-		// the old per-cycle sum over every SM's WarpInstrs, which only
-		// changed when an SM issued).
+		// instruction.
 		if anyIssued {
 			lastProgress = now
 		} else if now-lastProgress > window {
@@ -395,55 +380,8 @@ func (s *Sim) RunCtx(ctx context.Context, l *kernel.Launch) (*stats.GPU, error) 
 				fmt.Sprintf("kernel %s: no instruction issued for %d cycles (deadlock?)",
 					launch.Kernel.Name, window))
 		}
-
-		// Idle fast-forward.
-		if ffJumpTo >= 0 {
-			// This was the model cycle. If it stayed quiet (guaranteed
-			// by the horizon; checked for robustness), replay its
-			// counter delta over the skipped cycles and jump.
-			h := ffJumpTo
-			ffJumpTo = -1
-			if !anyIssued && !launched {
-				if skip := h - now - 1; skip > 0 {
-					// Sleeping SMs are excluded: they did not tick the
-					// model cycle (zero delta against the snapshot), and
-					// their skipped cycles are covered exactly by their
-					// own sleep replay, which globalSkip advances below.
-					for i := range sms {
-						if !eng.asleep(i) {
-							sms[i].Stats.ScaleForward(&ffSnap[i], skip)
-						}
-					}
-					eng.globalSkip(now + skip)
-					now += skip // loop increment lands on cycle h
-				}
-			}
-		} else if ffOK && !anyIssued && !launched && now >= ffRetryAt {
-			// Quiet cycle: if no event can land before cycle h, cycles
-			// now+1 .. h-1 are all identical to the next one. Arm a
-			// model cycle when at least one cycle would be skipped.
-			// When the horizon is too close to pay for itself, damp:
-			// nothing the skip could have exploited happens before h,
-			// so don't recompute the horizon until then (quiet cycles
-			// under heavy memory traffic would otherwise pay the
-			// per-SM horizon walk every cycle for no jump — the
-			// memory-side bound itself is memoized and O(1)).
-			h := s.eventHorizon(now, sms, eng, &pending, stride, ckStride, tracing, lastProgress, window, maxCycles)
-			if h > now+2 {
-				if ffSnap == nil {
-					ffSnap = make([]stats.SM, len(sms))
-				}
-				for i, sm := range sms {
-					ffSnap[i] = sm.Stats
-				}
-				ffJumpTo = h
-			} else {
-				ffRetryAt = h
-			}
-		}
 	}
 
-	eng.materialize(now) // idle sleeping SMs still hold un-replayed cycles
 	g := &stats.GPU{Cycles: now + 1, ResidentTB: occ.Max}
 	for _, sm := range sms {
 		sm.FinalizeStats()
@@ -487,70 +425,6 @@ func (s *Sim) traceSnapshot(now int64, sms []*smcore.SM, nextCTA, grid int) {
 	}
 	fmt.Fprintf(s.Trace, "cycle %9d  blocks %5d/%-5d resident %3d  warpinstrs %10d  stall %9d  idle %9d\n",
 		now, nextCTA, grid, active, instrs, stalls, idles)
-}
-
-// eventHorizon computes the idle fast-forward jump target from cycle
-// now: the earliest future cycle at which anything can happen. Inputs
-// are the memory system's next event (interconnect deliveries, pending
-// L2 hits, DRAM completions and schedulable commands), each SM's next
-// local event (writeback deadlines, LSU busy release), the next pending
-// block launch, and the exact-cycle obligations the jump must not skip
-// over: context polls, invariant audits, checkpoint writes, trace
-// snapshots, the watchdog deadline, and the MaxCycles abort. Because
-// nothing can change state strictly before the returned cycle, skipping
-// those cycles is exact, not approximate.
-//
-// Sleeping SMs are read from the engine instead of walked: a sleeping
-// SM's wake cycle is exactly the horizon bound the walk would compute
-// (its local horizon combined with the earliest deliverable reply,
-// kept current by the reply observer), already memoized — so on a
-// mostly-asleep machine the per-SM wheel scans collapse to O(1) reads.
-// The memory-side bound is memoized the same way: ms.NextEvent reads
-// the event-driven tick's partition horizons (their minimum plus the
-// reply network's cached next-ready) instead of walking every DRAM
-// queue and interconnect port, so arming the horizon is O(1) amortized
-// on the memory side too.
-func (s *Sim) eventHorizon(now int64, sms []*smcore.SM, eng *cycleEngine, pending *launchQueue,
-	stride, ckStride int64, tracing bool, lastProgress, window, maxCycles int64) int64 {
-	h := s.ms.NextEvent(now)
-	if h <= now+2 {
-		return h // too close to arm; skip the per-SM walk
-	}
-	for i, sm := range sms {
-		var at int64
-		if eng.asleep(i) {
-			at = eng.st[i].wakeAt
-		} else {
-			at = sm.ProgressHorizon(now)
-		}
-		if at < h {
-			h = at
-		}
-	}
-	if pending.len() > 0 {
-		if at := pending.front().at; at < h {
-			h = at
-		}
-	}
-	bound := func(at int64) {
-		if at > now && at < h {
-			h = at
-		}
-	}
-	bound((now/cancelStride + 1) * cancelStride)
-	if stride > 0 {
-		bound((now/stride + 1) * stride)
-	}
-	if ckStride > 0 {
-		bound((now/ckStride + 1) * ckStride)
-	}
-	if tracing {
-		ti := int64(s.Cfg.TraceInterval)
-		bound((now/ti + 1) * ti)
-	}
-	bound(lastProgress + window + 1) // the cycle the watchdog would fire
-	bound(maxCycles)
-	return h
 }
 
 // dynController implements §IV-C: every DynPeriod cycles each SMi (i>0)

@@ -8,98 +8,98 @@ import (
 	"gpushare/internal/fault"
 	"gpushare/internal/kernel"
 	"gpushare/internal/simerr"
+	"gpushare/internal/stats"
 	"gpushare/internal/tenancy"
 )
 
-// TestMemSleepDeterminism pins the event-driven memory tick's
-// correctness contract on a memory-bound workload: MUM's divergent
-// pointer chasing keeps requests, DRAM commands, and replies in flight
-// constantly, interleaved with idle memory spans the event-driven tick
-// skips. Every mem-sleep-on engine variant — fast-forward and snapshot
-// modes, the env escape hatch, and resuming from a mid-run checkpoint —
-// must produce statistics (per-partition busy/peak counters included)
-// byte-identical to the straight-through reference.
-func TestMemSleepDeterminism(t *testing.T) {
-	refCfg := config.Default()
-	refCfg.NoMemSleep = true
-	ref := runWorkload(t, "MUM", refCfg, 1)
+// modeDeterminism is the body of the single-workload determinism
+// tests: run simulates the workload under cfg, optionally writing
+// checkpoints into sink or resuming from restore. Every leg — both
+// modes, GPUSHARE_REFERENCE, and resuming from a mid-run checkpoint in
+// both modes — must produce statistics byte-identical to the reference
+// run. Leg names: see legacyLegs.
+func modeDeterminism(t *testing.T, run func(t *testing.T, cfg config.Config, sink checkpoint.Sink, restore []byte) *stats.GPU) {
+	ref := run(t, reference(config.Default()), nil, nil)
 	refJSON := encodeJSON(t, ref)
 
-	variants := sleepVariants
+	legs := legacyLegs("workers=1", "workers=gomaxprocs", "workers=2 ff=off", "workers=1 nosnapshot")
+	restoreModes := engineModes
 	if testing.Short() {
-		// -short keeps one fast-forward-on and one fast-forward-off leg
-		// and leaves the other permutations to the full run.
-		variants = variants[1:3]
+		// -short keeps two optimised legs and one restore, and leaves
+		// the repeat and the reference legs to the full run.
+		legs, restoreModes = legs[1:3], restoreModes[:1]
 	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			if j := encodeJSON(t, runWorkload(t, "MUM", v.cfg(), 1)); j != refJSON {
-				t.Error("mem-sleep-on stats diverge from the straight-through reference")
+	for _, m := range legs {
+		t.Run(m.name, func(t *testing.T) {
+			if j := encodeJSON(t, run(t, m.apply(config.Default()), nil, nil)); j != refJSON {
+				t.Error("stats diverge from the reference")
 			}
 		})
 	}
 
-	// GPUSHARE_NOMEMSLEEP must behave exactly like Config.NoMemSleep.
+	// GPUSHARE_REFERENCE must behave exactly like Config.Reference: the
+	// simulator reports the mode it runs in, and the bytes match.
 	t.Run("env-escape-hatch", func(t *testing.T) {
 		if testing.Short() {
-			t.Skip("full-mode only: one extra straight-through run")
+			t.Skip("full-mode only: one extra reference run")
 		}
-		t.Setenv("GPUSHARE_NOMEMSLEEP", "1")
-		cfg := config.Default()
-		if j := encodeJSON(t, runWorkload(t, "MUM", cfg, 1)); j != refJSON {
-			t.Error("GPUSHARE_NOMEMSLEEP=1 run diverges from Config.NoMemSleep reference")
+		t.Setenv("GPUSHARE_REFERENCE", "1")
+		if sim := MustNew(config.Default()); !sim.Cfg.Reference {
+			t.Error("GPUSHARE_REFERENCE=1 did not select reference mode")
+		}
+		if j := encodeJSON(t, run(t, config.Default(), nil, nil)); j != refJSON {
+			t.Error("GPUSHARE_REFERENCE=1 run diverges from the Config.Reference run")
 		}
 	})
 
-	// Checkpoints taken by an event-driven memory system restore
-	// exactly: the snapshot carries no horizon memos, so the restored
-	// run re-derives them and must still land on the reference bytes.
+	// Checkpoints taken by the optimised engine restore exactly: the
+	// snapshot carries no horizon memos, cards or censuses, so the
+	// restored run re-derives them and must still land on the reference
+	// bytes.
 	t.Run("restore", func(t *testing.T) {
-		stride := ref.Cycles / 4
-		if stride < 1 {
-			stride = 1
-		}
 		ckCfg := config.Default()
-		ckCfg.CheckpointStride = stride
+		ckCfg.CheckpointStride = max(ref.Cycles/4, 1)
 		sink := checkpoint.NewMemSink()
-		if j := encodeJSON(t, runWorkloadCK(t, "MUM", ckCfg, 1, sink, nil)); j != refJSON {
+		if j := encodeJSON(t, run(t, ckCfg, sink, nil)); j != refJSON {
 			t.Fatal("enabling checkpoints changed the statistics")
 		}
 		cycles := sink.List()
 		if len(cycles) == 0 {
-			t.Fatalf("no checkpoints taken in %d cycles at stride %d", ref.Cycles, stride)
+			t.Fatalf("no checkpoints taken in %d cycles", ref.Cycles)
 		}
 		mid := cycles[len(cycles)/2]
-		restoreVariants := variants
-		if testing.Short() {
-			restoreVariants = variants[:1]
-		}
-		for _, v := range restoreVariants {
-			if j := encodeJSON(t, runWorkloadCK(t, "MUM", v.cfg(), 1, nil, sink.Get(mid))); j != refJSON {
-				t.Errorf("restore at cycle %d under %s diverges from straight-through", mid, v.name)
+		for _, m := range restoreModes {
+			if j := encodeJSON(t, run(t, m.apply(config.Default()), nil, sink.Get(mid))); j != refJSON {
+				t.Errorf("restore at cycle %d under %s diverges from straight-through", mid, m.name)
 			}
 		}
 	})
 }
 
-// TestMemSleepTenancyDeterminism extends the mem-sleep contract to all
-// three tenancy policies: for each, the event-driven memory tick must
-// match the straight-through reference byte-for-byte. The time-slice
-// leg additionally covers a memory system that persists across
-// per-slice engine rebuilds.
+// TestMemSleepDeterminism pins the engine-mode contract on a
+// memory-bound workload: MUM's divergent pointer chasing keeps
+// requests, DRAM commands and replies in flight constantly, interleaved
+// with idle memory spans the event-driven tick skips (per-partition
+// busy/peak counters are part of the compared bytes), and keeps most
+// warps blocked, so the SMs run on issue cards and censuses.
+func TestMemSleepDeterminism(t *testing.T) {
+	modeDeterminism(t, func(t *testing.T, cfg config.Config, sink checkpoint.Sink, restore []byte) *stats.GPU {
+		return runWorkloadCK(t, "MUM", cfg, 1, sink, restore)
+	})
+}
+
+// TestMemSleepTenancyDeterminism extends the contract to all three
+// tenancy policies: for each, the optimised engine must match the
+// reference byte-for-byte. The time-slice leg additionally covers a
+// memory system that persists across per-slice SM rebuilds.
 func TestMemSleepTenancyDeterminism(t *testing.T) {
 	for _, policy := range []tenancy.Policy{tenancy.Spatial, tenancy.CoSched, tenancy.TimeSlice} {
 		t.Run(policy.String(), func(t *testing.T) {
-			baseCfg := func() config.Config {
-				cfg := config.Default()
-				cfg.Sharing, cfg.T = config.ShareScratchpad, 0.1
-				return cfg
-			}
-			refCfg := baseCfg()
-			refCfg.NoMemSleep = true
-			refJSON := encodeJSON(t, runMulti(t, refCfg, twoTenantSpec(policy), 1))
-			if j := encodeJSON(t, runMulti(t, baseCfg(), twoTenantSpec(policy), 1)); j != refJSON {
-				t.Error("mem-sleep-on stats diverge from straight-through")
+			cfg := config.Default()
+			cfg.Sharing, cfg.T = config.ShareScratchpad, 0.1
+			want := encodeJSON(t, runMulti(t, reference(cfg), twoTenantSpec(policy), 1))
+			if got := encodeJSON(t, runMulti(t, cfg, twoTenantSpec(policy), 1)); got != want {
+				t.Error("optimised stats diverge from the reference")
 			}
 		})
 	}
@@ -156,13 +156,10 @@ func TestMemSleepMissedWakeCaught(t *testing.T) {
 
 // BenchmarkComputeBound is the regime the event-driven memory tick
 // targets end to end: a single ALU-bound block keeps SM0 issuing every
-// cycle (so the machine-global fast-forward never arms and every cycle
-// runs the full loop body) while the memory system sits drained. With
-// the straight-through tick every one of those cycles walks all
-// partitions for nothing; event-driven, the walk is one memoized
-// comparison. tools/bench.sh gates its ns/op against
-// BENCH_baseline.json; compare against a GPUSHARE_NOMEMSLEEP=1 run for
-// the mem-sleep speedup itself.
+// cycle while the memory system sits drained. With the
+// straight-through tick every one of those cycles walks all partitions
+// for nothing; event-driven, the walk is one memoized comparison.
+// tools/bench.sh gates its ns/op against BENCH_baseline.json.
 func BenchmarkComputeBound(b *testing.B) {
 	cfg := config.Default()
 	k := memBoundKernel(b) // grid of 1: only the ALU path runs

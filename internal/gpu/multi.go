@@ -34,11 +34,8 @@ func (s *Sim) RunMulti(spec *tenancy.Spec, launches []*kernel.Launch) (*stats.GP
 //     resident blocks drain — a deterministic context switch.
 //
 // The run is bit-deterministic for a given (config, spec, launches)
-// regardless of snapshot mode, like RunCtx. Idle
-// fast-forward is not used (tenants progress at different rates, so a
-// globally frozen cycle is rare and not worth the horizon walks);
-// dynamic warp execution is rejected because its SM0-reference design
-// has no per-tenant meaning.
+// in either engine mode, like RunCtx. Dynamic warp execution is
+// rejected because its SM0-reference design has no per-tenant meaning.
 //
 // The caller validates the spec's workload names; this layer only
 // checks the structural rules it depends on.
@@ -220,15 +217,11 @@ func (s *Sim) runPlaced(ctx context.Context, spec *tenancy.Spec, launches []*ker
 		window = progressWindow
 	}
 
-	eng := newCycleEngine(sms, s.engineOpts())
-	defer eng.detach()
-	chk.SetSleepSource(eng)
 	s.armMemSleep()
 
 	var now int64
 	for now = startAt; ; now++ {
 		if sink != nil && now > 0 && now%ckStride == 0 && now != resumedAt {
-			eng.materialize(now - 1) // sleeping SMs' counters, exact to end of now-1
 			p, err := s.newPayload(modePlaced, kernels, spec, now, sms)
 			if err != nil {
 				return nil, err
@@ -256,7 +249,7 @@ func (s *Sim) runPlaced(ctx context.Context, spec *tenancy.Spec, launches []*ker
 		if now&(cancelStride-1) == 0 && ctx.Err() != nil {
 			return nil, simerr.Wrap(simerr.KindCanceled, now, ctx.Err())
 		}
-		anyIssued, err := eng.tick(now)
+		anyIssued, err := tickSMs(sms, now)
 		if err != nil {
 			if se, ok := simerr.As(err); ok && se.Dump == nil {
 				se.Dump = invariant.BuildDump(now, sms, s.ms)
@@ -274,7 +267,6 @@ func (s *Sim) runPlaced(ctx context.Context, spec *tenancy.Spec, launches []*ker
 			p := pending.pop()
 			ti := sms[p.sm].TenantOfSlot(p.slot)
 			if next[ti] < total[ti] {
-				eng.notifyLaunch(p.sm, now)
 				if err := sms[p.sm].LaunchBlock(p.slot, next[ti]); err != nil {
 					se := simerr.Wrap(simerr.KindInvariant, now, err)
 					se.SM = sms[p.sm].ID
@@ -311,7 +303,6 @@ func (s *Sim) runPlaced(ctx context.Context, spec *tenancy.Spec, launches []*ker
 		}
 	}
 
-	eng.materialize(now) // sleeping SMs still hold un-replayed cycles
 	g := &stats.GPU{Cycles: now + 1}
 	for si := range pl.SMs {
 		slots := 0
@@ -438,8 +429,6 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 			return nil, simerr.Wrap(simerr.KindLaunch, now, err)
 		}
 		chk := invariant.New(stride, invariant.ClassAll, sms, s.ms)
-		eng := newCycleEngine(sms, s.engineOpts())
-		chk.SetSleepSource(eng)
 
 		var pending launchQueue
 		var sliceEnd, lastProgress int64
@@ -474,7 +463,6 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 		}
 		for ; ; now++ {
 			if sink != nil && now > 0 && now%ckStride == 0 && now != resumedAt {
-				eng.materialize(now - 1) // sleeping SMs' counters, exact to end of now-1
 				p, err := s.newPayload(modeTimeslice, kernels, spec, now, sms)
 				if err != nil {
 					return nil, err
@@ -506,7 +494,7 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 			if now&(cancelStride-1) == 0 && ctx.Err() != nil {
 				return nil, simerr.Wrap(simerr.KindCanceled, now, ctx.Err())
 			}
-			anyIssued, err := eng.tick(now)
+			anyIssued, err := tickSMs(sms, now)
 			if err != nil {
 				if se, ok := simerr.As(err); ok && se.Dump == nil {
 					se.Dump = invariant.BuildDump(now, sms, s.ms)
@@ -524,7 +512,6 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 			for pending.len() > 0 && pending.front().at <= now {
 				p := pending.pop()
 				if now < sliceEnd && next[ti] < total[ti] {
-					eng.notifyLaunch(p.sm, now)
 					if err := sms[p.sm].LaunchBlock(p.slot, next[ti]); err != nil {
 						se := simerr.Wrap(simerr.KindInvariant, now, err)
 						se.SM = p.sm
@@ -567,12 +554,6 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 						window, ti))
 			}
 		}
-		// A slice ends only when every SM is idle, so any still-sleeping
-		// SM is idle (zero per-cycle delta) — materialize regardless, so
-		// the replay bookkeeping is settled before stats collection.
-		eng.materialize(now)
-		eng.detach()
-
 		slice := &stats.GPU{ResidentTB: occ.Max}
 		var st stats.Tenant
 		peak, slots := 0, 0

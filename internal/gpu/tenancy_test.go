@@ -50,58 +50,29 @@ func twoTenantSpec(policy tenancy.Policy) *tenancy.Spec {
 // TestTenancyDeterminism extends the engine-determinism contract to all
 // three tenancy policies: for a fixed (config, spec, launches), the
 // statistics — per-tenant breakdowns included — must be deep-equal and
-// byte-identical under every sleep and snapshot mode.
-//
-// Leg names are stable IDs; see TestEngineDeterminism for what their
-// "workers=" prefix means now (nothing).
+// byte-identical in both engine modes.
 func TestTenancyDeterminism(t *testing.T) {
-	variants := []struct {
-		name    string
-		noSnap  bool
-		noSleep bool
-	}{
-		{"workers=gomaxprocs", false, false},
-		{"workers=2", false, false},
-		{"workers=1 nosnapshot", true, false},
-		{"workers=2 nosnapshot", true, false},
-		// The reference runs with per-SM sleep off; these legs prove
-		// the awake engine is unchanged while the legs above prove the
-		// sleep replays are exact under every policy.
-		{"workers=1 nosleep", false, true},
-		{"workers=2 nosleep", false, true},
-	}
+	legs := legacyLegs(
+		"workers=gomaxprocs", "workers=2",
+		"workers=1 nosnapshot", "workers=2 nosnapshot",
+		"workers=1 nosleep", "workers=2 nosleep")
 	for _, policy := range []tenancy.Policy{tenancy.Spatial, tenancy.CoSched, tenancy.TimeSlice} {
 		t.Run(policy.String(), func(t *testing.T) {
-			baseCfg := func() config.Config {
-				cfg := config.Default()
-				cfg.Sharing, cfg.T = config.ShareScratchpad, 0.1
-				return cfg
-			}
-			refCfg := baseCfg()
-			refCfg.NoSMSleep = true
-			ref := runMulti(t, refCfg, twoTenantSpec(policy), 1)
-			refJSON, err := ref.EncodeJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
+			baseCfg := config.Default()
+			baseCfg.Sharing, baseCfg.T = config.ShareScratchpad, 0.1
+			ref := runMulti(t, reference(baseCfg), twoTenantSpec(policy), 1)
+			refJSON := encodeJSON(t, ref)
 			if len(ref.Tenants) != 2 {
 				t.Fatalf("run carries %d tenant entries, want 2", len(ref.Tenants))
 			}
-			for _, v := range variants {
-				t.Run(v.name, func(t *testing.T) {
-					cfg := baseCfg()
-					cfg.NoSnapshot = v.noSnap
-					cfg.NoSMSleep = v.noSleep
-					g := runMulti(t, cfg, twoTenantSpec(policy), 1)
+			for _, m := range legs {
+				t.Run(m.name, func(t *testing.T) {
+					g := runMulti(t, m.apply(baseCfg), twoTenantSpec(policy), 1)
 					if !reflect.DeepEqual(ref, g) {
 						t.Errorf("stats diverge from reference:\n--- reference\n%s--- variant\n%s",
 							ref.Report(), g.Report())
 					}
-					j, err := g.EncodeJSON()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if string(j) != string(refJSON) {
+					if encodeJSON(t, g) != refJSON {
 						t.Error("canonical JSON encoding differs from reference")
 					}
 				})
@@ -114,17 +85,14 @@ func TestTenancyDeterminism(t *testing.T) {
 			// to resume. Every restored run must also keep its
 			// per-tenant counters exactly decomposing machine totals.
 			t.Run("restore", func(t *testing.T) {
-				stride := ref.Cycles / 4
+				stride := max(ref.Cycles/4, 1)
 				if policy == tenancy.TimeSlice {
 					stride = 1024
 				}
-				if stride < 1 {
-					stride = 1
-				}
-				ckCfg := baseCfg()
+				ckCfg := baseCfg
 				ckCfg.CheckpointStride = stride
 				sink := checkpoint.NewMemSink()
-				if j := encodeJSON(t, runMultiCK(t, ckCfg, twoTenantSpec(policy), 1, sink, nil)); j != string(refJSON) {
+				if j := encodeJSON(t, runMultiCK(t, ckCfg, twoTenantSpec(policy), 1, sink, nil)); j != refJSON {
 					t.Fatal("enabling checkpoints changed the statistics")
 				}
 				cycles := sink.List()
@@ -132,9 +100,8 @@ func TestTenancyDeterminism(t *testing.T) {
 					t.Fatalf("no checkpoints taken in %d cycles at stride %d", ref.Cycles, stride)
 				}
 				for _, cy := range sampleCycles(cycles, 6) {
-					cfg := baseCfg()
-					g := runMultiCK(t, cfg, twoTenantSpec(policy), 1, nil, sink.Get(cy))
-					if j := encodeJSON(t, g); j != string(refJSON) {
+					g := runMultiCK(t, baseCfg, twoTenantSpec(policy), 1, nil, sink.Get(cy))
+					if j := encodeJSON(t, g); j != refJSON {
 						t.Errorf("restore at cycle %d diverges from straight-through", cy)
 					}
 					var warpSum int64
@@ -147,12 +114,9 @@ func TestTenancyDeterminism(t *testing.T) {
 					}
 				}
 				mid := cycles[len(cycles)/2]
-				for _, v := range variants {
-					cfg := baseCfg()
-					cfg.NoSnapshot = v.noSnap
-					cfg.NoSMSleep = v.noSleep
-					if j := encodeJSON(t, runMultiCK(t, cfg, twoTenantSpec(policy), 1, nil, sink.Get(mid))); j != string(refJSON) {
-						t.Errorf("restore at cycle %d under %s diverges from straight-through", mid, v.name)
+				for _, m := range engineModes {
+					if j := encodeJSON(t, runMultiCK(t, m.apply(baseCfg), twoTenantSpec(policy), 1, nil, sink.Get(mid))); j != refJSON {
+						t.Errorf("restore at cycle %d under %s diverges from straight-through", mid, m.name)
 					}
 				}
 			})

@@ -28,10 +28,9 @@ const (
 	ClassMemory                       // request conservation across queues
 	ClassSnapshot                     // cached warp snapshots, ready sets, issue cards and censuses match a recompute
 	ClassTenancy                      // tenant isolation: slot ownership, pair locality, cap ledgers
-	ClassSleep                        // sleeping SMs really have no issueable warp and a sound wake cycle
 	ClassMemIdle                      // skipped memory partitions really have no due work: memoized horizons match scan recomputes
 
-	ClassAll = ClassSharing | ClassBarrier | ClassScoreboard | ClassSIMT | ClassMemory | ClassSnapshot | ClassTenancy | ClassSleep | ClassMemIdle
+	ClassAll = ClassSharing | ClassBarrier | ClassScoreboard | ClassSIMT | ClassMemory | ClassSnapshot | ClassTenancy | ClassMemIdle
 )
 
 // String names the classes in a mask, for error messages.
@@ -43,8 +42,7 @@ func (c Class) String() string {
 	}{
 		{ClassSharing, "sharing"}, {ClassBarrier, "barrier"},
 		{ClassScoreboard, "scoreboard"}, {ClassSIMT, "simt"}, {ClassMemory, "memory"},
-		{ClassSnapshot, "snapshot"}, {ClassTenancy, "tenancy"}, {ClassSleep, "sleep"},
-		{ClassMemIdle, "mem-idle"},
+		{ClassSnapshot, "snapshot"}, {ClassTenancy, "tenancy"}, {ClassMemIdle, "mem-idle"},
 	} {
 		if c&e.bit != 0 {
 			parts = append(parts, e.name)
@@ -56,13 +54,6 @@ func (c Class) String() string {
 	return strings.Join(parts, "+")
 }
 
-// SleepSource reports which SMs the cycle engine currently has asleep
-// and until which cycle. Implemented by the engine; indices match the
-// checker's SM slice (both sides are built from the same slice).
-type SleepSource interface {
-	ForEachAsleep(f func(i int, wakeAt int64))
-}
-
 // Checker audits a running GPU. Zero-cost when not constructed: the run
 // loop holds a nil *Checker and Check returns immediately.
 type Checker struct {
@@ -70,21 +61,9 @@ type Checker struct {
 	classes Class
 	sms     []*smcore.SM
 	ms      *mem.System
-	src     SleepSource
 
 	Checks      int64 // audit passes performed
 	mshrScratch map[memKey]bool
-}
-
-// SetSleepSource attaches the cycle engine's sleep set so the sleep
-// class can audit it. Safe on a nil checker (auditing disabled) and
-// with a nil source (one-shot Audit passes have no engine; the sleep
-// class then has nothing to check — sleep state is engine-local and
-// never part of a checkpoint).
-func (c *Checker) SetSleepSource(src SleepSource) {
-	if c != nil {
-		c.src = src
-	}
 }
 
 type memKey struct {
@@ -120,11 +99,6 @@ func (c *Checker) Check(now int64) error {
 			return c.violation(now, -1, err)
 		}
 	}
-	if c.classes&ClassSleep != 0 && c.src != nil {
-		if sm, err := c.auditSleep(now); err != nil {
-			return c.violation(now, sm, err)
-		}
-	}
 	if c.classes&ClassMemIdle != 0 {
 		// No-op on a straight-through memory system; when event-driven,
 		// every memoized horizon must equal a from-scratch recompute —
@@ -135,39 +109,6 @@ func (c *Checker) Check(now int64) error {
 		}
 	}
 	return nil
-}
-
-// auditSleep verifies every sleeping SM two ways. First, a read-only
-// probe of the SM itself: none of its live warps may be issueable at
-// this cycle — if one is, the sleep is skipping live work. Second, the
-// wake cycle is recomputed from scratch (local progress horizon and
-// earliest deliverable reply, the same inputs the engine used) and
-// must not be earlier than the recorded one — if it is, the SM would
-// oversleep past a cycle where it could have progressed. The second
-// check is what catches a MissedWake fault promptly, before the
-// skipped writeback deadline even arrives.
-func (c *Checker) auditSleep(now int64) (smID int, err error) {
-	smID = -1
-	c.src.ForEachAsleep(func(i int, wakeAt int64) {
-		if err != nil || now >= wakeAt {
-			return
-		}
-		sm := c.sms[i]
-		if e := sm.AuditSleep(now); e != nil {
-			smID, err = sm.ID, e
-			return
-		}
-		h := sm.ProgressHorizon(now)
-		if r := c.ms.NextReplyAt(sm.ID, now); r < h {
-			h = r
-		}
-		if h < wakeAt {
-			smID = sm.ID
-			err = fmt.Errorf("SM%d sleeps until cycle %d but its recomputed wake horizon is %d (missed wake)",
-				sm.ID, wakeAt, h)
-		}
-	})
-	return smID, err
 }
 
 // Audit runs the given invariant families once over a machine state,

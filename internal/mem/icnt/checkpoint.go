@@ -1,7 +1,5 @@
 package icnt
 
-import "math"
-
 // ForEachAt calls f for every undelivered packet with its destination
 // port and absolute delivery-ready cycle, oldest first within each
 // port. Read-only; used by the checkpoint serializer (which must
@@ -27,20 +25,12 @@ func (n *Network) Clear() {
 			q.pop()
 		}
 	}
-	n.memoNext = math.MaxInt64
-	n.memoDirty = false
 }
 
 // Inject enqueues a packet at dst with an absolute ready cycle,
 // bypassing the latency adder. Packets must be injected in the same
 // oldest-first order ForEachAt reported them, since each port delivers
-// in FIFO order. Used by the checkpoint restorer only. The NextReady
-// memo is re-derived incrementally, never serialized: like Push, only
-// a packet landing on an empty port can lower the cached minimum.
+// in FIFO order. Used by the checkpoint restorer only.
 func (n *Network) Inject(dst int, payload any, readyAt int64) {
-	q := &n.ports[dst]
-	if q.n == 0 && readyAt < n.memoNext {
-		n.memoNext = readyAt
-	}
-	q.push(Packet{Payload: payload, readyAt: readyAt})
+	n.ports[dst].push(Packet{Payload: payload, readyAt: readyAt})
 }

@@ -53,106 +53,34 @@ func (r *ring) pop() any {
 type Network struct {
 	latency int64
 	ports   []ring
-
-	// memoNext caches the minimum front readyAt across all ports as an
-	// absolute cycle (math.MaxInt64 when empty), so NextReady is O(1)
-	// between deliveries. The memo is maintained incrementally: a push
-	// onto an empty port can only lower the minimum (a push onto a
-	// non-empty port lands behind a front with an earlier-or-equal
-	// readyAt, since readyAt is nondecreasing per port), while a pop
-	// can only raise it, which marks the memo dirty for a lazy rescan.
-	memoNext  int64
-	memoDirty bool
 }
 
 // New returns a network with the given number of destination ports and a
 // fixed traversal latency in cycles.
 func New(ports int, latency int) *Network {
-	return &Network{latency: int64(latency), ports: make([]ring, ports), memoNext: math.MaxInt64}
+	return &Network{latency: int64(latency), ports: make([]ring, ports)}
 }
 
 // Push injects a packet toward dst at time now.
 func (n *Network) Push(dst int, payload any, now int64) {
-	q := &n.ports[dst]
-	at := now + n.latency
-	if q.n == 0 && at < n.memoNext {
-		n.memoNext = at
-	}
-	q.push(Packet{Payload: payload, readyAt: at})
+	n.ports[dst].push(Packet{Payload: payload, readyAt: now + n.latency})
 }
 
 // Pop removes and returns the payload of the oldest packet at dst whose
-// latency has elapsed, or nil if none is deliverable this cycle. The
-// NextReady memo is only marked dirty here, never recomputed.
+// latency has elapsed, or nil if none is deliverable this cycle.
 func (n *Network) Pop(dst int, now int64) any {
 	q := &n.ports[dst]
 	if q.n == 0 || q.front().readyAt > now {
 		return nil
 	}
-	n.memoDirty = true
 	return q.pop()
 }
 
-// NextReady returns the earliest future cycle at which any port could
-// deliver a packet, or math.MaxInt64 when the network is empty. A packet
+// NextReadyPort returns the earliest future cycle at which dst could
+// deliver a packet, or math.MaxInt64 when the port is empty. A packet
 // that is already deliverable (held back only by the one-per-cycle
-// ejection bandwidth) reports now+1. Used by the idle fast-forward to
-// bound its jump: the network cannot act before the returned cycle.
-//
-// Amortized O(1): the port scan only happens after a delivery dirtied
-// the memo; between deliveries (exactly the idle spans the fast-forward
-// probes every quiet cycle) this is a clamp on a cached minimum.
-func (n *Network) NextReady(now int64) int64 {
-	if n.memoDirty {
-		n.memoNext = n.nextReadyAbs()
-		n.memoDirty = false
-	}
-	at := n.memoNext
-	if at == math.MaxInt64 {
-		return at
-	}
-	if at <= now {
-		return now + 1
-	}
-	return at
-}
-
-// nextReadyAbs recomputes the minimum front readyAt across all ports,
-// unclamped (math.MaxInt64 when empty).
-func (n *Network) nextReadyAbs() int64 {
-	next := int64(math.MaxInt64)
-	for i := range n.ports {
-		q := &n.ports[i]
-		if q.n == 0 {
-			continue
-		}
-		if at := q.front().readyAt; at < next {
-			next = at
-		}
-	}
-	return next
-}
-
-// NextReadyScan is NextReady computed by a full port scan, bypassing
-// the memo. The invariant auditor and the horizon property tests use it
-// as the ground truth the memoized value must equal.
-func (n *Network) NextReadyScan(now int64) int64 {
-	at := n.nextReadyAbs()
-	if at == math.MaxInt64 {
-		return at
-	}
-	if at <= now {
-		return now + 1
-	}
-	return at
-}
-
-// NextReadyPort is NextReady for a single destination port: the
-// earliest future cycle at which dst could deliver a packet, or
-// math.MaxInt64 when the port is empty. A packet that is already
-// deliverable (held back only by the one-per-cycle ejection bandwidth)
-// reports now+1. The per-SM sleep machinery uses it to bound one SM's
-// wake cycle without scanning every port.
+// ejection bandwidth) reports now+1. The memory system's partition
+// horizons use it to bound a partition's next request arrival.
 func (n *Network) NextReadyPort(dst int, now int64) int64 {
 	q := &n.ports[dst]
 	if q.n == 0 {

@@ -98,14 +98,6 @@ type System struct {
 	sleep  bool
 	nextAt int64
 	faults *fault.Plan
-
-	// replyObs, when set, is called whenever a reply is pushed toward an
-	// SM, with the earliest cycle at which that SM could pop it. The
-	// per-SM sleep machinery uses it to wake a sleeping SM whose wake
-	// cycle predates the new reply's arrival would otherwise be missed —
-	// i.e. to shorten a sleep when fresh traffic arrives. Called from
-	// Tick only, never while an SM is ticking.
-	replyObs func(sm int, readyAt int64)
 }
 
 // SetEventDriven arms (on) or disarms the event-driven tick. Horizons
@@ -121,34 +113,6 @@ func (s *System) SetEventDriven(on bool, faults *fault.Plan) {
 	for _, p := range s.partitions {
 		p.nextAt = math.MinInt64
 	}
-}
-
-// SetReplyObserver installs (or, with nil, removes) the reply-delivery
-// callback. See the replyObs field comment for the contract.
-func (s *System) SetReplyObserver(f func(sm int, readyAt int64)) { s.replyObs = f }
-
-// notifyReply fires the reply observer for a reply pushed at cycle now.
-// The reply becomes poppable after the reply-network latency, but never
-// in the same cycle it was pushed.
-func (s *System) notifyReply(sm int, now int64) {
-	if s.replyObs == nil {
-		return
-	}
-	rdy := now + s.toSM.Latency()
-	if rdy <= now {
-		rdy = now + 1
-	}
-	s.replyObs(sm, rdy)
-}
-
-// NextReplyAt returns the earliest future cycle (> now) at which the
-// reply network could deliver a packet to the given SM, or
-// math.MaxInt64 when nothing is in flight toward it. Replies already
-// deliverable (held back only by the one-per-cycle ejection bandwidth)
-// report now+1, so an SM with a reply backlog never sleeps past its
-// next drain opportunity.
-func (s *System) NextReplyAt(sm int, now int64) int64 {
-	return s.toSM.NextReadyPort(sm, now)
 }
 
 // NewSystem builds the memory system for a configuration.
@@ -263,7 +227,6 @@ func (s *System) tickPartition(pi int, p *partition, now int64) {
 		delete(p.mshr, req.LineAddr)
 		for _, w := range waiters {
 			s.toSM.Push(w.SM, w, now)
-			s.notifyReply(w.SM, now)
 		}
 		// Recycle the waiter slice for the next first-miss on this
 		// partition (the requests themselves are owned by the SMs now).
@@ -281,7 +244,6 @@ func (s *System) tickPartition(pi int, p *partition, now int64) {
 	for p.pendHead < len(p.pending) && p.pending[p.pendHead].at <= now {
 		d := &p.pending[p.pendHead]
 		s.toSM.Push(d.req.SM, d.req, now)
-		s.notifyReply(d.req.SM, now)
 		d.req = nil
 		p.pendHead++
 		worked = true
@@ -377,12 +339,6 @@ func (s *System) AuditMemIdle(now int64) error {
 	if s.nextAt != min {
 		return fmt.Errorf("memory system early-out bound %d != minimum partition horizon %d", s.nextAt, min)
 	}
-	if memo, scan := s.toMem.NextReady(now), s.toMem.NextReadyScan(now); memo != scan {
-		return fmt.Errorf("request network memoized next-ready %d != scan %d", memo, scan)
-	}
-	if memo, scan := s.toSM.NextReady(now), s.toSM.NextReadyScan(now); memo != scan {
-		return fmt.Errorf("reply network memoized next-ready %d != scan %d", memo, scan)
-	}
 	return nil
 }
 
@@ -434,74 +390,6 @@ func newDRAMReq(addr uint32, isWrite bool, tag *LineRequest, arrive int64) *dram
 	r := dram.GetRequest()
 	r.Addr, r.IsWrite, r.Tag, r.Arrive = addr, isWrite, tag, arrive
 	return r
-}
-
-// NextEvent returns the earliest future cycle (> now) at which the
-// memory system could change state or deliver a reply, assuming no new
-// requests are injected, or math.MaxInt64 if it is fully drained. The
-// idle fast-forward uses this as one input to its jump horizon: every
-// Tick strictly between now and the returned cycle is a no-op, so
-// skipping those cycles is exact.
-//
-// In event-driven mode this is O(1): the partition horizons already
-// fold in the request network, DRAM, and pending L2 hits (s.nextAt is
-// their minimum), so only the reply network's memoized next-ready needs
-// consulting on top. Otherwise it falls back to the full scan.
-func (s *System) NextEvent(now int64) int64 {
-	if s.sleep && s.nextAt != math.MinInt64 {
-		next := s.nextAt
-		if next != math.MaxInt64 && next <= now {
-			next = now + 1
-		}
-		if at := s.toSM.NextReady(now); at < next {
-			next = at
-		}
-		return next
-	}
-	next := s.toMem.NextReady(now)
-	if at := s.toSM.NextReady(now); at < next {
-		next = at
-	}
-	for _, p := range s.partitions {
-		if p.pendHead < len(p.pending) {
-			at := p.pending[p.pendHead].at
-			if at <= now {
-				at = now + 1
-			}
-			if at < next {
-				next = at
-			}
-		}
-		if at := p.dram.NextEvent(now); at < next {
-			next = at
-		}
-	}
-	return next
-}
-
-// NextEventScan is NextEvent computed entirely by full scans, bypassing
-// the partition horizons and every underlying memo. The horizon
-// property tests use it as the ground truth NextEvent must equal.
-func (s *System) NextEventScan(now int64) int64 {
-	next := s.toMem.NextReadyScan(now)
-	if at := s.toSM.NextReadyScan(now); at < next {
-		next = at
-	}
-	for _, p := range s.partitions {
-		if p.pendHead < len(p.pending) {
-			at := p.pending[p.pendHead].at
-			if at <= now {
-				at = now + 1
-			}
-			if at < next {
-				next = at
-			}
-		}
-		if at := p.dram.NextEventScan(now); at < next {
-			next = at
-		}
-	}
-	return next
 }
 
 // Drained reports whether no requests remain anywhere in the system.

@@ -142,7 +142,7 @@ func (s *gto) AuditReady(w []WarpInfo) error { return s.rank.audit(w) }
 // byCategory), hoisting the previously issued warp to the front of its
 // priority class. It is the legacy sort-based ranking, kept as the
 // reference implementation for the incremental ready ranking (and as
-// the active path under Config.NoSnapshot).
+// the active path under Config.Reference).
 func greedyThenOldest(warps []WarpInfo, out []int, last int, byCategory bool) []int {
 	idx := make([]int, 0, len(warps))
 	for i := range warps {

@@ -78,9 +78,7 @@ func (sm *SM) AuditBarriers() error {
 // register or predicate bit of a live warp must be covered by an
 // in-flight writeback event or an outstanding load group, and every
 // queued writeback must still be in the future. A pending bit with no
-// producer means a result was lost — the warp would wait forever. The
-// wheel's memoized next deadline, which bounds every sleep and idle
-// skip, must equal a scan.
+// producer means a result was lost — the warp would wait forever.
 func (sm *SM) AuditScoreboard(now int64) error {
 	covered := make(map[int]uint64)
 	coveredP := make(map[int]uint8)
@@ -103,11 +101,6 @@ func (sm *SM) AuditScoreboard(now int64) error {
 	})
 	if staleAt >= 0 {
 		return fmt.Errorf("SM%d: writeback event scheduled for cycle %d never fired (now %d)", sm.ID, staleAt, now)
-	}
-	if sm.wb.nextOK && sm.wb.next > now {
-		if scan := sm.wb.scanNext(now); scan != sm.wb.next {
-			return fmt.Errorf("SM%d: memoized next writeback deadline %d, wheel scan says %d (stale horizon memo)", sm.ID, sm.wb.next, scan)
-		}
 	}
 	for _, groups := range sm.mshr {
 		for _, g := range groups {

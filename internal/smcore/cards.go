@@ -28,8 +28,7 @@ import (
 // when nobody issues.
 //
 // Both are derived state: never checkpointed, reset by RestoreState,
-// unused under NoSnapshot (the reference that asks every warp every
-// cycle).
+// unused under Config.Reference (which asks every warp every cycle).
 
 // Issue classes. A scoreboard-clear class is classClear + kind<<1, plus
 // classLockWait when the warp was seen failing TryAcquireReg.
@@ -188,7 +187,7 @@ func (sm *SM) countBlocked(t *tenantCtx, reason uint8, n int64) bool {
 
 // block records that warp ws of tenant index tn is blocked in class cls
 // for reason r: it writes the card, charges the attempt and returns cls.
-// Cards are written under NoSnapshot too, where nothing reads them.
+// Cards are written in reference mode too, where nothing reads them.
 func (sm *SM) block(ws int, tn int32, cls, r uint8) uint8 {
 	t := &sm.tens[tn]
 	sm.cards[ws] = issueCard{lockGen: t.shr.LockGen(), class: cls, tn: uint8(tn)}

@@ -74,10 +74,10 @@ func TestClassReasonPrecedence(t *testing.T) {
 	if !ok || !structural {
 		t.Fatalf("replayCensus = (%v, %v), want a structural replay", ok, structural)
 	}
-	d := sm.Stats.Delta(&before)
-	if d.BlockUnit != 5 || d.BlockMemPipe != 0 || d.BlockLockWait != 0 || d.SharedRegWaits != 0 || d.BlockScoreboard != 0 {
-		t.Errorf("replay charged unit %d mem-pipe %d lock %d/%d scoreboard %d, want 5 unit only",
-			d.BlockUnit, d.BlockMemPipe, d.BlockLockWait, d.SharedRegWaits, d.BlockScoreboard)
+	want := before
+	want.BlockUnit += 5
+	if sm.Stats != want {
+		t.Errorf("replay charged %+v over %+v, want 5 unit only", sm.Stats, before)
 	}
 	// With the SFU free the two SFU warps fall through to a lock wait that
 	// is still current; once the lock generation moves, the census cannot
@@ -86,8 +86,10 @@ func TestClassReasonPrecedence(t *testing.T) {
 	if ok, _ := sm.replayCensus(cen, now, false, false); !ok {
 		t.Fatal("replay refused a census whose lock generation is current")
 	}
-	if d := sm.Stats.Delta(&before); d.BlockLockWait != 2 || d.SharedRegWaits != 2 || d.BlockUnit != 3 {
-		t.Errorf("replay charged lock %d/%d unit %d, want 2/2 and 3", d.BlockLockWait, d.SharedRegWaits, d.BlockUnit)
+	want = before
+	want.BlockLockWait, want.SharedRegWaits, want.BlockUnit = before.BlockLockWait+2, before.SharedRegWaits+2, before.BlockUnit+3
+	if sm.Stats != want {
+		t.Errorf("replay charged %+v over %+v, want lock 2/2 and unit 3", sm.Stats, before)
 	}
 	cen.ten[0].lockGen++
 	before = sm.Stats
@@ -129,19 +131,19 @@ func cardMixKernel() *kernel.Kernel {
 }
 
 // TestCardsLockstepWithReference ticks a card/census SM and a
-// NoSnapshot SM side by side, each on its own memory system, through a
+// reference-mode SM side by side, each on its own memory system, through a
 // register-sharing run with the dyn gate drawing random numbers, blocks
 // retiring and relaunching. Every cycle the two must agree on every
 // counter and the card audit must hold; at the end the run must have
 // actually exercised the census and each cacheable reason.
 func TestCardsLockstepWithReference(t *testing.T) {
 	k := cardMixKernel()
-	build := func(noSnapshot bool) (*SM, *mem.System) {
+	build := func(reference bool) (*SM, *mem.System) {
 		cfg := config.Default()
 		cfg.Sharing, cfg.T = config.ShareRegisters, 0.1
 		cfg.Sched = config.SchedOWF
 		cfg.DynWarp = true
-		cfg.NoSnapshot = noSnapshot
+		cfg.Reference = reference
 		ms := mem.NewSystem(&cfg)
 		buf := ms.Global.Alloc(1 << 22)
 		l := &kernel.Launch{Kernel: k, GridDim: 64, Params: []uint32{buf}}

@@ -2,7 +2,6 @@ package smcore
 
 import (
 	"fmt"
-	"os"
 
 	"gpushare/internal/config"
 	"gpushare/internal/core"
@@ -32,9 +31,9 @@ import (
 //     fed from the same refresh, so a cycle's issue order costs a walk
 //     of the ready list instead of a per-cycle sort.
 //
-// Config.NoSnapshot (or GPUSHARE_NOSNAPSHOT=1) disables idea 2: every
-// cycle rebuilds every view and ranks with the legacy sort, which is
-// the reference the snapshot path is audited and tested against.
+// Config.Reference disables idea 2: every cycle rebuilds every view
+// and ranks with the legacy sort, which is the reference the snapshot
+// path is audited and tested against.
 
 // metaEntry is one PC of a Program: the static issue metadata and the
 // decoded instruction.
@@ -103,20 +102,12 @@ func NewProgram(cfg *config.Config, k *kernel.Kernel, occ core.Occupancy) *Progr
 	return p
 }
 
-// envNoSnapshot reads GPUSHARE_NOSNAPSHOT: any value other than empty
-// or "0" forces the recompute path. Like NoFastForward
-// it cannot change results, so it is safe as a plain env escape hatch.
-func envNoSnapshot() bool {
-	v := os.Getenv("GPUSHARE_NOSNAPSHOT")
-	return v != "" && v != "0"
-}
-
 // markDirty queues warp slot ws for re-snapshot before its scheduler's
 // next ranking. Call sites are exactly the events that can change a
 // WarpInfo input (live/finished/atBarrier/DynID/PC/loadRegs); Category
 // changes are handled pair-wide by markPairDirty.
 func (sm *SM) markDirty(ws int) {
-	if sm.noSnapshot {
+	if sm.reference {
 		return
 	}
 	// Before the already-dirty return: a card can be written (by a walk)
@@ -171,7 +162,7 @@ func (sm *SM) refresh(si int) {
 	sm.dirtyList[si] = dl[:0]
 }
 
-// rebuildAll is the NoSnapshot path: rebuild every view of scheduler si
+// rebuildAll is the reference path: rebuild every view of scheduler si
 // from scratch, exactly as the pre-ready-set engine did each cycle.
 func (sm *SM) rebuildAll(si int) []sched.WarpInfo {
 	info := sm.schedInfo[si]
@@ -239,7 +230,7 @@ func (sm *SM) referenceInfo(ws int) sched.WarpInfo {
 // The issue cards and censuses layered on the snapshots are audited the
 // same way (auditCards).
 func (sm *SM) AuditSnapshots(now int64) error {
-	if sm.noSnapshot {
+	if sm.reference {
 		return nil
 	}
 	if err := sm.auditCards(now); err != nil {

@@ -110,7 +110,7 @@ type SM struct {
 	dirtyList  [][]int32
 	slotSched  []int32
 	slotPos    []int32
-	noSnapshot bool
+	reference  bool // Config.Reference: no cached views, cards or censuses
 
 	// Issue cards and per-scheduler censuses (cards.go): cards is indexed
 	// by warp slot, census by scheduler. Derived state, like the views.

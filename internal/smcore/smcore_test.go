@@ -366,12 +366,12 @@ func TestRFBankConflictModel(t *testing.T) {
 // engine they were shared across the per-cycle scheduler loop.
 func TestSchedulerViewBuffersIndependent(t *testing.T) {
 	for _, mode := range []struct {
-		name   string
-		noSnap bool
+		name      string
+		reference bool
 	}{{"snapshots", false}, {"nosnapshot", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := config.Default()
-			cfg.NoSnapshot = mode.noSnap
+			cfg.Reference = mode.reference
 			b := kernel.NewBuilder("multi", 128) // 4 warps: two per scheduler
 			b.MovI(0, 1)
 			for i := 0; i < 30; i++ {

@@ -175,7 +175,7 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 		sm.schedWarps[s] = append(sm.schedWarps[s], ws)
 	}
 
-	sm.noSnapshot = cfg.NoSnapshot || envNoSnapshot()
+	sm.reference = cfg.Reference
 	sm.dirty = make([]bool, len(sm.warps))
 	sm.slotSched = make([]int32, len(sm.warps))
 	sm.slotPos = make([]int32, len(sm.warps))
@@ -197,7 +197,7 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 		sm.schedOrder = append(sm.schedOrder, make([]int, 0, n))
 		sm.dirtyList = append(sm.dirtyList, make([]int32, 0, n))
 		inc, _ := sm.scheds[si].(sched.Incremental)
-		if sm.noSnapshot {
+		if sm.reference {
 			inc = nil // legacy ranking everywhere on the recompute path
 		}
 		sm.incr = append(sm.incr, inc)

@@ -25,8 +25,8 @@ import (
 // had nothing to run at all.
 //
 // The boolean result reports whether any scheduler issued an
-// instruction this cycle; the engine's watchdog and idle fast-forward
-// key off it (an SM only makes forward progress by issuing).
+// instruction this cycle; the run loop's watchdog keys off it (an SM
+// only makes forward progress by issuing).
 func (sm *SM) Tick(now int64) (bool, error) {
 	sm.drainReplies(now)
 	sm.processWritebacks(now)
@@ -42,13 +42,13 @@ func (sm *SM) Tick(now int64) (bool, error) {
 	sfuUsed := false
 
 	for si, sc := range sm.scheds {
-		// Each scheduler ranks from its own cached (or, under
-		// NoSnapshot, freshly rebuilt) view buffer; the buffers are
+		// Each scheduler ranks from its own cached (or, in reference
+		// mode, freshly rebuilt) view buffer; the buffers are
 		// per-scheduler so one scheduler's pass can never clobber
 		// another's views within a cycle.
 		var order []int
-		var cen *census // nil under NoSnapshot: every warp is asked every cycle
-		if sm.noSnapshot {
+		var cen *census // nil in reference mode: every warp is asked every cycle
+		if sm.reference {
 			order = sc.Order(sm.rebuildAll(si), sm.schedOrder[si][:0])
 		} else {
 			cen = &sm.census[si]
@@ -134,7 +134,7 @@ func dependencyMasks(in *isa.Instr) (regs uint64, preds uint8) {
 // higher class a structural block, which drives the stall/idle split;
 // a non-nil error is a functional execution fault that aborts the run.
 func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, error) {
-	if !sm.noSnapshot {
+	if !sm.reference {
 		if cls := sm.cardVerdict(ws, now, *memUsed, *sfuUsed); cls != classNone {
 			return false, cls, nil
 		}

@@ -1,7 +1,5 @@
 package smcore
 
-import "math"
-
 // wbWheelSize is the span of the writeback timing wheel in cycles. It
 // must be a power of two and exceed every writeback latency the SM can
 // schedule (SP/SFU/L1-hit/scratchpad latencies plus conflict penalties);
@@ -19,22 +17,11 @@ type wbWheel struct {
 	slotAt   [wbWheelSize]int64 // deadline currently occupying each slot
 	overflow map[int64][]wbEvent
 	count    int // total scheduled events across slots and overflow
-
-	// next memoizes nextAt: the earliest scheduled deadline, valid once
-	// nextOK and for as long as it lies in the future. schedule lowers it;
-	// the deadline it names retires exactly at that cycle, so a query at
-	// or past it rescans. Derived state (a restore re-schedules every
-	// event, which rebuilds it).
-	next   int64
-	nextOK bool
 }
 
 // schedule enqueues ev for cycle at (scheduled from cycle now).
 func (w *wbWheel) schedule(now, at int64, ev wbEvent) {
 	w.count++
-	if w.nextOK && at < w.next {
-		w.next = at
-	}
 	i := at & (wbWheelSize - 1)
 	if at-now >= wbWheelSize || (len(w.slots[i]) > 0 && w.slotAt[i] != at) {
 		if w.overflow == nil {
@@ -60,33 +47,4 @@ func (w *wbWheel) forEach(f func(at int64, ev *wbEvent)) {
 			f(at, &evs[k])
 		}
 	}
-}
-
-// nextAt returns the earliest deadline strictly after now, or
-// math.MaxInt64 when nothing is scheduled. The per-SM sleep and the
-// idle fast-forward bound their skips with it every quiet cycle, so it
-// answers from the memo and only rescans once the memoized deadline
-// has been reached (its events retired at that cycle).
-func (w *wbWheel) nextAt(now int64) int64 {
-	if !w.nextOK || w.next <= now {
-		w.next, w.nextOK = w.scanNext(now), true
-	}
-	return w.next
-}
-
-// scanNext is nextAt computed by a full walk; the auditor compares the
-// memo against it.
-func (w *wbWheel) scanNext(now int64) int64 {
-	next := int64(math.MaxInt64)
-	for i := range w.slots {
-		if len(w.slots[i]) > 0 && w.slotAt[i] > now && w.slotAt[i] < next {
-			next = w.slotAt[i]
-		}
-	}
-	for at := range w.overflow {
-		if at > now && at < next {
-			next = at
-		}
-	}
-	return next
 }

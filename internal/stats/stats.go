@@ -38,74 +38,6 @@ type SM struct {
 	CoalescedAccess int64 // global-memory line transactions generated
 }
 
-// ScaleForward adds k extra copies of this SM's counter deltas relative
-// to base (a snapshot taken one cycle earlier). The engine's idle
-// fast-forward uses it: when the whole machine is provably frozen until
-// a known future cycle, one representative cycle is simulated normally
-// and its per-cycle counter delta is replayed arithmetically for the
-// skipped cycles, so every cumulative counter matches a cycle-by-cycle
-// run exactly. Non-cumulative fields (MaxResidentTB, DynProbFinal)
-// cannot change during a frozen cycle and are left untouched.
-func (s *SM) ScaleForward(base *SM, k int64) {
-	d := s.Delta(base)
-	s.AddScaled(&d, k)
-}
-
-// Delta returns the cumulative-counter difference s - base. The
-// non-cumulative fields (MaxResidentTB, DynProbFinal) are zero in the
-// result: a frozen cycle cannot change them, so replays leave them
-// untouched. Used by both the machine-global idle fast-forward and the
-// per-SM sleep replay.
-func (s *SM) Delta(base *SM) SM {
-	return SM{
-		Cycles:          s.Cycles - base.Cycles,
-		WarpInstrs:      s.WarpInstrs - base.WarpInstrs,
-		ThreadInstrs:    s.ThreadInstrs - base.ThreadInstrs,
-		StallCycles:     s.StallCycles - base.StallCycles,
-		IdleCycles:      s.IdleCycles - base.IdleCycles,
-		BlockScoreboard: s.BlockScoreboard - base.BlockScoreboard,
-		BlockUnit:       s.BlockUnit - base.BlockUnit,
-		BlockLockWait:   s.BlockLockWait - base.BlockLockWait,
-		BlockDynGate:    s.BlockDynGate - base.BlockDynGate,
-		BlockMemPipe:    s.BlockMemPipe - base.BlockMemPipe,
-		BlocksLaunched:  s.BlocksLaunched - base.BlocksLaunched,
-		BlocksShared:    s.BlocksShared - base.BlocksShared,
-		OwnershipXfers:  s.OwnershipXfers - base.OwnershipXfers,
-		EarlyRegRelease: s.EarlyRegRelease - base.EarlyRegRelease,
-		LockAcquires:    s.LockAcquires - base.LockAcquires,
-		BarrierWaits:    s.BarrierWaits - base.BarrierWaits,
-		SharedRegWaits:  s.SharedRegWaits - base.SharedRegWaits,
-		SharedMemWaits:  s.SharedMemWaits - base.SharedMemWaits,
-		BankConflicts:   s.BankConflicts - base.BankConflicts,
-		CoalescedAccess: s.CoalescedAccess - base.CoalescedAccess,
-	}
-}
-
-// AddScaled adds k copies of the per-cycle delta d to every cumulative
-// counter (the replay half of Delta).
-func (s *SM) AddScaled(d *SM, k int64) {
-	s.Cycles += d.Cycles * k
-	s.WarpInstrs += d.WarpInstrs * k
-	s.ThreadInstrs += d.ThreadInstrs * k
-	s.StallCycles += d.StallCycles * k
-	s.IdleCycles += d.IdleCycles * k
-	s.BlockScoreboard += d.BlockScoreboard * k
-	s.BlockUnit += d.BlockUnit * k
-	s.BlockLockWait += d.BlockLockWait * k
-	s.BlockDynGate += d.BlockDynGate * k
-	s.BlockMemPipe += d.BlockMemPipe * k
-	s.BlocksLaunched += d.BlocksLaunched * k
-	s.BlocksShared += d.BlocksShared * k
-	s.OwnershipXfers += d.OwnershipXfers * k
-	s.EarlyRegRelease += d.EarlyRegRelease * k
-	s.LockAcquires += d.LockAcquires * k
-	s.BarrierWaits += d.BarrierWaits * k
-	s.SharedRegWaits += d.SharedRegWaits * k
-	s.SharedMemWaits += d.SharedMemWaits * k
-	s.BankConflicts += d.BankConflicts * k
-	s.CoalescedAccess += d.CoalescedAccess * k
-}
-
 // Tenant holds per-tenant counters for a multi-kernel run
 // (internal/tenancy): enough to compute a tenant's IPC, stall
 // breakdown, and achieved occupancy independently of its co-residents.
@@ -168,41 +100,6 @@ func (t *Tenant) AddCounters(o *Tenant) {
 	t.BlocksLaunched += o.BlocksLaunched
 	t.BlocksCompleted += o.BlocksCompleted
 	t.BarrierWaits += o.BarrierWaits
-}
-
-// Delta returns the cumulative-counter difference t - base, for the
-// per-SM sleep replay: a sleeping SM's skipped quiet cycles increment
-// per-tenant counters (barrier waits, issue-block reasons) exactly like
-// the SM-level ones, so the replay must cover both. Identity fields and
-// the non-additive occupancy fields are zero in the result.
-func (t *Tenant) Delta(base *Tenant) Tenant {
-	return Tenant{
-		WarpInstrs:      t.WarpInstrs - base.WarpInstrs,
-		ThreadInstrs:    t.ThreadInstrs - base.ThreadInstrs,
-		BlockScoreboard: t.BlockScoreboard - base.BlockScoreboard,
-		BlockUnit:       t.BlockUnit - base.BlockUnit,
-		BlockLockWait:   t.BlockLockWait - base.BlockLockWait,
-		BlockDynGate:    t.BlockDynGate - base.BlockDynGate,
-		BlockMemPipe:    t.BlockMemPipe - base.BlockMemPipe,
-		BlocksLaunched:  t.BlocksLaunched - base.BlocksLaunched,
-		BlocksCompleted: t.BlocksCompleted - base.BlocksCompleted,
-		BarrierWaits:    t.BarrierWaits - base.BarrierWaits,
-	}
-}
-
-// AddScaled adds k copies of the per-cycle delta d to every cumulative
-// counter (the replay half of Delta).
-func (t *Tenant) AddScaled(d *Tenant, k int64) {
-	t.WarpInstrs += d.WarpInstrs * k
-	t.ThreadInstrs += d.ThreadInstrs * k
-	t.BlockScoreboard += d.BlockScoreboard * k
-	t.BlockUnit += d.BlockUnit * k
-	t.BlockLockWait += d.BlockLockWait * k
-	t.BlockDynGate += d.BlockDynGate * k
-	t.BlockMemPipe += d.BlockMemPipe * k
-	t.BlocksLaunched += d.BlocksLaunched * k
-	t.BlocksCompleted += d.BlocksCompleted * k
-	t.BarrierWaits += d.BarrierWaits * k
 }
 
 // Cache holds hit/miss counters for one cache.

@@ -41,8 +41,8 @@ echo "== microbenchmarks (smcore SM tick incl. scratchpad kernel + all-blocked c
 go test -p 1 -run '^$' -bench 'BenchmarkSMTick$|BenchmarkSMTickManyWarps$|BenchmarkSMTickScratchpad$|BenchmarkSMTickStalled$|BenchmarkSMTickLockWait$|BenchmarkWarpExecute$|BenchmarkBankConflictDegree$|BenchmarkSchedOrder$|BenchmarkMemSystemTick$|BenchmarkMemSystemTickIdle|BenchmarkDRAMChannelTick$|BenchmarkCheckpointRoundtrip$' \
     -benchmem -benchtime "$microtime" ./internal/smcore/ ./internal/warp/ ./internal/sched/ ./internal/mem/ ./internal/mem/dram/ ./internal/checkpoint/ | tee "$out"
 
-echo "== end-to-end engine (full hotspot simulation per op; two-tenant co-residency per op; blocked-heavy per-SM sleep per op; compute-bound mem-sleep per op)"
-go test -run '^$' -bench 'BenchmarkRunHotspot$|BenchmarkCoResident|BenchmarkSMSleepMemBound|BenchmarkComputeBound' \
+echo "== end-to-end engine (full hotspot simulation per op; two-tenant co-residency per op; 56 mostly-blocked SMs per op; compute-bound mem-sleep per op)"
+go test -run '^$' -bench 'BenchmarkRunHotspot$|BenchmarkCoResident|BenchmarkBlockedSMs$|BenchmarkComputeBound' \
     -benchmem -benchtime "$e2etime" -timeout 30m ./internal/gpu/ | tee -a "$out"
 
 echo "== service layer (a fresh job through gsched vs straight to its worker; a gserved hit, whole HTTP round trip)"

@@ -5,7 +5,8 @@
 # admission-saturation test — and four simulations run side by side),
 # the bench module's own tests, the allocation budget of the cycle path,
 # a fuzz smoke pass over the assembler, ISA evaluator, warp executor and
-# checkpoint decoder, an invariant-audited tier-1 run, a gserved smoke
+# checkpoint decoder, an invariant-audited tier-1 run, the paper kernels'
+# functional checks on the reference engine, a gserved smoke
 # test (start on a random port, submit a job, drain via SIGTERM), a
 # crash-recovery smoke (kill -9 mid-job, journal replay and checkpoint
 # resume after restart), and a gsched fleet smoke (coordinator + two
@@ -65,6 +66,9 @@ go test -fuzz=FuzzCheckpointDecode -fuzztime=10s ./internal/checkpoint/
 
 echo "== invariant-audited tier-1 (GPUSHARE_INVARIANT_STRIDE=256)"
 GPUSHARE_INVARIANT_STRIDE=256 go test $short ./internal/gpu/ ./internal/workloads/ ./internal/harness/
+
+echo "== reference engine: every paper kernel's functional Check (GPUSHARE_REFERENCE=1)"
+GPUSHARE_REFERENCE=1 go test $short ./internal/workloads/
 
 echo "== gserved smoke test (submit, statusz, SIGTERM drain)"
 smoketmp=$(mktemp -d)
