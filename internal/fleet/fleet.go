@@ -45,12 +45,9 @@ import (
 	"time"
 
 	"gpushare/internal/client"
-	"gpushare/internal/config"
 	"gpushare/internal/fault"
-	"gpushare/internal/runner"
 	"gpushare/internal/server"
 	"gpushare/internal/wal"
-	"gpushare/internal/workloads"
 )
 
 // Options configures a Coordinator. The zero value is usable: 3s
@@ -274,46 +271,6 @@ func newCoordinator(opts Options, holdBound time.Duration) (*Coordinator, error)
 	return c, nil
 }
 
-// buildJob normalizes a submission exactly as gserved does (scale
-// default 1, config default Table I, validation) and returns the runner
-// job plus its content-addressed key. The key computed here must equal
-// the one the worker computes — both exclude daemon-side knobs — which
-// is what makes at-least-once dispatch safe.
-func buildJob(req *server.SubmitRequest) (runner.Job, string, error) {
-	switch {
-	case req.Tenancy != nil:
-		if req.Workload != "" {
-			return runner.Job{}, "", fmt.Errorf("workload and tenancy are mutually exclusive; name workloads inside the tenancy spec")
-		}
-		if err := req.Tenancy.Validate(); err != nil {
-			return runner.Job{}, "", fmt.Errorf("invalid tenancy spec: %w", err)
-		}
-	case req.Workload == "":
-		return runner.Job{}, "", fmt.Errorf("workload is required")
-	default:
-		if _, err := workloads.ByName(req.Workload); err != nil {
-			return runner.Job{}, "", err
-		}
-	}
-	scale := req.Scale
-	if scale <= 0 {
-		scale = 1
-	}
-	cfg := config.Default()
-	if req.Config != nil {
-		cfg = *req.Config
-	}
-	if err := cfg.Validate(); err != nil {
-		return runner.Job{}, "", fmt.Errorf("invalid config: %w", err)
-	}
-	rjob := runner.Job{Workload: req.Workload, Config: cfg, Scale: scale, Tenancy: req.Tenancy}
-	key, err := rjob.Key()
-	if err != nil {
-		return runner.Job{}, "", err
-	}
-	return rjob, key, nil
-}
-
 // validateEnvelope checks the fleet scheduling fields.
 func validateEnvelope(req *SubmitRequest) error {
 	if req.Priority < 0 || req.Priority > maxPriority {
@@ -333,7 +290,7 @@ func (c *Coordinator) submit(req *SubmitRequest, replayed bool) (*fjob, int, err
 	if err := validateEnvelope(req); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	_, key, err := buildJob(&req.SubmitRequest)
+	_, key, err := server.BuildJob(&req.SubmitRequest)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}

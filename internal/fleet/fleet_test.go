@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -23,6 +24,7 @@ import (
 	"gpushare/internal/fleet"
 	"gpushare/internal/runner"
 	"gpushare/internal/server"
+	"gpushare/internal/tenancy"
 )
 
 // seededReq builds a coordinator submission whose content key is unique
@@ -604,5 +606,73 @@ func TestFleetJournalSurvivesKill(t *testing.T) {
 		if got := mustJSON(t, st.Stats); !bytes.Equal(got, sequentialStats(t, reqs[i])) {
 			t.Fatalf("replayed job %d stats differ from the sequential run", i)
 		}
+	}
+}
+
+// TestCoordinatorAndWorkerAgreeOnJobKey: at-least-once dispatch is safe
+// only because the key gsched journals for a submission is the key
+// gserved registers for the same body — both normalize through
+// server.BuildJob. For each kind of submission the two daemons must
+// answer with one key, the coordinator's journal must hold it, and it
+// must be the runner's key for the normalized job; a body one rejects,
+// both reject.
+func TestCoordinatorAndWorkerAgreeOnJobKey(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "gsched.journal")
+	// No workers: the coordinator admits and journals, never dispatches.
+	_, cbase := startCoordinator(t, fleet.Options{JournalPath: journal})
+	_, wbase := startWorker(t, server.Options{})
+
+	gto := config.Default()
+	gto.Sched = config.SchedGTO
+	def := config.Default()
+	spec := &tenancy.Spec{
+		Policy:  tenancy.CoSched,
+		Tenants: []tenancy.TenantSpec{{Workload: "gaussian"}, {Workload: "CONV2"}},
+	}
+	bad := config.Default()
+	bad.NumSMs = -1
+	for _, tc := range []struct {
+		name string
+		req  server.SubmitRequest
+		want *runner.Job // nil: both daemons must answer 400
+	}{
+		{"single-kernel", server.SubmitRequest{Workload: "gaussian", Scale: 2, Config: &gto},
+			&runner.Job{Workload: "gaussian", Scale: 2, Config: gto}},
+		{"tenancy", server.SubmitRequest{Scale: 1, Config: &gto, Tenancy: spec},
+			&runner.Job{Scale: 1, Config: gto, Tenancy: spec}},
+		{"defaulted scale and config", server.SubmitRequest{Workload: "CONV2"},
+			&runner.Job{Workload: "CONV2", Scale: 1, Config: def}},
+		{"unknown workload", server.SubmitRequest{Workload: "no-such-benchmark"}, nil},
+		{"workload and tenancy", server.SubmitRequest{Workload: "gaussian", Tenancy: spec}, nil},
+		{"invalid config", server.SubmitRequest{Workload: "gaussian", Config: &bad}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cst, wst server.JobStatus
+			ccode := doJSON(t, "POST", cbase+"/v1/jobs", tc.req, &cst)
+			wcode := doJSON(t, "POST", wbase+"/v1/jobs", tc.req, &wst)
+			if tc.want == nil {
+				if ccode != http.StatusBadRequest || wcode != http.StatusBadRequest {
+					t.Fatalf("gsched answered %d, gserved %d; want 400 from both", ccode, wcode)
+				}
+				return
+			}
+			if ccode != http.StatusAccepted || wcode != http.StatusAccepted {
+				t.Fatalf("gsched answered %d, gserved %d; want 202 from both", ccode, wcode)
+			}
+			want, err := tc.want.Key()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cst.Key != want || wst.Key != want {
+				t.Fatalf("gsched key %s, gserved key %s, runner key %s", cst.Key, wst.Key, want)
+			}
+			log, err := os.ReadFile(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(log, []byte(`"op":"accept","key":"`+want+`"`)) {
+				t.Fatalf("journal holds no accept record for %s:\n%s", want, log)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"encoding/json"
 	"testing"
 
 	"gpushare/internal/checkpoint"
@@ -163,6 +164,95 @@ func TestCheckpointRejectsMismatchedRun(t *testing.T) {
 	knobbed.Reference = true
 	if err := restoreInto("gaussian", knobbed, blob); err != nil {
 		t.Fatalf("engine knobs invalidated a checkpoint: %v", err)
+	}
+}
+
+// TestCheckpointRejectsTamperedLoopState: a payload that passes the
+// container digest and every identity check but whose loop state indexes
+// outside the machine or the grids must be rejected typed — DESIGN.md's
+// "matches exactly or is rejected" — in every run mode, never panic in
+// the dispatcher and never resume a wrong run.
+func TestCheckpointRejectsTamperedLoopState(t *testing.T) {
+	type tamper struct {
+		name string
+		mut  func(st *loopState)
+	}
+	pend := func(sm, slot int) func(*loopState) {
+		return func(st *loopState) { st.Pending.push(pendingLaunch{sm: sm, slot: slot, at: 1 << 40}) }
+	}
+	common := []tamper{
+		{"pending slot past the SM's slots", pend(0, 1<<20)},
+		{"pending slot negative", pend(0, -1)},
+		{"pending SM past the machine", pend(1<<20, 0)},
+		{"dispatched past the grid", func(st *loopState) { st.Next[0] = 1 << 30 }},
+		{"drained past dispatched", func(st *loopState) { st.Completed[0] = st.Next[0] + 1 }},
+		{"drained negative", func(st *loopState) { st.Completed[0] = -1 }},
+		{"short ledger", func(st *loopState) { st.Done = st.Done[:0] }},
+	}
+	for _, mode := range loopModes {
+		t.Run(mode, func(t *testing.T) {
+			cfg := config.Default()
+			cfg.Sched = config.SchedGTO
+			cfg.CheckpointStride = 1500
+			name, spec := "gaussian", (*tenancy.Spec)(nil)
+			tampers := append([]tamper(nil), common...)
+			switch mode {
+			case "single":
+				tampers = append(tampers,
+					tamper{"dyn vectors not one per SM", func(st *loopState) { st.Dyn.Last = st.Dyn.Last[:1] }},
+					tamper{"dyn state missing", func(st *loopState) { st.Dyn = nil }},
+					tamper{"slice state on a single-kernel run", func(st *loopState) { st.Slice = &sliceState{} }})
+			default:
+				policy, err := tenancy.ParsePolicy(mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name, spec = "", twoTenantSpec(policy)
+				if policy == tenancy.TimeSlice {
+					tampers = append(tampers,
+						tamper{"slice tenant out of range", func(st *loopState) { st.Slice.Tenant = len(st.Next) }},
+						tamper{"slice state missing", func(st *loopState) { st.Slice = nil }})
+				} else {
+					tampers = append(tampers,
+						tamper{"dyn state on a multi-tenant run", func(st *loopState) { st.Dyn = newDynState(cfg.NumSMs) }})
+				}
+			}
+			sink := checkpoint.NewMemSink()
+			if _, err := simulate(cfg, name, spec, 1, sink, nil); err != nil {
+				t.Fatal(err)
+			}
+			_, blob, ok := sink.Latest()
+			if !ok {
+				t.Fatal("no checkpoint captured")
+			}
+			raw, err := checkpoint.Decode(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// reencode applies mut to a fresh decode of the snapshot and
+			// seals it in a digest-valid container again.
+			reencode := func(mut func(*loopState)) []byte {
+				var p payload
+				if err := json.Unmarshal(raw, &p); err != nil {
+					t.Fatal(err)
+				}
+				mut(p.Loop)
+				out, err := json.Marshal(&p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return checkpoint.Encode(out)
+			}
+			cfg.CheckpointStride = 0
+			// Control: the decode/re-encode trip alone is harmless.
+			if _, err := simulate(cfg, name, spec, 1, nil, reencode(func(*loopState) {})); err != nil {
+				t.Fatalf("untampered re-encoded checkpoint rejected: %v", err)
+			}
+			for _, tc := range tampers {
+				_, err := simulate(cfg, name, spec, 1, nil, reencode(tc.mut))
+				wantCheckpointKind(t, err, tc.name)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"gpushare/internal/config"
 	"gpushare/internal/kernel"
 	"gpushare/internal/simerr"
+	"gpushare/internal/stats"
+	"gpushare/internal/tenancy"
 )
 
 // launchVecAdd allocates inputs for an n-thread vecadd and returns its
@@ -25,22 +27,46 @@ func launchVecAdd(t *testing.T, sim *Sim, n int) *kernel.Launch {
 	}
 }
 
-func TestRunCtxPreCanceled(t *testing.T) {
-	sim := MustNew(config.Default())
-	l := launchVecAdd(t, sim, 128*28)
+// loopModes are the four ways into the one cycle loop: the
+// single-kernel run and the three tenancy policies.
+var loopModes = []string{"single", "spatial", "cosched", "timeslice"}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := sim.RunCtx(ctx, l)
-	if err == nil {
-		t.Fatal("RunCtx with a canceled context succeeded")
+// stageMode stages the mode's workload on sim — a 560-block vecadd for
+// "single", the two-tenant mix under the named policy otherwise, both
+// far longer than 2*cancelStride cycles — and returns its run.
+func stageMode(t *testing.T, sim *Sim, mode string) func(context.Context) (*stats.GPU, error) {
+	t.Helper()
+	if mode == "single" {
+		l := launchVecAdd(t, sim, 128*560)
+		return func(ctx context.Context) (*stats.GPU, error) { return sim.RunCtx(ctx, l) }
 	}
-	se, ok := simerr.As(err)
-	if !ok || se.Kind != simerr.KindCanceled {
-		t.Fatalf("err = %v, want KindCanceled SimError", err)
+	policy, err := tenancy.ParsePolicy(mode)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v does not wrap context.Canceled", err)
+	spec := twoTenantSpec(policy)
+	launches := buildTenants(t, sim, spec, 1)
+	return func(ctx context.Context) (*stats.GPU, error) { return sim.RunMultiCtx(ctx, spec, launches) }
+}
+
+func TestRunCtxPreCanceled(t *testing.T) {
+	for _, mode := range loopModes {
+		t.Run(mode, func(t *testing.T) {
+			run := stageMode(t, MustNew(config.Default()), mode)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			_, err := run(ctx)
+			if err == nil {
+				t.Fatal("run with a canceled context succeeded")
+			}
+			se, ok := simerr.As(err)
+			if !ok || se.Kind != simerr.KindCanceled {
+				t.Fatalf("err = %v, want KindCanceled SimError", err)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v does not wrap context.Canceled", err)
+			}
+		})
 	}
 }
 
@@ -62,25 +88,26 @@ func (c *expiringCtx) Err() error {
 }
 
 func TestRunCtxDeadlineStopsMidRun(t *testing.T) {
-	sim := MustNew(config.Default())
-	// Large enough that the simulation runs far past the third poll.
-	l := launchVecAdd(t, sim, 128*560)
+	for _, mode := range loopModes {
+		t.Run(mode, func(t *testing.T) {
+			run := stageMode(t, MustNew(config.Default()), mode)
+			// Live at the polls of cycles 0 and cancelStride, expired at the next.
+			ctx := &expiringCtx{Context: context.Background(), polls: 2}
+			_, err := run(ctx)
 
-	// Live at the polls of cycles 0 and cancelStride, expired at the next.
-	ctx := &expiringCtx{Context: context.Background(), polls: 2}
-	_, err := sim.RunCtx(ctx, l)
-
-	se, ok := simerr.As(err)
-	if !ok || se.Kind != simerr.KindCanceled {
-		t.Fatalf("err = %v, want KindCanceled SimError", err)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v does not wrap context.DeadlineExceeded", err)
-	}
-	// Mid-run, at the first poll after expiry — not at cycle 0, and not
-	// simulated on towards MaxCycles.
-	if se.Cycle != 2*cancelStride {
-		t.Fatalf("canceled at cycle %d, want %d (the first poll after the deadline)", se.Cycle, 2*cancelStride)
+			se, ok := simerr.As(err)
+			if !ok || se.Kind != simerr.KindCanceled {
+				t.Fatalf("err = %v, want KindCanceled SimError", err)
+			}
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v does not wrap context.DeadlineExceeded", err)
+			}
+			// Mid-run, at the first poll after expiry — not at cycle 0, and not
+			// simulated on towards MaxCycles.
+			if se.Cycle != 2*cancelStride {
+				t.Fatalf("canceled at cycle %d, want %d (the first poll after the deadline)", se.Cycle, 2*cancelStride)
+			}
+		})
 	}
 }
 

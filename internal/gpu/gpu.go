@@ -1,8 +1,9 @@
 // Package gpu assembles the whole GPU: the SM array, the memory system,
 // the thread-block dispatcher (including sharing pairs and ownership-
-// transfer relaunch), and the dynamic-warp-execution controller. Its Run
-// loop advances everything on a unified cycle clock until the grid
-// completes.
+// transfer relaunch), and the dynamic-warp-execution controller. One
+// cycle body (run.cycle, in this file) advances everything on a unified
+// cycle clock; Run drives it until the grid completes, RunMulti
+// (multi.go) until every tenant's grid does.
 package gpu
 
 import (
@@ -23,6 +24,7 @@ import (
 	"gpushare/internal/simerr"
 	"gpushare/internal/smcore"
 	"gpushare/internal/stats"
+	"gpushare/internal/tenancy"
 )
 
 // Version is the simulator's behavioural revision, the code component
@@ -53,7 +55,7 @@ type Sim struct {
 	Mem *mem.Global
 
 	// Trace, when non-nil and Cfg.TraceInterval > 0, receives one
-	// progress snapshot every TraceInterval cycles during Run.
+	// progress snapshot every TraceInterval cycles during Run/RunMulti.
 	Trace io.Writer
 
 	// Faults, when non-nil, arms a deterministic fault-injection plan on
@@ -142,10 +144,11 @@ func (s *Sim) Occupancy(k *kernel.Kernel) core.Occupancy {
 	return core.ComputeOccupancy(&s.Cfg, k)
 }
 
-// newSMs builds the machine's SMs for a whole-GPU launch. The kernel is
-// lowered once; every SM shares the one read-only program.
-func (s *Sim) newSMs(l *kernel.Launch, occ core.Occupancy) ([]*smcore.SM, error) {
-	tl := []smcore.TenantLaunch{{Launch: l, Occ: occ, Prog: smcore.NewProgram(&s.Cfg, l.Kernel, occ)}}
+// newSMs builds the machine's SMs for a whole-GPU launch of tenant id's
+// kernel. The kernel is lowered once; every SM shares the one read-only
+// program.
+func (s *Sim) newSMs(id int, l *kernel.Launch, occ core.Occupancy) ([]*smcore.SM, error) {
+	tl := []smcore.TenantLaunch{{ID: id, Launch: l, Occ: occ, Prog: smcore.NewProgram(&s.Cfg, l.Kernel, occ)}}
 	sms := make([]*smcore.SM, s.Cfg.NumSMs)
 	for i := range sms {
 		sm, err := smcore.NewMulti(i, &s.Cfg, tl, s.ms)
@@ -158,6 +161,19 @@ func (s *Sim) newSMs(l *kernel.Launch, occ core.Occupancy) ([]*smcore.SM, error)
 		sms[i] = sm
 	}
 	return sms, nil
+}
+
+// lower validates a launch and returns the copy the run executes
+// (register-unrolled when the configuration asks for it).
+func (s *Sim) lower(l *kernel.Launch) (*kernel.Launch, error) {
+	if err := l.Validate(); err != nil {
+		return nil, err
+	}
+	cp := *l
+	if s.Cfg.UnrollRegs {
+		cp.Kernel = unroll.Apply(l.Kernel)
+	}
+	return &cp, nil
 }
 
 // tickSMs runs one cycle across the SM array, in ascending index on
@@ -179,11 +195,257 @@ func tickSMs(sms []*smcore.SM, now int64) (bool, error) {
 	return any, nil
 }
 
+// run is one cycle loop's dispatcher: the breadth-first block dispatcher
+// the paper evaluates sharing inside (fill slot-major, refill a freed
+// slot after the CTA launch latency), generalised over tenants — a
+// single-kernel run is the one-tenant case. RunCtx, runPlaced and
+// runTimeSlice differ only in set-up, in when they stop, and in whether
+// a freed slot may be refilled; everything a cycle does lives in cycle.
+// See DESIGN.md "One cycle loop, three dispatch policies".
+type run struct {
+	s *Sim
+
+	// What a checkpoint must carry to resume this loop.
+	loopState
+
+	// Checkpoint identity (see payload).
+	mode    string
+	kernels []string
+	spec    *tenancy.Spec
+
+	label    string // names the run in MaxCycles and watchdog aborts
+	total    []int  // grid size, per tenant
+	totalAll int
+	retired  int // blocks drained over all tenants (the sum of Completed)
+
+	sms []*smcore.SM
+	chk *invariant.Checker
+
+	sink        checkpoint.Sink // nil unless checkpointing is armed
+	ckStride    int64
+	resumedAt   int64 // cycle this run was restored at, or -1
+	auditStride int64
+	maxCycles   int64
+	window      int64
+}
+
+// newRun builds the dispatcher for launches[i] as tenant i, with empty
+// ledgers and no SMs yet (see setSMs).
+func (s *Sim) newRun(mode, label string, spec *tenancy.Spec, launches []*kernel.Launch) *run {
+	n := len(launches)
+	r := &run{s: s, mode: mode, label: label, spec: spec, kernels: make([]string, n), total: make([]int, n), resumedAt: -1}
+	r.Next, r.Completed, r.Done = make([]int, n), make([]int, n), make([]int64, n)
+	for i, l := range launches {
+		r.kernels[i] = l.Kernel.Name
+		r.total[i] = l.Blocks()
+		r.totalAll += r.total[i]
+	}
+	if s.CheckpointSink != nil && s.Cfg.CheckpointStride > 0 {
+		r.sink, r.ckStride = s.CheckpointSink, s.Cfg.CheckpointStride
+	}
+	if r.auditStride = s.Cfg.InvariantStride; r.auditStride <= 0 {
+		r.auditStride = envInvariantStride()
+	}
+	if r.maxCycles = s.Cfg.MaxCycles; r.maxCycles <= 0 {
+		r.maxCycles = defaultMaxCycles
+	}
+	if r.window = s.Cfg.ProgressWindow; r.window <= 0 {
+		r.window = progressWindow
+	}
+	return r
+}
+
+// setSMs points the loop at a freshly built SM array: a new invariant
+// checker over it and an empty relaunch queue (a time-slice run calls
+// this once per slice; the ledgers carry over).
+func (r *run) setSMs(sms []*smcore.SM) {
+	r.sms = sms
+	r.chk = invariant.New(r.auditStride, invariant.ClassAll, sms, r.s.ms)
+	r.Pending = launchQueue{}
+}
+
+// start resumes from Sim.RestoreFrom when it is set and otherwise does
+// the initial fill, then arms the memory system; it returns the first
+// cycle to simulate.
+func (r *run) start() (int64, error) {
+	first := int64(0)
+	if blob := r.s.RestoreFrom; blob != nil {
+		p, err := r.decode(blob)
+		if err != nil {
+			return 0, err
+		}
+		if err := r.restore(p); err != nil {
+			return 0, err
+		}
+		first = p.Cycle
+	} else if err := r.fill(-1); err != nil {
+		return 0, err
+	}
+	r.s.armMemSleep()
+	return first, nil
+}
+
+// fill is the initial dispatch: one slot depth at a time across the SMs
+// and the tenants each hosts, so blocks spread evenly, as GPGPU-Sim's
+// breadth-first CTA dispatcher does (slot-major when every SM hosts one
+// tenant). Blocks are numbered linearly (row-major over a 2D grid). at
+// is the cycle a failure is reported at.
+func (r *run) fill(at int64) error {
+	for depth, any := 0, true; any; depth++ {
+		any = false
+		for _, sm := range r.sms {
+			for li := 0; li < sm.Tenants(); li++ {
+				base, cnt := sm.TenantSlots(li)
+				ti := sm.TenantID(li)
+				if depth >= cnt || r.Next[ti] >= r.total[ti] {
+					continue
+				}
+				if err := sm.LaunchBlock(base+depth, r.Next[ti]); err != nil {
+					return simerr.Wrap(simerr.KindInvariant, at, err)
+				}
+				r.Next[ti]++
+				any = true
+			}
+		}
+	}
+	return nil
+}
+
+// cycle simulates cycle now and reports whether any SM issued an
+// instruction: checkpoint, limits, SM and memory ticks, audit, then the
+// dispatcher — refill the slots whose launch latency has elapsed (only
+// while refillOpen) and queue the ones that drained this cycle. It
+// allocates nothing on a cycle that takes no checkpoint.
+func (r *run) cycle(ctx context.Context, now int64, refillOpen bool) (bool, error) {
+	s := r.s
+	// Checkpoint at the top of the cycle: the state is exactly the end
+	// of cycle now-1, no scratch live. The resumedAt guard keeps a
+	// restored run from instantly re-writing the checkpoint it came from.
+	if r.sink != nil && now > 0 && now%r.ckStride == 0 && now != r.resumedAt {
+		blob, err := r.capture(now)
+		if err != nil {
+			return false, err
+		}
+		if err := r.sink.Put(now, blob); err != nil {
+			return false, simerr.Wrap(simerr.KindCheckpoint, now, err)
+		}
+	}
+	if now >= r.maxCycles {
+		return false, s.hangError(simerr.KindMaxCycles, now, r.sms,
+			fmt.Sprintf("%s exceeded %d cycles", r.label, r.maxCycles))
+	}
+	if now&(cancelStride-1) == 0 && ctx.Err() != nil {
+		return false, simerr.Wrap(simerr.KindCanceled, now, ctx.Err())
+	}
+	issued, err := tickSMs(r.sms, now)
+	if err != nil {
+		if se, ok := simerr.As(err); ok && se.Dump == nil {
+			se.Dump = invariant.BuildDump(now, r.sms, s.ms)
+		}
+		return false, err
+	}
+	s.ms.Tick(now)
+	if err := r.chk.Check(now); err != nil {
+		return false, err
+	}
+
+	// Refill freed slots, after the CTA dispatch latency, with the
+	// owning tenant's next CTA. With the refill closed (a time slice
+	// past its quota) a freed slot stays empty.
+	for r.Pending.len() > 0 && r.Pending.front().at <= now {
+		p := r.Pending.pop()
+		sm := r.sms[p.sm]
+		ti := sm.TenantOfSlot(p.slot)
+		if !refillOpen || r.Next[ti] >= r.total[ti] {
+			continue
+		}
+		if err := sm.LaunchBlock(p.slot, r.Next[ti]); err != nil {
+			se := simerr.Wrap(simerr.KindInvariant, now, err)
+			se.SM = sm.ID
+			se.Dump = invariant.BuildDump(now, r.sms, s.ms)
+			return false, se
+		}
+		r.Next[ti]++
+	}
+	for si, sm := range r.sms {
+		for _, slot := range sm.FinishedSlots() {
+			ti := sm.TenantOfSlot(slot)
+			r.Completed[ti]++
+			r.retired++
+			if r.Completed[ti] == r.total[ti] {
+				r.Done[ti] = now
+			}
+			r.Pending.push(pendingLaunch{sm: si, slot: slot, at: now + int64(s.Cfg.CTALaunchLat)})
+		}
+	}
+
+	if s.Trace != nil && s.Cfg.TraceInterval > 0 && now%s.Cfg.TraceInterval == 0 {
+		r.traceSnapshot(now)
+	}
+	return issued, nil
+}
+
+// idle reports whether every SM has drained.
+func (r *run) idle() bool {
+	for _, sm := range r.sms {
+		if !sm.Idle() {
+			return false
+		}
+	}
+	return true
+}
+
+// watchdog is the deadlock detector, run on every cycle that did not
+// complete the loop: forward progress is an SM issuing an instruction.
+func (r *run) watchdog(now int64, issued bool) error {
+	if issued {
+		r.LastProgress = now
+	} else if now-r.LastProgress > r.window {
+		return r.s.hangError(simerr.KindWatchdog, now, r.sms,
+			fmt.Sprintf("%s: no instruction issued for %d cycles (deadlock?)", r.label, r.window))
+	}
+	return nil
+}
+
+// collect finalises every SM's counters into g. ResidentTB is the
+// largest per-SM block-slot grant.
+func (r *run) collect(g *stats.GPU) {
+	for _, sm := range r.sms {
+		sm.FinalizeStats()
+		g.SMs = append(g.SMs, sm.Stats)
+		g.L1.Add(sm.L1Stats())
+		base, n := sm.TenantSlots(sm.Tenants() - 1)
+		g.ResidentTB = max(g.ResidentTB, base+n)
+	}
+}
+
 // Run executes one kernel launch to completion and returns the run
 // statistics. Run may be called repeatedly; global memory and the L2
 // persist across launches (call FlushCaches for cold-cache runs).
 func (s *Sim) Run(l *kernel.Launch) (*stats.GPU, error) {
 	return s.RunCtx(context.Background(), l)
+}
+
+// newSingle lowers a single-kernel launch and builds its machine and
+// dispatcher: the set-up RunCtx and AuditCheckpoint share.
+func (s *Sim) newSingle(l *kernel.Launch) (*run, error) {
+	launch, err := s.lower(l)
+	if err != nil {
+		return nil, simerr.Wrap(simerr.KindLaunch, -1, err)
+	}
+	occ := core.ComputeOccupancy(&s.Cfg, launch.Kernel)
+	if occ.Baseline == 0 {
+		return nil, simerr.New(simerr.KindUnschedulable, -1,
+			"kernel %s does not fit on an SM (%s)", launch.Kernel.Name, occ.Limiter)
+	}
+	sms, err := s.newSMs(0, launch, occ)
+	if err != nil {
+		return nil, simerr.Wrap(simerr.KindLaunch, -1, err)
+	}
+	r := s.newRun(modeSingle, "kernel "+launch.Kernel.Name, nil, []*kernel.Launch{launch})
+	r.setSMs(sms)
+	r.Dyn = newDynState(len(sms))
+	return r, nil
 }
 
 // RunCtx is Run with cooperative cancellation: the cycle loop polls ctx
@@ -193,201 +455,31 @@ func (s *Sim) Run(l *kernel.Launch) (*stats.GPU, error) {
 // simulator state is abandoned, not checkpointed — a canceled run
 // produces no statistics.
 func (s *Sim) RunCtx(ctx context.Context, l *kernel.Launch) (*stats.GPU, error) {
-	if err := l.Validate(); err != nil {
-		return nil, simerr.Wrap(simerr.KindLaunch, -1, err)
-	}
-	launch := *l
-	if s.Cfg.UnrollRegs {
-		k := unroll.Apply(l.Kernel)
-		launch.Kernel = k
-	}
-	occ := core.ComputeOccupancy(&s.Cfg, launch.Kernel)
-	if occ.Baseline == 0 {
-		return nil, simerr.New(simerr.KindUnschedulable, -1,
-			"kernel %s does not fit on an SM (%s)", launch.Kernel.Name, occ.Limiter)
-	}
-
-	sms, err := s.newSMs(&launch, occ)
+	r, err := s.newSingle(l)
 	if err != nil {
-		return nil, simerr.Wrap(simerr.KindLaunch, -1, err)
+		return nil, err
 	}
-
-	stride := s.Cfg.InvariantStride
-	if stride <= 0 {
-		stride = envInvariantStride()
+	now, err := r.start()
+	if err != nil {
+		return nil, err
 	}
-	chk := invariant.New(stride, invariant.ClassAll, sms, s.ms)
-
-	maxCycles := s.Cfg.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = defaultMaxCycles
-	}
-	window := s.Cfg.ProgressWindow
-	if window <= 0 {
-		window = progressWindow
-	}
-
-	dyn := newDynController(&s.Cfg, sms)
-	var pending launchQueue
-	lastProgress := int64(0)
-	totalBlocks := launch.Blocks()
-	nextCTA := 0
-	startAt := int64(0)
-	resumedAt := int64(-1)
-	sink := s.CheckpointSink
-	ckStride := s.Cfg.CheckpointStride
-	if ckStride <= 0 || sink == nil {
-		ckStride, sink = 0, nil
-	}
-	kernels := []string{launch.Kernel.Name}
-
-	if s.RestoreFrom != nil {
-		p, err := s.decodePayload(s.RestoreFrom, modeSingle, kernels, nil)
+	for ; ; now++ {
+		issued, err := r.cycle(ctx, now, true)
 		if err != nil {
 			return nil, err
 		}
-		if err := s.restoreMachine(p, sms); err != nil {
+		r.Dyn.maybeAdjust(&s.Cfg, r.sms, now)
+		// Completion: every CTA dispatched, the relaunch queue drained
+		// (so Cycles includes the trailing CTALaunchLat) and every SM idle.
+		if r.Next[0] >= r.total[0] && r.Pending.len() == 0 && r.idle() {
+			break
+		}
+		if err := r.watchdog(now, issued); err != nil {
 			return nil, err
-		}
-		st := p.Single
-		if len(st.DynLast) != len(sms) || len(st.DynProbs) != len(sms) {
-			return nil, simerr.New(simerr.KindCheckpoint, p.Cycle,
-				"checkpoint dyn-controller state covers %d/%d SMs, run has %d",
-				len(st.DynLast), len(st.DynProbs), len(sms))
-		}
-		copy(dyn.last, st.DynLast)
-		copy(dyn.probs, st.DynProbs)
-		if pending, err = loadQueue(st.Pending, len(sms)); err != nil {
-			return nil, err
-		}
-		nextCTA = st.NextCTA
-		lastProgress = st.LastProgress
-		startAt = p.Cycle
-		resumedAt = p.Cycle
-	} else {
-		// Initial fill, slot-major across SMs so blocks spread evenly, as
-		// GPGPU-Sim's breadth-first CTA dispatcher does. Blocks are numbered
-		// linearly (row-major over the 2D grid).
-		for slot := 0; slot < occ.Max && nextCTA < totalBlocks; slot++ {
-			for _, sm := range sms {
-				if nextCTA >= totalBlocks {
-					break
-				}
-				if err := sm.LaunchBlock(slot, nextCTA); err != nil {
-					return nil, simerr.Wrap(simerr.KindInvariant, -1, err)
-				}
-				nextCTA++
-			}
 		}
 	}
-
-	s.armMemSleep()
-	tracing := s.Trace != nil && s.Cfg.TraceInterval > 0
-
-	var now int64
-	for now = startAt; ; now++ {
-		// Checkpoint at the top of the loop body: the state is exactly
-		// the end of cycle now-1, no scratch live. The resumedAt guard
-		// keeps a restored run from instantly re-writing the checkpoint
-		// it came from.
-		if sink != nil && now > 0 && now%ckStride == 0 && now != resumedAt {
-			p, err := s.newPayload(modeSingle, kernels, nil, now, sms)
-			if err != nil {
-				return nil, err
-			}
-			p.Single = &singleState{
-				NextCTA:      nextCTA,
-				Pending:      saveQueue(&pending),
-				LastProgress: lastProgress,
-				DynLast:      append([]int64(nil), dyn.last...),
-				DynProbs:     append([]float64(nil), dyn.probs...),
-			}
-			blob, err := encodePayload(p)
-			if err != nil {
-				return nil, err
-			}
-			if err := sink.Put(now, blob); err != nil {
-				return nil, simerr.Wrap(simerr.KindCheckpoint, now, err)
-			}
-		}
-		if now >= maxCycles {
-			return nil, s.hangError(simerr.KindMaxCycles, now, sms,
-				fmt.Sprintf("kernel %s exceeded %d cycles", launch.Kernel.Name, maxCycles))
-		}
-		if now&(cancelStride-1) == 0 && ctx.Err() != nil {
-			return nil, simerr.Wrap(simerr.KindCanceled, now, ctx.Err())
-		}
-		anyIssued, err := tickSMs(sms, now)
-		if err != nil {
-			if se, ok := simerr.As(err); ok && se.Dump == nil {
-				se.Dump = invariant.BuildDump(now, sms, s.ms)
-			}
-			return nil, err
-		}
-		s.ms.Tick(now)
-
-		if err := chk.Check(now); err != nil {
-			return nil, err
-		}
-
-		// Refill completed block slots after the CTA dispatch latency.
-		for pending.len() > 0 && pending.front().at <= now {
-			p := pending.pop()
-			if nextCTA < totalBlocks {
-				if err := sms[p.sm].LaunchBlock(p.slot, nextCTA); err != nil {
-					se := simerr.Wrap(simerr.KindInvariant, now, err)
-					se.SM = p.sm
-					se.Dump = invariant.BuildDump(now, sms, s.ms)
-					return nil, se
-				}
-				nextCTA++
-			}
-		}
-		for si, sm := range sms {
-			for _, slot := range sm.FinishedSlots() {
-				pending.push(pendingLaunch{
-					sm: si, slot: slot, at: now + int64(s.Cfg.CTALaunchLat),
-				})
-			}
-		}
-
-		dyn.maybeAdjust(now)
-
-		if tracing && now%s.Cfg.TraceInterval == 0 {
-			s.traceSnapshot(now, sms, nextCTA, launch.GridDim)
-		}
-
-		// Completion: every CTA dispatched and every SM drained.
-		if nextCTA >= totalBlocks && pending.len() == 0 {
-			done := true
-			for _, sm := range sms {
-				if !sm.Idle() {
-					done = false
-					break
-				}
-			}
-			if done {
-				break
-			}
-		}
-
-		// Deadlock detection: forward progress is an SM issuing an
-		// instruction.
-		if anyIssued {
-			lastProgress = now
-		} else if now-lastProgress > window {
-			return nil, s.hangError(simerr.KindWatchdog, now, sms,
-				fmt.Sprintf("kernel %s: no instruction issued for %d cycles (deadlock?)",
-					launch.Kernel.Name, window))
-		}
-	}
-
-	g := &stats.GPU{Cycles: now + 1, ResidentTB: occ.Max}
-	for _, sm := range sms {
-		sm.FinalizeStats()
-		g.SMs = append(g.SMs, sm.Stats)
-		g.L1.Add(sm.L1Stats())
-	}
+	g := &stats.GPU{Cycles: now + 1}
+	r.collect(g)
 	s.ms.CollectStats(g)
 	return g, nil
 }
@@ -412,70 +504,72 @@ func (s *Sim) hangError(kind simerr.Kind, now int64, sms []*smcore.SM, msg strin
 	return se
 }
 
-// traceSnapshot writes one progress line: cycle, dispatched blocks, and
-// aggregate issue/stall/idle counts.
-func (s *Sim) traceSnapshot(now int64, sms []*smcore.SM, nextCTA, grid int) {
+// traceSnapshot writes one progress line: cycle, dispatched blocks (all
+// tenants), and aggregate issue/stall/idle counts.
+func (r *run) traceSnapshot(now int64) {
 	var instrs, stalls, idles int64
-	active := 0
-	for _, sm := range sms {
+	active, dispatched := 0, 0
+	for _, sm := range r.sms {
 		instrs += sm.Stats.WarpInstrs
 		stalls += sm.Stats.StallCycles
 		idles += sm.Stats.IdleCycles
 		active += sm.ActiveBlocks()
 	}
-	fmt.Fprintf(s.Trace, "cycle %9d  blocks %5d/%-5d resident %3d  warpinstrs %10d  stall %9d  idle %9d\n",
-		now, nextCTA, grid, active, instrs, stalls, idles)
+	for _, n := range r.Next {
+		dispatched += n
+	}
+	fmt.Fprintf(r.s.Trace, "cycle %9d  blocks %5d/%-5d resident %3d  warpinstrs %10d  stall %9d  idle %9d\n",
+		now, dispatched, r.totalAll, active, instrs, stalls, idles)
 }
 
-// dynController implements §IV-C: every DynPeriod cycles each SMi (i>0)
+// dynState is the dynamic-warp-execution controller of §IV-C, and the
+// part of it a checkpoint carries: every DynPeriod cycles each SMi (i>0)
 // compares the stall cycles it accumulated in the window against SM0 (on
 // which non-owner memory instructions are disabled outright) and steps
 // its issue probability down if it stalled more, up if it stalled less.
-type dynController struct {
-	cfg   *config.Config
-	sms   []*smcore.SM
-	last  []int64
-	probs []float64
+type dynState struct {
+	Last  []int64   `json:"last"`  // per SM, stall+idle cycles at the last window edge
+	Probs []float64 `json:"probs"` // per SM, current issue probability
 }
 
-func newDynController(cfg *config.Config, sms []*smcore.SM) *dynController {
-	d := &dynController{cfg: cfg, sms: sms, last: make([]int64, len(sms)), probs: make([]float64, len(sms))}
-	for i := range d.probs {
-		d.probs[i] = 1
+func newDynState(nSMs int) *dynState {
+	d := &dynState{Last: make([]int64, nSMs), Probs: make([]float64, nSMs)}
+	for i := range d.Probs {
+		d.Probs[i] = 1
 	}
 	return d
 }
 
-func (d *dynController) maybeAdjust(now int64) {
-	if !d.cfg.DynWarp || len(d.sms) < 2 {
+func (d *dynState) maybeAdjust(cfg *config.Config, sms []*smcore.SM, now int64) {
+	if !cfg.DynWarp || len(sms) < 2 {
 		return
 	}
-	period := int64(d.cfg.DynPeriod)
+	period := int64(cfg.DynPeriod)
 	if period <= 0 || (now+1)%period != 0 {
 		return
 	}
-	window := make([]int64, len(d.sms))
-	for i, sm := range d.sms {
+	window := make([]int64, len(sms))
+	for i, sm := range sms {
 		// The paper's monitor counts stalls in the broad sense; our
 		// split files memory-induced waits under idle, so the window
 		// tracks both.
 		total := sm.Stats.StallCycles + sm.Stats.IdleCycles
-		window[i] = total - d.last[i]
-		d.last[i] = total
+		window[i] = total - d.Last[i]
+		d.Last[i] = total
 	}
-	for i := 1; i < len(d.sms); i++ {
+	for i := 1; i < len(sms); i++ {
 		switch {
 		case window[i] > window[0]:
-			d.probs[i] -= d.cfg.DynStep
+			d.Probs[i] -= cfg.DynStep
 		case window[i] < window[0]:
-			d.probs[i] += d.cfg.DynStep
+			d.Probs[i] += cfg.DynStep
 		}
-		if d.probs[i] < 0 {
-			d.probs[i] = 0
+		if d.Probs[i] < 0 {
+			d.Probs[i] = 0
 		}
-		if d.probs[i] > 1 {
-			d.probs[i] = 1
+		if d.Probs[i] > 1 {
+			d.Probs[i] = 1
 		}
-		d.sms[i].SetDynProb(d.probs[i])
+		sms[i].SetDynProb(d.Probs[i])
 	}
 }

@@ -36,6 +36,9 @@ func (q *launchQueue) push(p pendingLaunch) {
 	q.n++
 }
 
+// at returns the i'th oldest entry, 0 <= i < len.
+func (q *launchQueue) at(i int) pendingLaunch { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
 // front returns the oldest entry; the queue must be non-empty.
 func (q *launchQueue) front() *pendingLaunch { return &q.buf[q.head] }
 

@@ -1,49 +1,57 @@
 package gpu
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"gpushare/internal/config"
 	"gpushare/internal/kernel"
+	"gpushare/internal/simerr"
 )
 
 func TestTraceSnapshots(t *testing.T) {
-	cfg := config.Default()
-	cfg.TraceInterval = 100
-	sim := MustNew(cfg)
-	var buf strings.Builder
-	sim.Trace = &buf
-
-	k := vecAddKernel(t)
-	const n = 128 * 28
-	a := sim.Mem.Alloc(4 * n)
-	b := sim.Mem.Alloc(4 * n)
-	out := sim.Mem.Alloc(4 * n)
-	if _, err := sim.Run(&kernel.Launch{Kernel: k, GridDim: n / 128, Params: []uint32{a, b, out}}); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(buf.String(), "\n")
-	if lines == 0 {
-		t.Fatal("no trace output")
-	}
-	if !strings.Contains(buf.String(), "cycle") || !strings.Contains(buf.String(), "warpinstrs") {
-		t.Errorf("trace format unexpected:\n%.200s", buf.String())
+	for _, mode := range loopModes {
+		t.Run(mode, func(t *testing.T) {
+			cfg := config.Default()
+			cfg.TraceInterval = 100
+			sim := MustNew(cfg)
+			var buf strings.Builder
+			sim.Trace = &buf
+			if _, err := stageMode(t, sim, mode)(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Count(buf.String(), "\n")
+			if lines == 0 {
+				t.Fatal("no trace output")
+			}
+			if !strings.Contains(buf.String(), "cycle") || !strings.Contains(buf.String(), "warpinstrs") {
+				t.Errorf("trace format unexpected:\n%.200s", buf.String())
+			}
+		})
 	}
 }
 
 func TestMaxCyclesAborts(t *testing.T) {
-	cfg := config.Default()
-	cfg.MaxCycles = 10
-	sim := MustNew(cfg)
-	k := vecAddKernel(t)
-	const n = 128 * 28
-	a := sim.Mem.Alloc(4 * n)
-	b := sim.Mem.Alloc(4 * n)
-	out := sim.Mem.Alloc(4 * n)
-	_, err := sim.Run(&kernel.Launch{Kernel: k, GridDim: n / 128, Params: []uint32{a, b, out}})
-	if err == nil || !strings.Contains(err.Error(), "exceeded") {
-		t.Fatalf("MaxCycles not enforced: %v", err)
+	for _, mode := range loopModes {
+		t.Run(mode, func(t *testing.T) {
+			cfg := config.Default()
+			cfg.MaxCycles = 10
+			_, err := stageMode(t, MustNew(cfg), mode)(context.Background())
+			if err == nil || !strings.Contains(err.Error(), "exceeded") {
+				t.Fatalf("MaxCycles not enforced: %v", err)
+			}
+			se, ok := simerr.As(err)
+			if !ok || se.Kind != simerr.KindMaxCycles {
+				t.Fatalf("err = %v, want a KindMaxCycles SimError", err)
+			}
+			if se.Cycle != cfg.MaxCycles {
+				t.Errorf("aborted at cycle %d, want the limit %d", se.Cycle, cfg.MaxCycles)
+			}
+			if se.Dump == nil {
+				t.Error("abort carries no forensic dump")
+			}
+		})
 	}
 }
 

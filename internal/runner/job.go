@@ -107,54 +107,31 @@ func Fingerprint() string {
 }
 
 // simulate executes the job's simulation from scratch or from a
-// checkpoint: it rebuilds the workload instance at the job's scale,
-// runs it under the job's configuration with the caller's context
-// (cancellation stops the cycle loop within one stride), and optionally
-// re-checks functional outputs. When so.sink is set the run writes
-// machine snapshots every so.stride cycles; when so.restore is set the
-// run resumes from that snapshot instead of cycle 0.
+// checkpoint. A single-kernel job is the one-tenant case: every
+// tenant's workload is rebuilt at its own scale (falling back to the
+// job's), staged into the one shared memory system in tenant order, and
+// run under the job's configuration with the caller's context
+// (cancellation stops the cycle loop within one stride). With so.verify
+// set, each tenant's functional check runs against the final memory
+// image — co-residency must not corrupt any tenant's output. When
+// so.sink is set the run writes machine snapshots every so.stride
+// cycles; when so.restore is set the run resumes from that snapshot
+// instead of cycle 0.
 func simulate(ctx context.Context, j Job, so simOpts) (*stats.GPU, error) {
-	if j.Tenancy != nil {
-		return simulateMulti(ctx, j, so)
-	}
-	spec, err := workloads.ByName(j.Workload)
-	if err != nil {
-		return nil, err
-	}
-	cfg := j.Config
-	if so.stride > 0 {
-		cfg.CheckpointStride = so.stride
-	}
-	sim, err := gpu.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sim.CheckpointSink = so.sink
-	sim.RestoreFrom = so.restore
-	inst := spec.Build(j.Scale)
-	inst.Setup(sim.Mem)
-	g, err := sim.RunCtx(ctx, inst.Launch)
-	if err != nil {
-		return nil, err
-	}
-	if so.verify && inst.Check != nil {
-		if err := inst.Check(sim.Mem); err != nil {
-			return nil, fmt.Errorf("functional check failed: %w", err)
-		}
-	}
-	return g, nil
-}
-
-// simulateMulti executes a multi-tenant job: every tenant's workload is
-// built at its own scale (falling back to the job's), staged into the
-// one shared memory system in tenant order, and run concurrently under
-// the job's tenancy spec. With verify set, each tenant's functional
-// check runs against the final memory image — co-residency must not
-// corrupt any tenant's output.
-func simulateMulti(ctx context.Context, j Job, so simOpts) (*stats.GPU, error) {
 	ten := j.Tenancy
-	if err := ten.Validate(); err != nil {
-		return nil, err
+	tenants := []tenancy.TenantSpec{{Workload: j.Workload}}
+	if ten != nil {
+		if err := ten.Validate(); err != nil {
+			return nil, err
+		}
+		tenants = ten.Tenants
+	}
+	// blame names the tenant in a multi-kernel job's errors.
+	blame := func(i int, err error) error {
+		if ten == nil {
+			return err
+		}
+		return fmt.Errorf("tenant %q: %w", ten.TenantName(i), err)
 	}
 	cfg := j.Config
 	if so.stride > 0 {
@@ -166,12 +143,12 @@ func simulateMulti(ctx context.Context, j Job, so simOpts) (*stats.GPU, error) {
 	}
 	sim.CheckpointSink = so.sink
 	sim.RestoreFrom = so.restore
-	launches := make([]*kernel.Launch, len(ten.Tenants))
-	checks := make([]func(*mem.Global) error, len(ten.Tenants))
-	for i, t := range ten.Tenants {
+	launches := make([]*kernel.Launch, len(tenants))
+	checks := make([]func(*mem.Global) error, len(tenants))
+	for i, t := range tenants {
 		spec, err := workloads.ByName(t.Workload)
 		if err != nil {
-			return nil, fmt.Errorf("tenant %q: %w", ten.TenantName(i), err)
+			return nil, blame(i, err)
 		}
 		scale := t.Scale
 		if scale == 0 {
@@ -179,10 +156,14 @@ func simulateMulti(ctx context.Context, j Job, so simOpts) (*stats.GPU, error) {
 		}
 		inst := spec.Build(scale)
 		inst.Setup(sim.Mem)
-		launches[i] = inst.Launch
-		checks[i] = inst.Check
+		launches[i], checks[i] = inst.Launch, inst.Check
 	}
-	g, err := sim.RunMultiCtx(ctx, ten, launches)
+	var g *stats.GPU
+	if ten == nil {
+		g, err = sim.RunCtx(ctx, launches[0])
+	} else {
+		g, err = sim.RunMultiCtx(ctx, ten, launches)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +173,7 @@ func simulateMulti(ctx context.Context, j Job, so simOpts) (*stats.GPU, error) {
 				continue
 			}
 			if err := check(sim.Mem); err != nil {
-				return nil, fmt.Errorf("tenant %q: functional check failed: %w", ten.TenantName(i), err)
+				return nil, blame(i, fmt.Errorf("functional check failed: %w", err))
 			}
 		}
 	}

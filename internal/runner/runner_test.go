@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
@@ -540,47 +541,101 @@ func TestCheckpointCrossProcessResume(t *testing.T) {
 }
 
 // TestCheckpointStaleFallsBackToColdStart: a snapshot that no longer
-// matches the run (here: a container-valid blob whose payload fails the
-// identity cross-check) must not fail the job — the runner clears the
-// trail and restarts the attempt from cycle 0.
+// matches the run must not fail the job — the runner clears the trail,
+// refunds the attempt and restarts from cycle 0, with the clean run's
+// statistics. Two container-valid blobs Latest() will serve and the
+// simulator's decoder must reject typed: an empty payload (fails the
+// identity cross-check), and a real snapshot of this very job in the
+// shape binaries before the one-loop dispatcher wrote — every identity
+// field matches, but the loop state sits under the old "single" key.
 func TestCheckpointStaleFallsBackToColdStart(t *testing.T) {
 	job := cheapJob(nil)
 	key, err := job.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	sink, err := checkpoint.NewDirSink(filepath.Join(dir, key), checkpointKeep)
+	ref, err := New(Options{Workers: 1}).RunJob(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Container-valid but not a snapshot of this run: Latest() serves
-	// it, the simulator's decoder rejects it with a checkpoint error.
-	if err := sink.Put(100, checkpoint.Encode([]byte("{}"))); err != nil {
+	refJSON, err := ref.EncodeJSON()
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	r := New(Options{Workers: 1, CheckpointDir: dir, CheckpointStride: 1000})
-	real := r.simFn
-	var calls int64
-	r.simFn = func(ctx context.Context, j Job, so simOpts) (*stats.GPU, error) {
-		atomic.AddInt64(&calls, 1)
-		return real(ctx, j, so)
+	mem := checkpoint.NewMemSink()
+	if _, err := simulate(context.Background(), job, simOpts{sink: mem, stride: 1000}); err != nil {
+		t.Fatal(err)
 	}
-	res := r.Do(job)
-	if res.Err != nil {
-		t.Fatalf("stale checkpoint failed the job: %v", res.Err)
+	cycle, blob, ok := mem.Latest()
+	if !ok {
+		t.Fatal("no checkpoint captured")
 	}
-	// Two simFn calls (rejected resume, then cold start) but the
-	// rejected resume is refunded: only one attempt did real work.
-	if got := atomic.LoadInt64(&calls); got != 2 {
-		t.Fatalf("simFn called %d times, want 2 (rejected resume, cold start)", got)
+	raw, err := checkpoint.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Attempts != 1 {
-		t.Fatalf("attempts = %d, want 1 (the rejected resume is refunded)", res.Attempts)
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
 	}
-	if c := r.Counters(); c.CkRestored != 1 {
-		t.Fatalf("CkRestored = %d, want 1", c.CkRestored)
+	if fields["loop"] == nil {
+		t.Fatal("snapshot payload has no \"loop\" field to move")
+	}
+	fields["single"] = fields["loop"]
+	delete(fields, "loop")
+	old, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		cycle int64
+		blob  []byte
+	}{
+		{"empty payload", 100, checkpoint.Encode([]byte("{}"))},
+		{"parent-binary payload shape", cycle, checkpoint.Encode(old)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sink, err := checkpoint.NewDirSink(filepath.Join(dir, key), checkpointKeep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Put(tc.cycle, tc.blob); err != nil {
+				t.Fatal(err)
+			}
+
+			r := New(Options{Workers: 1, CheckpointDir: dir, CheckpointStride: 1000})
+			real := r.simFn
+			var calls int64
+			r.simFn = func(ctx context.Context, j Job, so simOpts) (*stats.GPU, error) {
+				atomic.AddInt64(&calls, 1)
+				return real(ctx, j, so)
+			}
+			res := r.Do(job)
+			if res.Err != nil {
+				t.Fatalf("stale checkpoint failed the job: %v", res.Err)
+			}
+			// Two simFn calls (rejected resume, then cold start) but the
+			// rejected resume is refunded: only one attempt did real work.
+			if got := atomic.LoadInt64(&calls); got != 2 {
+				t.Fatalf("simFn called %d times, want 2 (rejected resume, cold start)", got)
+			}
+			if res.Attempts != 1 {
+				t.Fatalf("attempts = %d, want 1 (the rejected resume is refunded)", res.Attempts)
+			}
+			if c := r.Counters(); c.CkRestored != 1 {
+				t.Fatalf("CkRestored = %d, want 1", c.CkRestored)
+			}
+			if b, err := res.Stats.EncodeJSON(); err != nil || !bytes.Equal(b, refJSON) {
+				t.Fatalf("cold-started statistics differ from a clean run (err %v)", err)
+			}
+			if ents, err := os.ReadDir(filepath.Join(dir, key)); err == nil && len(ents) > 0 {
+				t.Fatalf("%d checkpoint files survive the rejected trail", len(ents))
+			}
+		})
 	}
 }
 

@@ -97,7 +97,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rjob, key, err := s.buildJob(&req)
+	rjob, key, err := BuildJob(&req)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Kind: "bad-request"})
 		return
@@ -218,7 +218,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	resp := SweepResponse{Jobs: make([]JobStatus, 0, len(req.Jobs))}
 	for i := range req.Jobs {
 		sub := &req.Jobs[i]
-		rjob, key, err := s.buildJob(sub)
+		rjob, key, err := BuildJob(sub)
 		if err != nil {
 			resp.Jobs = append(resp.Jobs, JobStatus{
 				Workload: sub.Workload, Scale: sub.Scale,

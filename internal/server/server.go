@@ -210,7 +210,7 @@ func newServer(opts Options, holdBound time.Duration) *Server {
 // start).
 func (s *Server) readmit(pending []journalRecord) {
 	for _, rec := range pending {
-		rjob, key, err := s.buildJob(rec.Req)
+		rjob, key, err := BuildJob(rec.Req)
 		if err != nil {
 			// The journaled submission no longer validates (e.g. a
 			// workload was removed): it can never run, retire it.
@@ -308,8 +308,12 @@ func (s *Server) runJob(jb *job) {
 	close(jb.done)
 }
 
-// buildJob validates a submission and materializes the runner job.
-func (s *Server) buildJob(req *SubmitRequest) (runner.Job, string, error) {
+// BuildJob validates a submission, normalizes it (scale default 1,
+// config default Table I) and materializes the runner job with its
+// content-addressed key. gsched calls the same function, so the key the
+// coordinator journals is the key the worker registers — which is what
+// makes at-least-once dispatch safe. Daemon-side knobs are not part of it.
+func BuildJob(req *SubmitRequest) (runner.Job, string, error) {
 	switch {
 	case req.Tenancy != nil:
 		if req.Workload != "" {

@@ -3,7 +3,8 @@
 # concurrency-bearing packages (the runner's worker pool / singleflight,
 # the session layer, the gserved daemon + client — including the
 # admission-saturation test — and four simulations run side by side),
-# the bench module's own tests, the allocation budget of the cycle path,
+# a guard that internal/gpu still has one cycle loop, the bench module's
+# own tests, the allocation budget of the cycle path,
 # a fuzz smoke pass over the assembler, ISA evaluator, warp executor and
 # checkpoint decoder, an invariant-audited tier-1 run, the paper kernels'
 # functional checks on the reference engine, a gserved smoke
@@ -36,6 +37,12 @@ fi
 
 echo "== go build ./..."
 go build ./...
+
+echo "== one cycle loop (each cycle-body step has exactly one call site in internal/gpu)"
+for pat in ':= tickSMs(' '\.ms\.Tick(' '\.Check(now)' '\.Put(now,'; do
+    n=$(cat $(ls internal/gpu/*.go | grep -v _test.go) | grep -v '^[[:space:]]*//' | grep -c -- "$pat" || true)
+    [ "$n" = 1 ] || { echo "internal/gpu: $n call sites of '$pat', want 1 (a forked cycle loop coming back?)" >&2; exit 1; }
+done
 
 echo "== go test -race (runner, harness)"
 go test -race $short ./internal/runner/ ./internal/harness/
