@@ -32,13 +32,24 @@ func scratchSharing() config.Config {
 	return cfg
 }
 
+// twoLevel is the unshared baseline of Figs. 11/12: the one policy that
+// ranks on WaitingLong, the view field patchView rewrites in place.
+func twoLevel() config.Config {
+	cfg := config.Default()
+	cfg.Sched = config.SchedTwoLevel
+	return cfg
+}
+
 // TestCensusExact: issue cards and the census replace the blocked-warp
 // path outright, so Config.Reference — which asks every warp every
 // cycle — is the oracle. Each case runs with the card/census
 // audit on every cycle and must land on the reference bytes: MSHR-full
 // stalls (MUM), register-lock waits under the dyn gate (LIB),
 // scratchpad-lock waits (lavaMD), two tenants' classes in one census
-// (cosched), and a census re-derived from nothing after a restore.
+// (cosched), and a census re-derived from nothing after a restore. The
+// two-level cases audit every in-place WaitingLong write on the cycle it
+// happens, under the policy that ranks on it: a quick kernel with global
+// loads (gaussian) and a latency-bound one (MUM).
 func TestCensusExact(t *testing.T) {
 	audited := func(cfg config.Config) config.Config {
 		cfg.InvariantStride = 1
@@ -52,6 +63,8 @@ func TestCensusExact(t *testing.T) {
 		{"MUM/unshared-lrr", "MUM", true, config.Default},
 		{"LIB/shared-owf-unroll-dyn", "LIB", true, regSharingDyn},
 		{"lavaMD/shared-owf-scratchpad", "lavaMD", false, scratchSharing},
+		{"two-level/gaussian", "gaussian", false, twoLevel},
+		{"two-level/MUM", "MUM", true, twoLevel},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if c.slow && testing.Short() {

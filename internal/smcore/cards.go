@@ -197,10 +197,11 @@ func (sm *SM) block(ws int, tn int32, cls, r uint8) uint8 {
 
 // invalidateCard drops warp ws's card and with it its scheduler's
 // census. Callers are the events that can change the warp-local half of
-// the verdict: the warp's own issue, a writeback or load completion for
-// it, and everything markDirty covers (launch, barrier release, pair
-// ownership change, restore). A new lock generation needs no call: a
-// lock wait is only honoured at the generation it was observed.
+// the verdict: a writeback for the warp (retireWB), its own issue or a
+// load completion for it (patchView), and everything markDirty covers
+// (launch, barrier park and release, finish, pair ownership change,
+// restore). A new lock generation needs no call: a lock wait is only
+// honoured at the generation it was observed.
 func (sm *SM) invalidateCard(ws int) {
 	sm.cards[ws].class = classNone
 	sm.census[sm.slotSched[ws]].valid = false

@@ -18,7 +18,8 @@ import (
 // (RestoreState marks every warp dirty, so the first refresh re-snapshots
 // and re-Syncs every slot — reproducing the identical sorted ranking),
 // the issue cards and censuses (dropped with the views; the first walk
-// re-derives them), the static issue metadata, and the free lists
+// re-derives them), each warp's cached next PC (re-read from the
+// restored SIMT stack), the static issue metadata, and the free lists
 // (allocation identity is not machine state). Payloads written before
 // the never-set sfu_busy field was dropped still decode: the JSON
 // decoder ignores the key.
@@ -262,6 +263,7 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 		wc.pendingPreds = s.PendingPreds
 		wc.loadRegs = s.LoadRegs
 		wc.gen = s.Gen
+		wc.pc = wc.nextPC()
 	}
 	sm.liveBlocks = 0
 	for i := range sm.blocks {

@@ -8,11 +8,11 @@ import (
 	"gpushare/internal/config"
 )
 
-// TestCheckpointDerivedStateAndLegacyFields: issue cards, censuses and
-// the live-block count are derived — none may appear in a payload, and
-// a restore must rebuild or reset them —
-// and a payload written before the never-set sfu_busy field was dropped
-// must still decode and restore to the same machine.
+// TestCheckpointDerivedStateAndLegacyFields: issue cards, censuses, the
+// cached next PCs and the live-block count are derived — none may
+// appear in a payload, and a restore must rebuild or reset them — and a
+// payload written before the never-set sfu_busy field was dropped must
+// still decode and restore to the same machine.
 func TestCheckpointDerivedStateAndLegacyFields(t *testing.T) {
 	cfg := config.Default()
 	k := benchKernelDim(192)
@@ -59,6 +59,7 @@ func TestCheckpointDerivedStateAndLegacyFields(t *testing.T) {
 	// trust anything it finds there.
 	for ws := range dst.cards {
 		dst.cards[ws] = issueCard{class: classScoreboard}
+		dst.warps[ws].pc = 1 << 20
 	}
 	for si := range dst.census {
 		dst.census[si].valid = true

@@ -5,6 +5,7 @@ import (
 
 	"gpushare/internal/config"
 	"gpushare/internal/core"
+	"gpushare/internal/fault"
 	"gpushare/internal/isa"
 	"gpushare/internal/kernel"
 	"gpushare/internal/opt/liveness"
@@ -26,7 +27,8 @@ import (
 //
 //  2. Warp snapshots: each warp's sched.WarpInfo is cached and
 //     recomputed only when an event that can change one of its inputs
-//     fires (markDirty callers). Schedulers that implement
+//     fires (markDirty callers; patchView where only WaitingLong can
+//     have moved). Schedulers that implement
 //     sched.Incremental additionally keep a maintained ready ranking
 //     fed from the same refresh, so a cycle's issue order costs a walk
 //     of the ready list instead of a per-cycle sort.
@@ -103,9 +105,10 @@ func NewProgram(cfg *config.Config, k *kernel.Kernel, occ core.Occupancy) *Progr
 }
 
 // markDirty queues warp slot ws for re-snapshot before its scheduler's
-// next ranking. Call sites are exactly the events that can change a
-// WarpInfo input (live/finished/atBarrier/DynID/PC/loadRegs); Category
-// changes are handled pair-wide by markPairDirty.
+// next ranking. Call sites are the events that can change HasWork or
+// DynID (block launch, barrier release, RestoreState) and patchView,
+// for what an issue or load completion moved beyond WaitingLong;
+// Category changes are handled pair-wide by markPairDirty.
 func (sm *SM) markDirty(ws int) {
 	if sm.reference {
 		return
@@ -119,6 +122,34 @@ func (sm *SM) markDirty(ws int) {
 	sm.dirty[ws] = true
 	si := sm.slotSched[ws]
 	sm.dirtyList[si] = append(sm.dirtyList[si], int32(ws))
+}
+
+// patchView handles the two events that can move nothing in a warp's
+// view but WaitingLong — its own issue (the PC advanced) and the landing
+// of a load group's last line (loadRegs shrank): the field is rewritten
+// in place and refresh, snapshotWarp and Sync never see the warp. What
+// it cannot patch it queues: a warp already queued, one that finished or
+// parked (HasWork flips), and any warp of an early-release tenant, whose
+// ReleaseReg in snapshotWarp must keep firing at its scheduler's next
+// refresh, not at issue time, or lock timing and the statistics move.
+func (sm *SM) patchView(ws int, now int64) {
+	wc := &sm.warps[ws]
+	t := &sm.tens[wc.tn]
+	if sm.reference || sm.dirty[ws] || wc.finished || wc.atBarrier || t.futureShared != nil {
+		sm.markDirty(ws) // a no-op in reference mode, which caches no views
+		return
+	}
+	sm.invalidateCard(ws)
+	view := &sm.schedInfo[sm.slotSched[ws]][sm.slotPos[ws]]
+	waiting := wc.pc >= 0 && t.meta[wc.pc].regMask&wc.loadRegs != 0
+	// Like StaleCard, the fault only takes opportunities that matter: the
+	// patch would flip the field, under the one policy that ranks on it.
+	if waiting != view.WaitingLong && sm.cfg.Sched == config.SchedTwoLevel &&
+		sm.faults.Trip(fault.StaleSnapshot, now, sm.ID, ws,
+			"warp's WaitingLong changed but its scheduler view was not patched") {
+		return
+	}
+	view.WaitingLong = waiting
 }
 
 // markBlockDirty queues every warp of a block slot.
@@ -172,12 +203,14 @@ func (sm *SM) rebuildAll(si int) []sched.WarpInfo {
 	return info
 }
 
-// snapshotWarp computes one warp's scheduler view. This is the write
-// path: it also performs the early-release check (§VIII extension) the
-// legacy buildInfo did, so refresh timing must — and does — cover every
-// cycle on which the release condition can newly hold (the condition's
-// only non-static input is the warp's PC, which advances only at issue,
-// a dirtying event).
+// snapshotWarp computes one warp's scheduler view from its liveness,
+// DynID, Category and the PC (off the SIMT stack, not the cache: this is
+// also the reference engine) against loadRegs. This is the write path:
+// it also performs the early-release check (§VIII extension) the legacy
+// buildInfo did, so refresh timing must — and does — cover every cycle
+// on which the release condition can newly hold (the condition's only
+// non-static input is the warp's PC, which advances only at issue, and
+// an early-release tenant's issue always queues the warp).
 func (sm *SM) snapshotWarp(ws int) sched.WarpInfo {
 	wc := &sm.warps[ws]
 	wi := sched.WarpInfo{Slot: ws}
@@ -222,14 +255,20 @@ func (sm *SM) referenceInfo(ws int) sched.WarpInfo {
 	return wi
 }
 
-// AuditSnapshots cross-checks the ready-set engine: every cached warp
-// snapshot that is not pending refresh must equal a from-scratch
-// recompute, and every incremental scheduler's ready structure must
-// equal the ranking of the cached views. Read-only. A mismatch means an
-// invalidation event was missed — the scheduler is ranking stale state.
-// The issue cards and censuses layered on the snapshots are audited the
-// same way (auditCards).
+// AuditSnapshots cross-checks the ready-set engine: every live warp's
+// cached next PC must equal its SIMT stack's (queued or not, reference
+// mode included), every cached warp snapshot that is not pending refresh
+// must equal a from-scratch recompute, and every incremental scheduler's
+// ready structure must equal the ranking of the cached views. Read-only.
+// A mismatch means an invalidation event was missed — the scheduler is
+// ranking stale state. The issue cards and censuses layered on the
+// snapshots are audited the same way (auditCards).
 func (sm *SM) AuditSnapshots(now int64) error {
+	for ws := range sm.warps {
+		if wc := &sm.warps[ws]; wc.live && wc.pc != wc.nextPC() {
+			return fmt.Errorf("SM%d warp %d: cached next PC %d, SIMT stack says %d (missed PC sync)", sm.ID, ws, wc.pc, wc.nextPC())
+		}
+	}
 	if sm.reference {
 		return nil
 	}

@@ -56,6 +56,19 @@ type warpCtx struct {
 	// writeback events and load completions from a previous occupant
 	// are discarded by comparing generations.
 	gen uint32
+
+	// pc caches nextPC() for the issue path. Derived, never checkpointed;
+	// written where the PC can change: block launch, RestoreState, right
+	// after Execute. It fills the struct's tail padding.
+	pc int32
+}
+
+// nextPC reads the warp's next PC off the SIMT stack, -1 once it is empty.
+func (wc *warpCtx) nextPC() int32 {
+	if pc, _, ok := wc.w.PC(); ok {
+		return int32(pc)
+	}
+	return -1
 }
 
 // blockCtx is one hardware thread-block slot. tn, warpBase, and wpb are
@@ -264,6 +277,7 @@ func (sm *SM) LaunchBlock(slot, ctaID int) error {
 		wc.pendingPreds = 0
 		wc.loadRegs = 0
 		wc.gen++
+		wc.pc = wc.nextPC()
 	}
 	sm.markBlockDirty(slot)
 	sm.Stats.BlocksLaunched++

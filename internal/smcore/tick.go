@@ -143,8 +143,8 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 	if !wc.live || wc.finished || wc.atBarrier {
 		return false, classNone, nil
 	}
-	pc, _, ok := wc.w.PC()
-	if !ok {
+	pc := wc.pc
+	if pc < 0 {
 		return false, classNone, nil
 	}
 	t := &sm.tens[wc.tn]
@@ -219,6 +219,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 	// and the scoreboard are about to move, so the card goes first.
 	sm.cards[ws].class = classNone
 	res, err := wc.w.Execute(&me.op, &b.env, smemAddrs)
+	wc.pc = wc.nextPC()
 	if err != nil {
 		return false, classNone, &simerr.SimError{
 			Kind: simerr.KindExec, Cycle: now, SM: sm.ID, Warp: ws,
@@ -283,7 +284,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 			return true, classNone, nil
 		}
 	}
-	sm.markDirty(ws)
+	sm.patchView(ws, now)
 	return true, classNone, nil
 }
 
@@ -385,7 +386,7 @@ func (sm *SM) processWritebacks(now int64) {
 // retireWB applies one writeback event.
 func (sm *SM) retireWB(ev *wbEvent, now int64) {
 	if ev.group != nil {
-		sm.completeGroupPart(ev.group)
+		sm.completeGroupPart(ev.group, now)
 		return
 	}
 	wc := &sm.warps[ev.warpSlot]
@@ -408,7 +409,7 @@ func (sm *SM) retireWB(ev *wbEvent, now int64) {
 // completeGroupPart retires one line of a load group, clearing the
 // destination scoreboard bits when the last line lands and recycling the
 // group once no references to it remain.
-func (sm *SM) completeGroupPart(g *loadGroup) {
+func (sm *SM) completeGroupPart(g *loadGroup, now int64) {
 	g.remaining--
 	if g.remaining > 0 {
 		return
@@ -418,7 +419,7 @@ func (sm *SM) completeGroupPart(g *loadGroup) {
 		wc.pendingRegs &^= g.regMask
 		wc.loadRegs &^= g.regMask
 		// loadRegs feeds WaitingLong: the warp's scheduler view changed.
-		sm.markDirty(g.warpSlot)
+		sm.patchView(g.warpSlot, now)
 	}
 	// remaining counted the outstanding references (MSHR waiters and
 	// queued writebacks); at zero the group is unreachable and reusable.
@@ -442,7 +443,7 @@ func (sm *SM) drainReplies(now int64) {
 	groups := sm.mshr[req.LineAddr]
 	delete(sm.mshr, req.LineAddr)
 	for _, g := range groups {
-		sm.completeGroupPart(g)
+		sm.completeGroupPart(g, now)
 	}
 	if groups != nil {
 		sm.mshrFree = append(sm.mshrFree, groups[:0])

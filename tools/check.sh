@@ -6,7 +6,8 @@
 # a guard that internal/gpu still has one cycle loop, the bench module's
 # own tests, the allocation budget of the cycle path,
 # a fuzz smoke pass over the assembler, ISA evaluator, warp executor and
-# checkpoint decoder, an invariant-audited tier-1 run, the paper kernels'
+# checkpoint decoder, an invariant-audited tier-1 run (plus the two-level
+# policy against the reference with every cycle audited), the paper kernels'
 # functional checks on the reference engine, a gserved smoke
 # test (start on a random port, submit a job, drain via SIGTERM), a
 # crash-recovery smoke (kill -9 mid-job, journal replay and checkpoint
@@ -73,6 +74,13 @@ go test -fuzz=FuzzCheckpointDecode -fuzztime=10s ./internal/checkpoint/
 
 echo "== invariant-audited tier-1 (GPUSHARE_INVARIANT_STRIDE=256)"
 GPUSHARE_INVARIANT_STRIDE=256 go test $short ./internal/gpu/ ./internal/workloads/ ./internal/harness/
+
+echo "== in-place view patch: two-level vs reference at stride 1, un-short, and the skipped-patch fault"
+# Only the two-level policy ranks on WaitingLong, the field patchView
+# rewrites without a re-snapshot: at stride 1 a view input the patch
+# forgets fails on the cycle it goes stale, not 256 cycles later.
+go test -count=1 -run 'TestCensusExact/.*(2lvl|two-level)' ./internal/gpu/
+go test -count=1 -run 'TestFaultInjectionCaughtByInvariants/stale-view-patch' ./internal/gpu/
 
 echo "== reference engine: every paper kernel's functional Check (GPUSHARE_REFERENCE=1)"
 GPUSHARE_REFERENCE=1 go test $short ./internal/workloads/
