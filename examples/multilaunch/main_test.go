@@ -44,40 +44,38 @@ func TestL2SurvivesLaunchBoundaries(t *testing.T) {
 		return sim, &gpushare.Launch{Kernel: k, GridDim: grid, Params: []uint32{buf}}
 	}
 
-	// L2 counters are cumulative over the simulator's lifetime (the L2
-	// itself persists), so each launch's own profile is the delta from
-	// the previous launch's totals.
+	// Every launch reports its own L2 counters (the L2's contents persist
+	// across launches, its statistics do not pile up).
 	sim, launch := build()
 	cold, err := sim.Run(launch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after2, err := sim.Run(launch)
+	warm, err := sim.Run(launch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmMisses := after2.L2.Misses - cold.L2.Misses
-	warmHits := after2.L2.Hits - cold.L2.Hits
 	if cold.L2.Misses == 0 {
 		t.Fatal("cold launch missed nothing in the L2; the kernel is not exercising the cache")
 	}
-	if warmMisses >= cold.L2.Misses {
+	if warm.L2.Misses >= cold.L2.Misses {
 		t.Errorf("second launch missed %d L2 lines, first missed %d: L2 state did not survive the launch boundary",
-			warmMisses, cold.L2.Misses)
+			warm.L2.Misses, cold.L2.Misses)
 	}
-	if warmHits <= cold.L2.Hits {
-		t.Errorf("second launch hit %d L2 lines vs %d on the first: expected warm reuse", warmHits, cold.L2.Hits)
+	if warm.L2.Hits <= cold.L2.Hits {
+		t.Errorf("second launch hit %d L2 lines vs %d on the first: expected warm reuse", warm.L2.Hits, cold.L2.Hits)
 	}
 
-	// Flushing the caches must restore the cold-start miss profile
-	// exactly — same kernel, same addresses, empty L2.
+	// Flushing the caches must restore the cold start exactly — same
+	// kernel, same addresses, empty L2, closed DRAM rows, a clock that
+	// starts at 0: the same statistics, cycle count included.
 	sim.FlushCaches()
-	after3, err := sim.Run(launch)
+	flushed, err := sim.Run(launch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flushedMisses := after3.L2.Misses - after2.L2.Misses; flushedMisses != cold.L2.Misses {
-		t.Errorf("post-flush launch missed %d L2 lines, cold launch missed %d: FlushCaches is not a cold start",
-			flushedMisses, cold.L2.Misses)
+	if flushed.L2 != cold.L2 || flushed.DRAM != cold.DRAM || flushed.Cycles != cold.Cycles {
+		t.Errorf("post-flush launch: %d cycles, L2 %+v, DRAM %+v; cold launch: %d cycles, L2 %+v, DRAM %+v: FlushCaches is not a cold start",
+			flushed.Cycles, flushed.L2, flushed.DRAM, cold.Cycles, cold.L2, cold.DRAM)
 	}
 }

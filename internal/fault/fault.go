@@ -35,6 +35,7 @@ const (
 	HeartbeatBlackhole        // a network partition: the worker stays alive but every coordinator probe to it is dropped
 	MissedMemWake             // a memory partition's next-work cycle is pushed past its true horizon: the skip swallows live work
 	StaleCard                 // skip an issue-card invalidation at a writeback: the warp stays "scoreboard-blocked" after its operand landed
+	DRAMQueueOrder            // the two newest requests of a DRAM queue trade places: the queue is no longer arrival-ordered
 )
 
 func (k Kind) String() string {
@@ -65,6 +66,8 @@ func (k Kind) String() string {
 		return "missed-mem-wake"
 	case StaleCard:
 		return "stale-card"
+	case DRAMQueueOrder:
+		return "dram-queue-order"
 	}
 	return "none"
 }

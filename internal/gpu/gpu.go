@@ -344,7 +344,12 @@ func (r *run) cycle(ctx context.Context, now int64, refillOpen bool) (bool, erro
 		}
 		return false, err
 	}
-	s.ms.Tick(now)
+	if err := s.ms.Tick(now); err != nil {
+		if se, ok := simerr.As(err); ok {
+			se.Cycle, se.Dump = now, invariant.BuildDump(now, r.sms, s.ms)
+		}
+		return false, err
+	}
 	if err := r.chk.Check(now); err != nil {
 		return false, err
 	}
@@ -420,8 +425,15 @@ func (r *run) collect(g *stats.GPU) {
 }
 
 // Run executes one kernel launch to completion and returns the run
-// statistics. Run may be called repeatedly; global memory and the L2
-// persist across launches (call FlushCaches for cold-cache runs).
+// statistics. Run may be called repeatedly: global memory, the L2
+// contents and the open DRAM rows persist across launches (call
+// FlushCaches for cold-cache runs), and every launch counts its cycles
+// from 0 on a memory system the previous launch left drained — stores
+// still queued in DRAM when a launch's last block retires complete
+// before the next launch starts, on no launch's clock. Every counter in
+// the returned statistics, the L2 and DRAM ones included, is this
+// launch's alone; nothing is cumulative. A simulator whose run failed
+// is not reusable: its memory system was left mid-flight.
 func (s *Sim) Run(l *kernel.Launch) (*stats.GPU, error) {
 	return s.RunCtx(context.Background(), l)
 }
@@ -480,11 +492,22 @@ func (s *Sim) RunCtx(ctx context.Context, l *kernel.Launch) (*stats.GPU, error) 
 	}
 	g := &stats.GPU{Cycles: now + 1}
 	r.collect(g)
+	return s.finish(g)
+}
+
+// finish completes a run's statistics with the memory side and settles
+// the memory system, so that the next launch on this simulator finds it
+// drained, on a clock that starts at 0 again, with its counters at zero.
+func (s *Sim) finish(g *stats.GPU) (*stats.GPU, error) {
 	s.ms.CollectStats(g)
+	if err := s.ms.Settle(g.Cycles); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 
-// FlushCaches invalidates the persistent L2 partitions.
+// FlushCaches invalidates the persistent L2 partitions and closes the
+// open DRAM rows: the next launch starts as cold as a new simulator's.
 func (s *Sim) FlushCaches() { s.ms.FlushCaches() }
 
 // hangError builds the typed error for a watchdog or MaxCycles abort:

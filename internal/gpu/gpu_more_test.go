@@ -7,6 +7,7 @@ import (
 	"gpushare/internal/config"
 	"gpushare/internal/isa"
 	"gpushare/internal/kernel"
+	"gpushare/internal/stats"
 )
 
 // TestUnrollConfigAppliesPass: with UnrollRegs set, a kernel whose first
@@ -93,6 +94,64 @@ func TestMultipleLaunchesOnOneSimulator(t *testing.T) {
 	// performance assertion.
 	if g2.L2.Hits == 0 {
 		t.Error("second run never hit the persistent L2")
+	}
+}
+
+// TestLaunchesStartOnACleanClock: every launch counts its cycles from 0
+// on a memory system the previous launch left settled, and reports its
+// own counters only. Three flushed (cold) launches of one kernel on one
+// simulator therefore return byte-identical statistics, the same as a
+// new simulator's; before the memory system was settled between
+// launches each one waited out its predecessor's length for DRAM (at
+// grid 1 120: 8 718, 16 848, 24 976 cycles) and the L2/DRAM counters piled up. A warm
+// launch in between keeps the L2 (it hits) and is not slower than cold.
+func TestLaunchesStartOnACleanClock(t *testing.T) {
+	cfg := config.Default()
+	k := vecAddKernel(t)
+	const n = 128 * 280
+	setup := func() (*Sim, *kernel.Launch) {
+		sim := MustNew(cfg)
+		a, b, out := sim.Mem.Alloc(4*n), sim.Mem.Alloc(4*n), sim.Mem.Alloc(4*n)
+		return sim, &kernel.Launch{Kernel: k, GridDim: n / 128, Params: []uint32{a, b, out}}
+	}
+	run := func(sim *Sim, l *kernel.Launch) (*stats.GPU, string) {
+		t.Helper()
+		g, err := sim.Run(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := g.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, string(j)
+	}
+	fresh, want := run(setup())
+	if fresh.DRAM.Reads != 2*n*4/128 || fresh.DRAM.Writes == 0 {
+		t.Fatalf("cold launch: %d DRAM reads, %d writes; want %d reads (two input arrays, line by line)", fresh.DRAM.Reads, fresh.DRAM.Writes, 2*n*4/128)
+	}
+	sim, l := setup()
+	for i := 0; i < 3; i++ {
+		g, got := run(sim, l)
+		if g.Cycles != fresh.Cycles {
+			t.Errorf("flushed launch %d: %d cycles, a new simulator takes %d", i, g.Cycles, fresh.Cycles)
+		}
+		if got != want {
+			t.Errorf("flushed launch %d: statistics differ from a new simulator's (L2/DRAM counters must be this launch's alone)\n got %s\nwant %s", i, got, want)
+		}
+		if i == 1 {
+			warm, _ := run(sim, l)
+			if warm.L2.Hits == 0 {
+				t.Error("unflushed launch never hit the persistent L2")
+			}
+			if warm.Cycles > fresh.Cycles {
+				t.Errorf("warm launch took %d cycles, cold %d: is it running on the previous launch's clock?", warm.Cycles, fresh.Cycles)
+			}
+			if warm.DRAM.Reads >= fresh.DRAM.Reads {
+				t.Errorf("warm launch counts %d DRAM reads, cold %d: counters are cumulative", warm.DRAM.Reads, fresh.DRAM.Reads)
+			}
+		}
+		sim.FlushCaches()
 	}
 }
 

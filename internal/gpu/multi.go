@@ -149,8 +149,7 @@ func (s *Sim) runPlaced(ctx context.Context, spec *tenancy.Spec, launches []*ker
 		t.Cycles = r.Done[i] + 1 // the tenant's own makespan
 		g.Tenants[i] = t
 	}
-	s.ms.CollectStats(g)
-	return g, nil
+	return s.finish(g)
 }
 
 // sliceState is what a time-slice run carries beyond the ledgers: which
@@ -265,8 +264,7 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 		r.Slice.TenAgg[i].Cycles = r.Done[i] + 1
 	}
 	g.Tenants = r.Slice.TenAgg
-	s.ms.CollectStats(g)
-	return g, nil
+	return s.finish(g)
 }
 
 // tenantTotals sums tenant id's counters over the SMs hosting it, with

@@ -79,8 +79,9 @@ func TestRunSpawnsNoGoroutines(t *testing.T) {
 
 // TestConcurrentRunsIndependent: four different simulations on four
 // goroutines each produce the bytes of their solo run. Run under -race
-// (tools/check.sh does), this is the check on the one thing concurrent
-// simulations share, the LineRequest and DRAM request pools.
+// (tools/check.sh does), this is the check that concurrent simulations
+// share nothing: the last shared state, the LineRequest and DRAM request
+// pools, is gone, and every queue belongs to one mem.System.
 func TestConcurrentRunsIndependent(t *testing.T) {
 	regOWFDyn := config.Default() // Shared-OWF-Unroll-Dyn
 	regOWFDyn.Sharing, regOWFDyn.T = config.ShareRegisters, 0.1

@@ -28,7 +28,7 @@ const (
 	ClassMemory                       // request conservation across queues
 	ClassSnapshot                     // cached warp snapshots, ready sets, issue cards and censuses match a recompute
 	ClassTenancy                      // tenant isolation: slot ownership, pair locality, cap ledgers
-	ClassMemIdle                      // skipped memory partitions really have no due work: memoized horizons match scan recomputes
+	ClassMemIdle                      // skipped memory work really was not due: DRAM queues are arrival-ordered, memoized horizons match scan recomputes
 
 	ClassAll = ClassSharing | ClassBarrier | ClassScoreboard | ClassSIMT | ClassMemory | ClassSnapshot | ClassTenancy | ClassMemIdle
 )
@@ -100,10 +100,12 @@ func (c *Checker) Check(now int64) error {
 		}
 	}
 	if c.classes&ClassMemIdle != 0 {
-		// No-op on a straight-through memory system; when event-driven,
-		// every memoized horizon must equal a from-scratch recompute —
-		// the proof that each skipped partition/cycle really was
-		// workless. This is what catches a MissedMemWake fault promptly.
+		// Every DRAM queue must be arrival-ordered (what the scheduler's
+		// early exits rest on); and when the memory system is
+		// event-driven, every memoized horizon must equal a from-scratch
+		// recompute — the proof that each skipped partition/cycle really
+		// was workless. This is what catches a MissedMemWake or a
+		// DRAMQueueOrder fault promptly.
 		if err := c.ms.AuditMemIdle(now); err != nil {
 			return c.violation(now, -1, err)
 		}
@@ -163,7 +165,7 @@ func (c *Checker) auditSM(sm *smcore.SM, now int64) error {
 func (c *Checker) auditMemory() (err error) {
 	inflight := c.mshrScratch
 	clear(inflight)
-	c.ms.ForEachInFlightRead(func(req *mem.LineRequest) {
+	c.ms.ForEachInFlightRead(func(req mem.LineRequest) {
 		if err != nil {
 			return
 		}

@@ -10,9 +10,7 @@ import (
 // steady stream of read traffic: each iteration injects one read from a
 // rotating SM at a striding line address (so DRAM banks, L2 sets, and
 // both interconnect directions stay busy), ticks the system once, and
-// drains any ready replies. Requests come from and return to the
-// line-request pool, exactly as the SM cores use it, so the reported
-// allocations are the memory system's own.
+// drains any ready replies.
 func BenchmarkMemSystemTick(b *testing.B) {
 	cfg := config.Default()
 	s := NewSystem(&cfg)
@@ -21,18 +19,14 @@ func BenchmarkMemSystemTick(b *testing.B) {
 	var now int64
 	addr := uint32(0)
 	for i := 0; i < b.N; i++ {
-		req := GetLineRequest()
-		req.LineAddr, req.SM = addr, int(now)%cfg.NumSMs
-		s.Send(req, now)
+		s.Send(LineRequest{LineAddr: addr, SM: int(now) % cfg.NumSMs}, now)
 		addr += uint32(cfg.L1LineSz)
 		if addr >= 1<<24 {
 			addr = 0
 		}
 		s.Tick(now)
 		for p := 0; p < cfg.NumSMs; p++ {
-			if r := s.PopReply(p, now); r != nil {
-				PutLineRequest(r)
-			}
+			s.PopReply(p, now)
 		}
 		now++
 	}
@@ -57,18 +51,13 @@ func BenchmarkMemSystemTickIdle(b *testing.B) {
 		warm := func() {
 			for sm := 0; sm < cfg.NumSMs; sm++ {
 				for pi := 0; pi < cfg.L2Partitions; pi++ {
-					req := GetLineRequest()
-					req.LineAddr = uint32((sm*cfg.L2Partitions + pi) * 128)
-					req.SM = sm
-					s.Send(req, now)
+					s.Send(LineRequest{LineAddr: uint32((sm*cfg.L2Partitions + pi) * 128), SM: sm}, now)
 				}
 			}
 			for !s.Drained() {
 				s.Tick(now)
 				for p := 0; p < cfg.NumSMs; p++ {
-					if r := s.PopReply(p, now); r != nil {
-						PutLineRequest(r)
-					}
+					s.PopReply(p, now)
 				}
 				now++
 			}
@@ -82,16 +71,11 @@ func BenchmarkMemSystemTickIdle(b *testing.B) {
 			// after the hit latency, leaving the window in between
 			// provably workless.
 			for pi := 0; pi < cfg.L2Partitions; pi++ {
-				req := GetLineRequest()
-				req.LineAddr = uint32(pi * 128)
-				req.SM = 0
-				s.Send(req, now)
+				s.Send(LineRequest{LineAddr: uint32(pi * 128)}, now)
 			}
 			for w := 0; w < window; w++ {
 				s.Tick(now)
-				if r := s.PopReply(0, now); r != nil {
-					PutLineRequest(r)
-				}
+				s.PopReply(0, now)
 				now++
 			}
 		}

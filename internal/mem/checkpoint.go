@@ -3,17 +3,17 @@ package mem
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"gpushare/internal/mem/cache"
 	"gpushare/internal/mem/dram"
+	"gpushare/internal/mem/icnt"
 )
 
 // LineReqCheckpoint is one serialized in-flight line request. Every
-// live *LineRequest appears exactly once across the request network,
-// the reply network, the partition MSHR waiter lists, and the pending
-// L2-hit replies, so each is serialized inline where it sits; restore
-// allocates a fresh request per site (the pool identity is not state).
+// live LineRequest sits in exactly one place — the request network, the
+// reply network, a partition MSHR waiter list, or the pending L2-hit
+// replies — and is serialized inline there (same fields, so the two
+// types convert into each other).
 type LineReqCheckpoint struct {
 	LineAddr uint32 `json:"line_addr"`
 	IsWrite  bool   `json:"is_write"`
@@ -80,22 +80,10 @@ type GlobalCheckpoint struct {
 	Brk   uint32           `json:"brk"`
 }
 
-func saveLineReq(r *LineRequest) LineReqCheckpoint {
-	return LineReqCheckpoint{LineAddr: r.LineAddr, IsWrite: r.IsWrite, SM: r.SM}
-}
-
-func loadLineReq(c LineReqCheckpoint) *LineRequest {
-	r := GetLineRequest()
-	r.LineAddr, r.IsWrite, r.SM = c.LineAddr, c.IsWrite, c.SM
-	return r
-}
-
-func savePackets(n interface {
-	ForEachAt(func(dst int, payload any, readyAt int64))
-}) []PacketCheckpoint {
+func savePackets(n *icnt.Network[LineRequest]) []PacketCheckpoint {
 	var out []PacketCheckpoint
-	n.ForEachAt(func(dst int, payload any, readyAt int64) {
-		out = append(out, PacketCheckpoint{Port: dst, Req: saveLineReq(payload.(*LineRequest)), ReadyAt: readyAt})
+	n.ForEachAt(func(dst int, req LineRequest, readyAt int64) {
+		out = append(out, PacketCheckpoint{Port: dst, Req: LineReqCheckpoint(req), ReadyAt: readyAt})
 	})
 	return out
 }
@@ -109,7 +97,8 @@ func (s *System) Checkpoint() SystemCheckpoint {
 		Partitions: make([]PartitionCheckpoint, len(s.partitions)),
 	}
 	for pi, p := range s.partitions {
-		pc := PartitionCheckpoint{
+		pc := &c.Partitions[pi]
+		*pc = PartitionCheckpoint{
 			L2:            p.l2.Checkpoint(),
 			DRAM:          p.dram.Checkpoint(),
 			BusyCycles:    p.busy,
@@ -117,92 +106,70 @@ func (s *System) Checkpoint() SystemCheckpoint {
 			MSHRPeak:      p.mshrPeak,
 			PendingPeak:   p.pendPeak,
 		}
-		addrs := make([]uint32, 0, len(p.mshr))
-		for addr := range p.mshr {
-			addrs = append(addrs, addr)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		for _, addr := range addrs {
+		for _, addr := range p.mshr.Lines() {
 			e := MSHREntryCheckpoint{Addr: addr}
-			for _, w := range p.mshr[addr] {
-				e.Waiters = append(e.Waiters, saveLineReq(w))
+			for _, w := range p.mshr.Get(addr) {
+				e.Waiters = append(e.Waiters, LineReqCheckpoint(w))
 			}
 			pc.MSHR = append(pc.MSHR, e)
 		}
-		for _, d := range p.pending[p.pendHead:] {
-			pc.Pending = append(pc.Pending, PendingCheckpoint{At: d.at, Req: saveLineReq(d.req)})
-		}
-		c.Partitions[pi] = pc
 	}
+	s.l2hits.ForEachAt(func(pi int, req LineRequest, at int64) {
+		pc := &c.Partitions[pi]
+		pc.Pending = append(pc.Pending, PendingCheckpoint{At: at, Req: LineReqCheckpoint(req)})
+	})
 	return c
 }
 
-// RestoreState applies a snapshot onto a freshly constructed system of
-// identical configuration. DRAM read tags are re-linked to the restored
-// MSHR head waiter (the invariant the live system maintains: a read in
-// DRAM is exactly the first MSHR waiter for its line); DRAM write tags
-// are rebuilt as fresh requests, since a write's tag is only ever
-// returned to the pool at completion, never consulted.
+// RestoreState applies a snapshot onto a system of identical
+// configuration, replacing whatever it held. The invariant the live
+// system maintains — a read in DRAM is the head waiter of an MSHR entry
+// for its line — is checked, not trusted.
 func (s *System) RestoreState(c SystemCheckpoint) error {
 	if len(c.Partitions) != len(s.partitions) {
 		return fmt.Errorf("memory snapshot has %d partitions, system has %d", len(c.Partitions), len(s.partitions))
 	}
 	s.toMem.Clear()
 	s.toSM.Clear()
+	s.l2hits.Clear()
 	for _, pk := range c.ToMem {
 		if pk.Port < 0 || pk.Port >= len(s.partitions) {
 			return fmt.Errorf("memory snapshot: request-network packet for partition %d out of range", pk.Port)
 		}
-		s.toMem.Inject(pk.Port, loadLineReq(pk.Req), pk.ReadyAt)
+		s.toMem.Inject(pk.Port, LineRequest(pk.Req), pk.ReadyAt)
 	}
 	for _, pk := range c.ToSM {
 		if pk.Port < 0 || pk.Port >= s.cfg.NumSMs {
 			return fmt.Errorf("memory snapshot: reply-network packet for SM %d out of range", pk.Port)
 		}
-		s.toSM.Inject(pk.Port, loadLineReq(pk.Req), pk.ReadyAt)
+		s.toSM.Inject(pk.Port, LineRequest(pk.Req), pk.ReadyAt)
 	}
 	for pi, pc := range c.Partitions {
 		p := s.partitions[pi]
 		if err := p.l2.RestoreState(pc.L2); err != nil {
 			return fmt.Errorf("partition %d: %w", pi, err)
 		}
-		clear(p.mshr)
+		p.mshr = NewLineTable[LineRequest]()
 		for _, e := range pc.MSHR {
 			if len(e.Waiters) == 0 {
 				return fmt.Errorf("partition %d: MSHR line %#x has no waiters", pi, e.Addr)
 			}
-			waiters := make([]*LineRequest, len(e.Waiters))
-			for i, w := range e.Waiters {
-				waiters[i] = loadLineReq(w)
+			for _, w := range e.Waiters {
+				p.mshr.Add(e.Addr, LineRequest(w))
 			}
-			p.mshr[e.Addr] = waiters
 		}
-		p.pending = p.pending[:0]
-		p.pendHead = 0
 		for _, d := range pc.Pending {
-			p.pending = append(p.pending, delayedReply{at: d.At, req: loadLineReq(d.Req)})
+			s.l2hits.Inject(pi, LineRequest(d.Req), d.At)
 		}
-		var tagErr error
-		err := p.dram.RestoreState(pc.DRAM, func(rc dram.RequestCheckpoint) any {
-			if rc.IsWrite {
-				r := GetLineRequest()
-				r.LineAddr, r.IsWrite, r.SM = rc.Addr, true, -1
-				return r
-			}
-			waiters := p.mshr[rc.Addr]
-			if len(waiters) == 0 && tagErr == nil {
-				tagErr = fmt.Errorf("partition %d: DRAM read for line %#x has no MSHR entry", pi, rc.Addr)
-			}
-			if len(waiters) == 0 {
-				return nil
-			}
-			return waiters[0]
-		})
-		if err != nil {
+		if err := p.dram.RestoreState(pc.DRAM); err != nil {
 			return fmt.Errorf("partition %d: %w", pi, err)
 		}
-		if tagErr != nil {
-			return tagErr
+		for _, q := range [2][]dram.RequestCheckpoint{pc.DRAM.Queue, pc.DRAM.Inflight} {
+			for _, rc := range q {
+				if !rc.IsWrite && p.mshr.Get(rc.Addr) == nil {
+					return fmt.Errorf("partition %d: DRAM read for line %#x has no MSHR entry", pi, rc.Addr)
+				}
+			}
 		}
 		p.busy = pc.BusyCycles
 		p.dramPeak = pc.DRAMQueuePeak

@@ -13,11 +13,7 @@ type BankCheckpoint struct {
 	LastActivate int64 `json:"last_activate"`
 }
 
-// RequestCheckpoint is one queued or in-flight DRAM transaction. The
-// opaque Tag is not serializable here; the memory system re-links read
-// tags to the restored MSHR entries and rebuilds write tags (whose tag
-// payload is never consulted after completion) via the makeTag callback
-// on restore.
+// RequestCheckpoint is one queued or in-flight DRAM transaction.
 type RequestCheckpoint struct {
 	Addr    uint32 `json:"addr"`
 	IsWrite bool   `json:"is_write"`
@@ -56,31 +52,26 @@ func (c *Channel) Checkpoint() Checkpoint {
 }
 
 // RestoreState applies a snapshot onto a freshly constructed channel of
-// identical geometry. makeTag supplies each restored request's opaque
-// tag (the memory system links reads back to their MSHR entries).
-func (c *Channel) RestoreState(s Checkpoint, makeTag func(RequestCheckpoint) any) error {
+// identical geometry. A queue that is not arrival-ordered is rejected.
+func (c *Channel) RestoreState(s Checkpoint) error {
 	if len(s.Banks) != len(c.banks) {
 		return fmt.Errorf("DRAM snapshot has %d banks, channel has %d", len(s.Banks), len(c.banks))
 	}
 	for i, b := range s.Banks {
 		c.banks[i] = bank{openRow: b.OpenRow, readyAt: b.ReadyAt, lastActivate: b.LastActivate}
 	}
-	c.queue = c.queue[:0]
-	for _, rc := range s.Queue {
-		r := GetRequest()
-		r.Addr, r.IsWrite, r.Arrive, r.Done = rc.Addr, rc.IsWrite, rc.Arrive, rc.Done
-		r.Tag = makeTag(rc)
-		c.resolve(r)
-		c.queue = append(c.queue, r)
+	load := func(dst []Request, src []RequestCheckpoint) []Request {
+		dst = dst[:0]
+		for _, rc := range src {
+			r := Request{Addr: rc.Addr, IsWrite: rc.IsWrite, Arrive: rc.Arrive, Done: rc.Done}
+			c.resolve(&r)
+			dst = append(dst, r)
+		}
+		return dst
 	}
-	c.inflight = c.inflight[:0]
-	for _, rc := range s.Inflight {
-		r := GetRequest()
-		r.Addr, r.IsWrite, r.Arrive, r.Done = rc.Addr, rc.IsWrite, rc.Arrive, rc.Done
-		r.Tag = makeTag(rc)
-		c.inflight = append(c.inflight, r)
-	}
+	c.queue = load(c.queue, s.Queue)
+	c.inflight = load(c.inflight, s.Inflight)
 	c.Stats = s.Stats
 	c.memoOK = false // the next-event memo is derived state, never serialized
-	return nil
+	return c.AuditOrder()
 }

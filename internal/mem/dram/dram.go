@@ -5,41 +5,27 @@
 package dram
 
 import (
+	"fmt"
 	"math"
-	"sync"
 
 	"gpushare/internal/config"
+	"gpushare/internal/simerr"
 	"gpushare/internal/stats"
 )
 
-// Request is one DRAM transaction (a cache-line read or write).
+// Request is one DRAM transaction (a cache-line read or write). Requests
+// live by value in their channel's queues: none is allocated or shared.
 type Request struct {
 	Addr    uint32 // line address
 	IsWrite bool
-	Tag     any   // opaque payload for the caller
-	Arrive  int64 // cycle the request entered the queue
+	Arrive  int64 // cycle the request becomes visible to the scheduler
 	Done    int64 // completion cycle, set by the scheduler
 
 	// bank and row are Addr resolved against the channel's geometry, once,
-	// by Enqueue (and by a checkpoint restore): every FR-FCFS scan and
-	// every next-event walk reads them for each queued request, and the
-	// mapping costs two divisions by a variable.
-	bank int
-	row  int64
-}
-
-// reqPool recycles Requests: at one allocation per memory access the
-// request churn dominated the simulator's steady-state garbage.
-var reqPool = sync.Pool{New: func() any { return new(Request) }}
-
-// GetRequest returns a zeroed Request from the pool.
-func GetRequest() *Request { return reqPool.Get().(*Request) }
-
-// PutRequest returns a Request to the pool. The caller must not retain
-// the pointer afterwards.
-func PutRequest(r *Request) {
-	*r = Request{}
-	reqPool.Put(r)
+	// by Enqueue (and by a checkpoint restore): every walk reads them for
+	// each request it visits, and the mapping costs two divisions.
+	bank int32
+	row  uint32
 }
 
 type bank struct {
@@ -50,10 +36,14 @@ type bank struct {
 
 // Channel is one DRAM channel with FR-FCFS scheduling.
 type Channel struct {
-	banks    []bank
-	queue    []*Request
-	inflight []*Request
-	doneBuf  []*Request // reused across Ticks to keep completion collection alloc-free
+	banks []bank
+	// queue holds the requests not yet issued, oldest first, and is
+	// arrival-ordered: Arrive never decreases from head to tail (Enqueue's
+	// contract, AuditOrder's check). What the scheduler may pick is thus a
+	// prefix; no walk visits the tail still inside the L2 pipeline.
+	queue    []Request
+	inflight []Request
+	doneBuf  []Request // reused across Ticks to keep completion collection alloc-free
 	timing   config.DRAMTiming
 	rowBytes int64
 	dataLat  int64
@@ -65,7 +55,9 @@ type Channel struct {
 	// when a command issues or a transfer completes — both invalidate
 	// it for a lazy rescan — while an enqueue folds the new request's
 	// schedulable time in incrementally. NextEvent is therefore O(1)
-	// amortized on idle channels instead of a per-call queue walk.
+	// amortized on idle channels, and Tick returns at once on a cycle the
+	// memo proves eventless. Only NextEvent arms it: a caller that never
+	// asks (Config.Reference) runs every Tick in full.
 	memoNext int64
 	memoOK   bool
 }
@@ -78,10 +70,18 @@ func NewChannel(banks, rowBytes int, t config.DRAMTiming, dataLat int) *Channel 
 		rowBytes: int64(rowBytes),
 		dataLat:  int64(dataLat),
 	}
-	for i := range ch.banks {
-		ch.banks[i].openRow = -1
-	}
+	ch.Precharge()
 	return ch
+}
+
+// Precharge closes every bank's row and clears its timers, which leaves
+// the banks as NewChannel made them. For a drained channel, between
+// launches: the DRAM half of a cold start.
+func (c *Channel) Precharge() {
+	for i := range c.banks {
+		c.banks[i] = bank{openRow: -1}
+	}
+	c.memoOK = false
 }
 
 // resolve maps r's line address to its bank — rows are interleaved
@@ -89,33 +89,59 @@ func NewChannel(banks, rowBytes int, t config.DRAMTiming, dataLat int) *Channel 
 func (c *Channel) resolve(r *Request) {
 	rowIdx := int64(r.Addr) / c.rowBytes
 	n := int64(len(c.banks))
-	r.bank, r.row = int(rowIdx%n), rowIdx/n
+	r.bank, r.row = int32(rowIdx%n), uint32(rowIdx/n)
 }
 
-// Enqueue adds a request to the channel queue.
-func (c *Channel) Enqueue(r *Request) {
-	c.resolve(r)
+// Enqueue adds a line read or write that the scheduler may pick from
+// cycle arrive on. One that would arrive before the current tail is
+// refused with a typed invariant error: "oldest first" is queue position,
+// and every early exit below relies on the two orders being the same.
+func (c *Channel) Enqueue(addr uint32, isWrite bool, arrive int64) error {
+	if n := len(c.queue); n > 0 && arrive < c.queue[n-1].Arrive {
+		return simerr.New(simerr.KindInvariant, -1,
+			"DRAM request for line %#x arrives at cycle %d, before the queue tail's %d (arrival order is the queue's contract)",
+			addr, arrive, c.queue[n-1].Arrive)
+	}
+	r := Request{Addr: addr, IsWrite: isWrite, Arrive: arrive}
+	c.resolve(&r)
 	if c.memoOK {
-		if at := c.schedulableAt(r); at < c.memoNext {
-			c.memoNext = at
-		}
+		c.memoNext = min(c.memoNext, c.schedulableAt(&r))
 	}
 	c.queue = append(c.queue, r)
+	return nil
+}
+
+// AuditOrder checks the arrival-order invariant by a full walk.
+// Read-only; invariant class mem-idle.
+func (c *Channel) AuditOrder() error {
+	for i := 1; i < len(c.queue); i++ {
+		if a, b := &c.queue[i-1], &c.queue[i]; b.Arrive < a.Arrive {
+			return fmt.Errorf("DRAM queue out of arrival order: entry %d (line %#x) arrives at cycle %d, entry %d (line %#x) behind it at %d",
+				i-1, a.Addr, a.Arrive, i, b.Addr, b.Arrive)
+		}
+	}
+	return nil
+}
+
+// SwapNewest exchanges the two newest queued requests when their arrival
+// cycles differ, which breaks the arrival order, and reports whether it
+// did (fault injection only; a second call undoes the first).
+func (c *Channel) SwapNewest() bool {
+	n := len(c.queue)
+	if n < 2 || c.queue[n-1].Arrive == c.queue[n-2].Arrive {
+		return false
+	}
+	c.queue[n-1], c.queue[n-2] = c.queue[n-2], c.queue[n-1]
+	return true
 }
 
 // schedulableAt returns the earliest cycle r could be scheduled under
-// the current (frozen) bank state, unclamped.
+// the current (frozen) bank state, unclamped. Never before r.Arrive.
 func (c *Channel) schedulableAt(r *Request) int64 {
 	b := &c.banks[r.bank]
-	at := r.Arrive
-	if b.readyAt > at {
-		at = b.readyAt
-	}
-	if b.openRow != r.row {
-		// Needs an activate, gated by the row-cycle time.
-		if t := b.lastActivate + int64(c.timing.TRC); t > at {
-			at = t
-		}
+	at := max(r.Arrive, b.readyAt)
+	if b.openRow != int64(r.row) { // needs an activate, gated by the row-cycle time
+		at = max(at, b.lastActivate+int64(c.timing.TRC))
 	}
 	return at
 }
@@ -127,15 +153,18 @@ func (c *Channel) Pending() int { return len(c.queue) + len(c.inflight) }
 // (FR-FCFS: row hits first, then oldest) and returns any requests whose
 // data transfer completed this cycle. The returned slice is reused by
 // the next Tick, so the caller must consume it before ticking again.
-func (c *Channel) Tick(now int64) []*Request {
+// While the memo is armed and in the future the cycle provably does
+// nothing (NextEvent's contract): Tick returns without a look at a queue.
+func (c *Channel) Tick(now int64) []Request {
+	if c.memoOK && now < c.memoNext {
+		return nil
+	}
 	c.scheduleOne(now)
 	done := c.doneBuf[:0]
 	for i := 0; i < len(c.inflight); {
-		r := c.inflight[i]
-		if r.Done <= now {
-			done = append(done, r)
-			c.inflight[i] = c.inflight[len(c.inflight)-1]
-			c.inflight[len(c.inflight)-1] = nil
+		if r := &c.inflight[i]; r.Done <= now {
+			done = append(done, *r)
+			*r = c.inflight[len(c.inflight)-1]
 			c.inflight = c.inflight[:len(c.inflight)-1]
 			continue
 		}
@@ -158,80 +187,70 @@ func (c *Channel) Tick(now int64) []*Request {
 // command issue or completion invalidated the memo.
 func (c *Channel) NextEvent(now int64) int64 {
 	if !c.memoOK {
-		c.memoNext = c.nextEventAbs()
+		c.memoNext = c.nextEventAbs(false)
 		c.memoOK = true
 	}
-	at := c.memoNext
-	if at == math.MaxInt64 {
-		return at
-	}
-	if at <= now {
+	return clampFuture(c.memoNext, now)
+}
+
+// clampFuture turns an absolute event time into NextEvent's answer: an
+// event already due is reported as the next cycle.
+func clampFuture(at, now int64) int64 {
+	if at != math.MaxInt64 && at <= now {
 		return now + 1
 	}
 	return at
 }
 
-// nextEventAbs recomputes the next event time by walking the in-flight
-// and queued requests, unclamped (math.MaxInt64 when empty).
-func (c *Channel) nextEventAbs() int64 {
+// nextEventAbs recomputes the next event time from the in-flight and
+// queued requests, unclamped (math.MaxInt64 when empty). No request is
+// schedulable before it arrives, so unless full the walk stops at the
+// first one arriving no earlier than the best time found so far.
+func (c *Channel) nextEventAbs(full bool) int64 {
 	next := int64(math.MaxInt64)
-	for _, r := range c.inflight {
-		if r.Done < next {
-			next = r.Done
-		}
+	for i := range c.inflight {
+		next = min(next, c.inflight[i].Done)
 	}
-	for _, r := range c.queue {
-		if at := c.schedulableAt(r); at < next {
-			next = at
+	for i := range c.queue {
+		r := &c.queue[i]
+		if !full && r.Arrive >= next {
+			break
 		}
+		next = min(next, c.schedulableAt(r))
 	}
 	return next
 }
 
-// NextEventScan is NextEvent computed by a full walk, bypassing the
-// memo. The invariant auditor and the horizon property tests use it as
-// the ground truth the memoized value must equal.
+// NextEventScan is NextEvent computed by an unconditional full walk,
+// bypassing the memo and the arrival-order early exit. The invariant
+// auditor and the horizon property tests use it as the ground truth the
+// memoized value must equal.
 func (c *Channel) NextEventScan(now int64) int64 {
-	at := c.nextEventAbs()
-	if at == math.MaxInt64 {
-		return at
-	}
-	if at <= now {
-		return now + 1
-	}
-	return at
+	return clampFuture(c.nextEventAbs(true), now)
 }
 
+// scheduleOne issues at most one column command: first ready — the
+// oldest arrived request hitting an open row on a ready bank — and
+// failing that FCFS, the oldest arrived request whose bank can accept
+// an activate. One walk finds both and ends at the first request that
+// has not arrived: nothing behind it has either.
 func (c *Channel) scheduleOne(now int64) {
-	if len(c.queue) == 0 {
-		return
-	}
-	// First ready: oldest arrived request hitting an open row on a
-	// ready bank.
-	pick := -1
-	for i, r := range c.queue {
+	pick, rowHit := -1, false
+	for i := range c.queue {
+		r := &c.queue[i]
 		if r.Arrive > now {
-			continue
-		}
-		b := &c.banks[r.bank]
-		if b.readyAt <= now && b.openRow == r.row {
-			pick = i
 			break
 		}
-	}
-	rowHit := pick >= 0
-	if pick < 0 {
-		// Then FCFS: oldest arrived request whose bank can accept an
-		// activate.
-		for i, r := range c.queue {
-			if r.Arrive > now {
-				continue
-			}
-			b := &c.banks[r.bank]
-			if b.readyAt <= now && now-b.lastActivate >= int64(c.timing.TRC) {
-				pick = i
-				break
-			}
+		b := &c.banks[r.bank]
+		if b.readyAt > now {
+			continue
+		}
+		if b.openRow == int64(r.row) {
+			pick, rowHit = i, true
+			break
+		}
+		if pick < 0 && now-b.lastActivate >= int64(c.timing.TRC) {
+			pick = i
 		}
 	}
 	if pick < 0 {
@@ -257,7 +276,7 @@ func (c *Channel) scheduleOne(now int64) {
 			}
 		}
 		latency = pre + int64(t.TRCD) + int64(t.TCL)
-		b.openRow = r.row
+		b.openRow = int64(r.row)
 		b.lastActivate = now + pre
 		c.Stats.RowMisses++
 	}
@@ -279,4 +298,16 @@ func (c *Channel) scheduleOne(now int64) {
 		b.readyAt += int64(t.TCDLR)
 	}
 	c.inflight = append(c.inflight, r)
+}
+
+// Rebase moves the bank timers onto a clock that reads 0 where the old
+// one read origin: the memory system calls it between launches, once the
+// channel has drained, because every launch counts its cycles from 0.
+// Open rows stay open.
+func (c *Channel) Rebase(origin int64) {
+	for i := range c.banks {
+		c.banks[i].readyAt -= origin
+		c.banks[i].lastActivate -= origin
+	}
+	c.memoOK = false
 }

@@ -24,9 +24,7 @@ func statsJSON(t *testing.T, s *System) string {
 // sendPair injects identical requests into two lockstepped systems.
 func sendPair(a, b *System, addr uint32, sm int, isWrite bool, now int64) {
 	for _, s := range [2]*System{a, b} {
-		r := GetLineRequest()
-		r.LineAddr, r.SM, r.IsWrite = addr, sm, isWrite
-		s.Send(r, now)
+		s.Send(LineRequest{LineAddr: addr, SM: sm, IsWrite: isWrite}, now)
 	}
 }
 
@@ -63,8 +61,7 @@ func TestMemEventDrivenLockstep(t *testing.T) {
 				ed.Tick(now)
 				ref.Tick(now)
 				for p := 0; p < cfg.NumSMs; p++ {
-					ra, rb := ed.PopReply(p, now), ref.PopReply(p, now)
-					comparePop(t, ra, rb, p, now)
+					comparePop(t, ed, ref, p, now)
 				}
 				now++
 			}
@@ -72,8 +69,7 @@ func TestMemEventDrivenLockstep(t *testing.T) {
 		ed.Tick(now)
 		ref.Tick(now)
 		for p := 0; p < cfg.NumSMs; p++ {
-			ra, rb := ed.PopReply(p, now), ref.PopReply(p, now)
-			comparePop(t, ra, rb, p, now)
+			comparePop(t, ed, ref, p, now)
 		}
 		if now%97 == 0 {
 			if err := ed.AuditMemIdle(now); err != nil {
@@ -86,7 +82,7 @@ func TestMemEventDrivenLockstep(t *testing.T) {
 		ed.Tick(now)
 		ref.Tick(now)
 		for p := 0; p < cfg.NumSMs; p++ {
-			comparePop(t, ed.PopReply(p, now), ref.PopReply(p, now), p, now)
+			comparePop(t, ed, ref, p, now)
 		}
 		now++
 	}
@@ -95,19 +91,18 @@ func TestMemEventDrivenLockstep(t *testing.T) {
 	}
 }
 
-func comparePop(t *testing.T, a, b *LineRequest, port int, now int64) {
+// comparePop pops SM port's reply of cycle now from both systems and
+// demands the same presence and the same request.
+func comparePop(t *testing.T, sa, sb *System, port int, now int64) {
 	t.Helper()
-	if (a == nil) != (b == nil) {
-		t.Fatalf("cycle %d SM%d: reply presence diverges (sleep %v, nosleep %v)", now, port, a != nil, b != nil)
+	a, okA := sa.PopReply(port, now)
+	b, okB := sb.PopReply(port, now)
+	if okA != okB {
+		t.Fatalf("cycle %d SM%d: reply presence diverges (%v vs %v)", now, port, okA, okB)
 	}
-	if a == nil {
-		return
+	if a != b {
+		t.Fatalf("cycle %d SM%d: reply diverges (%+v vs %+v)", now, port, a, b)
 	}
-	if a.LineAddr != b.LineAddr || a.SM != b.SM || a.IsWrite != b.IsWrite {
-		t.Fatalf("cycle %d SM%d: reply diverges (sleep %+v, nosleep %+v)", now, port, *a, *b)
-	}
-	PutLineRequest(a)
-	PutLineRequest(b)
 }
 
 // TestMemEventDrivenRestoreRederives proves the memoized horizons are
@@ -125,16 +120,12 @@ func TestMemEventDrivenRestoreRederives(t *testing.T) {
 	var now int64
 	for now = 0; now < 500; now++ {
 		if rng.Intn(4) == 0 {
-			r := GetLineRequest()
-			r.LineAddr = uint32(rng.Intn(1<<10)) * uint32(cfg.L1LineSz)
-			r.SM = rng.Intn(cfg.NumSMs)
-			orig.Send(r, now)
+			addr := uint32(rng.Intn(1<<10)) * uint32(cfg.L1LineSz)
+			orig.Send(LineRequest{LineAddr: addr, SM: rng.Intn(cfg.NumSMs)}, now)
 		}
 		orig.Tick(now)
 		for p := 0; p < cfg.NumSMs; p++ {
-			if r := orig.PopReply(p, now); r != nil {
-				PutLineRequest(r)
-			}
+			orig.PopReply(p, now)
 		}
 	}
 
@@ -150,7 +141,7 @@ func TestMemEventDrivenRestoreRederives(t *testing.T) {
 		orig.Tick(now)
 		restored.Tick(now)
 		for p := 0; p < cfg.NumSMs; p++ {
-			comparePop(t, restored.PopReply(p, now), orig.PopReply(p, now), p, now)
+			comparePop(t, restored, orig, p, now)
 		}
 		if err := restored.AuditMemIdle(now); err != nil {
 			t.Fatalf("cycle %d: restored horizons diverge from scans: %v", now, err)
@@ -158,5 +149,95 @@ func TestMemEventDrivenRestoreRederives(t *testing.T) {
 	}
 	if a, b := statsJSON(t, restored), statsJSON(t, orig); a != b {
 		t.Errorf("restored statistics diverge from original:\nrestored: %s\noriginal: %s", a, b)
+	}
+}
+
+// TestSustainedL2HitStreamStaysBounded: a partition that is handed an
+// L2 hit every cycle never drains its hit pipeline (160 in flight at any
+// time). The slice the pipeline used to be only reset when it emptied,
+// so under such a stream it grew for the length of the run (73.6 MB of a
+// 15 s sim_memory run's 607 MB); the ring it is now wraps in place.
+// Steady state must allocate nothing, for as long as the stream lasts.
+func TestSustainedL2HitStreamStaysBounded(t *testing.T) {
+	cfg := config.Default()
+	for _, eventDriven := range []bool{true, false} {
+		s := NewSystem(&cfg)
+		s.SetEventDriven(eventDriven, nil)
+		var now int64
+		step := func(send bool) {
+			if send {
+				for pi := 0; pi < cfg.L2Partitions; pi++ {
+					s.Send(LineRequest{LineAddr: uint32(pi * 128), SM: int(now) % cfg.NumSMs}, now)
+				}
+			}
+			if err := s.Tick(now); err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < cfg.NumSMs; p++ {
+				s.PopReply(p, now)
+			}
+			now++
+		}
+		for !(now > 0 && s.Drained()) { // one cold miss per partition warms the lines
+			step(now == 0)
+		}
+		for i := 0; i < 2000; i++ { // fill the pipeline, size the rings
+			step(true)
+		}
+		if _, _, _, hits, _ := s.Depths(); hits < cfg.L2Partitions*cfg.L2HitLat/2 {
+			t.Fatalf("only %d L2 hits in flight: the stream is not sustained", hits)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			for i := 0; i < 20000; i++ {
+				step(true)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("eventDriven=%v: 20000 cycles of a sustained L2-hit stream allocate %.0f times, want 0", eventDriven, allocs)
+		}
+		if _, _, _, hits, _ := s.Depths(); hits > cfg.L2Partitions*(cfg.L2HitLat+cfg.IcntLat+2) {
+			t.Errorf("%d L2 hits in flight: the pipeline is backing up", hits)
+		}
+	}
+}
+
+// TestDrainedSystemHoldsNothing is the leak check. Line requests and
+// DRAM requests are values inside the queues of the one system that was
+// sent them, so "handed back to its owner" is "no queue still holds
+// it": after mixed traffic and a drain every depth is zero, and doing
+// it all again — same system, same traffic — allocates nothing, which
+// is what the recycling pools were for.
+func TestDrainedSystemHoldsNothing(t *testing.T) {
+	cfg := config.Default()
+	s := NewSystem(&cfg)
+	s.SetEventDriven(true, nil)
+	var now int64
+	rng := rand.New(rand.NewSource(11))
+	round := func() {
+		rng.Seed(11) // the same traffic every round, without a new generator
+		for end := now + 4000; now < end || !s.Drained(); now++ {
+			if now < end && rng.Intn(3) == 0 {
+				addr := uint32(rng.Intn(1<<9)) * uint32(cfg.L1LineSz)
+				s.Send(LineRequest{LineAddr: addr, SM: rng.Intn(cfg.NumSMs), IsWrite: rng.Intn(6) == 0}, now)
+			}
+			if err := s.Tick(now); err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < cfg.NumSMs; p++ {
+				s.PopReply(p, now)
+			}
+		}
+	}
+	round()
+	toMem, toSM, mshr, hits, dramq := s.Depths()
+	if toMem+toSM+mshr+hits+dramq != 0 {
+		t.Fatalf("drained system still holds: req-net %d reply-net %d L2-MSHR %d L2-hits %d DRAM %d", toMem, toSM, mshr, hits, dramq)
+	}
+	s.ForEachInFlightRead(func(r LineRequest) { t.Errorf("drained system reports %+v in flight", r) })
+	if err := s.AuditMemIdle(now); err != nil {
+		t.Error(err)
+	}
+	if allocs := testing.AllocsPerRun(3, round); allocs != 0 {
+		t.Errorf("a repeat of the same traffic allocates %.0f times, want 0", allocs)
 	}
 }

@@ -2,9 +2,10 @@ package icnt
 
 // ForEachAt calls f for every undelivered packet with its destination
 // port and absolute delivery-ready cycle, oldest first within each
-// port. Read-only; used by the checkpoint serializer (which must
-// preserve remaining latency, not just payload order).
-func (n *Network) ForEachAt(f func(dst int, payload any, readyAt int64)) {
+// port. Read-only; used by the invariant auditor and by the checkpoint
+// serializer (which must preserve remaining latency, not just payload
+// order).
+func (n *Network[T]) ForEachAt(f func(dst int, payload T, readyAt int64)) {
 	for i := range n.ports {
 		q := &n.ports[i]
 		for j := 0; j < q.n; j++ {
@@ -18,7 +19,7 @@ func (n *Network) ForEachAt(f func(dst int, payload any, readyAt int64)) {
 // it first so that restoring onto a previously used network (a retried
 // or re-probed machine) never leaves stale traffic behind the injected
 // snapshot.
-func (n *Network) Clear() {
+func (n *Network[T]) Clear() {
 	for i := range n.ports {
 		q := &n.ports[i]
 		for q.n > 0 {
@@ -31,6 +32,6 @@ func (n *Network) Clear() {
 // bypassing the latency adder. Packets must be injected in the same
 // oldest-first order ForEachAt reported them, since each port delivers
 // in FIFO order. Used by the checkpoint restorer only.
-func (n *Network) Inject(dst int, payload any, readyAt int64) {
-	n.ports[dst].push(Packet{Payload: payload, readyAt: readyAt})
+func (n *Network[T]) Inject(dst int, payload T, readyAt int64) {
+	n.ports[dst].push(Packet[T]{Payload: payload, readyAt: readyAt})
 }

@@ -147,29 +147,29 @@ func TestSystemReadThroughDRAM(t *testing.T) {
 	cfg.NumSMs = 1
 	s := NewSystem(&cfg)
 
-	req := &LineRequest{LineAddr: 0x1000, SM: 0}
+	req := LineRequest{LineAddr: 0x1000, SM: 0}
 	s.Send(req, 0)
-	var got *LineRequest
+	var got LineRequest
+	var ok bool
 	var now int64
-	for now = 0; got == nil && now < 10000; now++ {
+	for now = 0; !ok && now < 10000; now++ {
 		s.Tick(now)
-		got = s.PopReply(0, now)
+		got, ok = s.PopReply(0, now)
 	}
-	if got != req {
+	if !ok || got != req {
 		t.Fatal("no reply from DRAM path")
 	}
 	coldLat := now
 
 	// Second access to the same line: L2 hit, must be faster.
-	req2 := &LineRequest{LineAddr: 0x1000, SM: 0}
 	start := now
-	s.Send(req2, now)
-	got = nil
-	for ; got == nil && now < start+10000; now++ {
+	s.Send(req, now)
+	ok = false
+	for ; !ok && now < start+10000; now++ {
 		s.Tick(now)
-		got = s.PopReply(0, now)
+		got, ok = s.PopReply(0, now)
 	}
-	if got != req2 {
+	if !ok || got != req {
 		t.Fatal("no L2 reply")
 	}
 	if now-start >= coldLat {
@@ -189,17 +189,15 @@ func TestSystemMSHRMerge(t *testing.T) {
 	cfg := config.Default()
 	cfg.NumSMs = 2
 	s := NewSystem(&cfg)
-	a := &LineRequest{LineAddr: 0x2000, SM: 0}
-	b := &LineRequest{LineAddr: 0x2000, SM: 1}
-	s.Send(a, 0)
-	s.Send(b, 1)
+	s.Send(LineRequest{LineAddr: 0x2000, SM: 0}, 0)
+	s.Send(LineRequest{LineAddr: 0x2000, SM: 1}, 1)
 	gotA, gotB := false, false
 	for now := int64(0); now < 10000 && !(gotA && gotB); now++ {
 		s.Tick(now)
-		if s.PopReply(0, now) != nil {
+		if _, ok := s.PopReply(0, now); ok {
 			gotA = true
 		}
-		if s.PopReply(1, now) != nil {
+		if _, ok := s.PopReply(1, now); ok {
 			gotB = true
 		}
 	}
@@ -220,10 +218,10 @@ func TestSystemWriteNoReply(t *testing.T) {
 	cfg := config.Default()
 	cfg.NumSMs = 1
 	s := NewSystem(&cfg)
-	s.Send(&LineRequest{LineAddr: 0x3000, IsWrite: true, SM: 0}, 0)
+	s.Send(LineRequest{LineAddr: 0x3000, IsWrite: true, SM: 0}, 0)
 	for now := int64(0); now < 5000; now++ {
 		s.Tick(now)
-		if s.PopReply(0, now) != nil {
+		if _, ok := s.PopReply(0, now); ok {
 			t.Fatal("write produced a reply")
 		}
 	}

@@ -3,7 +3,6 @@ package mem
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"gpushare/internal/config"
 	"gpushare/internal/fault"
@@ -20,45 +19,19 @@ import (
 const missedMemWakeSlack = 64
 
 // LineRequest is one cache-line transaction from an SM to the memory
-// system. Replies (for reads) are routed back to the requesting SM.
+// system. Replies (for reads) are routed back to the requesting SM. It
+// travels by value through every queue between the SM and DRAM, so a
+// request is never allocated, owned, recycled or leaked.
 type LineRequest struct {
 	LineAddr uint32
 	IsWrite  bool
 	SM       int
 }
 
-// lineReqPool recycles LineRequests. Reads are returned to the pool by
-// the SM that consumes the reply; writes are returned by System.Tick
-// when the DRAM write completes (writes carry no reply). Requests
-// dropped by fault injection are deliberately never recycled.
-var lineReqPool = sync.Pool{New: func() any { return new(LineRequest) }}
-
-// GetLineRequest returns a zeroed LineRequest from the pool.
-func GetLineRequest() *LineRequest { return lineReqPool.Get().(*LineRequest) }
-
-// PutLineRequest returns a LineRequest to the pool. The caller must not
-// retain the pointer afterwards.
-func PutLineRequest(r *LineRequest) {
-	*r = LineRequest{}
-	lineReqPool.Put(r)
-}
-
-type delayedReply struct {
-	at  int64
-	req *LineRequest
-}
-
 type partition struct {
-	l2       *cache.Cache
-	mshr     map[uint32][]*LineRequest
-	dram     *dram.Channel
-	pending  []delayedReply // L2 hits serving their hit latency
-	pendHead int            // consumed prefix of pending (reset when drained)
-
-	// waiterFree recycles MSHR waiter slices: a retired entry's backing
-	// array is reused by the next first-miss instead of allocating, so
-	// the steady-state receive path is allocation-free.
-	waiterFree [][]*LineRequest
+	l2   *cache.Cache
+	mshr *LineTable[LineRequest]
+	dram *dram.Channel
 
 	// nextAt is the memoized next-work cycle when the system is
 	// event-driven: the earliest cycle at which this partition could
@@ -81,13 +54,17 @@ type partition struct {
 // network, L2 cache partitions with MSHRs, per-partition GDDR3 channels,
 // and a reply network back to the SMs. The functional backing store is
 // Global and is updated at issue time by the warp executor; System only
-// models timing.
+// models timing. Everything in it belongs to this one simulation: two
+// systems share no state, so simulations run side by side share nothing.
 type System struct {
 	cfg        *config.Config
 	partitions []*partition
-	toMem      *icnt.Network
-	toSM       *icnt.Network
-	Global     *Global
+	toMem      *icnt.Network[LineRequest]
+	toSM       *icnt.Network[LineRequest]
+	// l2hits carries the reads that hit in L2 through the hit latency,
+	// one port per partition: a fixed-latency FIFO is what a Network is.
+	l2hits *icnt.Network[LineRequest]
+	Global *Global
 
 	// sleep arms the event-driven tick: partitions with a memoized
 	// next-work cycle in the future are skipped individually, and when
@@ -119,14 +96,15 @@ func (s *System) SetEventDriven(on bool, faults *fault.Plan) {
 func NewSystem(cfg *config.Config) *System {
 	s := &System{
 		cfg:    cfg,
-		toMem:  icnt.New(cfg.L2Partitions, cfg.IcntLat),
-		toSM:   icnt.New(cfg.NumSMs, cfg.IcntLat),
+		toMem:  icnt.New[LineRequest](cfg.L2Partitions, cfg.IcntLat),
+		toSM:   icnt.New[LineRequest](cfg.NumSMs, cfg.IcntLat),
+		l2hits: icnt.New[LineRequest](cfg.L2Partitions, cfg.L2HitLat),
 		Global: NewGlobal(),
 	}
 	for i := 0; i < cfg.L2Partitions; i++ {
 		s.partitions = append(s.partitions, &partition{
 			l2:   cache.New(cfg.L2Sets, cfg.L2Ways, cfg.L1LineSz),
-			mshr: make(map[uint32][]*LineRequest),
+			mshr: NewLineTable[LineRequest](),
 			dram: dram.NewChannel(cfg.DRAMBanksPerPartition, cfg.DRAMRowBytes,
 				cfg.DRAMTiming, cfg.DRAMDataLat),
 		})
@@ -143,7 +121,7 @@ func (s *System) partitionOf(lineAddr uint32) int {
 // mode the target partition's next-work memo absorbs the delivery
 // cycle, so a sleeping partition wakes exactly when the request crosses
 // the interconnect.
-func (s *System) Send(req *LineRequest, now int64) {
+func (s *System) Send(req LineRequest, now int64) {
 	pi := s.partitionOf(req.LineAddr)
 	s.toMem.Push(pi, req, now)
 	if s.sleep {
@@ -157,15 +135,11 @@ func (s *System) Send(req *LineRequest, now int64) {
 	}
 }
 
-// PopReply delivers the oldest ready reply for the given SM, or nil.
+// PopReply delivers the oldest ready reply for the given SM, if any.
 // At most one reply per SM per cycle models the reply-network ejection
 // bandwidth.
-func (s *System) PopReply(sm int, now int64) *LineRequest {
-	p := s.toSM.Pop(sm, now)
-	if p == nil {
-		return nil
-	}
-	return p.(*LineRequest)
+func (s *System) PopReply(sm int, now int64) (LineRequest, bool) {
+	return s.toSM.Pop(sm, now)
 }
 
 // Tick advances the memory system by one cycle. In event-driven mode a
@@ -173,22 +147,28 @@ func (s *System) PopReply(sm int, now int64) *LineRequest {
 // provably workless this cycle and is skipped; when now precedes every
 // partition's horizon the whole call early-outs in O(1). The skip is
 // exact, not approximate: horizons are maintained at every state
-// change (Send, enqueue, DRAM completion, L2-pending push), so the
+// change (Send, enqueue, DRAM completion, L2-hit push), so the
 // statistics are byte-identical to ticking every partition every cycle.
-func (s *System) Tick(now int64) {
+// The only error is a broken internal contract (a DRAM queue offered a
+// request out of arrival order).
+func (s *System) Tick(now int64) error {
 	if !s.sleep {
 		for pi, p := range s.partitions {
-			s.tickPartition(pi, p, now)
+			if err := s.tickPartition(pi, p, now); err != nil {
+				return err
+			}
 		}
-		return
+		return nil
 	}
 	if now < s.nextAt {
-		return
+		return nil
 	}
 	next := int64(math.MaxInt64)
 	for pi, p := range s.partitions {
 		if now >= p.nextAt {
-			s.tickPartition(pi, p, now)
+			if err := s.tickPartition(pi, p, now); err != nil {
+				return err
+			}
 			s.refreshHorizon(pi, p, now)
 		}
 		if p.nextAt < next {
@@ -196,6 +176,7 @@ func (s *System) Tick(now int64) {
 		}
 	}
 	s.nextAt = next
+	return nil
 }
 
 // tickPartition advances one partition by one cycle: accept at most one
@@ -204,78 +185,59 @@ func (s *System) Tick(now int64) {
 // least one event (or issues a DRAM command) counts as busy; the split
 // is event-derived, so it is identical whether idle cycles are ticked
 // or skipped.
-func (s *System) tickPartition(pi int, p *partition, now int64) {
+func (s *System) tickPartition(pi int, p *partition, now int64) error {
 	worked := false
 	// Accept at most one new request per cycle per partition.
-	if pkt := s.toMem.Pop(pi, now); pkt != nil {
-		s.receive(p, pkt.(*LineRequest), now)
+	if req, ok := s.toMem.Pop(pi, now); ok {
+		if err := s.receive(pi, p, req, now); err != nil {
+			return err
+		}
 		worked = true
 	}
 	// DRAM command scheduling and completions.
 	cmds := p.dram.Stats.RowHits + p.dram.Stats.RowMisses
 	for _, done := range p.dram.Tick(now) {
 		worked = true
-		req := done.Tag.(*LineRequest)
-		isWrite := done.IsWrite
-		dram.PutRequest(done)
-		if isWrite {
-			PutLineRequest(req) // writes carry no reply
-			continue
+		if done.IsWrite {
+			continue // writes carry no reply
 		}
-		p.l2.Fill(req.LineAddr)
-		waiters := p.mshr[req.LineAddr]
-		delete(p.mshr, req.LineAddr)
-		for _, w := range waiters {
+		p.l2.Fill(done.Addr)
+		for _, w := range p.mshr.Take(done.Addr) {
 			s.toSM.Push(w.SM, w, now)
 		}
-		// Recycle the waiter slice for the next first-miss on this
-		// partition (the requests themselves are owned by the SMs now).
-		for i := range waiters {
-			waiters[i] = nil
-		}
-		p.waiterFree = append(p.waiterFree, waiters[:0])
 	}
 	if p.dram.Stats.RowHits+p.dram.Stats.RowMisses != cmds {
 		worked = true // a column command issued even if nothing completed
 	}
-	// L2 hits that finished their hit latency. pending is consumed
-	// via a head index instead of re-slicing so the backing array is
-	// reused once fully drained.
-	for p.pendHead < len(p.pending) && p.pending[p.pendHead].at <= now {
-		d := &p.pending[p.pendHead]
-		s.toSM.Push(d.req.SM, d.req, now)
-		d.req = nil
-		p.pendHead++
+	// L2 hits that finished their hit latency.
+	for {
+		req, ok := s.l2hits.Pop(pi, now)
+		if !ok {
+			break
+		}
+		s.toSM.Push(req.SM, req, now)
 		worked = true
-	}
-	if p.pendHead == len(p.pending) {
-		p.pending = p.pending[:0]
-		p.pendHead = 0
 	}
 	if worked {
 		p.busy++
 	}
+	return nil
+}
+
+// horizon is a partition's next-work cycle from its three sources: the
+// interconnect port's next delivery, the DRAM channel's next event
+// (dramNext: memoized, or recomputed by a full scan) and the front
+// pending L2 hit. The result is strictly greater than now (every due
+// event was just processed) or math.MaxInt64 when the partition is
+// drained.
+func (s *System) horizon(pi int, now int64, dramNext int64) int64 {
+	return min(s.toMem.NextReadyPort(pi, now), dramNext, s.l2hits.NextReadyPort(pi, now))
 }
 
 // refreshHorizon recomputes a just-ticked partition's next-work cycle
-// from its three O(1) sources: the interconnect port's next delivery,
-// the DRAM channel's memoized next event, and the front pending L2
-// hit. The result is strictly greater than now (every due event was
-// just processed) or math.MaxInt64 when the partition is drained.
+// from its O(1) sources.
 func (s *System) refreshHorizon(pi int, p *partition, now int64) {
-	h := s.toMem.NextReadyPort(pi, now)
-	if at := p.dram.NextEvent(now); at < h {
-		h = at
-	}
-	if p.pendHead < len(p.pending) {
-		at := p.pending[p.pendHead].at
-		if at <= now {
-			at = now + 1
-		}
-		if at < h {
-			h = at
-		}
-	}
+	h := s.horizon(pi, now, p.dram.NextEvent(now))
 	// A MissedMemWake fault pushes the horizon past the true next
 	// event, so the skipped range provably contains live work; the
 	// ClassMemIdle audit must catch the mismatch before it can corrupt
@@ -288,34 +250,20 @@ func (s *System) refreshHorizon(pi int, p *partition, now int64) {
 	p.nextAt = h
 }
 
-// scanHorizon is refreshHorizon's ground truth: the same three sources
-// recomputed by full scans, bypassing every memo. The ClassMemIdle
-// audit and the horizon property tests compare it against the
-// memoized value — any divergence means a skipped cycle was not
-// provably workless.
-func (s *System) scanHorizon(pi int, p *partition, now int64) int64 {
-	h := s.toMem.NextReadyPort(pi, now) // direct port-front read, no memo
-	if at := p.dram.NextEventScan(now); at < h {
-		h = at
-	}
-	if p.pendHead < len(p.pending) {
-		at := p.pending[p.pendHead].at
-		if at <= now {
-			at = now + 1
-		}
-		if at < h {
-			h = at
-		}
-	}
-	return h
-}
-
-// AuditMemIdle cross-checks the event-driven tick's memoized horizons
-// against from-scratch recomputes: every partition horizon must match
-// its scan, the global early-out bound must be their minimum, and the
-// interconnect memos must match their port scans. Returns nil when the
-// system is not event-driven. Read-only; invariant class mem-idle.
+// AuditMemIdle checks what the memory path's early exits rest on. Every
+// DRAM queue must be arrival-ordered (the FR-FCFS walk and the
+// next-event walk stop at the first request that has not arrived), in
+// every mode. When the system is event-driven the memoized horizons are
+// then cross-checked against from-scratch recomputes — the DRAM next
+// event by a full walk that takes no early exit: every partition
+// horizon must match, and the global early-out bound must be their
+// minimum. Read-only; invariant class mem-idle.
 func (s *System) AuditMemIdle(now int64) error {
+	for pi, p := range s.partitions {
+		if err := p.dram.AuditOrder(); err != nil {
+			return fmt.Errorf("memory partition %d: %w", pi, err)
+		}
+	}
 	if !s.sleep {
 		return nil
 	}
@@ -328,7 +276,7 @@ func (s *System) AuditMemIdle(now int64) error {
 			return fmt.Errorf("memory partition %d is due at cycle %d but was not ticked by cycle %d (missed wake)",
 				pi, p.nextAt, now)
 		}
-		if scan := s.scanHorizon(pi, p, now); scan != p.nextAt {
+		if scan := s.horizon(pi, now, p.dram.NextEventScan(now)); scan != p.nextAt {
 			return fmt.Errorf("memory partition %d memoized next-work cycle %d != scan recompute %d (missed wake)",
 				pi, p.nextAt, scan)
 		}
@@ -342,67 +290,80 @@ func (s *System) AuditMemIdle(now int64) error {
 	return nil
 }
 
-func (s *System) receive(p *partition, req *LineRequest, now int64) {
-	// Misses traverse the L2 lookup pipeline before reaching DRAM, so a
-	// DRAM access always costs more than an L2 hit.
-	missAt := now + int64(s.cfg.L2HitLat)
-	if req.IsWrite {
+func (s *System) receive(pi int, p *partition, req LineRequest, now int64) error {
+	switch {
+	case req.IsWrite:
 		// Write-through, no-allocate: refresh the line if resident,
 		// always forward to DRAM. Writes carry no reply.
 		if p.l2.Probe(req.LineAddr) {
 			p.l2.Fill(req.LineAddr)
 		}
-		p.dram.Enqueue(newDRAMReq(req.LineAddr, true, req, missAt))
-		if d := p.dram.Pending(); d > p.dramPeak {
-			p.dramPeak = d
-		}
-		return
-	}
-	if p.l2.Probe(req.LineAddr) {
-		p.pending = append(p.pending, delayedReply{at: now + int64(s.cfg.L2HitLat), req: req})
-		if d := len(p.pending) - p.pendHead; d > p.pendPeak {
-			p.pendPeak = d
-		}
-		return
-	}
-	if waiters, merged := p.mshr[req.LineAddr]; merged {
+	case p.l2.Probe(req.LineAddr):
+		s.l2hits.Push(pi, req, now)
+		p.pendPeak = max(p.pendPeak, s.l2hits.Len(pi))
+		return nil
+	case !p.mshr.Add(req.LineAddr, req):
 		p.l2.Stats.MSHRMerg++
-		p.mshr[req.LineAddr] = append(waiters, req)
-		return
+		return nil
+	default: // first miss on this line
+		p.mshrPeak = max(p.mshrPeak, p.mshr.Len())
 	}
-	// First miss on this line: take a recycled waiter slice if one is
-	// free so the steady-state miss path allocates nothing.
-	var ws []*LineRequest
-	if n := len(p.waiterFree); n > 0 {
-		ws, p.waiterFree = p.waiterFree[n-1], p.waiterFree[:n-1]
+	// Misses traverse the L2 lookup pipeline before reaching DRAM, so a
+	// DRAM access always costs more than an L2 hit — and since now only
+	// moves forward, the channel's queue is arrival-ordered.
+	if err := p.dram.Enqueue(req.LineAddr, req.IsWrite, now+int64(s.cfg.L2HitLat)); err != nil {
+		return err
 	}
-	p.mshr[req.LineAddr] = append(ws, req)
-	if d := len(p.mshr); d > p.mshrPeak {
-		p.mshrPeak = d
+	p.dramPeak = max(p.dramPeak, p.dram.Pending())
+	if s.faults.Armed(fault.DRAMQueueOrder) && p.dram.SwapNewest() &&
+		!s.faults.Trip(fault.DRAMQueueOrder, now, -1, -1,
+			fmt.Sprintf("partition %d: the two newest DRAM requests traded places", pi)) {
+		p.dram.SwapNewest() // not this opportunity: put them back
 	}
-	p.dram.Enqueue(newDRAMReq(req.LineAddr, false, req, missAt))
-	if d := p.dram.Pending(); d > p.dramPeak {
-		p.dramPeak = d
-	}
-}
-
-func newDRAMReq(addr uint32, isWrite bool, tag *LineRequest, arrive int64) *dram.Request {
-	r := dram.GetRequest()
-	r.Addr, r.IsWrite, r.Tag, r.Arrive = addr, isWrite, tag, arrive
-	return r
+	return nil
 }
 
 // Drained reports whether no requests remain anywhere in the system.
 func (s *System) Drained() bool {
-	if s.toMem.Pending() > 0 || s.toSM.Pending() > 0 {
+	return s.toSM.Pending() == 0 && s.quiet()
+}
+
+// quiet reports whether nothing is on its way to, or inside, a partition.
+func (s *System) quiet() bool {
+	if s.toMem.Pending() > 0 || s.l2hits.Pending() > 0 {
 		return false
 	}
 	for _, p := range s.partitions {
-		if len(p.mshr) > 0 || len(p.pending)-p.pendHead > 0 || p.dram.Pending() > 0 {
+		if p.mshr.Len() > 0 || p.dram.Pending() > 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// Settle ends a launch whose last cycle was now-1. A run stops when its
+// SMs are idle, which can leave posted writes queued in DRAM, and the
+// next launch counts its cycles from 0 again; so Settle ticks the
+// partitions on until they are empty, drops any reply still addressed
+// to the finished launch's SMs, moves the DRAM bank timers onto the new
+// clock and zeroes the L2, DRAM and partition counters. L2 contents and
+// open DRAM rows persist. Callers collect the launch's statistics
+// first: what Settle's own ticks count is reported by no launch.
+func (s *System) Settle(now int64) error {
+	for ; !s.quiet(); now++ {
+		if err := s.Tick(now); err != nil {
+			return err
+		}
+	}
+	s.toSM.Clear()
+	for _, p := range s.partitions {
+		p.dram.Rebase(now)
+		p.l2.Stats, p.dram.Stats = stats.Cache{}, stats.DRAM{}
+		p.busy, p.dramPeak, p.mshrPeak, p.pendPeak = 0, 0, 0, 0
+		p.nextAt = math.MinInt64
+	}
+	s.nextAt = math.MinInt64
+	return nil
 }
 
 // ForEachInFlightRead calls f for every read request currently inside
@@ -412,32 +373,29 @@ func (s *System) Drained() bool {
 // every in-flight read appears exactly once. Read-only; the invariant
 // auditor cross-checks this set against the SMs' L1 MSHRs (request
 // conservation: nothing injected is ever lost).
-func (s *System) ForEachInFlightRead(f func(req *LineRequest)) {
-	emit := func(p any) {
-		if req, ok := p.(*LineRequest); ok && !req.IsWrite {
+func (s *System) ForEachInFlightRead(f func(req LineRequest)) {
+	emit := func(_ int, req LineRequest, _ int64) {
+		if !req.IsWrite {
 			f(req)
 		}
 	}
-	s.toMem.ForEach(emit)
-	s.toSM.ForEach(emit)
+	s.toMem.ForEachAt(emit)
+	s.toSM.ForEachAt(emit)
+	s.l2hits.ForEachAt(emit)
 	for _, p := range s.partitions {
-		for _, waiters := range p.mshr {
+		p.mshr.ForEach(func(_ uint32, waiters []LineRequest) {
 			for _, w := range waiters {
 				f(w)
 			}
-		}
-		for _, d := range p.pending[p.pendHead:] {
-			f(d.req)
-		}
+		})
 	}
 }
 
 // Depths reports the memory system's queue depths for forensic dumps.
 func (s *System) Depths() (toMem, toSM, l2MSHR, l2Pending, dramQueued int) {
-	toMem, toSM = s.toMem.Pending(), s.toSM.Pending()
+	toMem, toSM, l2Pending = s.toMem.Pending(), s.toSM.Pending(), s.l2hits.Pending()
 	for _, p := range s.partitions {
-		l2MSHR += len(p.mshr)
-		l2Pending += len(p.pending) - p.pendHead
+		l2MSHR += p.mshr.Len()
 		dramQueued += p.dram.Pending()
 	}
 	return
@@ -463,9 +421,12 @@ func (s *System) CollectStats(g *stats.GPU) {
 	}
 }
 
-// FlushCaches invalidates all L2 partitions (between kernels).
+// FlushCaches makes the next launch a cold one (between kernels): it
+// invalidates all L2 partitions and closes every DRAM row, so a flushed
+// launch runs exactly as it would on a new simulator.
 func (s *System) FlushCaches() {
 	for _, p := range s.partitions {
 		p.l2.Flush()
+		p.dram.Precharge()
 	}
 }

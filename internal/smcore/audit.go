@@ -102,11 +102,11 @@ func (sm *SM) AuditScoreboard(now int64) error {
 	if staleAt >= 0 {
 		return fmt.Errorf("SM%d: writeback event scheduled for cycle %d never fired (now %d)", sm.ID, staleAt, now)
 	}
-	for _, groups := range sm.mshr {
+	sm.mshr.ForEach(func(_ uint32, groups []*loadGroup) {
 		for _, g := range groups {
 			cover(g.warpSlot, g.gen, g.regMask, 0)
 		}
-	}
+	})
 	for ws := range sm.warps {
 		wc := &sm.warps[ws]
 		if !wc.live || wc.finished {
@@ -144,15 +144,12 @@ func (sm *SM) AuditSIMT() error {
 // outstanding L1 miss for. The invariant auditor matches these against
 // the memory system's in-flight reads (request conservation).
 func (sm *SM) ForEachMSHRLine(f func(line uint32)) {
-	for line := range sm.mshr {
-		f(line)
-	}
+	sm.mshr.ForEach(func(line uint32, _ []*loadGroup) { f(line) })
 }
 
 // HasMSHRLine reports whether the SM has an outstanding miss for line.
 func (sm *SM) HasMSHRLine(line uint32) bool {
-	_, ok := sm.mshr[line]
-	return ok
+	return sm.mshr.Get(line) != nil
 }
 
 // Forensics captures this SM's state for a forensic dump: every live
@@ -163,7 +160,7 @@ func (sm *SM) Forensics(now int64) simerr.SMDump {
 		ID:           sm.ID,
 		ActiveBlocks: sm.ActiveBlocks(),
 		DynProb:      sm.dynProb,
-		MSHRLines:    len(sm.mshr),
+		MSHRLines:    sm.mshr.Len(),
 	}
 	d.PendingWB = sm.wb.count
 	for ws := range sm.warps {
@@ -249,8 +246,8 @@ func (sm *SM) stallReason(ws int, now int64) string {
 		if now < sm.lsuBusy {
 			return fmt.Sprintf("LSU busy until cycle %d", sm.lsuBusy)
 		}
-		if isa.IsGlobalMem(in.Op) && len(sm.mshr) >= sm.cfg.L1MSHRs {
-			return fmt.Sprintf("MSHR full (%d lines outstanding)", len(sm.mshr))
+		if isa.IsGlobalMem(in.Op) && sm.mshr.Len() >= sm.cfg.L1MSHRs {
+			return fmt.Sprintf("MSHR full (%d lines outstanding)", sm.mshr.Len())
 		}
 	}
 	if t.shr.RegNeedsLock(ls, in) && t.shr.WouldBlockReg(ls, wc.w.WarpInCta) {

@@ -208,8 +208,8 @@ func BenchmarkSMTickStalled(b *testing.B) {
 	kb.IAdd(2, isa.Reg(2), isa.Imm(1))
 	kb.Exit()
 	sm := benchBlockedTicks(b, config.Default(), kb.MustBuild(), 256)
-	if sm.Stats.BlockMemPipe == 0 || len(sm.mshr) < sm.cfg.L1MSHRs {
-		b.Fatalf("SM is not stalled on the MSHR file: %d lines outstanding, %d mem-pipe blocks", len(sm.mshr), sm.Stats.BlockMemPipe)
+	if sm.Stats.BlockMemPipe == 0 || sm.mshr.Len() < sm.cfg.L1MSHRs {
+		b.Fatalf("SM is not stalled on the MSHR file: %d lines outstanding, %d mem-pipe blocks", sm.mshr.Len(), sm.Stats.BlockMemPipe)
 	}
 }
 

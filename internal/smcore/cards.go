@@ -152,7 +152,7 @@ func (sm *SM) classReason(cls uint8, now int64, memUsed, sfuUsed bool) uint8 {
 		if memUsed || now < sm.lsuBusy {
 			return reasonUnit
 		}
-		if kind == kindGmem && len(sm.mshr) >= sm.cfg.L1MSHRs {
+		if kind == kindGmem && sm.mshr.Len() >= sm.cfg.L1MSHRs {
 			return reasonMemPipe
 		}
 	}

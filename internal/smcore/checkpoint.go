@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"gpushare/internal/core"
+	"gpushare/internal/mem"
 	"gpushare/internal/mem/cache"
 	"gpushare/internal/sched"
 	"gpushare/internal/stats"
@@ -201,14 +202,9 @@ func (sm *SM) Checkpoint() Checkpoint {
 		}
 		return idx
 	}
-	addrs := make([]uint32, 0, len(sm.mshr))
-	for addr := range sm.mshr {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, addr := range addrs {
+	for _, addr := range sm.mshr.Lines() {
 		e := MSHRCheckpoint{Addr: addr}
-		for _, g := range sm.mshr[addr] {
+		for _, g := range sm.mshr.Get(addr) {
 			e.Groups = append(e.Groups, groupIdx(g))
 		}
 		c.MSHR = append(c.MSHR, e)
@@ -343,20 +339,18 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 		refs[idx]++
 		return groups[idx], nil
 	}
-	clear(sm.mshr)
+	sm.mshr = mem.NewLineTable[*loadGroup]()
 	for _, e := range c.MSHR {
 		if len(e.Groups) == 0 {
 			return fmt.Errorf("SM%d: MSHR line %#x has no waiters", sm.ID, e.Addr)
 		}
-		waiters := make([]*loadGroup, len(e.Groups))
-		for i, idx := range e.Groups {
+		for _, idx := range e.Groups {
 			g, err := resolve(idx)
 			if err != nil {
 				return err
 			}
-			waiters[i] = g
+			sm.mshr.Add(e.Addr, g)
 		}
-		sm.mshr[e.Addr] = waiters
 	}
 	for _, ev := range c.WB {
 		e := wbEvent{warpSlot: ev.WarpSlot, gen: ev.Gen, regMask: ev.RegMask, predMask: ev.PredMask}

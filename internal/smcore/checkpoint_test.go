@@ -31,7 +31,7 @@ func TestCheckpointDerivedStateAndLegacyFields(t *testing.T) {
 		}
 	}
 	if !src.census[0].valid || !src.census[1].valid {
-		t.Fatalf("setup: SM never reached an all-blocked steady state: %+v mshr %d", src.Stats, len(src.mshr))
+		t.Fatalf("setup: SM never reached an all-blocked steady state: %+v mshr %d", src.Stats, src.mshr.Len())
 	}
 
 	raw, err := json.Marshal(src.Checkpoint())

@@ -131,7 +131,7 @@ type SM struct {
 	census []census
 
 	l1       *cache.Cache
-	mshr     map[uint32][]*loadGroup
+	mshr     *mem.LineTable[*loadGroup] // at most cfg.L1MSHRs lines
 	memSys   *mem.System
 	faults   *fault.Plan
 	wb       wbWheel
@@ -141,10 +141,8 @@ type SM struct {
 	nextDyn  int64
 	finished []int // block slots that completed this cycle
 
-	// free lists: load groups and MSHR waiter slices are recycled within
-	// the SM.
+	// groupFree recycles load groups within the SM.
 	groupFree []*loadGroup
-	mshrFree  [][]*loadGroup
 
 	Stats stats.SM
 

@@ -89,7 +89,7 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 		ID:      id,
 		cfg:     cfg,
 		l1:      cache.NewWithPolicy(cfg.L1Sets, cfg.L1Ways, cfg.L1LineSz, cfg.L1Policy),
-		mshr:    make(map[uint32][]*loadGroup),
+		mshr:    mem.NewLineTable[*loadGroup](),
 		memSys:  ms,
 		dynProb: 1,
 		rng:     cfg.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15,

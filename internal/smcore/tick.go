@@ -318,25 +318,16 @@ func (sm *SM) issueGlobalLoad(ws int, wc *warpCtx, dstMask uint64, res warp.Resu
 // sendOrMerge allocates an MSHR entry for the line or merges into an
 // outstanding one.
 func (sm *SM) sendOrMerge(line uint32, group *loadGroup, now int64) {
-	if waiters, pending := sm.mshr[line]; pending {
+	if !sm.mshr.Add(line, group) {
 		sm.l1.Stats.MSHRMerg++
-		sm.mshr[line] = append(waiters, group)
 		return
 	}
-	var waiters []*loadGroup
-	if n := len(sm.mshrFree); n > 0 { // recycle a drained waiter slice
-		waiters = sm.mshrFree[n-1]
-		sm.mshrFree = sm.mshrFree[:n-1]
-	}
-	sm.mshr[line] = append(waiters, group)
 	sm.sendLine(line, false, now)
 }
 
 // sendLine injects one line transaction into the memory system.
 func (sm *SM) sendLine(line uint32, isWrite bool, now int64) {
-	req := mem.GetLineRequest()
-	req.LineAddr, req.IsWrite, req.SM = line, isWrite, sm.ID
-	sm.memSys.Send(req, now)
+	sm.memSys.Send(mem.LineRequest{LineAddr: line, IsWrite: isWrite, SM: sm.ID}, now)
 }
 
 // issueGlobalStore applies the write-evict L1 policy and forwards write
@@ -429,8 +420,8 @@ func (sm *SM) completeGroupPart(g *loadGroup, now int64) {
 // drainReplies pulls at most one memory reply per cycle (reply-network
 // ejection bandwidth), fills the L1, and completes merged loads.
 func (sm *SM) drainReplies(now int64) {
-	req := sm.memSys.PopReply(sm.ID, now)
-	if req == nil {
+	req, ok := sm.memSys.PopReply(sm.ID, now)
+	if !ok {
 		return
 	}
 	if sm.faults.Armed(fault.DropMemReply) && sm.faults.Trip(fault.DropMemReply, now, sm.ID, -1,
@@ -440,15 +431,9 @@ func (sm *SM) drainReplies(now int64) {
 	if !sm.cfg.L1Disable {
 		sm.l1.Fill(req.LineAddr)
 	}
-	groups := sm.mshr[req.LineAddr]
-	delete(sm.mshr, req.LineAddr)
-	for _, g := range groups {
+	for _, g := range sm.mshr.Take(req.LineAddr) {
 		sm.completeGroupPart(g, now)
 	}
-	if groups != nil {
-		sm.mshrFree = append(sm.mshrFree, groups[:0])
-	}
-	mem.PutLineRequest(req)
 }
 
 // checkBarrier releases the block's barrier once every unfinished warp
@@ -519,7 +504,7 @@ func (sm *SM) FinalizeStats() {
 // PendingWork reports whether the SM still has in-flight writebacks or
 // outstanding memory requests (used for end-of-run draining assertions).
 func (sm *SM) PendingWork() bool {
-	return sm.wb.count > 0 || len(sm.mshr) > 0
+	return sm.wb.count > 0 || sm.mshr.Len() > 0
 }
 
 // rfConflictCycles returns the extra operand-read cycles caused by

@@ -93,8 +93,7 @@ fi
 # 5% headroom rounds to zero for the zero-alloc microbenchmarks, so
 # their gate stays exact; it absorbs the run-to-run jitter of the
 # end-to-end runs, whose ten-odd thousand allocs/op are one-time set-up
-# plus sync.Pool refills that depend on when the collector runs (the
-# same binary reads 14768-15155 on BenchmarkCoResident). What the gate
+# and buffers growing to their steady-state size. What the gate
 # is for, an allocation per cycle or per instruction, shows up as a
 # multiple, not a few percent.
 fail=0

@@ -2,8 +2,10 @@
 # Pre-PR gate: vet + formatting + build + race-checked tests for the
 # concurrency-bearing packages (the runner's worker pool / singleflight,
 # the session layer, the gserved daemon + client — including the
-# admission-saturation test — and four simulations run side by side),
-# a guard that internal/gpu still has one cycle loop, the bench module's
+# admission-saturation test — and four simulations run side by side,
+# which share nothing), guards that internal/gpu still has one cycle loop
+# and that no pool, map-keyed MSHR or any-typed payload is back on the
+# memory path, the bench module's
 # own tests, the allocation budget of the cycle path,
 # a fuzz smoke pass over the assembler, ISA evaluator, warp executor and
 # checkpoint decoder, an invariant-audited tier-1 run (plus the two-level
@@ -54,7 +56,13 @@ go test -race $short ./internal/server/ ./internal/client/
 echo "== go test -race (fleet coordinator incl. the stub-worker dispatch-protocol tests, wal journal)"
 go test -race $short ./internal/fleet/ ./internal/wal/
 
-echo "== go test -race (concurrent simulations share only the mem/dram pools; a run starts no goroutine)"
+echo "== no shared or untyped plumbing on the memory path (sync.Pool, map-keyed MSHRs, any-typed payloads stay out of internal/mem and internal/smcore)"
+for pat in 'sync\.Pool' 'map\[uint32\]' 'Payload  *any' 'Tag  *any'; do
+    hits=$(grep -rn --include='*.go' -- "$pat" internal/mem internal/smcore | grep -v '_test\.go:' | grep -v ':[[:space:]]*//' || true)
+    [ -z "$hits" ] || { echo "engine plumbing regressed ('$pat'):" >&2; echo "$hits" >&2; exit 1; }
+done
+
+echo "== go test -race (concurrent simulations share nothing; a run starts no goroutine)"
 go test -race -run 'TestConcurrentRunsIndependent|TestRunSpawnsNoGoroutines|TestLaunchQueue' ./internal/gpu/
 
 echo "== bench module (outside the root module: surface + golden tests of bench/)"
