@@ -37,19 +37,14 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"gpushare/internal/fleet"
+	"gpushare/internal/server"
 )
 
 // workerList collects repeated -worker flags.
@@ -81,55 +76,18 @@ func main() {
 	flag.Parse()
 
 	coord, err := fleet.New(fleet.Options{
+		CoreOptions:   server.CoreOptions{QueueDepth: *queue, MaxDeadline: *deadline, JournalPath: *journal},
 		LeaseTTL:      *lease,
 		ProbeInterval: *probe,
-		QueueDepth:    *queue,
-		MaxDeadline:   *deadline,
 		NoPreemption:  *noPre,
 		Workers:       workers,
 		Slots:         *slots,
-		JournalPath:   *journal,
 	})
+	if err == nil {
+		err = server.Serve(coord.Core, *addr, *drain)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gsched: %v\n", err)
-		os.Exit(1)
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gsched: %v\n", err)
-		os.Exit(1)
-	}
-	// The resolved address is the startup handshake: scripts that start
-	// gsched on port 0 read it from stdout.
-	fmt.Printf("gsched: listening on %s\n", ln.Addr())
-
-	httpSrv := &http.Server{Handler: coord.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
-
-	select {
-	case err := <-serveErr:
-		fmt.Fprintf(os.Stderr, "gsched: serve: %v\n", err)
-		os.Exit(1)
-	case got := <-sig:
-		fmt.Printf("gsched: %s: draining (deadline %s)\n", got, *drain)
-	}
-
-	// Drain first — the listener stays up so in-flight jobs stay
-	// reachable (held waits are answered as they finish) and new
-	// submissions receive an explicit 503 — then close the HTTP side.
-	drainErr := coord.Drain(*drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintf(os.Stderr, "gsched: shutdown: %v\n", err)
-	}
-	if drainErr != nil {
-		fmt.Fprintf(os.Stderr, "gsched: %v\n", drainErr)
 		os.Exit(1)
 	}
 	fmt.Println("gsched: drained")

@@ -28,16 +28,12 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"gpushare/internal/runner"
@@ -85,13 +81,15 @@ func main() {
 		}()
 	}
 
-	srv := server.New(server.Options{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		MaxBodyBytes:     *maxBody,
-		MaxInFlightBytes: *maxBytes,
-		MaxDeadline:      *deadline,
-		JournalPath:      *journal,
+	srv, err := server.New(server.Options{
+		CoreOptions: server.CoreOptions{
+			QueueDepth:       *queue,
+			MaxBodyBytes:     *maxBody,
+			MaxInFlightBytes: *maxBytes,
+			MaxDeadline:      *deadline,
+			JournalPath:      *journal,
+		},
+		Workers: *workers,
 		Runner: runner.Options{
 			CacheDir:         *cacheDir,
 			Timeout:          *timeout,
@@ -100,45 +98,12 @@ func main() {
 			CheckpointStride: *ckStride,
 		},
 	})
-
-	ln, err := net.Listen("tcp", *addr)
+	if err == nil {
+		err = server.Serve(srv.Core, *addr, *drain)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gserved: %v\n", err)
 		os.Exit(1)
 	}
-	// The resolved address is the startup handshake: scripts that start
-	// gserved on port 0 read it from stdout.
-	fmt.Printf("gserved: listening on %s\n", ln.Addr())
-
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
-
-	select {
-	case err := <-serveErr:
-		fmt.Fprintf(os.Stderr, "gserved: serve: %v\n", err)
-		os.Exit(1)
-	case got := <-sig:
-		fmt.Printf("gserved: %s: draining (deadline %s)\n", got, *drain)
-	}
-
-	// Drain first — the listener stays up so in-flight jobs stay
-	// reachable (held waits are answered as they finish) and new
-	// submissions receive an explicit 503 instead of a connection
-	// refusal — then close the HTTP side.
-	drainErr := srv.Drain(*drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintf(os.Stderr, "gserved: shutdown: %v\n", err)
-	}
-	if drainErr != nil {
-		fmt.Fprintf(os.Stderr, "gserved: %v\n", drainErr)
-		os.Exit(1)
-	}
-	c := srv.Runner().Counters()
-	fmt.Printf("gserved: drained: %s\n", c)
+	fmt.Printf("gserved: drained: %s\n", srv.Runner().Counters())
 }

@@ -196,19 +196,22 @@ func (c *Client) Ready(ctx context.Context) (*server.ReadyzStatus, error) {
 	return &st, nil
 }
 
+// SweepResponse is a sweep reply as gserved sends it.
+type SweepResponse = server.SweepResponse[server.JobStatus]
+
 // Sweep batch-submits jobs; individually shed elements are marked
 // Rejected in the response rather than failing the batch.
-func (c *Client) Sweep(ctx context.Context, reqs []server.SubmitRequest) (*server.SweepResponse, error) {
-	var resp server.SweepResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/sweeps", server.SweepRequest{Jobs: reqs}, &resp); err != nil {
+func (c *Client) Sweep(ctx context.Context, reqs []server.SubmitRequest) (*SweepResponse, error) {
+	var resp SweepResponse
+	if err := c.do(ctx, http.MethodPost, "/v1/sweeps", server.SweepRequest[server.SubmitRequest]{Jobs: reqs}, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
 // SweepList fetches the daemon's whole job inventory.
-func (c *Client) SweepList(ctx context.Context) (*server.SweepResponse, error) {
-	var resp server.SweepResponse
+func (c *Client) SweepList(ctx context.Context) (*SweepResponse, error) {
+	var resp SweepResponse
 	if err := c.do(ctx, http.MethodGet, "/v1/sweeps", nil, &resp); err != nil {
 		return nil, err
 	}

@@ -18,7 +18,10 @@ import (
 // the worker with the timer stopped; worker-ms/job is that leg, and
 // dispatch-ms/job — what the fleet layer adds to a job — the difference.
 func BenchmarkFleetDispatch(b *testing.B) {
-	s := server.New(server.Options{Workers: 1, QueueDepth: 32})
+	s, err := server.New(server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 32}})
+	if err != nil {
+		b.Fatal(err)
+	}
 	wts := httptest.NewServer(s.Handler())
 	c, err := fleet.New(fleet.Options{Workers: []string{wts.URL}})
 	if err != nil {
@@ -26,7 +29,7 @@ func BenchmarkFleetDispatch(b *testing.B) {
 	}
 	cts := httptest.NewServer(c.Handler())
 	defer func() {
-		c.HardStop()
+		c.Kill()
 		cts.Close()
 		s.Kill()
 		wts.Close()

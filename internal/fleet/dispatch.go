@@ -20,7 +20,7 @@ func (c *Coordinator) schedulerLoop() {
 	defer c.wg.Done()
 	for {
 		select {
-		case <-c.baseCtx.Done():
+		case <-c.Context().Done():
 			return
 		case <-c.kick:
 		}
@@ -33,56 +33,49 @@ func (c *Coordinator) schedulerLoop() {
 // job and no slot is free — initiate one preemption.
 func (c *Coordinator) scheduleOnce() {
 	now := time.Now()
-	eligible := func(j *fjob) bool {
-		return j.state == JobQueued && !now.Before(j.notBefore)
-	}
+	due := func(j *fjob) bool { return !now.Before(j.notBefore) }
 
-	c.mu.Lock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	for {
 		w := c.freeWorkerLocked()
 		if w == nil {
 			break
 		}
-		j := c.q.pop(eligible)
+		j := c.q.pop(due)
 		if j == nil {
 			break
 		}
-		if j.state != JobQueued {
+		if j.State != JobQueued {
 			// A terminal result arrived (e.g. from a partitioned worker
 			// that finished the job after it was requeued) while the
 			// entry sat in the queue; nothing left to run.
 			continue
 		}
-		c.startDispatchLocked(j, w)
+		ctx, cancel := context.WithCancel(c.Context())
+		c.bindLocked(j, w, cancel)
+		go c.runDispatch(ctx, j, w)
 	}
-
-	var preempt *fjob
-	var preemptCl *client.Client
-	if !c.opts.NoPreemption {
-		if p := c.q.peekPriority(eligible); p >= 0 {
-			if victim := c.preemptVictimLocked(p); victim != nil {
-				victim.preempting = true
-				c.preemptions.Add(1)
-				preempt = victim
-				preemptCl = c.workers[victim.worker].cl
-			}
-		}
+	if c.opts.NoPreemption {
+		return
 	}
-	c.mu.Unlock()
-
-	if preempt != nil {
-		// Cancel on the worker outside the lock; the dispatch goroutine
-		// observes the canceled terminal state and requeues. The
-		// checkpoint trail survives cancellation, so the preempted job
-		// resumes from its last checkpoint, not cycle 0.
-		key := preempt.key
-		cl := preemptCl
-		go func() {
-			ctx, cancel := context.WithTimeout(c.baseCtx, 10*time.Second)
-			defer cancel()
-			_, _ = cl.Cancel(ctx, key)
-		}()
+	p := c.q.peekPriority(func(j *fjob) bool { return j.State == JobQueued && due(j) })
+	victim := c.preemptVictimLocked(p)
+	if victim == nil {
+		return
 	}
+	victim.preempting = true
+	c.preemptions.Add(1)
+	// Cancel on the worker outside the lock; the dispatch goroutine
+	// observes the canceled terminal state and requeues. The checkpoint
+	// trail survives cancellation, so the preempted job resumes from its
+	// last checkpoint, not cycle 0.
+	key, cl := victim.Key, c.workers[victim.worker].cl
+	go func() {
+		ctx, cancel := context.WithTimeout(c.Context(), 10*time.Second)
+		defer cancel()
+		_, _ = cl.Cancel(ctx, key)
+	}()
 }
 
 // freeWorkerLocked picks the alive worker with the most spare slots
@@ -90,7 +83,7 @@ func (c *Coordinator) scheduleOnce() {
 // is busy.
 func (c *Coordinator) freeWorkerLocked() *worker {
 	var best *worker
-	for _, id := range workerNames(c.workers) {
+	for _, id := range sortedKeys(c.workers) {
 		w := c.workers[id]
 		if w.state != WorkerAlive || len(w.inflight) >= w.slots {
 			continue
@@ -114,11 +107,11 @@ func (c *Coordinator) preemptVictimLocked(p int) *fjob {
 			continue
 		}
 		for _, j := range w.inflight {
-			if j.preempting || j.state != JobDispatched || j.priority >= p {
+			if j.preempting || j.State != JobDispatched || j.priority >= p {
 				continue
 			}
 			if victim == nil || j.priority < victim.priority ||
-				(j.priority == victim.priority && j.seq > victim.seq) {
+				(j.priority == victim.priority && j.Seq > victim.Seq) {
 				victim = j
 			}
 		}
@@ -126,16 +119,14 @@ func (c *Coordinator) preemptVictimLocked(p int) *fjob {
 	return victim
 }
 
-// startDispatchLocked binds a job to a worker slot and launches the
-// dispatch goroutine.
-func (c *Coordinator) startDispatchLocked(j *fjob, w *worker) {
-	ctx, cancel := context.WithCancel(c.baseCtx)
-	j.state = JobDispatched
+// bindLocked binds a job to a worker slot: the bookkeeping half of a
+// dispatch, runDispatch being the other.
+func (c *Coordinator) bindLocked(j *fjob, w *worker, cancel context.CancelFunc) {
+	c.StartLocked(j.Job)
 	j.worker = w.id
 	j.cancelDispatch = cancel
-	w.inflight[j.key] = j
+	w.inflight[j.Key] = j
 	w.dispatched++
-	go c.runDispatch(ctx, j, w)
 }
 
 // runDispatch drives one dispatch attempt end to end: submit, crash
@@ -147,7 +138,18 @@ func (c *Coordinator) startDispatchLocked(j *fjob, w *worker) {
 // holds (after a coordinator restart, or a requeue race) joins the
 // existing run or returns the cached result.
 func (c *Coordinator) runDispatch(ctx context.Context, j *fjob, w *worker) {
-	st, err := w.cl.Submit(ctx, j.req.SubmitRequest)
+	// The deadline was stamped once, at admission; each dispatch forwards
+	// what is left of it, so requeues cannot extend the budget.
+	req := j.Req.(*SubmitRequest).SubmitRequest
+	if !j.Deadline.IsZero() {
+		left := time.Until(j.Deadline)
+		if left <= 0 {
+			c.expire(j, w, fmt.Sprintf("job %s: deadline passed before dispatch", j.Run))
+			return
+		}
+		req.DeadlineMillis = max(left.Milliseconds(), 1)
+	}
+	st, err := w.cl.Submit(ctx, req)
 	if err != nil {
 		c.dispatchFailed(j, w, err)
 		return
@@ -159,76 +161,80 @@ func (c *Coordinator) runDispatch(ctx context.Context, j *fjob, w *worker) {
 	// re-dispatched, and the worker's dedup makes the second submit
 	// harmless — this is the at-least-once half of the
 	// exactly-once-results argument, exercised directly.
-	if c.opts.Faults.Trip(fault.CrashAfterDispatch, 0, -1, -1, "dispatch of "+j.key+" to "+w.id) {
-		c.HardStop()
+	if c.opts.Faults.Trip(fault.CrashAfterDispatch, 0, -1, -1, "dispatch of "+j.Key+" to "+w.id) {
+		c.Kill()
 		return
 	}
 
 	if !server.Terminal(st.State) {
-		st, err = w.cl.Wait(ctx, j.key, 0)
+		st, err = w.cl.Wait(ctx, j.Key, 0)
 		if err != nil {
 			c.dispatchFailed(j, w, err)
 			return
 		}
 	}
-	switch st.State {
-	case server.StateDone, server.StateFailed:
-		c.finish(j, w, st)
-	case server.StateCanceled:
-		// Preemption, worker drain, or worker-side deadline: the work is
-		// still owed. The checkpoint trail survives on disk, so the next
-		// dispatch resumes rather than restarts.
-		c.requeueFromWorker(j, w)
-	default:
+	c.settle(j, w, st, time.Now())
+}
+
+// settle acts on the state a worker reported for a dispatch.
+func (c *Coordinator) settle(j *fjob, w *worker, st *server.JobStatus, now time.Time) {
+	switch {
+	case st.State == server.StateDone || st.State == server.StateFailed:
+		c.finish(j, w, *st)
+	case st.State != server.StateCanceled:
 		c.dispatchFailed(j, w, fmt.Errorf("fleet: worker %s returned non-terminal state %q", w.id, st.State))
+	case !j.Deadline.IsZero() && !now.Before(j.Deadline):
+		// The worker ran the job's own budget out. Requeueing it would
+		// only run it out again.
+		c.expire(j, w, st.Error)
+	default:
+		// Preemption or worker drain: the work is still owed. The
+		// checkpoint trail survives on disk, so the next dispatch resumes
+		// rather than restarts.
+		c.Mu.Lock()
+		if c.releaseLocked(j, w) {
+			c.requeueLocked(j, j.preempting)
+		}
+		c.Mu.Unlock()
 	}
 }
 
-// finish records a terminal result. The first terminal result wins:
-// duplicate executions (a requeued job that a partitioned worker also
-// finished) are byte-identical by simulator determinism, and every
-// later arrival is dropped here, which is what makes results
-// at-most-once even though dispatch is at-least-once.
-func (c *Coordinator) finish(j *fjob, w *worker, st *server.JobStatus) {
-	c.mu.Lock()
-	if j.state == JobDone || j.state == JobFailed {
-		c.mu.Unlock()
-		return
+// releaseLocked takes a dispatch off its worker and reports whether the job
+// is still that dispatch's to settle (markDead or a competing path may
+// have moved it already).
+func (c *Coordinator) releaseLocked(j *fjob, w *worker) bool {
+	if w.inflight[j.Key] == j { // not a resubmission of a canceled key: that is another job
+		delete(w.inflight, j.Key)
 	}
-	delete(w.inflight, j.key)
-	j.res = *st
-	j.state = st.State
-	j.preempting = false
-	j.cancelDispatch = nil
-	w.completed++
-	// Counted before done closes: whoever is released by it may read
-	// /statusz next.
-	if st.State == server.StateDone {
-		c.completed.Add(1)
-	} else {
-		c.failed.Add(1)
-	}
-	close(j.done)
-	crashed := c.crashed
-	c.mu.Unlock()
+	return j.State == JobDispatched && j.worker == w.id
+}
 
-	if c.jl != nil && !crashed {
-		_ = c.jl.Done(j.key)
+// finish publishes a worker's terminal result (server.Core.Publish: the
+// first one wins) and frees the slot.
+func (c *Coordinator) finish(j *fjob, w *worker, st server.JobStatus) {
+	c.Mu.Lock()
+	c.releaseLocked(j, w)
+	if !server.Terminal(j.State) {
+		w.completed++ // counted before done closes: a released waiter may read /v1/workers next
 	}
-	c.signalSettled()
+	j.preempting, j.cancelDispatch = false, nil
+	c.Mu.Unlock()
+	c.Publish(j.Job, st, nil)
 	c.kickScheduler()
 }
 
-// requeueFromWorker returns a dispatched job to the queue after the
-// worker reported it canceled.
-func (c *Coordinator) requeueFromWorker(j *fjob, w *worker) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(w.inflight, j.key)
-	if j.state != JobDispatched || j.worker != w.id {
-		return // markDead or a competing path already moved it
+// expire ends a job whose deadline passed as terminal canceled, under
+// gserved's rule: POST ?wait=1 answers 503 canceled, the entry is
+// transient (a resubmission re-admits) and the journal accept stays
+// pending.
+func (c *Coordinator) expire(j *fjob, w *worker, msg string) {
+	c.Mu.Lock()
+	mine := c.releaseLocked(j, w)
+	c.Mu.Unlock()
+	if mine {
+		c.Publish(j.Job, server.JobStatus{State: server.StateCanceled, Error: msg}, nil)
+		c.kickScheduler()
 	}
-	c.requeueLocked(j, j.preempting)
 }
 
 // dispatchFailed handles a dispatch attempt that never produced a
@@ -236,13 +242,12 @@ func (c *Coordinator) requeueFromWorker(j *fjob, w *worker) {
 // broke. The job goes back to the queue with a short hold-down so a
 // flapping worker cannot spin the scheduler.
 func (c *Coordinator) dispatchFailed(j *fjob, w *worker, err error) {
-	if c.baseCtx.Err() != nil {
+	if c.Context().Err() != nil {
 		return // coordinator stopping; journal owns the job now
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(w.inflight, j.key)
-	if j.state != JobDispatched || j.worker != w.id {
+	c.Mu.Lock()
+	if !c.releaseLocked(j, w) {
+		c.Mu.Unlock()
 		return
 	}
 	var apiErr *client.APIError
@@ -251,22 +256,15 @@ func (c *Coordinator) dispatchFailed(j *fjob, w *worker, err error) {
 		// The coordinator validated it identically at admission, so this
 		// is a version skew or operator error, not transience: fail the
 		// job honestly instead of requeuing forever.
-		j.res = server.JobStatus{Key: j.key, State: server.StateFailed,
-			Workload: j.req.Workload, Scale: j.req.Scale,
-			Error: fmt.Sprintf("worker %s rejected job: %v", w.id, err)}
-		j.state = JobFailed
-		j.preempting = false
-		j.cancelDispatch = nil
-		c.failed.Add(1)
-		close(j.done)
-		if c.jl != nil && !c.crashed {
-			_ = c.jl.Done(j.key)
-		}
-		c.signalSettled()
+		j.preempting, j.cancelDispatch = false, nil
+		c.Mu.Unlock()
+		c.Publish(j.Job, server.JobStatus{State: server.StateFailed,
+			Error: fmt.Sprintf("worker %s rejected job: %v", w.id, err)}, nil)
 		return
 	}
 	j.notBefore = time.Now().Add(c.opts.ProbeInterval)
 	c.requeueLocked(j, false)
+	c.Mu.Unlock()
 	// The kick inside requeueLocked finds the job held down; this one
 	// lands when the hold-down is over.
 	time.AfterFunc(c.opts.ProbeInterval, c.kickScheduler)
@@ -275,7 +273,6 @@ func (c *Coordinator) dispatchFailed(j *fjob, w *worker, err error) {
 // requeueLocked returns a job to the fair queue. preempted marks a
 // requeue caused by deliberate preemption (counted separately).
 func (c *Coordinator) requeueLocked(j *fjob, preempted bool) {
-	j.state = JobQueued
 	j.worker = ""
 	j.requeues++
 	c.requeues.Add(1)
@@ -287,8 +284,7 @@ func (c *Coordinator) requeueLocked(j *fjob, preempted bool) {
 		j.cancelDispatch()
 		j.cancelDispatch = nil
 	}
-	c.q.push(j)
-	c.kickScheduler()
+	c.RequeueLocked(j.Job)
 }
 
 // probeLoop is the failure detector: every ProbeInterval it probes each
@@ -299,7 +295,7 @@ func (c *Coordinator) probeLoop() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-c.baseCtx.Done():
+		case <-c.Context().Done():
 			return
 		case <-tick.C:
 		}
@@ -309,12 +305,12 @@ func (c *Coordinator) probeLoop() {
 
 // probeAll probes every worker concurrently and waits for the sweep.
 func (c *Coordinator) probeAll() {
-	c.mu.Lock()
+	c.Mu.Lock()
 	ws := make([]*worker, 0, len(c.workers))
-	for _, id := range workerNames(c.workers) {
+	for _, id := range sortedKeys(c.workers) {
 		ws = append(ws, c.workers[id])
 	}
-	c.mu.Unlock()
+	c.Mu.Unlock()
 
 	var wg sync.WaitGroup
 	for _, w := range ws {
@@ -336,27 +332,27 @@ func (c *Coordinator) probe(w *worker) {
 	// it — the flag is sticky, emulating a cut cable rather than one
 	// dropped packet.
 	if c.opts.Faults.Trip(fault.HeartbeatBlackhole, 0, -1, -1, "probe of "+w.id) {
-		c.mu.Lock()
+		c.Mu.Lock()
 		w.blackholed = true
-		c.mu.Unlock()
+		c.Mu.Unlock()
 	}
-	c.mu.Lock()
+	c.Mu.Lock()
 	blackholed := w.blackholed
 	cl := w.cl
-	c.mu.Unlock()
+	c.Mu.Unlock()
 
 	var st *server.ReadyzStatus
 	var err error
 	if blackholed {
 		err = fmt.Errorf("fleet: probe blackholed (injected partition)")
 	} else {
-		ctx, cancel := context.WithTimeout(c.baseCtx, c.opts.ProbeInterval)
+		ctx, cancel := context.WithTimeout(c.Context(), c.opts.ProbeInterval)
 		st, err = cl.Ready(ctx)
 		cancel()
 	}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	if err != nil {
 		// Missed heartbeat. One miss is not death — the lease is. Only
 		// when no probe or push heartbeat has landed for a full TTL does
@@ -410,12 +406,10 @@ func (c *Coordinator) markDeadLocked(w *worker) {
 	w.state = WorkerDead
 	w.deaths++
 	c.workerDeaths.Add(1)
-	for key, j := range w.inflight {
-		delete(w.inflight, key)
-		if j.state != JobDispatched || j.worker != w.id {
-			continue
+	for _, j := range w.inflight {
+		if c.releaseLocked(j, w) {
+			c.requeueLocked(j, j.preempting)
 		}
-		c.requeueLocked(j, j.preempting)
 	}
 }
 
@@ -424,8 +418,8 @@ func (c *Coordinator) markDeadLocked(w *worker) {
 // next probe sweep, and revives a dead entry (the worker is plainly
 // alive — it just called us).
 func (c *Coordinator) heartbeat(id string) (*worker, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	w, ok := c.workers[id]
 	if !ok {
 		return nil, false
@@ -444,8 +438,8 @@ func (c *Coordinator) heartbeat(id string) (*worker, bool) {
 // drainWorker marks a worker draining: its lease stays honored but no
 // new jobs are placed on it. In-flight jobs are left to finish.
 func (c *Coordinator) drainWorker(id string) (*worker, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	w, ok := c.workers[id]
 	if !ok {
 		return nil, false

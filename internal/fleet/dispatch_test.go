@@ -242,7 +242,7 @@ func TestJobOutlivesManyHolds(t *testing.T) {
 	}
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(func() {
-		c.HardStop()
+		c.Kill()
 		ts.Close()
 	})
 
@@ -431,7 +431,7 @@ func TestStoppingCoordinatorAnswersUnmarked(t *testing.T) {
 		h.ServeHTTP(rw, r)
 	}))
 	t.Cleanup(func() {
-		c.HardStop()
+		c.Kill()
 		ts.Close()
 	})
 
@@ -439,7 +439,7 @@ func TestStoppingCoordinatorAnswersUnmarked(t *testing.T) {
 	await(t, w.submitted, "the dispatch")
 	go func() {
 		<-arrived
-		c.HardStop()
+		c.Kill()
 	}()
 	var st fleet.JobStatus
 	if code := doJSON(t, "GET", ts.URL+"/v1/jobs/"+key+"?wait=1", nil, &st); code != http.StatusOK {

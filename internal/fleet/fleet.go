@@ -31,11 +31,16 @@
 //   - Degraded mode: with no live workers the coordinator keeps
 //     accepting (the journal makes that promise durable) and reports an
 //     honest Retry-After instead of erroring.
+//
+// The job lifecycle — registry, admission, journal and replay, the
+// terminal publish, drain, the job/sweep/health handlers — is
+// server.Core, the same one gserved runs; the Coordinator is its remote
+// Backend: the fair queue, the scheduler, leases, preemption, requeue
+// and the /v1/workers routes.
 package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -46,13 +51,16 @@ import (
 
 	"gpushare/internal/client"
 	"gpushare/internal/fault"
+	"gpushare/internal/runner"
 	"gpushare/internal/server"
-	"gpushare/internal/wal"
 )
 
 // Options configures a Coordinator. The zero value is usable: 3s
 // leases probed every second, a 1024-deep queue, preemption on.
 type Options struct {
+	// CoreOptions are the lifecycle settings shared with gserved.
+	// QueueDepth here bounds admitted-but-unfinished jobs (0 = 1024).
+	server.CoreOptions
 	// LeaseTTL is how long a worker stays trusted after its last
 	// successful probe or heartbeat (0 = 3s). Expiry marks it dead and
 	// requeues its jobs.
@@ -60,11 +68,6 @@ type Options struct {
 	// ProbeInterval is the failure-detector sweep period (0 =
 	// LeaseTTL/3). Each sweep probes every worker's /readyz.
 	ProbeInterval time.Duration
-	// QueueDepth bounds admitted-but-unfinished jobs (0 = 1024); beyond
-	// it submissions are shed with 429.
-	QueueDepth int
-	// MaxDeadline caps client-requested job deadlines (0 = 10m).
-	MaxDeadline time.Duration
 	// NoPreemption disables checkpoint-based preemption: higher-priority
 	// jobs then only jump the queue, never displace a running job.
 	NoPreemption bool
@@ -74,13 +77,6 @@ type Options struct {
 	// Slots is the per-worker concurrent-dispatch cap for the static
 	// Workers set (0 = 1).
 	Slots int
-	// JournalPath enables the write-ahead queue journal ("" disables):
-	// admissions are fsync'd before dispatch, and a coordinator killed
-	// outright replays unfinished jobs on the next start.
-	JournalPath string
-	// JournalFaults arms torn-append crash injection on the journal
-	// (durability tests only).
-	JournalFaults *fault.Plan
 	// Faults arms fleet crash points (durability tests only):
 	// CrashAfterDispatch hard-stops the coordinator between a worker
 	// accepting a job and the ack being recorded; HeartbeatBlackhole
@@ -91,20 +87,16 @@ type Options struct {
 	NewClient func(baseURL string) *client.Client
 }
 
-// fjob is one fleet job's coordinator-side state. Mutations are guarded
-// by Coordinator.mu; done closes exactly once, when the job reaches a
-// terminal state.
+// fjob is the scheduling state the coordinator keeps beside one
+// registry entry (server.Job.Ext points back at it). Mutations are
+// guarded by the core's lock.
 type fjob struct {
-	key      string
-	req      SubmitRequest
+	*server.Job
 	tenant   string
 	weight   int
 	priority int
-	seq      int64
 
-	state  string
 	worker string // current / last worker id
-	res    server.JobStatus
 
 	requeues    int
 	preemptions int
@@ -116,11 +108,10 @@ type fjob struct {
 	notBefore time.Time
 
 	cancelDispatch context.CancelFunc
-	done           chan struct{}
 }
 
-// worker is one registry entry. Mutations are guarded by
-// Coordinator.mu.
+// worker is one registry entry. Mutations are guarded by the core's
+// lock.
 type worker struct {
 	id    string
 	url   string
@@ -143,49 +134,28 @@ type worker struct {
 	deaths     int64
 }
 
-// Coordinator is the gsched daemon core. Build with New, mount
-// Handler, stop with Drain (graceful) or HardStop (crash emulation).
+// Coordinator is the gsched daemon: the lifecycle Core over a fair
+// queue and a scheduler that runs jobs on remote gserved workers. Build
+// with New, mount Handler, stop with Drain (graceful) or Kill (crash
+// emulation).
 type Coordinator struct {
+	*server.Core
 	opts Options
-	mux  *http.ServeMux
 
-	baseCtx context.Context
-	cancel  context.CancelFunc
-
-	mu       sync.Mutex
-	workers  map[string]*worker
-	jobs     map[string]*fjob
-	q        *fairQueue
-	seq      int64
-	draining bool
-	crashed  bool
-
-	jl *wal.Log
+	// workers and q are guarded by the core's lock, Mu.
+	workers map[string]*worker
+	q       *fairQueue
 
 	kick chan struct{}
-	// settled is signaled (never blocking) whenever a job turns terminal;
-	// Drain waits on it.
-	settled chan struct{}
-	wg      sync.WaitGroup
+	wg   sync.WaitGroup
 
-	// holdBound caps one ?wait= hold (server.HoldBound outside tests).
-	holdBound time.Duration
-
-	start time.Time
-
-	accepted     atomic.Int64
-	deduped      atomic.Int64
-	completed    atomic.Int64
-	failed       atomic.Int64
 	requeues     atomic.Int64
 	preemptions  atomic.Int64
 	workerDeaths atomic.Int64
-	replayed     atomic.Int64
-	rejFull      atomic.Int64
 }
 
-// New builds the coordinator, registers the static worker set, replays
-// the journal, and starts the scheduler and failure-detector loops.
+// New builds the coordinator, registers the static worker set, starts
+// the scheduler and failure-detector loops, and replays the journal.
 func New(opts Options) (*Coordinator, error) { return newCoordinator(opts, server.HoldBound) }
 
 // newCoordinator is New with the ?wait= hold bound as an argument, so
@@ -199,9 +169,6 @@ func newCoordinator(opts Options, holdBound time.Duration) (*Coordinator, error)
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 1024
-	}
-	if opts.MaxDeadline <= 0 {
-		opts.MaxDeadline = 10 * time.Minute
 	}
 	if opts.Slots <= 0 {
 		opts.Slots = 1
@@ -218,146 +185,100 @@ func newCoordinator(opts Options, holdBound time.Duration) (*Coordinator, error)
 		}
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		opts:    opts,
-		baseCtx: ctx,
-		cancel:  cancel,
 		workers: make(map[string]*worker),
-		jobs:    make(map[string]*fjob),
 		q:       newFairQueue(),
 		kick:    make(chan struct{}, 1),
-		settled: make(chan struct{}, 1),
-		start:   time.Now(),
-
-		holdBound: holdBound,
 	}
+	core, err := server.NewCore("gsched", JobDispatched, opts.CoreOptions, c, holdBound)
+	if err != nil {
+		return nil, err
+	}
+	c.Core = core
 	c.routes()
 
 	for _, url := range opts.Workers {
 		c.addWorker(RegisterRequest{URL: url, Slots: opts.Slots})
 	}
-
-	var replay []wal.Record
-	if opts.JournalPath != "" {
-		jl, pending, err := wal.Open(opts.JournalPath)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: journal: %w", err)
-		}
-		jl.Faults = opts.JournalFaults
-		c.jl = jl
-		replay = pending
-	}
-
 	c.wg.Add(2)
 	go c.schedulerLoop()
 	go c.probeLoop()
-
-	for _, rec := range replay {
-		var req SubmitRequest
-		if err := json.Unmarshal(rec.Req, &req); err != nil {
-			// The journaled submission no longer decodes: it can never
-			// run, retire it.
-			c.jl.Done(rec.Key)
-			continue
-		}
-		if _, _, err := c.submit(&req, true); err != nil {
-			// No longer validates (e.g. a workload was removed): retire.
-			c.jl.Done(rec.Key)
-			continue
-		}
-		c.replayed.Add(1)
-	}
+	c.Replay()
 	return c, nil
 }
 
-// validateEnvelope checks the fleet scheduling fields.
-func validateEnvelope(req *SubmitRequest) error {
-	if req.Priority < 0 || req.Priority > maxPriority {
-		return fmt.Errorf("priority %d out of range [0, %d]", req.Priority, maxPriority)
+// Build makes *SubmitRequest gsched's server.Request: the gserved
+// submission's own validation plus the envelope's.
+func (r *SubmitRequest) Build() (runner.Job, string, error) {
+	if r.Priority < 0 || r.Priority > maxPriority {
+		return runner.Job{}, "", fmt.Errorf("priority %d out of range [0, %d]", r.Priority, maxPriority)
 	}
-	if req.Weight < 0 {
-		return fmt.Errorf("weight %d must be >= 0", req.Weight)
+	if r.Weight < 0 {
+		return runner.Job{}, "", fmt.Errorf("weight %d must be >= 0", r.Weight)
 	}
-	return nil
+	return server.BuildJob(&r.SubmitRequest)
 }
 
-// submit runs the admission state machine for one submission. replayed
-// marks journal replay (already durable; skip the accept append).
-// Returns the job, an HTTP status (200 dedup, 202 admitted, 429 shed),
-// and an error for invalid submissions.
-func (c *Coordinator) submit(req *SubmitRequest, replayed bool) (*fjob, int, error) {
-	if err := validateEnvelope(req); err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	_, key, err := server.BuildJob(&req.SubmitRequest)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = "default"
-	}
+// NewRequest, Lookup, Load, Enqueue, Wire, Statusz and Wait make the
+// Coordinator the Core's remote Backend.
+func (c *Coordinator) NewRequest() server.Request { return new(SubmitRequest) }
 
-	c.mu.Lock()
-	if j, ok := c.jobs[key]; ok {
-		c.mu.Unlock()
-		c.deduped.Add(1)
-		return j, http.StatusOK, nil
-	}
-	if c.draining {
-		c.mu.Unlock()
-		return nil, http.StatusServiceUnavailable, fmt.Errorf("coordinator is draining; not admitting jobs")
-	}
-	if c.outstandingLocked() >= c.opts.QueueDepth {
-		c.mu.Unlock()
-		c.rejFull.Add(1)
-		return nil, http.StatusTooManyRequests, fmt.Errorf("admission queue is full")
-	}
-	c.seq++
-	j := &fjob{
-		key: key, req: *req, tenant: tenant, weight: req.Weight,
-		priority: req.Priority, seq: c.seq,
-		state: JobQueued, done: make(chan struct{}),
-	}
-	// The write-ahead rule: the admission is fsync'd before the job is
-	// visible to the scheduler, so a crash between here and completion
-	// always leaves a replayable record. A journal write failure only
-	// degrades durability — the job is admitted regardless.
-	if c.jl != nil && !replayed && !c.crashed {
-		_ = c.jl.Accept(key, req)
-	}
-	c.jobs[key] = j
-	c.q.push(j)
-	c.mu.Unlock()
-	c.accepted.Add(1)
-	c.kickScheduler()
-	return j, http.StatusAccepted, nil
-}
+// Lookup: the coordinator keeps no result cache of its own; a finished
+// key it has forgotten is the workers' to serve.
+func (c *Coordinator) Lookup(string) (server.JobStatus, bool) { return server.JobStatus{}, false }
 
-// outstandingLocked counts non-terminal jobs (queued + dispatched).
-func (c *Coordinator) outstandingLocked() int {
-	n := 0
-	for _, j := range c.jobs {
-		if j.state == JobQueued || j.state == JobDispatched {
-			n++
+// Load: every accepted, unfinished job counts against the bound —
+// dispatched ones too, a worker slot is not a queue slot — and with no
+// live worker the coordinator is degraded: the honest hint is one lease
+// TTL, the time for a worker to register or come back.
+func (c *Coordinator) Load() server.Load {
+	ld := server.Load{Queued: c.q.len(), Bounded: c.LiveLocked()}
+	for _, w := range c.workers {
+		if w.state == WorkerAlive {
+			ld.Parallel += w.slots
 		}
 	}
-	return n
+	if ld.Parallel == 0 {
+		ld.Degraded = int(c.opts.LeaseTTL/time.Second) + 1
+	}
+	return ld
 }
+
+// Enqueue puts a queued job (fresh, replayed or requeued) on the fair
+// queue under its tenant and priority.
+func (c *Coordinator) Enqueue(j *server.Job) {
+	f, ok := j.Ext.(*fjob)
+	if !ok {
+		req := j.Req.(*SubmitRequest)
+		f = &fjob{Job: j, tenant: req.Tenant, weight: req.Weight, priority: req.Priority}
+		if f.tenant == "" {
+			f.tenant = "default"
+		}
+		j.Ext = f
+	}
+	c.q.push(f)
+	c.kickScheduler()
+}
+
+// Wire adds the fleet envelope to a status snapshot.
+func (c *Coordinator) Wire(j *server.Job, st server.JobStatus) any {
+	f := j.Ext.(*fjob)
+	if st.State == JobQueued {
+		st.RetryAfterSec = c.Load().Degraded
+	}
+	return JobStatus{JobStatus: st, Tenant: f.tenant, Priority: f.priority,
+		Worker: f.worker, Requeues: f.requeues, Preemptions: f.preemptions}
+}
+
+// Wait waits for the scheduler and probe loops, which exit when the
+// core's context is canceled.
+func (c *Coordinator) Wait() { c.wg.Wait() }
 
 // kickScheduler nudges the scheduler loop without blocking.
 func (c *Coordinator) kickScheduler() {
 	select {
 	case c.kick <- struct{}{}:
-	default:
-	}
-}
-
-// signalSettled tells a waiting Drain that a job just turned terminal.
-func (c *Coordinator) signalSettled() {
-	select {
-	case c.settled <- struct{}{}:
 	default:
 	}
 }
@@ -382,7 +303,7 @@ func (c *Coordinator) addWorker(req RegisterRequest) *worker {
 	if slots <= 0 {
 		slots = 1
 	}
-	c.mu.Lock()
+	c.Mu.Lock()
 	w, ok := c.workers[id]
 	if !ok {
 		w = &worker{id: id, inflight: make(map[string]*fjob)}
@@ -396,49 +317,9 @@ func (c *Coordinator) addWorker(req RegisterRequest) *worker {
 	// A fresh registration gets a grace lease; the first probe sweep
 	// confirms or expires it.
 	w.leaseExpiry = time.Now().Add(c.opts.LeaseTTL)
-	c.mu.Unlock()
+	c.Mu.Unlock()
 	c.kickScheduler()
 	return w
-}
-
-// liveWorkersLocked counts workers currently eligible for dispatch.
-func (c *Coordinator) liveWorkersLocked() int {
-	n := 0
-	for _, w := range c.workers {
-		if w.state == WorkerAlive {
-			n++
-		}
-	}
-	return n
-}
-
-// status snapshots one job.
-func (c *Coordinator) status(j *fjob) JobStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.statusLocked(j)
-}
-
-func (c *Coordinator) statusLocked(j *fjob) JobStatus {
-	st := JobStatus{
-		JobStatus: server.JobStatus{Key: j.key, State: j.state,
-			Workload: j.req.Workload, Scale: j.req.Scale},
-		Tenant: j.tenant, Priority: j.priority, Worker: j.worker,
-		Requeues: j.requeues, Preemptions: j.preemptions,
-	}
-	switch j.state {
-	case JobDone, JobFailed:
-		st.JobStatus = j.res
-		st.State = j.state
-	case JobQueued:
-		if c.liveWorkersLocked() == 0 {
-			// Degraded mode: queued with no one to run it. The honest
-			// hint is one lease TTL — the time for a worker to register
-			// or come back.
-			st.RetryAfterSec = int(c.opts.LeaseTTL/time.Second) + 1
-		}
-	}
-	return st
 }
 
 // workerStatusLocked snapshots one registry entry.
@@ -451,131 +332,35 @@ func (c *Coordinator) workerStatusLocked(w *worker) WorkerStatus {
 	}
 }
 
-// Draining reports whether the coordinator stopped admitting.
-func (c *Coordinator) Draining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
-}
-
-// Drain stops admission, waits for dispatched and queued jobs to reach
-// terminal states (up to timeout), then stops the loops. Queued jobs
-// that never ran stay pending in the journal for the next start.
-func (c *Coordinator) Drain(timeout time.Duration) error {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
-
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-wait:
-	for {
-		c.mu.Lock()
-		n := c.outstandingLocked()
-		c.mu.Unlock()
-		if n == 0 {
-			break
-		}
-		select {
-		case <-c.settled:
-		case <-deadline.C:
-			break wait
-		}
-	}
-	c.cancel()
-	done := make(chan struct{})
-	go func() { c.wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		return fmt.Errorf("fleet: drain: loops still running after cancellation")
-	}
-	if c.jl != nil {
-		c.jl.Close()
-	}
-	c.mu.Lock()
-	n := c.outstandingLocked()
-	c.mu.Unlock()
-	if n > 0 {
-		return fmt.Errorf("fleet: drain: %d job(s) still outstanding (journaled for the next start)", n)
-	}
-	return nil
-}
-
-// HardStop is the kill -9 analog for crash tests: it abandons
-// everything mid-flight. No journal records are retired, dispatch
-// goroutines are cut off, and nothing is waited for — exactly the state
-// a real crash leaves. A new Coordinator on the same journal replays
-// every accepted, unfinished job.
-func (c *Coordinator) HardStop() {
-	c.mu.Lock()
-	if c.crashed {
-		c.mu.Unlock()
-		return
-	}
-	c.crashed = true
-	c.draining = true
-	c.mu.Unlock()
-	c.cancel()
-	if c.jl != nil {
-		c.jl.Close()
-	}
-}
-
-// statusz snapshots the whole coordinator.
-func (c *Coordinator) statusz() Statusz {
-	c.mu.Lock()
+// Statusz renders gsched's GET /statusz.
+func (c *Coordinator) Statusz(cs server.CoreStatus) any {
 	st := Statusz{
-		State:     "serving",
-		UptimeSec: time.Since(c.start).Seconds(),
-		Tenants:   c.q.snapshot(),
-		Queued:    c.q.len(),
+		State: cs.State, Build: cs.Build, Journal: cs.Journal, UptimeSec: cs.UptimeSec,
+		Queued: cs.QueueDepth, Dispatched: cs.JobStates[JobDispatched],
+		Accepted: cs.Accepted, Deduped: cs.Deduped, Completed: cs.Completed, Failed: cs.Failed,
+		Requeues: c.requeues.Load(), Preemptions: c.preemptions.Load(),
+		WorkerDeaths: c.workerDeaths.Load(), Replayed: cs.Replayed,
+		RejectedFull: cs.RejectedQueue, Panics: cs.Panics,
 	}
-	switch {
-	case c.crashed:
-		st.State = "dead"
-	case c.draining:
-		st.State = "draining"
-	case c.liveWorkersLocked() == 0:
+	c.Mu.Lock()
+	if st.State == "serving" && c.Load().Degraded > 0 {
 		st.State = "degraded"
 	}
-	for _, j := range c.jobs {
-		if j.state == JobDispatched {
-			st.Dispatched++
-		}
-	}
-	for _, name := range workerNames(c.workers) {
+	st.Tenants = c.q.snapshot()
+	for _, name := range sortedKeys(c.workers) {
 		st.Workers = append(st.Workers, c.workerStatusLocked(c.workers[name]))
 	}
-	c.mu.Unlock()
-
-	st.Build = server.Build()
-	if c.jl != nil {
-		js := c.jl.Stats()
-		st.Journal = &server.JournalStatus{
-			Path: c.jl.Path(), Appended: js.Appended, Pending: js.Pending,
-			Replayed: c.replayed.Load(), TornLines: js.TornLines,
-			Errors: js.Errors, Compactions: js.Compactions,
-		}
-	}
-	st.Accepted = c.accepted.Load()
-	st.Deduped = c.deduped.Load()
-	st.Completed = c.completed.Load()
-	st.Failed = c.failed.Load()
-	st.Requeues = c.requeues.Load()
-	st.Preemptions = c.preemptions.Load()
-	st.WorkerDeaths = c.workerDeaths.Load()
-	st.Replayed = c.replayed.Load()
-	st.RejectedFull = c.rejFull.Load()
+	c.Mu.Unlock()
 	return st
 }
 
-// workerNames returns ids sorted for deterministic iteration.
-func workerNames(ws map[string]*worker) []string {
-	names := make([]string, 0, len(ws))
-	for name := range ws {
-		names = append(names, name)
+// sortedKeys returns m's keys (worker ids, tenant names) in order, for
+// deterministic iteration.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for key := range m {
+		keys = append(keys, key)
 	}
-	sort.Strings(names)
-	return names
+	sort.Strings(keys)
+	return keys
 }

@@ -70,7 +70,10 @@ func startWorker(t *testing.T, opts server.Options) (*server.Server, string) {
 	if opts.QueueDepth == 0 {
 		opts.QueueDepth = 32
 	}
-	s := server.New(opts)
+	s, err := server.New(opts)
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		s.Kill() // idempotent; frees worker goroutines without a drain wait
@@ -92,7 +95,7 @@ func startCoordinator(t *testing.T, opts fleet.Options) (*fleet.Coordinator, str
 	}
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(func() {
-		c.HardStop()
+		c.Kill()
 		ts.Close()
 	})
 	return c, ts.URL
@@ -289,7 +292,7 @@ func TestCoordinatorCrashAfterDispatchReplays(t *testing.T) {
 	crash := &fault.Plan{Kind: fault.CrashAfterDispatch, Nth: 1}
 	c1, base1 := startCoordinator(t, fleet.Options{
 		Workers:     []string{w1},
-		JournalPath: journal,
+		CoreOptions: server.CoreOptions{JournalPath: journal},
 		Faults:      crash,
 	})
 	req := seededReq(4200, 2)
@@ -314,7 +317,7 @@ func TestCoordinatorCrashAfterDispatchReplays(t *testing.T) {
 	// Restart: same journal, same worker fleet.
 	_, base2 := startCoordinator(t, fleet.Options{
 		Workers:     []string{w1},
-		JournalPath: journal,
+		CoreOptions: server.CoreOptions{JournalPath: journal},
 	})
 	st := waitJob(t, base2, key)
 	if st.State != fleet.JobDone {
@@ -371,7 +374,12 @@ func TestHeartbeatBlackholeRequeuesWithoutDoubleCount(t *testing.T) {
 	if !blackhole.Fired() {
 		t.Fatal("the blackhole crash point never fired")
 	}
+	// The partition is sticky, so the lease runs out whether or not the
+	// jobs outlast it; on a fast host they may not.
 	st := fleetStatusz(t, base)
+	for deadline := time.Now().Add(5 * time.Second); st.WorkerDeaths == 0 && time.Now().Before(deadline); st = fleetStatusz(t, base) {
+		time.Sleep(20 * time.Millisecond)
+	}
 	if st.WorkerDeaths == 0 {
 		t.Fatal("the partitioned worker was never declared dead")
 	}
@@ -444,7 +452,7 @@ func TestPreemptionResumesFromCheckpoint(t *testing.T) {
 // registering at runtime drains the backlog.
 func TestDegradedModeQueuesWithHonestRetryAfter(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "gsched.journal")
-	_, base := startCoordinator(t, fleet.Options{JournalPath: journal})
+	_, base := startCoordinator(t, fleet.Options{CoreOptions: server.CoreOptions{JournalPath: journal}})
 
 	var ready server.ReadyzStatus
 	if code := doJSON(t, "GET", base+"/readyz", nil, &ready); code != http.StatusOK {
@@ -485,14 +493,14 @@ func TestSweepAndDedup(t *testing.T) {
 	_, w1 := startWorker(t, server.Options{})
 	_, base := startCoordinator(t, fleet.Options{Workers: []string{w1}})
 
-	sweep := fleet.SweepRequest{Jobs: []fleet.SubmitRequest{
+	sweep := server.SweepRequest[fleet.SubmitRequest]{Jobs: []fleet.SubmitRequest{
 		seededReq(4600, 1), seededReq(4601, 1),
 	}}
 	bad := seededReq(4602, 1)
 	bad.Workload = "no-such-benchmark"
 	sweep.Jobs = append(sweep.Jobs, bad)
 
-	var resp fleet.SweepResponse
+	var resp server.SweepResponse[fleet.JobStatus]
 	if code := doJSON(t, "POST", base+"/v1/sweeps", sweep, &resp); code != http.StatusOK {
 		t.Fatalf("sweep = %d", code)
 	}
@@ -533,6 +541,11 @@ func TestCoordinatorDrainRefusesNewWork(t *testing.T) {
 	}
 	if errBody.Kind != "draining" {
 		t.Fatalf("shed kind = %q, want draining", errBody.Kind)
+	}
+	// A sweep is refused whole, as on gserved, not element by element.
+	sweep := server.SweepRequest[fleet.SubmitRequest]{Jobs: []fleet.SubmitRequest{seededReq(4702, 1)}}
+	if code := doJSON(t, "POST", base+"/v1/sweeps", sweep, &errBody); code != http.StatusServiceUnavailable {
+		t.Fatalf("sweep while draining = %d, want 503", code)
 	}
 	var ready server.ReadyzStatus
 	doJSON(t, "GET", base+"/readyz", nil, &ready)
@@ -579,7 +592,7 @@ func urlID(u string) string { return strings.TrimPrefix(u, "http://") }
 // once a worker exists, runs them.
 func TestFleetJournalSurvivesKill(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "gsched.journal")
-	c1, base1 := startCoordinator(t, fleet.Options{JournalPath: journal})
+	c1, base1 := startCoordinator(t, fleet.Options{CoreOptions: server.CoreOptions{JournalPath: journal}})
 
 	keys := make([]string, 3)
 	reqs := make([]fleet.SubmitRequest, 3)
@@ -588,11 +601,11 @@ func TestFleetJournalSurvivesKill(t *testing.T) {
 		reqs[i].Tenant = fmt.Sprintf("t%d", i)
 		keys[i] = submitJob(t, base1, reqs[i]).Key
 	}
-	c1.HardStop()
+	c1.Kill()
 
 	_, w1 := startWorker(t, server.Options{})
 	_, base2 := startCoordinator(t, fleet.Options{
-		JournalPath: journal,
+		CoreOptions: server.CoreOptions{JournalPath: journal},
 		Workers:     []string{w1},
 	})
 	if st := fleetStatusz(t, base2); st.Replayed != 3 {
@@ -619,7 +632,7 @@ func TestFleetJournalSurvivesKill(t *testing.T) {
 func TestCoordinatorAndWorkerAgreeOnJobKey(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "gsched.journal")
 	// No workers: the coordinator admits and journals, never dispatches.
-	_, cbase := startCoordinator(t, fleet.Options{JournalPath: journal})
+	_, cbase := startCoordinator(t, fleet.Options{CoreOptions: server.CoreOptions{JournalPath: journal}})
 	_, wbase := startWorker(t, server.Options{})
 
 	gto := config.Default()
@@ -674,5 +687,83 @@ func TestCoordinatorAndWorkerAgreeOnJobKey(t *testing.T) {
 				t.Fatalf("journal holds no accept record for %s:\n%s", want, log)
 			}
 		})
+	}
+}
+
+// TestDeadlineThroughFleetTerminates: a job whose own deadline runs out
+// on the worker ends at the coordinator as terminal canceled, under
+// gserved's rule — POST ?wait=1 answers 503 canceled, GET answers the
+// status, the journal accept stays pending, a resubmission re-admits —
+// instead of being requeued (and canceled again) forever. Preemption,
+// worker drain and lease expiry still requeue; their tests are above.
+func TestDeadlineThroughFleetTerminates(t *testing.T) {
+	_, w1 := startWorker(t, server.Options{})
+	journal := filepath.Join(t.TempDir(), "gsched.journal")
+	_, base := startCoordinator(t, fleet.Options{
+		Workers:     []string{w1},
+		CoreOptions: server.CoreOptions{JournalPath: journal, MaxDeadline: 50 * time.Millisecond},
+	})
+
+	req := seededReq(4800, 4) // ~100ms of simulation
+	req.DeadlineMillis = 30
+	key := submitJob(t, base, req).Key
+
+	var st fleet.JobStatus
+	deadline := time.Now().Add(10 * time.Second)
+	for !server.Terminal(st.State) {
+		if time.Now().After(deadline) {
+			t.Fatalf("a job past its deadline never reached a terminal state: %+v (statusz requeues %d)",
+				st, fleetStatusz(t, base).Requeues)
+		}
+		if code := doJSON(t, "GET", base+"/v1/jobs/"+key+"?wait=1", nil, &st); code != http.StatusOK {
+			t.Fatalf("held GET = %d, want 200", code)
+		}
+	}
+	if st.State != server.StateCanceled || st.Error == "" || st.Requeues != 0 {
+		t.Fatalf("job past its deadline = %+v, want canceled with an error and no requeue", st)
+	}
+	// The canceled entry is transient: this POST re-admits the job, which
+	// runs its deadline — now the coordinator's -maxdeadline cap — out
+	// again.
+	req.DeadlineMillis = 60_000
+	var body server.ErrorBody
+	if code := doJSON(t, "POST", base+"/v1/jobs?wait=1", req, &body); code != http.StatusServiceUnavailable || body.Kind != "canceled" {
+		t.Fatalf("POST ?wait=1 of a job that cannot meet its deadline = %d %+v, want 503 canceled", code, body)
+	}
+	if sz := fleetStatusz(t, base); sz.Journal.Pending != 1 || sz.Requeues != 0 || sz.Accepted != 2 {
+		t.Fatalf("statusz = accepted %d requeues %d journal %+v; want 2 admissions, no requeue, the accept still pending",
+			sz.Accepted, sz.Requeues, sz.Journal)
+	}
+}
+
+// TestFleetReplayLargerThanQueue: what the coordinator accepted before
+// a crash it owes after it, whatever -queue says now. Six journaled
+// jobs replay whole into a bound of two — none is shed, none is retired
+// unrun — and all six finish.
+func TestFleetReplayLargerThanQueue(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "gsched.journal")
+	c1, base1 := startCoordinator(t, fleet.Options{CoreOptions: server.CoreOptions{JournalPath: journal}})
+	const n = 6
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = submitJob(t, base1, seededReq(uint64(4900+i), 1)).Key
+	}
+	c1.Kill() // no worker ever registered: all six are accepted, none ran
+
+	_, w1 := startWorker(t, server.Options{})
+	_, base2 := startCoordinator(t, fleet.Options{
+		Workers:     []string{w1},
+		CoreOptions: server.CoreOptions{JournalPath: journal, QueueDepth: 2},
+	})
+	if sz := fleetStatusz(t, base2); sz.Replayed != n {
+		t.Fatalf("replayed %d of %d journaled jobs into a bound of 2", sz.Replayed, n)
+	}
+	for i, key := range keys {
+		if st := waitJob(t, base2, key); st.State != fleet.JobDone {
+			t.Fatalf("replayed job %d = %+v, want done", i, st)
+		}
+	}
+	if sz := fleetStatusz(t, base2); sz.Journal.Pending != 0 || sz.Completed != n {
+		t.Fatalf("after the replay: completed %d, journal %+v; want %d and nothing pending", sz.Completed, sz.Journal, n)
 	}
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -79,7 +80,11 @@ func (q *fairQueue) push(j *fjob) {
 			t.vtime = min
 		}
 	}
-	t.byPrio[j.priority] = append(t.byPrio[j.priority], j)
+	// By admission sequence, not arrival: a requeued job goes back in
+	// front of everything admitted after it.
+	fifo := t.byPrio[j.priority]
+	at := sort.Search(len(fifo), func(i int) bool { return fifo[i].Seq > j.Seq })
+	t.byPrio[j.priority] = slices.Insert(fifo, at, j)
 	t.queued++
 	q.size++
 }
@@ -112,7 +117,7 @@ func (q *fairQueue) pop(eligible func(*fjob) bool) *fjob {
 		// break by name so selection is deterministic.
 		var best *tenantQueue
 		var bestIdx int
-		for _, name := range q.tenantNames() {
+		for _, name := range sortedKeys(q.tenants) {
 			t := q.tenants[name]
 			idx := t.firstEligible(prio, eligible)
 			if idx < 0 {
@@ -168,20 +173,10 @@ func (q *fairQueue) peekPriority(eligible func(*fjob) bool) int {
 // len is the number of queued jobs.
 func (q *fairQueue) len() int { return q.size }
 
-// tenantNames returns tenant names sorted for deterministic iteration.
-func (q *fairQueue) tenantNames() []string {
-	names := make([]string, 0, len(q.tenants))
-	for name := range q.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // snapshot fills the statusz tenant table.
 func (q *fairQueue) snapshot() []TenantStatus {
 	out := make([]TenantStatus, 0, len(q.tenants))
-	for _, name := range q.tenantNames() {
+	for _, name := range sortedKeys(q.tenants) {
 		t := q.tenants[name]
 		out = append(out, TenantStatus{
 			Name: t.name, Weight: t.weight, Queued: t.queued,

@@ -3,13 +3,15 @@ package fleet
 import (
 	"fmt"
 	"testing"
+
+	"gpushare/internal/server"
 )
 
 // qjob builds a queued test job.
 func qjob(tenant string, weight, prio int, seq int64) *fjob {
 	return &fjob{
-		key: fmt.Sprintf("%s-%d", tenant, seq), tenant: tenant,
-		weight: weight, priority: prio, seq: seq, state: JobQueued,
+		Job:    &server.Job{Key: fmt.Sprintf("%s-%d", tenant, seq), Seq: seq, State: JobQueued},
+		tenant: tenant, weight: weight, priority: prio,
 	}
 }
 
@@ -97,8 +99,8 @@ func TestFIFOWithinTenant(t *testing.T) {
 	}
 	for i := int64(0); i < 5; i++ {
 		j := q.pop(nil)
-		if j.seq != i {
-			t.Fatalf("pop %d returned seq %d, want FIFO", i, j.seq)
+		if j.Seq != i {
+			t.Fatalf("pop %d returned seq %d, want FIFO", i, j.Seq)
 		}
 	}
 }
@@ -121,12 +123,12 @@ func TestEligibleFilterHoldsPosition(t *testing.T) {
 	for i := int64(0); i < 3; i++ {
 		q.push(qjob("a", 1, 0, i))
 	}
-	skipFirst := func(j *fjob) bool { return j.seq != 0 }
-	if j := q.pop(skipFirst); j.seq != 1 {
-		t.Fatalf("filtered pop returned seq %d, want 1", j.seq)
+	skipFirst := func(j *fjob) bool { return j.Seq != 0 }
+	if j := q.pop(skipFirst); j.Seq != 1 {
+		t.Fatalf("filtered pop returned seq %d, want 1", j.Seq)
 	}
-	if j := q.pop(nil); j.seq != 0 {
-		t.Fatalf("unfiltered pop returned seq %d, want the held-back 0", j.seq)
+	if j := q.pop(nil); j.Seq != 0 {
+		t.Fatalf("unfiltered pop returned seq %d, want the held-back 0", j.Seq)
 	}
 	if got := q.len(); got != 1 {
 		t.Fatalf("len = %d, want 1", got)

@@ -20,13 +20,14 @@ const (
 	WorkerDead     = "dead"
 )
 
-// Fleet job states. Queued and dispatched jobs are non-terminal; done
-// and failed are terminal. There is deliberately no terminal "canceled"
-// at the fleet level: a job canceled on a worker (preemption, worker
-// drain, worker death) is requeued — accepted work is owed until it is
-// done or deterministically failed.
+// Fleet job states: the core's, with "dispatched" where gserved says
+// "running". A job canceled on a worker by preemption, worker drain or
+// worker death is not canceled here — it is requeued, accepted work is
+// owed until it is done or deterministically failed; only a job whose
+// own deadline ran out turns canceled, under gserved's rule (transient:
+// resubmittable, and still pending in the journal).
 const (
-	JobQueued     = "queued"
+	JobQueued     = server.StateQueued
 	JobDispatched = "dispatched" // sent to a worker; running or about to
 	JobDone       = server.StateDone
 	JobFailed     = server.StateFailed
@@ -102,18 +103,6 @@ type WorkersResponse struct {
 	Workers []WorkerStatus `json:"workers"`
 }
 
-// SweepRequest is the body of POST /v1/sweeps.
-type SweepRequest struct {
-	Jobs []SubmitRequest `json:"jobs"`
-}
-
-// SweepResponse reports per-element admission outcomes (POST) or the
-// full job inventory (GET).
-type SweepResponse struct {
-	Jobs     []JobStatus `json:"jobs"`
-	Rejected int         `json:"rejected,omitempty"`
-}
-
 // TenantStatus is one fair-share account's queue view.
 type TenantStatus struct {
 	Name    string  `json:"name"`
@@ -145,4 +134,5 @@ type Statusz struct {
 	WorkerDeaths int64 `json:"worker_deaths"`
 	Replayed     int64 `json:"replayed"`
 	RejectedFull int64 `json:"rejected_full"`
+	Panics       int64 `json:"panics"`
 }

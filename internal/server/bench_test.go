@@ -13,7 +13,7 @@ import (
 // whole loopback round trip: client encode, HTTP, admission dedup,
 // status with full statistics, client decode.
 func BenchmarkServerHit(b *testing.B) {
-	s := server.New(server.Options{Workers: 1, QueueDepth: 8})
+	s := server.MustNew(server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8}})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
 		s.Kill()

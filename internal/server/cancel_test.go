@@ -46,7 +46,7 @@ func waitForState(t *testing.T, c *client.Client, key, want string) *server.JobS
 }
 
 func TestCancelQueuedAndRunning(t *testing.T) {
-	_, _, c := startDaemon(t, server.Options{Workers: 1, QueueDepth: 8})
+	_, _, c := startDaemon(t, server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8}})
 	ctx := context.Background()
 
 	// With one worker the first job runs and the second sits queued.
@@ -93,7 +93,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 // cancellation means "stop computing", the admission slot is not
 // poisoned.
 func TestCancelIsNotDeletion(t *testing.T) {
-	_, ts, c := startDaemon(t, server.Options{Workers: 1, QueueDepth: 8})
+	_, ts, c := startDaemon(t, server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8}})
 	ctx := context.Background()
 
 	st, err := c.Submit(ctx, seededReq(9003))
@@ -120,7 +120,7 @@ func TestCancelIsNotDeletion(t *testing.T) {
 // body, and its State string distinguishes the 503 flavors the fleet
 // failure detector must tell apart.
 func TestReadyzStates(t *testing.T) {
-	s := server.New(server.Options{Workers: 1, QueueDepth: 8})
+	s := server.MustNew(server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8}})
 	ts := newTestServer(t, s)
 	c := client.New(ts.URL)
 	ctx := context.Background()
@@ -161,7 +161,7 @@ func TestReadyzStates(t *testing.T) {
 // answering — and the body says "dead", which the coordinator treats
 // exactly like a silent death (requeue everything it held).
 func TestReadyzDeadAfterKill(t *testing.T) {
-	s := server.New(server.Options{Workers: 1, QueueDepth: 8})
+	s := server.MustNew(server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8}})
 	ts := newTestServer(t, s)
 	c := client.New(ts.URL)
 	ctx := context.Background()
@@ -188,7 +188,7 @@ func TestReadyzDeadAfterKill(t *testing.T) {
 // fingerprint, toolchain) and reports uptime, so a fleet operator can
 // spot version skew across workers from the coordinator.
 func TestStatuszBuildAndUptime(t *testing.T) {
-	_, _, c := startDaemon(t, server.Options{Workers: 1, QueueDepth: 4})
+	_, _, c := startDaemon(t, server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 4}})
 	st, err := c.Status(context.Background())
 	if err != nil {
 		t.Fatalf("statusz: %v", err)

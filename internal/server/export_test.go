@@ -2,5 +2,14 @@ package server
 
 import "time"
 
-// NewWithHold is New with a test-sized ?wait= hold bound.
-func NewWithHold(opts Options, hold time.Duration) *Server { return newServer(opts, hold) }
+// MustNew is New for tests whose options cannot fail to open a journal.
+func MustNew(opts Options) *Server { return NewWithHold(opts, HoldBound) }
+
+// NewWithHold is MustNew with a test-sized ?wait= hold bound.
+func NewWithHold(opts Options, hold time.Duration) *Server {
+	s, err := newServer(opts, hold)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}

@@ -34,7 +34,7 @@ func decodeError(t *testing.T, rr *httptest.ResponseRecorder) ErrorBody {
 // TestPanicMiddleware: a handler crash becomes a structured 500 for that
 // request; the daemon keeps serving.
 func TestPanicMiddleware(t *testing.T) {
-	s := New(Options{Workers: 1, QueueDepth: 2})
+	s := MustNew(Options{Workers: 1, CoreOptions: CoreOptions{QueueDepth: 2}})
 	defer s.Drain(5 * time.Second)
 	s.mux.HandleFunc("GET /test/panic", func(http.ResponseWriter, *http.Request) {
 		panic("boom")
@@ -61,7 +61,7 @@ func TestPanicMiddleware(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	s := New(Options{Workers: 1, QueueDepth: 2})
+	s := MustNew(Options{Workers: 1, CoreOptions: CoreOptions{QueueDepth: 2}})
 	defer s.Drain(5 * time.Second)
 
 	cases := []struct {
@@ -91,7 +91,7 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestBodyTooLarge(t *testing.T) {
-	s := New(Options{Workers: 1, MaxBodyBytes: 64})
+	s := MustNew(Options{Workers: 1, CoreOptions: CoreOptions{MaxBodyBytes: 64}})
 	defer s.Drain(5 * time.Second)
 	big := `{"workload":"` + strings.Repeat("x", 200) + `"}`
 	rr := doReq(s, "POST", "/v1/jobs", big)
@@ -103,7 +103,7 @@ func TestBodyTooLarge(t *testing.T) {
 // TestInFlightBytesShed: the aggregate body budget sheds with 429 +
 // Retry-After before the request is even parsed.
 func TestInFlightBytesShed(t *testing.T) {
-	s := New(Options{Workers: 1, MaxInFlightBytes: 16})
+	s := MustNew(Options{Workers: 1, CoreOptions: CoreOptions{MaxInFlightBytes: 16}})
 	defer s.Drain(5 * time.Second)
 	rr := doReq(s, "POST", "/v1/jobs", `{"workload":"gaussian","scale":1}`)
 	if rr.Code != http.StatusTooManyRequests {

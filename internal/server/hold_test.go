@@ -58,7 +58,7 @@ func startHoldDaemon(t *testing.T, s *server.Server) *holdDaemon {
 }
 
 // holdOpts is one simulation at a time.
-var holdOpts = server.Options{Workers: 1, QueueDepth: 4}
+var holdOpts = server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 4}}
 
 // slowReq is a job of some 0.2s on holdOpts (some 5s under the race
 // detector): long enough that a test acts while it is still running.
@@ -92,11 +92,11 @@ func rawJSON(ctx context.Context, t *testing.T, method, url, body string, out an
 // done channel to wait on.
 func TestHeldGetWithNothingToWaitFor(t *testing.T) {
 	dir := t.TempDir()
-	opts := server.Options{Workers: 1, QueueDepth: 4, Runner: runner.Options{CacheDir: dir}}
+	opts := server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 4}, Runner: runner.Options{CacheDir: dir}}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	first := startHoldDaemon(t, server.New(opts))
+	first := startHoldDaemon(t, server.MustNew(opts))
 	st, err := first.c.SubmitWait(ctx, seededReq(9101))
 	if err != nil || st.State != server.StateDone {
 		t.Fatalf("submit = %+v, %v; want done", st, err)
@@ -105,7 +105,7 @@ func TestHeldGetWithNothingToWaitFor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := startHoldDaemon(t, server.New(opts))
+	d := startHoldDaemon(t, server.MustNew(opts))
 	var errBody server.ErrorBody
 	if code := rawJSON(ctx, t, "GET", d.url+"/v1/jobs/no-such-key?wait=1", "", &errBody); code != http.StatusNotFound {
 		t.Fatalf("held GET of an unknown key = %d, want 404", code)
@@ -122,7 +122,7 @@ func TestHeldGetWithNothingToWaitFor(t *testing.T) {
 // TestHeldGetReleasedByDisconnect: a caller that goes away mid-hold
 // frees its handler while the job runs on.
 func TestHeldGetReleasedByDisconnect(t *testing.T) {
-	d := startHoldDaemon(t, server.New(holdOpts))
+	d := startHoldDaemon(t, server.MustNew(holdOpts))
 	bg := context.Background()
 	st, err := d.c.Submit(bg, slowReq(9102))
 	if err != nil {
@@ -156,7 +156,7 @@ func TestHeldGetReleasedByDisconnect(t *testing.T) {
 // with 200 and the status — the coordinator has to see it to requeue —
 // where POST ?wait=1 answers the same job with a retryable 503.
 func TestHeldGetReportsCancelAsStatus(t *testing.T) {
-	d := startHoldDaemon(t, server.New(holdOpts))
+	d := startHoldDaemon(t, server.MustNew(holdOpts))
 	bg := context.Background()
 	st, err := d.c.Submit(bg, slowReq(9103))
 	if err != nil {
@@ -228,7 +228,7 @@ func TestHoldExpiryIsAnOrdinaryReply(t *testing.T) {
 // whoever is waiting on them; the held request is answered by the job
 // finishing, well inside its bound.
 func TestDrainNotDelayedByHeldWaiters(t *testing.T) {
-	d := startHoldDaemon(t, server.New(holdOpts))
+	d := startHoldDaemon(t, server.MustNew(holdOpts))
 	bg := context.Background()
 	st, err := d.c.Submit(bg, slowReq(9105))
 	if err != nil {

@@ -59,7 +59,7 @@ func TestJournalReplayAfterKill(t *testing.T) {
 	}
 
 	s, _, c := startDaemon(t, server.Options{
-		Workers: 2, QueueDepth: 8, JournalPath: jpath,
+		Workers: 2, CoreOptions: server.CoreOptions{QueueDepth: 8, JournalPath: jpath},
 		Runner: runnerOptsWithCache(dir),
 	})
 	ctx := context.Background()
@@ -102,7 +102,7 @@ func TestJournalReplayAfterKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, c2 := startDaemon(t, server.Options{
-		Workers: 1, QueueDepth: 8, JournalPath: jpath,
+		Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8, JournalPath: jpath},
 		Runner: runnerOptsWithCache(dir),
 	})
 	sz2, err := c2.Status(ctx)
@@ -124,9 +124,9 @@ func TestJournalAcceptPrecedesWork(t *testing.T) {
 	jpath := filepath.Join(dir, "journal.jsonl")
 
 	_, ts, _ := startDaemon(t, server.Options{
-		Workers: 1, QueueDepth: 8, JournalPath: jpath,
-		JournalFaults: &fault.Plan{Kind: fault.TornJournal, Nth: 1},
-		Runner:        runnerOptsWithCache(dir),
+		Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8, JournalPath: jpath,
+			JournalFaults: &fault.Plan{Kind: fault.TornJournal, Nth: 1}},
+		Runner: runnerOptsWithCache(dir),
 	})
 	body := strings.NewReader(`{"workload":"gaussian"}`)
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", body)
@@ -146,7 +146,7 @@ func TestJournalAcceptPrecedesWork(t *testing.T) {
 	}
 
 	_, _, c2 := startDaemon(t, server.Options{
-		Workers: 1, QueueDepth: 8, JournalPath: jpath,
+		Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8, JournalPath: jpath},
 		Runner: runnerOptsWithCache(dir),
 	})
 	ctx := context.Background()
@@ -166,11 +166,13 @@ func TestJournalAcceptPrecedesWork(t *testing.T) {
 	}
 }
 
-// TestJournalReplayLargerThanQueue: a replay of more jobs than the
-// admission queue holds feeds in as the worker makes room — every job
-// is re-admitted and finishes with no client involved — and a drain
-// that starts while the replay is blocked on a full queue ends it,
-// leaving the jobs it never re-admitted pending for the next start.
+// TestJournalReplayLargerThanQueue: replay is not admission. A journal
+// of more jobs than the admission queue holds is re-admitted whole
+// before the daemon serves — none is shed, none waits for room — while
+// the bound goes on applying to new submissions: readyz says queue-full
+// and a fresh job is shed until the backlog is back under it. A drain
+// runs the replayed backlog dry like any other queued work, so the next
+// start owes nothing.
 func TestJournalReplayLargerThanQueue(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "journal.jsonl")
@@ -179,7 +181,7 @@ func TestJournalReplayLargerThanQueue(t *testing.T) {
 	keys := make([]string, n)
 	for i := range keys {
 		req := seededReq(uint64(60 + i))
-		req.Scale = 2 // ~100ms each: the drain below lands mid-replay
+		req.Scale = 2 // ~100ms each: the probes below land inside the backlog
 		job := reqJob(req)
 		job.Scale = req.Scale
 		key, err := job.Key()
@@ -192,55 +194,40 @@ func TestJournalReplayLargerThanQueue(t *testing.T) {
 	if err := os.WriteFile(jpath, []byte(wal), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	opts := server.Options{Workers: 1, QueueDepth: 1, JournalPath: jpath,
+	opts := server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 1, JournalPath: jpath},
 		Runner: runnerOptsWithCache(dir)}
 
-	// One worker, a one-deep queue: once two jobs are in (one running,
-	// one queued) the replay has to wait for room, and the drain arrives
-	// long before the worker makes any.
-	s1 := server.New(opts)
-	c1 := client.New(newTestServer(t, s1).URL)
+	s1 := server.MustNew(opts)
+	ts1 := newTestServer(t, s1)
+	c1 := client.New(ts1.URL)
+	c1.MaxRetries = -1
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	for {
-		sz, err := c1.Status(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sz.Journal.Replayed >= 2 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := s1.Drain(60 * time.Second); err != nil {
-		t.Fatalf("drain during a blocked replay: %v", err)
-	}
-
-	_, _, c := startDaemon(t, opts)
-	sz, err := c.Status(ctx)
+	sz, err := c1.Status(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sz.Journal.Replayed == 0 || sz.Journal.Replayed > n-2 {
-		t.Fatalf("second start replayed %d of %d: the drain should have finished what the first replay got in and left the rest",
-			sz.Journal.Replayed, n)
+	if sz.Journal.Replayed != n {
+		t.Fatalf("replayed %d of %d journaled jobs past a queue of 1", sz.Journal.Replayed, n)
+	}
+	if resp, err := http.Get(ts1.URL + "/readyz"); err != nil || resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("readyz over a replayed backlog = %v %v, want 503 queue-full", resp, err)
+	}
+	var apiErr *client.APIError
+	if _, err := c1.Submit(ctx, seededReq(70)); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("submit over a replayed backlog = %v, want 429", err)
+	}
+	if err := s1.Drain(60 * time.Second); err != nil {
+		t.Fatalf("drain over a replayed backlog: %v", err)
+	}
+
+	_, _, c := startDaemon(t, opts)
+	if sz, err := c.Status(ctx); err != nil || sz.Journal.Replayed != 0 || sz.Journal.Pending != 0 {
+		t.Fatalf("journal after the drain = %+v, %v; want nothing replayed or pending", sz.Journal, err)
 	}
 	for i, key := range keys {
-		st, err := c.Wait(ctx, key, 0)
-		for isNotFound(err) { // still behind the full queue, not in the registry yet
-			time.Sleep(5 * time.Millisecond)
-			st, err = c.Wait(ctx, key, 0)
-		}
-		if err != nil || st.State != server.StateDone || st.Stats == nil {
+		if st, err := c.Get(ctx, key); err != nil || st.State != server.StateDone || st.Stats == nil {
 			t.Fatalf("replayed job %d = %+v, %v; want done", i, st, err)
 		}
 	}
-	if sz, err := c.Status(ctx); err != nil || sz.Journal.Pending != 0 {
-		t.Fatalf("journal after the replay = %+v, %v; want nothing pending", sz.Journal, err)
-	}
-}
-
-func isNotFound(err error) bool {
-	var apiErr *client.APIError
-	return errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusNotFound
 }

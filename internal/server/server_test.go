@@ -29,7 +29,7 @@ import (
 // client pointed at it. Cleanup drains and closes.
 func startDaemon(t *testing.T, opts server.Options) (*server.Server, *httptest.Server, *client.Client) {
 	t.Helper()
-	s := server.New(opts)
+	s := server.MustNew(opts)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		if err := s.Drain(30 * time.Second); err != nil {
@@ -63,7 +63,7 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 func TestSubmitWaitRoundTripAndDedup(t *testing.T) {
-	_, _, c := startDaemon(t, server.Options{Workers: 2, QueueDepth: 8})
+	_, _, c := startDaemon(t, server.Options{Workers: 2, CoreOptions: server.CoreOptions{QueueDepth: 8}})
 	ctx := context.Background()
 	req := seededReq(1)
 
@@ -129,7 +129,7 @@ func TestOverloadShedsCleanly(t *testing.T) {
 	if testing.Short() {
 		n = 60
 	}
-	_, ts, c := startDaemon(t, server.Options{Workers: 2, QueueDepth: 8})
+	_, ts, c := startDaemon(t, server.Options{Workers: 2, CoreOptions: server.CoreOptions{QueueDepth: 8}})
 	c.MaxRetries = -1 // sheds must surface, not be retried away
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
@@ -239,9 +239,9 @@ func TestOverloadShedsCleanly(t *testing.T) {
 // directory serves the drained keys from disk.
 func TestDrainPersistsAndRestartServes(t *testing.T) {
 	dir := t.TempDir()
-	opts := server.Options{Workers: 1, QueueDepth: 8,
+	opts := server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8},
 		Runner: runner.Options{CacheDir: dir}}
-	s := server.New(opts)
+	s := server.MustNew(opts)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	c := client.New(ts.URL)
@@ -318,7 +318,7 @@ func TestDrainPersistsAndRestartServes(t *testing.T) {
 // and the canceled key is resubmittable because cancellations are
 // transient.
 func TestDeadlineCancelsSlowJob(t *testing.T) {
-	_, ts, c := startDaemon(t, server.Options{Workers: 1, QueueDepth: 4})
+	_, ts, c := startDaemon(t, server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 4}})
 	c.MaxRetries = -1
 	ctx := context.Background()
 	req := seededReq(31337)
@@ -358,7 +358,7 @@ func TestDeadlineCancelsSlowJob(t *testing.T) {
 }
 
 func TestSweepSubmitAndList(t *testing.T) {
-	_, _, c := startDaemon(t, server.Options{Workers: 2, QueueDepth: 8})
+	_, _, c := startDaemon(t, server.Options{Workers: 2, CoreOptions: server.CoreOptions{QueueDepth: 8}})
 	ctx := context.Background()
 
 	reqs := []server.SubmitRequest{

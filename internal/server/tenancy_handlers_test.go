@@ -12,7 +12,7 @@ import (
 // readBody rejects unknown JSON fields, so a client that misspells
 // "tenancy" must get a 400 — not a silently single-tenant run.
 func TestSubmitTenancyValidation(t *testing.T) {
-	s := New(Options{Workers: 1, QueueDepth: 2})
+	s := MustNew(Options{Workers: 1, CoreOptions: CoreOptions{QueueDepth: 2}})
 	defer s.Drain(5 * time.Second)
 
 	cases := []struct {

@@ -13,7 +13,7 @@ import (
 // to end through the HTTP API: admitted, simulated, and returned with a
 // per-tenant stats breakdown; resubmission dedups onto the same key.
 func TestSubmitTenancyJob(t *testing.T) {
-	_, _, c := startDaemon(t, server.Options{Workers: 1, QueueDepth: 4})
+	_, _, c := startDaemon(t, server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 4}})
 	ctx := context.Background()
 
 	cfg := config.Default()

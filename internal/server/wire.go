@@ -10,7 +10,7 @@ import (
 // Job lifecycle states reported by the API.
 const (
 	StateQueued   = "queued"   // admitted, waiting for a worker
-	StateRunning  = "running"  // a worker is simulating it
+	StateRunning  = "running"  // a worker is simulating it (gsched: "dispatched")
 	StateDone     = "done"     // finished, stats available
 	StateFailed   = "failed"   // finished with a simulator error
 	StateCanceled = "canceled" // aborted by deadline or drain; resubmittable
@@ -100,16 +100,18 @@ type JobStatus struct {
 	Held bool `json:"held,omitempty"`
 }
 
-// SweepRequest is the body of POST /v1/sweeps.
-type SweepRequest struct {
-	Jobs []SubmitRequest `json:"jobs"`
+// SweepRequest is the body of POST /v1/sweeps; R is the daemon's
+// submission type (SubmitRequest for gserved, fleet.SubmitRequest for
+// gsched).
+type SweepRequest[R any] struct {
+	Jobs []R `json:"jobs"`
 }
 
 // SweepResponse reports per-element admission outcomes (POST) or the
-// full job inventory (GET).
-type SweepResponse struct {
-	Jobs     []JobStatus `json:"jobs"`
-	Rejected int         `json:"rejected,omitempty"`
+// full job inventory (GET); S is the daemon's status type.
+type SweepResponse[S any] struct {
+	Jobs     []S `json:"jobs"`
+	Rejected int `json:"rejected,omitempty"`
 }
 
 // ErrorBody is the JSON body of every non-2xx response. Kind carries
@@ -183,18 +185,16 @@ func (m *MemStatus) add(parts []stats.MemPartition) {
 	}
 }
 
-// Statusz is the GET /statusz introspection snapshot. Runner carries
-// the checkpoint counters (CkSaved/CkRestored) alongside the cache and
-// simulation totals; Journal is present only when the WAL is enabled.
-type Statusz struct {
+// CoreStatus is the lifecycle core's half of GET /statusz. gserved
+// serves it whole, inside Statusz; gsched picks from it into its own
+// body (fleet.Statusz).
+type CoreStatus struct {
 	State      string         `json:"state"` // serving | draining | dead
 	Build      BuildInfo      `json:"build"`
-	Journal    *JournalStatus `json:"journal,omitempty"`
+	Journal    *JournalStatus `json:"journal,omitempty"` // present only when the WAL is enabled
 	UptimeSec  float64        `json:"uptime_sec"`
-	Workers    int            `json:"workers"`
 	QueueDepth int            `json:"queue_depth"`
 	QueueCap   int            `json:"queue_cap"`
-	InFlight   int            `json:"in_flight"` // distinct keys executing in the runner
 
 	InFlightBytes    int64 `json:"in_flight_bytes"`
 	MaxInFlightBytes int64 `json:"max_in_flight_bytes"`
@@ -206,7 +206,20 @@ type Statusz struct {
 	RejectedBytes int64 `json:"rejected_bytes"`
 	Panics        int64 `json:"panics"`
 
-	JobStates map[string]int  `json:"job_states"`
-	Runner    runner.Counters `json:"runner"`
-	Mem       *MemStatus      `json:"mem,omitempty"` // absent until a simulation completes here
+	JobStates map[string]int `json:"job_states"`
+
+	// Terminal and replay totals: gserved's body has them as job_states
+	// and journal.replayed, gsched's under keys of their own.
+	Completed, Failed, Replayed int64 `json:"-"`
+}
+
+// Statusz is gserved's GET /statusz introspection snapshot. Runner
+// carries the checkpoint counters (CkSaved/CkRestored) alongside the
+// cache and simulation totals.
+type Statusz struct {
+	CoreStatus
+	Workers  int             `json:"workers"`
+	InFlight int             `json:"in_flight"` // distinct keys executing in the runner
+	Runner   runner.Counters `json:"runner"`
+	Mem      *MemStatus      `json:"mem,omitempty"` // absent until a simulation completes here
 }

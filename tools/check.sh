@@ -3,7 +3,9 @@
 # concurrency-bearing packages (the runner's worker pool / singleflight,
 # the session layer, the gserved daemon + client — including the
 # admission-saturation test — and four simulations run side by side,
-# which share nothing), guards that internal/gpu still has one cycle loop
+# which share nothing), guards that internal/gpu still has one cycle loop,
+# that internal/ + cmd/ still have one job lifecycle (one definition of
+# each shared route, body decoder, JSON writer and journal open)
 # and that no pool, map-keyed MSHR or any-typed payload is back on the
 # memory path, the bench module's
 # own tests, the allocation budget of the cycle path,
@@ -47,14 +49,27 @@ for pat in ':= tickSMs(' '\.ms\.Tick(' '\.Check(now)' '\.Put(now,'; do
     [ "$n" = 1 ] || { echo "internal/gpu: $n call sites of '$pat', want 1 (a forked cycle loop coming back?)" >&2; exit 1; }
 done
 
+echo "== one job lifecycle (each shared route, the strict body decoder, the JSON writer and the journal open have one definition)"
+svc="internal/server internal/fleet cmd/gserved cmd/gsched"
+for pat in '"POST /v1/jobs"' '"GET /v1/jobs/{key}"' '"GET /v1/sweeps"' '"POST /v1/sweeps"' \
+    '"GET /healthz"' '"GET /readyz"' '"GET /statusz"' 'DisallowUnknownFields' 'func [wW]riteJSON' 'wal\.Open('; do
+    n=$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -v '^[[:space:]]*//' | grep -c -- "$pat" || true)
+    [ "$n" = 1 ] || { echo "internal/ + cmd/: $n occurrences of '$pat', want 1 (a second job service coming back?)" >&2; exit 1; }
+done
+echo "   non-test Go lines in $svc: $(find $svc -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
+
 echo "== go test -race (runner, harness)"
 go test -race $short ./internal/runner/ ./internal/harness/
 
 echo "== go test -race (server saturation + drain + held waits + replay past a full queue, client retries + Wait pacing)"
 go test -race $short ./internal/server/ ./internal/client/
 
-echo "== go test -race (fleet coordinator incl. the stub-worker dispatch-protocol tests, wal journal)"
+echo "== go test -race (fleet coordinator incl. the stub-worker dispatch-protocol tests and the lifecycle explorer, wal journal)"
 go test -race $short ./internal/fleet/ ./internal/wal/
+if [ -z "$short" ]; then
+    echo "== lifecycle explorer, 5000 seeded schedules"
+    go test -count=1 -run TestExploreLifecycle ./internal/fleet/ -explore 5000
+fi
 
 echo "== no shared or untyped plumbing on the memory path (sync.Pool, map-keyed MSHRs, any-typed payloads stay out of internal/mem and internal/smcore)"
 for pat in 'sync\.Pool' 'map\[uint32\]' 'Payload  *any' 'Tag  *any'; do
