@@ -109,16 +109,18 @@ func main() {
 	defer stop()
 
 	s := harness.NewSession(*scale)
-	s.Verify = *verify
-	s.Workers = *workers
-	s.CacheDir = *cacheDir
 	s.InvariantStride = *invar
 	s.SoftFail = !*strict
-	s.CheckpointDir = *ckDir
-	s.CheckpointStride = *ckStride
 	s.Ctx = ctx
+	s.Runner = runner.Options{
+		Workers:          *workers,
+		CacheDir:         *cacheDir,
+		Verify:           *verify,
+		CheckpointDir:    *ckDir,
+		CheckpointStride: *ckStride,
+	}
 	if *verbose {
-		s.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
+		s.Runner.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}
 
 	ids := []string{*exp}
@@ -126,9 +128,11 @@ func main() {
 		ids = harness.IDs()
 	}
 
-	// With more than one worker, farm out the whole deduplicated job
-	// matrix first; the per-experiment loop below then assembles tables
-	// from pure cache hits.
+	// With more than one worker, farm out the deduplicated job matrix
+	// of all the experiments as one sweep first, so the pool never idles
+	// at an experiment boundary; the loop below then assembles tables
+	// from pure cache hits. With one worker each experiment runs its own
+	// simulations as it is reached.
 	if *workers != 1 {
 		if err := s.Precompute(ids...); err != nil {
 			exitErr(s, "", err)
@@ -150,7 +154,7 @@ func main() {
 		}
 		fmt.Print(tab.Format())
 		if *paper {
-			printPaper(id, tab)
+			fmt.Print(tab.FormatPaper())
 		}
 		fmt.Println()
 	}
@@ -172,29 +176,4 @@ func exitErr(s *harness.Session, id string, err error) {
 	}
 	fmt.Fprintf(os.Stderr, "%s: %v\n", prefix, err)
 	os.Exit(1)
-}
-
-func printPaper(id string, tab *harness.Table) {
-	ref, ok := harness.PaperRefs[id]
-	if !ok {
-		fmt.Println("(no paper-quoted values for this experiment)")
-		return
-	}
-	fmt.Println("paper-reported values:")
-	for _, row := range tab.Rows {
-		cells, ok := ref[row.Name]
-		if !ok {
-			continue
-		}
-		fmt.Printf("  %-12s", row.Name)
-		for _, col := range tab.Columns {
-			if v, ok := cells[col]; ok {
-				fmt.Printf("  %s=%.2f", col, v)
-			}
-		}
-		fmt.Println()
-	}
-	if note := harness.PaperNotes[id]; note != "" {
-		fmt.Printf("  note: %s\n", note)
-	}
 }

@@ -176,8 +176,10 @@ func WorkloadByName(name string) (*Workload, error) { return workloads.ByName(na
 
 // Experiments.
 type (
-	// ExperimentSession runs the paper's experiments with memoized
-	// simulation results.
+	// ExperimentSession renders the paper's experiments — each one a
+	// declared table of cells — on the simulation farm, with memoized
+	// results. Its Runner field is the farm's RunnerOptions (workers,
+	// cache directory, verify, progress).
 	ExperimentSession = harness.Session
 	// ExperimentTable is one experiment's result in the paper's layout.
 	ExperimentTable = harness.Table

@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -520,6 +521,48 @@ func TestSweepAndDedup(t *testing.T) {
 	}
 	if st := fleetStatusz(t, base); st.Deduped != 1 || st.Completed != 2 {
 		t.Fatalf("statusz = deduped %d completed %d, want 1/2", st.Deduped, st.Completed)
+	}
+}
+
+// TestSweepListInAdmissionOrder: the coordinator's GET /v1/sweeps is
+// the shared handler, so it too lists by admission sequence: jobs
+// submitted in descending key order come back in that order.
+func TestSweepListInAdmissionOrder(t *testing.T) {
+	_, w1 := startWorker(t, server.Options{})
+	_, base := startCoordinator(t, fleet.Options{Workers: []string{w1}})
+
+	var keys []string
+	seeds := map[string]uint64{}
+	for seed := uint64(4650); seed < 4658; seed++ {
+		req := seededReq(seed, 1)
+		_, key, err := req.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+		seeds[key] = seed
+	}
+	sort.Sort(sort.Reverse(sort.StringSlice(keys)))
+	for _, key := range keys {
+		if st := submitJob(t, base, seededReq(seeds[key], 1)); st.Key != key {
+			t.Fatalf("coordinator key %s, computed %s", st.Key, key)
+		}
+	}
+
+	var inv server.SweepResponse[fleet.JobStatus]
+	if code := doJSON(t, "GET", base+"/v1/sweeps", nil, &inv); code != http.StatusOK {
+		t.Fatalf("sweep list = %d", code)
+	}
+	if len(inv.Jobs) != len(keys) {
+		t.Fatalf("inventory = %d jobs, want %d", len(inv.Jobs), len(keys))
+	}
+	for i, jb := range inv.Jobs {
+		if jb.Key != keys[i] {
+			t.Fatalf("inventory[%d] = %.8s, want %.8s (admission order)", i, jb.Key, keys[i])
+		}
+	}
+	for _, key := range keys {
+		waitJob(t, base, key)
 	}
 }
 

@@ -14,21 +14,22 @@ import (
 // design knobs DESIGN.md calls out (CTA launch latency, MSHR capacity).
 // They run on representative workload subsets to stay affordable.
 
-func init() {
-	registerExperiment("ext-earlyrelease", extEarlyRelease)
-	registerExperiment("ext-l1policy", extL1Policy)
-	registerExperiment("ext-launchlat", extLaunchLat)
-	registerExperiment("ext-mshr", extMSHR)
-	registerExperiment("ext-rfbanks", extRFBanks)
+func ablationExperiments() []experiment {
+	return []experiment{extEarlyRelease(), extL1Policy(), extLaunchLat(), extMSHR(), extRFBanks()}
 }
 
-// RunCfg executes a workload under an arbitrary configuration (used by
-// the ablation experiments; the paper configurations go through Run).
-// The label only decorates progress lines and errors — memoization is
-// content-addressed on the configuration itself, so two labels naming
-// identical configurations share one simulation.
-func (s *Session) RunCfg(spec *workloads.Spec, label string, cfg config.Config) (*stats.GPU, error) {
-	return s.exec(spec, label, cfg)
+// specs resolves workload names; a misspelt name is a declaration bug
+// and panics when the registry is first built.
+func specs(names ...string) []*workloads.Spec {
+	out := make([]*workloads.Spec, len(names))
+	for i, name := range names {
+		spec, err := workloads.ByName(name)
+		if err != nil {
+			panic("harness: " + err.Error())
+		}
+		out[i] = spec
+	}
+	return out
 }
 
 // extEarlyRelease implements the paper's first §VIII item: release a
@@ -42,200 +43,99 @@ func (s *Session) RunCfg(spec *workloads.Spec, label string, cfg config.Config) 
 // *instruction reordering* alongside it. The "epilogue" row is a
 // microbenchmark built with a long register-dead tail, where the
 // mechanism's benefit is visible in isolation.
-func extEarlyRelease(s *Session) (*Table, error) {
-	t := &Table{ID: "ext-earlyrelease",
-		Title:   "§VIII ext.: early shared-register release (IPC improvement over Unshared-LRR, %)",
-		Columns: []string{"Shared-OWF-Unroll", "+EarlyRelease", "EarlyReleases"},
-		Notes:   "proxies keep shared registers live to the end (release ~= warp finish); the epilogue microbenchmark isolates the mechanism"}
-	row := func(name string, spec *workloads.Spec) error {
-		base, err := s.Run(spec, UnsharedLRR, 0.1)
-		if err != nil {
-			return err
-		}
-		// Dynamic warp execution is disabled in this ablation: after an
-		// early release the partner block takes ownership, which would
-		// turn the releasing block's memory-bound tail into gated
-		// non-owner traffic and mask the effect under study.
-		shCfg := buildConfig(SharedOWFUnrDyn, config.ShareRegisters, 0.1)
-		shCfg.DynWarp = false
-		sh, err := s.RunCfg(spec, "Shared-OWF-Unroll", shCfg)
-		if err != nil {
-			return err
-		}
-		cfg := shCfg
-		cfg.EarlyRegRelease = true
-		rel, err := s.RunCfg(spec, "Shared-OWF-Unroll+Rel", cfg)
-		if err != nil {
-			return err
-		}
-		var releases int64
-		for i := range rel.SMs {
-			releases += rel.SMs[i].EarlyRegRelease
-		}
-		t.Rows = append(t.Rows, RowData{name, []float64{
-			stats.PercentChange(base.IPC(), sh.IPC()),
-			stats.PercentChange(base.IPC(), rel.IPC()),
-			float64(releases),
-		}})
-		return nil
-	}
-	for _, name := range []string{"backprop", "hotspot", "MUM", "sgemm"} {
-		spec, err := workloads.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		if err := row(name, spec); err != nil {
-			return nil, err
-		}
-	}
-	if err := row("epilogue", workloads.EpilogueMicro); err != nil {
-		return nil, err
-	}
-	return t, nil
+func extEarlyRelease() experiment {
+	return experiment{id: "ext-earlyrelease",
+		title:   "§VIII ext.: early shared-register release (IPC improvement over Unshared-LRR, %)",
+		columns: []string{"Shared-OWF-Unroll", "+EarlyRelease", "EarlyReleases"},
+		notes:   "proxies keep shared registers live to the end (release ~= warp finish); the epilogue microbenchmark isolates the mechanism",
+		rows: perWorkload(specs("backprop", "hotspot", "MUM", "sgemm", "epilogue"), func(spec *workloads.Spec) []cell {
+			base := named(spec, UnsharedLRR, 0.1)
+			// Dynamic warp execution is disabled in this ablation: after an
+			// early release the partner block takes ownership, which would
+			// turn the releasing block's memory-bound tail into gated
+			// non-owner traffic and mask the effect under study.
+			sh := named(spec, SharedOWFUnrDyn, 0.1)
+			sh.label = "Shared-OWF-Unroll"
+			sh.cfg.DynWarp = false
+			rel := sh
+			rel.label = "Shared-OWF-Unroll+Rel"
+			rel.cfg.EarlyRegRelease = true
+			return []cell{
+				ipcGain(base, sh),
+				ipcGain(base, rel),
+				{[]sim{rel}, func(g []*stats.GPU) float64 {
+					var releases int64
+					for i := range g[0].SMs {
+						releases += g[0].SMs[i].EarlyRegRelease
+					}
+					return float64(releases)
+				}},
+			}
+		})}
 }
 
 // extL1Policy implements the paper's second §VIII item: the effect of L1
 // replacement policies on register sharing. Columns report the sharing
 // IPC gain over an Unshared-LRR baseline using the same policy.
-func extL1Policy(s *Session) (*Table, error) {
-	policies := []config.CachePolicy{config.PolicyLRU, config.PolicyFIFO, config.PolicyRand}
-	t := &Table{ID: "ext-l1policy",
-		Title:   "§VIII ext.: register-sharing IPC gain under L1 replacement policies (%)",
-		Columns: []string{"LRU", "FIFO", "Rand"}}
-	for _, name := range []string{"hotspot", "MUM", "mri-q", "stencil"} {
-		spec, err := workloads.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		row := RowData{Name: name}
-		for _, pol := range policies {
-			baseCfg := buildConfig(UnsharedLRR, config.ShareRegisters, 0.1)
-			baseCfg.L1Policy = pol
-			base, err := s.RunCfg(spec, "Unshared-LRR/"+pol.String(), baseCfg)
-			if err != nil {
-				return nil, err
-			}
-			shCfg := buildConfig(SharedOWFUnrDyn, config.ShareRegisters, 0.1)
-			shCfg.L1Policy = pol
-			sh, err := s.RunCfg(spec, "Shared-OWF-Unroll-Dyn/"+pol.String(), shCfg)
-			if err != nil {
-				return nil, err
-			}
-			row.Cells = append(row.Cells, stats.PercentChange(base.IPC(), sh.IPC()))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+func extL1Policy() experiment {
+	return experiment{id: "ext-l1policy",
+		title:   "§VIII ext.: register-sharing IPC gain under L1 replacement policies (%)",
+		columns: []string{"LRU", "FIFO", "Rand"},
+		rows: perWorkload(specs("hotspot", "MUM", "mri-q", "stencil"), func(spec *workloads.Spec) []cell {
+			policies := []config.CachePolicy{config.PolicyLRU, config.PolicyFIFO, config.PolicyRand}
+			return cellsFor(policies, func(pol config.CachePolicy) cell {
+				set := func(c *config.Config) { c.L1Policy = pol }
+				return ipcGain(
+					variant(spec, UnsharedLRR, pol.String(), set),
+					variant(spec, SharedOWFUnrDyn, pol.String(), set))
+			})
+		})}
 }
 
 // extLaunchLat sweeps the CTA dispatch latency: the staged non-owner
 // block of a sharing pair hides exactly this gap, so the sharing gain
 // should grow with it.
-func extLaunchLat(s *Session) (*Table, error) {
-	lats := []int{0, 250, 1000}
-	t := &Table{ID: "ext-launchlat",
-		Title:   "Sensitivity: sharing IPC gain vs CTA launch latency (%)",
-		Columns: []string{"lat=0", "lat=250", "lat=1000"}}
-	for _, name := range []string{"hotspot", "CONV1", "SRAD2"} {
-		spec, err := workloads.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		mode := sharingModeFor(spec)
-		shName := SharedOWFUnrDyn
-		if mode == config.ShareScratchpad {
-			shName = SharedOWF
-		}
-		row := RowData{Name: name}
-		for _, lat := range lats {
-			baseCfg := buildConfig(UnsharedLRR, mode, 0.1)
-			baseCfg.CTALaunchLat = lat
-			base, err := s.RunCfg(spec, fmt.Sprintf("Unshared-LRR/lat%d", lat), baseCfg)
-			if err != nil {
-				return nil, err
-			}
-			shCfg := buildConfig(shName, mode, 0.1)
-			shCfg.CTALaunchLat = lat
-			sh, err := s.RunCfg(spec, fmt.Sprintf("%s/lat%d", shName, lat), shCfg)
-			if err != nil {
-				return nil, err
-			}
-			row.Cells = append(row.Cells, stats.PercentChange(base.IPC(), sh.IPC()))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+func extLaunchLat() experiment {
+	return experiment{id: "ext-launchlat",
+		title:   "Sensitivity: sharing IPC gain vs CTA launch latency (%)",
+		columns: []string{"lat=0", "lat=250", "lat=1000"},
+		rows: perWorkload(specs("hotspot", "CONV1", "SRAD2"), func(spec *workloads.Spec) []cell {
+			return cellsFor([]int{0, 250, 1000}, func(lat int) cell {
+				suffix := fmt.Sprintf("lat%d", lat)
+				set := func(c *config.Config) { c.CTALaunchLat = lat }
+				return ipcGain(
+					variant(spec, UnsharedLRR, suffix, set),
+					variant(spec, bestSharing(spec), suffix, set))
+			})
+		})}
 }
 
 // extMSHR sweeps the per-SM MSHR capacity, the structural cap on
 // memory-level parallelism for the divergent workloads.
-func extMSHR(s *Session) (*Table, error) {
-	sizes := []int{16, 32, 64}
-	t := &Table{ID: "ext-mshr",
-		Title:   "Sensitivity: baseline IPC vs L1 MSHR capacity",
-		Columns: []string{"mshr=16", "mshr=32", "mshr=64"}}
-	for _, name := range []string{"MUM", "b+tree", "backprop"} {
-		spec, err := workloads.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		row := RowData{Name: name}
-		for _, n := range sizes {
-			cfg := buildConfig(UnsharedLRR, config.ShareRegisters, 0.1)
-			cfg.L1MSHRs = n
-			g, err := s.RunCfg(spec, fmt.Sprintf("Unshared-LRR/mshr%d", n), cfg)
-			if err != nil {
-				return nil, err
-			}
-			row.Cells = append(row.Cells, g.IPC())
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+func extMSHR() experiment {
+	return experiment{id: "ext-mshr",
+		title:   "Sensitivity: baseline IPC vs L1 MSHR capacity",
+		columns: []string{"mshr=16", "mshr=32", "mshr=64"},
+		rows: perWorkload(specs("MUM", "b+tree", "backprop"), func(spec *workloads.Spec) []cell {
+			return cellsFor([]int{16, 32, 64}, func(n int) cell {
+				return ipc(variant(spec, UnsharedLRR, fmt.Sprintf("mshr%d", n),
+					func(c *config.Config) { c.L1MSHRs = n }))
+			})
+		})}
 }
 
 // extRFBanks enables the optional register-file bank-conflict model
 // (Fig. 3's banked register file) and reports its IPC cost on compute-
 // heavy workloads, baseline vs register sharing.
-func extRFBanks(s *Session) (*Table, error) {
-	t := &Table{ID: "ext-rfbanks",
-		Title:   "Fidelity: IPC with the register-file bank-conflict model (16 banks)",
-		Columns: []string{"base-IPC", "base+RF-IPC", "shared-gain%", "shared+RF-gain%"}}
-	for _, name := range []string{"hotspot", "sgemm", "lavaMD"} {
-		spec, err := workloads.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		mode := sharingModeFor(spec)
-		shName := SharedOWFUnrDyn
-		if mode == config.ShareScratchpad {
-			shName = SharedOWF
-		}
-		base, err := s.Run(spec, UnsharedLRR, 0.1)
-		if err != nil {
-			return nil, err
-		}
-		sh, err := s.Run(spec, shName, 0.1)
-		if err != nil {
-			return nil, err
-		}
-		baseRFCfg := buildConfig(UnsharedLRR, mode, 0.1)
-		baseRFCfg.RFBanks = 16
-		baseRF, err := s.RunCfg(spec, "Unshared-LRR/rf16", baseRFCfg)
-		if err != nil {
-			return nil, err
-		}
-		shRFCfg := buildConfig(shName, mode, 0.1)
-		shRFCfg.RFBanks = 16
-		shRF, err := s.RunCfg(spec, string(shName)+"/rf16", shRFCfg)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, RowData{name, []float64{
-			base.IPC(), baseRF.IPC(),
-			stats.PercentChange(base.IPC(), sh.IPC()),
-			stats.PercentChange(baseRF.IPC(), shRF.IPC()),
-		}})
-	}
-	return t, nil
+func extRFBanks() experiment {
+	return experiment{id: "ext-rfbanks",
+		title:   "Fidelity: IPC with the register-file bank-conflict model (16 banks)",
+		columns: []string{"base-IPC", "base+RF-IPC", "shared-gain%", "shared+RF-gain%"},
+		rows: perWorkload(specs("hotspot", "sgemm", "lavaMD"), func(spec *workloads.Spec) []cell {
+			rf16 := func(c *config.Config) { c.RFBanks = 16 }
+			base, sh := named(spec, UnsharedLRR, 0.1), named(spec, bestSharing(spec), 0.1)
+			baseRF := variant(spec, UnsharedLRR, "rf16", rf16)
+			shRF := variant(spec, bestSharing(spec), "rf16", rf16)
+			return []cell{ipc(base), ipc(baseRF), ipcGain(base, sh), ipcGain(baseRF, shRF)}
+		})}
 }

@@ -1,12 +1,17 @@
 // Package harness reproduces the paper's evaluation: one experiment per
 // table and figure (§VI), each emitting the same rows/series the paper
-// reports. A Session caches simulation runs so experiments that share a
-// configuration (e.g. the Unshared-LRR baseline) do not re-simulate it.
+// reports. An experiment is declared as data — rows of cells, each cell
+// naming the simulations it needs and a pure function of their
+// statistics — and a Session renders it: enumerate the simulations, run
+// them on the internal/runner farm (which deduplicates and caches, so
+// experiments sharing a configuration, e.g. the Unshared-LRR baseline,
+// simulate it once), reduce the cells.
 package harness
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -14,6 +19,7 @@ import (
 	"gpushare/internal/config"
 	"gpushare/internal/runner"
 	"gpushare/internal/stats"
+	"gpushare/internal/tenancy"
 	"gpushare/internal/workloads"
 )
 
@@ -58,6 +64,36 @@ func (t *Table) Format() string {
 	}
 	if t.Notes != "" {
 		fmt.Fprintf(&b, "note: %s\n", t.Notes)
+	}
+	return b.String()
+}
+
+// FormatPaper renders the paper's quoted values for this experiment as
+// the text block that follows Format in a report: one line per row the
+// paper quotes, then the experiment's caveat. It is the text twin of
+// Markdown's inline annotations.
+func (t *Table) FormatPaper() string {
+	ref, ok := PaperRefs[t.ID]
+	if !ok {
+		return "(no paper-quoted values for this experiment)\n"
+	}
+	var b strings.Builder
+	b.WriteString("paper-reported values:\n")
+	for _, r := range t.Rows {
+		cells, ok := ref[r.Name]
+		if !ok {
+			continue
+		}
+		fmt.Fprintf(&b, "  %-12s", r.Name)
+		for _, col := range t.Columns {
+			if v, ok := cells[col]; ok {
+				fmt.Fprintf(&b, "  %s=%.2f", col, v)
+			}
+		}
+		b.WriteByte('\n')
+	}
+	if note := PaperNotes[t.ID]; note != "" {
+		fmt.Fprintf(&b, "  note: %s\n", note)
 	}
 	return b.String()
 }
@@ -189,42 +225,100 @@ func sharingModeFor(s *workloads.Spec) config.SharingMode {
 	return config.ShareRegisters
 }
 
-// Session runs experiments on top of the internal/runner job farm:
-// every simulation becomes a descriptor-addressed job, results are
-// memoized in the runner's two-tier cache (in-memory, plus on-disk when
-// CacheDir is set), and Precompute executes an experiment's whole job
-// matrix concurrently before the tables are assembled. Simulations are
+// sim declares one simulation a cell needs: a registry workload (or,
+// for a multi-kernel run, a tenancy spec) under a configuration. The
+// label only decorates progress lines, errors and soft-fail notes —
+// memoization is content-addressed on the job itself, so two labels
+// naming identical configurations share one simulation.
+type sim struct {
+	workload string        // registry name ("" for a tenancy run)
+	tenancy  *tenancy.Spec // nil for a single kernel
+	label    string
+	cfg      config.Config
+}
+
+// cell declares one table cell: the simulations it needs and a pure
+// function from their statistics (in the same order) to the number.
+// Analytic cells (occupancy math, storage formulas) declare none.
+type cell struct {
+	sims []sim
+	val  func(g []*stats.GPU) float64
+}
+
+// row declares one table row.
+type row struct {
+	name  string
+	cells []cell
+}
+
+// experiment declares one table or figure of the evaluation. It is pure
+// data: which simulations exist is known without running anything, so
+// planning a sweep is enumeration.
+type experiment struct {
+	id, title string
+	columns   []string
+	notes     string
+	rows      []row
+}
+
+// sims lists the experiment's simulations in declaration order: rows
+// top to bottom, cells left to right, each cell's own order. Failures
+// surface in this order.
+func (e *experiment) sims() []sim {
+	var out []sim
+	for _, r := range e.rows {
+		for _, c := range r.cells {
+			out = append(out, c.sims...)
+		}
+	}
+	return out
+}
+
+// experiments is the registry, declared on first use: a process that
+// never renders an experiment (the daemons import this package through
+// the facade) builds none.
+var experiments = sync.OnceValue(func() map[string]*experiment {
+	m := map[string]*experiment{}
+	for _, e := range slices.Concat(paperExperiments(), ablationExperiments(), tenancyExperiments()) {
+		m[e.id] = &e
+	}
+	return m
+})
+
+func lookup(id string) (*experiment, error) {
+	e, ok := experiments()[id]
+	if !ok {
+		return nil, fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
+	}
+	return e, nil
+}
+
+// IDs returns every experiment id in sorted order.
+func IDs() []string {
+	ids := make([]string, 0, len(experiments()))
+	for id := range experiments() {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// Session renders experiments on top of the internal/runner job farm:
+// every declared simulation becomes a descriptor-addressed job, results
+// are memoized in the runner's two-tier cache, and an experiment's (or,
+// through Precompute, several experiments') whole job matrix runs on the
+// worker pool before the cells are reduced. Simulations are
 // deterministic, so parallel and sequential sessions produce
 // bit-identical tables.
 type Session struct {
 	// Scale multiplies workload grid sizes; 2 is the experiment default,
 	// 1 suits quick runs and benchmarks.
 	Scale int
-	// Verify re-checks functional outputs after every fresh run.
-	Verify bool
-	// Progress, when non-nil, receives a line per simulation run plus
-	// sweep progress during Precompute.
-	Progress func(string)
-	// Workers bounds concurrent simulations during Precompute
-	// (0 = runtime.GOMAXPROCS(0); 1 preserves sequential execution).
-	Workers int
-	// CacheDir enables the runner's on-disk result cache, reused across
-	// processes ("" disables it).
-	CacheDir string
 	// InvariantStride, when positive, runs every simulation with the
 	// cycle-level invariant auditor enabled at that stride. Audited and
 	// unaudited runs cache under different keys (the stride is part of
 	// the canonical configuration).
 	InvariantStride int64
-	// CheckpointDir enables crash-tolerant simulations: each running job
-	// snapshots its machine state under this directory every
-	// CheckpointStride cycles, and a retried attempt (panic, timeout)
-	// resumes from the newest snapshot instead of cycle 0. Results are
-	// bit-identical with or without checkpoints ("" disables).
-	CheckpointDir string
-	// CheckpointStride is the snapshot cadence in cycles (with
-	// CheckpointDir; 0 leaves each job's own configuration in charge).
-	CheckpointStride int64
 	// SoftFail renders a failed simulation as a zero-filled table cell
 	// with its diagnosis collected into the table notes, instead of
 	// aborting the whole experiment. One diverging cell cannot kill a
@@ -237,16 +331,14 @@ type Session struct {
 	// loop; results completed before the interrupt stay cached, and the
 	// disk store stays consistent (entries are written atomically).
 	Ctx context.Context
+	// Runner configures the farm: Workers (0 = runtime.GOMAXPROCS(0);
+	// 1 is strictly sequential, in declaration order), CacheDir, Verify,
+	// Progress (a line per fresh simulation plus sweep progress),
+	// checkpoints. It is read once, at the session's first simulation.
+	Runner runner.Options
 
-	mu sync.Mutex
-	r  *runner.Runner
-	// record, when non-nil, captures jobs instead of executing them
-	// (the planning pass of Precompute).
-	record func(runner.Job)
-
-	failMu   sync.Mutex
-	failSeen map[string]bool
-	failures []string
+	once sync.Once
+	r    *runner.Runner
 }
 
 // NewSession returns a session at the given scale.
@@ -257,104 +349,14 @@ func NewSession(scale int) *Session {
 	return &Session{Scale: scale}
 }
 
-// runner lazily builds the job runner so that Verify, Workers, and
-// CacheDir may be assigned any time before the first Run.
 func (s *Session) runner() *runner.Runner {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.r == nil {
-		s.r = runner.New(runner.Options{
-			Workers:          s.Workers,
-			CacheDir:         s.CacheDir,
-			Verify:           s.Verify,
-			Progress:         s.Progress,
-			CheckpointDir:    s.CheckpointDir,
-			CheckpointStride: s.CheckpointStride,
-		})
-	}
+	s.once.Do(func() { s.r = runner.New(s.Runner) })
 	return s.r
 }
 
 // Counters reports the session's cumulative job statistics (cache hits,
 // fresh simulations, failures).
 func (s *Session) Counters() runner.Counters { return s.runner().Counters() }
-
-// Run executes a workload under a named configuration (memoized).
-func (s *Session) Run(spec *workloads.Spec, name ConfigName, t float64) (*stats.GPU, error) {
-	return s.exec(spec, string(name), buildConfig(name, sharingModeFor(spec), t))
-}
-
-// exec routes one simulation request through the runner. During a
-// Precompute planning pass it records the job descriptor and returns
-// placeholder statistics instead.
-func (s *Session) exec(spec *workloads.Spec, label string, cfg config.Config) (*stats.GPU, error) {
-	if s.InvariantStride > 0 {
-		cfg.InvariantStride = s.InvariantStride
-	}
-	job := runner.Job{Workload: spec.Name, Config: cfg, Scale: s.Scale}
-	if s.record != nil {
-		s.record(job)
-		return &stats.GPU{}, nil
-	}
-	res := s.runner().DoCtx(s.context(), job)
-	if res.Err != nil {
-		if s.SoftFail && !runner.IsCanceled(res.Err) {
-			s.noteFailure(spec.Name, label, res.Err)
-			return &stats.GPU{}, nil
-		}
-		return nil, fmt.Errorf("%s under %s: %w", spec.Name, label, res.Err)
-	}
-	if s.Progress != nil && res.Tier == runner.Simulated {
-		s.Progress(fmt.Sprintf("%-10s %-24s IPC %7.2f  cycles %9d", spec.Name, label, res.Stats.IPC(), res.Stats.Cycles))
-	}
-	return res.Stats, nil
-}
-
-// Precompute collects every simulation the listed experiments request
-// and executes the deduplicated job set concurrently through the
-// runner's worker pool, so the subsequent Experiment calls assemble
-// their tables from pure cache hits. Individual job failures are not
-// reported here: the experiment that needs the failed result surfaces
-// the error exactly where a sequential run would.
-func (s *Session) Precompute(ids ...string) error {
-	var (
-		jobs []runner.Job
-		seen = map[string]bool{}
-	)
-	plan := &Session{
-		Scale:           s.Scale,
-		InvariantStride: s.InvariantStride,
-		record: func(j runner.Job) {
-			key, err := j.Key()
-			if err != nil || seen[key] {
-				return
-			}
-			seen[key] = true
-			jobs = append(jobs, j)
-		},
-	}
-	for _, id := range ids {
-		fn, ok := experiments[id]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
-		}
-		// The planning pass sees placeholder statistics, so experiment
-		// errors here can only be workload-lookup failures; they recur
-		// in the real pass with full context.
-		if _, err := fn(plan); err != nil {
-			return err
-		}
-	}
-	ctx := s.context()
-	s.runner().RunAllCtx(ctx, jobs)
-	// An interrupted sweep keeps its completed (and cached) partial
-	// results but reports the interruption instead of letting the
-	// caller assemble half-empty tables.
-	if err := context.Cause(ctx); err != nil {
-		return fmt.Errorf("precompute interrupted: %w", err)
-	}
-	return nil
-}
 
 // context returns the session's bounding context.
 func (s *Session) context() context.Context {
@@ -364,70 +366,109 @@ func (s *Session) context() context.Context {
 	return context.Background()
 }
 
-// noteFailure records one failed simulation for the current experiment's
-// table notes (SoftFail mode), deduplicating repeated requests for the
-// same cell. Typed SimErrors contribute their single-line diagnosis
-// header (kind, cycle, stuck warp, stall reason).
-func (s *Session) noteFailure(workload, label string, err error) {
-	note := fmt.Sprintf("%s under %s: %v", workload, label, err)
-	s.failMu.Lock()
-	defer s.failMu.Unlock()
-	if s.failSeen == nil {
-		s.failSeen = make(map[string]bool)
+// job turns a declared simulation into the runner's descriptor. It is
+// the one place the session's scale and audit stride are applied, for
+// single-kernel and tenancy runs alike; the stride uniformly overrides
+// per-configuration values so one sweep audits at one rate.
+func (s *Session) job(sm sim) runner.Job {
+	cfg := sm.cfg
+	if s.InvariantStride > 0 {
+		cfg.InvariantStride = s.InvariantStride
 	}
-	key := workload + "|" + label
-	if s.failSeen[key] {
-		return
-	}
-	s.failSeen[key] = true
-	s.failures = append(s.failures, note)
+	return runner.Job{Workload: sm.workload, Config: cfg, Scale: s.Scale, Tenancy: sm.tenancy}
 }
 
-// takeFailures drains the failure notes collected since the last call.
-func (s *Session) takeFailures() []string {
-	s.failMu.Lock()
-	defer s.failMu.Unlock()
-	f := s.failures
-	s.failures = nil
-	s.failSeen = nil
-	return f
+// simulate hands every simulation the experiments declare to the farm,
+// which deduplicates, pools and caches them, and returns one result per
+// declared simulation in declaration order.
+func (s *Session) simulate(exps ...*experiment) []runner.Result {
+	var jobs []runner.Job
+	for _, e := range exps {
+		for _, sm := range e.sims() {
+			jobs = append(jobs, s.job(sm))
+		}
+	}
+	return s.runner().RunAllCtx(s.context(), jobs)
+}
+
+// Precompute runs the deduplicated job set of all the listed experiments
+// as one sweep, so the subsequent Experiment calls assemble their tables
+// from pure cache hits. Individual job failures are not reported here:
+// the experiment that needs the failed result surfaces the error exactly
+// where a sequential run would.
+func (s *Session) Precompute(ids ...string) error {
+	exps := make([]*experiment, len(ids))
+	for i, id := range ids {
+		e, err := lookup(id)
+		if err != nil {
+			return err
+		}
+		exps[i] = e
+	}
+	s.simulate(exps...)
+	// An interrupted sweep keeps its completed (and cached) partial
+	// results but reports the interruption instead of letting the
+	// caller assemble half-empty tables.
+	if err := context.Cause(s.context()); err != nil {
+		return fmt.Errorf("precompute interrupted: %w", err)
+	}
+	return nil
 }
 
 // Experiment runs the experiment with the given id ("fig8c", "table5",
-// "hw", ...). In SoftFail mode, cells whose simulation failed are zero
-// and the diagnoses are appended to the table notes.
+// "hw", ...): its simulations on the farm, then its cells in
+// declaration order. The first failed simulation in that order is the
+// error; in SoftFail mode its cells are computed from zeroed statistics
+// instead and the diagnoses, one per simulation, are appended to the
+// table notes.
 func (s *Session) Experiment(id string) (*Table, error) {
-	fn, ok := experiments[id]
-	if !ok {
-		return nil, fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
+	e, err := lookup(id)
+	if err != nil {
+		return nil, err
 	}
-	s.takeFailures() // discard leftovers from a previous experiment
-	tbl, err := fn(s)
-	if err != nil || tbl == nil {
-		return tbl, err
-	}
-	if notes := s.takeFailures(); len(notes) > 0 {
-		msg := fmt.Sprintf("%d failed cell(s) zeroed: %s", len(notes), strings.Join(notes, " | "))
-		if tbl.Notes != "" {
-			tbl.Notes += "; "
+	res := s.simulate(e)
+	t := &Table{ID: e.id, Title: e.title, Columns: e.columns, Notes: e.notes}
+	var failed []string
+	seen := map[string]bool{} // simulations already reported or noted
+	for _, r := range e.rows {
+		rd := RowData{Name: r.name}
+		for _, c := range r.cells {
+			g := make([]*stats.GPU, len(c.sims))
+			for i, sm := range c.sims {
+				out := res[0]
+				res = res[1:]
+				// A tenancy run has no single workload name; its job
+				// label names the mix.
+				name := sm.workload
+				if sm.tenancy != nil {
+					name = out.Job.String()
+				}
+				switch {
+				case out.Err == nil:
+					g[i] = out.Stats
+					if s.Runner.Progress != nil && out.Tier == runner.Simulated && !seen[out.Key] {
+						seen[out.Key] = true
+						s.Runner.Progress(fmt.Sprintf("%-10s %-24s IPC %7.2f  cycles %9d", name, sm.label, g[i].IPC(), g[i].Cycles))
+					}
+				case s.SoftFail && !runner.IsCanceled(out.Err):
+					g[i] = &stats.GPU{}
+					if at := name + "|" + sm.label; !seen[at] {
+						seen[at] = true
+						failed = append(failed, fmt.Sprintf("%s under %s: %v", name, sm.label, out.Err))
+					}
+				default:
+					return nil, fmt.Errorf("%s under %s: %w", name, sm.label, out.Err)
+				}
+			}
+			rd.Cells = append(rd.Cells, c.val(g))
 		}
-		tbl.Notes += msg
+		t.Rows = append(t.Rows, rd)
 	}
-	return tbl, nil
-}
-
-var experiments = map[string]func(*Session) (*Table, error){}
-
-func registerExperiment(id string, fn func(*Session) (*Table, error)) {
-	experiments[id] = fn
-}
-
-// IDs returns every experiment id in sorted order.
-func IDs() []string {
-	ids := make([]string, 0, len(experiments))
-	for id := range experiments {
-		ids = append(ids, id)
+	if len(failed) > 0 {
+		if t.Notes != "" {
+			t.Notes += "; "
+		}
+		t.Notes += fmt.Sprintf("%d failed cell(s) zeroed: %s", len(failed), strings.Join(failed, " | "))
 	}
-	sort.Strings(ids)
-	return ids
+	return t, nil
 }

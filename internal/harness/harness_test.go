@@ -4,8 +4,30 @@ import (
 	"strings"
 	"testing"
 
+	"gpushare/internal/stats"
 	"gpushare/internal/workloads"
 )
+
+// declareForTest registers a test-local experiment for the duration of
+// one test, so the test drives it through the public Session.Experiment.
+func declareForTest(t *testing.T, e experiment) {
+	t.Helper()
+	if _, dup := experiments()[e.id]; dup {
+		t.Fatalf("experiment id %q already declared", e.id)
+	}
+	experiments()[e.id] = &e
+	t.Cleanup(func() { delete(experiments(), e.id) })
+}
+
+// ipcRow declares a one-row experiment with one IPC cell per simulation.
+func ipcRow(id string, sims ...sim) experiment {
+	e := experiment{id: id, title: id, rows: []row{{name: "row"}}}
+	for _, sm := range sims {
+		e.columns = append(e.columns, sm.label)
+		e.rows[0].cells = append(e.rows[0].cells, ipc(sm))
+	}
+	return e
+}
 
 func TestExperimentIDsComplete(t *testing.T) {
 	// One experiment per paper artifact.
@@ -250,26 +272,27 @@ func TestTableFormatAndCell(t *testing.T) {
 }
 
 func TestSessionCaching(t *testing.T) {
-	s := NewSession(1)
-	runs := 0
-	s.Progress = func(string) { runs++ }
 	spec, _ := workloads.ByName("CONV2")
-	if _, err := s.Run(spec, UnsharedLRR, 0.1); err != nil {
-		t.Fatal(err)
+	lrr, gto := named(spec, UnsharedLRR, 0.1), named(spec, UnsharedGTO, 0.1)
+	declareForTest(t, ipcRow("test-lrr", lrr))
+	declareForTest(t, ipcRow("test-lrr-gto", lrr, gto))
+
+	s := NewSession(1)
+	for i := 0; i < 2; i++ {
+		if _, err := s.Experiment("test-lrr"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := s.Run(spec, UnsharedLRR, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	if runs != 1 {
+	if runs := s.Counters().Simulated; runs != 1 {
 		t.Errorf("memoization failed: %d runs", runs)
 	}
-	// A different threshold with the same blocks may not be cached, but a
-	// different config name must re-run.
-	if _, err := s.Run(spec, UnsharedGTO, 0.1); err != nil {
+	// A different config name must re-run; the one already simulated
+	// must not.
+	if _, err := s.Experiment("test-lrr-gto"); err != nil {
 		t.Fatal(err)
 	}
-	if runs != 2 {
-		t.Errorf("distinct config not run: %d", runs)
+	if runs := s.Counters().Simulated; runs != 2 {
+		t.Errorf("distinct config not run exactly once: %d runs", runs)
 	}
 }
 
@@ -284,17 +307,18 @@ func TestParallelSessionMatchesSequential(t *testing.T) {
 	const id = "fig12a"
 
 	seq := NewSession(1)
-	seq.Workers = 1
+	seq.Runner.Workers = 1
 	seqTab, err := seq.Experiment(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	par := NewSession(1)
-	par.Workers = 8
+	par.Runner.Workers = 8
 	if err := par.Precompute(id); err != nil {
 		t.Fatal(err)
 	}
+	precomputed := par.Counters().Simulated
 	parTab, err := par.Experiment(id)
 	if err != nil {
 		t.Fatal(err)
@@ -308,11 +332,30 @@ func TestParallelSessionMatchesSequential(t *testing.T) {
 	// The precompute pass must have covered the whole matrix: assembling
 	// the table afterwards simulated nothing new.
 	c := par.Counters()
-	if c.Simulated == 0 {
+	if precomputed == 0 {
 		t.Error("precompute simulated nothing")
+	}
+	if c.Simulated != precomputed {
+		t.Errorf("table assembly simulated %d jobs after precompute", c.Simulated-precomputed)
 	}
 	if hits := c.Hits(); hits == 0 {
 		t.Error("table assembly hit the cache zero times")
+	}
+
+	// Without a Precompute, Experiment runs its own cells on the pool:
+	// same table, same job set.
+	own := NewSession(1)
+	own.Runner.Workers = 8
+	ownTab, err := own.Experiment(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ownTab.Format() != seqTab.Format() {
+		t.Errorf("pooled table differs from sequential:\n--- sequential\n%s--- pooled\n%s",
+			seqTab.Format(), ownTab.Format())
+	}
+	if got := own.Counters().Simulated; got != precomputed {
+		t.Errorf("pooled Experiment simulated %d jobs, Precompute %d", got, precomputed)
 	}
 }
 
@@ -324,32 +367,40 @@ func TestSessionDiskCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The cell keeps the statistics it was reduced from, so the two
+	// sessions' results compare whole, not just by IPC.
+	var got []*stats.GPU
+	e := ipcRow("test-disk", named(spec, UnsharedLRR, 0.1))
+	e.rows[0].cells[0].val = func(g []*stats.GPU) float64 {
+		got = append(got, g[0])
+		return g[0].IPC()
+	}
+	declareForTest(t, e)
 
 	warm := NewSession(1)
-	warm.CacheDir = dir
-	g1, err := warm.Run(spec, UnsharedLRR, 0.1)
+	warm.Runner.CacheDir = dir
+	t1, err := warm.Experiment("test-disk")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cold := NewSession(1)
-	cold.CacheDir = dir
-	fresh := 0
-	cold.Progress = func(string) { fresh++ }
-	g2, err := cold.Run(spec, UnsharedLRR, 0.1)
+	cold.Runner.CacheDir = dir
+	t2, err := cold.Experiment("test-disk")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh != 0 {
-		t.Errorf("warm-cache rerun simulated %d times, want 0", fresh)
+	c := cold.Counters()
+	if c.Simulated != 0 {
+		t.Errorf("warm-cache rerun simulated %d times, want 0", c.Simulated)
 	}
-	b1, _ := g1.EncodeJSON()
-	b2, _ := g2.EncodeJSON()
-	if string(b1) != string(b2) {
-		t.Error("disk-cached result differs from the original run")
-	}
-	if c := cold.Counters(); c.DiskHits != 1 {
+	if c.DiskHits != 1 {
 		t.Errorf("disk hits = %d, want 1", c.DiskHits)
+	}
+	b1, _ := got[0].EncodeJSON()
+	b2, _ := got[1].EncodeJSON()
+	if string(b1) != string(b2) || t1.Format() != t2.Format() {
+		t.Error("disk-cached result differs from the original run")
 	}
 }
 

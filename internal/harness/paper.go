@@ -108,9 +108,10 @@ var PaperRefs = map[string]PaperRef{
 }
 
 func sweepRow(vals ...float64) map[string]float64 {
+	cols := sweepColumns()
 	row := make(map[string]float64, len(vals))
 	for i, v := range vals {
-		row[fmtPct(sharingPercents[i])] = v
+		row[cols[i]] = v
 	}
 	return row
 }

@@ -13,7 +13,7 @@ func TestTenancyExperiments(t *testing.T) {
 		t.Skip("multi-tenant sweep is slow")
 	}
 	s := NewSession(1)
-	s.Verify = true
+	s.Runner.Verify = true
 	if err := s.Precompute("ten-interference", "ten-isolation", "ten-packing"); err != nil {
 		t.Fatal(err)
 	}

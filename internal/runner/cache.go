@@ -39,10 +39,10 @@ func (t CacheTier) String() string {
 // to a new subdirectory instead of misparsing old ones.
 const storeVersion = "v1"
 
-// defaultMemEntries bounds the in-memory tier. A full `gexp -exp all`
-// sweep needs a few hundred distinct results, so the default keeps
-// every result of even a large matrix resident.
-const defaultMemEntries = 4096
+// memEntries bounds the in-memory tier. A full `gexp -exp all` sweep
+// needs a few hundred distinct results, so this keeps every result of
+// even a large matrix resident.
+const memEntries = 4096
 
 // store is the two-tier result cache: an in-memory LRU in front of an
 // optional on-disk JSON store. Disk entries are validated on load — the
@@ -65,14 +65,11 @@ type memEntry struct {
 	g   *stats.GPU
 }
 
-func newStore(dir string, capEntries int, fingerprint string) *store {
-	if capEntries <= 0 {
-		capEntries = defaultMemEntries
-	}
+func newStore(dir string, fingerprint string) *store {
 	return &store{
 		fingerprint: fingerprint,
 		dir:         dir,
-		cap:         capEntries,
+		cap:         memEntries,
 		mem:         make(map[string]*list.Element),
 		lru:         list.New(),
 	}

@@ -32,8 +32,6 @@ type Options struct {
 	// directory is created on first write and is safe to share between
 	// concurrent processes.
 	CacheDir string
-	// MemEntries bounds the in-memory LRU tier (0 = default 4096).
-	MemEntries int
 	// Timeout aborts a single simulation attempt after this long
 	// (0 = no timeout). The attempt's context is canceled, so the
 	// simulation itself stops within one cancellation stride of the
@@ -147,7 +145,7 @@ func New(o Options) *Runner {
 	}
 	return &Runner{
 		opts:     o,
-		cache:    newStore(o.CacheDir, o.MemEntries, o.Fingerprint),
+		cache:    newStore(o.CacheDir, o.Fingerprint),
 		simFn:    simulate,
 		inflight: make(map[string]*call),
 		failed:   make(map[string]error),

@@ -343,7 +343,8 @@ func TestSingleflight(t *testing.T) {
 }
 
 func TestMemoryLRUEviction(t *testing.T) {
-	s := newStore("", 2, "fp")
+	s := newStore("", "fp")
+	s.cap = 2
 	a, b, c := &stats.GPU{Cycles: 1}, &stats.GPU{Cycles: 2}, &stats.GPU{Cycles: 3}
 	s.putMem("a", a)
 	s.putMem("b", b)

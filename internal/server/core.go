@@ -1,11 +1,13 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,7 +60,9 @@ type Job struct {
 	Key string
 	Req Request
 	Run runner.Job
-	// Seq is the admission sequence number (1, 2, ... per process).
+	// Seq numbers registry entries in the order they were entered
+	// (1, 2, ... per process): admissions, replays and cache hits alike.
+	// Queues order by it and GET /v1/sweeps lists by it.
 	Seq int64
 	// Deadline is stamped once, at admission (zero = none). Replayed
 	// jobs carry none: the client that set it is gone, the work is owed.
@@ -290,8 +294,6 @@ func (c *Core) Submit(req Request, now time.Time) Outcome {
 // admit registers a queued job and hands it to the executor: the tail
 // shared by admission and replay. Called with Mu held.
 func (c *Core) admit(j *Job) {
-	c.seq++
-	j.Seq = c.seq
 	c.enter(j, StateQueued)
 	c.accepted.Add(1)
 	c.be.Enqueue(j)
@@ -315,6 +317,8 @@ func (c *Core) enter(j *Job, state string) {
 	if old := c.jobs[j.Key]; old != nil {
 		c.forget(old)
 	}
+	c.seq++
+	j.Seq = c.seq
 	c.jobs[j.Key] = j
 	c.setState(j, state)
 }
@@ -430,7 +434,7 @@ func (c *Core) Lookup(key string) (*Job, bool) {
 	return c.register(&Job{Key: key, done: make(chan struct{})}, res), true
 }
 
-// Jobs snapshots the registry.
+// Jobs snapshots the registry, oldest entry first.
 func (c *Core) Jobs() []*Job {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
@@ -438,6 +442,7 @@ func (c *Core) Jobs() []*Job {
 	for _, j := range c.jobs {
 		jobs = append(jobs, j)
 	}
+	slices.SortFunc(jobs, func(a, b *Job) int { return cmp.Compare(a.Seq, b.Seq) })
 	return jobs
 }
 

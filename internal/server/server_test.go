@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -354,6 +355,52 @@ func TestDeadlineCancelsSlowJob(t *testing.T) {
 	}
 	if st2.State != server.StateDone || st2.Stats == nil {
 		t.Fatalf("resubmit = %+v, want done", st2)
+	}
+}
+
+// TestSweepListInAdmissionOrder: GET /v1/sweeps lists the registry by
+// admission sequence, not in map order. The jobs are submitted in
+// descending key order, so neither key order nor (1 in 8!) map order
+// passes by accident.
+func TestSweepListInAdmissionOrder(t *testing.T) {
+	_, _, c := startDaemon(t, server.Options{Workers: 2, CoreOptions: server.CoreOptions{QueueDepth: 16}})
+	ctx := context.Background()
+
+	type keyed struct {
+		key string
+		req server.SubmitRequest
+	}
+	var subs []keyed
+	for seed := uint64(3100); seed < 3108; seed++ {
+		req := seededReq(seed)
+		key, err := reqJob(req).Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, keyed{key, req})
+	}
+	sort.Slice(subs, func(i, j int) bool { return subs[i].key > subs[j].key })
+	for _, sub := range subs {
+		st, err := c.Submit(ctx, sub.req)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		if st.Key != sub.key {
+			t.Fatalf("daemon key %s, computed %s", st.Key, sub.key)
+		}
+	}
+
+	inv, err := c.SweepList(ctx)
+	if err != nil {
+		t.Fatalf("sweep list: %v", err)
+	}
+	if len(inv.Jobs) != len(subs) {
+		t.Fatalf("inventory = %d jobs, want %d", len(inv.Jobs), len(subs))
+	}
+	for i, jb := range inv.Jobs {
+		if jb.Key != subs[i].key {
+			t.Fatalf("inventory[%d] = %.8s, want %.8s (admission order)", i, jb.Key, subs[i].key)
+		}
 	}
 }
 

@@ -5,9 +5,11 @@
 # admission-saturation test — and four simulations run side by side,
 # which share nothing), guards that internal/gpu still has one cycle loop,
 # that internal/ + cmd/ still have one job lifecycle (one definition of
-# each shared route, body decoder, JSON writer and journal open)
+# each shared route, body decoder, JSON writer and journal open),
+# that internal/harness still plans by enumeration (no recording pass)
 # and that no pool, map-keyed MSHR or any-typed payload is back on the
-# memory path, the bench module's
+# memory path, the paper-tables golden (gexp -exp all -scale 1 -paper,
+# byte-identical to the checked-in file), the bench module's
 # own tests, the allocation budget of the cycle path,
 # a fuzz smoke pass over the assembler, ISA evaluator, warp executor and
 # checkpoint decoder, an invariant-audited tier-1 run (plus the two-level
@@ -28,6 +30,76 @@ cd "$(dirname "$0")/.."
 
 short="-short"
 [ "${1-}" = "-full" ] && short=""
+
+# Scratch space for built binaries and daemon logs; every daemon the
+# script starts is killed on exit, however it exits.
+smoketmp=$(mktemp -d)
+daemon_pids=""
+cleanup() {
+    for p in $daemon_pids; do
+        kill -9 "$p" 2>/dev/null || true
+    done
+    rm -rf "$smoketmp"
+}
+trap cleanup EXIT
+
+# start_daemon NAME LOG CMD...: run CMD in the background with its output
+# in LOG and wait (5s budget) for its "NAME: listening on <addr>" startup
+# handshake. Sets $daemon_pid and $daemon_addr; a daemon that dies or
+# stays silent fails the script with its log. The log is created first so
+# a read that beats the child's open finds an empty file, not a missing
+# one (which set -e turns into a spurious failure).
+start_daemon() {
+    name=$1
+    log=$2
+    shift 2
+    : >"$log"
+    "$@" >"$log" 2>&1 &
+    daemon_pid=$!
+    daemon_pids="$daemon_pids $daemon_pid"
+    daemon_addr=""
+    i=0
+    while [ $i -lt 50 ]; do
+        daemon_addr=$(sed -n "s/^$name: listening on //p" "$log")
+        [ -n "$daemon_addr" ] && break
+        kill -0 "$daemon_pid" 2>/dev/null || break
+        sleep 0.1
+        i=$((i + 1))
+    done
+    if [ -z "$daemon_addr" ]; then
+        echo "$name did not start:" >&2
+        cat "$log" >&2
+        exit 1
+    fi
+}
+
+# drain_daemon NAME PID LOG: SIGTERM must drain the daemon and exit 0
+# within 10s, reporting "NAME: drained".
+drain_daemon() {
+    kill -TERM "$2"
+    i=0
+    while [ $i -lt 100 ]; do
+        kill -0 "$2" 2>/dev/null || break
+        sleep 0.1
+        i=$((i + 1))
+    done
+    if kill -0 "$2" 2>/dev/null; then
+        echo "$1 did not exit within 10s of SIGTERM" >&2
+        exit 1
+    fi
+    rc=0
+    wait "$2" || rc=$?
+    if [ "$rc" != 0 ]; then
+        echo "$1 drain exited $rc:" >&2
+        cat "$3" >&2
+        exit 1
+    fi
+    grep -q "^$1: drained" "$3" || {
+        echo "$1 did not report a clean drain:" >&2
+        cat "$3" >&2
+        exit 1
+    }
+}
 
 echo "== go vet ./..."
 go vet ./...
@@ -57,6 +129,24 @@ for pat in '"POST /v1/jobs"' '"GET /v1/jobs/{key}"' '"GET /v1/sweeps"' '"POST /v
     [ "$n" = 1 ] || { echo "internal/ + cmd/: $n occurrences of '$pat', want 1 (a second job service coming back?)" >&2; exit 1; }
 done
 echo "   non-test Go lines in $svc: $(find $svc -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
+
+echo "== experiments are data (internal/harness plans by enumeration: no record hook, no placeholder-statistics success return, one Session constructor)"
+harness_src=$(ls internal/harness/*.go | grep -v _test.go)
+hits=$(grep -n -E '\brecord\b|return &stats\.GPU\{\}' $harness_src | grep -v ':[[:space:]]*//' || true)
+[ -z "$hits" ] || { echo "internal/harness: a recording pass coming back?" >&2; echo "$hits" >&2; exit 1; }
+n=$(cat $harness_src | grep -c '&Session{' || true)
+[ "$n" = 1 ] || { echo "internal/harness: $n '&Session{' literals, want 1 (a second Session built for planning?)" >&2; exit 1; }
+echo "   non-test Go lines in internal/harness + cmd/gexp: $(cat $harness_src cmd/gexp/*.go | wc -l)"
+
+echo "== paper tables golden (gexp -exp all -scale 1 -paper is byte-identical to internal/harness/testdata/gexp_all_scale1.txt)"
+go build -o "$smoketmp/gexp" ./cmd/gexp
+"$smoketmp/gexp" -exp all -scale 1 -paper >"$smoketmp/gexp_all.txt"
+cmp "$smoketmp/gexp_all.txt" internal/harness/testdata/gexp_all_scale1.txt
+if [ -z "$short" ]; then
+    echo "== paper tables golden, sequential (-j 1)"
+    "$smoketmp/gexp" -exp all -scale 1 -paper -j 1 >"$smoketmp/gexp_all_j1.txt"
+    cmp "$smoketmp/gexp_all_j1.txt" internal/harness/testdata/gexp_all_scale1.txt
+fi
 
 echo "== go test -race (runner, harness)"
 go test -race $short ./internal/runner/ ./internal/harness/
@@ -109,48 +199,11 @@ echo "== reference engine: every paper kernel's functional Check (GPUSHARE_REFER
 GPUSHARE_REFERENCE=1 go test $short ./internal/workloads/
 
 echo "== gserved smoke test (submit, statusz, SIGTERM drain)"
-smoketmp=$(mktemp -d)
-smokepid=""
-w1pid=""
-w2pid=""
-basepid=""
-schedpid=""
-cleanup_smoke() {
-    for p in $smokepid $w1pid $w2pid $basepid $schedpid; do
-        kill -9 "$p" 2>/dev/null || true
-    done
-    rm -rf "$smoketmp"
-}
-trap cleanup_smoke EXIT
-# Each daemon below starts in the background with its log redirected,
-# and the handshake loop reads that log at once; create the logs first
-# so a read that beats the child's open finds an empty file, not a
-# missing one (which set -e turns into a spurious failure).
-for f in out crash1 crash2 w1 w2 gsched base; do
-    : >"$smoketmp/$f.log"
-done
-
 go build -o "$smoketmp/gserved" ./cmd/gserved
-"$smoketmp/gserved" -addr 127.0.0.1:0 -cachedir "$smoketmp/cache" \
-    >"$smoketmp/out.log" 2>&1 &
-smokepid=$!
-
-# The daemon prints "gserved: listening on <addr>" as its startup
-# handshake; wait for it (5s budget).
-addr=""
-i=0
-while [ $i -lt 50 ]; do
-    addr=$(sed -n 's/^gserved: listening on //p' "$smoketmp/out.log")
-    [ -n "$addr" ] && break
-    kill -0 "$smokepid" 2>/dev/null || break
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ -z "$addr" ]; then
-    echo "gserved did not start:" >&2
-    cat "$smoketmp/out.log" >&2
-    exit 1
-fi
+start_daemon gserved "$smoketmp/out.log" \
+    "$smoketmp/gserved" -addr 127.0.0.1:0 -cachedir "$smoketmp/cache"
+smokepid=$daemon_pid
+addr=$daemon_addr
 
 code=$(curl -s -o "$smoketmp/job.json" -w '%{http_code}' \
     -X POST "http://$addr/v1/jobs?wait=1" \
@@ -182,56 +235,19 @@ grep -q '"accepted":1' "$smoketmp/statusz.json" || {
     exit 1
 }
 
-# SIGTERM must drain and exit 0 within 10s.
-kill -TERM "$smokepid"
-i=0
-while [ $i -lt 100 ]; do
-    kill -0 "$smokepid" 2>/dev/null || break
-    sleep 0.1
-    i=$((i + 1))
-done
-if kill -0 "$smokepid" 2>/dev/null; then
-    echo "gserved did not exit within 10s of SIGTERM" >&2
-    exit 1
-fi
-rc=0
-wait "$smokepid" || rc=$?
-smokepid=""
-if [ "$rc" != 0 ]; then
-    echo "gserved drain exited $rc:" >&2
-    cat "$smoketmp/out.log" >&2
-    exit 1
-fi
-grep -q '^gserved: drained' "$smoketmp/out.log" || {
-    echo "gserved did not report a clean drain:" >&2
-    cat "$smoketmp/out.log" >&2
-    exit 1
-}
+drain_daemon gserved "$smokepid" "$smoketmp/out.log"
 
 echo "== gserved crash-recovery smoke (kill -9 mid-job, journal replay)"
 # Start with a job journal and mid-simulation checkpoints, submit a
 # multi-second job, kill -9 the daemon mid-run, and verify that a fresh
 # daemon replays the journal and finishes the job.
 start_crash_daemon() {
-    "$smoketmp/gserved" -addr 127.0.0.1:0 -cachedir "$smoketmp/cache2" \
+    start_daemon gserved "$1" \
+        "$smoketmp/gserved" -addr 127.0.0.1:0 -cachedir "$smoketmp/cache2" \
         -journal "$smoketmp/journal.jsonl" \
-        -checkpoint-dir "$smoketmp/ckpt" -checkpoint-stride 20000 \
-        >"$1" 2>&1 &
-    smokepid=$!
-    addr=""
-    i=0
-    while [ $i -lt 50 ]; do
-        addr=$(sed -n 's/^gserved: listening on //p' "$1")
-        [ -n "$addr" ] && break
-        kill -0 "$smokepid" 2>/dev/null || break
-        sleep 0.1
-        i=$((i + 1))
-    done
-    if [ -z "$addr" ]; then
-        echo "gserved did not start:" >&2
-        cat "$1" >&2
-        exit 1
-    fi
+        -checkpoint-dir "$smoketmp/ckpt" -checkpoint-stride 20000
+    smokepid=$daemon_pid
+    addr=$daemon_addr
 }
 
 start_crash_daemon "$smoketmp/crash1.log"
@@ -255,7 +271,6 @@ fi
 sleep 0.7
 kill -9 "$smokepid"
 wait "$smokepid" 2>/dev/null || true
-smokepid=""
 
 # The write-ahead rule: the accept record must be durable, and no done
 # record may exist for a job that never finished.
@@ -316,21 +331,7 @@ grep -q '"pending":0' "$smoketmp/crashstatusz.json" || {
     exit 1
 }
 
-kill -TERM "$smokepid"
-i=0
-while [ $i -lt 100 ]; do
-    kill -0 "$smokepid" 2>/dev/null || break
-    sleep 0.1
-    i=$((i + 1))
-done
-rc=0
-wait "$smokepid" || rc=$?
-smokepid=""
-if [ "$rc" != 0 ]; then
-    echo "gserved crash-smoke drain exited $rc:" >&2
-    cat "$smoketmp/crash2.log" >&2
-    exit 1
-fi
+drain_daemon gserved "$smokepid" "$smoketmp/crash2.log"
 
 echo "== gsched fleet smoke (2 workers, kill -9 one mid-sweep, byte-identical results)"
 # Start a coordinator over two workers sharing a checkpoint directory,
@@ -344,52 +345,23 @@ command -v jq >/dev/null 2>&1 || {
 go build -o "$smoketmp/gsched" ./cmd/gsched
 
 start_fleet_worker() { # $1 = log file, $2 = cache dir
-    "$smoketmp/gserved" -addr 127.0.0.1:0 -cachedir "$2" \
-        -checkpoint-dir "$smoketmp/fleetckpt" -checkpoint-stride 20000 \
-        >"$1" 2>&1 &
-    wpid=$!
-    addr=""
-    i=0
-    while [ $i -lt 50 ]; do
-        addr=$(sed -n 's/^gserved: listening on //p' "$1")
-        [ -n "$addr" ] && break
-        kill -0 "$wpid" 2>/dev/null || break
-        sleep 0.1
-        i=$((i + 1))
-    done
-    if [ -z "$addr" ]; then
-        echo "fleet worker did not start:" >&2
-        cat "$1" >&2
-        exit 1
-    fi
+    start_daemon gserved "$1" \
+        "$smoketmp/gserved" -addr 127.0.0.1:0 -cachedir "$2" \
+        -checkpoint-dir "$smoketmp/fleetckpt" -checkpoint-stride 20000
 }
 
 start_fleet_worker "$smoketmp/w1.log" "$smoketmp/fleetcache1"
-w1pid=$wpid
-w1addr=$addr
+w1pid=$daemon_pid
+w1addr=$daemon_addr
 start_fleet_worker "$smoketmp/w2.log" "$smoketmp/fleetcache2"
-w2pid=$wpid
-w2addr=$addr
+w2addr=$daemon_addr
 
-"$smoketmp/gsched" -addr 127.0.0.1:0 -lease 1s \
+start_daemon gsched "$smoketmp/gsched.log" \
+    "$smoketmp/gsched" -addr 127.0.0.1:0 -lease 1s \
     -worker "http://$w1addr" -worker "http://$w2addr" \
-    -journal "$smoketmp/fleetjournal.jsonl" \
-    >"$smoketmp/gsched.log" 2>&1 &
-schedpid=$!
-schedaddr=""
-i=0
-while [ $i -lt 50 ]; do
-    schedaddr=$(sed -n 's/^gsched: listening on //p' "$smoketmp/gsched.log")
-    [ -n "$schedaddr" ] && break
-    kill -0 "$schedpid" 2>/dev/null || break
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ -z "$schedaddr" ]; then
-    echo "gsched did not start:" >&2
-    cat "$smoketmp/gsched.log" >&2
-    exit 1
-fi
+    -journal "$smoketmp/fleetjournal.jsonl"
+schedpid=$daemon_pid
+schedaddr=$daemon_addr
 
 # The first two jobs take ~5s each, so with one slot per worker both
 # workers are mid-job when the kill lands.
@@ -411,7 +383,6 @@ keys=$(jq -r '.jobs[].key' "$smoketmp/sweep.json")
 sleep 0.7
 kill -9 "$w1pid"
 wait "$w1pid" 2>/dev/null || true
-w1pid=""
 
 # Every job must still reach done (shared 120s budget across the sweep;
 # the survivor re-runs the orphan, resuming from its checkpoint trail).
@@ -458,23 +429,9 @@ jq -e '.worker_deaths >= 1 and .requeues >= 1 and .completed == 4 and .journal.p
 
 # Ground truth: a fresh single-node gserved (cold cache, no
 # checkpoints) must produce byte-identical stats for every job.
-"$smoketmp/gserved" -addr 127.0.0.1:0 -cachedir "$smoketmp/fleetcache3" \
-    >"$smoketmp/base.log" 2>&1 &
-basepid=$!
-baseaddr=""
-i=0
-while [ $i -lt 50 ]; do
-    baseaddr=$(sed -n 's/^gserved: listening on //p' "$smoketmp/base.log")
-    [ -n "$baseaddr" ] && break
-    kill -0 "$basepid" 2>/dev/null || break
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ -z "$baseaddr" ]; then
-    echo "baseline gserved did not start:" >&2
-    cat "$smoketmp/base.log" >&2
-    exit 1
-fi
+start_daemon gserved "$smoketmp/base.log" \
+    "$smoketmp/gserved" -addr 127.0.0.1:0 -cachedir "$smoketmp/fleetcache3"
+baseaddr=$daemon_addr
 
 n=0
 for key in $keys; do
@@ -503,25 +460,6 @@ for key in $keys; do
 done
 
 # SIGTERM must drain the coordinator cleanly.
-kill -TERM "$schedpid"
-i=0
-while [ $i -lt 100 ]; do
-    kill -0 "$schedpid" 2>/dev/null || break
-    sleep 0.1
-    i=$((i + 1))
-done
-rc=0
-wait "$schedpid" || rc=$?
-schedpid=""
-if [ "$rc" != 0 ]; then
-    echo "gsched drain exited $rc:" >&2
-    cat "$smoketmp/gsched.log" >&2
-    exit 1
-fi
-grep -q '^gsched: drained' "$smoketmp/gsched.log" || {
-    echo "gsched did not report a clean drain:" >&2
-    cat "$smoketmp/gsched.log" >&2
-    exit 1
-}
+drain_daemon gsched "$schedpid" "$smoketmp/gsched.log"
 
 echo "ok"
