@@ -21,12 +21,11 @@
 //	POST /v1/sweeps                   batch submit; GET /v1/sweeps lists all
 //	POST /v1/workers                  register a worker ({"url":..,"slots":..})
 //	GET  /v1/workers                  the registry with lease state
-//	POST /v1/workers/{id}/heartbeat   push lease renewal
 //	POST /v1/workers/{id}/drain       stop placing jobs on a worker
 //	GET  /healthz /readyz /statusz
 //
-// Workers are probed every -probe interval; one that misses probes for
-// a full -lease TTL is declared dead and its in-flight jobs are
+// Workers are probed every -probe interval (probes are the only lease
+// renewal); one that misses probes for a full -lease TTL is declared dead and its in-flight jobs are
 // requeued onto the survivors. Give every worker the same
 // -checkpoint-dir and a preempted or orphaned job resumes from its last
 // checkpoint on whichever worker picks it up next.

@@ -17,11 +17,10 @@ import (
 const ckExt = ".ckpt"
 
 // DirSink stores checkpoints as one file per cycle in a directory, each
-// written atomically: temp file in the same directory, write, fsync,
-// close, rename. A reader therefore only ever sees complete containers
-// (a crash mid-write leaves a temp file that Latest ignores), and the
-// container digest catches anything the filesystem does to a renamed
-// file afterwards.
+// written by WriteFileAtomic. A reader therefore only ever sees complete
+// containers (a crash mid-write leaves a temp file that Latest ignores),
+// and the container digest catches anything the filesystem does to a
+// renamed file afterwards.
 type DirSink struct {
 	dir  string
 	keep int // newest checkpoints retained; <= 0 keeps all
@@ -62,26 +61,7 @@ func (s *DirSink) Put(cycle int64, blob []byte) error {
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint dir: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, "ck-tmp-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint write: %w", err)
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint fsync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint write: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := WriteFileAtomic(path, blob); err != nil {
 		return fmt.Errorf("checkpoint write: %w", err)
 	}
 	if s.Faults.Trip(fault.TornCheckpoint, cycle, -1, -1,
@@ -95,6 +75,34 @@ func (s *DirSink) Put(cycle int64, blob []byte) error {
 		panic(&CrashPoint{Cycle: cycle, Detail: "injected crash after checkpoint write, before any journal commit"})
 	}
 	return nil
+}
+
+// WriteFileAtomic replaces path with data so that a reader, or a restart
+// after a crash at any point, sees either the old file or the complete
+// new one: a temp file in the same directory is written, fsync'd, closed
+// and renamed over path. The temp name is path's base plus ".tmp-*",
+// which no checkpoint, cache entry or journal name matches. It is the
+// one atomic write of checkpoints, the runner's result store and the
+// journal's compaction.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // CrashPoint is the panic value thrown by injected crash-point faults.

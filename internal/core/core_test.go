@@ -123,6 +123,49 @@ func TestOccupancyNotBindingResource(t *testing.T) {
 	}
 }
 
+// TestFootprintPricesEachPairOnce pins the one pricing rule: an unshared
+// slot holds a full block, a pair with any live side holds r + ⌈t·r⌉ on
+// the shared dimension (hotspot at t = 0.1: 9 216 + 922), and each live
+// side a full block on the other dimension.
+func TestFootprintPricesEachPairOnce(t *testing.T) {
+	liveSet := func(slots ...int) func(int) bool {
+		return func(s int) bool {
+			for _, l := range slots {
+				if l == s {
+					return true
+				}
+			}
+			return false
+		}
+	}
+	price := func(k *kernel.Kernel, mode config.SharingMode, live func(int) bool) (int, int) {
+		cfg := config.Default()
+		cfg.Sharing, cfg.T = mode, 0.1
+		return Footprint(&cfg, k, ComputeOccupancy(&cfg, k), live)
+	}
+	hotspot, lava := kern(256, 36, 0), kern(128, 18, 7200)
+	cases := []struct {
+		name       string
+		k          *kernel.Kernel
+		mode       config.SharingMode
+		live       func(int) bool
+		regs, smem int
+	}{
+		{"hotspot unshared, two of three slots", hotspot, config.ShareNone, liveSet(0, 2), 2 * 9216, 0},
+		{"hotspot pairs, all live", hotspot, config.ShareRegisters, liveSet(0, 1, 2, 3, 4, 5), 3 * 10138, 0},
+		{"hotspot pair, one side live", hotspot, config.ShareRegisters, liveSet(0), 10138, 0},
+		{"hotspot pair, both sides live", hotspot, config.ShareRegisters, liveSet(0, 1), 10138, 0},
+		{"hotspot pairs, none live", hotspot, config.ShareRegisters, liveSet(), 0, 0},
+		{"lavaMD, one side of each pair", lava, config.ShareScratchpad, liveSet(0, 2), 2 * 2304, 2 * 7920},
+		{"lavaMD, both sides of one pair", lava, config.ShareScratchpad, liveSet(2, 3), 2 * 2304, 7920},
+	}
+	for _, tc := range cases {
+		if regs, smem := price(tc.k, tc.mode, tc.live); regs != tc.regs || smem != tc.smem {
+			t.Errorf("%s: footprint (%d regs, %d smem), want (%d, %d)", tc.name, regs, smem, tc.regs, tc.smem)
+		}
+	}
+}
+
 func newMgr(t *testing.T, mode config.SharingMode, pairs, unshared, warps int) *Manager {
 	t.Helper()
 	cfg := config.Default()

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"gpushare/internal/config"
 	"gpushare/internal/kernel"
@@ -98,12 +99,50 @@ func ComputeOccupancy(cfg *config.Config, k *kernel.Kernel) Occupancy {
 	return occ
 }
 
-// PairQuantum is the combined resource footprint of one sharing pair on
-// the shared dimension: two blocks holding (1+t) block allocations
-// between them (Eq. 4's pair cost). Tenancy cap accounting charges the
-// shared dimension per pair with this quantum instead of per block.
-func PairQuantum(perBlock int, t float64) int {
-	return int((1+t)*float64(perBlock) + eps)
+// Footprint is the one pricing rule for a kernel's resident blocks on an
+// SM: the registers and scratchpad bytes held by the live slots of occ's
+// layout (NewManager's: slots [0, U) unshared, pair i on U+2i and
+// U+2i+1). A live unshared slot holds a full block. A pair with at least
+// one live side holds Eq. 4's pair cost, r + ⌈t·r⌉, on the shared
+// dimension, and a full block per live side on the other. The packer's
+// increments and grants, the SM's launch check and the tenancy audit
+// all price through it.
+func Footprint(cfg *config.Config, k *kernel.Kernel, occ Occupancy, live func(slot int) bool) (regs, smem int) {
+	rb, sb := k.RegsPerBlock(), k.SmemPerBlock
+	for s := 0; s < occ.Unshared; s++ {
+		if live(s) {
+			regs += rb
+			smem += sb
+		}
+	}
+	if occ.Pairs == 0 {
+		return regs, smem
+	}
+	shareRegs := cfg.Sharing == config.ShareRegisters
+	perBlock := sb
+	if shareRegs {
+		perBlock = rb
+	}
+	pair := perBlock + int(math.Ceil(cfg.T*float64(perBlock)))
+	for i := 0; i < occ.Pairs; i++ {
+		sides := 0
+		for _, s := range [2]int{occ.Unshared + 2*i, occ.Unshared + 2*i + 1} {
+			if live(s) {
+				sides++
+			}
+		}
+		if sides == 0 {
+			continue
+		}
+		if shareRegs {
+			regs += pair
+			smem += sides * sb
+		} else {
+			smem += pair
+			regs += sides * rb
+		}
+	}
+	return regs, smem
 }
 
 // apply folds the raw pair count s into the occupancy, honouring the

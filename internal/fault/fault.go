@@ -26,7 +26,6 @@ const (
 	CorruptLeaseRelease       // release a shared-register lease without fixing the active-lock count
 	SkipBarrierArrival        // a warp parks at a barrier without being counted as arrived
 	StaleSnapshot             // skip a warp-snapshot invalidation: the scheduler keeps ranking on stale state
-	CorruptTenantCap          // skip a tenant's resource-cap release at block finish: the cap ledger leaks
 	CrashAfterCheckpoint      // crash (panic) right after a checkpoint is durably written, before any journal commit
 	TornCheckpoint            // truncate a checkpoint file after its atomic rename, then crash
 	TornJournal               // write a truncated journal record, emulating a crash mid-append
@@ -48,8 +47,6 @@ func (k Kind) String() string {
 		return "skip-barrier-arrival"
 	case StaleSnapshot:
 		return "stale-snapshot"
-	case CorruptTenantCap:
-		return "corrupt-tenant-cap"
 	case CrashAfterCheckpoint:
 		return "crash-after-checkpoint"
 	case TornCheckpoint:

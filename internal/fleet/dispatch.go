@@ -355,8 +355,8 @@ func (c *Coordinator) probe(w *worker) {
 	defer c.Mu.Unlock()
 	if err != nil {
 		// Missed heartbeat. One miss is not death — the lease is. Only
-		// when no probe or push heartbeat has landed for a full TTL does
-		// the worker flip to dead and its jobs requeue.
+		// when no probe has landed for a full TTL does the worker flip to
+		// dead and its jobs requeue.
 		if time.Now().After(w.leaseExpiry) {
 			c.markDeadLocked(w)
 		}
@@ -411,28 +411,6 @@ func (c *Coordinator) markDeadLocked(w *worker) {
 			c.requeueLocked(j, j.preempting)
 		}
 	}
-}
-
-// heartbeat is the push half of failure detection: POST
-// /v1/workers/{id}/heartbeat renews the lease without waiting for the
-// next probe sweep, and revives a dead entry (the worker is plainly
-// alive — it just called us).
-func (c *Coordinator) heartbeat(id string) (*worker, bool) {
-	c.Mu.Lock()
-	defer c.Mu.Unlock()
-	w, ok := c.workers[id]
-	if !ok {
-		return nil, false
-	}
-	w.leaseExpiry = time.Now().Add(c.opts.LeaseTTL)
-	if w.state == WorkerDead {
-		if w.pinnedDrain {
-			w.state = WorkerDraining
-		} else {
-			w.state = WorkerAlive
-		}
-	}
-	return w, true
 }
 
 // drainWorker marks a worker draining: its lease stays honored but no

@@ -5,8 +5,8 @@
 // priorities, dispatching to however many workers are alive right now —
 // and robustness is its headline:
 //
-//   - Failure detection: workers hold a lease renewed by probes of
-//     their /readyz (and by push heartbeats). A worker whose lease
+//   - Failure detection: workers hold a lease renewed only by the
+//     coordinator's probes of their /readyz. A worker whose lease
 //     expires is marked dead and its in-flight jobs are requeued. A
 //     partitioned worker that is alive but unreachable looks identical
 //     to a dead one — and that is safe, because dispatch is
@@ -62,7 +62,7 @@ type Options struct {
 	// QueueDepth here bounds admitted-but-unfinished jobs (0 = 1024).
 	server.CoreOptions
 	// LeaseTTL is how long a worker stays trusted after its last
-	// successful probe or heartbeat (0 = 3s). Expiry marks it dead and
+	// successful probe (0 = 3s). Expiry marks it dead and
 	// requeues its jobs.
 	LeaseTTL time.Duration
 	// ProbeInterval is the failure-detector sweep period (0 =

@@ -11,7 +11,6 @@ import (
 func (c *Coordinator) routes() {
 	c.Handle("POST /v1/workers", c.handleRegister)
 	c.Handle("GET /v1/workers", c.handleWorkers)
-	c.Handle("POST /v1/workers/{id}/heartbeat", c.handleHeartbeat)
 	c.Handle("POST /v1/workers/{id}/drain", c.handleWorkerDrain)
 }
 
@@ -54,13 +53,6 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, _ *http.Request) {
 	}
 	c.Mu.Unlock()
 	server.WriteJSON(w, http.StatusOK, resp)
-}
-
-// handleHeartbeat is POST /v1/workers/{id}/heartbeat: push lease
-// renewal, complementing the coordinator's pull probes.
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	wk, ok := c.heartbeat(r.PathValue("id"))
-	c.replyWorker(w, r.PathValue("id"), wk, ok)
 }
 
 // handleWorkerDrain is POST /v1/workers/{id}/drain: stop placing new

@@ -8,9 +8,8 @@ import (
 // machine:
 //
 //	alive ──(probe sees draining body)──▶ draining
-//	alive/draining ──(lease expires: no successful probe or push
-//	                  heartbeat within LeaseTTL)──▶ dead, in-flight
-//	                  jobs requeued
+//	alive/draining ──(lease expires: no successful probe within
+//	                  LeaseTTL)──▶ dead, in-flight jobs requeued
 //	dead ──(a probe succeeds again)──▶ alive (fresh lease; the worker
 //	                  rejoins the pool — any jobs it finished meanwhile
 //	                  are deduplicated by content key)

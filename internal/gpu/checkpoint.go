@@ -295,5 +295,5 @@ func (s *Sim) AuditCheckpoint(l *kernel.Launch, blob []byte) (int64, error) {
 	// checkpoints at the top of an iteration), so audit at that cycle:
 	// the regular checker also runs after a cycle's tick, and e.g. a
 	// writeback deadline equal to Cycle is still legitimately pending.
-	return p.Cycle, invariant.Audit(p.Cycle-1, invariant.ClassAll, r.sms, s.ms)
+	return p.Cycle, invariant.Audit(p.Cycle-1, r.sms, s.ms)
 }

@@ -144,21 +144,58 @@ func (s *Sim) Occupancy(k *kernel.Kernel) core.Occupancy {
 	return core.ComputeOccupancy(&s.Cfg, k)
 }
 
-// newSMs builds the machine's SMs for a whole-GPU launch of tenant id's
-// kernel. The kernel is lowered once; every SM shares the one read-only
-// program.
-func (s *Sim) newSMs(id int, l *kernel.Launch, occ core.Occupancy) ([]*smcore.SM, error) {
-	tl := []smcore.TenantLaunch{{ID: id, Launch: l, Occ: occ, Prog: smcore.NewProgram(&s.Cfg, l.Kernel, occ)}}
-	sms := make([]*smcore.SM, s.Cfg.NumSMs)
-	for i := range sms {
-		sm, err := smcore.NewMulti(i, &s.Cfg, tl, s.ms)
+// wholeGPU is the placement of a single-kernel run or of one time slice:
+// every SM to tenant ti under occ, uncapped.
+func (s *Sim) wholeGPU(ti int, occ core.Occupancy) *tenancy.Placement {
+	pl := &tenancy.Placement{SMs: make([]tenancy.SMPlan, s.Cfg.NumSMs)}
+	grant := []tenancy.TenantAlloc{{Tenant: ti, Occ: occ}}
+	for i := range pl.SMs {
+		pl.SMs[i].Tenants = grant // read-only, so every SM can share it
+	}
+	return pl
+}
+
+// buildSMs is the one SM builder: the SMs a placement populates, tenant
+// ti running launches[ti] under its grant. An SM with no tenants is not
+// built (it would idle for the whole run); SM IDs keep their real
+// indices so memory-system routing is unaffected. Each tenant's kernel
+// is lowered once per distinct occupancy and shared, read-only, by every
+// SM holding that grant.
+func (s *Sim) buildSMs(pl *tenancy.Placement, launches []*kernel.Launch) ([]*smcore.SM, error) {
+	type grant struct {
+		tenant int
+		occ    core.Occupancy
+	}
+	progs := make(map[grant]*smcore.Program)
+	var sms []*smcore.SM
+	for si := range pl.SMs {
+		plan := &pl.SMs[si]
+		if len(plan.Tenants) == 0 {
+			continue
+		}
+		tls := make([]smcore.TenantLaunch, len(plan.Tenants))
+		for j, ta := range plan.Tenants {
+			key := grant{ta.Tenant, ta.Occ}
+			if progs[key] == nil {
+				progs[key] = smcore.NewProgram(&s.Cfg, launches[ta.Tenant].Kernel, ta.Occ)
+			}
+			tls[j] = smcore.TenantLaunch{
+				ID:      ta.Tenant,
+				Launch:  launches[ta.Tenant],
+				Occ:     ta.Occ,
+				CapRegs: ta.Regs,
+				CapSmem: ta.Smem,
+				Prog:    progs[key],
+			}
+		}
+		sm, err := smcore.NewMulti(si, &s.Cfg, tls, s.ms)
 		if err != nil {
 			return nil, err
 		}
 		if s.Faults != nil {
 			sm.SetFaults(s.Faults)
 		}
-		sms[i] = sm
+		sms = append(sms, sm)
 	}
 	return sms, nil
 }
@@ -260,7 +297,7 @@ func (s *Sim) newRun(mode, label string, spec *tenancy.Spec, launches []*kernel.
 // this once per slice; the ledgers carry over).
 func (r *run) setSMs(sms []*smcore.SM) {
 	r.sms = sms
-	r.chk = invariant.New(r.auditStride, invariant.ClassAll, sms, r.s.ms)
+	r.chk = invariant.New(r.auditStride, sms, r.s.ms)
 	r.Pending = launchQueue{}
 }
 
@@ -450,7 +487,7 @@ func (s *Sim) newSingle(l *kernel.Launch) (*run, error) {
 		return nil, simerr.New(simerr.KindUnschedulable, -1,
 			"kernel %s does not fit on an SM (%s)", launch.Kernel.Name, occ.Limiter)
 	}
-	sms, err := s.newSMs(0, launch, occ)
+	sms, err := s.buildSMs(s.wholeGPU(0, occ), []*kernel.Launch{launch})
 	if err != nil {
 		return nil, simerr.Wrap(simerr.KindLaunch, -1, err)
 	}

@@ -76,49 +76,10 @@ func (s *Sim) runPlaced(ctx context.Context, spec *tenancy.Spec, launches []*ker
 	if err != nil {
 		return nil, simerr.Wrap(simerr.KindUnschedulable, -1, err)
 	}
-
-	// Each tenant's kernel is lowered once per distinct occupancy
-	// grant and shared by every SM holding that grant.
-	type grant struct {
-		tenant int
-		occ    core.Occupancy
+	sms, err := s.buildSMs(pl, launches)
+	if err != nil {
+		return nil, simerr.Wrap(simerr.KindLaunch, -1, err)
 	}
-	progs := make(map[grant]*smcore.Program)
-
-	// Build only the SMs the placement populated; an SM with no tenants
-	// would idle for the whole run. SM IDs keep their real indices so
-	// memory-system routing is unaffected.
-	var sms []*smcore.SM
-	for si := range pl.SMs {
-		plan := &pl.SMs[si]
-		if len(plan.Tenants) == 0 {
-			continue
-		}
-		tls := make([]smcore.TenantLaunch, len(plan.Tenants))
-		for j, ta := range plan.Tenants {
-			key := grant{ta.Tenant, ta.Occ}
-			if progs[key] == nil {
-				progs[key] = smcore.NewProgram(&s.Cfg, launches[ta.Tenant].Kernel, ta.Occ)
-			}
-			tls[j] = smcore.TenantLaunch{
-				ID:      ta.Tenant,
-				Launch:  launches[ta.Tenant],
-				Occ:     ta.Occ,
-				CapRegs: ta.Regs,
-				CapSmem: ta.Smem,
-				Prog:    progs[key],
-			}
-		}
-		sm, err := smcore.NewMulti(si, &s.Cfg, tls, s.ms)
-		if err != nil {
-			return nil, simerr.Wrap(simerr.KindLaunch, -1, err)
-		}
-		if s.Faults != nil {
-			sm.SetFaults(s.Faults)
-		}
-		sms = append(sms, sm)
-	}
-
 	r := s.newRun(modePlaced, fmt.Sprintf("multi-tenant run (%s)", spec.Policy), spec, launches)
 	r.setSMs(sms)
 	now, err := r.start()
@@ -211,7 +172,7 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 		if rs == nil && r.Completed[ti] >= r.total[ti] {
 			continue
 		}
-		sms, err := s.newSMs(ti, launches[ti], occs[ti])
+		sms, err := s.buildSMs(s.wholeGPU(ti, occs[ti]), launches)
 		if err != nil {
 			return nil, simerr.Wrap(simerr.KindLaunch, now, err)
 		}

@@ -112,7 +112,7 @@ func (c *Channel) Enqueue(addr uint32, isWrite bool, arrive int64) error {
 }
 
 // AuditOrder checks the arrival-order invariant by a full walk.
-// Read-only; invariant class mem-idle.
+// Read-only; the mem-idle invariant audit.
 func (c *Channel) AuditOrder() error {
 	for i := 1; i < len(c.queue); i++ {
 		if a, b := &c.queue[i-1], &c.queue[i]; b.Arrive < a.Arrive {

@@ -240,7 +240,7 @@ func (s *System) refreshHorizon(pi int, p *partition, now int64) {
 	h := s.horizon(pi, now, p.dram.NextEvent(now))
 	// A MissedMemWake fault pushes the horizon past the true next
 	// event, so the skipped range provably contains live work; the
-	// ClassMemIdle audit must catch the mismatch before it can corrupt
+	// mem-idle audit must catch the mismatch before it can corrupt
 	// results silently.
 	if s.faults != nil && h != math.MaxInt64 &&
 		s.faults.Trip(fault.MissedMemWake, now, -1, -1,
@@ -257,7 +257,7 @@ func (s *System) refreshHorizon(pi int, p *partition, now int64) {
 // then cross-checked against from-scratch recomputes — the DRAM next
 // event by a full walk that takes no early exit: every partition
 // horizon must match, and the global early-out bound must be their
-// minimum. Read-only; invariant class mem-idle.
+// minimum. Read-only; the mem-idle invariant audit.
 func (s *System) AuditMemIdle(now int64) error {
 	for pi, p := range s.partitions {
 		if err := p.dram.AuditOrder(); err != nil {

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"gpushare/internal/checkpoint"
 	"gpushare/internal/stats"
 )
 
@@ -166,9 +167,10 @@ func (s *store) load(key string) (*stats.GPU, bool) {
 	return g, true
 }
 
-// save writes one disk entry atomically (temp file + rename), so
-// concurrent writers and crash-interrupted writes can never leave a
-// half-written entry visible to readers.
+// save writes one disk entry atomically (checkpoint.WriteFileAtomic:
+// temp file, fsync, rename), so concurrent writers, crash-interrupted
+// writes and power loss can never leave a half-written or empty entry
+// visible to readers — or behind a journal that already says "done".
 func (s *store) save(key string, g *stats.GPU) error {
 	raw, err := g.EncodeJSON()
 	if err != nil {
@@ -188,21 +190,7 @@ func (s *store) save(key string, g *stats.GPU) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("runner: cache dir: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), key[:8]+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("runner: cache write: %w", err)
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runner: cache write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runner: cache write: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := checkpoint.WriteFileAtomic(path, b); err != nil {
 		return fmt.Errorf("runner: cache write: %w", err)
 	}
 	return nil

@@ -332,10 +332,11 @@ func (c *Core) stamp(j *Job, res JobStatus) JobStatus {
 
 // Replay re-admits what a previous process journaled but never
 // finished. It is the one re-admit path of both daemons: already
-// durable, so no second accept record; already promised, so the
-// admission bound does not apply; and only a record that no longer
-// decodes or validates (it can never run) is retired. A drain that has
-// begun leaves the rest pending for the next start.
+// durable, so no second accept record (unless its key changed: then it
+// is re-journaled under the new key and the old record retired);
+// already promised, so the admission bound does not apply; and a record
+// that no longer decodes or validates (it can never run) is retired. A
+// drain that has begun leaves the rest pending for the next start.
 func (c *Core) Replay() {
 	recs := c.replay
 	c.replay = nil
@@ -358,10 +359,23 @@ func (c *Core) Replay() {
 			return
 		}
 		if c.jobs[key] == nil {
+			// A record journaled under a key this build no longer computes
+			// (a fingerprint change across an upgrade) is owed under the
+			// new key: journal that before the job is visible, as Submit
+			// does, and only then retire the old record below — a crash
+			// between the two replays the job twice, never zero times.
+			if key != rec.Key {
+				if err := c.jl.Accept(key, req); err != nil {
+					log.Printf("%s: journal: %v", c.name, err)
+				}
+			}
 			c.admit(&Job{Key: key, Req: req, Run: run, done: make(chan struct{})})
 			c.replayed.Add(1)
 		}
 		c.Mu.Unlock()
+		if key != rec.Key {
+			_ = c.jl.Done(rec.Key) // a failed append is counted in journal.errors
+		}
 	}
 }
 

@@ -114,6 +114,58 @@ func TestJournalReplayAfterKill(t *testing.T) {
 	}
 }
 
+// TestJournalReplayUnderChangedKeyRetiresOldRecord: a record journaled
+// under a key this build no longer computes for its request (a
+// fingerprint change across an upgrade) replays under the new key, and
+// once it finishes the journal owes nothing — the old accept is retired,
+// not left pending forever — so a second start replays nothing.
+func TestJournalReplayUnderChangedKeyRetiresOldRecord(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "journal.jsonl")
+
+	req := seededReq(43)
+	key, err := reqJob(req).Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const oldKey = "0000000000000000000000000000000000000000000000000000000000000000"
+	if err := os.WriteFile(jpath, []byte(journalLine(t, "accept", oldKey, &req)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8, JournalPath: jpath},
+		Runner: runnerOptsWithCache(dir)}
+
+	s, _, c := startDaemon(t, opts)
+	ctx := context.Background()
+	if st := waitForState(t, c, key, server.StateDone); st.Stats == nil {
+		t.Fatal("replayed job finished without stats")
+	}
+	var sz *server.Statusz
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if sz, err = c.Status(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if sz.Journal.Pending == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	if sz.Journal.Replayed != 1 || sz.Journal.Pending != 0 {
+		t.Fatalf("journal = %+v after the replayed job finished, want 1 replayed and nothing pending", sz.Journal)
+	}
+	if err := s.Drain(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, c2 := startDaemon(t, opts)
+	sz2, err := c2.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sz2.Journal.Replayed != 0 || sz2.Journal.Pending != 0 {
+		t.Fatalf("second start over the journal = %+v, want nothing replayed or pending", sz2.Journal)
+	}
+}
+
 // TestJournalAcceptPrecedesWork: the WAL property itself. A journal
 // armed with a TornJournal crash-point tears the very first accept
 // record mid-append and "crashes" (the panic middleware answers 500).

@@ -50,13 +50,12 @@ type BlockCheckpoint struct {
 }
 
 // TenantCheckpoint is one tenant's mutable state: sharing-manager
-// leases, the resource-cap ledger, and per-tenant counters.
+// leases and per-tenant counters. What its blocks hold is derived from
+// the live slots; payloads that still carry the old cap ledger
+// (used_regs, used_smem, live_blocks) decode with those keys ignored.
 type TenantCheckpoint struct {
-	Shr        core.ManagerCheckpoint `json:"shr"`
-	UsedRegs   int                    `json:"used_regs"`
-	UsedSmem   int                    `json:"used_smem"`
-	LiveBlocks int                    `json:"live_blocks"`
-	Stats      stats.Tenant           `json:"stats"`
+	Shr   core.ManagerCheckpoint `json:"shr"`
+	Stats stats.Tenant           `json:"stats"`
 }
 
 // GroupCheckpoint is one in-flight load group. Groups are shared by
@@ -176,13 +175,7 @@ func (sm *SM) Checkpoint() Checkpoint {
 	}
 	for i := range sm.tens {
 		t := &sm.tens[i]
-		c.Tenants[i] = TenantCheckpoint{
-			Shr:        t.shr.Checkpoint(),
-			UsedRegs:   t.usedRegs,
-			UsedSmem:   t.usedSmem,
-			LiveBlocks: t.liveBlocks,
-			Stats:      t.st,
-		}
+		c.Tenants[i] = TenantCheckpoint{Shr: t.shr.Checkpoint(), Stats: t.st}
 	}
 	for i, sc := range sm.scheds {
 		c.Scheds[i] = sched.Save(sc)
@@ -310,9 +303,6 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 		if err := t.shr.RestoreState(s.Shr); err != nil {
 			return fmt.Errorf("SM%d tenant %d: %w", sm.ID, t.id, err)
 		}
-		t.usedRegs = s.UsedRegs
-		t.usedSmem = s.UsedSmem
-		t.liveBlocks = s.LiveBlocks
 		t.st = s.Stats
 	}
 	for i, sc := range sm.scheds {

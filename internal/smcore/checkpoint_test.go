@@ -9,10 +9,11 @@ import (
 )
 
 // TestCheckpointDerivedStateAndLegacyFields: issue cards, censuses, the
-// cached next PCs and the live-block count are derived — none may
-// appear in a payload, and a restore must rebuild or reset them — and a
-// payload written before the never-set sfu_busy field was dropped must
-// still decode and restore to the same machine.
+// cached next PCs, the live-block count and what a tenant's blocks hold
+// are derived — none may appear in a payload, and a restore must rebuild
+// or reset them — and a payload written before the never-set sfu_busy
+// field and the tenant cap ledger (used_regs, used_smem, live_blocks)
+// were dropped must still decode and restore to the same machine.
 func TestCheckpointDerivedStateAndLegacyFields(t *testing.T) {
 	cfg := config.Default()
 	k := benchKernelDim(192)
@@ -38,16 +39,18 @@ func TestCheckpointDerivedStateAndLegacyFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"card", "census", "sfu_busy"} {
+	for _, key := range []string{"card", "census", "sfu_busy", "used_regs", "used_smem", "live_blocks"} {
 		if bytes.Contains(raw, []byte(key)) {
 			t.Errorf("checkpoint payload mentions %q: derived state leaked into it", key)
 		}
 	}
 
-	// An old payload carries "sfu_busy"; the decoder must ignore it.
+	// An old payload carries "sfu_busy" and, per tenant, the cap ledger
+	// the footprint rule replaced; the decoder must ignore them all.
 	legacy := bytes.Replace(raw, []byte(`"lsu_busy":`), []byte(`"sfu_busy":12345,"lsu_busy":`), 1)
-	if bytes.Equal(legacy, raw) {
-		t.Fatal("could not splice the legacy field into the payload")
+	legacy = bytes.Replace(legacy, []byte(`{"shr":`), []byte(`{"used_regs":9216,"used_smem":4096,"live_blocks":99,"shr":`), -1)
+	if n := bytes.Count(legacy, []byte(`"used_regs"`)); n != len(src.tens) || bytes.Equal(legacy, raw) {
+		t.Fatalf("could not splice the legacy fields into the payload (%d tenant entries)", n)
 	}
 	var c Checkpoint
 	if err := json.Unmarshal(legacy, &c); err != nil {

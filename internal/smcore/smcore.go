@@ -101,8 +101,8 @@ type SM struct {
 
 	warps  []warpCtx
 	blocks []blockCtx
-	// liveBlocks counts blocks[i].live (the sum of the tenants' ledger
-	// counts), so Idle and the residency high-water mark need no scan.
+	// liveBlocks counts blocks[i].live, so Idle and the SM's residency
+	// high-water mark need no scan.
 	liveBlocks int
 	scheds     []sched.Scheduler
 	// schedWarps[i] lists the warp slots scheduler i manages.
@@ -210,8 +210,8 @@ func (sm *SM) FinishedSlots() []int {
 // LaunchBlock installs CTA ctaID into the given block slot. New blocks in
 // a pair slot whose partner is live start as non-owner (ownership is
 // already held by the surviving partner after a transfer). Launching
-// into a slot that still runs a live block is a dispatcher invariant
-// violation and is reported as an error.
+// into a slot that still runs a live block, or past the tenant's caps,
+// is a dispatcher invariant violation and is reported as an error.
 func (sm *SM) LaunchBlock(slot, ctaID int) error {
 	b := &sm.blocks[slot]
 	t := &sm.tens[b.tn]
@@ -220,8 +220,8 @@ func (sm *SM) LaunchBlock(slot, ctaID int) error {
 		return fmt.Errorf("SM%d: double launch of CTA %d into live slot %d (occupied by CTA %d)",
 			sm.ID, ctaID, slot, b.ctaID)
 	}
-	if err := sm.chargeBlock(t, slot); err != nil {
-		return err
+	if err := sm.checkCaps(t, slot-t.blockBase); err != nil {
+		return fmt.Errorf("launching CTA %d into slot %d: %w", ctaID, slot, err)
 	}
 	*b = blockCtx{
 		live:        true,
@@ -284,9 +284,8 @@ func (sm *SM) LaunchBlock(slot, ctaID int) error {
 		sm.Stats.BlocksShared++
 	}
 	sm.liveBlocks++
-	if sm.liveBlocks > sm.Stats.MaxResidentTB {
-		sm.Stats.MaxResidentTB = sm.liveBlocks
-	}
+	sm.Stats.MaxResidentTB = max(sm.Stats.MaxResidentTB, sm.liveBlocks)
+	t.st.MaxResidentTB = max(t.st.MaxResidentTB, sm.liveIn(t))
 	return nil
 }
 

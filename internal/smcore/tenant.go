@@ -5,7 +5,6 @@ import (
 
 	"gpushare/internal/config"
 	"gpushare/internal/core"
-	"gpushare/internal/fault"
 	"gpushare/internal/kernel"
 	"gpushare/internal/mem"
 	"gpushare/internal/mem/cache"
@@ -36,8 +35,9 @@ type TenantLaunch struct {
 // contiguous range of block slots [blockBase, blockBase+nBlocks) and
 // warp slots [warpBase, warpBase+nBlocks*wpb), its own sharing manager
 // (pair slots are tenant-local, so intra-kernel resource sharing keeps
-// working per tenant), its own static issue metadata, and a cap ledger
-// charging registers and scratchpad as blocks launch and finish.
+// working per tenant), its own static issue metadata, and its caps. What
+// its blocks hold is never booked: it is core.Footprint of the live
+// slots, recomputed where it is checked.
 type tenantCtx struct {
 	id     int // global tenant index
 	launch *kernel.Launch
@@ -52,17 +52,7 @@ type tenantCtx struct {
 	nBlocks   int // block slots owned (== occ.Max)
 	warpBase  int // first warp slot owned by this tenant
 
-	// Cap ledger. The dimension being shared between pair blocks is
-	// charged per pair with core.PairQuantum (a pair holds (1+t) block
-	// allocations between them); every other dimension is charged per
-	// block. pairRegs/pairSmem hold the precomputed quantum for the
-	// active sharing mode, 0 otherwise.
-	capRegs, capSmem   int
-	usedRegs, usedSmem int
-	liveBlocks         int
-	regsPerBlock       int
-	smemPerBlock       int
-	pairRegs, pairSmem int
+	capRegs, capSmem int // hard caps on this SM (0 = uncapped)
 
 	// parked counts this tenant's live warps waiting at a barrier, kept
 	// in step with every flip of warpCtx.atBarrier so Tick charges
@@ -109,24 +99,16 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 		}
 		wpb := k.WarpsPerBlock()
 		t := tenantCtx{
-			id:           tl.ID,
-			launch:       tl.Launch,
-			occ:          tl.Occ,
-			shr:          core.NewManager(cfg, tl.Occ, wpb),
-			wpb:          wpb,
-			blockBase:    totalBlocks,
-			nBlocks:      tl.Occ.Max,
-			warpBase:     totalWarps,
-			capRegs:      tl.CapRegs,
-			capSmem:      tl.CapSmem,
-			regsPerBlock: k.RegsPerBlock(),
-			smemPerBlock: k.SmemPerBlock,
-		}
-		switch cfg.Sharing {
-		case config.ShareRegisters:
-			t.pairRegs = core.PairQuantum(t.regsPerBlock, cfg.T)
-		case config.ShareScratchpad:
-			t.pairSmem = core.PairQuantum(t.smemPerBlock, cfg.T)
+			id:        tl.ID,
+			launch:    tl.Launch,
+			occ:       tl.Occ,
+			shr:       core.NewManager(cfg, tl.Occ, wpb),
+			wpb:       wpb,
+			blockBase: totalBlocks,
+			nBlocks:   tl.Occ.Max,
+			warpBase:  totalWarps,
+			capRegs:   tl.CapRegs,
+			capSmem:   tl.CapSmem,
 		}
 		prog := tl.Prog
 		if prog == nil {
@@ -205,91 +187,49 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 	return sm, nil
 }
 
-// chargeBlock charges a block launch into slot against its tenant's cap
-// ledger. On the pair-shared dimension the quantum is charged when the
-// first side of the pair launches and held until the last side finishes;
-// every other dimension is charged per block. A charge that would exceed
-// a hard cap is a placement invariant violation, reported as an error.
-func (sm *SM) chargeBlock(t *tenantCtx, slot int) error {
-	chRegs, chSmem := t.regsPerBlock, t.smemPerBlock
-	ls := slot - t.blockBase
-	if t.shr.Shared(ls) {
-		p := t.shr.PartnerSlot(ls)
-		partnerLive := p >= 0 && sm.blocks[t.blockBase+p].live
-		if t.pairRegs > 0 {
-			chRegs = t.pairRegs
-			if partnerLive {
-				chRegs = 0 // pair quantum already held by the partner
-			}
-		} else if t.pairSmem > 0 {
-			chSmem = t.pairSmem
-			if partnerLive {
-				chSmem = 0
-			}
-		}
+// checkCaps prices tenant t's live blocks on this SM — plus tenant-local
+// slot extra, a launch about to land there (-1 for none) — with the one
+// rule, core.Footprint, and reports a total over its hard caps: a
+// placement invariant violation. An uncapped tenant is never priced.
+func (sm *SM) checkCaps(t *tenantCtx, extra int) error {
+	if t.capRegs == 0 && t.capSmem == 0 {
+		return nil
 	}
-	if t.capRegs > 0 && t.usedRegs+chRegs > t.capRegs {
-		return fmt.Errorf("SM%d tenant %d: launching into slot %d needs %d registers but only %d of the %d-register cap remain",
-			sm.ID, t.id, slot, chRegs, t.capRegs-t.usedRegs, t.capRegs)
+	regs, smem := core.Footprint(sm.cfg, t.launch.Kernel, t.occ, func(ls int) bool {
+		return ls == extra || sm.blocks[t.blockBase+ls].live
+	})
+	if t.capRegs > 0 && regs > t.capRegs {
+		return fmt.Errorf("SM%d tenant %d: %d registers held, over the %d-register cap",
+			sm.ID, t.id, regs, t.capRegs)
 	}
-	if t.capSmem > 0 && t.usedSmem+chSmem > t.capSmem {
-		return fmt.Errorf("SM%d tenant %d: launching into slot %d needs %d scratchpad bytes but only %d of the %d-byte cap remain",
-			sm.ID, t.id, slot, chSmem, t.capSmem-t.usedSmem, t.capSmem)
-	}
-	t.usedRegs += chRegs
-	t.usedSmem += chSmem
-	t.liveBlocks++
-	if t.liveBlocks > t.st.MaxResidentTB {
-		t.st.MaxResidentTB = t.liveBlocks
+	if t.capSmem > 0 && smem > t.capSmem {
+		return fmt.Errorf("SM%d tenant %d: %d scratchpad bytes held, over the %d-byte cap",
+			sm.ID, t.id, smem, t.capSmem)
 	}
 	return nil
 }
 
-// releaseBlock returns a finished block's cap charges to its tenant's
-// ledger, mirroring chargeBlock: the pair quantum is released only when
-// the last side of the pair dies. The CorruptTenantCap fault skips the
-// release, leaking the charge so the tenancy auditor must catch the
-// ledger divergence.
-func (sm *SM) releaseBlock(t *tenantCtx, bs int, partnerLive bool, now int64, ws int) {
-	t.liveBlocks--
-	t.st.BlocksCompleted++
-	relRegs, relSmem := t.regsPerBlock, t.smemPerBlock
-	ls := bs - t.blockBase
-	if t.shr.Shared(ls) {
-		if t.pairRegs > 0 {
-			relRegs = t.pairRegs
-			if partnerLive {
-				relRegs = 0 // the surviving partner keeps the quantum
-			}
-		} else if t.pairSmem > 0 {
-			relSmem = t.pairSmem
-			if partnerLive {
-				relSmem = 0
-			}
+// liveIn counts tenant t's live blocks on this SM.
+func (sm *SM) liveIn(t *tenantCtx) int {
+	n := 0
+	for ls := 0; ls < t.nBlocks; ls++ {
+		if sm.blocks[t.blockBase+ls].live {
+			n++
 		}
 	}
-	if relRegs > 0 || relSmem > 0 {
-		if sm.faults.Armed(fault.CorruptTenantCap) && sm.faults.Trip(fault.CorruptTenantCap, now, sm.ID, ws,
-			fmt.Sprintf("block in slot %d finished but its tenant cap charge (%d regs, %d smem) was not released", bs, relRegs, relSmem)) {
-			return // injected leak: the ledger diverges from live blocks
-		}
-	}
-	t.usedRegs -= relRegs
-	t.usedSmem -= relSmem
+	return n
 }
 
 // AuditTenancy verifies tenant isolation on this SM: every block slot is
 // tagged with the tenant that owns its range, no sharing pair spans a
-// tenant boundary, the cap ledger matches a from-scratch recount of the
-// live blocks' charges, and no tenant exceeds its hard caps.
+// tenant boundary, no tenant's live blocks hold more than its caps, and
+// the SM's live-block counter matches its slots.
 func (sm *SM) AuditTenancy() error {
 	smLive := 0
 	for ti := range sm.tens {
 		t := &sm.tens[ti]
-		wantRegs, wantSmem, live := 0, 0, 0
 		for ls := 0; ls < t.nBlocks; ls++ {
-			b := &sm.blocks[t.blockBase+ls]
-			if b.tn != ti {
+			if b := &sm.blocks[t.blockBase+ls]; b.tn != ti {
 				return fmt.Errorf("SM%d: block slot %d in tenant %d's range is tagged for tenant index %d (cross-tenant slot corruption)",
 					sm.ID, t.blockBase+ls, t.id, b.tn)
 			}
@@ -297,44 +237,11 @@ func (sm *SM) AuditTenancy() error {
 				return fmt.Errorf("SM%d tenant %d: slot %d is paired with slot %d outside the tenant's %d slots (cross-tenant lease)",
 					sm.ID, t.id, ls, p, t.nBlocks)
 			}
-			if !b.live {
-				continue
-			}
-			live++
-			chRegs, chSmem := t.regsPerBlock, t.smemPerBlock
-			if t.shr.Shared(ls) {
-				p := t.shr.PartnerSlot(ls)
-				partnerLive := p >= 0 && sm.blocks[t.blockBase+p].live
-				countPair := !partnerLive || ls < p
-				if t.pairRegs > 0 {
-					chRegs = 0
-					if countPair {
-						chRegs = t.pairRegs
-					}
-				} else if t.pairSmem > 0 {
-					chSmem = 0
-					if countPair {
-						chSmem = t.pairSmem
-					}
-				}
-			}
-			wantRegs += chRegs
-			wantSmem += chSmem
 		}
-		if wantRegs != t.usedRegs || wantSmem != t.usedSmem {
-			return fmt.Errorf("SM%d tenant %d: cap ledger (regs %d, smem %d) disagrees with live-block recount (regs %d, smem %d) — lost or double cap release",
-				sm.ID, t.id, t.usedRegs, t.usedSmem, wantRegs, wantSmem)
+		if err := sm.checkCaps(t, -1); err != nil {
+			return err
 		}
-		if live != t.liveBlocks {
-			return fmt.Errorf("SM%d tenant %d: live-block counter %d but %d live blocks", sm.ID, t.id, t.liveBlocks, live)
-		}
-		smLive += live
-		if t.capRegs > 0 && t.usedRegs > t.capRegs {
-			return fmt.Errorf("SM%d tenant %d: register usage %d exceeds the %d-register cap", sm.ID, t.id, t.usedRegs, t.capRegs)
-		}
-		if t.capSmem > 0 && t.usedSmem > t.capSmem {
-			return fmt.Errorf("SM%d tenant %d: scratchpad usage %d exceeds the %d-byte cap", sm.ID, t.id, t.usedSmem, t.capSmem)
-		}
+		smLive += sm.liveIn(t)
 	}
 	if smLive != sm.liveBlocks {
 		return fmt.Errorf("SM%d: live-block counter %d but %d live blocks (Idle would misreport)", sm.ID, sm.liveBlocks, smLive)
@@ -356,9 +263,6 @@ func (sm *SM) TenantOfSlot(slot int) int { return sm.tens[sm.blocks[slot].tn].id
 func (sm *SM) TenantSlots(i int) (base, n int) {
 	return sm.tens[i].blockBase, sm.tens[i].nBlocks
 }
-
-// TenantActiveBlocks returns local tenant i's live block count.
-func (sm *SM) TenantActiveBlocks(i int) int { return sm.tens[i].liveBlocks }
 
 // TenantStats returns a copy of local tenant i's per-tenant counters.
 func (sm *SM) TenantStats(i int) stats.Tenant {

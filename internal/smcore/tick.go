@@ -276,7 +276,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 	}
 
 	if res.Finished {
-		sm.warpFinished(ws, now)
+		sm.warpFinished(ws)
 		if sm.faults.Trip(fault.StaleSnapshot, now, sm.ID, ws,
 			"warp finished but its scheduler snapshot was not invalidated") {
 			// Injected fault: the scheduler keeps a ready snapshot for a
@@ -457,9 +457,9 @@ func (sm *SM) checkBarrier(bs int) {
 }
 
 // warpFinished handles a warp's completion: sharing locks release, the
-// block's barrier may unblock, and the block may complete (returning
-// its cap charges to the tenant's ledger).
-func (sm *SM) warpFinished(ws int, now int64) {
+// block's barrier may unblock, and the block may complete (what it held
+// is released by construction: it is no longer live).
+func (sm *SM) warpFinished(ws int) {
 	wc := &sm.warps[ws]
 	wc.finished = true
 	bs := wc.w.BlockSlot
@@ -486,7 +486,7 @@ func (sm *SM) warpFinished(ws int, now int64) {
 		// their own finishing issue.
 		sm.markBlockDirty(t.blockBase + partner)
 	}
-	sm.releaseBlock(t, bs, partnerLive, now, ws)
+	t.st.BlocksCompleted++
 	sm.finished = append(sm.finished, bs)
 }
 

@@ -2,7 +2,6 @@ package tenancy
 
 import (
 	"fmt"
-	"math"
 
 	"gpushare/internal/config"
 	"gpushare/internal/core"
@@ -11,13 +10,13 @@ import (
 
 // TenantAlloc is one tenant's grant on one SM: the block-slot structure
 // (as a per-tenant occupancy the SM core reuses for its sharing pairs)
-// and the hard resource budgets backing it.
+// and the hard resource budgets backing it — core.Footprint of that
+// structure at full residency.
 type TenantAlloc struct {
-	Tenant  int // index into Spec.Tenants
-	Occ     core.Occupancy
-	Regs    int // register budget on this SM (0 = uncapped, spatial only)
-	Smem    int // scratchpad byte budget on this SM (0 = uncapped)
-	Threads int // resident-thread budget on this SM
+	Tenant int // index into Spec.Tenants
+	Occ    core.Occupancy
+	Regs   int // register budget on this SM (0 = uncapped)
+	Smem   int // scratchpad byte budget on this SM (0 = uncapped)
 }
 
 // SMPlan lists the tenants granted slots on one SM, in tenant order.
@@ -60,40 +59,33 @@ func (p *Placement) String() string {
 	return s
 }
 
-// tenantShape is the per-tenant packing profile derived from the solo
-// occupancy: block footprints and how blocks pair up under the paper's
-// sharing mechanism.
+// tenantShape is the per-tenant packing profile: the kernel and its solo
+// occupancy on an unshared SM, whose layout a tenant's blocks on any SM
+// follow (blocks beyond the solo unshared count pair up two-by-two).
 type tenantShape struct {
-	regsPerBlock int
-	smemPerBlock int
-	threads      int
-	solo         core.Occupancy
-	// pairs is true when this tenant's kernel profits from the active
-	// sharing mode (its solo occupancy forms pairs): blocks beyond the
-	// solo unshared count pair up two-by-two, and the second side of a
-	// pair costs only the shared-dimension top-up ⌈t·r⌉ instead of a
-	// full allocation.
-	pairs     bool
-	pairTop   int  // ⌈t·footprint⌉ on the shared dimension
-	shareRegs bool // pairs share registers (else scratchpad)
-	maxBlocks int  // per-SM slot cap: the solo occupancy's Max
-	want      int  // total slots worth granting (grid size cap)
+	k         *kernel.Kernel
+	solo      core.Occupancy
+	maxBlocks int // per-SM slot cap: the solo occupancy's Max
+	want      int // total slots worth granting (grid size cap)
 }
 
-// blockCost returns the incremental resource cost of tenant shape t's
-// j-th block on an SM (0-indexed within that SM): full footprint for
-// unshared and pair-opening blocks, the ⌈t·r⌉ top-up on the shared
-// dimension for pair-completing blocks.
-func (t *tenantShape) blockCost(j int) (regs, smem, threads int) {
-	regs, smem, threads = t.regsPerBlock, t.smemPerBlock, t.threads
-	if t.pairs && j >= t.solo.Unshared && (j-t.solo.Unshared)%2 == 1 {
-		if t.shareRegs {
-			regs = t.pairTop
-		} else {
-			smem = t.pairTop
-		}
-	}
-	return regs, smem, threads
+// allLive marks every slot live: full residency.
+func allLive(int) bool { return true }
+
+// grant is what c blocks of this tenant hold on one SM at full
+// residency: the budgets backing its caps.
+func (t *tenantShape) grant(cfg *config.Config, c int) (regs, smem int) {
+	return core.Footprint(cfg, t.k, t.occFor(c), allLive)
+}
+
+// blockCost returns the incremental cost of tenant shape t's j-th block
+// on an SM (0-indexed within that SM): the grant of j+1 blocks less the
+// grant of j — a full block for unshared and pair-opening blocks, the
+// ⌈t·r⌉ top-up on the shared dimension for pair-completing ones.
+func (t *tenantShape) blockCost(cfg *config.Config, j int) (regs, smem, threads int) {
+	r1, s1 := t.grant(cfg, j+1)
+	r0, s0 := t.grant(cfg, j)
+	return r1 - r0, s1 - s0, t.k.Threads()
 }
 
 // occFor builds the occupancy for c blocks of this tenant on one SM:
@@ -103,7 +95,7 @@ func (t *tenantShape) occFor(c int) core.Occupancy {
 	occ := t.solo
 	u := c
 	p := 0
-	if t.pairs && c > t.solo.Unshared {
+	if t.solo.Pairs > 0 && c > t.solo.Unshared {
 		r := c - t.solo.Unshared
 		p = r / 2
 		u = t.solo.Unshared + r%2
@@ -113,17 +105,6 @@ func (t *tenantShape) occFor(c int) core.Occupancy {
 	occ.Pairs = p
 	occ.Baseline = u + p
 	return occ
-}
-
-// grant sums the packed cost of c blocks: the budgets backing the caps.
-func (t *tenantShape) grant(c int) (regs, smem, threads int) {
-	for j := 0; j < c; j++ {
-		r, s, th := t.blockCost(j)
-		regs += r
-		smem += s
-		threads += th
-	}
-	return regs, smem, threads
 }
 
 // shapes derives each tenant's packing profile from its solo occupancy
@@ -136,24 +117,7 @@ func shapes(cfg *config.Config, kernels []*kernel.Launch) ([]tenantShape, error)
 		if solo.Baseline == 0 {
 			return nil, fmt.Errorf("tenant %d (%s): kernel is unschedulable on one SM (%s)", i, k.Name, solo.Limiter)
 		}
-		t := tenantShape{
-			regsPerBlock: k.RegsPerBlock(),
-			smemPerBlock: k.SmemPerBlock,
-			threads:      k.Threads(),
-			solo:         solo,
-			maxBlocks:    solo.Max,
-			want:         l.Blocks(),
-		}
-		if solo.Pairs > 0 {
-			t.pairs = true
-			t.shareRegs = cfg.Sharing == config.ShareRegisters
-			base := t.smemPerBlock
-			if t.shareRegs {
-				base = t.regsPerBlock
-			}
-			t.pairTop = int(math.Ceil(cfg.T * float64(base)))
-		}
-		out[i] = t
+		out[i] = tenantShape{k: k, solo: solo, maxBlocks: solo.Max, want: l.Blocks()}
 	}
 	return out, nil
 }
@@ -202,11 +166,7 @@ func packSpatial(cfg *config.Config, kernels []*kernel.Launch) (*Placement, erro
 			count++
 		}
 		for j := 0; j < count; j++ {
-			pl.SMs[sm].Tenants = append(pl.SMs[sm].Tenants, TenantAlloc{
-				Tenant:  ti,
-				Occ:     solo,
-				Threads: solo.Max * l.Kernel.Threads(),
-			})
+			pl.SMs[sm].Tenants = append(pl.SMs[sm].Tenants, TenantAlloc{Tenant: ti, Occ: solo})
 			sm++
 		}
 	}
@@ -245,7 +205,7 @@ func packCoSched(cfg *config.Config, kernels []*kernel.Launch, strategy Packing)
 			if si < 0 {
 				continue
 			}
-			r, s, th := t.blockCost(bins[si].counts[ti])
+			r, s, th := t.blockCost(cfg, bins[si].counts[ti])
 			bins[si].regs += r
 			bins[si].smem += s
 			bins[si].threads += th
@@ -269,13 +229,12 @@ func packCoSched(cfg *config.Config, kernels []*kernel.Launch, strategy Packing)
 				continue
 			}
 			t := &shs[ti]
-			gr, gs, gth := t.grant(c)
+			gr, gs := t.grant(cfg, c)
 			pl.SMs[si].Tenants = append(pl.SMs[si].Tenants, TenantAlloc{
-				Tenant:  ti,
-				Occ:     t.occFor(c),
-				Regs:    gr,
-				Smem:    gs,
-				Threads: gth,
+				Tenant: ti,
+				Occ:    t.occFor(c),
+				Regs:   gr,
+				Smem:   gs,
 			})
 		}
 	}
@@ -293,7 +252,7 @@ func pickSM(cfg *config.Config, bins []smBin, t *tenantShape, ti int, strategy P
 		if b.counts[ti] >= t.maxBlocks {
 			continue
 		}
-		r, s, th := t.blockCost(b.counts[ti])
+		r, s, th := t.blockCost(cfg, b.counts[ti])
 		if b.regs+r > cfg.RegsPerSM || b.smem+s > cfg.SmemPerSM ||
 			b.threads+th > cfg.MaxThreadsPerSM || b.slots+1 > cfg.MaxBlocksPerSM {
 			continue

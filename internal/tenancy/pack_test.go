@@ -40,9 +40,10 @@ func footprintLaunch(name string, blockDim, regs, smem, blocks int) *kernel.Laun
 // TestPackNeverOvercommits is the satellite property test: across
 // fuzzed kernel footprints, sharing modes, and all three packing
 // strategies, the sum of per-tenant grants on any SM never exceeds the
-// SM's capacity in any dimension, and each tenant's worst-case
-// concurrent usage (full residency, pairs charged at the Eq. 4 pair
-// quantum) never exceeds its granted budget.
+// SM's capacity in any dimension, and each tenant's grant is exactly
+// what its blocks hold at full residency under the one footprint rule
+// (core.Footprint) — the rule the SM's launch check enforces, so no
+// second formula has to agree with it.
 func TestPackNeverOvercommits(t *testing.T) {
 	rng := splitmix64(12345)
 	modes := []config.SharingMode{config.ShareNone, config.ShareRegisters, config.ShareScratchpad}
@@ -85,35 +86,14 @@ func TestPackNeverOvercommits(t *testing.T) {
 							trial, strat, si, ta.Tenant, occ.Unshared, occ.Pairs, occ.Max)
 					}
 					k := launches[ta.Tenant].Kernel
-					// Worst-case concurrent usage at full residency:
-					// unshared blocks hold full footprints, each pair
-					// holds one Eq. 4 pair quantum on the shared
-					// dimension and two full footprints on the others.
-					useRegs := occ.Max * k.RegsPerBlock()
-					useSmem := occ.Max * k.SmemPerBlock
-					if occ.Pairs > 0 {
-						switch cfg.Sharing {
-						case config.ShareRegisters:
-							useRegs = occ.Unshared*k.RegsPerBlock() + occ.Pairs*core.PairQuantum(k.RegsPerBlock(), cfg.T)
-						case config.ShareScratchpad:
-							useSmem = occ.Unshared*k.SmemPerBlock + occ.Pairs*core.PairQuantum(k.SmemPerBlock, cfg.T)
-						}
-					}
-					if useRegs > ta.Regs {
-						t.Fatalf("trial %d %s SM%d tenant %d: worst-case register usage %d exceeds grant %d",
-							trial, strat, si, ta.Tenant, useRegs, ta.Regs)
-					}
-					if useSmem > ta.Smem {
-						t.Fatalf("trial %d %s SM%d tenant %d: worst-case scratchpad usage %d exceeds grant %d",
-							trial, strat, si, ta.Tenant, useSmem, ta.Smem)
-					}
-					if occ.Max*k.Threads() > ta.Threads {
-						t.Fatalf("trial %d %s SM%d tenant %d: %d resident threads exceed grant %d",
-							trial, strat, si, ta.Tenant, occ.Max*k.Threads(), ta.Threads)
+					useRegs, useSmem := core.Footprint(&cfg, k, occ, func(int) bool { return true })
+					if useRegs != ta.Regs || useSmem != ta.Smem {
+						t.Fatalf("trial %d %s SM%d tenant %d: grant (%d regs, %d smem) is not the full-residency footprint (%d, %d)",
+							trial, strat, si, ta.Tenant, ta.Regs, ta.Smem, useRegs, useSmem)
 					}
 					regs += ta.Regs
 					smem += ta.Smem
-					threads += ta.Threads
+					threads += occ.Max * k.Threads()
 					slots += occ.Max
 				}
 				if regs > cfg.RegsPerSM {

@@ -231,20 +231,12 @@ func (l *Log) appendLocked(rec Record) error {
 }
 
 // rewriteLocked atomically replaces the file with just the pending
-// accepts in admission order (temp + fsync + rename), then reopens the
-// append handle. A crash at any point leaves either the old or the new
-// file, both of which replay to the same pending set. Called with mu
+// accepts in admission order (checkpoint.WriteFileAtomic), then reopens
+// the append handle. A crash at any point leaves either the old or the
+// new file, both of which replay to the same pending set. Called with mu
 // held.
 func (l *Log) rewriteLocked() error {
-	tmp, err := os.CreateTemp(filepath.Dir(l.path), "wal-tmp-*")
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("wal: %w", err)
-	}
+	var buf []byte
 	keep := l.order[:0]
 	for _, key := range l.order {
 		req, ok := l.pending[key]
@@ -254,22 +246,12 @@ func (l *Log) rewriteLocked() error {
 		keep = append(keep, key)
 		line, err := json.Marshal(Record{Op: OpAccept, Key: key, Req: req})
 		if err != nil {
-			return fail(err)
+			return fmt.Errorf("wal: %w", err)
 		}
-		if _, err := tmp.Write(append(line, '\n')); err != nil {
-			return fail(err)
-		}
+		buf = append(append(buf, line...), '\n')
 	}
 	l.order = keep
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), l.path); err != nil {
-		os.Remove(tmp.Name())
+	if err := checkpoint.WriteFileAtomic(l.path, buf); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	// The old handle points at the unlinked inode; reopen for append.

@@ -6,8 +6,10 @@
 # which share nothing), guards that internal/gpu still has one cycle loop,
 # that internal/ + cmd/ still have one job lifecycle (one definition of
 # each shared route, body decoder, JSON writer and journal open),
-# that internal/harness still plans by enumeration (no recording pass)
-# and that no pool, map-keyed MSHR or any-typed payload is back on the
+# that internal/harness still plans by enumeration (no recording pass),
+# that a tenant's blocks are priced by one rule (core.Footprint: no cap
+# ledger, no second pair-cost formula), that one function does atomic
+# file writes, and that no pool, map-keyed MSHR or any-typed payload is back on the
 # memory path, the paper-tables golden (gexp -exp all -scale 1 -paper,
 # byte-identical to the checked-in file), the bench module's
 # own tests, the allocation budget of the cycle path,
@@ -137,6 +139,24 @@ hits=$(grep -n -E '\brecord\b|return &stats\.GPU\{\}' $harness_src | grep -v ':[
 n=$(cat $harness_src | grep -c '&Session{' || true)
 [ "$n" = 1 ] || { echo "internal/harness: $n '&Session{' literals, want 1 (a second Session built for planning?)" >&2; exit 1; }
 echo "   non-test Go lines in internal/harness + cmd/gexp: $(cat $harness_src cmd/gexp/*.go | wc -l)"
+
+echo "== one footprint rule (core.Footprint is the only pricing of a tenant's blocks; no cap ledger, no second pair-cost formula)"
+nontest_go=$(find . -name '*.go' ! -name '*_test.go')
+hits=$(grep -n -E 'PairQuantum|pairTop|usedRegs|usedSmem|CorruptTenantCap' $nontest_go | grep -v ':[[:space:]]*//' || true)
+[ -z "$hits" ] || { echo "a second footprint formula or a booked cap ledger is back:" >&2; echo "$hits" >&2; exit 1; }
+n=$(cat $nontest_go | grep -c 'func Footprint(' || true)
+[ "$n" = 1 ] || { echo "$n definitions of func Footprint(, want 1" >&2; exit 1; }
+for pkg in internal/tenancy internal/smcore; do
+    n=$(cat $(ls $pkg/*.go | grep -v _test.go) | grep -c 'core\.Footprint(' || true)
+    [ "$n" -ge 1 ] || { echo "$pkg no longer prices through core.Footprint" >&2; exit 1; }
+done
+hits=$(grep -n -E '\b[cC]fg\.T\b' $(ls internal/tenancy/*.go internal/smcore/*.go internal/gpu/*.go | grep -v _test.go) || true)
+[ -z "$hits" ] || { echo "the sharing threshold is read outside internal/core (a second pair-cost formula?):" >&2; echo "$hits" >&2; exit 1; }
+echo "   non-test Go lines in internal/{core,tenancy,smcore}: $(cat $(ls internal/core/*.go internal/tenancy/*.go internal/smcore/*.go | grep -v _test.go) | wc -l)"
+
+echo "== one atomic write (checkpoint.WriteFileAtomic is the only temp-file rename in non-test Go)"
+n=$(cat $nontest_go | grep -v '^[[:space:]]*//' | grep -c 'os\.Rename(' || true)
+[ "$n" = 1 ] || { echo "$n call sites of os.Rename(, want 1 (a hand-rolled atomic write coming back?)" >&2; exit 1; }
 
 echo "== paper tables golden (gexp -exp all -scale 1 -paper is byte-identical to internal/harness/testdata/gexp_all_scale1.txt)"
 go build -o "$smoketmp/gexp" ./cmd/gexp
