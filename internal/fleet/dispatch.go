@@ -147,7 +147,10 @@ func (c *Coordinator) runDispatch(ctx context.Context, j *fjob, w *worker) {
 			c.expire(j, w, fmt.Sprintf("job %s: deadline passed before dispatch", j.Run))
 			return
 		}
-		req.DeadlineMillis = max(left.Milliseconds(), 1)
+		// Rounded up: a worker that ran out a truncated budget would
+		// report canceled before j.Deadline, and settle would requeue the
+		// job instead of expiring it.
+		req.DeadlineMillis = max((left + time.Millisecond - 1).Milliseconds(), 1)
 	}
 	st, err := w.cl.Submit(ctx, req)
 	if err != nil {

@@ -145,7 +145,9 @@ func aluRow(op Opcode, dst, a, b, c *Row) {
 	}
 }
 
-// sfuRow evaluates one SFU opcode on the lanes in mask.
+// sfuRow evaluates one SFU opcode on the lanes in mask. FSIN and FEXP
+// run the float32 kernels of sfu.go and hand a lane they cannot decide
+// to Eval, the definition they reproduce.
 func sfuRow(op Opcode, dst, a *Row, mask uint32) {
 	var f func(float64) float64
 	switch op {
@@ -156,14 +158,32 @@ func sfuRow(op Opcode, dst, a *Row, mask uint32) {
 			}
 		}
 		return
+	case FSIN:
+		for i := range dst {
+			if mask>>uint(i)&1 != 0 {
+				y, ok := sinKernel(a[i])
+				if !ok {
+					y = Eval(FSIN, a[i], 0, 0)
+				}
+				dst[i] = y
+			}
+		}
+		return
+	case FEXP:
+		for i := range dst {
+			if mask>>uint(i)&1 != 0 {
+				y, ok := exp2Kernel(a[i])
+				if !ok {
+					y = Eval(FEXP, a[i], 0, 0)
+				}
+				dst[i] = y
+			}
+		}
+		return
 	case FSQRT:
 		f = math.Sqrt
-	case FEXP:
-		f = math.Exp2
 	case FLOG:
 		f = math.Log2
-	case FSIN:
-		f = math.Sin
 	}
 	for i := range dst {
 		if mask>>uint(i)&1 != 0 {

@@ -8,10 +8,12 @@ import (
 )
 
 // BenchmarkSchedOrder measures one cycle of scheduler ranking over 48
-// warps — one view change, one ranking read, one issue — the way the SM
-// issue stage drives it. GTO and OWF run their incremental ready paths
-// (Sync + OrderReady); lrr and two-level rank their cached views
-// directly. Every policy must be allocation-free in steady state.
+// warps — one view change, a walk of the whole ranking through the
+// cursor, one issue — the way the SM issue stage drives it, except that
+// the issue stage usually stops after a few warps. GTO and OWF walk
+// their incremental ready lists (Sync + Begin); lrr and two-level rotate
+// their views directly. Every policy must be allocation-free in steady
+// state.
 func BenchmarkSchedOrder(b *testing.B) {
 	policies := []struct {
 		name string
@@ -38,7 +40,7 @@ func BenchmarkSchedOrder(b *testing.B) {
 					inc.Sync(ws[i])
 				}
 			}
-			out := make([]int, 0, n)
+			var c Cursor
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -46,12 +48,13 @@ func BenchmarkSchedOrder(b *testing.B) {
 				w.HasWork = !w.HasWork
 				if isInc {
 					inc.Sync(*w)
-					out = inc.OrderReady(out[:0])
-				} else {
-					out = s.Order(ws, out[:0])
 				}
-				if len(out) > 0 {
-					s.Issued(out[0])
+				s.Begin(ws, &c)
+				first := c.Next()
+				for c.Next() >= 0 {
+				}
+				if first >= 0 {
+					s.Issued(first)
 				}
 			}
 		})

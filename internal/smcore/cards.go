@@ -112,7 +112,7 @@ type censusTenant struct {
 // (all of them blocked, none issued) and reports whether the result is
 // usable: every ranked warp must still hold a card and none may be
 // queued for re-snapshot, or the next ranking could differ.
-func (sm *SM) takeCensus(cen *census, si int, order []int) bool {
+func (sm *SM) takeCensus(cen *census, si int, walked []int) bool {
 	if len(sm.dirtyList[si]) != 0 {
 		return false
 	}
@@ -120,7 +120,7 @@ func (sm *SM) takeCensus(cen *census, si int, order []int) bool {
 	for ti := range cen.ten {
 		cen.ten[ti] = censusTenant{lockGen: sm.tens[ti].shr.LockGen()}
 	}
-	for _, ws := range order {
+	for _, ws := range walked {
 		c := sm.cards[ws]
 		if c.class == classNone {
 			return false

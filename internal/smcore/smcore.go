@@ -118,7 +118,7 @@ type SM struct {
 	// whose snapshot inputs changed; slotSched/slotPos map a warp slot
 	// to its scheduler and position.
 	schedInfo  [][]sched.WarpInfo
-	schedOrder [][]int
+	schedOrder [][]int // reference mode's materialised rankings
 	dirty      []bool
 	dirtyList  [][]int32
 	slotSched  []int32
@@ -149,6 +149,11 @@ type SM struct {
 	// scratch buffers reused across cycles
 	lineBuf   []uint32
 	smemAddrs isa.Row // effective addresses of the scratchpad instruction being issued
+	// walk is the cursor of the scheduler walk in progress and walked
+	// the slots it has asked; schedulers walk one after another, so one
+	// of each serves them all.
+	walk   sched.Cursor
+	walked []int
 }
 
 // New builds an SM for a single kernel launch: a one-tenant SM with no

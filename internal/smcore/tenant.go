@@ -176,12 +176,14 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 			sm.slotPos[ws] = int32(pos)
 		}
 		sm.schedInfo = append(sm.schedInfo, info)
-		sm.schedOrder = append(sm.schedOrder, make([]int, 0, n))
 		sm.dirtyList = append(sm.dirtyList, make([]int32, 0, n))
 		inc, _ := sm.scheds[si].(sched.Incremental)
+		var order []int // only the reference engine materialises rankings
 		if sm.reference {
 			inc = nil // legacy ranking everywhere on the recompute path
+			order = make([]int, 0, n)
 		}
+		sm.schedOrder = append(sm.schedOrder, order)
 		sm.incr = append(sm.incr, inc)
 	}
 	return sm, nil

@@ -42,14 +42,15 @@ func (sm *SM) Tick(now int64) (bool, error) {
 	sfuUsed := false
 
 	for si, sc := range sm.scheds {
-		// Each scheduler ranks from its own cached (or, in reference
-		// mode, freshly rebuilt) view buffer; the buffers are
-		// per-scheduler so one scheduler's pass can never clobber
-		// another's views within a cycle.
+		// The reference engine ranks freshly rebuilt views with Order into
+		// a per-scheduler buffer. The fast path walks the ranking of its
+		// cached views through sm.walk, which computes the next candidate
+		// only when the previous one did not issue.
 		var order []int
 		var cen *census // nil in reference mode: every warp is asked every cycle
 		if sm.reference {
 			order = sc.Order(sm.rebuildAll(si), sm.schedOrder[si][:0])
+			sm.schedOrder[si] = order[:0]
 		} else {
 			cen = &sm.census[si]
 			if cen.valid {
@@ -62,15 +63,20 @@ func (sm *SM) Tick(now int64) (bool, error) {
 				}
 			}
 			sm.refresh(si)
-			if inc := sm.incr[si]; inc != nil {
-				order = inc.OrderReady(sm.schedOrder[si][:0])
-			} else {
-				order = sc.Order(sm.schedInfo[si], sm.schedOrder[si][:0])
-			}
+			sc.Begin(sm.schedInfo[si], &sm.walk)
 		}
-		sm.schedOrder[si] = order[:0]
 		cacheable := cen != nil
-		for _, slot := range order {
+		walked := sm.walked[:0] // every slot asked and not issued: the census's input
+		for n := 0; ; n++ {
+			var slot int
+			if cen == nil {
+				if n == len(order) {
+					break
+				}
+				slot = order[n]
+			} else if slot = sm.walk.Next(); slot < 0 {
+				break
+			}
 			ok, cls, err := sm.tryIssue(slot, now, &memUsed, &sfuUsed)
 			if err != nil {
 				return false, err
@@ -81,6 +87,7 @@ func (sm *SM) Tick(now int64) (bool, error) {
 				cacheable = false
 				break
 			}
+			walked = append(walked, slot)
 			if cls >= classClear {
 				sawStructural = true
 			}
@@ -88,8 +95,9 @@ func (sm *SM) Tick(now int64) (bool, error) {
 				cacheable = false
 			}
 		}
+		sm.walked = walked
 		if cen != nil {
-			cen.valid = cacheable && sm.takeCensus(cen, si, order)
+			cen.valid = cacheable && sm.takeCensus(cen, si, walked)
 		}
 	}
 

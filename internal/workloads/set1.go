@@ -101,8 +101,8 @@ func buildBackprop(scale int) *Instance {
 		},
 		Check: func(m *mem.Global) error {
 			for i := 0; i < n; i++ {
-				t1 := d[i]*0.3 + w[i]
-				wantW := ow[i]*0.3 + t1
+				t1 := float32(d[i]*0.3) + w[i]
+				wantW := float32(ow[i]*0.3) + t1
 				wantO := d[i] * 0.3
 				if got := m.Load32(wAddr + uint32(4*i)); got != f32bits(wantW) {
 					return fmt.Errorf("w[%d] = %#x, want %#x", i, got, f32bits(wantW))
@@ -383,22 +383,22 @@ func buildHotspot(scale int) *Instance {
 				for i := 0; i < hotspotSteps; i++ {
 					p := pow[slice*(hotspotSliceB/4)+((i*5+lane)&mask)*32]
 					d1 := nv + s
-					d2 := t*-2 + d1
-					d3 := d2*0.05 + p
-					t = d3*0.5 + t
+					d2 := float32(t*-2) + d1
+					d3 := float32(d2*0.05) + p
+					t = float32(d3*0.5) + t
 					d4 := float32(80) - t
-					t = d4*0.02 + t
+					t = float32(d4*0.02) + t
 					d5 := rcpf32(d4)
-					t = d5*0.003 + t
-					d5 = t * 0.999
-					d5 = d5*0.25 + d5
-					d5 = d5*-0.125 + d5
-					d5 = d5*0.0625 + d5
-					d5 = d5*-0.03125 + d5
-					d5 = d5*0.015625 + d5
+					t = float32(d5*0.003) + t
+					d5 = float32(t * 0.999)
+					d5 = float32(d5*0.25) + d5
+					d5 = float32(d5*-0.125) + d5
+					d5 = float32(d5*0.0625) + d5
+					d5 = float32(d5*-0.03125) + d5
+					d5 = float32(d5*0.015625) + d5
 					acc += d5
-					nv *= 0.998
-					s *= 0.998
+					nv = float32(nv * 0.998)
+					s = float32(s * 0.998)
 				}
 				want := f32bits(t + acc)
 				if got := m.Load32(outAddr + uint32(4*gid)); got != want {

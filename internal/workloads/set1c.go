@@ -116,18 +116,18 @@ func buildSgemm(scale int) *Instance {
 				for kk := 0; kk < sgemmK; kk++ {
 					av := a[kk*threads+t]
 					bv := bm[(blk&63)*sgemmK+kk]
-					c0 = av*bv + c0
-					c1 = av*1.5 + c1
-					c2 = bv*0.5 + c2
-					c3 = c0*0.25 + c3
-					c0 = c1*0.125 + c0
-					c1 = c2*-0.125 + c1
-					c2 = c3*0.0625 + c2
-					c3 = c0*-0.0625 + c3
-					c0 = av*c2 + c0
-					c1 = bv*c3 + c1
-					c2 = av*0.03125 + c2
-					c3 = bv*-0.03125 + c3
+					c0 = float32(av*bv) + c0
+					c1 = float32(av*1.5) + c1
+					c2 = float32(bv*0.5) + c2
+					c3 = float32(c0*0.25) + c3
+					c0 = float32(c1*0.125) + c0
+					c1 = float32(c2*-0.125) + c1
+					c2 = float32(c3*0.0625) + c2
+					c3 = float32(c0*-0.0625) + c3
+					c0 = float32(av*c2) + c0
+					c1 = float32(bv*c3) + c1
+					c2 = float32(av*0.03125) + c2
+					c3 = float32(bv*-0.03125) + c3
 				}
 				want := f32bits(c0 + c1 + (c2 + c3))
 				if got := m.Load32(outAddr + uint32(4*t)); got != want {
@@ -273,19 +273,19 @@ func buildStencil(scale int) *Instance {
 				for i := 0; i < stencilSteps; i++ {
 					v := coef[slice*(stencilSliceB/4)+((i*5+lane)&mask)*32]
 					t1 := l + r
-					t1 = c*-2 + t1
-					t2 := t1*0.2 + v
-					c = t2*0.5 + c
-					l *= 0.995
-					r *= 0.995
-					c = c*0.001 + c
-					t2 = c*0.5 + t1
-					t2 = t2*-0.25 + c
-					t2 = t2*0.125 + t2
-					t2 = t2*-0.0625 + t2
-					t2 = t2*0.03125 + t2
-					t2 = t2*-0.015625 + t2
-					c = t2*0.01 + c
+					t1 = float32(c*-2) + t1
+					t2 := float32(t1*0.2) + v
+					c = float32(t2*0.5) + c
+					l = float32(l * 0.995)
+					r = float32(r * 0.995)
+					c = float32(c*0.001) + c
+					t2 = float32(c*0.5) + t1
+					t2 = float32(t2*-0.25) + c
+					t2 = float32(t2*0.125) + t2
+					t2 = float32(t2*-0.0625) + t2
+					t2 = float32(t2*0.03125) + t2
+					t2 = float32(t2*-0.015625) + t2
+					c = float32(t2*0.01) + c
 				}
 				if got := m.Load32(outAddr + uint32(4*gid)); got != f32bits(c) {
 					return fmt.Errorf("stencil out[%d] = %#x, want %#x", gid, got, f32bits(c))

@@ -114,7 +114,7 @@ func buildConv(name string, blockDim, smem, radius, grid int) *Instance {
 					var acc float32
 					for round := 0; round < 3; round++ {
 						for j := 0; j < taps; j++ {
-							acc = smemRef[tid+j]*(1.0/float32(j+1+round)) + acc
+							acc = float32(smemRef[tid+j]*(1.0/float32(j+1+round))) + acc
 						}
 					}
 					gid := blk*blockDim + tid
@@ -236,8 +236,8 @@ func buildLavaMD(scale int) *Instance {
 						d2 = d2 * -1
 						e := exp2f32(d)
 						e2 := exp2f32(d2)
-						acc = e*v + acc
-						acc2 = e2*v2 + acc2
+						acc = float32(e*v) + acc
+						acc2 = float32(e2*v2) + acc2
 					}
 					acc += acc2
 					gid := blk*128 + tid

@@ -307,35 +307,35 @@ func buildSRAD1(scale int) *Instance {
 			for blk := 0; blk < grid; blk += 5 {
 				for tid := 0; tid < 256; tid += 37 {
 					gnb := func(d int) float32 { return in[blk*256+(tid+d+256)&255] }
-					v := (gnb(-16)+gnb(16))*0.0625 + in[blk*256+tid]
+					v := float32((gnb(-16)+gnb(16))*0.0625) + in[blk*256+tid]
 					tile := make([]float32, 256)
 					for t2 := 0; t2 < 256; t2++ {
-						tile[t2] = (in[blk*256+(t2-16+256)&255]+in[blk*256+(t2+16)&255])*0.0625 + in[blk*256+t2]
+						tile[t2] = float32((in[blk*256+(t2-16+256)&255]+in[blk*256+(t2+16)&255])*0.0625) + in[blk*256+t2]
 					}
 					nb := func(d int) float32 { return tile[(tid+d+256)&255] }
 					dn := nb(-16) - v
 					ds := nb(16) - v
 					dw := nb(-1) - v
 					de := nb(1) - v
-					c := dn * dn
-					c = ds*ds + c
-					c = dw*dw + c
-					c = de*de + c
+					c := float32(dn * dn)
+					c = float32(ds*ds) + c
+					c = float32(dw*dw) + c
+					c = float32(de*de) + c
 					c += 1
 					c = 1 / c
 					sum := dn + ds
 					sum += dw
 					sum += de
-					sum *= c
-					v = sum*0.25 + v
+					sum = float32(sum * c)
+					v = float32(sum*0.25) + v
 					for round := 0; round < 3; round++ {
-						sum = v*0.5 + sum
-						sum = sum*-0.25 + sum
-						sum = sum*0.125 + sum
-						sum = sum*-0.0625 + sum
-						sum = sum*0.03125 + sum
-						sum = sum*-0.015625 + sum
-						v = sum*0.01 + v
+						sum = float32(v*0.5) + sum
+						sum = float32(sum*-0.25) + sum
+						sum = float32(sum*0.125) + sum
+						sum = float32(sum*-0.0625) + sum
+						sum = float32(sum*0.03125) + sum
+						sum = float32(sum*-0.015625) + sum
+						v = float32(sum*0.01) + v
 					}
 					want := f32bits(v)
 					gid := blk*256 + tid
@@ -433,9 +433,9 @@ func buildSRAD2(scale int) *Instance {
 					var acc float32
 					for j := 0; j < 16; j++ {
 						nb := in[blk*256+(tid+j)&255]
-						acc = nb*0.0625 + acc
+						acc = float32(nb*0.0625) + acc
 					}
-					want := f32bits(acc*0.5 + v)
+					want := f32bits(float32(acc*0.5) + v)
 					gid := blk*256 + tid
 					if got := m.Load32(outAddr + uint32(4*gid)); got != want {
 						return fmt.Errorf("SRAD2 out[%d] = %#x, want %#x", gid, got, want)

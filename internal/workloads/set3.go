@@ -286,7 +286,7 @@ func buildGaussian(scale int) *Instance {
 				mv := mul[t]
 				var last float32
 				for j := 0; j < gaussCols; j++ {
-					want := mat[j*n+t] - piv[j]*mv
+					want := mat[j*n+t] - float32(piv[j]*mv)
 					got := mem.F32FromBits(m.Load32(matAddr + uint32(4*(j*n+t))))
 					if got != want {
 						return fmt.Errorf("gaussian mat[%d][%d] = %v, want %v", t, j, got, want)
@@ -381,7 +381,7 @@ func buildNN(scale int) *Instance {
 				blk := t / 128
 				var acc float32
 				for j := 0; j < nnWeights; j++ {
-					acc = w[j*n+t]*in[blk*nnWeights+j] + acc
+					acc = float32(w[j*n+t]*in[blk*nnWeights+j]) + acc
 				}
 				if got := m.Load32(outAddr + uint32(4*t)); got != f32bits(acc) {
 					return fmt.Errorf("NN out[%d] = %#x, want %#x", t, got, f32bits(acc))

@@ -11,7 +11,9 @@
 # ledger, no second pair-cost formula), that one function does atomic
 # file writes, and that no pool, map-keyed MSHR or any-typed payload is back on the
 # memory path, the paper-tables golden (gexp -exp all -scale 1 -paper,
-# byte-identical to the checked-in file), the bench module's
+# byte-identical to the checked-in file), under -full the FSIN/FEXP
+# kernels against their libm definition on every float32 they accept,
+# the bench module's
 # own tests, the allocation budget of the cycle path,
 # a fuzz smoke pass over the assembler, ISA evaluator, warp executor and
 # checkpoint decoder, an invariant-audited tier-1 run (plus the two-level
@@ -198,6 +200,11 @@ echo "== benchmark smoke + allocs/op gate (tools/bench.sh -quick)"
 
 echo "== allocation budget (mallocs per 1000 simulated cycles, lavaMD + MUM)"
 go test -count=1 -run 'TestAllocationBudget' ./internal/gpu/
+
+if [ -z "$short" ]; then
+    echo "== SFU kernels vs their libm definition, every accepted float32 (~2 min on 2 CPUs)"
+    go test -count=1 -run TestSFUKernelsMatchLibm -timeout 60m ./internal/isa/ -exhaustive
+fi
 
 echo "== fuzz smoke (asm parser, ISA evaluator, warp executor vs per-lane reference, checkpoint decoder)"
 go test -fuzz=FuzzAssemble -fuzztime=10s ./internal/asm/
