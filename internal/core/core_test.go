@@ -219,12 +219,12 @@ func TestRegisterLockLifecycle(t *testing.T) {
 
 	// Warp 0 of A finishes: its pair lock frees, but warp 1 still holds,
 	// so B remains blocked entirely.
-	m.WarpFinished(slotA, 0)
+	m.ReleaseReg(slotA, 0)
 	if m.TryAcquireReg(slotB, 0) {
 		t.Fatal("rule (b): B must wait until ALL of A's lock holders finish")
 	}
 	// Warp 1 of A finishes: now B can acquire and takes ownership.
-	m.WarpFinished(slotA, 1)
+	m.ReleaseReg(slotA, 1)
 	if !m.TryAcquireReg(slotB, 0) {
 		t.Fatal("B blocked after all A locks released")
 	}

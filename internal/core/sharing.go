@@ -243,16 +243,11 @@ func (m *Manager) TryAcquireSmem(slot int) bool {
 	return true
 }
 
-// WarpFinished releases any register lock held by the finished warp.
-func (m *Manager) WarpFinished(slot, warpInCta int) {
-	m.ReleaseReg(slot, warpInCta)
-}
-
-// ReleaseReg drops the pair lock held by a warp, if any. Besides warp
-// completion, the simulator calls this for the §VIII future-work
-// extension: once live-range analysis proves a warp cannot touch the
-// shared register pool again, its lock is released early so the partner
-// warp can proceed.
+// ReleaseReg drops the pair lock held by a warp, if any. The simulator
+// calls it when a warp finishes and, for the §VIII future-work
+// extension, once live-range analysis proves a warp cannot touch the
+// shared register pool again, so its lock is released early and the
+// partner warp can proceed.
 func (m *Manager) ReleaseReg(slot, warpInCta int) {
 	if m == nil || m.Mode != config.ShareRegisters || !m.Shared(slot) {
 		return

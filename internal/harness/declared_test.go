@@ -14,7 +14,7 @@ func TestDeclarationsWellFormed(t *testing.T) {
 	s := NewSession(1)
 	requests, distinct := 0, map[string]bool{}
 	for _, id := range IDs() {
-		e := experiments()[id]
+		e := experiments().byID[id]
 		if e.id != id || e.title == "" || len(e.rows) == 0 {
 			t.Errorf("%s: incomplete declaration (id %q, title %q, %d rows)", id, e.id, e.title, len(e.rows))
 		}
@@ -51,12 +51,12 @@ func TestDeclarationsWellFormed(t *testing.T) {
 func paperRefProblems(refs map[string]PaperRef, notes map[string]string) []string {
 	var bad []string
 	for id := range notes {
-		if experiments()[id] == nil {
+		if experiments().byID[id] == nil {
 			bad = append(bad, fmt.Sprintf("note %s: no such experiment", id))
 		}
 	}
 	for id, ref := range refs {
-		e := experiments()[id]
+		e := experiments().byID[id]
 		if e == nil {
 			bad = append(bad, fmt.Sprintf("%s: no such experiment", id))
 			continue

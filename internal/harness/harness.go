@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -100,7 +99,8 @@ func (t *Table) FormatPaper() string {
 
 // Markdown renders the table as a GitHub-flavoured Markdown table. When
 // ref is non-nil, each measured cell is followed by the paper's value in
-// parentheses.
+// parentheses and the experiment's PaperNotes caveat follows the table,
+// as in FormatPaper.
 func (t *Table) Markdown(ref PaperRef) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### %s — %s\n\n", t.ID, t.Title)
@@ -114,7 +114,9 @@ func (t *Table) Markdown(ref PaperRef) string {
 	}
 	b.WriteString("\n")
 	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "| %s |", r.Name)
+		// A tenancy row names its tenants "a|b"; a bare pipe would split
+		// the cell.
+		fmt.Fprintf(&b, "| %s |", strings.ReplaceAll(r.Name, "|", `\|`))
 		for ci, v := range r.Cells {
 			cell := fmt.Sprintf(" %.2f", v)
 			if ref != nil {
@@ -128,6 +130,9 @@ func (t *Table) Markdown(ref PaperRef) string {
 	}
 	if t.Notes != "" {
 		fmt.Fprintf(&b, "\n*note: %s*\n", t.Notes)
+	}
+	if note := PaperNotes[t.ID]; ref != nil && note != "" {
+		fmt.Fprintf(&b, "\n*paper note: %s*\n", note)
 	}
 	b.WriteString("\n")
 	return b.String()
@@ -274,34 +279,37 @@ func (e *experiment) sims() []sim {
 	return out
 }
 
+// registry holds the declared experiments by id and their ids in
+// declaration order.
+type registry struct {
+	byID map[string]*experiment
+	ids  []string
+}
+
 // experiments is the registry, declared on first use: a process that
 // never renders an experiment (the daemons import this package through
 // the facade) builds none.
-var experiments = sync.OnceValue(func() map[string]*experiment {
-	m := map[string]*experiment{}
+var experiments = sync.OnceValue(func() registry {
+	r := registry{byID: map[string]*experiment{}}
 	for _, e := range slices.Concat(paperExperiments(), ablationExperiments(), tenancyExperiments()) {
-		m[e.id] = &e
+		r.byID[e.id] = &e
+		r.ids = append(r.ids, e.id)
 	}
-	return m
+	return r
 })
 
 func lookup(id string) (*experiment, error) {
-	e, ok := experiments()[id]
+	e, ok := experiments().byID[id]
 	if !ok {
 		return nil, fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
 	}
 	return e, nil
 }
 
-// IDs returns every experiment id in sorted order.
-func IDs() []string {
-	ids := make([]string, 0, len(experiments()))
-	for id := range experiments() {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
+// IDs returns every experiment id in declaration order: the paper's
+// figures and tables, hw, the ext-* studies, then the ten-* tenancy
+// tables. It is the order of gexp -exp all and of EXPERIMENTS.md.
+func IDs() []string { return slices.Clone(experiments().ids) }
 
 // Session renders experiments on top of the internal/runner job farm:
 // every declared simulation becomes a descriptor-addressed job, results

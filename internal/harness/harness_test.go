@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,11 +14,11 @@ import (
 // one test, so the test drives it through the public Session.Experiment.
 func declareForTest(t *testing.T, e experiment) {
 	t.Helper()
-	if _, dup := experiments()[e.id]; dup {
+	if _, dup := experiments().byID[e.id]; dup {
 		t.Fatalf("experiment id %q already declared", e.id)
 	}
-	experiments()[e.id] = &e
-	t.Cleanup(func() { delete(experiments(), e.id) })
+	experiments().byID[e.id] = &e
+	t.Cleanup(func() { delete(experiments().byID, e.id) })
 }
 
 // ipcRow declares a one-row experiment with one IPC cell per simulation.
@@ -30,7 +32,8 @@ func ipcRow(id string, sims ...sim) experiment {
 }
 
 func TestExperimentIDsComplete(t *testing.T) {
-	// One experiment per paper artifact.
+	// One experiment per paper artifact, in declaration order: the paper's
+	// figures and tables, hw, the ext-* studies, then the ten-* tables.
 	want := []string{
 		"fig1a", "fig1b", "fig1c", "fig1d",
 		"fig8a", "fig8b", "fig8c", "fig8d",
@@ -42,18 +45,37 @@ func TestExperimentIDsComplete(t *testing.T) {
 		"ext-rfbanks",
 		"ten-interference", "ten-isolation", "ten-packing",
 	}
-	ids := IDs()
-	have := map[string]bool{}
-	for _, id := range ids {
-		have[id] = true
+	if ids := IDs(); !slices.Equal(ids, want) {
+		t.Errorf("IDs() = %v\nwant    %v", ids, want)
 	}
-	for _, id := range want {
-		if !have[id] {
-			t.Errorf("experiment %s missing", id)
+}
+
+// generatedMarker is the line of EXPERIMENTS.md after which the file is
+// the named command's stdout, byte for byte (tools/check.sh cmp's it).
+const generatedMarker = "<!-- generated: go run ./cmd/gexp -exp all -scale 2 -md -paper (do not edit below) -->"
+
+// TestExperimentsMarkdownCoversIDs: EXPERIMENTS.md, below its generated
+// marker, holds exactly one "### <id> — " heading per experiment, in
+// IDs() order, so a new experiment cannot be left out of the report.
+// Simulates nothing; tools/check.sh compares the cells themselves.
+func TestExperimentsMarkdownCoversIDs(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, generated, ok := strings.Cut(string(doc), "\n"+generatedMarker+"\n")
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md has no line %q", generatedMarker)
+	}
+	var headings []string
+	for _, line := range strings.Split(generated, "\n") {
+		if rest, ok := strings.CutPrefix(line, "### "); ok {
+			id, _, _ := strings.Cut(rest, " — ")
+			headings = append(headings, id)
 		}
 	}
-	if len(ids) != len(want) {
-		t.Errorf("have %d experiments, want %d: %v", len(ids), len(want), ids)
+	if want := IDs(); !slices.Equal(headings, want) {
+		t.Errorf("EXPERIMENTS.md tables = %v\nwant      %v\n(regenerate the report below the marker)", headings, want)
 	}
 }
 
@@ -444,5 +466,24 @@ func TestMarkdownOutput(t *testing.T) {
 	// Without a reference, no paper annotations appear.
 	if strings.Contains(tab.Markdown(nil), "paper:") {
 		t.Error("nil ref must not produce paper annotations")
+	}
+	// A tenancy row's pipe is escaped, not a column break.
+	pair := &Table{ID: "p", Title: "p", Columns: []string{"c"}, Rows: []RowData{{"a|b", []float64{1}}}}
+	if md := pair.Markdown(nil); !strings.Contains(md, `| a\|b | 1.00 |`) {
+		t.Errorf("pipe in a row name not escaped:\n%s", md)
+	}
+	// The paper's caveats ride with its values, as in FormatPaper.
+	for _, id := range []string{"fig8d", "table5", "table7"} {
+		note := PaperNotes[id]
+		if note == "" {
+			t.Fatalf("%s has no paper note", id)
+		}
+		tab := &Table{ID: id, Title: id, Columns: []string{"c"}, Rows: []RowData{{"r", []float64{1}}}}
+		if md := tab.Markdown(PaperRefs[id]); !strings.Contains(md, note) {
+			t.Errorf("%s: paper note missing with a paper ref:\n%s", id, md)
+		}
+		if md := tab.Markdown(nil); strings.Contains(md, note) {
+			t.Errorf("%s: paper note rendered without a paper ref:\n%s", id, md)
+		}
 	}
 }

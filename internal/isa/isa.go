@@ -133,17 +133,11 @@ func UnitOf(op Opcode) Unit {
 	}
 }
 
-// IsMem reports whether the opcode accesses memory.
-func IsMem(op Opcode) bool { return op == LDG || op == STG || op == LDS || op == STS }
-
 // IsGlobalMem reports whether the opcode accesses global memory.
 func IsGlobalMem(op Opcode) bool { return op == LDG || op == STG }
 
 // IsSharedMem reports whether the opcode accesses scratchpad memory.
 func IsSharedMem(op Opcode) bool { return op == LDS || op == STS }
-
-// IsControl reports whether the opcode alters control flow or warp state.
-func IsControl(op Opcode) bool { return op == BRA || op == BAR || op == EXIT }
 
 // CmpOp is the comparison performed by SETP.
 type CmpOp uint8

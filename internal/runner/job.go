@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime/debug"
+	"strings"
 
 	"gpushare/internal/config"
 	"gpushare/internal/gpu"
@@ -42,19 +43,22 @@ type Job struct {
 	Tenancy *tenancy.Spec
 }
 
+// Label names what the job runs: the workload for a single kernel,
+// "policy(tenant+tenant)" for a multi-kernel job.
+func (j Job) Label() string {
+	if j.Tenancy == nil {
+		return j.Workload
+	}
+	names := make([]string, len(j.Tenancy.Tenants))
+	for i := range names {
+		names[i] = j.Tenancy.TenantName(i)
+	}
+	return fmt.Sprintf("%s(%s)", j.Tenancy.Policy, strings.Join(names, "+"))
+}
+
 // String renders a short human-readable job label for errors and logs.
 func (j Job) String() string {
-	if j.Tenancy != nil {
-		names := ""
-		for i := range j.Tenancy.Tenants {
-			if i > 0 {
-				names += "+"
-			}
-			names += j.Tenancy.TenantName(i)
-		}
-		return fmt.Sprintf("%s(%s) [%s] scale=%d", j.Tenancy.Policy, names, j.Config.String(), j.Scale)
-	}
-	return fmt.Sprintf("%s [%s] scale=%d", j.Workload, j.Config.String(), j.Scale)
+	return fmt.Sprintf("%s [%s] scale=%d", j.Label(), j.Config.String(), j.Scale)
 }
 
 // Key returns the job's content-addressed identity: the hex SHA-256 of
@@ -91,19 +95,30 @@ func (j Job) Key() (string, error) {
 // running binary's are re-simulated, never trusted.
 func Fingerprint() string {
 	fp := gpu.Version
+	rev, dirty := VCS()
+	if rev != "" {
+		fp += "+" + rev
+	}
+	if dirty {
+		fp += "+dirty"
+	}
+	return fp
+}
+
+// VCS reports the commit revision and dirty marker the binary was built
+// from; both are zero when it carries no VCS build info.
+func VCS() (revision string, dirty bool) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
 			switch s.Key {
 			case "vcs.revision":
-				fp += "+" + s.Value
+				revision = s.Value
 			case "vcs.modified":
-				if s.Value == "true" {
-					fp += "+dirty"
-				}
+				dirty = s.Value == "true"
 			}
 		}
 	}
-	return fp
+	return revision, dirty
 }
 
 // simulate executes the job's simulation from scratch or from a

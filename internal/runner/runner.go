@@ -177,12 +177,6 @@ func (r *Runner) RunJob(j Job) (*stats.GPU, error) {
 	return res.Stats, res.Err
 }
 
-// RunJobCtx is RunJob under a context.
-func (r *Runner) RunJobCtx(ctx context.Context, j Job) (*stats.GPU, error) {
-	res := r.DoCtx(ctx, j)
-	return res.Stats, res.Err
-}
-
 // Do executes one job through the cache and reports its provenance.
 // Concurrent Do calls for the same job key share a single execution.
 func (r *Runner) Do(j Job) Result { return r.DoCtx(context.Background(), j) }

@@ -326,7 +326,7 @@ func (c *Core) enter(j *Job, state string) {
 // stamp fills a status's identifying fields from the job (all empty for
 // a disk hit fetched by key alone: no submission came with it).
 func (c *Core) stamp(j *Job, res JobStatus) JobStatus {
-	res.Key, res.Workload, res.Scale = j.Key, jobLabel(j.Run), j.Run.Scale
+	res.Key, res.Workload, res.Scale = j.Key, j.Run.Label(), j.Run.Scale
 	return res
 }
 

@@ -279,16 +279,7 @@ func (c *Core) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // toolchain, and VCS revision when present.
 func Build() BuildInfo {
 	b := BuildInfo{Fingerprint: runner.Fingerprint(), GoVersion: runtime.Version()}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				b.Revision = s.Value
-			case "vcs.modified":
-				b.Dirty = s.Value == "true"
-			}
-		}
-	}
+	b.Revision, b.Dirty = runner.VCS()
 	return b
 }
 

@@ -269,23 +269,6 @@ func BuildJob(req *SubmitRequest) (runner.Job, string, error) {
 func (r *SubmitRequest) Base() *SubmitRequest               { return r }
 func (r *SubmitRequest) Build() (runner.Job, string, error) { return BuildJob(r) }
 
-// jobLabel renders a job's workload field for status responses: the
-// workload name for single-kernel jobs, "policy(tenant+tenant)" for
-// multi-tenant ones.
-func jobLabel(j runner.Job) string {
-	if j.Tenancy == nil {
-		return j.Workload
-	}
-	names := ""
-	for i := range j.Tenancy.Tenants {
-		if i > 0 {
-			names += "+"
-		}
-		names += j.Tenancy.TenantName(i)
-	}
-	return fmt.Sprintf("%s(%s)", j.Tenancy.Policy, names)
-}
-
 // cancelJob aborts one job by key: a queued job leaves the queue and
 // turns canceled without ever running, a running job's context is
 // canceled so it stops within one cancellation stride, and a terminal

@@ -277,21 +277,7 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 			return fmt.Errorf("SM%d: live block slot %d has %d scratchpad bytes, kernel %s needs %d",
 				sm.ID, i, len(b.smem), k.Name, k.SmemPerBlock+4)
 		}
-		ctaX, ctaY := b.ctaID, 0
-		if t.launch.GridDimY > 1 {
-			ctaX, ctaY = b.ctaID%t.launch.GridDim, b.ctaID/t.launch.GridDim
-		}
-		b.env = warp.Env{
-			CtaID:     ctaX,
-			CtaIDY:    ctaY,
-			GridDim:   t.launch.GridDim,
-			GridDimY:  t.launch.GridDimY,
-			BlockDim:  k.BlockDim,
-			BlockDimY: k.BlockDimY,
-			Params:    t.launch.Params,
-			Gmem:      sm.memSys.Global,
-			Smem:      b.smem,
-		}
+		sm.bindEnv(b)
 		for wi := 0; wi < b.wpb; wi++ {
 			w := sm.warps[b.warpBase+wi].w
 			w.BindBlock(&b.env, w.WarpInCta)

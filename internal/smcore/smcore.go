@@ -212,6 +212,29 @@ func (sm *SM) FinishedSlots() []int {
 	return s
 }
 
+// bindEnv builds the block's kernel environment from its CTA id, its
+// scratchpad and its tenant's launch, for a fresh launch and a restore
+// alike.
+func (sm *SM) bindEnv(b *blockCtx) {
+	t := &sm.tens[b.tn]
+	k := t.launch.Kernel
+	ctaX, ctaY := b.ctaID, 0
+	if t.launch.GridDimY > 1 {
+		ctaX, ctaY = b.ctaID%t.launch.GridDim, b.ctaID/t.launch.GridDim
+	}
+	b.env = warp.Env{
+		CtaID:     ctaX,
+		CtaIDY:    ctaY,
+		GridDim:   t.launch.GridDim,
+		GridDimY:  t.launch.GridDimY,
+		BlockDim:  k.BlockDim,
+		BlockDimY: k.BlockDimY,
+		Params:    t.launch.Params,
+		Gmem:      sm.memSys.Global,
+		Smem:      b.smem,
+	}
+}
+
 // LaunchBlock installs CTA ctaID into the given block slot. New blocks in
 // a pair slot whose partner is live start as non-owner (ownership is
 // already held by the surviving partner after a transfer). Launching
@@ -245,21 +268,7 @@ func (sm *SM) LaunchBlock(slot, ctaID int) error {
 			clear(b.smem)
 		}
 	}
-	ctaX, ctaY := ctaID, 0
-	if t.launch.GridDimY > 1 {
-		ctaX, ctaY = ctaID%t.launch.GridDim, ctaID/t.launch.GridDim
-	}
-	b.env = warp.Env{
-		CtaID:     ctaX,
-		CtaIDY:    ctaY,
-		GridDim:   t.launch.GridDim,
-		GridDimY:  t.launch.GridDimY,
-		BlockDim:  k.BlockDim,
-		BlockDimY: k.BlockDimY,
-		Params:    t.launch.Params,
-		Gmem:      sm.memSys.Global,
-		Smem:      b.smem,
-	}
+	sm.bindEnv(b)
 	threadsLeft := k.Threads()
 	for wi := 0; wi < t.wpb; wi++ {
 		lanes := min(threadsLeft, kernel.WarpSize)

@@ -474,7 +474,7 @@ func (sm *SM) warpFinished(ws int) {
 	b := &sm.blocks[bs]
 	t := &sm.tens[b.tn]
 	ls := bs - t.blockBase
-	t.shr.WarpFinished(ls, wc.w.WarpInCta)
+	t.shr.ReleaseReg(ls, wc.w.WarpInCta)
 	b.activeWarps--
 	if b.activeWarps > 0 {
 		sm.checkBarrier(bs)
@@ -507,12 +507,6 @@ func (sm *SM) FinalizeStats() {
 		sm.Stats.OwnershipXfers += sm.tens[i].shr.OwnershipXfers
 	}
 	sm.Stats.DynProbFinal = sm.dynProb
-}
-
-// PendingWork reports whether the SM still has in-flight writebacks or
-// outstanding memory requests (used for end-of-run draining assertions).
-func (sm *SM) PendingWork() bool {
-	return sm.wb.count > 0 || sm.mshr.Len() > 0
 }
 
 // rfConflictCycles returns the extra operand-read cycles caused by

@@ -247,11 +247,11 @@ func DecodeJSON(b []byte) (*GPU, error) {
 	return g, nil
 }
 
-// Merge accumulates another run's counters into g, for aggregate
-// reporting over a sweep of independent simulations: cycles and all
-// event counters sum, per-SM counters sum index-wise (the SM slice
-// grows to cover other's), and ResidentTB keeps the maximum. Merged
-// ratios (IPC, miss rates) are then sweep totals, not per-run values.
+// Merge accumulates another time slice's counters into g (the
+// time-slice tenancy bank): cycles and the L1/L2/DRAM counters sum,
+// per-SM counters sum index-wise (the SM slice grows to cover other's),
+// and the resident-block peaks keep the maximum. Per-tenant and
+// per-partition breakdowns are not merged; a slice carries neither.
 func (g *GPU) Merge(other *GPU) {
 	g.Cycles += other.Cycles
 	for len(g.SMs) < len(other.SMs) {
@@ -289,50 +289,6 @@ func (g *GPU) Merge(other *GPU) {
 	g.DRAM.Add(&other.DRAM)
 	if other.ResidentTB > g.ResidentTB {
 		g.ResidentTB = other.ResidentTB
-	}
-	for i := range other.Tenants {
-		o := &other.Tenants[i]
-		if i == len(g.Tenants) {
-			g.Tenants = append(g.Tenants, Tenant{
-				Name: o.Name, Workload: o.Workload,
-				MaxResidentTB: o.MaxResidentTB,
-				ResidentSlots: o.ResidentSlots, SMs: o.SMs,
-			})
-		}
-		m := &g.Tenants[i]
-		m.Cycles += o.Cycles // sweep total, like g.Cycles
-		m.WarpInstrs += o.WarpInstrs
-		m.ThreadInstrs += o.ThreadInstrs
-		m.BlockScoreboard += o.BlockScoreboard
-		m.BlockUnit += o.BlockUnit
-		m.BlockLockWait += o.BlockLockWait
-		m.BlockDynGate += o.BlockDynGate
-		m.BlockMemPipe += o.BlockMemPipe
-		m.BlocksLaunched += o.BlocksLaunched
-		m.BlocksCompleted += o.BlocksCompleted
-		m.BarrierWaits += o.BarrierWaits
-		if o.MaxResidentTB > m.MaxResidentTB {
-			m.MaxResidentTB = o.MaxResidentTB
-		}
-	}
-	for i := range other.MemParts {
-		if i == len(g.MemParts) {
-			g.MemParts = append(g.MemParts, MemPartition{})
-		}
-		m := &g.MemParts[i]
-		o := &other.MemParts[i]
-		m.L2.Add(&o.L2)
-		m.DRAM.Add(&o.DRAM)
-		m.BusyCycles += o.BusyCycles
-		if o.DRAMQueuePeak > m.DRAMQueuePeak {
-			m.DRAMQueuePeak = o.DRAMQueuePeak
-		}
-		if o.MSHRPeak > m.MSHRPeak {
-			m.MSHRPeak = o.MSHRPeak
-		}
-		if o.PendingPeak > m.PendingPeak {
-			m.PendingPeak = o.PendingPeak
-		}
 	}
 }
 

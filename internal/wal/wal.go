@@ -268,14 +268,6 @@ func (l *Log) rewriteLocked() error {
 	return nil
 }
 
-// Lag is the number of accepted-but-unfinished keys the log owes — the
-// work a crash right now would replay.
-func (l *Log) Lag() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.pending)
-}
-
 // Stats snapshots the log's counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()

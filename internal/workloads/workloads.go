@@ -102,15 +102,6 @@ func ByName(name string) (*Spec, error) {
 	return nil, fmt.Errorf("unknown workload %q", name)
 }
 
-// Names returns all workload names in paper order.
-func Names() []string {
-	out := make([]string, len(registry))
-	for i, w := range registry {
-		out[i] = w.Name
-	}
-	return out
-}
-
 // splitmix64 is the deterministic input generator.
 type splitmix64 uint64
 

@@ -11,7 +11,9 @@
 # ledger, no second pair-cost formula), that one function does atomic
 # file writes, and that no pool, map-keyed MSHR or any-typed payload is back on the
 # memory path, the paper-tables golden (gexp -exp all -scale 1 -paper,
-# byte-identical to the checked-in file), under -full the FSIN/FEXP
+# byte-identical to the checked-in file), EXPERIMENTS.md below its
+# generated marker (gexp -exp all -scale 2 -md -paper, byte-identical),
+# under -full the FSIN/FEXP
 # kernels against their libm definition on every float32 they accept,
 # the bench module's
 # own tests, the allocation budget of the cycle path,
@@ -169,6 +171,18 @@ if [ -z "$short" ]; then
     "$smoketmp/gexp" -exp all -scale 1 -paper -j 1 >"$smoketmp/gexp_all_j1.txt"
     cmp "$smoketmp/gexp_all_j1.txt" internal/harness/testdata/gexp_all_scale1.txt
 fi
+
+echo "== EXPERIMENTS.md (below its generated marker: gexp -exp all -scale 2 -md -paper, byte for byte; ~2 min on 2 CPUs)"
+# -strict turns a failed simulation into a failed gate rather than a
+# zeroed cell; with no failure its output is the marker command's.
+marker='<!-- generated: go run ./cmd/gexp -exp all -scale 2 -md -paper (do not edit below) -->'
+grep -qxF -- "$marker" EXPERIMENTS.md || { echo "EXPERIMENTS.md has no line '$marker'" >&2; exit 1; }
+sed '1,/^<!-- generated: /d' EXPERIMENTS.md >"$smoketmp/experiments_md.txt"
+"$smoketmp/gexp" -exp all -scale 2 -md -paper -strict >"$smoketmp/gexp_md.txt"
+cmp "$smoketmp/gexp_md.txt" "$smoketmp/experiments_md.txt" || {
+    echo "EXPERIMENTS.md is stale below its marker; regenerate it with the command in its preamble" >&2
+    exit 1
+}
 
 echo "== go test -race (runner, harness)"
 go test -race $short ./internal/runner/ ./internal/harness/
