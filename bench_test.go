@@ -1,13 +1,8 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (§VI). Each benchmark runs the corresponding harness
-// experiment end to end — workload generation, baseline and sharing
-// configurations, the full cycle-level simulation — and reports the
-// headline numbers as custom metrics, so
+// Benchmarks of the public API's simulation speed: the job farm and one
+// simulator run. The paper's tables and figures are not benchmarks;
+// `gexp -exp all -scale 2 -paper` prints every cell (EXPERIMENTS.md).
 //
-//	go test -bench=. -benchmem
-//
-// reproduces the whole evaluation. Benchmarks use grid scale 1; the
-// reference results in EXPERIMENTS.md use `gexp -exp all -scale 2`.
+//	go test -run '^$' -bench . -benchmem
 package gpushare_test
 
 import (
@@ -17,211 +12,6 @@ import (
 
 	"gpushare"
 )
-
-// runExperiment executes one harness experiment per benchmark iteration
-// with a cold session (no memoization across iterations) and reports the
-// requested cells as benchmark metrics.
-func runExperiment(b *testing.B, id string, metrics map[string][2]string) {
-	b.Helper()
-	var tab *gpushare.ExperimentTable
-	for i := 0; i < b.N; i++ {
-		s := gpushare.NewExperimentSession(1)
-		var err error
-		tab, err = s.Experiment(id)
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-	}
-	for label, rc := range metrics {
-		if v, ok := tab.Cell(rc[0], rc[1]); ok {
-			b.ReportMetric(v, label)
-		} else {
-			b.Fatalf("%s: missing cell %s/%s", id, rc[0], rc[1])
-		}
-	}
-}
-
-// BenchmarkFig1 regenerates Figure 1: baseline resident blocks and
-// resource wastage for the register- and scratchpad-limited sets.
-func BenchmarkFig1(b *testing.B) {
-	for _, id := range []string{"fig1a", "fig1b", "fig1c", "fig1d"} {
-		id := id
-		b.Run(id, func(b *testing.B) {
-			switch id {
-			case "fig1a":
-				runExperiment(b, id, map[string][2]string{"hotspot-blocks": {"hotspot", "Blocks"}})
-			case "fig1b":
-				runExperiment(b, id, map[string][2]string{"hotspot-waste%": {"hotspot", "Wastage%"}})
-			case "fig1c":
-				runExperiment(b, id, map[string][2]string{"lavaMD-blocks": {"lavaMD", "Blocks"}})
-			default:
-				runExperiment(b, id, map[string][2]string{"lavaMD-waste%": {"lavaMD", "Wastage%"}})
-			}
-		})
-	}
-}
-
-// BenchmarkFig8Blocks regenerates Figure 8(a)/(b): resident blocks under
-// 90% sharing.
-func BenchmarkFig8Blocks(b *testing.B) {
-	b.Run("fig8a", func(b *testing.B) {
-		runExperiment(b, "fig8a", map[string][2]string{
-			"hotspot-shared-blocks": {"hotspot", "Shared-OWF-Unroll-Dyn"},
-		})
-	})
-	b.Run("fig8b", func(b *testing.B) {
-		runExperiment(b, "fig8b", map[string][2]string{
-			"lavaMD-shared-blocks": {"lavaMD", "Shared-OWF"},
-		})
-	})
-}
-
-// BenchmarkFig8RegIPC regenerates Figure 8(c): register-sharing IPC
-// improvement over Unshared-LRR for all of Set-1.
-func BenchmarkFig8RegIPC(b *testing.B) {
-	runExperiment(b, "fig8c", map[string][2]string{
-		"hotspot-gain%": {"hotspot", "Improvement%"},
-		"MUM-gain%":     {"MUM", "Improvement%"},
-		"LIB-gain%":     {"LIB", "Improvement%"},
-	})
-}
-
-// BenchmarkFig8SmemIPC regenerates Figure 8(d): scratchpad-sharing IPC
-// improvement over Unshared-LRR for all of Set-2.
-func BenchmarkFig8SmemIPC(b *testing.B) {
-	runExperiment(b, "fig8d", map[string][2]string{
-		"lavaMD-gain%": {"lavaMD", "Improvement%"},
-		"SRAD2-gain%":  {"SRAD2", "Improvement%"},
-	})
-}
-
-// BenchmarkFig9RegAblation regenerates Figure 9(a): the four-step
-// optimization ablation for register sharing.
-func BenchmarkFig9RegAblation(b *testing.B) {
-	runExperiment(b, "fig9a", map[string][2]string{
-		"hotspot-noopt%": {"hotspot", "Shared-LRR-NoOpt"},
-		"hotspot-owf%":   {"hotspot", "Shared-OWF-Unroll-Dyn"},
-	})
-}
-
-// BenchmarkFig9SmemAblation regenerates Figure 9(b): scratchpad sharing
-// with and without OWF.
-func BenchmarkFig9SmemAblation(b *testing.B) {
-	runExperiment(b, "fig9b", map[string][2]string{
-		"SRAD2-noopt%": {"SRAD2", "Shared-LRR-NoOpt"},
-		"SRAD2-owf%":   {"SRAD2", "Shared-OWF"},
-	})
-}
-
-// BenchmarkFig9Cycles regenerates Figure 9(c)/(d): stall and idle cycle
-// decreases under sharing.
-func BenchmarkFig9Cycles(b *testing.B) {
-	b.Run("fig9c", func(b *testing.B) {
-		runExperiment(b, "fig9c", map[string][2]string{
-			"hotspot-stall-dec%": {"hotspot", "StallDecrease%"},
-		})
-	})
-	b.Run("fig9d", func(b *testing.B) {
-		runExperiment(b, "fig9d", map[string][2]string{
-			"lavaMD-idle-dec%": {"lavaMD", "IdleDecrease%"},
-		})
-	})
-}
-
-// BenchmarkFig10 regenerates Figure 10: sharing vs the GTO and two-level
-// baselines.
-func BenchmarkFig10(b *testing.B) {
-	for _, id := range []string{"fig10a", "fig10b", "fig10c", "fig10d"} {
-		id := id
-		row := "hotspot"
-		if id == "fig10b" || id == "fig10d" {
-			row = "lavaMD"
-		}
-		b.Run(id, func(b *testing.B) {
-			runExperiment(b, id, map[string][2]string{
-				fmt.Sprintf("%s-gain%%", row): {row, "Improvement%"},
-			})
-		})
-	}
-}
-
-// BenchmarkFig11 regenerates Figure 11: sharing vs a baseline given
-// twice the physical resource.
-func BenchmarkFig11(b *testing.B) {
-	b.Run("fig11a", func(b *testing.B) {
-		runExperiment(b, "fig11a", map[string][2]string{
-			"hotspot-2xreg-IPC":  {"hotspot", "Unshared-LRR-Reg#65536"},
-			"hotspot-shared-IPC": {"hotspot", "Shared-OWF-Unroll-Dyn-Reg#32768"},
-		})
-	})
-	b.Run("fig11b", func(b *testing.B) {
-		runExperiment(b, "fig11b", map[string][2]string{
-			"lavaMD-2xsmem-IPC": {"lavaMD", "Unshared-LRR-ShMem#32K"},
-			"lavaMD-shared-IPC": {"lavaMD", "Shared-OWF-ShMem#16K"},
-		})
-	})
-}
-
-// BenchmarkFig12 regenerates Figure 12: Set-3 across scheduler/sharing
-// combinations (sharing must be inert).
-func BenchmarkFig12(b *testing.B) {
-	b.Run("fig12a", func(b *testing.B) {
-		runExperiment(b, "fig12a", map[string][2]string{
-			"BFS-lrr-IPC": {"BFS", "Unshared-LRR"},
-			"BFS-owf-IPC": {"BFS", "Shared-OWF-Unroll-Dyn"},
-		})
-	})
-	b.Run("fig12b", func(b *testing.B) {
-		runExperiment(b, "fig12b", map[string][2]string{
-			"NN-lrr-IPC": {"NN", "Unshared-LRR"},
-			"NN-owf-IPC": {"NN", "Shared-OWF"},
-		})
-	})
-}
-
-// BenchmarkTable5 regenerates Table V: IPC vs register sharing percentage.
-func BenchmarkTable5(b *testing.B) {
-	runExperiment(b, "table5", map[string][2]string{
-		"hotspot-0%-IPC":  {"hotspot", "0%"},
-		"hotspot-90%-IPC": {"hotspot", "90%"},
-	})
-}
-
-// BenchmarkTable6 regenerates Table VI: resident blocks vs register
-// sharing percentage (matches the paper exactly).
-func BenchmarkTable6(b *testing.B) {
-	runExperiment(b, "table6", map[string][2]string{
-		"hotspot-90%-blocks": {"hotspot", "90%"},
-		"LIB-90%-blocks":     {"LIB", "90%"},
-	})
-}
-
-// BenchmarkTable7 regenerates Table VII: IPC vs scratchpad sharing
-// percentage.
-func BenchmarkTable7(b *testing.B) {
-	runExperiment(b, "table7", map[string][2]string{
-		"lavaMD-0%-IPC":  {"lavaMD", "0%"},
-		"lavaMD-90%-IPC": {"lavaMD", "90%"},
-	})
-}
-
-// BenchmarkTable8 regenerates Table VIII: resident blocks vs scratchpad
-// sharing percentage (matches the paper exactly).
-func BenchmarkTable8(b *testing.B) {
-	runExperiment(b, "table8", map[string][2]string{
-		"lavaMD-90%-blocks": {"lavaMD", "90%"},
-		"NW1-90%-blocks":    {"NW1", "90%"},
-	})
-}
-
-// BenchmarkHWOverhead regenerates the Section V storage-overhead
-// formulas.
-func BenchmarkHWOverhead(b *testing.B) {
-	runExperiment(b, "hw", map[string][2]string{
-		"register-bits-per-SM":   {"register", "PerSM"},
-		"scratchpad-bits-per-SM": {"scratchpad", "PerSM"},
-	})
-}
 
 // BenchmarkRunnerParallel measures the simulation farm: the same
 // six-job matrix executed sequentially (-j 1) and with one worker per

@@ -1,7 +1,9 @@
 // Command gexp reproduces the paper's evaluation. It runs experiments by
 // id (one per table/figure of the paper) and prints the same rows and
-// series the paper reports, optionally side by side with the paper's
-// published values. Simulations run as descriptor-addressed jobs on a
+// series the paper reports as GitHub-flavoured Markdown tables,
+// optionally annotated with the paper's published values (-paper; the
+// whole evaluation at -scale 2 -paper is EXPERIMENTS.md below its
+// generated marker). Simulations run as descriptor-addressed jobs on a
 // concurrent farm (-j) with an optional on-disk result cache
 // (-cachedir), so repeated sweeps skip already-simulated
 // configurations; parallel runs print tables bit-identical to
@@ -71,8 +73,7 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		verbose  = flag.Bool("v", false, "print per-run progress and cache statistics")
 		verify   = flag.Bool("verify", false, "re-check functional outputs after every run")
-		paper    = flag.Bool("paper", false, "print the paper's reported values next to measured ones")
-		md       = flag.Bool("md", false, "emit GitHub-flavoured Markdown (with paper values when -paper)")
+		paper    = flag.Bool("paper", false, "print the paper's reported values and caveats next to measured ones")
 		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = sequential, results identical either way)")
 		cacheDir = flag.String("cachedir", "", "on-disk result cache directory, reused across runs ('' disables)")
 		invar    = flag.Int64("invariants", 0, "audit simulator invariants every N cycles (0 disables; audited runs cache separately)")
@@ -144,19 +145,11 @@ func main() {
 		if err != nil {
 			exitErr(s, id, err)
 		}
-		if *md {
-			var ref harness.PaperRef
-			if *paper {
-				ref = harness.PaperRefs[id]
-			}
-			fmt.Print(tab.Markdown(ref))
-			continue
-		}
-		fmt.Print(tab.Format())
+		var ref harness.PaperRef
 		if *paper {
-			fmt.Print(tab.FormatPaper())
+			ref = harness.PaperRefs[id]
 		}
-		fmt.Println()
+		fmt.Print(tab.Markdown(ref))
 	}
 	if *verbose {
 		fmt.Fprintf(os.Stderr, "gexp: %s\n", s.Counters())

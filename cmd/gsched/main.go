@@ -69,7 +69,6 @@ func main() {
 		journal  = flag.String("journal", "", "write-ahead queue journal file: admissions are fsync'd before dispatch, and a killed coordinator re-admits unfinished jobs on restart ('' disables)")
 		deadline = flag.Duration("maxdeadline", 10*time.Minute, "cap on client-requested job deadlines")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful drain deadline after SIGTERM")
-		noPre    = flag.Bool("nopreempt", false, "disable checkpoint-based preemption (priorities then only order the queue)")
 	)
 	flag.Var(&workers, "worker", "gserved worker base URL (repeatable)")
 	flag.Parse()
@@ -78,7 +77,6 @@ func main() {
 		CoreOptions:   server.CoreOptions{QueueDepth: *queue, MaxDeadline: *deadline, JournalPath: *journal},
 		LeaseTTL:      *lease,
 		ProbeInterval: *probe,
-		NoPreemption:  *noPre,
 		Workers:       workers,
 		Slots:         *slots,
 	})

@@ -80,12 +80,14 @@ func (s *DirSink) Put(cycle int64, blob []byte) error {
 // WriteFileAtomic replaces path with data so that a reader, or a restart
 // after a crash at any point, sees either the old file or the complete
 // new one: a temp file in the same directory is written, fsync'd, closed
-// and renamed over path. The temp name is path's base plus ".tmp-*",
-// which no checkpoint, cache entry or journal name matches. It is the
-// one atomic write of checkpoints, the runner's result store and the
-// journal's compaction.
+// and renamed over path, and then the directory is fsync'd, because the
+// rename lives in the directory entry and a power cut can otherwise drop
+// it. The temp name is path's base plus ".tmp-*", which no checkpoint,
+// cache entry or journal name matches. It is the one atomic write of
+// checkpoints, the runner's result store and the journal's compaction.
 func WriteFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -101,6 +103,15 @@ func WriteFileAtomic(path string, data []byte) error {
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -56,9 +56,6 @@ func (c *Coordinator) scheduleOnce() {
 		c.bindLocked(j, w, cancel)
 		go c.runDispatch(ctx, j, w)
 	}
-	if c.opts.NoPreemption {
-		return
-	}
 	p := c.q.peekPriority(func(j *fjob) bool { return j.State == JobQueued && due(j) })
 	victim := c.preemptVictimLocked(p)
 	if victim == nil {

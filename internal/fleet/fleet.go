@@ -56,7 +56,7 @@ import (
 )
 
 // Options configures a Coordinator. The zero value is usable: 3s
-// leases probed every second, a 1024-deep queue, preemption on.
+// leases probed every second, a 1024-deep queue.
 type Options struct {
 	// CoreOptions are the lifecycle settings shared with gserved.
 	// QueueDepth here bounds admitted-but-unfinished jobs (0 = 1024).
@@ -68,9 +68,6 @@ type Options struct {
 	// ProbeInterval is the failure-detector sweep period (0 =
 	// LeaseTTL/3). Each sweep probes every worker's /readyz.
 	ProbeInterval time.Duration
-	// NoPreemption disables checkpoint-based preemption: higher-priority
-	// jobs then only jump the queue, never displace a running job.
-	NoPreemption bool
 	// Workers is the static worker set registered at startup, as gserved
 	// base URLs. More can register at runtime via POST /v1/workers.
 	Workers []string

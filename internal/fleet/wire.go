@@ -45,10 +45,9 @@ type SubmitRequest struct {
 	// Weight scales the tenant's fair share (default 1, capped at 100).
 	// The first submission naming a tenant fixes its weight.
 	Weight int `json:"weight,omitempty"`
-	// Priority orders jobs across tenants: higher runs first, and — when
-	// preemption is enabled — a higher-priority arrival may preempt a
-	// running lower-priority job (checkpoint, requeue, resume). Range
-	// [0, 9], default 0.
+	// Priority orders jobs across tenants: higher runs first, and a
+	// higher-priority arrival may preempt a running lower-priority job
+	// (checkpoint, requeue, resume). Range [0, 9], default 0.
 	Priority int `json:"priority,omitempty"`
 }
 

@@ -141,11 +141,12 @@ func reference(cfg config.Config) config.Config {
 
 // legacyLegs maps the subtest names of the determinism tests onto
 // engineModes. The names are stable test IDs from when the engine had
-// four knobs and a worker pool (the driver's floor list allows only a
-// few IDs to go per PR; ROADMAP's housekeeping item retires them):
-// "nosnapshot" legs run the reference, every other leg the optimised
-// engine, so legs that share a mode are repeat runs — which still pin
-// run-to-run repeatability on warm mem/dram sync.Pools.
+// four knobs and a worker pool (ROADMAP's housekeeping item retires
+// them): "nosnapshot" legs run the reference, every other leg the
+// optimised engine, so legs that share a mode are repeat runs in one
+// process. They pin that a simulation leaves no state behind that moves
+// the next one's statistics; the memory path holds no pool to warm
+// (tools/check.sh keeps sync.Pool out of internal/mem and smcore).
 func legacyLegs(names ...string) []engineMode {
 	legs := make([]engineMode, len(names))
 	for i, name := range names {

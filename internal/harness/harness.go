@@ -38,69 +38,12 @@ type RowData struct {
 	Cells []float64
 }
 
-// Format renders the table as aligned text. Numbers are printed with
-// two decimals.
-func (t *Table) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s: %s ==\n", t.ID, t.Title)
-	w := 12
-	for _, c := range t.Columns {
-		if len(c)+2 > w {
-			w = len(c) + 2
-		}
-	}
-	fmt.Fprintf(&b, "%-12s", "")
-	for _, c := range t.Columns {
-		fmt.Fprintf(&b, "%*s", w, c)
-	}
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%-12s", r.Name)
-		for _, v := range r.Cells {
-			fmt.Fprintf(&b, "%*.2f", w, v)
-		}
-		b.WriteByte('\n')
-	}
-	if t.Notes != "" {
-		fmt.Fprintf(&b, "note: %s\n", t.Notes)
-	}
-	return b.String()
-}
-
-// FormatPaper renders the paper's quoted values for this experiment as
-// the text block that follows Format in a report: one line per row the
-// paper quotes, then the experiment's caveat. It is the text twin of
-// Markdown's inline annotations.
-func (t *Table) FormatPaper() string {
-	ref, ok := PaperRefs[t.ID]
-	if !ok {
-		return "(no paper-quoted values for this experiment)\n"
-	}
-	var b strings.Builder
-	b.WriteString("paper-reported values:\n")
-	for _, r := range t.Rows {
-		cells, ok := ref[r.Name]
-		if !ok {
-			continue
-		}
-		fmt.Fprintf(&b, "  %-12s", r.Name)
-		for _, col := range t.Columns {
-			if v, ok := cells[col]; ok {
-				fmt.Fprintf(&b, "  %s=%.2f", col, v)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	if note := PaperNotes[t.ID]; note != "" {
-		fmt.Fprintf(&b, "  note: %s\n", note)
-	}
-	return b.String()
-}
-
-// Markdown renders the table as a GitHub-flavoured Markdown table. When
-// ref is non-nil, each measured cell is followed by the paper's value in
-// parentheses and the experiment's PaperNotes caveat follows the table,
-// as in FormatPaper.
+// Markdown renders the table as a GitHub-flavoured Markdown table, the
+// one rendering of a table (gexp prints it; EXPERIMENTS.md is its
+// output). Numbers are printed with two decimals. When ref is non-nil,
+// each measured cell the paper quotes is followed by the paper's value
+// in parentheses, and the experiment's PaperNotes caveat follows the
+// table.
 func (t *Table) Markdown(ref PaperRef) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### %s — %s\n\n", t.ID, t.Title)

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"fmt"
 	"os"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -52,7 +54,7 @@ func TestExperimentIDsComplete(t *testing.T) {
 
 // generatedMarker is the line of EXPERIMENTS.md after which the file is
 // the named command's stdout, byte for byte (tools/check.sh cmp's it).
-const generatedMarker = "<!-- generated: go run ./cmd/gexp -exp all -scale 2 -md -paper (do not edit below) -->"
+const generatedMarker = "<!-- generated: go run ./cmd/gexp -exp all -scale 2 -paper (do not edit below) -->"
 
 // TestExperimentsMarkdownCoversIDs: EXPERIMENTS.md, below its generated
 // marker, holds exactly one "### <id> — " heading per experiment, in
@@ -273,16 +275,41 @@ func TestSweepZeroAndTenPercentIdentical(t *testing.T) {
 	}
 }
 
+// TestTableFormatAndCell: Markdown, the one rendering of a table,
+// carries every cell of every row at two decimals, and with a paper ref
+// puts each quoted value beside the cell it annotates and nowhere else.
 func TestTableFormatAndCell(t *testing.T) {
 	tab := &Table{ID: "x", Title: "t", Columns: []string{"A", "B"},
-		Rows: []RowData{{"r1", []float64{1, 2}}, {"r2", []float64{3, 4}}}, Notes: "n"}
-	out := tab.Format()
-	for _, want := range []string{"== x: t ==", "r1", "r2", "note: n"} {
+		Rows: []RowData{{"r1", []float64{1, 2.5}}, {"r2", []float64{3, 4.25}}}, Notes: "n"}
+	out := tab.Markdown(nil)
+	for _, want := range []string{"### x — t\n", "| workload | A | B |\n", "*note: n*"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("format missing %q:\n%s", want, out)
+			t.Errorf("markdown missing %q:\n%s", want, out)
 		}
 	}
-	if v, ok := tab.Cell("r2", "B"); !ok || v != 4 {
+	for _, r := range tab.Rows {
+		line := "| " + r.Name + " |"
+		for _, v := range r.Cells {
+			line += fmt.Sprintf(" %.2f |", v)
+		}
+		if !strings.Contains(out, "\n"+line+"\n") {
+			t.Errorf("markdown missing row %q:\n%s", line, out)
+		}
+	}
+	ref := PaperRef{"r1": {"B": 2.4}, "r2": {"A": 3.1}, "r3": {"A": 9}}
+	out = tab.Markdown(ref)
+	for _, want := range []string{
+		"\n| r1 | 1.00 | 2.50 *(paper: 2.40)* |\n",
+		"\n| r2 | 3.00 *(paper: 3.10)* | 4.25 |\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("markdown with ref missing %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "*(paper: "); n != 2 {
+		t.Errorf("%d paper annotations, want 2 (one per quoted cell of a rendered row):\n%s", n, out)
+	}
+	if v, ok := tab.Cell("r2", "B"); !ok || v != 4.25 {
 		t.Errorf("Cell = %v,%v", v, ok)
 	}
 	if _, ok := tab.Cell("r3", "B"); ok {
@@ -320,7 +347,7 @@ func TestSessionCaching(t *testing.T) {
 
 // TestParallelSessionMatchesSequential is the determinism guarantee of
 // the runner rewiring: a session that precomputes the experiment's job
-// matrix on an 8-worker pool renders a table byte-identical to a
+// matrix on an 8-worker pool builds a table equal, float for float, to a
 // strictly sequential session's.
 func TestParallelSessionMatchesSequential(t *testing.T) {
 	if testing.Short() {
@@ -346,9 +373,9 @@ func TestParallelSessionMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if seqTab.Format() != parTab.Format() {
+	if !reflect.DeepEqual(seqTab, parTab) {
 		t.Errorf("parallel table differs from sequential:\n--- sequential\n%s--- parallel\n%s",
-			seqTab.Format(), parTab.Format())
+			seqTab.Markdown(nil), parTab.Markdown(nil))
 	}
 
 	// The precompute pass must have covered the whole matrix: assembling
@@ -372,9 +399,9 @@ func TestParallelSessionMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ownTab.Format() != seqTab.Format() {
+	if !reflect.DeepEqual(ownTab, seqTab) {
 		t.Errorf("pooled table differs from sequential:\n--- sequential\n%s--- pooled\n%s",
-			seqTab.Format(), ownTab.Format())
+			seqTab.Markdown(nil), ownTab.Markdown(nil))
 	}
 	if got := own.Counters().Simulated; got != precomputed {
 		t.Errorf("pooled Experiment simulated %d jobs, Precompute %d", got, precomputed)
@@ -421,7 +448,7 @@ func TestSessionDiskCache(t *testing.T) {
 	}
 	b1, _ := got[0].EncodeJSON()
 	b2, _ := got[1].EncodeJSON()
-	if string(b1) != string(b2) || t1.Format() != t2.Format() {
+	if string(b1) != string(b2) || !reflect.DeepEqual(t1, t2) {
 		t.Error("disk-cached result differs from the original run")
 	}
 }
@@ -472,7 +499,7 @@ func TestMarkdownOutput(t *testing.T) {
 	if md := pair.Markdown(nil); !strings.Contains(md, `| a\|b | 1.00 |`) {
 		t.Errorf("pipe in a row name not escaped:\n%s", md)
 	}
-	// The paper's caveats ride with its values, as in FormatPaper.
+	// The paper's caveats ride with its values.
 	for _, id := range []string{"fig8d", "table5", "table7"} {
 		note := PaperNotes[id]
 		if note == "" {

@@ -168,9 +168,10 @@ func (s *store) load(key string) (*stats.GPU, bool) {
 }
 
 // save writes one disk entry atomically (checkpoint.WriteFileAtomic:
-// temp file, fsync, rename), so concurrent writers, crash-interrupted
-// writes and power loss can never leave a half-written or empty entry
-// visible to readers — or behind a journal that already says "done".
+// temp file, fsync, rename, directory fsync), so concurrent writers,
+// crash-interrupted writes and power loss can never leave a half-written,
+// empty or missing entry visible to readers — or behind a journal that
+// already says "done".
 func (s *store) save(key string, g *stats.GPU) error {
 	raw, err := g.EncodeJSON()
 	if err != nil {

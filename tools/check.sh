@@ -9,11 +9,12 @@
 # that internal/harness still plans by enumeration (no recording pass),
 # that a tenant's blocks are priced by one rule (core.Footprint: no cap
 # ledger, no second pair-cost formula), that one function does atomic
-# file writes, and that no pool, map-keyed MSHR or any-typed payload is back on the
-# memory path, the paper-tables golden (gexp -exp all -scale 1 -paper,
-# byte-identical to the checked-in file), EXPERIMENTS.md below its
-# generated marker (gexp -exp all -scale 2 -md -paper, byte-identical),
-# under -full the FSIN/FEXP
+# file writes, that a table has one renderer (Table.Markdown: no text
+# renderer, no -md flag), and that no pool, map-keyed MSHR or any-typed
+# payload is back on the memory path, EXPERIMENTS.md below its
+# generated marker (gexp -exp all -scale 2 -paper, byte-identical; the
+# one golden of the paper's tables, regenerated at -j 1 too under
+# -full), under -full the FSIN/FEXP
 # kernels against their libm definition on every float32 they accept,
 # the bench module's
 # own tests, the allocation budget of the cycle path,
@@ -162,27 +163,27 @@ echo "== one atomic write (checkpoint.WriteFileAtomic is the only temp-file rena
 n=$(cat $nontest_go | grep -v '^[[:space:]]*//' | grep -c 'os\.Rename(' || true)
 [ "$n" = 1 ] || { echo "$n call sites of os.Rename(, want 1 (a hand-rolled atomic write coming back?)" >&2; exit 1; }
 
-echo "== paper tables golden (gexp -exp all -scale 1 -paper is byte-identical to internal/harness/testdata/gexp_all_scale1.txt)"
-go build -o "$smoketmp/gexp" ./cmd/gexp
-"$smoketmp/gexp" -exp all -scale 1 -paper >"$smoketmp/gexp_all.txt"
-cmp "$smoketmp/gexp_all.txt" internal/harness/testdata/gexp_all_scale1.txt
-if [ -z "$short" ]; then
-    echo "== paper tables golden, sequential (-j 1)"
-    "$smoketmp/gexp" -exp all -scale 1 -paper -j 1 >"$smoketmp/gexp_all_j1.txt"
-    cmp "$smoketmp/gexp_all_j1.txt" internal/harness/testdata/gexp_all_scale1.txt
-fi
+echo "== one table renderer (Table.Markdown is the only rendering of a table; no text renderer, no -md flag)"
+hits=$(grep -n -E 'FormatPaper|func \(t \*Table\) Format\(|"md"' $nontest_go | grep -v ':[[:space:]]*//' || true)
+[ -z "$hits" ] || { echo "a second table renderer or output-format flag is back:" >&2; echo "$hits" >&2; exit 1; }
 
-echo "== EXPERIMENTS.md (below its generated marker: gexp -exp all -scale 2 -md -paper, byte for byte; ~2 min on 2 CPUs)"
+echo "== EXPERIMENTS.md (below its generated marker: gexp -exp all -scale 2 -paper, byte for byte; ~2 min on 2 CPUs)"
 # -strict turns a failed simulation into a failed gate rather than a
 # zeroed cell; with no failure its output is the marker command's.
-marker='<!-- generated: go run ./cmd/gexp -exp all -scale 2 -md -paper (do not edit below) -->'
+go build -o "$smoketmp/gexp" ./cmd/gexp
+marker='<!-- generated: go run ./cmd/gexp -exp all -scale 2 -paper (do not edit below) -->'
 grep -qxF -- "$marker" EXPERIMENTS.md || { echo "EXPERIMENTS.md has no line '$marker'" >&2; exit 1; }
 sed '1,/^<!-- generated: /d' EXPERIMENTS.md >"$smoketmp/experiments_md.txt"
-"$smoketmp/gexp" -exp all -scale 2 -md -paper -strict >"$smoketmp/gexp_md.txt"
+"$smoketmp/gexp" -exp all -scale 2 -paper -strict >"$smoketmp/gexp_md.txt"
 cmp "$smoketmp/gexp_md.txt" "$smoketmp/experiments_md.txt" || {
     echo "EXPERIMENTS.md is stale below its marker; regenerate it with the command in its preamble" >&2
     exit 1
 }
+if [ -z "$short" ]; then
+    echo "== EXPERIMENTS.md, sequential (-j 1: the whole suite's tables equal the parallel sweep's; ~3 min on 2 CPUs)"
+    "$smoketmp/gexp" -exp all -scale 2 -paper -strict -j 1 >"$smoketmp/gexp_md_j1.txt"
+    cmp "$smoketmp/gexp_md_j1.txt" "$smoketmp/experiments_md.txt"
+fi
 
 echo "== go test -race (runner, harness)"
 go test -race $short ./internal/runner/ ./internal/harness/
