@@ -6,7 +6,7 @@
 // Usage:
 //
 //	gsched -addr :8378 -worker http://127.0.0.1:8377 -worker http://127.0.0.1:8380
-//	gsched -addr 127.0.0.1:0 -journal /var/lib/gpushare/gsched.journal
+//	gsched -addr 127.0.0.1:0 -journal /var/lib/gpushare/gsched-journal
 //
 // Endpoints:
 //
@@ -66,7 +66,7 @@ func main() {
 		lease    = flag.Duration("lease", 3*time.Second, "worker lease TTL: a worker silent this long is declared dead and its jobs requeued")
 		probe    = flag.Duration("probe", 0, "heartbeat probe interval (0 = lease/3)")
 		queue    = flag.Int("queue", 1024, "admitted-but-unfinished job bound; beyond it submissions get 429")
-		journal  = flag.String("journal", "", "write-ahead queue journal file: admissions are fsync'd before dispatch, and a killed coordinator re-admits unfinished jobs on restart ('' disables)")
+		journal  = flag.String("journal", "", "write-ahead queue journal directory: each admission is fsync'd there as one record before dispatch, and a killed coordinator re-admits unfinished jobs on restart; a journal file of an earlier version is imported once ('' disables)")
 		deadline = flag.Duration("maxdeadline", 10*time.Minute, "cap on client-requested job deadlines")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful drain deadline after SIGTERM")
 	)

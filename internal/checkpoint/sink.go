@@ -84,7 +84,7 @@ func (s *DirSink) Put(cycle int64, blob []byte) error {
 // rename lives in the directory entry and a power cut can otherwise drop
 // it. The temp name is path's base plus ".tmp-*", which no checkpoint,
 // cache entry or journal name matches. It is the one atomic write of
-// checkpoints, the runner's result store and the journal's compaction.
+// checkpoints, the runner's result store and the journal's records.
 func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
@@ -105,6 +105,12 @@ func WriteFileAtomic(path string, data []byte) error {
 		os.Remove(tmp.Name())
 		return err
 	}
+	return SyncDir(dir)
+}
+
+// SyncDir fsyncs a directory, making the renames, creations and
+// removals in it durable.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -28,7 +28,7 @@ const (
 	StaleSnapshot             // skip a warp-snapshot invalidation: the scheduler keeps ranking on stale state
 	CrashAfterCheckpoint      // crash (panic) right after a checkpoint is durably written, before any journal commit
 	TornCheckpoint            // truncate a checkpoint file after its atomic rename, then crash
-	TornJournal               // write a truncated journal record, emulating a crash mid-append
+	TornJournal               // truncate a journal record after its atomic write, then crash before the accept returns
 	WorkerCrashMidJob         // a gserved worker dies abruptly (kill -9) while a dispatched job is running
 	CrashAfterDispatch        // the gsched coordinator dies between dispatching a job to a worker and recording the ack
 	HeartbeatBlackhole        // a network partition: the worker stays alive but every coordinator probe to it is dropped

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -11,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,7 +69,7 @@ func (w *world) notef(format string, args ...any) {
 
 // open starts a coordinator process over the journal: no loops, two
 // fake workers of two slots each. tear > 0 arms a TornJournal crash on
-// that journal append of this process.
+// that journal accept of this process.
 func (w *world) open(tear int) {
 	owed := w.pending()
 	opts := Options{CoreOptions: server.CoreOptions{QueueDepth: w.bound, JournalPath: w.path}}
@@ -101,21 +100,19 @@ func (w *world) open(tear int) {
 	}
 }
 
-// pending reads the journal as a restart would: accepts without a done.
+// pending reads the journal as a restart would: the records in its
+// directory that decode (a torn one never took effect).
 func (w *world) pending() map[string]bool {
-	raw, err := os.ReadFile(w.path)
+	ents, err := os.ReadDir(w.path)
 	if err != nil && !os.IsNotExist(err) {
 		w.failf("journal: %v", err)
 	}
 	owed := make(map[string]bool)
-	for sc := bufio.NewScanner(bytes.NewReader(raw)); sc.Scan(); {
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(w.path, e.Name()))
 		var rec wal.Record
-		switch {
-		case json.Unmarshal(sc.Bytes(), &rec) != nil: // torn
-		case rec.Op == wal.OpAccept:
-			owed[rec.Key] = true
-		default:
-			delete(owed, rec.Key)
+		if err == nil && json.Unmarshal(raw, &rec) == nil && !strings.Contains(e.Name(), ".tmp-") {
+			owed[e.Name()] = true
 		}
 	}
 	return owed

@@ -20,11 +20,11 @@
 //     means "stop computing here", not "forget the work"), requeues it,
 //     and a later dispatch to any worker sharing the checkpoint
 //     directory resumes from the trail instead of cycle 0.
-//   - Crash tolerance: admissions are fsync'd to the same write-ahead
-//     log machinery gserved uses (internal/wal) before they are
-//     queueable. kill -9 of the coordinator replays every accepted,
-//     unfinished job on restart; kill -9 of a worker is just a lease
-//     expiry. Dispatch state is deliberately not journaled — on replay
+//   - Crash tolerance: each admission is written, fsync'd, as a record
+//     in the same write-ahead journal directory gserved uses
+//     (internal/wal) before it is queueable. kill -9 of the coordinator
+//     replays every accepted, unfinished job on restart; kill -9 of a
+//     worker is just a lease expiry. Dispatch state is deliberately not journaled — on replay
 //     everything pending is re-dispatched, and worker-side dedup by
 //     content key makes the second dispatch either join the in-flight
 //     run or return the cached result.

@@ -722,12 +722,8 @@ func TestCoordinatorAndWorkerAgreeOnJobKey(t *testing.T) {
 			if cst.Key != want || wst.Key != want {
 				t.Fatalf("gsched key %s, gserved key %s, runner key %s", cst.Key, wst.Key, want)
 			}
-			log, err := os.ReadFile(journal)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Contains(log, []byte(`"op":"accept","key":"`+want+`"`)) {
-				t.Fatalf("journal holds no accept record for %s:\n%s", want, log)
+			if _, err := os.Stat(filepath.Join(journal, want)); err != nil {
+				t.Fatalf("journal holds no record for %s: %v", want, err)
 			}
 		})
 	}

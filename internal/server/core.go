@@ -34,12 +34,12 @@ type CoreOptions struct {
 	// are shed with 429.
 	MaxInFlightBytes int64
 	// JournalPath enables the write-ahead job journal ("" disables):
-	// every admission is fsync'd to this JSON-lines file before the job
-	// is visible to any executor, and a daemon killed outright (kill -9)
-	// re-admits its unfinished jobs on the next start.
+	// every admission is written, fsync'd, as a record in this directory
+	// before the job is visible to any executor, and a daemon killed
+	// outright (kill -9) re-admits its unfinished jobs on the next start.
 	JournalPath string
 	// JournalFaults, when non-nil, arms crash-point injection on the
-	// journal's append path (durability tests only).
+	// journal's accept path (durability tests only).
 	JournalFaults *fault.Plan
 }
 
@@ -171,8 +171,8 @@ type Core struct {
 
 // NewCore builds the lifecycle core over be and opens the journal. A
 // journal that will not open is an error on both daemons: an operator
-// who asked for durability must not silently run without it (torn and
-// undecodable lines are not errors; wal.Open skips and counts them).
+// who asked for durability must not silently run without it (undecodable
+// records are not errors; wal.Open drops and counts them).
 // active names the executing state ("running" | "dispatched"). The
 // caller starts its executor, then calls Replay.
 func NewCore(name, active string, opts CoreOptions, be Backend, holdBound time.Duration) (*Core, error) {
@@ -350,7 +350,7 @@ func (c *Core) Replay() {
 		}
 		if err != nil {
 			log.Printf("%s: journal: dropping unreplayable job %s: %v", c.name, rec.Key, err)
-			_ = c.jl.Done(rec.Key) // a failed append is counted in journal.errors
+			_ = c.jl.Done(rec.Key) // a failed removal is counted in journal.errors
 			continue
 		}
 		c.Mu.Lock()
@@ -374,7 +374,7 @@ func (c *Core) Replay() {
 		}
 		c.Mu.Unlock()
 		if key != rec.Key {
-			_ = c.jl.Done(rec.Key) // a failed append is counted in journal.errors
+			_ = c.jl.Done(rec.Key) // a failed removal is counted in journal.errors
 		}
 	}
 }
@@ -417,7 +417,7 @@ func (c *Core) Publish(j *Job, res JobStatus, err error) bool {
 	retire := c.jl != nil && !c.killed && res.State != StateCanceled
 	c.Mu.Unlock()
 	if retire {
-		// A failed append costs a replay of finished work (free: the result
+		// A failed removal costs a replay of finished work (free: the result
 		// is cached), never the result; it is counted in journal.errors.
 		_ = c.jl.Done(j.Key)
 	}
@@ -478,7 +478,7 @@ func (c *Core) Draining() bool {
 // Kill is the abrupt stop used by crash tests: a kill -9 analog that
 // stays in-process. Admission stops, the context is canceled so
 // in-flight work aborts *without* retiring its journal accepts, and the
-// journal file handle drops. Everything durable — journal, result
+// journal is closed to this process. Everything durable — journal, result
 // cache, checkpoint trails — is left exactly as a real kill -9 would
 // leave it; the HTTP listener (owned by the caller) keeps answering so
 // probes see an explicit "dead" readiness state instead of a timeout.
@@ -586,8 +586,7 @@ func (c *Core) statusz() CoreStatus {
 		js := c.jl.Stats()
 		st.Journal = &JournalStatus{
 			Path: c.jl.Path(), Appended: js.Appended, Pending: js.Pending,
-			Replayed: st.Replayed, TornLines: js.TornLines,
-			Errors: js.Errors, Compactions: js.Compactions,
+			Replayed: st.Replayed, Corrupt: js.Corrupt, Errors: js.Errors,
 		}
 	}
 	st.InFlightBytes, st.MaxInFlightBytes = c.inFlightBytes.Load(), c.opts.MaxInFlightBytes

@@ -15,6 +15,7 @@ import (
 	"gpushare/internal/fault"
 	"gpushare/internal/runner"
 	"gpushare/internal/server"
+	"gpushare/internal/wal"
 )
 
 // runnerOptsWithCache shares one disk cache between daemon generations,
@@ -23,7 +24,8 @@ func runnerOptsWithCache(dir string) runner.Options {
 	return runner.Options{CacheDir: filepath.Join(dir, "cache")}
 }
 
-// journalLine renders one WAL record the way the daemon writes it.
+// journalLine renders one record of the JSON-lines journal earlier
+// versions wrote, which a journal opened at its path imports once.
 func journalLine(t *testing.T, op, key string, req *server.SubmitRequest) string {
 	t.Helper()
 	rec := struct {
@@ -38,11 +40,28 @@ func journalLine(t *testing.T, op, key string, req *server.SubmitRequest) string
 	return string(b) + "\n"
 }
 
-// TestJournalReplayAfterKill models a daemon killed outright (kill -9)
-// mid-job: its journal holds an accept with no done record, plus a torn
-// trailing line from a crash mid-append. A fresh daemon pointed at that
-// journal must re-admit and finish the job without any client action,
-// count the torn line, and leave the journal with no pending work.
+// journalAccepts writes a journal at dir owing req under each key, in
+// order, as a daemon killed before finishing any of them leaves it.
+func journalAccepts(t *testing.T, dir string, keys []string, reqs []server.SubmitRequest) {
+	t.Helper()
+	jl, _, err := wal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	for i, key := range keys {
+		if err := jl.Accept(key, &reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestJournalReplayAfterKill models a daemon of an earlier version killed
+// outright (kill -9) mid-job: its JSON-lines journal holds an accept with
+// no done record, plus a torn trailing line from a crash mid-append. A
+// fresh daemon pointed at that journal must import it, re-admit and
+// finish the job without any client action, count the torn line, and
+// leave the journal — now a record directory — with no pending work.
 func TestJournalReplayAfterKill(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "journal.jsonl")
@@ -52,9 +71,9 @@ func TestJournalReplayAfterKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal := journalLine(t, "accept", key, &req)
-	wal += `{"op":"accept","key":"torn-` // crash mid-append: no newline, no close
-	if err := os.WriteFile(jpath, []byte(wal), 0o644); err != nil {
+	legacy := journalLine(t, "accept", key, &req)
+	legacy += `{"op":"accept","key":"torn-` // crash mid-append: no newline, no close
+	if err := os.WriteFile(jpath, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -90,14 +109,17 @@ func TestJournalReplayAfterKill(t *testing.T) {
 	if sz.Journal.Replayed != 1 {
 		t.Fatalf("replayed = %d, want 1", sz.Journal.Replayed)
 	}
-	if sz.Journal.TornLines != 1 {
-		t.Fatalf("torn lines = %d, want 1", sz.Journal.TornLines)
+	if sz.Journal.Corrupt != 1 {
+		t.Fatalf("corrupt records = %d, want the 1 torn line", sz.Journal.Corrupt)
 	}
 	if sz.Journal.Pending != 0 {
 		t.Fatalf("journal lag = %d after completion, want 0", sz.Journal.Pending)
 	}
+	if ents, err := os.ReadDir(jpath); err != nil || len(ents) != 0 {
+		t.Fatalf("journal directory after completion: %d entries, %v; want empty", len(ents), err)
+	}
 
-	// A third daemon over the same (now compacted) journal owes nothing.
+	// A third daemon over the same (now imported) journal owes nothing.
 	if err := s.Drain(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +143,7 @@ func TestJournalReplayAfterKill(t *testing.T) {
 // not left pending forever — so a second start replays nothing.
 func TestJournalReplayUnderChangedKeyRetiresOldRecord(t *testing.T) {
 	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.jsonl")
+	jpath := filepath.Join(dir, "journal")
 
 	req := seededReq(43)
 	key, err := reqJob(req).Key()
@@ -129,9 +151,7 @@ func TestJournalReplayUnderChangedKeyRetiresOldRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	const oldKey = "0000000000000000000000000000000000000000000000000000000000000000"
-	if err := os.WriteFile(jpath, []byte(journalLine(t, "accept", oldKey, &req)), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	journalAccepts(t, jpath, []string{oldKey}, []server.SubmitRequest{req})
 	opts := server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8, JournalPath: jpath},
 		Runner: runnerOptsWithCache(dir)}
 
@@ -168,12 +188,13 @@ func TestJournalReplayUnderChangedKeyRetiresOldRecord(t *testing.T) {
 
 // TestJournalAcceptPrecedesWork: the WAL property itself. A journal
 // armed with a TornJournal crash-point tears the very first accept
-// record mid-append and "crashes" (the panic middleware answers 500).
-// The job was never enqueued — and a restarted daemon over the torn
-// journal must skip the torn line and owe nothing, then serve normally.
+// record and "crashes" (the panic middleware answers 500) before Accept
+// returns. The job was never enqueued — and a restarted daemon over the
+// torn journal must drop the torn record and owe nothing, then serve
+// normally.
 func TestJournalAcceptPrecedesWork(t *testing.T) {
 	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.jsonl")
+	jpath := filepath.Join(dir, "journal")
 
 	_, ts, _ := startDaemon(t, server.Options{
 		Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8, JournalPath: jpath,
@@ -189,12 +210,13 @@ func TestJournalAcceptPrecedesWork(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("injected crash answered %d, want 500", resp.StatusCode)
 	}
-	raw, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
+	ents, err := os.ReadDir(jpath)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("journal after the crash: %d entries, %v; want the 1 torn record", len(ents), err)
 	}
-	if len(raw) == 0 || raw[len(raw)-1] == '\n' {
-		t.Fatalf("journal does not end in a torn record: %q", raw)
+	raw, err := os.ReadFile(filepath.Join(jpath, ents[0].Name()))
+	if err != nil || json.Valid(raw) {
+		t.Fatalf("journal record %q (%v) is not torn", raw, err)
 	}
 
 	_, _, c2 := startDaemon(t, server.Options{
@@ -206,15 +228,15 @@ func TestJournalAcceptPrecedesWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sz.Journal.TornLines != 1 || sz.Journal.Pending != 0 {
-		t.Fatalf("journal = %+v, want 1 torn line and nothing pending", sz.Journal)
+	if sz.Journal.Corrupt != 1 || sz.Journal.Pending != 0 {
+		t.Fatalf("journal = %+v, want 1 corrupt record and nothing pending", sz.Journal)
 	}
 	st, err := c2.SubmitWait(ctx, seededReq(42))
 	if err != nil || st.State != server.StateDone {
 		t.Fatalf("post-recovery submit = %+v, %v; want done", st, err)
 	}
 	if sz, err := c2.Status(ctx); err != nil || sz.Journal.Pending != 0 || sz.Journal.Appended < 2 {
-		t.Fatalf("journal after submit = %+v, %v; want accept+done appended, no lag", sz.Journal, err)
+		t.Fatalf("journal after submit = %+v, %v; want accept+done written, no lag", sz.Journal, err)
 	}
 }
 
@@ -227,10 +249,10 @@ func TestJournalAcceptPrecedesWork(t *testing.T) {
 // start owes nothing.
 func TestJournalReplayLargerThanQueue(t *testing.T) {
 	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.jsonl")
+	jpath := filepath.Join(dir, "journal")
 	const n = 5
-	var wal string
 	keys := make([]string, n)
+	reqs := make([]server.SubmitRequest, n)
 	for i := range keys {
 		req := seededReq(uint64(60 + i))
 		req.Scale = 2 // ~100ms each: the probes below land inside the backlog
@@ -240,12 +262,9 @@ func TestJournalReplayLargerThanQueue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys[i] = key
-		wal += journalLine(t, "accept", key, &req)
+		keys[i], reqs[i] = key, req
 	}
-	if err := os.WriteFile(jpath, []byte(wal), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	journalAccepts(t, jpath, keys, reqs)
 	opts := server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 1, JournalPath: jpath},
 		Runner: runnerOptsWithCache(dir)}
 

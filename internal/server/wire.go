@@ -130,15 +130,15 @@ type ErrorBody struct {
 
 // JournalStatus is the write-ahead job journal's statusz view. Pending
 // is the journal lag: jobs durably accepted but not yet finished — what
-// a crash right now would replay on the next start.
+// a crash right now would replay on the next start. Corrupt counts the
+// records (and imported legacy lines) that did not decode at open.
 type JournalStatus struct {
-	Path        string `json:"path"`
-	Appended    int64  `json:"appended"`
-	Pending     int    `json:"pending"`
-	Replayed    int64  `json:"replayed"`
-	TornLines   int64  `json:"torn_lines"`
-	Errors      int64  `json:"errors"`
-	Compactions int64  `json:"compactions"`
+	Path     string `json:"path"`
+	Appended int64  `json:"appended"`
+	Pending  int    `json:"pending"`
+	Replayed int64  `json:"replayed"`
+	Corrupt  int64  `json:"corrupt"`
+	Errors   int64  `json:"errors"`
 }
 
 // MemStatus aggregates the per-partition memory-system counters of

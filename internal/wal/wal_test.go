@@ -14,20 +14,42 @@ type payload struct {
 	N int `json:"n"`
 }
 
+// keys lists the replayed records' keys in order.
+func keys(recs []Record) string {
+	var ks []string
+	for _, rec := range recs {
+		ks = append(ks, rec.Key)
+	}
+	return strings.Join(ks, ",")
+}
+
+// reopen closes l and opens its directory again.
+func reopen(t *testing.T, l *Log) (*Log, []Record) {
+	t.Helper()
+	l.Close()
+	l2, pending, err := Open(l.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l2.Close)
+	return l2, pending
+}
+
 // TestOpenReplaysPending covers the accept/done model: only accepts
-// without a done record replay, in admission order, with their payloads
-// intact.
+// without a done replay, in admission order across reopens, with their
+// payloads intact, and numbering continues after the highest record.
 func TestOpenReplaysPending(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	l, pending, err := Open(path)
+	l, pending, err := Open(filepath.Join(t.TempDir(), "journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pending) != 0 {
-		t.Fatalf("fresh log replays %d records, want 0", len(pending))
+		t.Fatalf("fresh journal replays %d records, want 0", len(pending))
 	}
-	for i := 0; i < 5; i++ {
-		if err := l.Accept(fmt.Sprintf("k%d", i), payload{N: i}); err != nil {
+	// Names sort against admission order, so a directory listing's order
+	// cannot pass for it.
+	for i, k := range []string{"k4", "k3", "k2", "k1", "k0"} {
+		if err := l.Accept(k, payload{N: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,82 +58,238 @@ func TestOpenReplaysPending(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	l.Close()
-
-	l2, pending, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	var keys []string
-	for _, rec := range pending {
-		keys = append(keys, rec.Key)
-		var p payload
-		if err := json.Unmarshal(rec.Req, &p); err != nil {
-			t.Fatalf("payload for %s does not decode: %v", rec.Key, err)
-		}
-		if want := fmt.Sprintf("k%d", p.N); want != rec.Key {
-			t.Fatalf("payload %d under key %s", p.N, rec.Key)
-		}
-	}
-	if got, want := strings.Join(keys, ","), "k0,k2,k4"; got != want {
+	l, pending = reopen(t, l)
+	if got, want := keys(pending), "k4,k2,k0"; got != want {
 		t.Fatalf("pending = %s, want %s (admission order, dones retired)", got, want)
 	}
+	for i, rec := range pending {
+		var p payload
+		if err := json.Unmarshal(rec.Req, &p); err != nil || p.N != 2*i {
+			t.Fatalf("payload of %s = %s (%v), want n=%d", rec.Key, rec.Req, err, 2*i)
+		}
+	}
+
+	// Admissions after a reopen go after everything replayed, even under
+	// a key that was retired before it.
+	for _, k := range []string{"k3", "a"} {
+		if err := l.Accept(k, payload{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, pending = reopen(t, l)
+	if got, want := keys(pending), "k4,k2,k0,k3,a"; got != want {
+		t.Fatalf("pending after a second reopen = %s, want %s", got, want)
+	}
 }
 
-// TestTornTailTolerated: a truncated last line (crash mid-append) is
-// skipped and counted, and everything before it replays.
-func TestTornTailTolerated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	l, _, err := Open(path)
+// TestReacceptKeepsPosition: accepting a key that is still pending
+// leaves its record alone — first payload, first place in admission
+// order — so an acknowledged record is never rewritten.
+func TestReacceptKeepsPosition(t *testing.T) {
+	l, _, err := Open(filepath.Join(t.TempDir(), "journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Accept("good", payload{N: 1}); err != nil {
+	for _, k := range []string{"a", "b", "c"} {
+		if err := l.Accept(k, payload{N: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Accept("a", payload{N: 2}); err != nil {
 		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Pending != 3 {
+		t.Fatalf("pending = %d after a re-accept, want 3", st.Pending)
+	}
+	_, pending := reopen(t, l)
+	if got := keys(pending); got != "a,b,c" {
+		t.Fatalf("pending = %s, want a,b,c", got)
+	}
+	if string(pending[0].Req) != `{"n":1}` {
+		t.Fatalf("re-accepted payload = %s, want the first one", pending[0].Req)
+	}
+}
+
+// TestOpenDropsLeftoversAndCorruptRecords: an interrupted write's temp
+// file is removed silently; a record that does not decode (torn, empty,
+// no payload) is counted and removed; the good records still replay.
+func TestOpenDropsLeftoversAndCorruptRecords(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "journal")
+	l, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"good1", "good2"} {
+		if err := l.Accept(k, payload{N: 7}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	l.Close()
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
+	for name, body := range map[string]string{
+		"good1.tmp-123": `{"seq":9,"req":{"n":1}}`,
+		"torn":          `{"seq":3,"req":{"n"`,
+		"empty":         ``,
+		"noreq":         `{"seq":4}`,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := f.WriteString(`{"op":"accept","key":"torn","req":{"n"`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	l2, pending, err := Open(path)
+	l2, pending, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if len(pending) != 1 || pending[0].Key != "good" {
-		t.Fatalf("pending = %+v, want just the good record", pending)
+	if got := keys(pending); got != "good1,good2" {
+		t.Fatalf("pending = %s, want good1,good2", got)
 	}
-	if st := l2.Stats(); st.TornLines != 1 {
-		t.Fatalf("torn lines = %d, want 1", st.TornLines)
+	if st := l2.Stats(); st.Corrupt != 3 || st.Pending != 2 {
+		t.Fatalf("stats = %+v, want 3 corrupt and 2 pending", st)
 	}
-}
-
-// TestLiveCompactionUnderLoad hammers one log from many goroutines —
-// each accepting and retiring its own key stream while a subset of keys
-// is left owed — so live compaction races concurrent appends. The
-// coordinator reuses this journal for its queue state, so the property
-// under test is the fleet's durability floor: whatever interleaving of
-// appends and rewrites happens, a reopen must owe exactly the keys that
-// were accepted and never retired, and the file must stay bounded by
-// the backlog rather than by history.
-func TestLiveCompactionUnderLoad(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	l, _, err := Open(path)
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.CompactEvery = 8 // compact aggressively so rewrites race appends
+	if len(ents) != 2 {
+		t.Fatalf("journal directory holds %d entries after open, want the 2 records", len(ents))
+	}
+}
 
+// TestClosedJournalRefusesWrites: after Close (a drain, or Kill's kill -9
+// emulation) Accept and Done fail and are counted, and the record of
+// the unfinished job stays for the next start.
+func TestClosedJournalRefusesWrites(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "journal")
+	l, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Accept("owed", payload{}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if err := l.Done("owed"); err == nil {
+		t.Fatal("Done after Close succeeded")
+	}
+	if err := l.Accept("late", payload{}); err == nil {
+		t.Fatal("Accept after Close succeeded")
+	}
+	if st := l.Stats(); st.Errors != 2 {
+		t.Fatalf("errors = %d, want 2", st.Errors)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "owed")); err != nil {
+		t.Fatalf("record of the unfinished job is gone: %v", err)
+	}
+}
+
+// TestKeyIsOnePathElement: a key that is not a single file name of the
+// journal directory, or that could pass for a temp file, is refused.
+func TestKeyIsOnePathElement(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "journal")
+	l, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, key := range []string{"", ".", "..", ".hidden", "a/b", "../escape", `a\b`, "k.tmp-1"} {
+		if err := l.Accept(key, payload{}); err == nil {
+			t.Errorf("Accept(%q) succeeded", key)
+		}
+		if err := l.Done(key); err == nil {
+			t.Errorf("Done(%q) succeeded", key)
+		}
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("refused keys left %d entries in the journal", len(ents))
+	}
+	if _, err := os.Stat(filepath.Join(filepath.Dir(dir), "escape")); !os.IsNotExist(err) {
+		t.Fatalf("a key escaped the journal directory: %v", err)
+	}
+}
+
+// legacy is a JSON-lines journal as earlier versions wrote it: a1 and a3
+// are owed, a2 was retired, a1 was accepted twice, and the tail is torn
+// by a crash mid-append.
+const legacy = `{"op":"accept","key":"a1","req":{"n":1}}
+{"op":"accept","key":"a2","req":{"n":2}}
+{"op":"accept","key":"a3","req":{"n":3}}
+{"op":"done","key":"a2"}
+{"op":"accept","key":"a1","req":{"n":11}}
+{"op":"accept","key":"torn","req":{"n"`
+
+// TestTornTailTolerated: a JSON-lines journal left at the path is
+// imported once — its owed accepts in admission order, the torn tail
+// counted and dropped — and the path becomes the record directory.
+func TestTornTailTolerated(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, pending, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := keys(pending); got != "a1,a3" {
+		t.Fatalf("imported = %s, want a1,a3", got)
+	}
+	if string(pending[0].Req) != `{"n":1}` {
+		t.Fatalf("a1 payload = %s, want the first accept's, as a re-accept keeps it", pending[0].Req)
+	}
+	if st := l.Stats(); st.Corrupt != 1 || st.Pending != 2 {
+		t.Fatalf("stats = %+v, want 1 corrupt line and 2 pending", st)
+	}
+	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+		t.Fatalf("journal path after import: %v, %v; want a directory", fi, err)
+	}
+	if _, err := os.Stat(path + ".import"); !os.IsNotExist(err) {
+		t.Fatalf("import copy left behind: %v", err)
+	}
+	// The import happens once: a reopen reads the records.
+	if _, pending = reopen(t, l); keys(pending) != "a1,a3" {
+		t.Fatalf("reopen after import = %s, want a1,a3", keys(pending))
+	}
+}
+
+// TestImportResumesAfterCrash: a crash mid-import leaves the copy of the
+// old file beside a partial directory (here: a stale record the old
+// file does not owe); the next Open redoes the import from the copy.
+func TestImportResumesAfterCrash(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path+".import", []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(path, "a2"), []byte(`{"seq":2,"req":{"n":2}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, pending, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := keys(pending); got != "a1,a3" {
+		t.Fatalf("resumed import = %s, want a1,a3", got)
+	}
+	if _, err := os.Stat(path + ".import"); !os.IsNotExist(err) {
+		t.Fatalf("import copy left behind: %v", err)
+	}
+}
+
+// TestConcurrentAcceptDone hammers one journal from many goroutines,
+// each accepting and retiring its own key stream while a subset of keys
+// is left owed: a reopen must owe exactly the keys that were accepted
+// and never retired, and the directory holds nothing else.
+func TestConcurrentAcceptDone(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "journal")
+	l, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const (
 		goroutines = 8
-		perG       = 60
+		perG       = 30
 		keepEvery  = 10 // every 10th key stays pending
 	)
 	var wg sync.WaitGroup
@@ -137,83 +315,25 @@ func TestLiveCompactionUnderLoad(t *testing.T) {
 	wg.Wait()
 
 	wantPending := goroutines * (perG / keepEvery)
-	if st := l.Stats(); st.Pending != wantPending {
-		t.Fatalf("pending = %d, want %d", st.Pending, wantPending)
+	if st := l.Stats(); st.Pending != wantPending || st.Errors != 0 {
+		t.Fatalf("stats = %+v, want %d pending and no errors", st, wantPending)
 	}
-	if st := l.Stats(); st.Compactions == 0 {
-		t.Fatal("no live compactions ran; the load test exercised nothing")
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != wantPending {
+		t.Fatalf("journal directory holds %d entries (%v), want %d", len(ents), err, wantPending)
 	}
-	if st := l.Stats(); st.Errors != 0 {
-		t.Fatalf("append/compact errors = %d, want 0", st.Errors)
-	}
-	l.Close()
-
-	// The surviving file must be bounded by the backlog: pending accepts
-	// plus at most one uncompacted window of churn, nowhere near the
-	// full goroutines*perG history.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := 0
-	for _, ln := range strings.Split(string(raw), "\n") {
-		if strings.TrimSpace(ln) != "" {
-			lines++
-		}
-	}
-	maxLines := wantPending + 3*l.CompactEvery*goroutines
-	if lines > maxLines {
-		t.Fatalf("journal holds %d lines after load, want <= %d (compaction is not bounding it)", lines, maxLines)
-	}
-
-	// Reopen: exactly the never-retired keys are owed.
-	l2, pending, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
+	_, pending := reopen(t, l)
 	got := make(map[string]bool, len(pending))
 	for _, rec := range pending {
 		got[rec.Key] = true
 	}
-	if len(got) != wantPending {
-		t.Fatalf("reopen owes %d keys, want %d", len(got), wantPending)
-	}
 	for g := 0; g < goroutines; g++ {
 		for i := 0; i < perG; i += keepEvery {
-			key := fmt.Sprintf("g%d-k%d", g, i)
-			if !got[key] {
+			if key := fmt.Sprintf("g%d-k%d", g, i); !got[key] {
 				t.Fatalf("reopen lost owed key %s", key)
 			}
 		}
 	}
-}
-
-// TestCompactionPreservesAppendHandle: appends after a live compaction
-// land in the new file, not the unlinked old inode.
-func TestCompactionPreservesAppendHandle(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	l, _, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.CompactEvery = 1 // every Done rewrites
-	if err := l.Accept("a", payload{N: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Done("a"); err != nil { // triggers rewrite to empty
-		t.Fatal(err)
-	}
-	if err := l.Accept("b", payload{N: 1}); err != nil { // post-rewrite append
-		t.Fatal(err)
-	}
-	l.Close()
-	l2, pending, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if len(pending) != 1 || pending[0].Key != "b" {
-		t.Fatalf("pending = %+v, want just b", pending)
+	if len(got) != wantPending {
+		t.Fatalf("reopen owes %d keys, want %d", len(got), wantPending)
 	}
 }

@@ -11,8 +11,14 @@
 # The gate is allocation counts plus ns/op drift: allocs/op is stable
 # across machines and load, so check.sh can fail hard on any growth;
 # ns/op is gated with a tolerance (15% in full mode, where -benchtime
-# gives stable numbers; 75% in -quick mode, whose few iterations are
+# gives stable numbers; 50% in -quick mode, whose few iterations are
 # noisy) so a perf-optimisation PR cannot silently give its win back.
+# ns/op is compared in units of the host's speed: every run first times
+# BenchmarkCalibrate (tools/calibrate, an integer loop with no simulator
+# code), the baseline records that loop's ns/op beside its rows, and a
+# row's limit is its baseline scaled by today's calibration over the
+# recorded one — so a slower or faster host moves the limit, not the
+# verdict.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -35,11 +41,16 @@ fi
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
+echo "== host calibration (fixed integer loop, no simulator code)"
+go test -run '^$' -bench 'BenchmarkCalibrate$' -benchtime "$microtime" ./tools/calibrate/ | tee "$out"
+cal=$(awk '/^BenchmarkCalibrate/ { for (i = 3; i <= NF; i++) if ($i == "ns/op") print $(i - 1) }' "$out")
+[ -n "$cal" ] || { echo "no calibration measurement" >&2; exit 1; }
+
 echo "== microbenchmarks (smcore SM tick incl. scratchpad kernel + all-blocked census and lock-wait cycles, warp executor, SFU rows, bank conflicts, scheduler ranking, mem system tick + idle window, DRAM channel tick, checkpoint roundtrip)"
 # -p 1: packages run one after another; with the default (one per CPU)
 # two packages' benchmarks time each other's contention.
 go test -p 1 -run '^$' -bench 'BenchmarkSMTick$|BenchmarkSMTickManyWarps$|BenchmarkSMTickScratchpad$|BenchmarkSMTickStalled$|BenchmarkSMTickLockWait$|BenchmarkWarpExecute$|BenchmarkEvalRowSFU$|BenchmarkBankConflictDegree$|BenchmarkSchedOrder$|BenchmarkMemSystemTick$|BenchmarkMemSystemTickIdle|BenchmarkDRAMChannelTick$|BenchmarkCheckpointRoundtrip$' \
-    -benchmem -benchtime "$microtime" ./internal/smcore/ ./internal/warp/ ./internal/isa/ ./internal/sched/ ./internal/mem/ ./internal/mem/dram/ ./internal/checkpoint/ | tee "$out"
+    -benchmem -benchtime "$microtime" ./internal/smcore/ ./internal/warp/ ./internal/isa/ ./internal/sched/ ./internal/mem/ ./internal/mem/dram/ ./internal/checkpoint/ | tee -a "$out"
 
 echo "== end-to-end engine (full hotspot simulation per op; two-tenant co-residency per op; 56 mostly-blocked SMs per op; compute-bound mem-sleep per op)"
 go test -run '^$' -bench 'BenchmarkRunHotspot$|BenchmarkCoResident|BenchmarkBlockedSMs$|BenchmarkComputeBound' \
@@ -57,7 +68,7 @@ go test -p 1 -run '^$' -bench 'BenchmarkFleetDispatch$|BenchmarkServerHit$' \
 # fixed-field parse would silently record as B/op and allocs/op (that
 # bug once put 237601 "allocs" of 608 "bytes" — actually B/op and MB/s
 # — into the checkpoint-roundtrip baseline).
-rows=$(awk '/^Benchmark/ {
+rows=$(awk '/^Benchmark/ && !/^BenchmarkCalibrate/ {
     name = $1; sub(/-[0-9]+$/, "", name)
     ns = ""; b = ""; allocs = ""
     for (i = 3; i <= NF; i++) {
@@ -72,9 +83,10 @@ rows=$(awk '/^Benchmark/ {
 if [ "$mode" = "-record" ]; then
     {
         echo '{'
-        echo '  "comment": "Microbenchmark baseline recorded by tools/bench.sh -record. check.sh and bench.sh gate current allocs/op (no growth) and ns/op (bounded drift) against these numbers.",'
+        echo '  "comment": "Microbenchmark baseline recorded by tools/bench.sh -record. check.sh and bench.sh gate current allocs/op (no growth) and ns/op (bounded drift, in units of calibrate_ns_op, the host-speed loop timed in the same run) against these numbers.",'
         echo "  \"goos\": \"$(go env GOOS)\","
         echo "  \"goarch\": \"$(go env GOARCH)\","
+        echo "  \"calibrate_ns_op\": $cal,"
         echo '  "benchmarks": {'
         echo "$rows" | awk '{
             printf "%s    \"%s\": {\"ns_op\": %.0f, \"b_op\": %.0f, \"allocs_op\": %.0f}",
@@ -111,9 +123,12 @@ for name in $(echo "$rows" | awk '{print $1}'); do
 done
 
 # Wall-time gate: ns/op may not drift more than $nstol% above the
-# recorded baseline. The two-tenant end-to-end benchmark is exempt (its
-# wall time depends on machine load; the allocs/op gate above still
-# applies to it).
+# recorded baseline, both in units of the calibration loop. The
+# two-tenant end-to-end benchmark is exempt (its wall time depends on
+# machine load; the allocs/op gate above still applies to it).
+basecal=$(sed -n 's|.*"calibrate_ns_op": \([0-9.]*\).*|\1|p' "$baseline")
+[ -n "$basecal" ] || { echo "$baseline records no calibrate_ns_op" >&2; exit 1; }
+echo "calibration: $cal ns/op now, $basecal ns/op when the baseline was recorded"
 for name in $(echo "$rows" | awk '{print $1}'); do
     case "$name" in
     BenchmarkCoResident*) continue ;;
@@ -121,12 +136,13 @@ for name in $(echo "$rows" | awk '{print $1}'); do
     base=$(sed -n "s|.*\"$name\": {[^}]*\"ns_op\": \([0-9]*\).*|\1|p" "$baseline")
     [ -n "$base" ] && [ "$base" -gt 0 ] || continue
     cur=$(echo "$rows" | awk -v n="$name" '$1 == n {printf "%.0f", $2}')
-    limit=$((base + base * nstol / 100))
+    limit=$(awk -v b="$base" -v c="$cal" -v bc="$basecal" -v t="$nstol" \
+        'BEGIN { printf "%.0f", b * c / bc * (100 + t) / 100 }')
     if [ "$cur" -gt "$limit" ]; then
-        echo "FAIL: $name ns/op regressed: $cur > baseline $base +${nstol}%" >&2
+        echo "FAIL: $name ns/op regressed: $cur > baseline $base scaled by calibration +${nstol}% = $limit" >&2
         fail=1
     else
-        echo "ok:   $name ns/op $cur (baseline $base, limit $limit)"
+        echo "ok:   $name ns/op $cur (baseline $base, scaled limit $limit)"
     fi
 done
 

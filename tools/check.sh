@@ -286,7 +286,7 @@ echo "== gserved crash-recovery smoke (kill -9 mid-job, journal replay)"
 start_crash_daemon() {
     start_daemon gserved "$1" \
         "$smoketmp/gserved" -addr 127.0.0.1:0 -cachedir "$smoketmp/cache2" \
-        -journal "$smoketmp/journal.jsonl" \
+        -journal "$smoketmp/journal" \
         -checkpoint-dir "$smoketmp/ckpt" -checkpoint-stride 20000
     smokepid=$daemon_pid
     addr=$daemon_addr
@@ -314,18 +314,13 @@ sleep 0.7
 kill -9 "$smokepid"
 wait "$smokepid" 2>/dev/null || true
 
-# The write-ahead rule: the accept record must be durable, and no done
-# record may exist for a job that never finished.
-grep -q "\"op\":\"accept\",\"key\":\"$key\"" "$smoketmp/journal.jsonl" || {
-    echo "journal is missing the accept record for the killed job" >&2
-    cat "$smoketmp/journal.jsonl" >&2
+# The write-ahead rule: the killed job's record must be durable (a
+# retired job's record is removed, so this also says it was not retired).
+[ -f "$smoketmp/journal/$key" ] || {
+    echo "journal has no record for the killed job $key:" >&2
+    ls -la "$smoketmp/journal" >&2
     exit 1
 }
-if grep -q "\"op\":\"done\",\"key\":\"$key\"" "$smoketmp/journal.jsonl"; then
-    echo "journal marks the killed job done before it finished" >&2
-    cat "$smoketmp/journal.jsonl" >&2
-    exit 1
-fi
 
 # Restart: the journal replays the unfinished job, and a held wait on
 # its key (computed by the dead process) must come back "done" (60s
@@ -372,6 +367,10 @@ grep -q '"pending":0' "$smoketmp/crashstatusz.json" || {
     cat "$smoketmp/crashstatusz.json" >&2
     exit 1
 }
+if [ -e "$smoketmp/journal/$key" ]; then
+    echo "the finished job's journal record was not removed" >&2
+    exit 1
+fi
 
 drain_daemon gserved "$smokepid" "$smoketmp/crash2.log"
 
@@ -401,7 +400,7 @@ w2addr=$daemon_addr
 start_daemon gsched "$smoketmp/gsched.log" \
     "$smoketmp/gsched" -addr 127.0.0.1:0 -lease 1s \
     -worker "http://$w1addr" -worker "http://$w2addr" \
-    -journal "$smoketmp/fleetjournal.jsonl"
+    -journal "$smoketmp/fleetjournal"
 schedpid=$daemon_pid
 schedaddr=$daemon_addr
 
@@ -425,6 +424,16 @@ keys=$(jq -r '.jobs[].key' "$smoketmp/sweep.json")
 sleep 0.7
 kill -9 "$w1pid"
 wait "$w1pid" 2>/dev/null || true
+
+# The two long jobs are mid-run on the workers, one of them on the
+# killed one: the coordinator's journal must still hold both records.
+for key in $(echo "$keys" | head -2); do
+    [ -f "$smoketmp/fleetjournal/$key" ] || {
+        echo "gsched journal has no record for in-flight job $key:" >&2
+        ls -la "$smoketmp/fleetjournal" >&2
+        exit 1
+    }
+done
 
 # Every job must still reach done (shared 120s budget across the sweep;
 # the survivor re-runs the orphan, resuming from its checkpoint trail).
@@ -468,6 +477,12 @@ jq -e '.worker_deaths >= 1 and .requeues >= 1 and .completed == 4 and .journal.p
     cat "$smoketmp/fleetstatusz.json" >&2
     exit 1
 }
+for key in $keys; do
+    if [ -e "$smoketmp/fleetjournal/$key" ]; then
+        echo "gsched journal still holds a record for finished job $key" >&2
+        exit 1
+    fi
+done
 
 # Ground truth: a fresh single-node gserved (cold cache, no
 # checkpoints) must produce byte-identical stats for every job.
