@@ -220,7 +220,7 @@ const (
 	// (MIG analog): hard isolation, no resource contention.
 	TenancySpatial = tenancy.Spatial
 	// TenancyCoSched co-schedules blocks from different tenants on the
-	// same SMs under per-tenant resource caps (MPS analog).
+	// same SMs, within each SM's resources (MPS analog).
 	TenancyCoSched = tenancy.CoSched
 	// TenancyTimeSlice round-robins the whole GPU between tenants in
 	// fixed cycle quanta with deterministic context switches.

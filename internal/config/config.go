@@ -166,12 +166,11 @@ type Config struct {
 	RFBanks int
 
 	// L1 data cache, per SM (Table I: 16KB).
-	L1Sets    int
-	L1Ways    int
-	L1LineSz  int
-	L1HitLat  int
-	L1MSHRs   int // distinct outstanding miss lines per SM
-	L1Disable bool
+	L1Sets   int
+	L1Ways   int
+	L1LineSz int
+	L1HitLat int
+	L1MSHRs  int // distinct outstanding miss lines per SM
 	// L1Policy selects the L1 replacement policy — the paper's §VIII
 	// plans to "study the effect of various cache replacement policies
 	// on register sharing"; the ext-l1policy experiment does exactly

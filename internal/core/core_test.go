@@ -166,6 +166,43 @@ func TestFootprintPricesEachPairOnce(t *testing.T) {
 	}
 }
 
+// TestFullResidencyFitsTheSM is the premise of the SM's build-time
+// capacity check: a kernel alone on an SM, at the occupancy Eq. 4 gives
+// it, holds no more registers or scratchpad than the SM has with every
+// slot live, as Footprint prices it (a pair's top-up is ⌈t·Rtb⌉, so Eq.
+// 4 must buy pairs at that price, not at t·Rtb: scratchpad sharing at t
+// = 0.1 of a 3 091-byte block would otherwise hold 16 385 bytes). Every
+// register count and block size is swept on the register dimension and
+// every scratchpad size on the scratchpad one, in both sharing modes at
+// five thresholds.
+func TestFullResidencyFitsTheSM(t *testing.T) {
+	var ks []*kernel.Kernel
+	for regs := 1; regs <= 64; regs++ {
+		for threads := 32; threads <= 1024; threads++ {
+			ks = append(ks, kern(threads, regs, 0))
+		}
+	}
+	for smem := 0; smem <= config.Default().SmemPerSM; smem++ {
+		for _, rt := range [][2]int{{1, 32}, {8, 64}, {16, 128}, {36, 256}, {64, 1024}} {
+			ks = append(ks, kern(rt[1], rt[0], smem))
+		}
+	}
+	all := func(int) bool { return true }
+	for _, mode := range []config.SharingMode{config.ShareRegisters, config.ShareScratchpad} {
+		for _, tv := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
+			cfg := config.Default()
+			cfg.Sharing, cfg.T = mode, tv
+			for _, k := range ks {
+				occ := ComputeOccupancy(&cfg, k)
+				if regs, smem := Footprint(&cfg, k, occ, all); regs > cfg.RegsPerSM || smem > cfg.SmemPerSM {
+					t.Fatalf("%s t=%v, %d threads × %d regs, %d B scratchpad: %v holds %d registers and %d bytes, over the SM's %d and %d",
+						mode, tv, k.Threads(), k.RegsPerThread, k.SmemPerBlock, occ, regs, smem, cfg.RegsPerSM, cfg.SmemPerSM)
+				}
+			}
+		}
+	}
+}
+
 func newMgr(t *testing.T, mode config.SharingMode, pairs, unshared, warps int) *Manager {
 	t.Helper()
 	cfg := config.Default()

@@ -39,8 +39,8 @@ type Occupancy struct {
 	PrivateSmem int
 }
 
-// eps guards the floating-point divisions in the Eq. 4 fractions against
-// values like 0.30000000000000004.
+// eps guards the floating-point products behind the private-region
+// bounds against values like 0.30000000000000004.
 const eps = 1e-9
 
 // ComputeOccupancy evaluates the baseline occupancy limits and, when the
@@ -48,6 +48,10 @@ const eps = 1e-9
 // extended block count M of Eq. 4, capped by the thread and block limits:
 //
 //	M = ⌊R/Rtb⌋ + min(⌊R/Rtb⌋, ⌊frac(R/Rtb)/t⌋)
+//
+// A pair's second block costs whole registers or bytes, so the leftover
+// frac(R/Rtb)·Rtb buys ⌊leftover / ⌈t·Rtb⌉⌋ pairs: the top-up Footprint
+// charges, so a kernel's full residency always fits its SM.
 func ComputeOccupancy(cfg *config.Config, k *kernel.Kernel) Occupancy {
 	regPerBlock := k.RegsPerBlock()
 	regLimit := int(^uint(0) >> 1)
@@ -85,16 +89,14 @@ func ComputeOccupancy(cfg *config.Config, k *kernel.Kernel) Occupancy {
 			return occ // registers are not the binding constraint
 		}
 		leftover := cfg.RegsPerSM - d*regPerBlock
-		s := int(float64(leftover)/(float64(regPerBlock)*cfg.T) + eps)
-		occ.apply(d, s, smemLimit, thrLimit, blkLimit)
+		occ.apply(d, leftover/topUp(cfg, regPerBlock), smemLimit, thrLimit, blkLimit)
 	case config.ShareScratchpad:
 		occ.PrivateSmem = int(float64(k.SmemPerBlock)*cfg.T + eps)
 		if smemLimit > d || k.SmemPerBlock == 0 {
 			return occ // scratchpad is not the binding constraint
 		}
 		leftover := cfg.SmemPerSM - d*k.SmemPerBlock
-		s := int(float64(leftover)/(float64(k.SmemPerBlock)*cfg.T) + eps)
-		occ.apply(d, s, regLimit, thrLimit, blkLimit)
+		occ.apply(d, leftover/topUp(cfg, k.SmemPerBlock), regLimit, thrLimit, blkLimit)
 	}
 	return occ
 }
@@ -105,8 +107,8 @@ func ComputeOccupancy(cfg *config.Config, k *kernel.Kernel) Occupancy {
 // U+2i+1). A live unshared slot holds a full block. A pair with at least
 // one live side holds Eq. 4's pair cost, r + ⌈t·r⌉, on the shared
 // dimension, and a full block per live side on the other. The packer's
-// increments and grants, the SM's launch check and the tenancy audit
-// all price through it.
+// increments, the SM's capacity check when it is built and the tenancy
+// audit all price through it.
 func Footprint(cfg *config.Config, k *kernel.Kernel, occ Occupancy, live func(slot int) bool) (regs, smem int) {
 	rb, sb := k.RegsPerBlock(), k.SmemPerBlock
 	for s := 0; s < occ.Unshared; s++ {
@@ -123,7 +125,7 @@ func Footprint(cfg *config.Config, k *kernel.Kernel, occ Occupancy, live func(sl
 	if shareRegs {
 		perBlock = rb
 	}
-	pair := perBlock + int(math.Ceil(cfg.T*float64(perBlock)))
+	pair := perBlock + topUp(cfg, perBlock)
 	for i := 0; i < occ.Pairs; i++ {
 		sides := 0
 		for _, s := range [2]int{occ.Unshared + 2*i, occ.Unshared + 2*i + 1} {
@@ -143,6 +145,12 @@ func Footprint(cfg *config.Config, k *kernel.Kernel, occ Occupancy, live func(sl
 		}
 	}
 	return regs, smem
+}
+
+// topUp is what a sharing pair holds beyond one block on the shared
+// dimension: ⌈t·perBlock⌉, the rounding Eq. 4 and Footprint share.
+func topUp(cfg *config.Config, perBlock int) int {
+	return int(math.Ceil(cfg.T * float64(perBlock)))
 }
 
 // apply folds the raw pair count s into the occupancy, honouring the

@@ -144,17 +144,6 @@ func (s *Sim) Occupancy(k *kernel.Kernel) core.Occupancy {
 	return core.ComputeOccupancy(&s.Cfg, k)
 }
 
-// wholeGPU is the placement of a single-kernel run or of one time slice:
-// every SM to tenant ti under occ, uncapped.
-func (s *Sim) wholeGPU(ti int, occ core.Occupancy) *tenancy.Placement {
-	pl := &tenancy.Placement{SMs: make([]tenancy.SMPlan, s.Cfg.NumSMs)}
-	grant := []tenancy.TenantAlloc{{Tenant: ti, Occ: occ}}
-	for i := range pl.SMs {
-		pl.SMs[i].Tenants = grant // read-only, so every SM can share it
-	}
-	return pl
-}
-
 // buildSMs is the one SM builder: the SMs a placement populates, tenant
 // ti running launches[ti] under its grant. An SM with no tenants is not
 // built (it would idle for the whole run); SM IDs keep their real
@@ -180,12 +169,10 @@ func (s *Sim) buildSMs(pl *tenancy.Placement, launches []*kernel.Launch) ([]*smc
 				progs[key] = smcore.NewProgram(&s.Cfg, launches[ta.Tenant].Kernel, ta.Occ)
 			}
 			tls[j] = smcore.TenantLaunch{
-				ID:      ta.Tenant,
-				Launch:  launches[ta.Tenant],
-				Occ:     ta.Occ,
-				CapRegs: ta.Regs,
-				CapSmem: ta.Smem,
-				Prog:    progs[key],
+				ID:     ta.Tenant,
+				Launch: launches[ta.Tenant],
+				Occ:    ta.Occ,
+				Prog:   progs[key],
 			}
 		}
 		sm, err := smcore.NewMulti(si, &s.Cfg, tls, s.ms)
@@ -482,12 +469,11 @@ func (s *Sim) newSingle(l *kernel.Launch) (*run, error) {
 	if err != nil {
 		return nil, simerr.Wrap(simerr.KindLaunch, -1, err)
 	}
-	occ := core.ComputeOccupancy(&s.Cfg, launch.Kernel)
-	if occ.Baseline == 0 {
-		return nil, simerr.New(simerr.KindUnschedulable, -1,
-			"kernel %s does not fit on an SM (%s)", launch.Kernel.Name, occ.Limiter)
+	pl, err := tenancy.WholeGPU(&s.Cfg, 0, launch.Kernel)
+	if err != nil {
+		return nil, simerr.Wrap(simerr.KindUnschedulable, -1, err)
 	}
-	sms, err := s.buildSMs(s.wholeGPU(0, occ), []*kernel.Launch{launch})
+	sms, err := s.buildSMs(pl, []*kernel.Launch{launch})
 	if err != nil {
 		return nil, simerr.Wrap(simerr.KindLaunch, -1, err)
 	}

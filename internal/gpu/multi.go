@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"gpushare/internal/core"
 	"gpushare/internal/kernel"
 	"gpushare/internal/simerr"
 	"gpushare/internal/smcore"
@@ -27,8 +26,9 @@ func (s *Sim) RunMulti(spec *tenancy.Spec, launches []*kernel.Launch) (*stats.GP
 //   - Spatial: the admission layer splits the SMs into disjoint
 //     contiguous ranges, one per tenant, and all tenants run at once.
 //   - CoSched: the admission layer bin-packs blocks from different
-//     tenants onto the same SMs under per-tenant register and
-//     scratchpad caps.
+//     tenants onto the same SMs, each SM within its own registers,
+//     scratchpad, threads and block slots (checked again when the SM
+//     is built).
 //   - TimeSlice: tenants own the whole GPU in round-robin slices of
 //     QuotaCycles cycles; at each quota boundary dispatch stops and the
 //     resident blocks drain — a deterministic context switch.
@@ -131,12 +131,11 @@ type sliceState struct {
 // switch would) while global memory and the L2 persist.
 func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*kernel.Launch) (*stats.GPU, error) {
 	n := len(launches)
-	occs := make([]core.Occupancy, n)
+	pls := make([]*tenancy.Placement, n)
 	for i, l := range launches {
-		occs[i] = core.ComputeOccupancy(&s.Cfg, l.Kernel)
-		if occs[i].Baseline == 0 {
-			return nil, simerr.New(simerr.KindUnschedulable, -1,
-				"tenant %d: kernel %s does not fit on an SM (%s)", i, l.Kernel.Name, occs[i].Limiter)
+		var err error
+		if pls[i], err = tenancy.WholeGPU(&s.Cfg, i, l.Kernel); err != nil {
+			return nil, simerr.Wrap(simerr.KindUnschedulable, -1, fmt.Errorf("tenant %d: %w", i, err))
 		}
 	}
 
@@ -172,7 +171,7 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 		if rs == nil && r.Completed[ti] >= r.total[ti] {
 			continue
 		}
-		sms, err := s.buildSMs(s.wholeGPU(ti, occs[ti]), launches)
+		sms, err := s.buildSMs(pls[ti], launches)
 		if err != nil {
 			return nil, simerr.Wrap(simerr.KindLaunch, now, err)
 		}

@@ -155,7 +155,8 @@ func TestFig8BlocksMatchPaper(t *testing.T) {
 }
 
 // TestSharingIPCShape is the headline shape check for Fig. 8(c)/(d):
-// who wins and roughly by how much, at experiment scale 1.
+// who wins and roughly by how much, at experiment scale 2 — plus the
+// first fidelity band, Fig. 10(a)'s bound on register sharing over GTO.
 func TestSharingIPCShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -221,6 +222,19 @@ func TestSharingIPCShape(t *testing.T) {
 	}
 	if v := get(d, "lavaMD"); v < 20 {
 		t.Errorf("fig8d lavaMD = %+.1f%%, paper reports ~30%%", v)
+	}
+
+	// Fig. 10(a): over Unshared-GTO, register sharing gains "at most
+	// 3.9%" on any Set-1 application. Its Shared-OWF-Unroll-Dyn column
+	// is fig8c's, already simulated in this session.
+	a, err := s.Experiment("fig10a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range a.Rows {
+		if v := get(a, row.Name); v > 4 {
+			t.Errorf("fig10a %s = %+.2f%%, paper reports at most 3.9%%", row.Name, v)
+		}
 	}
 }
 

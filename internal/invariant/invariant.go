@@ -27,7 +27,7 @@ var smAudits = [...]struct {
 	{"scoreboard", (*smcore.SM).AuditScoreboard},                                  // pending bits have in-flight producers
 	{"simt", func(sm *smcore.SM, _ int64) error { return sm.AuditSIMT() }},        // reconvergence stack well-formedness
 	{"snapshot", (*smcore.SM).AuditSnapshots},                                     // cached views, ready sets, cards and censuses match a recompute
-	{"tenancy", func(sm *smcore.SM, _ int64) error { return sm.AuditTenancy() }},  // slot ownership, pair locality, footprints within caps
+	{"tenancy", func(sm *smcore.SM, _ int64) error { return sm.AuditTenancy() }},  // slot ownership, pair locality, live footprint within the SM
 }
 
 // Checker audits a running GPU. Zero-cost when not constructed: the run

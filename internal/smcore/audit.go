@@ -61,7 +61,7 @@ func (sm *SM) AuditBarriers() error {
 	for ti := range sm.tens {
 		t := &sm.tens[ti]
 		nParked := 0
-		for wi := 0; wi < t.nBlocks*t.wpb; wi++ {
+		for wi := 0; wi < t.occ.Max*t.wpb; wi++ {
 			if wc := &sm.warps[t.warpBase+wi]; wc.live && wc.atBarrier {
 				nParked++
 			}

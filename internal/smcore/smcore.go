@@ -156,9 +156,9 @@ type SM struct {
 	walked []int
 }
 
-// New builds an SM for a single kernel launch: a one-tenant SM with no
-// resource caps, laid out exactly as the pre-tenancy core. The sharing
-// manager governs the pair slots defined by the occupancy.
+// New builds an SM for a single kernel launch: a one-tenant SM laid out
+// exactly as the pre-tenancy core. The sharing manager governs the pair
+// slots defined by the occupancy.
 func New(id int, cfg *config.Config, l *kernel.Launch, occ core.Occupancy, ms *mem.System) (*SM, error) {
 	return NewMulti(id, cfg, []TenantLaunch{{Launch: l, Occ: occ}}, ms)
 }
@@ -238,8 +238,8 @@ func (sm *SM) bindEnv(b *blockCtx) {
 // LaunchBlock installs CTA ctaID into the given block slot. New blocks in
 // a pair slot whose partner is live start as non-owner (ownership is
 // already held by the surviving partner after a transfer). Launching
-// into a slot that still runs a live block, or past the tenant's caps,
-// is a dispatcher invariant violation and is reported as an error.
+// into a slot that still runs a live block is a dispatcher invariant
+// violation and is reported as an error.
 func (sm *SM) LaunchBlock(slot, ctaID int) error {
 	b := &sm.blocks[slot]
 	t := &sm.tens[b.tn]
@@ -247,9 +247,6 @@ func (sm *SM) LaunchBlock(slot, ctaID int) error {
 	if b.live {
 		return fmt.Errorf("SM%d: double launch of CTA %d into live slot %d (occupied by CTA %d)",
 			sm.ID, ctaID, slot, b.ctaID)
-	}
-	if err := sm.checkCaps(t, slot-t.blockBase); err != nil {
-		return fmt.Errorf("launching CTA %d into slot %d: %w", ctaID, slot, err)
 	}
 	*b = blockCtx{
 		live:        true,

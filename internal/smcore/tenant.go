@@ -13,17 +13,15 @@ import (
 	"gpushare/internal/warp"
 )
 
-// TenantLaunch describes one tenant's share of an SM: its kernel launch,
-// the occupancy the placement granted it on this SM, and optional hard
-// resource caps. Caps of 0 are unenforced (the single-tenant path); the
-// co-scheduling admission layer sets them to the granted budgets so a
-// tenant can never consume another tenant's registers or scratchpad.
+// TenantLaunch describes one tenant's share of an SM: its kernel launch
+// and the occupancy the placement granted it on this SM. A tenant's
+// blocks only ever run in its own slots, so what it can hold is
+// core.Footprint of that occupancy with every slot live, and NewMulti
+// refuses a tenant set whose footprints overfill the SM.
 type TenantLaunch struct {
-	ID      int // global tenant index (stable across SMs)
-	Launch  *kernel.Launch
-	Occ     core.Occupancy
-	CapRegs int // register cap for this tenant on this SM (0 = no cap)
-	CapSmem int // scratchpad byte cap for this tenant on this SM (0 = no cap)
+	ID     int // global tenant index (stable across SMs)
+	Launch *kernel.Launch
+	Occ    core.Occupancy
 
 	// Prog is NewProgram(cfg, Launch.Kernel, Occ), built once by the
 	// caller and shared by every SM that hosts this tenant under this
@@ -32,12 +30,12 @@ type TenantLaunch struct {
 }
 
 // tenantCtx is one tenant's state on an SM. Each tenant owns a
-// contiguous range of block slots [blockBase, blockBase+nBlocks) and
-// warp slots [warpBase, warpBase+nBlocks*wpb), its own sharing manager
+// contiguous range of block slots [blockBase, blockBase+occ.Max) and
+// warp slots [warpBase, warpBase+occ.Max*wpb), its own sharing manager
 // (pair slots are tenant-local, so intra-kernel resource sharing keeps
-// working per tenant), its own static issue metadata, and its caps. What
-// its blocks hold is never booked: it is core.Footprint of the live
-// slots, recomputed where it is checked.
+// working per tenant) and its own static issue metadata. What its
+// blocks hold is never booked: it is core.Footprint of the live slots,
+// recomputed where it is checked.
 type tenantCtx struct {
 	id     int // global tenant index
 	launch *kernel.Launch
@@ -49,10 +47,7 @@ type tenantCtx struct {
 	futureShared []bool
 
 	blockBase int // first block slot owned by this tenant
-	nBlocks   int // block slots owned (== occ.Max)
 	warpBase  int // first warp slot owned by this tenant
-
-	capRegs, capSmem int // hard caps on this SM (0 = uncapped)
 
 	// parked counts this tenant's live warps waiting at a barrier, kept
 	// in step with every flip of warpCtx.atBarrier so Tick charges
@@ -105,10 +100,7 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 			shr:       core.NewManager(cfg, tl.Occ, wpb),
 			wpb:       wpb,
 			blockBase: totalBlocks,
-			nBlocks:   tl.Occ.Max,
 			warpBase:  totalWarps,
-			capRegs:   tl.CapRegs,
-			capSmem:   tl.CapSmem,
 		}
 		prog := tl.Prog
 		if prog == nil {
@@ -121,26 +113,34 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 		totalThreads += tl.Occ.Max * k.Threads()
 		sm.tens = append(sm.tens, t)
 	}
-	if totalBlocks > cfg.MaxBlocksPerSM {
-		return nil, fmt.Errorf("SM%d: placement grants %d block slots, exceeding the %d-block SM limit",
-			id, totalBlocks, cfg.MaxBlocksPerSM)
-	}
-	if totalThreads > cfg.MaxThreadsPerSM {
-		return nil, fmt.Errorf("SM%d: placement grants %d resident threads, exceeding the %d-thread SM limit",
-			id, totalThreads, cfg.MaxThreadsPerSM)
+	// The one capacity rule, checked once: every granted slot live fits
+	// the SM in all four dimensions.
+	regs, smem := sm.footprint(func(int) bool { return true })
+	for _, c := range []struct {
+		n, limit   int
+		what, unit string
+	}{
+		{totalBlocks, cfg.MaxBlocksPerSM, "block slots", "block"},
+		{totalThreads, cfg.MaxThreadsPerSM, "resident threads", "thread"},
+		{regs, cfg.RegsPerSM, "registers", "register"},
+		{smem, cfg.SmemPerSM, "scratchpad bytes", "byte"},
+	} {
+		if c.n > c.limit {
+			return nil, fmt.Errorf("SM%d: placement grants %d %s, exceeding the %d-%s SM limit", id, c.n, c.what, c.limit, c.unit)
+		}
 	}
 
 	sm.warps = make([]warpCtx, totalWarps)
 	sm.blocks = make([]blockCtx, totalBlocks)
 	for ti := range sm.tens {
 		t := &sm.tens[ti]
-		for ls := 0; ls < t.nBlocks; ls++ {
+		for ls := 0; ls < t.occ.Max; ls++ {
 			b := &sm.blocks[t.blockBase+ls]
 			b.tn = ti
 			b.warpBase = t.warpBase + ls*t.wpb
 			b.wpb = t.wpb
 		}
-		for wi := 0; wi < t.nBlocks*t.wpb; wi++ {
+		for wi := 0; wi < t.occ.Max*t.wpb; wi++ {
 			ws := t.warpBase + wi
 			sm.warps[ws].w = warp.NewState(t.launch.Kernel.RegsPerThread, 0)
 			sm.warps[ws].w.ID = ws
@@ -189,32 +189,22 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 	return sm, nil
 }
 
-// checkCaps prices tenant t's live blocks on this SM — plus tenant-local
-// slot extra, a launch about to land there (-1 for none) — with the one
-// rule, core.Footprint, and reports a total over its hard caps: a
-// placement invariant violation. An uncapped tenant is never priced.
-func (sm *SM) checkCaps(t *tenantCtx, extra int) error {
-	if t.capRegs == 0 && t.capSmem == 0 {
-		return nil
+// footprint prices the block slots held reports occupied with the one
+// rule, core.Footprint, summed over every tenant on this SM: NewMulti
+// prices every granted slot, the tenancy audit the live ones.
+func (sm *SM) footprint(held func(slot int) bool) (regs, smem int) {
+	for ti := range sm.tens {
+		t := &sm.tens[ti]
+		r, s := core.Footprint(sm.cfg, t.launch.Kernel, t.occ, func(ls int) bool { return held(t.blockBase + ls) })
+		regs, smem = regs+r, smem+s
 	}
-	regs, smem := core.Footprint(sm.cfg, t.launch.Kernel, t.occ, func(ls int) bool {
-		return ls == extra || sm.blocks[t.blockBase+ls].live
-	})
-	if t.capRegs > 0 && regs > t.capRegs {
-		return fmt.Errorf("SM%d tenant %d: %d registers held, over the %d-register cap",
-			sm.ID, t.id, regs, t.capRegs)
-	}
-	if t.capSmem > 0 && smem > t.capSmem {
-		return fmt.Errorf("SM%d tenant %d: %d scratchpad bytes held, over the %d-byte cap",
-			sm.ID, t.id, smem, t.capSmem)
-	}
-	return nil
+	return regs, smem
 }
 
 // liveIn counts tenant t's live blocks on this SM.
 func (sm *SM) liveIn(t *tenantCtx) int {
 	n := 0
-	for ls := 0; ls < t.nBlocks; ls++ {
+	for ls := 0; ls < t.occ.Max; ls++ {
 		if sm.blocks[t.blockBase+ls].live {
 			n++
 		}
@@ -224,26 +214,27 @@ func (sm *SM) liveIn(t *tenantCtx) int {
 
 // AuditTenancy verifies tenant isolation on this SM: every block slot is
 // tagged with the tenant that owns its range, no sharing pair spans a
-// tenant boundary, no tenant's live blocks hold more than its caps, and
-// the SM's live-block counter matches its slots.
+// tenant boundary, the live blocks of all tenants fit the SM's registers
+// and scratchpad, and the SM's live-block counter matches its slots.
 func (sm *SM) AuditTenancy() error {
 	smLive := 0
 	for ti := range sm.tens {
 		t := &sm.tens[ti]
-		for ls := 0; ls < t.nBlocks; ls++ {
+		for ls := 0; ls < t.occ.Max; ls++ {
 			if b := &sm.blocks[t.blockBase+ls]; b.tn != ti {
 				return fmt.Errorf("SM%d: block slot %d in tenant %d's range is tagged for tenant index %d (cross-tenant slot corruption)",
 					sm.ID, t.blockBase+ls, t.id, b.tn)
 			}
-			if p := t.shr.PartnerSlot(ls); p >= t.nBlocks {
+			if p := t.shr.PartnerSlot(ls); p >= t.occ.Max {
 				return fmt.Errorf("SM%d tenant %d: slot %d is paired with slot %d outside the tenant's %d slots (cross-tenant lease)",
-					sm.ID, t.id, ls, p, t.nBlocks)
+					sm.ID, t.id, ls, p, t.occ.Max)
 			}
 		}
-		if err := sm.checkCaps(t, -1); err != nil {
-			return err
-		}
 		smLive += sm.liveIn(t)
+	}
+	if regs, smem := sm.footprint(func(s int) bool { return sm.blocks[s].live }); regs > sm.cfg.RegsPerSM || smem > sm.cfg.SmemPerSM {
+		return fmt.Errorf("SM%d: live blocks hold %d registers and %d scratchpad bytes, over the SM's %d and %d",
+			sm.ID, regs, smem, sm.cfg.RegsPerSM, sm.cfg.SmemPerSM)
 	}
 	if smLive != sm.liveBlocks {
 		return fmt.Errorf("SM%d: live-block counter %d but %d live blocks (Idle would misreport)", sm.ID, sm.liveBlocks, smLive)
@@ -263,12 +254,12 @@ func (sm *SM) TenantOfSlot(slot int) int { return sm.tens[sm.blocks[slot].tn].id
 // TenantSlots returns the block-slot range [base, base+n) owned by
 // local tenant i.
 func (sm *SM) TenantSlots(i int) (base, n int) {
-	return sm.tens[i].blockBase, sm.tens[i].nBlocks
+	return sm.tens[i].blockBase, sm.tens[i].occ.Max
 }
 
 // TenantStats returns a copy of local tenant i's per-tenant counters.
 func (sm *SM) TenantStats(i int) stats.Tenant {
 	st := sm.tens[i].st
-	st.ResidentSlots = sm.tens[i].nBlocks
+	st.ResidentSlots = sm.tens[i].occ.Max
 	return st
 }

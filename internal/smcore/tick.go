@@ -311,10 +311,6 @@ func (sm *SM) issueGlobalLoad(ws int, wc *warpCtx, dstMask uint64, res warp.Resu
 	wc.loadRegs |= dstMask
 	group := sm.allocGroup(ws, len(lines), dstMask, wc.gen)
 	for _, line := range lines {
-		if sm.cfg.L1Disable {
-			sm.sendOrMerge(line, group, now)
-			continue
-		}
 		if sm.l1.Probe(line) {
 			sm.scheduleWB(now, now+int64(sm.cfg.L1HitLat), ws, wc.gen, 0, 0, group)
 			continue
@@ -345,10 +341,8 @@ func (sm *SM) issueGlobalStore(res warp.Result, now int64) {
 	sm.lineBuf = lines[:0]
 	sm.Stats.CoalescedAccess += int64(len(lines))
 	for _, line := range lines {
-		if !sm.cfg.L1Disable {
-			sm.l1.Probe(line)
-			sm.l1.Invalidate(line)
-		}
+		sm.l1.Probe(line)
+		sm.l1.Invalidate(line)
 		sm.sendLine(line, true, now)
 	}
 }
@@ -436,9 +430,7 @@ func (sm *SM) drainReplies(now int64) {
 		fmt.Sprintf("discarded reply for line %#x; its load group never completes", req.LineAddr)) {
 		return // injected fault: the reply vanishes between networks and MSHR
 	}
-	if !sm.cfg.L1Disable {
-		sm.l1.Fill(req.LineAddr)
-	}
+	sm.l1.Fill(req.LineAddr)
 	for _, g := range sm.mshr.Take(req.LineAddr) {
 		sm.completeGroupPart(g, now)
 	}

@@ -8,15 +8,13 @@ import (
 	"gpushare/internal/kernel"
 )
 
-// TenantAlloc is one tenant's grant on one SM: the block-slot structure
-// (as a per-tenant occupancy the SM core reuses for its sharing pairs)
-// and the hard resource budgets backing it — core.Footprint of that
-// structure at full residency.
+// TenantAlloc is one tenant's grant on one SM: its block-slot structure,
+// as a per-tenant occupancy the SM core reuses for its sharing pairs.
+// What the grant holds is core.Footprint of that structure, which the SM
+// checks against its capacity when it is built.
 type TenantAlloc struct {
 	Tenant int // index into Spec.Tenants
 	Occ    core.Occupancy
-	Regs   int // register budget on this SM (0 = uncapped)
-	Smem   int // scratchpad byte budget on this SM (0 = uncapped)
 }
 
 // SMPlan lists the tenants granted slots on one SM, in tenant order.
@@ -25,66 +23,56 @@ type SMPlan struct {
 }
 
 // Placement is the admission layer's output: for every SM, which
-// tenants run there and under what budgets.
+// tenants run there and with how many block slots.
 type Placement struct {
 	SMs []SMPlan
 }
 
-// Slots returns the total block slots granted to tenant ti.
-func (p *Placement) Slots(ti int) int {
-	n := 0
-	for si := range p.SMs {
-		for _, ta := range p.SMs[si].Tenants {
-			if ta.Tenant == ti {
-				n += ta.Occ.Max
-			}
-		}
+// alone is a kernel's occupancy on an SM of its own, or an error when
+// not one block fits there: every placement starts from this check.
+func alone(cfg *config.Config, k *kernel.Kernel) (core.Occupancy, error) {
+	occ := core.ComputeOccupancy(cfg, k)
+	if occ.Baseline == 0 {
+		return occ, fmt.Errorf("kernel %s does not fit on an SM (%s)", k.Name, occ.Limiter)
 	}
-	return n
+	return occ, nil
 }
 
-// String summarizes the placement for logs.
-func (p *Placement) String() string {
-	s := ""
-	for si := range p.SMs {
-		if len(p.SMs[si].Tenants) == 0 {
-			continue
-		}
-		s += fmt.Sprintf("SM%d:", si)
-		for _, ta := range p.SMs[si].Tenants {
-			s += fmt.Sprintf(" t%d×%d", ta.Tenant, ta.Occ.Max)
-		}
-		s += "\n"
+// WholeGPU is the placement of a single-kernel run or of one time slice:
+// every SM to tenant ti under its solo occupancy.
+func WholeGPU(cfg *config.Config, ti int, k *kernel.Kernel) (*Placement, error) {
+	occ, err := alone(cfg, k)
+	if err != nil {
+		return nil, err
 	}
-	return s
+	pl := &Placement{SMs: make([]SMPlan, cfg.NumSMs)}
+	grant := []TenantAlloc{{Tenant: ti, Occ: occ}}
+	for i := range pl.SMs {
+		pl.SMs[i].Tenants = grant // read-only, so every SM can share it
+	}
+	return pl, nil
 }
 
 // tenantShape is the per-tenant packing profile: the kernel and its solo
 // occupancy on an unshared SM, whose layout a tenant's blocks on any SM
 // follow (blocks beyond the solo unshared count pair up two-by-two).
 type tenantShape struct {
-	k         *kernel.Kernel
-	solo      core.Occupancy
-	maxBlocks int // per-SM slot cap: the solo occupancy's Max
-	want      int // total slots worth granting (grid size cap)
+	k    *kernel.Kernel
+	solo core.Occupancy // its Max caps the tenant's slots on any SM
+	want int            // total slots worth granting (grid size cap)
 }
 
 // allLive marks every slot live: full residency.
 func allLive(int) bool { return true }
 
-// grant is what c blocks of this tenant hold on one SM at full
-// residency: the budgets backing its caps.
-func (t *tenantShape) grant(cfg *config.Config, c int) (regs, smem int) {
-	return core.Footprint(cfg, t.k, t.occFor(c), allLive)
-}
-
 // blockCost returns the incremental cost of tenant shape t's j-th block
-// on an SM (0-indexed within that SM): the grant of j+1 blocks less the
-// grant of j — a full block for unshared and pair-opening blocks, the
-// ⌈t·r⌉ top-up on the shared dimension for pair-completing ones.
+// on an SM (0-indexed within that SM): what j+1 blocks hold at full
+// residency less what j hold — a full block for unshared and
+// pair-opening blocks, the ⌈t·r⌉ top-up on the shared dimension for
+// pair-completing ones.
 func (t *tenantShape) blockCost(cfg *config.Config, j int) (regs, smem, threads int) {
-	r1, s1 := t.grant(cfg, j+1)
-	r0, s0 := t.grant(cfg, j)
+	r1, s1 := core.Footprint(cfg, t.k, t.occFor(j+1), allLive)
+	r0, s0 := core.Footprint(cfg, t.k, t.occFor(j), allLive)
 	return r1 - r0, s1 - s0, t.k.Threads()
 }
 
@@ -112,23 +100,21 @@ func (t *tenantShape) occFor(c int) core.Occupancy {
 func shapes(cfg *config.Config, kernels []*kernel.Launch) ([]tenantShape, error) {
 	out := make([]tenantShape, len(kernels))
 	for i, l := range kernels {
-		k := l.Kernel
-		solo := core.ComputeOccupancy(cfg, k)
-		if solo.Baseline == 0 {
-			return nil, fmt.Errorf("tenant %d (%s): kernel is unschedulable on one SM (%s)", i, k.Name, solo.Limiter)
+		solo, err := alone(cfg, l.Kernel)
+		if err != nil {
+			return nil, fmt.Errorf("tenant %d: %w", i, err)
 		}
-		out[i] = tenantShape{k: k, solo: solo, maxBlocks: solo.Max, want: l.Blocks()}
+		out[i] = tenantShape{k: l.Kernel, solo: solo, want: l.Blocks()}
 	}
 	return out, nil
 }
 
 // Pack runs the admission layer: it decides, per SM, how many block
-// slots each tenant gets and with what budgets. Spatial partitioning
-// splits the SMs into contiguous disjoint ranges; co-scheduling
-// round-robins one block per tenant per round into the SMs under the
-// spec's bin-packing strategy until nothing more fits. Time-slicing
-// has no spatial placement (each slice owns the whole GPU) and is
-// rejected here.
+// slots each tenant gets. Spatial partitioning splits the SMs into
+// contiguous disjoint ranges; co-scheduling round-robins one block per
+// tenant per round into the SMs under the spec's bin-packing strategy
+// until nothing more fits. Time-slicing has no packed placement (each
+// slice owns the whole GPU: see WholeGPU) and is rejected here.
 func Pack(cfg *config.Config, kernels []*kernel.Launch, spec *Spec) (*Placement, error) {
 	if len(kernels) != len(spec.Tenants) {
 		return nil, fmt.Errorf("placement needs one launch per tenant: %d launches, %d tenants", len(kernels), len(spec.Tenants))
@@ -144,29 +130,28 @@ func Pack(cfg *config.Config, kernels []*kernel.Launch, spec *Spec) (*Placement,
 	return nil, fmt.Errorf("invalid tenancy policy %d", uint8(spec.Policy))
 }
 
-// packSpatial gives each tenant a contiguous disjoint SM range with the
-// full per-SM resources (caps unenforced: isolation comes from the
-// disjoint SM sets). SMs divide evenly; the remainder goes to the
-// lowest-indexed tenants.
+// packSpatial gives each tenant a contiguous disjoint SM range at its
+// solo occupancy (isolation comes from the disjoint SM sets). SMs divide
+// evenly; the remainder goes to the lowest-indexed tenants.
 func packSpatial(cfg *config.Config, kernels []*kernel.Launch) (*Placement, error) {
 	n := len(kernels)
 	if n > cfg.NumSMs {
 		return nil, fmt.Errorf("spatial partitioning needs one SM per tenant: %d tenants, %d SMs", n, cfg.NumSMs)
 	}
+	shs, err := shapes(cfg, kernels)
+	if err != nil {
+		return nil, err
+	}
 	pl := &Placement{SMs: make([]SMPlan, cfg.NumSMs)}
 	per, rem := cfg.NumSMs/n, cfg.NumSMs%n
 	sm := 0
-	for ti, l := range kernels {
-		solo := core.ComputeOccupancy(cfg, l.Kernel)
-		if solo.Baseline == 0 {
-			return nil, fmt.Errorf("tenant %d (%s): kernel is unschedulable on one SM (%s)", ti, l.Kernel.Name, solo.Limiter)
-		}
+	for ti := range shs {
 		count := per
 		if ti < rem {
 			count++
 		}
 		for j := 0; j < count; j++ {
-			pl.SMs[sm].Tenants = append(pl.SMs[sm].Tenants, TenantAlloc{Tenant: ti, Occ: solo})
+			pl.SMs[sm].Tenants = append(pl.SMs[sm].Tenants, TenantAlloc{Tenant: ti, Occ: shs[ti].solo})
 			sm++
 		}
 	}
@@ -223,19 +208,10 @@ func packCoSched(cfg *config.Config, kernels []*kernel.Launch, strategy Packing)
 	}
 	pl := &Placement{SMs: make([]SMPlan, cfg.NumSMs)}
 	for si := range bins {
-		for ti := range shs {
-			c := bins[si].counts[ti]
-			if c == 0 {
-				continue
+		for ti, c := range bins[si].counts {
+			if c > 0 {
+				pl.SMs[si].Tenants = append(pl.SMs[si].Tenants, TenantAlloc{Tenant: ti, Occ: shs[ti].occFor(c)})
 			}
-			t := &shs[ti]
-			gr, gs := t.grant(cfg, c)
-			pl.SMs[si].Tenants = append(pl.SMs[si].Tenants, TenantAlloc{
-				Tenant: ti,
-				Occ:    t.occFor(c),
-				Regs:   gr,
-				Smem:   gs,
-			})
 		}
 	}
 	return pl, nil
@@ -249,7 +225,7 @@ func pickSM(cfg *config.Config, bins []smBin, t *tenantShape, ti int, strategy P
 	var bestSlack float64
 	for si := range bins {
 		b := &bins[si]
-		if b.counts[ti] >= t.maxBlocks {
+		if b.counts[ti] >= t.solo.Max {
 			continue
 		}
 		r, s, th := t.blockCost(cfg, b.counts[ti])

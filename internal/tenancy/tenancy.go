@@ -1,6 +1,9 @@
 // Package tenancy lets one simulated GPU run several kernels at once.
 // It defines the multi-kernel descriptor (Spec) and the bin-packing
 // admission layer (Pack) that decides where each tenant's blocks live.
+// Every Placement comes from here: Pack's, or WholeGPU's for a
+// single-kernel run or a time slice; the SM checks it against its own
+// capacity once, when it is built.
 //
 // Three policies are supported:
 //
@@ -8,9 +11,10 @@
 //     with the full per-SM resources — hard isolation, no interference
 //     except in the shared L2 and DRAM.
 //   - CoSched (MPS analog): blocks from different kernels are
-//     co-resident on the same SMs under per-tenant register, scratchpad,
-//     and warp-slot caps; intra-kernel resource sharing (the paper's
-//     pair mechanism) keeps working within each tenant's allocation.
+//     co-resident on the same SMs, each tenant in its own block slots,
+//     and what all of them hold fits the SM's registers, scratchpad,
+//     threads and block slots; intra-kernel resource sharing (the
+//     paper's pair mechanism) keeps working within each tenant's slots.
 //   - TimeSlice: tenants own the whole GPU in turns, with deterministic
 //     context switches at cycle-quota boundaries.
 //
@@ -30,7 +34,7 @@ type Policy uint8
 // Sharing policies.
 const (
 	Spatial   Policy = 1 + iota // disjoint SM partitions (MIG analog)
-	CoSched                     // SM-level co-scheduling under caps (MPS analog)
+	CoSched                     // SM-level co-scheduling within SM capacity (MPS analog)
 	TimeSlice                   // cycle-quota time slicing
 )
 

@@ -145,10 +145,14 @@ n=$(cat $harness_src | grep -c '&Session{' || true)
 [ "$n" = 1 ] || { echo "internal/harness: $n '&Session{' literals, want 1 (a second Session built for planning?)" >&2; exit 1; }
 echo "   non-test Go lines in internal/harness + cmd/gexp: $(cat $harness_src cmd/gexp/*.go | wc -l)"
 
-echo "== one footprint rule (core.Footprint is the only pricing of a tenant's blocks; no cap ledger, no second pair-cost formula)"
+echo "== one footprint rule (core.Footprint is the only pricing of a tenant's blocks; no cap ledger, no per-tenant caps, no second pair-cost formula, one fit check)"
 nontest_go=$(find . -name '*.go' ! -name '*_test.go')
 hits=$(grep -n -E 'PairQuantum|pairTop|usedRegs|usedSmem|CorruptTenantCap' $nontest_go | grep -v ':[[:space:]]*//' || true)
 [ -z "$hits" ] || { echo "a second footprint formula or a booked cap ledger is back:" >&2; echo "$hits" >&2; exit 1; }
+hits=$(grep -n -E 'CapRegs|CapSmem|capRegs|capSmem|checkCaps' $nontest_go || true)
+[ -z "$hits" ] || { echo "per-tenant caps are back (the SM checks its own capacity once, in NewMulti):" >&2; echo "$hits" >&2; exit 1; }
+hits=$(grep -n 'Baseline == 0' $(find internal -name '*.go' ! -name '*_test.go') || true)
+[ "$(printf '%s' "$hits" | grep -c .)" -le 1 ] || { echo "more than one site decides whether a kernel fits an SM alone:" >&2; echo "$hits" >&2; exit 1; }
 n=$(cat $nontest_go | grep -c 'func Footprint(' || true)
 [ "$n" = 1 ] || { echo "$n definitions of func Footprint(, want 1" >&2; exit 1; }
 for pkg in internal/tenancy internal/smcore; do
