@@ -237,8 +237,8 @@ type Config struct {
 	// Reference runs the engine's reference path: every scheduler
 	// rebuilds its warp views and asks every warp every cycle (no cached
 	// snapshots, incremental ready sets, issue cards or censuses), and
-	// every memory partition is ticked every cycle (no next-work
-	// horizons). The optimised path is proven byte-identical to it — it
+	// every DRAM channel runs its whole tick every cycle (no next-event
+	// memo). The optimised path is proven byte-identical to it — it
 	// is the oracle of the determinism tests and the escape hatch
 	// GPUSHARE_REFERENCE=1 selects — so this is an engine mode, not a
 	// simulation parameter: it is excluded from the canonical

@@ -106,7 +106,7 @@ func runBlockedSMs(tb testing.TB, k *kernel.Kernel, cfg config.Config, sink chec
 // legacyLegs); per-SM sleep itself is gone. It pins the profile that
 // mechanism was built for and no paper kernel has — whole SMs blocked
 // for hundreds of cycles while one stays busy, so nearly every SM cycle
-// is a census replay and the partition horizons lie far apart.
+// is a census replay and the DRAM channels sit idle on their memos.
 func TestSMSleepDeterminism(t *testing.T) {
 	k := memBoundKernel(t)
 	modeDeterminism(t, func(t *testing.T, cfg config.Config, sink checkpoint.Sink, restore []byte) *stats.GPU {
@@ -123,5 +123,31 @@ func BenchmarkBlockedSMs(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		runBlockedSMs(b, k, config.Default(), nil, nil)
+	}
+}
+
+// BenchmarkComputeBound is the compute-bound regime end to end: a
+// single ALU-bound block keeps SM0 issuing every cycle while the memory
+// system sits drained, so every cycle ticks every partition and each
+// DRAM channel returns at once on its next-event memo.
+// tools/bench.sh gates its ns/op against BENCH_baseline.json.
+func BenchmarkComputeBound(b *testing.B) {
+	cfg := config.Default()
+	k := memBoundKernel(b) // grid of 1: only the ALU path runs
+	run := func() {
+		sim := MustNew(cfg)
+		buf := sim.Mem.Alloc(64 * 1024)
+		if _, err := sim.Run(&kernel.Launch{Kernel: k, GridDim: 1, Params: []uint32{buf}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// One untimed run first: lazy process-wide state (pools, tables)
+	// otherwise lands in the first iteration and makes allocs/op depend
+	// on b.N, which the allocation gate cannot tolerate.
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }

@@ -6,8 +6,8 @@
 // state is live.
 //
 // What is deliberately excluded:
-//   - the memory system's partition horizons: memos of serialized
-//     state, re-derived by the first memory tick after a restore;
+//   - the DRAM channels' next-event memos: derived from serialized
+//     state, re-derived by each channel's first tick after a restore;
 //   - derived per-SM views (ready ranks, warp snapshots, free lists):
 //     the restorer marks every warp dirty and the first refresh rebuilds
 //     them exactly (see smcore.RestoreState);

@@ -82,17 +82,6 @@ type Sim struct {
 	ms *mem.System
 }
 
-// armMemSleep arms (or disarms) the event-driven memory tick for this
-// run: on unless the run is in reference mode or a fault plan other
-// than MissedMemWake is armed (fault trips count opportunities, so
-// skipping partition ticks would change which event is corrupted).
-// Called at run start, after any checkpoint restore; the memoized
-// horizons are derived fresh by the first memory tick either way.
-func (s *Sim) armMemSleep() {
-	on := !s.Cfg.Reference && (s.Faults == nil || s.Faults.Kind == fault.MissedMemWake)
-	s.ms.SetEventDriven(on, s.Faults)
-}
-
 // envReference reads GPUSHARE_REFERENCE: any value other than empty or
 // "0" puts every simulator built while it is set in reference mode,
 // exactly like Config.Reference.
@@ -276,6 +265,7 @@ func (s *Sim) newRun(mode, label string, spec *tenancy.Spec, launches []*kernel.
 	if r.window = s.Cfg.ProgressWindow; r.window <= 0 {
 		r.window = progressWindow
 	}
+	s.ms.Faults = s.Faults
 	return r
 }
 
@@ -289,8 +279,7 @@ func (r *run) setSMs(sms []*smcore.SM) {
 }
 
 // start resumes from Sim.RestoreFrom when it is set and otherwise does
-// the initial fill, then arms the memory system; it returns the first
-// cycle to simulate.
+// the initial fill; it returns the first cycle to simulate.
 func (r *run) start() (int64, error) {
 	first := int64(0)
 	if blob := r.s.RestoreFrom; blob != nil {
@@ -305,7 +294,6 @@ func (r *run) start() (int64, error) {
 	} else if err := r.fill(-1); err != nil {
 		return 0, err
 	}
-	r.s.armMemSleep()
 	return first, nil
 }
 

@@ -54,7 +54,7 @@ func modeDeterminism(t *testing.T, run func(t *testing.T, cfg config.Config, sin
 	})
 
 	// Checkpoints taken by the optimised engine restore exactly: the
-	// snapshot carries no horizon memos, cards or censuses, so the
+	// snapshot carries no DRAM memos, cards or censuses, so the
 	// restored run re-derives them and must still land on the reference
 	// bytes.
 	t.Run("restore", func(t *testing.T) {
@@ -80,7 +80,7 @@ func modeDeterminism(t *testing.T, run func(t *testing.T, cfg config.Config, sin
 // TestMemSleepDeterminism pins the engine-mode contract on a
 // memory-bound workload: MUM's divergent pointer chasing keeps
 // requests, DRAM commands and replies in flight constantly, interleaved
-// with idle memory spans the event-driven tick skips (per-partition
+// with idle DRAM spans the channels' next-event memos skip (per-partition
 // busy/peak counters are part of the compared bytes), and keeps most
 // warps blocked, so the SMs run on issue cards and censuses.
 func TestMemSleepDeterminism(t *testing.T) {
@@ -106,16 +106,17 @@ func TestMemSleepTenancyDeterminism(t *testing.T) {
 	}
 }
 
-// TestMemSleepMissedWakeCaught: the MissedMemWake fault pushes one
-// partition's refreshed next-work cycle past its true horizon, so the
-// event-driven tick skips cycles where the partition had live work (a
-// deliverable request, a schedulable DRAM command, or a maturing L2
-// hit). The mem-idle invariant class — which recomputes every horizon
-// from scratch and demands exact equality with the memo — must catch it
-// and never let the run finish wrong-but-clean.
+// TestMemSleepMissedWakeCaught: the MissedMemWake fault pushes one DRAM
+// channel's next-event memo past its true next event, so Tick's early
+// return skips cycles where the channel had live work (a schedulable
+// command or a completing transfer). The same workload without the
+// fault runs clean under the audit and lands on the reference bytes:
+// the memo skips only workless cycles. With the fault, the mem-idle
+// invariant class — which recomputes every armed memo by a full walk
+// and demands exact equality — must catch it at an audit inside the
+// corrupted window and never let the run finish wrong-but-clean.
 func TestMemSleepMissedWakeCaught(t *testing.T) {
-	setup := func() (*Sim, *kernel.Launch) {
-		cfg := config.Default()
+	setup := func(cfg config.Config) (*Sim, *kernel.Launch) {
 		cfg.NumSMs = 4
 		cfg.InvariantStride = 8 // well under missedMemWakeSlack: the audit lands inside the corrupted window
 		sim := MustNew(cfg)
@@ -123,17 +124,24 @@ func TestMemSleepMissedWakeCaught(t *testing.T) {
 		return sim, &kernel.Launch{Kernel: memBoundKernel(t), GridDim: 4, Params: []uint32{buf}}
 	}
 
-	// The same workload must pass cleanly — with the event-driven tick
-	// armed and the mem-idle class audited — without the fault.
-	sim, l := setup()
-	if _, err := sim.Run(l); err != nil {
+	sim, l := setup(config.Default())
+	clean, err := sim.Run(l)
+	if err != nil {
 		t.Fatalf("clean run failed: %v", err)
 	}
+	sim, l = setup(reference(config.Default()))
+	ref, err := sim.Run(l)
+	if err != nil {
+		t.Fatalf("reference run failed: %v", err)
+	}
+	if encodeJSON(t, clean) != encodeJSON(t, ref) {
+		t.Fatal("the memo-armed run diverges from the reference")
+	}
 
-	sim, l = setup()
+	sim, l = setup(config.Default())
 	plan := fault.NewPlan(fault.MissedMemWake, 13, 4)
 	sim.Faults = plan
-	_, err := sim.Run(l)
+	_, err = sim.Run(l)
 	if !plan.Injected {
 		t.Fatal("missed-mem-wake fault never found an injection opportunity")
 	}
@@ -144,8 +152,8 @@ func TestMemSleepMissedWakeCaught(t *testing.T) {
 	if !ok {
 		t.Fatalf("error is not a SimError: %v", err)
 	}
-	if se.Kind != simerr.KindInvariant {
-		t.Fatalf("missed mem wake caught as %s, want invariant: %v", se.Kind, err)
+	if se.Kind != simerr.KindInvariant || !strings.Contains(err.Error(), "mem-idle") {
+		t.Fatalf("missed mem wake caught as %s, want a mem-idle invariant violation: %v", se.Kind, err)
 	}
 	if se.Dump == nil {
 		t.Error("invariant violation carries no forensic dump")
@@ -186,32 +194,5 @@ func TestDRAMQueueOrderFaultCaught(t *testing.T) {
 		if se.Cycle < plan.Cycle || se.Cycle > plan.Cycle+cfg.InvariantStride {
 			t.Errorf("reference=%v: injected at cycle %d, reported at %d: want the next audit", ref, plan.Cycle, se.Cycle)
 		}
-	}
-}
-
-// BenchmarkComputeBound is the regime the event-driven memory tick
-// targets end to end: a single ALU-bound block keeps SM0 issuing every
-// cycle while the memory system sits drained. With the
-// straight-through tick every one of those cycles walks all partitions
-// for nothing; event-driven, the walk is one memoized comparison.
-// tools/bench.sh gates its ns/op against BENCH_baseline.json.
-func BenchmarkComputeBound(b *testing.B) {
-	cfg := config.Default()
-	k := memBoundKernel(b) // grid of 1: only the ALU path runs
-	run := func() {
-		sim := MustNew(cfg)
-		buf := sim.Mem.Alloc(64 * 1024)
-		if _, err := sim.Run(&kernel.Launch{Kernel: k, GridDim: 1, Params: []uint32{buf}}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// One untimed run first: lazy process-wide state (pools, tables)
-	// otherwise lands in the first iteration and makes allocs/op depend
-	// on b.N, which the allocation gate cannot tolerate.
-	run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
 	}
 }

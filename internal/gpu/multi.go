@@ -160,10 +160,6 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 		first = rs.Loop.Slice.Tenant
 	}
 
-	// The memory system persists across slices (one arming covers the
-	// whole run); each slice's first memory tick derives fresh horizons.
-	s.armMemSleep()
-
 	now := int64(0)
 	for ti := first; r.retired < r.totalAll; ti = (ti + 1) % n {
 		// A resumed slice runs whatever its ledger says (it may be

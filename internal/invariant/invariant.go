@@ -74,11 +74,11 @@ func (c *Checker) Check(now int64) error {
 		return c.violation(now, -1, "memory", err)
 	}
 	// Every DRAM queue must be arrival-ordered (what the scheduler's
-	// early exits rest on); and when the memory system is event-driven,
-	// every memoized horizon must equal a from-scratch recompute — the
-	// proof that each skipped partition/cycle really was workless. This
-	// is what catches a MissedMemWake or a DRAMQueueOrder fault promptly.
-	if err := c.ms.AuditMemIdle(now); err != nil {
+	// early exits rest on), and every armed DRAM next-event memo must
+	// equal a full-walk recompute — the proof that each cycle a channel
+	// skipped really was workless. This is what catches a MissedMemWake
+	// or a DRAMQueueOrder fault promptly.
+	if err := c.ms.AuditMemIdle(); err != nil {
 		return c.violation(now, -1, "mem-idle", err)
 	}
 	return nil

@@ -35,16 +35,17 @@ func BenchmarkMemSystemTick(b *testing.B) {
 // BenchmarkMemSystemTickIdle measures the cost of a memory-system cycle
 // with traffic in flight but nothing due: a burst of L2-hitting reads
 // is injected so every partition holds pending replies maturing ~160
-// cycles out, then the benchmark ticks through the idle window. The
-// event-driven tick (sleep) pays one memoized comparison per cycle; the
-// straight-through tick (nosleep) walks every partition. This is the
-// dominant regime for compute-bound kernels, where the memory system is
-// armed but idle for almost every cycle.
+// cycles out, then the benchmark ticks through the idle window. Every
+// partition is ticked every cycle: with the DRAM next-event memo (memo)
+// an idle channel costs one comparison, under Config.Reference
+// (reference) it walks its queues. This is the dominant regime for
+// compute-bound kernels, where the memory system is idle for almost
+// every cycle.
 func BenchmarkMemSystemTickIdle(b *testing.B) {
-	run := func(b *testing.B, eventDriven bool) {
+	run := func(b *testing.B, reference bool) {
 		cfg := config.Default()
+		cfg.Reference = reference
 		s := NewSystem(&cfg)
-		s.SetEventDriven(eventDriven, nil)
 		// Warm the L2 so the idle-window traffic hits: each partition
 		// caches one line per SM.
 		var now int64
@@ -80,6 +81,6 @@ func BenchmarkMemSystemTickIdle(b *testing.B) {
 			}
 		}
 	}
-	b.Run("sleep", func(b *testing.B) { run(b, true) })
-	b.Run("nosleep", func(b *testing.B) { run(b, false) })
+	b.Run("memo", func(b *testing.B) { run(b, false) })
+	b.Run("reference", func(b *testing.B) { run(b, true) })
 }

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"fmt"
-	"math"
 
 	"gpushare/internal/mem/cache"
 	"gpushare/internal/mem/dram"
@@ -44,9 +43,9 @@ type PendingCheckpoint struct {
 
 // PartitionCheckpoint is one memory partition's complete state. The
 // observability counters ride along so a restored run reproduces the
-// straight-through statistics byte-for-byte; the event-driven horizon
-// memos deliberately do not — they are derived state, re-derived by the
-// first Tick after restore.
+// straight-through statistics byte-for-byte; the DRAM next-event memo
+// deliberately does not — it is derived state, re-derived by the
+// channel's first Tick after restore.
 type PartitionCheckpoint struct {
 	L2            cache.Checkpoint      `json:"l2"`
 	MSHR          []MSHREntryCheckpoint `json:"mshr"` // sorted by line address
@@ -175,12 +174,7 @@ func (s *System) RestoreState(c SystemCheckpoint) error {
 		p.dramPeak = pc.DRAMQueuePeak
 		p.mshrPeak = pc.MSHRPeak
 		p.pendPeak = pc.PendingPeak
-		// The event-driven horizon memo is derived state a checkpoint
-		// never carries: mark it "not yet derived" so the first Tick
-		// after restore walks this partition and re-derives it fresh.
-		p.nextAt = math.MinInt64
 	}
-	s.nextAt = math.MinInt64
 	return nil
 }
 

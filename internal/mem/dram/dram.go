@@ -54,21 +54,25 @@ type Channel struct {
 	// is frozen between scheduled commands, so the memo only goes stale
 	// when a command issues or a transfer completes — both invalidate
 	// it for a lazy rescan — while an enqueue folds the new request's
-	// schedulable time in incrementally. NextEvent is therefore O(1)
-	// amortized on idle channels, and Tick returns at once on a cycle the
-	// memo proves eventless. Only NextEvent arms it: a caller that never
-	// asks (Config.Reference) runs every Tick in full.
+	// schedulable time in incrementally. Tick derives it when invalid
+	// and returns at once on a cycle it proves eventless, so an idle
+	// channel costs one comparison per cycle. A channel built without
+	// the memo (Config.Reference) never derives it and runs every Tick
+	// in full.
+	memo     bool
 	memoNext int64
 	memoOK   bool
 }
 
-// NewChannel returns a channel with the given bank count and timing.
-func NewChannel(banks, rowBytes int, t config.DRAMTiming, dataLat int) *Channel {
+// NewChannel returns a channel with the given bank count and timing;
+// memo arms the next-event memo behind Tick's early return.
+func NewChannel(banks, rowBytes int, t config.DRAMTiming, dataLat int, memo bool) *Channel {
 	ch := &Channel{
 		banks:    make([]bank, banks),
 		timing:   t,
 		rowBytes: int64(rowBytes),
 		dataLat:  int64(dataLat),
+		memo:     memo,
 	}
 	ch.Precharge()
 	return ch
@@ -123,6 +127,27 @@ func (c *Channel) AuditOrder() error {
 	return nil
 }
 
+// AuditMemo checks an armed next-event memo against a full walk that
+// takes no early exit: they must be equal, or Tick's early return has
+// skipped (or will skip) a cycle with work in it. Read-only; the
+// mem-idle invariant audit.
+func (c *Channel) AuditMemo() error {
+	if !c.memoOK {
+		return nil
+	}
+	if scan := c.nextEvent(true); scan != c.memoNext {
+		return fmt.Errorf("DRAM next-event memo %d != full-scan recompute %d (missed wake)", c.memoNext, scan)
+	}
+	return nil
+}
+
+// Memo returns the armed next-event memo; ok is false while none is.
+func (c *Channel) Memo() (next int64, ok bool) { return c.memoNext, c.memoOK }
+
+// DelayMemo pushes an armed memo d cycles later (fault injection only:
+// a missed wake).
+func (c *Channel) DelayMemo(d int64) { c.memoNext += d }
+
 // SwapNewest exchanges the two newest queued requests when their arrival
 // cycles differ, which breaks the arrival order, and reports whether it
 // did (fault injection only; a second call undoes the first).
@@ -153,11 +178,24 @@ func (c *Channel) Pending() int { return len(c.queue) + len(c.inflight) }
 // (FR-FCFS: row hits first, then oldest) and returns any requests whose
 // data transfer completed this cycle. The returned slice is reused by
 // the next Tick, so the caller must consume it before ticking again.
-// While the memo is armed and in the future the cycle provably does
-// nothing (NextEvent's contract): Tick returns without a look at a queue.
+// With the memo armed, a cycle before it provably does nothing and Tick
+// returns without a look at a queue (one comparison, inlined into the
+// caller); otherwise tick runs the cycle.
 func (c *Channel) Tick(now int64) []Request {
 	if c.memoOK && now < c.memoNext {
 		return nil
+	}
+	return c.tick(now)
+}
+
+// tick derives the memo first when it is armed but was invalidated by a
+// command issue or completion, and returns at once if the cycle lies
+// before it.
+func (c *Channel) tick(now int64) []Request {
+	if c.memo && !c.memoOK {
+		if c.memoNext, c.memoOK = c.nextEvent(false), true; now < c.memoNext {
+			return nil
+		}
 	}
 	c.scheduleOne(now)
 	done := c.doneBuf[:0]
@@ -177,36 +215,15 @@ func (c *Channel) Tick(now int64) []Request {
 	return done
 }
 
-// NextEvent returns the earliest future cycle at which the channel's
-// state can change absent new enqueues: the soonest in-flight completion
-// or the soonest cycle any queued request becomes schedulable under the
-// current (frozen) bank state. Returns math.MaxInt64 when the channel is
-// empty. Exact, not merely conservative: bank state only changes when a
-// command is scheduled, so between now and the returned cycle every Tick
-// is a no-op. Amortized O(1): the queue walk only re-runs after a
-// command issue or completion invalidated the memo.
-func (c *Channel) NextEvent(now int64) int64 {
-	if !c.memoOK {
-		c.memoNext = c.nextEventAbs(false)
-		c.memoOK = true
-	}
-	return clampFuture(c.memoNext, now)
-}
-
-// clampFuture turns an absolute event time into NextEvent's answer: an
-// event already due is reported as the next cycle.
-func clampFuture(at, now int64) int64 {
-	if at != math.MaxInt64 && at <= now {
-		return now + 1
-	}
-	return at
-}
-
-// nextEventAbs recomputes the next event time from the in-flight and
-// queued requests, unclamped (math.MaxInt64 when empty). No request is
-// schedulable before it arrives, so unless full the walk stops at the
-// first one arriving no earlier than the best time found so far.
-func (c *Channel) nextEventAbs(full bool) int64 {
+// nextEvent recomputes the channel's next event as an absolute cycle:
+// the soonest in-flight completion or the soonest cycle a queued request
+// becomes schedulable under the current (frozen) bank state, and
+// math.MaxInt64 when the channel is empty. It is exact, not merely
+// conservative: bank state only changes when a command issues, so every
+// Tick before it is a no-op. No request is schedulable before it
+// arrives, so unless full the walk stops at the first one arriving no
+// earlier than the best time found so far.
+func (c *Channel) nextEvent(full bool) int64 {
 	next := int64(math.MaxInt64)
 	for i := range c.inflight {
 		next = min(next, c.inflight[i].Done)
@@ -219,14 +236,6 @@ func (c *Channel) nextEventAbs(full bool) int64 {
 		next = min(next, c.schedulableAt(r))
 	}
 	return next
-}
-
-// NextEventScan is NextEvent computed by an unconditional full walk,
-// bypassing the memo and the arrival-order early exit. The invariant
-// auditor and the horizon property tests use it as the ground truth the
-// memoized value must equal.
-func (c *Channel) NextEventScan(now int64) int64 {
-	return clampFuture(c.nextEventAbs(true), now)
 }
 
 // scheduleOne issues at most one column command: first ready — the

@@ -102,7 +102,7 @@ func (c *refChannel) tick(now int64) []Request {
 	return done
 }
 
-func (c *refChannel) nextEvent(now int64) int64 {
+func (c *refChannel) nextEvent() int64 {
 	next := int64(math.MaxInt64)
 	for _, r := range c.inflight {
 		next = min(next, r.Done)
@@ -114,9 +114,6 @@ func (c *refChannel) nextEvent(now int64) int64 {
 			at = max(at, b.lastActivate+int64(c.t.TRC))
 		}
 		next = min(next, at)
-	}
-	if next != math.MaxInt64 && next <= now {
-		return now + 1
 	}
 	return next
 }
@@ -142,21 +139,23 @@ func (c *refChannel) diff(ch *Channel) error {
 // cycles in the L2 pipeline before the scheduler may see them — and
 // demands, on every cycle, the same pick (the queues and banks match
 // afterwards), the same completions in the same order, the same counters
-// and the same next event. One Channel is asked for its next event every
-// cycle, which arms the memo behind Tick's early return; the other never
-// is, which is how Config.Reference runs it. Mid-stream the first is
-// checkpointed, restored into a fresh channel and replaced by it.
+// and the same next event. One Channel is built with the next-event memo
+// behind Tick's early return, and its memo, whenever armed, must equal
+// the oracle's next event; the other is built without it, which is how
+// Config.Reference runs it, and its full walk must equal the oracle's.
+// Mid-stream the first is checkpointed, restored into a fresh channel
+// and replaced by it.
 func TestChannelMatchesFullScanOracle(t *testing.T) {
 	cfg := config.Default()
 	for _, delay := range []int64{0, 12, 160} {
 		for seed := int64(1); seed <= 4; seed++ {
-			mk := func() *Channel {
-				return NewChannel(cfg.DRAMBanksPerPartition, cfg.DRAMRowBytes, cfg.DRAMTiming, cfg.DRAMDataLat)
+			mk := func(memo bool) *Channel {
+				return NewChannel(cfg.DRAMBanksPerPartition, cfg.DRAMRowBytes, cfg.DRAMTiming, cfg.DRAMDataLat, memo)
 			}
 			ref := newRefChannel(cfg.DRAMBanksPerPartition, cfg.DRAMRowBytes, cfg.DRAMTiming, cfg.DRAMDataLat)
-			memo, plain := mk(), mk()
+			memo, plain := mk(true), mk(false)
 			rng := rand.New(rand.NewSource(seed))
-			deepest := 0
+			deepest, armed := 0, 0
 			send := func(addr uint32, isWrite bool, arrive int64) {
 				ref.enqueue(addr, isWrite, arrive)
 				enq(t, memo, addr, isWrite, arrive)
@@ -178,7 +177,7 @@ func TestChannelMatchesFullScanOracle(t *testing.T) {
 					now += int64(rng.Intn(400))
 				}
 				if now == 9000 {
-					restored := mk()
+					restored := mk(true)
 					if err := restored.RestoreState(memo.Checkpoint()); err != nil {
 						t.Fatal(err)
 					}
@@ -196,20 +195,23 @@ func TestChannelMatchesFullScanOracle(t *testing.T) {
 						t.Fatalf("delay %d seed %d cycle %d %s: %v", delay, seed, now, name, err)
 					}
 				}
-				next := ref.nextEvent(now)
-				if got := memo.NextEvent(now); got != next {
-					t.Fatalf("delay %d seed %d cycle %d: NextEvent %d, oracle %d", delay, seed, now, got, next)
+				next := ref.nextEvent()
+				if memo.memoOK {
+					armed++
+					if memo.memoNext != next {
+						t.Fatalf("delay %d seed %d cycle %d: memo %d, oracle %d", delay, seed, now, memo.memoNext, next)
+					}
 				}
-				if got := plain.NextEventScan(now); got != next {
-					t.Fatalf("delay %d seed %d cycle %d: NextEventScan %d, oracle %d", delay, seed, now, got, next)
+				if got := plain.nextEvent(true); got != next {
+					t.Fatalf("delay %d seed %d cycle %d: full walk %d, oracle %d", delay, seed, now, got, next)
 				}
 				if plain.memoOK {
-					t.Fatal("a channel never asked for its next event armed the memo")
+					t.Fatal("a channel built without the memo armed it")
 				}
 			}
-			if ref.reads+ref.writes < 2000 || deepest < 2*len(ref.banks) {
-				t.Fatalf("delay %d seed %d: %d requests served, deepest queue %d: the traffic is too thin to mean anything",
-					delay, seed, ref.reads+ref.writes, deepest)
+			if ref.reads+ref.writes < 2000 || deepest < 2*len(ref.banks) || armed < 2000 {
+				t.Fatalf("delay %d seed %d: %d requests served, deepest queue %d, memo armed on %d cycles: the traffic is too thin to mean anything",
+					delay, seed, ref.reads+ref.writes, deepest, armed)
 			}
 		}
 	}

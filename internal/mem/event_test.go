@@ -21,6 +21,24 @@ func statsJSON(t *testing.T, s *System) string {
 	return string(j)
 }
 
+// newReference builds the system Config.Reference runs: no DRAM
+// next-event memo, every channel ticked in full every cycle.
+func newReference(cfg config.Config) *System {
+	cfg.Reference = true
+	return NewSystem(&cfg)
+}
+
+// armedMemos counts the partitions whose DRAM next-event memo is armed.
+func armedMemos(s *System) int {
+	n := 0
+	for _, p := range s.partitions {
+		if _, ok := p.dram.Memo(); ok {
+			n++
+		}
+	}
+	return n
+}
+
 // sendPair injects identical requests into two lockstepped systems.
 func sendPair(a, b *System, addr uint32, sm int, isWrite bool, now int64) {
 	for _, s := range [2]*System{a, b} {
@@ -28,19 +46,19 @@ func sendPair(a, b *System, addr uint32, sm int, isWrite bool, now int64) {
 	}
 }
 
-// TestMemEventDrivenLockstep drives an event-driven system and a
-// straight-through reference with identical fuzzed traffic — bursty
-// reads and writes with hot lines (L2 hits, MSHR merges), long quiet
-// gaps, and full drains — and demands observational equality every
-// cycle: the same SMs receive the same replies at the same cycles, the
-// memoized horizons always equal their scan recomputes, and the final
-// statistics (per-partition busy/peak counters included) are
-// byte-identical.
+// TestMemEventDrivenLockstep drives a system whose DRAM channels skip
+// on their next-event memos and a Config.Reference system with identical
+// fuzzed traffic — bursty reads and writes with hot lines (L2 hits, MSHR
+// merges), long quiet gaps, and full drains — and demands observational
+// equality every cycle: the same SMs receive the same replies at the
+// same cycles, every armed memo equals its full-walk recompute at the
+// end of each step, and the final statistics (per-partition busy/peak counters included)
+// are byte-identical.
 func TestMemEventDrivenLockstep(t *testing.T) {
 	cfg := config.Default()
 	ed := NewSystem(&cfg)
-	ref := NewSystem(&cfg)
-	ed.SetEventDriven(true, nil)
+	ref := newReference(cfg)
+	armed, seen := 0, 0
 
 	rng := rand.New(rand.NewSource(7))
 	var now int64
@@ -55,7 +73,7 @@ func TestMemEventDrivenLockstep(t *testing.T) {
 			sendPair(ed, ref, 0, rng.Intn(cfg.NumSMs), false, now)
 		case 2, 3:
 			// quiet gap: skip ahead a random span with no traffic, the
-			// regime the event-driven tick early-outs through.
+			// regime the DRAM memo returns early through.
 			gap := int64(rng.Intn(300))
 			for g := int64(0); g < gap; g++ {
 				ed.Tick(now)
@@ -71,11 +89,16 @@ func TestMemEventDrivenLockstep(t *testing.T) {
 		for p := 0; p < cfg.NumSMs; p++ {
 			comparePop(t, ed, ref, p, now)
 		}
-		if now%97 == 0 {
-			if err := ed.AuditMemIdle(now); err != nil {
-				t.Fatalf("cycle %d: %v", now, err)
-			}
+		if err := ed.AuditMemIdle(); err != nil {
+			t.Fatalf("cycle %d: %v", now, err)
 		}
+		armed, seen = armed+armedMemos(ed), seen+cfg.L2Partitions
+		if armedMemos(ref) != 0 {
+			t.Fatalf("cycle %d: a reference system armed a DRAM memo", now)
+		}
+	}
+	if armed < seen/2 {
+		t.Fatalf("DRAM memos armed on only %d of %d partition-cycles: the skip was barely exercised", armed, seen)
 	}
 	// Drain both fully and compare the complete statistics bytes.
 	for !ed.Drained() || !ref.Drained() {
@@ -87,7 +110,7 @@ func TestMemEventDrivenLockstep(t *testing.T) {
 		now++
 	}
 	if a, b := statsJSON(t, ed), statsJSON(t, ref); a != b {
-		t.Errorf("event-driven statistics diverge from straight-through:\n sleep: %s\nnosleep: %s", a, b)
+		t.Errorf("memo statistics diverge from the reference:\n     memo: %s\nreference: %s", a, b)
 	}
 }
 
@@ -105,16 +128,14 @@ func comparePop(t *testing.T, sa, sb *System, port int, now int64) {
 	}
 }
 
-// TestMemEventDrivenRestoreRederives proves the memoized horizons are
-// derived state: a checkpoint taken mid-traffic from an event-driven
-// system carries no horizon fields, yet the restored system — whose
-// horizons start as "not yet derived" — re-derives them on its first
-// tick and continues in perfect lockstep with the original, audits
-// passing throughout.
+// TestMemEventDrivenRestoreRederives proves the DRAM next-event memos
+// are derived state: a checkpoint taken mid-traffic carries none, yet
+// the restored system — whose memos start disarmed — re-arms them on
+// its first tick and continues in perfect lockstep with the original,
+// audits passing from its first cycle.
 func TestMemEventDrivenRestoreRederives(t *testing.T) {
 	cfg := config.Default()
 	orig := NewSystem(&cfg)
-	orig.SetEventDriven(true, nil)
 
 	rng := rand.New(rand.NewSource(3))
 	var now int64
@@ -130,21 +151,26 @@ func TestMemEventDrivenRestoreRederives(t *testing.T) {
 	}
 
 	restored := NewSystem(&cfg)
-	restored.SetEventDriven(true, nil)
 	if err := restored.RestoreState(orig.Checkpoint()); err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.AuditMemIdle(now); err != nil {
+	if n := armedMemos(restored); n != 0 {
+		t.Fatalf("restored system has %d DRAM memos armed before its first tick", n)
+	}
+	if err := restored.AuditMemIdle(); err != nil {
 		t.Fatalf("restored system audits before first tick: %v", err)
 	}
-	for ; now < 3000; now++ {
+	for first := now; now < 3000; now++ {
 		orig.Tick(now)
 		restored.Tick(now)
 		for p := 0; p < cfg.NumSMs; p++ {
 			comparePop(t, restored, orig, p, now)
 		}
-		if err := restored.AuditMemIdle(now); err != nil {
-			t.Fatalf("cycle %d: restored horizons diverge from scans: %v", now, err)
+		if err := restored.AuditMemIdle(); err != nil {
+			t.Fatalf("cycle %d: restored memos diverge from full walks: %v", now, err)
+		}
+		if now == first && armedMemos(restored) == 0 {
+			t.Fatal("the restored system's first tick armed no DRAM memo")
 		}
 	}
 	if a, b := statsJSON(t, restored), statsJSON(t, orig); a != b {
@@ -159,10 +185,10 @@ func TestMemEventDrivenRestoreRederives(t *testing.T) {
 // 15 s sim_memory run's 607 MB); the ring it is now wraps in place.
 // Steady state must allocate nothing, for as long as the stream lasts.
 func TestSustainedL2HitStreamStaysBounded(t *testing.T) {
-	cfg := config.Default()
-	for _, eventDriven := range []bool{true, false} {
+	for _, reference := range []bool{false, true} {
+		cfg := config.Default()
+		cfg.Reference = reference
 		s := NewSystem(&cfg)
-		s.SetEventDriven(eventDriven, nil)
 		var now int64
 		step := func(send bool) {
 			if send {
@@ -193,7 +219,7 @@ func TestSustainedL2HitStreamStaysBounded(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("eventDriven=%v: 20000 cycles of a sustained L2-hit stream allocate %.0f times, want 0", eventDriven, allocs)
+			t.Errorf("reference=%v: 20000 cycles of a sustained L2-hit stream allocate %.0f times, want 0", reference, allocs)
 		}
 		if _, _, _, hits, _ := s.Depths(); hits > cfg.L2Partitions*(cfg.L2HitLat+cfg.IcntLat+2) {
 			t.Errorf("%d L2 hits in flight: the pipeline is backing up", hits)
@@ -210,7 +236,6 @@ func TestSustainedL2HitStreamStaysBounded(t *testing.T) {
 func TestDrainedSystemHoldsNothing(t *testing.T) {
 	cfg := config.Default()
 	s := NewSystem(&cfg)
-	s.SetEventDriven(true, nil)
 	var now int64
 	rng := rand.New(rand.NewSource(11))
 	round := func() {
@@ -234,7 +259,7 @@ func TestDrainedSystemHoldsNothing(t *testing.T) {
 		t.Fatalf("drained system still holds: req-net %d reply-net %d L2-MSHR %d L2-hits %d DRAM %d", toMem, toSM, mshr, hits, dramq)
 	}
 	s.ForEachInFlightRead(func(r LineRequest) { t.Errorf("drained system reports %+v in flight", r) })
-	if err := s.AuditMemIdle(now); err != nil {
+	if err := s.AuditMemIdle(); err != nil {
 		t.Error(err)
 	}
 	if allocs := testing.AllocsPerRun(3, round); allocs != 0 {

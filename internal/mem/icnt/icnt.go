@@ -3,8 +3,6 @@
 // delivery and a configurable per-cycle ejection bandwidth.
 package icnt
 
-import "math"
-
 // Packet is one message in flight.
 type Packet[T any] struct {
 	Payload T
@@ -75,26 +73,6 @@ func (n *Network[T]) Pop(dst int, now int64) (payload T, ok bool) {
 	}
 	return q.pop(), true
 }
-
-// NextReadyPort returns the earliest future cycle at which dst could
-// deliver a packet, or math.MaxInt64 when the port is empty. A packet
-// that is already deliverable (held back only by the one-per-cycle
-// ejection bandwidth) reports now+1. The memory system's partition
-// horizons use it to bound a partition's next request arrival.
-func (n *Network[T]) NextReadyPort(dst int, now int64) int64 {
-	q := &n.ports[dst]
-	if q.n == 0 {
-		return math.MaxInt64
-	}
-	at := q.buf[q.head].readyAt
-	if at <= now {
-		at = now + 1
-	}
-	return at
-}
-
-// Latency returns the network's fixed traversal latency in cycles.
-func (n *Network[T]) Latency() int64 { return n.latency }
 
 // Len returns the number of undelivered packets at dst.
 func (n *Network[T]) Len(dst int) int { return n.ports[dst].n }

@@ -12,10 +12,10 @@ import (
 	"gpushare/internal/stats"
 )
 
-// missedMemWakeSlack is how far a MissedMemWake fault pushes a
-// partition's memoized next-work cycle past its true horizon: long
-// enough that the skipped range provably contains live work, short
-// enough that the next invariant audit catches it quickly.
+// missedMemWakeSlack is how far a MissedMemWake fault pushes a DRAM
+// channel's next-event memo past its true next event: long enough that
+// the skipped range provably contains live work, short enough that the
+// next invariant audit catches it quickly.
 const missedMemWakeSlack = 64
 
 // LineRequest is one cache-line transaction from an SM to the memory
@@ -32,15 +32,6 @@ type partition struct {
 	l2   *cache.Cache
 	mshr *LineTable[LineRequest]
 	dram *dram.Channel
-
-	// nextAt is the memoized next-work cycle when the system is
-	// event-driven: the earliest cycle at which this partition could
-	// accept a request, schedule or complete a DRAM command, or deliver
-	// a pending L2 hit (math.MaxInt64 when drained, math.MinInt64 when
-	// not yet derived). Maintained by Send and each partition tick,
-	// never recomputed by scanning on the fast path; engine-local state
-	// that is never serialized.
-	nextAt int64
 
 	// Observability counters (checkpointed: restore must reproduce the
 	// straight-through statistics byte-for-byte).
@@ -66,33 +57,14 @@ type System struct {
 	l2hits *icnt.Network[LineRequest]
 	Global *Global
 
-	// sleep arms the event-driven tick: partitions with a memoized
-	// next-work cycle in the future are skipped individually, and when
-	// every partition is idle Tick early-outs in O(1). nextAt is the
-	// minimum of the partition horizons (the O(1) early-out bound).
-	// Both are engine-local, never serialized; faults optionally arms a
-	// MissedMemWake corruption of a refreshed horizon.
-	sleep  bool
-	nextAt int64
-	faults *fault.Plan
+	// Faults, when non-nil, arms a MissedMemWake or DRAMQueueOrder
+	// corruption (invariant-checker tests only). Set per run.
+	Faults *fault.Plan
 }
 
-// SetEventDriven arms (on) or disarms the event-driven tick. Horizons
-// are reset to "not yet derived", so the first Tick after arming walks
-// every partition once and derives them fresh — which is also how a
-// restored system re-derives the memoized state a checkpoint never
-// carries. faults, when non-nil, injects MissedMemWake corruptions
-// (invariant-checker tests only). Called at run start.
-func (s *System) SetEventDriven(on bool, faults *fault.Plan) {
-	s.sleep = on
-	s.faults = faults
-	s.nextAt = math.MinInt64
-	for _, p := range s.partitions {
-		p.nextAt = math.MinInt64
-	}
-}
-
-// NewSystem builds the memory system for a configuration.
+// NewSystem builds the memory system for a configuration. Every
+// partition is ticked every cycle; the one skip is each DRAM channel's
+// next-event memo, armed unless cfg.Reference.
 func NewSystem(cfg *config.Config) *System {
 	s := &System{
 		cfg:    cfg,
@@ -106,7 +78,7 @@ func NewSystem(cfg *config.Config) *System {
 			l2:   cache.New(cfg.L2Sets, cfg.L2Ways, cfg.L1LineSz),
 			mshr: NewLineTable[LineRequest](),
 			dram: dram.NewChannel(cfg.DRAMBanksPerPartition, cfg.DRAMRowBytes,
-				cfg.DRAMTiming, cfg.DRAMDataLat),
+				cfg.DRAMTiming, cfg.DRAMDataLat, !cfg.Reference),
 		})
 	}
 	return s
@@ -117,22 +89,9 @@ func (s *System) partitionOf(lineAddr uint32) int {
 	return int(lineAddr>>7) % len(s.partitions)
 }
 
-// Send injects a line request from an SM at time now. In event-driven
-// mode the target partition's next-work memo absorbs the delivery
-// cycle, so a sleeping partition wakes exactly when the request crosses
-// the interconnect.
+// Send injects a line request from an SM at time now.
 func (s *System) Send(req LineRequest, now int64) {
-	pi := s.partitionOf(req.LineAddr)
-	s.toMem.Push(pi, req, now)
-	if s.sleep {
-		at := now + s.toMem.Latency()
-		if p := s.partitions[pi]; at < p.nextAt {
-			p.nextAt = at
-		}
-		if at < s.nextAt {
-			s.nextAt = at
-		}
-	}
+	s.toMem.Push(s.partitionOf(req.LineAddr), req, now)
 }
 
 // PopReply delivers the oldest ready reply for the given SM, if any.
@@ -142,40 +101,15 @@ func (s *System) PopReply(sm int, now int64) (LineRequest, bool) {
 	return s.toSM.Pop(sm, now)
 }
 
-// Tick advances the memory system by one cycle. In event-driven mode a
-// partition whose memoized next-work cycle is still in the future is
-// provably workless this cycle and is skipped; when now precedes every
-// partition's horizon the whole call early-outs in O(1). The skip is
-// exact, not approximate: horizons are maintained at every state
-// change (Send, enqueue, DRAM completion, L2-hit push), so the
-// statistics are byte-identical to ticking every partition every cycle.
-// The only error is a broken internal contract (a DRAM queue offered a
-// request out of arrival order).
+// Tick advances the memory system by one cycle, ticking every
+// partition. The only error is a broken internal contract (a DRAM queue
+// offered a request out of arrival order).
 func (s *System) Tick(now int64) error {
-	if !s.sleep {
-		for pi, p := range s.partitions {
-			if err := s.tickPartition(pi, p, now); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if now < s.nextAt {
-		return nil
-	}
-	next := int64(math.MaxInt64)
 	for pi, p := range s.partitions {
-		if now >= p.nextAt {
-			if err := s.tickPartition(pi, p, now); err != nil {
-				return err
-			}
-			s.refreshHorizon(pi, p, now)
-		}
-		if p.nextAt < next {
-			next = p.nextAt
+		if err := s.tickPartition(pi, p, now); err != nil {
+			return err
 		}
 	}
-	s.nextAt = next
 	return nil
 }
 
@@ -183,8 +117,7 @@ func (s *System) Tick(now int64) error {
 // request off the interconnect, schedule and complete DRAM commands,
 // and deliver L2 hits whose latency elapsed. A cycle that processes at
 // least one event (or issues a DRAM command) counts as busy; the split
-// is event-derived, so it is identical whether idle cycles are ticked
-// or skipped.
+// is event-derived, so the DRAM memo's skipped cycles cannot move it.
 func (s *System) tickPartition(pi int, p *partition, now int64) error {
 	worked := false
 	// Accept at most one new request per cycle per partition.
@@ -209,6 +142,9 @@ func (s *System) tickPartition(pi int, p *partition, now int64) error {
 	if p.dram.Stats.RowHits+p.dram.Stats.RowMisses != cmds {
 		worked = true // a column command issued even if nothing completed
 	}
+	if s.Faults.Armed(fault.MissedMemWake) {
+		s.missWake(pi, p, now)
+	}
 	// L2 hits that finished their hit latency.
 	for {
 		req, ok := s.l2hits.Pop(pi, now)
@@ -224,68 +160,33 @@ func (s *System) tickPartition(pi int, p *partition, now int64) error {
 	return nil
 }
 
-// horizon is a partition's next-work cycle from its three sources: the
-// interconnect port's next delivery, the DRAM channel's next event
-// (dramNext: memoized, or recomputed by a full scan) and the front
-// pending L2 hit. The result is strictly greater than now (every due
-// event was just processed) or math.MaxInt64 when the partition is
-// drained.
-func (s *System) horizon(pi int, now int64, dramNext int64) int64 {
-	return min(s.toMem.NextReadyPort(pi, now), dramNext, s.l2hits.NextReadyPort(pi, now))
-}
-
-// refreshHorizon recomputes a just-ticked partition's next-work cycle
-// from its O(1) sources.
-func (s *System) refreshHorizon(pi int, p *partition, now int64) {
-	h := s.horizon(pi, now, p.dram.NextEvent(now))
-	// A MissedMemWake fault pushes the horizon past the true next
-	// event, so the skipped range provably contains live work; the
-	// mem-idle audit must catch the mismatch before it can corrupt
-	// results silently.
-	if s.faults != nil && h != math.MaxInt64 &&
-		s.faults.Trip(fault.MissedMemWake, now, -1, -1,
-			fmt.Sprintf("partition %d next-work pushed from cycle %d to %d", pi, h, h+missedMemWakeSlack)) {
-		h += missedMemWakeSlack
+// missWake offers a MissedMemWake opportunity: a channel whose memo
+// holds a future event has it pushed past that event, so Tick's early
+// return swallows live work and the mem-idle audit must catch the
+// mismatch before it can corrupt results silently.
+func (s *System) missWake(pi int, p *partition, now int64) {
+	if at, ok := p.dram.Memo(); ok && at != math.MaxInt64 &&
+		s.Faults.Trip(fault.MissedMemWake, now, -1, -1,
+			fmt.Sprintf("partition %d DRAM next event pushed from cycle %d to %d", pi, at, at+missedMemWakeSlack)) {
+		p.dram.DelayMemo(missedMemWakeSlack)
 	}
-	p.nextAt = h
 }
 
-// AuditMemIdle checks what the memory path's early exits rest on. Every
-// DRAM queue must be arrival-ordered (the FR-FCFS walk and the
-// next-event walk stop at the first request that has not arrived), in
-// every mode. When the system is event-driven the memoized horizons are
-// then cross-checked against from-scratch recomputes — the DRAM next
-// event by a full walk that takes no early exit: every partition
-// horizon must match, and the global early-out bound must be their
-// minimum. Read-only; the mem-idle invariant audit.
-func (s *System) AuditMemIdle(now int64) error {
+// AuditMemIdle checks what the memory path's early exits rest on, in
+// every mode. Every DRAM queue must be arrival-ordered (the FR-FCFS walk
+// and the next-event walk stop at the first request that has not
+// arrived), and every armed DRAM next-event memo must equal a full walk
+// that takes no early exit. Read-only; the mem-idle invariant audit.
+func (s *System) AuditMemIdle() error {
 	for pi, p := range s.partitions {
 		if err := p.dram.AuditOrder(); err != nil {
 			return fmt.Errorf("memory partition %d: %w", pi, err)
 		}
 	}
-	if !s.sleep {
-		return nil
-	}
-	if s.nextAt == math.MinInt64 {
-		return nil // horizons not yet derived (no Tick since arming/restore)
-	}
-	min := int64(math.MaxInt64)
 	for pi, p := range s.partitions {
-		if p.nextAt <= now {
-			return fmt.Errorf("memory partition %d is due at cycle %d but was not ticked by cycle %d (missed wake)",
-				pi, p.nextAt, now)
+		if err := p.dram.AuditMemo(); err != nil {
+			return fmt.Errorf("memory partition %d: %w", pi, err)
 		}
-		if scan := s.horizon(pi, now, p.dram.NextEventScan(now)); scan != p.nextAt {
-			return fmt.Errorf("memory partition %d memoized next-work cycle %d != scan recompute %d (missed wake)",
-				pi, p.nextAt, scan)
-		}
-		if p.nextAt < min {
-			min = p.nextAt
-		}
-	}
-	if s.nextAt != min {
-		return fmt.Errorf("memory system early-out bound %d != minimum partition horizon %d", s.nextAt, min)
 	}
 	return nil
 }
@@ -315,8 +216,8 @@ func (s *System) receive(pi int, p *partition, req LineRequest, now int64) error
 		return err
 	}
 	p.dramPeak = max(p.dramPeak, p.dram.Pending())
-	if s.faults.Armed(fault.DRAMQueueOrder) && p.dram.SwapNewest() &&
-		!s.faults.Trip(fault.DRAMQueueOrder, now, -1, -1,
+	if s.Faults.Armed(fault.DRAMQueueOrder) && p.dram.SwapNewest() &&
+		!s.Faults.Trip(fault.DRAMQueueOrder, now, -1, -1,
 			fmt.Sprintf("partition %d: the two newest DRAM requests traded places", pi)) {
 		p.dram.SwapNewest() // not this opportunity: put them back
 	}
@@ -360,9 +261,7 @@ func (s *System) Settle(now int64) error {
 		p.dram.Rebase(now)
 		p.l2.Stats, p.dram.Stats = stats.Cache{}, stats.DRAM{}
 		p.busy, p.dramPeak, p.mshrPeak, p.pendPeak = 0, 0, 0, 0
-		p.nextAt = math.MinInt64
 	}
-	s.nextAt = math.MinInt64
 	return nil
 }
 
@@ -404,7 +303,7 @@ func (s *System) Depths() (toMem, toSM, l2MSHR, l2Pending, dramQueued int) {
 // CollectStats sums L2 and DRAM statistics into the aggregate and
 // records the per-partition breakdown (row locality, busy/idle split,
 // queue high-water marks). The breakdown counters are event-derived,
-// so they are identical whether idle cycles were ticked or skipped.
+// so the DRAM memo's skipped cycles cannot move them.
 func (s *System) CollectStats(g *stats.GPU) {
 	g.MemParts = g.MemParts[:0]
 	for _, p := range s.partitions {

@@ -163,6 +163,11 @@ hits=$(grep -n -E '\b[cC]fg\.T\b' $(ls internal/tenancy/*.go internal/smcore/*.g
 [ -z "$hits" ] || { echo "the sharing threshold is read outside internal/core (a second pair-cost formula?):" >&2; echo "$hits" >&2; exit 1; }
 echo "   non-test Go lines in internal/{core,tenancy,smcore}: $(cat $(ls internal/core/*.go internal/tenancy/*.go internal/smcore/*.go | grep -v _test.go) | wc -l)"
 
+echo "== one memory skip (every partition ticks every cycle; the DRAM channel's next-event memo is the only skip on the memory side)"
+hits=$(grep -n -E 'SetEventDriven|refreshHorizon|NextReadyPort|armMemSleep' $(find internal -name '*.go' ! -name '*_test.go') || true)
+[ -z "$hits" ] || { echo "a memory-side skip beside the DRAM memo is back (partition horizons or their arming):" >&2; echo "$hits" >&2; exit 1; }
+echo "   non-test Go lines in internal/{mem,gpu,invariant,fault}: $(cat $(find internal/mem internal/gpu internal/invariant internal/fault -name '*.go' ! -name '*_test.go') | wc -l)"
+
 echo "== one atomic write (checkpoint.WriteFileAtomic is the only temp-file rename in non-test Go)"
 n=$(cat $nontest_go | grep -v '^[[:space:]]*//' | grep -c 'os\.Rename(' || true)
 [ "$n" = 1 ] || { echo "$n call sites of os.Rename(, want 1 (a hand-rolled atomic write coming back?)" >&2; exit 1; }
