@@ -112,7 +112,7 @@ func (c *Client) SubmitWait(ctx context.Context, req server.SubmitRequest) (*ser
 	if !server.Terminal(st.State) {
 		// The job outlived the server's hold on the POST; keep waiting
 		// on its key.
-		return c.Wait(ctx, st.Key, 0)
+		return c.Wait(ctx, st.Key)
 	}
 	return &st, nil
 }
@@ -126,18 +126,20 @@ func (c *Client) Get(ctx context.Context, key string) (*server.JobStatus, error)
 	return &st, nil
 }
 
+// waitPause is how long Wait pauses before re-asking a daemon that
+// answered non-terminal without holding the request. A daemon holds
+// every ?wait= until the job is terminal or its hold bound lapses (and
+// then says Held), so an unheld answer comes from one that is stopping;
+// the pause keeps Wait from spinning on it until it goes away.
+const waitPause = 250 * time.Millisecond
+
 // Wait blocks until a job reaches a terminal state (done, failed, or
 // canceled — inspect State) or ctx ends. The waiting happens on the
 // server: each GET ?wait= is held there until the job finishes, so the
 // result arrives one round trip after completion; a job that outlives
-// one hold (the reply says Held) is asked for again at once. poll is
-// only the pause before re-asking a server that answered non-terminal
-// without holding — one that predates ?wait= — so that pairing degrades
-// to polling instead of spinning. poll <= 0 defaults to 250ms.
-func (c *Client) Wait(ctx context.Context, key string, poll time.Duration) (*server.JobStatus, error) {
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
+// one hold (the reply says Held) is asked for again at once, and an
+// unheld non-terminal answer after waitPause.
+func (c *Client) Wait(ctx context.Context, key string) (*server.JobStatus, error) {
 	for {
 		var st server.JobStatus
 		if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+key+"?wait=1", nil, &st); err != nil {
@@ -150,7 +152,7 @@ func (c *Client) Wait(ctx context.Context, key string, poll time.Duration) (*ser
 			continue
 		}
 		select {
-		case <-time.After(poll):
+		case <-time.After(waitPause):
 		case <-ctx.Done():
 			return nil, context.Cause(ctx)
 		}

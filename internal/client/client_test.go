@@ -235,9 +235,9 @@ func TestContextCancelStopsRetries(t *testing.T) {
 	}
 }
 
-// TestWaitPausesWhenServerDoesNotHold: a server that ignores ?wait= and
-// answers "running" at once (one that predates the held wait) turns Wait
-// into a paced poll, not a busy loop.
+// TestWaitPausesWhenServerDoesNotHold: a server that answers "running"
+// at once without holding (a daemon that is stopping) turns Wait into a
+// poll paced by waitPause, not a busy loop.
 func TestWaitPausesWhenServerDoesNotHold(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -248,20 +248,20 @@ func TestWaitPausesWhenServerDoesNotHold(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if st, err := fastClient(ts.URL).Wait(ctx, "k", 100*time.Millisecond); err == nil {
+	if st, err := fastClient(ts.URL).Wait(ctx, "k"); err == nil {
 		t.Fatalf("Wait returned %+v for a job that never finished", st)
 	}
-	// One request per 100ms pause over one second; a spin would be
+	// One request per 250ms pause over one second; a spin would be
 	// thousands.
-	if n := calls.Load(); n < 2 || n > 12 {
-		t.Fatalf("%d requests in 1s at a 100ms pause, want about 10", n)
+	if n := calls.Load(); n < 2 || n > 6 {
+		t.Fatalf("%d requests in 1s at a %v pause, want about 4", n, waitPause)
 	}
 }
 
 // TestWaitReasksHeldRepliesAtOnce: a non-terminal reply marked Held —
 // the server waited as long as it would — is followed by the next
-// request with no pause (the pause here is an hour), and every request
-// asks to be held.
+// request with no pause (three pauses would take 750ms), and every
+// request asks to be held.
 func TestWaitReasksHeldRepliesAtOnce(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -278,11 +278,15 @@ func TestWaitReasksHeldRepliesAtOnce(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	st, err := fastClient(ts.URL).Wait(ctx, "k", time.Hour)
+	start := time.Now()
+	st, err := fastClient(ts.URL).Wait(ctx, "k")
 	if err != nil || st.State != server.StateCanceled {
 		t.Fatalf("Wait = %+v, %v; want the canceled status", st, err)
 	}
 	if calls.Load() != 4 {
 		t.Fatalf("%d requests, want 4", calls.Load())
+	}
+	if d := time.Since(start); d >= 3*waitPause {
+		t.Fatalf("four held replies took %v: Wait paused between them", d)
 	}
 }

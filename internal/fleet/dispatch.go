@@ -167,7 +167,7 @@ func (c *Coordinator) runDispatch(ctx context.Context, j *fjob, w *worker) {
 	}
 
 	if !server.Terminal(st.State) {
-		st, err = w.cl.Wait(ctx, j.Key, 0)
+		st, err = w.cl.Wait(ctx, j.Key)
 		if err != nil {
 			c.dispatchFailed(j, w, err)
 			return

@@ -33,10 +33,22 @@ func scratchSharing() config.Config {
 }
 
 // twoLevel is the unshared baseline of Figs. 11/12: the one policy that
-// ranks on WaitingLong, the view field patchView rewrites in place.
+// ranks on whether a warp waits on a global load, an input no warp
+// view caches (the SM's waitingLong is read live at each ranking).
 func twoLevel() config.Config {
 	cfg := config.Default()
 	cfg.Sched = config.SchedTwoLevel
+	return cfg
+}
+
+// earlyRelease is Shared-OWF-Unroll with the §VIII early register
+// release: the one tenant kind whose every issue re-snapshots the warp,
+// and whose snapshot has a side effect (ReleaseReg).
+func earlyRelease() config.Config {
+	cfg := config.Default()
+	cfg.Sharing, cfg.T = config.ShareRegisters, 0.1
+	cfg.Sched = config.SchedOWF
+	cfg.UnrollRegs, cfg.EarlyRegRelease = true, true
 	return cfg
 }
 
@@ -47,9 +59,12 @@ func twoLevel() config.Config {
 // stalls (MUM), register-lock waits under the dyn gate (LIB),
 // scratchpad-lock waits (lavaMD), two tenants' classes in one census
 // (cosched), and a census re-derived from nothing after a restore. The
-// two-level cases audit every in-place WaitingLong write on the cycle it
-// happens, under the policy that ranks on it: a quick kernel with global
-// loads (gaussian) and a latency-bound one (MUM).
+// two-level cases check that an issue or a load completion, which drop
+// only the warp's card, leave nothing stale under the policy that ranks
+// on load state: a quick kernel with global loads (gaussian) and a
+// latency-bound one (MUM). The early-release case (the epilogue
+// microbenchmark) checks that the release still fires at the
+// scheduler's next refresh, as on the reference, and that it fires.
 func TestCensusExact(t *testing.T) {
 	audited := func(cfg config.Config) config.Config {
 		cfg.InvariantStride = 1
@@ -65,14 +80,25 @@ func TestCensusExact(t *testing.T) {
 		{"lavaMD/shared-owf-scratchpad", "lavaMD", false, scratchSharing},
 		{"two-level/gaussian", "gaussian", false, twoLevel},
 		{"two-level/MUM", "MUM", true, twoLevel},
+		{"epilogue/shared-owf-unroll-early-release", "epilogue", false, earlyRelease},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if c.slow && testing.Short() {
 				t.Skip("simulation-heavy at stride 1")
 			}
-			want := encodeJSON(t, runWorkload(t, c.workload, reference(c.cfg()), 1))
-			if got := encodeJSON(t, runWorkload(t, c.workload, audited(c.cfg()), 1)); got != want {
+			cfg := c.cfg()
+			ref := runWorkload(t, c.workload, reference(cfg), 1)
+			if got := encodeJSON(t, runWorkload(t, c.workload, audited(cfg), 1)); got != encodeJSON(t, ref) {
 				t.Error("card/census run diverges from the reference")
+			}
+			if cfg.EarlyRegRelease {
+				var rel int64
+				for i := range ref.SMs {
+					rel += ref.SMs[i].EarlyRegRelease
+				}
+				if rel == 0 {
+					t.Error("no early release fired: the leg does not exercise the release")
+				}
 			}
 		})
 	}

@@ -79,43 +79,47 @@ type Sim struct {
 	// is touched.
 	RestoreFrom []byte
 
-	ms *mem.System
+	ms        *mem.System
+	envStride int64 // GPUSHARE_INVARIANT_STRIDE at New, for runs with InvariantStride 0
 }
 
-// envReference reads GPUSHARE_REFERENCE: any value other than empty or
-// "0" puts every simulator built while it is set in reference mode,
-// exactly like Config.Reference.
-func envReference() bool {
-	v := os.Getenv("GPUSHARE_REFERENCE")
-	return v != "" && v != "0"
-}
-
-// envInvariantStride reads GPUSHARE_INVARIANT_STRIDE: a positive
-// integer turns invariant auditing on for every run whose configuration
-// leaves InvariantStride at 0 (used by tools/check.sh to run the whole
-// tier-1 suite audited without touching test code). Read per Run, not
-// once, so tests that genuinely need auditing off can pin it to 0 with
-// t.Setenv.
-func envInvariantStride() int64 {
-	v := os.Getenv("GPUSHARE_INVARIANT_STRIDE")
-	if v == "" {
-		return 0
+// engineEnv reads the engine's two environment variables, unset
+// meaning off. GPUSHARE_REFERENCE is a strconv.ParseBool value that puts
+// the simulator in reference mode exactly like Config.Reference.
+// GPUSHARE_INVARIANT_STRIDE is a non-negative integer that turns
+// invariant auditing on for every run whose configuration leaves
+// InvariantStride at 0 (tools/check.sh runs the whole tier-1 suite
+// audited through it without touching test code). A malformed value is
+// an error naming the variable, never a silent "off".
+func engineEnv() (reference bool, stride int64, err error) {
+	if v := os.Getenv("GPUSHARE_REFERENCE"); v != "" {
+		if reference, err = strconv.ParseBool(v); err != nil {
+			return false, 0, fmt.Errorf("GPUSHARE_REFERENCE=%q is not a boolean (1, true, 0, false)", v)
+		}
 	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || n < 0 {
-		return 0
+	if v := os.Getenv("GPUSHARE_INVARIANT_STRIDE"); v != "" {
+		if stride, err = strconv.ParseInt(v, 10, 64); err != nil || stride < 0 {
+			return false, 0, fmt.Errorf("GPUSHARE_INVARIANT_STRIDE=%q is not a non-negative integer", v)
+		}
 	}
-	return n
+	return reference, stride, nil
 }
 
-// New builds a simulator for the configuration.
+// New builds a simulator for the configuration and the engine
+// environment variables (engineEnv) as they are set now; tests that
+// need auditing off pin GPUSHARE_INVARIANT_STRIDE to 0 with t.Setenv
+// before they build their simulator.
 func New(cfg config.Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, simerr.Wrap(simerr.KindConfig, -1, err)
 	}
-	cfg.Reference = cfg.Reference || envReference()
+	reference, stride, err := engineEnv()
+	if err != nil {
+		return nil, simerr.Wrap(simerr.KindConfig, -1, err)
+	}
+	cfg.Reference = cfg.Reference || reference
 	ms := mem.NewSystem(&cfg)
-	return &Sim{Cfg: cfg, Mem: ms.Global, ms: ms}, nil
+	return &Sim{Cfg: cfg, Mem: ms.Global, ms: ms, envStride: stride}, nil
 }
 
 // MustNew is New that panics on configuration errors.
@@ -257,7 +261,7 @@ func (s *Sim) newRun(mode, label string, spec *tenancy.Spec, launches []*kernel.
 		r.sink, r.ckStride = s.CheckpointSink, s.Cfg.CheckpointStride
 	}
 	if r.auditStride = s.Cfg.InvariantStride; r.auditStride <= 0 {
-		r.auditStride = envInvariantStride()
+		r.auditStride = s.envStride
 	}
 	if r.maxCycles = s.Cfg.MaxCycles; r.maxCycles <= 0 {
 		r.maxCycles = defaultMaxCycles

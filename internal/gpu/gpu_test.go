@@ -1,11 +1,13 @@
 package gpu
 
 import (
+	"strings"
 	"testing"
 
 	"gpushare/internal/config"
 	"gpushare/internal/isa"
 	"gpushare/internal/kernel"
+	"gpushare/internal/simerr"
 )
 
 // vecAddKernel builds: out[i] = a[i] + b[i] for i = global thread id.
@@ -122,6 +124,52 @@ func TestVecAddAllSchedulers(t *testing.T) {
 				if got := sim.Mem.Load32(oAddr + uint32(4*i)); got != uint32(3*i) {
 					t.Fatalf("out[%d] = %d, want %d", i, got, 3*i)
 				}
+			}
+		})
+	}
+}
+
+// TestEngineEnvParsesStrictly: the engine environment variables parse
+// as a boolean and a non-negative integer. A malformed value fails New
+// with a config error naming the variable instead of quietly meaning
+// "off" (or, for GPUSHARE_REFERENCE=false, "on").
+func TestEngineEnvParsesStrictly(t *testing.T) {
+	for _, c := range []struct {
+		name, value string
+		reference   bool
+		stride      int64
+		bad         bool
+	}{
+		{"GPUSHARE_REFERENCE", "", false, 0, false},
+		{"GPUSHARE_REFERENCE", "1", true, 0, false},
+		{"GPUSHARE_REFERENCE", "true", true, 0, false},
+		{"GPUSHARE_REFERENCE", "0", false, 0, false},
+		{"GPUSHARE_REFERENCE", "false", false, 0, false},
+		{"GPUSHARE_REFERENCE", "yes", false, 0, true},
+		{"GPUSHARE_INVARIANT_STRIDE", "", false, 0, false},
+		{"GPUSHARE_INVARIANT_STRIDE", "0", false, 0, false},
+		{"GPUSHARE_INVARIANT_STRIDE", "256", false, 256, false},
+		{"GPUSHARE_INVARIANT_STRIDE", "-1", false, 0, true},
+		{"GPUSHARE_INVARIANT_STRIDE", "2.5e2", false, 0, true},
+		{"GPUSHARE_INVARIANT_STRIDE", "256 ", false, 0, true},
+	} {
+		t.Run(c.name+"="+c.value, func(t *testing.T) {
+			t.Setenv("GPUSHARE_REFERENCE", "")
+			t.Setenv("GPUSHARE_INVARIANT_STRIDE", "")
+			t.Setenv(c.name, c.value)
+			sim, err := New(config.Default())
+			if c.bad {
+				se, ok := simerr.As(err)
+				if !ok || se.Kind != simerr.KindConfig || !strings.Contains(err.Error(), c.name) {
+					t.Fatalf("New = %v, want a config error naming %s", err, c.name)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sim.Cfg.Reference != c.reference || sim.envStride != c.stride {
+				t.Errorf("reference %v, stride %d; want %v, %d", sim.Cfg.Reference, sim.envStride, c.reference, c.stride)
 			}
 		})
 	}

@@ -124,24 +124,6 @@ func TestFaultInjectionCaughtByInvariants(t *testing.T) {
 			},
 		},
 		{
-			// The same fault at its other site: an issue or a load
-			// completion flips a warp's WaitingLong but the in-place view
-			// patch is skipped. Only the two-level policy ranks on the
-			// field, so only under it is this an opportunity; loadinc's
-			// load-use pair flips it at the load's issue and again when
-			// the line lands hundreds of cycles later.
-			name: "stale-view-patch", kind: fault.StaleSnapshot, seed: 5,
-			setup: func(t *testing.T) (*Sim, *kernel.Launch) {
-				cfg := config.Default()
-				cfg.NumSMs = 2
-				cfg.Sched = config.SchedTwoLevel
-				cfg.InvariantStride = 32
-				sim := MustNew(cfg)
-				buf := sim.Mem.Alloc(4 * 128 * 8)
-				return sim, &kernel.Launch{Kernel: loadIncKernel(t), GridDim: 8, Params: []uint32{buf}}
-			},
-		},
-		{
 			name: "skip-barrier-arrival", kind: fault.SkipBarrierArrival, seed: 3,
 			setup: func(t *testing.T) (*Sim, *kernel.Launch) {
 				cfg := config.Default()

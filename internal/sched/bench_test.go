@@ -25,7 +25,7 @@ func BenchmarkSchedOrder(b *testing.B) {
 	for _, p := range policies {
 		b.Run(p.name, func(b *testing.B) {
 			const n = 48
-			s := New(p.pol, 8)
+			s := New(p.pol, 8, func(int) bool { return false })
 			ws := make([]WarpInfo, n)
 			for i := range ws {
 				ws[i] = WarpInfo{

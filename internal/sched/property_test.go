@@ -8,27 +8,36 @@ import (
 	"gpushare/internal/core"
 )
 
+// waits is the slot → waiting-on-memory map the two-level policy reads
+// live through New's waitingLong function, as it reads an SM's load
+// state: no warp view carries it.
+type waits map[int]bool
+
+func (w waits) long(slot int) bool { return w[slot] }
+
 // randViews builds a randomized warp set with interleaved (non-contiguous)
 // slot numbers, unique dynamic ids, mixed categories and some warps
-// waiting on memory — the shape a scheduler actually sees when an SM
-// splits its warps across schedulers.
-func randViews(rng *rand.Rand, n int, nextDyn *int64) []WarpInfo {
+// waiting on memory (refilling wait) — the shape a scheduler actually
+// sees when an SM splits its warps across schedulers.
+func randViews(rng *rand.Rand, n int, nextDyn *int64, wait waits) []WarpInfo {
+	clear(wait)
 	ws := make([]WarpInfo, n)
 	for i := range ws {
 		ws[i] = WarpInfo{
-			Slot:        i*2 + 1, // interleaved: slot numbers are not positions
-			HasWork:     rng.Intn(4) != 0,
-			DynID:       *nextDyn,
-			Category:    core.Category(rng.Intn(3)),
-			WaitingLong: rng.Intn(2) == 0,
+			Slot:     i*2 + 1, // interleaved: slot numbers are not positions
+			HasWork:  rng.Intn(4) != 0,
+			DynID:    *nextDyn,
+			Category: core.Category(rng.Intn(3)),
 		}
+		wait[ws[i].Slot] = rng.Intn(2) == 0
 		*nextDyn++
 	}
 	return ws
 }
 
-// mutate applies one random view change and returns the changed entry.
-func mutate(rng *rand.Rand, ws []WarpInfo, nextDyn *int64) WarpInfo {
+// mutate applies one random view or wait change and returns the
+// warp's view (unchanged when only its wait flipped).
+func mutate(rng *rand.Rand, ws []WarpInfo, nextDyn *int64, wait waits) WarpInfo {
 	i := rng.Intn(len(ws))
 	switch rng.Intn(4) {
 	case 0:
@@ -37,7 +46,7 @@ func mutate(rng *rand.Rand, ws []WarpInfo, nextDyn *int64) WarpInfo {
 		ws[i].DynID = *nextDyn // a relaunched slot gets a fresh, unique id
 		*nextDyn++
 	case 2:
-		ws[i].WaitingLong = !ws[i].WaitingLong
+		wait[ws[i].Slot] = !wait[ws[i].Slot]
 	default:
 		ws[i].Category = core.Category(rng.Intn(3))
 	}
@@ -72,11 +81,12 @@ func TestOrderIsPermutationOfReadySlots(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			var nextDyn int64
+			wait := waits{}
 			for trial := 0; trial < 50; trial++ {
-				s := New(p.pol, 4)
-				ws := randViews(rng, 1+rng.Intn(12), &nextDyn)
+				s := New(p.pol, 4, wait.long)
+				ws := randViews(rng, 1+rng.Intn(12), &nextDyn, wait)
 				for step := 0; step < 20; step++ {
-					mutate(rng, ws, &nextDyn)
+					mutate(rng, ws, &nextDyn, wait)
 					order := s.Order(ws, nil)
 					seen := map[int]bool{}
 					for _, slot := range order {
@@ -121,11 +131,12 @@ func TestOWFPartitionProperty(t *testing.T) {
 		t.Fatalf("slot %d not in views", slot)
 		return 0
 	}
+	wait := waits{}
 	for trial := 0; trial < 100; trial++ {
-		s := New(config.SchedOWF, 0)
-		ws := randViews(rng, 1+rng.Intn(12), &nextDyn)
+		s := New(config.SchedOWF, 0, nil)
+		ws := randViews(rng, 1+rng.Intn(12), &nextDyn, wait)
 		for step := 0; step < 20; step++ {
-			mutate(rng, ws, &nextDyn)
+			mutate(rng, ws, &nextDyn, wait)
 			order := s.Order(ws, nil)
 			for i := 1; i < len(order); i++ {
 				if catOf(ws, order[i-1]) > catOf(ws, order[i]) {
@@ -156,22 +167,23 @@ func TestCursorMatchesOrder(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1))
 			var nextDyn int64
+			wait := waits{}
 			for trial := 0; trial < 100; trial++ {
 				const group = 4
-				s := New(p.pol, group)
+				s := New(p.pol, group, wait.long)
 				inc, _ := s.(Incremental)
-				eager := &eagerRotation{group: group, last: -1}
+				eager := &eagerRotation{group: group, last: -1, wait: wait}
 				if p.pol == config.SchedLRR {
 					eager.group = 0 // one group of every warp
 				}
-				ws := randViews(rng, 1+rng.Intn(16), &nextDyn)
+				ws := randViews(rng, 1+rng.Intn(16), &nextDyn, wait)
 				if inc != nil {
 					for i := range ws {
 						inc.Sync(ws[i])
 					}
 				}
 				for step := 0; step < 30; step++ {
-					if w := mutate(rng, ws, &nextDyn); inc != nil {
+					if w := mutate(rng, ws, &nextDyn, wait); inc != nil {
 						inc.Sync(w)
 					}
 					var want []int
@@ -214,6 +226,7 @@ func TestCursorMatchesOrder(t *testing.T) {
 // group of every warp (LRR).
 type eagerRotation struct {
 	group, active, last int
+	wait                waits
 }
 
 func (s *eagerRotation) order(warps []WarpInfo) []int {
@@ -232,7 +245,7 @@ func (s *eagerRotation) order(warps []WarpInfo) []int {
 	}
 	runnable := func(g int) bool {
 		for i := g * group; i < min((g+1)*group, n); i++ {
-			if warps[i].HasWork && !warps[i].WaitingLong {
+			if warps[i].HasWork && !s.wait[warps[i].Slot] {
 				return true
 			}
 		}

@@ -34,10 +34,6 @@ type WarpInfo struct {
 	DynID    int64         // dynamic (launch-order) id; lower = older
 	Category core.Category // owner / unshared / non-owner
 	HasWork  bool          // has a decoded instruction to consider
-	// WaitingLong marks warps whose next instruction waits on an
-	// outstanding global-memory load; the two-level scheduler demotes
-	// their fetch group.
-	WaitingLong bool
 }
 
 // Scheduler ranks warps for issue.
@@ -59,10 +55,11 @@ type Scheduler interface {
 // Incremental is implemented by schedulers that maintain an internal
 // ready structure instead of re-ranking the full warp set every cycle.
 // The caller pushes per-warp view changes through Sync on the events
-// that can change them (issue, writeback, barrier release, ownership
-// transfer, block launch); Begin then walks the maintained ranking
-// without scanning, sorting, or allocating. For any sequence of Sync
-// calls, the walk equals Order applied to the synced views.
+// that can change them (a warp finishing or parking at a barrier,
+// barrier release, ownership transfer, block launch); Begin then walks
+// the maintained ranking without scanning, sorting, or allocating. For
+// any sequence of Sync calls, the walk equals Order applied to the
+// synced views.
 type Incremental interface {
 	Scheduler
 	// Sync replaces the scheduler's view of info.Slot.
@@ -74,9 +71,12 @@ type Incremental interface {
 	AuditReady(warps []WarpInfo) error
 }
 
-// New returns a scheduler implementing the given policy. groupSize is
-// used by the two-level policy only.
-func New(policy config.SchedPolicy, groupSize int) Scheduler {
+// New returns a scheduler implementing the given policy. groupSize and
+// waitingLong are used by the two-level policy only: waitingLong(slot)
+// reports whether the warp in that slot has its next instruction
+// waiting on an outstanding global-memory load, and is read live at
+// each ranking, so no warp view carries it.
+func New(policy config.SchedPolicy, groupSize int, waitingLong func(slot int) bool) Scheduler {
 	switch policy {
 	case config.SchedGTO:
 		return &gto{last: -1}
@@ -84,7 +84,7 @@ func New(policy config.SchedPolicy, groupSize int) Scheduler {
 		if groupSize <= 0 {
 			groupSize = 8
 		}
-		return &twoLevel{group: groupSize, last: -1}
+		return &twoLevel{group: groupSize, last: -1, waitingLong: waitingLong}
 	case config.SchedOWF:
 		return &owf{last: -1, rank: readyRank{byCategory: true}}
 	default:
@@ -178,9 +178,10 @@ func greedyThenOldest(warps []WarpInfo, out []int, last int, byCategory bool) []
 // active group, switching groups when the active group's warps are all
 // blocked on long-latency operations (Narasiman et al., MICRO-44).
 type twoLevel struct {
-	group  int
-	active int
-	last   int // slot number of the last issued warp; -1 before any issue
+	group       int
+	active      int
+	last        int // slot number of the last issued warp; -1 before any issue
+	waitingLong func(slot int) bool
 }
 
 // Begin demotes the active group if none of its warps can make progress
@@ -214,7 +215,7 @@ func (s *twoLevel) Order(warps []WarpInfo, out []int) []int {
 func (s *twoLevel) groupRunnable(warps []WarpInfo, g int) bool {
 	lo, hi := g*s.group, min((g+1)*s.group, len(warps))
 	for i := lo; i < hi; i++ {
-		if warps[i].HasWork && !warps[i].WaitingLong {
+		if warps[i].HasWork && !s.waitingLong(warps[i].Slot) {
 			return true
 		}
 	}

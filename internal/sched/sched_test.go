@@ -16,7 +16,7 @@ func warps(n int) []WarpInfo {
 }
 
 func TestLRRRotation(t *testing.T) {
-	s := New(config.SchedLRR, 0)
+	s := New(config.SchedLRR, 0, nil)
 	ws := warps(4)
 	order := s.Order(ws, nil)
 	if order[0] != 0 {
@@ -36,7 +36,7 @@ func TestLRRRotation(t *testing.T) {
 }
 
 func TestGTOGreedyThenOldest(t *testing.T) {
-	s := New(config.SchedGTO, 0)
+	s := New(config.SchedGTO, 0, nil)
 	ws := warps(4)
 	ws[0].DynID, ws[2].DynID = 10, -1 // warp 2 is oldest
 	order := s.Order(ws, nil)
@@ -56,7 +56,7 @@ func TestGTOGreedyThenOldest(t *testing.T) {
 }
 
 func TestOWFCategoryPriority(t *testing.T) {
-	s := New(config.SchedOWF, 0)
+	s := New(config.SchedOWF, 0, nil)
 	ws := warps(6)
 	ws[0].Category = core.CatNonOwner
 	ws[1].Category = core.CatNonOwner
@@ -91,8 +91,8 @@ func TestOWFCategoryPriority(t *testing.T) {
 // TestOWFDegeneratesToGTO: with every warp unshared (Set-3), OWF must
 // produce exactly GTO's order — the paper's Fig. 12 observation.
 func TestOWFDegeneratesToGTO(t *testing.T) {
-	owf := New(config.SchedOWF, 0)
-	gto := New(config.SchedGTO, 0)
+	owf := New(config.SchedOWF, 0, nil)
+	gto := New(config.SchedGTO, 0, nil)
 	ws := warps(8)
 	ws[3].DynID = -5
 	ws[6].HasWork = false
@@ -115,7 +115,8 @@ func TestOWFDegeneratesToGTO(t *testing.T) {
 }
 
 func TestTwoLevelGroupSwitching(t *testing.T) {
-	s := New(config.SchedTwoLevel, 4)
+	waiting := make(map[int]bool)
+	s := New(config.SchedTwoLevel, 4, func(slot int) bool { return waiting[slot] })
 	ws := warps(8)
 	order := s.Order(ws, nil)
 	if len(order) != 8 {
@@ -127,7 +128,7 @@ func TestTwoLevelGroupSwitching(t *testing.T) {
 	}
 	// Demote group 0: all its warps wait on memory.
 	for i := 0; i < 4; i++ {
-		ws[i].WaitingLong = true
+		waiting[ws[i].Slot] = true
 	}
 	order = s.Order(ws, nil)
 	if order[0] < 4 {
@@ -137,7 +138,7 @@ func TestTwoLevelGroupSwitching(t *testing.T) {
 
 func TestEmptyAndAllBlocked(t *testing.T) {
 	for _, pol := range []config.SchedPolicy{config.SchedLRR, config.SchedGTO, config.SchedTwoLevel, config.SchedOWF} {
-		s := New(pol, 4)
+		s := New(pol, 4, func(int) bool { return false })
 		if got := s.Order(nil, nil); len(got) != 0 {
 			t.Errorf("%v: order of no warps = %v", pol, got)
 		}

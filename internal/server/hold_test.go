@@ -132,7 +132,7 @@ func TestHeldGetReleasedByDisconnect(t *testing.T) {
 	ctx, hangUp := context.WithCancel(bg)
 	waitErr := make(chan error, 1)
 	go func() {
-		_, err := d.c.Wait(ctx, st.Key, 0)
+		_, err := d.c.Wait(ctx, st.Key)
 		waitErr <- err
 	}()
 	for d.waits.Load() == 0 { // the held GET has reached the daemon
@@ -169,7 +169,7 @@ func TestHeldGetReportsCancelAsStatus(t *testing.T) {
 	got := make(chan reply, 1)
 	go func() {
 		// A 503 here would come back as an *APIError, not a status.
-		st, err := d.c.Wait(bg, st.Key, 0)
+		st, err := d.c.Wait(bg, st.Key)
 		got <- reply{st, err}
 	}()
 	for d.waits.Load() == 0 {
@@ -236,7 +236,7 @@ func TestDrainNotDelayedByHeldWaiters(t *testing.T) {
 	}
 	got := make(chan *server.JobStatus, 1)
 	go func() {
-		final, _ := d.c.Wait(bg, st.Key, 0)
+		final, _ := d.c.Wait(bg, st.Key)
 		got <- final
 	}()
 	for d.waits.Load() == 0 {

@@ -187,7 +187,7 @@ func TestOverloadShedsCleanly(t *testing.T) {
 	// are byte-identical to a sequential runner simulating the same job.
 	seq := runner.New(runner.Options{Workers: 1})
 	for _, a := range acc {
-		st, err := c.Wait(ctx, a.key, 50*time.Millisecond)
+		st, err := c.Wait(ctx, a.key)
 		if err != nil {
 			t.Fatalf("wait %s: %v", a.key, err)
 		}
@@ -423,7 +423,7 @@ func TestSweepSubmitAndList(t *testing.T) {
 		if resp.Jobs[i].Key == "" || resp.Jobs[i].Rejected != "" {
 			t.Fatalf("element %d = %+v, want admitted", i, resp.Jobs[i])
 		}
-		if _, err := c.Wait(ctx, resp.Jobs[i].Key, 0); err != nil {
+		if _, err := c.Wait(ctx, resp.Jobs[i].Key); err != nil {
 			t.Fatalf("wait %s: %v", resp.Jobs[i].Key, err)
 		}
 	}

@@ -197,8 +197,9 @@ func (sm *SM) block(ws int, tn int32, cls, r uint8) uint8 {
 
 // invalidateCard drops warp ws's card and with it its scheduler's
 // census. Callers are the events that can change the warp-local half of
-// the verdict: a writeback for the warp (retireWB), its own issue or a
-// load completion for it (patchView), and everything markDirty covers
+// the verdict: a writeback for the warp (retireWB), a load completion
+// for it (completeGroupPart), its own issue (tryIssue clears the card
+// before Execute), and everything markDirty covers
 // (launch, barrier park and release, finish, pair ownership change,
 // restore). A new lock generation needs no call: a lock wait is only
 // honoured at the generation it was observed.

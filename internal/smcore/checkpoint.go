@@ -2,7 +2,6 @@ package smcore
 
 import (
 	"fmt"
-	"sort"
 
 	"gpushare/internal/core"
 	"gpushare/internal/mem"
@@ -105,31 +104,6 @@ type Checkpoint struct {
 	Stats    stats.SM           `json:"stats"`
 }
 
-// forEachWBOrdered visits every scheduled writeback event in a
-// deterministic order: wheel slots by index, then overflow deadlines
-// ascending. (Retire order within a cycle is commutative, so only
-// serialization determinism requires an order here.)
-func (sm *SM) forEachWBOrdered(f func(at int64, ev *wbEvent)) {
-	for i := range sm.wb.slots {
-		for k := range sm.wb.slots[i] {
-			f(sm.wb.slotAt[i], &sm.wb.slots[i][k])
-		}
-	}
-	if len(sm.wb.overflow) > 0 {
-		ats := make([]int64, 0, len(sm.wb.overflow))
-		for at := range sm.wb.overflow {
-			ats = append(ats, at)
-		}
-		sort.Slice(ats, func(i, j int) bool { return ats[i] < ats[j] })
-		for _, at := range ats {
-			evs := sm.wb.overflow[at]
-			for k := range evs {
-				f(at, &evs[k])
-			}
-		}
-	}
-}
-
 // Checkpoint captures the SM's mutable state at a cycle boundary.
 func (sm *SM) Checkpoint() Checkpoint {
 	c := Checkpoint{
@@ -202,7 +176,7 @@ func (sm *SM) Checkpoint() Checkpoint {
 		}
 		c.MSHR = append(c.MSHR, e)
 	}
-	sm.forEachWBOrdered(func(at int64, ev *wbEvent) {
+	sm.wb.forEach(func(at int64, ev *wbEvent) {
 		wc := WBCheckpoint{
 			At: at, WarpSlot: ev.warpSlot, Gen: ev.gen,
 			RegMask: ev.regMask, PredMask: ev.predMask, Group: -1,

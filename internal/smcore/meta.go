@@ -5,7 +5,6 @@ import (
 
 	"gpushare/internal/config"
 	"gpushare/internal/core"
-	"gpushare/internal/fault"
 	"gpushare/internal/isa"
 	"gpushare/internal/kernel"
 	"gpushare/internal/opt/liveness"
@@ -27,8 +26,11 @@ import (
 //
 //  2. Warp snapshots: each warp's sched.WarpInfo is cached and
 //     recomputed only when an event that can change one of its inputs
-//     fires (markDirty callers; patchView where only WaitingLong can
-//     have moved). Schedulers that implement
+//     fires (the markDirty callers). A warp's own issue, a writeback or
+//     a load completion moves nothing in its view, so they drop only
+//     its issue card; the two-level policy's one extra input, whether
+//     the warp waits on a global load, is not in the view at all but
+//     read live through waitingLong. Schedulers that implement
 //     sched.Incremental additionally keep a maintained ready ranking
 //     fed from the same refresh, so a cycle's issue order costs a walk
 //     of the ready list instead of a per-cycle sort.
@@ -106,9 +108,12 @@ func NewProgram(cfg *config.Config, k *kernel.Kernel, occ core.Occupancy) *Progr
 
 // markDirty queues warp slot ws for re-snapshot before its scheduler's
 // next ranking. Call sites are the events that can change HasWork or
-// DynID (block launch, barrier release, RestoreState) and patchView,
-// for what an issue or load completion moved beyond WaitingLong;
-// Category changes are handled pair-wide by markPairDirty.
+// DynID (block launch, a warp finishing or parking at a barrier,
+// barrier release, RestoreState) and every issue of an early-release
+// tenant's warp, whose ReleaseReg in snapshotWarp must fire at its
+// scheduler's next refresh, not at issue time, or lock timing and the
+// statistics move. Category changes are handled pair-wide by
+// markPairDirty.
 func (sm *SM) markDirty(ws int) {
 	if sm.reference {
 		return
@@ -124,32 +129,15 @@ func (sm *SM) markDirty(ws int) {
 	sm.dirtyList[si] = append(sm.dirtyList[si], int32(ws))
 }
 
-// patchView handles the two events that can move nothing in a warp's
-// view but WaitingLong — its own issue (the PC advanced) and the landing
-// of a load group's last line (loadRegs shrank): the field is rewritten
-// in place and refresh, snapshotWarp and Sync never see the warp. What
-// it cannot patch it queues: a warp already queued, one that finished or
-// parked (HasWork flips), and any warp of an early-release tenant, whose
-// ReleaseReg in snapshotWarp must keep firing at its scheduler's next
-// refresh, not at issue time, or lock timing and the statistics move.
-func (sm *SM) patchView(ws int, now int64) {
+// waitingLong reports whether warp ws's next instruction, read off the
+// SIMT stack, depends on a register an outstanding global load will
+// write: the two-level policy's fetch-group demotion input, which
+// sched.New hands it. It is read live at each ranking, by both engines
+// alike, so no issue or load completion has a view to update.
+func (sm *SM) waitingLong(ws int) bool {
 	wc := &sm.warps[ws]
-	t := &sm.tens[wc.tn]
-	if sm.reference || sm.dirty[ws] || wc.finished || wc.atBarrier || t.futureShared != nil {
-		sm.markDirty(ws) // a no-op in reference mode, which caches no views
-		return
-	}
-	sm.invalidateCard(ws)
-	view := &sm.schedInfo[sm.slotSched[ws]][sm.slotPos[ws]]
-	waiting := wc.pc >= 0 && t.meta[wc.pc].regMask&wc.loadRegs != 0
-	// Like StaleCard, the fault only takes opportunities that matter: the
-	// patch would flip the field, under the one policy that ranks on it.
-	if waiting != view.WaitingLong && sm.cfg.Sched == config.SchedTwoLevel &&
-		sm.faults.Trip(fault.StaleSnapshot, now, sm.ID, ws,
-			"warp's WaitingLong changed but its scheduler view was not patched") {
-		return
-	}
-	view.WaitingLong = waiting
+	pc, _, ok := wc.w.PC()
+	return ok && sm.tens[wc.tn].meta[pc].regMask&wc.loadRegs != 0
 }
 
 // markBlockDirty queues every warp of a block slot.
@@ -204,13 +192,13 @@ func (sm *SM) rebuildAll(si int) []sched.WarpInfo {
 }
 
 // snapshotWarp computes one warp's scheduler view from its liveness,
-// DynID, Category and the PC (off the SIMT stack, not the cache: this is
-// also the reference engine) against loadRegs. This is the write path:
+// DynID and Category. This is the write path:
 // it also performs the early-release check (§VIII extension) the legacy
 // buildInfo did, so refresh timing must — and does — cover every cycle
 // on which the release condition can newly hold (the condition's only
-// non-static input is the warp's PC, which advances only at issue, and
-// an early-release tenant's issue always queues the warp).
+// non-static input is the warp's PC, read off the SIMT stack, which
+// advances only at issue, and an early-release tenant's issue always
+// queues the warp).
 func (sm *SM) snapshotWarp(ws int) sched.WarpInfo {
 	wc := &sm.warps[ws]
 	wi := sched.WarpInfo{Slot: ws}
@@ -221,22 +209,19 @@ func (sm *SM) snapshotWarp(ws int) sched.WarpInfo {
 		wi.HasWork = true
 		wi.DynID = wc.w.DynID
 		wi.Category = t.shr.Category(ls)
-		if pc, _, ok := wc.w.PC(); ok {
-			if t.futureShared != nil && !t.futureShared[pc] {
-				if t.shr.Shared(ls) && t.shr.HoldsRegLock(ls, wc.w.WarpInCta) {
-					t.shr.ReleaseReg(ls, wc.w.WarpInCta)
-					sm.Stats.EarlyRegRelease++
-				}
+		if pc, _, ok := wc.w.PC(); ok && t.futureShared != nil && !t.futureShared[pc] {
+			if t.shr.Shared(ls) && t.shr.HoldsRegLock(ls, wc.w.WarpInCta) {
+				t.shr.ReleaseReg(ls, wc.w.WarpInCta)
+				sm.Stats.EarlyRegRelease++
 			}
-			wi.WaitingLong = t.meta[pc].regMask&wc.loadRegs != 0
 		}
 	}
 	return wi
 }
 
 // referenceInfo recomputes one warp's scheduler view from scratch with
-// no side effects and no metadata table — the operand-walk reference
-// the snapshot auditor compares cached state against.
+// no side effects — the reference the snapshot auditor compares cached
+// state against.
 func (sm *SM) referenceInfo(ws int) sched.WarpInfo {
 	wc := &sm.warps[ws]
 	wi := sched.WarpInfo{Slot: ws}
@@ -246,11 +231,6 @@ func (sm *SM) referenceInfo(ws int) sched.WarpInfo {
 		wi.HasWork = true
 		wi.DynID = wc.w.DynID
 		wi.Category = t.shr.Category(bs - t.blockBase)
-		if pc, _, ok := wc.w.PC(); ok {
-			in := &t.launch.Kernel.Instrs[pc]
-			need, _ := dependencyMasks(in)
-			wi.WaitingLong = need&wc.loadRegs != 0
-		}
 	}
 	return wi
 }

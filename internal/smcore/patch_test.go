@@ -9,14 +9,15 @@ import (
 	"gpushare/internal/kernel"
 )
 
-// TestAuditCatchesStalePatchedState: the cached next PC and the
-// in-place WaitingLong patch are derived state nothing else would
-// notice going stale, so the snapshot auditor has to. A one-warp
-// load-use kernel under the two-level policy is ticked until the load's
-// issue has patched WaitingLong on (no refresh involved: the warp is
-// not queued); each hand-made corruption must then be named by the
-// audit, and the clean state must pass again — also once the line has
-// landed and the completion has patched the field back off.
+// TestAuditCatchesStalePatchedState: the cached next PC is rewritten in
+// place after every issue, derived state nothing else would notice
+// going stale, so the snapshot auditor has to. A one-warp load-use
+// kernel under the two-level policy is ticked until the load has issued
+// (no refresh involved: an issue queues only a warp that finished or
+// parked); each hand-made corruption must then be named by the audit,
+// and the clean state must pass again. The two-level policy's
+// waiting-on-load input is read live (waitingLong), not cached: it must
+// say waiting while the line is out and stop once it lands.
 func TestAuditCatchesStalePatchedState(t *testing.T) {
 	b := kernel.NewBuilder("lduse", 32)
 	b.Params(1).SetRegs(8)
@@ -32,7 +33,6 @@ func TestAuditCatchesStalePatchedState(t *testing.T) {
 
 	const ws = 0
 	wc := &sm.warps[ws]
-	view := &sm.schedInfo[sm.slotSched[ws]][sm.slotPos[ws]]
 	var now int64
 	tickUntil := func(what string, done func() bool) {
 		t.Helper()
@@ -49,9 +49,10 @@ func TestAuditCatchesStalePatchedState(t *testing.T) {
 			}
 		}
 	}
-	tickUntil("the load's issue patches WaitingLong on", func() bool { return view.WaitingLong })
-	if sm.dirty[ws] || wc.pc != 2 {
-		t.Fatalf("setup: want warp %d unqueued at pc 2, got dirty=%v pc=%d", ws, sm.dirty[ws], wc.pc)
+	tickUntil("the load's issue", func() bool { return wc.loadRegs != 0 })
+	if sm.dirty[ws] || wc.pc != 2 || !sm.waitingLong(ws) {
+		t.Fatalf("setup: want warp %d unqueued at pc 2 and waiting on the load, got dirty=%v pc=%d waiting=%v",
+			ws, sm.dirty[ws], wc.pc, sm.waitingLong(ws))
 	}
 
 	for _, c := range []struct {
@@ -61,14 +62,13 @@ func TestAuditCatchesStalePatchedState(t *testing.T) {
 	}{
 		{"cached PC one behind", func() { wc.pc-- }, "SM0 warp 0: cached next PC 1, SIMT stack says 2 (missed PC sync)"},
 		{"cached PC says finished", func() { wc.pc = -1 }, "SM0 warp 0: cached next PC -1, SIMT stack says 2 (missed PC sync)"},
-		{"patched WaitingLong lost", func() { view.WaitingLong = false }, "missed snapshot invalidation"},
 	} {
-		pc, waiting := wc.pc, view.WaitingLong
+		pc := wc.pc
 		c.corrupt()
 		if err := sm.AuditSnapshots(now); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: audit said %v, want an error containing %q", c.name, err, c.want)
 		}
-		wc.pc, view.WaitingLong = pc, waiting
+		wc.pc = pc
 		if err := sm.AuditSnapshots(now); err != nil {
 			t.Fatalf("%s: audit still objects after the repair: %v", c.name, err)
 		}
@@ -82,12 +82,8 @@ func TestAuditCatchesStalePatchedState(t *testing.T) {
 	}
 	wc.pc--
 
-	tickUntil("the load's completion patches WaitingLong off", func() bool { return !view.WaitingLong })
-	if wc.loadRegs != 0 {
-		t.Errorf("WaitingLong went off with loads outstanding (loadRegs %#x)", wc.loadRegs)
-	}
-	view.WaitingLong = true
-	if err := sm.AuditSnapshots(now); err == nil {
-		t.Error("audit accepted a WaitingLong left on after the load landed")
+	tickUntil("the load's completion", func() bool { return wc.loadRegs == 0 })
+	if sm.waitingLong(ws) {
+		t.Error("warp still reads as waiting on a load after the line landed")
 	}
 }

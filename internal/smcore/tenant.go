@@ -149,7 +149,7 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 	}
 
 	for i := 0; i < cfg.NumSchedulers; i++ {
-		sm.scheds = append(sm.scheds, sched.New(cfg.Sched, cfg.TwoLevelGroup))
+		sm.scheds = append(sm.scheds, sched.New(cfg.Sched, cfg.TwoLevelGroup, sm.waitingLong))
 		sm.schedWarps = append(sm.schedWarps, nil)
 	}
 	for ws := range sm.warps {

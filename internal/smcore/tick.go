@@ -292,7 +292,12 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 			return true, classNone, nil
 		}
 	}
-	sm.patchView(ws, now)
+	// The card went before Execute and the walk drops the census; the
+	// view moves only if the warp finished or parked. An early-release
+	// tenant's warp is queued anyway (markDirty).
+	if wc.finished || wc.atBarrier || t.futureShared != nil {
+		sm.markDirty(ws)
+	}
 	return true, classNone, nil
 }
 
@@ -379,7 +384,7 @@ func (sm *SM) processWritebacks(now int64) {
 // retireWB applies one writeback event.
 func (sm *SM) retireWB(ev *wbEvent, now int64) {
 	if ev.group != nil {
-		sm.completeGroupPart(ev.group, now)
+		sm.completeGroupPart(ev.group)
 		return
 	}
 	wc := &sm.warps[ev.warpSlot]
@@ -402,7 +407,7 @@ func (sm *SM) retireWB(ev *wbEvent, now int64) {
 // completeGroupPart retires one line of a load group, clearing the
 // destination scoreboard bits when the last line lands and recycling the
 // group once no references to it remain.
-func (sm *SM) completeGroupPart(g *loadGroup, now int64) {
+func (sm *SM) completeGroupPart(g *loadGroup) {
 	g.remaining--
 	if g.remaining > 0 {
 		return
@@ -411,8 +416,7 @@ func (sm *SM) completeGroupPart(g *loadGroup, now int64) {
 	if wc.gen == g.gen {
 		wc.pendingRegs &^= g.regMask
 		wc.loadRegs &^= g.regMask
-		// loadRegs feeds WaitingLong: the warp's scheduler view changed.
-		sm.patchView(g.warpSlot, now)
+		sm.invalidateCard(g.warpSlot)
 	}
 	// remaining counted the outstanding references (MSHR waiters and
 	// queued writebacks); at zero the group is unreachable and reusable.
@@ -432,7 +436,7 @@ func (sm *SM) drainReplies(now int64) {
 	}
 	sm.l1.Fill(req.LineAddr)
 	for _, g := range sm.mshr.Take(req.LineAddr) {
-		sm.completeGroupPart(g, now)
+		sm.completeGroupPart(g)
 	}
 }
 

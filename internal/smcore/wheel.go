@@ -1,5 +1,7 @@
 package smcore
 
+import "slices"
+
 // wbWheelSize is the span of the writeback timing wheel in cycles. It
 // must be a power of two and exceed every writeback latency the SM can
 // schedule (SP/SFU/L1-hit/scratchpad latencies plus conflict penalties);
@@ -34,15 +36,24 @@ func (w *wbWheel) schedule(now, at int64, ev wbEvent) {
 	w.slotAt[i] = at
 }
 
-// forEach visits every scheduled event with its deadline. Read-only;
-// used by the scoreboard audit and forensic dumps.
+// forEach visits every scheduled event with its deadline, in one
+// deterministic order: wheel slots by index, then overflow deadlines
+// ascending. Read-only; the checkpoint serialises in this order (retire
+// order within a cycle is commutative, so only serialisation needs
+// one) and the scoreboard audit shares the walk.
 func (w *wbWheel) forEach(f func(at int64, ev *wbEvent)) {
 	for i := range w.slots {
 		for k := range w.slots[i] {
 			f(w.slotAt[i], &w.slots[i][k])
 		}
 	}
-	for at, evs := range w.overflow {
+	ats := make([]int64, 0, len(w.overflow))
+	for at := range w.overflow {
+		ats = append(ats, at)
+	}
+	slices.Sort(ats)
+	for _, at := range ats {
+		evs := w.overflow[at]
 		for k := range evs {
 			f(at, &evs[k])
 		}

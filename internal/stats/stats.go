@@ -252,6 +252,8 @@ func DecodeJSON(b []byte) (*GPU, error) {
 // per-SM counters sum index-wise (the SM slice grows to cover other's),
 // and the resident-block peaks keep the maximum. Per-tenant and
 // per-partition breakdowns are not merged; a slice carries neither.
+// DynProbFinal is not merged either: a time-slice run rejects DynWarp,
+// like every multi-tenant run, so it reports DynProbFinal 0.
 func (g *GPU) Merge(other *GPU) {
 	g.Cycles += other.Cycles
 	for len(g.SMs) < len(other.SMs) {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -137,5 +138,73 @@ func TestMerge(t *testing.T) {
 	}
 	if a.ResidentTB != 6 {
 		t.Errorf("ResidentTB = %d, want max(2,6)=6", a.ResidentTB)
+	}
+}
+
+// TestAddersCoverEveryField guards the hand-kept field lists of the four
+// accumulators: for each numeric field of stats.SM, Tenant, Cache and
+// DRAM, a value set only in the other operand must reach the receiver
+// (summed or kept as a maximum). The exceptions are named here, and an
+// exception must really be left alone, so a field added to a struct but
+// not to its adder fails, and so does a stale exception.
+func TestAddersCoverEveryField(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		typ  reflect.Type
+		// add accumulates other into a fresh zero value and returns it.
+		add  func(other reflect.Value) reflect.Value
+		skip []string
+	}{
+		{"GPU.Merge (SM)", reflect.TypeOf(SM{}), func(o reflect.Value) reflect.Value {
+			g := &GPU{}
+			g.Merge(&GPU{SMs: []SM{o.Interface().(SM)}})
+			return reflect.ValueOf(g.SMs[0])
+		}, []string{"DynProbFinal"}},
+		{"Tenant.AddCounters", reflect.TypeOf(Tenant{}), func(o reflect.Value) reflect.Value {
+			var t Tenant
+			ot := o.Interface().(Tenant)
+			t.AddCounters(&ot)
+			return reflect.ValueOf(t)
+		}, []string{"MaxResidentTB", "ResidentSlots", "SMs"}},
+		{"Cache.Add", reflect.TypeOf(Cache{}), func(o reflect.Value) reflect.Value {
+			var c Cache
+			oc := o.Interface().(Cache)
+			c.Add(&oc)
+			return reflect.ValueOf(c)
+		}, nil},
+		{"DRAM.Add", reflect.TypeOf(DRAM{}), func(o reflect.Value) reflect.Value {
+			var d DRAM
+			od := o.Interface().(DRAM)
+			d.Add(&od)
+			return reflect.ValueOf(d)
+		}, nil},
+	} {
+		skip := make(map[string]bool)
+		for _, f := range c.skip {
+			if _, ok := c.typ.FieldByName(f); !ok {
+				t.Errorf("%s: exception %s names no field of %s", c.name, f, c.typ)
+			}
+			skip[f] = true
+		}
+		for i := 0; i < c.typ.NumField(); i++ {
+			f := c.typ.Field(i)
+			other := reflect.New(c.typ).Elem()
+			switch fv := other.Field(i); f.Type.Kind() {
+			case reflect.Int, reflect.Int64:
+				fv.SetInt(3)
+			case reflect.Float64:
+				fv.SetFloat(0.5)
+			default:
+				continue // identity fields (Tenant's Name, Workload)
+			}
+			got := !c.add(other).Field(i).IsZero()
+			if got == skip[f.Name] {
+				if skip[f.Name] {
+					t.Errorf("%s accumulates %s, which is listed as left alone", c.name, f.Name)
+				} else {
+					t.Errorf("%s drops %s.%s: add it there or to the named exceptions", c.name, c.typ.Name(), f.Name)
+				}
+			}
+		}
 	}
 }
