@@ -7,6 +7,13 @@
 // hammering a server that will never answer differently. Submissions
 // are idempotent by the job's content-addressed key, which is what
 // makes retrying a POST safe.
+//
+// A reply is read whole into a pooled buffer and decoded from there by
+// stats.Unmarshal, whose fast path takes a finished job's statistics
+// without encoding/json's scanner or reflection per field and hands any
+// body it does not recognize to encoding/json, so the decoded value is
+// the same either way. The daemons encode a finished job's reply once
+// and send the same bytes on every later answer.
 package client
 
 import (
@@ -22,6 +29,7 @@ import (
 	"time"
 
 	"gpushare/internal/server"
+	"gpushare/internal/stats"
 )
 
 // Client talks to one gserved daemon. The zero value is not usable;
@@ -357,7 +365,32 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	return decodeBody(resp.Body, out)
+}
+
+// bodies recycles the buffers replies are read into: a done status is
+// ≈ 7 KB, and decoding copies out every byte a result keeps.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody keeps one large reply (a sweep listing) from pinning
+// its buffer in the pool.
+const maxPooledBody = 1 << 20
+
+// decodeBody reads a 2xx reply whole into a pooled buffer and decodes
+// it from there: a statistics-carrying status takes stats.Unmarshal's
+// fast path.
+func decodeBody(r io.Reader, out any) error {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodies.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(r); err != nil {
+		return fmt.Errorf("client: read response: %w", err)
+	}
+	if err := stats.Unmarshal(buf.Bytes(), out); err != nil {
 		return fmt.Errorf("client: decode response: %w", err)
 	}
 	return nil

@@ -74,6 +74,11 @@ type Job struct {
 	res  JobStatus // valid once State is terminal
 	err  error     // the typed failure, when this process holds it
 	done chan struct{}
+
+	// body is the terminal job's full view as the 200 reply writes it,
+	// encoded once, on first use (Core.reply).
+	bodyOnce sync.Once
+	body     []byte
 }
 
 // Done is closed when the job reaches a terminal state.
@@ -248,18 +253,21 @@ func (c *Core) Submit(req Request, now time.Time) Outcome {
 	if err != nil {
 		return Outcome{Code: http.StatusBadRequest, Rejected: "bad-request", Err: err}
 	}
-	// Cache probe before taking the lock: a disk or memory hit makes
-	// the job instantly terminal without occupying a queue slot.
+	c.Mu.Lock()
+	out, joined := c.joinLocked(key)
+	c.Mu.Unlock()
+	if joined {
+		return out
+	}
+	// Cache probe outside the lock, and only for a key the registry does
+	// not hold: a disk hit reads and hashes a file, and it makes the job
+	// instantly terminal without occupying a queue slot.
 	cached, hit := c.be.Lookup(key)
 
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
-	// A canceled entry (deadline or drain abort) is transient, exactly
-	// like the runner's no-negative-cache rule: fall through and
-	// re-admit, replacing the registry entry on success.
-	if j, ok := c.jobs[key]; ok && j.State != StateCanceled {
-		c.deduped.Add(1)
-		return Outcome{Job: j, Key: key, Code: http.StatusOK}
+	if out, joined := c.joinLocked(key); joined {
+		return out // a concurrent submission entered it meanwhile
 	}
 	j := &Job{Key: key, Req: req, Run: run, done: make(chan struct{})}
 	if hit {
@@ -289,6 +297,19 @@ func (c *Core) Submit(req Request, now time.Time) Outcome {
 	}
 	c.admit(j)
 	return Outcome{Job: j, Key: key, Code: http.StatusAccepted}
+}
+
+// joinLocked deduplicates a submission against the registry. A
+// canceled entry (deadline or drain abort) is transient, exactly like
+// the runner's no-negative-cache rule: it does not join, and the
+// submission goes on to re-admit, replacing the entry on success.
+func (c *Core) joinLocked(key string) (Outcome, bool) {
+	j, ok := c.jobs[key]
+	if !ok || j.State == StateCanceled {
+		return Outcome{}, false
+	}
+	c.deduped.Add(1)
+	return Outcome{Job: j, Key: key, Code: http.StatusOK}, true
 }
 
 // admit registers a queued job and hands it to the executor: the tail
@@ -561,6 +582,25 @@ func (c *Core) view(j *Job, held, brief bool) any {
 		st.Stats, st.Diagnosis = nil, ""
 	}
 	return c.be.Wire(j, st)
+}
+
+// reply returns a terminal job's full view as its 200 reply writes it,
+// or nil while the job is live. A terminal job's view never changes —
+// its result is published once, and gsched's envelope (worker, requeues,
+// preemptions) moves only while the job is queued or dispatched — so the
+// bytes are encoded once and need no invalidation.
+func (c *Core) reply(j *Job) []byte {
+	select {
+	case <-j.done:
+	default:
+		return nil
+	}
+	j.bodyOnce.Do(func() {
+		if b, err := json.Marshal(c.view(j, false, false)); err == nil {
+			j.body = append(b, '\n')
+		}
+	})
+	return j.body
 }
 
 // statusz snapshots the lifecycle core.

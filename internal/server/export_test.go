@@ -13,3 +13,6 @@ func NewWithHold(opts Options, hold time.Duration) *Server {
 	}
 	return s
 }
+
+// View is the job's full view as a 200 reply renders it.
+func View(c *Core, j *Job) any { return c.view(j, false, false) }

@@ -77,11 +77,22 @@ func (c *Core) ReadBody(w http.ResponseWriter, r *http.Request, v any) (release 
 	return release, true
 }
 
-// decodeStrict decodes one JSON value, rejecting unknown fields.
+// decodeStrict decodes one JSON value, rejecting unknown fields and
+// anything but whitespace after the value.
 func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err == nil:
+		return errors.New("unexpected data after the JSON value")
+	default:
+		return fmt.Errorf("after the JSON value: %w", err)
+	}
 }
 
 // badRequest answers a body that did not decode: 413 when it ran over
@@ -134,7 +145,7 @@ func (c *Core) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case WantsHold(r):
 		c.waitAndReply(w, r, out.Job)
 	default:
-		WriteJSON(w, out.Code, c.view(out.Job, false, false))
+		c.writeView(w, out.Code, out.Job, false)
 	}
 }
 
@@ -145,12 +156,12 @@ func (c *Core) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // the current state, and the client goes on waiting with GET ?wait=.
 func (c *Core) waitAndReply(w http.ResponseWriter, r *http.Request, j *Job) {
 	if finished, _ := Hold(r, j.done, c.ctx.Done(), c.holdBound); !finished {
-		WriteJSON(w, http.StatusAccepted, c.view(j, false, false))
+		c.writeView(w, http.StatusAccepted, j, false)
 		return
 	}
 	switch j.res.State { // immutable once done has closed
 	case StateDone:
-		WriteJSON(w, http.StatusOK, c.view(j, false, false))
+		c.writeView(w, http.StatusOK, j, false)
 	case StateCanceled:
 		WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{
 			Error: j.res.Error, Kind: "canceled", RetryAfterSec: 1})
@@ -176,7 +187,23 @@ func (c *Core) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	if WantsHold(r) {
 		_, lapsed = Hold(r, j.done, c.ctx.Done(), c.holdBound)
 	}
-	WriteJSON(w, http.StatusOK, c.view(j, lapsed, false))
+	c.writeView(w, http.StatusOK, j, lapsed)
+}
+
+// writeView answers with one job's full view: a terminal job's encoded
+// bytes (reply), or a live job's current state, marked held when its
+// hold lapsed.
+func (c *Core) writeView(w http.ResponseWriter, code int, j *Job, held bool) {
+	body := c.reply(j)
+	if body == nil {
+		WriteJSON(w, code, c.view(j, held, false))
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	_, _ = w.Write(body) // a failed write is the client's hang-up; nothing to answer
 }
 
 // NotFound answers 404 for an unknown job key or worker id.

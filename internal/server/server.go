@@ -313,7 +313,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		NotFound(w, "job key", r.PathValue("key"))
 		return
 	}
-	WriteJSON(w, http.StatusOK, s.view(j, false, false))
+	s.writeView(w, http.StatusOK, j, false)
 }
 
 // Statusz renders gserved's GET /statusz.

@@ -241,7 +241,7 @@ func (g *GPU) EncodeJSON() ([]byte, error) {
 // DecodeJSON parses a serialization produced by EncodeJSON.
 func DecodeJSON(b []byte) (*GPU, error) {
 	g := &GPU{}
-	if err := json.Unmarshal(b, g); err != nil {
+	if err := Unmarshal(b, g); err != nil {
 		return nil, fmt.Errorf("stats: decode: %w", err)
 	}
 	return g, nil

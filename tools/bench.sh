@@ -56,10 +56,13 @@ echo "== end-to-end engine (full hotspot simulation per op; two-tenant co-reside
 go test -run '^$' -bench 'BenchmarkRunHotspot$|BenchmarkCoResident|BenchmarkBlockedSMs$|BenchmarkComputeBound' \
     -benchmem -benchtime "$e2etime" -timeout 30m ./internal/gpu/ | tee -a "$out"
 
-echo "== service layer (a fresh job through gsched vs straight to its worker; a gserved hit, whole HTTP round trip)"
+echo "== service layer (a fresh job through gsched vs straight to its worker; a gserved hit, whole HTTP round trip; a done status decoded by the fast path vs json.Unmarshal)"
 # BenchmarkFleetDispatch also prints worker-ms/job and dispatch-ms/job:
 # the same job sent to the worker directly, and what the fleet adds.
-go test -p 1 -run '^$' -bench 'BenchmarkFleetDispatch$|BenchmarkServerHit$' \
+# BenchmarkDecodeStatus times stats.Unmarshal and json.Unmarshal on the
+# same gserved and gsched bodies; a fast path that falls back shows as
+# its encoding-json sibling's allocs/op.
+go test -p 1 -run '^$' -bench 'BenchmarkFleetDispatch$|BenchmarkServerHit$|BenchmarkDecodeStatus' \
     -benchmem -benchtime "$microtime" ./internal/fleet/ ./internal/server/ | tee -a "$out"
 
 # Normalize benchmark lines into "name ns b allocs" rows. Columns are
