@@ -236,9 +236,9 @@ type Config struct {
 
 	// Reference runs the engine's reference path: every scheduler
 	// rebuilds its warp views and asks every warp every cycle (no cached
-	// snapshots, incremental ready sets, issue cards or censuses), and
-	// every DRAM channel runs its whole tick every cycle (no next-event
-	// memo). The optimised path is proven byte-identical to it — it
+	// snapshots, incremental ready sets, issue cards or censuses). It
+	// changes only the SM: the memory system has one path in both
+	// modes. The optimised path is proven byte-identical to it — it
 	// is the oracle of the determinism tests and the escape hatch
 	// GPUSHARE_REFERENCE=1 selects — so this is an engine mode, not a
 	// simulation parameter: it is excluded from the canonical

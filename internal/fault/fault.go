@@ -32,7 +32,6 @@ const (
 	WorkerCrashMidJob         // a gserved worker dies abruptly (kill -9) while a dispatched job is running
 	CrashAfterDispatch        // the gsched coordinator dies between dispatching a job to a worker and recording the ack
 	HeartbeatBlackhole        // a network partition: the worker stays alive but every coordinator probe to it is dropped
-	MissedMemWake             // a DRAM channel's next-event memo is pushed past its true next event: the skip swallows live work
 	StaleCard                 // skip an issue-card invalidation at a writeback: the warp stays "scoreboard-blocked" after its operand landed
 	DRAMQueueOrder            // the two newest requests of a DRAM queue trade places: the queue is no longer arrival-ordered
 )
@@ -59,8 +58,6 @@ func (k Kind) String() string {
 		return "crash-after-dispatch"
 	case HeartbeatBlackhole:
 		return "heartbeat-blackhole"
-	case MissedMemWake:
-		return "missed-mem-wake"
 	case StaleCard:
 		return "stale-card"
 	case DRAMQueueOrder:

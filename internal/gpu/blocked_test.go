@@ -106,7 +106,7 @@ func runBlockedSMs(tb testing.TB, k *kernel.Kernel, cfg config.Config, sink chec
 // legacyLegs); per-SM sleep itself is gone. It pins the profile that
 // mechanism was built for and no paper kernel has — whole SMs blocked
 // for hundreds of cycles while one stays busy, so nearly every SM cycle
-// is a census replay and the DRAM channels sit idle on their memos.
+// is a census replay and the DRAM channels sit mostly idle.
 func TestSMSleepDeterminism(t *testing.T) {
 	k := memBoundKernel(t)
 	modeDeterminism(t, func(t *testing.T, cfg config.Config, sink checkpoint.Sink, restore []byte) *stats.GPU {
@@ -129,7 +129,7 @@ func BenchmarkBlockedSMs(b *testing.B) {
 // BenchmarkComputeBound is the compute-bound regime end to end: a
 // single ALU-bound block keeps SM0 issuing every cycle while the memory
 // system sits drained, so every cycle ticks every partition and each
-// DRAM channel returns at once on its next-event memo.
+// DRAM channel returns at once on its empty queues.
 // tools/bench.sh gates its ns/op against BENCH_baseline.json.
 func BenchmarkComputeBound(b *testing.B) {
 	cfg := config.Default()

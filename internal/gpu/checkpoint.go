@@ -6,8 +6,6 @@
 // state is live.
 //
 // What is deliberately excluded:
-//   - the DRAM channels' next-event memos: derived from serialized
-//     state, re-derived by each channel's first tick after a restore;
 //   - derived per-SM views (ready ranks, warp snapshots, free lists):
 //     the restorer marks every warp dirty and the first refresh rebuilds
 //     them exactly (see smcore.RestoreState);

@@ -2,11 +2,13 @@ package gpu
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"gpushare/internal/checkpoint"
 	"gpushare/internal/config"
 	"gpushare/internal/simerr"
+	"gpushare/internal/smcore"
 	"gpushare/internal/stats"
 	"gpushare/internal/tenancy"
 	"gpushare/internal/workloads"
@@ -253,6 +255,59 @@ func TestCheckpointRejectsTamperedLoopState(t *testing.T) {
 				wantCheckpointKind(t, err, tc.name)
 			}
 		})
+	}
+}
+
+// TestCheckpointRejectsBadSMState: an SM snapshot whose writeback names
+// a warp slot past the SM's, whose finished list names a block slot
+// past the SM's, or whose writeback fell due before the restore cycle
+// (its wheel slot never fires again) is rejected with a typed
+// KindCheckpoint error, not a panic or a run that waits for the
+// watchdog. Each bad value is spliced into a real checkpoint, which is
+// then sealed again.
+func TestCheckpointRejectsBadSMState(t *testing.T) {
+	sink, _ := captureGaussian(t, 500)
+	cycles := sink.List()
+	if len(cycles) == 0 {
+		t.Fatal("no checkpoint captured")
+	}
+	raw, err := checkpoint.Decode(sink.Get(cycles[len(cycles)/2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// splice applies mut to the first SM holding a writeback in a fresh
+	// decode of the snapshot and seals the result again.
+	splice := func(mut func(c *smcore.Checkpoint, cycle int64)) []byte {
+		var p payload
+		if err := json.Unmarshal(raw, &p); err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(p.Machine.SMs, func(c smcore.Checkpoint) bool { return len(c.WB) > 0 })
+		if i < 0 {
+			t.Fatalf("no SM holds a writeback at cycle %d", p.Cycle)
+		}
+		mut(&p.Machine.SMs[i], p.Cycle)
+		out, err := json.Marshal(&p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return checkpoint.Encode(out)
+	}
+	cfg := config.Default()
+	cfg.Sched = config.SchedGTO
+	if _, err := simulate(cfg, "gaussian", nil, 1, nil, splice(func(*smcore.Checkpoint, int64) {})); err != nil {
+		t.Fatalf("unspliced re-encoded checkpoint rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(c *smcore.Checkpoint, cycle int64)
+	}{
+		{"writeback warp slot out of range", func(c *smcore.Checkpoint, _ int64) { c.WB[0].WarpSlot = len(c.Warps) }},
+		{"finished block slot out of range", func(c *smcore.Checkpoint, _ int64) { c.Finished = append(c.Finished, len(c.Blocks)) }},
+		{"writeback due before the restore cycle", func(c *smcore.Checkpoint, cycle int64) { c.WB[0].At = cycle - 1 }},
+	} {
+		_, err := simulate(cfg, "gaussian", nil, 1, nil, splice(tc.mut))
+		wantCheckpointKind(t, err, tc.name)
 	}
 }
 

@@ -117,8 +117,7 @@ var engineCases = []struct {
 
 // engineModes is the whole determinism matrix: the optimised engine
 // (the default) and Config.Reference, which asks every warp every cycle
-// and arms no DRAM next-event memo — the oracle the optimised engine
-// must match byte for byte.
+// — the oracle the optimised engine must match byte for byte.
 var engineModes = []engineMode{{"optimised", false}, {"reference", true}}
 
 // engineMode is one named leg of a determinism test.
@@ -157,8 +156,8 @@ func legacyLegs(names ...string) []engineMode {
 
 // TestEngineDeterminism is the engine's correctness contract: the
 // engine mode is not a simulation parameter. The optimised engine —
-// cached warp snapshots, issue cards and censuses in the SM, the DRAM
-// channels' next-event memos — must produce statistics deep-equal
+// cached warp snapshots, issue cards and censuses in the SM — must
+// produce statistics deep-equal
 // and, via the canonical JSON encoding, byte-identical to the reference
 // that skips nothing.
 func TestEngineDeterminism(t *testing.T) {

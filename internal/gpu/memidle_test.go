@@ -54,7 +54,7 @@ func modeDeterminism(t *testing.T, run func(t *testing.T, cfg config.Config, sin
 	})
 
 	// Checkpoints taken by the optimised engine restore exactly: the
-	// snapshot carries no DRAM memos, cards or censuses, so the
+	// snapshot carries no issue cards or censuses, so the
 	// restored run re-derives them and must still land on the reference
 	// bytes.
 	t.Run("restore", func(t *testing.T) {
@@ -80,9 +80,9 @@ func modeDeterminism(t *testing.T, run func(t *testing.T, cfg config.Config, sin
 // TestMemSleepDeterminism pins the engine-mode contract on a
 // memory-bound workload: MUM's divergent pointer chasing keeps
 // requests, DRAM commands and replies in flight constantly, interleaved
-// with idle DRAM spans the channels' next-event memos skip (per-partition
-// busy/peak counters are part of the compared bytes), and keeps most
-// warps blocked, so the SMs run on issue cards and censuses.
+// with idle DRAM spans (per-partition busy/peak counters are part of
+// the compared bytes), and keeps most warps blocked, so the SMs run on
+// issue cards and censuses.
 func TestMemSleepDeterminism(t *testing.T) {
 	modeDeterminism(t, func(t *testing.T, cfg config.Config, sink checkpoint.Sink, restore []byte) *stats.GPU {
 		return runWorkloadCK(t, "MUM", cfg, 1, sink, restore)
@@ -106,67 +106,10 @@ func TestMemSleepTenancyDeterminism(t *testing.T) {
 	}
 }
 
-// TestMemSleepMissedWakeCaught: the MissedMemWake fault pushes one DRAM
-// channel's next-event memo past its true next event, so Tick's early
-// return skips cycles where the channel had live work (a schedulable
-// command or a completing transfer). The same workload without the
-// fault runs clean under the audit and lands on the reference bytes:
-// the memo skips only workless cycles. With the fault, the mem-idle
-// invariant class — which recomputes every armed memo by a full walk
-// and demands exact equality — must catch it at an audit inside the
-// corrupted window and never let the run finish wrong-but-clean.
-func TestMemSleepMissedWakeCaught(t *testing.T) {
-	setup := func(cfg config.Config) (*Sim, *kernel.Launch) {
-		cfg.NumSMs = 4
-		cfg.InvariantStride = 8 // well under missedMemWakeSlack: the audit lands inside the corrupted window
-		sim := MustNew(cfg)
-		buf := sim.Mem.Alloc(64 * 1024)
-		return sim, &kernel.Launch{Kernel: memBoundKernel(t), GridDim: 4, Params: []uint32{buf}}
-	}
-
-	sim, l := setup(config.Default())
-	clean, err := sim.Run(l)
-	if err != nil {
-		t.Fatalf("clean run failed: %v", err)
-	}
-	sim, l = setup(reference(config.Default()))
-	ref, err := sim.Run(l)
-	if err != nil {
-		t.Fatalf("reference run failed: %v", err)
-	}
-	if encodeJSON(t, clean) != encodeJSON(t, ref) {
-		t.Fatal("the memo-armed run diverges from the reference")
-	}
-
-	sim, l = setup(config.Default())
-	plan := fault.NewPlan(fault.MissedMemWake, 13, 4)
-	sim.Faults = plan
-	_, err = sim.Run(l)
-	if !plan.Injected {
-		t.Fatal("missed-mem-wake fault never found an injection opportunity")
-	}
-	if err == nil {
-		t.Fatalf("missed mem wake injected at cycle %d went undetected: run completed cleanly", plan.Cycle)
-	}
-	se, ok := simerr.As(err)
-	if !ok {
-		t.Fatalf("error is not a SimError: %v", err)
-	}
-	if se.Kind != simerr.KindInvariant || !strings.Contains(err.Error(), "mem-idle") {
-		t.Fatalf("missed mem wake caught as %s, want a mem-idle invariant violation: %v", se.Kind, err)
-	}
-	if se.Dump == nil {
-		t.Error("invariant violation carries no forensic dump")
-	}
-	if se.Cycle < plan.Cycle {
-		t.Errorf("violation reported at cycle %d, before the injection at %d", se.Cycle, plan.Cycle)
-	}
-}
-
 // TestDRAMQueueOrderFaultCaught: the DRAMQueueOrder fault makes the two
 // newest requests of one DRAM queue trade places, behind Enqueue's back,
 // so the queue is no longer arrival-ordered and the scheduler's early
-// exits would skip an arrived request. The mem-idle class walks every
+// exits would skip an arrived request. The dram-order class walks every
 // queue at every audit and must name the breach — in reference mode too,
 // where the scheduler is the same one.
 func TestDRAMQueueOrderFaultCaught(t *testing.T) {
@@ -188,7 +131,7 @@ func TestDRAMQueueOrderFaultCaught(t *testing.T) {
 		if !ok || se.Kind != simerr.KindInvariant || se.Dump == nil {
 			t.Fatalf("reference=%v: swap injected at cycle %d ended as %v, want an invariant violation with a dump", ref, plan.Cycle, err)
 		}
-		if msg := err.Error(); !strings.Contains(msg, "mem-idle") || !strings.Contains(msg, "DRAM queue out of arrival order") {
+		if msg := err.Error(); !strings.Contains(msg, "dram-order") || !strings.Contains(msg, "DRAM queue out of arrival order") {
 			t.Errorf("reference=%v: violation does not name the broken contract: %v", ref, err)
 		}
 		if se.Cycle < plan.Cycle || se.Cycle > plan.Cycle+cfg.InvariantStride {

@@ -43,9 +43,7 @@ type PendingCheckpoint struct {
 
 // PartitionCheckpoint is one memory partition's complete state. The
 // observability counters ride along so a restored run reproduces the
-// straight-through statistics byte-for-byte; the DRAM next-event memo
-// deliberately does not — it is derived state, re-derived by the
-// channel's first Tick after restore.
+// straight-through statistics byte-for-byte.
 type PartitionCheckpoint struct {
 	L2            cache.Checkpoint      `json:"l2"`
 	MSHR          []MSHREntryCheckpoint `json:"mshr"` // sorted by line address

@@ -72,6 +72,5 @@ func (c *Channel) RestoreState(s Checkpoint) error {
 	c.queue = load(c.queue, s.Queue)
 	c.inflight = load(c.inflight, s.Inflight)
 	c.Stats = s.Stats
-	c.memoOK = false // the next-event memo is derived state, never serialized
 	return c.AuditOrder()
 }

@@ -6,7 +6,6 @@ package dram
 
 import (
 	"fmt"
-	"math"
 
 	"gpushare/internal/config"
 	"gpushare/internal/simerr"
@@ -48,31 +47,15 @@ type Channel struct {
 	rowBytes int64
 	dataLat  int64
 	Stats    stats.DRAM
-
-	// memoNext caches the channel's next event time as an absolute
-	// cycle (math.MaxInt64 when empty), valid while memoOK. Bank state
-	// is frozen between scheduled commands, so the memo only goes stale
-	// when a command issues or a transfer completes — both invalidate
-	// it for a lazy rescan — while an enqueue folds the new request's
-	// schedulable time in incrementally. Tick derives it when invalid
-	// and returns at once on a cycle it proves eventless, so an idle
-	// channel costs one comparison per cycle. A channel built without
-	// the memo (Config.Reference) never derives it and runs every Tick
-	// in full.
-	memo     bool
-	memoNext int64
-	memoOK   bool
 }
 
-// NewChannel returns a channel with the given bank count and timing;
-// memo arms the next-event memo behind Tick's early return.
-func NewChannel(banks, rowBytes int, t config.DRAMTiming, dataLat int, memo bool) *Channel {
+// NewChannel returns a channel with the given bank count and timing.
+func NewChannel(banks, rowBytes int, t config.DRAMTiming, dataLat int) *Channel {
 	ch := &Channel{
 		banks:    make([]bank, banks),
 		timing:   t,
 		rowBytes: int64(rowBytes),
 		dataLat:  int64(dataLat),
-		memo:     memo,
 	}
 	ch.Precharge()
 	return ch
@@ -85,7 +68,6 @@ func (c *Channel) Precharge() {
 	for i := range c.banks {
 		c.banks[i] = bank{openRow: -1}
 	}
-	c.memoOK = false
 }
 
 // resolve maps r's line address to its bank — rows are interleaved
@@ -108,15 +90,12 @@ func (c *Channel) Enqueue(addr uint32, isWrite bool, arrive int64) error {
 	}
 	r := Request{Addr: addr, IsWrite: isWrite, Arrive: arrive}
 	c.resolve(&r)
-	if c.memoOK {
-		c.memoNext = min(c.memoNext, c.schedulableAt(&r))
-	}
 	c.queue = append(c.queue, r)
 	return nil
 }
 
 // AuditOrder checks the arrival-order invariant by a full walk.
-// Read-only; the mem-idle invariant audit.
+// Read-only; the dram-order invariant audit.
 func (c *Channel) AuditOrder() error {
 	for i := 1; i < len(c.queue); i++ {
 		if a, b := &c.queue[i-1], &c.queue[i]; b.Arrive < a.Arrive {
@@ -126,27 +105,6 @@ func (c *Channel) AuditOrder() error {
 	}
 	return nil
 }
-
-// AuditMemo checks an armed next-event memo against a full walk that
-// takes no early exit: they must be equal, or Tick's early return has
-// skipped (or will skip) a cycle with work in it. Read-only; the
-// mem-idle invariant audit.
-func (c *Channel) AuditMemo() error {
-	if !c.memoOK {
-		return nil
-	}
-	if scan := c.nextEvent(true); scan != c.memoNext {
-		return fmt.Errorf("DRAM next-event memo %d != full-scan recompute %d (missed wake)", c.memoNext, scan)
-	}
-	return nil
-}
-
-// Memo returns the armed next-event memo; ok is false while none is.
-func (c *Channel) Memo() (next int64, ok bool) { return c.memoNext, c.memoOK }
-
-// DelayMemo pushes an armed memo d cycles later (fault injection only:
-// a missed wake).
-func (c *Channel) DelayMemo(d int64) { c.memoNext += d }
 
 // SwapNewest exchanges the two newest queued requests when their arrival
 // cycles differ, which breaks the arrival order, and reports whether it
@@ -160,17 +118,6 @@ func (c *Channel) SwapNewest() bool {
 	return true
 }
 
-// schedulableAt returns the earliest cycle r could be scheduled under
-// the current (frozen) bank state, unclamped. Never before r.Arrive.
-func (c *Channel) schedulableAt(r *Request) int64 {
-	b := &c.banks[r.bank]
-	at := max(r.Arrive, b.readyAt)
-	if b.openRow != int64(r.row) { // needs an activate, gated by the row-cycle time
-		at = max(at, b.lastActivate+int64(c.timing.TRC))
-	}
-	return at
-}
-
 // Pending returns the number of queued plus in-flight requests.
 func (c *Channel) Pending() int { return len(c.queue) + len(c.inflight) }
 
@@ -178,25 +125,17 @@ func (c *Channel) Pending() int { return len(c.queue) + len(c.inflight) }
 // (FR-FCFS: row hits first, then oldest) and returns any requests whose
 // data transfer completed this cycle. The returned slice is reused by
 // the next Tick, so the caller must consume it before ticking again.
-// With the memo armed, a cycle before it provably does nothing and Tick
-// returns without a look at a queue (one comparison, inlined into the
-// caller); otherwise tick runs the cycle.
+// An empty channel has nothing to schedule or complete, so Tick returns
+// without a walk (two length loads, inlined into the caller); otherwise
+// tick runs the cycle.
 func (c *Channel) Tick(now int64) []Request {
-	if c.memoOK && now < c.memoNext {
+	if len(c.queue) == 0 && len(c.inflight) == 0 {
 		return nil
 	}
 	return c.tick(now)
 }
 
-// tick derives the memo first when it is armed but was invalidated by a
-// command issue or completion, and returns at once if the cycle lies
-// before it.
 func (c *Channel) tick(now int64) []Request {
-	if c.memo && !c.memoOK {
-		if c.memoNext, c.memoOK = c.nextEvent(false), true; now < c.memoNext {
-			return nil
-		}
-	}
 	c.scheduleOne(now)
 	done := c.doneBuf[:0]
 	for i := 0; i < len(c.inflight); {
@@ -209,33 +148,7 @@ func (c *Channel) tick(now int64) []Request {
 		i++
 	}
 	c.doneBuf = done
-	if len(done) > 0 {
-		c.memoOK = false // a completion may have been the memoized event
-	}
 	return done
-}
-
-// nextEvent recomputes the channel's next event as an absolute cycle:
-// the soonest in-flight completion or the soonest cycle a queued request
-// becomes schedulable under the current (frozen) bank state, and
-// math.MaxInt64 when the channel is empty. It is exact, not merely
-// conservative: bank state only changes when a command issues, so every
-// Tick before it is a no-op. No request is schedulable before it
-// arrives, so unless full the walk stops at the first one arriving no
-// earlier than the best time found so far.
-func (c *Channel) nextEvent(full bool) int64 {
-	next := int64(math.MaxInt64)
-	for i := range c.inflight {
-		next = min(next, c.inflight[i].Done)
-	}
-	for i := range c.queue {
-		r := &c.queue[i]
-		if !full && r.Arrive >= next {
-			break
-		}
-		next = min(next, c.schedulableAt(r))
-	}
-	return next
 }
 
 // scheduleOne issues at most one column command: first ready — the
@@ -265,7 +178,6 @@ func (c *Channel) scheduleOne(now int64) {
 	if pick < 0 {
 		return
 	}
-	c.memoOK = false // bank state is about to change
 	r := c.queue[pick]
 	c.queue = append(c.queue[:pick], c.queue[pick+1:]...)
 	b := &c.banks[r.bank]
@@ -318,5 +230,4 @@ func (c *Channel) Rebase(origin int64) {
 		c.banks[i].readyAt -= origin
 		c.banks[i].lastActivate -= origin
 	}
-	c.memoOK = false
 }

@@ -52,7 +52,7 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 }
 
 // New2 returns a small test channel.
-func New2() *Channel { return NewChannel(4, 2048, timing(), 2, true) }
+func New2() *Channel { return NewChannel(4, 2048, timing(), 2) }
 
 func TestFRFCFSPrefersRowHits(t *testing.T) {
 	ch := New2()
@@ -192,32 +192,6 @@ func TestAuditOrderReportsCorruptQueue(t *testing.T) {
 	}
 }
 
-// TestAuditMemoCatchesDelayedMemo: Tick arms the memo, AuditMemo passes
-// it while it is exact, and names a memo pushed past the channel's next
-// event (what the MissedMemWake fault does). A channel built without the
-// memo never arms one.
-func TestAuditMemoCatchesDelayedMemo(t *testing.T) {
-	ch, plain := New2(), NewChannel(4, 2048, timing(), 2, false)
-	for _, c := range []*Channel{ch, plain} {
-		enq(t, c, 0, false, 50)
-		c.Tick(0)
-	}
-	if _, ok := plain.Memo(); ok {
-		t.Fatal("a channel built without the memo armed it")
-	}
-	next, ok := ch.Memo()
-	if !ok || next != 50 {
-		t.Fatalf("memo after the first tick = %d (armed %v), want 50", next, ok)
-	}
-	if err := ch.AuditMemo(); err != nil {
-		t.Fatalf("exact memo audited as %v", err)
-	}
-	ch.DelayMemo(64)
-	if err := ch.AuditMemo(); err == nil || !strings.Contains(err.Error(), "missed wake") {
-		t.Fatalf("memo pushed past the next event audited as %v", err)
-	}
-}
-
 // TestRebaseShiftsBankTimers: after Rebase(origin) the channel behaves
 // on the new clock exactly as an untouched twin does on the old one.
 func TestRebaseShiftsBankTimers(t *testing.T) {
@@ -242,8 +216,8 @@ func TestRebaseShiftsBankTimers(t *testing.T) {
 	}
 }
 
-// BenchmarkDRAMChannelTick measures one channel cycle — FR-FCFS scan,
-// completion sweep, next-event memo — with a fixed number of requests
+// BenchmarkDRAMChannelTick measures one channel cycle — FR-FCFS scan
+// and completion sweep — with a fixed number of requests
 // outstanding: each completed request is re-enqueued at a fresh
 // pseudo-random line, so the queue stays at its depth. shallow_queue and
 // deep_queue (4 and 64 outstanding on the Table I geometry, mostly row
@@ -260,7 +234,7 @@ func BenchmarkDRAMChannelTick(b *testing.B) {
 	}{{"shallow_queue", 4, 0}, {"deep_queue", 64, 0}, {"pipelined_queue", 32, 160}} {
 		b.Run(c.name, func(b *testing.B) {
 			cfg := config.Default()
-			ch := NewChannel(cfg.DRAMBanksPerPartition, cfg.DRAMRowBytes, cfg.DRAMTiming, cfg.DRAMDataLat, true)
+			ch := NewChannel(cfg.DRAMBanksPerPartition, cfg.DRAMRowBytes, cfg.DRAMTiming, cfg.DRAMDataLat)
 			rng := uint32(1)
 			next := func() uint32 { // xorshift32; lines are 128 bytes
 				rng ^= rng << 13

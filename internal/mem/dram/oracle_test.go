@@ -2,7 +2,6 @@ package dram
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,9 +10,9 @@ import (
 )
 
 // refChannel is the full-scan FR-FCFS scheduler Channel replaced, kept as
-// its oracle: two complete passes over the queue on every cycle, a
-// complete walk for the next event, no memo, and no assumption about the
-// queue's order beyond "position is age".
+// its oracle: two complete passes over the queue on every cycle, no
+// early return, and no assumption about the queue's order beyond
+// "position is age".
 type refChannel struct {
 	banks    []bank
 	queue    []Request
@@ -102,22 +101,6 @@ func (c *refChannel) tick(now int64) []Request {
 	return done
 }
 
-func (c *refChannel) nextEvent() int64 {
-	next := int64(math.MaxInt64)
-	for _, r := range c.inflight {
-		next = min(next, r.Done)
-	}
-	for _, r := range c.queue {
-		b := &c.banks[r.bank]
-		at := max(r.Arrive, b.readyAt)
-		if b.openRow != int64(r.row) {
-			at = max(at, b.lastActivate+int64(c.t.TRC))
-		}
-		next = min(next, at)
-	}
-	return next
-}
-
 // diff compares a channel's whole state with the oracle's.
 func (c *refChannel) diff(ch *Channel) error {
 	switch {
@@ -133,39 +116,35 @@ func (c *refChannel) diff(ch *Channel) error {
 	return nil
 }
 
-// TestChannelMatchesFullScanOracle drives the oracle and two Channels in
+// TestChannelMatchesFullScanOracle drives the oracle and a Channel in
 // lockstep with fuzzed traffic — reads and writes, idle gaps, bursts of
 // 16-40 requests that cover every bank, requests that spend 0, 12 or 160
-// cycles in the L2 pipeline before the scheduler may see them — and
-// demands, on every cycle, the same pick (the queues and banks match
-// afterwards), the same completions in the same order, the same counters
-// and the same next event. One Channel is built with the next-event memo
-// behind Tick's early return, and its memo, whenever armed, must equal
-// the oracle's next event; the other is built without it, which is how
-// Config.Reference runs it, and its full walk must equal the oracle's.
-// Mid-stream the first is checkpointed, restored into a fresh channel
-// and replaced by it.
+// cycles in the L2 pipeline before the scheduler may see them, drains
+// that empty the queue while transfers are still in flight (the cycles
+// Tick's emptiness return must not skip) — and demands, on every cycle, the same pick (the queues and banks match
+// afterwards), the same completions in the same order and the same
+// counters. Mid-stream the channel is checkpointed, restored into a
+// fresh channel and replaced by it.
 func TestChannelMatchesFullScanOracle(t *testing.T) {
 	cfg := config.Default()
 	for _, delay := range []int64{0, 12, 160} {
 		for seed := int64(1); seed <= 4; seed++ {
-			mk := func(memo bool) *Channel {
-				return NewChannel(cfg.DRAMBanksPerPartition, cfg.DRAMRowBytes, cfg.DRAMTiming, cfg.DRAMDataLat, memo)
+			mk := func() *Channel {
+				return NewChannel(cfg.DRAMBanksPerPartition, cfg.DRAMRowBytes, cfg.DRAMTiming, cfg.DRAMDataLat)
 			}
-			ref := newRefChannel(cfg.DRAMBanksPerPartition, cfg.DRAMRowBytes, cfg.DRAMTiming, cfg.DRAMDataLat)
-			memo, plain := mk(true), mk(false)
+			ref, ch := newRefChannel(cfg.DRAMBanksPerPartition, cfg.DRAMRowBytes, cfg.DRAMTiming, cfg.DRAMDataLat), mk()
 			rng := rand.New(rand.NewSource(seed))
-			deepest, armed := 0, 0
+			deepest, draining := 0, 0
+			var drainUntil int64
 			send := func(addr uint32, isWrite bool, arrive int64) {
 				ref.enqueue(addr, isWrite, arrive)
-				enq(t, memo, addr, isWrite, arrive)
-				enq(t, plain, addr, isWrite, arrive)
+				enq(t, ch, addr, isWrite, arrive)
 			}
 			for now := int64(0); now < 20000; now++ {
 				// Offered load is above what the channel serves, so the
 				// queue is capped the way the MSHRs cap it in the machine.
 				switch r := rng.Intn(100); {
-				case len(ref.queue) > 96:
+				case len(ref.queue) > 96, now < drainUntil:
 				case r < 2: // a burst across every bank, rows mostly conflicting
 					base := uint32(rng.Intn(1 << 10))
 					for k, n := 0, 16+rng.Intn(25); k < n; k++ {
@@ -175,43 +154,31 @@ func TestChannelMatchesFullScanOracle(t *testing.T) {
 					send(uint32(rng.Intn(64))*128+uint32(rng.Intn(4))<<20, rng.Intn(8) == 0, now+delay)
 				case r < 31: // a quiet stretch
 					now += int64(rng.Intn(400))
+				case r < 32: // a drain: no traffic, every cycle ticked
+					drainUntil = now + int64(rng.Intn(600))
 				}
 				if now == 9000 {
-					restored := mk(true)
-					if err := restored.RestoreState(memo.Checkpoint()); err != nil {
+					restored := mk()
+					if err := restored.RestoreState(ch.Checkpoint()); err != nil {
 						t.Fatal(err)
 					}
-					memo = restored
+					ch = restored
 				}
 				deepest = max(deepest, len(ref.queue))
+				if len(ref.queue) == 0 && len(ref.inflight) > 0 {
+					draining++
+				}
 				want := ref.tick(now)
-				for i, ch := range []*Channel{memo, plain} {
-					name := [2]string{"memo", "plain"}[i]
-					got := ch.Tick(now)
-					if !slices.Equal(got, want) {
-						t.Fatalf("delay %d seed %d cycle %d %s: completions %+v, oracle %+v", delay, seed, now, name, got, want)
-					}
-					if err := ref.diff(ch); err != nil {
-						t.Fatalf("delay %d seed %d cycle %d %s: %v", delay, seed, now, name, err)
-					}
+				if got := ch.Tick(now); !slices.Equal(got, want) {
+					t.Fatalf("delay %d seed %d cycle %d: completions %+v, oracle %+v", delay, seed, now, got, want)
 				}
-				next := ref.nextEvent()
-				if memo.memoOK {
-					armed++
-					if memo.memoNext != next {
-						t.Fatalf("delay %d seed %d cycle %d: memo %d, oracle %d", delay, seed, now, memo.memoNext, next)
-					}
-				}
-				if got := plain.nextEvent(true); got != next {
-					t.Fatalf("delay %d seed %d cycle %d: full walk %d, oracle %d", delay, seed, now, got, next)
-				}
-				if plain.memoOK {
-					t.Fatal("a channel built without the memo armed it")
+				if err := ref.diff(ch); err != nil {
+					t.Fatalf("delay %d seed %d cycle %d: %v", delay, seed, now, err)
 				}
 			}
-			if ref.reads+ref.writes < 2000 || deepest < 2*len(ref.banks) || armed < 2000 {
-				t.Fatalf("delay %d seed %d: %d requests served, deepest queue %d, memo armed on %d cycles: the traffic is too thin to mean anything",
-					delay, seed, ref.reads+ref.writes, deepest, armed)
+			if ref.reads+ref.writes < 2000 || deepest < 2*len(ref.banks) || draining < 100 {
+				t.Fatalf("delay %d seed %d: %d requests served, deepest queue %d, %d cycles with an empty queue and transfers in flight: the traffic is too thin to mean anything",
+					delay, seed, ref.reads+ref.writes, deepest, draining)
 			}
 		}
 	}

@@ -21,24 +21,6 @@ func statsJSON(t *testing.T, s *System) string {
 	return string(j)
 }
 
-// newReference builds the system Config.Reference runs: no DRAM
-// next-event memo, every channel ticked in full every cycle.
-func newReference(cfg config.Config) *System {
-	cfg.Reference = true
-	return NewSystem(&cfg)
-}
-
-// armedMemos counts the partitions whose DRAM next-event memo is armed.
-func armedMemos(s *System) int {
-	n := 0
-	for _, p := range s.partitions {
-		if _, ok := p.dram.Memo(); ok {
-			n++
-		}
-	}
-	return n
-}
-
 // sendPair injects identical requests into two lockstepped systems.
 func sendPair(a, b *System, addr uint32, sm int, isWrite bool, now int64) {
 	for _, s := range [2]*System{a, b} {
@@ -46,19 +28,38 @@ func sendPair(a, b *System, addr uint32, sm int, isWrite bool, now int64) {
 	}
 }
 
-// TestMemEventDrivenLockstep drives a system whose DRAM channels skip
-// on their next-event memos and a Config.Reference system with identical
-// fuzzed traffic — bursty reads and writes with hot lines (L2 hits, MSHR
-// merges), long quiet gaps, and full drains — and demands observational
-// equality every cycle: the same SMs receive the same replies at the
-// same cycles, every armed memo equals its full-walk recompute at the
-// end of each step, and the final statistics (per-partition busy/peak counters included)
-// are byte-identical.
+// roundTrip returns a fresh system restored from s's checkpoint.
+func roundTrip(t *testing.T, cfg *config.Config, s *System) *System {
+	t.Helper()
+	r := NewSystem(cfg)
+	if err := r.RestoreState(s.Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestMemEventDrivenLockstep drives two systems with identical fuzzed
+// traffic — bursty reads and writes with hot lines (L2 hits, MSHR
+// merges), long quiet gaps, and full drains — one straight through and
+// one replaced every few hundred cycles by a fresh system restored from
+// its own checkpoint, and demands observational equality every cycle:
+// the same SMs receive the same replies at the same cycles, and the
+// final statistics (per-partition busy/peak counters included) are
+// byte-identical.
 func TestMemEventDrivenLockstep(t *testing.T) {
 	cfg := config.Default()
-	ed := NewSystem(&cfg)
-	ref := newReference(cfg)
-	armed, seen := 0, 0
+	straight, rt := NewSystem(&cfg), NewSystem(&cfg)
+	trips := 0
+	step := func(now int64) {
+		straight.Tick(now)
+		rt.Tick(now)
+		for p := 0; p < cfg.NumSMs; p++ {
+			comparePop(t, rt, straight, p, now)
+		}
+		if now%331 == 0 {
+			rt, trips = roundTrip(t, &cfg, rt), trips+1
+		}
+	}
 
 	rng := rand.New(rand.NewSource(7))
 	var now int64
@@ -67,50 +68,29 @@ func TestMemEventDrivenLockstep(t *testing.T) {
 		case 0: // burst of fresh lines
 			for k := rng.Intn(6); k >= 0; k-- {
 				addr := uint32(rng.Intn(1<<12)) * uint32(cfg.L1LineSz)
-				sendPair(ed, ref, addr, rng.Intn(cfg.NumSMs), rng.Intn(8) == 0, now)
+				sendPair(straight, rt, addr, rng.Intn(cfg.NumSMs), rng.Intn(8) == 0, now)
 			}
 		case 1: // hot line: merges and L2 hits
-			sendPair(ed, ref, 0, rng.Intn(cfg.NumSMs), false, now)
-		case 2, 3:
-			// quiet gap: skip ahead a random span with no traffic, the
-			// regime the DRAM memo returns early through.
-			gap := int64(rng.Intn(300))
-			for g := int64(0); g < gap; g++ {
-				ed.Tick(now)
-				ref.Tick(now)
-				for p := 0; p < cfg.NumSMs; p++ {
-					comparePop(t, ed, ref, p, now)
-				}
-				now++
+			sendPair(straight, rt, 0, rng.Intn(cfg.NumSMs), false, now)
+		case 2, 3: // quiet gap: a random span with no traffic
+			for end := now + int64(rng.Intn(300)); now < end; now++ {
+				step(now)
 			}
 		}
-		ed.Tick(now)
-		ref.Tick(now)
-		for p := 0; p < cfg.NumSMs; p++ {
-			comparePop(t, ed, ref, p, now)
-		}
-		if err := ed.AuditMemIdle(); err != nil {
+		step(now)
+		if err := rt.AuditDRAMOrder(); err != nil {
 			t.Fatalf("cycle %d: %v", now, err)
 		}
-		armed, seen = armed+armedMemos(ed), seen+cfg.L2Partitions
-		if armedMemos(ref) != 0 {
-			t.Fatalf("cycle %d: a reference system armed a DRAM memo", now)
-		}
 	}
-	if armed < seen/2 {
-		t.Fatalf("DRAM memos armed on only %d of %d partition-cycles: the skip was barely exercised", armed, seen)
+	if trips < 50 {
+		t.Fatalf("only %d checkpoint round trips: the restore was barely exercised", trips)
 	}
 	// Drain both fully and compare the complete statistics bytes.
-	for !ed.Drained() || !ref.Drained() {
-		ed.Tick(now)
-		ref.Tick(now)
-		for p := 0; p < cfg.NumSMs; p++ {
-			comparePop(t, ed, ref, p, now)
-		}
-		now++
+	for ; !straight.Drained() || !rt.Drained(); now++ {
+		step(now)
 	}
-	if a, b := statsJSON(t, ed), statsJSON(t, ref); a != b {
-		t.Errorf("memo statistics diverge from the reference:\n     memo: %s\nreference: %s", a, b)
+	if a, b := statsJSON(t, rt), statsJSON(t, straight); a != b {
+		t.Errorf("round-tripped statistics diverge from straight-through:\nround-tripped: %s\n     straight: %s", a, b)
 	}
 }
 
@@ -128,11 +108,9 @@ func comparePop(t *testing.T, sa, sb *System, port int, now int64) {
 	}
 }
 
-// TestMemEventDrivenRestoreRederives proves the DRAM next-event memos
-// are derived state: a checkpoint taken mid-traffic carries none, yet
-// the restored system — whose memos start disarmed — re-arms them on
-// its first tick and continues in perfect lockstep with the original,
-// audits passing from its first cycle.
+// TestMemEventDrivenRestoreRederives: a checkpoint taken mid-traffic
+// restores into a fresh system that continues in perfect lockstep with
+// the original, audits passing from its first cycle.
 func TestMemEventDrivenRestoreRederives(t *testing.T) {
 	cfg := config.Default()
 	orig := NewSystem(&cfg)
@@ -150,27 +128,18 @@ func TestMemEventDrivenRestoreRederives(t *testing.T) {
 		}
 	}
 
-	restored := NewSystem(&cfg)
-	if err := restored.RestoreState(orig.Checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-	if n := armedMemos(restored); n != 0 {
-		t.Fatalf("restored system has %d DRAM memos armed before its first tick", n)
-	}
-	if err := restored.AuditMemIdle(); err != nil {
+	restored := roundTrip(t, &cfg, orig)
+	if err := restored.AuditDRAMOrder(); err != nil {
 		t.Fatalf("restored system audits before first tick: %v", err)
 	}
-	for first := now; now < 3000; now++ {
+	for ; now < 3000; now++ {
 		orig.Tick(now)
 		restored.Tick(now)
 		for p := 0; p < cfg.NumSMs; p++ {
 			comparePop(t, restored, orig, p, now)
 		}
-		if err := restored.AuditMemIdle(); err != nil {
-			t.Fatalf("cycle %d: restored memos diverge from full walks: %v", now, err)
-		}
-		if now == first && armedMemos(restored) == 0 {
-			t.Fatal("the restored system's first tick armed no DRAM memo")
+		if err := restored.AuditDRAMOrder(); err != nil {
+			t.Fatalf("cycle %d: %v", now, err)
 		}
 	}
 	if a, b := statsJSON(t, restored), statsJSON(t, orig); a != b {
@@ -185,45 +154,42 @@ func TestMemEventDrivenRestoreRederives(t *testing.T) {
 // 15 s sim_memory run's 607 MB); the ring it is now wraps in place.
 // Steady state must allocate nothing, for as long as the stream lasts.
 func TestSustainedL2HitStreamStaysBounded(t *testing.T) {
-	for _, reference := range []bool{false, true} {
-		cfg := config.Default()
-		cfg.Reference = reference
-		s := NewSystem(&cfg)
-		var now int64
-		step := func(send bool) {
-			if send {
-				for pi := 0; pi < cfg.L2Partitions; pi++ {
-					s.Send(LineRequest{LineAddr: uint32(pi * 128), SM: int(now) % cfg.NumSMs}, now)
-				}
+	cfg := config.Default()
+	s := NewSystem(&cfg)
+	var now int64
+	step := func(send bool) {
+		if send {
+			for pi := 0; pi < cfg.L2Partitions; pi++ {
+				s.Send(LineRequest{LineAddr: uint32(pi * 128), SM: int(now) % cfg.NumSMs}, now)
 			}
-			if err := s.Tick(now); err != nil {
-				t.Fatal(err)
-			}
-			for p := 0; p < cfg.NumSMs; p++ {
-				s.PopReply(p, now)
-			}
-			now++
 		}
-		for !(now > 0 && s.Drained()) { // one cold miss per partition warms the lines
-			step(now == 0)
+		if err := s.Tick(now); err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < 2000; i++ { // fill the pipeline, size the rings
+		for p := 0; p < cfg.NumSMs; p++ {
+			s.PopReply(p, now)
+		}
+		now++
+	}
+	for !(now > 0 && s.Drained()) { // one cold miss per partition warms the lines
+		step(now == 0)
+	}
+	for i := 0; i < 2000; i++ { // fill the pipeline, size the rings
+		step(true)
+	}
+	if _, _, _, hits, _ := s.Depths(); hits < cfg.L2Partitions*cfg.L2HitLat/2 {
+		t.Fatalf("only %d L2 hits in flight: the stream is not sustained", hits)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		for i := 0; i < 20000; i++ {
 			step(true)
 		}
-		if _, _, _, hits, _ := s.Depths(); hits < cfg.L2Partitions*cfg.L2HitLat/2 {
-			t.Fatalf("only %d L2 hits in flight: the stream is not sustained", hits)
-		}
-		allocs := testing.AllocsPerRun(3, func() {
-			for i := 0; i < 20000; i++ {
-				step(true)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("reference=%v: 20000 cycles of a sustained L2-hit stream allocate %.0f times, want 0", reference, allocs)
-		}
-		if _, _, _, hits, _ := s.Depths(); hits > cfg.L2Partitions*(cfg.L2HitLat+cfg.IcntLat+2) {
-			t.Errorf("%d L2 hits in flight: the pipeline is backing up", hits)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("20000 cycles of a sustained L2-hit stream allocate %.0f times, want 0", allocs)
+	}
+	if _, _, _, hits, _ := s.Depths(); hits > cfg.L2Partitions*(cfg.L2HitLat+cfg.IcntLat+2) {
+		t.Errorf("%d L2 hits in flight: the pipeline is backing up", hits)
 	}
 }
 
@@ -259,7 +225,7 @@ func TestDrainedSystemHoldsNothing(t *testing.T) {
 		t.Fatalf("drained system still holds: req-net %d reply-net %d L2-MSHR %d L2-hits %d DRAM %d", toMem, toSM, mshr, hits, dramq)
 	}
 	s.ForEachInFlightRead(func(r LineRequest) { t.Errorf("drained system reports %+v in flight", r) })
-	if err := s.AuditMemIdle(); err != nil {
+	if err := s.AuditDRAMOrder(); err != nil {
 		t.Error(err)
 	}
 	if allocs := testing.AllocsPerRun(3, round); allocs != 0 {

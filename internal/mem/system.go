@@ -2,7 +2,6 @@ package mem
 
 import (
 	"fmt"
-	"math"
 
 	"gpushare/internal/config"
 	"gpushare/internal/fault"
@@ -11,12 +10,6 @@ import (
 	"gpushare/internal/mem/icnt"
 	"gpushare/internal/stats"
 )
-
-// missedMemWakeSlack is how far a MissedMemWake fault pushes a DRAM
-// channel's next-event memo past its true next event: long enough that
-// the skipped range provably contains live work, short enough that the
-// next invariant audit catches it quickly.
-const missedMemWakeSlack = 64
 
 // LineRequest is one cache-line transaction from an SM to the memory
 // system. Replies (for reads) are routed back to the requesting SM. It
@@ -57,14 +50,14 @@ type System struct {
 	l2hits *icnt.Network[LineRequest]
 	Global *Global
 
-	// Faults, when non-nil, arms a MissedMemWake or DRAMQueueOrder
-	// corruption (invariant-checker tests only). Set per run.
+	// Faults, when non-nil, arms a DRAMQueueOrder corruption
+	// (invariant-checker tests only). Set per run.
 	Faults *fault.Plan
 }
 
 // NewSystem builds the memory system for a configuration. Every
-// partition is ticked every cycle; the one skip is each DRAM channel's
-// next-event memo, armed unless cfg.Reference.
+// partition is ticked every cycle, in every engine mode: the memory
+// side skips nothing.
 func NewSystem(cfg *config.Config) *System {
 	s := &System{
 		cfg:    cfg,
@@ -78,7 +71,7 @@ func NewSystem(cfg *config.Config) *System {
 			l2:   cache.New(cfg.L2Sets, cfg.L2Ways, cfg.L1LineSz),
 			mshr: NewLineTable[LineRequest](),
 			dram: dram.NewChannel(cfg.DRAMBanksPerPartition, cfg.DRAMRowBytes,
-				cfg.DRAMTiming, cfg.DRAMDataLat, !cfg.Reference),
+				cfg.DRAMTiming, cfg.DRAMDataLat),
 		})
 	}
 	return s
@@ -116,8 +109,7 @@ func (s *System) Tick(now int64) error {
 // tickPartition advances one partition by one cycle: accept at most one
 // request off the interconnect, schedule and complete DRAM commands,
 // and deliver L2 hits whose latency elapsed. A cycle that processes at
-// least one event (or issues a DRAM command) counts as busy; the split
-// is event-derived, so the DRAM memo's skipped cycles cannot move it.
+// least one event (or issues a DRAM command) counts as busy.
 func (s *System) tickPartition(pi int, p *partition, now int64) error {
 	worked := false
 	// Accept at most one new request per cycle per partition.
@@ -142,9 +134,6 @@ func (s *System) tickPartition(pi int, p *partition, now int64) error {
 	if p.dram.Stats.RowHits+p.dram.Stats.RowMisses != cmds {
 		worked = true // a column command issued even if nothing completed
 	}
-	if s.Faults.Armed(fault.MissedMemWake) {
-		s.missWake(pi, p, now)
-	}
 	// L2 hits that finished their hit latency.
 	for {
 		req, ok := s.l2hits.Pop(pi, now)
@@ -160,31 +149,13 @@ func (s *System) tickPartition(pi int, p *partition, now int64) error {
 	return nil
 }
 
-// missWake offers a MissedMemWake opportunity: a channel whose memo
-// holds a future event has it pushed past that event, so Tick's early
-// return swallows live work and the mem-idle audit must catch the
-// mismatch before it can corrupt results silently.
-func (s *System) missWake(pi int, p *partition, now int64) {
-	if at, ok := p.dram.Memo(); ok && at != math.MaxInt64 &&
-		s.Faults.Trip(fault.MissedMemWake, now, -1, -1,
-			fmt.Sprintf("partition %d DRAM next event pushed from cycle %d to %d", pi, at, at+missedMemWakeSlack)) {
-		p.dram.DelayMemo(missedMemWakeSlack)
-	}
-}
-
-// AuditMemIdle checks what the memory path's early exits rest on, in
-// every mode. Every DRAM queue must be arrival-ordered (the FR-FCFS walk
-// and the next-event walk stop at the first request that has not
-// arrived), and every armed DRAM next-event memo must equal a full walk
-// that takes no early exit. Read-only; the mem-idle invariant audit.
-func (s *System) AuditMemIdle() error {
+// AuditDRAMOrder checks what the DRAM scheduler's early exit rests on:
+// every DRAM queue is arrival-ordered, so the FR-FCFS walk may stop at
+// the first request that has not arrived. Read-only; the dram-order
+// invariant audit.
+func (s *System) AuditDRAMOrder() error {
 	for pi, p := range s.partitions {
 		if err := p.dram.AuditOrder(); err != nil {
-			return fmt.Errorf("memory partition %d: %w", pi, err)
-		}
-	}
-	for pi, p := range s.partitions {
-		if err := p.dram.AuditMemo(); err != nil {
 			return fmt.Errorf("memory partition %d: %w", pi, err)
 		}
 	}
@@ -302,8 +273,7 @@ func (s *System) Depths() (toMem, toSM, l2MSHR, l2Pending, dramQueued int) {
 
 // CollectStats sums L2 and DRAM statistics into the aggregate and
 // records the per-partition breakdown (row locality, busy/idle split,
-// queue high-water marks). The breakdown counters are event-derived,
-// so the DRAM memo's skipped cycles cannot move them.
+// queue high-water marks).
 func (s *System) CollectStats(g *stats.GPU) {
 	g.MemParts = g.MemParts[:0]
 	for _, p := range s.partitions {

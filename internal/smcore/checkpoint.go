@@ -302,7 +302,15 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 			sm.mshr.Add(e.Addr, g)
 		}
 	}
-	for _, ev := range c.WB {
+	for i, ev := range c.WB {
+		if ev.WarpSlot < 0 || ev.WarpSlot >= len(sm.warps) {
+			return fmt.Errorf("SM%d: writeback %d references warp slot %d out of range", sm.ID, i, ev.WarpSlot)
+		}
+		// The wheel fires a slot only on its own cycle: a deadline
+		// before now would strand its warp until the watchdog.
+		if ev.At < now {
+			return fmt.Errorf("SM%d: writeback %d is due at cycle %d, before the restore cycle %d", sm.ID, i, ev.At, now)
+		}
 		e := wbEvent{warpSlot: ev.WarpSlot, gen: ev.Gen, regMask: ev.RegMask, predMask: ev.PredMask}
 		if ev.Group >= 0 {
 			g, err := resolve(ev.Group)
@@ -317,6 +325,12 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 		if refs[i] != g.remaining {
 			return fmt.Errorf("SM%d: load group %d has %d outstanding lines but %d references in the snapshot",
 				sm.ID, i, g.remaining, refs[i])
+		}
+	}
+
+	for _, slot := range c.Finished {
+		if slot < 0 || slot >= len(sm.blocks) {
+			return fmt.Errorf("SM%d: finished block slot %d out of range", sm.ID, slot)
 		}
 	}
 

@@ -11,9 +11,10 @@
 # ledger, no second pair-cost formula), that one function does atomic
 # file writes, that a table has one renderer (Table.Markdown: no text
 # renderer, no -md flag), that no scheduler view is patched in place
-# (no patchView, no WaitingLong in internal/), and that no pool,
-# map-keyed MSHR or any-typed payload is back on the memory path,
-# EXPERIMENTS.md below its
+# (no patchView, no WaitingLong in internal/), that the memory side
+# skips nothing (no partition horizon, no DRAM next-event memo), and
+# that no pool, map-keyed MSHR or any-typed payload is back on the
+# memory path, EXPERIMENTS.md below its
 # generated marker (gexp -exp all -scale 2 -paper, byte-identical; the
 # one golden of the paper's tables, regenerated at -j 1 too under
 # -full), under -full the FSIN/FEXP
@@ -165,9 +166,9 @@ hits=$(grep -n -E '\b[cC]fg\.T\b' $(ls internal/tenancy/*.go internal/smcore/*.g
 [ -z "$hits" ] || { echo "the sharing threshold is read outside internal/core (a second pair-cost formula?):" >&2; echo "$hits" >&2; exit 1; }
 echo "   non-test Go lines in internal/{core,tenancy,smcore}: $(cat $(ls internal/core/*.go internal/tenancy/*.go internal/smcore/*.go | grep -v _test.go) | wc -l)"
 
-echo "== one memory skip (every partition ticks every cycle; the DRAM channel's next-event memo is the only skip on the memory side)"
-hits=$(grep -n -E 'SetEventDriven|refreshHorizon|NextReadyPort|armMemSleep' $(find internal -name '*.go' ! -name '*_test.go') || true)
-[ -z "$hits" ] || { echo "a memory-side skip beside the DRAM memo is back (partition horizons or their arming):" >&2; echo "$hits" >&2; exit 1; }
+echo "== no memory skip (every partition and every DRAM channel ticks every cycle; an empty channel returns at once)"
+hits=$(grep -n -E 'SetEventDriven|refreshHorizon|NextReadyPort|armMemSleep|memoNext|memoOK|DelayMemo|AuditMemo|MissedMemWake|schedulableAt' $(find internal -name '*.go' ! -name '*_test.go') || true)
+[ -z "$hits" ] || { echo "a memory-side skip is back (partition horizons, their arming, or the DRAM next-event memo):" >&2; echo "$hits" >&2; exit 1; }
 echo "   non-test Go lines in internal/{mem,gpu,invariant,fault}: $(cat $(find internal/mem internal/gpu internal/invariant internal/fault -name '*.go' ! -name '*_test.go') | wc -l)"
 
 echo "== scheduler views move only at markDirty events (no in-place view patch; the two-level policy reads load state live)"
