@@ -102,18 +102,6 @@ func runBlockedSMs(tb testing.TB, k *kernel.Kernel, cfg config.Config, sink chec
 	return g
 }
 
-// TestSMSleepDeterminism keeps its name as a stable test ID (see
-// legacyLegs); per-SM sleep itself is gone. It pins the profile that
-// mechanism was built for and no paper kernel has — whole SMs blocked
-// for hundreds of cycles while one stays busy, so nearly every SM cycle
-// is a census replay and the DRAM channels sit mostly idle.
-func TestSMSleepDeterminism(t *testing.T) {
-	k := memBoundKernel(t)
-	modeDeterminism(t, func(t *testing.T, cfg config.Config, sink checkpoint.Sink, restore []byte) *stats.GPU {
-		return runBlockedSMs(t, k, cfg, sink, restore)
-	})
-}
-
 // BenchmarkBlockedSMs is the one profile the deleted per-SM sleep won
 // on (DESIGN.md "Why the cycle loop skips nothing"): 56 SMs, one warp
 // each, one busy and the rest blocked. tools/bench.sh gates its ns/op

@@ -3,7 +3,6 @@ package gpu
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"gpushare/internal/checkpoint"
@@ -87,49 +86,27 @@ func runWorkload(tb testing.TB, name string, cfg config.Config, scale int) *stat
 	return runWorkloadCK(tb, name, cfg, scale, nil, nil)
 }
 
-// engineCases are the workload/config pairs the engine-determinism
-// tests sweep: sharing-heavy configurations on both sharing modes (the
-// paths with the most cross-SM coupling through locks and ownership
-// transfer) plus an unshared scheduler for the plain path.
-var engineCases = []struct {
-	name     string
-	workload string
-	slow     bool // skipped in -short mode (minutes under -race)
-	cfg      func() config.Config
-}{
-	{"hotspot/reg-sharing-owf", "hotspot", true, func() config.Config {
-		cfg := config.Default()
-		cfg.Sharing, cfg.T = config.ShareRegisters, 0.1
-		cfg.Sched = config.SchedOWF
-		return cfg
-	}},
-	{"CONV2/smem-sharing-lrr", "CONV2", false, func() config.Config {
-		cfg := config.Default()
-		cfg.Sharing, cfg.T = config.ShareScratchpad, 0.1
-		return cfg
-	}},
-	{"gaussian/unshared-gto", "gaussian", false, func() config.Config {
-		cfg := config.Default()
-		cfg.Sched = config.SchedGTO
-		return cfg
-	}},
+// runFn simulates one row of the equivalence table under cfg, writing
+// checkpoints into sink or resuming from the restore blob (see simulate).
+type runFn func(tb testing.TB, cfg config.Config, sink checkpoint.Sink, restore []byte) *stats.GPU
+
+// onWorkload runs the named workload at scale 1.
+func onWorkload(name string) runFn {
+	return func(tb testing.TB, cfg config.Config, sink checkpoint.Sink, restore []byte) *stats.GPU {
+		return runWorkloadCK(tb, name, cfg, 1, sink, restore)
+	}
 }
 
-// engineModes is the whole determinism matrix: the optimised engine
-// (the default) and Config.Reference, which asks every warp every cycle
-// — the oracle the optimised engine must match byte for byte.
-var engineModes = []engineMode{{"optimised", false}, {"reference", true}}
-
-// engineMode is one named leg of a determinism test.
-type engineMode struct {
-	name      string
-	reference bool
+// onTenants runs the spec's tenants at scale 1.
+func onTenants(spec *tenancy.Spec) runFn {
+	return func(tb testing.TB, cfg config.Config, sink checkpoint.Sink, restore []byte) *stats.GPU {
+		return runMultiCK(tb, cfg, spec, 1, sink, restore)
+	}
 }
 
-// apply returns cfg in this leg's engine mode.
-func (m engineMode) apply(cfg config.Config) config.Config {
-	cfg.Reference = m.reference
-	return cfg
+// onBlockedSMs runs memBoundKernel on 56 SMs (see runBlockedSMs).
+func onBlockedSMs(tb testing.TB, cfg config.Config, sink checkpoint.Sink, restore []byte) *stats.GPU {
+	return runBlockedSMs(tb, memBoundKernel(tb), cfg, sink, restore)
 }
 
 // reference returns cfg in reference mode.
@@ -138,85 +115,256 @@ func reference(cfg config.Config) config.Config {
 	return cfg
 }
 
-// legacyLegs maps the subtest names of the determinism tests onto
-// engineModes. The names are stable test IDs from when the engine had
-// four knobs and a worker pool (ROADMAP's housekeeping item retires
-// them): "nosnapshot" legs run the reference, every other leg the
-// optimised engine, so legs that share a mode are repeat runs in one
-// process. They pin that a simulation leaves no state behind that moves
-// the next one's statistics; the memory path holds no pool to warm
-// (tools/check.sh keeps sync.Pool out of internal/mem and smcore).
-func legacyLegs(names ...string) []engineMode {
-	legs := make([]engineMode, len(names))
-	for i, name := range names {
-		legs[i] = engineMode{name, strings.Contains(name, "nosnapshot")}
-	}
-	return legs
+// shared is the default machine sharing resource at t = 0.1 (90 %)
+// under scheduler sched.
+func shared(resource config.SharingMode, sched config.SchedPolicy) config.Config {
+	cfg := config.Default()
+	cfg.Sharing, cfg.T, cfg.Sched = resource, 0.1, sched
+	return cfg
 }
 
-// TestEngineDeterminism is the engine's correctness contract: the
-// engine mode is not a simulation parameter. The optimised engine —
-// cached warp snapshots, issue cards and censuses in the SM — must
-// produce statistics deep-equal
-// and, via the canonical JSON encoding, byte-identical to the reference
-// that skips nothing.
-func TestEngineDeterminism(t *testing.T) {
-	legs := legacyLegs(
-		"workers=1 ff=on", "workers=gomaxprocs ff=on", "workers=2 ff=off",
-		"workers=1 ff=on nosnapshot", "workers=2 ff=off nosnapshot",
-		"workers=1 ff=on nosleep", "workers=2 ff=off nosleep")
-	for _, c := range engineCases {
-		t.Run(c.name, func(t *testing.T) {
-			if c.slow && testing.Short() {
+// scheduled is the default machine under scheduler sched.
+func scheduled(sched config.SchedPolicy) config.Config {
+	cfg := config.Default()
+	cfg.Sched = sched
+	return cfg
+}
+
+// audited is cfg with every invariant class checked every cycle.
+func audited(cfg config.Config) config.Config {
+	cfg.InvariantStride = 1
+	return cfg
+}
+
+// earlyRelease is Shared-OWF-Unroll with the §VIII early register
+// release: the one tenant kind whose every issue re-snapshots the warp,
+// and whose snapshot has a side effect (ReleaseReg).
+func earlyRelease() config.Config {
+	cfg := shared(config.ShareRegisters, config.SchedOWF)
+	cfg.UnrollRegs, cfg.EarlyRegRelease = true, true
+	return cfg
+}
+
+// regSharingDyn is the paper's best register-sharing configuration
+// (Shared-OWF-Unroll-Dyn): pair locks, ownership transfers and the
+// RNG-consuming dyn gate all in one run.
+func regSharingDyn() config.Config {
+	cfg := shared(config.ShareRegisters, config.SchedOWF)
+	cfg.UnrollRegs, cfg.DynWarp = true, true
+	return cfg
+}
+
+// equivRow is one (workload or tenancy spec, config) pair of the
+// engine-equivalence table.
+type equivRow struct {
+	name    string
+	run     runFn
+	cfg     config.Config
+	tenants int   // per-tenant entries the run carries (0: a single kernel)
+	stride  int64 // checkpoint stride of the restore leg; 0 is a quarter of the run
+	audit   bool  // add the audited leg
+	slow    bool  // skipped under -short (minutes under -race or at stride 1)
+	// restoreOnly keeps only the restore leg, whose checkpointing run is
+	// then the row's one optimised run.
+	restoreOnly bool
+}
+
+// equivTable is every pair the optimised engine is held to the
+// reference on, in five groups:
+//   - both sharing modes under OWF and LRR, the paths with the most
+//     cross-SM coupling through locks and ownership transfer, and GTO
+//     unshared for the plain path;
+//   - MUM, whose pointer chasing keeps requests, DRAM commands and
+//     replies in flight between idle DRAM spans with most warps blocked,
+//     and the blocked-SMs profile of BenchmarkBlockedSMs, where nearly
+//     every SM cycle is a census replay;
+//   - the three tenancy policies; stride 1024 against the 3000-cycle
+//     timeslice quota puts snapshots inside quanta and drain phases;
+//   - the audit rows: MSHR-full stalls (MUM), register-lock waits under
+//     the dyn gate (LIB), scratchpad-lock waits (lavaMD), the two-level
+//     policy, which ranks on load state no warp view caches, an early
+//     release that must still fire at the scheduler's next refresh
+//     (epilogue) and two tenants' classes in one census;
+//   - b+tree audited, restore leg only, so a census re-derived from
+//     nothing after a restore is checked on its first cycle (the audit
+//     stride is part of the configuration a checkpoint is bound to).
+var equivTable = []equivRow{
+	{name: "hotspot/reg-sharing-owf", run: onWorkload("hotspot"), cfg: shared(config.ShareRegisters, config.SchedOWF), slow: true},
+	{name: "CONV2/smem-sharing-lrr", run: onWorkload("CONV2"), cfg: shared(config.ShareScratchpad, config.SchedLRR)},
+	{name: "gaussian/unshared-gto", run: onWorkload("gaussian"), cfg: scheduled(config.SchedGTO)},
+	{name: "MUM/default", run: onWorkload("MUM"), cfg: config.Default(), audit: true, slow: true},
+	{name: "blocked-SMs/default", run: onBlockedSMs, cfg: config.Default()},
+	{name: "gaussian+CONV2/spatial", run: onTenants(twoTenantSpec(tenancy.Spatial)),
+		cfg: shared(config.ShareScratchpad, config.SchedLRR), tenants: 2},
+	{name: "gaussian+CONV2/cosched", run: onTenants(twoTenantSpec(tenancy.CoSched)),
+		cfg: shared(config.ShareScratchpad, config.SchedLRR), tenants: 2},
+	{name: "gaussian+CONV2/timeslice", run: onTenants(twoTenantSpec(tenancy.TimeSlice)),
+		cfg: shared(config.ShareScratchpad, config.SchedLRR), tenants: 2, stride: 1024},
+	{name: "LIB/shared-owf-unroll-dyn", run: onWorkload("LIB"), cfg: regSharingDyn(), audit: true, slow: true},
+	{name: "lavaMD/shared-owf-scratchpad", run: onWorkload("lavaMD"), cfg: shared(config.ShareScratchpad, config.SchedOWF), audit: true},
+	{name: "gaussian/two-level", run: onWorkload("gaussian"), cfg: scheduled(config.SchedTwoLevel), audit: true},
+	{name: "MUM/two-level", run: onWorkload("MUM"), cfg: scheduled(config.SchedTwoLevel), audit: true, slow: true},
+	{name: "epilogue/shared-owf-unroll-early-release", run: onWorkload("epilogue"), cfg: earlyRelease(), audit: true},
+	{name: "hotspot+lavaMD/cosched", run: onTenants(&tenancy.Spec{Policy: tenancy.CoSched,
+		Tenants: []tenancy.TenantSpec{{Workload: "hotspot"}, {Workload: "lavaMD"}}}),
+		cfg: config.Default(), tenants: 2, audit: true, slow: true},
+	{name: "b+tree/shared-owf-unroll-dyn-audited", run: onWorkload("b+tree"), cfg: audited(regSharingDyn()), slow: true, restoreOnly: true},
+}
+
+// TestEngineEquivalence is the engine's correctness contract: the
+// engine mode is not a simulation parameter. For every row of
+// equivTable the reference run (Config.Reference, which asks every warp
+// every cycle) is made once, and each leg must land on its statistics,
+// deep-equal and byte for byte in the canonical JSON encoding:
+//   - optimised: the optimised engine (cached warp snapshots, issue
+//     cards and censuses);
+//   - repeat: a second optimised run in the same process, so a run
+//     leaves nothing behind that moves the next one;
+//   - restore: taking checkpoints does not perturb the run, resuming
+//     from up to six snapshots of the trail reproduces it, and so does
+//     resuming from the middle one of those in reference mode;
+//   - audited (audit rows): the optimised run with every invariant
+//     class, the card and census audit included, checked every cycle.
+//
+// Every compared run of a tenancy row must also decompose the machine
+// totals into its per-tenant counters (checkTenantSums). The
+// env-escape-hatch leg proves GPUSHARE_REFERENCE=1 ≡ Config.Reference
+// once for the whole table. Rows run in parallel with each other; the
+// legs of a row run in order.
+func TestEngineEquivalence(t *testing.T) {
+	t.Run("env-escape-hatch", func(t *testing.T) {
+		want := encodeJSON(t, onBlockedSMs(t, reference(config.Default()), nil, nil))
+		t.Setenv("GPUSHARE_REFERENCE", "1")
+		if sim := MustNew(config.Default()); !sim.Cfg.Reference {
+			t.Error("GPUSHARE_REFERENCE=1 did not select reference mode")
+		}
+		if got := encodeJSON(t, onBlockedSMs(t, config.Default(), nil, nil)); got != want {
+			t.Error("GPUSHARE_REFERENCE=1 run diverges from the Config.Reference run")
+		}
+	})
+	for _, row := range equivTable {
+		t.Run(row.name, func(t *testing.T) {
+			if row.slow && testing.Short() {
 				t.Skip("simulation-heavy")
 			}
-			ref := runWorkload(t, c.workload, reference(c.cfg()), 1)
+			t.Parallel()
+			cfg := row.cfg
+			ref := row.run(t, reference(cfg), nil, nil)
+			if len(ref.Tenants) != row.tenants {
+				t.Fatalf("run carries %d tenant entries, want %d", len(ref.Tenants), row.tenants)
+			}
 			refJSON := encodeJSON(t, ref)
-			for _, m := range legs {
-				t.Run(m.name, func(t *testing.T) {
-					g := runWorkload(t, c.workload, m.apply(c.cfg()), 1)
-					if !reflect.DeepEqual(ref, g) {
-						t.Errorf("stats diverge from reference:\n--- reference\n%s--- variant\n%s",
-							ref.Report(), g.Report())
-					}
-					if encodeJSON(t, g) != refJSON {
-						t.Error("canonical JSON encoding differs from reference")
-					}
-				})
+			// matches reports whether g, the run named by what, lands on
+			// the reference.
+			matches := func(t *testing.T, g *stats.GPU, what string) bool {
+				t.Helper()
+				checkTenantSums(t, g, what)
+				if !reflect.DeepEqual(ref, g) {
+					t.Errorf("%s: stats diverge from the reference:\n--- reference\n%s--- %s\n%s",
+						what, ref.Report(), what, g.Report())
+					return false
+				}
+				if encodeJSON(t, g) != refJSON {
+					t.Errorf("%s: canonical JSON encoding differs from the reference", what)
+					return false
+				}
+				return true
 			}
 
-			// Checkpoint/restore is an engine knob too: (a) taking
-			// snapshots must not perturb the run, and (b) resuming from
-			// any snapshot, in either mode, must reproduce the
-			// straight-through bytes exactly.
+			if !row.restoreOnly {
+				t.Run("optimised", func(t *testing.T) {
+					matches(t, row.run(t, cfg, nil, nil), "optimised run")
+				})
+				t.Run("repeat", func(t *testing.T) {
+					matches(t, row.run(t, cfg, nil, nil), "second optimised run")
+				})
+			}
 			t.Run("restore", func(t *testing.T) {
-				stride := ref.Cycles / 4
-				if stride < 1 {
-					stride = 1
+				ckCfg := cfg
+				ckCfg.CheckpointStride = row.stride
+				if ckCfg.CheckpointStride == 0 {
+					ckCfg.CheckpointStride = max(ref.Cycles/4, 1)
 				}
-				ckCfg := c.cfg()
-				ckCfg.CheckpointStride = stride
 				sink := checkpoint.NewMemSink()
-				if j := encodeJSON(t, runWorkloadCK(t, c.workload, ckCfg, 1, sink, nil)); j != refJSON {
-					t.Fatal("enabling checkpoints changed the statistics")
+				if !matches(t, row.run(t, ckCfg, sink, nil), "checkpointing run") {
+					t.FailNow()
 				}
 				cycles := sink.List()
 				if len(cycles) == 0 {
-					t.Fatalf("no checkpoints taken in %d cycles at stride %d", ref.Cycles, stride)
+					t.Fatalf("no checkpoints taken in %d cycles at stride %d", ref.Cycles, ckCfg.CheckpointStride)
 				}
-				for _, cy := range sampleCycles(cycles, 6) {
-					if j := encodeJSON(t, runWorkloadCK(t, c.workload, c.cfg(), 1, nil, sink.Get(cy))); j != refJSON {
-						t.Errorf("restore at cycle %d diverges from straight-through", cy)
+				sample := sampleCycles(cycles, 6)
+				for _, cy := range sample {
+					matches(t, row.run(t, cfg, nil, sink.Get(cy)), fmt.Sprintf("restore at cycle %d", cy))
+				}
+				mid := sample[len(sample)/2]
+				matches(t, row.run(t, reference(cfg), nil, sink.Get(mid)), fmt.Sprintf("reference restore at cycle %d", mid))
+			})
+			if !row.audit {
+				return
+			}
+			t.Run("audited", func(t *testing.T) {
+				matches(t, row.run(t, audited(cfg), nil, nil), "run audited every cycle")
+				if cfg.EarlyRegRelease {
+					var rel int64
+					for i := range ref.SMs {
+						rel += ref.SMs[i].EarlyRegRelease
 					}
-				}
-				mid := cycles[len(cycles)/2]
-				for _, m := range engineModes {
-					if j := encodeJSON(t, runWorkloadCK(t, c.workload, m.apply(c.cfg()), 1, nil, sink.Get(mid))); j != refJSON {
-						t.Errorf("restore at cycle %d under %s diverges from straight-through", mid, m.name)
+					if rel == 0 {
+						t.Error("no early release fired: the row does not exercise the release")
 					}
 				}
 			})
 		})
+	}
+}
+
+// tenantSums names every counter that stats.Tenant.AddCounters sums and
+// stats.SM also carries: the counters smcore books twice, once in the
+// SM's statistics and once in the issuing warp's tenant's. They are
+// found by reflection, so a counter added to both types joins the check.
+func tenantSums() []string {
+	tt, st := reflect.TypeOf(stats.Tenant{}), reflect.TypeOf(stats.SM{})
+	var names []string
+	for i := 0; i < tt.NumField(); i++ {
+		f := tt.Field(i)
+		if sf, ok := st.FieldByName(f.Name); !ok || f.Type.Kind() != reflect.Int64 || sf.Type != f.Type {
+			continue
+		}
+		var a, b stats.Tenant
+		reflect.ValueOf(&a).Elem().Field(i).SetInt(2)
+		reflect.ValueOf(&b).Elem().Field(i).SetInt(3)
+		if a.AddCounters(&b); reflect.ValueOf(a).Field(i).Int() == 5 { // summed, not kept at the maximum
+			names = append(names, f.Name)
+		}
+	}
+	return names
+}
+
+// checkTenantSums asserts that g's per-tenant counters decompose its
+// machine totals: for every counter of tenantSums, the tenants' values
+// add up to the sum over SMs. A counter booked in only one of the two
+// ledgers fails by name. Single-kernel runs carry no tenants.
+func checkTenantSums(t *testing.T, g *stats.GPU, what string) {
+	t.Helper()
+	if len(g.Tenants) == 0 {
+		return
+	}
+	names := tenantSums()
+	if len(names) == 0 {
+		t.Fatal("no counter is summed by Tenant.AddCounters and carried by SM")
+	}
+	for _, name := range names {
+		var perTenant, machine int64
+		for i := range g.Tenants {
+			perTenant += reflect.ValueOf(g.Tenants[i]).FieldByName(name).Int()
+		}
+		for i := range g.SMs {
+			machine += reflect.ValueOf(g.SMs[i]).FieldByName(name).Int()
+		}
+		if perTenant != machine {
+			t.Errorf("%s: per-tenant %s sums to %d, machine total is %d", what, name, perTenant, machine)
+		}
 	}
 }
 

@@ -1,10 +1,8 @@
 package gpu
 
 import (
-	"reflect"
 	"testing"
 
-	"gpushare/internal/checkpoint"
 	"gpushare/internal/config"
 	"gpushare/internal/kernel"
 	"gpushare/internal/stats"
@@ -43,83 +41,6 @@ func twoTenantSpec(policy tenancy.Policy) *tenancy.Spec {
 		s.QuotaCycles = 3000
 	}
 	return s
-}
-
-// TestTenancyDeterminism extends the engine-determinism contract to all
-// three tenancy policies: for a fixed (config, spec, launches), the
-// statistics — per-tenant breakdowns included — must be deep-equal and
-// byte-identical in both engine modes.
-func TestTenancyDeterminism(t *testing.T) {
-	legs := legacyLegs(
-		"workers=gomaxprocs", "workers=2",
-		"workers=1 nosnapshot", "workers=2 nosnapshot",
-		"workers=1 nosleep", "workers=2 nosleep")
-	for _, policy := range []tenancy.Policy{tenancy.Spatial, tenancy.CoSched, tenancy.TimeSlice} {
-		t.Run(policy.String(), func(t *testing.T) {
-			baseCfg := config.Default()
-			baseCfg.Sharing, baseCfg.T = config.ShareScratchpad, 0.1
-			ref := runMulti(t, reference(baseCfg), twoTenantSpec(policy), 1)
-			refJSON := encodeJSON(t, ref)
-			if len(ref.Tenants) != 2 {
-				t.Fatalf("run carries %d tenant entries, want 2", len(ref.Tenants))
-			}
-			for _, m := range legs {
-				t.Run(m.name, func(t *testing.T) {
-					g := runMulti(t, m.apply(baseCfg), twoTenantSpec(policy), 1)
-					if !reflect.DeepEqual(ref, g) {
-						t.Errorf("stats diverge from reference:\n--- reference\n%s--- variant\n%s",
-							ref.Report(), g.Report())
-					}
-					if encodeJSON(t, g) != refJSON {
-						t.Error("canonical JSON encoding differs from reference")
-					}
-				})
-			}
-
-			// Checkpoint/restore under every tenancy policy. For
-			// timeslice, stride 1024 against the 3000-cycle quota
-			// guarantees snapshots strictly inside a quantum (and inside
-			// drain phases), the context-switch states that are hardest
-			// to resume. Every restored run must also keep its
-			// per-tenant counters exactly decomposing machine totals.
-			t.Run("restore", func(t *testing.T) {
-				stride := max(ref.Cycles/4, 1)
-				if policy == tenancy.TimeSlice {
-					stride = 1024
-				}
-				ckCfg := baseCfg
-				ckCfg.CheckpointStride = stride
-				sink := checkpoint.NewMemSink()
-				if j := encodeJSON(t, runMultiCK(t, ckCfg, twoTenantSpec(policy), 1, sink, nil)); j != refJSON {
-					t.Fatal("enabling checkpoints changed the statistics")
-				}
-				cycles := sink.List()
-				if len(cycles) == 0 {
-					t.Fatalf("no checkpoints taken in %d cycles at stride %d", ref.Cycles, stride)
-				}
-				for _, cy := range sampleCycles(cycles, 6) {
-					g := runMultiCK(t, baseCfg, twoTenantSpec(policy), 1, nil, sink.Get(cy))
-					if j := encodeJSON(t, g); j != refJSON {
-						t.Errorf("restore at cycle %d diverges from straight-through", cy)
-					}
-					var warpSum int64
-					for i := range g.Tenants {
-						warpSum += g.Tenants[i].WarpInstrs
-					}
-					if warpSum != g.TotalWarpInstrs() {
-						t.Errorf("restore at cycle %d: per-tenant warp instructions sum to %d, machine total is %d",
-							cy, warpSum, g.TotalWarpInstrs())
-					}
-				}
-				mid := cycles[len(cycles)/2]
-				for _, m := range engineModes {
-					if j := encodeJSON(t, runMultiCK(t, m.apply(baseCfg), twoTenantSpec(policy), 1, nil, sink.Get(mid))); j != refJSON {
-						t.Errorf("restore at cycle %d under %s diverges from straight-through", mid, m.name)
-					}
-				}
-			})
-		})
-	}
 }
 
 // TestTenantStatsPopulated: a two-tenant co-scheduled run must produce

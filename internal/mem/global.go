@@ -3,7 +3,12 @@
 // partitions, and the interconnect glue between SMs and partitions.
 package mem
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math"
+
+	"gpushare/internal/simerr"
+)
 
 const pageBits = 16 // 64 KiB pages
 const pageSize = 1 << pageBits
@@ -25,12 +30,20 @@ func NewGlobal() *Global {
 }
 
 // Alloc reserves n bytes and returns the base address, 256-byte aligned
-// so allocations start cache-line aligned.
+// so allocations start cache-line aligned. A request that is negative or
+// does not fit in the rest of the 32-bit address space would alias
+// earlier allocations, so Alloc refuses it by panicking with a typed
+// *simerr.SimError (KindLaunch), which the runner reports as a
+// deterministic failure and does not retry; the store is left unchanged.
 func (g *Global) Alloc(n int) uint32 {
-	base := (g.brk + 255) &^ 255
-	g.brk = base + uint32(n)
+	base := (uint64(g.brk) + 255) &^ 255
+	if n < 0 || base+uint64(n) > math.MaxUint32 {
+		panic(simerr.New(simerr.KindLaunch, -1,
+			"global memory: allocating %d bytes at %#x overflows the 32-bit address space", n, base))
+	}
+	g.brk = uint32(base + uint64(n))
 	g.cover(g.brk >> pageBits)
-	return base
+	return uint32(base)
 }
 
 // cover extends the page table to include page index idx.

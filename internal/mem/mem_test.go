@@ -1,11 +1,13 @@
 package mem
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"gpushare/internal/config"
 	"gpushare/internal/kernel"
+	"gpushare/internal/simerr"
 )
 
 func TestGlobalLoadStoreRoundTrip(t *testing.T) {
@@ -39,6 +41,46 @@ func TestGlobalAllocAlignment(t *testing.T) {
 	}
 	if b <= a || c <= b || b < a+100 || c < b+1 {
 		t.Errorf("allocations overlap: %d %d %d", a, b, c)
+	}
+}
+
+// tryAlloc calls g.Alloc(n) and returns its address, or what it
+// panicked with.
+func tryAlloc(g *Global, n int) (addr uint32, refused any) {
+	defer func() { refused = recover() }()
+	return g.Alloc(n), nil
+}
+
+// TestGlobalAllocRefusesOverflow: an allocation past the end of the
+// 32-bit address space must be refused, not wrapped onto earlier
+// allocations (address 0 included), and the refusal must leave the store
+// as it was: no address handed out, no page materialised.
+func TestGlobalAllocRefusesOverflow(t *testing.T) {
+	g := NewGlobal()
+	first := g.Alloc(3 << 30)
+	brk, pages := g.brk, len(g.pages)
+
+	got, refused := tryAlloc(g, 2<<30)
+	if refused == nil {
+		t.Fatalf("Alloc(2 GiB) after Alloc(3 GiB) returned %#x (first allocation ends at %#x)", got, uint64(first)+3<<30)
+	}
+	if se, ok := refused.(*simerr.SimError); !ok || se.Kind != simerr.KindLaunch {
+		t.Fatalf("refusal panicked with %v, want a *simerr.SimError of kind launch", refused)
+	}
+	if g.brk != brk || len(g.pages) != pages {
+		t.Errorf("refused allocation moved the store: brk %#x -> %#x, page table %d -> %d", brk, g.brk, pages, len(g.pages))
+	}
+	for i, p := range g.pages {
+		if p != nil {
+			t.Fatalf("page %d materialised without a store", i)
+		}
+	}
+
+	// A break within 256 bytes of the top aligns the next base to 2^32
+	// itself: even an empty request no longer fits.
+	g.brk = math.MaxUint32 - 10
+	if got, refused := tryAlloc(g, 0); refused == nil {
+		t.Errorf("Alloc(0) with the break at %#x returned %#x", g.brk, got)
 	}
 }
 
