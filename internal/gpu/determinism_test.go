@@ -3,6 +3,7 @@ package gpu
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gpushare/internal/checkpoint"
@@ -154,132 +155,139 @@ func regSharingDyn() config.Config {
 	return cfg
 }
 
-// equivRow is one (workload or tenancy spec, config) pair of the
-// engine-equivalence table.
+// legKind is the check one leg of an equivalence row makes. Every leg
+// must land on the row's reference run (Config.Reference, which asks
+// every warp every cycle), deep-equal and byte for byte in the
+// canonical JSON encoding.
+type legKind int
+
+const (
+	// optimisedLeg runs the optimised engine: cached warp snapshots,
+	// issue cards and censuses.
+	optimisedLeg legKind = iota
+	// referenceLeg runs the reference a second time.
+	referenceLeg
+	// restoreLeg checks that taking checkpoints does not perturb the
+	// run, that resuming from up to six snapshots of the trail
+	// reproduces it, and that so does resuming from the middle one of
+	// those in reference mode.
+	restoreLeg
+	// auditedLeg runs the optimised engine with every invariant class,
+	// the card and census audit included, checked every cycle. On an
+	// early-release config it also asserts that a release fired.
+	auditedLeg
+	// envLeg checks GPUSHARE_REFERENCE=1 ≡ Config.Reference: the
+	// simulator reports reference mode, and the bytes match.
+	envLeg
+)
+
+// leg is one named check of an equivalence row. An empty name makes the
+// check in the row's own test instead of a subtest.
+type leg struct {
+	name string
+	kind legKind
+}
+
+// knobLegs names optimised and reference repeat legs. The names are
+// stable test IDs from when the engine had four knobs and a worker
+// pool: a "nosnapshot" leg re-runs the reference, every other leg the
+// optimised engine. Legs of one kind are repeat runs in one process, so
+// they pin that a simulation leaves nothing behind that moves the next
+// one's statistics.
+func knobLegs(names ...string) []leg {
+	legs := make([]leg, len(names))
+	for i, name := range names {
+		legs[i] = leg{name, optimisedLeg}
+		if strings.Contains(name, "nosnapshot") {
+			legs[i].kind = referenceLeg
+		}
+	}
+	return legs
+}
+
+// equivRow is one (workload or tenancy spec, config) pair the optimised
+// engine is held to the reference on, with the legs that check it.
 type equivRow struct {
-	name    string
+	name    string // subtest name; empty checks the row in the test itself
 	run     runFn
 	cfg     config.Config
 	tenants int   // per-tenant entries the run carries (0: a single kernel)
 	stride  int64 // checkpoint stride of the restore leg; 0 is a quarter of the run
-	audit   bool  // add the audited leg
 	slow    bool  // skipped under -short (minutes under -race or at stride 1)
-	// restoreOnly keeps only the restore leg, whose checkpointing run is
-	// then the row's one optimised run.
-	restoreOnly bool
+	legs    []leg
 }
 
-// equivTable is every pair the optimised engine is held to the
-// reference on, in five groups:
-//   - both sharing modes under OWF and LRR, the paths with the most
-//     cross-SM coupling through locks and ownership transfer, and GTO
-//     unshared for the plain path;
-//   - MUM, whose pointer chasing keeps requests, DRAM commands and
-//     replies in flight between idle DRAM spans with most warps blocked,
-//     and the blocked-SMs profile of BenchmarkBlockedSMs, where nearly
-//     every SM cycle is a census replay;
-//   - the three tenancy policies; stride 1024 against the 3000-cycle
-//     timeslice quota puts snapshots inside quanta and drain phases;
-//   - the audit rows: MSHR-full stalls (MUM), register-lock waits under
-//     the dyn gate (LIB), scratchpad-lock waits (lavaMD), the two-level
-//     policy, which ranks on load state no warp view caches, an early
-//     release that must still fire at the scheduler's next refresh
-//     (epilogue) and two tenants' classes in one census;
-//   - b+tree audited, restore leg only, so a census re-derived from
-//     nothing after a restore is checked on its first cycle (the audit
-//     stride is part of the configuration a checkpoint is bound to).
-var equivTable = []equivRow{
-	{name: "hotspot/reg-sharing-owf", run: onWorkload("hotspot"), cfg: shared(config.ShareRegisters, config.SchedOWF), slow: true},
-	{name: "CONV2/smem-sharing-lrr", run: onWorkload("CONV2"), cfg: shared(config.ShareScratchpad, config.SchedLRR)},
-	{name: "gaussian/unshared-gto", run: onWorkload("gaussian"), cfg: scheduled(config.SchedGTO)},
-	{name: "MUM/default", run: onWorkload("MUM"), cfg: config.Default(), audit: true, slow: true},
-	{name: "blocked-SMs/default", run: onBlockedSMs, cfg: config.Default()},
-	{name: "gaussian+CONV2/spatial", run: onTenants(twoTenantSpec(tenancy.Spatial)),
-		cfg: shared(config.ShareScratchpad, config.SchedLRR), tenants: 2},
-	{name: "gaussian+CONV2/cosched", run: onTenants(twoTenantSpec(tenancy.CoSched)),
-		cfg: shared(config.ShareScratchpad, config.SchedLRR), tenants: 2},
-	{name: "gaussian+CONV2/timeslice", run: onTenants(twoTenantSpec(tenancy.TimeSlice)),
-		cfg: shared(config.ShareScratchpad, config.SchedLRR), tenants: 2, stride: 1024},
-	{name: "LIB/shared-owf-unroll-dyn", run: onWorkload("LIB"), cfg: regSharingDyn(), audit: true, slow: true},
-	{name: "lavaMD/shared-owf-scratchpad", run: onWorkload("lavaMD"), cfg: shared(config.ShareScratchpad, config.SchedOWF), audit: true},
-	{name: "gaussian/two-level", run: onWorkload("gaussian"), cfg: scheduled(config.SchedTwoLevel), audit: true},
-	{name: "MUM/two-level", run: onWorkload("MUM"), cfg: scheduled(config.SchedTwoLevel), audit: true, slow: true},
-	{name: "epilogue/shared-owf-unroll-early-release", run: onWorkload("epilogue"), cfg: earlyRelease(), audit: true},
-	{name: "hotspot+lavaMD/cosched", run: onTenants(&tenancy.Spec{Policy: tenancy.CoSched,
-		Tenants: []tenancy.TenantSpec{{Workload: "hotspot"}, {Workload: "lavaMD"}}}),
-		cfg: config.Default(), tenants: 2, audit: true, slow: true},
-	{name: "b+tree/shared-owf-unroll-dyn-audited", run: onWorkload("b+tree"), cfg: audited(regSharingDyn()), slow: true, restoreOnly: true},
-}
-
-// TestEngineEquivalence is the engine's correctness contract: the
-// engine mode is not a simulation parameter. For every row of
-// equivTable the reference run (Config.Reference, which asks every warp
-// every cycle) is made once, and each leg must land on its statistics,
-// deep-equal and byte for byte in the canonical JSON encoding:
-//   - optimised: the optimised engine (cached warp snapshots, issue
-//     cards and censuses);
-//   - repeat: a second optimised run in the same process, so a run
-//     leaves nothing behind that moves the next one;
-//   - restore: taking checkpoints does not perturb the run, resuming
-//     from up to six snapshots of the trail reproduces it, and so does
-//     resuming from the middle one of those in reference mode;
-//   - audited (audit rows): the optimised run with every invariant
-//     class, the card and census audit included, checked every cycle.
-//
-// Every compared run of a tenancy row must also decompose the machine
-// totals into its per-tenant counters (checkTenantSums). The
-// env-escape-hatch leg proves GPUSHARE_REFERENCE=1 ≡ Config.Reference
-// once for the whole table. Rows run in parallel with each other; the
-// legs of a row run in order.
-func TestEngineEquivalence(t *testing.T) {
-	t.Run("env-escape-hatch", func(t *testing.T) {
-		want := encodeJSON(t, onBlockedSMs(t, reference(config.Default()), nil, nil))
-		t.Setenv("GPUSHARE_REFERENCE", "1")
-		if sim := MustNew(config.Default()); !sim.Cfg.Reference {
-			t.Error("GPUSHARE_REFERENCE=1 did not select reference mode")
+// checkRows is the one body of the engine-equivalence tests. For each
+// row the reference run is made once and each leg, in order, must land
+// on its statistics (see legKind). Every compared run of a tenancy row
+// must also decompose the machine totals into its per-tenant counters
+// (checkTenantSums). Named rows run in parallel with each other.
+func checkRows(t *testing.T, rows []equivRow) {
+	for _, row := range rows {
+		if row.name == "" {
+			checkRow(t, row)
+			continue
 		}
-		if got := encodeJSON(t, onBlockedSMs(t, config.Default(), nil, nil)); got != want {
-			t.Error("GPUSHARE_REFERENCE=1 run diverges from the Config.Reference run")
-		}
-	})
-	for _, row := range equivTable {
 		t.Run(row.name, func(t *testing.T) {
-			if row.slow && testing.Short() {
-				t.Skip("simulation-heavy")
-			}
 			t.Parallel()
-			cfg := row.cfg
-			ref := row.run(t, reference(cfg), nil, nil)
-			if len(ref.Tenants) != row.tenants {
-				t.Fatalf("run carries %d tenant entries, want %d", len(ref.Tenants), row.tenants)
-			}
-			refJSON := encodeJSON(t, ref)
-			// matches reports whether g, the run named by what, lands on
-			// the reference.
-			matches := func(t *testing.T, g *stats.GPU, what string) bool {
-				t.Helper()
-				checkTenantSums(t, g, what)
-				if !reflect.DeepEqual(ref, g) {
-					t.Errorf("%s: stats diverge from the reference:\n--- reference\n%s--- %s\n%s",
-						what, ref.Report(), what, g.Report())
-					return false
-				}
-				if encodeJSON(t, g) != refJSON {
-					t.Errorf("%s: canonical JSON encoding differs from the reference", what)
-					return false
-				}
-				return true
-			}
+			checkRow(t, row)
+		})
+	}
+}
 
-			if !row.restoreOnly {
-				t.Run("optimised", func(t *testing.T) {
-					matches(t, row.run(t, cfg, nil, nil), "optimised run")
-				})
-				t.Run("repeat", func(t *testing.T) {
-					matches(t, row.run(t, cfg, nil, nil), "second optimised run")
-				})
-			}
-			t.Run("restore", func(t *testing.T) {
+// checkRow runs one row of checkRows.
+func checkRow(t *testing.T, row equivRow) {
+	if row.slow && testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	cfg := row.cfg
+	ref := row.run(t, reference(cfg), nil, nil)
+	if len(ref.Tenants) != row.tenants {
+		t.Fatalf("run carries %d tenant entries, want %d", len(ref.Tenants), row.tenants)
+	}
+	refJSON := encodeJSON(t, ref)
+	// matches reports whether g, the run named by what, lands on the
+	// reference.
+	matches := func(t *testing.T, g *stats.GPU, what string) bool {
+		t.Helper()
+		checkTenantSums(t, g, what)
+		if !reflect.DeepEqual(ref, g) {
+			t.Errorf("%s: stats diverge from the reference:\n--- reference\n%s--- %s\n%s",
+				what, ref.Report(), what, g.Report())
+			return false
+		}
+		if encodeJSON(t, g) != refJSON {
+			t.Errorf("%s: canonical JSON encoding differs from the reference", what)
+			return false
+		}
+		return true
+	}
+
+	for _, l := range row.legs {
+		check := func(t *testing.T) {
+			switch l.kind {
+			case optimisedLeg:
+				matches(t, row.run(t, cfg, nil, nil), "optimised run")
+			case referenceLeg:
+				matches(t, row.run(t, reference(cfg), nil, nil), "second reference run")
+			case envLeg:
+				t.Setenv("GPUSHARE_REFERENCE", "1")
+				if sim := MustNew(cfg); !sim.Cfg.Reference {
+					t.Error("GPUSHARE_REFERENCE=1 did not select reference mode")
+				}
+				matches(t, row.run(t, cfg, nil, nil), "GPUSHARE_REFERENCE=1 run")
+			case auditedLeg:
+				matches(t, row.run(t, audited(cfg), nil, nil), "run audited every cycle")
+				if cfg.EarlyRegRelease {
+					var rel int64
+					for i := range ref.SMs {
+						rel += ref.SMs[i].EarlyRegRelease
+					}
+					if rel == 0 {
+						t.Error("no early release fired: the row does not exercise the release")
+					}
+				}
+			case restoreLeg:
 				ckCfg := cfg
 				ckCfg.CheckpointStride = row.stride
 				if ckCfg.CheckpointStride == 0 {
@@ -299,24 +307,114 @@ func TestEngineEquivalence(t *testing.T) {
 				}
 				mid := sample[len(sample)/2]
 				matches(t, row.run(t, reference(cfg), nil, sink.Get(mid)), fmt.Sprintf("reference restore at cycle %d", mid))
-			})
-			if !row.audit {
-				return
 			}
-			t.Run("audited", func(t *testing.T) {
-				matches(t, row.run(t, audited(cfg), nil, nil), "run audited every cycle")
-				if cfg.EarlyRegRelease {
-					var rel int64
-					for i := range ref.SMs {
-						rel += ref.SMs[i].EarlyRegRelease
-					}
-					if rel == 0 {
-						t.Error("no early release fired: the row does not exercise the release")
-					}
-				}
-			})
-		})
+		}
+		if l.name == "" {
+			check(t)
+		} else {
+			t.Run(l.name, check)
+		}
 	}
+}
+
+// tenancyRows is the two-tenant gaussian+CONV2 spec under every tenancy
+// policy, one row each, checked by legs. Stride 1024 against the
+// 3000-cycle timeslice quota puts the restore leg's snapshots inside
+// quanta and drain phases, the context-switch states hardest to resume.
+func tenancyRows(legs ...leg) []equivRow {
+	var rows []equivRow
+	for _, p := range []tenancy.Policy{tenancy.Spatial, tenancy.CoSched, tenancy.TimeSlice} {
+		row := equivRow{name: p.String(), run: onTenants(twoTenantSpec(p)),
+			cfg: shared(config.ShareScratchpad, config.SchedLRR), tenants: 2, legs: legs}
+		if p == tenancy.TimeSlice {
+			row.stride = 1024
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// sleepLegs are the legs of the two single-row tests named after the
+// deleted memory and SM sleep mechanisms.
+var sleepLegs = append(knobLegs("workers=1", "workers=gomaxprocs", "workers=2_ff=off", "workers=1_nosnapshot"),
+	leg{"env-escape-hatch", envLeg}, leg{"restore", restoreLeg})
+
+// TestEngineDeterminism holds the engine to the reference on both
+// sharing modes under OWF and LRR, the paths with the most cross-SM
+// coupling through locks and ownership transfer, and on GTO unshared
+// for the plain path. The engine mode is not a simulation parameter.
+func TestEngineDeterminism(t *testing.T) {
+	legs := append(knobLegs(
+		"workers=1_ff=on", "workers=gomaxprocs_ff=on", "workers=2_ff=off",
+		"workers=1_ff=on_nosnapshot", "workers=2_ff=off_nosnapshot",
+		"workers=1_ff=on_nosleep", "workers=2_ff=off_nosleep"), leg{"restore", restoreLeg})
+	checkRows(t, []equivRow{
+		{name: "hotspot/reg-sharing-owf", run: onWorkload("hotspot"), cfg: shared(config.ShareRegisters, config.SchedOWF), slow: true, legs: legs},
+		{name: "CONV2/smem-sharing-lrr", run: onWorkload("CONV2"), cfg: shared(config.ShareScratchpad, config.SchedLRR), legs: legs},
+		{name: "gaussian/unshared-gto", run: onWorkload("gaussian"), cfg: scheduled(config.SchedGTO), legs: legs},
+	})
+}
+
+// TestMemSleepDeterminism holds the engine to the reference on MUM,
+// whose divergent pointer chasing keeps requests, DRAM commands and
+// replies in flight between idle DRAM spans (per-partition busy and
+// peak counters are part of the compared bytes) and keeps most warps
+// blocked, so the SMs run on issue cards and censuses. The name is a
+// stable test ID; the memory sleep it once checked is gone.
+func TestMemSleepDeterminism(t *testing.T) {
+	checkRows(t, []equivRow{{run: onWorkload("MUM"), cfg: config.Default(), slow: true, legs: sleepLegs}})
+}
+
+// TestSMSleepDeterminism holds the engine to the reference on the
+// blocked-SMs profile of BenchmarkBlockedSMs: whole SMs blocked for
+// hundreds of cycles while one stays busy, so nearly every SM cycle is
+// a census replay and the DRAM channels sit mostly idle. The name is a
+// stable test ID; per-SM sleep itself is gone.
+func TestSMSleepDeterminism(t *testing.T) {
+	checkRows(t, []equivRow{{run: onBlockedSMs, cfg: config.Default(), legs: sleepLegs}})
+}
+
+// TestTenancyDeterminism holds the engine to the reference under all
+// three tenancy policies, per-tenant breakdowns included.
+func TestTenancyDeterminism(t *testing.T) {
+	checkRows(t, tenancyRows(append(knobLegs(
+		"workers=gomaxprocs", "workers=2",
+		"workers=1_nosnapshot", "workers=2_nosnapshot",
+		"workers=1_nosleep", "workers=2_nosleep"), leg{"restore", restoreLeg})...))
+}
+
+// TestMemSleepTenancyDeterminism is the one-leg form of
+// TestTenancyDeterminism, kept as a stable test ID: per policy, one
+// optimised run against the reference.
+func TestMemSleepTenancyDeterminism(t *testing.T) {
+	checkRows(t, tenancyRows(leg{"", optimisedLeg}))
+}
+
+// TestCensusExact holds the engine to the reference with the card and
+// census audit on every cycle, on the inputs a card or census could
+// leave stale: MSHR-full stalls (MUM), register-lock waits under the
+// dyn gate (LIB), scratchpad-lock waits (lavaMD), the two-level policy,
+// which ranks on load state no warp view caches (a quick kernel and a
+// latency-bound one), an early release that must still fire at the
+// scheduler's next refresh (epilogue) and two tenants' classes in one
+// census. The restore row checks a census re-derived from nothing after
+// a restore on its first cycle (the audit stride is part of the
+// configuration a checkpoint is bound to).
+func TestCensusExact(t *testing.T) {
+	audit := []leg{{"", auditedLeg}}
+	checkRows(t, []equivRow{
+		{name: "MUM/unshared-lrr", run: onWorkload("MUM"), cfg: config.Default(), slow: true, legs: audit},
+		{name: "LIB/shared-owf-unroll-dyn", run: onWorkload("LIB"), cfg: regSharingDyn(), slow: true, legs: audit},
+		{name: "lavaMD/shared-owf-scratchpad", run: onWorkload("lavaMD"), cfg: shared(config.ShareScratchpad, config.SchedOWF), legs: audit},
+		{name: "two-level/gaussian", run: onWorkload("gaussian"), cfg: scheduled(config.SchedTwoLevel), legs: audit},
+		{name: "two-level/MUM", run: onWorkload("MUM"), cfg: scheduled(config.SchedTwoLevel), slow: true, legs: audit},
+		{name: "epilogue/shared-owf-unroll-early-release", run: onWorkload("epilogue"), cfg: earlyRelease(), legs: audit},
+		{name: "hotspot+lavaMD/cosched", run: onTenants(&tenancy.Spec{Policy: tenancy.CoSched,
+			Tenants: []tenancy.TenantSpec{{Workload: "hotspot"}, {Workload: "lavaMD"}}}),
+			cfg: config.Default(), tenants: 2, slow: true, legs: audit},
+		{name: "restore", run: onWorkload("b+tree"), cfg: audited(regSharingDyn()), slow: true,
+			legs: []leg{{"", restoreLeg}}},
+	})
 }
 
 // tenantSums names every counter that stats.Tenant.AddCounters sums and

@@ -252,7 +252,7 @@ echo "== two-level against the reference at stride 1, un-short"
 # load completion moves without re-snapshotting the warp: at stride 1 a
 # ranking input left stale fails on the cycle it goes stale, not 256
 # cycles later.
-go test -count=1 -run 'TestEngineEquivalence/.*/two-level/audited' ./internal/gpu/
+go test -count=1 -run 'TestCensusExact/two-level' ./internal/gpu/
 
 echo "== reference engine: every paper kernel's functional Check (GPUSHARE_REFERENCE=1)"
 GPUSHARE_REFERENCE=1 go test $short ./internal/workloads/
