@@ -186,6 +186,7 @@ const (
 type leg struct {
 	name string
 	kind legKind
+	full bool // skipped under -short on a trimmed row
 }
 
 // knobLegs names optimised and reference repeat legs. The names are
@@ -197,7 +198,7 @@ type leg struct {
 func knobLegs(names ...string) []leg {
 	legs := make([]leg, len(names))
 	for i, name := range names {
-		legs[i] = leg{name, optimisedLeg}
+		legs[i] = leg{name: name, kind: optimisedLeg}
 		if strings.Contains(name, "nosnapshot") {
 			legs[i].kind = referenceLeg
 		}
@@ -214,6 +215,7 @@ type equivRow struct {
 	tenants int   // per-tenant entries the run carries (0: a single kernel)
 	stride  int64 // checkpoint stride of the restore leg; 0 is a quarter of the run
 	slow    bool  // skipped under -short (minutes under -race or at stride 1)
+	trim    bool  // under -short: no full legs, and the restore leg resumes once
 	legs    []leg
 }
 
@@ -265,6 +267,9 @@ func checkRow(t *testing.T, row equivRow) {
 
 	for _, l := range row.legs {
 		check := func(t *testing.T) {
+			if row.trim && l.full && testing.Short() {
+				t.Skip("full-mode only")
+			}
 			switch l.kind {
 			case optimisedLeg:
 				matches(t, row.run(t, cfg, nil, nil), "optimised run")
@@ -302,11 +307,18 @@ func checkRow(t *testing.T, row equivRow) {
 					t.Fatalf("no checkpoints taken in %d cycles at stride %d", ref.Cycles, ckCfg.CheckpointStride)
 				}
 				sample := sampleCycles(cycles, 6)
+				mid := sample[len(sample)/2]
+				if row.trim && testing.Short() {
+					// One optimised resume, mid-trail; the full run
+					// makes the others.
+					sample = []int64{mid}
+				}
 				for _, cy := range sample {
 					matches(t, row.run(t, cfg, nil, sink.Get(cy)), fmt.Sprintf("restore at cycle %d", cy))
 				}
-				mid := sample[len(sample)/2]
-				matches(t, row.run(t, reference(cfg), nil, sink.Get(mid)), fmt.Sprintf("reference restore at cycle %d", mid))
+				if !row.trim || !testing.Short() {
+					matches(t, row.run(t, reference(cfg), nil, sink.Get(mid)), fmt.Sprintf("reference restore at cycle %d", mid))
+				}
 			}
 		}
 		if l.name == "" {
@@ -335,9 +347,16 @@ func tenancyRows(legs ...leg) []equivRow {
 }
 
 // sleepLegs are the legs of the two single-row tests named after the
-// deleted memory and SM sleep mechanisms.
-var sleepLegs = append(knobLegs("workers=1", "workers=gomaxprocs", "workers=2_ff=off", "workers=1_nosnapshot"),
-	leg{"env-escape-hatch", envLeg}, leg{"restore", restoreLeg})
+// deleted memory and SM sleep mechanisms. Their rows are trimmed: -short
+// keeps two optimised legs and one restore.
+var sleepLegs = []leg{
+	{name: "workers=1", kind: optimisedLeg, full: true},
+	{name: "workers=gomaxprocs", kind: optimisedLeg},
+	{name: "workers=2_ff=off", kind: optimisedLeg},
+	{name: "workers=1_nosnapshot", kind: referenceLeg, full: true},
+	{name: "env-escape-hatch", kind: envLeg, full: true},
+	{name: "restore", kind: restoreLeg},
+}
 
 // TestEngineDeterminism holds the engine to the reference on both
 // sharing modes under OWF and LRR, the paths with the most cross-SM
@@ -347,7 +366,7 @@ func TestEngineDeterminism(t *testing.T) {
 	legs := append(knobLegs(
 		"workers=1_ff=on", "workers=gomaxprocs_ff=on", "workers=2_ff=off",
 		"workers=1_ff=on_nosnapshot", "workers=2_ff=off_nosnapshot",
-		"workers=1_ff=on_nosleep", "workers=2_ff=off_nosleep"), leg{"restore", restoreLeg})
+		"workers=1_ff=on_nosleep", "workers=2_ff=off_nosleep"), leg{name: "restore", kind: restoreLeg})
 	checkRows(t, []equivRow{
 		{name: "hotspot/reg-sharing-owf", run: onWorkload("hotspot"), cfg: shared(config.ShareRegisters, config.SchedOWF), slow: true, legs: legs},
 		{name: "CONV2/smem-sharing-lrr", run: onWorkload("CONV2"), cfg: shared(config.ShareScratchpad, config.SchedLRR), legs: legs},
@@ -362,7 +381,7 @@ func TestEngineDeterminism(t *testing.T) {
 // blocked, so the SMs run on issue cards and censuses. The name is a
 // stable test ID; the memory sleep it once checked is gone.
 func TestMemSleepDeterminism(t *testing.T) {
-	checkRows(t, []equivRow{{run: onWorkload("MUM"), cfg: config.Default(), slow: true, legs: sleepLegs}})
+	checkRows(t, []equivRow{{run: onWorkload("MUM"), cfg: config.Default(), trim: true, legs: sleepLegs}})
 }
 
 // TestSMSleepDeterminism holds the engine to the reference on the
@@ -371,7 +390,7 @@ func TestMemSleepDeterminism(t *testing.T) {
 // a census replay and the DRAM channels sit mostly idle. The name is a
 // stable test ID; per-SM sleep itself is gone.
 func TestSMSleepDeterminism(t *testing.T) {
-	checkRows(t, []equivRow{{run: onBlockedSMs, cfg: config.Default(), legs: sleepLegs}})
+	checkRows(t, []equivRow{{run: onBlockedSMs, cfg: config.Default(), trim: true, legs: sleepLegs}})
 }
 
 // TestTenancyDeterminism holds the engine to the reference under all
@@ -380,14 +399,14 @@ func TestTenancyDeterminism(t *testing.T) {
 	checkRows(t, tenancyRows(append(knobLegs(
 		"workers=gomaxprocs", "workers=2",
 		"workers=1_nosnapshot", "workers=2_nosnapshot",
-		"workers=1_nosleep", "workers=2_nosleep"), leg{"restore", restoreLeg})...))
+		"workers=1_nosleep", "workers=2_nosleep"), leg{name: "restore", kind: restoreLeg})...))
 }
 
 // TestMemSleepTenancyDeterminism is the one-leg form of
 // TestTenancyDeterminism, kept as a stable test ID: per policy, one
 // optimised run against the reference.
 func TestMemSleepTenancyDeterminism(t *testing.T) {
-	checkRows(t, tenancyRows(leg{"", optimisedLeg}))
+	checkRows(t, tenancyRows(leg{kind: optimisedLeg}))
 }
 
 // TestCensusExact holds the engine to the reference with the card and
@@ -401,7 +420,7 @@ func TestMemSleepTenancyDeterminism(t *testing.T) {
 // a restore on its first cycle (the audit stride is part of the
 // configuration a checkpoint is bound to).
 func TestCensusExact(t *testing.T) {
-	audit := []leg{{"", auditedLeg}}
+	audit := []leg{{kind: auditedLeg}}
 	checkRows(t, []equivRow{
 		{name: "MUM/unshared-lrr", run: onWorkload("MUM"), cfg: config.Default(), slow: true, legs: audit},
 		{name: "LIB/shared-owf-unroll-dyn", run: onWorkload("LIB"), cfg: regSharingDyn(), slow: true, legs: audit},
@@ -413,7 +432,7 @@ func TestCensusExact(t *testing.T) {
 			Tenants: []tenancy.TenantSpec{{Workload: "hotspot"}, {Workload: "lavaMD"}}}),
 			cfg: config.Default(), tenants: 2, slow: true, legs: audit},
 		{name: "restore", run: onWorkload("b+tree"), cfg: audited(regSharingDyn()), slow: true,
-			legs: []leg{{"", restoreLeg}}},
+			legs: []leg{{kind: restoreLeg}}},
 	})
 }
 
