@@ -236,7 +236,7 @@ type Config struct {
 
 	// Reference runs the engine's reference path: every scheduler
 	// rebuilds its warp views and asks every warp every cycle (no cached
-	// snapshots, incremental ready sets, issue cards or censuses). It
+	// snapshots, incremental ready sets or censuses). It
 	// changes only the SM: the memory system has one path in both
 	// modes. The optimised path is proven byte-identical to it — it
 	// is the oracle of the determinism tests and the escape hatch

@@ -85,7 +85,7 @@ type Manager struct {
 	// new acquisition, every release and every block completion. A failed
 	// TryAcquireReg mutates nothing, so a warp seen waiting on the lock
 	// at generation g is still waiting while LockGen() == g — the SM's
-	// issue cards cache lock waits on that. Derived state: not part of
+	// census replays lock waits on that. Derived state: not part of
 	// the checkpoint; RestoreState advances it so no older observation
 	// survives a restore.
 	lockGen uint32

@@ -32,7 +32,7 @@ const (
 	WorkerCrashMidJob         // a gserved worker dies abruptly (kill -9) while a dispatched job is running
 	CrashAfterDispatch        // the gsched coordinator dies between dispatching a job to a worker and recording the ack
 	HeartbeatBlackhole        // a network partition: the worker stays alive but every coordinator probe to it is dropped
-	StaleCard                 // skip an issue-card invalidation at a writeback: the warp stays "scoreboard-blocked" after its operand landed
+	StaleCensus               // skip a census drop at a writeback: the census still counts the warp "scoreboard-blocked" after its operand landed
 	DRAMQueueOrder            // the two newest requests of a DRAM queue trade places: the queue is no longer arrival-ordered
 )
 
@@ -58,8 +58,8 @@ func (k Kind) String() string {
 		return "crash-after-dispatch"
 	case HeartbeatBlackhole:
 		return "heartbeat-blackhole"
-	case StaleCard:
-		return "stale-card"
+	case StaleCensus:
+		return "stale-census"
 	case DRAMQueueOrder:
 		return "dram-queue-order"
 	}

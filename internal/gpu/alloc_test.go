@@ -35,9 +35,9 @@ func TestAllocationBudget(t *testing.T) {
 		}},
 		{"MUM", "MUM", 240, func(*config.Config) {}},
 		// MUM again under the paper's best register-sharing configuration:
-		// most of its cycles are census replays and card hits over
-		// MSHR-full and lock-waiting warps, which must stay as
-		// allocation-free as the walk they replace.
+		// most of its cycles are census replays over MSHR-full and
+		// lock-waiting warps, which must stay as allocation-free as the
+		// walk they replace.
 		{"MUM-shared-owf-unroll-dyn", "MUM", 300, func(c *config.Config) { *c = regSharingDyn() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -26,12 +26,14 @@ func aluChainKernel(tb testing.TB) *kernel.Kernel {
 	return b.MustBuild()
 }
 
-// TestStaleCardCaught: the StaleCard fault skips one card invalidation
-// at the writeback that lands a warp's last operand, so the warp's card
-// keeps saying "scoreboard-blocked" and the issue stage never asks it
-// again. The snapshot class's card audit must catch that at the next
-// stride; without an audit in the window the warp either hangs (the
-// watchdog fires) — never a clean run with wrong statistics.
+// TestStaleCardCaught: the StaleCensus fault skips one census drop at
+// the writeback that lands a counted warp's last operand, so its
+// scheduler's census keeps counting the warp "scoreboard-blocked" and
+// the issue stage replays it instead of asking the warp again. The
+// snapshot class's census audit must catch that at the next stride;
+// without an audit in the window the lone warp hangs (the watchdog
+// fires) — never a clean run with wrong statistics. (The name predates
+// the census being the SM's only cache.)
 func TestStaleCardCaught(t *testing.T) {
 	setup := func(stride int64) (*Sim, *kernel.Launch) {
 		cfg := config.Default()
@@ -58,21 +60,21 @@ func TestStaleCardCaught(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Setenv("GPUSHARE_INVARIANT_STRIDE", "0") // check.sh audits tier-1 through the env; this leg wants none
 			sim, l := setup(c.stride)
-			plan := fault.NewPlan(fault.StaleCard, 13, 4)
+			plan := fault.NewPlan(fault.StaleCensus, 13, 4)
 			sim.Faults = plan
 			_, err := sim.Run(l)
 			if !plan.Injected {
-				t.Fatal("stale-card fault never found an injection opportunity")
+				t.Fatal("stale-census fault never found an injection opportunity")
 			}
 			if err == nil {
-				t.Fatalf("stale card injected at cycle %d went undetected: run completed cleanly", plan.Cycle)
+				t.Fatalf("stale census injected at cycle %d went undetected: run completed cleanly", plan.Cycle)
 			}
 			se, ok := simerr.As(err)
 			if !ok {
 				t.Fatalf("error is not a SimError: %v", err)
 			}
 			if se.Kind != c.want {
-				t.Fatalf("stale card caught as %s, want %s: %v", se.Kind, c.want, err)
+				t.Fatalf("stale census caught as %s, want %s: %v", se.Kind, c.want, err)
 			}
 			if se.Dump == nil {
 				t.Error("violation carries no forensic dump")

@@ -162,8 +162,8 @@ func regSharingDyn() config.Config {
 type legKind int
 
 const (
-	// optimisedLeg runs the optimised engine: cached warp snapshots,
-	// issue cards and censuses.
+	// optimisedLeg runs the optimised engine: cached warp snapshots and
+	// censuses.
 	optimisedLeg legKind = iota
 	// referenceLeg runs the reference a second time.
 	referenceLeg
@@ -173,7 +173,7 @@ const (
 	// those in reference mode.
 	restoreLeg
 	// auditedLeg runs the optimised engine with every invariant class,
-	// the card and census audit included, checked every cycle. On an
+	// the census audit included, checked every cycle. On an
 	// early-release config it also asserts that a release fired.
 	auditedLeg
 	// envLeg checks GPUSHARE_REFERENCE=1 ≡ Config.Reference: the
@@ -378,7 +378,7 @@ func TestEngineDeterminism(t *testing.T) {
 // whose divergent pointer chasing keeps requests, DRAM commands and
 // replies in flight between idle DRAM spans (per-partition busy and
 // peak counters are part of the compared bytes) and keeps most warps
-// blocked, so the SMs run on issue cards and censuses. The name is a
+// blocked, so the SMs run on census replays. The name is a
 // stable test ID; the memory sleep it once checked is gone.
 func TestMemSleepDeterminism(t *testing.T) {
 	checkRows(t, []equivRow{{run: onWorkload("MUM"), cfg: config.Default(), trim: true, legs: sleepLegs}})
@@ -409,9 +409,8 @@ func TestMemSleepTenancyDeterminism(t *testing.T) {
 	checkRows(t, tenancyRows(leg{kind: optimisedLeg}))
 }
 
-// TestCensusExact holds the engine to the reference with the card and
-// census audit on every cycle, on the inputs a card or census could
-// leave stale: MSHR-full stalls (MUM), register-lock waits under the
+// TestCensusExact holds the engine to the reference with the census
+// audit on every cycle, on the inputs a census could leave stale: MSHR-full stalls (MUM), register-lock waits under the
 // dyn gate (LIB), scratchpad-lock waits (lavaMD), the two-level policy,
 // which ranks on load state no warp view caches (a quick kernel and a
 // latency-bound one), an early release that must still fire at the

@@ -26,7 +26,7 @@ var smAudits = [...]struct {
 	{"barrier", func(sm *smcore.SM, _ int64) error { return sm.AuditBarriers() }}, // barrier arrival counts
 	{"scoreboard", (*smcore.SM).AuditScoreboard},                                  // pending bits have in-flight producers
 	{"simt", func(sm *smcore.SM, _ int64) error { return sm.AuditSIMT() }},        // reconvergence stack well-formedness
-	{"snapshot", (*smcore.SM).AuditSnapshots},                                     // cached views, ready sets, cards and censuses match a recompute
+	{"snapshot", (*smcore.SM).AuditSnapshots},                                     // cached views, ready sets and censuses match a recompute
 	{"tenancy", func(sm *smcore.SM, _ int64) error { return sm.AuditTenancy() }},  // slot ownership, pair locality, live footprint within the SM
 }
 

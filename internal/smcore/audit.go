@@ -199,7 +199,7 @@ func (sm *SM) Forensics(now int64) simerr.SMDump {
 
 // scoreboardWait is the stall probe's scoreboard check: the pending
 // registers in needs, and whether it needs a pending predicate, from an
-// operand walk rather than the metadata table. The card audit shares it.
+// operand walk rather than the metadata table. The census audit shares it.
 func scoreboardWait(wc *warpCtx, in *isa.Instr) (regs uint64, preds bool) {
 	needRegs, needPreds := dependencyMasks(in)
 	return needRegs & wc.pendingRegs, needPreds&wc.pendingPreds != 0

@@ -219,10 +219,10 @@ func BenchmarkSMTickStalled(b *testing.B) {
 // seven of the eight park at a barrier the eighth never reaches, and
 // that one spins on a dependent ALU chain — while the other block's
 // warps all wait on the Fig. 3 lock. The three spinning warps land on
-// one scheduler, whose LRR walk passes over lock-waiting warps on its
-// way to a spinner (the card hit path, censuses invalidated by every
-// issue); the other scheduler ranks only lock-waiting warps (a census
-// replay every cycle).
+// one scheduler, whose LRR walk asks each lock-waiting warp in full
+// (tryIssue down to the failed TryAcquireReg) whenever a spinner's issue
+// or writeback has left it without a census; the other scheduler ranks
+// only lock-waiting warps (a census replay every cycle).
 func BenchmarkSMTickLockWait(b *testing.B) {
 	kb := kernel.NewBuilder("lockwait", 256)
 	kb.SetRegs(36)

@@ -10,11 +10,11 @@ import (
 	"gpushare/internal/mem"
 )
 
-// TestClassReasonPrecedence pins the one table both the card hit path
-// and the census replay evaluate: scoreboard, then execution unit / LSU,
-// then the MSHR file, then the register lock — tryIssue's order, so a
-// warp blocked for two reasons is charged to the same counter it always
-// was.
+// TestClassReasonPrecedence pins the one table both tryIssue and the
+// census replay evaluate: scoreboard, then execution unit / LSU, then
+// the MSHR file, then the register lock — tryIssue's order, so a warp
+// blocked for two reasons is charged to the same counter whether it was
+// asked in full or replayed from a census.
 func TestClassReasonPrecedence(t *testing.T) {
 	cfg := config.Default()
 	sm, _, _ := buildSM(t, cfg, depChainKernel(1), 1)
@@ -101,15 +101,15 @@ func TestClassReasonPrecedence(t *testing.T) {
 	}
 }
 
-// cardMixKernel keeps every block reason populated at once on a
+// blockMixKernel keeps every block reason populated at once on a
 // register-sharing SM. At t=0.1 and 36 registers/thread only r0..r2 are
 // private, so a non-owner warp reaches the global load (and the dyn
 // gate) on private registers, then waits on the Fig. 3 lock at the SFU
 // op, whose destination is in the shared pool. Four lines per load keep
 // the MSHR file full part of the time; the dependent arithmetic waits
 // on the scoreboard.
-func cardMixKernel() *kernel.Kernel {
-	b := kernel.NewBuilder("cardmix", 256)
+func blockMixKernel() *kernel.Kernel {
+	b := kernel.NewBuilder("blockmix", 256)
 	b.Params(1).SetRegs(36)
 	b.IMad(0, isa.Sreg(isa.SrCtaid), isa.Sreg(isa.SrNtid), isa.Sreg(isa.SrTid))
 	b.Shl(0, isa.Reg(0), isa.Imm(4))
@@ -130,14 +130,15 @@ func cardMixKernel() *kernel.Kernel {
 	return b.MustBuild()
 }
 
-// TestCardsLockstepWithReference ticks a card/census SM and a
-// reference-mode SM side by side, each on its own memory system, through a
+// TestCardsLockstepWithReference ticks a census SM and a reference-mode
+// SM side by side, each on its own memory system, through a
 // register-sharing run with the dyn gate drawing random numbers, blocks
 // retiring and relaunching. Every cycle the two must agree on every
-// counter and the card audit must hold; at the end the run must have
-// actually exercised the census and each cacheable reason.
+// counter and the census audit must hold; at the end the run must have
+// actually exercised the census and each cacheable reason. (The name
+// predates the census being the SM's only cache.)
 func TestCardsLockstepWithReference(t *testing.T) {
-	k := cardMixKernel()
+	k := blockMixKernel()
 	build := func(reference bool) (*SM, *mem.System) {
 		cfg := config.Default()
 		cfg.Sharing, cfg.T = config.ShareRegisters, 0.1
@@ -149,7 +150,7 @@ func TestCardsLockstepWithReference(t *testing.T) {
 		l := &kernel.Launch{Kernel: k, GridDim: 64, Params: []uint32{buf}}
 		occ := core.ComputeOccupancy(&cfg, k)
 		if occ.Pairs == 0 {
-			t.Fatalf("cardmix kernel is not register-limited: %+v", occ)
+			t.Fatalf("blockmix kernel is not register-limited: %+v", occ)
 		}
 		sm, err := New(1, &cfg, l, occ, ms) // SM 1: the dyn gate is live, not pinned to 0
 		if err != nil {
@@ -184,7 +185,7 @@ func TestCardsLockstepWithReference(t *testing.T) {
 		msA.Tick(now)
 		msB.Tick(now)
 		if ia != ib || a.Stats != b.Stats {
-			t.Fatalf("cycle %d: card/census SM diverged from the reference (issued %v vs %v)\ncards:     %+v\nreference: %+v",
+			t.Fatalf("cycle %d: census SM diverged from the reference (issued %v vs %v)\ncensus:    %+v\nreference: %+v",
 				now, ia, ib, a.Stats, b.Stats)
 		}
 		if err := a.AuditSnapshots(now); err != nil {

@@ -17,8 +17,8 @@ import (
 // state: the scheduler view buffers and incremental ready rankings
 // (RestoreState marks every warp dirty, so the first refresh re-snapshots
 // and re-Syncs every slot — reproducing the identical sorted ranking),
-// the issue cards and censuses (dropped with the views; the first walk
-// re-derives them), each warp's cached next PC (re-read from the
+// the censuses (dropped with the views; the first walk that issues
+// nothing re-derives them), each warp's cached next PC (re-read from the
 // restored SIMT stack), the static issue metadata, and the free lists
 // (allocation identity is not machine state). Payloads written before
 // the never-set sfu_busy field was dropped still decode: the JSON
@@ -341,7 +341,7 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 	sm.finished = append([]int(nil), c.Finished...)
 	sm.Stats = c.Stats
 	for ws := range sm.warps {
-		sm.markDirty(ws) // also drops the warp's issue card and its scheduler's census
+		sm.markDirty(ws) // also drops the warp's scheduler's census
 	}
 	return nil
 }

@@ -8,7 +8,7 @@ import (
 	"gpushare/internal/config"
 )
 
-// TestCheckpointDerivedStateAndLegacyFields: issue cards, censuses, the
+// TestCheckpointDerivedStateAndLegacyFields: censuses, the
 // cached next PCs, the live-block count and what a tenant's blocks hold
 // are derived — none may appear in a payload, and a restore must rebuild
 // or reset them — and a payload written before the never-set sfu_busy
@@ -24,7 +24,7 @@ func TestCheckpointDerivedStateAndLegacyFields(t *testing.T) {
 		mustLaunch(t, src, slot, slot)
 	}
 	// Tick the SM alone (no memory replies) until it is wedged on loads:
-	// every warp holds a card and both censuses are valid.
+	// both censuses are valid.
 	var now int64
 	for ; now < 2000; now++ {
 		if _, err := src.Tick(now); err != nil {
@@ -39,7 +39,7 @@ func TestCheckpointDerivedStateAndLegacyFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"card", "census", "sfu_busy", "used_regs", "used_smem", "live_blocks"} {
+	for _, key := range []string{"census", "sfu_busy", "used_regs", "used_smem", "live_blocks"} {
 		if bytes.Contains(raw, []byte(key)) {
 			t.Errorf("checkpoint payload mentions %q: derived state leaked into it", key)
 		}
@@ -60,8 +60,7 @@ func TestCheckpointDerivedStateAndLegacyFields(t *testing.T) {
 	dst, _, _ := buildSM(t, cfg, k, 64, params...)
 	// Dirty the destination's derived state first: a restore must not
 	// trust anything it finds there.
-	for ws := range dst.cards {
-		dst.cards[ws] = issueCard{class: classScoreboard}
+	for ws := range dst.warps {
 		dst.warps[ws].pc = 1 << 20
 	}
 	for si := range dst.census {
@@ -70,11 +69,6 @@ func TestCheckpointDerivedStateAndLegacyFields(t *testing.T) {
 	dst.liveBlocks = 99
 	if err := dst.RestoreState(now, c); err != nil {
 		t.Fatal(err)
-	}
-	for ws, card := range dst.cards {
-		if card.class != classNone {
-			t.Fatalf("warp %d still holds a card after restore", ws)
-		}
 	}
 	for si := range dst.census {
 		if dst.census[si].valid {

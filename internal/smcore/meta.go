@@ -27,10 +27,11 @@ import (
 //  2. Warp snapshots: each warp's sched.WarpInfo is cached and
 //     recomputed only when an event that can change one of its inputs
 //     fires (the markDirty callers). A warp's own issue, a writeback or
-//     a load completion moves nothing in its view, so they drop only
-//     its issue card; the two-level policy's one extra input, whether
-//     the warp waits on a global load, is not in the view at all but
-//     read live through waitingLong. Schedulers that implement
+//     a load completion moves nothing in its view; a writeback or a load
+//     completion drops only its scheduler's census (census.go), and the
+//     walk that issued takes none. The two-level policy's one extra
+//     input, whether the warp waits on a global load, is not in the view
+//     at all but read live through waitingLong. Schedulers that implement
 //     sched.Incremental additionally keep a maintained ready ranking
 //     fed from the same refresh, so a cycle's issue order costs a walk
 //     of the ready list instead of a per-cycle sort.
@@ -46,7 +47,7 @@ type metaEntry struct {
 	dstRegMask  uint64 // GPR destination bit, if any
 	predMask    uint8  // predicate scoreboard dependencies
 	dstPredMask uint8  // predicate destination bit, if any
-	kind        uint8  // execution unit kind: isa.Unit, global accesses split out (cards.go)
+	kind        uint8  // execution unit kind: isa.Unit, global accesses split out (census.go)
 	flags       uint8
 	lat         int64 // SP/SFU issue-to-writeback latency incl. RF bank conflicts
 	op          warp.Op
@@ -118,9 +119,10 @@ func (sm *SM) markDirty(ws int) {
 	if sm.reference {
 		return
 	}
-	// Before the already-dirty return: a card can be written (by a walk)
-	// for a warp that is still queued for re-snapshot.
-	sm.invalidateCard(ws)
+	// Before the already-dirty return: takeCensus never leaves a census
+	// beside a queued warp, but RestoreState must not trust the queue
+	// state it overwrites.
+	sm.dropCensus(ws)
 	if sm.dirty[ws] {
 		return
 	}
@@ -241,8 +243,8 @@ func (sm *SM) referenceInfo(ws int) sched.WarpInfo {
 // must equal a from-scratch recompute, and every incremental scheduler's
 // ready structure must equal the ranking of the cached views. Read-only.
 // A mismatch means an invalidation event was missed — the scheduler is
-// ranking stale state. The issue cards and censuses layered on the
-// snapshots are audited the same way (auditCards).
+// ranking stale state. The censuses layered on the snapshots are
+// recounted from the warps' own state (auditCensus).
 func (sm *SM) AuditSnapshots(now int64) error {
 	for ws := range sm.warps {
 		if wc := &sm.warps[ws]; wc.live && wc.pc != wc.nextPC() {
@@ -252,7 +254,7 @@ func (sm *SM) AuditSnapshots(now int64) error {
 	if sm.reference {
 		return nil
 	}
-	if err := sm.auditCards(now); err != nil {
+	if err := sm.auditCensus(); err != nil {
 		return err
 	}
 	for si := range sm.scheds {

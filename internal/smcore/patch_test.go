@@ -10,12 +10,13 @@ import (
 )
 
 // TestAuditCatchesStalePatchedState: the cached next PC is rewritten in
-// place after every issue, derived state nothing else would notice
-// going stale, so the snapshot auditor has to. A one-warp load-use
-// kernel under the two-level policy is ticked until the load has issued
-// (no refresh involved: an issue queues only a warp that finished or
-// parked); each hand-made corruption must then be named by the audit,
-// and the clean state must pass again. The two-level policy's
+// place after every issue, and a census is kept across cycles, derived
+// state nothing else would notice going stale, so the snapshot auditor
+// has to. A one-warp load-use kernel under the two-level policy is
+// ticked until the load has issued (no refresh involved: an issue
+// queues only a warp that finished or parked) and its scheduler has
+// taken a census of the warp waiting on it; each hand-made corruption
+// must then be named by the audit, and the clean state must pass again. The two-level policy's
 // waiting-on-load input is read live (waitingLong), not cached: it must
 // say waiting while the line is out and stop once it lands.
 func TestAuditCatchesStalePatchedState(t *testing.T) {
@@ -55,20 +56,44 @@ func TestAuditCatchesStalePatchedState(t *testing.T) {
 			ws, sm.dirty[ws], wc.pc, sm.waitingLong(ws))
 	}
 
+	// One more cycle blocks the warp on the load's destination: the walk
+	// issues nothing, so its scheduler takes a census.
+	cen := &sm.census[sm.slotSched[ws]]
+	tickUntil("a census of the blocked warp", func() bool { return cen.valid })
+	if n := cen.ten[0].n[classScoreboard]; n != 1 {
+		t.Fatalf("setup: census counts %d scoreboard-blocked warps, want 1", n)
+	}
+
 	for _, c := range []struct {
 		name    string
-		corrupt func()
+		corrupt func() (repair func())
 		want    string
 	}{
-		{"cached PC one behind", func() { wc.pc-- }, "SM0 warp 0: cached next PC 1, SIMT stack says 2 (missed PC sync)"},
-		{"cached PC says finished", func() { wc.pc = -1 }, "SM0 warp 0: cached next PC -1, SIMT stack says 2 (missed PC sync)"},
+		{"cached PC one behind", func() func() {
+			wc.pc--
+			return func() { wc.pc++ }
+		}, "SM0 warp 0: cached next PC 1, SIMT stack says 2 (missed PC sync)"},
+		{"cached PC says finished", func() func() {
+			pc := wc.pc
+			wc.pc = -1
+			return func() { wc.pc = pc }
+		}, "SM0 warp 0: cached next PC -1, SIMT stack says 2 (missed PC sync)"},
+		{"census count moved to another class", func() func() {
+			n := cen.ten[0].n
+			cen.ten[0].n[classScoreboard]--
+			cen.ten[0].n[classClear+kindSP<<1]++
+			return func() { cen.ten[0].n = n }
+		}, "SM0 scheduler 0 tenant index 0: census counts [0 0 1 0 0 0 0 0 0 0] disagree with a recount of the ranked warps [0 1 0 0 0 0 0 0 0 0]"},
+		{"census kept beside a warp queued for re-snapshot", func() func() {
+			sm.dirtyList[0] = append(sm.dirtyList[0], ws)
+			return func() { sm.dirtyList[0] = sm.dirtyList[0][:0] }
+		}, "SM0 scheduler 0: census valid with 1 warps awaiting re-snapshot"},
 	} {
-		pc := wc.pc
-		c.corrupt()
+		repair := c.corrupt()
 		if err := sm.AuditSnapshots(now); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: audit said %v, want an error containing %q", c.name, err, c.want)
 		}
-		wc.pc = pc
+		repair()
 		if err := sm.AuditSnapshots(now); err != nil {
 			t.Fatalf("%s: audit still objects after the repair: %v", c.name, err)
 		}

@@ -123,11 +123,10 @@ type SM struct {
 	dirtyList  [][]int32
 	slotSched  []int32
 	slotPos    []int32
-	reference  bool // Config.Reference: no cached views, cards or censuses
+	reference  bool // Config.Reference: no cached views or censuses
 
-	// Issue cards and per-scheduler censuses (cards.go): cards is indexed
-	// by warp slot, census by scheduler. Derived state, like the views.
-	cards  []issueCard
+	// census[i] is scheduler i's class counts from its last walk
+	// (census.go). Derived state, like the views.
 	census []census
 
 	l1       *cache.Cache
@@ -150,10 +149,10 @@ type SM struct {
 	lineBuf   []uint32
 	smemAddrs isa.Row // effective addresses of the scratchpad instruction being issued
 	// walk is the cursor of the scheduler walk in progress and walked
-	// the slots it has asked; schedulers walk one after another, so one
-	// of each serves them all.
+	// the verdicts of the slots it has asked; schedulers walk one after
+	// another, so one of each serves them all.
 	walk   sched.Cursor
-	walked []int
+	walked []verdict
 }
 
 // New builds an SM for a single kernel launch: a one-tenant SM laid out

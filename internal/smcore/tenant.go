@@ -67,9 +67,6 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 	if len(tens) == 0 {
 		return nil, fmt.Errorf("SM%d: no tenants", id)
 	}
-	if len(tens) > 256 {
-		return nil, fmt.Errorf("SM%d: %d tenants exceed the 256 an issue card can index", id, len(tens))
-	}
 	sm := &SM{
 		ID:      id,
 		cfg:     cfg,
@@ -161,7 +158,6 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 	sm.dirty = make([]bool, len(sm.warps))
 	sm.slotSched = make([]int32, len(sm.warps))
 	sm.slotPos = make([]int32, len(sm.warps))
-	sm.cards = make([]issueCard, len(sm.warps))
 	sm.census = make([]census, len(sm.scheds))
 	counts := make([]censusTenant, len(sm.scheds)*len(sm.tens))
 	for si := range sm.census {

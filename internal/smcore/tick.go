@@ -66,7 +66,7 @@ func (sm *SM) Tick(now int64) (bool, error) {
 			sc.Begin(sm.schedInfo[si], &sm.walk)
 		}
 		cacheable := cen != nil
-		walked := sm.walked[:0] // every slot asked and not issued: the census's input
+		walked := sm.walked[:0] // every slot asked and not issued, with its class: the census's input
 		for n := 0; ; n++ {
 			var slot int
 			if cen == nil {
@@ -87,7 +87,7 @@ func (sm *SM) Tick(now int64) (bool, error) {
 				cacheable = false
 				break
 			}
-			walked = append(walked, slot)
+			walked = append(walked, verdict{slot: int32(slot), cls: cls})
 			if cls >= classClear {
 				sawStructural = true
 			}
@@ -138,15 +138,10 @@ func dependencyMasks(in *isa.Instr) (regs uint64, preds uint8) {
 
 // tryIssue attempts to issue the next instruction of warp slot ws.
 // It returns (issued, class, err): class says why a candidate warp
-// could not issue (cards.go) — classScoreboard is a data wait, every
+// could not issue (census.go) — classScoreboard is a data wait, every
 // higher class a structural block, which drives the stall/idle split;
 // a non-nil error is a functional execution fault that aborts the run.
 func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, error) {
-	if !sm.reference {
-		if cls := sm.cardVerdict(ws, now, *memUsed, *sfuUsed); cls != classNone {
-			return false, cls, nil
-		}
-	}
 	wc := &sm.warps[ws]
 	if !wc.live || wc.finished || wc.atBarrier {
 		return false, classNone, nil
@@ -162,13 +157,15 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 	// warp has issued everything before this instruction and waits for
 	// a result: a data wait, not a pipeline stall.
 	if me.regMask&wc.pendingRegs != 0 || me.predMask&wc.pendingPreds != 0 {
-		return false, sm.block(ws, wc.tn, classScoreboard, reasonScoreboard), nil
+		sm.countBlocked(t, reasonScoreboard, 1)
+		return false, classScoreboard, nil
 	}
 
 	// Structural hazards: execution unit, LSU, MSHR file.
 	cls := classClear + me.kind<<1
 	if r := sm.classReason(cls, now, *memUsed, *sfuUsed); r != reasonNone {
-		return false, sm.block(ws, wc.tn, cls, r), nil
+		sm.countBlocked(t, r, 1)
+		return false, cls, nil
 	}
 
 	bs := wc.w.BlockSlot
@@ -182,7 +179,8 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 	if t.shr.RegLockNeededStatic(ls, me.flags&metaSharedPool != 0) {
 		epoch := t.shr.Epoch()
 		if !t.shr.TryAcquireReg(ls, wc.w.WarpInCta) {
-			return false, sm.block(ws, wc.tn, cls|classLockWait, reasonLockWait), nil
+			sm.countBlocked(t, reasonLockWait, 1)
+			return false, cls | classLockWait, nil
 		}
 		if t.shr.Epoch() != epoch {
 			sm.markPairDirty(bs)
@@ -223,9 +221,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 		}
 	}
 
-	// All checks passed: execute functionally and model timing. The PC
-	// and the scoreboard are about to move, so the card goes first.
-	sm.cards[ws].class = classNone
+	// All checks passed: execute functionally and model timing.
 	res, err := wc.w.Execute(&me.op, &b.env, smemAddrs)
 	wc.pc = wc.nextPC()
 	if err != nil {
@@ -292,9 +288,9 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 			return true, classNone, nil
 		}
 	}
-	// The card went before Execute and the walk drops the census; the
-	// view moves only if the warp finished or parked. An early-release
-	// tenant's warp is queued anyway (markDirty).
+	// The walk that issued takes no census; the view moves only if the
+	// warp finished or parked. An early-release tenant's warp is queued
+	// anyway (markDirty).
 	if wc.finished || wc.atBarrier || t.futureShared != nil {
 		sm.markDirty(ws)
 	}
@@ -391,17 +387,19 @@ func (sm *SM) retireWB(ev *wbEvent, now int64) {
 	if wc.gen != ev.gen {
 		return // slot was recycled; the event belongs to a dead warp
 	}
+	// The StaleCensus fault only takes opportunities where it matters:
+	// the warp is counted in a valid census, scoreboard-blocked, and this
+	// writeback lands its last operand.
+	counted := sm.faults.Armed(fault.StaleCensus) && sm.census[sm.slotSched[ev.warpSlot]].valid &&
+		!wc.atBarrier && !sm.scoreboardClear(ev.warpSlot)
 	wc.pendingRegs &^= ev.regMask
 	wc.pendingPreds &^= ev.predMask
-	// The StaleCard fault only takes opportunities where it matters: the
-	// card says "scoreboard" and this writeback landed the last operand.
-	if sm.faults.Armed(fault.StaleCard) && sm.cards[ev.warpSlot].class == classScoreboard &&
-		sm.scoreboardClear(ev.warpSlot) &&
-		sm.faults.Trip(fault.StaleCard, now, sm.ID, ev.warpSlot,
-			"writeback landed the warp's last operand but its issue card was not invalidated") {
-		return // injected fault: the warp stays "scoreboard-blocked"
+	if counted && sm.scoreboardClear(ev.warpSlot) &&
+		sm.faults.Trip(fault.StaleCensus, now, sm.ID, ev.warpSlot,
+			"writeback landed a counted warp's last operand but its scheduler's census was not dropped") {
+		return // injected fault: the census still counts the warp "scoreboard-blocked"
 	}
-	sm.invalidateCard(ev.warpSlot)
+	sm.dropCensus(ev.warpSlot)
 }
 
 // completeGroupPart retires one line of a load group, clearing the
@@ -416,7 +414,7 @@ func (sm *SM) completeGroupPart(g *loadGroup) {
 	if wc.gen == g.gen {
 		wc.pendingRegs &^= g.regMask
 		wc.loadRegs &^= g.regMask
-		sm.invalidateCard(g.warpSlot)
+		sm.dropCensus(g.warpSlot)
 	}
 	// remaining counted the outstanding references (MSHR waiters and
 	// queued writebacks); at zero the group is unreachable and reusable.

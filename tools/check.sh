@@ -11,7 +11,9 @@
 # ledger, no second pair-cost formula), that one function does atomic
 # file writes, that a table has one renderer (Table.Markdown: no text
 # renderer, no -md flag), that no scheduler view is patched in place
-# (no patchView, no WaitingLong in internal/), that the memory side
+# (no patchView, no WaitingLong in internal/), that the SM's issue
+# stage keeps one shortcut (the census: no issue cards, no card hit
+# path), that the memory side
 # skips nothing (no partition horizon, no DRAM next-event memo), and
 # that no pool, map-keyed MSHR or any-typed payload is back on the
 # memory path, EXPERIMENTS.md below its
@@ -175,6 +177,11 @@ echo "== scheduler views move only at markDirty events (no in-place view patch; 
 hits=$(grep -n -E 'patchView|WaitingLong' $(find internal -name '*.go' ! -name '*_test.go') || true)
 [ -z "$hits" ] || { echo "an in-place scheduler-view patch or a cached WaitingLong is back:" >&2; echo "$hits" >&2; exit 1; }
 echo "   non-test Go lines in internal/{sched,smcore}: $(cat $(ls internal/sched/*.go internal/smcore/*.go | grep -v _test.go) | wc -l)"
+
+echo "== one SM shortcut (the per-scheduler census is the issue stage's only cache: no issue cards, no card hit path)"
+hits=$(grep -n -E 'issueCard|cardVerdict|classAt\(' $(find internal cmd -name '*.go' ! -name '*_test.go') || true)
+[ -z "$hits" ] || { echo "a per-warp issue card or its hit path is back:" >&2; echo "$hits" >&2; exit 1; }
+echo "   non-test Go lines in internal/smcore: $(cat $(ls internal/smcore/*.go | grep -v _test.go) | wc -l)"
 
 echo "== one atomic write (checkpoint.WriteFileAtomic is the only temp-file rename in non-test Go)"
 n=$(cat $nontest_go | grep -v '^[[:space:]]*//' | grep -c 'os\.Rename(' || true)
