@@ -37,8 +37,9 @@ const Magic = "GSCK"
 // config and cross-checks them before applying a snapshot).
 const FormatVersion = 1
 
-// headerSize is magic(4) + version(4) + payload length(8) + sha256(32).
-const headerSize = 4 + 4 + 8 + sha256.Size
+// HeaderSize is the container header's length: magic(4) + version(4)
+// + payload length(8) + sha256(32). The payload follows it.
+const HeaderSize = 4 + 4 + 8 + sha256.Size
 
 // errf builds the package's typed decode/encode error.
 func errf(format string, args ...any) *simerr.SimError {
@@ -46,16 +47,26 @@ func errf(format string, args ...any) *simerr.SimError {
 }
 
 // Encode wraps payload in the checkpoint container: header, SHA-256
-// digest, payload.
+// digest, payload. It copies payload behind a reserved header and seals
+// the copy.
 func Encode(payload []byte) []byte {
-	out := make([]byte, headerSize+len(payload))
-	copy(out[0:4], Magic)
-	binary.LittleEndian.PutUint32(out[4:8], FormatVersion)
-	binary.LittleEndian.PutUint64(out[8:16], uint64(len(payload)))
+	out := make([]byte, HeaderSize+len(payload))
+	copy(out[HeaderSize:], payload)
+	return Seal(out)
+}
+
+// Seal turns blob — HeaderSize reserved bytes followed by the payload —
+// into a container in place, by writing the header over the reserved
+// bytes, and returns it. A writer that builds the payload behind the
+// reserved bytes itself needs no second copy of it.
+func Seal(blob []byte) []byte {
+	payload := blob[HeaderSize:]
+	copy(blob[0:4], Magic)
+	binary.LittleEndian.PutUint32(blob[4:8], FormatVersion)
+	binary.LittleEndian.PutUint64(blob[8:16], uint64(len(payload)))
 	sum := sha256.Sum256(payload)
-	copy(out[16:16+sha256.Size], sum[:])
-	copy(out[headerSize:], payload)
-	return out
+	copy(blob[16:16+sha256.Size], sum[:])
+	return blob
 }
 
 // Decode validates a checkpoint container and returns its payload. Every
@@ -63,8 +74,8 @@ func Encode(payload []byte) []byte {
 // trailing bytes, digest mismatch — is a *simerr.SimError of
 // KindCheckpoint. On success the returned slice aliases blob.
 func Decode(blob []byte) ([]byte, error) {
-	if len(blob) < headerSize {
-		return nil, errf("checkpoint truncated: %d bytes, header alone needs %d", len(blob), headerSize)
+	if len(blob) < HeaderSize {
+		return nil, errf("checkpoint truncated: %d bytes, header alone needs %d", len(blob), HeaderSize)
 	}
 	if string(blob[0:4]) != Magic {
 		return nil, errf("not a checkpoint: magic %q, want %q", blob[0:4], Magic)
@@ -73,11 +84,11 @@ func Decode(blob []byte) ([]byte, error) {
 		return nil, errf("unsupported checkpoint format version %d (this build reads %d)", v, FormatVersion)
 	}
 	n := binary.LittleEndian.Uint64(blob[8:16])
-	if n != uint64(len(blob)-headerSize) {
+	if n != uint64(len(blob)-HeaderSize) {
 		return nil, errf("checkpoint payload length %d disagrees with container size %d (torn or corrupted file)",
-			n, len(blob)-headerSize)
+			n, len(blob)-HeaderSize)
 	}
-	payload := blob[headerSize:]
+	payload := blob[HeaderSize:]
 	sum := sha256.Sum256(payload)
 	if string(sum[:]) != string(blob[16:16+sha256.Size]) {
 		return nil, errf("checkpoint digest mismatch: payload was corrupted after writing")
@@ -90,7 +101,9 @@ func Decode(blob []byte) ([]byte, error) {
 type Sink interface {
 	// Put stores the container for the given cycle. A Put error aborts
 	// the run (a checkpointed run that cannot checkpoint is failing at
-	// its job).
+	// its job). Put must not keep blob after it returns: the simulator
+	// writes every snapshot into the same buffer, so a sink that stores
+	// the bytes stores a copy (MemSink) or writes them out (DirSink).
 	Put(cycle int64, blob []byte) error
 }
 

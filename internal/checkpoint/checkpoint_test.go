@@ -38,6 +38,21 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	}
 }
 
+// TestSealInPlace: a payload written behind HeaderSize reserved bytes
+// and sealed there is Encode's container, in the caller's buffer.
+func TestSealInPlace(t *testing.T) {
+	for _, payload := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte{0xa5}, 4096)} {
+		buf := append(make([]byte, HeaderSize, HeaderSize+len(payload)), payload...)
+		got := Seal(buf)
+		if &got[0] != &buf[0] {
+			t.Fatal("Seal copied the buffer")
+		}
+		if !bytes.Equal(got, Encode(payload)) {
+			t.Fatalf("sealed %d-byte payload differs from Encode's container", len(payload))
+		}
+	}
+}
+
 func TestDecodeRejectsCorruption(t *testing.T) {
 	valid := Encode([]byte("the quick brown fox jumps over the lazy dog"))
 	cases := []struct {
@@ -45,7 +60,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		blob []byte
 	}{
 		{"empty", nil},
-		{"short header", valid[:headerSize-1]},
+		{"short header", valid[:HeaderSize-1]},
 		{"bad magic", append([]byte("XXXX"), valid[4:]...)},
 		{"future version", func() []byte {
 			b := append([]byte(nil), valid...)
@@ -56,7 +71,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		{"trailing garbage", append(append([]byte(nil), valid...), 0xde, 0xad)},
 		{"flipped payload bit", func() []byte {
 			b := append([]byte(nil), valid...)
-			b[headerSize+3] ^= 0x01
+			b[HeaderSize+3] ^= 0x01
 			return b
 		}()},
 		{"flipped digest bit", func() []byte {

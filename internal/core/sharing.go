@@ -112,20 +112,25 @@ func NewManager(cfg *config.Config, occ Occupancy, warpsPerBlock int) *Manager {
 	for i := 0; i < occ.Pairs; i++ {
 		a := occ.Unshared + 2*i
 		b := a + 1
-		p := &Pair{
-			Slots:     [2]int{a, b},
-			Owner:     noSide,
-			warpLocks: make([]int8, warpsPerBlock),
-			smemLock:  noSide,
-		}
-		for j := range p.warpLocks {
-			p.warpLocks[j] = noSide
-		}
-		m.pairs = append(m.pairs, p)
+		m.pairs = append(m.pairs, &Pair{Slots: [2]int{a, b}, warpLocks: make([]int8, warpsPerBlock)})
 		m.pairOfSlot[a], m.sideOfSlot[a] = i, 0
 		m.pairOfSlot[b], m.sideOfSlot[b] = i, 1
 	}
+	m.Reset()
 	return m
+}
+
+// Reset returns the manager to the state NewManager built it in: every
+// pair unowned with all its locks free, and the ownership epoch, lock
+// generation and statistics at zero. The pair topology and Faults stay.
+func (m *Manager) Reset() {
+	for _, p := range m.pairs {
+		p.Owner, p.smemLock, p.activeLocks = noSide, noSide, [2]int{}
+		for j := range p.warpLocks {
+			p.warpLocks[j] = noSide
+		}
+	}
+	m.epoch, m.lockGen, m.LockAcquires, m.OwnershipXfers = 0, 0, 0, 0
 }
 
 // Shared reports whether the block slot belongs to a sharing pair.

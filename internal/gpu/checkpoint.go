@@ -42,11 +42,13 @@ const (
 )
 
 // MarshalJSON writes the FIFO oldest first as [{"sm":..,"slot":..,"at":..}].
-// It formats by hand: a nested json.Marshal would draw a second encoder
-// buffer from encoding/json's pool in the middle of a snapshot, and the
-// two then trade places, so every GC that empties the pool costs two
-// multi-megabyte regrowths instead of one (+3 % bytes allocated on the
-// benchmark's sim_modes workload).
+// It formats by hand: capture's json.Encoder writes into the simulator's
+// own buffer but still builds the payload in a scratch buffer it draws
+// from encoding/json's pool, and a nested json.Marshal here would draw a
+// second one in the middle of the snapshot. Both go back to the pool, the
+// next capture may draw the small one, and it then regrows to the
+// payload's multi-megabyte size — a regrowth per capture that one pooled
+// buffer, kept at full size between garbage collections, does not pay.
 func (q launchQueue) MarshalJSON() ([]byte, error) {
 	b := []byte{'['}
 	for i := 0; i < q.n; i++ {
@@ -149,32 +151,54 @@ type payload struct {
 	Loop    *loopState   `json:"loop"`
 }
 
+// identity returns the run's identity envelope: the canonical
+// configuration and, for a multi-tenant run, the tenancy spec, as JSON.
+// Both are fixed for the run, so they are marshalled on first use and
+// kept: every capture writes them and decode compares against them.
+func (r *run) identity() (cfg, spec json.RawMessage, err error) {
+	if r.cfgJSON == nil {
+		if r.spec != nil {
+			if spec, err = json.Marshal(r.spec); err != nil {
+				return nil, nil, err
+			}
+		}
+		if cfg, err = r.s.Cfg.CanonicalJSON(); err != nil {
+			return nil, nil, err
+		}
+		r.cfgJSON, r.specJSON = cfg, spec
+	}
+	return r.cfgJSON, r.specJSON, nil
+}
+
 // capture serializes the identity envelope, the machine and the loop
 // state at cycle now into the integrity-checked container
-// (internal/checkpoint).
+// (internal/checkpoint) in one pass over live state: the per-package
+// views alias the machine instead of copying it, encoding/json writes
+// the payload into the simulator's capture buffer behind a reserved
+// header, and checkpoint.Seal writes the header in place. The container
+// returned lives in that buffer, which the next capture overwrites —
+// hence the checkpoint.Sink contract that Put keeps nothing.
 func (r *run) capture(now int64) ([]byte, error) {
 	s := r.s
-	cj, err := s.Cfg.CanonicalJSON()
+	cj, sj, err := r.identity()
 	if err != nil {
 		return nil, simerr.Wrap(simerr.KindCheckpoint, now, err)
 	}
-	p := &payload{SimVersion: Version, Config: cj, Mode: r.mode, Kernels: r.kernels, Cycle: now, Loop: &r.loopState}
-	if r.spec != nil {
-		if p.Spec, err = json.Marshal(r.spec); err != nil {
-			return nil, simerr.Wrap(simerr.KindCheckpoint, now, err)
-		}
-	}
+	p := &payload{SimVersion: Version, Config: cj, Mode: r.mode, Kernels: r.kernels, Spec: sj, Cycle: now, Loop: &r.loopState}
 	p.Machine.SMs = make([]smcore.Checkpoint, len(r.sms))
 	for i, sm := range r.sms {
 		p.Machine.SMs[i] = sm.Checkpoint()
 	}
 	p.Machine.Mem = s.ms.Checkpoint()
 	p.Machine.Global = s.Mem.Checkpoint()
-	raw, err := json.Marshal(p)
-	if err != nil {
+	var header [checkpoint.HeaderSize]byte
+	s.ckBuf.Reset()
+	s.ckBuf.Write(header[:])
+	if err := json.NewEncoder(&s.ckBuf).Encode(p); err != nil {
 		return nil, simerr.Wrap(simerr.KindCheckpoint, now, err)
 	}
-	return checkpoint.Encode(raw), nil
+	blob := s.ckBuf.Bytes()
+	return checkpoint.Seal(blob[:len(blob)-1]), nil // Encode ends the payload with a newline
 }
 
 // decode verifies the container, parses the payload, cross-checks every
@@ -194,7 +218,7 @@ func (r *run) decode(blob []byte) (*payload, error) {
 		return nil, simerr.New(simerr.KindCheckpoint, -1,
 			"checkpoint from simulator revision %q, this is %q", p.SimVersion, Version)
 	}
-	cj, err := r.s.Cfg.CanonicalJSON()
+	cj, sj, err := r.identity()
 	if err != nil {
 		return nil, simerr.Wrap(simerr.KindCheckpoint, -1, err)
 	}
@@ -216,15 +240,9 @@ func (r *run) decode(blob []byte) (*payload, error) {
 				"checkpoint kernel %d is %q, run launches %q", i, p.Kernels[i], k)
 		}
 	}
-	if r.spec != nil {
-		sj, err := json.Marshal(r.spec)
-		if err != nil {
-			return nil, simerr.Wrap(simerr.KindCheckpoint, -1, err)
-		}
-		if !bytes.Equal(p.Spec, sj) {
-			return nil, simerr.New(simerr.KindCheckpoint, -1,
-				"checkpoint was taken under a different tenancy spec")
-		}
+	if r.spec != nil && !bytes.Equal(p.Spec, sj) {
+		return nil, simerr.New(simerr.KindCheckpoint, -1,
+			"checkpoint was taken under a different tenancy spec")
 	}
 	if p.Cycle <= 0 {
 		return nil, simerr.New(simerr.KindCheckpoint, -1,

@@ -7,7 +7,9 @@
 package gpu
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -66,9 +68,11 @@ type Sim struct {
 
 	// CheckpointSink, when non-nil and Cfg.CheckpointStride > 0,
 	// receives a full machine snapshot every CheckpointStride cycles
-	// during Run/RunMulti. Sinks may panic with *checkpoint.CrashPoint
-	// under crash-point fault injection; the runner's recovery treats
-	// that like any other mid-run crash.
+	// during Run/RunMulti. Each container lives in a buffer the next
+	// capture overwrites, so Put keeps nothing (see checkpoint.Sink).
+	// Sinks may panic with *checkpoint.CrashPoint under crash-point
+	// fault injection; the runner's recovery treats that like any other
+	// mid-run crash.
 	CheckpointSink checkpoint.Sink
 
 	// RestoreFrom, when non-nil, is an encoded checkpoint blob: each Run
@@ -81,6 +85,10 @@ type Sim struct {
 
 	ms        *mem.System
 	envStride int64 // GPUSHARE_INVARIANT_STRIDE at New, for runs with InvariantStride 0
+
+	// ckBuf holds the last checkpoint container this simulator captured;
+	// every capture reuses it (see run.capture).
+	ckBuf bytes.Buffer
 }
 
 // engineEnv reads the engine's two environment variables, unset
@@ -225,10 +233,12 @@ type run struct {
 	// What a checkpoint must carry to resume this loop.
 	loopState
 
-	// Checkpoint identity (see payload).
-	mode    string
-	kernels []string
-	spec    *tenancy.Spec
+	// Checkpoint identity (see payload); cfgJSON and specJSON are
+	// marshalled once, by identity.
+	mode              string
+	kernels           []string
+	spec              *tenancy.Spec
+	cfgJSON, specJSON json.RawMessage
 
 	label    string // names the run in MaxCycles and watchdog aborts
 	total    []int  // grid size, per tenant
@@ -246,6 +256,12 @@ type run struct {
 	window      int64
 }
 
+// runWatcher is a checkpoint sink that is also handed each run it will
+// receive snapshots from, so that its Put can read the live machine the
+// snapshot was taken of (the differential capture test rebuilds every
+// snapshot from it the way the seed engine encoded one).
+type runWatcher interface{ watch(*run) }
+
 // newRun builds the dispatcher for launches[i] as tenant i, with empty
 // ledgers and no SMs yet (see setSMs).
 func (s *Sim) newRun(mode, label string, spec *tenancy.Spec, launches []*kernel.Launch) *run {
@@ -259,6 +275,9 @@ func (s *Sim) newRun(mode, label string, spec *tenancy.Spec, launches []*kernel.
 	}
 	if s.CheckpointSink != nil && s.Cfg.CheckpointStride > 0 {
 		r.sink, r.ckStride = s.CheckpointSink, s.Cfg.CheckpointStride
+		if w, ok := r.sink.(runWatcher); ok {
+			w.watch(r)
+		}
 	}
 	if r.auditStride = s.Cfg.InvariantStride; r.auditStride <= 0 {
 		r.auditStride = s.envStride
@@ -273,9 +292,9 @@ func (s *Sim) newRun(mode, label string, spec *tenancy.Spec, launches []*kernel.
 	return r
 }
 
-// setSMs points the loop at a freshly built SM array: a new invariant
-// checker over it and an empty relaunch queue (a time-slice run calls
-// this once per slice; the ledgers carry over).
+// setSMs points the loop at an SM array in its just-built state: a new
+// invariant checker over it and an empty relaunch queue (a time-slice
+// run calls this once per slice; the ledgers carry over).
 func (r *run) setSMs(sms []*smcore.SM) {
 	r.sms = sms
 	r.chk = invariant.New(r.auditStride, sms, r.s.ms)

@@ -127,8 +127,10 @@ type sliceState struct {
 // GPU in round-robin order for QuotaCycles-cycle slices on one global
 // clock. At a quota boundary the refill closes and the resident blocks
 // drain to idle — the deterministic context switch — then the next
-// unfinished tenant's SMs are built fresh (cold L1s, as a real context
-// switch would) while global memory and the L2 persist.
+// unfinished tenant's SMs are reset to the just-built state (cold L1s,
+// as a real context switch would) while global memory and the L2
+// persist. Each tenant's SMs are built once, at its first slice, and
+// reset (smcore.SM.Reset) at every later one.
 func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*kernel.Launch) (*stats.GPU, error) {
 	n := len(launches)
 	pls := make([]*tenancy.Placement, n)
@@ -161,17 +163,25 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 	}
 
 	now := int64(0)
+	machines := make([][]*smcore.SM, n) // per tenant, built at its first slice
 	for ti := first; r.retired < r.totalAll; ti = (ti + 1) % n {
 		// A resumed slice runs whatever its ledger says (it may be
 		// draining), so the skip applies only to fresh slices.
 		if rs == nil && r.Completed[ti] >= r.total[ti] {
 			continue
 		}
-		sms, err := s.buildSMs(pls[ti], launches)
-		if err != nil {
-			return nil, simerr.Wrap(simerr.KindLaunch, now, err)
+		if machines[ti] == nil {
+			sms, err := s.buildSMs(pls[ti], launches)
+			if err != nil {
+				return nil, simerr.Wrap(simerr.KindLaunch, now, err)
+			}
+			machines[ti] = sms
+		} else {
+			for _, sm := range machines[ti] {
+				sm.Reset()
+			}
 		}
-		r.setSMs(sms)
+		r.setSMs(machines[ti])
 		r.label = fmt.Sprintf("timeslice run (tenant %d's slice)", ti)
 		if rs != nil {
 			if err := r.restore(rs); err != nil {

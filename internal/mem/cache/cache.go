@@ -11,11 +11,13 @@ import (
 	"gpushare/internal/stats"
 )
 
-type line struct {
-	tag      uint32
-	valid    bool
-	lastUse  int64
-	filledAt int64
+// Line is one tag-array line. A checkpoint serializes the live array
+// as it is, so the fields carry their JSON names.
+type Line struct {
+	Tag      uint32 `json:"tag"`
+	Valid    bool   `json:"valid"`
+	LastUse  int64  `json:"last_use"`
+	FilledAt int64  `json:"filled_at"`
 }
 
 // Cache is a set-associative tag array.
@@ -25,7 +27,7 @@ type Cache struct {
 	lineSz uint32
 	shift  uint
 	policy config.CachePolicy
-	lines  []line // sets x ways, row-major
+	lines  []Line // sets x ways, row-major
 	clock  int64
 	rng    uint64
 	Stats  stats.Cache
@@ -52,9 +54,20 @@ func NewWithPolicy(sets, ways, lineSz int, policy config.CachePolicy) *Cache {
 		lineSz: uint32(lineSz),
 		shift:  shift,
 		policy: policy,
-		lines:  make([]line, sets*ways),
-		rng:    0x853c49e6748fea9b,
+		lines:  make([]Line, sets*ways),
+		rng:    rngSeed,
 	}
+}
+
+// rngSeed is the random-replacement cursor of a new cache.
+const rngSeed = 0x853c49e6748fea9b
+
+// Reset returns the cache to the state NewWithPolicy built it in, its
+// tag array kept: every line invalid, the clock, the random-replacement
+// cursor and the statistics at their start values.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	c.clock, c.rng, c.Stats = 0, rngSeed, stats.Cache{}
 }
 
 // SizeBytes returns the cache capacity.
@@ -74,8 +87,8 @@ func (c *Cache) Probe(addr uint32) bool {
 	s := c.set(lineAddr)
 	for w := 0; w < c.ways; w++ {
 		l := &c.lines[s*c.ways+w]
-		if l.valid && l.tag == lineAddr {
-			l.lastUse = c.clock
+		if l.Valid && l.Tag == lineAddr {
+			l.LastUse = c.clock
 			c.Stats.Hits++
 			return true
 		}
@@ -91,7 +104,7 @@ func (c *Cache) Contains(addr uint32) bool {
 	s := c.set(lineAddr)
 	for w := 0; w < c.ways; w++ {
 		l := &c.lines[s*c.ways+w]
-		if l.valid && l.tag == lineAddr {
+		if l.Valid && l.Tag == lineAddr {
 			return true
 		}
 	}
@@ -107,19 +120,19 @@ func (c *Cache) Fill(addr uint32) {
 	s := c.set(lineAddr)
 	for w := 0; w < c.ways; w++ {
 		l := &c.lines[s*c.ways+w]
-		if l.valid && l.tag == lineAddr {
-			l.lastUse = c.clock
+		if l.Valid && l.Tag == lineAddr {
+			l.LastUse = c.clock
 			return
 		}
-		if !l.valid {
-			*l = line{tag: lineAddr, valid: true, lastUse: c.clock, filledAt: c.clock}
+		if !l.Valid {
+			*l = Line{Tag: lineAddr, Valid: true, LastUse: c.clock, FilledAt: c.clock}
 			return
 		}
 	}
 	victim := c.victim(s)
 	l := &c.lines[s*c.ways+victim]
 	c.Stats.Evicts++
-	*l = line{tag: lineAddr, valid: true, lastUse: c.clock, filledAt: c.clock}
+	*l = Line{Tag: lineAddr, Valid: true, LastUse: c.clock, FilledAt: c.clock}
 }
 
 // victim picks the way to evict from a full set per the policy.
@@ -128,7 +141,7 @@ func (c *Cache) victim(s int) int {
 	case config.PolicyFIFO:
 		v := 0
 		for w := 1; w < c.ways; w++ {
-			if c.lines[s*c.ways+w].filledAt < c.lines[s*c.ways+v].filledAt {
+			if c.lines[s*c.ways+w].FilledAt < c.lines[s*c.ways+v].FilledAt {
 				v = w
 			}
 		}
@@ -144,7 +157,7 @@ func (c *Cache) victim(s int) int {
 	default: // LRU
 		v := 0
 		for w := 1; w < c.ways; w++ {
-			if c.lines[s*c.ways+w].lastUse < c.lines[s*c.ways+v].lastUse {
+			if c.lines[s*c.ways+w].LastUse < c.lines[s*c.ways+v].LastUse {
 				v = w
 			}
 		}
@@ -159,16 +172,12 @@ func (c *Cache) Invalidate(addr uint32) {
 	s := c.set(lineAddr)
 	for w := 0; w < c.ways; w++ {
 		l := &c.lines[s*c.ways+w]
-		if l.valid && l.tag == lineAddr {
-			l.valid = false
+		if l.Valid && l.Tag == lineAddr {
+			l.Valid = false
 			return
 		}
 	}
 }
 
 // Flush invalidates every line (between-kernel cache flush).
-func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-}
+func (c *Cache) Flush() { clear(c.lines) }

@@ -6,38 +6,23 @@ import (
 	"gpushare/internal/stats"
 )
 
-// LineCheckpoint is one serialized tag-array line.
-type LineCheckpoint struct {
-	Tag      uint32 `json:"tag"`
-	Valid    bool   `json:"valid"`
-	LastUse  int64  `json:"last_use"`
-	FilledAt int64  `json:"filled_at"`
-}
-
 // Checkpoint is a cache's complete mutable state: every tag line (the
 // recency/fill clocks included, so LRU and FIFO victims replay
 // identically), the internal clock, the random-replacement RNG cursor,
 // and the hit/miss statistics. Geometry and policy are rebuilt from the
 // config on restore.
 type Checkpoint struct {
-	Lines []LineCheckpoint `json:"lines"`
-	Clock int64            `json:"clock"`
-	RNG   uint64           `json:"rng"`
-	Stats stats.Cache      `json:"stats"`
+	Lines []Line      `json:"lines"`
+	Clock int64       `json:"clock"`
+	RNG   uint64      `json:"rng"`
+	Stats stats.Cache `json:"stats"`
 }
 
-// Checkpoint captures the cache's mutable state.
+// Checkpoint returns a view of the cache's mutable state. Lines aliases
+// the live tag array, so the view is valid until the cache is next
+// touched: serialize it before the machine moves on.
 func (c *Cache) Checkpoint() Checkpoint {
-	s := Checkpoint{
-		Lines: make([]LineCheckpoint, len(c.lines)),
-		Clock: c.clock,
-		RNG:   c.rng,
-		Stats: c.Stats,
-	}
-	for i, l := range c.lines {
-		s.Lines[i] = LineCheckpoint{Tag: l.tag, Valid: l.valid, LastUse: l.lastUse, FilledAt: l.filledAt}
-	}
-	return s
+	return Checkpoint{Lines: c.lines, Clock: c.clock, RNG: c.rng, Stats: c.Stats}
 }
 
 // RestoreState applies a snapshot onto a freshly constructed cache of
@@ -46,9 +31,7 @@ func (c *Cache) RestoreState(s Checkpoint) error {
 	if len(s.Lines) != len(c.lines) {
 		return fmt.Errorf("cache snapshot has %d lines, cache has %d (geometry mismatch)", len(s.Lines), len(c.lines))
 	}
-	for i, lc := range s.Lines {
-		c.lines[i] = line{tag: lc.Tag, valid: lc.Valid, lastUse: lc.LastUse, filledAt: lc.FilledAt}
-	}
+	copy(c.lines, s.Lines)
 	c.clock = s.Clock
 	c.rng = s.RNG
 	c.Stats = s.Stats

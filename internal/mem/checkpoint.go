@@ -161,7 +161,7 @@ func (s *System) RestoreState(c SystemCheckpoint) error {
 		if err := p.dram.RestoreState(pc.DRAM); err != nil {
 			return fmt.Errorf("partition %d: %w", pi, err)
 		}
-		for _, q := range [2][]dram.RequestCheckpoint{pc.DRAM.Queue, pc.DRAM.Inflight} {
+		for _, q := range [2][]dram.Request{pc.DRAM.Queue, pc.DRAM.Inflight} {
 			for _, rc := range q {
 				if !rc.IsWrite && p.mshr.Get(rc.Addr) == nil {
 					return fmt.Errorf("partition %d: DRAM read for line %#x has no MSHR entry", pi, rc.Addr)
@@ -176,19 +176,24 @@ func (s *System) RestoreState(c SystemCheckpoint) error {
 	return nil
 }
 
-// Checkpoint captures the backing store: all materialized pages, in
-// ascending index order, and the allocator cursor.
+// Checkpoint returns a view of the backing store: all materialized
+// pages, in ascending index order, and the allocator cursor. Each page's
+// Data aliases the live page, so the view is valid until the next store:
+// serialize it before the machine moves on.
 func (g *Global) Checkpoint() GlobalCheckpoint {
 	c := GlobalCheckpoint{Brk: g.brk}
 	for idx, p := range g.pages {
 		if p != nil {
-			c.Pages = append(c.Pages, PageCheckpoint{Index: uint32(idx), Data: append([]byte(nil), p[:]...)})
+			c.Pages = append(c.Pages, PageCheckpoint{Index: uint32(idx), Data: p[:]})
 		}
 	}
 	return c
 }
 
 // RestoreState replaces the backing store's contents with the snapshot.
+// The store adopts each page's Data as its page instead of copying it —
+// the snapshot is decoded for this restore and nothing else holds it —
+// so c must not be used, or restored again, afterwards.
 func (g *Global) RestoreState(c GlobalCheckpoint) error {
 	clear(g.pages)
 	for _, p := range c.Pages {
@@ -199,7 +204,7 @@ func (g *Global) RestoreState(c GlobalCheckpoint) error {
 			return fmt.Errorf("memory snapshot: page index %d beyond the 32-bit address space", p.Index)
 		}
 		g.cover(p.Index)
-		g.pages[p.Index] = (*[pageSize]byte)(append([]byte(nil), p.Data...))
+		g.pages[p.Index] = (*[pageSize]byte)(p.Data)
 	}
 	g.brk = c.Brk
 	g.cover(g.brk >> pageBits)

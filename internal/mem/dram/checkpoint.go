@@ -6,49 +6,30 @@ import (
 	"gpushare/internal/stats"
 )
 
-// BankCheckpoint is one bank's row-buffer and timing state.
-type BankCheckpoint struct {
-	OpenRow      int64 `json:"open_row"`
-	ReadyAt      int64 `json:"ready_at"`
-	LastActivate int64 `json:"last_activate"`
-}
-
-// RequestCheckpoint is one queued or in-flight DRAM transaction.
-type RequestCheckpoint struct {
-	Addr    uint32 `json:"addr"`
-	IsWrite bool   `json:"is_write"`
-	Arrive  int64  `json:"arrive"`
-	Done    int64  `json:"done"`
-}
-
 // Checkpoint is a channel's complete mutable state. Queue and Inflight
 // preserve order — FR-FCFS breaks ties by queue position, so order is
 // architecturally visible.
 type Checkpoint struct {
-	Banks    []BankCheckpoint    `json:"banks"`
-	Queue    []RequestCheckpoint `json:"queue"`
-	Inflight []RequestCheckpoint `json:"inflight"`
-	Stats    stats.DRAM          `json:"stats"`
+	Banks    []Bank     `json:"banks"`
+	Queue    []Request  `json:"queue"`
+	Inflight []Request  `json:"inflight"`
+	Stats    stats.DRAM `json:"stats"`
 }
 
-// Checkpoint captures the channel's mutable state.
+// Checkpoint returns a view of the channel's mutable state. It aliases
+// the live banks and queues, so it is valid until the channel next
+// ticks or takes a request: serialize it before the machine moves on.
+// An empty queue is an empty list, never null.
 func (c *Channel) Checkpoint() Checkpoint {
-	s := Checkpoint{
-		Banks:    make([]BankCheckpoint, len(c.banks)),
-		Queue:    make([]RequestCheckpoint, len(c.queue)),
-		Inflight: make([]RequestCheckpoint, len(c.inflight)),
-		Stats:    c.Stats,
+	return Checkpoint{Banks: c.banks, Queue: orEmpty(c.queue), Inflight: orEmpty(c.inflight), Stats: c.Stats}
+}
+
+// orEmpty returns q, or an empty non-nil slice for a queue never used.
+func orEmpty(q []Request) []Request {
+	if q == nil {
+		return []Request{}
 	}
-	for i, b := range c.banks {
-		s.Banks[i] = BankCheckpoint{OpenRow: b.openRow, ReadyAt: b.readyAt, LastActivate: b.lastActivate}
-	}
-	for i, r := range c.queue {
-		s.Queue[i] = RequestCheckpoint{Addr: r.Addr, IsWrite: r.IsWrite, Arrive: r.Arrive, Done: r.Done}
-	}
-	for i, r := range c.inflight {
-		s.Inflight[i] = RequestCheckpoint{Addr: r.Addr, IsWrite: r.IsWrite, Arrive: r.Arrive, Done: r.Done}
-	}
-	return s
+	return q
 }
 
 // RestoreState applies a snapshot onto a freshly constructed channel of
@@ -57,15 +38,11 @@ func (c *Channel) RestoreState(s Checkpoint) error {
 	if len(s.Banks) != len(c.banks) {
 		return fmt.Errorf("DRAM snapshot has %d banks, channel has %d", len(s.Banks), len(c.banks))
 	}
-	for i, b := range s.Banks {
-		c.banks[i] = bank{openRow: b.OpenRow, readyAt: b.ReadyAt, lastActivate: b.LastActivate}
-	}
-	load := func(dst []Request, src []RequestCheckpoint) []Request {
-		dst = dst[:0]
-		for _, rc := range src {
-			r := Request{Addr: rc.Addr, IsWrite: rc.IsWrite, Arrive: rc.Arrive, Done: rc.Done}
-			c.resolve(&r)
-			dst = append(dst, r)
+	copy(c.banks, s.Banks)
+	load := func(dst, src []Request) []Request {
+		dst = append(dst[:0], src...)
+		for i := range dst {
+			c.resolve(&dst[i])
 		}
 		return dst
 	}

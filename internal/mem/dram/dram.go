@@ -14,11 +14,14 @@ import (
 
 // Request is one DRAM transaction (a cache-line read or write). Requests
 // live by value in their channel's queues: none is allocated or shared.
+// A checkpoint serializes the live queues as they are: the exported
+// fields carry their JSON names, and the resolved ones are rebuilt on
+// restore.
 type Request struct {
-	Addr    uint32 // line address
-	IsWrite bool
-	Arrive  int64 // cycle the request becomes visible to the scheduler
-	Done    int64 // completion cycle, set by the scheduler
+	Addr    uint32 `json:"addr"` // line address
+	IsWrite bool   `json:"is_write"`
+	Arrive  int64  `json:"arrive"` // cycle the request becomes visible to the scheduler
+	Done    int64  `json:"done"`   // completion cycle, set by the scheduler
 
 	// bank and row are Addr resolved against the channel's geometry, once,
 	// by Enqueue (and by a checkpoint restore): every walk reads them for
@@ -27,15 +30,17 @@ type Request struct {
 	row  uint32
 }
 
-type bank struct {
-	openRow      int64 // -1 = closed
-	readyAt      int64 // earliest next column command
-	lastActivate int64
+// Bank is one bank's row-buffer and timing state, serialized as it is
+// by a checkpoint.
+type Bank struct {
+	OpenRow      int64 `json:"open_row"` // -1 = closed
+	ReadyAt      int64 `json:"ready_at"` // earliest next column command
+	LastActivate int64 `json:"last_activate"`
 }
 
 // Channel is one DRAM channel with FR-FCFS scheduling.
 type Channel struct {
-	banks []bank
+	banks []Bank
 	// queue holds the requests not yet issued, oldest first, and is
 	// arrival-ordered: Arrive never decreases from head to tail (Enqueue's
 	// contract, AuditOrder's check). What the scheduler may pick is thus a
@@ -52,7 +57,7 @@ type Channel struct {
 // NewChannel returns a channel with the given bank count and timing.
 func NewChannel(banks, rowBytes int, t config.DRAMTiming, dataLat int) *Channel {
 	ch := &Channel{
-		banks:    make([]bank, banks),
+		banks:    make([]Bank, banks),
 		timing:   t,
 		rowBytes: int64(rowBytes),
 		dataLat:  int64(dataLat),
@@ -66,7 +71,7 @@ func NewChannel(banks, rowBytes int, t config.DRAMTiming, dataLat int) *Channel 
 // launches: the DRAM half of a cold start.
 func (c *Channel) Precharge() {
 	for i := range c.banks {
-		c.banks[i] = bank{openRow: -1}
+		c.banks[i] = Bank{OpenRow: -1}
 	}
 }
 
@@ -164,14 +169,14 @@ func (c *Channel) scheduleOne(now int64) {
 			break
 		}
 		b := &c.banks[r.bank]
-		if b.readyAt > now {
+		if b.ReadyAt > now {
 			continue
 		}
-		if b.openRow == int64(r.row) {
+		if b.OpenRow == int64(r.row) {
 			pick, rowHit = i, true
 			break
 		}
-		if pick < 0 && now-b.lastActivate >= int64(c.timing.TRC) {
+		if pick < 0 && now-b.LastActivate >= int64(c.timing.TRC) {
 			pick = i
 		}
 	}
@@ -190,15 +195,15 @@ func (c *Channel) scheduleOne(now int64) {
 	} else {
 		// Precharge (if a row is open, honouring tRAS) then activate.
 		pre := int64(0)
-		if b.openRow >= 0 {
+		if b.OpenRow >= 0 {
 			pre = int64(t.TRP)
-			if early := b.lastActivate + int64(t.TRAS) - now; early > pre {
+			if early := b.LastActivate + int64(t.TRAS) - now; early > pre {
 				pre = early + int64(t.TRP)
 			}
 		}
 		latency = pre + int64(t.TRCD) + int64(t.TCL)
-		b.openRow = int64(r.row)
-		b.lastActivate = now + pre
+		b.OpenRow = int64(r.row)
+		b.LastActivate = now + pre
 		c.Stats.RowMisses++
 	}
 	latency += c.dataLat
@@ -214,9 +219,9 @@ func (c *Channel) scheduleOne(now int64) {
 	r.Done = now + latency
 	// The bank can take its next column command after the data transfer,
 	// plus the read-after-write turnaround when applicable.
-	b.readyAt = now + latency
+	b.ReadyAt = now + latency
 	if r.IsWrite {
-		b.readyAt += int64(t.TCDLR)
+		b.ReadyAt += int64(t.TCDLR)
 	}
 	c.inflight = append(c.inflight, r)
 }
@@ -227,7 +232,7 @@ func (c *Channel) scheduleOne(now int64) {
 // Open rows stay open.
 func (c *Channel) Rebase(origin int64) {
 	for i := range c.banks {
-		c.banks[i].readyAt -= origin
-		c.banks[i].lastActivate -= origin
+		c.banks[i].ReadyAt -= origin
+		c.banks[i].LastActivate -= origin
 	}
 }

@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,6 +163,7 @@ func TestAuditOrderReportsCorruptQueue(t *testing.T) {
 		enq(t, ch, uint32(i)*128, false, int64(10*i))
 	}
 	good := ch.Checkpoint()
+	good.Queue = slices.Clone(good.Queue) // the view aliases the queue the next line corrupts
 	ch.queue[1], ch.queue[2] = ch.queue[2], ch.queue[1]
 	err := ch.AuditOrder()
 	if err == nil || !strings.Contains(err.Error(), "out of arrival order") {
@@ -255,5 +258,24 @@ func BenchmarkDRAMChannelTick(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestCheckpointEmptyQueuesAreLists: the checkpoint view aliases the live
+// queues, and a queue never used, or restored empty, is nil; a snapshot
+// still serializes it as an empty list, as snapshots always have.
+func TestCheckpointEmptyQueuesAreLists(t *testing.T) {
+	restored := New2()
+	if err := restored.RestoreState(New2().Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	for name, ch := range map[string]*Channel{"new": New2(), "restored": restored} {
+		raw, err := json.Marshal(ch.Checkpoint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(raw), `"queue":[],"inflight":[]`) {
+			t.Errorf("%s channel's empty queues serialize as %s", name, raw)
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // early return, and no assumption about the queue's order beyond
 // "position is age".
 type refChannel struct {
-	banks    []bank
+	banks    []Bank
 	queue    []Request
 	inflight []Request
 	t        config.DRAMTiming
@@ -27,9 +27,9 @@ type refChannel struct {
 }
 
 func newRefChannel(banks, rowBytes int, t config.DRAMTiming, dataLat int) *refChannel {
-	c := &refChannel{banks: make([]bank, banks), t: t, rowBytes: int64(rowBytes), dataLat: int64(dataLat)}
+	c := &refChannel{banks: make([]Bank, banks), t: t, rowBytes: int64(rowBytes), dataLat: int64(dataLat)}
 	for i := range c.banks {
-		c.banks[i].openRow = -1
+		c.banks[i].OpenRow = -1
 	}
 	return c
 }
@@ -43,14 +43,14 @@ func (c *refChannel) enqueue(addr uint32, isWrite bool, arrive int64) {
 func (c *refChannel) tick(now int64) []Request {
 	pick, rowHit := -1, false
 	for i, r := range c.queue {
-		if b := &c.banks[r.bank]; r.Arrive <= now && b.readyAt <= now && b.openRow == int64(r.row) {
+		if b := &c.banks[r.bank]; r.Arrive <= now && b.ReadyAt <= now && b.OpenRow == int64(r.row) {
 			pick, rowHit = i, true
 			break
 		}
 	}
 	if pick < 0 {
 		for i, r := range c.queue {
-			if b := &c.banks[r.bank]; r.Arrive <= now && b.readyAt <= now && now-b.lastActivate >= int64(c.t.TRC) {
+			if b := &c.banks[r.bank]; r.Arrive <= now && b.ReadyAt <= now && now-b.LastActivate >= int64(c.t.TRC) {
 				pick = i
 				break
 			}
@@ -65,14 +65,14 @@ func (c *refChannel) tick(now int64) []Request {
 			c.rowHits++
 		} else {
 			pre := int64(0)
-			if b.openRow >= 0 {
+			if b.OpenRow >= 0 {
 				pre = int64(c.t.TRP)
-				if early := b.lastActivate + int64(c.t.TRAS) - now; early > pre {
+				if early := b.LastActivate + int64(c.t.TRAS) - now; early > pre {
 					pre = early + int64(c.t.TRP)
 				}
 			}
 			lat = pre + int64(c.t.TRCD) + int64(c.t.TCL)
-			b.openRow, b.lastActivate = int64(r.row), now+pre
+			b.OpenRow, b.LastActivate = int64(r.row), now+pre
 			c.rowMiss++
 		}
 		lat += c.dataLat
@@ -82,9 +82,9 @@ func (c *refChannel) tick(now int64) []Request {
 		} else {
 			c.reads++
 		}
-		r.Done, b.readyAt = now+lat, now+lat
+		r.Done, b.ReadyAt = now+lat, now+lat
 		if r.IsWrite {
-			b.readyAt += int64(c.t.TCDLR)
+			b.ReadyAt += int64(c.t.TCDLR)
 		}
 		c.inflight = append(c.inflight, r)
 	}

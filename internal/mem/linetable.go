@@ -43,6 +43,18 @@ func (t *LineTable[T]) resize(min int) {
 	t.slots, t.shift, t.n = make([]lineSlot[T], size), shift, 0
 }
 
+// Reset closes every entry, keeping the slot array and every waiter
+// array for reuse, as a run of Take calls would.
+func (t *LineTable[T]) Reset() {
+	for i := range t.slots {
+		if s := &t.slots[i]; s.live {
+			t.free = append(t.free, s.waiters[:0])
+			*s = lineSlot[T]{}
+		}
+	}
+	t.n = 0
+}
+
 // home is line's preferred slot: the top bits of a multiplicative hash,
 // which spreads addresses whose low (offset and partition) bits agree.
 func (t *LineTable[T]) home(line uint32) int { return int(line * 0x9E3779B1 >> t.shift) }

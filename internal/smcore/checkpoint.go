@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gpushare/internal/core"
-	"gpushare/internal/mem"
 	"gpushare/internal/mem/cache"
 	"gpushare/internal/sched"
 	"gpushare/internal/stats"
@@ -104,7 +103,11 @@ type Checkpoint struct {
 	Stats    stats.SM           `json:"stats"`
 }
 
-// Checkpoint captures the SM's mutable state at a cycle boundary.
+// Checkpoint returns a view of the SM's mutable state at a cycle
+// boundary. Register files, scratchpads, the L1 tag array and the
+// finished-slot list are aliased, not copied, so the view is valid until
+// the SM next ticks or launches a block: serialize it before the machine
+// moves on.
 func (sm *SM) Checkpoint() Checkpoint {
 	c := Checkpoint{
 		Warps:   make([]WarpCheckpoint, len(sm.warps)),
@@ -119,7 +122,7 @@ func (sm *SM) Checkpoint() Checkpoint {
 		Stats:   sm.Stats,
 	}
 	if len(sm.finished) > 0 {
-		c.Finished = append([]int(nil), sm.finished...)
+		c.Finished = sm.finished
 	}
 	for i := range sm.warps {
 		wc := &sm.warps[i]
@@ -143,7 +146,7 @@ func (sm *SM) Checkpoint() Checkpoint {
 			Arrived:     b.arrived,
 		}
 		if b.live && len(b.smem) > 0 {
-			bc.Smem = append([]byte(nil), b.smem...)
+			bc.Smem = b.smem
 		}
 		c.Blocks[i] = bc
 	}
@@ -193,7 +196,9 @@ func (sm *SM) Checkpoint() Checkpoint {
 // identical configuration and tenant layout, as of cycle now (the cycle
 // about to be simulated). Every warp is marked dirty, so the first
 // scheduler refresh rebuilds the view caches and incremental rankings
-// from the restored state.
+// from the restored state. The SM adopts the snapshot's scratchpads and
+// finished-slot list instead of copying them — c is decoded for this
+// restore and nothing else holds it — so c must not be used afterwards.
 func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 	if len(c.Warps) != len(sm.warps) {
 		return fmt.Errorf("SM%d: snapshot has %d warp slots, SM has %d", sm.ID, len(c.Warps), len(sm.warps))
@@ -240,7 +245,7 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 		b.activeWarps = s.ActiveWarps
 		b.arrived = s.Arrived
 		if len(s.Smem) > 0 {
-			b.smem = append([]byte(nil), s.Smem...)
+			b.smem = s.Smem
 		}
 		if !b.live {
 			continue
@@ -289,7 +294,7 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 		refs[idx]++
 		return groups[idx], nil
 	}
-	sm.mshr = mem.NewLineTable[*loadGroup]()
+	sm.mshr.Reset()
 	for _, e := range c.MSHR {
 		if len(e.Groups) == 0 {
 			return fmt.Errorf("SM%d: MSHR line %#x has no waiters", sm.ID, e.Addr)
@@ -338,7 +343,7 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 	sm.dynProb = c.DynProb
 	sm.rng = c.RNG
 	sm.nextDyn = c.NextDyn
-	sm.finished = append([]int(nil), c.Finished...)
+	sm.finished = c.Finished
 	sm.Stats = c.Stats
 	for ws := range sm.warps {
 		sm.markDirty(ws) // also drops the warp's scheduler's census

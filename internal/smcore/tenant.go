@@ -68,18 +68,11 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 		return nil, fmt.Errorf("SM%d: no tenants", id)
 	}
 	sm := &SM{
-		ID:      id,
-		cfg:     cfg,
-		l1:      cache.NewWithPolicy(cfg.L1Sets, cfg.L1Ways, cfg.L1LineSz, cfg.L1Policy),
-		mshr:    mem.NewLineTable[*loadGroup](),
-		memSys:  ms,
-		dynProb: 1,
-		rng:     cfg.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15,
-	}
-	if cfg.DynWarp && id == 0 {
-		// SM0 is the reference SM: non-owner memory instructions are
-		// disabled on it (§IV-C).
-		sm.dynProb = 0
+		ID:     id,
+		cfg:    cfg,
+		l1:     cache.NewWithPolicy(cfg.L1Sets, cfg.L1Ways, cfg.L1LineSz, cfg.L1Policy),
+		mshr:   mem.NewLineTable[*loadGroup](),
+		memSys: ms,
 	}
 
 	totalBlocks, totalWarps, totalThreads := 0, 0, 0
@@ -104,7 +97,6 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 			prog = NewProgram(cfg, k, tl.Occ)
 		}
 		t.meta, t.futureShared = prog.meta, prog.futureShared
-		t.st.SMs = 1
 		totalBlocks += tl.Occ.Max
 		totalWarps += tl.Occ.Max * wpb
 		totalThreads += tl.Occ.Max * k.Threads()
@@ -145,10 +137,7 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 		}
 	}
 
-	for i := 0; i < cfg.NumSchedulers; i++ {
-		sm.scheds = append(sm.scheds, sched.New(cfg.Sched, cfg.TwoLevelGroup, sm.waitingLong))
-		sm.schedWarps = append(sm.schedWarps, nil)
-	}
+	sm.schedWarps = make([][]int, cfg.NumSchedulers)
 	for ws := range sm.warps {
 		s := ws % cfg.NumSchedulers
 		sm.schedWarps[s] = append(sm.schedWarps[s], ws)
@@ -158,31 +147,88 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 	sm.dirty = make([]bool, len(sm.warps))
 	sm.slotSched = make([]int32, len(sm.warps))
 	sm.slotPos = make([]int32, len(sm.warps))
-	sm.census = make([]census, len(sm.scheds))
-	counts := make([]censusTenant, len(sm.scheds)*len(sm.tens))
+	sm.scheds = make([]sched.Scheduler, cfg.NumSchedulers)
+	sm.incr = make([]sched.Incremental, cfg.NumSchedulers)
+	sm.census = make([]census, cfg.NumSchedulers)
+	counts := make([]censusTenant, len(sm.census)*len(sm.tens))
 	for si := range sm.census {
 		sm.census[si].ten = counts[si*len(sm.tens) : (si+1)*len(sm.tens) : (si+1)*len(sm.tens)]
 	}
-	for si := range sm.scheds {
-		n := len(sm.schedWarps[si])
-		info := make([]sched.WarpInfo, n)
-		for pos, ws := range sm.schedWarps[si] {
-			info[pos] = sched.WarpInfo{Slot: ws}
+	for si, slots := range sm.schedWarps {
+		n := len(slots)
+		for pos, ws := range slots {
 			sm.slotSched[ws] = int32(si)
 			sm.slotPos[ws] = int32(pos)
 		}
-		sm.schedInfo = append(sm.schedInfo, info)
+		sm.schedInfo = append(sm.schedInfo, make([]sched.WarpInfo, n))
 		sm.dirtyList = append(sm.dirtyList, make([]int32, 0, n))
-		inc, _ := sm.scheds[si].(sched.Incremental)
 		var order []int // only the reference engine materialises rankings
 		if sm.reference {
-			inc = nil // legacy ranking everywhere on the recompute path
 			order = make([]int, 0, n)
 		}
 		sm.schedOrder = append(sm.schedOrder, order)
-		sm.incr = append(sm.incr, inc)
 	}
+	sm.Reset()
 	return sm, nil
+}
+
+// Reset returns the SM to exactly the state NewMulti built it in: a cold
+// L1; no live block or warp, scheduled writeback or MSHR line; fresh
+// schedulers, views and censuses; zeroed SM and tenant statistics and
+// sharing managers; and the seed and counters NewMulti starts from.
+// Buffers keep their capacity — register files, scratchpads, the MSHR
+// file, the writeback wheel's buckets, the free lists — so resetting
+// allocates next to nothing. A time-slice run resets a tenant's SMs at
+// each of its slices after the first instead of building them again.
+func (sm *SM) Reset() {
+	cfg := sm.cfg
+	sm.l1.Reset()
+	sm.mshr.Reset()
+	sm.wb.reset()
+	sm.lsuBusy, sm.nextDyn, sm.finished = 0, 0, nil
+	sm.dynProb = 1
+	if cfg.DynWarp && sm.ID == 0 {
+		// SM0 is the reference SM: non-owner memory instructions are
+		// disabled on it (§IV-C).
+		sm.dynProb = 0
+	}
+	sm.rng = cfg.Seed ^ (uint64(sm.ID)+1)*0x9e3779b97f4a7c15
+	sm.Stats = stats.SM{}
+	sm.liveBlocks = 0
+	for i := range sm.tens {
+		t := &sm.tens[i]
+		t.shr.Reset()
+		t.parked = 0
+		t.st = stats.Tenant{SMs: 1}
+	}
+	for ws := range sm.warps {
+		wc := &sm.warps[ws]
+		wc.w.Clear()
+		*wc = warpCtx{w: wc.w, tn: wc.tn}
+	}
+	for i := range sm.blocks {
+		b := &sm.blocks[i]
+		*b = blockCtx{smem: b.smem, tn: b.tn, warpBase: b.warpBase, wpb: b.wpb}
+	}
+	for si := range sm.scheds {
+		sm.scheds[si] = sched.New(cfg.Sched, cfg.TwoLevelGroup, sm.waitingLong)
+		inc, _ := sm.scheds[si].(sched.Incremental)
+		if sm.reference {
+			inc = nil // legacy ranking everywhere on the recompute path
+		}
+		sm.incr[si] = inc
+		for pos, ws := range sm.schedWarps[si] {
+			sm.schedInfo[si][pos] = sched.WarpInfo{Slot: ws}
+		}
+		sm.dirtyList[si] = sm.dirtyList[si][:0]
+		if sm.schedOrder[si] != nil {
+			sm.schedOrder[si] = sm.schedOrder[si][:0]
+		}
+		clear(sm.census[si].ten)
+		sm.census[si] = census{ten: sm.census[si].ten}
+	}
+	clear(sm.dirty)
+	sm.walk = sched.Cursor{}
 }
 
 // footprint prices the block slots held reports occupied with the one

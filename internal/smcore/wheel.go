@@ -36,6 +36,16 @@ func (w *wbWheel) schedule(now, at int64, ev wbEvent) {
 	w.slotAt[i] = at
 }
 
+// reset drops every scheduled event, keeping each slot's backing array.
+func (w *wbWheel) reset() {
+	for i := range w.slots {
+		w.slots[i] = w.slots[i][:0]
+	}
+	w.slotAt = [wbWheelSize]int64{}
+	clear(w.overflow)
+	w.count = 0
+}
+
 // forEach visits every scheduled event with its deadline, in one
 // deterministic order: wheel slots by index, then overflow deadlines
 // ascending. Read-only; the checkpoint serialises in this order (retire

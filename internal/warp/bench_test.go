@@ -45,7 +45,7 @@ func BenchmarkWarpExecute(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w.simt.stack[0].pc = 0
+				w.simt.stack[0].PC = 0
 				if _, err := w.Execute(&op, env, nil); err != nil {
 					b.Fatal(err)
 				}

@@ -6,41 +6,36 @@ import (
 	"gpushare/internal/kernel"
 )
 
-// SIMTEntryCheckpoint is one serialized reconvergence-stack entry.
-type SIMTEntryCheckpoint struct {
-	PC   int    `json:"pc"`
-	RPC  int    `json:"rpc"`
-	Mask uint32 `json:"mask"`
-}
-
 // StateCheckpoint is a warp's complete serialized execution state. The
 // hardware slot (State.ID) is assigned by the SM at construction and is
 // not part of the snapshot; the register file length implicitly encodes
 // the kernel's registers-per-thread and is validated on restore.
 type StateCheckpoint struct {
-	DynID     int64                 `json:"dyn_id"`
-	BlockSlot int                   `json:"block_slot"`
-	WarpInCta int                   `json:"warp_in_cta"`
-	Lanes     uint32                `json:"lanes"`
-	Stack     []SIMTEntryCheckpoint `json:"stack"`
-	Regs      []uint32              `json:"regs"`
-	Preds     []uint32              `json:"preds"`
+	DynID     int64       `json:"dyn_id"`
+	BlockSlot int         `json:"block_slot"`
+	WarpInCta int         `json:"warp_in_cta"`
+	Lanes     uint32      `json:"lanes"`
+	Stack     []SIMTEntry `json:"stack"`
+	Regs      []uint32    `json:"regs"`
+	Preds     []uint32    `json:"preds"`
 }
 
-// Checkpoint captures the warp's full execution state: identity,
-// reconvergence stack, register file, and predicate registers.
+// Checkpoint returns a view of the warp's full execution state:
+// identity, reconvergence stack, register file, and predicate
+// registers. The view aliases the live stack and registers rather than
+// copying them, so it is valid until the warp next executes or resets:
+// serialize it before the machine moves on.
 func (w *State) Checkpoint() StateCheckpoint {
 	c := StateCheckpoint{
 		DynID:     w.DynID,
 		BlockSlot: w.BlockSlot,
 		WarpInCta: w.WarpInCta,
 		Lanes:     w.Lanes,
-		Stack:     make([]SIMTEntryCheckpoint, len(w.simt.stack)),
-		Regs:      append([]uint32(nil), w.regs...),
-		Preds:     append([]uint32(nil), w.preds[:]...),
+		Stack:     w.simt.stack,
+		Preds:     w.preds[:],
 	}
-	for i, e := range w.simt.stack {
-		c.Stack[i] = SIMTEntryCheckpoint{PC: e.pc, RPC: e.rpc, Mask: e.mask}
+	if len(w.regs) > 0 { // a register-less kernel's file serializes as null
+		c.Regs = w.regs
 	}
 	return c
 }
@@ -59,10 +54,7 @@ func (w *State) RestoreState(c StateCheckpoint) error {
 	w.BlockSlot = c.BlockSlot
 	w.WarpInCta = c.WarpInCta
 	w.Lanes = c.Lanes
-	w.simt.stack = w.simt.stack[:0]
-	for _, e := range c.Stack {
-		w.simt.stack = append(w.simt.stack, simtEntry{pc: e.PC, rpc: e.RPC, mask: e.Mask})
-	}
+	w.simt.stack = append(w.simt.stack[:0], c.Stack...)
 	copy(w.regs, c.Regs)
 	copy(w.preds[:], c.Preds)
 	return nil

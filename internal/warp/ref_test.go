@@ -214,8 +214,8 @@ func newDiffMachine(seed int64, lanes, top uint32) *diffMachine {
 		w.preds[i] = rng.Uint32()
 	}
 	if top != lanes {
-		w.simt.stack = append(w.simt.stack, simtEntry{pc: 4, rpc: 9, mask: top & lanes})
-		w.simt.stack[0].pc = 9
+		w.simt.stack = append(w.simt.stack, SIMTEntry{PC: 4, RPC: 9, Mask: top & lanes})
+		w.simt.stack[0].PC = 9
 	}
 	return &diffMachine{w: w, env: env, gm: gm}
 }

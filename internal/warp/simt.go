@@ -6,10 +6,12 @@ package warp
 // NoReconv marks the bottom stack entry, which never reconverges.
 const NoReconv = -1
 
-type simtEntry struct {
-	pc   int
-	rpc  int // reconvergence PC; NoReconv for the bottom entry
-	mask uint32
+// SIMTEntry is one reconvergence-stack entry. A checkpoint serializes
+// the live stack as it is, so the fields carry their JSON names.
+type SIMTEntry struct {
+	PC   int    `json:"pc"`
+	RPC  int    `json:"rpc"` // reconvergence PC; NoReconv for the bottom entry
+	Mask uint32 `json:"mask"`
 }
 
 // SIMT is a per-warp reconvergence stack in the style of post-dominator
@@ -18,12 +20,12 @@ type simtEntry struct {
 // to the reconvergence point and one entry per outcome is pushed; an entry
 // whose PC reaches its reconvergence PC is popped, resuming the parent.
 type SIMT struct {
-	stack []simtEntry
+	stack []SIMTEntry
 }
 
 // NewSIMT returns a stack with all lanes in mask active at PC 0.
 func NewSIMT(mask uint32) SIMT {
-	return SIMT{stack: []simtEntry{{pc: 0, rpc: NoReconv, mask: mask}}}
+	return SIMT{stack: []SIMTEntry{{PC: 0, RPC: NoReconv, Mask: mask}}}
 }
 
 // Done reports whether no lanes remain (the warp has finished).
@@ -36,7 +38,7 @@ func (s *SIMT) Depth() int { return len(s.stack) }
 // finished warp.
 func (s *SIMT) Top() (pc int, mask uint32) {
 	t := &s.stack[len(s.stack)-1]
-	return t.pc, t.mask
+	return t.PC, t.Mask
 }
 
 // reconverge pops entries whose PC has reached their reconvergence point
@@ -44,11 +46,11 @@ func (s *SIMT) Top() (pc int, mask uint32) {
 func (s *SIMT) reconverge() {
 	for len(s.stack) > 0 {
 		t := &s.stack[len(s.stack)-1]
-		if t.mask == 0 {
+		if t.Mask == 0 {
 			s.stack = s.stack[:len(s.stack)-1]
 			continue
 		}
-		if len(s.stack) > 1 && t.pc == t.rpc {
+		if len(s.stack) > 1 && t.PC == t.RPC {
 			s.stack = s.stack[:len(s.stack)-1]
 			continue
 		}
@@ -58,7 +60,7 @@ func (s *SIMT) reconverge() {
 
 // Advance moves past a non-branch instruction.
 func (s *SIMT) Advance() {
-	s.stack[len(s.stack)-1].pc++
+	s.stack[len(s.stack)-1].PC++
 	s.reconverge()
 }
 
@@ -72,31 +74,31 @@ func (s *SIMT) Advance() {
 // label discipline produces exactly this shape.
 func (s *SIMT) Branch(taken uint32, target, reconv int) {
 	top := &s.stack[len(s.stack)-1]
-	cur := top.mask
-	fallPC := top.pc + 1
+	cur := top.Mask
+	fallPC := top.PC + 1
 	notTaken := cur &^ taken
 	switch {
 	case taken == 0:
-		top.pc = fallPC
+		top.PC = fallPC
 	case notTaken == 0:
-		top.pc = target
+		top.PC = target
 	default:
-		top.pc = reconv
+		top.PC = reconv
 		// Coalesce with an identical waiting entry below (this happens
 		// every iteration of a loop that sheds lanes): the lower entry
 		// already holds a superset mask waiting at the same point, so
 		// the stack stays bounded regardless of trip counts.
 		if n := len(s.stack); n >= 2 {
 			below := &s.stack[n-2]
-			if below.pc == top.pc && below.rpc == top.rpc {
+			if below.PC == top.PC && below.RPC == top.RPC {
 				s.stack = s.stack[:n-1]
 			}
 		}
 		if fallPC != reconv {
-			s.stack = append(s.stack, simtEntry{pc: fallPC, rpc: reconv, mask: notTaken})
+			s.stack = append(s.stack, SIMTEntry{PC: fallPC, RPC: reconv, Mask: notTaken})
 		}
 		if target != reconv {
-			s.stack = append(s.stack, simtEntry{pc: target, rpc: reconv, mask: taken})
+			s.stack = append(s.stack, SIMTEntry{PC: target, RPC: reconv, Mask: taken})
 		}
 	}
 	s.reconverge()
@@ -107,11 +109,11 @@ func (s *SIMT) Branch(taken uint32, target, reconv int) {
 // It returns true when the warp has finished entirely.
 func (s *SIMT) ExitLanes(exited uint32) bool {
 	for i := range s.stack {
-		s.stack[i].mask &^= exited
+		s.stack[i].Mask &^= exited
 	}
 	// Lanes that did not take the (guarded) exit continue at pc+1.
-	if top := &s.stack[len(s.stack)-1]; top.mask != 0 {
-		top.pc++
+	if top := &s.stack[len(s.stack)-1]; top.Mask != 0 {
+		top.PC++
 	}
 	s.reconverge()
 	return s.Done()
@@ -122,7 +124,7 @@ func (s *SIMT) ExitLanes(exited uint32) bool {
 func (s *SIMT) ActiveUnion() uint32 {
 	var m uint32
 	for i := range s.stack {
-		m |= s.stack[i].mask
+		m |= s.stack[i].Mask
 	}
 	return m
 }
@@ -138,13 +140,13 @@ func (s *SIMT) WellFormed() bool { return s.wellNested() }
 func (s *SIMT) wellNested() bool {
 	for i := 1; i < len(s.stack); i++ {
 		child, parent := &s.stack[i], &s.stack[i-1]
-		if parent.pc == child.pc && parent.rpc == child.rpc {
+		if parent.PC == child.PC && parent.RPC == child.RPC {
 			continue // coalescable twins hold independent lane sets
 		}
-		if child.mask&^parent.mask != 0 {
-			if parent.rpc == child.rpc {
+		if child.Mask&^parent.Mask != 0 {
+			if parent.RPC == child.RPC {
 				// Siblings of one divergence: disjoint instead.
-				if child.mask&parent.mask != 0 {
+				if child.Mask&parent.Mask != 0 {
 					return false
 				}
 				continue

@@ -156,7 +156,7 @@ func TestSIMTMaskInvariants(t *testing.T) {
 			// Reconvergence points must stay properly nested inside the
 			// enclosing region (structured control flow), as the kernel
 			// builder guarantees.
-			bound := s.stack[len(s.stack)-1].rpc
+			bound := s.stack[len(s.stack)-1].RPC
 			switch rng.Intn(4) {
 			case 0:
 				s.Advance()

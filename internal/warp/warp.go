@@ -103,6 +103,14 @@ func NewState(nregs int, lanes uint32) *State {
 	}
 }
 
+// Clear returns the warp to the state NewState left it in — no lanes,
+// no block bound, registers and predicates zero — keeping its hardware
+// slot and the storage of its register file and reconvergence stack.
+func (w *State) Clear() {
+	*w = State{ID: w.ID, simt: SIMT{stack: append(w.simt.stack[:0], NewSIMT(0).stack...)}, regs: w.regs}
+	clear(w.regs)
+}
+
 // Reset reinitializes the warp for a fresh block launch, reusing the
 // register backing store.
 func (w *State) Reset(lanes uint32) {

@@ -1,6 +1,7 @@
 package warp
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -219,5 +220,24 @@ func TestResetClearsState(t *testing.T) {
 	}
 	if pc, mask, ok := w.PC(); !ok || pc != 0 || mask != LanesMask(16) {
 		t.Errorf("Reset PC state: pc=%d mask=%#x ok=%v", pc, mask, ok)
+	}
+}
+
+// TestCheckpointViewEncoding: the checkpoint view aliases the live
+// register file, so it follows the live warp; a register-less kernel's
+// empty file still serializes as null, as snapshots always have.
+func TestCheckpointViewEncoding(t *testing.T) {
+	w := NewState(2, 1)
+	c := w.Checkpoint()
+	w.regs[0] = 7
+	if c.Regs[0] != 7 {
+		t.Error("the view copied the register file instead of aliasing it")
+	}
+	raw, err := json.Marshal(NewState(0, 1).Checkpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"regs":null`) {
+		t.Errorf("a register-less warp serializes as %s", raw)
 	}
 }

@@ -27,6 +27,7 @@ baseline=BENCH_baseline.json
 mode="${1-}"
 microtime="2s"
 e2etime="3x"
+capturetime="20x"
 nstol=15
 if [ "$mode" = "-quick" ]; then
     # A timed window, not an iteration count: the microbenchmarks span
@@ -35,6 +36,7 @@ if [ "$mode" = "-quick" ]; then
     # scheduler hiccup doubled the reading and tripped the ns/op gate.
     microtime="200ms"
     e2etime="1x"
+    capturetime="3x"
     nstol=50
 fi
 
@@ -52,9 +54,17 @@ echo "== microbenchmarks (smcore SM tick incl. scratchpad kernel + all-blocked c
 go test -p 1 -run '^$' -bench 'BenchmarkSMTick$|BenchmarkSMTickManyWarps$|BenchmarkSMTickScratchpad$|BenchmarkSMTickStalled$|BenchmarkSMTickLockWait$|BenchmarkWarpExecute$|BenchmarkEvalRowSFU$|BenchmarkBankConflictDegree$|BenchmarkSchedOrder$|BenchmarkMemSystemTick$|BenchmarkMemSystemTickIdle|BenchmarkDRAMChannelTick$|BenchmarkCheckpointRoundtrip$' \
     -benchmem -benchtime "$microtime" ./internal/smcore/ ./internal/warp/ ./internal/isa/ ./internal/sched/ ./internal/mem/ ./internal/mem/dram/ ./internal/checkpoint/ | tee -a "$out"
 
-echo "== end-to-end engine (full hotspot simulation per op; two-tenant co-residency per op; 56 mostly-blocked SMs per op; compute-bound, memory drained, per op)"
-go test -run '^$' -bench 'BenchmarkRunHotspot$|BenchmarkCoResident|BenchmarkBlockedSMs$|BenchmarkComputeBound' \
+echo "== end-to-end engine (full hotspot simulation per op; two-tenant co-residency per op; 56 mostly-blocked SMs per op; compute-bound, memory drained, per op; a whole hotspot+lavaMD time-slice run per op)"
+go test -run '^$' -bench 'BenchmarkRunHotspot$|BenchmarkCoResident|BenchmarkBlockedSMs$|BenchmarkComputeBound|BenchmarkTimeSlice$' \
     -benchmem -benchtime "$e2etime" -timeout 30m ./internal/gpu/ | tee -a "$out"
+
+echo "== checkpoint capture (one MUM machine snapshot at cycle 60 000 per op)"
+# More ops than the end-to-end rows: a capture's encoding/json scratch
+# buffer comes from a per-P pool, so an op that runs on the other P of
+# a 2-CPU host regrows it to the payload's size once (~13 MB), and over
+# three ops that one regrowth is a fifth of the op's time.
+go test -run '^$' -bench 'BenchmarkCapture$' \
+    -benchmem -benchtime "$capturetime" -timeout 30m ./internal/gpu/ | tee -a "$out"
 
 echo "== service layer (a fresh job through gsched vs straight to its worker; a gserved hit, whole HTTP round trip; a done status decoded by the fast path vs json.Unmarshal)"
 # BenchmarkFleetDispatch also prints worker-ms/job and dispatch-ms/job:
