@@ -1,10 +1,7 @@
 package workloads
 
 import (
-	"fmt"
-
 	"gpushare/internal/isa"
-	"gpushare/internal/kernel"
 	"gpushare/internal/mem"
 )
 
@@ -17,23 +14,20 @@ import (
 var EpilogueMicro = &Spec{
 	Name: "epilogue", Suite: "gpushare", Kernel: "epilogue_micro",
 	Set: Set1, BlockDim: 256, RegsPerThread: 48,
-	Build: buildEpilogueMicro,
+	// Trips tail loads, Stride bytes apart.
+	shape: Shape{Grid: 84, Trips: 48, Stride: 4096},
+	build: buildEpilogueMicro,
 }
 
 func init() { extras = append(extras, EpilogueMicro) }
 
-const (
-	epiSharedIters = 8
-	epiTailIters   = 48
-	epiStride      = 4096 // bytes between successive tail loads
-)
+const epiSharedIters = 8
 
-func buildEpilogueMicro(scale int) *Instance {
-	grid := 84 * scale
-	n := grid * 256
+func buildEpilogueMicro(s *Spec, sh Shape, scale int) *Instance {
+	grid := sh.Grid * scale
+	n := grid * s.BlockDim
 
-	b := kernel.NewBuilder("epilogue_micro", 256)
-	b.Params(1).SetRegs(48)
+	b := s.program(s.Kernel, 1)
 	// With 48 registers at t=0.1 the private pool is r0..r3; the shared
 	// phase uses r20+ and the tail only r0..r3.
 	const (
@@ -71,9 +65,9 @@ func buildEpilogueMicro(scale int) *Instance {
 	b.LdG(rT, isa.Reg(rOut), 0)
 	b.IAdd(rAcc, isa.Reg(rAcc), isa.Reg(rT))
 	b.Xor(rAcc, isa.Reg(rAcc), isa.Imm(0x5a5a))
-	b.IAdd(rOut, isa.Reg(rOut), isa.Imm(epiStride))
+	b.IAdd(rOut, isa.Reg(rOut), isa.Imm(int32(sh.Stride)))
 	b.IAdd(rGid, isa.Reg(rGid), isa.Imm(1))
-	b.Setp(isa.CmpLT, 0, isa.Reg(rGid), isa.Imm(epiTailIters))
+	b.Setp(isa.CmpLT, 0, isa.Reg(rGid), isa.Imm(int32(sh.Trips)))
 	b.BraIf(0, false, "loop", "fin")
 	b.Label("fin")
 	// The final store lands past every thread's read walk (offset 4n),
@@ -84,40 +78,28 @@ func buildEpilogueMicro(scale int) *Instance {
 
 	// The tail walks one buffer (element gid*4 + i*stride) and stores 4n
 	// bytes past its final position; size the buffer for the last store.
-	bufWords := 2*n + epiTailIters*epiStride/4 + 64
-	init := make([]uint32, bufWords)
-	var outAddr uint32
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(163)
-			for i := range init {
-				init[i] = uint32(rng.next()) & 0xffff
+	init := make([]uint32, 2*n+sh.Trips*sh.Stride/4+64)
+	inst := newInstance(k, grid, 163,
+		words(init, func(r *splitmix64) uint32 { return uint32(r.next()) & 0xffff }))
+	inst.Check = func(m *mem.Global) error {
+		for t := 0; t < n; t += 131 {
+			var acc, shA uint32 = 0, 3
+			for i := 0; i < epiSharedIters; i++ {
+				shB := shA*5 + uint32(t)
+				shA = shB & 0xffff
+				acc += shA
 			}
-			outAddr = m.Alloc(4 * bufWords)
-			m.WriteWords(outAddr, init)
-			launch.Params = []uint32{outAddr}
-		},
-		Check: func(m *mem.Global) error {
-			for t := 0; t < n; t += 131 {
-				var acc, shA uint32 = 0, 3
-				for i := 0; i < epiSharedIters; i++ {
-					shB := shA*5 + uint32(t)
-					shA = shB & 0xffff
-					acc += shA
-				}
-				addr := outAddr + uint32(4*t)
-				for i := 0; i < epiTailIters; i++ {
-					acc += init[(addr-outAddr)/4]
-					acc ^= 0x5a5a
-					addr += epiStride
-				}
-				if got := m.Load32(addr + uint32(4*n)); got != acc {
-					return fmt.Errorf("epilogue out[%d] = %#x, want %#x", t, got, acc)
-				}
+			word := t // the thread's tail walk, in words from the buffer
+			for i := 0; i < sh.Trips; i++ {
+				acc += init[word]
+				acc ^= 0x5a5a
+				word += sh.Stride / 4
 			}
-			return nil
-		},
+			if err := expect(m, s.Name, "out", inst.Launch.Params[0], word+n, acc); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
+	return inst
 }

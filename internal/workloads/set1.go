@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"fmt"
-
 	"gpushare/internal/isa"
 	"gpushare/internal/kernel"
 	"gpushare/internal/mem"
@@ -26,22 +24,20 @@ func emitTotalThreads(b *kernel.Builder, rTot int) {
 }
 
 // Backprop is the bpnn_adjust_weights_cuda proxy: a streaming weight
-// update, w[i] += 0.3*delta[i] + 0.3*oldw[i], four grid-strided elements
-// per thread. 256 threads/block, 24 registers/thread.
+// update, w[i] += 0.3*delta[i] + 0.3*oldw[i], over Trips grid-strided
+// elements per thread. 256 threads/block, 24 registers/thread.
 var Backprop = register(&Spec{
 	Name: "backprop", Suite: "GPGPU-Sim", Kernel: "bpnn_adjust_weights_cuda",
 	Set: Set1, BlockDim: 256, RegsPerThread: 24,
-	Build: buildBackprop,
+	shape: Shape{Grid: 252, Trips: 2},
+	build: buildBackprop,
 })
 
-const backpropElems = 2
+func buildBackprop(s *Spec, sh Shape, scale int) *Instance {
+	grid := sh.Grid * scale
+	n := grid * s.BlockDim * sh.Trips
 
-func buildBackprop(scale int) *Instance {
-	grid := 252 * scale
-	n := grid * 256 * backpropElems
-
-	b := kernel.NewBuilder("bpnn_adjust_weights_cuda", 256)
-	b.Params(3).SetRegs(24)
+	b := s.program(s.Kernel, 3)
 	// Deliberately "declaration-order" register numbering as emitted by
 	// the CUDA toolchain (Fig. 7a): the early address registers sit high
 	// in the file, so under register sharing a non-owner warp touches
@@ -58,7 +54,7 @@ func buildBackprop(scale int) *Instance {
 	b.LdParam(rD, 2)
 	b.Shl(rOff, isa.Reg(rGid), isa.Imm(2))
 	b.Shl(rStride, isa.Reg(rTot), isa.Imm(2))
-	for e := 0; e < backpropElems; e++ {
+	for e := 0; e < sh.Trips; e++ {
 		b.IAdd(rAW, isa.Reg(rW), isa.Reg(rOff))
 		b.IAdd(rAD, isa.Reg(rD), isa.Reg(rOff))
 		b.IAdd(rAO, isa.Reg(rOW), isa.Reg(rOff))
@@ -70,75 +66,62 @@ func buildBackprop(scale int) *Instance {
 		b.StG(isa.Reg(rAW), 0, isa.Reg(rT2))
 		b.FMul(rT1, isa.Reg(rVD), isa.ImmF(0.3))
 		b.StG(isa.Reg(rAO), 0, isa.Reg(rT1))
-		if e != backpropElems-1 {
+		if e != sh.Trips-1 {
 			b.IAdd(rOff, isa.Reg(rOff), isa.Reg(rStride))
 		}
 	}
 	b.Exit()
 	k := b.MustBuild()
 
-	var wAddr, owAddr, dAddr uint32
 	w := make([]float32, n)
 	ow := make([]float32, n)
 	d := make([]float32, n)
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(11)
-			for i := range w {
-				w[i] = rng.nextFloat()
-				ow[i] = rng.nextFloat()
-				d[i] = rng.nextFloat() - 0.5
-			}
-			wAddr = m.Alloc(4 * n)
-			owAddr = m.Alloc(4 * n)
-			dAddr = m.Alloc(4 * n)
-			m.WriteFloats(wAddr, w)
-			m.WriteFloats(owAddr, ow)
-			m.WriteFloats(dAddr, d)
-			launch.Params = []uint32{wAddr, owAddr, dAddr}
-		},
-		Check: func(m *mem.Global) error {
-			for i := 0; i < n; i++ {
-				t1 := float32(d[i]*0.3) + w[i]
-				wantW := float32(ow[i]*0.3) + t1
-				wantO := d[i] * 0.3
-				if got := m.Load32(wAddr + uint32(4*i)); got != f32bits(wantW) {
-					return fmt.Errorf("w[%d] = %#x, want %#x", i, got, f32bits(wantW))
-				}
-				if got := m.Load32(owAddr + uint32(4*i)); got != f32bits(wantO) {
-					return fmt.Errorf("oldw[%d] = %#x, want %#x", i, got, f32bits(wantO))
-				}
-			}
-			return nil
-		},
+	inst := newInstance(k, grid, 0, floats(w, nil), floats(ow, nil), floats(d, nil))
+	setup := inst.Setup
+	inst.Setup = func(m *mem.Global) {
+		rng := splitmix64(11) // the three inputs draw interleaved
+		for i := range w {
+			w[i], ow[i], d[i] = rng.nextFloat(), rng.nextFloat(), rng.nextFloat()-0.5
+		}
+		setup(m)
 	}
+	inst.Check = func(m *mem.Global) error {
+		p := inst.Launch.Params
+		for i := 0; i < n; i++ {
+			t1 := float32(d[i]*0.3) + w[i]
+			if err := expect(m, s.Name, "w", p[0], i, f32bits(float32(ow[i]*0.3)+t1)); err != nil {
+				return err
+			}
+			if err := expect(m, s.Name, "oldw", p[1], i, f32bits(d[i]*0.3)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return inst
 }
 
-// BTree is the findRangeK proxy: every thread walks a 13-level implicit
-// heap, branching on key comparisons, with a guarded early exit that
-// diverges the warp. 508 threads/block (16 warps, the last partial),
-// 24 registers/thread. Lower tree levels produce heavily uncoalesced
+// BTree is the findRangeK proxy: every thread walks an implicit heap
+// down from a shallow start, one node load per level for Trips levels,
+// branching on key comparisons, with a guarded early exit that diverges
+// the warp. 508 threads/block (16 warps, the last partial), 24
+// registers/thread. Lower tree levels produce heavily uncoalesced
 // loads, making the walk memory-latency-bound.
 var BTree = register(&Spec{
 	Name: "b+tree", Suite: "GPGPU-Sim", Kernel: "findRangeK",
 	Set: Set1, BlockDim: 508, RegsPerThread: 24,
-	Build: buildBTree,
+	// The node pool is large enough that deep levels miss the L2.
+	shape: Shape{Grid: 126, Trips: 10, WorkingSet: 512 << 10},
+	build: buildBTree,
 })
 
-const (
-	btreeLevels = 11      // walk depth per query
-	btreeNodes  = 1 << 17 // node pool (512KB): deep levels miss the L2
-	btreeStarts = 128     // scattered shallow starting positions
-)
+const btreeStarts = 128 // scattered shallow starting positions
 
-func buildBTree(scale int) *Instance {
-	grid := 126 * scale
-	threads := grid * 508
+func buildBTree(s *Spec, sh Shape, scale int) *Instance {
+	grid := sh.Grid * scale
+	threads := grid * s.BlockDim
 
-	b := kernel.NewBuilder("findRangeK", 508)
-	b.Params(3).SetRegs(24)
+	b := s.program(s.Kernel, 3)
 	const (
 		rGid, rTree, rOut, rQ = 18, 19, 20, 21
 		rPos, rL, rKey, rA    = 0, 1, 2, 3
@@ -179,7 +162,7 @@ func buildBTree(scale int) *Instance {
 	b.IMad(rPos, isa.Reg(rPos), isa.Imm(2), isa.Reg(rBit))
 	b.IAdd(rPos, isa.Reg(rPos), isa.Imm(1))
 	b.IAdd(rL, isa.Reg(rL), isa.Imm(1))
-	b.Setp(isa.CmpLT, 0, isa.Reg(rL), isa.Imm(btreeLevels-1))
+	b.Setp(isa.CmpLT, 0, isa.Reg(rL), isa.Imm(int32(sh.Trips)))
 	b.BraIf(0, false, "level", "found")
 	b.Label("found")
 	// out[gid] = pos (rGid already holds gid*4)
@@ -194,53 +177,35 @@ func buildBTree(scale int) *Instance {
 	// (via Guard) jumps straight to "found" — it shares the same
 	// reconvergence point, which the Bra helper set to its own target.
 
-	tree := make([]uint32, btreeNodes)
+	tree := make([]uint32, sh.WorkingSet/4)
 	queries := make([]uint32, threads)
-	var treeAddr, outAddr, qAddr uint32
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(23)
-			for i := range tree {
-				tree[i] = uint32(rng.next())
-			}
-			for i := range queries {
-				queries[i] = uint32(rng.next())
-			}
-			treeAddr = m.Alloc(4 * btreeNodes)
-			outAddr = m.Alloc(4 * threads)
-			qAddr = m.Alloc(4 * threads)
-			m.WriteWords(treeAddr, tree)
-			m.WriteWords(qAddr, queries)
-			launch.Params = []uint32{treeAddr, outAddr, qAddr}
-		},
-		Check: func(m *mem.Global) error {
-			for t := 0; t < threads; t++ {
-				q := queries[t]
-				pos := ((uint32(t) >> 5) * 2654435769) & (btreeStarts - 1)
-				for l := 0; l < btreeLevels-1; l++ {
-					key := tree[pos]
-					if (key^q)&7 == 0 {
-						break
-					}
-					bit := uint32(0)
-					if q >= key {
-						bit = 1
-					}
-					pos = 2*pos + 1 + bit
+	inst := newInstance(k, grid, 23, words(tree, anyWord), output(threads), words(queries, anyWord))
+	inst.Check = func(m *mem.Global) error {
+		for t := 0; t < threads; t++ {
+			q := queries[t]
+			pos := ((uint32(t) >> 5) * 2654435769) & (btreeStarts - 1)
+			for l := 0; l < sh.Trips; l++ {
+				key := tree[pos]
+				if (key^q)&7 == 0 {
+					break
 				}
-				if got := m.Load32(outAddr + uint32(4*t)); got != pos {
-					return fmt.Errorf("b+tree out[%d] = %d, want %d", t, got, pos)
+				bit := uint32(0)
+				if q >= key {
+					bit = 1
 				}
+				pos = 2*pos + 1 + bit
 			}
-			return nil
-		},
+			if err := expect(m, s.Name, "out", inst.Launch.Params[1], t, pos); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
+	return inst
 }
 
 // Hotspot is the calculate_temp proxy: an iterative thermal stencil.
-// Each of its 12 time steps streams one fresh power sample from global
+// Each of its Trips time steps streams one fresh power sample from global
 // memory and runs a long dependent floating-point chain on register-
 // resident state — compute-bound, but with enough memory latency in the
 // chain that the baseline's 24 warps per SM cannot hide it all (the
@@ -249,21 +214,18 @@ func buildBTree(scale int) *Instance {
 var Hotspot = register(&Spec{
 	Name: "hotspot", Suite: "RODINIA", Kernel: "calculate_temp",
 	Set: Set1, BlockDim: 256, RegsPerThread: 36,
-	Build: buildHotspot,
+	// The power tile is WorkingSet/Stride slices of Stride bytes; a
+	// step's lanes fan out over the first 16 cache lines of a slice.
+	shape: Shape{Grid: 252, Trips: 12, WorkingSet: 1 << 20, Stride: 2048},
+	build: buildHotspot,
 })
 
-const (
-	hotspotSteps  = 12
-	hotspotSlices = 512  // per-warp power-tile slices
-	hotspotSliceB = 2048 // bytes per slice (16 cache lines)
-)
+func buildHotspot(s *Spec, sh Shape, scale int) *Instance {
+	grid := sh.Grid * scale
+	n := grid * s.BlockDim
+	slices := sh.WorkingSet / sh.Stride
 
-func buildHotspot(scale int) *Instance {
-	grid := 252 * scale
-	n := grid * 256
-
-	b := kernel.NewBuilder("calculate_temp", 256)
-	b.Params(3).SetRegs(36)
+	b := s.program(s.Kernel, 3)
 	const (
 		rGid, rTemp, rPow, rOut       = 30, 31, 32, 33
 		rOff, rStride, rI             = 34, 35, 29
@@ -292,11 +254,11 @@ func buildHotspot(scale int) *Instance {
 		rBase   = 34 // reuses rOff
 	)
 	b.Shr(rStride, isa.Reg(rGid), isa.Imm(5))
-	b.And(rStride, isa.Reg(rStride), isa.Imm(hotspotSlices-1))
-	b.IMad(rPow, isa.Reg(rStride), isa.Imm(hotspotSliceB), isa.Reg(rPow))
+	b.And(rStride, isa.Reg(rStride), isa.Imm(int32(slices-1)))
+	b.IMad(rPow, isa.Reg(rStride), isa.Imm(int32(sh.Stride)), isa.Reg(rPow))
 	b.Mov(rShared, isa.Sreg(isa.SrCtaid))
-	b.And(rShared, isa.Reg(rShared), isa.Imm(hotspotSlices-1))
-	b.IMul(rShared, isa.Reg(rShared), isa.Imm(hotspotSliceB))
+	b.And(rShared, isa.Reg(rShared), isa.Imm(int32(slices-1)))
+	b.IMul(rShared, isa.Reg(rShared), isa.Imm(int32(sh.Stride)))
 	b.LdParam(rStride, 1)
 	b.IAdd(rShared, isa.Reg(rShared), isa.Reg(rStride))
 	const rMask = 12
@@ -335,7 +297,7 @@ func buildHotspot(scale int) *Instance {
 	b.FMul(rN, isa.Reg(rN), isa.ImmF(0.998))
 	b.FMul(rS, isa.Reg(rS), isa.ImmF(0.998))
 	b.IAdd(rI, isa.Reg(rI), isa.Imm(1))
-	b.Setp(isa.CmpLT, 0, isa.Reg(rI), isa.Imm(hotspotSteps))
+	b.Setp(isa.CmpLT, 0, isa.Reg(rI), isa.Imm(int32(sh.Trips)))
 	b.BraIf(0, false, "step", "done")
 	b.Label("done")
 	b.Shl(rAdr, isa.Reg(rGid), isa.Imm(2))
@@ -345,67 +307,64 @@ func buildHotspot(scale int) *Instance {
 	b.Exit()
 	k := b.MustBuild()
 
+	// The temperatures draw two values past the n the kernel reads; the
+	// buffer leaves a zero word on each side of them for the [-4] and
+	// [+4] neighbour loads.
 	temp := make([]float32, n+2)
-	pow := make([]float32, hotspotSlices*hotspotSliceB/4)
-	var tempAddr, powAddr, outAddr uint32
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(31)
-			for i := range temp {
-				temp[i] = 60 + 20*rng.nextFloat()
-			}
-			for i := range pow {
-				pow[i] = rng.nextFloat()
-			}
-			tempAddr = m.Alloc(4*(n+2)) + 4 // leave room for [-4] loads
-			powAddr = m.Alloc(4 * len(pow))
-			outAddr = m.Alloc(4 * n)
-			m.WriteFloats(tempAddr, temp[:n])
-			m.WriteFloats(powAddr, pow)
-			launch.Params = []uint32{tempAddr, powAddr, outAddr}
-		},
-		Check: func(m *mem.Global) error {
-			load := func(addr uint32) float32 { return mem.F32FromBits(m.Load32(addr)) }
-			for gid := 0; gid < n; gid += 997 { // spot-check (full loop is hot)
-				t := load(tempAddr + uint32(4*gid))
-				nv := load(tempAddr + uint32(4*gid) - 4)
-				s := load(tempAddr + uint32(4*gid) + 4)
-				var acc float32
-				slice := (gid >> 5) & (hotspotSlices - 1)
-				mask := 7
-				if lane := gid & 31; lane < 16 {
-					slice = (gid / 256) & (hotspotSlices - 1) // block-shared slice
-					mask = 15
-				}
-				lane := gid & 31
-				for i := 0; i < hotspotSteps; i++ {
-					p := pow[slice*(hotspotSliceB/4)+((i*5+lane)&mask)*32]
-					d1 := nv + s
-					d2 := float32(t*-2) + d1
-					d3 := float32(d2*0.05) + p
-					t = float32(d3*0.5) + t
-					d4 := float32(80) - t
-					t = float32(d4*0.02) + t
-					d5 := rcpf32(d4)
-					t = float32(d5*0.003) + t
-					d5 = float32(t * 0.999)
-					d5 = float32(d5*0.25) + d5
-					d5 = float32(d5*-0.125) + d5
-					d5 = float32(d5*0.0625) + d5
-					d5 = float32(d5*-0.03125) + d5
-					d5 = float32(d5*0.015625) + d5
-					acc += d5
-					nv = float32(nv * 0.998)
-					s = float32(s * 0.998)
-				}
-				want := f32bits(t + acc)
-				if got := m.Load32(outAddr + uint32(4*gid)); got != want {
-					return fmt.Errorf("hotspot out[%d] = %#x, want %#x", gid, got, want)
-				}
-			}
-			return nil
-		},
+	pow := make([]float32, sh.WorkingSet/4)
+	inst := newInstance(k, grid, 0,
+		buffer{floats: temp[:n], size: n + 2, lead: 1}, floats(pow, nil), output(n))
+	setup := inst.Setup
+	inst.Setup = func(m *mem.Global) {
+		rng := splitmix64(31)
+		for i := range temp {
+			temp[i] = 60 + 20*rng.nextFloat()
+		}
+		for i := range pow {
+			pow[i] = rng.nextFloat()
+		}
+		setup(m)
 	}
+	inst.Check = func(m *mem.Global) error {
+		tempAddr, outAddr := inst.Launch.Params[0], inst.Launch.Params[2]
+		load := func(addr uint32) float32 { return mem.F32FromBits(m.Load32(addr)) }
+		for gid := 0; gid < n; gid += 997 { // spot-check (full loop is hot)
+			t := load(tempAddr + uint32(4*gid))
+			nv := load(tempAddr + uint32(4*gid) - 4)
+			sv := load(tempAddr + uint32(4*gid) + 4)
+			var acc float32
+			slice := (gid >> 5) & (slices - 1)
+			mask := 7
+			if lane := gid & 31; lane < 16 {
+				slice = (gid / 256) & (slices - 1) // block-shared slice
+				mask = 15
+			}
+			lane := gid & 31
+			for i := 0; i < sh.Trips; i++ {
+				p := pow[slice*(sh.Stride/4)+((i*5+lane)&mask)*32]
+				d1 := nv + sv
+				d2 := float32(t*-2) + d1
+				d3 := float32(d2*0.05) + p
+				t = float32(d3*0.5) + t
+				d4 := float32(80) - t
+				t = float32(d4*0.02) + t
+				d5 := rcpf32(d4)
+				t = float32(d5*0.003) + t
+				d5 = float32(t * 0.999)
+				d5 = float32(d5*0.25) + d5
+				d5 = float32(d5*-0.125) + d5
+				d5 = float32(d5*0.0625) + d5
+				d5 = float32(d5*-0.03125) + d5
+				d5 = float32(d5*0.015625) + d5
+				acc += d5
+				nv = float32(nv * 0.998)
+				sv = float32(sv * 0.998)
+			}
+			if err := expect(m, s.Name, "out", outAddr, gid, f32bits(t+acc)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return inst
 }

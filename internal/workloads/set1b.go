@@ -1,16 +1,14 @@
 package workloads
 
 import (
-	"fmt"
-
 	"gpushare/internal/isa"
-	"gpushare/internal/kernel"
 	"gpushare/internal/mem"
 )
 
 // MUM is the mummergpuKernel proxy: a pointer chase through a suffix-
-// tree-like node array. Each warp's queries walk one 4KB subtree region
-// with heavily uncoalesced lane addresses, so a warp's region becomes
+// tree-like node pool of WorkingSet bytes. Each warp's queries walk one
+// subtree region (Stride bytes of the pool) for Trips steps with
+// heavily uncoalesced lane addresses, so a warp's region becomes
 // L1-resident only when the scheduler runs few warps greedily — LRR
 // round-robin thrashes it, which is why the paper's most memory-bound
 // Set-1 application gains most from OWF + dynamic warp execution
@@ -18,21 +16,17 @@ import (
 var MUM = register(&Spec{
 	Name: "MUM", Suite: "RODINIA", Kernel: "mummergpuKernel",
 	Set: Set1, BlockDim: 256, RegsPerThread: 28,
-	Build: buildMUM,
+	shape: Shape{Grid: 252, Trips: 10, WorkingSet: 1 << 20, Stride: 4096},
+	build: buildMUM,
 })
 
-const (
-	mumRegion = 1024    // entries per warp subtree region (4KB)
-	mumNodes  = 1 << 18 // total node entries (1MB)
-	mumSteps  = 10
-)
+func buildMUM(s *Spec, sh Shape, scale int) *Instance {
+	grid := sh.Grid * scale
+	threads := grid * s.BlockDim
+	nodes := make([]uint32, sh.WorkingSet/4)
+	region := sh.Stride / 4 // node entries per warp region
 
-func buildMUM(scale int) *Instance {
-	grid := 252 * scale
-	threads := grid * 256
-
-	b := kernel.NewBuilder("mummergpuKernel", 256)
-	b.Params(2).SetRegs(28)
+	b := s.program(s.Kernel, 2)
 	const (
 		rGid, rNodes, rOut     = 22, 23, 24
 		rCur, rSum, rI, rA, rT = 0, 1, 2, 3, 4
@@ -40,15 +34,15 @@ func buildMUM(scale int) *Instance {
 	emitGid(b, rGid)
 	b.LdParam(rNodes, 0)
 	b.LdParam(rOut, 1)
-	// Region base: each warp owns a 4KB slice of the node pool.
+	// Region base: each warp owns one region of the node pool.
 	const rRegion = 5
 	b.Shr(rRegion, isa.Reg(rGid), isa.Imm(5))
 	b.IMul(rRegion, isa.Reg(rRegion), isa.Imm(-1640531527)) // scatter warp regions
-	b.And(rRegion, isa.Reg(rRegion), isa.Imm(mumNodes/mumRegion-1))
-	b.IMul(rRegion, isa.Reg(rRegion), isa.Imm(mumRegion))
+	b.And(rRegion, isa.Reg(rRegion), isa.Imm(int32(len(nodes)/region-1)))
+	b.IMul(rRegion, isa.Reg(rRegion), isa.Imm(int32(region)))
 	// cur = lane-scattered offset within the region
 	b.IMul(rCur, isa.Reg(rGid), isa.Imm(-1640531527))
-	b.And(rCur, isa.Reg(rCur), isa.Imm(mumRegion-1))
+	b.And(rCur, isa.Reg(rCur), isa.Imm(int32(region-1)))
 	b.MovI(rSum, 0)
 	b.MovI(rI, 0)
 	b.Label("chase")
@@ -57,11 +51,11 @@ func buildMUM(scale int) *Instance {
 	b.IAdd(rA, isa.Reg(rA), isa.Reg(rNodes))
 	b.LdG(rCur, isa.Reg(rA), 0)
 	b.IAdd(rSum, isa.Reg(rSum), isa.Reg(rCur))
-	b.And(rCur, isa.Reg(rCur), isa.Imm(mumRegion-1))
+	b.And(rCur, isa.Reg(rCur), isa.Imm(int32(region-1)))
 	b.Shr(rT, isa.Reg(rSum), isa.Imm(5))
 	b.Xor(rSum, isa.Reg(rSum), isa.Reg(rT))
 	b.IAdd(rI, isa.Reg(rI), isa.Imm(1))
-	b.Setp(isa.CmpLT, 0, isa.Reg(rI), isa.Imm(mumSteps))
+	b.Setp(isa.CmpLT, 0, isa.Reg(rI), isa.Imm(int32(sh.Trips)))
 	b.BraIf(0, false, "chase", "done")
 	b.Label("done")
 	b.Shl(rT, isa.Reg(rGid), isa.Imm(2))
@@ -70,65 +64,49 @@ func buildMUM(scale int) *Instance {
 	b.Exit()
 	k := b.MustBuild()
 
-	nodes := make([]uint32, mumNodes)
-	var nodesAddr, outAddr uint32
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(41)
-			for i := range nodes {
-				nodes[i] = uint32(rng.next())
+	inst := newInstance(k, grid, 41, words(nodes, anyWord), output(threads))
+	inst.Check = func(m *mem.Global) error {
+		regions, mask := uint32(len(nodes)/region), uint32(region-1)
+		for t := 0; t < threads; t += 199 {
+			base := (((uint32(t) >> 5) * 2654435769) & (regions - 1)) * uint32(region)
+			cur := (uint32(t) * 2654435769) & mask
+			var sum uint32
+			for i := 0; i < sh.Trips; i++ {
+				cur = nodes[base+cur]
+				sum += cur
+				sum ^= sum >> 5
+				cur &= mask
 			}
-			nodesAddr = m.Alloc(4 * mumNodes)
-			outAddr = m.Alloc(4 * threads)
-			m.WriteWords(nodesAddr, nodes)
-			launch.Params = []uint32{nodesAddr, outAddr}
-		},
-		Check: func(m *mem.Global) error {
-			for t := 0; t < threads; t += 199 {
-				region := (((uint32(t) >> 5) * 2654435769) & (mumNodes/mumRegion - 1)) * mumRegion
-				cur := (uint32(t) * 2654435769) & (mumRegion - 1)
-				var sum uint32
-				for i := 0; i < mumSteps; i++ {
-					cur = nodes[region+cur]
-					sum += cur
-					sum ^= sum >> 5
-					cur &= mumRegion - 1
-				}
-				if got := m.Load32(outAddr + uint32(4*t)); got != sum {
-					return fmt.Errorf("MUM out[%d] = %#x, want %#x", t, got, sum)
-				}
+			if err := expect(m, s.Name, "out", inst.Launch.Params[1], t, sum); err != nil {
+				return err
 			}
-			return nil
-		},
+		}
+		return nil
 	}
+	return inst
 }
 
 // MRIQ is the ComputeQ_GPU proxy: each thread accumulates phase
-// contributions from a per-block k-space table that is re-read twice.
-// Five resident blocks' tables (15KB) fit the 16KB L1; the sixth block
-// launched under sharing overflows it, reproducing the paper's slight
-// mri-q slowdown. 256 threads/block, 24 registers/thread.
+// contributions from a per-block k-space table that every warp of the
+// block sweeps. Five resident blocks' tables fit the 128-line L1; the
+// sixth block launched under sharing overflows it, reproducing the
+// paper's slight mri-q slowdown. 256 threads/block, 24 registers/thread.
 var MRIQ = register(&Spec{
 	Name: "mri-q", Suite: "PARBOIL", Kernel: "ComputeQ_GPU",
 	Set: Set1, BlockDim: 256, RegsPerThread: 24,
-	Build: buildMRIQ,
+	// Trips x Stride spans the table: the sweep touches each of its
+	// cache lines once.
+	shape: Shape{Grid: 252, Trips: 88, WorkingSet: 2816, Stride: 32},
+	build: buildMRIQ,
 })
 
-const (
-	mriqTableWords = 704 // 2816B per block: 5 tables fit the 128-line L1, 6 do not
-	mriqIters      = 88  // stride-8 sweep touches every line of the table once
-	mriqStride     = 8
-)
-
-func buildMRIQ(scale int) *Instance {
-	grid := 252 * scale
-	threads := grid * 256
+func buildMRIQ(s *Spec, sh Shape, scale int) *Instance {
+	grid := sh.Grid * scale
+	threads := grid * s.BlockDim
 	tables := 84 + 14 // tables cycle per ctaid so co-resident blocks differ
+	tableWords, stride := sh.WorkingSet/4, sh.Stride/4
 
-	b := kernel.NewBuilder("ComputeQ_GPU", 256)
-	b.Params(3).SetRegs(24)
+	b := s.program(s.Kernel, 3)
 	const (
 		rGid, rTab, rOut, rX          = 18, 19, 20, 21
 		rAcc, rJ, rK, rA, rPh, rT, rP = 0, 1, 2, 3, 4, 5, 6
@@ -150,13 +128,13 @@ func buildMRIQ(scale int) *Instance {
 	b.ISub(rT, isa.Reg(rT), isa.Reg(rA))
 	b.Guard(0, false)
 	b.Bra("modloop")
-	b.IMad(rTab, isa.Reg(rT), isa.Imm(mriqTableWords*4), isa.Reg(rTab))
+	b.IMad(rTab, isa.Reg(rT), isa.Imm(int32(sh.WorkingSet)), isa.Reg(rTab))
 	b.MovF(rAcc, 0)
 	b.MovI(rJ, 0)
 	b.Label("iter")
-	// k = table[(j*stride) mod tableWords] — a strided sweep that still
-	// touches every cache line of the 3KB table.
-	b.IMul(rA, isa.Reg(rJ), isa.Imm(mriqStride))
+	// k = table[j*stride] — a strided sweep that touches every cache
+	// line of the table.
+	b.IMul(rA, isa.Reg(rJ), isa.Imm(int32(stride)))
 	b.Shl(rA, isa.Reg(rA), isa.Imm(2))
 	b.IAdd(rA, isa.Reg(rA), isa.Reg(rTab))
 	b.LdG(rK, isa.Reg(rA), 0)
@@ -167,7 +145,7 @@ func buildMRIQ(scale int) *Instance {
 	b.FFma(rP, isa.Reg(rPh), isa.ImmF(0.5), isa.Reg(rK))
 	b.FAdd(rAcc, isa.Reg(rAcc), isa.Reg(rP))
 	b.IAdd(rJ, isa.Reg(rJ), isa.Imm(1))
-	b.Setp(isa.CmpLT, 0, isa.Reg(rJ), isa.Imm(mriqIters))
+	b.Setp(isa.CmpLT, 0, isa.Reg(rJ), isa.Imm(int32(sh.Trips)))
 	b.BraIf(0, false, "iter", "fin")
 	b.Label("fin")
 	b.Shl(rT, isa.Reg(rGid), isa.Imm(2))
@@ -176,73 +154,54 @@ func buildMRIQ(scale int) *Instance {
 	b.Exit()
 	k := b.MustBuild()
 
-	table := make([]float32, tables*mriqTableWords)
+	table := make([]float32, tables*tableWords)
 	xs := make([]float32, threads)
-	var tabAddr, outAddr, xAddr uint32
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(53)
-			for i := range table {
-				table[i] = rng.nextFloat() * 2
+	inst := newInstance(k, grid, 53,
+		floats(table, func(r *splitmix64) float32 { return r.nextFloat() * 2 }),
+		output(threads), floats(xs, unitFloat))
+	// Spot-checks one thread in 173, bit for bit: the host replays the
+	// sweep with the executor's roundings — FMUL, FSIN (sinf32, the libm
+	// definition), FFMA as float32(ph*0.5) + k, then the FADD — so every
+	// FSIN the SFU kernel decided is compared with the definition end
+	// to end.
+	inst.Check = func(m *mem.Global) error {
+		for t := 0; t < threads; t += 173 {
+			tab := table[(t/s.BlockDim)%tables*tableWords:]
+			x := xs[t]
+			var acc float32
+			for j := 0; j < sh.Trips; j++ {
+				k := tab[j*stride]
+				acc += float32(sinf32(k*x)*0.5) + k
 			}
-			for i := range xs {
-				xs[i] = rng.nextFloat()
+			if err := expect(m, s.Name, "out", inst.Launch.Params[1], t, f32bits(acc)); err != nil {
+				return err
 			}
-			tabAddr = m.Alloc(4 * len(table))
-			outAddr = m.Alloc(4 * threads)
-			xAddr = m.Alloc(4 * threads)
-			m.WriteFloats(tabAddr, table)
-			m.WriteFloats(xAddr, xs)
-			launch.Params = []uint32{tabAddr, outAddr, xAddr}
-		},
-		// Spot-checks one thread in 173, bit for bit: the host replays
-		// the 88 iterations with the executor's roundings — FMUL, FSIN
-		// (sinf32, the libm definition), FFMA as float32(ph*0.5) + k,
-		// then the FADD — so every FSIN the SFU kernel decided is
-		// compared with the definition end to end.
-		Check: func(m *mem.Global) error {
-			for t := 0; t < threads; t += 173 {
-				tab := table[(t/256)%tables*mriqTableWords:]
-				x := xs[t]
-				var acc float32
-				for j := 0; j < mriqIters; j++ {
-					k := tab[j*mriqStride]
-					acc += float32(sinf32(k*x)*0.5) + k
-				}
-				if got := m.Load32(outAddr + uint32(4*t)); got != f32bits(acc) {
-					return fmt.Errorf("mri-q out[%d] = %#x, want %#x", t, got, f32bits(acc))
-				}
-			}
-			return nil
-		},
+		}
+		return nil
 	}
+	return inst
 }
 
-// LIB is the Pathcalc_Portfolio_KernelGPU proxy: each block makes four
-// passes over a 12KB per-block path buffer. One SM's resident blocks
-// overflow its L1 but the whole GPU's baseline working set (4 blocks/SM
-// x 14 SMs x 12KB = 672KB) fits the 768KB L2 — doubling the blocks via
-// sharing thrashes the L2, which is why the paper sees only +0.84%.
+// LIB is the Pathcalc_Portfolio_KernelGPU proxy: each block makes Trips
+// passes over its own path buffer of WorkingSet bytes. One SM's resident
+// blocks overflow its L1 but the whole GPU's baseline working set (4
+// blocks/SM x 14 SMs x WorkingSet) fits the 768KB L2 — doubling the
+// blocks via sharing thrashes the L2, which is why the paper sees only
+// +0.84%.
 // 192 threads/block, 36 registers/thread. Register numbering is already
 // first-use ordered, so the unroll pass is a no-op (as §VI-B observes).
 var LIB = register(&Spec{
 	Name: "LIB", Suite: "RODINIA", Kernel: "Pathcalc_Portfolio_KernelGPU",
 	Set: Set1, BlockDim: 192, RegsPerThread: 36,
-	Build: buildLIB,
+	shape: Shape{Grid: 336, Trips: 2, WorkingSet: 12 << 10},
+	build: buildLIB,
 })
 
-const (
-	libWordsPerBlock = 3072 // 12KB
-	libPasses        = 2
-)
+func buildLIB(s *Spec, sh Shape, scale int) *Instance {
+	grid := sh.Grid * scale
+	words := sh.WorkingSet / 4 // path words per block
 
-func buildLIB(scale int) *Instance {
-	grid := 336 * scale
-
-	b := kernel.NewBuilder("Pathcalc_Portfolio_KernelGPU", 192)
-	b.Params(2).SetRegs(36)
+	b := s.program(s.Kernel, 2)
 	const (
 		rTid, rBase, rOut, rAcc, rP = 0, 1, 2, 3, 4
 		rJ, rA, rV, rT, rGid        = 5, 6, 7, 8, 9
@@ -252,7 +211,7 @@ func buildLIB(scale int) *Instance {
 	b.LdParam(rOut, 1)
 	// base += ctaid * wordsPerBlock * 4
 	b.Mov(rT, isa.Sreg(isa.SrCtaid))
-	b.IMad(rBase, isa.Reg(rT), isa.Imm(libWordsPerBlock*4), isa.Reg(rBase))
+	b.IMad(rBase, isa.Reg(rT), isa.Imm(int32(sh.WorkingSet)), isa.Reg(rBase))
 	b.MovF(rAcc, 0)
 	b.MovI(rP, 0)
 	b.Label("pass")
@@ -263,12 +222,12 @@ func buildLIB(scale int) *Instance {
 	b.LdG(rV, isa.Reg(rA), 0)
 	b.FFma(rAcc, isa.Reg(rV), isa.ImmF(1.0009), isa.Reg(rAcc))
 	b.FMul(rAcc, isa.Reg(rAcc), isa.ImmF(0.9999))
-	b.IAdd(rJ, isa.Reg(rJ), isa.Imm(192))
-	b.Setp(isa.CmpLT, 0, isa.Reg(rJ), isa.Imm(libWordsPerBlock))
+	b.IAdd(rJ, isa.Reg(rJ), isa.Imm(int32(s.BlockDim)))
+	b.Setp(isa.CmpLT, 0, isa.Reg(rJ), isa.Imm(int32(words)))
 	b.BraIf(0, false, "elem", "endpass")
 	b.Label("endpass")
 	b.IAdd(rP, isa.Reg(rP), isa.Imm(1))
-	b.Setp(isa.CmpLT, 0, isa.Reg(rP), isa.Imm(libPasses))
+	b.Setp(isa.CmpLT, 0, isa.Reg(rP), isa.Imm(int32(sh.Trips)))
 	b.BraIf(0, false, "pass", "fin")
 	b.Label("fin")
 	emitGid(b, rGid)
@@ -278,39 +237,26 @@ func buildLIB(scale int) *Instance {
 	b.Exit()
 	k := b.MustBuild()
 
-	paths := make([]float32, grid*libWordsPerBlock)
-	var pathAddr, outAddr uint32
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(61)
-			for i := range paths {
-				paths[i] = rng.nextFloat()
-			}
-			pathAddr = m.Alloc(4 * len(paths))
-			outAddr = m.Alloc(4 * grid * 192)
-			m.WriteFloats(pathAddr, paths)
-			launch.Params = []uint32{pathAddr, outAddr}
-		},
-		Check: func(m *mem.Global) error {
-			for blk := 0; blk < grid; blk += 17 {
-				for tid := 0; tid < 192; tid += 53 {
-					var acc float32
-					for p := 0; p < libPasses; p++ {
-						for j := tid; j < libWordsPerBlock; j += 192 {
-							v := paths[blk*libWordsPerBlock+j]
-							acc = float32(v*1.0009) + acc
-							acc = float32(acc * 0.9999)
-						}
-					}
-					gid := blk*192 + tid
-					if got := m.Load32(outAddr + uint32(4*gid)); got != f32bits(acc) {
-						return fmt.Errorf("LIB out[%d] = %#x, want %#x", gid, got, f32bits(acc))
+	paths := make([]float32, grid*words)
+	inst := newInstance(k, grid, 61, floats(paths, unitFloat), output(grid*s.BlockDim))
+	inst.Check = func(m *mem.Global) error {
+		for blk := 0; blk < grid; blk += 17 {
+			for tid := 0; tid < s.BlockDim; tid += 53 {
+				var acc float32
+				for p := 0; p < sh.Trips; p++ {
+					for j := tid; j < words; j += s.BlockDim {
+						v := paths[blk*words+j]
+						acc = float32(v*1.0009) + acc
+						acc = float32(acc * 0.9999)
 					}
 				}
+				gid := blk*s.BlockDim + tid
+				if err := expect(m, s.Name, "out", inst.Launch.Params[1], gid, f32bits(acc)); err != nil {
+					return err
+				}
 			}
-			return nil
-		},
+		}
+		return nil
 	}
+	return inst
 }

@@ -1,33 +1,28 @@
 package workloads
 
 import (
-	"fmt"
-
 	"gpushare/internal/isa"
-	"gpushare/internal/kernel"
 	"gpushare/internal/mem"
 )
 
 // Sgemm is the mysgemmNT proxy: a register-tiled matrix-multiply inner
 // loop. Each thread keeps a 4-element accumulator tile in registers and
 // per iteration loads one streaming A element plus one block-shared B
-// element (warp-broadcast, L1-resident), then issues 4 FFMAs. 128
+// element (warp-broadcast, L1-resident), then issues 12 FFMAs. 128
 // threads/block, 48 registers/thread — the paper's example for register
 // declaration reordering (Fig. 7 shows sgemm PTXPlus).
 var Sgemm = register(&Spec{
 	Name: "sgemm", Suite: "PARBOIL", Kernel: "mysgemmNT",
 	Set: Set1, BlockDim: 128, RegsPerThread: 48,
-	Build: buildSgemm,
+	shape: Shape{Grid: 336, Trips: 16},
+	build: buildSgemm,
 })
 
-const sgemmK = 16
+func buildSgemm(s *Spec, sh Shape, scale int) *Instance {
+	grid := sh.Grid * scale
+	threads := grid * s.BlockDim
 
-func buildSgemm(scale int) *Instance {
-	grid := 336 * scale
-	threads := grid * 128
-
-	b := kernel.NewBuilder("mysgemmNT", 128)
-	b.Params(3).SetRegs(48)
+	b := s.program(s.Kernel, 3)
 	// High-numbered registers first (declaration order), as the real
 	// PTXPlus does: the unroll pass pulls them down to the private range.
 	const (
@@ -49,7 +44,7 @@ func buildSgemm(scale int) *Instance {
 	// B tile base: b + ctaid%64 * K*4 (per-block column, broadcast loads)
 	b.Mov(rT, isa.Sreg(isa.SrCtaid))
 	b.And(rT, isa.Reg(rT), isa.Imm(63))
-	b.IMad(rBbase, isa.Reg(rT), isa.Imm(sgemmK*4), isa.Reg(rBbase))
+	b.IMad(rBbase, isa.Reg(rT), isa.Imm(int32(sh.Trips*4)), isa.Reg(rBbase))
 	b.MovF(rC0, 0)
 	b.MovF(rC1, 0)
 	b.MovF(rC2, 0)
@@ -76,7 +71,7 @@ func buildSgemm(scale int) *Instance {
 	b.FFma(rC2, isa.Reg(rAv), isa.ImmF(0.03125), isa.Reg(rC2))
 	b.FFma(rC3, isa.Reg(rBv), isa.ImmF(-0.03125), isa.Reg(rC3))
 	b.IAdd(rK, isa.Reg(rK), isa.Imm(1))
-	b.Setp(isa.CmpLT, 0, isa.Reg(rK), isa.Imm(sgemmK))
+	b.Setp(isa.CmpLT, 0, isa.Reg(rK), isa.Imm(int32(sh.Trips)))
 	b.BraIf(0, false, "kloop", "fin")
 	b.Label("fin")
 	b.FAdd(rC0, isa.Reg(rC0), isa.Reg(rC1))
@@ -88,55 +83,36 @@ func buildSgemm(scale int) *Instance {
 	b.Exit()
 	k := b.MustBuild()
 
-	a := make([]float32, threads*sgemmK)
-	bm := make([]float32, 64*sgemmK)
-	var aAddr, bAddr, outAddr uint32
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(71)
-			for i := range a {
-				a[i] = rng.nextFloat()
+	a := make([]float32, threads*sh.Trips)
+	bm := make([]float32, 64*sh.Trips)
+	inst := newInstance(k, grid, 71, floats(a, unitFloat), floats(bm, unitFloat), output(threads))
+	inst.Check = func(m *mem.Global) error {
+		for t := 0; t < threads; t += 131 {
+			blk := t / s.BlockDim
+			var c0, c1, c2, c3 float32
+			for kk := 0; kk < sh.Trips; kk++ {
+				av := a[kk*threads+t]
+				bv := bm[(blk&63)*sh.Trips+kk]
+				c0 = float32(av*bv) + c0
+				c1 = float32(av*1.5) + c1
+				c2 = float32(bv*0.5) + c2
+				c3 = float32(c0*0.25) + c3
+				c0 = float32(c1*0.125) + c0
+				c1 = float32(c2*-0.125) + c1
+				c2 = float32(c3*0.0625) + c2
+				c3 = float32(c0*-0.0625) + c3
+				c0 = float32(av*c2) + c0
+				c1 = float32(bv*c3) + c1
+				c2 = float32(av*0.03125) + c2
+				c3 = float32(bv*-0.03125) + c3
 			}
-			for i := range bm {
-				bm[i] = rng.nextFloat()
+			if err := expect(m, s.Name, "out", inst.Launch.Params[2], t, f32bits(c0+c1+(c2+c3))); err != nil {
+				return err
 			}
-			aAddr = m.Alloc(4 * len(a))
-			bAddr = m.Alloc(4 * len(bm))
-			outAddr = m.Alloc(4 * threads)
-			m.WriteFloats(aAddr, a)
-			m.WriteFloats(bAddr, bm)
-			launch.Params = []uint32{aAddr, bAddr, outAddr}
-		},
-		Check: func(m *mem.Global) error {
-			for t := 0; t < threads; t += 131 {
-				blk := t / 128
-				var c0, c1, c2, c3 float32
-				for kk := 0; kk < sgemmK; kk++ {
-					av := a[kk*threads+t]
-					bv := bm[(blk&63)*sgemmK+kk]
-					c0 = float32(av*bv) + c0
-					c1 = float32(av*1.5) + c1
-					c2 = float32(bv*0.5) + c2
-					c3 = float32(c0*0.25) + c3
-					c0 = float32(c1*0.125) + c0
-					c1 = float32(c2*-0.125) + c1
-					c2 = float32(c3*0.0625) + c2
-					c3 = float32(c0*-0.0625) + c3
-					c0 = float32(av*c2) + c0
-					c1 = float32(bv*c3) + c1
-					c2 = float32(av*0.03125) + c2
-					c3 = float32(bv*-0.03125) + c3
-				}
-				want := f32bits(c0 + c1 + (c2 + c3))
-				if got := m.Load32(outAddr + uint32(4*t)); got != want {
-					return fmt.Errorf("sgemm out[%d] = %#x, want %#x", t, got, want)
-				}
-			}
-			return nil
-		},
+		}
+		return nil
 	}
+	return inst
 }
 
 // Stencil is the block2D_hybrid_coarsen_x proxy: like hotspot, a time-
@@ -147,21 +123,18 @@ func buildSgemm(scale int) *Instance {
 var Stencil = register(&Spec{
 	Name: "stencil", Suite: "PARBOIL", Kernel: "block2D_hybrid_coarsen_x",
 	Set: Set1, BlockDim: 512, RegsPerThread: 28,
-	Build: buildStencil,
+	// The coefficients are WorkingSet/Stride slices of Stride bytes; a
+	// step's lanes fan out over the first 16 cache lines of a slice.
+	shape: Shape{Grid: 126, Trips: 12, WorkingSet: 1 << 20, Stride: 2048},
+	build: buildStencil,
 })
 
-const (
-	stencilSteps  = 12
-	stencilSlices = 512  // per-warp coefficient slices
-	stencilSliceB = 2048 // bytes per slice (16 cache lines)
-)
+func buildStencil(s *Spec, sh Shape, scale int) *Instance {
+	grid := sh.Grid * scale
+	n := grid * s.BlockDim
+	slices := sh.WorkingSet / sh.Stride
 
-func buildStencil(scale int) *Instance {
-	grid := 126 * scale
-	n := grid * 512
-
-	b := kernel.NewBuilder("block2D_hybrid_coarsen_x", 512)
-	b.Params(3).SetRegs(28)
+	b := s.program(s.Kernel, 3)
 	const (
 		rGid, rIn, rOut, rOff, rCoef = 22, 23, 24, 25, 26
 		rC, rL, rR, rV, rT1, rT2, rI = 0, 1, 2, 3, 4, 5, 6
@@ -184,11 +157,11 @@ func buildStencil(scale int) *Instance {
 	)
 	b.LdParam(rCoef, 2)
 	b.Shr(rT1, isa.Reg(rGid), isa.Imm(5))
-	b.And(rT1, isa.Reg(rT1), isa.Imm(stencilSlices-1))
-	b.IMad(rCoef, isa.Reg(rT1), isa.Imm(stencilSliceB), isa.Reg(rCoef))
+	b.And(rT1, isa.Reg(rT1), isa.Imm(int32(slices-1)))
+	b.IMad(rCoef, isa.Reg(rT1), isa.Imm(int32(sh.Stride)), isa.Reg(rCoef))
 	b.Mov(rShared, isa.Sreg(isa.SrCtaid))
-	b.And(rShared, isa.Reg(rShared), isa.Imm(stencilSlices-1))
-	b.IMul(rShared, isa.Reg(rShared), isa.Imm(stencilSliceB))
+	b.And(rShared, isa.Reg(rShared), isa.Imm(int32(slices-1)))
+	b.IMul(rShared, isa.Reg(rShared), isa.Imm(int32(sh.Stride)))
 	b.LdParam(rT1, 2)
 	b.IAdd(rShared, isa.Reg(rShared), isa.Reg(rT1))
 	const rMask = 10
@@ -222,7 +195,7 @@ func buildStencil(scale int) *Instance {
 	b.FFma(rT2, isa.Reg(rT2), isa.ImmF(-0.015625), isa.Reg(rT2))
 	b.FFma(rC, isa.Reg(rT2), isa.ImmF(0.01), isa.Reg(rC))
 	b.IAdd(rI, isa.Reg(rI), isa.Imm(1))
-	b.Setp(isa.CmpLT, 0, isa.Reg(rI), isa.Imm(stencilSteps))
+	b.Setp(isa.CmpLT, 0, isa.Reg(rI), isa.Imm(int32(sh.Trips)))
 	b.BraIf(0, false, "step", "fin")
 	b.Label("fin")
 	b.Shl(rAdr, isa.Reg(rGid), isa.Imm(2))
@@ -231,67 +204,52 @@ func buildStencil(scale int) *Instance {
 	b.Exit()
 	k := b.MustBuild()
 
+	// The input leaves a zero word before element 0 for the [-4] load.
 	in := make([]float32, n+1)
-	coef := make([]float32, stencilSlices*stencilSliceB/4)
-	var inAddr, outAddr, coefAddr uint32
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(83)
-			for i := range in {
-				in[i] = rng.nextFloat() * 4
+	coef := make([]float32, sh.WorkingSet/4)
+	inst := newInstance(k, grid, 83,
+		buffer{floats: in, drawFloat: func(r *splitmix64) float32 { return r.nextFloat() * 4 }, lead: 1},
+		output(n), floats(coef, unitFloat))
+	inst.Check = func(m *mem.Global) error {
+		load := func(i int) float32 {
+			if i < 0 {
+				return mem.F32FromBits(m.Load32(inst.Launch.Params[0] - 4))
 			}
-			for i := range coef {
-				coef[i] = rng.nextFloat()
+			return in[i]
+		}
+		for gid := 0; gid < n; gid += 509 {
+			c := load(gid)
+			l := load(gid - 1)
+			r := load(gid + 1)
+			slice := (gid >> 5) & (slices - 1)
+			mask := 3
+			if gid&31 < 16 {
+				slice = (gid / s.BlockDim) & (slices - 1) // block-shared slice
+				mask = 15
 			}
-			inAddr = m.Alloc(4*len(in)+4) + 4
-			outAddr = m.Alloc(4 * n)
-			coefAddr = m.Alloc(4 * len(coef))
-			m.WriteFloats(inAddr, in)
-			m.WriteFloats(coefAddr, coef)
-			launch.Params = []uint32{inAddr, outAddr, coefAddr}
-		},
-		Check: func(m *mem.Global) error {
-			load := func(i int) float32 {
-				if i < 0 {
-					return mem.F32FromBits(m.Load32(inAddr - 4))
-				}
-				return in[i]
+			lane := gid & 31
+			for i := 0; i < sh.Trips; i++ {
+				v := coef[slice*(sh.Stride/4)+((i*5+lane)&mask)*32]
+				t1 := l + r
+				t1 = float32(c*-2) + t1
+				t2 := float32(t1*0.2) + v
+				c = float32(t2*0.5) + c
+				l = float32(l * 0.995)
+				r = float32(r * 0.995)
+				c = float32(c*0.001) + c
+				t2 = float32(c*0.5) + t1
+				t2 = float32(t2*-0.25) + c
+				t2 = float32(t2*0.125) + t2
+				t2 = float32(t2*-0.0625) + t2
+				t2 = float32(t2*0.03125) + t2
+				t2 = float32(t2*-0.015625) + t2
+				c = float32(t2*0.01) + c
 			}
-			for gid := 0; gid < n; gid += 509 {
-				c := load(gid)
-				l := load(gid - 1)
-				r := load(gid + 1)
-				slice := (gid >> 5) & (stencilSlices - 1)
-				mask := 3
-				if gid&31 < 16 {
-					slice = (gid / 512) & (stencilSlices - 1) // block-shared slice
-					mask = 15
-				}
-				lane := gid & 31
-				for i := 0; i < stencilSteps; i++ {
-					v := coef[slice*(stencilSliceB/4)+((i*5+lane)&mask)*32]
-					t1 := l + r
-					t1 = float32(c*-2) + t1
-					t2 := float32(t1*0.2) + v
-					c = float32(t2*0.5) + c
-					l = float32(l * 0.995)
-					r = float32(r * 0.995)
-					c = float32(c*0.001) + c
-					t2 = float32(c*0.5) + t1
-					t2 = float32(t2*-0.25) + c
-					t2 = float32(t2*0.125) + t2
-					t2 = float32(t2*-0.0625) + t2
-					t2 = float32(t2*0.03125) + t2
-					t2 = float32(t2*-0.015625) + t2
-					c = float32(t2*0.01) + c
-				}
-				if got := m.Load32(outAddr + uint32(4*gid)); got != f32bits(c) {
-					return fmt.Errorf("stencil out[%d] = %#x, want %#x", gid, got, f32bits(c))
-				}
+			if err := expect(m, s.Name, "out", inst.Launch.Params[1], gid, f32bits(c)); err != nil {
+				return err
 			}
-			return nil
-		},
+		}
+		return nil
 	}
+	return inst
 }

@@ -1,10 +1,7 @@
 package workloads
 
 import (
-	"fmt"
-
 	"gpushare/internal/isa"
-	"gpushare/internal/kernel"
 	"gpushare/internal/mem"
 )
 
@@ -16,14 +13,16 @@ import (
 // mirroring what the paper reports per application (lavaMD never touches
 // the shared region; SRAD2 hits it immediately before a barrier).
 
-// Conv1 is the convolutionRowsKernel proxy: 64 threads stage a 80-word
+// Conv1 is the convolutionRowsKernel proxy: 64 threads stage an 80-word
 // tile (main + halo) into scratchpad, synchronize, and each thread
-// accumulates a 17-tap FIR from the staged data. The tile spans bytes
-// 0..320, crossing the 256-byte private bound at t=0.1.
+// accumulates a 17-tap FIR from the staged data, Trips rounds over. The
+// staged words span bytes 0..352, crossing the 256-byte private bound
+// at t=0.1.
 var Conv1 = register(&Spec{
 	Name: "CONV1", Suite: "CUDA-SDK", Kernel: "convolutionRowsKernel",
 	Set: Set2, BlockDim: 64, RegsPerThread: 14, SmemPerBlock: 2560,
-	Build: func(scale int) *Instance { return buildConv("CONV1", 64, 2560, 8, 448*scale) },
+	shape: Shape{Grid: 448, Trips: 3},
+	build: func(s *Spec, sh Shape, scale int) *Instance { return buildConv(s, sh, scale, 8) },
 })
 
 // Conv2 is the convolutionColumnsKernel proxy: the column pass with 128
@@ -31,17 +30,20 @@ var Conv1 = register(&Spec{
 var Conv2 = register(&Spec{
 	Name: "CONV2", Suite: "CUDA-SDK", Kernel: "convolutionColumnsKernel",
 	Set: Set2, BlockDim: 128, RegsPerThread: 14, SmemPerBlock: 5184,
-	Build: func(scale int) *Instance { return buildConv("CONV2", 128, 5184, 4, 224*scale) },
+	shape: Shape{Grid: 224, Trips: 3},
+	build: func(s *Spec, sh Shape, scale int) *Instance { return buildConv(s, sh, scale, 4) },
 })
 
-// buildConv builds a separable-convolution proxy with the given block
-// size, scratchpad footprint, and filter radius.
-func buildConv(name string, blockDim, smem, radius, grid int) *Instance {
+// buildConv builds a separable-convolution proxy with the given filter
+// radius; the radius sizes the staged tile's halo, so it is part of the
+// footprint, not of the shape.
+func buildConv(s *Spec, sh Shape, scale, radius int) *Instance {
+	grid := sh.Grid * scale
+	blockDim := s.BlockDim
 	n := grid * blockDim
 	taps := 2*radius + 1
 
-	b := kernel.NewBuilder(name, blockDim)
-	b.Params(2).SetSmem(smem).SetRegs(14)
+	b := s.program(s.Name, 2)
 	const (
 		rTid, rGid, rIn, rOut = 8, 9, 10, 11
 		rA, rV, rAcc, rT      = 0, 1, 2, 3
@@ -65,12 +67,12 @@ func buildConv(name string, blockDim, smem, radius, grid int) *Instance {
 	b.Guard(0, false)
 	b.StS(isa.Reg(rT), int32(4*(blockDim+radius)), isa.Reg(rV))
 	b.Bar()
-	// FIR accumulation from scratchpad, three rounds with rotated
+	// FIR accumulation from scratchpad, Trips rounds with rotated
 	// coefficient phases (the real kernels process several rows per
 	// block).
 	b.MovF(rAcc, 0)
 	b.Shl(rT, isa.Reg(rTid), isa.Imm(2))
-	for round := 0; round < 3; round++ {
+	for round := 0; round < sh.Trips; round++ {
 		for j := 0; j < taps; j++ {
 			b.LdS(rV, isa.Reg(rT), int32(4*j))
 			c := 1.0 / float32(j+1+round)
@@ -84,48 +86,34 @@ func buildConv(name string, blockDim, smem, radius, grid int) *Instance {
 	k := b.MustBuild()
 
 	in := make([]float32, n)
-	var inAddr, outAddr uint32
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(97)
-			for i := range in {
-				in[i] = rng.nextFloat()
+	inst := newInstance(k, grid, 97, floats(in, unitFloat), output(n))
+	inst.Check = func(m *mem.Global) error {
+		smemRef := make([]float32, blockDim+3*radius)
+		for blk := 0; blk < grid; blk++ {
+			clear(smemRef) // scratchpad is zeroed at block launch
+			for tid := 0; tid < blockDim; tid++ {
+				smemRef[tid+radius] = in[blk*blockDim+tid]
 			}
-			inAddr = m.Alloc(4 * n)
-			outAddr = m.Alloc(4 * n)
-			m.WriteFloats(inAddr, in)
-			launch.Params = []uint32{inAddr, outAddr}
-		},
-		Check: func(m *mem.Global) error {
-			smemRef := make([]float32, blockDim+3*radius)
-			for blk := 0; blk < grid; blk++ {
-				clear(smemRef) // scratchpad is zeroed at block launch
-				for tid := 0; tid < blockDim; tid++ {
-					smemRef[tid+radius] = in[blk*blockDim+tid]
-				}
-				// Halo staged from each low thread's own value, at
-				// word offset blockDim + radius + tid.
-				for tid := 0; tid < 2*radius; tid++ {
-					smemRef[tid+blockDim+radius] = in[blk*blockDim+tid]
-				}
-				for tid := 0; tid < blockDim; tid += 13 {
-					var acc float32
-					for round := 0; round < 3; round++ {
-						for j := 0; j < taps; j++ {
-							acc = float32(smemRef[tid+j]*(1.0/float32(j+1+round))) + acc
-						}
-					}
-					gid := blk*blockDim + tid
-					if got := m.Load32(outAddr + uint32(4*gid)); got != f32bits(acc) {
-						return fmt.Errorf("%s out[%d] = %#x, want %#x", name, gid, got, f32bits(acc))
+			// Halo staged from each low thread's own value, at word
+			// offset blockDim + radius + tid.
+			for tid := 0; tid < 2*radius; tid++ {
+				smemRef[tid+blockDim+radius] = in[blk*blockDim+tid]
+			}
+			for tid := 0; tid < blockDim; tid += 13 {
+				var acc float32
+				for round := 0; round < sh.Trips; round++ {
+					for j := 0; j < taps; j++ {
+						acc = float32(smemRef[tid+j]*(1.0/float32(j+1+round))) + acc
 					}
 				}
+				if err := expect(m, s.Name, "out", inst.Launch.Params[1], blk*blockDim+tid, f32bits(acc)); err != nil {
+					return err
+				}
 			}
-			return nil
-		},
+		}
+		return nil
 	}
+	return inst
 }
 
 // LavaMD is the kernel_gpu_cuda proxy: particle interactions. The block
@@ -137,17 +125,15 @@ func buildConv(name string, blockDim, smem, radius, grid int) *Instance {
 var LavaMD = register(&Spec{
 	Name: "lavaMD", Suite: "RODINIA", Kernel: "kernel_gpu_cuda",
 	Set: Set2, BlockDim: 128, RegsPerThread: 18, SmemPerBlock: 7200,
-	Build: buildLavaMD,
+	shape: Shape{Grid: 168, Trips: 48}, // Trips neighbours per particle
+	build: buildLavaMD,
 })
 
-const lavaNeighbors = 48
+func buildLavaMD(s *Spec, sh Shape, scale int) *Instance {
+	grid := sh.Grid * scale
+	n := grid * s.BlockDim
 
-func buildLavaMD(scale int) *Instance {
-	grid := 168 * scale
-	n := grid * 128
-
-	b := kernel.NewBuilder("kernel_gpu_cuda", 128)
-	b.Params(2).SetSmem(7200).SetRegs(18)
+	b := s.program(s.Kernel, 2)
 	const (
 		rTid, rGid, rIn, rOut        = 12, 13, 14, 15
 		rA, rV, rAcc, rJ, rD, rE, rT = 0, 1, 2, 3, 4, 5, 6
@@ -195,7 +181,7 @@ func buildLavaMD(scale int) *Instance {
 	b.FFma(rAcc, isa.Reg(rE), isa.Reg(rV), isa.Reg(rAcc))
 	b.FFma(rAcc2, isa.Reg(rE2), isa.Reg(rV2), isa.Reg(rAcc2))
 	b.IAdd(rJ, isa.Reg(rJ), isa.Imm(2))
-	b.Setp(isa.CmpLT, 0, isa.Reg(rJ), isa.Imm(lavaNeighbors))
+	b.Setp(isa.CmpLT, 0, isa.Reg(rJ), isa.Imm(int32(sh.Trips)))
 	b.BraIf(0, false, "nb", "fin")
 	b.Label("fin")
 	b.FAdd(rAcc, isa.Reg(rAcc), isa.Reg(rAcc2))
@@ -206,47 +192,34 @@ func buildLavaMD(scale int) *Instance {
 	k := b.MustBuild()
 
 	in := make([]float32, n)
-	var inAddr, outAddr uint32
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(103)
-			for i := range in {
-				in[i] = rng.nextFloat() * 2
-			}
-			inAddr = m.Alloc(4 * n)
-			outAddr = m.Alloc(4 * n)
-			m.WriteFloats(inAddr, in)
-			launch.Params = []uint32{inAddr, outAddr}
-		},
-		Check: func(m *mem.Global) error {
-			for blk := 0; blk < grid; blk += 7 {
-				for tid := 0; tid < 128; tid += 29 {
-					mine := in[blk*128+tid]
-					var acc, acc2 float32
-					for j := 0; j < lavaNeighbors; j += 2 {
-						v := in[blk*128+(tid+j)&127]
-						v2 := in[blk*128+(tid+j+1)&127]
-						d := mine - v
-						d2 := mine - v2
-						d = d * d
-						d2 = d2 * d2
-						d = d * -1
-						d2 = d2 * -1
-						e := exp2f32(d)
-						e2 := exp2f32(d2)
-						acc = float32(e*v) + acc
-						acc2 = float32(e2*v2) + acc2
-					}
-					acc += acc2
-					gid := blk*128 + tid
-					if got := m.Load32(outAddr + uint32(4*gid)); got != f32bits(acc) {
-						return fmt.Errorf("lavaMD out[%d] = %#x, want %#x", gid, got, f32bits(acc))
-					}
+	inst := newInstance(k, grid, 103,
+		floats(in, func(r *splitmix64) float32 { return r.nextFloat() * 2 }), output(n))
+	inst.Check = func(m *mem.Global) error {
+		for blk := 0; blk < grid; blk += 7 {
+			for tid := 0; tid < 128; tid += 29 {
+				mine := in[blk*128+tid]
+				var acc, acc2 float32
+				for j := 0; j < sh.Trips; j += 2 {
+					v := in[blk*128+(tid+j)&127]
+					v2 := in[blk*128+(tid+j+1)&127]
+					d := mine - v
+					d2 := mine - v2
+					d = d * d
+					d2 = d2 * d2
+					d = d * -1
+					d2 = d2 * -1
+					e := exp2f32(d)
+					e2 := exp2f32(d2)
+					acc = float32(e*v) + acc
+					acc2 = float32(e2*v2) + acc2
+				}
+				acc += acc2
+				if err := expect(m, s.Name, "out", inst.Launch.Params[1], blk*128+tid, f32bits(acc)); err != nil {
+					return err
 				}
 			}
-			return nil
-		},
+		}
+		return nil
 	}
+	return inst
 }

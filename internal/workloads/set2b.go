@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"fmt"
-
 	"gpushare/internal/isa"
 	"gpushare/internal/kernel"
 	"gpushare/internal/mem"
@@ -10,14 +8,17 @@ import (
 
 // NW1 and NW2 are the needle_cuda_shared_1/2 proxies: Needleman-Wunsch
 // wavefront alignment over a 16x16 tile held in scratchpad, one diagonal
-// per step with predicated lanes. The 2180-byte footprint is exactly a
-// 17x17 score matrix (1156B) plus a 16x16 reference tile (1024B), both
-// mostly above the 218-byte private bound at t=0.1, so shared pairs
-// contend for the scratchpad lock. 16 threads/block (one half-warp).
+// per step (Trips steps) with predicated lanes. The 2180-byte footprint
+// is the real kernel's 17x17 score matrix (1156B) plus a 16x16
+// reference tile (1024B); the proxy keeps the matrix at a 16-word row
+// stride (1092B) with the reference tile after it, both mostly above
+// the 218-byte private bound at t=0.1, so shared pairs contend for the
+// scratchpad lock. 16 threads/block (one half-warp).
 var NW1 = register(&Spec{
 	Name: "NW1", Suite: "RODINIA", Kernel: "needle_cuda_shared_1",
 	Set: Set2, BlockDim: 16, RegsPerThread: 16, SmemPerBlock: 2180,
-	Build: func(scale int) *Instance { return buildNW("NW1", 16, 448*scale) },
+	shape: Shape{Grid: 448, Trips: 16},
+	build: buildNW,
 })
 
 // NW2 processes the full wavefront (both triangles), running almost
@@ -25,7 +26,8 @@ var NW1 = register(&Spec{
 var NW2 = register(&Spec{
 	Name: "NW2", Suite: "RODINIA", Kernel: "needle_cuda_shared_2",
 	Set: Set2, BlockDim: 16, RegsPerThread: 16, SmemPerBlock: 2180,
-	Build: func(scale int) *Instance { return buildNW("NW2", 30, 448*scale) },
+	shape: Shape{Grid: 448, Trips: 30},
+	build: buildNW,
 })
 
 const (
@@ -36,11 +38,11 @@ const (
 	nwPenalty = 10
 )
 
-func buildNW(name string, steps, grid int) *Instance {
+func buildNW(s *Spec, sh Shape, scale int) *Instance {
+	grid, steps := sh.Grid*scale, sh.Trips
 	n := grid * nwTile
 
-	b := kernel.NewBuilder(name, nwTile)
-	b.Params(2).SetSmem(2180).SetRegs(16)
+	b := s.program(s.Name, 2)
 	const (
 		rTid, rRef, rOut, rI16, rRB = 10, 11, 12, 13, 14
 		rJ, rJ4, rA, rV, rD, rU, rL = 0, 1, 2, 3, 4, 5, 6
@@ -132,63 +134,48 @@ func buildNW(name string, steps, grid int) *Instance {
 	b.Exit()
 	k := b.MustBuild()
 
-	ref := make([]int32, n*nwTile)
-	var refAddr, outAddr uint32
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(113)
-			for i := range ref {
-				ref[i] = int32(rng.nextN(21)) - 10
+	ref := make([]uint32, n*nwTile) // int32 scores in [-10, 10]
+	inst := newInstance(k, grid, 113,
+		words(ref, func(r *splitmix64) uint32 { return uint32(int32(r.nextN(21)) - 10) }), output(n))
+	inst.Check = func(m *mem.Global) error {
+		// The flat 16-word-stride matrix reproduces the kernel's (benign,
+		// deterministic) word-16 alias of (0,16)/(1,0).
+		mtx := make([]int32, nwTile*nwStride+nwTile+1)
+		for blk := 0; blk < grid; blk++ {
+			clear(mtx)
+			for t := 1; t <= nwTile; t++ {
+				mtx[t] = int32(-t * nwPenalty)
 			}
-			refAddr = m.Alloc(4 * len(ref))
-			outAddr = m.Alloc(4 * n)
-			for i, v := range ref {
-				m.Store32(refAddr+uint32(4*i), uint32(v))
+			for t := 1; t <= nwTile; t++ {
+				mtx[t*nwStride] = int32(-t * nwPenalty)
 			}
-			launch.Params = []uint32{refAddr, outAddr}
-		},
-		Check: func(m *mem.Global) error {
-			// The flat 16-word-stride matrix reproduces the kernel's
-			// (benign, deterministic) word-16 alias of (0,16)/(1,0).
-			mtx := make([]int32, nwTile*nwStride+nwTile+1)
-			for blk := 0; blk < grid; blk++ {
-				clear(mtx)
-				for t := 1; t <= nwTile; t++ {
-					mtx[t] = int32(-t * nwPenalty)
-				}
-				for t := 1; t <= nwTile; t++ {
-					mtx[t*nwStride] = int32(-t * nwPenalty)
-				}
-				for s := 0; s < steps; s++ {
-					for tid := 0; tid < nwTile; tid++ {
-						j := s + 1 - tid
-						if j < 1 || j > nwTile {
-							continue
-						}
-						i := tid + 1
-						d := mtx[(i-1)*nwStride+j-1] + ref[blk*nwTile*nwTile+(i-1)*nwTile+(j-1)]
-						u := mtx[(i-1)*nwStride+j] - nwPenalty
-						l := mtx[i*nwStride+j-1] - nwPenalty
-						mtx[i*nwStride+j] = max(d, max(u, l))
-					}
-				}
+			for s := 0; s < steps; s++ {
 				for tid := 0; tid < nwTile; tid++ {
-					j := nwTile - tid
-					if steps >= 2*nwTile-2 {
-						j = nwTile
+					j := s + 1 - tid
+					if j < 1 || j > nwTile {
+						continue
 					}
-					want := uint32(mtx[(tid+1)*nwStride+j])
-					gid := blk*nwTile + tid
-					if got := m.Load32(outAddr + uint32(4*gid)); got != want {
-						return fmt.Errorf("%s out[%d] = %d, want %d", name, gid, int32(got), int32(want))
-					}
+					i := tid + 1
+					d := mtx[(i-1)*nwStride+j-1] + int32(ref[blk*nwTile*nwTile+(i-1)*nwTile+(j-1)])
+					u := mtx[(i-1)*nwStride+j] - nwPenalty
+					l := mtx[i*nwStride+j-1] - nwPenalty
+					mtx[i*nwStride+j] = max(d, max(u, l))
 				}
 			}
-			return nil
-		},
+			for tid := 0; tid < nwTile; tid++ {
+				j := nwTile - tid
+				if steps >= 2*nwTile-2 {
+					j = nwTile
+				}
+				want := uint32(mtx[(tid+1)*nwStride+j])
+				if err := expect(m, s.Name, "out", inst.Launch.Params[1], blk*nwTile+tid, want); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	}
+	return inst
 }
 
 // SRAD1 is the srad_cuda_1 proxy: stage a 256-word tile (partly private),
@@ -198,12 +185,13 @@ func buildNW(name string, steps, grid int) *Instance {
 var SRAD1 = register(&Spec{
 	Name: "SRAD1", Suite: "RODINIA", Kernel: "srad_cuda_1",
 	Set: Set2, BlockDim: 256, RegsPerThread: 16, SmemPerBlock: 6144,
-	Build: buildSRAD1,
+	shape: Shape{Grid: 224, Trips: 3}, // Trips refinement rounds
+	build: buildSRAD1,
 })
 
-func buildSRAD1(scale int) *Instance {
-	grid := 224 * scale
-	n := grid * 256
+func buildSRAD1(s *Spec, sh Shape, scale int) *Instance {
+	grid := sh.Grid * scale
+	n := grid * s.BlockDim
 	const (
 		tileOff = 0
 		dNOff   = 1024
@@ -212,8 +200,7 @@ func buildSRAD1(scale int) *Instance {
 		dEOff   = 4096
 	)
 
-	b := kernel.NewBuilder("srad_cuda_1", 256)
-	b.Params(2).SetSmem(6144).SetRegs(16)
+	b := s.program(s.Kernel, 2)
 	const (
 		rTid, rGid, rIn, rOut          = 10, 11, 12, 13
 		rA, rV, rT, rN, rS, rW, rE, rC = 0, 1, 2, 3, 4, 5, 6, 7
@@ -273,7 +260,7 @@ func buildSRAD1(scale int) *Instance {
 	b.FFma(rV, isa.Reg(rSum), isa.ImmF(0.25), isa.Reg(rV))
 	// Refinement rounds (the real srad_cuda_1 computes the full
 	// diffusion coefficient expression per direction).
-	for round := 0; round < 3; round++ {
+	for round := 0; round < sh.Trips; round++ {
 		b.FFma(rSum, isa.Reg(rV), isa.ImmF(0.5), isa.Reg(rSum))
 		b.FFma(rSum, isa.Reg(rSum), isa.ImmF(-0.25), isa.Reg(rSum))
 		b.FFma(rSum, isa.Reg(rSum), isa.ImmF(0.125), isa.Reg(rSum))
@@ -289,64 +276,48 @@ func buildSRAD1(scale int) *Instance {
 	k := b.MustBuild()
 
 	in := make([]float32, n)
-	var inAddr, outAddr uint32
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(127)
-			for i := range in {
-				in[i] = rng.nextFloat()
+	inst := newInstance(k, grid, 127, floats(in, unitFloat), output(n))
+	inst.Check = func(m *mem.Global) error {
+		var tile [256]float32
+		for blk := 0; blk < grid; blk += 5 {
+			for t2 := range tile {
+				tile[t2] = float32((in[blk*256+(t2-16+256)&255]+in[blk*256+(t2+16)&255])*0.0625) + in[blk*256+t2]
 			}
-			inAddr = m.Alloc(4 * n)
-			outAddr = m.Alloc(4 * n)
-			m.WriteFloats(inAddr, in)
-			launch.Params = []uint32{inAddr, outAddr}
-		},
-		Check: func(m *mem.Global) error {
-			for blk := 0; blk < grid; blk += 5 {
-				for tid := 0; tid < 256; tid += 37 {
-					gnb := func(d int) float32 { return in[blk*256+(tid+d+256)&255] }
-					v := float32((gnb(-16)+gnb(16))*0.0625) + in[blk*256+tid]
-					tile := make([]float32, 256)
-					for t2 := 0; t2 < 256; t2++ {
-						tile[t2] = float32((in[blk*256+(t2-16+256)&255]+in[blk*256+(t2+16)&255])*0.0625) + in[blk*256+t2]
-					}
-					nb := func(d int) float32 { return tile[(tid+d+256)&255] }
-					dn := nb(-16) - v
-					ds := nb(16) - v
-					dw := nb(-1) - v
-					de := nb(1) - v
-					c := float32(dn * dn)
-					c = float32(ds*ds) + c
-					c = float32(dw*dw) + c
-					c = float32(de*de) + c
-					c += 1
-					c = 1 / c
-					sum := dn + ds
-					sum += dw
-					sum += de
-					sum = float32(sum * c)
-					v = float32(sum*0.25) + v
-					for round := 0; round < 3; round++ {
-						sum = float32(v*0.5) + sum
-						sum = float32(sum*-0.25) + sum
-						sum = float32(sum*0.125) + sum
-						sum = float32(sum*-0.0625) + sum
-						sum = float32(sum*0.03125) + sum
-						sum = float32(sum*-0.015625) + sum
-						v = float32(sum*0.01) + v
-					}
-					want := f32bits(v)
-					gid := blk*256 + tid
-					if got := m.Load32(outAddr + uint32(4*gid)); got != want {
-						return fmt.Errorf("SRAD1 out[%d] = %#x, want %#x", gid, got, want)
-					}
+			for tid := 0; tid < 256; tid += 37 {
+				v := tile[tid]
+				nb := func(d int) float32 { return tile[(tid+d+256)&255] }
+				dn := nb(-16) - v
+				ds := nb(16) - v
+				dw := nb(-1) - v
+				de := nb(1) - v
+				c := float32(dn * dn)
+				c = float32(ds*ds) + c
+				c = float32(dw*dw) + c
+				c = float32(de*de) + c
+				c += 1
+				c = 1 / c
+				sum := dn + ds
+				sum += dw
+				sum += de
+				sum = float32(sum * c)
+				v = float32(sum*0.25) + v
+				for round := 0; round < sh.Trips; round++ {
+					sum = float32(v*0.5) + sum
+					sum = float32(sum*-0.25) + sum
+					sum = float32(sum*0.125) + sum
+					sum = float32(sum*-0.0625) + sum
+					sum = float32(sum*0.03125) + sum
+					sum = float32(sum*-0.015625) + sum
+					v = float32(sum*0.01) + v
+				}
+				if err := expect(m, s.Name, "out", inst.Launch.Params[1], blk*256+tid, f32bits(v)); err != nil {
+					return err
 				}
 			}
-			return nil
-		},
+		}
+		return nil
 	}
+	return inst
 }
 
 // emitSradNb loads the wrap-around tile neighbour at distance d into rd.
@@ -366,17 +337,17 @@ func emitSradNb(b *kernel.Builder, rd, rTid int, d int32) {
 var SRAD2 = register(&Spec{
 	Name: "SRAD2", Suite: "RODINIA", Kernel: "srad_cuda_2",
 	Set: Set2, BlockDim: 256, RegsPerThread: 16, SmemPerBlock: 5120,
-	Build: buildSRAD2,
+	shape: Shape{Grid: 280, Trips: 16}, // Trips staged neighbours per thread
+	build: buildSRAD2,
 })
 
-const srad2Stage = 2048
+const srad2Stage = 2048 // byte offset of the staged tile
 
-func buildSRAD2(scale int) *Instance {
-	grid := 280 * scale
-	n := grid * 256
+func buildSRAD2(s *Spec, sh Shape, scale int) *Instance {
+	grid := sh.Grid * scale
+	n := grid * s.BlockDim
 
-	b := kernel.NewBuilder("srad_cuda_2", 256)
-	b.Params(2).SetSmem(5120).SetRegs(16)
+	b := s.program(s.Kernel, 2)
 	const (
 		rTid, rGid, rIn, rOut     = 10, 11, 12, 13
 		rA, rV, rT, rAcc, rJ, rNb = 0, 1, 2, 3, 4, 5
@@ -401,7 +372,7 @@ func buildSRAD2(scale int) *Instance {
 	b.LdS(rNb, isa.Reg(rT), srad2Stage)
 	b.FFma(rAcc, isa.Reg(rNb), isa.ImmF(0.0625), isa.Reg(rAcc))
 	b.IAdd(rJ, isa.Reg(rJ), isa.Imm(1))
-	b.Setp(isa.CmpLT, 0, isa.Reg(rJ), isa.Imm(16))
+	b.Setp(isa.CmpLT, 0, isa.Reg(rJ), isa.Imm(int32(sh.Trips)))
 	b.BraIf(0, false, "sweep", "fin")
 	b.Label("fin")
 	b.FFma(rV, isa.Reg(rAcc), isa.ImmF(0.5), isa.Reg(rV))
@@ -412,37 +383,21 @@ func buildSRAD2(scale int) *Instance {
 	k := b.MustBuild()
 
 	in := make([]float32, n)
-	var inAddr, outAddr uint32
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(131)
-			for i := range in {
-				in[i] = rng.nextFloat()
-			}
-			inAddr = m.Alloc(4 * n)
-			outAddr = m.Alloc(4 * n)
-			m.WriteFloats(inAddr, in)
-			launch.Params = []uint32{inAddr, outAddr}
-		},
-		Check: func(m *mem.Global) error {
-			for blk := 0; blk < grid; blk += 5 {
-				for tid := 0; tid < 256; tid += 41 {
-					v := in[blk*256+tid]
-					var acc float32
-					for j := 0; j < 16; j++ {
-						nb := in[blk*256+(tid+j)&255]
-						acc = float32(nb*0.0625) + acc
-					}
-					want := f32bits(float32(acc*0.5) + v)
-					gid := blk*256 + tid
-					if got := m.Load32(outAddr + uint32(4*gid)); got != want {
-						return fmt.Errorf("SRAD2 out[%d] = %#x, want %#x", gid, got, want)
-					}
+	inst := newInstance(k, grid, 131, floats(in, unitFloat), output(n))
+	inst.Check = func(m *mem.Global) error {
+		for blk := 0; blk < grid; blk += 5 {
+			for tid := 0; tid < 256; tid += 41 {
+				var acc float32
+				for j := 0; j < sh.Trips; j++ {
+					acc = float32(in[blk*256+(tid+j)&255]*0.0625) + acc
+				}
+				want := f32bits(float32(acc*0.5) + in[blk*256+tid])
+				if err := expect(m, s.Name, "out", inst.Launch.Params[1], blk*256+tid, want); err != nil {
+					return err
 				}
 			}
-			return nil
-		},
+		}
+		return nil
 	}
+	return inst
 }

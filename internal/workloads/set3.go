@@ -1,10 +1,7 @@
 package workloads
 
 import (
-	"fmt"
-
 	"gpushare/internal/isa"
-	"gpushare/internal/kernel"
 	"gpushare/internal/mem"
 )
 
@@ -19,15 +16,15 @@ import (
 var Backprop2 = register(&Spec{
 	Name: "backprop2", Suite: "RODINIA", Kernel: "bpnn_layerforward_CUDA",
 	Set: Set3, BlockDim: 256, RegsPerThread: 16, SmemPerBlock: 1088,
-	Build: buildBackprop2,
+	shape: Shape{Grid: 84},
+	build: buildBackprop2,
 })
 
-func buildBackprop2(scale int) *Instance {
-	grid := 84 * scale
-	n := grid * 256
+func buildBackprop2(s *Spec, sh Shape, scale int) *Instance {
+	grid := sh.Grid * scale
+	n := grid * s.BlockDim
 
-	b := kernel.NewBuilder("bpnn_layerforward_CUDA", 256)
-	b.Params(2).SetSmem(1088).SetRegs(16)
+	b := s.program(s.Kernel, 2)
 	const (
 		rTid, rGid, rIn, rOut = 10, 11, 12, 13
 		rA, rV, rT, rP, rHalf = 0, 1, 2, 3, 4
@@ -75,42 +72,28 @@ func buildBackprop2(scale int) *Instance {
 	k := b.MustBuild()
 
 	in := make([]float32, n)
-	var inAddr, outAddr uint32
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(139)
-			for i := range in {
-				in[i] = rng.nextFloat()
-			}
-			inAddr = m.Alloc(4 * n)
-			outAddr = m.Alloc(4 * n)
-			m.WriteFloats(inAddr, in)
-			launch.Params = []uint32{inAddr, outAddr}
-		},
-		Check: func(m *mem.Global) error {
-			ref := make([]float32, 256)
-			for blk := 0; blk < grid; blk += 9 {
-				copy(ref, in[blk*256:(blk+1)*256])
-				for half := 128; half >= 1; half /= 2 {
-					for tid := 0; tid < half; tid++ {
-						ref[tid] = ref[tid] + ref[tid+half]
-					}
-				}
-				// The kernel multiplies each thread's post-reduction
-				// scratchpad value by the block sum at word 0.
-				for tid := 0; tid < 256; tid += 31 {
-					want := f32bits(ref[tid] * ref[0])
-					gid := blk*256 + tid
-					if got := m.Load32(outAddr + uint32(4*gid)); got != want {
-						return fmt.Errorf("backprop2 out[%d] = %#x, want %#x", gid, got, want)
-					}
+	inst := newInstance(k, grid, 139, floats(in, unitFloat), output(n))
+	inst.Check = func(m *mem.Global) error {
+		var ref [256]float32
+		for blk := 0; blk < grid; blk += 9 {
+			copy(ref[:], in[blk*256:(blk+1)*256])
+			for half := 128; half >= 1; half /= 2 {
+				for tid := 0; tid < half; tid++ {
+					ref[tid] = ref[tid] + ref[tid+half]
 				}
 			}
-			return nil
-		},
+			// The kernel multiplies each thread's post-reduction
+			// scratchpad value by the block sum at word 0.
+			for tid := 0; tid < 256; tid += 31 {
+				want := f32bits(ref[tid] * ref[0])
+				if err := expect(m, s.Name, "out", inst.Launch.Params[1], blk*256+tid, want); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	}
+	return inst
 }
 
 // BFS is the Kernel (breadth-first step) proxy: each thread reads its
@@ -119,17 +102,16 @@ func buildBackprop2(scale int) *Instance {
 var BFS = register(&Spec{
 	Name: "BFS", Suite: "GPGPU-Sim", Kernel: "Kernel",
 	Set: Set3, BlockDim: 512, RegsPerThread: 12,
-	Build: buildBFS,
+	shape: Shape{Grid: 42, Trips: 4}, // Trips edges per node
+	build: buildBFS,
 })
 
-const bfsDegree = 4
+func buildBFS(s *Spec, sh Shape, scale int) *Instance {
+	grid := sh.Grid * scale
+	n := grid * s.BlockDim
+	degree := sh.Trips
 
-func buildBFS(scale int) *Instance {
-	grid := 42 * scale
-	n := grid * 512
-
-	b := kernel.NewBuilder("Kernel", 512)
-	b.Params(3).SetRegs(12)
+	b := s.program(s.Kernel, 3)
 	const (
 		rGid, rEdges, rDist, rOut = 8, 9, 10, 11
 		rA, rE, rD, rT, rBest     = 0, 1, 2, 3, 4
@@ -143,9 +125,9 @@ func buildBFS(scale int) *Instance {
 	b.IAdd(rA, isa.Reg(rDist), isa.Reg(rT))
 	b.LdG(rBest, isa.Reg(rA), 0)
 	// Relax over the node's edge window.
-	b.IMul(rA, isa.Reg(rGid), isa.Imm(bfsDegree*4))
+	b.IMul(rA, isa.Reg(rGid), isa.Imm(int32(degree*4)))
 	b.IAdd(rA, isa.Reg(rA), isa.Reg(rEdges))
-	for e := 0; e < bfsDegree; e++ {
+	for e := 0; e < degree; e++ {
 		b.LdG(rE, isa.Reg(rA), int32(4*e)) // neighbour id
 		b.Shl(rE, isa.Reg(rE), isa.Imm(2))
 		b.IAdd(rE, isa.Reg(rE), isa.Reg(rDist))
@@ -159,43 +141,26 @@ func buildBFS(scale int) *Instance {
 	b.Exit()
 	k := b.MustBuild()
 
-	edges := make([]uint32, n*bfsDegree)
+	edges := make([]uint32, n*degree)
 	dist := make([]uint32, n)
-	var eAddr, dAddr, outAddr uint32
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(149)
-			for i := range edges {
-				edges[i] = rng.nextN(n)
-			}
-			for i := range dist {
-				dist[i] = rng.nextN(64)
-			}
-			eAddr = m.Alloc(4 * len(edges))
-			dAddr = m.Alloc(4 * n)
-			outAddr = m.Alloc(4 * n)
-			m.WriteWords(eAddr, edges)
-			m.WriteWords(dAddr, dist)
-			launch.Params = []uint32{eAddr, dAddr, outAddr}
-		},
-		Check: func(m *mem.Global) error {
-			for t := 0; t < n; t += 97 {
-				best := int32(dist[t])
-				for e := 0; e < bfsDegree; e++ {
-					nb := edges[t*bfsDegree+e]
-					if d := int32(dist[nb]) + 1; d < best {
-						best = d
-					}
-				}
-				if got := m.Load32(outAddr + uint32(4*t)); got != uint32(best) {
-					return fmt.Errorf("BFS out[%d] = %d, want %d", t, got, best)
+	inst := newInstance(k, grid, 149,
+		words(edges, func(r *splitmix64) uint32 { return r.nextN(n) }),
+		words(dist, func(r *splitmix64) uint32 { return r.nextN(64) }), output(n))
+	inst.Check = func(m *mem.Global) error {
+		for t := 0; t < n; t += 97 {
+			best := int32(dist[t])
+			for _, nb := range edges[t*degree : (t+1)*degree] {
+				if d := int32(dist[nb]) + 1; d < best {
+					best = d
 				}
 			}
-			return nil
-		},
+			if err := expect(m, s.Name, "out", inst.Launch.Params[2], t, uint32(best)); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
+	return inst
 }
 
 // Gaussian is the FAN2 proxy: one Gaussian-elimination row update with
@@ -203,17 +168,16 @@ func buildBFS(scale int) *Instance {
 var Gaussian = register(&Spec{
 	Name: "gaussian", Suite: "RODINIA", Kernel: "Fan2",
 	Set: Set3, BlockDim: 64, RegsPerThread: 16,
-	Build: buildGaussian,
+	shape: Shape{Grid: 112, Trips: 16}, // Trips matrix columns per row
+	build: buildGaussian,
 })
 
-const gaussCols = 16
+func buildGaussian(s *Spec, sh Shape, scale int) *Instance {
+	grid := sh.Grid * scale
+	n := grid * s.BlockDim
+	cols := sh.Trips
 
-func buildGaussian(scale int) *Instance {
-	grid := 112 * scale
-	n := grid * 64
-
-	b := kernel.NewBuilder("Fan2", 64)
-	b.Params(4).SetRegs(16)
+	b := s.program(s.Kernel, 4)
 	const (
 		rGid, rMat, rMul, rOut, rPiv = 10, 11, 12, 13, 14
 		rA, rM, rV, rT, rJ, rRow     = 0, 1, 2, 3, 4, 5
@@ -245,7 +209,7 @@ func buildGaussian(scale int) *Instance {
 	b.StG(isa.Reg(rRow), 0, isa.Reg(rV))
 	b.IAdd(rRow, isa.Reg(rRow), isa.Reg(rStride))
 	b.IAdd(rJ, isa.Reg(rJ), isa.Imm(1))
-	b.Setp(isa.CmpLT, 0, isa.Reg(rJ), isa.Imm(gaussCols))
+	b.Setp(isa.CmpLT, 0, isa.Reg(rJ), isa.Imm(int32(cols)))
 	b.BraIf(0, false, "col", "fin")
 	b.Label("fin")
 	b.Shl(rT, isa.Reg(rGid), isa.Imm(2))
@@ -254,52 +218,28 @@ func buildGaussian(scale int) *Instance {
 	b.Exit()
 	k := b.MustBuild()
 
-	mat := make([]float32, n*gaussCols)
+	mat := make([]float32, n*cols)
 	mul := make([]float32, n)
-	piv := make([]float32, gaussCols)
-	var matAddr, mulAddr, outAddr, pivAddr uint32
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(151)
-			for i := range mat {
-				mat[i] = rng.nextFloat()
-			}
-			for i := range mul {
-				mul[i] = rng.nextFloat()
-			}
-			for i := range piv {
-				piv[i] = rng.nextFloat() + 0.5
-			}
-			matAddr = m.Alloc(4 * len(mat))
-			mulAddr = m.Alloc(4 * n)
-			outAddr = m.Alloc(4 * n)
-			pivAddr = m.Alloc(4 * gaussCols)
-			m.WriteFloats(matAddr, mat)
-			m.WriteFloats(mulAddr, mul)
-			m.WriteFloats(pivAddr, piv)
-			launch.Params = []uint32{matAddr, mulAddr, outAddr, pivAddr}
-		},
-		Check: func(m *mem.Global) error {
-			for t := 0; t < n; t += 61 {
-				mv := mul[t]
-				var last float32
-				for j := 0; j < gaussCols; j++ {
-					want := mat[j*n+t] - float32(piv[j]*mv)
-					got := mem.F32FromBits(m.Load32(matAddr + uint32(4*(j*n+t))))
-					if got != want {
-						return fmt.Errorf("gaussian mat[%d][%d] = %v, want %v", t, j, got, want)
-					}
-					last = want
-				}
-				if got := mem.F32FromBits(m.Load32(outAddr + uint32(4*t))); got != last {
-					return fmt.Errorf("gaussian out[%d] = %v, want %v", t, got, last)
+	piv := make([]float32, cols)
+	inst := newInstance(k, grid, 151, floats(mat, unitFloat), floats(mul, unitFloat), output(n),
+		floats(piv, func(r *splitmix64) float32 { return r.nextFloat() + 0.5 }))
+	inst.Check = func(m *mem.Global) error {
+		p := inst.Launch.Params
+		for t := 0; t < n; t += 61 {
+			var last uint32
+			for j := 0; j < cols; j++ {
+				last = f32bits(mat[j*n+t] - float32(piv[j]*mul[t]))
+				if err := expect(m, s.Name, "mat", p[0], j*n+t, last); err != nil {
+					return err
 				}
 			}
-			return nil
-		},
+			if err := expect(m, s.Name, "out", p[2], t, last); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
+	return inst
 }
 
 // NN is the executeSecondLayer proxy: a small dense neural-network layer;
@@ -307,17 +247,16 @@ func buildGaussian(scale int) *Instance {
 var NN = register(&Spec{
 	Name: "NN", Suite: "GPGPU-Sim", Kernel: "executeSecondLayer",
 	Set: Set3, BlockDim: 128, RegsPerThread: 20,
-	Build: buildNN,
+	shape: Shape{Grid: 112, Trips: 32}, // Trips weights per neuron
+	build: buildNN,
 })
 
-const nnWeights = 32
+func buildNN(s *Spec, sh Shape, scale int) *Instance {
+	grid := sh.Grid * scale
+	n := grid * s.BlockDim
+	weights := sh.Trips
 
-func buildNN(scale int) *Instance {
-	grid := 112 * scale
-	n := grid * 128
-
-	b := kernel.NewBuilder("executeSecondLayer", 128)
-	b.Params(3).SetRegs(20)
+	b := s.program(s.Kernel, 3)
 	const (
 		rGid, rW, rIn, rOut        = 14, 15, 16, 17
 		rA, rWv, rIv, rAcc, rJ, rT = 0, 1, 2, 3, 4, 5
@@ -334,7 +273,7 @@ func buildNN(scale int) *Instance {
 	emitTotalThreads(b, rStride)
 	b.Shl(rStride, isa.Reg(rStride), isa.Imm(2))
 	b.Mov(rT, isa.Sreg(isa.SrCtaid))
-	b.IMul(rT, isa.Reg(rT), isa.Imm(nnWeights*4))
+	b.IMul(rT, isa.Reg(rT), isa.Imm(int32(weights*4)))
 	b.IAdd(rIn, isa.Reg(rIn), isa.Reg(rT))
 	b.MovF(rAcc, 0)
 	b.MovI(rJ, 0)
@@ -346,7 +285,7 @@ func buildNN(scale int) *Instance {
 	b.LdG(rIv, isa.Reg(rA), 0)
 	b.FFma(rAcc, isa.Reg(rWv), isa.Reg(rIv), isa.Reg(rAcc))
 	b.IAdd(rJ, isa.Reg(rJ), isa.Imm(1))
-	b.Setp(isa.CmpLT, 0, isa.Reg(rJ), isa.Imm(nnWeights))
+	b.Setp(isa.CmpLT, 0, isa.Reg(rJ), isa.Imm(int32(weights)))
 	b.BraIf(0, false, "dot", "fin")
 	b.Label("fin")
 	b.Shl(rT, isa.Reg(rGid), isa.Imm(2))
@@ -355,39 +294,23 @@ func buildNN(scale int) *Instance {
 	b.Exit()
 	k := b.MustBuild()
 
-	w := make([]float32, n*nnWeights)
-	in := make([]float32, grid*nnWeights)
-	var wAddr, inAddr, outAddr uint32
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(157)
-			for i := range w {
-				w[i] = rng.nextFloat() - 0.5
+	w := make([]float32, n*weights)
+	in := make([]float32, grid*weights)
+	inst := newInstance(k, grid, 157,
+		floats(w, func(r *splitmix64) float32 { return r.nextFloat() - 0.5 }),
+		floats(in, unitFloat), output(n))
+	inst.Check = func(m *mem.Global) error {
+		for t := 0; t < n; t += 89 {
+			blk := t / s.BlockDim
+			var acc float32
+			for j := 0; j < weights; j++ {
+				acc = float32(w[j*n+t]*in[blk*weights+j]) + acc
 			}
-			for i := range in {
-				in[i] = rng.nextFloat()
+			if err := expect(m, s.Name, "out", inst.Launch.Params[2], t, f32bits(acc)); err != nil {
+				return err
 			}
-			wAddr = m.Alloc(4 * len(w))
-			inAddr = m.Alloc(4 * len(in))
-			outAddr = m.Alloc(4 * n)
-			m.WriteFloats(wAddr, w)
-			m.WriteFloats(inAddr, in)
-			launch.Params = []uint32{wAddr, inAddr, outAddr}
-		},
-		Check: func(m *mem.Global) error {
-			for t := 0; t < n; t += 89 {
-				blk := t / 128
-				var acc float32
-				for j := 0; j < nnWeights; j++ {
-					acc = float32(w[j*n+t]*in[blk*nnWeights+j]) + acc
-				}
-				if got := m.Load32(outAddr + uint32(4*t)); got != f32bits(acc) {
-					return fmt.Errorf("NN out[%d] = %#x, want %#x", t, got, f32bits(acc))
-				}
-			}
-			return nil
-		},
+		}
+		return nil
 	}
+	return inst
 }

@@ -37,14 +37,69 @@ type Spec struct {
 	Kernel string // kernel name from the paper's tables
 	Set    Set
 
+	// The footprint of Tables II/III. The builder reads it from here
+	// (Spec.program); it has no second copy.
 	BlockDim      int
 	RegsPerThread int
 	SmemPerBlock  int
 
-	// Build instantiates the workload. scale multiplies the grid size
-	// (1 = the experiment default used by the harness; benchmarks use
-	// smaller scales).
-	Build func(scale int) *Instance
+	shape Shape
+	build func(s *Spec, sh Shape, scale int) *Instance
+}
+
+// Shape is a proxy's declared problem shape: the sizes its program and
+// inputs are built from that leave its Table II/III footprint alone. A
+// field is zero where the proxy has no such size; every non-zero field
+// is read by the proxy's builder. Sizes tied to the footprint (NW's
+// 16x16 tile, the conv and SRAD scratchpad tiles) and properties of the
+// program (ALU ops per load, prologue length) are not fields.
+type Shape struct {
+	// Grid is the number of thread blocks per unit of scale.
+	Grid int
+	// Trips is the per-thread trip count of the main loop, or the
+	// element count of an unrolled body.
+	Trips int
+	// WorkingSet is the bytes of the data the main loop reads again and
+	// again: the whole pool where warps share one, one block's where
+	// each block has its own.
+	WorkingSet int
+	// Stride is the main loop's access stride in bytes: between the
+	// regions successive warps walk, or between successive iterations'
+	// loads.
+	Stride int
+}
+
+// String renders the declared fields, e.g. "grid=252/scale trips=2".
+func (sh Shape) String() string {
+	out := fmt.Sprintf("grid=%d/scale", sh.Grid)
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"trips", sh.Trips}, {"working-set", sh.WorkingSet}, {"stride", sh.Stride}} {
+		if f.v != 0 {
+			out += fmt.Sprintf(" %s=%d", f.name, f.v)
+		}
+	}
+	return out
+}
+
+// Shape returns the spec's declared shape. Builds use it and nothing
+// else: no code outside this package can build a proxy at a shape it
+// does not declare, so a workload name and scale identify the program.
+func (s *Spec) Shape() Shape { return s.shape }
+
+// Build instantiates the workload at its declared shape. scale
+// multiplies the grid size (1 = the experiment default used by the
+// harness; benchmarks use smaller scales).
+func (s *Spec) Build(scale int) *Instance { return s.build(s, s.shape, scale) }
+
+// program starts the spec's kernel under the given name with its
+// declared footprint and params kernel arguments. The paper's kernel
+// name (s.Kernel) is the usual name; the builders shared by two specs
+// (conv, NW) name the program after the spec instead.
+func (s *Spec) program(name string, params int) *kernel.Builder {
+	return kernel.NewBuilder(name, s.BlockDim).Params(params).
+		SetRegs(s.RegsPerThread).SetSmem(s.SmemPerBlock)
 }
 
 // Instance is a runnable workload: a launch plus input setup and an
@@ -121,13 +176,72 @@ func (s *splitmix64) nextFloat() float32 {
 	return float32(s.next()>>40) / (1 << 24)
 }
 
-// checkWords compares n output words against want, reporting the first
-// mismatch.
-func checkWords(m *mem.Global, addr uint32, want []uint32, what string) error {
-	for i, w := range want {
-		if got := m.Load32(addr + uint32(4*i)); got != w {
-			return fmt.Errorf("%s[%d] = %#x, want %#x", what, i, got, w)
-		}
+// A buffer is one global-memory allocation an instance's Setup makes,
+// in declaration order. An input holds host data (words or floats)
+// drawn element by element from the instance's generator by its draw
+// function and written at the buffer's address; a nil draw means the
+// builder draws the data itself. An output holds no data.
+type buffer struct {
+	words     []uint32
+	floats    []float32
+	drawWord  func(*splitmix64) uint32
+	drawFloat func(*splitmix64) float32
+	size      int // words allocated, when more than lead + the data
+	lead      int // zero words allocated before the address
+}
+
+func words(w []uint32, draw func(*splitmix64) uint32) buffer {
+	return buffer{words: w, drawWord: draw}
+}
+
+func floats(f []float32, draw func(*splitmix64) float32) buffer {
+	return buffer{floats: f, drawFloat: draw}
+}
+
+func output(words int) buffer { return buffer{size: words} }
+
+// The common draws.
+func anyWord(r *splitmix64) uint32    { return uint32(r.next()) }
+func unitFloat(r *splitmix64) float32 { return r.nextFloat() }
+
+// newInstance returns the instance that launches k over grid blocks.
+// Its Setup draws each buffer's data from one generator seeded with
+// seed, allocates and writes the buffers in order, and passes their
+// addresses as the launch parameters, one per buffer; Check reads them
+// back from Launch.Params.
+func newInstance(k *kernel.Kernel, grid int, seed uint64, bufs ...buffer) *Instance {
+	launch := &kernel.Launch{Kernel: k, GridDim: grid}
+	return &Instance{
+		Launch: launch,
+		Setup: func(m *mem.Global) {
+			rng := splitmix64(seed)
+			params := make([]uint32, len(bufs))
+			for i, b := range bufs {
+				if b.drawWord != nil {
+					for j := range b.words {
+						b.words[j] = b.drawWord(&rng)
+					}
+				}
+				if b.drawFloat != nil {
+					for j := range b.floats {
+						b.floats[j] = b.drawFloat(&rng)
+					}
+				}
+				n := max(b.size, b.lead+len(b.words)+len(b.floats))
+				params[i] = m.Alloc(4*n) + uint32(4*b.lead)
+				m.WriteWords(params[i], b.words)
+				m.WriteFloats(params[i], b.floats)
+			}
+			launch.Params = params
+		},
+	}
+}
+
+// expect reports word i of the buffer at addr unless it holds want; the
+// error names it as proxy's buf[i].
+func expect(m *mem.Global, proxy, buf string, addr uint32, i int, want uint32) error {
+	if got := m.Load32(addr + uint32(4*i)); got != want {
+		return fmt.Errorf("%s %s[%d] = %#x, want %#x", proxy, buf, i, got, want)
 	}
 	return nil
 }
