@@ -8,6 +8,7 @@
 //	gsim -workload MUM -sharing registers -unroll -dyn -sched OWF -v
 //	gsim -workload hotspot -cachedir ~/.gpushare-cache   # rerun = cache hit
 //	gsim -list
+//	gsim -list -v -scale 2   # each proxy's shape, resident blocks and waves
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 
 	"gpushare/internal/checkpoint"
 	"gpushare/internal/config"
+	"gpushare/internal/core"
 	"gpushare/internal/gpu"
 	"gpushare/internal/runner"
 	"gpushare/internal/simerr"
@@ -87,6 +89,27 @@ func bisectHang(ctx context.Context, cfg config.Config, spec *workloads.Spec, sc
 	os.Exit(1)
 }
 
+// printShape prints a proxy's declared shape and, at scale, its
+// resident blocks per SM and its waves per run (grid blocks over the
+// blocks the whole GPU holds at once): unshared, and under its set's
+// sharing mode at t = 0.1.
+func printShape(spec *workloads.Spec, scale int) {
+	launch := spec.Build(scale).Launch
+	k, grid := launch.Kernel, launch.GridDim
+	fmt.Printf("           shape %v; grid %d at scale %d\n", spec.Shape(), grid, scale)
+	for _, mode := range []config.SharingMode{config.ShareNone, spec.Set.Sharing()} {
+		cfg := config.Default()
+		cfg.Sharing, cfg.T = mode, 0.1
+		blocks := core.ComputeOccupancy(&cfg, k).Max
+		what := "unshared"
+		if mode != config.ShareNone {
+			what = fmt.Sprintf("%v t=0.1", mode)
+		}
+		fmt.Printf("           %-16s %d blocks/SM, %.2f waves\n",
+			what, blocks, float64(grid)/float64(blocks*cfg.NumSMs))
+	}
+}
+
 func auditVerdict(err error) string {
 	if err == nil {
 		return "clean"
@@ -111,7 +134,7 @@ func main() {
 		verify   = flag.Bool("verify", true, "check functional outputs after the run")
 		showOcc  = flag.Bool("occupancy", false, "print the occupancy plan and exit")
 		cacheDir = flag.String("cachedir", "", "on-disk result cache directory: identical runs are served from cache ('' disables; ignored with -trace)")
-		verbose  = flag.Bool("v", false, "print the per-partition memory breakdown after the run")
+		verbose  = flag.Bool("v", false, "print the per-partition memory breakdown after the run; with -list, each proxy's shape, resident blocks and waves at -scale")
 		ckStride = flag.Int64("checkpoint-stride", 0, "write a machine snapshot every N cycles (0 disables; results identical either way)")
 		ckDir    = flag.String("checkpoint-dir", "", "directory for checkpoint files (with -checkpoint-stride; keeps the whole trail)")
 		restore  = flag.String("restore", "", "resume from this checkpoint file instead of cycle 0 (the run must match the checkpoint's workload and config exactly)")
@@ -144,6 +167,9 @@ func main() {
 		for _, s := range workloads.All() {
 			fmt.Printf("%-10s set-%d %-10s %-32s block=%d regs=%d smem=%d\n",
 				s.Name, s.Set, s.Suite, s.Kernel, s.BlockDim, s.RegsPerThread, s.SmemPerBlock)
+			if *verbose {
+				printShape(s, *scale)
+			}
 		}
 		return
 	}

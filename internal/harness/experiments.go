@@ -81,7 +81,7 @@ func paperExperiments() []experiment {
 // named declares a workload under one of the paper's configurations at
 // threshold t, in the sharing mode the paper evaluates its set under.
 func named(spec *workloads.Spec, name ConfigName, t float64) sim {
-	return sim{workload: spec.Name, label: string(name), cfg: buildConfig(name, sharingModeFor(spec), t)}
+	return sim{workload: spec.Name, label: string(name), cfg: buildConfig(name, spec.Set.Sharing(), t)}
 }
 
 // variant declares a workload under a named configuration with one knob
@@ -96,7 +96,7 @@ func variant(spec *workloads.Spec, name ConfigName, suffix string, change func(*
 // bestSharing names the all-optimizations sharing configuration of a
 // workload's set.
 func bestSharing(spec *workloads.Spec) ConfigName {
-	if sharingModeFor(spec) == config.ShareScratchpad {
+	if spec.Set.Sharing() == config.ShareScratchpad {
 		return SharedOWF
 	}
 	return SharedOWFUnrDyn
@@ -198,7 +198,7 @@ func fig1Waste(set workloads.Set, id, title string) experiment {
 func fig8Blocks(set workloads.Set, id string, shared ConfigName, title string) experiment {
 	return experiment{id: id, title: title, columns: []string{string(UnsharedLRR), string(shared)},
 		rows: perWorkload(workloads.BySet(set), func(spec *workloads.Spec) []cell {
-			return []cell{baselineBlocks(spec), sharedBlocks(spec, sharingModeFor(spec), 0.1)}
+			return []cell{baselineBlocks(spec), sharedBlocks(spec, spec.Set.Sharing(), 0.1)}
 		})}
 }
 

@@ -19,7 +19,6 @@ import (
 	"gpushare/internal/runner"
 	"gpushare/internal/stats"
 	"gpushare/internal/tenancy"
-	"gpushare/internal/workloads"
 )
 
 // Table is one experiment's result in paper layout: one row per
@@ -162,15 +161,6 @@ func buildConfig(name ConfigName, mode config.SharingMode, t float64) config.Con
 		panic(fmt.Sprintf("harness: unknown configuration %q", name))
 	}
 	return cfg
-}
-
-// sharingModeFor returns the sharing mode the paper evaluates a workload
-// set under.
-func sharingModeFor(s *workloads.Spec) config.SharingMode {
-	if s.Set == workloads.Set2 {
-		return config.ShareScratchpad
-	}
-	return config.ShareRegisters
 }
 
 // sim declares one simulation a cell needs: a registry workload (or,

@@ -31,13 +31,15 @@ type loadGroup struct {
 }
 
 // wbEvent is a scheduled writeback: at its cycle it clears scoreboard
-// bits or retires part of a load group.
+// bits or retires part of a load group. Its fields are ordered widest
+// first so the wheel's buckets hold 32-byte events with no padding
+// between fields (TestWBEventSize).
 type wbEvent struct {
 	warpSlot int
-	gen      uint32
 	regMask  uint64
-	predMask uint8
 	group    *loadGroup // non-nil: decrement the group instead
+	gen      uint32
+	predMask uint8
 }
 
 // warpCtx is one hardware warp slot.

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 
+	"gpushare/internal/config"
 	"gpushare/internal/kernel"
 	"gpushare/internal/mem"
 )
@@ -29,6 +30,16 @@ const (
 	Set2 Set = 2 // limited by scratchpad memory (Table III)
 	Set3 Set = 3 // limited by threads or blocks (Table IV)
 )
+
+// Sharing returns the sharing mode the paper evaluates the set under.
+// Set-3 applications run either way without extra blocks; they are
+// evaluated with register sharing.
+func (s Set) Sharing() config.SharingMode {
+	if s == Set2 {
+		return config.ShareScratchpad
+	}
+	return config.ShareRegisters
+}
 
 // Spec describes one benchmark application.
 type Spec struct {

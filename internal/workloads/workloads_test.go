@@ -19,19 +19,6 @@ var paperOccupancy = map[string]struct{ base, shared int }{
 	"backprop2": {6, 6}, "BFS": {3, 3}, "gaussian": {8, 8}, "NN": {8, 8},
 }
 
-func sharingModeFor(s *workloads.Spec) config.SharingMode {
-	switch s.Set {
-	case workloads.Set1:
-		return config.ShareRegisters
-	case workloads.Set2:
-		return config.ShareScratchpad
-	default:
-		// Set-3 apps are evaluated under both modes in the paper; either
-		// way no extra blocks launch. Use register sharing here.
-		return config.ShareRegisters
-	}
-}
-
 func TestRegistryComplete(t *testing.T) {
 	if got := len(workloads.All()); got != 19 {
 		t.Fatalf("registry has %d workloads, want 19", got)
@@ -87,7 +74,7 @@ func TestOccupancyMatchesPaper(t *testing.T) {
 		}
 
 		shared := config.Default()
-		shared.Sharing = sharingModeFor(s)
+		shared.Sharing = s.Set.Sharing()
 		shared.T = 0.1
 		sim2 := gpu.MustNew(shared)
 		if got := sim2.Occupancy(inst.Launch.Kernel).Max; got != want.shared {
@@ -137,7 +124,7 @@ func TestWorkloadsCorrectUnderSharing(t *testing.T) {
 			t.Parallel()
 			inst := s.Build(1)
 			cfg := config.Default()
-			cfg.Sharing = sharingModeFor(s)
+			cfg.Sharing = s.Set.Sharing()
 			cfg.T = 0.1
 			cfg.Sched = config.SchedOWF
 			if cfg.Sharing == config.ShareRegisters {
