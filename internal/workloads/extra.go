@@ -79,8 +79,11 @@ func buildEpilogueMicro(s *Spec, sh Shape, scale int) *Instance {
 	// The tail walks one buffer (element gid*4 + i*stride) and stores 4n
 	// bytes past its final position; size the buffer for the last store.
 	init := make([]uint32, 2*n+sh.Trips*sh.Stride/4+64)
-	inst := newInstance(k, grid, 163,
-		words(init, func(r *splitmix64) uint32 { return uint32(r.next()) & 0xffff }))
+	inst := newInstance(k, grid)
+	inst.Setup = func(m *mem.Global) {
+		g := inputs{m: m, rng: 163}
+		inst.Launch.Params = []uint32{g.words(init, func(x uint64) uint32 { return uint32(x) & 0xffff })}
+	}
 	inst.Check = func(m *mem.Global) error {
 		for t := 0; t < n; t += 131 {
 			var acc, shA uint32 = 0, 3

@@ -76,14 +76,13 @@ func buildBackprop(s *Spec, sh Shape, scale int) *Instance {
 	w := make([]float32, n)
 	ow := make([]float32, n)
 	d := make([]float32, n)
-	inst := newInstance(k, grid, 0, floats(w, nil), floats(ow, nil), floats(d, nil))
-	setup := inst.Setup
+	inst := newInstance(k, grid)
 	inst.Setup = func(m *mem.Global) {
-		rng := splitmix64(11) // the three inputs draw interleaved
-		for i := range w {
-			w[i], ow[i], d[i] = rng.nextFloat(), rng.nextFloat(), rng.nextFloat()-0.5
+		g := inputs{m: m, rng: 11}
+		for i := range w { // the three inputs draw interleaved
+			w[i], ow[i], d[i] = unitFloat(g.rng.next()), unitFloat(g.rng.next()), unitFloat(g.rng.next())-0.5
 		}
-		setup(m)
+		inst.Launch.Params = []uint32{g.floats(w, nil), g.floats(ow, nil), g.floats(d, nil)}
 	}
 	inst.Check = func(m *mem.Global) error {
 		p := inst.Launch.Params
@@ -179,7 +178,11 @@ func buildBTree(s *Spec, sh Shape, scale int) *Instance {
 
 	tree := make([]uint32, sh.WorkingSet/4)
 	queries := make([]uint32, threads)
-	inst := newInstance(k, grid, 23, words(tree, anyWord), output(threads), words(queries, anyWord))
+	inst := newInstance(k, grid)
+	inst.Setup = func(m *mem.Global) {
+		g := inputs{m: m, rng: 23}
+		inst.Launch.Params = []uint32{g.words(tree, anyWord), g.output(threads), g.words(queries, anyWord)}
+	}
 	inst.Check = func(m *mem.Global) error {
 		for t := 0; t < threads; t++ {
 			q := queries[t]
@@ -307,23 +310,22 @@ func buildHotspot(s *Spec, sh Shape, scale int) *Instance {
 	b.Exit()
 	k := b.MustBuild()
 
-	// The temperatures draw two values past the n the kernel reads; the
-	// buffer leaves a zero word on each side of them for the [-4] and
-	// [+4] neighbour loads.
 	temp := make([]float32, n+2)
 	pow := make([]float32, sh.WorkingSet/4)
-	inst := newInstance(k, grid, 0,
-		buffer{floats: temp[:n], size: n + 2, lead: 1}, floats(pow, nil), output(n))
-	setup := inst.Setup
+	inst := newInstance(k, grid)
 	inst.Setup = func(m *mem.Global) {
-		rng := splitmix64(31)
-		for i := range temp {
-			temp[i] = 60 + 20*rng.nextFloat()
+		g := inputs{m: m, rng: 31}
+		for i := range temp { // two draws past the n the kernel reads
+			temp[i] = 60 + 20*unitFloat(g.rng.next())
 		}
 		for i := range pow {
-			pow[i] = rng.nextFloat()
+			pow[i] = unitFloat(g.rng.next())
 		}
-		setup(m)
+		// A zero word on each side of the temperatures for the [-4] and
+		// [+4] neighbour loads.
+		tempAddr := m.Alloc(4*(n+2)) + 4
+		m.WriteFloats(tempAddr, temp[:n])
+		inst.Launch.Params = []uint32{tempAddr, g.floats(pow, nil), g.output(n)}
 	}
 	inst.Check = func(m *mem.Global) error {
 		tempAddr, outAddr := inst.Launch.Params[0], inst.Launch.Params[2]

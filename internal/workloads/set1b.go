@@ -64,7 +64,11 @@ func buildMUM(s *Spec, sh Shape, scale int) *Instance {
 	b.Exit()
 	k := b.MustBuild()
 
-	inst := newInstance(k, grid, 41, words(nodes, anyWord), output(threads))
+	inst := newInstance(k, grid)
+	inst.Setup = func(m *mem.Global) {
+		g := inputs{m: m, rng: 41}
+		inst.Launch.Params = []uint32{g.words(nodes, anyWord), g.output(threads)}
+	}
 	inst.Check = func(m *mem.Global) error {
 		regions, mask := uint32(len(nodes)/region), uint32(region-1)
 		for t := 0; t < threads; t += 199 {
@@ -156,9 +160,14 @@ func buildMRIQ(s *Spec, sh Shape, scale int) *Instance {
 
 	table := make([]float32, tables*tableWords)
 	xs := make([]float32, threads)
-	inst := newInstance(k, grid, 53,
-		floats(table, func(r *splitmix64) float32 { return r.nextFloat() * 2 }),
-		output(threads), floats(xs, unitFloat))
+	inst := newInstance(k, grid)
+	inst.Setup = func(m *mem.Global) {
+		g := inputs{m: m, rng: 53}
+		inst.Launch.Params = []uint32{
+			g.floats(table, func(x uint64) float32 { return unitFloat(x) * 2 }),
+			g.output(threads), g.floats(xs, unitFloat),
+		}
+	}
 	// Spot-checks one thread in 173, bit for bit: the host replays the
 	// sweep with the executor's roundings — FMUL, FSIN (sinf32, the libm
 	// definition), FFMA as float32(ph*0.5) + k, then the FADD — so every
@@ -238,7 +247,11 @@ func buildLIB(s *Spec, sh Shape, scale int) *Instance {
 	k := b.MustBuild()
 
 	paths := make([]float32, grid*words)
-	inst := newInstance(k, grid, 61, floats(paths, unitFloat), output(grid*s.BlockDim))
+	inst := newInstance(k, grid)
+	inst.Setup = func(m *mem.Global) {
+		g := inputs{m: m, rng: 61}
+		inst.Launch.Params = []uint32{g.floats(paths, unitFloat), g.output(grid * s.BlockDim)}
+	}
 	inst.Check = func(m *mem.Global) error {
 		for blk := 0; blk < grid; blk += 17 {
 			for tid := 0; tid < s.BlockDim; tid += 53 {

@@ -85,7 +85,11 @@ func buildSgemm(s *Spec, sh Shape, scale int) *Instance {
 
 	a := make([]float32, threads*sh.Trips)
 	bm := make([]float32, 64*sh.Trips)
-	inst := newInstance(k, grid, 71, floats(a, unitFloat), floats(bm, unitFloat), output(threads))
+	inst := newInstance(k, grid)
+	inst.Setup = func(m *mem.Global) {
+		g := inputs{m: m, rng: 71}
+		inst.Launch.Params = []uint32{g.floats(a, unitFloat), g.floats(bm, unitFloat), g.output(threads)}
+	}
 	inst.Check = func(m *mem.Global) error {
 		for t := 0; t < threads; t += 131 {
 			blk := t / s.BlockDim
@@ -204,12 +208,18 @@ func buildStencil(s *Spec, sh Shape, scale int) *Instance {
 	b.Exit()
 	k := b.MustBuild()
 
-	// The input leaves a zero word before element 0 for the [-4] load.
 	in := make([]float32, n+1)
 	coef := make([]float32, sh.WorkingSet/4)
-	inst := newInstance(k, grid, 83,
-		buffer{floats: in, drawFloat: func(r *splitmix64) float32 { return r.nextFloat() * 4 }, lead: 1},
-		output(n), floats(coef, unitFloat))
+	inst := newInstance(k, grid)
+	inst.Setup = func(m *mem.Global) {
+		g := inputs{m: m, rng: 83}
+		for i := range in {
+			in[i] = unitFloat(g.rng.next()) * 4
+		}
+		inAddr := m.Alloc(4*len(in)+4) + 4 // a zero word for the [-4] load
+		m.WriteFloats(inAddr, in)
+		inst.Launch.Params = []uint32{inAddr, g.output(n), g.floats(coef, unitFloat)}
+	}
 	inst.Check = func(m *mem.Global) error {
 		load := func(i int) float32 {
 			if i < 0 {

@@ -86,7 +86,11 @@ func buildConv(s *Spec, sh Shape, scale, radius int) *Instance {
 	k := b.MustBuild()
 
 	in := make([]float32, n)
-	inst := newInstance(k, grid, 97, floats(in, unitFloat), output(n))
+	inst := newInstance(k, grid)
+	inst.Setup = func(m *mem.Global) {
+		g := inputs{m: m, rng: 97}
+		inst.Launch.Params = []uint32{g.floats(in, unitFloat), g.output(n)}
+	}
 	inst.Check = func(m *mem.Global) error {
 		smemRef := make([]float32, blockDim+3*radius)
 		for blk := 0; blk < grid; blk++ {
@@ -192,8 +196,11 @@ func buildLavaMD(s *Spec, sh Shape, scale int) *Instance {
 	k := b.MustBuild()
 
 	in := make([]float32, n)
-	inst := newInstance(k, grid, 103,
-		floats(in, func(r *splitmix64) float32 { return r.nextFloat() * 2 }), output(n))
+	inst := newInstance(k, grid)
+	inst.Setup = func(m *mem.Global) {
+		g := inputs{m: m, rng: 103}
+		inst.Launch.Params = []uint32{g.floats(in, func(x uint64) float32 { return unitFloat(x) * 2 }), g.output(n)}
+	}
 	inst.Check = func(m *mem.Global) error {
 		for blk := 0; blk < grid; blk += 7 {
 			for tid := 0; tid < 128; tid += 29 {

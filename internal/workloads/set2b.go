@@ -135,8 +135,11 @@ func buildNW(s *Spec, sh Shape, scale int) *Instance {
 	k := b.MustBuild()
 
 	ref := make([]uint32, n*nwTile) // int32 scores in [-10, 10]
-	inst := newInstance(k, grid, 113,
-		words(ref, func(r *splitmix64) uint32 { return uint32(int32(r.nextN(21)) - 10) }), output(n))
+	inst := newInstance(k, grid)
+	inst.Setup = func(m *mem.Global) {
+		g := inputs{m: m, rng: 113}
+		inst.Launch.Params = []uint32{g.words(ref, func(x uint64) uint32 { return uint32(int32(below(21, x)) - 10) }), g.output(n)}
+	}
 	inst.Check = func(m *mem.Global) error {
 		// The flat 16-word-stride matrix reproduces the kernel's (benign,
 		// deterministic) word-16 alias of (0,16)/(1,0).
@@ -276,7 +279,11 @@ func buildSRAD1(s *Spec, sh Shape, scale int) *Instance {
 	k := b.MustBuild()
 
 	in := make([]float32, n)
-	inst := newInstance(k, grid, 127, floats(in, unitFloat), output(n))
+	inst := newInstance(k, grid)
+	inst.Setup = func(m *mem.Global) {
+		g := inputs{m: m, rng: 127}
+		inst.Launch.Params = []uint32{g.floats(in, unitFloat), g.output(n)}
+	}
 	inst.Check = func(m *mem.Global) error {
 		var tile [256]float32
 		for blk := 0; blk < grid; blk += 5 {
@@ -383,7 +390,11 @@ func buildSRAD2(s *Spec, sh Shape, scale int) *Instance {
 	k := b.MustBuild()
 
 	in := make([]float32, n)
-	inst := newInstance(k, grid, 131, floats(in, unitFloat), output(n))
+	inst := newInstance(k, grid)
+	inst.Setup = func(m *mem.Global) {
+		g := inputs{m: m, rng: 131}
+		inst.Launch.Params = []uint32{g.floats(in, unitFloat), g.output(n)}
+	}
 	inst.Check = func(m *mem.Global) error {
 		for blk := 0; blk < grid; blk += 5 {
 			for tid := 0; tid < 256; tid += 41 {

@@ -72,7 +72,11 @@ func buildBackprop2(s *Spec, sh Shape, scale int) *Instance {
 	k := b.MustBuild()
 
 	in := make([]float32, n)
-	inst := newInstance(k, grid, 139, floats(in, unitFloat), output(n))
+	inst := newInstance(k, grid)
+	inst.Setup = func(m *mem.Global) {
+		g := inputs{m: m, rng: 139}
+		inst.Launch.Params = []uint32{g.floats(in, unitFloat), g.output(n)}
+	}
 	inst.Check = func(m *mem.Global) error {
 		var ref [256]float32
 		for blk := 0; blk < grid; blk += 9 {
@@ -143,9 +147,14 @@ func buildBFS(s *Spec, sh Shape, scale int) *Instance {
 
 	edges := make([]uint32, n*degree)
 	dist := make([]uint32, n)
-	inst := newInstance(k, grid, 149,
-		words(edges, func(r *splitmix64) uint32 { return r.nextN(n) }),
-		words(dist, func(r *splitmix64) uint32 { return r.nextN(64) }), output(n))
+	inst := newInstance(k, grid)
+	inst.Setup = func(m *mem.Global) {
+		g := inputs{m: m, rng: 149}
+		inst.Launch.Params = []uint32{
+			g.words(edges, func(x uint64) uint32 { return below(n, x) }),
+			g.words(dist, func(x uint64) uint32 { return below(64, x) }), g.output(n),
+		}
+	}
 	inst.Check = func(m *mem.Global) error {
 		for t := 0; t < n; t += 97 {
 			best := int32(dist[t])
@@ -221,8 +230,14 @@ func buildGaussian(s *Spec, sh Shape, scale int) *Instance {
 	mat := make([]float32, n*cols)
 	mul := make([]float32, n)
 	piv := make([]float32, cols)
-	inst := newInstance(k, grid, 151, floats(mat, unitFloat), floats(mul, unitFloat), output(n),
-		floats(piv, func(r *splitmix64) float32 { return r.nextFloat() + 0.5 }))
+	inst := newInstance(k, grid)
+	inst.Setup = func(m *mem.Global) {
+		g := inputs{m: m, rng: 151}
+		inst.Launch.Params = []uint32{
+			g.floats(mat, unitFloat), g.floats(mul, unitFloat), g.output(n),
+			g.floats(piv, func(x uint64) float32 { return unitFloat(x) + 0.5 }),
+		}
+	}
 	inst.Check = func(m *mem.Global) error {
 		p := inst.Launch.Params
 		for t := 0; t < n; t += 61 {
@@ -296,9 +311,14 @@ func buildNN(s *Spec, sh Shape, scale int) *Instance {
 
 	w := make([]float32, n*weights)
 	in := make([]float32, grid*weights)
-	inst := newInstance(k, grid, 157,
-		floats(w, func(r *splitmix64) float32 { return r.nextFloat() - 0.5 }),
-		floats(in, unitFloat), output(n))
+	inst := newInstance(k, grid)
+	inst.Setup = func(m *mem.Global) {
+		g := inputs{m: m, rng: 157}
+		inst.Launch.Params = []uint32{
+			g.floats(w, func(x uint64) float32 { return unitFloat(x) - 0.5 }),
+			g.floats(in, unitFloat), g.output(n),
+		}
+	}
 	inst.Check = func(m *mem.Global) error {
 		for t := 0; t < n; t += 89 {
 			blk := t / s.BlockDim

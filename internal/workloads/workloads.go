@@ -179,74 +179,56 @@ func (s *splitmix64) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// nextN returns a value in [0, n).
-func (s *splitmix64) nextN(n int) uint32 { return uint32(s.next() % uint64(n)) }
+// An input element is drawn from one generator word; these are the
+// common draws.
+func anyWord(x uint64) uint32      { return uint32(x) }
+func unitFloat(x uint64) float32   { return float32(x>>40) / (1 << 24) } // in [0, 1)
+func below(n int, x uint64) uint32 { return uint32(x % uint64(n)) }      // in [0, n)
 
-// nextFloat returns a float32 in [0, 1).
-func (s *splitmix64) nextFloat() float32 {
-	return float32(s.next()>>40) / (1 << 24)
+// newInstance returns the instance that launches k over grid blocks;
+// the builder sets its Setup and Check.
+func newInstance(k *kernel.Kernel, grid int) *Instance {
+	return &Instance{Launch: &kernel.Launch{Kernel: k, GridDim: grid}}
 }
 
-// A buffer is one global-memory allocation an instance's Setup makes,
-// in declaration order. An input holds host data (words or floats)
-// drawn element by element from the instance's generator by its draw
-// function and written at the buffer's address; a nil draw means the
-// builder draws the data itself. An output holds no data.
-type buffer struct {
-	words     []uint32
-	floats    []float32
-	drawWord  func(*splitmix64) uint32
-	drawFloat func(*splitmix64) float32
-	size      int // words allocated, when more than lead + the data
-	lead      int // zero words allocated before the address
+// inputs is one Setup's allocator: every buffer it makes draws its
+// host data (if any) from the seeded generator and is allocated in call
+// order, so a Setup lists its buffers once, in launch-parameter order:
+//
+//	g := inputs{m: m, rng: 41}
+//	inst.Launch.Params = []uint32{g.words(nodes, anyWord), g.output(n)}
+type inputs struct {
+	m   *mem.Global
+	rng splitmix64
 }
 
-func words(w []uint32, draw func(*splitmix64) uint32) buffer {
-	return buffer{words: w, drawWord: draw}
-}
-
-func floats(f []float32, draw func(*splitmix64) float32) buffer {
-	return buffer{floats: f, drawFloat: draw}
-}
-
-func output(words int) buffer { return buffer{size: words} }
-
-// The common draws.
-func anyWord(r *splitmix64) uint32    { return uint32(r.next()) }
-func unitFloat(r *splitmix64) float32 { return r.nextFloat() }
-
-// newInstance returns the instance that launches k over grid blocks.
-// Its Setup draws each buffer's data from one generator seeded with
-// seed, allocates and writes the buffers in order, and passes their
-// addresses as the launch parameters, one per buffer; Check reads them
-// back from Launch.Params.
-func newInstance(k *kernel.Kernel, grid int, seed uint64, bufs ...buffer) *Instance {
-	launch := &kernel.Launch{Kernel: k, GridDim: grid}
-	return &Instance{
-		Launch: launch,
-		Setup: func(m *mem.Global) {
-			rng := splitmix64(seed)
-			params := make([]uint32, len(bufs))
-			for i, b := range bufs {
-				if b.drawWord != nil {
-					for j := range b.words {
-						b.words[j] = b.drawWord(&rng)
-					}
-				}
-				if b.drawFloat != nil {
-					for j := range b.floats {
-						b.floats[j] = b.drawFloat(&rng)
-					}
-				}
-				n := max(b.size, b.lead+len(b.words)+len(b.floats))
-				params[i] = m.Alloc(4*n) + uint32(4*b.lead)
-				m.WriteWords(params[i], b.words)
-				m.WriteFloats(params[i], b.floats)
-			}
-			launch.Params = params
-		},
+// words draws w (unless draw is nil: the builder drew it), allocates
+// and writes it, and returns its address.
+func (g *inputs) words(w []uint32, draw func(uint64) uint32) uint32 {
+	if draw != nil {
+		for i := range w {
+			w[i] = draw(g.rng.next())
+		}
 	}
+	addr := g.m.Alloc(4 * len(w))
+	g.m.WriteWords(addr, w)
+	return addr
 }
+
+// floats is words for float data.
+func (g *inputs) floats(f []float32, draw func(uint64) float32) uint32 {
+	if draw != nil {
+		for i := range f {
+			f[i] = draw(g.rng.next())
+		}
+	}
+	addr := g.m.Alloc(4 * len(f))
+	g.m.WriteFloats(addr, f)
+	return addr
+}
+
+// output allocates an n-word output buffer and returns its address.
+func (g *inputs) output(n int) uint32 { return g.m.Alloc(4 * n) }
 
 // expect reports word i of the buffer at addr unless it holds want; the
 // error names it as proxy's buf[i].
