@@ -109,8 +109,7 @@ func (s *Spec) Build(scale int) *Instance { return s.build(s, s.shape, scale) }
 // name (s.Kernel) is the usual name; the builders shared by two specs
 // (conv, NW) name the program after the spec instead.
 func (s *Spec) program(name string, params int) *kernel.Builder {
-	return kernel.NewBuilder(name, s.BlockDim).Params(params).
-		SetRegs(s.RegsPerThread).SetSmem(s.SmemPerBlock)
+	return kernel.NewBuilder(name, s.BlockDim).Params(params).SetRegs(s.RegsPerThread).SetSmem(s.SmemPerBlock)
 }
 
 // Instance is a runnable workload: a launch plus input setup and an

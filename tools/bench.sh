@@ -48,11 +48,11 @@ go test -run '^$' -bench 'BenchmarkCalibrate$' -benchtime "$microtime" ./tools/c
 cal=$(awk '/^BenchmarkCalibrate/ { for (i = 3; i <= NF; i++) if ($i == "ns/op") print $(i - 1) }' "$out")
 [ -n "$cal" ] || { echo "no calibration measurement" >&2; exit 1; }
 
-echo "== microbenchmarks (smcore SM tick incl. scratchpad kernel + all-blocked census and lock-wait cycles, warp executor, SFU rows, bank conflicts, scheduler ranking, mem system tick + idle window, DRAM channel tick, checkpoint roundtrip)"
+echo "== microbenchmarks (smcore SM tick incl. scratchpad kernel + all-blocked census and lock-wait cycles, warp executor, SFU rows, bank conflicts, scheduler ranking, mem system tick + idle window, DRAM channel tick, checkpoint roundtrip, build + setup of the 19 paper proxies)"
 # -p 1: packages run one after another; with the default (one per CPU)
 # two packages' benchmarks time each other's contention.
-go test -p 1 -run '^$' -bench 'BenchmarkSMTick$|BenchmarkSMTickManyWarps$|BenchmarkSMTickScratchpad$|BenchmarkSMTickStalled$|BenchmarkSMTickLockWait$|BenchmarkWarpExecute$|BenchmarkEvalRowSFU$|BenchmarkBankConflictDegree$|BenchmarkSchedOrder$|BenchmarkMemSystemTick$|BenchmarkMemSystemTickIdle|BenchmarkDRAMChannelTick$|BenchmarkCheckpointRoundtrip$' \
-    -benchmem -benchtime "$microtime" ./internal/smcore/ ./internal/warp/ ./internal/isa/ ./internal/sched/ ./internal/mem/ ./internal/mem/dram/ ./internal/checkpoint/ | tee -a "$out"
+go test -p 1 -run '^$' -bench 'BenchmarkSMTick$|BenchmarkSMTickManyWarps$|BenchmarkSMTickScratchpad$|BenchmarkSMTickStalled$|BenchmarkSMTickLockWait$|BenchmarkWarpExecute$|BenchmarkEvalRowSFU$|BenchmarkBankConflictDegree$|BenchmarkSchedOrder$|BenchmarkMemSystemTick$|BenchmarkMemSystemTickIdle|BenchmarkDRAMChannelTick$|BenchmarkCheckpointRoundtrip$|BenchmarkBuildSetup$' \
+    -benchmem -benchtime "$microtime" ./internal/smcore/ ./internal/warp/ ./internal/isa/ ./internal/sched/ ./internal/mem/ ./internal/mem/dram/ ./internal/checkpoint/ ./internal/workloads/ | tee -a "$out"
 
 echo "== end-to-end engine (full hotspot simulation per op; two-tenant co-residency per op; 56 mostly-blocked SMs per op; compute-bound, memory drained, per op; a whole hotspot+lavaMD time-slice run per op)"
 go test -run '^$' -bench 'BenchmarkRunHotspot$|BenchmarkCoResident|BenchmarkBlockedSMs$|BenchmarkComputeBound|BenchmarkTimeSlice$' \

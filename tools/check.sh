@@ -10,7 +10,9 @@
 # that a tenant's blocks are priced by one rule (core.Footprint: no cap
 # ledger, no second pair-cost formula), that one function does atomic
 # file writes, that a table has one renderer (Table.Markdown: no text
-# renderer, no -md flag), that no scheduler view is patched in place
+# renderer, no -md flag), that every workload proxy declares its shape
+# (no grid-per-scale literal; the footprint reaches a kernel through
+# Spec.program alone), that no scheduler view is patched in place
 # (no patchView, no WaitingLong in internal/), that the SM's issue
 # stage keeps one shortcut (the census: no issue cards, no card hit
 # path), that the memory side
@@ -190,6 +192,18 @@ n=$(cat $nontest_go | grep -v '^[[:space:]]*//' | grep -c 'os\.Rename(' || true)
 echo "== one table renderer (Table.Markdown is the only rendering of a table; no text renderer, no -md flag)"
 hits=$(grep -n -E 'FormatPaper|func \(t \*Table\) Format\(|"md"' $nontest_go | grep -v ':[[:space:]]*//' || true)
 [ -z "$hits" ] || { echo "a second table renderer or output-format flag is back:" >&2; echo "$hits" >&2; exit 1; }
+
+echo "== proxies declare their shape (no grid-per-scale literal in internal/workloads; the footprint reaches a kernel only through Spec.program)"
+wl_src=$(ls internal/workloads/*.go | grep -v _test.go)
+hits=$(grep -n -E '\b[0-9]+ *\* *scale\b|\bscale *\* *[0-9]+' $wl_src | grep -v ':[[:space:]]*//' || true)
+[ -z "$hits" ] || { echo "internal/workloads: a grid-per-scale literal is back (declare the grid in the proxy's Shape):" >&2; echo "$hits" >&2; exit 1; }
+hits=$(grep -n -E 'NewBuilder\(|SetRegs\(|SetSmem\(' $wl_src | grep -v ':[[:space:]]*//' || true)
+if [ "$(printf '%s\n' "$hits" | grep -c .)" != 1 ] || ! printf '%s\n' "$hits" | grep -q 's\.BlockDim).*SetRegs(s\.RegsPerThread).*SetSmem(s\.SmemPerBlock)'; then
+    echo "internal/workloads: a footprint is declared outside Spec.program (the Spec's BlockDim/RegsPerThread/SmemPerBlock are its only copy):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+echo "   non-test Go lines in internal/workloads: $(cat $wl_src | wc -l)"
 
 echo "== EXPERIMENTS.md (below its generated marker: gexp -exp all -scale 2 -paper, byte for byte; ~2 min on 2 CPUs)"
 # -strict turns a failed simulation into a failed gate rather than a
