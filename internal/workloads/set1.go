@@ -218,7 +218,8 @@ var Hotspot = register(&Spec{
 	Name: "hotspot", Suite: "RODINIA", Kernel: "calculate_temp",
 	Set: Set1, BlockDim: 256, RegsPerThread: 36,
 	// The power tile is WorkingSet/Stride slices of Stride bytes; a
-	// step's lanes fan out over the first 16 cache lines of a slice.
+	// step's lanes fan out over the first 8 (per-warp slice) or 16
+	// (block-shared slice) cache lines of one.
 	shape: Shape{Grid: 252, Trips: 12, WorkingSet: 1 << 20, Stride: 2048},
 	build: buildHotspot,
 })

@@ -128,7 +128,8 @@ var Stencil = register(&Spec{
 	Name: "stencil", Suite: "PARBOIL", Kernel: "block2D_hybrid_coarsen_x",
 	Set: Set1, BlockDim: 512, RegsPerThread: 28,
 	// The coefficients are WorkingSet/Stride slices of Stride bytes; a
-	// step's lanes fan out over the first 16 cache lines of a slice.
+	// step's lanes fan out over the first 4 (per-warp slice) or 16
+	// (block-shared slice) cache lines of one.
 	shape: Shape{Grid: 126, Trips: 12, WorkingSet: 1 << 20, Stride: 2048},
 	build: buildStencil,
 })
