@@ -96,7 +96,7 @@ func bisectHang(ctx context.Context, cfg config.Config, spec *workloads.Spec, sc
 func printShape(spec *workloads.Spec, scale int) {
 	launch := spec.Build(scale).Launch
 	k, grid := launch.Kernel, launch.GridDim
-	fmt.Printf("           shape %v; grid %d at scale %d\n", spec.Shape(), grid, scale)
+	fmt.Printf("           shape %+v; grid %d at scale %d\n", spec.Shape(), grid, scale)
 	for _, mode := range []config.SharingMode{config.ShareNone, spec.Set.Sharing()} {
 		cfg := config.Default()
 		cfg.Sharing, cfg.T = mode, 0.1

@@ -18,6 +18,14 @@ func emitGid(b *kernel.Builder, rGid int) {
 	b.IMad(rGid, isa.Sreg(isa.SrCtaid), isa.Sreg(isa.SrNtid), isa.Sreg(isa.SrTid))
 }
 
+// emitStoreOut emits out[gid] = v for the word array at rOut, building
+// the address in rT.
+func emitStoreOut(b *kernel.Builder, rT, rOut, rGid, rV int) {
+	b.Shl(rT, isa.Reg(rGid), isa.Imm(2))
+	b.IAdd(rT, isa.Reg(rOut), isa.Reg(rT))
+	b.StG(isa.Reg(rT), 0, isa.Reg(rV))
+}
+
 // emitTotalThreads emits rTot = nctaid*ntid.
 func emitTotalThreads(b *kernel.Builder, rTot int) {
 	b.IMul(rTot, isa.Sreg(isa.SrNctaid), isa.Sreg(isa.SrNtid))

@@ -58,9 +58,7 @@ func buildMUM(s *Spec, sh Shape, scale int) *Instance {
 	b.Setp(isa.CmpLT, 0, isa.Reg(rI), isa.Imm(int32(sh.Trips)))
 	b.BraIf(0, false, "chase", "done")
 	b.Label("done")
-	b.Shl(rT, isa.Reg(rGid), isa.Imm(2))
-	b.IAdd(rT, isa.Reg(rOut), isa.Reg(rT))
-	b.StG(isa.Reg(rT), 0, isa.Reg(rSum))
+	emitStoreOut(b, rT, rOut, rGid, rSum)
 	b.Exit()
 	k := b.MustBuild()
 
@@ -152,9 +150,7 @@ func buildMRIQ(s *Spec, sh Shape, scale int) *Instance {
 	b.Setp(isa.CmpLT, 0, isa.Reg(rJ), isa.Imm(int32(sh.Trips)))
 	b.BraIf(0, false, "iter", "fin")
 	b.Label("fin")
-	b.Shl(rT, isa.Reg(rGid), isa.Imm(2))
-	b.IAdd(rT, isa.Reg(rOut), isa.Reg(rT))
-	b.StG(isa.Reg(rT), 0, isa.Reg(rAcc))
+	emitStoreOut(b, rT, rOut, rGid, rAcc)
 	b.Exit()
 	k := b.MustBuild()
 
@@ -240,9 +236,7 @@ func buildLIB(s *Spec, sh Shape, scale int) *Instance {
 	b.BraIf(0, false, "pass", "fin")
 	b.Label("fin")
 	emitGid(b, rGid)
-	b.Shl(rT, isa.Reg(rGid), isa.Imm(2))
-	b.IAdd(rT, isa.Reg(rOut), isa.Reg(rT))
-	b.StG(isa.Reg(rT), 0, isa.Reg(rAcc))
+	emitStoreOut(b, rT, rOut, rGid, rAcc)
 	b.Exit()
 	k := b.MustBuild()
 

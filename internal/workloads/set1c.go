@@ -77,9 +77,7 @@ func buildSgemm(s *Spec, sh Shape, scale int) *Instance {
 	b.FAdd(rC0, isa.Reg(rC0), isa.Reg(rC1))
 	b.FAdd(rC2, isa.Reg(rC2), isa.Reg(rC3))
 	b.FAdd(rC0, isa.Reg(rC0), isa.Reg(rC2))
-	b.Shl(rT, isa.Reg(rGid), isa.Imm(2))
-	b.IAdd(rT, isa.Reg(rOut), isa.Reg(rT))
-	b.StG(isa.Reg(rT), 0, isa.Reg(rC0))
+	emitStoreOut(b, rT, rOut, rGid, rC0)
 	b.Exit()
 	k := b.MustBuild()
 
@@ -203,9 +201,7 @@ func buildStencil(s *Spec, sh Shape, scale int) *Instance {
 	b.Setp(isa.CmpLT, 0, isa.Reg(rI), isa.Imm(int32(sh.Trips)))
 	b.BraIf(0, false, "step", "fin")
 	b.Label("fin")
-	b.Shl(rAdr, isa.Reg(rGid), isa.Imm(2))
-	b.IAdd(rAdr, isa.Reg(rOut), isa.Reg(rAdr))
-	b.StG(isa.Reg(rAdr), 0, isa.Reg(rC))
+	emitStoreOut(b, rAdr, rOut, rGid, rC)
 	b.Exit()
 	k := b.MustBuild()
 

@@ -79,9 +79,7 @@ func buildConv(s *Spec, sh Shape, scale, radius int) *Instance {
 			b.FFma(rAcc, isa.Reg(rV), isa.ImmF(c), isa.Reg(rAcc))
 		}
 	}
-	b.Shl(rT, isa.Reg(rGid), isa.Imm(2))
-	b.IAdd(rT, isa.Reg(rOut), isa.Reg(rT))
-	b.StG(isa.Reg(rT), 0, isa.Reg(rAcc))
+	emitStoreOut(b, rT, rOut, rGid, rAcc)
 	b.Exit()
 	k := b.MustBuild()
 
@@ -189,9 +187,7 @@ func buildLavaMD(s *Spec, sh Shape, scale int) *Instance {
 	b.BraIf(0, false, "nb", "fin")
 	b.Label("fin")
 	b.FAdd(rAcc, isa.Reg(rAcc), isa.Reg(rAcc2))
-	b.Shl(rT, isa.Reg(rGid), isa.Imm(2))
-	b.IAdd(rT, isa.Reg(rOut), isa.Reg(rT))
-	b.StG(isa.Reg(rT), 0, isa.Reg(rAcc))
+	emitStoreOut(b, rT, rOut, rGid, rAcc)
 	b.Exit()
 	k := b.MustBuild()
 

@@ -128,9 +128,7 @@ func buildNW(s *Spec, sh Shape, scale int) *Instance {
 	b.IAdd(rA, isa.Reg(rI16), isa.Reg(rJ4))
 	b.LdS(rV, isa.Reg(rA), 0)
 	emitGid(b, rG)
-	b.Shl(rT, isa.Reg(rG), isa.Imm(2))
-	b.IAdd(rT, isa.Reg(rOut), isa.Reg(rT))
-	b.StG(isa.Reg(rT), 0, isa.Reg(rV))
+	emitStoreOut(b, rT, rOut, rG, rV)
 	b.Exit()
 	k := b.MustBuild()
 
@@ -272,9 +270,7 @@ func buildSRAD1(s *Spec, sh Shape, scale int) *Instance {
 		b.FFma(rSum, isa.Reg(rSum), isa.ImmF(-0.015625), isa.Reg(rSum))
 		b.FFma(rV, isa.Reg(rSum), isa.ImmF(0.01), isa.Reg(rV))
 	}
-	b.Shl(rT, isa.Reg(rGid), isa.Imm(2))
-	b.IAdd(rT, isa.Reg(rOut), isa.Reg(rT))
-	b.StG(isa.Reg(rT), 0, isa.Reg(rV))
+	emitStoreOut(b, rT, rOut, rGid, rV)
 	b.Exit()
 	k := b.MustBuild()
 
@@ -383,9 +379,7 @@ func buildSRAD2(s *Spec, sh Shape, scale int) *Instance {
 	b.BraIf(0, false, "sweep", "fin")
 	b.Label("fin")
 	b.FFma(rV, isa.Reg(rAcc), isa.ImmF(0.5), isa.Reg(rV))
-	b.Shl(rT, isa.Reg(rGid), isa.Imm(2))
-	b.IAdd(rT, isa.Reg(rOut), isa.Reg(rT))
-	b.StG(isa.Reg(rT), 0, isa.Reg(rV))
+	emitStoreOut(b, rT, rOut, rGid, rV)
 	b.Exit()
 	k := b.MustBuild()
 

@@ -139,9 +139,7 @@ func buildBFS(s *Spec, sh Shape, scale int) *Instance {
 		b.IAdd(rD, isa.Reg(rD), isa.Imm(1))
 		b.IMin(rBest, isa.Reg(rBest), isa.Reg(rD))
 	}
-	b.Shl(rT, isa.Reg(rGid), isa.Imm(2))
-	b.IAdd(rT, isa.Reg(rOut), isa.Reg(rT))
-	b.StG(isa.Reg(rT), 0, isa.Reg(rBest))
+	emitStoreOut(b, rT, rOut, rGid, rBest)
 	b.Exit()
 	k := b.MustBuild()
 
@@ -221,9 +219,7 @@ func buildGaussian(s *Spec, sh Shape, scale int) *Instance {
 	b.Setp(isa.CmpLT, 0, isa.Reg(rJ), isa.Imm(int32(cols)))
 	b.BraIf(0, false, "col", "fin")
 	b.Label("fin")
-	b.Shl(rT, isa.Reg(rGid), isa.Imm(2))
-	b.IAdd(rT, isa.Reg(rOut), isa.Reg(rT))
-	b.StG(isa.Reg(rT), 0, isa.Reg(rV))
+	emitStoreOut(b, rT, rOut, rGid, rV)
 	b.Exit()
 	k := b.MustBuild()
 
@@ -303,9 +299,7 @@ func buildNN(s *Spec, sh Shape, scale int) *Instance {
 	b.Setp(isa.CmpLT, 0, isa.Reg(rJ), isa.Imm(int32(weights)))
 	b.BraIf(0, false, "dot", "fin")
 	b.Label("fin")
-	b.Shl(rT, isa.Reg(rGid), isa.Imm(2))
-	b.IAdd(rT, isa.Reg(rOut), isa.Reg(rT))
-	b.StG(isa.Reg(rT), 0, isa.Reg(rAcc))
+	emitStoreOut(b, rT, rOut, rGid, rAcc)
 	b.Exit()
 	k := b.MustBuild()
 

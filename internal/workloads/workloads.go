@@ -80,20 +80,6 @@ type Shape struct {
 	Stride int
 }
 
-// String renders the declared fields, e.g. "grid=252/scale trips=2".
-func (sh Shape) String() string {
-	out := fmt.Sprintf("grid=%d/scale", sh.Grid)
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"trips", sh.Trips}, {"working-set", sh.WorkingSet}, {"stride", sh.Stride}} {
-		if f.v != 0 {
-			out += fmt.Sprintf(" %s=%d", f.name, f.v)
-		}
-	}
-	return out
-}
-
 // Shape returns the spec's declared shape. Builds use it and nothing
 // else: no code outside this package can build a proxy at a shape it
 // does not declare, so a workload name and scale identify the program.
