@@ -78,9 +78,9 @@ func buildNW(s *Spec, sh Shape, scale int) *Instance {
 	b.Shl(rI16, isa.Reg(rT), isa.Imm(6)) // (tid+1)*16 words -> bytes
 	b.Shl(rRB, isa.Reg(rTid), isa.Imm(2))
 	b.IAdd(rRB, isa.Reg(rRB), isa.Imm(nwRefOff-64))
-	for s := 0; s < steps; s++ {
-		// j = s+1-tid; active when 1 <= j <= 16.
-		b.MovI(rJ, int32(s+1))
+	for step := 0; step < steps; step++ {
+		// j = step+1-tid; active when 1 <= j <= 16.
+		b.MovI(rJ, int32(step+1))
 		b.ISub(rJ, isa.Reg(rJ), isa.Reg(rTid))
 		b.IAdd(rT, isa.Reg(rJ), isa.Imm(-1))
 		b.Setp(isa.CmpLTU, 0, isa.Reg(rT), isa.Imm(nwTile))
@@ -136,7 +136,9 @@ func buildNW(s *Spec, sh Shape, scale int) *Instance {
 	inst := newInstance(k, grid)
 	inst.Setup = func(m *mem.Global) {
 		g := inputs{m: m, rng: 113}
-		inst.Launch.Params = []uint32{g.words(ref, func(x uint64) uint32 { return uint32(int32(below(21, x)) - 10) }), g.output(n)}
+		inst.Launch.Params = []uint32{
+			g.words(ref, func(x uint64) uint32 { return uint32(int32(below(21, x)) - 10) }), g.output(n),
+		}
 	}
 	inst.Check = func(m *mem.Global) error {
 		// The flat 16-word-stride matrix reproduces the kernel's (benign,
@@ -150,9 +152,9 @@ func buildNW(s *Spec, sh Shape, scale int) *Instance {
 			for t := 1; t <= nwTile; t++ {
 				mtx[t*nwStride] = int32(-t * nwPenalty)
 			}
-			for s := 0; s < steps; s++ {
+			for step := 0; step < steps; step++ {
 				for tid := 0; tid < nwTile; tid++ {
-					j := s + 1 - tid
+					j := step + 1 - tid
 					if j < 1 || j > nwTile {
 						continue
 					}
