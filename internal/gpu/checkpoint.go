@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"gpushare/internal/checkpoint"
 	"gpushare/internal/invariant"
@@ -42,13 +43,11 @@ const (
 )
 
 // MarshalJSON writes the FIFO oldest first as [{"sm":..,"slot":..,"at":..}].
-// It formats by hand: capture's json.Encoder writes into the simulator's
-// own buffer but still builds the payload in a scratch buffer it draws
-// from encoding/json's pool, and a nested json.Marshal here would draw a
-// second one in the middle of the snapshot. Both go back to the pool, the
-// next capture may draw the small one, and it then regrows to the
-// payload's multi-megabyte size — a regrowth per capture that one pooled
-// buffer, kept at full size between garbage collections, does not pay.
+// It formats by hand: capture's json.Encoder builds each section of the
+// payload in a scratch buffer it draws from encoding/json's pool, and a
+// nested json.Marshal here would draw a second one in the middle of the
+// loop section. Both go back to the pool, and the next large section may
+// draw the small one and regrow it.
 func (q launchQueue) MarshalJSON() ([]byte, error) {
 	b := []byte{'['}
 	for i := 0; i < q.n; i++ {
@@ -173,32 +172,95 @@ func (r *run) identity() (cfg, spec json.RawMessage, err error) {
 // capture serializes the identity envelope, the machine and the loop
 // state at cycle now into the integrity-checked container
 // (internal/checkpoint) in one pass over live state: the per-package
-// views alias the machine instead of copying it, encoding/json writes
-// the payload into the simulator's capture buffer behind a reserved
-// header, and checkpoint.Seal writes the header in place. The container
-// returned lives in that buffer, which the next capture overwrites —
-// hence the checkpoint.Sink contract that Put keeps nothing.
+// views alias the machine instead of copying it, the payload is written
+// into the simulator's capture buffer behind a reserved header, and
+// checkpoint.Seal writes the header in place. The container returned
+// lives in that buffer, which the next capture overwrites — hence the
+// checkpoint.Sink contract that Put keeps nothing.
+//
+// The payload is encoded section by section — each identity field, each
+// SM, the memory system, each global page, the loop state — with the
+// punctuation of payload, machineState and mem.GlobalCheckpoint written
+// between them, so the bytes are json.Marshal(payload)'s
+// (TestCaptureMatchesSeedEncoder). encoding/json builds every value it
+// encodes in a scratch buffer from its own pool before copying it out;
+// one section at a time, that buffer is bounded by the largest section
+// instead of growing to the whole multi-megabyte payload. Sections go to
+// the encoder by pointer and the two integers through strconv, so that
+// passing them as interface values allocates nothing per section.
 func (r *run) capture(now int64) ([]byte, error) {
 	s := r.s
-	cj, sj, err := r.identity()
-	if err != nil {
+	if _, _, err := r.identity(); err != nil {
 		return nil, simerr.Wrap(simerr.KindCheckpoint, now, err)
 	}
-	p := &payload{SimVersion: Version, Config: cj, Mode: r.mode, Kernels: r.kernels, Spec: sj, Cycle: now, Loop: &r.loopState}
-	p.Machine.SMs = make([]smcore.Checkpoint, len(r.sms))
-	for i, sm := range r.sms {
-		p.Machine.SMs[i] = sm.Checkpoint()
-	}
-	p.Machine.Mem = s.ms.Checkpoint()
-	p.Machine.Global = s.Mem.Checkpoint()
 	var header [checkpoint.HeaderSize]byte
-	s.ckBuf.Reset()
-	s.ckBuf.Write(header[:])
-	if err := json.NewEncoder(&s.ckBuf).Encode(p); err != nil {
-		return nil, simerr.Wrap(simerr.KindCheckpoint, now, err)
+	b := &s.ckBuf
+	b.Reset()
+	b.Write(header[:])
+	w := sectionWriter{b: b, enc: json.NewEncoder(b)}
+	w.put(`{"sim_version":`, Version)
+	w.put(`,"config":`, &r.cfgJSON)
+	w.put(`,"mode":`, &r.mode)
+	w.put(`,"kernels":`, &r.kernels)
+	if len(r.specJSON) > 0 {
+		w.put(`,"spec":`, &r.specJSON)
 	}
-	blob := s.ckBuf.Bytes()
-	return checkpoint.Seal(blob[:len(blob)-1]), nil // Encode ends the payload with a newline
+	b.WriteString(`,"cycle":`)
+	b.Write(strconv.AppendInt(b.AvailableBuffer(), now, 10))
+	b.WriteString(`,"machine":{"sms":[`)
+	var smc smcore.Checkpoint
+	for i, sm := range r.sms {
+		smc = sm.Checkpoint()
+		w.put(sep(i), &smc)
+	}
+	memc := s.ms.Checkpoint()
+	w.put(`],"mem":`, &memc)
+	g := s.Mem.Checkpoint()
+	if g.Pages == nil {
+		b.WriteString(`,"global":{"pages":null`)
+	} else {
+		b.WriteString(`,"global":{"pages":[`)
+		for i := range g.Pages {
+			w.put(sep(i), &g.Pages[i])
+		}
+		b.WriteByte(']')
+	}
+	b.WriteString(`,"brk":`)
+	b.Write(strconv.AppendUint(b.AvailableBuffer(), uint64(g.Brk), 10))
+	w.put(`}},"loop":`, &r.loopState)
+	if w.err != nil {
+		return nil, simerr.Wrap(simerr.KindCheckpoint, now, w.err)
+	}
+	b.WriteByte('}')
+	return checkpoint.Seal(b.Bytes()), nil
+}
+
+// sep is the separator before element i of a JSON list.
+func sep(i int) string {
+	if i == 0 {
+		return ""
+	}
+	return ","
+}
+
+// sectionWriter appends JSON values to b, each after a literal prefix;
+// the first error stops it.
+type sectionWriter struct {
+	b   *bytes.Buffer
+	enc *json.Encoder // writes into b
+	err error
+}
+
+// put writes prefix and then v's JSON encoding, without the newline
+// Encode ends it with.
+func (w *sectionWriter) put(prefix string, v any) {
+	if w.err != nil {
+		return
+	}
+	w.b.WriteString(prefix)
+	if w.err = w.enc.Encode(v); w.err == nil {
+		w.b.Truncate(w.b.Len() - 1)
+	}
 }
 
 // decode verifies the container, parses the payload, cross-checks every

@@ -97,7 +97,7 @@ func (sm *SM) AuditScoreboard(now int64) error {
 			cover(ev.group.warpSlot, ev.group.gen, ev.group.regMask, 0)
 			return
 		}
-		cover(ev.warpSlot, ev.gen, ev.regMask, ev.predMask)
+		cover(int(ev.warpSlot), ev.gen, ev.regMask, ev.predMask)
 	})
 	if staleAt >= 0 {
 		return fmt.Errorf("SM%d: writeback event scheduled for cycle %d never fired (now %d)", sm.ID, staleAt, now)

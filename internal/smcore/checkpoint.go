@@ -181,7 +181,7 @@ func (sm *SM) Checkpoint() Checkpoint {
 	}
 	sm.wb.forEach(func(at int64, ev *wbEvent) {
 		wc := WBCheckpoint{
-			At: at, WarpSlot: ev.warpSlot, Gen: ev.gen,
+			At: at, WarpSlot: int(ev.warpSlot), Gen: ev.gen,
 			RegMask: ev.regMask, PredMask: ev.predMask, Group: -1,
 		}
 		if ev.group != nil {
@@ -316,7 +316,7 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 		if ev.At < now {
 			return fmt.Errorf("SM%d: writeback %d is due at cycle %d, before the restore cycle %d", sm.ID, i, ev.At, now)
 		}
-		e := wbEvent{warpSlot: ev.WarpSlot, gen: ev.Gen, regMask: ev.RegMask, predMask: ev.PredMask}
+		e := wbEvent{warpSlot: int32(ev.WarpSlot), gen: ev.Gen, regMask: ev.RegMask, predMask: ev.PredMask}
 		if ev.Group >= 0 {
 			g, err := resolve(ev.Group)
 			if err != nil {

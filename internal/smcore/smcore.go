@@ -31,13 +31,15 @@ type loadGroup struct {
 }
 
 // wbEvent is a scheduled writeback: at its cycle it clears scoreboard
-// bits or retires part of a load group. Its fields are ordered widest
-// first so the wheel's buckets hold 32-byte events with no padding
-// between fields (TestWBEventSize).
+// bits or retires part of a load group. It is also the node of the
+// wheel's arena, carrying the arena link next; fields are ordered widest
+// first so a node is 32 bytes with no padding between fields
+// (TestWBEventSize).
 type wbEvent struct {
-	warpSlot int
 	regMask  uint64
 	group    *loadGroup // non-nil: decrement the group instead
+	warpSlot int32
+	next     int32 // wheel arena link: next node in the slot chain or free list
 	gen      uint32
 	predMask uint8
 }

@@ -177,7 +177,7 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 // schedulers, views and censuses; zeroed SM and tenant statistics and
 // sharing managers; and the seed and counters NewMulti starts from.
 // Buffers keep their capacity — register files, scratchpads, the MSHR
-// file, the writeback wheel's buckets, the free lists — so resetting
+// file, the writeback wheel's arena, the free lists — so resetting
 // allocates next to nothing. A time-slice run resets a tenant's SMs at
 // each of its slices after the first instead of building them again.
 func (sm *SM) Reset() {

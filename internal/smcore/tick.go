@@ -29,7 +29,9 @@ import (
 // only makes forward progress by issuing).
 func (sm *SM) Tick(now int64) (bool, error) {
 	sm.drainReplies(now)
-	sm.processWritebacks(now)
+	if sm.wb.due(now) {
+		sm.processWritebacks(now)
+	}
 
 	if sm.Idle() {
 		return false, nil
@@ -351,29 +353,17 @@ func (sm *SM) issueGlobalStore(res warp.Result, now int64) {
 // scheduleWB enqueues a writeback event on the timing wheel.
 func (sm *SM) scheduleWB(now, at int64, ws int, gen uint32, regs uint64, preds uint8, group *loadGroup) {
 	sm.wb.schedule(now, at, wbEvent{
-		warpSlot: ws, gen: gen, regMask: regs, predMask: preds, group: group,
+		warpSlot: int32(ws), gen: gen, regMask: regs, predMask: preds, group: group,
 	})
 }
 
-// processWritebacks retires the events scheduled for this cycle.
+// processWritebacks retires the events scheduled for this cycle: the
+// wheel slot's chain in FIFO order, then the overflow list. Each event
+// is copied out of the wheel before retireWB sees it.
 func (sm *SM) processWritebacks(now int64) {
-	i := now & (wbWheelSize - 1)
-	if len(sm.wb.slots[i]) > 0 && sm.wb.slotAt[i] == now {
-		evs := sm.wb.slots[i]
-		sm.wb.count -= len(evs)
-		for k := range evs {
-			sm.retireWB(&evs[k], now)
-		}
-		sm.wb.slots[i] = evs[:0] // reuse the bucket's backing array
-	}
-	if len(sm.wb.overflow) > 0 {
-		if evs, ok := sm.wb.overflow[now]; ok {
-			delete(sm.wb.overflow, now)
-			sm.wb.count -= len(evs)
-			for k := range evs {
-				sm.retireWB(&evs[k], now)
-			}
-		}
+	var ev wbEvent
+	for sm.wb.next(now, &ev) || len(sm.wb.overflow) > 0 && sm.wb.nextOverflow(now, &ev) {
+		sm.retireWB(&ev, now)
 	}
 }
 
@@ -383,23 +373,24 @@ func (sm *SM) retireWB(ev *wbEvent, now int64) {
 		sm.completeGroupPart(ev.group)
 		return
 	}
-	wc := &sm.warps[ev.warpSlot]
+	ws := int(ev.warpSlot)
+	wc := &sm.warps[ws]
 	if wc.gen != ev.gen {
 		return // slot was recycled; the event belongs to a dead warp
 	}
 	// The StaleCensus fault only takes opportunities where it matters:
 	// the warp is counted in a valid census, scoreboard-blocked, and this
 	// writeback lands its last operand.
-	counted := sm.faults.Armed(fault.StaleCensus) && sm.census[sm.slotSched[ev.warpSlot]].valid &&
-		!wc.atBarrier && !sm.scoreboardClear(ev.warpSlot)
+	counted := sm.faults.Armed(fault.StaleCensus) && sm.census[sm.slotSched[ws]].valid &&
+		!wc.atBarrier && !sm.scoreboardClear(ws)
 	wc.pendingRegs &^= ev.regMask
 	wc.pendingPreds &^= ev.predMask
-	if counted && sm.scoreboardClear(ev.warpSlot) &&
-		sm.faults.Trip(fault.StaleCensus, now, sm.ID, ev.warpSlot,
+	if counted && sm.scoreboardClear(ws) &&
+		sm.faults.Trip(fault.StaleCensus, now, sm.ID, ws,
 			"writeback landed a counted warp's last operand but its scheduler's census was not dropped") {
 		return // injected fault: the census still counts the warp "scoreboard-blocked"
 	}
-	sm.dropCensus(ev.warpSlot)
+	sm.dropCensus(ws)
 }
 
 // completeGroupPart retires one line of a load group, clearing the

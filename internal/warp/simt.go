@@ -28,6 +28,11 @@ func NewSIMT(mask uint32) SIMT {
 	return SIMT{stack: []SIMTEntry{{PC: 0, RPC: NoReconv, Mask: mask}}}
 }
 
+// reset returns the stack to NewSIMT(mask)'s state in its own storage.
+func (s *SIMT) reset(mask uint32) {
+	s.stack = append(s.stack[:0], SIMTEntry{PC: 0, RPC: NoReconv, Mask: mask})
+}
+
 // Done reports whether no lanes remain (the warp has finished).
 func (s *SIMT) Done() bool { return len(s.stack) == 0 }
 

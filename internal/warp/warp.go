@@ -107,15 +107,16 @@ func NewState(nregs int, lanes uint32) *State {
 // no block bound, registers and predicates zero — keeping its hardware
 // slot and the storage of its register file and reconvergence stack.
 func (w *State) Clear() {
-	*w = State{ID: w.ID, simt: SIMT{stack: append(w.simt.stack[:0], NewSIMT(0).stack...)}, regs: w.regs}
+	*w = State{ID: w.ID, simt: w.simt, regs: w.regs}
+	w.simt.reset(0)
 	clear(w.regs)
 }
 
 // Reset reinitializes the warp for a fresh block launch, reusing the
-// register backing store.
+// storage of its register file and reconvergence stack.
 func (w *State) Reset(lanes uint32) {
 	w.Lanes = lanes
-	w.simt = NewSIMT(lanes)
+	w.simt.reset(lanes)
 	clear(w.regs)
 	clear(w.preds[:])
 }

@@ -221,6 +221,10 @@ func TestResetClearsState(t *testing.T) {
 	if pc, mask, ok := w.PC(); !ok || pc != 0 || mask != LanesMask(16) {
 		t.Errorf("Reset PC state: pc=%d mask=%#x ok=%v", pc, mask, ok)
 	}
+	// Every block launch resets its warps: the stack's storage is reused.
+	if a := testing.AllocsPerRun(100, func() { w.Reset(LanesMask(32)) }); a != 0 {
+		t.Errorf("Reset allocates %v times, want 0", a)
+	}
 }
 
 // TestCheckpointViewEncoding: the checkpoint view aliases the live
