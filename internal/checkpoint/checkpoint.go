@@ -31,11 +31,19 @@ import (
 // Magic identifies a checkpoint container ("GPU Sharing ChecKpoint").
 const Magic = "GSCK"
 
-// FormatVersion is the container layout revision. Bump it when the
-// header layout changes; payload-schema changes are versioned by the
-// payload itself (internal/gpu embeds its own version and canonical
-// config and cross-checks them before applying a snapshot).
-const FormatVersion = 1
+// FormatVersion is the revision of the container's header layout and of
+// the payload's schema: bump it when either changes what a reader must
+// understand, so that a container from another revision fails Decode
+// with KindCheckpoint (a runner then drops the trail and starts cold)
+// instead of decoding into the wrong shape. The payload's simulator
+// version, canonical configuration and identity fields (cross-checked
+// by internal/gpu before a snapshot is applied) version what the
+// machine computes, not how its state is laid out.
+//
+// Revision 2: an SM's in-flight loads are the references in its MSHR
+// waiter lists ("loads") and its load-line writebacks ("load"); the
+// load-group table ("groups") and the index fields into it are gone.
+const FormatVersion = 2
 
 // HeaderSize is the container header's length: magic(4) + version(4)
 // + payload length(8) + sha256(32). The payload follows it.

@@ -339,7 +339,7 @@ func TestLeaseExpiryAbortsHeldWait(t *testing.T) {
 		Workers:       []string{w.url},
 		LeaseTTL:      500 * time.Millisecond,
 		ProbeInterval: 100 * time.Millisecond,
-		Faults:        &fault.Plan{Kind: fault.HeartbeatBlackhole, Nth: 1},
+		CoreOptions:   server.CoreOptions{Faults: &fault.Plan{Kind: fault.HeartbeatBlackhole, Nth: 1}},
 		NewClient: func(url string) *client.Client {
 			cl := client.New(url)
 			cl.MaxRetries = 0

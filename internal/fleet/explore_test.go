@@ -74,7 +74,7 @@ func (w *world) open(tear int) {
 	owed := w.pending()
 	opts := Options{CoreOptions: server.CoreOptions{QueueDepth: w.bound, JournalPath: w.path}}
 	if tear > 0 {
-		opts.JournalFaults = &fault.Plan{Kind: fault.TornJournal, Nth: tear}
+		opts.Faults = &fault.Plan{Kind: fault.TornJournal, Nth: tear}
 	}
 	c := &Coordinator{opts: opts, workers: make(map[string]*worker), q: newFairQueue(), kick: make(chan struct{}, 1)}
 	core, err := server.NewCore("gsched", JobDispatched, opts.CoreOptions, c, time.Second)

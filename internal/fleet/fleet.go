@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"gpushare/internal/client"
-	"gpushare/internal/fault"
 	"gpushare/internal/runner"
 	"gpushare/internal/server"
 )
@@ -74,11 +73,6 @@ type Options struct {
 	// Slots is the per-worker concurrent-dispatch cap for the static
 	// Workers set (0 = 1).
 	Slots int
-	// Faults arms fleet crash points (durability tests only):
-	// CrashAfterDispatch hard-stops the coordinator between a worker
-	// accepting a job and the ack being recorded; HeartbeatBlackhole
-	// makes one worker's probes vanish while it stays alive.
-	Faults *fault.Plan
 	// NewClient builds the per-worker client (tests tune retries and
 	// timeouts). nil = client.New with snappy probe-friendly settings.
 	NewClient func(baseURL string) *client.Client

@@ -243,7 +243,7 @@ func mustJSON(t *testing.T, v any) []byte {
 // orphan, and the surviving worker finishes it byte-identically.
 func TestWorkerCrashMidJobRequeuesOrphans(t *testing.T) {
 	crash := &fault.Plan{Kind: fault.WorkerCrashMidJob, Nth: 1}
-	_, w1 := startWorker(t, server.Options{CrashFaults: crash})
+	_, w1 := startWorker(t, server.Options{CoreOptions: server.CoreOptions{Faults: crash}})
 	_, w2 := startWorker(t, server.Options{})
 	_, base := startCoordinator(t, fleet.Options{
 		Workers:       []string{w1, w2},
@@ -293,8 +293,7 @@ func TestCoordinatorCrashAfterDispatchReplays(t *testing.T) {
 	crash := &fault.Plan{Kind: fault.CrashAfterDispatch, Nth: 1}
 	c1, base1 := startCoordinator(t, fleet.Options{
 		Workers:     []string{w1},
-		CoreOptions: server.CoreOptions{JournalPath: journal},
-		Faults:      crash,
+		CoreOptions: server.CoreOptions{JournalPath: journal, Faults: crash},
 	})
 	req := seededReq(4200, 2)
 	key := submitJob(t, base1, req).Key
@@ -352,7 +351,7 @@ func TestHeartbeatBlackholeRequeuesWithoutDoubleCount(t *testing.T) {
 		Workers:       []string{w1, w2},
 		LeaseTTL:      400 * time.Millisecond,
 		ProbeInterval: 120 * time.Millisecond,
-		Faults:        blackhole,
+		CoreOptions:   server.CoreOptions{Faults: blackhole},
 	})
 
 	// Enough moderately slow jobs that both workers hold one when the

@@ -14,12 +14,13 @@ import (
 // sharing and one global-memory proxy, unshared and under register
 // sharing. The issue path is meant to be allocation-free, so what
 // remains is per-run set-up, block launches and buffers growing to
-// their steady-state size (190, 26 and 47 when the budgets were last
-// set; lavaMD is the highest because its run is short; nearly three
-// quarters of MUM's are building the SMs' warps and the L1 and L2 MSHR
-// tables' recycled waiter arrays growing, and its writeback arenas
-// grow in about 100). A map or slice built per issued instruction
-// lands far above them — the per-instruction bank-conflict map put
+// their steady-state size (132, 18 and 31 when the budgets were last
+// set; lavaMD is the highest because its run is short; about half of
+// MUM's are the L1 and L2 MSHR tables' recycled waiter arrays growing
+// and an eighth building the SMs, whose warps take one allocation each
+// for their states, registers and SIMT stacks per SM). A map or slice
+// built per issued instruction lands far above them — the
+// per-instruction bank-conflict map put
 // these two at 76 000 and 3 300 — and microbenchmarks whose kernels
 // lack the offending opcode cannot see it.
 func TestAllocationBudget(t *testing.T) {
@@ -31,15 +32,15 @@ func TestAllocationBudget(t *testing.T) {
 		budget         float64 // mallocs per 1000 cycles, at most ≈2× the measured value
 		cfg            func(*config.Config)
 	}{
-		{"lavaMD", "lavaMD", 400, func(c *config.Config) {
+		{"lavaMD", "lavaMD", 265, func(c *config.Config) {
 			c.Sharing, c.T, c.Sched = config.ShareScratchpad, 0.1, config.SchedOWF
 		}},
-		{"MUM", "MUM", 55, func(*config.Config) {}},
+		{"MUM", "MUM", 36, func(*config.Config) {}},
 		// MUM again under the paper's best register-sharing configuration:
 		// most of its cycles are census replays over MSHR-full and
 		// lock-waiting warps, which must stay as allocation-free as the
 		// walk they replace.
-		{"MUM-shared-owf-unroll-dyn", "MUM", 95, func(c *config.Config) { *c = regSharingDyn() }},
+		{"MUM-shared-owf-unroll-dyn", "MUM", 62, func(c *config.Config) { *c = regSharingDyn() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := config.Default()

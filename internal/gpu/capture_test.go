@@ -38,6 +38,10 @@ func seedSM(c smcore.Checkpoint) smcore.Checkpoint {
 		}
 	}
 	c.L1.Lines = cloneList(c.L1.Lines)
+	c.MSHR = cloneOrNil(c.MSHR)
+	for i := range c.MSHR {
+		c.MSHR[i].Loads = cloneList(c.MSHR[i].Loads)
+	}
 	if len(c.Finished) > 0 {
 		c.Finished = cloneOrNil(c.Finished)
 	}

@@ -1,12 +1,14 @@
 package gpu
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
-	"slices"
 	"testing"
 
 	"gpushare/internal/checkpoint"
 	"gpushare/internal/config"
+	"gpushare/internal/kernel"
 	"gpushare/internal/simerr"
 	"gpushare/internal/smcore"
 	"gpushare/internal/stats"
@@ -260,8 +262,11 @@ func TestCheckpointRejectsTamperedLoopState(t *testing.T) {
 
 // TestCheckpointRejectsBadSMState: an SM snapshot whose writeback names
 // a warp slot past the SM's, whose finished list names a block slot
-// past the SM's, or whose writeback fell due before the restore cycle
-// (its wheel slot never fires again) is rejected with a typed
+// past the SM's, whose writeback fell due before the restore cycle (its
+// wheel slot never fires again), whose MSHR waiter names a warp slot
+// past the SM's, or whose in-flight loads disagree with a warp's load
+// registers (a load line into a register that is not one of them, or
+// one of them with no line in flight) is rejected with a typed
 // KindCheckpoint error, not a panic or a run that waits for the
 // watchdog. Each bad value is spliced into a real checkpoint, which is
 // then sealed again.
@@ -275,40 +280,114 @@ func TestCheckpointRejectsBadSMState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// splice applies mut to the first SM holding a writeback in a fresh
-	// decode of the snapshot and seals the result again.
-	splice := func(mut func(c *smcore.Checkpoint, cycle int64)) []byte {
+	// splice applies mut to the first SM of a fresh decode of the
+	// snapshot that mut takes (it returns false to pass an SM by) and
+	// seals the result again.
+	splice := func(what string, mut func(c *smcore.Checkpoint, cycle int64) bool) []byte {
 		var p payload
 		if err := json.Unmarshal(raw, &p); err != nil {
 			t.Fatal(err)
 		}
-		i := slices.IndexFunc(p.Machine.SMs, func(c smcore.Checkpoint) bool { return len(c.WB) > 0 })
-		if i < 0 {
-			t.Fatalf("no SM holds a writeback at cycle %d", p.Cycle)
+		for i := range p.Machine.SMs {
+			if mut(&p.Machine.SMs[i], p.Cycle) {
+				out, err := json.Marshal(&p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return checkpoint.Encode(out)
+			}
 		}
-		mut(&p.Machine.SMs[i], p.Cycle)
-		out, err := json.Marshal(&p)
-		if err != nil {
-			t.Fatal(err)
+		t.Fatalf("%s: no SM at cycle %d to splice into", what, p.Cycle)
+		return nil
+	}
+	// freeReg returns a register of warp w that no load of it writes.
+	freeReg := func(w *smcore.WarpCheckpoint) (uint8, bool) {
+		for r := 0; r < len(w.W.Regs)/kernel.WarpSize; r++ {
+			if w.LoadRegs&(1<<r) == 0 {
+				return uint8(r), true
+			}
 		}
-		return checkpoint.Encode(out)
+		return 0, false
 	}
 	cfg := config.Default()
 	cfg.Sched = config.SchedGTO
-	if _, err := simulate(cfg, "gaussian", nil, 1, nil, splice(func(*smcore.Checkpoint, int64) {})); err != nil {
+	if _, err := simulate(cfg, "gaussian", nil, 1, nil, splice("unspliced", func(*smcore.Checkpoint, int64) bool { return true })); err != nil {
 		t.Fatalf("unspliced re-encoded checkpoint rejected: %v", err)
 	}
 	for _, tc := range []struct {
 		name string
-		mut  func(c *smcore.Checkpoint, cycle int64)
+		mut  func(c *smcore.Checkpoint, cycle int64) bool
 	}{
-		{"writeback warp slot out of range", func(c *smcore.Checkpoint, _ int64) { c.WB[0].WarpSlot = len(c.Warps) }},
-		{"finished block slot out of range", func(c *smcore.Checkpoint, _ int64) { c.Finished = append(c.Finished, len(c.Blocks)) }},
-		{"writeback due before the restore cycle", func(c *smcore.Checkpoint, cycle int64) { c.WB[0].At = cycle - 1 }},
+		{"writeback warp slot out of range", func(c *smcore.Checkpoint, _ int64) bool {
+			if len(c.WB) == 0 {
+				return false
+			}
+			c.WB[0].WarpSlot = len(c.Warps)
+			return true
+		}},
+		{"finished block slot out of range", func(c *smcore.Checkpoint, _ int64) bool {
+			c.Finished = append(c.Finished, len(c.Blocks))
+			return true
+		}},
+		{"writeback due before the restore cycle", func(c *smcore.Checkpoint, cycle int64) bool {
+			if len(c.WB) == 0 {
+				return false
+			}
+			c.WB[0].At = cycle - 1
+			return true
+		}},
+		{"MSHR waiter warp slot out of range", func(c *smcore.Checkpoint, _ int64) bool {
+			if len(c.MSHR) == 0 {
+				return false
+			}
+			c.MSHR[0].Loads[0].Slot = int32(len(c.Warps))
+			return true
+		}},
+		{"load line into a register not among its warp's load regs", func(c *smcore.Checkpoint, _ int64) bool {
+			for _, e := range c.MSHR {
+				for k, r := range e.Loads {
+					w := &c.Warps[r.Slot]
+					if reg, ok := freeReg(w); ok && w.Gen == r.Gen {
+						e.Loads[k].Reg = reg
+						return true
+					}
+				}
+			}
+			return false
+		}},
+		{"load reg with no line in flight", func(c *smcore.Checkpoint, _ int64) bool {
+			for i := range c.Warps {
+				w := &c.Warps[i]
+				if reg, ok := freeReg(w); ok && w.Live && !w.Finished && w.PendingRegs&(1<<reg) == 0 {
+					w.LoadRegs |= 1 << reg
+					w.PendingRegs |= 1 << reg
+					return true
+				}
+			}
+			return false
+		}},
 	} {
-		_, err := simulate(cfg, "gaussian", nil, 1, nil, splice(tc.mut))
+		_, err := simulate(cfg, "gaussian", nil, 1, nil, splice(tc.name, tc.mut))
 		wantCheckpointKind(t, err, tc.name)
 	}
+}
+
+// TestCheckpointRejectsFormatVersion1: a container of the previous
+// format revision, whose payload held each SM's in-flight loads as a
+// group table, is rejected with KindCheckpoint before any of it is
+// decoded, so a runner drops such a trail and starts the job cold.
+func TestCheckpointRejectsFormatVersion1(t *testing.T) {
+	sink, _ := captureGaussian(t, 500)
+	cycles := sink.List()
+	if len(cycles) == 0 {
+		t.Fatal("no checkpoint captured")
+	}
+	blob := bytes.Clone(sink.Get(cycles[0]))
+	binary.LittleEndian.PutUint32(blob[4:8], 1)
+	cfg := config.Default()
+	cfg.Sched = config.SchedGTO
+	_, err := simulate(cfg, "gaussian", nil, 1, nil, blob)
+	wantCheckpointKind(t, err, "format version 1 container")
 }
 
 // TestAuditCheckpoint: the bisect building block must restore a clean

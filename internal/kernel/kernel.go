@@ -152,6 +152,12 @@ func (k *Kernel) validateInstr(pc int, in *isa.Instr) error {
 		if in.Off < 0 || int(in.Off) >= k.NumParams {
 			return fail("parameter index %d out of range [0,%d)", in.Off, k.NumParams)
 		}
+	case isa.LDG:
+		// The SM tracks an in-flight global load by its destination
+		// register.
+		if in.Dst.Kind != isa.OpReg {
+			return fail("global load destination must be a general-purpose register")
+		}
 	case isa.LDS, isa.STS:
 		if k.SmemPerBlock == 0 {
 			return fail("scratchpad access in kernel with no scratchpad allocation")

@@ -117,6 +117,9 @@ func TestValidateCatches(t *testing.T) {
 		{"param out of range", func(k *Kernel) {
 			k.Instrs[0] = isa.Instr{Op: isa.LDP, GuardPred: isa.NoPred, Dst: isa.Reg(0), Off: 3}
 		}},
+		{"global load without a register destination", func(k *Kernel) {
+			k.Instrs[0] = isa.Instr{Op: isa.LDG, GuardPred: isa.NoPred, Dst: isa.Imm(0), A: isa.Reg(1)}
+		}},
 		{"smem access without smem", func(k *Kernel) {
 			k.Instrs[0] = isa.Instr{Op: isa.LDS, GuardPred: isa.NoPred, Dst: isa.Reg(0), A: isa.Reg(1)}
 		}},

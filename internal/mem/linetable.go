@@ -4,9 +4,9 @@ import "slices"
 
 // LineTable is an MSHR file: the outstanding miss lines of one cache,
 // each with the waiters merged onto it, in merge order. Both levels use
-// it: an SM's L1 (at most Config.L1MSHRs lines; waiters are load groups)
-// and a partition's L2 (a few dozen lines in practice; waiters are the
-// requests to answer). It is an open-addressed, linearly probed hash
+// it: an SM's L1 (at most Config.L1MSHRs lines; waiters name the load
+// and destination register each line completes) and a partition's L2
+// (a few dozen lines in practice; waiters are the requests to answer). It is an open-addressed, linearly probed hash
 // table at most half full — a lookup is a multiply and a compare or two,
 // not a runtime map call. Deletion shifts the probe run back (no
 // tombstones) and a closed entry's waiter array goes to the next line

@@ -61,10 +61,10 @@ type Options struct {
 	// attempt (panic or timeout) resumes from the newest valid snapshot
 	// instead of cycle 0, and a successful job clears its snapshots.
 	CheckpointDir string
-	// CheckpointStride is the snapshot cadence in simulated cycles. It
-	// overrides the per-job Config.CheckpointStride when positive; when
-	// both are 0, jobs run without checkpoints even if CheckpointDir is
-	// set.
+	// CheckpointStride is the snapshot cadence in simulated cycles, the
+	// one the runner's jobs are checkpointed at: it replaces each job's
+	// Config.CheckpointStride when positive, and when it is 0 jobs run
+	// without checkpoints even if CheckpointDir is set.
 	CheckpointStride int64
 	// CheckpointFaults, when non-nil, arms crash-point fault injection
 	// on every checkpoint sink the runner creates (durability tests
@@ -347,7 +347,7 @@ func (r *Runner) execute(ctx context.Context, j Job, key string) Result {
 		return Result{Job: j, Key: key, Stats: g, Tier: tier}
 	}
 
-	sink, stride := r.checkpointSink(j, key)
+	sink := r.checkpointSink(key)
 
 	var lastErr error
 	attempts := 0
@@ -359,7 +359,7 @@ func (r *Runner) execute(ctx context.Context, j Job, key string) Result {
 			break
 		}
 		attempts++
-		so := simOpts{verify: r.opts.Verify, stride: stride}
+		so := simOpts{verify: r.opts.Verify, stride: r.opts.CheckpointStride}
 		if sink != nil {
 			so.sink = countingSink{s: sink, n: &r.ckSaved}
 			// Resume from the newest valid snapshot whenever one exists —
@@ -417,25 +417,20 @@ func (r *Runner) execute(ctx context.Context, j Job, key string) Result {
 		Err: fmt.Errorf("job %s (%d attempt(s)): %w", j, attempts, lastErr)}
 }
 
-// checkpointSink builds the per-job checkpoint sink (nil when
-// checkpointing is disabled) and resolves the effective stride: the
-// runner-wide override when set, else the job's own configuration. A
+// checkpointSink builds the per-job checkpoint sink, nil when
+// checkpointing is disabled (no CheckpointDir or no CheckpointStride). A
 // sink that cannot be created degrades to checkpoint-less execution —
 // crash tolerance is an optimization, never a new failure mode.
-func (r *Runner) checkpointSink(j Job, key string) (*checkpoint.DirSink, int64) {
-	stride := r.opts.CheckpointStride
-	if stride <= 0 {
-		stride = j.Config.CheckpointStride
-	}
-	if r.opts.CheckpointDir == "" || stride <= 0 {
-		return nil, stride
+func (r *Runner) checkpointSink(key string) *checkpoint.DirSink {
+	if r.opts.CheckpointDir == "" || r.opts.CheckpointStride <= 0 {
+		return nil
 	}
 	sink, err := checkpoint.NewDirSink(filepath.Join(r.opts.CheckpointDir, key), checkpointKeep)
 	if err != nil {
-		return nil, stride
+		return nil
 	}
 	sink.Faults = r.opts.CheckpointFaults
-	return sink, stride
+	return sink
 }
 
 // countingSink counts durable snapshot writes for the runner's

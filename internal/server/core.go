@@ -38,9 +38,16 @@ type CoreOptions struct {
 	// before the job is visible to any executor, and a daemon killed
 	// outright (kill -9) re-admits its unfinished jobs on the next start.
 	JournalPath string
-	// JournalFaults, when non-nil, arms crash-point injection on the
-	// journal's accept path (durability tests only).
-	JournalFaults *fault.Plan
+	// Faults, when non-nil, arms one crash point (durability tests
+	// only). A plan arms one kind and each site trips only its own, so
+	// the one field serves every site of both daemons: TornJournal on
+	// the journal's accept path, WorkerCrashMidJob on gserved's job
+	// execution path (the daemon Kills itself, an in-process kill -9
+	// analog, while the Nth dispatched job runs), and gsched's
+	// CrashAfterDispatch (a hard stop between a worker accepting a job
+	// and the ack being recorded) and HeartbeatBlackhole (one worker's
+	// probes vanish while it stays alive).
+	Faults *fault.Plan
 }
 
 // Request is one decoded submission: gserved's SubmitRequest, or
@@ -202,7 +209,7 @@ func NewCore(name, active string, opts CoreOptions, be Backend, holdBound time.D
 		if err != nil {
 			return nil, fmt.Errorf("%s: journal: %w", name, err)
 		}
-		jl.Faults = opts.JournalFaults
+		jl.Faults = opts.Faults
 		c.jl, c.replay = jl, pending
 	}
 	return c, nil

@@ -198,7 +198,7 @@ func TestJournalAcceptPrecedesWork(t *testing.T) {
 
 	_, ts, _ := startDaemon(t, server.Options{
 		Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8, JournalPath: jpath,
-			JournalFaults: &fault.Plan{Kind: fault.TornJournal, Nth: 1}},
+			Faults: &fault.Plan{Kind: fault.TornJournal, Nth: 1}},
 		Runner: runnerOptsWithCache(dir),
 	})
 	body := strings.NewReader(`{"workload":"gaussian"}`)

@@ -59,11 +59,6 @@ type Options struct {
 	// mid-simulation checkpoints). Its Workers field is overridden by
 	// Options.Workers.
 	Runner runner.Options
-	// CrashFaults, when non-nil, arms fleet crash-point injection on the
-	// job execution path (fleet durability tests only): a
-	// WorkerCrashMidJob plan makes the daemon Kill itself — an in-process
-	// kill -9 analog — while the Nth dispatched job is running.
-	CrashFaults *fault.Plan
 }
 
 // Server is the gserved daemon: the lifecycle Core over a FIFO queue
@@ -192,7 +187,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	// Fleet crash point: the worker dies abruptly (kill -9 analog) while
 	// this job is running — its journal accept stays pending, its
 	// checkpoint trail survives, and the coordinator must requeue it.
-	if s.opts.CrashFaults.Trip(fault.WorkerCrashMidJob, -1, -1, -1,
+	if s.opts.Faults.Trip(fault.WorkerCrashMidJob, -1, -1, -1,
 		"worker killed mid-job "+j.Key) {
 		s.Kill()
 	}

@@ -1,10 +1,13 @@
 package smcore
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 
 	"gpushare/internal/core"
 	"gpushare/internal/isa"
+	"gpushare/internal/kernel"
 	"gpushare/internal/simerr"
 )
 
@@ -76,9 +79,10 @@ func (sm *SM) AuditBarriers() error {
 
 // AuditScoreboard verifies scoreboard conservation: every pending
 // register or predicate bit of a live warp must be covered by an
-// in-flight writeback event or an outstanding load group, and every
-// queued writeback must still be in the future. A pending bit with no
-// producer means a result was lost — the warp would wait forever.
+// in-flight writeback event or a load line waiting on an L1 MSHR line,
+// and every queued writeback must still be in the future. A pending bit
+// with no producer means a result was lost — the warp would wait
+// forever. It then recounts the load lines in flight (recountLines).
 func (sm *SM) AuditScoreboard(now int64) error {
 	covered := make(map[int]uint64)
 	coveredP := make(map[int]uint8)
@@ -93,18 +97,14 @@ func (sm *SM) AuditScoreboard(now int64) error {
 		if at <= now && staleAt < 0 {
 			staleAt = at
 		}
-		if ev.group != nil {
-			cover(ev.group.warpSlot, ev.group.gen, ev.group.regMask, 0)
-			return
-		}
 		cover(int(ev.warpSlot), ev.gen, ev.regMask, ev.predMask)
 	})
 	if staleAt >= 0 {
 		return fmt.Errorf("SM%d: writeback event scheduled for cycle %d never fired (now %d)", sm.ID, staleAt, now)
 	}
-	sm.mshr.ForEach(func(_ uint32, groups []*loadGroup) {
-		for _, g := range groups {
-			cover(g.warpSlot, g.gen, g.regMask, 0)
+	sm.mshr.ForEach(func(_ uint32, loads []LoadRef) {
+		for _, r := range loads {
+			cover(int(r.Slot), r.Gen, 1<<r.Reg, 0)
 		}
 	})
 	for ws := range sm.warps {
@@ -121,6 +121,58 @@ func (sm *SM) AuditScoreboard(now int64) error {
 		}
 		if orphan := wc.pendingPreds &^ coveredP[ws]; orphan != 0 {
 			return fmt.Errorf("SM%d warp %d: pending predicates %#x have no in-flight producer", sm.ID, ws, orphan)
+		}
+	}
+	return sm.recountLines(sm.recount)
+}
+
+// recountLines counts into counts, laid out as sm.lineCount, the
+// current-generation load lines in flight per warp register — the L1
+// MSHR waiters and the wheel's load-line events; a previous occupant's
+// line is dropped when it lands, so it is not counted. Each line must
+// name a warp slot of the SM and one register of its kernel, each
+// count must be one a load can have (at most one line per lane),
+// sm.lineCount must agree with the recount (RestoreState recounts into
+// sm.lineCount itself), and each warp's loadRegs must be exactly its
+// registers with lines in flight.
+func (sm *SM) recountLines(counts []uint8) error {
+	clear(counts)
+	var err error
+	add := func(ws int32, gen uint32, regs uint64) {
+		reg := bits.TrailingZeros64(regs)
+		if ws < 0 || int(ws) >= len(sm.warps) || bits.OnesCount64(regs) != 1 || reg >= len(sm.warpLines(&sm.warps[ws])) {
+			err = cmp.Or(err, fmt.Errorf("SM%d: a load line names warp slot %d and regs %#x, not one register of a warp", sm.ID, ws, regs))
+		} else if wc := &sm.warps[ws]; wc.gen == gen {
+			n := &counts[int(wc.lineBase)+reg]
+			*n = min(*n+1, kernel.WarpSize+1)
+		}
+	}
+	sm.mshr.ForEach(func(_ uint32, loads []LoadRef) {
+		for _, r := range loads {
+			add(r.Slot, r.Gen, uint64(1)<<r.Reg)
+		}
+	})
+	sm.wb.forEach(func(_ int64, ev *wbEvent) {
+		if ev.load {
+			add(ev.warpSlot, ev.gen, ev.regMask)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	for ws := range sm.warps {
+		wc := &sm.warps[ws]
+		var inFlight uint64
+		for r, n := range sm.warpLines(wc) {
+			if got := counts[int(wc.lineBase)+r]; got != n || got > kernel.WarpSize {
+				return fmt.Errorf("SM%d warp %d: line count %d for r%d but %d of its load's lines in flight", sm.ID, ws, n, r, got)
+			}
+			if n != 0 {
+				inFlight |= 1 << r
+			}
+		}
+		if inFlight != wc.loadRegs {
+			return fmt.Errorf("SM%d warp %d: load regs %#x but loads into regs %#x in flight", sm.ID, ws, wc.loadRegs, inFlight)
 		}
 	}
 	return nil
@@ -144,7 +196,7 @@ func (sm *SM) AuditSIMT() error {
 // outstanding L1 miss for. The invariant auditor matches these against
 // the memory system's in-flight reads (request conservation).
 func (sm *SM) ForEachMSHRLine(f func(line uint32)) {
-	sm.mshr.ForEach(func(line uint32, _ []*loadGroup) { f(line) })
+	sm.mshr.ForEach(func(line uint32, _ []LoadRef) { f(line) })
 }
 
 // HasMSHRLine reports whether the SM has an outstanding miss for line.

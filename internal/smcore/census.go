@@ -167,9 +167,9 @@ func (sm *SM) countBlocked(t *tenantCtx, reason uint8, n int64) bool {
 
 // dropCensus drops the census of warp ws's scheduler. Callers are the
 // events that can change a counted warp's class: a writeback for the
-// warp (retireWB), a load completion for it (completeGroupPart), and
-// everything markDirty covers (launch, barrier park and release,
-// finish, pair ownership change, restore). An issue needs no call: the
+// warp (retireWB), the last line of one of its loads landing
+// (retireLine), and everything markDirty covers (launch, barrier park
+// and release, finish, pair ownership change, restore). An issue needs no call: the
 // walk that issued takes no census. A new lock generation needs none
 // either: the census records each tenant's, and a lock wait is only
 // replayed at the generation it was observed.

@@ -49,10 +49,10 @@ func TestClassReasonPrecedence(t *testing.T) {
 		{"SP warp without a lock wait is not blocked", cls(kindSP, false), true, true, now + 5, true, reasonNone},
 	} {
 		sm.lsuBusy = c.lsuBusy
-		sm.mshr = mem.NewLineTable[*loadGroup]()
+		sm.mshr = mem.NewLineTable[LoadRef]()
 		if c.mshrFull {
 			for line := 0; line < cfg.L1MSHRs; line++ {
-				sm.mshr.Add(uint32(line), nil)
+				sm.mshr.Add(uint32(line), LoadRef{})
 			}
 		}
 		if got := sm.classReason(c.cls, now, c.memUsed, c.sfuUsed); got != c.want {

@@ -18,10 +18,9 @@ import (
 // and re-Syncs every slot — reproducing the identical sorted ranking),
 // the censuses (dropped with the views; the first walk that issues
 // nothing re-derives them), each warp's cached next PC (re-read from the
-// restored SIMT stack), the static issue metadata, and the free lists
-// (allocation identity is not machine state). Payloads written before
-// the never-set sfu_busy field was dropped still decode: the JSON
-// decoder ignores the key.
+// restored SIMT stack), the load-line counts (recounted from the MSHR
+// waiters and the load-line writebacks), the static issue metadata, and
+// the free lists (allocation identity is not machine state).
 
 // WarpCheckpoint is one hardware warp slot.
 type WarpCheckpoint struct {
@@ -49,40 +48,29 @@ type BlockCheckpoint struct {
 
 // TenantCheckpoint is one tenant's mutable state: sharing-manager
 // leases and per-tenant counters. What its blocks hold is derived from
-// the live slots; payloads that still carry the old cap ledger
-// (used_regs, used_smem, live_blocks) decode with those keys ignored.
+// the live slots.
 type TenantCheckpoint struct {
 	Shr   core.ManagerCheckpoint `json:"shr"`
 	Stats stats.Tenant           `json:"stats"`
 }
 
-// GroupCheckpoint is one in-flight load group. Groups are shared by
-// reference between MSHR waiter lists and writeback events, so they are
-// serialized once in a table and referenced by index.
-type GroupCheckpoint struct {
-	WarpSlot  int    `json:"warp_slot"`
-	Remaining int    `json:"remaining"`
-	RegMask   uint64 `json:"reg_mask"`
-	Gen       uint32 `json:"gen"`
-}
-
-// MSHRCheckpoint is one L1 MSHR line with its waiting load groups (as
-// indices into the group table) in merge order.
+// MSHRCheckpoint is one L1 MSHR line with the load lines waiting on it,
+// in merge order.
 type MSHRCheckpoint struct {
-	Addr   uint32 `json:"addr"`
-	Groups []int  `json:"groups"`
+	Addr  uint32    `json:"addr"`
+	Loads []LoadRef `json:"loads"`
 }
 
 // WBCheckpoint is one scheduled writeback event with its absolute
-// deadline. Group is an index into the group table, or -1 for direct
-// scoreboard writebacks.
+// deadline. Load marks one line of a global load that hit in the L1:
+// RegMask is then the load's destination bit.
 type WBCheckpoint struct {
 	At       int64  `json:"at"`
 	WarpSlot int    `json:"warp_slot"`
 	Gen      uint32 `json:"gen"`
 	RegMask  uint64 `json:"reg_mask"`
 	PredMask uint8  `json:"pred_mask"`
-	Group    int    `json:"group"`
+	Load     bool   `json:"load,omitempty"`
 }
 
 // Checkpoint is one SM's complete mutable state.
@@ -92,7 +80,6 @@ type Checkpoint struct {
 	Tenants  []TenantCheckpoint `json:"tenants"`
 	Scheds   []sched.Checkpoint `json:"scheds"`
 	L1       cache.Checkpoint   `json:"l1"`
-	Groups   []GroupCheckpoint  `json:"groups"`
 	MSHR     []MSHRCheckpoint   `json:"mshr"` // sorted by line address
 	WB       []WBCheckpoint     `json:"wb"`
 	LSUBusy  int64              `json:"lsu_busy"`
@@ -104,10 +91,10 @@ type Checkpoint struct {
 }
 
 // Checkpoint returns a view of the SM's mutable state at a cycle
-// boundary. Register files, scratchpads, the L1 tag array and the
-// finished-slot list are aliased, not copied, so the view is valid until
-// the SM next ticks or launches a block: serialize it before the machine
-// moves on.
+// boundary. Register files, scratchpads, the L1 tag array, the MSHR
+// waiter lists and the finished-slot list are aliased, not copied, so
+// the view is valid until the SM next ticks or launches a block:
+// serialize it before the machine moves on.
 func (sm *SM) Checkpoint() Checkpoint {
 	c := Checkpoint{
 		Warps:   make([]WarpCheckpoint, len(sm.warps)),
@@ -158,36 +145,14 @@ func (sm *SM) Checkpoint() Checkpoint {
 		c.Scheds[i] = sched.Save(sc)
 	}
 
-	// Index every live load group once, then serialize MSHR waiter lists
-	// and writeback events as references into the table.
-	index := make(map[*loadGroup]int)
-	groupIdx := func(g *loadGroup) int {
-		idx, ok := index[g]
-		if !ok {
-			idx = len(c.Groups)
-			index[g] = idx
-			c.Groups = append(c.Groups, GroupCheckpoint{
-				WarpSlot: g.warpSlot, Remaining: g.remaining, RegMask: g.regMask, Gen: g.gen,
-			})
-		}
-		return idx
-	}
 	for _, addr := range sm.mshr.Lines() {
-		e := MSHRCheckpoint{Addr: addr}
-		for _, g := range sm.mshr.Get(addr) {
-			e.Groups = append(e.Groups, groupIdx(g))
-		}
-		c.MSHR = append(c.MSHR, e)
+		c.MSHR = append(c.MSHR, MSHRCheckpoint{Addr: addr, Loads: sm.mshr.Get(addr)})
 	}
 	sm.wb.forEach(func(at int64, ev *wbEvent) {
-		wc := WBCheckpoint{
+		c.WB = append(c.WB, WBCheckpoint{
 			At: at, WarpSlot: int(ev.warpSlot), Gen: ev.gen,
-			RegMask: ev.regMask, PredMask: ev.predMask, Group: -1,
-		}
-		if ev.group != nil {
-			wc.Group = groupIdx(ev.group)
-		}
-		c.WB = append(c.WB, wc)
+			RegMask: ev.regMask, PredMask: ev.predMask, Load: ev.load,
+		})
 	})
 	return c
 }
@@ -279,32 +244,15 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 		return fmt.Errorf("SM%d L1: %w", sm.ID, err)
 	}
 
-	groups := make([]*loadGroup, len(c.Groups))
-	refs := make([]int, len(c.Groups))
-	for i, g := range c.Groups {
-		if g.WarpSlot < 0 || g.WarpSlot >= len(sm.warps) {
-			return fmt.Errorf("SM%d: load group %d references warp slot %d out of range", sm.ID, i, g.WarpSlot)
-		}
-		groups[i] = &loadGroup{warpSlot: g.WarpSlot, remaining: g.Remaining, regMask: g.RegMask, gen: g.Gen}
-	}
-	resolve := func(idx int) (*loadGroup, error) {
-		if idx < 0 || idx >= len(groups) {
-			return nil, fmt.Errorf("SM%d: load-group index %d out of range (%d groups)", sm.ID, idx, len(groups))
-		}
-		refs[idx]++
-		return groups[idx], nil
-	}
+	// The line counts are recounted from the load lines just restored
+	// (which recountLines validates), so no count can disagree with them.
 	sm.mshr.Reset()
 	for _, e := range c.MSHR {
-		if len(e.Groups) == 0 {
+		if len(e.Loads) == 0 {
 			return fmt.Errorf("SM%d: MSHR line %#x has no waiters", sm.ID, e.Addr)
 		}
-		for _, idx := range e.Groups {
-			g, err := resolve(idx)
-			if err != nil {
-				return err
-			}
-			sm.mshr.Add(e.Addr, g)
+		for _, r := range e.Loads {
+			sm.mshr.Add(e.Addr, r)
 		}
 	}
 	for i, ev := range c.WB {
@@ -316,21 +264,15 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 		if ev.At < now {
 			return fmt.Errorf("SM%d: writeback %d is due at cycle %d, before the restore cycle %d", sm.ID, i, ev.At, now)
 		}
-		e := wbEvent{warpSlot: int32(ev.WarpSlot), gen: ev.Gen, regMask: ev.RegMask, predMask: ev.PredMask}
-		if ev.Group >= 0 {
-			g, err := resolve(ev.Group)
-			if err != nil {
-				return err
-			}
-			e.group = g
+		if ev.Load && ev.PredMask != 0 {
+			return fmt.Errorf("SM%d: load-line writeback %d writes predicates %#x", sm.ID, i, ev.PredMask)
 		}
-		sm.wb.schedule(now, ev.At, e)
+		sm.wb.schedule(now, ev.At, wbEvent{
+			warpSlot: int32(ev.WarpSlot), gen: ev.Gen, regMask: ev.RegMask, predMask: ev.PredMask, load: ev.Load,
+		})
 	}
-	for i, g := range groups {
-		if refs[i] != g.remaining {
-			return fmt.Errorf("SM%d: load group %d has %d outstanding lines but %d references in the snapshot",
-				sm.ID, i, g.remaining, refs[i])
-		}
+	if err := sm.recountLines(sm.lineCount); err != nil {
+		return err
 	}
 
 	for _, slot := range c.Finished {

@@ -3,15 +3,16 @@ package smcore
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"gpushare/internal/config"
 )
 
 // TestCheckpointDerivedStateAndLegacyFields: censuses, the
-// cached next PCs, the live-block count and what a tenant's blocks hold
-// are derived — none may appear in a payload, and a restore must rebuild
-// or reset them — and a payload written before the never-set sfu_busy
+// cached next PCs, the live-block count, the load-line counts and what
+// a tenant's blocks hold are derived — none may appear in a payload,
+// and a restore must rebuild or reset them — and a payload written before the never-set sfu_busy
 // field and the tenant cap ledger (used_regs, used_smem, live_blocks)
 // were dropped must still decode and restore to the same machine.
 func TestCheckpointDerivedStateAndLegacyFields(t *testing.T) {
@@ -67,8 +68,14 @@ func TestCheckpointDerivedStateAndLegacyFields(t *testing.T) {
 		dst.census[si].valid = true
 	}
 	dst.liveBlocks = 99
+	for i := range dst.lineCount {
+		dst.lineCount[i] = 7
+	}
 	if err := dst.RestoreState(now, c); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(dst.lineCount, src.lineCount) || !slices.ContainsFunc(src.lineCount, func(n uint8) bool { return n != 0 }) {
+		t.Errorf("restored line counts %v, source has %v (which must hold a load in flight)", dst.lineCount, src.lineCount)
 	}
 	for si := range dst.census {
 		if dst.census[si].valid {

@@ -21,27 +21,31 @@ import (
 	"gpushare/internal/warp"
 )
 
-// loadGroup tracks one in-flight global load instruction: the warp it
-// belongs to and how many line transactions are still outstanding.
-type loadGroup struct {
-	warpSlot  int
-	remaining int
-	regMask   uint64
-	gen       uint32 // warp-slot generation the group belongs to
+// LoadRef is one line of an in-flight global load, named by its
+// destination: warp slot, the slot's generation at issue, register. The
+// scoreboard's WAW check keeps at most one load per (slot, generation,
+// register) outstanding, so that names the load, and sm.lineCount says
+// how many of its lines are still out. An L1 miss waits in the MSHR as
+// one; it is also the checkpoint form.
+type LoadRef struct {
+	Slot int32  `json:"warp_slot"`
+	Gen  uint32 `json:"gen"`
+	Reg  uint8  `json:"reg"`
 }
 
 // wbEvent is a scheduled writeback: at its cycle it clears scoreboard
-// bits or retires part of a load group. It is also the node of the
-// wheel's arena, carrying the arena link next; fields are ordered widest
-// first so a node is 32 bytes with no padding between fields
-// (TestWBEventSize).
+// bits or, for a load line (an L1 hit), retires one line of the load
+// whose destination bit is regMask. It is also the node of the wheel's
+// arena, carrying the arena link next; fields are ordered widest first
+// and hold no pointer, so a node is 24 bytes and the arena is never
+// scanned by the garbage collector (TestWBEventSize).
 type wbEvent struct {
 	regMask  uint64
-	group    *loadGroup // non-nil: decrement the group instead
 	warpSlot int32
 	next     int32 // wheel arena link: next node in the slot chain or free list
 	gen      uint32
 	predMask uint8
+	load     bool // one line of a global load
 }
 
 // warpCtx is one hardware warp slot.
@@ -54,7 +58,8 @@ type warpCtx struct {
 
 	pendingRegs  uint64 // registers with outstanding writes
 	pendingPreds uint8
-	loadRegs     uint64 // subset of pendingRegs produced by global loads
+	lineBase     int32  // index of the warp's register 0 in sm.lineCount (static)
+	loadRegs     uint64 // subset of pendingRegs produced by global loads: a non-zero line count
 
 	// gen increments on every block launch into this slot; stale
 	// writeback events and load completions from a previous occupant
@@ -134,7 +139,7 @@ type SM struct {
 	census []census
 
 	l1       *cache.Cache
-	mshr     *mem.LineTable[*loadGroup] // at most cfg.L1MSHRs lines
+	mshr     *mem.LineTable[LoadRef] // at most cfg.L1MSHRs lines
 	memSys   *mem.System
 	faults   *fault.Plan
 	wb       wbWheel
@@ -144,8 +149,11 @@ type SM struct {
 	nextDyn  int64
 	finished []int // block slots that completed this cycle
 
-	// groupFree recycles load groups within the SM.
-	groupFree []*loadGroup
+	// lineCount[warps[ws].lineBase+r] is the number of lines of warp
+	// slot ws's outstanding load into register r still to land: set at
+	// issue, decremented by each line's completion, zeroed at launch.
+	// recount is the scoreboard audit's scratch copy of the same shape.
+	lineCount, recount []uint8
 
 	Stats stats.SM
 
@@ -288,6 +296,7 @@ func (sm *SM) LaunchBlock(slot, ctaID int) error {
 		wc.pendingRegs = 0
 		wc.pendingPreds = 0
 		wc.loadRegs = 0
+		clear(sm.warpLines(wc)) // a previous occupant's lines are dropped by generation
 		wc.gen++
 		wc.pc = wc.nextPC()
 	}
@@ -320,15 +329,8 @@ func (sm *SM) randFloat() float64 {
 	return float64(sm.rand64()>>11) / (1 << 53)
 }
 
-// allocGroup takes a loadGroup from the SM's free list (or allocates
-// one). Groups are returned by completeGroupPart when their last line
-// retires; groups stranded by an injected fault are deliberately leaked.
-func (sm *SM) allocGroup(ws, remaining int, regMask uint64, gen uint32) *loadGroup {
-	if n := len(sm.groupFree); n > 0 {
-		g := sm.groupFree[n-1]
-		sm.groupFree = sm.groupFree[:n-1]
-		*g = loadGroup{warpSlot: ws, remaining: remaining, regMask: regMask, gen: gen}
-		return g
-	}
-	return &loadGroup{warpSlot: ws, remaining: remaining, regMask: regMask, gen: gen}
+// warpLines returns warp wc's line counts, one per register of its
+// kernel.
+func (sm *SM) warpLines(wc *warpCtx) []uint8 {
+	return sm.lineCount[wc.lineBase : int(wc.lineBase)+sm.tens[wc.tn].launch.Kernel.RegsPerThread]
 }

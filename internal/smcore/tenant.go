@@ -71,7 +71,7 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 		ID:     id,
 		cfg:    cfg,
 		l1:     cache.NewWithPolicy(cfg.L1Sets, cfg.L1Ways, cfg.L1LineSz, cfg.L1Policy),
-		mshr:   mem.NewLineTable[*loadGroup](),
+		mshr:   mem.NewLineTable[LoadRef](),
 		memSys: ms,
 	}
 
@@ -121,6 +121,11 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 
 	sm.warps = make([]warpCtx, totalWarps)
 	sm.blocks = make([]blockCtx, totalBlocks)
+	// One NewStates call for every warp's state, registers and SIMT
+	// stack; one array for their line counts (one per register) and the
+	// audit's recount of them.
+	nregs := make([]int, totalWarps)
+	lines := 0
 	for ti := range sm.tens {
 		t := &sm.tens[ti]
 		for ls := 0; ls < t.occ.Max; ls++ {
@@ -131,11 +136,19 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 		}
 		for wi := 0; wi < t.occ.Max*t.wpb; wi++ {
 			ws := t.warpBase + wi
-			sm.warps[ws].w = warp.NewState(t.launch.Kernel.RegsPerThread, 0)
-			sm.warps[ws].w.ID = ws
+			nregs[ws] = t.launch.Kernel.RegsPerThread
 			sm.warps[ws].tn = int32(ti)
+			sm.warps[ws].lineBase = int32(lines)
+			lines += nregs[ws]
 		}
 	}
+	states := warp.NewStates(nregs)
+	for ws := range sm.warps {
+		sm.warps[ws].w = &states[ws]
+		states[ws].ID = ws
+	}
+	both := make([]uint8, 2*lines)
+	sm.lineCount, sm.recount = both[:lines:lines], both[lines:]
 
 	sm.schedWarps = make([][]int, cfg.NumSchedulers)
 	for ws := range sm.warps {
@@ -173,11 +186,11 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 }
 
 // Reset returns the SM to exactly the state NewMulti built it in: a cold
-// L1; no live block or warp, scheduled writeback or MSHR line; fresh
-// schedulers, views and censuses; zeroed SM and tenant statistics and
-// sharing managers; and the seed and counters NewMulti starts from.
-// Buffers keep their capacity — register files, scratchpads, the MSHR
-// file, the writeback wheel's arena, the free lists — so resetting
+// L1; no live block or warp, scheduled writeback, MSHR line or
+// outstanding load line; fresh schedulers, views and censuses; zeroed SM
+// and tenant statistics and sharing managers; and the seed and counters
+// NewMulti starts from. Buffers keep their capacity — register files,
+// scratchpads, the MSHR file, the writeback wheel's arena — so resetting
 // allocates next to nothing. A time-slice run resets a tenant's SMs at
 // each of its slices after the first instead of building them again.
 func (sm *SM) Reset() {
@@ -204,8 +217,9 @@ func (sm *SM) Reset() {
 	for ws := range sm.warps {
 		wc := &sm.warps[ws]
 		wc.w.Clear()
-		*wc = warpCtx{w: wc.w, tn: wc.tn}
+		*wc = warpCtx{w: wc.w, tn: wc.tn, lineBase: wc.lineBase}
 	}
+	clear(sm.lineCount)
 	for i := range sm.blocks {
 		b := &sm.blocks[i]
 		*b = blockCtx{smem: b.smem, tn: b.tn, warpBase: b.warpBase, wpb: b.wpb}

@@ -2,6 +2,7 @@ package smcore
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gpushare/internal/config"
 	"gpushare/internal/core"
@@ -259,7 +260,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 		sm.lsuBusy = now + int64(deg-1)
 		if op == isa.LDS {
 			lat := int64(sm.cfg.SmemLat + deg - 1)
-			sm.scheduleWB(now, now+lat, ws, wc.gen, me.dstRegMask, 0, nil)
+			sm.wb.schedule(now, now+lat, wbEvent{warpSlot: int32(ws), gen: wc.gen, regMask: me.dstRegMask})
 			wc.pendingRegs |= me.dstRegMask
 		}
 	case op == isa.LDG:
@@ -277,7 +278,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 		if me.dstRegMask != 0 || me.dstPredMask != 0 {
 			wc.pendingRegs |= me.dstRegMask
 			wc.pendingPreds |= me.dstPredMask
-			sm.scheduleWB(now, now+me.lat, ws, wc.gen, me.dstRegMask, me.dstPredMask, nil)
+			sm.wb.schedule(now, now+me.lat, wbEvent{warpSlot: int32(ws), gen: wc.gen, regMask: me.dstRegMask, predMask: me.dstPredMask})
 		}
 	}
 
@@ -300,36 +301,31 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 }
 
 // issueGlobalLoad coalesces a load into line transactions and routes each
-// through the L1 / MSHR / memory system.
+// through the L1 / MSHR / memory system. The load's line count starts at
+// the number of lines; an L1 hit schedules a load-line writeback, a miss
+// waits in the MSHR file.
 func (sm *SM) issueGlobalLoad(ws int, wc *warpCtx, dstMask uint64, res warp.Result, now int64) {
 	lines := mem.Coalesce(res.GlobalAddrs, res.Active, sm.cfg.L1LineSz, sm.lineBuf[:0])
 	sm.lineBuf = lines[:0]
 	sm.Stats.CoalescedAccess += int64(len(lines))
+	wc.pendingRegs |= dstMask
 	if len(lines) == 0 { // fully guarded off
-		wc.pendingRegs |= dstMask
-		sm.scheduleWB(now, now+1, ws, wc.gen, dstMask, 0, nil)
+		sm.wb.schedule(now, now+1, wbEvent{warpSlot: int32(ws), gen: wc.gen, regMask: dstMask})
 		return
 	}
-	wc.pendingRegs |= dstMask
 	wc.loadRegs |= dstMask
-	group := sm.allocGroup(ws, len(lines), dstMask, wc.gen)
+	reg := uint8(bits.TrailingZeros64(dstMask))
+	sm.lineCount[int(wc.lineBase)+int(reg)] = uint8(len(lines))
+	ref := LoadRef{Slot: int32(ws), Gen: wc.gen, Reg: reg}
 	for _, line := range lines {
 		if sm.l1.Probe(line) {
-			sm.scheduleWB(now, now+int64(sm.cfg.L1HitLat), ws, wc.gen, 0, 0, group)
-			continue
+			sm.wb.schedule(now, now+int64(sm.cfg.L1HitLat), wbEvent{warpSlot: int32(ws), gen: wc.gen, regMask: dstMask, load: true})
+		} else if sm.mshr.Add(line, ref) {
+			sm.sendLine(line, false, now) // a first miss opens the MSHR entry
+		} else {
+			sm.l1.Stats.MSHRMerg++ // merged into an outstanding miss
 		}
-		sm.sendOrMerge(line, group, now)
 	}
-}
-
-// sendOrMerge allocates an MSHR entry for the line or merges into an
-// outstanding one.
-func (sm *SM) sendOrMerge(line uint32, group *loadGroup, now int64) {
-	if !sm.mshr.Add(line, group) {
-		sm.l1.Stats.MSHRMerg++
-		return
-	}
-	sm.sendLine(line, false, now)
 }
 
 // sendLine injects one line transaction into the memory system.
@@ -350,13 +346,6 @@ func (sm *SM) issueGlobalStore(res warp.Result, now int64) {
 	}
 }
 
-// scheduleWB enqueues a writeback event on the timing wheel.
-func (sm *SM) scheduleWB(now, at int64, ws int, gen uint32, regs uint64, preds uint8, group *loadGroup) {
-	sm.wb.schedule(now, at, wbEvent{
-		warpSlot: int32(ws), gen: gen, regMask: regs, predMask: preds, group: group,
-	})
-}
-
 // processWritebacks retires the events scheduled for this cycle: the
 // wheel slot's chain in FIFO order, then the overflow list. Each event
 // is copied out of the wheel before retireWB sees it.
@@ -369,8 +358,8 @@ func (sm *SM) processWritebacks(now int64) {
 
 // retireWB applies one writeback event.
 func (sm *SM) retireWB(ev *wbEvent, now int64) {
-	if ev.group != nil {
-		sm.completeGroupPart(ev.group)
+	if ev.load {
+		sm.retireLine(int(ev.warpSlot), ev.gen, uint8(bits.TrailingZeros64(ev.regMask)))
 		return
 	}
 	ws := int(ev.warpSlot)
@@ -393,23 +382,22 @@ func (sm *SM) retireWB(ev *wbEvent, now int64) {
 	sm.dropCensus(ws)
 }
 
-// completeGroupPart retires one line of a load group, clearing the
-// destination scoreboard bits when the last line lands and recycling the
-// group once no references to it remain.
-func (sm *SM) completeGroupPart(g *loadGroup) {
-	g.remaining--
-	if g.remaining > 0 {
+// retireLine retires one line of warp slot ws's load into register reg,
+// issued at generation gen: the last line clears the register's
+// scoreboard bits. A line of a previous occupant's load is dropped.
+func (sm *SM) retireLine(ws int, gen uint32, reg uint8) {
+	wc := &sm.warps[ws]
+	if wc.gen != gen {
 		return
 	}
-	wc := &sm.warps[g.warpSlot]
-	if wc.gen == g.gen {
-		wc.pendingRegs &^= g.regMask
-		wc.loadRegs &^= g.regMask
-		sm.dropCensus(g.warpSlot)
+	n := &sm.lineCount[int(wc.lineBase)+int(reg)]
+	*n--
+	if *n > 0 {
+		return
 	}
-	// remaining counted the outstanding references (MSHR waiters and
-	// queued writebacks); at zero the group is unreachable and reusable.
-	sm.groupFree = append(sm.groupFree, g)
+	wc.pendingRegs &^= 1 << reg
+	wc.loadRegs &^= 1 << reg
+	sm.dropCensus(ws)
 }
 
 // drainReplies pulls at most one memory reply per cycle (reply-network
@@ -420,12 +408,12 @@ func (sm *SM) drainReplies(now int64) {
 		return
 	}
 	if sm.faults.Armed(fault.DropMemReply) && sm.faults.Trip(fault.DropMemReply, now, sm.ID, -1,
-		fmt.Sprintf("discarded reply for line %#x; its load group never completes", req.LineAddr)) {
+		fmt.Sprintf("discarded reply for line %#x; the loads waiting on it never complete", req.LineAddr)) {
 		return // injected fault: the reply vanishes between networks and MSHR
 	}
 	sm.l1.Fill(req.LineAddr)
-	for _, g := range sm.mshr.Take(req.LineAddr) {
-		sm.completeGroupPart(g)
+	for _, r := range sm.mshr.Take(req.LineAddr) {
+		sm.retireLine(int(r.Slot), r.Gen, r.Reg)
 	}
 }
 

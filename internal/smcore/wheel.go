@@ -58,7 +58,7 @@ func (w *wbWheel) schedule(now, at int64, ev wbEvent) {
 	// halves from the narrower stores that spilled it, which defeats
 	// store forwarding and stalls every schedule.
 	nd := &w.nodes[n]
-	nd.regMask, nd.group, nd.warpSlot, nd.next, nd.gen, nd.predMask = ev.regMask, ev.group, ev.warpSlot, 0, ev.gen, ev.predMask
+	nd.regMask, nd.warpSlot, nd.next, nd.gen, nd.predMask, nd.load = ev.regMask, ev.warpSlot, 0, ev.gen, ev.predMask, ev.load
 	if w.head[i] == 0 {
 		w.head[i], w.slotAt[i] = n, at
 	} else {

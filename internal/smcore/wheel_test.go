@@ -9,13 +9,14 @@ import (
 )
 
 // TestWBEventSize pins the writeback event, which is also the wheel
-// arena's node, at 32 bytes: every issued instruction with a result
-// schedules one, so padding between fields is paid on every schedule.
-// The checkpoint form (WBCheckpoint) is a separate type, so the layout
-// does not reach checkpoint bytes.
+// arena's node, at 24 bytes with no pointer in it: every issued
+// instruction with a result schedules one, so padding between fields is
+// paid on every schedule, and a pointer-free arena is one the garbage
+// collector never scans. The checkpoint form (WBCheckpoint) is a
+// separate type, so the layout does not reach checkpoint bytes.
 func TestWBEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(wbEvent{}); got != 32 {
-		t.Fatalf("unsafe.Sizeof(wbEvent{}) = %d, want 32 (fields widest first: uint64, pointer, int32, int32, uint32, uint8)", got)
+	if got := unsafe.Sizeof(wbEvent{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(wbEvent{}) = %d, want 24 (fields widest first: uint64, int32, int32, uint32, uint8, bool)", got)
 	}
 }
 

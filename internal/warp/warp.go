@@ -103,6 +103,28 @@ func NewState(nregs int, lanes uint32) *State {
 	}
 }
 
+// NewStates allocates the warp slots of one SM at once: state i has
+// nregs[i] registers per thread and is otherwise NewState(nregs[i], 0).
+// The states, their register files and the converged entry of their
+// reconvergence stacks are three arrays in all, not three per warp; a
+// stack that diverges grows its own storage, as NewState's does.
+func NewStates(nregs []int) []State {
+	total := 0
+	for _, n := range nregs {
+		total += n * kernel.WarpSize
+	}
+	ws := make([]State, len(nregs))
+	regs := make([]uint32, total)
+	stacks := make([]SIMTEntry, len(nregs))
+	for i, n := range nregs {
+		r := n * kernel.WarpSize
+		ws[i].regs, regs = regs[:r:r], regs[r:]
+		ws[i].simt.stack = stacks[i : i : i+1]
+		ws[i].simt.reset(0)
+	}
+	return ws
+}
+
 // Clear returns the warp to the state NewState left it in — no lanes,
 // no block bound, registers and predicates zero — keeping its hardware
 // slot and the storage of its register file and reconvergence stack.

@@ -227,6 +227,34 @@ func TestResetClearsState(t *testing.T) {
 	}
 }
 
+// TestNewStatesMatchNewState: each state NewStates carves out of its
+// shared arrays is the state NewState builds — a register-less one
+// included — and owns its storage: writing a state's last register or
+// growing its stack leaves its neighbour as built.
+func TestNewStatesMatchNewState(t *testing.T) {
+	nregs := []int{3, 0, 5}
+	ws := NewStates(nregs)
+	encode := func(w *State) string {
+		b, err := json.Marshal(w.Checkpoint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for i, n := range nregs {
+		if got, want := encode(&ws[i]), encode(NewState(n, 0)); got != want {
+			t.Errorf("state %d: %s, NewState(%d, 0) is %s", i, got, n, want)
+		}
+	}
+	fresh := encode(&ws[2])
+	ws[0].regs[len(ws[0].regs)-1] = 7
+	ws[0].simt.stack = append(ws[0].simt.stack, SIMTEntry{PC: 9, RPC: 3, Mask: 1})
+	ws[1].simt.stack = append(ws[1].simt.stack, SIMTEntry{PC: 9, RPC: 3, Mask: 1})
+	if got := encode(&ws[2]); got != fresh {
+		t.Errorf("writing its neighbours changed state 2: %s, was %s", got, fresh)
+	}
+}
+
 // TestCheckpointViewEncoding: the checkpoint view aliases the live
 // register file, so it follows the live warp; a register-less kernel's
 // empty file still serializes as null, as snapshots always have.

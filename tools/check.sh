@@ -15,7 +15,8 @@
 # Spec.program alone), that no scheduler view is patched in place
 # (no patchView, no WaitingLong in internal/), that the SM's issue
 # stage keeps one shortcut (the census: no issue cards, no card hit
-# path), that the memory side
+# path), that a global load is its warp's register (no load group, no
+# pointer in a writeback event or an L1 MSHR key), that the memory side
 # skips nothing (no partition horizon, no DRAM next-event memo), and
 # that no pool, map-keyed MSHR or any-typed payload is back on the
 # memory path, EXPERIMENTS.md below its
@@ -185,6 +186,17 @@ echo "== one SM shortcut (the per-scheduler census is the issue stage's only cac
 hits=$(grep -n -E 'issueCard|cardVerdict|classAt\(' $(find internal cmd -name '*.go' ! -name '*_test.go') || true)
 [ -z "$hits" ] || { echo "a per-warp issue card or its hit path is back:" >&2; echo "$hits" >&2; exit 1; }
 echo "   non-test Go lines in internal/smcore: $(cat $(ls internal/smcore/*.go | grep -v _test.go) | wc -l)"
+
+echo "== a global load is its warp's register (no load group; the writeback wheel and the L1 MSHR hold values, not pointers)"
+sm_src=$(ls internal/smcore/*.go | grep -v _test.go)
+hits=$(grep -n -E '\bloadGroup\b|LineTable\[ *\*' $sm_src | grep -v ':[[:space:]]*//' || true)
+[ -z "$hits" ] || { echo "internal/smcore: a load group or a pointer-keyed L1 MSHR is back:" >&2; echo "$hits" >&2; exit 1; }
+# The field lines of wbEvent, comments stripped: no pointer, nor a type
+# that carries one.
+fields=$(awk '/^type wbEvent struct/ { in_ev = 1; next } in_ev && /^}/ { in_ev = 0 } in_ev' $sm_src | sed 's://.*$::')
+[ -n "$fields" ] || { echo "internal/smcore: no wbEvent struct found" >&2; exit 1; }
+hits=$(printf '%s\n' "$fields" | grep -E '\*|\[\]|map\[|chan |func|interface|\bany\b|\bstring\b' || true)
+[ -z "$hits" ] || { echo "internal/smcore: wbEvent holds a pointer again (the wheel arena is meant to be pointer-free):" >&2; echo "$hits" >&2; exit 1; }
 
 echo "== one atomic write (checkpoint.WriteFileAtomic is the only temp-file rename in non-test Go)"
 n=$(cat $nontest_go | grep -v '^[[:space:]]*//' | grep -c 'os\.Rename(' || true)
