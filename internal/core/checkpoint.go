@@ -21,27 +21,31 @@ type ManagerCheckpoint struct {
 	OwnershipXfers int64            `json:"ownership_xfers"`
 }
 
-// Checkpoint captures the manager's mutable state. A nil manager (an SM
-// with no sharing) checkpoints as the zero value.
+// Checkpoint returns a view of the manager's mutable state. A nil
+// manager (an SM with no sharing) checkpoints as the zero value. The
+// pair list is the manager's own, refreshed by every call, and each
+// pair's warp locks alias the live ledger, so the view is valid until
+// the manager next changes or is checkpointed again.
 func (m *Manager) Checkpoint() ManagerCheckpoint {
 	if m == nil {
 		return ManagerCheckpoint{}
 	}
-	c := ManagerCheckpoint{
-		Pairs:          make([]PairCheckpoint, len(m.pairs)),
+	if m.view == nil {
+		m.view = make([]PairCheckpoint, len(m.pairs))
+	}
+	for i, p := range m.pairs {
+		pc := PairCheckpoint{Owner: p.Owner, ActiveLocks: p.activeLocks, SmemLock: p.smemLock}
+		if len(p.warpLocks) > 0 { // an empty ledger serializes as null
+			pc.WarpLocks = p.warpLocks
+		}
+		m.view[i] = pc
+	}
+	return ManagerCheckpoint{
+		Pairs:          m.view,
 		Epoch:          m.epoch,
 		LockAcquires:   m.LockAcquires,
 		OwnershipXfers: m.OwnershipXfers,
 	}
-	for i, p := range m.pairs {
-		c.Pairs[i] = PairCheckpoint{
-			Owner:       p.Owner,
-			WarpLocks:   append([]int8(nil), p.warpLocks...),
-			ActiveLocks: p.activeLocks,
-			SmemLock:    p.smemLock,
-		}
-	}
-	return c
 }
 
 // RestoreState applies a snapshot onto a freshly constructed manager

@@ -93,6 +93,8 @@ type Manager struct {
 	// Statistics.
 	LockAcquires   int64
 	OwnershipXfers int64
+
+	view []PairCheckpoint // Checkpoint's pair list, refreshed in place
 }
 
 // NewManager builds the sharing manager for an SM with the given
@@ -109,10 +111,14 @@ func NewManager(cfg *config.Config, occ Occupancy, warpsPerBlock int) *Manager {
 	for i := range m.pairOfSlot {
 		m.pairOfSlot[i] = -1
 	}
-	for i := 0; i < occ.Pairs; i++ {
+	// One array for the pairs and one for their warp-lock ledgers.
+	pairs, locks := make([]Pair, occ.Pairs), make([]int8, occ.Pairs*warpsPerBlock)
+	m.pairs = make([]*Pair, occ.Pairs)
+	for i := range m.pairs {
 		a := occ.Unshared + 2*i
 		b := a + 1
-		m.pairs = append(m.pairs, &Pair{Slots: [2]int{a, b}, warpLocks: make([]int8, warpsPerBlock)})
+		pairs[i] = Pair{Slots: [2]int{a, b}, warpLocks: locks[i*warpsPerBlock : (i+1)*warpsPerBlock : (i+1)*warpsPerBlock]}
+		m.pairs[i] = &pairs[i]
 		m.pairOfSlot[a], m.sideOfSlot[a] = i, 0
 		m.pairOfSlot[b], m.sideOfSlot[b] = i, 1
 	}

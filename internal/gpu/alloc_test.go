@@ -14,11 +14,10 @@ import (
 // sharing and one global-memory proxy, unshared and under register
 // sharing. The issue path is meant to be allocation-free, so what
 // remains is per-run set-up, block launches and buffers growing to
-// their steady-state size (132, 18 and 31 when the budgets were last
-// set; lavaMD is the highest because its run is short; about half of
-// MUM's are the L1 and L2 MSHR tables' recycled waiter arrays growing
-// and an eighth building the SMs, whose warps take one allocation each
-// for their states, registers and SIMT stacks per SM). A map or slice
+// their steady-state size (89, 8 and 14 when the budgets were last set;
+// lavaMD is the highest because its run is short; the MSHR tables'
+// waiters grow one arena per table, and an SM's per-warp and
+// per-scheduler tables are sized once when it is built). A map or slice
 // built per issued instruction lands far above them — the
 // per-instruction bank-conflict map put
 // these two at 76 000 and 3 300 — and microbenchmarks whose kernels
@@ -32,15 +31,15 @@ func TestAllocationBudget(t *testing.T) {
 		budget         float64 // mallocs per 1000 cycles, at most ≈2× the measured value
 		cfg            func(*config.Config)
 	}{
-		{"lavaMD", "lavaMD", 265, func(c *config.Config) {
+		{"lavaMD", "lavaMD", 180, func(c *config.Config) {
 			c.Sharing, c.T, c.Sched = config.ShareScratchpad, 0.1, config.SchedOWF
 		}},
-		{"MUM", "MUM", 36, func(*config.Config) {}},
+		{"MUM", "MUM", 16, func(*config.Config) {}},
 		// MUM again under the paper's best register-sharing configuration:
 		// most of its cycles are census replays over MSHR-full and
 		// lock-waiting warps, which must stay as allocation-free as the
 		// walk they replace.
-		{"MUM-shared-owf-unroll-dyn", "MUM", 62, func(c *config.Config) { *c = regSharingDyn() }},
+		{"MUM-shared-owf-unroll-dyn", "MUM", 28, func(c *config.Config) { *c = regSharingDyn() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := config.Default()
@@ -70,5 +69,48 @@ func TestAllocationBudget(t *testing.T) {
 					tc.name, perK, tc.budget)
 			}
 		})
+	}
+}
+
+// TestCheckpointAllocationBudget bounds what checkpointing adds to a
+// run's heap allocation, on MUM (scale 1, default configuration): a run
+// checkpointed every 20 000 cycles may allocate at most 7 MB more than
+// the plain run — its capture buffer, sized once to the first container
+// plus headroom (4.2 MB for containers of 3.4–3.8 MB), and the views —
+// and a run restored from its cycle-100 000 snapshot at most 3 MB more
+// — the decoded pages and memory-system state; the register files
+// decode into the machine's own. They were +18.9 and +7.9 MB when the
+// capture buffer grew by doubling and the register files decoded into
+// fresh slices, and +5.1 and +2.0 MB when the budgets were set.
+func TestCheckpointAllocationBudget(t *testing.T) {
+	t.Setenv("GPUSHARE_INVARIANT_STRIDE", "0")
+	blob := mumSnapshot(t, 100_000)
+	measure := func(name string, arm func(*Sim)) uint64 {
+		sim, l := mumSim(t)
+		arm(sim)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := sim.Run(l)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s run: %v", name, err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	plain := measure("plain", func(*Sim) {})
+	sink := &discardSink{}
+	ck := measure("checkpointed", func(s *Sim) { s.Cfg.CheckpointStride, s.CheckpointSink = 20_000, sink })
+	restored := measure("restored", func(s *Sim) { s.RestoreFrom = blob })
+	mb := func(n uint64) float64 { return float64(n) / 1e6 }
+	t.Logf("plain %.1f MB, checkpointed (%d captures) %.1f MB (+%.1f), restored %.1f MB (+%.1f)",
+		mb(plain), sink.puts, mb(ck), mb(ck)-mb(plain), mb(restored), mb(restored)-mb(plain))
+	if sink.puts == 0 {
+		t.Fatal("the checkpointed run captured nothing")
+	}
+	if ck > plain+7e6 {
+		t.Errorf("the checkpointed run allocates %.1f MB more than the plain run, budget 7 MB", mb(ck)-mb(plain))
+	}
+	if restored > plain+3e6 {
+		t.Errorf("the restored run allocates %.1f MB more than the plain run, budget 3 MB", mb(restored)-mb(plain))
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"gpushare/internal/checkpoint"
 	"gpushare/internal/config"
+	"gpushare/internal/kernel"
 	"gpushare/internal/mem"
 	"gpushare/internal/smcore"
 	"gpushare/internal/tenancy"
@@ -267,25 +268,9 @@ func (m *allocMeter) report(b *testing.B) {
 // serializes and seals it again.
 func BenchmarkCapture(b *testing.B) {
 	const at = 60_000
-	cfg := config.Default()
-	cfg.CheckpointStride = at
-	sink := checkpoint.NewMemSink()
-	runWorkloadCK(b, "MUM", cfg, 1, sink, nil)
-	blob := sink.Get(at)
-	if blob == nil {
-		b.Fatalf("MUM ran past no checkpoint at cycle %d (trail %v)", at, sink.List())
-	}
-	sim, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ws, err := workloads.ByName("MUM")
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst := ws.Build(1)
-	inst.Setup(sim.Mem)
-	r, err := sim.newSingle(inst.Launch)
+	blob := mumSnapshot(b, at)
+	sim, l := mumSim(b)
+	r, err := sim.newSingle(l)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -296,8 +281,9 @@ func BenchmarkCapture(b *testing.B) {
 	if err := r.restore(p); err != nil {
 		b.Fatal(err)
 	}
-	// One capture first: a simulator's first snapshot grows its capture
-	// buffer, every later one reuses it.
+	// One capture first: a simulator's first snapshot sizes its capture
+	// buffer (BenchmarkCheckpointRun times that), every later one
+	// reuses it.
 	if _, err := r.capture(at); err != nil {
 		b.Fatal(err)
 	}
@@ -338,6 +324,103 @@ func BenchmarkTimeSlice(b *testing.B) {
 		b.StartTimer()
 		m.start()
 		if _, err := sim.RunMulti(spec, launches); err != nil {
+			b.Fatal(err)
+		}
+		m.stop()
+	}
+	b.StopTimer()
+	m.report(b)
+}
+
+// discardSink takes every checkpoint and keeps nothing, so a run under
+// it allocates only what capturing costs.
+type discardSink struct{ puts int }
+
+func (d *discardSink) Put(int64, []byte) error { d.puts++; return nil }
+
+// mumSim returns a default-configuration simulator with MUM (scale 1)
+// set up in its memory, and the launch.
+func mumSim(tb testing.TB) (*Sim, *kernel.Launch) {
+	tb.Helper()
+	sim, err := New(config.Default())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ws, err := workloads.ByName("MUM")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	inst := ws.Build(1)
+	inst.Setup(sim.Mem)
+	return sim, inst.Launch
+}
+
+// mumSnapshot returns the container a default-configuration MUM run
+// (scale 1) captures at cycle at.
+func mumSnapshot(tb testing.TB, at int64) []byte {
+	tb.Helper()
+	cfg := config.Default()
+	cfg.CheckpointStride = at
+	sink := checkpoint.NewMemSink()
+	runWorkloadCK(tb, "MUM", cfg, 1, sink, nil)
+	blob := sink.Get(at)
+	if blob == nil {
+		tb.Fatalf("MUM ran past no checkpoint at cycle %d (trail %v)", at, sink.List())
+	}
+	return blob
+}
+
+// BenchmarkCheckpointRun is a whole MUM run (scale 1, default
+// configuration) checkpointed every 20 000 cycles into a sink that
+// keeps nothing: one op is the run with all its captures, the first
+// one's sizing of the capture buffer included, on a simulator whose
+// inputs are set up outside the timer.
+func BenchmarkCheckpointRun(b *testing.B) {
+	b.ReportAllocs()
+	var m allocMeter
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sim, l := mumSim(b)
+		sim.Cfg.CheckpointStride = 20_000
+		sink := &discardSink{}
+		sim.CheckpointSink = sink
+		b.StartTimer()
+		m.start()
+		if _, err := sim.Run(l); err != nil {
+			b.Fatal(err)
+		}
+		m.stop()
+		if sink.puts == 0 {
+			b.Fatal("the run captured nothing")
+		}
+	}
+	b.StopTimer()
+	m.report(b)
+}
+
+// BenchmarkRestore decodes MUM's cycle-100 000 snapshot (scale 1,
+// default configuration) and restores it into a freshly built machine:
+// one op is the decode and the restore, on a simulator and machine
+// built outside the timer.
+func BenchmarkRestore(b *testing.B) {
+	blob := mumSnapshot(b, 100_000)
+	b.ReportAllocs()
+	var m allocMeter
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sim, l := mumSim(b)
+		r, err := sim.newSingle(l)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		m.start()
+		p, err := r.decode(blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := r.restore(p); err != nil {
 			b.Fatal(err)
 		}
 		m.stop()

@@ -16,12 +16,14 @@
 // The payload cross-checks the simulator revision, the canonical
 // configuration, the run mode, the kernel names, and (for multi-tenant
 // runs) the tenancy spec, and validates the loop state's every index,
-// before any state is applied, so a checkpoint can never silently resume
-// a different experiment or walk off the machine it describes.
+// before any state that outlives the run is applied, so a checkpoint can
+// never silently resume a different experiment or walk off the machine
+// it describes.
 package gpu
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -178,26 +180,66 @@ func (r *run) identity() (cfg, spec json.RawMessage, err error) {
 // lives in that buffer, which the next capture overwrites — hence the
 // checkpoint.Sink contract that Put keeps nothing.
 //
-// The payload is encoded section by section — each identity field, each
-// SM, the memory system, each global page, the loop state — with the
-// punctuation of payload, machineState and mem.GlobalCheckpoint written
-// between them, so the bytes are json.Marshal(payload)'s
+// The buffer never grows while a capture writes into it: a container
+// that does not fit is only counted (captureBuf), and the capture is
+// then written again into a buffer sized once from that count, with
+// headroom for what the machine can still grow by. A run's first
+// capture into an empty buffer is therefore a counting pass, and a
+// later one pays a second pass only if its container outgrew the
+// headroom — the buffer never doubles.
+func (r *run) capture(now int64) ([]byte, error) {
+	if _, _, err := r.identity(); err != nil {
+		return nil, simerr.Wrap(simerr.KindCheckpoint, now, err)
+	}
+	w := &r.s.ck
+	if err := r.encode(w, now); err != nil {
+		return nil, simerr.Wrap(simerr.KindCheckpoint, now, err)
+	}
+	if !w.fits() {
+		w.b = make([]byte, 0, w.n+r.headroom(w.global))
+		if err := r.encode(w, now); err != nil {
+			return nil, simerr.Wrap(simerr.KindCheckpoint, now, err)
+		}
+		if !w.fits() { // the same state encodes to the same bytes
+			return nil, simerr.New(simerr.KindCheckpoint, now,
+				"checkpoint container of %d bytes outgrew its %d-byte buffer", w.n, cap(w.b))
+		}
+	}
+	return checkpoint.Seal(w.b), nil
+}
+
+// pageJSON bounds one more page of the global section: the base64 of
+// its bytes and the element around it.
+var pageJSON = base64.StdEncoding.EncodedLen(mem.PageSize) + len(`,{"index":4294967295,"data":""}`)
+
+// headroom is what a capture buffer holds beyond a container whose
+// machine section (everything before the backing store) is machine
+// bytes long: every page below the allocator cursor that no store has
+// materialized yet, and a quarter of the machine section, whose
+// register values, queues and scratchpads move with the run (at scale 1
+// on the default machine, MUM's by up to 6 % of its first capture's,
+// hotspot's by up to 17 %).
+func (r *run) headroom(machine int) int {
+	return r.s.Mem.Unstored()*pageJSON + machine/4
+}
+
+// encode writes the container at cycle now into w, from its start: the
+// reserved header, then the payload section by section — each identity
+// field, each SM, each memory partition, each global page, the loop
+// state — with the punctuation of payload, machineState,
+// mem.SystemCheckpoint and mem.GlobalCheckpoint written between them,
+// so the bytes are json.Marshal(payload)'s
 // (TestCaptureMatchesSeedEncoder). encoding/json builds every value it
 // encodes in a scratch buffer from its own pool before copying it out;
 // one section at a time, that buffer is bounded by the largest section
 // instead of growing to the whole multi-megabyte payload. Sections go to
-// the encoder by pointer and the two integers through strconv, so that
-// passing them as interface values allocates nothing per section.
-func (r *run) capture(now int64) ([]byte, error) {
+// the encoder by pointer, so that passing them as interface values
+// allocates nothing per section.
+func (r *run) encode(w *captureBuf, now int64) error {
 	s := r.s
-	if _, _, err := r.identity(); err != nil {
-		return nil, simerr.Wrap(simerr.KindCheckpoint, now, err)
-	}
+	w.reset()
 	var header [checkpoint.HeaderSize]byte
-	b := &s.ckBuf
-	b.Reset()
-	b.Write(header[:])
-	w := sectionWriter{b: b, enc: json.NewEncoder(b)}
+	w.Write(header[:])
 	w.put(`{"sim_version":`, Version)
 	w.put(`,"config":`, &r.cfgJSON)
 	w.put(`,"mode":`, &r.mode)
@@ -205,34 +247,40 @@ func (r *run) capture(now int64) ([]byte, error) {
 	if len(r.specJSON) > 0 {
 		w.put(`,"spec":`, &r.specJSON)
 	}
-	b.WriteString(`,"cycle":`)
-	b.Write(strconv.AppendInt(b.AvailableBuffer(), now, 10))
-	b.WriteString(`,"machine":{"sms":[`)
+	w.writeString(`,"cycle":`)
+	w.writeInt(now)
+	w.writeString(`,"machine":{"sms":[`)
 	var smc smcore.Checkpoint
 	for i, sm := range r.sms {
 		smc = sm.Checkpoint()
 		w.put(sep(i), &smc)
 	}
+	// The memory system goes partition by partition too: whole, it is
+	// the largest section by far (every L2 tag array).
 	memc := s.ms.Checkpoint()
-	w.put(`],"mem":`, &memc)
+	w.put(`],"mem":{"to_mem":`, &memc.ToMem)
+	w.put(`,"to_sm":`, &memc.ToSM)
+	w.writeString(`,"partitions":[`) // never null: one per partition
+	for i := range memc.Partitions {
+		w.put(sep(i), &memc.Partitions[i])
+	}
+	w.writeString("]}")
+	w.global = w.n
 	g := s.Mem.Checkpoint()
 	if g.Pages == nil {
-		b.WriteString(`,"global":{"pages":null`)
+		w.writeString(`,"global":{"pages":null`)
 	} else {
-		b.WriteString(`,"global":{"pages":[`)
+		w.writeString(`,"global":{"pages":[`)
 		for i := range g.Pages {
 			w.put(sep(i), &g.Pages[i])
 		}
-		b.WriteByte(']')
+		w.writeString("]")
 	}
-	b.WriteString(`,"brk":`)
-	b.Write(strconv.AppendUint(b.AvailableBuffer(), uint64(g.Brk), 10))
+	w.writeString(`,"brk":`)
+	w.writeInt(int64(g.Brk))
 	w.put(`}},"loop":`, &r.loopState)
-	if w.err != nil {
-		return nil, simerr.Wrap(simerr.KindCheckpoint, now, w.err)
-	}
-	b.WriteByte('}')
-	return checkpoint.Seal(b.Bytes()), nil
+	w.writeString("}")
+	return w.err
 }
 
 // sep is the separator before element i of a JSON list.
@@ -243,36 +291,90 @@ func sep(i int) string {
 	return ","
 }
 
-// sectionWriter appends JSON values to b, each after a literal prefix;
-// the first error stops it.
-type sectionWriter struct {
-	b   *bytes.Buffer
-	enc *json.Encoder // writes into b
-	err error
+// captureBuf is the simulator's capture buffer and the writer a
+// capture encodes into. It appends what it is given only while the
+// whole container so far fits in b's capacity, and counts every byte
+// either way, so b never grows behind the capture's back: once a
+// container did not fit, n is its exact size.
+type captureBuf struct {
+	b      []byte
+	n      int           // bytes written since reset, stored or not
+	global int           // n where the backing-store section began
+	enc    *json.Encoder // encodes into this buffer
+	err    error         // the first encoding error since reset
+	num    [20]byte      // writeInt's digits
 }
 
+// reset starts a new container at the start of b.
+func (w *captureBuf) reset() {
+	if w.enc == nil {
+		w.enc = json.NewEncoder(w)
+	}
+	w.b, w.n, w.global, w.err = w.b[:0], 0, 0, nil
+}
+
+// fits reports whether every byte written since reset is in b.
+func (w *captureBuf) fits() bool { return len(w.b) == w.n }
+
+// Write is the json.Encoder's sink; it never fails.
+func (w *captureBuf) Write(p []byte) (int, error) {
+	if w.fits() && w.n+len(p) <= cap(w.b) {
+		w.b = append(w.b, p...)
+	}
+	w.n += len(p)
+	return len(p), nil
+}
+
+func (w *captureBuf) writeString(s string) {
+	if w.fits() && w.n+len(s) <= cap(w.b) {
+		w.b = append(w.b, s...)
+	}
+	w.n += len(s)
+}
+
+func (w *captureBuf) writeInt(v int64) { w.Write(strconv.AppendInt(w.num[:0], v, 10)) }
+
 // put writes prefix and then v's JSON encoding, without the newline
-// Encode ends it with.
-func (w *sectionWriter) put(prefix string, v any) {
+// Encode ends it with; the first error stops it.
+func (w *captureBuf) put(prefix string, v any) {
 	if w.err != nil {
 		return
 	}
-	w.b.WriteString(prefix)
+	w.writeString(prefix)
 	if w.err = w.enc.Encode(v); w.err == nil {
-		w.b.Truncate(w.b.Len() - 1)
+		if w.fits() {
+			w.b = w.b[:len(w.b)-1]
+		}
+		w.n--
 	}
 }
 
 // decode verifies the container, parses the payload, cross-checks every
 // identity field against this run, and validates the loop state. All
 // failures are typed KindCheckpoint: a checkpoint either matches exactly
-// or is rejected before any state is touched.
+// or is rejected before any state that outlives the run is touched.
+//
+// When the run's SMs are built (every mode but a time-slice run, which
+// learns from the payload which tenant's SMs to build), the payload is
+// decoded into them: each SM's register files, predicates, SIMT stacks
+// and L1 tag array come pre-filled as views of the SM's own storage
+// (smcore.SM.RestoreView), encoding/json decodes into those arrays, and
+// restore's copies are self-copies with their length checks intact. A
+// rejected checkpoint may leave those SMs half written, but they belong
+// to this run alone. The memory system and the backing store outlive
+// the run, so they are decoded apart and applied only by restore.
 func (r *run) decode(blob []byte) (*payload, error) {
 	raw, err := checkpoint.Decode(blob)
 	if err != nil {
 		return nil, err
 	}
 	p := &payload{}
+	if r.sms != nil {
+		p.Machine.SMs = make([]smcore.Checkpoint, len(r.sms))
+		for i, sm := range r.sms {
+			p.Machine.SMs[i] = sm.RestoreView()
+		}
+	}
 	if err := json.Unmarshal(raw, p); err != nil {
 		return nil, simerr.New(simerr.KindCheckpoint, -1, "checkpoint payload: %v", err)
 	}
@@ -323,8 +425,9 @@ func (r *run) decode(blob []byte) (*payload, error) {
 }
 
 // restore applies a decoded checkpoint: the hardware snapshot onto the
-// freshly built SMs and this simulator's memory system and backing
-// store, then the loop state.
+// freshly built SMs and then this simulator's memory system and backing
+// store, which are checked in full before either changes, then the loop
+// state.
 func (r *run) restore(p *payload) error {
 	s := r.s
 	if len(p.Machine.SMs) != len(r.sms) {
@@ -336,10 +439,7 @@ func (r *run) restore(p *payload) error {
 			return simerr.Wrap(simerr.KindCheckpoint, p.Cycle, err)
 		}
 	}
-	if err := s.ms.RestoreState(p.Machine.Mem); err != nil {
-		return simerr.Wrap(simerr.KindCheckpoint, p.Cycle, err)
-	}
-	if err := s.Mem.RestoreState(p.Machine.Global); err != nil {
+	if err := s.ms.RestoreState(p.Machine.Mem, p.Machine.Global); err != nil {
 		return simerr.Wrap(simerr.KindCheckpoint, p.Cycle, err)
 	}
 	r.loopState = *p.Loop

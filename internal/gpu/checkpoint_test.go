@@ -119,7 +119,8 @@ func TestCheckpointStrideComplete(t *testing.T) {
 // TestCheckpointRejectsMismatchedRun: a checkpoint may only resume the
 // exact experiment it was taken from. Wrong kernel, wrong
 // configuration, wrong run mode, and corrupted bytes must all fail with
-// a typed KindCheckpoint error before any state is touched.
+// a typed KindCheckpoint error before any state that outlives the run
+// is touched.
 func TestCheckpointRejectsMismatchedRun(t *testing.T) {
 	sink, _ := captureGaussian(t, 500)
 	_, blob, ok := sink.Latest()
@@ -264,12 +265,15 @@ func TestCheckpointRejectsTamperedLoopState(t *testing.T) {
 // a warp slot past the SM's, whose finished list names a block slot
 // past the SM's, whose writeback fell due before the restore cycle (its
 // wheel slot never fires again), whose MSHR waiter names a warp slot
-// past the SM's, or whose in-flight loads disagree with a warp's load
+// past the SM's, whose in-flight loads disagree with a warp's load
 // registers (a load line into a register that is not one of them, or
-// one of them with no line in flight) is rejected with a typed
-// KindCheckpoint error, not a panic or a run that waits for the
-// watchdog. Each bad value is spliced into a real checkpoint, which is
-// then sealed again.
+// one of them with no line in flight), or whose warp register file or
+// predicates are not the kernel's length (a word long, a word short,
+// null) is rejected with a typed KindCheckpoint error, not a panic or a
+// run that waits for the watchdog. The register rows hold the decode
+// into the machine's own register files to the length checks a decode
+// into fresh slices had. Each bad value is spliced into a real
+// checkpoint, which is then sealed again.
 func TestCheckpointRejectsBadSMState(t *testing.T) {
 	sink, _ := captureGaussian(t, 500)
 	cycles := sink.List()
@@ -355,6 +359,37 @@ func TestCheckpointRejectsBadSMState(t *testing.T) {
 			}
 			return false
 		}},
+		{"warp register file one word long", func(c *smcore.Checkpoint, _ int64) bool {
+			w := &c.Warps[0].W
+			w.Regs = append(w.Regs, 7)
+			return len(w.Regs) > 1
+		}},
+		{"warp register file one word short", func(c *smcore.Checkpoint, _ int64) bool {
+			w := &c.Warps[0].W
+			if len(w.Regs) == 0 {
+				return false
+			}
+			w.Regs = w.Regs[:len(w.Regs)-1]
+			return true
+		}},
+		{"warp register file null for a kernel with registers", func(c *smcore.Checkpoint, _ int64) bool {
+			w := &c.Warps[0].W
+			if len(w.Regs) == 0 {
+				return false
+			}
+			w.Regs = nil
+			return true
+		}},
+		{"warp predicates one register long", func(c *smcore.Checkpoint, _ int64) bool {
+			w := &c.Warps[0].W
+			w.Preds = append(w.Preds, 1)
+			return true
+		}},
+		{"warp predicates one register short", func(c *smcore.Checkpoint, _ int64) bool {
+			w := &c.Warps[0].W
+			w.Preds = w.Preds[:len(w.Preds)-1]
+			return true
+		}},
 		{"load reg with no line in flight", func(c *smcore.Checkpoint, _ int64) bool {
 			for i := range c.Warps {
 				w := &c.Warps[i]
@@ -369,6 +404,99 @@ func TestCheckpointRejectsBadSMState(t *testing.T) {
 	} {
 		_, err := simulate(cfg, "gaussian", nil, 1, nil, splice(tc.name, tc.mut))
 		wantCheckpointKind(t, err, tc.name)
+	}
+}
+
+// TestRejectedRestoreLeavesMemory: the memory system and the backing
+// store outlive a run, so a checkpoint rejected at any stage of its
+// restore — in an SM's state (applied first), in the last partition of
+// the memory system's, or in a backing-store page (checked last) —
+// must leave both byte-identical to before: the same L2 tags, DRAM
+// banks and queues, pages and allocator cursor. The same simulator then
+// runs the launch cold, the runner's fallback, to a fresh run's
+// statistics bytes and passes the functional check.
+func TestRejectedRestoreLeavesMemory(t *testing.T) {
+	sink, _ := captureGaussian(t, 500)
+	cycles := sink.List()
+	if len(cycles) == 0 {
+		t.Fatal("no checkpoint captured")
+	}
+	raw, err := checkpoint.Decode(sink.Get(cycles[len(cycles)/2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.Default()
+	cfg.Sched = config.SchedGTO
+	fresh, err := simulate(cfg, "gaussian", nil, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encodeJSON(t, fresh)
+	// memory returns the JSON of the simulator's memory system and
+	// backing store.
+	memory := func(sim *Sim) string {
+		ms, err := json.Marshal(sim.ms.Checkpoint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := json.Marshal(sim.Mem.Checkpoint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(ms) + string(g)
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(p *payload)
+	}{
+		{"warp register file one word short", func(p *payload) {
+			w := &p.Machine.SMs[len(p.Machine.SMs)-1].Warps[0].W
+			w.Regs = w.Regs[:len(w.Regs)-1]
+		}},
+		{"last partition's DRAM banks of the wrong geometry", func(p *payload) {
+			d := &p.Machine.Mem.Partitions[len(p.Machine.Mem.Partitions)-1].DRAM
+			d.Banks = d.Banks[:1]
+		}},
+		{"backing-store page of the wrong size", func(p *payload) {
+			pg := &p.Machine.Global.Pages[len(p.Machine.Global.Pages)-1]
+			pg.Data = pg.Data[:100]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var p payload
+			if err := json.Unmarshal(raw, &p); err != nil {
+				t.Fatal(err)
+			}
+			tc.mut(&p)
+			out, err := json.Marshal(&p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim := MustNew(cfg)
+			launches, checks, err := tenantLaunches(sim, []tenancy.TenantSpec{{Workload: "gaussian"}}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := memory(sim)
+			sim.RestoreFrom = checkpoint.Encode(out)
+			_, err = sim.Run(launches[0])
+			wantCheckpointKind(t, err, tc.name)
+			if after := memory(sim); after != before {
+				t.Fatalf("the rejected restore changed the memory system or the backing store (%d bytes of JSON before, %d after)",
+					len(before), len(after))
+			}
+			sim.RestoreFrom = nil
+			g, err := sim.Run(launches[0])
+			if err != nil {
+				t.Fatalf("cold run after the rejected restore: %v", err)
+			}
+			if got := encodeJSON(t, g); got != want {
+				t.Error("the cold run after a rejected restore differs from a fresh simulator's run")
+			}
+			if err := checks[0](sim.Mem); err != nil {
+				t.Errorf("cold run after the rejected restore: functional check: %v", err)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@
 package gpu
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -80,15 +79,16 @@ type Sim struct {
 	// this simulator's revision, configuration, run mode, kernels, and
 	// (for multi-tenant runs) tenancy spec. A mismatched or corrupt blob
 	// fails the run with a typed KindCheckpoint error before any state
-	// is touched.
+	// that outlives the run (Mem, the memory system) is touched, so the
+	// simulator can run the same launch cold instead.
 	RestoreFrom []byte
 
 	ms        *mem.System
 	envStride int64 // GPUSHARE_INVARIANT_STRIDE at New, for runs with InvariantStride 0
 
-	// ckBuf holds the last checkpoint container this simulator captured;
+	// ck holds the last checkpoint container this simulator captured;
 	// every capture reuses it (see run.capture).
-	ckBuf bytes.Buffer
+	ck captureBuf
 }
 
 // engineEnv reads the engine's two environment variables, unset

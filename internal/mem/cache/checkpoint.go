@@ -25,11 +25,27 @@ func (c *Cache) Checkpoint() Checkpoint {
 	return Checkpoint{Lines: c.lines, Clock: c.clock, RNG: c.rng, Stats: c.Stats}
 }
 
-// RestoreState applies a snapshot onto a freshly constructed cache of
-// identical geometry.
-func (c *Cache) RestoreState(s Checkpoint) error {
+// CheckState reports whether a snapshot fits this cache's geometry,
+// without touching the cache.
+func (c *Cache) CheckState(s Checkpoint) error {
 	if len(s.Lines) != len(c.lines) {
 		return fmt.Errorf("cache snapshot has %d lines, cache has %d (geometry mismatch)", len(s.Lines), len(c.lines))
+	}
+	return nil
+}
+
+// RestoreView returns a snapshot whose tag array is the cache's own,
+// for a decoder to fill in place. Every field of a Line is always
+// serialized, so a decode into it leaves nothing of the old line.
+func (c *Cache) RestoreView() Checkpoint { return Checkpoint{Lines: c.lines} }
+
+// RestoreState applies a snapshot onto a freshly constructed cache of
+// identical geometry, or leaves the cache untouched if it does not fit.
+// A snapshot decoded into the cache's own tag array (see
+// RestoreView) makes the copy a self-copy.
+func (c *Cache) RestoreState(s Checkpoint) error {
+	if err := c.CheckState(s); err != nil {
+		return err
 	}
 	copy(c.lines, s.Lines)
 	c.clock = s.Clock

@@ -32,11 +32,21 @@ func orEmpty(q []Request) []Request {
 	return q
 }
 
-// RestoreState applies a snapshot onto a freshly constructed channel of
-// identical geometry. A queue that is not arrival-ordered is rejected.
-func (c *Channel) RestoreState(s Checkpoint) error {
+// CheckState reports whether a snapshot fits this channel's geometry
+// and its queue is arrival-ordered, without touching the channel.
+func (c *Channel) CheckState(s Checkpoint) error {
 	if len(s.Banks) != len(c.banks) {
 		return fmt.Errorf("DRAM snapshot has %d banks, channel has %d", len(s.Banks), len(c.banks))
+	}
+	return auditOrder(s.Queue)
+}
+
+// RestoreState applies a snapshot onto a freshly constructed channel of
+// identical geometry, or leaves the channel untouched if CheckState
+// rejects it.
+func (c *Channel) RestoreState(s Checkpoint) error {
+	if err := c.CheckState(s); err != nil {
+		return err
 	}
 	copy(c.banks, s.Banks)
 	load := func(dst, src []Request) []Request {
@@ -49,5 +59,5 @@ func (c *Channel) RestoreState(s Checkpoint) error {
 	c.queue = load(c.queue, s.Queue)
 	c.inflight = load(c.inflight, s.Inflight)
 	c.Stats = s.Stats
-	return c.AuditOrder()
+	return nil
 }

@@ -101,9 +101,12 @@ func (c *Channel) Enqueue(addr uint32, isWrite bool, arrive int64) error {
 
 // AuditOrder checks the arrival-order invariant by a full walk.
 // Read-only; the dram-order invariant audit.
-func (c *Channel) AuditOrder() error {
-	for i := 1; i < len(c.queue); i++ {
-		if a, b := &c.queue[i-1], &c.queue[i]; b.Arrive < a.Arrive {
+func (c *Channel) AuditOrder() error { return auditOrder(c.queue) }
+
+// auditOrder checks that q is in arrival order.
+func auditOrder(q []Request) error {
+	for i := 1; i < len(q); i++ {
+		if a, b := &q[i-1], &q[i]; b.Arrive < a.Arrive {
 			return fmt.Errorf("DRAM queue out of arrival order: entry %d (line %#x) arrives at cycle %d, entry %d (line %#x) behind it at %d",
 				i-1, a.Addr, a.Arrive, i, b.Addr, b.Arrive)
 		}

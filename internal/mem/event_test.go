@@ -28,11 +28,12 @@ func sendPair(a, b *System, addr uint32, sm int, isWrite bool, now int64) {
 	}
 }
 
-// roundTrip returns a fresh system restored from s's checkpoint.
+// roundTrip returns a fresh system restored from s's checkpoint (its
+// backing store adopts s's pages).
 func roundTrip(t *testing.T, cfg *config.Config, s *System) *System {
 	t.Helper()
 	r := NewSystem(cfg)
-	if err := r.RestoreState(s.Checkpoint()); err != nil {
+	if err := r.RestoreState(s.Checkpoint(), s.Global.Checkpoint()); err != nil {
 		t.Fatal(err)
 	}
 	return r

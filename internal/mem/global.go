@@ -13,6 +13,10 @@ import (
 const pageBits = 16 // 64 KiB pages
 const pageSize = 1 << pageBits
 
+// PageSize is the size in bytes of one page of the backing store, the
+// unit a checkpoint serializes it in.
+const PageSize = pageSize
+
 // Global is the functional global-memory backing store: a sparse, paged,
 // byte-addressable space with a bump allocator. Address 0 is kept
 // unallocated so kernels can use 0 as a null pointer.
@@ -22,6 +26,7 @@ type Global struct {
 	// and grows only in Alloc, Store32 and RestoreState, never on a load.
 	pages []*[pageSize]byte
 	brk   uint32
+	view  []PageCheckpoint // Checkpoint's page list, refreshed in place
 }
 
 // NewGlobal returns an empty global memory.

@@ -11,7 +11,8 @@ import (
 // collide in the low bits the way one partition's or one kernel's do,
 // occupancy swinging between empty and well past the initial size — and
 // demands the same first-miss verdicts, the same waiters in the same
-// merge order, the same Len, Get, ForEach set and sorted Lines.
+// merge order, the same Len, Has, Get, ForEach set and sorted
+// AppendLines.
 func TestLineTableMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -47,12 +48,15 @@ func TestLineTableMatchesMap(t *testing.T) {
 			var want []uint32
 			for l, ws := range ref {
 				want = append(want, l)
+				if !tab.Has(l) {
+					t.Fatalf("seed %d op %d: Has(%#x) = false for an outstanding line", seed, op, l)
+				}
 				if got := tab.Get(l); !slices.Equal(got, ws) {
 					t.Fatalf("seed %d op %d: Get(%#x) = %v, want %v", seed, op, l, got, ws)
 				}
 			}
 			slices.Sort(want)
-			if got := tab.Lines(); !slices.Equal(got, want) {
+			if got := tab.AppendLines(nil); !slices.Equal(got, want) {
 				t.Fatalf("seed %d op %d: Lines %v, want %v", seed, op, got, want)
 			}
 			seen := 0
@@ -65,17 +69,17 @@ func TestLineTableMatchesMap(t *testing.T) {
 			if seen != len(ref) {
 				t.Fatalf("seed %d op %d: ForEach visited %d lines, want %d", seed, op, seen, len(ref))
 			}
-			if tab.Get(0xdeadbe00) != nil || tab.Take(0xdeadbe00) != nil {
+			if tab.Has(0xdeadbe00) || tab.Get(0xdeadbe00) != nil || tab.Take(0xdeadbe00) != nil {
 				t.Fatal("a line never added is outstanding")
 			}
 		}
 	}
 }
 
-// TestLineTableSteadyStateAllocatesNothing: once every slot's waiter
-// array has been through one miss, opening, merging into and closing
-// entries allocates nothing — dead slots keep their arrays, and the
-// backward shift moves them along instead of dropping them.
+// TestLineTableSteadyStateAllocatesNothing: once the waiter arena and
+// the result buffer have grown to the peak number of waiters at once,
+// opening, merging into and closing entries allocates nothing — a
+// closed line's waiters go on the arena's free list.
 func TestLineTableSteadyStateAllocatesNothing(t *testing.T) {
 	tab := NewLineTable[int]()
 	churn := func() {

@@ -53,6 +53,8 @@ type System struct {
 	// Faults, when non-nil, arms a DRAMQueueOrder corruption
 	// (invariant-checker tests only). Set per run.
 	Faults *fault.Plan
+
+	view sysView // Checkpoint's lists, refreshed in place
 }
 
 // NewSystem builds the memory system for a configuration. Every

@@ -201,7 +201,7 @@ func (sm *SM) ForEachMSHRLine(f func(line uint32)) {
 
 // HasMSHRLine reports whether the SM has an outstanding miss for line.
 func (sm *SM) HasMSHRLine(line uint32) bool {
-	return sm.mshr.Get(line) != nil
+	return sm.mshr.Has(line)
 }
 
 // Forensics captures this SM's state for a forensic dump: every live

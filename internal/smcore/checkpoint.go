@@ -90,24 +90,38 @@ type Checkpoint struct {
 	Stats    stats.SM           `json:"stats"`
 }
 
+// ckView is the storage SM.Checkpoint refreshes in place: the view's
+// per-slot lists, sized once at the first capture, and the MSHR and
+// writeback lists with the MSHR waiters, which keep their capacity.
+type ckView struct {
+	c     Checkpoint
+	mshr  []MSHRCheckpoint
+	loads []LoadRef
+	wb    []WBCheckpoint
+	lines []uint32
+}
+
 // Checkpoint returns a view of the SM's mutable state at a cycle
-// boundary. Register files, scratchpads, the L1 tag array, the MSHR
-// waiter lists and the finished-slot list are aliased, not copied, so
-// the view is valid until the SM next ticks or launches a block:
-// serialize it before the machine moves on.
+// boundary. Register files, scratchpads, the L1 tag array, the sharing
+// managers' warp locks and the finished-slot list are aliased, not
+// copied, and the view's lists are the SM's own, refreshed by every
+// call, so the view is valid until the SM next ticks, launches a block
+// or is checkpointed again: serialize it before the machine moves on.
 func (sm *SM) Checkpoint() Checkpoint {
-	c := Checkpoint{
-		Warps:   make([]WarpCheckpoint, len(sm.warps)),
-		Blocks:  make([]BlockCheckpoint, len(sm.blocks)),
-		Tenants: make([]TenantCheckpoint, len(sm.tens)),
-		Scheds:  make([]sched.Checkpoint, len(sm.scheds)),
-		L1:      sm.l1.Checkpoint(),
-		LSUBusy: sm.lsuBusy,
-		DynProb: sm.dynProb,
-		RNG:     sm.rng,
-		NextDyn: sm.nextDyn,
-		Stats:   sm.Stats,
+	v := sm.view
+	if v == nil {
+		v = &ckView{c: Checkpoint{
+			Warps:   make([]WarpCheckpoint, len(sm.warps)),
+			Blocks:  make([]BlockCheckpoint, len(sm.blocks)),
+			Tenants: make([]TenantCheckpoint, len(sm.tens)),
+			Scheds:  make([]sched.Checkpoint, len(sm.scheds)),
+		}}
+		sm.view = v
 	}
+	c := &v.c
+	c.L1 = sm.l1.Checkpoint()
+	c.LSUBusy, c.DynProb, c.RNG, c.NextDyn, c.Stats = sm.lsuBusy, sm.dynProb, sm.rng, sm.nextDyn, sm.Stats
+	c.Finished = nil
 	if len(sm.finished) > 0 {
 		c.Finished = sm.finished
 	}
@@ -145,15 +159,45 @@ func (sm *SM) Checkpoint() Checkpoint {
 		c.Scheds[i] = sched.Save(sc)
 	}
 
-	for _, addr := range sm.mshr.Lines() {
-		c.MSHR = append(c.MSHR, MSHRCheckpoint{Addr: addr, Loads: sm.mshr.Get(addr)})
+	v.lines = sm.mshr.AppendLines(v.lines[:0])
+	v.mshr, v.loads = v.mshr[:0], v.loads[:0]
+	for _, addr := range v.lines {
+		from := len(v.loads)
+		v.loads = append(v.loads, sm.mshr.Get(addr)...)
+		// A later append may move v.loads; this entry keeps the array
+		// it was written into, which nothing writes again until the
+		// next capture.
+		v.mshr = append(v.mshr, MSHRCheckpoint{Addr: addr, Loads: v.loads[from:len(v.loads):len(v.loads)]})
 	}
+	v.wb = v.wb[:0]
 	sm.wb.forEach(func(at int64, ev *wbEvent) {
-		c.WB = append(c.WB, WBCheckpoint{
+		v.wb = append(v.wb, WBCheckpoint{
 			At: at, WarpSlot: int(ev.warpSlot), Gen: ev.gen,
 			RegMask: ev.regMask, PredMask: ev.predMask, Load: ev.load,
 		})
 	})
+	// An empty list serializes as null, as one appended from nil does.
+	c.MSHR, c.WB = nil, nil
+	if len(v.mshr) > 0 {
+		c.MSHR = v.mshr
+	}
+	if len(v.wb) > 0 {
+		c.WB = v.wb
+	}
+	return *c
+}
+
+// RestoreView returns a snapshot whose warps' register files,
+// predicates and SIMT stacks and whose L1 tag array are the SM's own
+// storage (warp.State.RestoreView, cache.Cache.RestoreView), for a
+// decoder to fill in place; RestoreState then copies them onto
+// themselves. Only an SM built for this restore may hand them out: a
+// decode that is later rejected leaves them half written.
+func (sm *SM) RestoreView() Checkpoint {
+	c := Checkpoint{Warps: make([]WarpCheckpoint, len(sm.warps)), L1: sm.l1.RestoreView()}
+	for i := range sm.warps {
+		c.Warps[i].W = sm.warps[i].w.RestoreView()
+	}
 	return c
 }
 
@@ -163,7 +207,8 @@ func (sm *SM) Checkpoint() Checkpoint {
 // scheduler refresh rebuilds the view caches and incremental rankings
 // from the restored state. The SM adopts the snapshot's scratchpads and
 // finished-slot list instead of copying them — c is decoded for this
-// restore and nothing else holds it — so c must not be used afterwards.
+// restore and nothing else holds it — so c must not be used afterwards;
+// a snapshot decoded into RestoreView's storage is copied onto itself.
 func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 	if len(c.Warps) != len(sm.warps) {
 		return fmt.Errorf("SM%d: snapshot has %d warp slots, SM has %d", sm.ID, len(c.Warps), len(sm.warps))

@@ -157,6 +157,8 @@ type SM struct {
 
 	Stats stats.SM
 
+	view *ckView // Checkpoint's lists, built at the first capture
+
 	// scratch buffers reused across cycles
 	lineBuf   []uint32
 	smemAddrs isa.Row // effective addresses of the scratchpad instruction being issued

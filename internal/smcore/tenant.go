@@ -75,6 +75,7 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 		memSys: ms,
 	}
 
+	sm.tens = make([]tenantCtx, 0, len(tens))
 	totalBlocks, totalWarps, totalThreads := 0, 0, 0
 	for _, tl := range tens {
 		k := tl.Launch.Kernel
@@ -150,36 +151,46 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 	both := make([]uint8, 2*lines)
 	sm.lineCount, sm.recount = both[:lines:lines], both[lines:]
 
-	sm.schedWarps = make([][]int, cfg.NumSchedulers)
-	for ws := range sm.warps {
-		s := ws % cfg.NumSchedulers
-		sm.schedWarps[s] = append(sm.schedWarps[s], ws)
-	}
-
+	// Each per-scheduler list is a capped window of one array per kind,
+	// sized from the warp count: scheduler si manages warp slots si,
+	// si+N, si+2N, ... of N schedulers.
+	nsched := cfg.NumSchedulers
 	sm.reference = cfg.Reference
 	sm.dirty = make([]bool, len(sm.warps))
-	sm.slotSched = make([]int32, len(sm.warps))
-	sm.slotPos = make([]int32, len(sm.warps))
-	sm.scheds = make([]sched.Scheduler, cfg.NumSchedulers)
-	sm.incr = make([]sched.Incremental, cfg.NumSchedulers)
-	sm.census = make([]census, cfg.NumSchedulers)
-	counts := make([]censusTenant, len(sm.census)*len(sm.tens))
-	for si := range sm.census {
-		sm.census[si].ten = counts[si*len(sm.tens) : (si+1)*len(sm.tens) : (si+1)*len(sm.tens)]
+	slots := make([]int32, 3*len(sm.warps)) // slotSched, slotPos, dirtyList
+	sm.slotSched, sm.slotPos = slots[:len(sm.warps)], slots[len(sm.warps):2*len(sm.warps)]
+	dirtyBuf := slots[2*len(sm.warps):]
+	warpBuf := make([]int, len(sm.warps))
+	infoBuf := make([]sched.WarpInfo, len(sm.warps))
+	var orderBuf []int // only the reference engine materialises rankings
+	if sm.reference {
+		orderBuf = make([]int, len(sm.warps))
 	}
-	for si, slots := range sm.schedWarps {
-		n := len(slots)
-		for pos, ws := range slots {
-			sm.slotSched[ws] = int32(si)
-			sm.slotPos[ws] = int32(pos)
+	sm.schedWarps = make([][]int, nsched)
+	sm.schedInfo = make([][]sched.WarpInfo, nsched)
+	sm.dirtyList = make([][]int32, nsched)
+	sm.schedOrder = make([][]int, nsched)
+	sm.scheds = make([]sched.Scheduler, nsched)
+	sm.incr = make([]sched.Incremental, nsched)
+	sm.census = make([]census, nsched)
+	counts := make([]censusTenant, nsched*len(sm.tens))
+	at := 0
+	for si := range nsched {
+		n := (len(sm.warps) - si + nsched - 1) / nsched
+		ws := warpBuf[at : at+n : at+n]
+		for pos := range ws {
+			ws[pos] = si + pos*nsched
+			sm.slotSched[ws[pos]] = int32(si)
+			sm.slotPos[ws[pos]] = int32(pos)
 		}
-		sm.schedInfo = append(sm.schedInfo, make([]sched.WarpInfo, n))
-		sm.dirtyList = append(sm.dirtyList, make([]int32, 0, n))
-		var order []int // only the reference engine materialises rankings
-		if sm.reference {
-			order = make([]int, 0, n)
+		sm.schedWarps[si] = ws
+		sm.schedInfo[si] = infoBuf[at : at+n : at+n]
+		sm.dirtyList[si] = dirtyBuf[at : at : at+n]
+		if orderBuf != nil {
+			sm.schedOrder[si] = orderBuf[at : at : at+n]
 		}
-		sm.schedOrder = append(sm.schedOrder, order)
+		at += n
+		sm.census[si].ten = counts[si*len(sm.tens) : (si+1)*len(sm.tens) : (si+1)*len(sm.tens)]
 	}
 	sm.Reset()
 	return sm, nil
@@ -224,8 +235,9 @@ func (sm *SM) Reset() {
 		b := &sm.blocks[i]
 		*b = blockCtx{smem: b.smem, tn: b.tn, warpBase: b.warpBase, wpb: b.wpb}
 	}
+	waitingLong := sm.waitingLong
 	for si := range sm.scheds {
-		sm.scheds[si] = sched.New(cfg.Sched, cfg.TwoLevelGroup, sm.waitingLong)
+		sm.scheds[si] = sched.New(cfg.Sched, cfg.TwoLevelGroup, waitingLong)
 		inc, _ := sm.scheds[si].(sched.Incremental)
 		if sm.reference {
 			inc = nil // legacy ranking everywhere on the recompute path

@@ -40,9 +40,21 @@ func (w *State) Checkpoint() StateCheckpoint {
 	return c
 }
 
+// RestoreView returns a snapshot whose register file, predicates and
+// SIMT stack are the warp's own storage (the stack empty, with its
+// capacity), for a decoder to fill in place. A list of another length
+// than the storage's comes out that length (a longer one in a fresh
+// array), which RestoreState's length checks reject, or for the stack
+// copy. Every field of a SIMTEntry is always serialized, so a decode
+// into one leaves nothing of the old entry.
+func (w *State) RestoreView() StateCheckpoint {
+	return StateCheckpoint{Stack: w.simt.stack[:0], Regs: w.regs, Preds: w.preds[:]}
+}
+
 // RestoreState applies a snapshot onto this warp, which must have been
 // constructed for the same kernel (same registers-per-thread). The
-// hardware slot (w.ID) is untouched.
+// hardware slot (w.ID) is untouched. A snapshot decoded into the views
+// RestoreView hands out makes the copies below self-copies.
 func (w *State) RestoreState(c StateCheckpoint) error {
 	if len(c.Regs) != len(w.regs) {
 		return fmt.Errorf("warp %d: snapshot register file has %d words, warp has %d", w.ID, len(c.Regs), len(w.regs))

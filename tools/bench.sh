@@ -58,12 +58,12 @@ echo "== end-to-end engine (full hotspot simulation per op; two-tenant co-reside
 go test -run '^$' -bench 'BenchmarkRunHotspot$|BenchmarkCoResident|BenchmarkBlockedSMs$|BenchmarkComputeBound|BenchmarkTimeSlice$' \
     -benchmem -benchtime "$e2etime" -timeout 30m ./internal/gpu/ | tee -a "$out"
 
-echo "== checkpoint capture (one MUM machine snapshot at cycle 60 000 per op)"
+echo "== checkpoint capture and restore (one MUM machine snapshot at cycle 60 000 per op; a whole MUM run checkpointed every 20 000 cycles per op; a decode and restore of MUM's cycle-100 000 snapshot per op)"
 # More ops than the end-to-end rows: a capture's encoding/json scratch
 # buffer comes from a per-P pool, so an op that runs on the other P of
-# a 2-CPU host regrows it to the payload's size once (~13 MB), and over
-# three ops that one regrowth is a fifth of the op's time.
-go test -run '^$' -bench 'BenchmarkCapture$' \
+# a 2-CPU host regrows it to its largest section's size once, and over
+# three ops that one regrowth is a visible share of the op's time.
+go test -run '^$' -bench 'BenchmarkCapture$|BenchmarkCheckpointRun$|BenchmarkRestore$' \
     -benchmem -benchtime "$capturetime" -timeout 30m ./internal/gpu/ | tee -a "$out"
 
 echo "== service layer (a fresh job through gsched vs straight to its worker; a gserved hit, whole HTTP round trip; a done status decoded by the fast path vs json.Unmarshal)"
