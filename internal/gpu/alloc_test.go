@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gpushare/internal/config"
+	"gpushare/internal/mem"
 	"gpushare/internal/workloads"
 )
 
@@ -12,16 +13,19 @@ import (
 // gpu.mallocs_per_kcycle: heap allocations per thousand simulated
 // cycles of Sim.Run, on one scratchpad-heavy proxy under scratchpad
 // sharing and one global-memory proxy, unshared and under register
-// sharing. The issue path is meant to be allocation-free, so what
-// remains is per-run set-up, block launches and buffers growing to
-// their steady-state size (89, 8 and 14 when the budgets were last set;
-// lavaMD is the highest because its run is short; the MSHR tables'
-// waiters grow one arena per table, and an SM's per-warp and
-// per-scheduler tables are sized once when it is built). A map or slice
-// built per issued instruction lands far above them — the
-// per-instruction bank-conflict map put
-// these two at 76 000 and 3 300 — and microbenchmarks whose kernels
-// lack the offending opcode cannot see it.
+// sharing, and two of them again on the reference engine. The issue path
+// is meant to be allocation-free in either engine, so what remains is
+// per-run set-up, block launches and buffers growing to their
+// steady-state size (89, 8 and 14 on machines built from nothing when
+// the budgets were last set, 5 for MUM on the reference engine; lavaMD
+// is the highest because its run is short; the MSHR tables' waiters
+// grow one arena per table, and an SM's per-warp and per-scheduler
+// tables are sized once when it is built, or not at all when it is a
+// spare). A map or slice built per issued instruction lands far above
+// them — the per-instruction bank-conflict map put these two at 76 000
+// and 3 300, a fresh ranking cursor per reference-engine cycle MUM at
+// 26 498 — and microbenchmarks whose kernels lack the offending opcode
+// cannot see it.
 func TestAllocationBudget(t *testing.T) {
 	// The invariant audits build maps; the budget is for the cycle path,
 	// so pin auditing off even under check.sh's audited tier-1 leg.
@@ -40,6 +44,13 @@ func TestAllocationBudget(t *testing.T) {
 		// lock-waiting warps, which must stay as allocation-free as the
 		// walk they replace.
 		{"MUM-shared-owf-unroll-dyn", "MUM", 28, func(c *config.Config) { *c = regSharingDyn() }},
+		// The reference engine ranks every warp every cycle through each
+		// policy's Order (LRR here, OWF below), which must reuse its walk
+		// and scratch as the optimised ranking does.
+		{"MUM-reference", "MUM", 16, func(c *config.Config) { c.Reference = true }},
+		{"lavaMD-reference", "lavaMD", 180, func(c *config.Config) {
+			c.Sharing, c.T, c.Sched, c.Reference = config.ShareScratchpad, 0.1, config.SchedOWF, true
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := config.Default()
@@ -112,5 +123,35 @@ func TestCheckpointAllocationBudget(t *testing.T) {
 	}
 	if restored > plain+3e6 {
 		t.Errorf("the restored run allocates %.1f MB more than the plain run, budget 3 MB", mb(restored)-mb(plain))
+	}
+}
+
+// TestRecycledRunAllocationBudget bounds what a run allocates when the
+// SMs it builds are spares: MUM (scale 1, default configuration) in a
+// new simulator, right after one MUM run in another, may allocate at
+// most 0.6 MB outside the pages of global memory its stores
+// materialize: its programs, sharing managers, schedulers and
+// statistics (0.26 MB when the budget was set). When every run built its
+// SMs from nothing, this one allocated 2.91 MB besides its pages.
+func TestRecycledRunAllocationBudget(t *testing.T) {
+	t.Setenv("GPUSHARE_INVARIANT_STRIDE", "0")
+	first, l := mumSim(t)
+	if _, err := first.Run(l); err != nil {
+		t.Fatal(err)
+	}
+	sim, l := mumSim(t)
+	unstored := sim.Mem.Unstored()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := sim.Run(l)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := uint64(unstored-sim.Mem.Unstored()) * mem.PageSize
+	n := after.TotalAlloc - before.TotalAlloc - pages
+	t.Logf("second MUM run: %.2f MB, %.2f MB of it pages its stores materialized", float64(n+pages)/1e6, float64(pages)/1e6)
+	if n > 0.6e6 {
+		t.Errorf("a MUM run on recycled SMs allocates %.2f MB besides its pages, budget 0.6 MB", float64(n)/1e6)
 	}
 }

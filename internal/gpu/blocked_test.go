@@ -108,7 +108,12 @@ func runBlockedSMs(tb testing.TB, k *kernel.Kernel, cfg config.Config, sink chec
 // against BENCH_baseline.json.
 func BenchmarkBlockedSMs(b *testing.B) {
 	k := memBoundKernel(b)
+	// One untimed run first, as in every end-to-end benchmark: its SMs go
+	// to the spare list, so each timed op builds on spares whatever b.N
+	// is and allocs/op does not depend on it (see BenchmarkComputeBound).
+	runBlockedSMs(b, k, config.Default(), nil, nil)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runBlockedSMs(b, k, config.Default(), nil, nil)
 	}
@@ -129,9 +134,10 @@ func BenchmarkComputeBound(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// One untimed run first: lazy process-wide state (pools, tables)
-	// otherwise lands in the first iteration and makes allocs/op depend
-	// on b.N, which the allocation gate cannot tolerate.
+	// One untimed run first: lazy process-wide state (tables, the SMs
+	// the spare list holds for the next run) otherwise lands in the first
+	// iteration and makes allocs/op depend on b.N, which the allocation
+	// gate cannot tolerate.
 	run()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -469,6 +469,12 @@ func (r *run) collect(g *stats.GPU) {
 // the returned statistics, the L2 and DRAM ones included, is this
 // launch's alone; nothing is cumulative. A simulator whose run failed
 // is not reusable: its memory system was left mid-flight.
+//
+// A run builds its SMs from the process-wide spare list where it can
+// (smcore.NewMulti) and, once it has returned its statistics, recycles
+// them onto it for the next run in any simulator (smcore.Recycle); a
+// failed or canceled run leaves them to the garbage collector. A spare
+// holds nothing of the run it served and is used by one run at a time.
 func (s *Sim) Run(l *kernel.Launch) (*stats.GPU, error) {
 	return s.RunCtx(context.Background(), l)
 }
@@ -526,16 +532,26 @@ func (s *Sim) RunCtx(ctx context.Context, l *kernel.Launch) (*stats.GPU, error) 
 	}
 	g := &stats.GPU{Cycles: now + 1}
 	r.collect(g)
-	return s.finish(g)
+	return r.finish(g, r.sms)
 }
 
 // finish completes a run's statistics with the memory side and settles
 // the memory system, so that the next launch on this simulator finds it
 // drained, on a clock that starts at 0 again, with its counters at zero.
-func (s *Sim) finish(g *stats.GPU) (*stats.GPU, error) {
+// The run having succeeded, the SMs it built (machines) then go to the
+// spare list for the next run to build its machine in (smcore.Recycle);
+// a run that fails, is canceled or panics leaves them to the garbage
+// collector.
+func (r *run) finish(g *stats.GPU, machines ...[]*smcore.SM) (*stats.GPU, error) {
+	s := r.s
 	s.ms.CollectStats(g)
 	if err := s.ms.Settle(g.Cycles); err != nil {
 		return nil, err
+	}
+	r.sms, r.chk = nil, nil
+	// Last machine first: the next run builds them in the same order.
+	for i := len(machines) - 1; i >= 0; i-- {
+		smcore.Recycle(machines[i])
 	}
 	return g, nil
 }

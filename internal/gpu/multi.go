@@ -38,7 +38,9 @@ func (s *Sim) RunMulti(spec *tenancy.Spec, launches []*kernel.Launch) (*stats.GP
 // rejected because its SM0-reference design has no per-tenant meaning.
 //
 // The caller validates the spec's workload names; this layer only
-// checks the structural rules it depends on.
+// checks the structural rules it depends on. Its SMs come from and go
+// back to the spare list as Run's do, every tenant's time-slice machine
+// included.
 func (s *Sim) RunMultiCtx(ctx context.Context, spec *tenancy.Spec, launches []*kernel.Launch) (*stats.GPU, error) {
 	if s.Cfg.DynWarp {
 		return nil, simerr.New(simerr.KindConfig, -1,
@@ -110,7 +112,7 @@ func (s *Sim) runPlaced(ctx context.Context, spec *tenancy.Spec, launches []*ker
 		t.Cycles = r.Done[i] + 1 // the tenant's own makespan
 		g.Tenants[i] = t
 	}
-	return s.finish(g)
+	return r.finish(g, r.sms)
 }
 
 // sliceState is what a time-slice run carries beyond the ledgers: which
@@ -230,7 +232,7 @@ func (s *Sim) runTimeSlice(ctx context.Context, spec *tenancy.Spec, launches []*
 		r.Slice.TenAgg[i].Cycles = r.Done[i] + 1
 	}
 	g.Tenants = r.Slice.TenAgg
-	return s.finish(g)
+	return r.finish(g, machines...)
 }
 
 // tenantTotals sums tenant id's counters over the SMs hosting it, with

@@ -77,11 +77,17 @@ func TestRunSpawnsNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunsIndependent: four different simulations on four
-// goroutines each produce the bytes of their solo run. Run under -race
+// TestConcurrentRunsIndependent: five different simulations on five
+// goroutines, each goroutine running two of them one after the other,
+// each produce the bytes of their solo run. Run under -race
 // (tools/check.sh does), this is the check that concurrent simulations
-// share nothing: the last shared state, the LineRequest and DRAM request
-// pools, is gone, and every queue belongs to one mem.System.
+// share no live state: the last shared state, the LineRequest and DRAM
+// request pools, is gone, every queue belongs to one mem.System, and the
+// one thing runs do pass between them, the SMs a finished run recycles,
+// reaches the next run through the spare list only after the run that
+// used it is done. The goroutines' second runs build their SMs from the
+// spares of the first runs, whose kernels, tenants, sharing modes and
+// engines differ.
 func TestConcurrentRunsIndependent(t *testing.T) {
 	regOWFDyn := config.Default() // Shared-OWF-Unroll-Dyn
 	regOWFDyn.Sharing, regOWFDyn.T = config.ShareRegisters, 0.1
@@ -90,6 +96,8 @@ func TestConcurrentRunsIndependent(t *testing.T) {
 	smemOWF := config.Default() // Shared-OWF
 	smemOWF.Sharing, smemOWF.T = config.ShareScratchpad, 0.1
 	smemOWF.Sched = config.SchedOWF
+	reference := config.Default() // the reference engine, two-level scheduling
+	reference.Reference, reference.Sched = true, config.SchedTwoLevel
 	cosched := &tenancy.Spec{
 		Policy: tenancy.CoSched,
 		Tenants: []tenancy.TenantSpec{
@@ -116,6 +124,7 @@ func TestConcurrentRunsIndependent(t *testing.T) {
 		{"hotspot", run(regOWFDyn, "hotspot", nil)},
 		{"lavaMD", run(smemOWF, "lavaMD", nil)},
 		{"hotspot+lavaMD", run(smemOWF, "", cosched)},
+		{"gaussian-reference-two-level", run(reference, "gaussian", nil)},
 	}
 
 	solo := make([]string, len(sims))
@@ -126,22 +135,31 @@ func TestConcurrentRunsIndependent(t *testing.T) {
 		}
 	}
 
-	together := make([]string, len(sims))
+	together, again := make([]string, len(sims)), make([]string, len(sims))
 	errs := make([]error, len(sims))
 	var wg sync.WaitGroup
 	for i, s := range sims {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			together[i], errs[i] = s.run()
+			// Then the next simulation's, on SMs recycled from whichever
+			// runs finished first.
+			next := (i + 1) % len(sims)
+			if together[i], errs[i] = s.run(); errs[i] == nil {
+				again[i], errs[i] = sims[next].run()
+			}
 		}()
 	}
 	wg.Wait()
 	for i, s := range sims {
-		if errs[i] != nil {
-			t.Errorf("%s concurrent: %v", s.name, errs[i])
-		} else if together[i] != solo[i] {
+		next := (i + 1) % len(sims)
+		switch {
+		case errs[i] != nil:
+			t.Errorf("goroutine %d (%s, then %s): %v", i, s.name, sims[next].name, errs[i])
+		case together[i] != solo[i]:
 			t.Errorf("%s: stats from the concurrent run differ from its solo run", s.name)
+		case again[i] != solo[next]:
+			t.Errorf("%s: stats from the concurrent run after %s differ from its solo run", sims[next].name, s.name)
 		}
 	}
 }

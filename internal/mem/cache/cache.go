@@ -41,6 +41,15 @@ func New(sets, ways, lineSz int) *Cache {
 
 // NewWithPolicy returns a cache using the given replacement policy.
 func NewWithPolicy(sets, ways, lineSz int, policy config.CachePolicy) *Cache {
+	c := &Cache{}
+	c.Reshape(sets, ways, lineSz, policy)
+	return c
+}
+
+// Reshape gives the cache a new geometry and policy and resets it: it is
+// then the cache NewWithPolicy builds, in its own tag array when that
+// holds sets x ways lines. An SM rebuilt from a spare reshapes its L1.
+func (c *Cache) Reshape(sets, ways, lineSz int, policy config.CachePolicy) {
 	if sets <= 0 || ways <= 0 || lineSz <= 0 || lineSz&(lineSz-1) != 0 {
 		panic(fmt.Sprintf("cache: bad geometry sets=%d ways=%d lineSz=%d", sets, ways, lineSz))
 	}
@@ -48,15 +57,13 @@ func NewWithPolicy(sets, ways, lineSz int, policy config.CachePolicy) *Cache {
 	for 1<<shift != lineSz {
 		shift++
 	}
-	return &Cache{
-		sets:   sets,
-		ways:   ways,
-		lineSz: uint32(lineSz),
-		shift:  shift,
-		policy: policy,
-		lines:  make([]Line, sets*ways),
-		rng:    rngSeed,
+	c.sets, c.ways, c.lineSz, c.shift, c.policy = sets, ways, uint32(lineSz), shift, policy
+	if n := sets * ways; cap(c.lines) < n {
+		c.lines = make([]Line, n)
+	} else {
+		c.lines = c.lines[:n]
 	}
+	c.Reset()
 }
 
 // rngSeed is the random-replacement cursor of a new cache.

@@ -21,7 +21,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gpushare/internal/config"
@@ -98,7 +100,8 @@ func New(policy config.SchedPolicy, groupSize int, waitingLong func(slot int) bo
 // schedulers the slots a scheduler manages are interleaved and slot
 // numbers are not positions.
 type lrr struct {
-	last int // slot number of the last issued warp; -1 before any issue
+	last int    // slot number of the last issued warp; -1 before any issue
+	cur  Cursor // Order's walk, kept so its rotation buffer is reused
 }
 
 // posOfSlot returns the position of the warp with the given slot number
@@ -122,9 +125,8 @@ func (s *lrr) Begin(warps []WarpInfo, c *Cursor) {
 }
 
 func (s *lrr) Order(warps []WarpInfo, out []int) []int {
-	var c Cursor
-	s.Begin(warps, &c)
-	return c.drain(out)
+	s.Begin(warps, &s.cur)
+	return s.cur.drain(out)
 }
 
 func (s *lrr) Issued(slot int) { s.last = slot }
@@ -134,10 +136,12 @@ func (s *lrr) Issued(slot int) { s.last = slot }
 type gto struct {
 	last int
 	rank readyRank
+	idx  []int // Order's scratch
 }
 
 func (s *gto) Order(warps []WarpInfo, out []int) []int {
-	return greedyThenOldest(warps, out, s.last, false)
+	out, s.idx = greedyThenOldest(warps, out, s.idx, s.last, false)
+	return out
 }
 
 func (s *gto) Begin(_ []WarpInfo, c *Cursor) { s.rank.begin(s.last, c) }
@@ -149,29 +153,33 @@ func (s *gto) AuditReady(w []WarpInfo) error { return s.rank.audit(w) }
 // byCategory), hoisting the previously issued warp to the front of its
 // priority class. It is the legacy sort-based ranking, kept as the
 // reference implementation for the incremental ready ranking (and as
-// the active path under Config.Reference).
-func greedyThenOldest(warps []WarpInfo, out []int, last int, byCategory bool) []int {
-	idx := make([]int, 0, len(warps))
+// the active path under Config.Reference). idx is scratch, returned
+// for the next call. Dynamic ids are unique within an SM, so the order
+// is total and any correct sort yields it.
+func greedyThenOldest(warps []WarpInfo, out, idx []int, last int, byCategory bool) ([]int, []int) {
+	idx = idx[:0]
 	for i := range warps {
 		if warps[i].HasWork {
 			idx = append(idx, i)
 		}
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		wa, wb := &warps[idx[a]], &warps[idx[b]]
+	slices.SortFunc(idx, func(a, b int) int {
+		wa, wb := &warps[a], &warps[b]
 		if byCategory && wa.Category != wb.Category {
-			return wa.Category < wb.Category
+			return cmp.Compare(wa.Category, wb.Category)
 		}
-		ga, gb := wa.Slot == last, wb.Slot == last
-		if ga != gb {
-			return ga
+		if ga, gb := wa.Slot == last, wb.Slot == last; ga != gb {
+			if ga {
+				return -1
+			}
+			return 1
 		}
-		return wa.DynID < wb.DynID
+		return cmp.Compare(wa.DynID, wb.DynID)
 	})
 	for _, i := range idx {
 		out = append(out, warps[i].Slot)
 	}
-	return out
+	return out, idx
 }
 
 // twoLevel divides warps into fetch groups and round-robins within the
@@ -182,6 +190,7 @@ type twoLevel struct {
 	active      int
 	last        int // slot number of the last issued warp; -1 before any issue
 	waitingLong func(slot int) bool
+	cur         Cursor // Order's walk, kept so its rotation buffer is reused
 }
 
 // Begin demotes the active group if none of its warps can make progress
@@ -207,9 +216,8 @@ func (s *twoLevel) Begin(warps []WarpInfo, c *Cursor) {
 }
 
 func (s *twoLevel) Order(warps []WarpInfo, out []int) []int {
-	var c Cursor
-	s.Begin(warps, &c)
-	return c.drain(out)
+	s.Begin(warps, &s.cur)
+	return s.cur.drain(out)
 }
 
 func (s *twoLevel) groupRunnable(warps []WarpInfo, g int) bool {
@@ -232,10 +240,12 @@ func (s *twoLevel) Issued(slot int) { s.last = slot }
 type owf struct {
 	last int
 	rank readyRank
+	idx  []int // Order's scratch
 }
 
 func (s *owf) Order(warps []WarpInfo, out []int) []int {
-	return greedyThenOldest(warps, out, s.last, true)
+	out, s.idx = greedyThenOldest(warps, out, s.idx, s.last, true)
+	return out
 }
 
 func (s *owf) Begin(_ []WarpInfo, c *Cursor) { s.rank.begin(s.last, c) }

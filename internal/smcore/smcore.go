@@ -159,6 +159,20 @@ type SM struct {
 
 	view *ckView // Checkpoint's lists, built at the first capture
 
+	// The arrays NewMulti lays the SM's tables out in, kept so that a
+	// spare rebuilt for another run reuses them: the warp states, the
+	// per-warp register counts, lineCount and recount, slotSched,
+	// slotPos and the dirty lists, and the per-scheduler windows of
+	// schedWarps, schedInfo, schedOrder and the censuses' counts.
+	states   warp.Arena
+	nregs    []int
+	lines    []uint8
+	slots    []int32
+	warpBuf  []int
+	infoBuf  []sched.WarpInfo
+	orderBuf []int
+	counts   []censusTenant
+
 	// scratch buffers reused across cycles
 	lineBuf   []uint32
 	smemAddrs isa.Row // effective addresses of the scratchpad instruction being issued
@@ -270,11 +284,11 @@ func (sm *SM) LaunchBlock(slot, ctaID int) error {
 		warpBase:    b.warpBase,
 		wpb:         b.wpb,
 	}
-	if k.SmemPerBlock > 0 {
-		if b.smem == nil || len(b.smem) < k.SmemPerBlock+4 {
-			// +4 tolerates word access at the last byte
-			b.smem = make([]byte, k.SmemPerBlock+4)
+	if n := k.SmemPerBlock + 4; k.SmemPerBlock > 0 { // +4 tolerates word access at the last byte
+		if cap(b.smem) < n {
+			b.smem = make([]byte, n)
 		} else {
+			b.smem = b.smem[:n]
 			clear(b.smem)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"gpushare/internal/mem/cache"
 	"gpushare/internal/sched"
 	"gpushare/internal/stats"
-	"gpushare/internal/warp"
 )
 
 // TenantLaunch describes one tenant's share of an SM: its kernel launch
@@ -63,19 +62,21 @@ type tenantCtx struct {
 // Tenants' block and warp slots are concatenated in tenant order, so a
 // single-tenant SM built through New is laid out identically to the
 // pre-tenancy core (warp slot i still maps to scheduler i mod N).
+//
+// The SM is a spare when the spare list has one (Recycle): the new
+// layout then lies in the spare's storage wherever that is large
+// enough — register files, warp states and SIMT stacks, the warp, block
+// and per-scheduler tables, the L1 tag array, scratchpads, the MSHR and
+// writeback arenas — and Reset leaves it in exactly the state a build
+// from nothing has.
 func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (*SM, error) {
 	if len(tens) == 0 {
 		return nil, fmt.Errorf("SM%d: no tenants", id)
 	}
-	sm := &SM{
-		ID:     id,
-		cfg:    cfg,
-		l1:     cache.NewWithPolicy(cfg.L1Sets, cfg.L1Ways, cfg.L1LineSz, cfg.L1Policy),
-		mshr:   mem.NewLineTable[LoadRef](),
-		memSys: ms,
-	}
-
-	sm.tens = make([]tenantCtx, 0, len(tens))
+	// A build that fails leaves its spare to the garbage collector.
+	sm := takeSpare()
+	sm.ID, sm.cfg, sm.memSys = id, cfg, ms
+	sm.tens = sm.tens[:0]
 	totalBlocks, totalWarps, totalThreads := 0, 0, 0
 	for _, tl := range tens {
 		k := tl.Launch.Kernel
@@ -120,77 +121,87 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 		}
 	}
 
-	sm.warps = make([]warpCtx, totalWarps)
-	sm.blocks = make([]blockCtx, totalBlocks)
-	// One NewStates call for every warp's state, registers and SIMT
-	// stack; one array for their line counts (one per register) and the
-	// audit's recount of them.
-	nregs := make([]int, totalWarps)
+	if sm.l1 == nil {
+		sm.l1 = cache.NewWithPolicy(cfg.L1Sets, cfg.L1Ways, cfg.L1LineSz, cfg.L1Policy)
+		sm.mshr = mem.NewLineTable[LoadRef]()
+	} else {
+		sm.l1.Reshape(cfg.L1Sets, cfg.L1Ways, cfg.L1LineSz, cfg.L1Policy)
+	}
+
+	sm.warps = resize(sm.warps, totalWarps)
+	clear(sm.warps[totalWarps:cap(sm.warps)]) // a longer layout's warps would keep its states
+	sm.blocks = resize(sm.blocks, totalBlocks)
+	// One arena for every warp's state, registers and SIMT stack; one
+	// array for their line counts (one per register) and the audit's
+	// recount of them.
+	sm.nregs = resize(sm.nregs, totalWarps)
+	nregs := sm.nregs
 	lines := 0
 	for ti := range sm.tens {
 		t := &sm.tens[ti]
 		for ls := 0; ls < t.occ.Max; ls++ {
 			b := &sm.blocks[t.blockBase+ls]
-			b.tn = ti
-			b.warpBase = t.warpBase + ls*t.wpb
-			b.wpb = t.wpb
+			// A spare's scratchpad keeps its array for LaunchBlock.
+			*b = blockCtx{smem: b.smem[:0], tn: ti, warpBase: t.warpBase + ls*t.wpb, wpb: t.wpb}
 		}
 		for wi := 0; wi < t.occ.Max*t.wpb; wi++ {
 			ws := t.warpBase + wi
 			nregs[ws] = t.launch.Kernel.RegsPerThread
-			sm.warps[ws].tn = int32(ti)
-			sm.warps[ws].lineBase = int32(lines)
+			sm.warps[ws] = warpCtx{tn: int32(ti), lineBase: int32(lines)}
 			lines += nregs[ws]
 		}
 	}
-	states := warp.NewStates(nregs)
+	states := sm.states.Layout(nregs)
 	for ws := range sm.warps {
 		sm.warps[ws].w = &states[ws]
 		states[ws].ID = ws
 	}
-	both := make([]uint8, 2*lines)
-	sm.lineCount, sm.recount = both[:lines:lines], both[lines:]
+	sm.lines = resize(sm.lines, 2*lines)
+	clear(sm.lines)
+	sm.lineCount, sm.recount = sm.lines[:lines:lines], sm.lines[lines:]
 
 	// Each per-scheduler list is a capped window of one array per kind,
 	// sized from the warp count: scheduler si manages warp slots si,
 	// si+N, si+2N, ... of N schedulers.
-	nsched := cfg.NumSchedulers
+	nsched, nwarps := cfg.NumSchedulers, len(sm.warps)
 	sm.reference = cfg.Reference
-	sm.dirty = make([]bool, len(sm.warps))
-	slots := make([]int32, 3*len(sm.warps)) // slotSched, slotPos, dirtyList
-	sm.slotSched, sm.slotPos = slots[:len(sm.warps)], slots[len(sm.warps):2*len(sm.warps)]
-	dirtyBuf := slots[2*len(sm.warps):]
-	warpBuf := make([]int, len(sm.warps))
-	infoBuf := make([]sched.WarpInfo, len(sm.warps))
+	sm.dirty = resize(sm.dirty, nwarps)
+	sm.slots = resize(sm.slots, 3*nwarps) // slotSched, slotPos, dirtyList
+	sm.slotSched, sm.slotPos = sm.slots[:nwarps], sm.slots[nwarps:2*nwarps]
+	dirtyBuf := sm.slots[2*nwarps:]
+	sm.warpBuf = resize(sm.warpBuf, nwarps)
+	sm.infoBuf = resize(sm.infoBuf, nwarps)
 	var orderBuf []int // only the reference engine materialises rankings
 	if sm.reference {
-		orderBuf = make([]int, len(sm.warps))
+		sm.orderBuf = resize(sm.orderBuf, nwarps)
+		orderBuf = sm.orderBuf
 	}
-	sm.schedWarps = make([][]int, nsched)
-	sm.schedInfo = make([][]sched.WarpInfo, nsched)
-	sm.dirtyList = make([][]int32, nsched)
-	sm.schedOrder = make([][]int, nsched)
-	sm.scheds = make([]sched.Scheduler, nsched)
-	sm.incr = make([]sched.Incremental, nsched)
-	sm.census = make([]census, nsched)
-	counts := make([]censusTenant, nsched*len(sm.tens))
+	sm.schedWarps = resize(sm.schedWarps, nsched)
+	sm.schedInfo = resize(sm.schedInfo, nsched)
+	sm.dirtyList = resize(sm.dirtyList, nsched)
+	sm.schedOrder = resize(sm.schedOrder, nsched)
+	sm.scheds = resize(sm.scheds, nsched)
+	sm.incr = resize(sm.incr, nsched)
+	sm.census = resize(sm.census, nsched)
+	sm.counts = resize(sm.counts, nsched*len(sm.tens))
 	at := 0
 	for si := range nsched {
-		n := (len(sm.warps) - si + nsched - 1) / nsched
-		ws := warpBuf[at : at+n : at+n]
+		n := (nwarps - si + nsched - 1) / nsched
+		ws := sm.warpBuf[at : at+n : at+n]
 		for pos := range ws {
 			ws[pos] = si + pos*nsched
 			sm.slotSched[ws[pos]] = int32(si)
 			sm.slotPos[ws[pos]] = int32(pos)
 		}
 		sm.schedWarps[si] = ws
-		sm.schedInfo[si] = infoBuf[at : at+n : at+n]
+		sm.schedInfo[si] = sm.infoBuf[at : at+n : at+n]
 		sm.dirtyList[si] = dirtyBuf[at : at : at+n]
+		sm.schedOrder[si] = nil
 		if orderBuf != nil {
 			sm.schedOrder[si] = orderBuf[at : at : at+n]
 		}
 		at += n
-		sm.census[si].ten = counts[si*len(sm.tens) : (si+1)*len(sm.tens) : (si+1)*len(sm.tens)]
+		sm.census[si].ten = sm.counts[si*len(sm.tens) : (si+1)*len(sm.tens) : (si+1)*len(sm.tens)]
 	}
 	sm.Reset()
 	return sm, nil

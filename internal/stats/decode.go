@@ -18,16 +18,20 @@ import (
 //
 // The fast path reads objects whose keys appear as json.Marshal writes
 // them: in declaration order, each at most once, any of them absent,
-// with no whitespace but after the value. Where each field goes comes
+// with no whitespace but after the value. A key no field has, even in
+// another case, is skipped with its value, as encoding/json ignores it,
+// so a status with fields the target type lacks (a gsched answer read
+// as a gserved one) stays on the fast path. Where each field goes comes
 // from a plan derived by reflection once per type, so no field list is
 // kept by hand and no field costs a reflective call; an array is
 // counted before its slice is allocated, so every slice is allocated
-// once, at its length. Anything else — another key order, whitespace, an unknown or
-// case-folded key, a null scalar, a number out of range, a type the
-// plan does not cover — goes to encoding/json from a zero value again,
-// and its result and error are the answer. So Unmarshal accepts what
-// json.Unmarshal accepts, decodes it to the same value, and rejects
-// the rest with json.Unmarshal's error.
+// once, at its length. Anything else — another key order, whitespace, a
+// key some field has in another case or spelled with escapes, a null
+// scalar, a number out of range, a type the plan does not cover — goes
+// to encoding/json from a zero value again, and its result and error
+// are the answer. So Unmarshal accepts what json.Unmarshal accepts,
+// decodes it to the same value, and rejects the rest with
+// json.Unmarshal's error.
 func Unmarshal(b []byte, v any) error {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() == reflect.Pointer && !rv.IsNil() && rv.Elem().IsZero() {
@@ -213,7 +217,8 @@ func (d *decoder) end() bool {
 }
 
 // object fills the zero struct at base. Each key must be one of the
-// fields after the previous key's, those between having been omitted.
+// fields after the previous key's, those between having been omitted,
+// or a key no field has.
 func (d *decoder) object(p *plan, base unsafe.Pointer) bool {
 	if !d.eat('{') {
 		return false
@@ -227,12 +232,13 @@ func (d *decoder) object(p *plan, base unsafe.Pointer) bool {
 		for k < len(fs) && !d.lit(fs[k].key) {
 			k++
 		}
-		if k == len(fs) {
-			return false
-		}
-		f := &fs[k]
-		fs = fs[k+1:]
-		if !d.value(f, unsafe.Add(base, f.off)) {
+		if k < len(fs) {
+			f := &fs[k]
+			fs = fs[k+1:]
+			if !d.value(f, unsafe.Add(base, f.off)) {
+				return false
+			}
+		} else if !d.unknown(p) {
 			return false
 		}
 		if d.eat('}') {
@@ -242,6 +248,149 @@ func (d *decoder) object(p *plan, base unsafe.Pointer) bool {
 			return false
 		}
 	}
+}
+
+// unknown skips a key that no field of p has and its value. The key must
+// be plain ASCII with no escape, and match no field's name even ignoring
+// case: encoding/json would decode such a key into that field, and
+// folding any other key is left to it.
+func (d *decoder) unknown(p *plan) bool {
+	b := d.b
+	if !d.eat('"') {
+		return false
+	}
+	start := d.i
+	for ; d.i < len(b) && b[d.i] != '"'; d.i++ {
+		if c := b[d.i]; c == '\\' || c < ' ' || c >= utf8.RuneSelf {
+			return false
+		}
+	}
+	key := b[start:d.i]
+	if !d.eat('"') || !d.eat(':') {
+		return false
+	}
+	for i := range p.fields {
+		if f := &p.fields[i]; foldEqual(key, f.key[1:len(f.key)-2]) {
+			return false
+		}
+	}
+	return d.skip(0)
+}
+
+// foldEqual reports whether ASCII key equals name ignoring letter case.
+func foldEqual(key []byte, name string) bool {
+	if len(key) != len(name) {
+		return false
+	}
+	for i := range len(name) {
+		a, b := key[i], name[i]
+		if 'A' <= a && a <= 'Z' {
+			a += 'a' - 'A'
+		}
+		if 'A' <= b && b <= 'Z' {
+			b += 'a' - 'A'
+		}
+		if a != b {
+			return false
+		}
+	}
+	return true
+}
+
+// maxSkipDepth bounds the nesting skip follows; deeper values are left
+// to encoding/json, whose own limit is far above any status.
+const maxSkipDepth = 100
+
+// skip steps over one JSON value, nested at depth, checking it against
+// the JSON grammar as encoding/json's scanner does, without whitespace
+// inside: an unknown key's value must be valid for the document to be.
+func (d *decoder) skip(depth int) bool {
+	if d.i >= len(d.b) || depth > maxSkipDepth {
+		return false
+	}
+	switch c := d.b[d.i]; {
+	case c == '{':
+		d.i++
+		if d.eat('}') {
+			return true
+		}
+		for {
+			if !d.skipString() || !d.eat(':') || !d.skip(depth+1) {
+				return false
+			}
+			if d.eat('}') {
+				return true
+			}
+			if !d.eat(',') {
+				return false
+			}
+		}
+	case c == '[':
+		d.i++
+		if d.eat(']') {
+			return true
+		}
+		for {
+			if !d.skip(depth + 1) {
+				return false
+			}
+			if d.eat(']') {
+				return true
+			}
+			if !d.eat(',') {
+				return false
+			}
+		}
+	case c == '"':
+		return d.skipString()
+	case c == '-' || '0' <= c && c <= '9':
+		i := number(d.b, d.i)
+		if i == 0 {
+			return false
+		}
+		d.i = i
+		return true
+	}
+	return d.lit("true") || d.lit("false") || d.lit("null")
+}
+
+// skipString steps over one JSON string: no control byte, every escape
+// one JSON has. Other bytes, invalid UTF-8 included, are what
+// encoding/json's scanner accepts too.
+func (d *decoder) skipString() bool {
+	b := d.b
+	if !d.eat('"') {
+		return false
+	}
+	for ; d.i < len(b); d.i++ {
+		switch c := b[d.i]; {
+		case c == '"':
+			d.i++
+			return true
+		case c < ' ':
+			return false
+		case c == '\\':
+			if d.i++; d.i == len(b) {
+				return false
+			}
+			switch b[d.i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if len(b)-d.i < 5 {
+					return false
+				}
+				for _, h := range b[d.i+1 : d.i+5] {
+					if !('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F') {
+						return false
+					}
+				}
+				d.i += 4
+			default:
+				return false
+			}
+		}
+	}
+	return false
 }
 
 // value fills the zero field at p. A null pointer or slice stays nil,
@@ -380,28 +529,10 @@ func (d *decoder) int() (int64, bool) {
 // float reads a JSON number as encoding/json does: its bytes, checked
 // against the JSON grammar, through strconv.ParseFloat.
 func (d *decoder) float() (float64, bool) {
-	b, i := d.b, d.i
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if i = digits(b, i); i == 0 {
+	b := d.b
+	i := number(b, d.i)
+	if i == 0 {
 		return 0, false
-	}
-	if i < len(b) && b[i] == '.' {
-		if i = digits(b, i+1); i == 0 {
-			return 0, false
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if i = digits(b, i); i == 0 {
-			return 0, false
-		}
 	}
 	// ParseFloat keeps no reference to its argument once it returns.
 	x, err := strconv.ParseFloat(unsafe.String(&b[d.i], i-d.i), 64)
@@ -410,6 +541,34 @@ func (d *decoder) float() (float64, bool) {
 	}
 	d.i = i
 	return x, true
+}
+
+// number returns the index after the JSON number at i, checked against
+// the JSON grammar, or 0 when there is none.
+func number(b []byte, i int) int {
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if i = digits(b, i); i == 0 {
+		return 0
+	}
+	if i < len(b) && b[i] == '.' {
+		if i = digits(b, i+1); i == 0 {
+			return 0
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if i = digits(b, i); i == 0 {
+			return 0
+		}
+	}
+	return i
 }
 
 // digits returns the index after the run of decimal digits at i, or 0

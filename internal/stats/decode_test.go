@@ -109,12 +109,58 @@ var mutations = []struct {
 		raw := []string{"\xff", "é", "\x01"}[rng.Intn(3)]
 		return bytes.Replace(b, []byte(`":"`), []byte(`":"`+raw), 1)
 	}},
+	{"unknown-key", func(rng *rand.Rand, b []byte) []byte {
+		return insertKey(rng, b, `"zz_extra":`+unknownValues[rng.Intn(len(unknownValues))])
+	}},
+	{"unknown-key-bad-value", func(rng *rand.Rand, b []byte) []byte {
+		return insertKey(rng, b, `"zz_extra":`+badValues[rng.Intn(len(badValues))])
+	}},
+	{"unknown-key-escaped", func(rng *rand.Rand, b []byte) []byte {
+		return insertKey(rng, b, `"zz_\u0065xtra":1`)
+	}},
+	{"folded-key-as-unknown", func(rng *rand.Rand, b []byte) []byte {
+		k := keys(b)
+		if len(k) == 0 {
+			return b
+		}
+		return insertKey(rng, b, strings.ToUpper(k[rng.Intn(len(k))])+`7`)
+	}},
 	{"truncated", func(rng *rand.Rand, b []byte) []byte { return b[:rng.Intn(len(b))] }},
 	{"byte-flip", func(rng *rand.Rand, b []byte) []byte {
 		c := append([]byte(nil), b...)
 		c[rng.Intn(len(c))] = `{}[],:"-.e0\ n`[rng.Intn(14)]
 		return c
 	}},
+}
+
+// unknownValues are valid JSON values of every kind, as an unknown key
+// may hold them; badValues are not JSON values at all.
+var (
+	unknownValues = []string{
+		`{"a":[1,-2.5e+3,0,-0,1E-7,true,false,null,"x\"\\\/\b\f\n\r\t\u00e9"],"b":{},"c":{"d":[[]]}}`,
+		`[]`, `[[[1]],{},[{"e":null}]]`, `{}`, `"esc\u0041\n"`, `"\ud83d\ude00"`, `"ünï \"}"`, `""`,
+		`-0.5`, `123456789012345678901234567890`, `null`, `true`, `false`,
+	}
+	badValues = []string{`[1,]`, `{"a"}`, `{"a":}`, `"\x"`, `01`, `tru`, `"\u12g4"`, `[`, `-`, `1.`, `1e`, `"a` + "\x01" + `"`, `{1:2}`}
+)
+
+// insertKey inserts `kv` as the first member of a random object of b.
+func insertKey(rng *rand.Rand, b []byte, kv string) []byte {
+	var at []int
+	for i := 1; i < len(b); i++ {
+		if b[i-1] == '{' {
+			at = append(at, i)
+		}
+	}
+	if len(at) == 0 {
+		return b
+	}
+	i := at[rng.Intn(len(at))]
+	sep := ","
+	if b[i] == '}' {
+		sep = ""
+	}
+	return append(append(append([]byte(nil), b[:i]...), kv+sep...), b[i:]...)
 }
 
 // keys lists the `"name":` tokens of b.
@@ -209,6 +255,58 @@ func TestUnmarshalMatchesEncodingJSON(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestUnmarshalSkipsUnknownKeys: a key no field has, holding any JSON
+// value, keeps the document on the fast path, at the top level and in
+// nested objects, and decodes as encoding/json decodes it.
+func TestUnmarshalSkipsUnknownKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for _, v := range []any{&stats.GPU{}, &server.JobStatus{}} {
+		typ := reflect.TypeOf(v).Elem()
+		t.Run(typ.String(), func(t *testing.T) {
+			for trial := 0; trial < 200; trial++ {
+				val := reflect.New(typ)
+				gen(rng, val.Elem())
+				b, err := json.Marshal(val.Interface())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for n := rng.Intn(3); n >= 0; n-- {
+					b = insertKey(rng, b, `"zz_extra":`+unknownValues[rng.Intn(len(unknownValues))])
+				}
+				if !stats.FastPath(b, reflect.New(typ).Interface()) {
+					t.Fatalf("fast path refused unknown keys in %s", b)
+				}
+				if err := same(b, v); err != nil {
+					t.Fatalf("%s: %v", b, err)
+				}
+			}
+		})
+	}
+}
+
+// TestGschedStatusDecodesAsGserved: what gsched answers, a fleet
+// JobStatus, read as the server.JobStatus the client decodes into,
+// takes the fast path — its tenant, priority, worker, requeues and
+// preemptions skipped — to encoding/json's value.
+func TestGschedStatusDecodesAsGserved(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for trial := 0; trial < 200; trial++ {
+		var fs fleet.JobStatus
+		gen(rng, reflect.ValueOf(&fs).Elem())
+		fs.Tenant, fs.Priority, fs.Worker, fs.Requeues, fs.Preemptions = "alice", 3, "127.0.0.1:8377", 2, 1
+		b, err := json.Marshal(&fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats.FastPath(b, new(server.JobStatus)) {
+			t.Fatalf("fast path refused a gsched status as a gserved one: %s", b)
+		}
+		if err := same(b, &server.JobStatus{}); err != nil {
+			t.Fatalf("%s: %v", b, err)
+		}
 	}
 }
 

@@ -103,26 +103,59 @@ func NewState(nregs int, lanes uint32) *State {
 	}
 }
 
-// NewStates allocates the warp slots of one SM at once: state i has
-// nregs[i] registers per thread and is otherwise NewState(nregs[i], 0).
-// The states, their register files and the converged entry of their
-// reconvergence stacks are three arrays in all, not three per warp; a
-// stack that diverges grows its own storage, as NewState's does.
-func NewStates(nregs []int) []State {
+// Arena is the storage an SM's warp states live in: the states, their
+// register files and the converged entry of their reconvergence stacks,
+// three arrays in all, not three per warp. A stack that diverges grows
+// its own storage, as NewState's does, and keeps it.
+type Arena struct {
+	states []State
+	regs   []uint32
+}
+
+// Layout carves len(nregs) warp states out of the arena, state i with
+// nregs[i] registers per thread and otherwise NewState(nregs[i], 0). It
+// reuses the states (with their stacks) and the register array of the
+// previous layout where they are large enough, so an SM rebuilt for
+// another launch allocates only what it did not hold before. The states
+// of an earlier layout are overwritten.
+func (a *Arena) Layout(nregs []int) []State {
 	total := 0
 	for _, n := range nregs {
 		total += n * kernel.WarpSize
 	}
-	ws := make([]State, len(nregs))
-	regs := make([]uint32, total)
-	stacks := make([]SIMTEntry, len(nregs))
-	for i, n := range nregs {
-		r := n * kernel.WarpSize
-		ws[i].regs, regs = regs[:r:r], regs[r:]
-		ws[i].simt.stack = stacks[i : i : i+1]
-		ws[i].simt.reset(0)
+	if cap(a.regs) < total {
+		a.regs = make([]uint32, total)
+	} else {
+		a.regs = a.regs[:total]
+		clear(a.regs)
 	}
-	return ws
+	// Every state of an array was laid out when it was made, so each
+	// one a larger array holds already owns a stack.
+	var stacks []SIMTEntry
+	if cap(a.states) < len(nregs) {
+		a.states = make([]State, len(nregs))
+		stacks = make([]SIMTEntry, len(nregs))
+	} else {
+		a.states = a.states[:len(nregs)]
+	}
+	regs := a.regs
+	for i, n := range nregs {
+		w := &a.states[i]
+		stack := w.simt.stack[:0]
+		if stacks != nil {
+			stack = stacks[i : i : i+1]
+		}
+		r := n * kernel.WarpSize
+		*w = State{regs: regs[:r:r], simt: SIMT{stack: stack}}
+		regs = regs[r:]
+		w.simt.reset(0)
+	}
+	// States past this layout keep their stacks but not an older
+	// register array.
+	for all, i := a.states[:cap(a.states)], len(nregs); i < len(all); i++ {
+		all[i].regs = nil
+	}
+	return a.states
 }
 
 // Clear returns the warp to the state NewState left it in — no lanes,

@@ -227,13 +227,14 @@ func TestResetClearsState(t *testing.T) {
 	}
 }
 
-// TestNewStatesMatchNewState: each state NewStates carves out of its
-// shared arrays is the state NewState builds — a register-less one
-// included — and owns its storage: writing a state's last register or
-// growing its stack leaves its neighbour as built.
+// TestNewStatesMatchNewState: each state a layout of an empty Arena
+// carves out of its shared arrays is the state NewState builds — a
+// register-less one included — and owns its storage: writing a state's
+// last register or growing its stack leaves its neighbour as built.
 func TestNewStatesMatchNewState(t *testing.T) {
 	nregs := []int{3, 0, 5}
-	ws := NewStates(nregs)
+	var a Arena
+	ws := a.Layout(nregs)
 	encode := func(w *State) string {
 		b, err := json.Marshal(w.Checkpoint())
 		if err != nil {
@@ -252,6 +253,38 @@ func TestNewStatesMatchNewState(t *testing.T) {
 	ws[1].simt.stack = append(ws[1].simt.stack, SIMTEntry{PC: 9, RPC: 3, Mask: 1})
 	if got := encode(&ws[2]); got != fresh {
 		t.Errorf("writing its neighbours changed state 2: %s, was %s", got, fresh)
+	}
+}
+
+// TestArenaLayoutReuses: a layout over an arena an earlier, larger and
+// dirtied layout left is NewState's states again, in the arena's own
+// storage, allocating nothing.
+func TestArenaLayoutReuses(t *testing.T) {
+	var a Arena
+	ws := a.Layout([]int{6, 6, 6, 6})
+	for i := range ws {
+		ws[i].regs[len(ws[i].regs)-1] = 7
+		ws[i].preds[0] = 1
+		ws[i].DynID, ws[i].Lanes = 9, 3
+		ws[i].simt.stack = append(ws[i].simt.stack, SIMTEntry{PC: 9, RPC: 3, Mask: 1})
+	}
+	nregs := []int{3, 0, 7}
+	if n := testing.AllocsPerRun(10, func() { a.Layout(nregs) }); n != 0 {
+		t.Errorf("a layout the arena holds allocates %v times, want 0", n)
+	}
+	ws = a.Layout(nregs)
+	for i, n := range nregs {
+		got, err := json.Marshal(ws[i].Checkpoint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(NewState(n, 0).Checkpoint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("state %d: %s, NewState(%d, 0) is %s", i, got, n, want)
+		}
 	}
 }
 

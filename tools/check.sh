@@ -2,8 +2,8 @@
 # Pre-PR gate: vet + formatting + build + race-checked tests for the
 # concurrency-bearing packages (the runner's worker pool / singleflight,
 # the session layer, the gserved daemon + client — including the
-# admission-saturation test — and four simulations run side by side,
-# which share nothing), guards that internal/gpu still has one cycle loop,
+# admission-saturation test — and five simulations run side by side, two each,
+# which share no live state), guards that internal/gpu still has one cycle loop,
 # that internal/ + cmd/ still have one job lifecycle (one definition of
 # each shared route, body decoder, JSON writer and journal open),
 # that internal/harness still plans by enumeration (no recording pass),
@@ -255,7 +255,7 @@ for pat in 'sync\.Pool' 'map\[uint32\]' 'Payload  *any' 'Tag  *any'; do
     [ -z "$hits" ] || { echo "engine plumbing regressed ('$pat'):" >&2; echo "$hits" >&2; exit 1; }
 done
 
-echo "== go test -race (concurrent simulations share nothing; a run starts no goroutine)"
+echo "== go test -race (concurrent simulations share no live state; a run starts no goroutine)"
 go test -race -run 'TestConcurrentRunsIndependent|TestRunSpawnsNoGoroutines|TestLaunchQueue' ./internal/gpu/
 
 echo "== bench module (outside the root module: surface + golden tests of bench/)"
