@@ -66,7 +66,7 @@ func main() {
 		lease    = flag.Duration("lease", 3*time.Second, "worker lease TTL: a worker silent this long is declared dead and its jobs requeued")
 		probe    = flag.Duration("probe", 0, "heartbeat probe interval (0 = lease/3)")
 		queue    = flag.Int("queue", 1024, "admitted-but-unfinished job bound; beyond it submissions get 429")
-		journal  = flag.String("journal", "", "write-ahead queue journal directory: each admission is fsync'd there as one record before dispatch, and a killed coordinator re-admits unfinished jobs on restart; a journal file of an earlier version is imported once ('' disables)")
+		journal  = flag.String("journal", "", "write-ahead queue journal directory: each admission is fsync'd there as one record before dispatch, and a killed coordinator re-admits unfinished jobs on restart; a path that is not a directory is refused ('' disables)")
 		deadline = flag.Duration("maxdeadline", 10*time.Minute, "cap on client-requested job deadlines")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful drain deadline after SIGTERM")
 	)

@@ -52,7 +52,7 @@ func main() {
 		deadline = flag.Duration("maxdeadline", 10*time.Minute, "cap on client-requested job deadlines")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful drain deadline after SIGTERM")
 		verify   = flag.Bool("verify", false, "re-check functional outputs after fresh simulations")
-		journal  = flag.String("journal", "", "write-ahead job journal directory: each admission is fsync'd there as one record before queueing, and a killed daemon re-admits unfinished jobs on restart; a journal file of an earlier version is imported once ('' disables)")
+		journal  = flag.String("journal", "", "write-ahead job journal directory: each admission is fsync'd there as one record before queueing, and a killed daemon re-admits unfinished jobs on restart; a path that is not a directory is refused ('' disables)")
 		ckDir    = flag.String("checkpoint-dir", "", "mid-simulation checkpoint directory: retried attempts resume from the last snapshot instead of cycle 0 ('' disables)")
 		ckStride = flag.Int64("checkpoint-stride", 100_000, "cycles between mid-simulation snapshots (with -checkpoint-dir)")
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; '' disables). Kept off the job API listener so profiling is never exposed with the service port")

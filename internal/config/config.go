@@ -324,6 +324,14 @@ func (c *Config) SharingPercent() float64 {
 	return (1 - c.T) * 100
 }
 
+// MaxSMLat bounds the latencies an SM times a writeback by: SPLat,
+// SFULat, SmemLat and L1HitLat. The SM's writeback timing wheel spans
+// 256 cycles, and the longest writeback it schedules is SmemLat plus 31
+// bank-conflict cycles (a warp's 32 lanes on one bank), so 224 is the
+// largest bound that keeps every deadline inside the span. Table I's
+// longest is L1HitLat, 30.
+const MaxSMLat = 224
+
 // Validate checks internal consistency.
 func (c *Config) Validate() error {
 	switch {
@@ -341,6 +349,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("NumSchedulers must be positive, got %d", c.NumSchedulers)
 	case c.SPLat <= 0 || c.SFULat <= 0 || c.SmemLat <= 0:
 		return fmt.Errorf("execution latencies must be positive")
+	case max(c.SPLat, c.SFULat, c.SmemLat, c.L1HitLat) > MaxSMLat:
+		return fmt.Errorf("SPLat, SFULat, SmemLat and L1HitLat must be at most %d, got %d, %d, %d and %d",
+			MaxSMLat, c.SPLat, c.SFULat, c.SmemLat, c.L1HitLat)
 	case c.SmemBanks <= 0:
 		return fmt.Errorf("SmemBanks must be positive, got %d", c.SmemBanks)
 	case c.L1Sets <= 0 || c.L1Ways <= 0 || c.L1MSHRs <= 0:
@@ -355,8 +366,11 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("CTALaunchLat must be non-negative, got %d", c.CTALaunchLat)
 	case c.DRAMBanksPerPartition <= 0 || c.DRAMRowBytes <= 0 || c.DRAMDataLat <= 0:
 		return fmt.Errorf("DRAM geometry must be positive")
-	case c.L1HitLat < 0 || c.L2HitLat < 0:
-		return fmt.Errorf("cache hit latencies must be non-negative")
+	case c.L1HitLat < 1 || c.L2HitLat < 0:
+		// An L1 hit issued at cycle now is timed for now+L1HitLat, and the
+		// SM drains now's writebacks before it issues: zero would strand it.
+		return fmt.Errorf("cache hit latencies: L1HitLat must be at least 1 and L2HitLat non-negative, got %d and %d",
+			c.L1HitLat, c.L2HitLat)
 	case c.MaxCycles < 0:
 		return fmt.Errorf("MaxCycles must be non-negative, got %d", c.MaxCycles)
 	case c.TraceInterval < 0:

@@ -59,6 +59,8 @@ func TestValidateRejects(t *testing.T) {
 		"zero L2":         func(c *Config) { c.L2Partitions = 0 },
 		"zero MSHRs":      func(c *Config) { c.L1MSHRs = 0 },
 		"zero DRAM banks": func(c *Config) { c.DRAMBanksPerPartition = 0 },
+		"zero L1 hit lat": func(c *Config) { c.L1HitLat = 0 },
+		"smem lat > max":  func(c *Config) { c.SmemLat = MaxSMLat + 1 },
 	}
 	for name, mutate := range mutations {
 		c := Default()

@@ -32,6 +32,7 @@ import (
 	"gpushare/internal/invariant"
 	"gpushare/internal/kernel"
 	"gpushare/internal/mem"
+	"gpushare/internal/mem/icnt"
 	"gpushare/internal/simerr"
 	"gpushare/internal/smcore"
 )
@@ -44,27 +45,38 @@ const (
 	modeTimeslice = "timeslice"
 )
 
-// MarshalJSON writes the FIFO oldest first as [{"sm":..,"slot":..,"at":..}].
+// relaunch is a drained block slot waiting out the CTA dispatch latency
+// before its tenant's next CTA launches into it.
+type relaunch struct{ sm, slot int }
+
+// relaunchQueue is the dispatcher's relaunch queue: a one-port
+// icnt.Network with CTALaunchLat latency, as mem.System's L2 hits are
+// one with L2HitLat — a fixed-latency FIFO is what a Network is.
+type relaunchQueue struct{ *icnt.Network[relaunch] }
+
+// MarshalJSON writes the queue oldest first as
+// [{"sm":..,"slot":..,"at":..}], at being the cycle the slot is ready.
 // It formats by hand: capture's json.Encoder builds each section of the
 // payload in a scratch buffer it draws from encoding/json's pool, and a
 // nested json.Marshal here would draw a second one in the middle of the
 // loop section. Both go back to the pool, and the next large section may
 // draw the small one and regrow it.
-func (q launchQueue) MarshalJSON() ([]byte, error) {
+func (q relaunchQueue) MarshalJSON() ([]byte, error) {
 	b := []byte{'['}
-	for i := 0; i < q.n; i++ {
-		if i > 0 {
+	q.ForEachAt(func(_ int, p relaunch, at int64) {
+		if len(b) > 1 {
 			b = append(b, ',')
 		}
-		p := q.at(i)
-		b = fmt.Appendf(b, `{"sm":%d,"slot":%d,"at":%d}`, p.sm, p.slot, p.at)
-	}
+		b = fmt.Appendf(b, `{"sm":%d,"slot":%d,"at":%d}`, p.sm, p.slot, at)
+	})
 	return append(b, ']'), nil
 }
 
-// UnmarshalJSON rebuilds the FIFO; loopState.validate range-checks the
-// entries before anything dereferences them.
-func (q *launchQueue) UnmarshalJSON(b []byte) error {
+// UnmarshalJSON decodes the entries, each at its ready cycle, into a
+// queue of their own that knows no latency: restore moves them into the
+// run's queue, which carries the run's CTALaunchLat. loopState.validate
+// range-checks them first.
+func (q *relaunchQueue) UnmarshalJSON(b []byte) error {
 	var entries []struct {
 		SM   int   `json:"sm"`
 		Slot int   `json:"slot"`
@@ -73,9 +85,9 @@ func (q *launchQueue) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &entries); err != nil {
 		return err
 	}
-	*q = launchQueue{}
+	q.Network = icnt.New[relaunch](1, 0)
 	for _, e := range entries {
-		q.push(pendingLaunch{sm: e.SM, slot: e.Slot, at: e.At})
+		q.Inject(0, relaunch{sm: e.SM, slot: e.Slot}, e.At)
 	}
 	return nil
 }
@@ -93,13 +105,13 @@ type machineState struct {
 // single-kernel run has one tenant), the relaunch queue, the watchdog's
 // mark, and the two pieces only one policy has.
 type loopState struct {
-	Next         []int       `json:"next"`      // next CTA to dispatch, per tenant
-	Completed    []int       `json:"completed"` // blocks drained, per tenant
-	Done         []int64     `json:"done"`      // cycle the tenant's last block drained
-	Pending      launchQueue `json:"pending"`
-	LastProgress int64       `json:"last_progress"`
-	Dyn          *dynState   `json:"dyn,omitempty"`   // single-kernel runs
-	Slice        *sliceState `json:"slice,omitempty"` // time-slice runs
+	Next         []int         `json:"next"`      // next CTA to dispatch, per tenant
+	Completed    []int         `json:"completed"` // blocks drained, per tenant
+	Done         []int64       `json:"done"`      // cycle the tenant's last block drained
+	Pending      relaunchQueue `json:"pending"`
+	LastProgress int64         `json:"last_progress"`
+	Dyn          *dynState     `json:"dyn,omitempty"`   // single-kernel runs
+	Slice        *sliceState   `json:"slice,omitempty"` // time-slice runs
 }
 
 // validate checks a decoded loop state against the run about to adopt
@@ -120,10 +132,17 @@ func (st *loopState) validate(r *run, m *machineState) error {
 			return bad("tenant %d has %d blocks drained, %d dispatched, of %d", i, st.Completed[i], st.Next[i], total)
 		}
 	}
-	for i := 0; i < st.Pending.len(); i++ {
-		if e := st.Pending.at(i); e.sm < 0 || e.sm >= len(m.SMs) || e.slot < 0 || e.slot >= len(m.SMs[e.sm].Blocks) {
-			return bad("pending relaunch names SM %d slot %d, outside the snapshot's machine", e.sm, e.slot)
+	if st.Pending.Network == nil {
+		return bad("no relaunch queue")
+	}
+	var outside []relaunch
+	st.Pending.ForEachAt(func(_ int, e relaunch, _ int64) {
+		if e.sm < 0 || e.sm >= len(m.SMs) || e.slot < 0 || e.slot >= len(m.SMs[e.sm].Blocks) {
+			outside = append(outside, e)
 		}
+	})
+	if len(outside) > 0 {
+		return bad("pending relaunch names SM %d slot %d, outside the snapshot's machine", outside[0].sm, outside[0].slot)
 	}
 	if (st.Dyn != nil) != (r.Dyn != nil) || (st.Slice != nil) != (r.Slice != nil) {
 		return bad("dyn/slice state present %t/%t, a %s run wants %t/%t",
@@ -442,6 +461,10 @@ func (r *run) restore(p *payload) error {
 	if err := s.ms.RestoreState(p.Machine.Mem, p.Machine.Global); err != nil {
 		return simerr.Wrap(simerr.KindCheckpoint, p.Cycle, err)
 	}
+	// The run keeps its own relaunch queue, whose latency is the run's
+	// CTALaunchLat: the decoded one's entries move into it.
+	p.Loop.Pending.ForEachAt(func(_ int, e relaunch, at int64) { r.Pending.Inject(0, e, at) })
+	p.Loop.Pending = r.Pending
 	r.loopState = *p.Loop
 	r.retired = 0
 	for _, c := range r.Completed {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"regexp"
 	"testing"
 
 	"gpushare/internal/checkpoint"
@@ -176,14 +177,15 @@ func TestCheckpointRejectsMismatchedRun(t *testing.T) {
 // container digest and every identity check but whose loop state indexes
 // outside the machine or the grids must be rejected typed — DESIGN.md's
 // "matches exactly or is rejected" — in every run mode, never panic in
-// the dispatcher and never resume a wrong run.
+// the dispatcher and never resume a wrong run. So must one whose loop
+// state has no relaunch queue at all.
 func TestCheckpointRejectsTamperedLoopState(t *testing.T) {
 	type tamper struct {
 		name string
 		mut  func(st *loopState)
 	}
 	pend := func(sm, slot int) func(*loopState) {
-		return func(st *loopState) { st.Pending.push(pendingLaunch{sm: sm, slot: slot, at: 1 << 40}) }
+		return func(st *loopState) { st.Pending.Inject(0, relaunch{sm: sm, slot: slot}, 1<<40) }
 	}
 	common := []tamper{
 		{"pending slot past the SM's slots", pend(0, 1<<20)},
@@ -257,6 +259,13 @@ func TestCheckpointRejectsTamperedLoopState(t *testing.T) {
 				_, err := simulate(cfg, name, spec, 1, nil, reencode(tc.mut))
 				wantCheckpointKind(t, err, tc.name)
 			}
+			// A loop state with no relaunch queue at all.
+			noQueue := regexp.MustCompile(`"pending":\[[^\]]*\],`).ReplaceAll(raw, nil)
+			if bytes.Equal(noQueue, raw) {
+				t.Fatal("the snapshot's loop state has no relaunch queue to remove")
+			}
+			_, err = simulate(cfg, name, spec, 1, nil, checkpoint.Encode(noQueue))
+			wantCheckpointKind(t, err, "relaunch queue missing")
 		})
 	}
 }
@@ -264,7 +273,8 @@ func TestCheckpointRejectsTamperedLoopState(t *testing.T) {
 // TestCheckpointRejectsBadSMState: an SM snapshot whose writeback names
 // a warp slot past the SM's, whose finished list names a block slot
 // past the SM's, whose writeback fell due before the restore cycle (its
-// wheel slot never fires again), whose MSHR waiter names a warp slot
+// wheel slot never fires again) or falls due a wheel span or more after
+// it (past the writeback wheel's span), whose MSHR waiter names a warp slot
 // past the SM's, whose in-flight loads disagree with a warp's load
 // registers (a load line into a register that is not one of them, or
 // one of them with no line in flight), or whose warp register file or
@@ -338,6 +348,13 @@ func TestCheckpointRejectsBadSMState(t *testing.T) {
 				return false
 			}
 			c.WB[0].At = cycle - 1
+			return true
+		}},
+		{"writeback due a wheel span after the restore cycle", func(c *smcore.Checkpoint, cycle int64) bool {
+			if len(c.WB) == 0 {
+				return false
+			}
+			c.WB[0].At = cycle + 256 // smcore's wbWheelSize
 			return true
 		}},
 		{"MSHR waiter warp slot out of range", func(c *smcore.Checkpoint, _ int64) bool {

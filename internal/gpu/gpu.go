@@ -21,6 +21,7 @@ import (
 	"gpushare/internal/invariant"
 	"gpushare/internal/kernel"
 	"gpushare/internal/mem"
+	"gpushare/internal/mem/icnt"
 	"gpushare/internal/opt/unroll"
 	"gpushare/internal/simerr"
 	"gpushare/internal/smcore"
@@ -268,6 +269,7 @@ func (s *Sim) newRun(mode, label string, spec *tenancy.Spec, launches []*kernel.
 	n := len(launches)
 	r := &run{s: s, mode: mode, label: label, spec: spec, kernels: make([]string, n), total: make([]int, n), resumedAt: -1}
 	r.Next, r.Completed, r.Done = make([]int, n), make([]int, n), make([]int64, n)
+	r.Pending = relaunchQueue{icnt.New[relaunch](1, s.Cfg.CTALaunchLat)}
 	for i, l := range launches {
 		r.kernels[i] = l.Kernel.Name
 		r.total[i] = l.Blocks()
@@ -298,7 +300,7 @@ func (s *Sim) newRun(mode, label string, spec *tenancy.Spec, launches []*kernel.
 func (r *run) setSMs(sms []*smcore.SM) {
 	r.sms = sms
 	r.chk = invariant.New(r.auditStride, sms, r.s.ms)
-	r.Pending = launchQueue{}
+	r.Pending.Clear()
 }
 
 // start resumes from Sim.RestoreFrom when it is set and otherwise does
@@ -392,8 +394,11 @@ func (r *run) cycle(ctx context.Context, now int64, refillOpen bool) (bool, erro
 	// Refill freed slots, after the CTA dispatch latency, with the
 	// owning tenant's next CTA. With the refill closed (a time slice
 	// past its quota) a freed slot stays empty.
-	for r.Pending.len() > 0 && r.Pending.front().at <= now {
-		p := r.Pending.pop()
+	for {
+		p, ok := r.Pending.Pop(0, now)
+		if !ok {
+			break
+		}
 		sm := r.sms[p.sm]
 		ti := sm.TenantOfSlot(p.slot)
 		if !refillOpen || r.Next[ti] >= r.total[ti] {
@@ -415,7 +420,7 @@ func (r *run) cycle(ctx context.Context, now int64, refillOpen bool) (bool, erro
 			if r.Completed[ti] == r.total[ti] {
 				r.Done[ti] = now
 			}
-			r.Pending.push(pendingLaunch{sm: si, slot: slot, at: now + int64(s.Cfg.CTALaunchLat)})
+			r.Pending.Push(0, relaunch{sm: si, slot: slot}, now)
 		}
 	}
 
@@ -523,7 +528,7 @@ func (s *Sim) RunCtx(ctx context.Context, l *kernel.Launch) (*stats.GPU, error) 
 		r.Dyn.maybeAdjust(&s.Cfg, r.sms, now)
 		// Completion: every CTA dispatched, the relaunch queue drained
 		// (so Cycles includes the trailing CTALaunchLat) and every SM idle.
-		if r.Next[0] >= r.total[0] && r.Pending.len() == 0 && r.idle() {
+		if r.Next[0] >= r.total[0] && r.Pending.Pending() == 0 && r.idle() {
 			break
 		}
 		if err := r.watchdog(now, issued); err != nil {

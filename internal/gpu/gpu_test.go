@@ -174,3 +174,25 @@ func TestEngineEnvParsesStrictly(t *testing.T) {
 		})
 	}
 }
+
+// TestL1HitLatencyFloor: an L1 hit is timed from its issue, after the
+// SM has drained its cycle's writebacks, so a zero-cycle hit would be
+// stranded and its warp wait for the watchdog. New refuses it as a
+// config error, and the shortest hit that is accepted, one cycle, runs
+// gaussian to completion with its functional check passing.
+func TestL1HitLatencyFloor(t *testing.T) {
+	cfg := config.Default()
+	cfg.L1HitLat = 0
+	_, err := New(cfg)
+	if se, ok := simerr.As(err); !ok || se.Kind != simerr.KindConfig || !strings.Contains(err.Error(), "L1HitLat") {
+		t.Fatalf("New with L1HitLat 0 = %v, want a config error naming L1HitLat", err)
+	}
+	cfg.L1HitLat = 1
+	g, err := simulate(cfg, "gaussian", nil, 1, nil, nil)
+	if err != nil {
+		t.Fatalf("L1HitLat 1: %v", err)
+	}
+	if g.L1.Hits == 0 {
+		t.Fatal("gaussian hit its L1 zero times: the one-cycle hit went untested")
+	}
+}

@@ -122,7 +122,7 @@ func runOn(t *testing.T) (sms []*smcore.SM, built, mid, ran []smState) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ; r.Next[0] < r.total[0] || r.Pending.len() > 0 || !r.idle(); now++ {
+	for ; r.Next[0] < r.total[0] || r.Pending.Pending() > 0 || !r.idle(); now++ {
 		if now == midRun {
 			mid = smStates(t, sms)
 		}

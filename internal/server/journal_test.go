@@ -24,22 +24,6 @@ func runnerOptsWithCache(dir string) runner.Options {
 	return runner.Options{CacheDir: filepath.Join(dir, "cache")}
 }
 
-// journalLine renders one record of the JSON-lines journal earlier
-// versions wrote, which a journal opened at its path imports once.
-func journalLine(t *testing.T, op, key string, req *server.SubmitRequest) string {
-	t.Helper()
-	rec := struct {
-		Op  string                `json:"op"`
-		Key string                `json:"key"`
-		Req *server.SubmitRequest `json:"req,omitempty"`
-	}{op, key, req}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b) + "\n"
-}
-
 // journalAccepts writes a journal at dir owing req under each key, in
 // order, as a daemon killed before finishing any of them leaves it.
 func journalAccepts(t *testing.T, dir string, keys []string, reqs []server.SubmitRequest) {
@@ -56,25 +40,30 @@ func journalAccepts(t *testing.T, dir string, keys []string, reqs []server.Submi
 	}
 }
 
-// TestJournalReplayAfterKill models a daemon of an earlier version killed
-// outright (kill -9) mid-job: its JSON-lines journal holds an accept with
-// no done record, plus a torn trailing line from a crash mid-append. A
-// fresh daemon pointed at that journal must import it, re-admit and
-// finish the job without any client action, count the torn line, and
-// leave the journal — now a record directory — with no pending work.
+// TestJournalReplayAfterKill models a daemon killed outright (kill -9)
+// mid-job: its record directory holds the record of an accepted job
+// with no completion, a torn record (a crash that cut a record short)
+// and the temp file of an interrupted atomic write. A fresh daemon
+// pointed at that journal must re-admit and finish the job without any
+// client action, count the torn record, drop the temp file, and leave
+// the journal with no pending work.
 func TestJournalReplayAfterKill(t *testing.T) {
 	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.jsonl")
+	jpath := filepath.Join(dir, "journal")
 
 	req := seededReq(41)
 	key, err := reqJob(req).Key()
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := journalLine(t, "accept", key, &req)
-	legacy += `{"op":"accept","key":"torn-` // crash mid-append: no newline, no close
-	if err := os.WriteFile(jpath, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
+	journalAccepts(t, jpath, []string{key}, []server.SubmitRequest{req})
+	for name, body := range map[string]string{
+		"torn-" + key[:8]:  `{"seq":2,"req":{"workl`,
+		key + ".tmp-12345": `{"seq":3,"req":{}}`,
+	} {
+		if err := os.WriteFile(filepath.Join(jpath, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	s, _, c := startDaemon(t, server.Options{
@@ -110,7 +99,7 @@ func TestJournalReplayAfterKill(t *testing.T) {
 		t.Fatalf("replayed = %d, want 1", sz.Journal.Replayed)
 	}
 	if sz.Journal.Corrupt != 1 {
-		t.Fatalf("corrupt records = %d, want the 1 torn line", sz.Journal.Corrupt)
+		t.Fatalf("corrupt records = %d, want the 1 torn record", sz.Journal.Corrupt)
 	}
 	if sz.Journal.Pending != 0 {
 		t.Fatalf("journal lag = %d after completion, want 0", sz.Journal.Pending)
@@ -119,7 +108,7 @@ func TestJournalReplayAfterKill(t *testing.T) {
 		t.Fatalf("journal directory after completion: %d entries, %v; want empty", len(ents), err)
 	}
 
-	// A third daemon over the same (now imported) journal owes nothing.
+	// A second daemon over the same journal owes nothing.
 	if err := s.Drain(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}

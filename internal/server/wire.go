@@ -131,7 +131,7 @@ type ErrorBody struct {
 // JournalStatus is the write-ahead job journal's statusz view. Pending
 // is the journal lag: jobs durably accepted but not yet finished — what
 // a crash right now would replay on the next start. Corrupt counts the
-// records (and imported legacy lines) that did not decode at open.
+// records that did not decode at open.
 type JournalStatus struct {
 	Path     string `json:"path"`
 	Appended int64  `json:"appended"`

@@ -80,9 +80,10 @@ func (sm *SM) AuditBarriers() error {
 // AuditScoreboard verifies scoreboard conservation: every pending
 // register or predicate bit of a live warp must be covered by an
 // in-flight writeback event or a load line waiting on an L1 MSHR line,
-// and every queued writeback must still be in the future. A pending bit
-// with no producer means a result was lost — the warp would wait
-// forever. It then recounts the load lines in flight (recountLines).
+// and every queued writeback must still be in the future and inside the
+// writeback wheel's span. A pending bit with no producer means a result
+// was lost — the warp would wait forever. It then recounts the load
+// lines in flight (recountLines).
 func (sm *SM) AuditScoreboard(now int64) error {
 	covered := make(map[int]uint64)
 	coveredP := make(map[int]uint8)
@@ -92,15 +93,22 @@ func (sm *SM) AuditScoreboard(now int64) error {
 			coveredP[ws] |= preds
 		}
 	}
-	var staleAt int64 = -1
+	var staleAt, farAt int64 = -1, -1
 	sm.wb.forEach(func(at int64, ev *wbEvent) {
 		if at <= now && staleAt < 0 {
 			staleAt = at
+		}
+		if at-now >= wbWheelSize && farAt < 0 {
+			farAt = at
 		}
 		cover(int(ev.warpSlot), ev.gen, ev.regMask, ev.predMask)
 	})
 	if staleAt >= 0 {
 		return fmt.Errorf("SM%d: writeback event scheduled for cycle %d never fired (now %d)", sm.ID, staleAt, now)
+	}
+	if farAt >= 0 {
+		return fmt.Errorf("SM%d: writeback event scheduled for cycle %d, %d or more cycles ahead of now %d (past the wheel's span)",
+			sm.ID, farAt, wbWheelSize, now)
 	}
 	sm.mshr.ForEach(func(_ uint32, loads []LoadRef) {
 		for _, r := range loads {

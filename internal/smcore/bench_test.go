@@ -67,7 +67,7 @@ func benchTicks(b *testing.B, k *kernel.Kernel, gridDim, minWarps int) {
 	if warps := occ.Max * k.WarpsPerBlock(); warps < minWarps {
 		b.Fatalf("only %d resident warps, want >= %d", warps, minWarps)
 	}
-	sm, err := New(0, &cfg, l, occ, ms)
+	sm, err := NewMulti(0, &cfg, []TenantLaunch{{Launch: l, Occ: occ}}, ms)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func benchBlockedTicks(b *testing.B, cfg config.Config, k *kernel.Kernel, warm i
 	buf := ms.Global.Alloc(1 << 22)
 	l := &kernel.Launch{Kernel: k, GridDim: 1 << 10, Params: []uint32{buf}}
 	occ := core.ComputeOccupancy(&cfg, k)
-	sm, err := New(0, &cfg, l, occ, ms)
+	sm, err := NewMulti(0, &cfg, []TenantLaunch{{Launch: l, Occ: occ}}, ms)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func BenchmarkSMTickLockWait(b *testing.B) {
 	cfg := config.Default()
 	cfg.Sharing, cfg.T = config.ShareRegisters, 0.1
 	sm := benchBlockedTicks(b, cfg, kb.MustBuild(), 256)
-	if occ := sm.Occupancy(); occ.Pairs != 3 {
+	if occ := sm.tens[0].occ; occ.Pairs != 3 {
 		b.Fatalf("want 3 register-sharing pairs, got %+v", occ)
 	}
 	if sm.Stats.BlockLockWait < 12*int64(b.N) || sm.Stats.WarpInstrs < int64(b.N)/4 {

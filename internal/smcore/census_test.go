@@ -152,7 +152,7 @@ func TestCardsLockstepWithReference(t *testing.T) {
 		if occ.Pairs == 0 {
 			t.Fatalf("blockmix kernel is not register-limited: %+v", occ)
 		}
-		sm, err := New(1, &cfg, l, occ, ms) // SM 1: the dyn gate is live, not pinned to 0
+		sm, err := NewMulti(1, &cfg, []TenantLaunch{{Launch: l, Occ: occ}}, ms) // SM 1: the dyn gate is live, not pinned to 0
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestCardsLockstepWithReference(t *testing.T) {
 	a, msA := build(false)
 	b, msB := build(true)
 	next := 0
-	for slot := 0; slot < a.Occupancy().Max; slot++ {
+	for slot := 0; slot < a.tens[0].occ.Max; slot++ {
 		mustLaunch(t, a, slot, next)
 		mustLaunch(t, b, slot, next)
 		next++

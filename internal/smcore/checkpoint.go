@@ -305,14 +305,19 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 			return fmt.Errorf("SM%d: writeback %d references warp slot %d out of range", sm.ID, i, ev.WarpSlot)
 		}
 		// The wheel fires a slot only on its own cycle: a deadline
-		// before now would strand its warp until the watchdog.
+		// before now would strand its warp until the watchdog, and one a
+		// span or more ahead would share a slot with a nearer deadline.
 		if ev.At < now {
 			return fmt.Errorf("SM%d: writeback %d is due at cycle %d, before the restore cycle %d", sm.ID, i, ev.At, now)
+		}
+		if ev.At-now >= wbWheelSize {
+			return fmt.Errorf("SM%d: writeback %d is due at cycle %d, %d or more cycles after the restore cycle %d",
+				sm.ID, i, ev.At, wbWheelSize, now)
 		}
 		if ev.Load && ev.PredMask != 0 {
 			return fmt.Errorf("SM%d: load-line writeback %d writes predicates %#x", sm.ID, i, ev.PredMask)
 		}
-		sm.wb.schedule(now, ev.At, wbEvent{
+		sm.wb.schedule(ev.At, wbEvent{
 			warpSlot: int32(ev.WarpSlot), gen: ev.Gen, regMask: ev.RegMask, predMask: ev.PredMask, load: ev.Load,
 		})
 	}

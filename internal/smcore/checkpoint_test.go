@@ -21,7 +21,7 @@ func TestCheckpointDerivedStateAndLegacyFields(t *testing.T) {
 	params := []uint32{0, 1 << 20}
 	src, ms, _ := buildSM(t, cfg, k, 64, params...)
 	ms.Global.Alloc(1 << 22)
-	for slot := 0; slot < src.Occupancy().Max; slot++ {
+	for slot := 0; slot < src.tens[0].occ.Max; slot++ {
 		mustLaunch(t, src, slot, slot)
 	}
 	// Tick the SM alone (no memory replies) until it is wedged on loads:

@@ -1,6 +1,7 @@
 package smcore
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -16,7 +17,9 @@ import (
 // ticked until the load has issued (no refresh involved: an issue
 // queues only a warp that finished or parked) and its scheduler has
 // taken a census of the warp waiting on it; each hand-made corruption
-// must then be named by the audit, and the clean state must pass again. The two-level policy's
+// must then be named by the audit, and the clean state must pass again;
+// so must a writeback planted a wheel span ahead, past the wheel's
+// contract, for the scoreboard audit. The two-level policy's
 // waiting-on-load input is read live (waitingLong), not cached: it must
 // say waiting while the line is out and stop once it lands.
 func TestAuditCatchesStalePatchedState(t *testing.T) {
@@ -106,6 +109,25 @@ func TestAuditCatchesStalePatchedState(t *testing.T) {
 		t.Errorf("queued warp with a stale cached PC: audit said %v", err)
 	}
 	wc.pc--
+
+	// A writeback a wheel span ahead of the last cycle ticked lies
+	// outside the wheel's contract: the scoreboard audit must name it.
+	last := now - 1
+	if err := sm.AuditScoreboard(last); err != nil {
+		t.Fatalf("clean scoreboard: %v", err)
+	}
+	far := last + wbWheelSize
+	sm.wb.schedule(far, wbEvent{warpSlot: ws, gen: wc.gen})
+	want := fmt.Sprintf("SM0: writeback event scheduled for cycle %d, %d or more cycles ahead of now %d", far, wbWheelSize, last)
+	if err := sm.AuditScoreboard(last); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("far writeback deadline: audit said %v, want an error containing %q", err, want)
+	}
+	if _, ok := takeWB(&sm.wb, far); !ok {
+		t.Fatal("the planted writeback is not in its slot")
+	}
+	if err := sm.AuditScoreboard(last); err != nil {
+		t.Fatalf("far writeback deadline: audit still objects after the repair: %v", err)
+	}
 
 	tickUntil("the load's completion", func() bool { return wc.loadRegs == 0 })
 	if sm.waitingLong(ws) {

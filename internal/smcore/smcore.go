@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"gpushare/internal/config"
-	"gpushare/internal/core"
 	"gpushare/internal/fault"
 	"gpushare/internal/isa"
 	"gpushare/internal/kernel"
@@ -183,13 +182,6 @@ type SM struct {
 	walked []verdict
 }
 
-// New builds an SM for a single kernel launch: a one-tenant SM laid out
-// exactly as the pre-tenancy core. The sharing manager governs the pair
-// slots defined by the occupancy.
-func New(id int, cfg *config.Config, l *kernel.Launch, occ core.Occupancy, ms *mem.System) (*SM, error) {
-	return NewMulti(id, cfg, []TenantLaunch{{Launch: l, Occ: occ}}, ms)
-}
-
 // SetFaults arms a fault-injection plan on this SM and its sharing
 // managers (invariant-checker tests only).
 func (sm *SM) SetFaults(p *fault.Plan) {
@@ -199,15 +191,8 @@ func (sm *SM) SetFaults(p *fault.Plan) {
 	}
 }
 
-// Occupancy returns the SM's occupancy plan (first tenant's on a
-// multi-tenant SM; per-tenant plans come from TenantStats/TenantSlots).
-func (sm *SM) Occupancy() core.Occupancy { return sm.tens[0].occ }
-
 // L1Stats returns the SM's L1 cache counters.
 func (sm *SM) L1Stats() *stats.Cache { return &sm.l1.Stats }
-
-// Sharing returns the first tenant's sharing manager (for tests).
-func (sm *SM) Sharing() *core.Manager { return sm.tens[0].shr }
 
 // SetDynProb sets the probability of issuing non-owner memory
 // instructions (dynamic warp execution controller).
@@ -224,9 +209,6 @@ func (sm *SM) SetDynProb(p float64) {
 	sm.dynProb = p
 	sm.Stats.DynProbFinal = p
 }
-
-// DynProb returns the current non-owner memory issue probability.
-func (sm *SM) DynProb() float64 { return sm.dynProb }
 
 // ActiveBlocks returns the number of live thread blocks.
 func (sm *SM) ActiveBlocks() int { return sm.liveBlocks }

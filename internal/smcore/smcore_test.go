@@ -22,7 +22,7 @@ func buildSM(t *testing.T, cfg config.Config, k *kernel.Kernel, grid int, params
 	ms := mem.NewSystem(&cfg)
 	l := &kernel.Launch{Kernel: k, GridDim: grid, Params: params}
 	occ := core.ComputeOccupancy(&cfg, k)
-	sm, err := New(0, &cfg, l, occ, ms)
+	sm, err := NewMulti(0, &cfg, []TenantLaunch{{Launch: l, Occ: occ}}, ms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestGlobalLoadRoundTrip(t *testing.T) {
 	ms.Global.Store32(in, 41)
 	l := &kernel.Launch{Kernel: k, GridDim: 1, Params: []uint32{in, out}}
 	occ := core.ComputeOccupancy(&cfg, k)
-	sm, err := New(0, &cfg, l, occ, ms)
+	sm, err := NewMulti(0, &cfg, []TenantLaunch{{Launch: l, Occ: occ}}, ms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestDynGateBlocksNonOwnerMemOnSM0(t *testing.T) {
 	if occ.Pairs == 0 {
 		t.Skip("test kernel unexpectedly not register-limited")
 	}
-	sm, err := New(0, &cfg, l, occ, ms)
+	sm, err := NewMulti(0, &cfg, []TenantLaunch{{Launch: l, Occ: occ}}, ms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,11 +279,11 @@ func TestDynGateBlocksNonOwnerMemOnSM0(t *testing.T) {
 	if sm.Stats.BlockDynGate == 0 {
 		t.Error("no dyn-gate blocks recorded on the reference SM")
 	}
-	if sm.DynProb() != 0 {
+	if sm.dynProb != 0 {
 		t.Error("SM0's probability must stay 0")
 	}
 	sm.SetDynProb(0.7)
-	if sm.DynProb() != 0 {
+	if sm.dynProb != 0 {
 		t.Error("SetDynProb must not override the reference SM")
 	}
 }
@@ -304,7 +304,7 @@ func TestSharedRegLockStallsPartner(t *testing.T) {
 	cfg.Sharing = config.ShareRegisters
 	cfg.T = 0.1
 	sm, ms, _ := buildSM(t, cfg, k, 16)
-	occ := sm.Occupancy()
+	occ := sm.tens[0].occ
 	if occ.Pairs == 0 {
 		t.Fatalf("expected pairs, got %+v", occ)
 	}

@@ -260,7 +260,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 		sm.lsuBusy = now + int64(deg-1)
 		if op == isa.LDS {
 			lat := int64(sm.cfg.SmemLat + deg - 1)
-			sm.wb.schedule(now, now+lat, wbEvent{warpSlot: int32(ws), gen: wc.gen, regMask: me.dstRegMask})
+			sm.wb.schedule(now+lat, wbEvent{warpSlot: int32(ws), gen: wc.gen, regMask: me.dstRegMask})
 			wc.pendingRegs |= me.dstRegMask
 		}
 	case op == isa.LDG:
@@ -278,7 +278,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 		if me.dstRegMask != 0 || me.dstPredMask != 0 {
 			wc.pendingRegs |= me.dstRegMask
 			wc.pendingPreds |= me.dstPredMask
-			sm.wb.schedule(now, now+me.lat, wbEvent{warpSlot: int32(ws), gen: wc.gen, regMask: me.dstRegMask, predMask: me.dstPredMask})
+			sm.wb.schedule(now+me.lat, wbEvent{warpSlot: int32(ws), gen: wc.gen, regMask: me.dstRegMask, predMask: me.dstPredMask})
 		}
 	}
 
@@ -310,7 +310,7 @@ func (sm *SM) issueGlobalLoad(ws int, wc *warpCtx, dstMask uint64, res warp.Resu
 	sm.Stats.CoalescedAccess += int64(len(lines))
 	wc.pendingRegs |= dstMask
 	if len(lines) == 0 { // fully guarded off
-		sm.wb.schedule(now, now+1, wbEvent{warpSlot: int32(ws), gen: wc.gen, regMask: dstMask})
+		sm.wb.schedule(now+1, wbEvent{warpSlot: int32(ws), gen: wc.gen, regMask: dstMask})
 		return
 	}
 	wc.loadRegs |= dstMask
@@ -319,7 +319,7 @@ func (sm *SM) issueGlobalLoad(ws int, wc *warpCtx, dstMask uint64, res warp.Resu
 	ref := LoadRef{Slot: int32(ws), Gen: wc.gen, Reg: reg}
 	for _, line := range lines {
 		if sm.l1.Probe(line) {
-			sm.wb.schedule(now, now+int64(sm.cfg.L1HitLat), wbEvent{warpSlot: int32(ws), gen: wc.gen, regMask: dstMask, load: true})
+			sm.wb.schedule(now+int64(sm.cfg.L1HitLat), wbEvent{warpSlot: int32(ws), gen: wc.gen, regMask: dstMask, load: true})
 		} else if sm.mshr.Add(line, ref) {
 			sm.sendLine(line, false, now) // a first miss opens the MSHR entry
 		} else {
@@ -347,11 +347,11 @@ func (sm *SM) issueGlobalStore(res warp.Result, now int64) {
 }
 
 // processWritebacks retires the events scheduled for this cycle: the
-// wheel slot's chain in FIFO order, then the overflow list. Each event
-// is copied out of the wheel before retireWB sees it.
+// wheel slot's chain in FIFO order. Each event is copied out of the
+// wheel before retireWB sees it.
 func (sm *SM) processWritebacks(now int64) {
 	var ev wbEvent
-	for sm.wb.next(now, &ev) || len(sm.wb.overflow) > 0 && sm.wb.nextOverflow(now, &ev) {
+	for sm.wb.next(now, &ev) {
 		sm.retireWB(&ev, now)
 	}
 }

@@ -6,6 +6,11 @@ import (
 	"slices"
 	"testing"
 	"unsafe"
+
+	"gpushare/internal/config"
+	"gpushare/internal/isa"
+	"gpushare/internal/kernel"
+	"gpushare/internal/mem"
 )
 
 // TestWBEventSize pins the writeback event, which is also the wheel
@@ -20,70 +25,73 @@ func TestWBEventSize(t *testing.T) {
 	}
 }
 
+// TestWheelSpansEveryLatency pins the wheel's contract to the
+// configuration's bound: the longest writeback an SM schedules —
+// config.MaxSMLat plus the worst scratchpad bank conflict (a warp's
+// lanes on distinct words of one bank) or the worst register-bank
+// conflict (every source of a three-source instruction on one bank) —
+// lies strictly inside the span, which is a power of two.
+func TestWheelSpansEveryLatency(t *testing.T) {
+	if wbWheelSize&(wbWheelSize-1) != 0 {
+		t.Fatalf("wbWheelSize = %d, want a power of two", wbWheelSize)
+	}
+	cfg := config.Default()
+	var addrs [kernel.WarpSize]uint32
+	for i := range addrs {
+		addrs[i] = uint32(i * 4 * cfg.SmemBanks) // lane i: word i*banks, all on bank 0
+	}
+	smem := int64(mem.BankConflictDegree(&addrs, ^uint32(0), cfg.SmemBanks) - 1)
+	cfg.RFBanks = 1
+	ffma := isa.Instr{Op: isa.FFMA, Dst: isa.Reg(0), A: isa.Reg(1), B: isa.Reg(2), C: isa.Reg(3)}
+	rf := rfConflictCycles(&cfg, &ffma)
+	if smem != kernel.WarpSize-1 || rf != 2 {
+		t.Fatalf("worst conflicts: scratchpad %d, register file %d; want %d and 2", smem, rf, kernel.WarpSize-1)
+	}
+	if worst := config.MaxSMLat + max(smem, rf); worst >= wbWheelSize {
+		t.Fatalf("the longest writeback is %d cycles (MaxSMLat %d + %d), not inside the %d-cycle wheel",
+			worst, config.MaxSMLat, max(smem, rf), wbWheelSize)
+	}
+}
+
 // takeWB takes the next event due at now the way SM.Tick and
 // processWritebacks do: nothing unless due says so, then the slot's
-// chain first and the overflow list after it.
+// chain.
 func takeWB(w *wbWheel, now int64) (ev wbEvent, ok bool) {
-	ok = w.due(now) && (w.next(now, &ev) || len(w.overflow) > 0 && w.nextOverflow(now, &ev))
+	ok = w.due(now) && w.next(now, &ev)
 	return ev, ok
 }
 
 // wheelModel is the reference the wheel is held to: every scheduled
-// event keyed by deadline, in scheduling order, each marked with whether
-// the wheel must have put it in the overflow map. That is decided from
-// the model's own contents: a deadline a wheel span or more ahead, or a
-// residue some other in-wheel deadline holds. near counts the in-wheel
-// events and peak its maximum since the last reset, the most nodes the
-// arena may need.
+// event keyed by deadline, in scheduling order. peak is the most events
+// it held at once since the last reset, the most nodes the arena may
+// need.
 type wheelModel struct {
-	evs        map[int64][]modelEvent
-	near, peak int
+	evs        map[int64][]wbEvent
+	held, peak int
 }
 
-type modelEvent struct {
-	ev  wbEvent
-	far bool
+func (m *wheelModel) schedule(at int64, ev wbEvent) {
+	m.evs[at] = append(m.evs[at], ev)
+	m.held++
+	m.peak = max(m.peak, m.held)
 }
 
-func (m *wheelModel) schedule(now, at int64, ev wbEvent) {
-	far := at-now >= wbWheelSize
-	for d, evs := range m.evs {
-		for _, e := range evs {
-			if !e.far && d != at && d&(wbWheelSize-1) == at&(wbWheelSize-1) {
-				far = true
-			}
-		}
-	}
-	m.evs[at] = append(m.evs[at], modelEvent{ev, far})
-	if !far {
-		m.near++
-		m.peak = max(m.peak, m.near)
-	}
-}
-
-// take removes and returns the event the wheel must retire next at now:
-// the first in-wheel event due then, else the first overflow one.
+// take removes and returns the first event due at now.
 func (m *wheelModel) take(now int64) (wbEvent, bool) {
 	evs := m.evs[now]
 	if len(evs) == 0 {
 		return wbEvent{}, false
 	}
-	k := slices.IndexFunc(evs, func(e modelEvent) bool { return !e.far })
-	if k < 0 {
-		k = 0
-	} else {
-		m.near--
-	}
-	ev := evs[k].ev
-	if m.evs[now] = slices.Delete(evs, k, k+1); len(m.evs[now]) == 0 {
+	if m.evs[now] = evs[1:]; len(m.evs[now]) == 0 {
 		delete(m.evs, now)
 	}
-	return ev, true
+	m.held--
+	return evs[0], true
 }
 
 func (m *wheelModel) reset() {
 	clear(m.evs)
-	m.near, m.peak = 0, 0
+	m.held, m.peak = 0, 0
 }
 
 type dueEvent struct {
@@ -91,75 +99,52 @@ type dueEvent struct {
 	ev wbEvent
 }
 
-// listing is forEach's order: in-wheel events by slot index, FIFO within
-// a slot, then overflow deadlines ascending, FIFO within a deadline.
+// listing is forEach's order: events by slot index, FIFO within a slot.
 func (m *wheelModel) listing() []dueEvent {
-	var near, far []dueEvent
-	ats := make([]int64, 0, len(m.evs))
-	for at := range m.evs {
-		ats = append(ats, at)
-	}
-	slices.Sort(ats)
-	for _, at := range ats {
-		for _, e := range m.evs[at] {
-			if e.far {
-				far = append(far, dueEvent{at, e.ev})
-			} else {
-				near = append(near, dueEvent{at, e.ev})
-			}
+	var l []dueEvent
+	for at, evs := range m.evs {
+		for _, ev := range evs {
+			l = append(l, dueEvent{at, ev})
 		}
 	}
-	// Stable: one slot holds one deadline, so FIFO order survives.
-	slices.SortStableFunc(near, func(a, b dueEvent) int {
+	// Stable within a slot: one slot holds one deadline, whose events
+	// were appended in scheduling order.
+	slices.SortStableFunc(l, func(a, b dueEvent) int {
 		return cmp.Compare(a.at&(wbWheelSize-1), b.at&(wbWheelSize-1))
 	})
-	return append(near, far...)
-}
-
-func (m *wheelModel) count() int {
-	n := 0
-	for _, evs := range m.evs {
-		n += len(evs)
-	}
-	return n
+	return l
 }
 
 // TestWheelMatchesModel drives the wheel and the model with the same
 // random schedules, per-cycle drains, resets and walks, and demands the
 // same events retire in the same order and forEach list the same events
-// in the same order. The schedules cover short latencies, deadlines a
-// wheel span and more ahead (the overflow map, also for a deadline
-// whose slot later fills), residue collisions (a skipped drain strands
-// a slot's deadline, so a later in-window deadline on its residue
-// overflows), retires that schedule — into the slot being drained
-// (due now, taken in the same drain) and elsewhere, reusing the node
-// just freed or growing the arena mid-drain — and resets. The arena may
-// never hold more nodes than events were in the wheel at once: a
-// retired node is reused through the free list.
+// in the same order. The schedules keep the wheel's contract — every
+// deadline 1 to wbWheelSize-1 cycles ahead, from short latencies to
+// either side of the longest, and every cycle drained — and include
+// schedules made mid-drain, which reuse the node just freed or grow the
+// arena, and resets. The arena may never hold more nodes than events
+// were in the wheel at once: a retired node is reused through the free
+// list.
 func TestWheelMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var w wbWheel
-		m := &wheelModel{evs: map[int64][]modelEvent{}}
+		m := &wheelModel{evs: map[int64][]wbEvent{}}
 		id := uint64(0)
-		newEv := func() wbEvent {
-			id++
-			return wbEvent{regMask: id, warpSlot: int32(rng.Intn(48)), gen: uint32(rng.Intn(4)), predMask: uint8(rng.Intn(256))}
-		}
-		sched := func(now, at int64) {
-			ev := newEv()
-			w.schedule(now, at, ev)
-			m.schedule(now, at, ev)
-		}
-		latency := func() int64 {
+		sched := func(now int64) {
+			var at int64
 			switch r := rng.Intn(20); {
 			case r < 14:
-				return 1 + rng.Int63n(24)
+				at = now + 1 + rng.Int63n(24)
 			case r < 17:
-				return wbWheelSize - 2 + rng.Int63n(4) // either side of the span
+				at = now + wbWheelSize - 1 - rng.Int63n(3) // the span's far edge
 			default:
-				return 1 + rng.Int63n(3*wbWheelSize)
+				at = now + 1 + rng.Int63n(wbWheelSize-1)
 			}
+			id++
+			ev := wbEvent{regMask: id, warpSlot: int32(rng.Intn(48)), gen: uint32(rng.Intn(4)), predMask: uint8(rng.Intn(256))}
+			w.schedule(at, ev)
+			m.schedule(at, ev)
 		}
 		now := int64(rng.Intn(1000))
 		for step := 0; step < 2000; step++ {
@@ -167,31 +152,25 @@ func TestWheelMatchesModel(t *testing.T) {
 				w.reset()
 				m.reset()
 			}
-			if rng.Intn(50) != 0 { // a skipped drain strands this cycle's events
-				for k := 0; ; k++ {
-					got, ok := takeWB(&w, now)
-					want, wok := m.take(now)
-					if ok != wok {
-						t.Fatalf("seed %d cycle %d: retire %d: wheel has an event %t, model %t", seed, now, k, ok, wok)
-					}
-					if !ok {
-						break
-					}
-					got.next = 0
-					if got != want {
-						t.Fatalf("seed %d cycle %d: retire %d is %+v, model says %+v", seed, now, k, got, want)
-					}
-					switch rng.Intn(8) {
-					case 0:
-						sched(now, now) // into the slot being drained
-					case 1, 2:
-						sched(now, now+latency())
-					}
+			for k := 0; ; k++ {
+				got, ok := takeWB(&w, now)
+				want, wok := m.take(now)
+				if ok != wok {
+					t.Fatalf("seed %d cycle %d: retire %d: wheel has an event %t, model %t", seed, now, k, ok, wok)
+				}
+				if !ok {
+					break
+				}
+				got.next = 0
+				if got != want {
+					t.Fatalf("seed %d cycle %d: retire %d is %+v, model says %+v", seed, now, k, got, want)
+				}
+				if rng.Intn(4) == 0 {
+					sched(now)
 				}
 			}
-			now++
 			for n := rng.Intn(5); n > 0; n-- {
-				sched(now, now+latency())
+				sched(now)
 			}
 			if step%7 == 0 {
 				var got []dueEvent
@@ -204,13 +183,14 @@ func TestWheelMatchesModel(t *testing.T) {
 					t.Fatalf("seed %d cycle %d: forEach lists %d events, model %d, or in another order", seed, now, len(got), len(want))
 				}
 			}
-			if w.count != m.count() {
-				t.Fatalf("seed %d cycle %d: wheel counts %d events, model holds %d", seed, now, w.count, m.count())
+			if w.count != m.held {
+				t.Fatalf("seed %d cycle %d: wheel counts %d events, model holds %d", seed, now, w.count, m.held)
 			}
 			if len(w.nodes) > m.peak+1 {
 				t.Fatalf("seed %d cycle %d: the arena has %d nodes, but at most %d events were in the wheel at once (plus the sentinel)",
 					seed, now, len(w.nodes), m.peak)
 			}
+			now++
 		}
 	}
 }
@@ -223,7 +203,7 @@ func TestWheelAllocs(t *testing.T) {
 	now := int64(0)
 	cycle := func() {
 		for k := int64(0); k < 6; k++ {
-			w.schedule(now, now+1+(k*13+now)%40, wbEvent{warpSlot: int32(k)})
+			w.schedule(now+1+(k*13+now)%40, wbEvent{warpSlot: int32(k)})
 		}
 		for {
 			if _, ok := takeWB(&w, now); !ok {

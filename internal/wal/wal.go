@@ -7,7 +7,6 @@
 package wal
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
@@ -34,7 +33,7 @@ type Record struct {
 type Stats struct {
 	Appended int64 // records written (Accept) or removed (Done) by this process
 	Pending  int   // records on disk: accepts without a done
-	Corrupt  int64 // undecodable records (and legacy lines) dropped at open
+	Corrupt  int64 // undecodable records dropped at open
 	Errors   int64 // failed writes (journaling degrades, never blocks work)
 }
 
@@ -55,14 +54,14 @@ type Log struct {
 	appended, corrupt, errors int64
 }
 
-// Open opens (creating if needed) the journal directory dir, first
-// importing a JSON-lines journal file an earlier version left there. It
-// removes interrupted writes' temp files and, counted, records that do
-// not decode (they never took effect), and returns the rest in admission
-// order for the caller to re-admit.
+// Open opens (creating if needed) the journal directory dir; a path
+// that names anything but a directory is an error, and is left as it
+// is. Open removes interrupted writes' temp files and, counted, records
+// that do not decode (they never took effect), and returns the rest in
+// admission order for the caller to re-admit.
 func Open(dir string) (*Log, []Record, error) {
 	l := &Log{dir: dir, pending: make(map[string]int64)}
-	err := errors.Join(l.importLegacy(), os.MkdirAll(dir, 0o755))
+	err := os.MkdirAll(dir, 0o755)
 	var ents []os.DirEntry
 	if err == nil {
 		ents, err = os.ReadDir(dir)
@@ -86,50 +85,6 @@ func Open(dir string) (*Log, []Record, error) {
 	}
 	slices.SortStableFunc(recs, func(a, b Record) int { return cmp.Compare(a.Seq, b.Seq) })
 	return l, recs, nil
-}
-
-// importLegacy turns a JSON-lines journal file at l.dir into records,
-// once, by replaying its accepts and dones onto the directory. The file
-// is first copied to l.dir+".import", the authority until the replay is
-// through: a crash at any point leaves the old file or its copy, and the
-// next Open redoes the import.
-func (l *Log) importLegacy() error {
-	side := l.dir + ".import"
-	if raw, err := os.ReadFile(l.dir); err == nil { // not a directory
-		if err := checkpoint.WriteFileAtomic(side, raw); err != nil {
-			return err
-		}
-	}
-	raw, err := os.ReadFile(side)
-	if err == nil {
-		err = errors.Join(os.RemoveAll(l.dir), os.MkdirAll(l.dir, 0o755))
-	}
-	if os.IsNotExist(err) {
-		return nil
-	} else if err != nil {
-		return err
-	}
-	for _, line := range bytes.Split(raw, []byte("\n")) {
-		var rec struct {
-			Op, Key string
-			Req     json.RawMessage
-		}
-		switch {
-		case len(line) == 0:
-		case json.Unmarshal(line, &rec) != nil || !validKey(rec.Key):
-			l.corrupt++ // a torn tail: that append never took effect
-		case rec.Op == "accept" && len(rec.Req) > 0:
-			err = errors.Join(err, l.Accept(rec.Key, rec.Req))
-		case rec.Op == "done":
-			err = errors.Join(err, l.Done(rec.Key))
-		default:
-			l.corrupt++
-		}
-	}
-	if err != nil {
-		return err // the copy stays the authority
-	}
-	return errors.Join(os.Remove(side), checkpoint.SyncDir(filepath.Dir(side)))
 }
 
 // validKey admits keys that name one file of the journal directory and

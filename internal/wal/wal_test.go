@@ -207,73 +207,27 @@ func TestKeyIsOnePathElement(t *testing.T) {
 	}
 }
 
-// legacy is a JSON-lines journal as earlier versions wrote it: a1 and a3
-// are owed, a2 was retired, a1 was accepted twice, and the tail is torn
-// by a crash mid-append.
-const legacy = `{"op":"accept","key":"a1","req":{"n":1}}
-{"op":"accept","key":"a2","req":{"n":2}}
-{"op":"accept","key":"a3","req":{"n":3}}
-{"op":"done","key":"a2"}
-{"op":"accept","key":"a1","req":{"n":11}}
-{"op":"accept","key":"torn","req":{"n"`
-
-// TestTornTailTolerated: a JSON-lines journal left at the path is
-// imported once — its owed accepts in admission order, the torn tail
-// counted and dropped — and the path becomes the record directory.
-func TestTornTailTolerated(t *testing.T) {
+// TestOpenRefusesRegularFile: a journal path that names a regular file
+// (a journal file some other tool, or an old version, left there) is
+// refused with an error that names the path, and the file is left as it
+// was.
+func TestOpenRefusesRegularFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+	body := []byte(`{"op":"accept","key":"a1","req":{"n":1}}` + "\n")
+	if err := os.WriteFile(path, body, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, pending, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
+	l, _, err := Open(path)
+	if err == nil {
+		l.Close()
+		t.Fatal("Open of a regular file succeeded")
 	}
-	if got := keys(pending); got != "a1,a3" {
-		t.Fatalf("imported = %s, want a1,a3", got)
+	if !strings.Contains(err.Error(), path) {
+		t.Fatalf("Open error %q does not name %s", err, path)
 	}
-	if string(pending[0].Req) != `{"n":1}` {
-		t.Fatalf("a1 payload = %s, want the first accept's, as a re-accept keeps it", pending[0].Req)
-	}
-	if st := l.Stats(); st.Corrupt != 1 || st.Pending != 2 {
-		t.Fatalf("stats = %+v, want 1 corrupt line and 2 pending", st)
-	}
-	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
-		t.Fatalf("journal path after import: %v, %v; want a directory", fi, err)
-	}
-	if _, err := os.Stat(path + ".import"); !os.IsNotExist(err) {
-		t.Fatalf("import copy left behind: %v", err)
-	}
-	// The import happens once: a reopen reads the records.
-	if _, pending = reopen(t, l); keys(pending) != "a1,a3" {
-		t.Fatalf("reopen after import = %s, want a1,a3", keys(pending))
-	}
-}
-
-// TestImportResumesAfterCrash: a crash mid-import leaves the copy of the
-// old file beside a partial directory (here: a stale record the old
-// file does not owe); the next Open redoes the import from the copy.
-func TestImportResumesAfterCrash(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	if err := os.WriteFile(path+".import", []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(path, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(path, "a2"), []byte(`{"seq":2,"req":{"n":2}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, pending, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if got := keys(pending); got != "a1,a3" {
-		t.Fatalf("resumed import = %s, want a1,a3", got)
-	}
-	if _, err := os.Stat(path + ".import"); !os.IsNotExist(err) {
-		t.Fatalf("import copy left behind: %v", err)
+	got, rerr := os.ReadFile(path)
+	if fi, serr := os.Stat(path); rerr != nil || serr != nil || !fi.Mode().IsRegular() || string(got) != string(body) {
+		t.Fatalf("the file at the journal path changed: %q, %v, %v", got, rerr, serr)
 	}
 }
 

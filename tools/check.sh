@@ -16,7 +16,9 @@
 # (no patchView, no WaitingLong in internal/), that the SM's issue
 # stage keeps one shortcut (the census: no issue cards, no card hit
 # path), that a global load is its warp's register (no load group, no
-# pointer in a writeback event or an L1 MSHR key), that the memory side
+# pointer in a writeback event or an L1 MSHR key), that each cycle-path
+# delay has one timer (no writeback overflow map, no private relaunch
+# ring, no legacy journal import), that the memory side
 # skips nothing (no partition horizon, no DRAM next-event memo), and
 # that no pool, map-keyed MSHR or any-typed payload is back on the
 # memory path, EXPERIMENTS.md below its
@@ -197,6 +199,21 @@ fields=$(awk '/^type wbEvent struct/ { in_ev = 1; next } in_ev && /^}/ { in_ev =
 [ -n "$fields" ] || { echo "internal/smcore: no wbEvent struct found" >&2; exit 1; }
 hits=$(printf '%s\n' "$fields" | grep -E '\*|\[\]|map\[|chan |func|interface|\bany\b|\bstring\b' || true)
 [ -z "$hits" ] || { echo "internal/smcore: wbEvent holds a pointer again (the wheel arena is meant to be pointer-free):" >&2; echo "$hits" >&2; exit 1; }
+
+echo "== one timer per delay (the writeback wheel has no overflow map, the relaunch queue is an icnt.Network, the journal has no legacy import)"
+hits=$(grep -n -E 'nextOverflow|overflow[[:space:]]+map\[|overflow[[:space:]]*=[[:space:]]*make\(map' $sm_src | grep -v ':[[:space:]]*//' || true)
+[ -z "$hits" ] || { echo "internal/smcore: the writeback wheel has a second timer again (every deadline lies inside its span):" >&2; echo "$hits" >&2; exit 1; }
+gpu_src=$(ls internal/gpu/*.go | grep -v _test.go)
+hits=$(grep -n -F '&(len(' $gpu_src | grep -v ':[[:space:]]*//' || true)
+if [ -e internal/gpu/launchq.go ] || [ -n "$hits" ]; then
+    echo "internal/gpu: a private ring buffer is back (a fixed-latency FIFO is an icnt.Network):" >&2
+    [ ! -e internal/gpu/launchq.go ] || echo "internal/gpu/launchq.go" >&2
+    [ -z "$hits" ] || echo "$hits" >&2
+    exit 1
+fi
+hits=$(grep -n 'importLegacy' $(ls internal/wal/*.go | grep -v _test.go) || true)
+[ -z "$hits" ] || { echo "internal/wal: the legacy journal import is back (a -journal path is a record directory):" >&2; echo "$hits" >&2; exit 1; }
+echo "   non-test Go lines in internal/{smcore,gpu,config,wal}: $(cat $sm_src $gpu_src $(ls internal/config/*.go internal/wal/*.go | grep -v _test.go) | wc -l)"
 
 echo "== one atomic write (checkpoint.WriteFileAtomic is the only temp-file rename in non-test Go)"
 n=$(cat $nontest_go | grep -v '^[[:space:]]*//' | grep -c 'os\.Rename(' || true)
