@@ -3,6 +3,12 @@
 // kernel.Kernel. The format is what cmd/gasm consumes and what the
 // register-unrolling demonstration (Fig. 7 of the paper) operates on.
 //
+// Package isa owns the instruction syntax: every mnemonic, operand form
+// and name, and (*isa.Instr).String, which prints an instruction's line.
+// This package adds the directives, the label lines and the lexing of
+// operand text; Parse feeds a kernel.Builder, whose Build resolves the
+// labels, defaults the register footprint and validates the kernel.
+//
 // Example:
 //
 //	.kernel saxpy
@@ -31,18 +37,14 @@ import (
 	"gpushare/internal/kernel"
 )
 
-// Print renders a kernel as assembly text that Parse accepts. Branch
-// targets and reconvergence points become labels L<pc>.
+// Print renders a kernel as assembly text that Parse accepts: the
+// directives, then each instruction's String under a label line
+// (isa.Label) wherever a branch targets or reconverges.
 func Print(k *kernel.Kernel) string {
-	labels := map[int]string{}
+	labeled := map[int]bool{}
 	for _, in := range k.Instrs {
 		if in.Op == isa.BRA {
-			if _, ok := labels[in.Target]; !ok {
-				labels[in.Target] = fmt.Sprintf("L%d", in.Target)
-			}
-			if _, ok := labels[in.Reconv]; !ok {
-				labels[in.Reconv] = fmt.Sprintf("L%d", in.Reconv)
-			}
+			labeled[in.Target], labeled[in.Reconv] = true, true
 		}
 	}
 	var b strings.Builder
@@ -59,370 +61,163 @@ func Print(k *kernel.Kernel) string {
 		fmt.Fprintf(&b, ".params %d\n", k.NumParams)
 	}
 	b.WriteByte('\n')
-	for pc, in := range k.Instrs {
-		if l, ok := labels[pc]; ok {
-			fmt.Fprintf(&b, "%s:\n", l)
+	for pc := 0; pc <= len(k.Instrs); pc++ {
+		if labeled[pc] {
+			b.WriteString(isa.Label(pc) + ":\n")
 		}
-		b.WriteString("\t")
-		if in.Guarded() {
-			neg := ""
-			if in.GuardNeg {
-				neg = "!"
-			}
-			fmt.Fprintf(&b, "@%sp%d ", neg, in.GuardPred)
+		if pc < len(k.Instrs) {
+			b.WriteString("\t" + k.Instrs[pc].String() + "\n")
 		}
-		b.WriteString(printInstr(&in, labels))
-		b.WriteByte('\n')
-	}
-	if l, ok := labels[len(k.Instrs)]; ok {
-		fmt.Fprintf(&b, "%s:\n", l)
 	}
 	return b.String()
 }
 
-func printInstr(in *isa.Instr, labels map[int]string) string {
-	switch in.Op {
-	case isa.NOP, isa.BAR, isa.EXIT:
-		return in.Op.String()
-	case isa.BRA:
-		return fmt.Sprintf("bra %s, reconv %s", labels[in.Target], labels[in.Reconv])
-	case isa.SETP:
-		return fmt.Sprintf("setp.%s %s, %s, %s", in.Cmp, operand(in.Dst), operand(in.A), operand(in.B))
-	case isa.SELP:
-		return fmt.Sprintf("selp %s, %s, %s, %s", operand(in.Dst), operand(in.A), operand(in.B), operand(in.C))
-	case isa.LDP:
-		return fmt.Sprintf("ld.param %s, [%d]", operand(in.Dst), in.Off)
-	case isa.LDG, isa.LDS:
-		return fmt.Sprintf("%s %s, [%s%+d]", in.Op, operand(in.Dst), operand(in.A), in.Off)
-	case isa.STG, isa.STS:
-		return fmt.Sprintf("%s [%s%+d], %s", in.Op, operand(in.A), in.Off, operand(in.B))
-	case isa.IMAD, isa.FFMA:
-		return fmt.Sprintf("%s %s, %s, %s, %s", in.Op, operand(in.Dst), operand(in.A), operand(in.B), operand(in.C))
-	case isa.MOV, isa.FRCP, isa.FSQRT, isa.FEXP, isa.FLOG, isa.FSIN, isa.I2F, isa.F2I:
-		return fmt.Sprintf("%s %s, %s", in.Op, operand(in.Dst), operand(in.A))
-	default:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, operand(in.Dst), operand(in.A), operand(in.B))
-	}
-}
-
-func operand(o isa.Operand) string { return o.String() }
-
-// opsByName maps mnemonics to opcodes for the parser.
-var opsByName = map[string]isa.Opcode{
-	"nop": isa.NOP, "mov": isa.MOV, "iadd": isa.IADD, "isub": isa.ISUB,
-	"imul": isa.IMUL, "imad": isa.IMAD, "imin": isa.IMIN, "imax": isa.IMAX,
-	"and": isa.AND, "or": isa.OR, "xor": isa.XOR, "shl": isa.SHL,
-	"shr": isa.SHR, "sra": isa.SRA,
-	"fadd": isa.FADD, "fsub": isa.FSUB, "fmul": isa.FMUL, "ffma": isa.FFMA,
-	"fmin": isa.FMIN, "fmax": isa.FMAX,
-	"frcp": isa.FRCP, "fsqrt": isa.FSQRT, "fexp": isa.FEXP,
-	"flog": isa.FLOG, "fsin": isa.FSIN,
-	"i2f": isa.I2F, "f2i": isa.F2I, "selp": isa.SELP,
-	"ld.global": isa.LDG, "st.global": isa.STG,
-	"ld.shared": isa.LDS, "st.shared": isa.STS, "ld.param": isa.LDP,
-	"bra": isa.BRA, "bar.sync": isa.BAR, "exit": isa.EXIT,
-}
-
-var cmpsByName = map[string]isa.CmpOp{
-	"eq": isa.CmpEQ, "ne": isa.CmpNE, "lt": isa.CmpLT, "le": isa.CmpLE,
-	"gt": isa.CmpGT, "ge": isa.CmpGE, "ltu": isa.CmpLTU, "geu": isa.CmpGEU,
-	"flt": isa.CmpFLT, "fge": isa.CmpFGE,
-}
-
-var specialsByName = map[string]isa.Special{
-	"%tid": isa.SrTid, "%ctaid": isa.SrCtaid, "%ntid": isa.SrNtid,
-	"%nctaid": isa.SrNctaid, "%lane": isa.SrLane, "%warpid": isa.SrWarpCta,
-	"%tid.y": isa.SrTidY, "%ctaid.y": isa.SrCtaidY,
-	"%ntid.y": isa.SrNtidY, "%nctaid.y": isa.SrNctaidY,
-}
-
 // Parse assembles text into a validated kernel.
 func Parse(text string) (*kernel.Kernel, error) {
-	p := &parser{labels: map[string]int{}}
+	b := kernel.NewBuilder("", 0)
 	for lineNo, raw := range strings.Split(text, "\n") {
-		line := raw
-		if i := strings.Index(line, "//"); i >= 0 {
-			line = line[:i]
-		}
+		line, _, _ := strings.Cut(raw, "//")
 		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
+		var err error
+		switch {
+		case line == "":
+		case strings.HasPrefix(line, "."):
+			err = directive(b, line)
+		case strings.HasSuffix(line, ":"):
+			b.Label(strings.TrimSuffix(line, ":"))
+		default:
+			err = instruction(b, line)
 		}
-		if err := p.line(line); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
 		}
 	}
-	return p.finish()
+	return b.Build()
 }
 
-type fixup struct {
-	pc            int
-	target, recon string
+// intDirectives are the header directives that take one integer.
+var intDirectives = map[string]func(*kernel.Builder, int) *kernel.Builder{
+	".block":  (*kernel.Builder).SetBlockDim,
+	".blocky": (*kernel.Builder).SetBlockDimY,
+	".regs":   (*kernel.Builder).SetRegs,
+	".smem":   (*kernel.Builder).SetSmem,
+	".params": (*kernel.Builder).Params,
 }
 
-type parser struct {
-	k      kernel.Kernel
-	labels map[string]int
-	fixups []fixup
-}
-
-func (p *parser) line(line string) error {
-	switch {
-	case strings.HasPrefix(line, "."):
-		return p.directive(line)
-	case strings.HasSuffix(line, ":"):
-		name := strings.TrimSuffix(line, ":")
-		if _, dup := p.labels[name]; dup {
-			return fmt.Errorf("duplicate label %q", name)
-		}
-		p.labels[name] = len(p.k.Instrs)
-		return nil
-	default:
-		return p.instruction(line)
-	}
-}
-
-func (p *parser) directive(line string) error {
+func directive(b *kernel.Builder, line string) error {
 	fields := strings.Fields(line)
-	key := fields[0]
-	arg := ""
+	key, arg := fields[0], ""
 	if len(fields) > 1 {
 		arg = fields[1]
 	}
-	switch key {
-	case ".kernel":
-		p.k.Name = arg
-		return nil
-	case ".block", ".blocky", ".regs", ".smem", ".params":
-		n, err := strconv.Atoi(arg)
-		if err != nil {
-			return fmt.Errorf("%s: bad integer %q", key, arg)
-		}
-		switch key {
-		case ".block":
-			p.k.BlockDim = n
-		case ".blocky":
-			p.k.BlockDimY = n
-		case ".regs":
-			p.k.RegsPerThread = n
-		case ".smem":
-			p.k.SmemPerBlock = n
-		case ".params":
-			p.k.NumParams = n
-		}
+	if key == ".kernel" {
+		b.SetName(arg)
 		return nil
 	}
-	return fmt.Errorf("unknown directive %s", key)
+	set, ok := intDirectives[key]
+	if !ok {
+		return fmt.Errorf("unknown directive %s", key)
+	}
+	n, err := strconv.Atoi(arg)
+	if err != nil {
+		return fmt.Errorf("%s: bad integer %q", key, arg)
+	}
+	set(b, n)
+	return nil
 }
 
-func (p *parser) instruction(line string) error {
+// instruction lexes one instruction line: an optional guard, the
+// mnemonic, then one operand per slot of the opcode's isa form.
+func instruction(b *kernel.Builder, line string) error {
 	in := isa.Instr{GuardPred: isa.NoPred}
 
 	// Guard prefix: @pN or @!pN.
-	if strings.HasPrefix(line, "@") {
-		sp := strings.IndexAny(line, " \t")
+	if g, ok := strings.CutPrefix(line, "@"); ok {
+		sp := strings.IndexAny(g, " \t")
 		if sp < 0 {
 			return fmt.Errorf("guard with no instruction")
 		}
-		g := line[1:sp]
-		line = strings.TrimSpace(line[sp+1:])
-		if strings.HasPrefix(g, "!") {
-			in.GuardNeg = true
-			g = g[1:]
-		}
-		if !strings.HasPrefix(g, "p") {
-			return fmt.Errorf("bad guard %q", g)
-		}
-		n, err := strconv.Atoi(g[1:])
-		if err != nil {
+		g, line = g[:sp], strings.TrimSpace(g[sp+1:])
+		g, in.GuardNeg = strings.CutPrefix(g, "!")
+		num, isPred := strings.CutPrefix(g, "p")
+		n, err := strconv.Atoi(num)
+		if !isPred || err != nil {
 			return fmt.Errorf("bad guard %q", g)
 		}
 		in.GuardPred = int8(n)
 	}
 
-	sp := strings.IndexAny(line, " \t")
-	mnemonic := line
-	rest := ""
-	if sp >= 0 {
-		mnemonic = line[:sp]
-		rest = strings.TrimSpace(line[sp+1:])
+	mnemonic, rest := line, ""
+	if sp := strings.IndexAny(line, " \t"); sp >= 0 {
+		mnemonic, rest = line[:sp], strings.TrimSpace(line[sp+1:])
 	}
-
-	// setp.<cmp>
-	if strings.HasPrefix(mnemonic, "setp.") {
-		cmp, ok := cmpsByName[mnemonic[len("setp."):]]
-		if !ok {
-			return fmt.Errorf("unknown comparison in %q", mnemonic)
-		}
-		in.Op = isa.SETP
-		in.Cmp = cmp
-		ops, err := splitOperands(rest, 3)
-		if err != nil {
-			return err
-		}
-		if in.Dst, err = parseOperand(ops[0]); err != nil {
-			return err
-		}
-		if in.A, err = parseOperand(ops[1]); err != nil {
-			return err
-		}
-		if in.B, err = parseOperand(ops[2]); err != nil {
-			return err
-		}
-		p.k.Instrs = append(p.k.Instrs, in)
-		return nil
+	// A comparison is a mnemonic suffix: setp.<cmp>.
+	op, ok := isa.OpcodeByName(mnemonic)
+	suffix := ""
+	if i := strings.LastIndexByte(mnemonic, '.'); !ok && i >= 0 {
+		op, ok = isa.OpcodeByName(mnemonic[:i])
+		suffix = mnemonic[i+1:]
+		ok = ok && hasCmp(op)
 	}
-
-	op, ok := opsByName[mnemonic]
 	if !ok {
 		return fmt.Errorf("unknown mnemonic %q", mnemonic)
 	}
 	in.Op = op
+	form := op.Form()
+	if hasCmp(op) {
+		if in.Cmp, ok = isa.CmpByName(suffix); !ok {
+			return fmt.Errorf("unknown comparison in %q", mnemonic)
+		}
+		form = form[1:]
+	}
+	if len(form) == 0 { // nop, bar.sync, exit: the rest of the line is ignored
+		b.Emit(in)
+		return nil
+	}
 
-	var err error
-	switch op {
-	case isa.NOP, isa.BAR, isa.EXIT:
-		// no operands
-	case isa.BRA:
-		target, reconv := rest, ""
-		if i := strings.Index(rest, ","); i >= 0 {
-			target = strings.TrimSpace(rest[:i])
-			reconv = strings.TrimSpace(rest[i+1:])
-			reconv = strings.TrimSpace(strings.TrimPrefix(reconv, "reconv"))
+	// The last slot takes the rest of the line, so surplus operands
+	// fail to lex there. Only a branch's reconv slot may be left out.
+	ops := strings.SplitN(rest, ",", len(form))
+	if n := len(ops); n < len(form) && !(n == len(form)-1 && form[n] == isa.SlotReconv) {
+		return fmt.Errorf("want %d operands, got %d in %q", len(form), n, rest)
+	}
+	var target, reconv string
+	for i, s := range form {
+		text := ""
+		if i < len(ops) {
+			text = strings.TrimSpace(ops[i])
 		}
-		if reconv == "" {
-			reconv = target // unconditional branch
+		var err error
+		switch s {
+		case isa.SlotMem:
+			in.A, in.Off, err = parseMemRef(text)
+		case isa.SlotParam:
+			in.Off, err = parseParam(text)
+		case isa.SlotTarget:
+			target = text
+		case isa.SlotReconv:
+			reconv = strings.TrimSpace(strings.TrimPrefix(text, "reconv"))
+		default:
+			*in.OperandAt(s), err = parseOperand(text)
 		}
-		p.fixups = append(p.fixups, fixup{pc: len(p.k.Instrs), target: target, recon: reconv})
-	case isa.LDP:
-		ops, err2 := splitOperands(rest, 2)
-		if err2 != nil {
-			return err2
-		}
-		if in.Dst, err = parseOperand(ops[0]); err != nil {
-			return err
-		}
-		idx := strings.TrimSuffix(strings.TrimPrefix(ops[1], "["), "]")
-		n, err2 := strconv.Atoi(idx)
-		if err2 != nil {
-			return fmt.Errorf("bad param index %q", ops[1])
-		}
-		in.Off = int32(n)
-	case isa.LDG, isa.LDS:
-		ops, err2 := splitOperands(rest, 2)
-		if err2 != nil {
-			return err2
-		}
-		if in.Dst, err = parseOperand(ops[0]); err != nil {
-			return err
-		}
-		if in.A, in.Off, err = parseMemRef(ops[1]); err != nil {
-			return err
-		}
-	case isa.STG, isa.STS:
-		ops, err2 := splitOperands(rest, 2)
-		if err2 != nil {
-			return err2
-		}
-		if in.A, in.Off, err = parseMemRef(ops[0]); err != nil {
-			return err
-		}
-		if in.B, err = parseOperand(ops[1]); err != nil {
-			return err
-		}
-	case isa.MOV, isa.FRCP, isa.FSQRT, isa.FEXP, isa.FLOG, isa.FSIN, isa.I2F, isa.F2I:
-		ops, err2 := splitOperands(rest, 2)
-		if err2 != nil {
-			return err2
-		}
-		if in.Dst, err = parseOperand(ops[0]); err != nil {
-			return err
-		}
-		if in.A, err = parseOperand(ops[1]); err != nil {
-			return err
-		}
-	case isa.IMAD, isa.FFMA, isa.SELP:
-		ops, err2 := splitOperands(rest, 4)
-		if err2 != nil {
-			return err2
-		}
-		if in.Dst, err = parseOperand(ops[0]); err != nil {
-			return err
-		}
-		if in.A, err = parseOperand(ops[1]); err != nil {
-			return err
-		}
-		if in.B, err = parseOperand(ops[2]); err != nil {
-			return err
-		}
-		if in.C, err = parseOperand(ops[3]); err != nil {
-			return err
-		}
-	default: // three-operand ALU
-		ops, err2 := splitOperands(rest, 3)
-		if err2 != nil {
-			return err2
-		}
-		if in.Dst, err = parseOperand(ops[0]); err != nil {
-			return err
-		}
-		if in.A, err = parseOperand(ops[1]); err != nil {
-			return err
-		}
-		if in.B, err = parseOperand(ops[2]); err != nil {
+		if err != nil {
 			return err
 		}
 	}
-	p.k.Instrs = append(p.k.Instrs, in)
+	if op != isa.BRA {
+		b.Emit(in)
+		return nil
+	}
+	if reconv == "" {
+		reconv = target // unconditional branch
+	}
+	b.Branch(in, target, reconv)
 	return nil
 }
 
-func (p *parser) finish() (*kernel.Kernel, error) {
-	for _, f := range p.fixups {
-		in := &p.k.Instrs[f.pc]
-		t, ok := p.labels[f.target]
-		if !ok {
-			return nil, fmt.Errorf("undefined label %q", f.target)
-		}
-		r, ok := p.labels[f.recon]
-		if !ok {
-			return nil, fmt.Errorf("undefined reconvergence label %q", f.recon)
-		}
-		in.Target, in.Reconv = t, r
-	}
-	if p.k.RegsPerThread == 0 {
-		p.k.RegsPerThread = p.k.MaxUsedReg() + 1
-	}
-	if err := p.k.Validate(); err != nil {
-		return nil, err
-	}
-	k := p.k
-	return &k, nil
-}
-
-func splitOperands(s string, n int) ([]string, error) {
-	// Split on commas that are not inside brackets.
-	var parts []string
-	depth := 0
-	last := 0
-	for i, c := range s {
-		switch c {
-		case '[':
-			depth++
-		case ']':
-			depth--
-		case ',':
-			if depth == 0 {
-				parts = append(parts, strings.TrimSpace(s[last:i]))
-				last = i + 1
-			}
-		}
-	}
-	parts = append(parts, strings.TrimSpace(s[last:]))
-	if len(parts) != n {
-		return nil, fmt.Errorf("want %d operands, got %d in %q", n, len(parts), s)
-	}
-	return parts, nil
+func hasCmp(op isa.Opcode) bool {
+	f := op.Form()
+	return len(f) > 0 && f[0] == isa.SlotCmp
 }
 
 func parseOperand(s string) (isa.Operand, error) {
@@ -440,7 +235,7 @@ func parseOperand(s string) (isa.Operand, error) {
 			return isa.Pred(n), nil
 		}
 	case strings.HasPrefix(s, "%"):
-		if sr, ok := specialsByName[s]; ok {
+		if sr, ok := isa.SpecialByName(s); ok {
 			return isa.Sreg(sr), nil
 		}
 		return isa.None, fmt.Errorf("unknown special register %q", s)
@@ -457,6 +252,15 @@ func parseOperand(s string) (isa.Operand, error) {
 		return isa.None, fmt.Errorf("bad operand %q", s)
 	}
 	return isa.Imm(int32(n)), nil
+}
+
+// parseParam lexes a parameter index, [n]; the brackets may be left out.
+func parseParam(s string) (int32, error) {
+	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(s, "["), "]"))
+	if err != nil {
+		return 0, fmt.Errorf("bad param index %q", s)
+	}
+	return int32(n), nil
 }
 
 func parseMemRef(s string) (isa.Operand, int32, error) {

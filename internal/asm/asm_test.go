@@ -2,6 +2,8 @@ package asm
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"gpushare/internal/isa"
@@ -122,3 +124,155 @@ func sameKernel(a, b *kernel.Kernel) error {
 }
 
 func errf(format string, args ...any) error { return fmt.Errorf(format, args...) }
+
+// everyOpcodeKernel holds every opcode (memory ones at negative, zero
+// and positive offsets), every comparison, every special register, a
+// float immediate, a guarded and a negated-guard instruction, and
+// branches whose reconvergence point is the end of the kernel.
+func everyOpcodeKernel(t *testing.T) *kernel.Kernel {
+	t.Helper()
+	b := kernel.NewBuilder("every", 64).SetSmem(64).Params(2)
+	b.Label("top")
+	for op := isa.Opcode(0); op.Valid(); op++ {
+		in := isa.Instr{Op: op, GuardPred: isa.NoPred}
+		for _, s := range op.Form() {
+			if o := in.OperandAt(s); o != nil {
+				*o = isa.Reg(int(s))
+			}
+		}
+		switch op {
+		case isa.SETP:
+			in.Dst = isa.Pred(1)
+		case isa.SELP:
+			in.C = isa.Pred(1)
+		case isa.LDP:
+			in.Off = 1
+		case isa.BRA:
+			b.BraIf(1, true, "top", "tail")
+			continue
+		case isa.LDG, isa.STG, isa.LDS, isa.STS:
+			in.A = isa.Reg(2)
+			for _, off := range []int32{-8, 0, 12} {
+				in.Off = off
+				b.Emit(in)
+			}
+			continue
+		}
+		b.Emit(in)
+	}
+	for c := isa.CmpOp(0); c.Valid(); c++ {
+		b.Setp(c, int(c)%kernel.MaxPredRegs, isa.Reg(7), isa.Imm(-3))
+	}
+	for s := isa.Special(0); s.Valid(); s++ {
+		b.Mov(8, isa.Sreg(s))
+	}
+	b.FMul(9, isa.Reg(9), isa.ImmF(1.5))
+	b.Guard(3, false).IAdd(10, isa.Reg(10), isa.Imm(1))
+	b.Guard(4, true).Exit()
+	b.Bra("top")
+	b.Label("tail")
+	k, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// TestEveryOpcodeRoundTrip: isa's table names every opcode and gives
+// it a form; the every-opcode kernel and every registry kernel survive
+// Parse(Print(k)); and each instruction's String is its line in Print
+// and assembles back to the same isa.Instr.
+func TestEveryOpcodeRoundTrip(t *testing.T) {
+	for op := isa.Opcode(0); op.Valid(); op++ {
+		name := op.String()
+		if back, ok := isa.OpcodeByName(name); !ok || back != op || op.Form() == nil {
+			t.Errorf("opcode %d: mnemonic %q, form %v: not in isa's table", uint8(op), name, op.Form())
+		}
+	}
+	kernels := []*kernel.Kernel{everyOpcodeKernel(t)}
+	for _, spec := range workloads.All() {
+		kernels = append(kernels, spec.Build(1).Launch.Kernel)
+	}
+	for _, k := range kernels {
+		text := Print(k)
+		k2, err := Parse(text)
+		if err != nil {
+			t.Fatalf("%s: reparse failed: %v\n%s", k.Name, err, text)
+		}
+		if !reflect.DeepEqual(k, k2) {
+			t.Errorf("%s: Parse(Print(k)) differs: %+v vs %+v", k.Name, k, k2)
+		}
+		var lines []string
+		for _, l := range strings.Split(text, "\n") {
+			if strings.HasPrefix(l, "\t") {
+				lines = append(lines, l[1:])
+			}
+		}
+		if len(lines) != len(k.Instrs) {
+			t.Fatalf("%s: %d instruction lines for %d instructions", k.Name, len(lines), len(k.Instrs))
+		}
+		for pc := range k.Instrs {
+			in := &k.Instrs[pc]
+			if s := in.String(); s != lines[pc] {
+				t.Errorf("%s pc %d: String %q, Print line %q", k.Name, pc, s, lines[pc])
+			}
+			if got, err := assembleLine(k, in); err != nil || got != *in {
+				t.Errorf("%s pc %d: %q assembles to %+v (%v), want %+v", k.Name, pc, in, got, err, *in)
+			}
+		}
+	}
+}
+
+// assembleLine parses in.String() alone as pc 0 of a kernel with k's
+// header, defining the label of every pc a branch may name.
+func assembleLine(k *kernel.Kernel, in *isa.Instr) (isa.Instr, error) {
+	var b strings.Builder
+	fmt.Fprintf(&b, ".kernel one\n.block 32\n.smem %d\n.params %d\nL0:\n\t%s\n", k.SmemPerBlock, k.NumParams, in)
+	if in.Op == isa.BRA {
+		for pc := 1; pc <= len(k.Instrs); pc++ {
+			fmt.Fprintf(&b, "L%d:\n\tnop\n", pc)
+		}
+	}
+	k1, err := Parse(b.String())
+	if err != nil {
+		return isa.Instr{}, err
+	}
+	return k1.Instrs[0], nil
+}
+
+// TestParseRejectsMalformedForms: one malformed line per operand form
+// is rejected, and a no-operand mnemonic ignores trailing text.
+func TestParseRejectsMalformedForms(t *testing.T) {
+	rows := []struct {
+		op   isa.Opcode
+		line string
+	}{
+		{isa.MOV, "mov r0"},                // two operands wanted
+		{isa.IADD, "iadd r0, r1, r2, r3"},  // one surplus
+		{isa.IMAD, "imad r0, r1, r2"},      // four operands wanted
+		{isa.SETP, "setp.zz p0, r1, r2"},   // unknown comparison
+		{isa.SETP, "setp p0, r1, r2"},      // comparison missing
+		{isa.LDG, "ld.global r0, [r1+x]"},  // bad offset
+		{isa.STS, "st.shared r1+4, r2"},    // no brackets
+		{isa.LDP, "ld.param r0, [oops]"},   // bad index
+		{isa.BRA, "bra nowhere, reconv x"}, // undefined labels
+		{isa.BAR, "bar.sync.lt"},           // a comparison on an opcode without one
+	}
+	covered := map[string]bool{}
+	for _, r := range rows {
+		src := ".kernel k\n.block 32\n.smem 64\n.params 1\n\t" + r.line + "\n\texit\n"
+		if _, err := Parse(src); err == nil {
+			t.Errorf("%q: accepted", r.line)
+		}
+		covered[fmt.Sprint(r.op.Form())] = true
+	}
+	for op := isa.Opcode(0); op.Valid(); op++ {
+		if f := fmt.Sprint(op.Form()); len(op.Form()) > 0 && !covered[f] {
+			t.Errorf("no malformed row for the form of %s (%s)", op, f)
+		}
+	}
+	k, err := Parse(".kernel k\n.block 32\n\tnop r0, anything at all\n\texit 7\n")
+	if err != nil || len(k.Instrs) != 2 || k.Instrs[0].Op != isa.NOP || k.Instrs[1].Op != isa.EXIT {
+		t.Errorf("no-operand mnemonics with trailing text: %v, %+v", err, k)
+	}
+}

@@ -121,8 +121,12 @@ func ParseCachePolicy(s string) (CachePolicy, error) {
 	return 0, fmt.Errorf("unknown cache policy %q", s)
 }
 
-// DRAMTiming holds the GDDR3 timing parameters (in DRAM command cycles)
-// from Table I.
+// DRAMTiming holds the GDDR3 timing parameters of Table I. Table I
+// states them in DRAM command cycles, but internal/mem/dram adds each
+// value to core-cycle clocks (there is no DRAM clock domain), so every
+// one acts as that many core cycles. TRRD enters every job key, yet
+// nothing reads it: activates to different banks are not spaced.
+// DESIGN.md "Model fidelity choices" lists both assumptions.
 type DRAMTiming struct {
 	TRRD  int // activate-to-activate, different banks
 	TWR   int // write recovery

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gpushare/internal/asm"
 	"gpushare/internal/config"
 	"gpushare/internal/isa"
 	"gpushare/internal/kernel"
@@ -237,13 +238,13 @@ func TestDifferentialRandomKernels(t *testing.T) {
 			ia := sim.Mem.Alloc(4 * n)
 			sim.Mem.WriteWords(ia, in)
 			if _, err := sim.Run(&kernel.Launch{Kernel: k, GridDim: grid, Params: []uint32{oa, ia}}); err != nil {
-				t.Fatalf("trial %d config %d: %v\n%s", trial, ci, err, k.Disassemble())
+				t.Fatalf("trial %d config %d: %v\n%s", trial, ci, err, asm.Print(k))
 			}
 			for i := 0; i < n; i++ {
 				want := ref.Load32(outAddr + uint32(4*i))
 				if got := sim.Mem.Load32(oa + uint32(4*i)); got != want {
 					t.Fatalf("trial %d config %d: out[%d] = %#x, ref %#x\n%s",
-						trial, ci, i, got, want, k.Disassemble())
+						trial, ci, i, got, want, asm.Print(k))
 				}
 			}
 		}

@@ -34,18 +34,14 @@ func (s *Sim) RunMulti(spec *tenancy.Spec, launches []*kernel.Launch) (*stats.GP
 //     resident blocks drain — a deterministic context switch.
 //
 // The run is bit-deterministic for a given (config, spec, launches)
-// in either engine mode, like RunCtx. Dynamic warp execution is
-// rejected because its SM0-reference design has no per-tenant meaning.
+// in either engine mode, like RunCtx.
 //
-// The caller validates the spec's workload names; this layer only
-// checks the structural rules it depends on. Its SMs come from and go
-// back to the spare list as Run's do, every tenant's time-slice machine
-// included.
+// The caller validates the spec's workload names; this layer checks the
+// spec's structural rules (tenancy.Spec.CheckStructure, which submission
+// applies too), the refusal of dynamic warp execution among them. Its
+// SMs come from and go back to the spare list as Run's do, every
+// tenant's time-slice machine included.
 func (s *Sim) RunMultiCtx(ctx context.Context, spec *tenancy.Spec, launches []*kernel.Launch) (*stats.GPU, error) {
-	if s.Cfg.DynWarp {
-		return nil, simerr.New(simerr.KindConfig, -1,
-			"multi-tenant runs do not support dynamic warp execution (DynWarp)")
-	}
 	if spec == nil {
 		return nil, simerr.New(simerr.KindConfig, -1, "multi-tenant run needs a tenancy spec")
 	}
@@ -54,8 +50,8 @@ func (s *Sim) RunMultiCtx(ctx context.Context, spec *tenancy.Spec, launches []*k
 			"multi-tenant run needs one launch per tenant: %d launches, %d tenants",
 			len(launches), len(spec.Tenants))
 	}
-	if spec.Policy == tenancy.TimeSlice && spec.QuotaCycles <= 0 {
-		return nil, simerr.New(simerr.KindConfig, -1, "timeslice policy requires quota_cycles > 0")
+	if err := spec.CheckStructure(&s.Cfg); err != nil {
+		return nil, simerr.Wrap(simerr.KindConfig, -1, err)
 	}
 	run := make([]*kernel.Launch, len(launches))
 	for i, l := range launches {

@@ -9,7 +9,10 @@
 // file as their IEEE-754 bit patterns (math.Float32bits).
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Opcode identifies an operation. The zero value is NOP.
 type Opcode uint8
@@ -75,29 +78,105 @@ const (
 	numOpcodes
 )
 
-var opNames = [...]string{
-	NOP: "nop", MOV: "mov", IADD: "iadd", ISUB: "isub", IMUL: "imul",
-	IMAD: "imad", IMIN: "imin", IMAX: "imax", AND: "and", OR: "or",
-	XOR: "xor", SHL: "shl", SHR: "shr", SRA: "sra",
-	FADD: "fadd", FSUB: "fsub", FMUL: "fmul", FFMA: "ffma",
-	FMIN: "fmin", FMAX: "fmax",
-	FRCP: "frcp", FSQRT: "fsqrt", FEXP: "fexp", FLOG: "flog", FSIN: "fsin",
-	I2F: "i2f", F2I: "f2i",
-	SETP: "setp", SELP: "selp",
-	LDG: "ld.global", STG: "st.global", LDS: "ld.shared", STS: "st.shared",
-	LDP: "ld.param", BRA: "bra", BAR: "bar.sync", EXIT: "exit",
+// Slot is one operand position in an instruction's text form. An
+// opcode's form lists its slots in text order; (*Instr).String prints
+// them and the assembler (package asm) parses them, so the printed and
+// the accepted syntax are one table.
+type Slot uint8
+
+// Operand slots.
+const (
+	SlotCmp    Slot = iota // SETP's comparison, a mnemonic suffix: setp.lt
+	SlotDst                // Dst
+	SlotA                  // A
+	SlotB                  // B
+	SlotC                  // C
+	SlotMem                // [A+Off]: base operand A, signed byte offset Off
+	SlotParam              // [Off]: parameter index Off
+	SlotTarget             // branch target label L<Target>
+	SlotReconv             // "reconv" and the label L<Reconv>; omitted, it is the target's
+)
+
+var (
+	formNone  = []Slot{}
+	formDA    = []Slot{SlotDst, SlotA}
+	formDAB   = []Slot{SlotDst, SlotA, SlotB}
+	formDABC  = []Slot{SlotDst, SlotA, SlotB, SlotC}
+	formSetp  = []Slot{SlotCmp, SlotDst, SlotA, SlotB}
+	formLoad  = []Slot{SlotDst, SlotMem}
+	formStore = []Slot{SlotMem, SlotB}
+	formParam = []Slot{SlotDst, SlotParam}
+	formBra   = []Slot{SlotTarget, SlotReconv}
+)
+
+// opTable names every opcode's mnemonic and operand form.
+var opTable = [numOpcodes]struct {
+	name string
+	form []Slot
+}{
+	NOP: {"nop", formNone}, MOV: {"mov", formDA},
+	IADD: {"iadd", formDAB}, ISUB: {"isub", formDAB}, IMUL: {"imul", formDAB},
+	IMAD: {"imad", formDABC}, IMIN: {"imin", formDAB}, IMAX: {"imax", formDAB},
+	AND: {"and", formDAB}, OR: {"or", formDAB}, XOR: {"xor", formDAB},
+	SHL: {"shl", formDAB}, SHR: {"shr", formDAB}, SRA: {"sra", formDAB},
+	FADD: {"fadd", formDAB}, FSUB: {"fsub", formDAB}, FMUL: {"fmul", formDAB},
+	FFMA: {"ffma", formDABC}, FMIN: {"fmin", formDAB}, FMAX: {"fmax", formDAB},
+	FRCP: {"frcp", formDA}, FSQRT: {"fsqrt", formDA}, FEXP: {"fexp", formDA},
+	FLOG: {"flog", formDA}, FSIN: {"fsin", formDA},
+	I2F: {"i2f", formDA}, F2I: {"f2i", formDA},
+	SETP: {"setp", formSetp}, SELP: {"selp", formDABC},
+	LDG: {"ld.global", formLoad}, STG: {"st.global", formStore},
+	LDS: {"ld.shared", formLoad}, STS: {"st.shared", formStore},
+	LDP: {"ld.param", formParam}, BRA: {"bra", formBra},
+	BAR: {"bar.sync", formNone}, EXIT: {"exit", formNone},
 }
 
 // String returns the assembly mnemonic of the opcode.
 func (op Opcode) String() string {
-	if int(op) < len(opNames) && opNames[op] != "" {
-		return opNames[op]
+	if op.Valid() && opTable[op].name != "" {
+		return opTable[op].name
 	}
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
 
 // Valid reports whether op is a defined opcode.
 func (op Opcode) Valid() bool { return op < numOpcodes }
+
+// Form returns the opcode's operand slots in text order (nil for an
+// undefined opcode). The slice is shared: do not modify it.
+func (op Opcode) Form() []Slot {
+	if op.Valid() {
+		return opTable[op].form
+	}
+	return nil
+}
+
+// OpcodeByName returns the opcode whose mnemonic is s.
+func OpcodeByName(s string) (Opcode, bool) { op, ok := opIndex[s]; return op, ok }
+
+// CmpByName returns the comparison named s (the suffix of setp.<cmp>).
+func CmpByName(s string) (CmpOp, bool) { c, ok := cmpIndex[s]; return c, ok }
+
+// SpecialByName returns the special register named s (%tid, ...).
+func SpecialByName(s string) (Special, bool) { sr, ok := specialIndex[s]; return sr, ok }
+
+// The inverse lookups of the String methods.
+var (
+	opIndex      = nameIndex(numOpcodes, Opcode.String)
+	cmpIndex     = nameIndex(numCmpOps, CmpOp.String)
+	specialIndex = nameIndex(NumSpecials, Special.String)
+)
+
+func nameIndex[T ~uint8](n T, name func(T) string) map[string]T {
+	m := make(map[string]T, n)
+	for v := T(0); v < n; v++ {
+		m[name(v)] = v
+	}
+	return m
+}
+
+// Label returns the assembly label of pc, as branch operands print it.
+func Label(pc int) string { return fmt.Sprintf("L%d", pc) }
 
 // Unit is the execution unit class an instruction issues to.
 type Unit uint8
@@ -337,36 +416,48 @@ func (in *Instr) MaxReg() int {
 	return maxIdx
 }
 
-// String renders the instruction in assembly syntax (without a PC).
+// OperandAt returns the operand that slot s names (SlotDst, SlotA,
+// SlotB or SlotC), or nil for a slot that is not one operand.
+func (in *Instr) OperandAt(s Slot) *Operand {
+	if s < SlotDst || s > SlotC {
+		return nil
+	}
+	return [...]*Operand{&in.Dst, &in.A, &in.B, &in.C}[s-SlotDst]
+}
+
+// String renders the instruction as one line of assembly text, without
+// a PC: the line asm.Print writes for it and asm.Parse reads back, with
+// branch targets and reconvergence points as labels (Label).
 func (in *Instr) String() string {
-	s := ""
+	var b strings.Builder
 	if in.Guarded() {
 		neg := ""
 		if in.GuardNeg {
 			neg = "!"
 		}
-		s = fmt.Sprintf("@%sp%d ", neg, in.GuardPred)
+		fmt.Fprintf(&b, "@%sp%d ", neg, in.GuardPred)
 	}
-	switch in.Op {
-	case NOP, BAR, EXIT:
-		return s + in.Op.String()
-	case BRA:
-		return s + fmt.Sprintf("%s %d, reconv %d", in.Op, in.Target, in.Reconv)
-	case SETP:
-		return s + fmt.Sprintf("%s.%s %s, %s, %s", in.Op, in.Cmp, in.Dst, in.A, in.B)
-	case SELP:
-		return s + fmt.Sprintf("%s %s, %s, %s, %s", in.Op, in.Dst, in.A, in.B, in.C)
-	case LDP:
-		return s + fmt.Sprintf("%s %s, [%d]", in.Op, in.Dst, in.Off)
-	case LDG, LDS:
-		return s + fmt.Sprintf("%s %s, [%s+%d]", in.Op, in.Dst, in.A, in.Off)
-	case STG, STS:
-		return s + fmt.Sprintf("%s [%s+%d], %s", in.Op, in.A, in.Off, in.B)
-	case IMAD, FFMA:
-		return s + fmt.Sprintf("%s %s, %s, %s, %s", in.Op, in.Dst, in.A, in.B, in.C)
-	case MOV, FRCP, FSQRT, FEXP, FLOG, FSIN, I2F, F2I:
-		return s + fmt.Sprintf("%s %s, %s", in.Op, in.Dst, in.A)
-	default:
-		return s + fmt.Sprintf("%s %s, %s, %s", in.Op, in.Dst, in.A, in.B)
+	b.WriteString(in.Op.String())
+	sep := " "
+	for _, s := range in.Op.Form() {
+		if s == SlotCmp {
+			b.WriteString("." + in.Cmp.String())
+			continue
+		}
+		b.WriteString(sep)
+		sep = ", "
+		switch s {
+		case SlotMem:
+			fmt.Fprintf(&b, "[%s%+d]", in.A, in.Off)
+		case SlotParam:
+			fmt.Fprintf(&b, "[%d]", in.Off)
+		case SlotTarget:
+			b.WriteString(Label(in.Target))
+		case SlotReconv:
+			b.WriteString("reconv " + Label(in.Reconv))
+		default:
+			b.WriteString(in.OperandAt(s).String())
+		}
 	}
+	return b.String()
 }

@@ -33,9 +33,8 @@ type Builder struct {
 }
 
 type fixup struct {
-	pc     int
-	target string // label for Instr.Target ("" = leave as-is)
-	reconv string // label for Instr.Reconv ("" = leave as-is)
+	pc             int
+	target, reconv string // labels for Instr.Target and Instr.Reconv
 }
 
 // NewBuilder returns a builder for a kernel with the given name and block
@@ -48,6 +47,12 @@ func NewBuilder(name string, blockDim int) *Builder {
 		guardPred: isa.NoPred,
 	}
 }
+
+// SetName names the kernel.
+func (b *Builder) SetName(name string) *Builder { b.k.Name = name; return b }
+
+// SetBlockDim declares the block's x dimension in threads.
+func (b *Builder) SetBlockDim(n int) *Builder { b.k.BlockDim = n; return b }
 
 // SetRegs declares the architectural register footprint per thread.
 func (b *Builder) SetRegs(n int) *Builder { b.k.RegsPerThread = n; return b }
@@ -80,21 +85,20 @@ func (b *Builder) Emit(in isa.Instr) int {
 	if b.guardPred != isa.NoPred {
 		in.GuardPred, in.GuardNeg = b.guardPred, b.guardNeg
 		b.guardPred, b.guardNeg = isa.NoPred, false
-	} else if in.GuardPred == 0 && !in.Guarded() {
-		in.GuardPred = isa.NoPred
 	}
 	b.k.Instrs = append(b.k.Instrs, in)
 	return len(b.k.Instrs) - 1
 }
 
-func (b *Builder) op3(op isa.Opcode, d int, a, src2 isa.Operand) {
-	b.Emit(isa.Instr{Op: op, GuardPred: isa.NoPred, Dst: isa.Reg(d), A: a, B: src2})
+// op emits a register-destination instruction d = op(a, src2, c).
+func (b *Builder) op(op isa.Opcode, d int, a, src2, c isa.Operand) {
+	b.Emit(isa.Instr{Op: op, GuardPred: isa.NoPred, Dst: isa.Reg(d), A: a, B: src2, C: c})
 }
 
+func (b *Builder) op3(op isa.Opcode, d int, a, src2 isa.Operand) { b.op(op, d, a, src2, isa.None) }
+
 // Mov emits d = a.
-func (b *Builder) Mov(d int, a isa.Operand) {
-	b.Emit(isa.Instr{Op: isa.MOV, GuardPred: isa.NoPred, Dst: isa.Reg(d), A: a})
-}
+func (b *Builder) Mov(d int, a isa.Operand) { b.op(isa.MOV, d, a, isa.None, isa.None) }
 
 // MovI emits d = imm.
 func (b *Builder) MovI(d int, imm int32) { b.Mov(d, isa.Imm(imm)) }
@@ -133,9 +137,7 @@ func (b *Builder) Shl(d int, a, b2 isa.Operand) { b.op3(isa.SHL, d, a, b2) }
 func (b *Builder) Shr(d int, a, b2 isa.Operand) { b.op3(isa.SHR, d, a, b2) }
 
 // IMad emits d = a*b2 + c.
-func (b *Builder) IMad(d int, a, b2, c isa.Operand) {
-	b.Emit(isa.Instr{Op: isa.IMAD, GuardPred: isa.NoPred, Dst: isa.Reg(d), A: a, B: b2, C: c})
-}
+func (b *Builder) IMad(d int, a, b2, c isa.Operand) { b.op(isa.IMAD, d, a, b2, c) }
 
 // FAdd emits d = a + b2 (float).
 func (b *Builder) FAdd(d int, a, b2 isa.Operand) { b.op3(isa.FADD, d, a, b2) }
@@ -147,44 +149,28 @@ func (b *Builder) FSub(d int, a, b2 isa.Operand) { b.op3(isa.FSUB, d, a, b2) }
 func (b *Builder) FMul(d int, a, b2 isa.Operand) { b.op3(isa.FMUL, d, a, b2) }
 
 // FFma emits d = a*b2 + c (float).
-func (b *Builder) FFma(d int, a, b2, c isa.Operand) {
-	b.Emit(isa.Instr{Op: isa.FFMA, GuardPred: isa.NoPred, Dst: isa.Reg(d), A: a, B: b2, C: c})
-}
+func (b *Builder) FFma(d int, a, b2, c isa.Operand) { b.op(isa.FFMA, d, a, b2, c) }
 
 // FRcp emits d = 1/a (SFU).
-func (b *Builder) FRcp(d int, a isa.Operand) {
-	b.Emit(isa.Instr{Op: isa.FRCP, GuardPred: isa.NoPred, Dst: isa.Reg(d), A: a})
-}
+func (b *Builder) FRcp(d int, a isa.Operand) { b.op(isa.FRCP, d, a, isa.None, isa.None) }
 
 // FSqrt emits d = sqrt(a) (SFU).
-func (b *Builder) FSqrt(d int, a isa.Operand) {
-	b.Emit(isa.Instr{Op: isa.FSQRT, GuardPred: isa.NoPred, Dst: isa.Reg(d), A: a})
-}
+func (b *Builder) FSqrt(d int, a isa.Operand) { b.op(isa.FSQRT, d, a, isa.None, isa.None) }
 
 // FExp emits d = exp2(a) (SFU).
-func (b *Builder) FExp(d int, a isa.Operand) {
-	b.Emit(isa.Instr{Op: isa.FEXP, GuardPred: isa.NoPred, Dst: isa.Reg(d), A: a})
-}
+func (b *Builder) FExp(d int, a isa.Operand) { b.op(isa.FEXP, d, a, isa.None, isa.None) }
 
 // FLog emits d = log2(a) (SFU).
-func (b *Builder) FLog(d int, a isa.Operand) {
-	b.Emit(isa.Instr{Op: isa.FLOG, GuardPred: isa.NoPred, Dst: isa.Reg(d), A: a})
-}
+func (b *Builder) FLog(d int, a isa.Operand) { b.op(isa.FLOG, d, a, isa.None, isa.None) }
 
 // FSin emits d = sin(a) (SFU).
-func (b *Builder) FSin(d int, a isa.Operand) {
-	b.Emit(isa.Instr{Op: isa.FSIN, GuardPred: isa.NoPred, Dst: isa.Reg(d), A: a})
-}
+func (b *Builder) FSin(d int, a isa.Operand) { b.op(isa.FSIN, d, a, isa.None, isa.None) }
 
 // I2F emits d = float(a).
-func (b *Builder) I2F(d int, a isa.Operand) {
-	b.Emit(isa.Instr{Op: isa.I2F, GuardPred: isa.NoPred, Dst: isa.Reg(d), A: a})
-}
+func (b *Builder) I2F(d int, a isa.Operand) { b.op(isa.I2F, d, a, isa.None, isa.None) }
 
 // F2I emits d = int(a).
-func (b *Builder) F2I(d int, a isa.Operand) {
-	b.Emit(isa.Instr{Op: isa.F2I, GuardPred: isa.NoPred, Dst: isa.Reg(d), A: a})
-}
+func (b *Builder) F2I(d int, a isa.Operand) { b.op(isa.F2I, d, a, isa.None, isa.None) }
 
 // Setp emits p = cmp(a, b2).
 func (b *Builder) Setp(cmp isa.CmpOp, p int, a, b2 isa.Operand) {
@@ -234,15 +220,20 @@ func (b *Builder) Nop() { b.Emit(isa.Instr{Op: isa.NOP, GuardPred: isa.NoPred}) 
 // neg): lanes where the guard holds jump to target, the rest fall through,
 // and diverged execution reconverges at the reconv label.
 func (b *Builder) BraIf(p int, neg bool, target, reconv string) {
-	pc := b.Emit(isa.Instr{Op: isa.BRA, GuardPred: int8(p), GuardNeg: neg})
-	b.fixups = append(b.fixups, fixup{pc: pc, target: target, reconv: reconv})
+	b.Branch(isa.Instr{Op: isa.BRA, GuardPred: int8(p), GuardNeg: neg}, target, reconv)
 }
 
 // Bra emits an unconditional branch to target. It never diverges, so the
 // reconvergence point is the branch target itself.
 func (b *Builder) Bra(target string) {
-	pc := b.Emit(isa.Instr{Op: isa.BRA, GuardPred: isa.NoPred})
-	b.fixups = append(b.fixups, fixup{pc: pc, target: target, reconv: target})
+	b.Branch(isa.Instr{Op: isa.BRA, GuardPred: isa.NoPred}, target, target)
+}
+
+// Branch emits the branch in as given (guard included) and resolves its
+// Target and Reconv to the target and reconv labels at Build.
+func (b *Builder) Branch(in isa.Instr, target, reconv string) {
+	pc := b.Emit(in)
+	b.fixups = append(b.fixups, fixup{pc: pc, target: target, reconv: reconv})
 }
 
 // PC returns the index the next emitted instruction will occupy.
@@ -254,21 +245,20 @@ func (b *Builder) Build() (*Kernel, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
+	resolve := func(label string, pc *int) error {
+		var ok bool
+		if *pc, ok = b.labels[label]; !ok {
+			return fmt.Errorf("kernel %s: undefined label %q", b.k.Name, label)
+		}
+		return nil
+	}
 	for _, f := range b.fixups {
 		in := &b.k.Instrs[f.pc]
-		if f.target != "" {
-			pc, ok := b.labels[f.target]
-			if !ok {
-				return nil, fmt.Errorf("kernel %s: undefined label %q", b.k.Name, f.target)
-			}
-			in.Target = pc
+		if err := resolve(f.target, &in.Target); err != nil {
+			return nil, err
 		}
-		if f.reconv != "" {
-			pc, ok := b.labels[f.reconv]
-			if !ok {
-				return nil, fmt.Errorf("kernel %s: undefined label %q", b.k.Name, f.reconv)
-			}
-			in.Reconv = pc
+		if err := resolve(f.reconv, &in.Reconv); err != nil {
+			return nil, err
 		}
 	}
 	if b.k.RegsPerThread == 0 {

@@ -163,23 +163,10 @@ func (k *Kernel) validateInstr(pc int, in *isa.Instr) error {
 			return fail("scratchpad access in kernel with no scratchpad allocation")
 		}
 	}
-	if in.Dst.Kind == isa.OpReg && in.Op != isa.STG && in.Op != isa.STS {
-		// ok: GPR destination
-	} else if in.Dst.Kind == isa.OpPred && in.Op != isa.SETP {
+	if in.Dst.Kind == isa.OpPred && in.Op != isa.SETP {
 		return fail("only SETP may write a predicate register")
 	}
 	return nil
-}
-
-// Disassemble renders the whole kernel as assembly text, one instruction
-// per line prefixed with its PC.
-func (k *Kernel) Disassemble() string {
-	s := fmt.Sprintf("// kernel %s: blockDim=%d regs/thread=%d smem/block=%d params=%d\n",
-		k.Name, k.BlockDim, k.RegsPerThread, k.SmemPerBlock, k.NumParams)
-	for pc := range k.Instrs {
-		s += fmt.Sprintf("%4d: %s\n", pc, &k.Instrs[pc])
-	}
-	return s
 }
 
 // Launch pairs a kernel with a grid configuration and its arguments.

@@ -157,16 +157,6 @@ func TestLaunchValidate(t *testing.T) {
 	}
 }
 
-func TestDisassembleMentionsEveryPC(t *testing.T) {
-	k := buildLoop(t)
-	dis := k.Disassemble()
-	for pc := range k.Instrs {
-		if !strings.Contains(dis, "\n") || !strings.Contains(dis, k.Instrs[pc].Op.String()) {
-			t.Fatalf("disassembly missing pc %d: %s", pc, dis)
-		}
-	}
-}
-
 func TestBuilderDefaultRegCount(t *testing.T) {
 	b := NewBuilder("r", 32)
 	b.MovI(5, 1)

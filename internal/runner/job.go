@@ -15,8 +15,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 	"runtime/debug"
 	"strings"
+	"sync"
+	"time"
 
 	"gpushare/internal/config"
 	"gpushare/internal/gpu"
@@ -91,19 +95,52 @@ func (j Job) Key() (string, error) {
 // Fingerprint identifies the simulator code revision that produced a
 // cached result: gpu.Version (bumped manually on behavioural changes)
 // plus, when the binary carries VCS build info, the commit revision and
-// a dirty marker. Cached entries whose fingerprint differs from the
-// running binary's are re-simulated, never trusted.
+// a dirty marker. A dirty build also carries a digest of its own
+// executable, since two edited builds at one revision are different
+// simulators. Cached entries whose fingerprint differs from the running
+// binary's are re-simulated, never trusted.
 func Fingerprint() string {
-	fp := gpu.Version
 	rev, dirty := VCS()
+	exe := ""
+	if dirty {
+		exe = executableDigest()
+	}
+	return fingerprint(gpu.Version, rev, dirty, exe)
+}
+
+// fingerprint composes Fingerprint from its parts; exe counts only for
+// a dirty build.
+func fingerprint(version, rev string, dirty bool, exe string) string {
+	fp := version
 	if rev != "" {
 		fp += "+" + rev
 	}
 	if dirty {
-		fp += "+dirty"
+		fp += "+dirty+" + exe
 	}
 	return fp
 }
+
+// executableDigest is a short SHA-256 of the running binary, computed
+// once per process (server.Build asks for the fingerprint on every
+// /statusz). When the binary cannot be read it is a per-process nonce:
+// such a build then trusts no cache entry but its own.
+var executableDigest = sync.OnceValue(func() string {
+	h := sha256.New()
+	path, err := os.Executable()
+	if err == nil {
+		var f *os.File
+		if f, err = os.Open(path); err == nil {
+			_, err = io.Copy(h, f)
+			f.Close()
+		}
+	}
+	if err != nil {
+		h.Reset()
+		fmt.Fprintf(h, "nonce %d %d", os.Getpid(), time.Now().UnixNano())
+	}
+	return hex.EncodeToString(h.Sum(nil))[:12]
+})
 
 // VCS reports the commit revision and dirty marker the binary was built
 // from; both are zero when it carries no VCS build info.
@@ -136,7 +173,7 @@ func simulate(ctx context.Context, j Job, so simOpts) (*stats.GPU, error) {
 	ten := j.Tenancy
 	tenants := []tenancy.TenantSpec{{Workload: j.Workload}}
 	if ten != nil {
-		if err := ten.Validate(); err != nil {
+		if err := ten.Validate(&j.Config); err != nil {
 			return nil, err
 		}
 		tenants = ten.Tenants

@@ -225,6 +225,23 @@ func TestStaleFingerprintIsResimulated(t *testing.T) {
 	}
 }
 
+// TestDirtyFingerprintNamesTheBinary: two uncommitted builds at one
+// revision are different simulators, so their fingerprints differ by
+// their executables' digests; a clean build's fingerprint ignores it.
+func TestDirtyFingerprintNamesTheBinary(t *testing.T) {
+	if fingerprint("sim-v9", "abc", true, "1111") == fingerprint("sim-v9", "abc", true, "2222") {
+		t.Error("two dirty builds with different executables share a fingerprint")
+	}
+	for _, exe := range []string{"1111", "2222"} {
+		if fp := fingerprint("sim-v9", "abc", false, exe); fp != "sim-v9+abc" {
+			t.Errorf("clean build with executable %s: fingerprint %q, want sim-v9+abc", exe, fp)
+		}
+	}
+	if d := executableDigest(); d == "" || d != executableDigest() {
+		t.Errorf("executable digest %q is empty or not stable within a process", d)
+	}
+}
+
 // TestPanicIsolation: a panicking simulation fails its own job with a
 // captured error and leaves the rest of the sweep intact.
 func TestPanicIsolation(t *testing.T) {

@@ -226,12 +226,16 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 // coordinator journals is the key the worker registers — which is what
 // makes at-least-once dispatch safe. Daemon-side knobs are not part of it.
 func BuildJob(req *SubmitRequest) (runner.Job, string, error) {
+	cfg := config.Default()
+	if req.Config != nil {
+		cfg = *req.Config
+	}
 	switch {
 	case req.Tenancy != nil:
 		if req.Workload != "" {
 			return runner.Job{}, "", fmt.Errorf("workload and tenancy are mutually exclusive; name workloads inside the tenancy spec")
 		}
-		if err := req.Tenancy.Validate(); err != nil {
+		if err := req.Tenancy.Validate(&cfg); err != nil {
 			return runner.Job{}, "", fmt.Errorf("invalid tenancy spec: %w", err)
 		}
 	case req.Workload == "":
@@ -244,10 +248,6 @@ func BuildJob(req *SubmitRequest) (runner.Job, string, error) {
 	scale := req.Scale
 	if scale <= 0 {
 		scale = 1
-	}
-	cfg := config.Default()
-	if req.Config != nil {
-		cfg = *req.Config
 	}
 	if err := cfg.Validate(); err != nil {
 		return runner.Job{}, "", fmt.Errorf("invalid config: %w", err)

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"gpushare/internal/config"
 )
 
 // TestSubmitTenancyValidation covers the admission rules for
@@ -15,6 +18,12 @@ func TestSubmitTenancyValidation(t *testing.T) {
 	s := MustNew(Options{Workers: 1, CoreOptions: CoreOptions{QueueDepth: 2}})
 	defer s.Drain(5 * time.Second)
 
+	dyn := config.Default()
+	dyn.DynWarp = true
+	dynJSON, err := json.Marshal(dyn)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name, body, wantMsg string
 	}{
@@ -39,6 +48,9 @@ func TestSubmitTenancyValidation(t *testing.T) {
 		{"empty tenant list",
 			`{"tenancy":{"policy":"spatial","tenants":[]}}`,
 			"tenant"},
+		{"DynWarp config",
+			`{"tenancy":{"policy":"cosched","tenants":[{"workload":"gaussian"}]},"config":` + string(dynJSON) + `}`,
+			"DynWarp"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

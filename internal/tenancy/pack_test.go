@@ -3,6 +3,7 @@ package tenancy
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"gpushare/internal/config"
@@ -196,8 +197,9 @@ func TestPackStrategiesDiffer(t *testing.T) {
 
 // TestSpecValidate covers the spec's consistency rules.
 func TestSpecValidate(t *testing.T) {
+	cfg := config.Default()
 	good := Spec{Policy: CoSched, Tenants: []TenantSpec{{Workload: "gaussian"}}}
-	if err := good.Validate(); err != nil {
+	if err := good.Validate(&cfg); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 	cases := []struct {
@@ -214,9 +216,14 @@ func TestSpecValidate(t *testing.T) {
 		{"negative scale", Spec{Policy: CoSched, Tenants: []TenantSpec{{Workload: "gaussian", Scale: -1}}}},
 	}
 	for _, tc := range cases {
-		if err := tc.spec.Validate(); err == nil {
+		if err := tc.spec.Validate(&cfg); err == nil {
 			t.Errorf("%s: invalid spec accepted", tc.name)
 		}
+	}
+	dyn := cfg
+	dyn.DynWarp = true
+	if err := good.Validate(&dyn); err == nil || !strings.Contains(err.Error(), "DynWarp") {
+		t.Errorf("DynWarp config: got %v, want a DynWarp error", err)
 	}
 }
 

@@ -25,6 +25,7 @@ package tenancy
 import (
 	"fmt"
 
+	"gpushare/internal/config"
 	"gpushare/internal/workloads"
 )
 
@@ -158,9 +159,15 @@ type Spec struct {
 	Tenants     []TenantSpec `json:"tenants"`
 }
 
-// Validate checks the spec's internal consistency and that every
-// tenant's workload resolves in the registry.
-func (s *Spec) Validate() error {
+// CheckStructure enforces the spec's structural rules under cfg: a
+// defined policy and packing, a quota exactly when time-slicing, at
+// least one tenant, and no dynamic warp execution (its SM0-reference
+// design has no per-tenant meaning). Validate and gpu.RunMultiCtx both
+// apply it, so a job admitted at submission is not refused at run time.
+func (s *Spec) CheckStructure(cfg *config.Config) error {
+	if cfg.DynWarp {
+		return fmt.Errorf("multi-tenant runs do not support dynamic warp execution (DynWarp)")
+	}
 	switch s.Policy {
 	case Spatial, CoSched, TimeSlice:
 	default:
@@ -180,6 +187,16 @@ func (s *Spec) Validate() error {
 	}
 	if len(s.Tenants) == 0 {
 		return fmt.Errorf("tenancy spec needs at least one tenant")
+	}
+	return nil
+}
+
+// Validate checks the spec's structural rules under cfg
+// (CheckStructure), then that every tenant's workload resolves in the
+// registry.
+func (s *Spec) Validate(cfg *config.Config) error {
+	if err := s.CheckStructure(cfg); err != nil {
+		return err
 	}
 	for i, t := range s.Tenants {
 		if t.Workload == "" {

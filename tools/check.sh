@@ -18,7 +18,9 @@
 # path), that a global load is its warp's register (no load group, no
 # pointer in a writeback event or an L1 MSHR key), that each cycle-path
 # delay has one timer (no writeback overflow map, no private relaunch
-# ring, no legacy journal import), that the memory side
+# ring, no legacy journal import), that kernel text has one syntax
+# (internal/isa's opcode table: no second name table, printer or
+# disassembler, no dotted mnemonic literal elsewhere), that the memory side
 # skips nothing (no partition horizon, no DRAM next-event memo), and
 # that no pool, map-keyed MSHR or any-typed payload is back on the
 # memory path, EXPERIMENTS.md below its
@@ -214,6 +216,13 @@ fi
 hits=$(grep -n 'importLegacy' $(ls internal/wal/*.go | grep -v _test.go) || true)
 [ -z "$hits" ] || { echo "internal/wal: the legacy journal import is back (a -journal path is a record directory):" >&2; echo "$hits" >&2; exit 1; }
 echo "   non-test Go lines in internal/{smcore,gpu,config,wal}: $(cat $sm_src $gpu_src $(ls internal/config/*.go internal/wal/*.go | grep -v _test.go) | wc -l)"
+
+echo "== one kernel syntax (internal/isa owns every mnemonic and operand form; internal/asm keeps only directives, labels and operand lexing)"
+hits=$(grep -n -E 'opsByName|cmpsByName|specialsByName|printInstr|func .*Disassemble\(' $nontest_go | grep -v ':[[:space:]]*//' || true)
+[ -z "$hits" ] || { echo "a second kernel-text name table, printer or disassembler is back (isa's opcode table and (*isa.Instr).String are the syntax):" >&2; echo "$hits" >&2; exit 1; }
+hits=$(grep -n -E '"((ld|st)\.(global|shared|param)|bar\.sync)"' $(printf '%s\n' $nontest_go | grep -v '^\./internal/isa/') | grep -v ':[[:space:]]*//' || true)
+[ -z "$hits" ] || { echo "a dotted mnemonic literal outside internal/isa (name an opcode through isa.Opcode or isa.OpcodeByName):" >&2; echo "$hits" >&2; exit 1; }
+echo "   non-test Go lines in internal/{isa,asm,kernel}: $(cat $(ls internal/isa/*.go internal/asm/*.go internal/kernel/*.go | grep -v _test.go) | wc -l)"
 
 echo "== one atomic write (checkpoint.WriteFileAtomic is the only temp-file rename in non-test Go)"
 n=$(cat $nontest_go | grep -v '^[[:space:]]*//' | grep -c 'os\.Rename(' || true)
