@@ -141,8 +141,8 @@ func instruction(b *kernel.Builder, line string) error {
 		g, in.GuardNeg = strings.CutPrefix(g, "!")
 		num, isPred := strings.CutPrefix(g, "p")
 		n, err := strconv.Atoi(num)
-		if !isPred || err != nil {
-			return fmt.Errorf("bad guard %q", g)
+		if !isPred || err != nil || n < 0 || n >= kernel.MaxPredRegs {
+			return fmt.Errorf("bad guard %q (predicates are p0..p%d)", g, kernel.MaxPredRegs-1)
 		}
 		in.GuardPred = int8(n)
 	}
@@ -224,16 +224,16 @@ func parseOperand(s string) (isa.Operand, error) {
 	switch {
 	case s == "":
 		return isa.None, fmt.Errorf("empty operand")
-	case strings.HasPrefix(s, "r"):
-		n, err := strconv.Atoi(s[1:])
-		if err == nil {
-			return isa.Reg(n), nil
+	case strings.HasPrefix(s, "r"), strings.HasPrefix(s, "p"):
+		// The index must fit the operand's register field.
+		n, err := strconv.ParseUint(s[1:], 10, 8)
+		if err != nil {
+			return isa.None, fmt.Errorf("bad register %q (indices are 0..255)", s)
 		}
-	case strings.HasPrefix(s, "p"):
-		n, err := strconv.Atoi(s[1:])
-		if err == nil {
-			return isa.Pred(n), nil
+		if s[0] == 'r' {
+			return isa.Reg(int(n)), nil
 		}
+		return isa.Pred(int(n)), nil
 	case strings.HasPrefix(s, "%"):
 		if sr, ok := isa.SpecialByName(s); ok {
 			return isa.Sreg(sr), nil

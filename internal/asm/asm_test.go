@@ -82,6 +82,9 @@ func TestParseErrors(t *testing.T) {
 		{"bad directive", ".kernel k\n.weird 1\n\texit\n"},
 		{"operand count", ".kernel k\n.block 32\n\tiadd r0, r1\n"},
 		{"bad memref", ".kernel k\n.block 32\n\tld.global r0, r1\n"},
+		{"register index past the field", ".kernel k\n.block 32\n\tiadd r300, r1, r2\n"},
+		{"guard predicate past the file", ".kernel k\n.block 32\n\t@p256 exit\n"},
+		{"negative guard predicate", ".kernel k\n.block 32\n\t@!p-1 exit\n"},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.src); err == nil {

@@ -336,6 +336,20 @@ func (c *Config) SharingPercent() float64 {
 // longest is L1HitLat, 30.
 const MaxSMLat = 224
 
+// MaxSchedWarps bounds the warp slots one scheduler manages: the SM's
+// issue stage keeps its per-warp state in one 64-bit word per
+// scheduler. Table I's machine gives each of its 2 schedulers at most
+// 28 (maxWarpsPerSM).
+const MaxSchedWarps = 64
+
+// maxWarpsPerSM is the most warps a placement can make resident on one
+// SM: every block of t threads takes ceil(t/32) warps, so at most
+// MaxBlocksPerSM blocks sharing MaxThreadsPerSM threads take
+// (MaxThreadsPerSM + 31 per block) / 32.
+func (c *Config) maxWarpsPerSM() int {
+	return (c.MaxThreadsPerSM + 31*min(c.MaxBlocksPerSM, c.MaxThreadsPerSM)) / 32
+}
+
 // Validate checks internal consistency.
 func (c *Config) Validate() error {
 	switch {
@@ -351,6 +365,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("SmemPerSM must be non-negative, got %d", c.SmemPerSM)
 	case c.NumSchedulers <= 0:
 		return fmt.Errorf("NumSchedulers must be positive, got %d", c.NumSchedulers)
+	case (c.maxWarpsPerSM()+c.NumSchedulers-1)/c.NumSchedulers > MaxSchedWarps:
+		return fmt.Errorf("MaxThreadsPerSM %d and MaxBlocksPerSM %d allow %d resident warps, more than NumSchedulers %d can manage at %d warps each",
+			c.MaxThreadsPerSM, c.MaxBlocksPerSM, c.maxWarpsPerSM(), c.NumSchedulers, MaxSchedWarps)
 	case c.SPLat <= 0 || c.SFULat <= 0 || c.SmemLat <= 0:
 		return fmt.Errorf("execution latencies must be positive")
 	case max(c.SPLat, c.SFULat, c.SmemLat, c.L1HitLat) > MaxSMLat:

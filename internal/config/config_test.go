@@ -61,6 +61,8 @@ func TestValidateRejects(t *testing.T) {
 		"zero DRAM banks": func(c *Config) { c.DRAMBanksPerPartition = 0 },
 		"zero L1 hit lat": func(c *Config) { c.L1HitLat = 0 },
 		"smem lat > max":  func(c *Config) { c.SmemLat = MaxSMLat + 1 },
+		"warps > sched":   func(c *Config) { c.MaxThreadsPerSM, c.NumSchedulers = 4096, 2 },
+		"1-thread blocks": func(c *Config) { c.MaxBlocksPerSM, c.NumSchedulers = 65, 1 },
 	}
 	for name, mutate := range mutations {
 		c := Default()

@@ -742,7 +742,7 @@ func TestDeadlineThroughFleetTerminates(t *testing.T) {
 		CoreOptions: server.CoreOptions{JournalPath: journal, MaxDeadline: 50 * time.Millisecond},
 	})
 
-	req := seededReq(4800, 4) // ~100ms of simulation
+	req := seededReq(4800, 16) // ~200ms of simulation, four times the -maxdeadline cap
 	req.DeadlineMillis = 30
 	key := submitJob(t, base, req).Key
 

@@ -40,9 +40,9 @@ func TestAllocationBudget(t *testing.T) {
 		}},
 		{"MUM", "MUM", 16, func(*config.Config) {}},
 		// MUM again under the paper's best register-sharing configuration:
-		// most of its cycles are census replays over MSHR-full and
+		// most of its cycles are answered by the census over MSHR-full and
 		// lock-waiting warps, which must stay as allocation-free as the
-		// walk they replace.
+		// asks it replaces.
 		{"MUM-shared-owf-unroll-dyn", "MUM", 28, func(c *config.Config) { *c = regSharingDyn() }},
 		// The reference engine ranks every warp every cycle through each
 		// policy's Order (LRR here, OWF below), which must reuse its walk

@@ -378,7 +378,7 @@ func TestEngineDeterminism(t *testing.T) {
 // whose divergent pointer chasing keeps requests, DRAM commands and
 // replies in flight between idle DRAM spans (per-partition busy and
 // peak counters are part of the compared bytes) and keeps most warps
-// blocked, so the SMs run on census replays. The name is a
+// blocked, so most SM cycles are answered by the census. The name is a
 // stable test ID; the memory sleep it once checked is gone.
 func TestMemSleepDeterminism(t *testing.T) {
 	checkRows(t, []equivRow{{run: onWorkload("MUM"), cfg: config.Default(), trim: true, legs: sleepLegs}})
@@ -386,8 +386,9 @@ func TestMemSleepDeterminism(t *testing.T) {
 
 // TestSMSleepDeterminism holds the engine to the reference on the
 // blocked-SMs profile of BenchmarkBlockedSMs: whole SMs blocked for
-// hundreds of cycles while one stays busy, so nearly every SM cycle is
-// a census replay and the DRAM channels sit mostly idle. The name is a
+// hundreds of cycles while one stays busy, so the census answers nearly
+// every SM cycle without asking a warp and the DRAM channels sit mostly
+// idle. The name is a
 // stable test ID; per-SM sleep itself is gone.
 func TestSMSleepDeterminism(t *testing.T) {
 	checkRows(t, []equivRow{{run: onBlockedSMs, cfg: config.Default(), trim: true, legs: sleepLegs}})

@@ -8,12 +8,12 @@ import (
 )
 
 // BenchmarkSchedOrder measures one cycle of scheduler ranking over 48
-// warps — one view change, a walk of the whole ranking through the
-// cursor, one issue — the way the SM issue stage drives it, except that
-// the issue stage usually stops after a few warps. GTO and OWF walk
-// their incremental ready lists (Sync + Begin); lrr and two-level rotate
-// their views directly. Every policy must be allocation-free in steady
-// state.
+// warps — one view change, the ranking's runs, a walk of every index in
+// them, one issue of the first warp with work — the way the SM issue
+// stage drives it, except that the issue stage walks only the indices
+// its masks leave. GTO and OWF rank their incremental ready lists (Sync
+// + Begin); lrr and two-level rotate their views directly. Every policy
+// must be allocation-free in steady state.
 func BenchmarkSchedOrder(b *testing.B) {
 	policies := []struct {
 		name string
@@ -34,13 +34,17 @@ func BenchmarkSchedOrder(b *testing.B) {
 					HasWork:  i%4 != 0,
 				}
 			}
-			inc, isInc := s.(Incremental)
+			var inc *ReadyList
+			if i, ok := s.(Incremental); ok {
+				inc = i.Ready()
+			}
+			isInc := inc != nil
 			if isInc {
 				for i := range ws {
 					inc.Sync(ws[i])
 				}
 			}
-			var c Cursor
+			var r Ranking
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -49,12 +53,26 @@ func BenchmarkSchedOrder(b *testing.B) {
 				if isInc {
 					inc.Sync(*w)
 				}
-				s.Begin(ws, &c)
-				first := c.Next()
-				for c.Next() >= 0 {
+				s.Begin(ws, &r)
+				first, firstPos := -1, -1
+				for _, rg := range r.Ranges() {
+					for i := int(rg.Lo); i < int(rg.Hi); i++ {
+						var slot int
+						switch {
+						case isInc:
+							slot = inc.Slot(i)
+						case ws[i].HasWork:
+							slot = ws[i].Slot
+						default:
+							continue
+						}
+						if first < 0 {
+							first, firstPos = slot, i
+						}
+					}
 				}
 				if first >= 0 {
-					s.Issued(first)
+					s.Issued(first, firstPos)
 				}
 			}
 		})

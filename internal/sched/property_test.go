@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gpushare/internal/config"
@@ -53,17 +54,20 @@ func mutate(rng *rand.Rand, ws []WarpInfo, nextDyn *int64, wait waits) WarpInfo 
 	return ws[i]
 }
 
-func readySlot(rng *rand.Rand, ws []WarpInfo) int {
+// readySlot picks a random warp with work and returns its slot and its
+// position in ws, or -1 and -1 when none has work.
+func readySlot(rng *rand.Rand, ws []WarpInfo) (slot, pos int) {
 	ready := make([]int, 0, len(ws))
 	for i := range ws {
 		if ws[i].HasWork {
-			ready = append(ready, ws[i].Slot)
+			ready = append(ready, i)
 		}
 	}
 	if len(ready) == 0 {
-		return -1
+		return -1, -1
 	}
-	return ready[rng.Intn(len(ready))]
+	pos = ready[rng.Intn(len(ready))]
+	return ws[pos].Slot, pos
 }
 
 // TestOrderIsPermutationOfReadySlots: for every policy, under random
@@ -107,8 +111,8 @@ func TestOrderIsPermutationOfReadySlots(t *testing.T) {
 					if len(order) != nReady {
 						t.Fatalf("%s: order %v has %d entries, want %d ready", p.name, order, len(order), nReady)
 					}
-					if slot := readySlot(rng, ws); slot >= 0 && rng.Intn(2) == 0 {
-						s.Issued(slot)
+					if slot, pos := readySlot(rng, ws); slot >= 0 && rng.Intn(2) == 0 {
+						s.Issued(slot, pos)
 					}
 				}
 			}
@@ -143,22 +147,25 @@ func TestOWFPartitionProperty(t *testing.T) {
 					t.Fatalf("category inversion in %v (views %+v)", order, ws)
 				}
 			}
-			if slot := readySlot(rng, ws); slot >= 0 && rng.Intn(2) == 0 {
-				s.Issued(slot)
+			if slot, pos := readySlot(rng, ws); slot >= 0 && rng.Intn(2) == 0 {
+				s.Issued(slot, pos)
 			}
 		}
 	}
 }
 
-// TestCursorMatchesOrder is the lazy walk's equivalence proof by
+// TestCursorMatchesOrder is the ranking's equivalence proof by
 // fuzzing: for every policy and any interleaving of view changes and
-// issues, the walk Begin starts yields exactly the materialised ranking.
-// For GTO and OWF that is the incrementally maintained list, fed only
-// through Sync, against the legacy sort (Order); AuditReady must stay
-// clean throughout. For LRR and two-level, whose Order is the drained
-// cursor itself, it is the rotation against eagerRotation, the
-// materialising ranking the cursor replaced — including two-level's
-// group demotion, so the active group must agree after every walk.
+// issues, the runs Begin writes, walked in order, yield exactly the
+// materialised ranking. For GTO and OWF that is the incrementally
+// maintained list, fed only through Sync, against the legacy sort
+// (Order); its Audit must stay clean throughout, and a shadow list
+// shifted only as Sync reports must stay equal to the ready list — the
+// way the SM keeps its per-index masks in step. For LRR and two-level,
+// whose Order walks the runs itself, it is the rotation against
+// eagerRotation, the materialising ranking the runs replaced —
+// including two-level's group demotion, so the active group must agree
+// after every ranking. (The name predates the runs.)
 func TestCursorMatchesOrder(t *testing.T) {
 	for _, p := range []struct {
 		name string
@@ -171,20 +178,43 @@ func TestCursorMatchesOrder(t *testing.T) {
 			for trial := 0; trial < 100; trial++ {
 				const group = 4
 				s := New(p.pol, group, wait.long)
-				inc, _ := s.(Incremental)
+				var inc *ReadyList
+				if i, ok := s.(Incremental); ok {
+					inc = i.Ready()
+				}
 				eager := &eagerRotation{group: group, last: -1, wait: wait}
 				if p.pol == config.SchedLRR {
 					eager.group = 0 // one group of every warp
 				}
 				ws := randViews(rng, 1+rng.Intn(16), &nextDyn, wait)
-				if inc != nil {
-					for i := range ws {
-						inc.Sync(ws[i])
+				var shadow []int
+				sync := func(w WarpInfo) {
+					removed, inserted := inc.Sync(w)
+					if removed >= 0 {
+						shadow = slices.Delete(shadow, removed, removed+1)
+					}
+					if inserted >= 0 {
+						shadow = slices.Insert(shadow, inserted, w.Slot)
+					}
+					if inc.Len() != len(shadow) {
+						t.Fatalf("ready list has %d entries, the shifts Sync reported leave %d", inc.Len(), len(shadow))
+					}
+					for i, slot := range shadow {
+						if inc.Slot(i) != slot || inc.Index(slot) != i {
+							t.Fatalf("entry %d: ready list has slot %d (slot %d at index %d), the shifts Sync reported say slot %d",
+								i, inc.Slot(i), slot, inc.Index(slot), slot)
+						}
 					}
 				}
+				if inc != nil {
+					for i := range ws {
+						sync(ws[i])
+					}
+				}
+				var r Ranking
 				for step := 0; step < 30; step++ {
 					if w := mutate(rng, ws, &nextDyn, wait); inc != nil {
-						inc.Sync(w)
+						sync(w)
 					}
 					var want []int
 					if inc != nil {
@@ -192,33 +222,44 @@ func TestCursorMatchesOrder(t *testing.T) {
 					} else {
 						want = eager.order(ws)
 					}
-					var c Cursor
-					s.Begin(ws, &c)
-					got := c.drain(nil)
-					if len(got) != len(want) {
-						t.Fatalf("step %d: cursor %v vs ranking %v", step, got, want)
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("step %d: cursor %v vs ranking %v", step, got, want)
-						}
+					got := walk(s, ws, &r)
+					if !slices.Equal(got, want) {
+						t.Fatalf("step %d: ranking %v (runs %v) vs materialised %v", step, got, r.Ranges(), want)
 					}
 					if tl, ok := s.(*twoLevel); ok && tl.active != eager.active {
-						t.Fatalf("step %d: active group %d after the walk, eager ranking says %d", step, tl.active, eager.active)
+						t.Fatalf("step %d: active group %d after the ranking, eager ranking says %d", step, tl.active, eager.active)
 					}
 					if inc != nil {
-						if err := inc.AuditReady(ws); err != nil {
+						if err := inc.Audit(ws); err != nil {
 							t.Fatalf("step %d: %v", step, err)
 						}
 					}
-					if slot := readySlot(rng, ws); slot >= 0 && rng.Intn(2) == 0 {
-						s.Issued(slot)
+					if slot, pos := readySlot(rng, ws); slot >= 0 && rng.Intn(2) == 0 {
+						s.Issued(slot, pos)
 						eager.last = slot
 					}
 				}
 			}
 		})
 	}
+}
+
+// walk ranks ws with s and returns the slots of its runs in order, as
+// the SM walks them: a ready-list index through Slot, a view position
+// only when the view has work.
+func walk(s Scheduler, ws []WarpInfo, r *Ranking) []int {
+	s.Begin(ws, r)
+	inc, ok := s.(Incremental)
+	if !ok {
+		return r.views(ws, nil)
+	}
+	var out []int
+	for _, rg := range r.Ranges() {
+		for i := int(rg.Lo); i < int(rg.Hi); i++ {
+			out = append(out, inc.Ready().Slot(i))
+		}
+	}
+	return out
 }
 
 // eagerRotation is the LRR / two-level ranking as it was written before
@@ -259,7 +300,7 @@ func (s *eagerRotation) order(warps []WarpInfo) []int {
 			}
 		}
 	}
-	p := posOfSlot(warps, s.last)
+	p := posOfSlot(warps, s.last, -1)
 	for g := 0; g < groups; g++ {
 		gi := (s.active + g) % groups
 		lo, hi := gi*group, min((gi+1)*group, n)

@@ -6,16 +6,16 @@
 // stage walks the ranking and issues the first warp that passes all
 // hazard checks. This mirrors GPGPU-Sim's ordered-warp scheduler design.
 //
-// The walk usually stops within the first few warps, so the issue stage
-// does not materialise the ranking: Begin positions a Cursor, and Next
-// computes one more slot of the ranking per call. Order, the whole
-// ranking as a slice, is the reference engine's path and the tests'
-// oracle.
+// The issue stage does not materialise the ranking: Begin describes it
+// as a few runs of indices (a Ranking), so the SM can walk it over its
+// own per-index bitmasks and skip whole runs of blocked warps at once.
+// Order, the whole ranking as a slice of slots, is the reference
+// engine's path and the tests' oracle.
 //
 // GTO and OWF additionally implement Incremental: instead of re-sorting
 // every warp every cycle, the SM pushes per-warp view changes through
-// Sync as they happen, and their cursor walks the maintained ranking.
-// The incremental ranking is proven output-identical to the legacy
+// Sync as they happen, and their ranking is runs of the maintained ready
+// list. The incremental ranking is proven output-identical to the legacy
 // sort-based Order (see the property tests) and allocation-free in
 // steady state.
 package sched
@@ -38,39 +38,74 @@ type WarpInfo struct {
 	HasWork  bool          // has a decoded instruction to consider
 }
 
-// Scheduler ranks warps for issue.
-type Scheduler interface {
-	// Begin starts this cycle's ranking of warps in c: c.Next then
-	// yields the slots to consider, in priority order, omitting warps
-	// with HasWork == false. It is called once per ranking, exactly where
-	// Order would be, because ranking can move policy state (two-level
-	// demotes a blocked fetch group here). An Incremental scheduler ranks
-	// its maintained ready set, which Sync keeps equal to warps.
-	Begin(warps []WarpInfo, c *Cursor)
-	// Order writes the whole ranking Begin would walk into out and
-	// returns it: the reference engine's ranking and the tests' oracle.
-	Order(warps []WarpInfo, out []int) []int
-	// Issued informs the scheduler that slot issued this cycle.
-	Issued(slot int)
+// MaxWarps is the most indices a ranking covers: the most warp slots a
+// valid configuration gives one scheduler.
+const MaxWarps = config.MaxSchedWarps
+
+// Range is the run of indices [Lo, Hi), walked in increasing order.
+type Range struct{ Lo, Hi int32 }
+
+// Ranking is one cycle's ranking as runs of indices, best run first.
+// An index is a position in the views Begin was given, or, for an
+// Incremental scheduler, a position in its ReadyList (Slot maps it to a
+// warp slot). A view run may hold warps without work, which the
+// ranking omits; a ready-list run holds none. It is a plain value the
+// caller owns and reuses; Begin overwrites it. A ranking has at most two
+// runs per index (two-level fetch groups of one warp each).
+type Ranking struct {
+	runs [2 * MaxWarps]Range
+	n    int
 }
 
-// Incremental is implemented by schedulers that maintain an internal
-// ready structure instead of re-ranking the full warp set every cycle.
-// The caller pushes per-warp view changes through Sync on the events
+// Ranges returns the runs, best first.
+func (r *Ranking) Ranges() []Range { return r.runs[:r.n] }
+
+func (r *Ranking) add(lo, hi int) {
+	if lo < hi {
+		r.runs[r.n] = Range{int32(lo), int32(hi)}
+		r.n++
+	}
+}
+
+// Scheduler ranks warps for issue.
+type Scheduler interface {
+	// Begin writes this cycle's ranking of warps into r. It is called
+	// once per ranking, exactly where Order would be, because ranking
+	// can move policy state (two-level demotes a blocked fetch group
+	// here; see RanksEveryCycle). An Incremental scheduler ranks its
+	// maintained ready list, which Sync keeps equal to warps.
+	Begin(warps []WarpInfo, r *Ranking)
+	// Order writes the whole ranking Begin describes, as slots of warps
+	// with work, into out and returns it: the reference engine's ranking
+	// and the tests' oracle.
+	Order(warps []WarpInfo, out []int) []int
+	// Issued informs the scheduler that slot, at position pos of the
+	// views it ranks, issued this cycle.
+	Issued(slot, pos int)
+}
+
+// Incremental is implemented by schedulers that maintain a ReadyList
+// instead of re-ranking the full warp set every cycle. The caller
+// pushes per-warp view changes through the list's Sync on the events
 // that can change them (a warp finishing or parking at a barrier,
-// barrier release, ownership transfer, block launch); Begin then walks
-// the maintained ranking without scanning, sorting, or allocating. For
-// any sequence of Sync calls, the walk equals Order applied to the
+// barrier release, ownership transfer, block launch); Begin then ranks
+// the maintained list without scanning, sorting, or allocating. For any
+// sequence of Sync calls, the ranking equals Order applied to the
 // synced views.
 type Incremental interface {
 	Scheduler
-	// Sync replaces the scheduler's view of info.Slot.
-	Sync(info WarpInfo)
-	// AuditReady cross-checks the internal ready structure against the
-	// given warp views (the auditor's from-scratch recompute): membership
-	// must equal the HasWork slots and the order must match the legacy
-	// ranking. Read-only.
-	AuditReady(warps []WarpInfo) error
+	Ready() *ReadyList
+}
+
+// RanksEveryCycle reports whether s's Begin moves policy state, so that
+// it must run every cycle, as Order does in the reference engine, even
+// when the caller will ask no warp. Only two-level's does: it demotes a
+// fetch group none of whose warps can make progress. Every other
+// policy's Begin only describes the ranking, which a cycle that asks no
+// warp does not need.
+func RanksEveryCycle(s Scheduler) bool {
+	_, ok := s.(*twoLevel)
+	return ok
 }
 
 // New returns a scheduler implementing the given policy. groupSize and
@@ -86,11 +121,11 @@ func New(policy config.SchedPolicy, groupSize int, waitingLong func(slot int) bo
 		if groupSize <= 0 {
 			groupSize = 8
 		}
-		return &twoLevel{group: groupSize, last: -1, waitingLong: waitingLong}
+		return &twoLevel{group: groupSize, last: -1, lastPos: -1, waitingLong: waitingLong}
 	case config.SchedOWF:
-		return &owf{last: -1, rank: readyRank{byCategory: true}}
+		return &owf{last: -1, rank: ReadyList{byCategory: true}}
 	default:
-		return &lrr{last: -1}
+		return &lrr{last: -1, lastPos: -1}
 	}
 }
 
@@ -100,15 +135,21 @@ func New(policy config.SchedPolicy, groupSize int, waitingLong func(slot int) bo
 // schedulers the slots a scheduler manages are interleaved and slot
 // numbers are not positions.
 type lrr struct {
-	last int    // slot number of the last issued warp; -1 before any issue
-	cur  Cursor // Order's walk, kept so its rotation buffer is reused
+	last    int      // slot number of the last issued warp; -1 before any issue
+	lastPos int      // last's position, as Issued reported it (-1: unknown)
+	rank    *Ranking // Order's, made at its first call (only the reference engine orders)
 }
 
 // posOfSlot returns the position of the warp with the given slot number
-// in the info slice, or -1 when absent.
-func posOfSlot(warps []WarpInfo, slot int) int {
+// in the info slice, or -1 when absent. hint is where Issued said it
+// was: views keep their positions, so that is checked before any scan
+// (a restored scheduler knows only the slot).
+func posOfSlot(warps []WarpInfo, slot, hint int) int {
 	if slot < 0 {
 		return -1
+	}
+	if hint >= 0 && hint < len(warps) && warps[hint].Slot == slot {
+		return hint
 	}
 	for i := range warps {
 		if warps[i].Slot == slot {
@@ -118,24 +159,70 @@ func posOfSlot(warps []WarpInfo, slot int) int {
 	return -1
 }
 
+// rotate writes views split into fetch groups of size group (the last
+// may be shorter), from group first (< the group count) on, each
+// rotated to start at offset off (taken modulo the group's length): two
+// runs per group. One group whose length off does not reach costs no
+// division, which LRR's rotation, run every scheduler-cycle, relies on.
+func (r *Ranking) rotate(n, group, first, off int) {
+	r.n = 0
+	if n == 0 {
+		return
+	}
+	groups := 1
+	if n > group {
+		groups = (n + group - 1) / group
+	}
+	for g := range groups {
+		gi := first + g
+		if gi >= groups {
+			gi -= groups
+		}
+		lo := gi * group
+		hi := min(lo+group, n)
+		start := off
+		if start >= hi-lo {
+			start %= hi - lo
+		}
+		r.add(lo+start, hi)
+		r.add(lo, lo+start)
+	}
+}
+
+// views appends the slots of r's warps with work, in ranking order.
+func (r *Ranking) views(warps []WarpInfo, out []int) []int {
+	for _, rg := range r.Ranges() {
+		for i := rg.Lo; i < rg.Hi; i++ {
+			if warps[i].HasWork {
+				out = append(out, warps[i].Slot)
+			}
+		}
+	}
+	return out
+}
+
 // Begin rotates the whole warp set as one group, starting one past the
 // last issued warp (-1, not found, resumes at 0).
-func (s *lrr) Begin(warps []WarpInfo, c *Cursor) {
-	c.rotate(warps, len(warps), 0, posOfSlot(warps, s.last)+1)
+func (s *lrr) Begin(warps []WarpInfo, r *Ranking) {
+	s.lastPos = posOfSlot(warps, s.last, s.lastPos)
+	r.rotate(len(warps), len(warps), 0, s.lastPos+1)
 }
 
 func (s *lrr) Order(warps []WarpInfo, out []int) []int {
-	s.Begin(warps, &s.cur)
-	return s.cur.drain(out)
+	if s.rank == nil {
+		s.rank = new(Ranking)
+	}
+	s.Begin(warps, s.rank)
+	return s.rank.views(warps, out)
 }
 
-func (s *lrr) Issued(slot int) { s.last = slot }
+func (s *lrr) Issued(slot, pos int) { s.last, s.lastPos = slot, pos }
 
 // gto is greedy-then-oldest: keep issuing from the same warp while it is
 // ready; otherwise the oldest (lowest dynamic id) ready warp.
 type gto struct {
 	last int
-	rank readyRank
+	rank ReadyList
 	idx  []int // Order's scratch
 }
 
@@ -144,10 +231,9 @@ func (s *gto) Order(warps []WarpInfo, out []int) []int {
 	return out
 }
 
-func (s *gto) Begin(_ []WarpInfo, c *Cursor) { s.rank.begin(s.last, c) }
-func (s *gto) Issued(slot int)               { s.last = slot }
-func (s *gto) Sync(info WarpInfo)            { s.rank.sync(info) }
-func (s *gto) AuditReady(w []WarpInfo) error { return s.rank.audit(w) }
+func (s *gto) Begin(_ []WarpInfo, r *Ranking) { s.rank.begin(s.last, r) }
+func (s *gto) Issued(slot, _ int)             { s.last = slot }
+func (s *gto) Ready() *ReadyList              { return &s.rank }
 
 // greedyThenOldest ranks warps by dynamic id (and category when
 // byCategory), hoisting the previously issued warp to the front of its
@@ -189,15 +275,16 @@ type twoLevel struct {
 	group       int
 	active      int
 	last        int // slot number of the last issued warp; -1 before any issue
+	lastPos     int // last's position, as Issued reported it (-1: unknown)
 	waitingLong func(slot int) bool
-	cur         Cursor // Order's walk, kept so its rotation buffer is reused
+	rank        *Ranking // Order's, made at its first call (only the reference engine orders)
 }
 
 // Begin demotes the active group if none of its warps can make progress
 // without waiting on memory, then walks the groups from the active one,
 // each rotated like lrr: resuming after the *position* of the last
 // issued warp, not its slot number.
-func (s *twoLevel) Begin(warps []WarpInfo, c *Cursor) {
+func (s *twoLevel) Begin(warps []WarpInfo, r *Ranking) {
 	if groups := (len(warps) + s.group - 1) / s.group; groups > 0 {
 		if s.active >= groups {
 			s.active = 0
@@ -212,12 +299,16 @@ func (s *twoLevel) Begin(warps []WarpInfo, c *Cursor) {
 			}
 		}
 	}
-	c.rotate(warps, s.group, s.active, posOfSlot(warps, s.last)+1)
+	s.lastPos = posOfSlot(warps, s.last, s.lastPos)
+	r.rotate(len(warps), s.group, s.active, s.lastPos+1)
 }
 
 func (s *twoLevel) Order(warps []WarpInfo, out []int) []int {
-	s.Begin(warps, &s.cur)
-	return s.cur.drain(out)
+	if s.rank == nil {
+		s.rank = new(Ranking)
+	}
+	s.Begin(warps, s.rank)
+	return s.rank.views(warps, out)
 }
 
 func (s *twoLevel) groupRunnable(warps []WarpInfo, g int) bool {
@@ -230,7 +321,7 @@ func (s *twoLevel) groupRunnable(warps []WarpInfo, g int) bool {
 	return false
 }
 
-func (s *twoLevel) Issued(slot int) { s.last = slot }
+func (s *twoLevel) Issued(slot, pos int) { s.last, s.lastPos = slot, pos }
 
 // owf is the paper's Owner-Warp-First policy (§IV-A): shared-owner warps
 // first, then unshared warps, then shared non-owner warps; within that
@@ -239,7 +330,7 @@ func (s *twoLevel) Issued(slot int) { s.last = slot }
 // (observed for Set-3 in the paper's Fig. 12).
 type owf struct {
 	last int
-	rank readyRank
+	rank ReadyList
 	idx  []int // Order's scratch
 }
 
@@ -248,63 +339,91 @@ func (s *owf) Order(warps []WarpInfo, out []int) []int {
 	return out
 }
 
-func (s *owf) Begin(_ []WarpInfo, c *Cursor) { s.rank.begin(s.last, c) }
-func (s *owf) Issued(slot int)               { s.last = slot }
-func (s *owf) Sync(info WarpInfo)            { s.rank.sync(info) }
-func (s *owf) AuditReady(w []WarpInfo) error { return s.rank.audit(w) }
+func (s *owf) Begin(_ []WarpInfo, r *Ranking) { s.rank.begin(s.last, r) }
+func (s *owf) Issued(slot, _ int)             { s.last = slot }
+func (s *owf) Ready() *ReadyList              { return &s.rank }
 
-// readyEntry is one ready (HasWork) warp in the maintained ranking
-// (16 bytes; a rotation's collected rest reuses it for its slots).
+// readyEntry is one ready (HasWork) warp in the maintained ranking.
 type readyEntry struct {
 	dyn  int64
 	slot int32
 	cat  core.Category
 }
 
-// readyRank maintains the ready warps of one scheduler as a list kept
+// ReadyList maintains the ready warps of one scheduler as a list kept
 // sorted by (category when byCategory, then dynamic id). Dynamic ids
 // are unique within an SM, so the order is total and the list equals
-// the legacy sort's output for the same views. sync is O(n) memmove in
-// the worst case over n ≤ warps-per-scheduler (≤ 48) entries and
-// allocation-free once the backing array has grown; begin finds the
-// greedy slot, and the cursor hoists it to the head of its priority
-// class as it walks.
-type readyRank struct {
+// the legacy sort's output for the same views. at maps a slot to its
+// index in the list (-1 when absent) and cats counts the entries of
+// each category. Sync is O(n) memmove and renumbering in the worst case
+// over n ≤ 64 entries and allocation-free once the arrays have grown;
+// begin looks the greedy slot up in at and hoists it to the head of its
+// priority class, which starts after the entries of the categories
+// ahead of it.
+type ReadyList struct {
 	byCategory bool
 	entries    []readyEntry
+	at         []int32
+	cats       [core.CatNonOwner + 1]int32
 }
 
 // less orders two entries by the legacy comparator, minus the greedy
-// hoist (which the cursor applies as it walks).
-func (r *readyRank) less(a, b *readyEntry) bool {
+// hoist (which begin applies).
+func (r *ReadyList) less(a, b *readyEntry) bool {
 	if r.byCategory && a.cat != b.cat {
 		return a.cat < b.cat
 	}
 	return a.dyn < b.dyn
 }
 
-// sync installs one warp's current view: ready warps are inserted at
-// (or moved to) their sorted position, non-ready warps are removed.
-func (r *readyRank) sync(info WarpInfo) {
-	at := -1
-	for i := range r.entries {
-		if int(r.entries[i].slot) == info.Slot {
-			at = i
-			break
-		}
+// Len is the list's length.
+func (r *ReadyList) Len() int { return len(r.entries) }
+
+// Slot is the warp slot at index i.
+func (r *ReadyList) Slot(i int) int { return int(r.entries[i].slot) }
+
+// Index returns slot's index in the list, -1 when it is not on it.
+func (r *ReadyList) Index(slot int) int {
+	if slot < 0 || slot >= len(r.at) {
+		return -1
 	}
-	if !info.HasWork {
-		if at >= 0 {
-			r.entries = append(r.entries[:at], r.entries[at+1:]...)
+	return int(r.at[slot])
+}
+
+// renumber records the index of every entry from index from on.
+func (r *ReadyList) renumber(from int) {
+	for i := from; i < len(r.entries); i++ {
+		r.at[r.entries[i].slot] = int32(i)
+	}
+}
+
+// Sync installs one warp's current view: a ready warp is inserted at
+// (or moved to) its sorted position, a warp without work is removed. It
+// reports how the list moved: the index the warp's entry left (every
+// later entry moved down one), then the index it entered (every entry
+// from there on moved up one), each -1 when it did not. A caller keeping
+// state per index shifts it the same way.
+func (r *ReadyList) Sync(info WarpInfo) (removed, inserted int) {
+	removed, inserted = -1, -1
+	for info.Slot >= len(r.at) {
+		if len(r.at) == cap(r.at) { // grown once for the slots of a few schedulers
+			r.at = slices.Grow(r.at, max(info.Slot+1, 2*MaxWarps)-len(r.at))
 		}
-		return
+		r.at = append(r.at, -1)
 	}
 	e := readyEntry{slot: int32(info.Slot), dyn: info.DynID, cat: info.Category}
-	if at >= 0 {
-		if r.entries[at].dyn == e.dyn && r.entries[at].cat == e.cat {
-			return // position unchanged
+	if at := int(r.at[info.Slot]); at >= 0 {
+		if info.HasWork && r.entries[at] == e {
+			return -1, -1 // position unchanged
 		}
+		r.cats[r.entries[at].cat]--
 		r.entries = append(r.entries[:at], r.entries[at+1:]...)
+		r.at[info.Slot] = -1
+		r.renumber(at)
+		removed = at
+	}
+	if !info.HasWork {
+		return removed, -1
 	}
 	// Insert at the sorted position.
 	pos := sort.Search(len(r.entries), func(i int) bool {
@@ -313,31 +432,41 @@ func (r *readyRank) sync(info WarpInfo) {
 	r.entries = append(r.entries, readyEntry{})
 	copy(r.entries[pos+1:], r.entries[pos:])
 	r.entries[pos] = e
+	r.cats[e.cat]++
+	r.renumber(pos)
+	return removed, pos
 }
 
-// begin starts c on the ranking: the sorted entries, with the last-
-// issued slot (if still ready) hoisted to the front of its priority
-// class — the whole list for GTO, its category segment for OWF.
-func (r *readyRank) begin(last int, c *Cursor) {
-	// Field by field: a struct literal would copy the whole Cursor.
-	c.ranked, c.entries, c.i, c.hoist, c.front = true, r.entries, 0, -1, -1
-	for i := range r.entries {
-		if int(r.entries[i].slot) == last {
-			c.hoist, c.front = i, 0
-			if r.byCategory {
-				for r.entries[c.front].cat < r.entries[i].cat {
-					c.front++
-				}
-			}
-			break
+// begin writes the ranking: the sorted entries, with the last-issued
+// slot (if still ready) hoisted to the front of its priority class —
+// the whole list for GTO, its category segment for OWF. That is at most
+// four runs: the classes ahead, the hoisted entry, the rest of its
+// class before it, and everything after it.
+func (r *ReadyList) begin(last int, rk *Ranking) {
+	rk.n = 0
+	n := len(r.entries)
+	h := r.Index(last)
+	if h < 0 {
+		rk.add(0, n)
+		return
+	}
+	front := 0
+	if r.byCategory {
+		for c := range r.entries[h].cat {
+			front += int(r.cats[c])
 		}
 	}
-	c.rankedLim()
+	rk.add(0, front)
+	rk.add(h, h+1)
+	rk.add(front, h)
+	rk.add(h+1, n)
 }
 
-// audit verifies the maintained list against a from-scratch view:
-// exactly the HasWork slots, each with the view's key, in sorted order.
-func (r *readyRank) audit(warps []WarpInfo) error {
+// Audit verifies the maintained list against a from-scratch view:
+// exactly the HasWork slots, each with the view's key, in sorted order,
+// each at the index at records for it, and the category counts. The
+// auditor's from-scratch recompute calls it. Read-only.
+func (r *ReadyList) Audit(warps []WarpInfo) error {
 	want := make([]readyEntry, 0, len(warps))
 	for i := range warps {
 		if warps[i].HasWork {
@@ -348,172 +477,27 @@ func (r *readyRank) audit(warps []WarpInfo) error {
 	if len(want) != len(r.entries) {
 		return fmt.Errorf("ready set has %d entries, recompute has %d", len(r.entries), len(want))
 	}
+	var cats [len(r.cats)]int32
 	for i := range want {
 		if want[i] != r.entries[i] {
 			return fmt.Errorf("ready set entry %d is %+v, recompute says %+v", i, r.entries[i], want[i])
 		}
+		cats[want[i].cat]++
+	}
+	if cats != r.cats {
+		return fmt.Errorf("ready set counts %v entries per category, recompute says %v", r.cats, cats)
+	}
+	listed := 0
+	for slot, i := range r.at {
+		if i < 0 {
+			continue
+		}
+		if listed++; int(i) >= len(r.entries) || int(r.entries[i].slot) != slot {
+			return fmt.Errorf("ready set index table puts slot %d at entry %d, which is not it", slot, i)
+		}
+	}
+	if listed != len(r.entries) {
+		return fmt.Errorf("ready set index table lists %d slots, the set has %d entries", listed, len(r.entries))
 	}
 	return nil
-}
-
-// Cursor walks one ranking, best first, computing slots only as the
-// issue stage asks for them. It is a plain value the caller owns and
-// reuses; Begin overwrites it. It is one concrete type for every policy,
-// and Next's common case is inlined into the caller: no indirect call,
-// and no allocation once a rotation's buffer has grown.
-type Cursor struct {
-	// entries[i:end] is the run Next serves without a call: a stretch of
-	// a ready list in order (GTO, OWF), or the rest of a rotation (LRR,
-	// two-level).
-	entries []readyEntry
-	i, end  int
-	ranked  bool
-
-	// Ready list: entries[hoist] (if hoist >= 0) is walked first when the
-	// walk reaches index front (if front >= 0), and skipped at its own
-	// index; end stops each run short of both.
-	hoist, front int
-
-	// Rotation: views in fetch groups of size group, visited from group
-	// gi+1 on, each walked as two runs from offset off within it,
-	// [start, hi) then [lo, start); [pos, lim) is what is left of the
-	// current run. Most walks stop at the first ready warp, so that one
-	// is found by scanning; asked for a second, the cursor collects the
-	// rest of the rotation into buf in one pass, as a whole ranking
-	// would, and serves it as a run.
-	views      []WarpInfo
-	group, off int
-	gi         int // group being walked
-	total      int // positions in the groups not yet entered
-	lo, start  int
-	pos, lim   int
-	scanned    bool // the first ready warp was found by scanning
-	buf        []readyEntry
-}
-
-// rotate starts c on views split into groups of size group (the last
-// may be shorter), from group first, each rotated to start at offset
-// off (taken modulo the group's length).
-func (c *Cursor) rotate(views []WarpInfo, group, first, off int) {
-	if cap(c.buf) < len(views) {
-		c.buf = make([]readyEntry, 0, len(views))
-	}
-	c.ranked, c.views, c.group, c.off = false, views, group, off
-	c.i, c.end, c.gi, c.total, c.scanned = 0, 0, first-1, len(views), false
-	c.lo, c.start, c.pos, c.lim = 0, 0, 0, 0
-}
-
-// Next returns the next slot of the ranking, or -1 when it is exhausted.
-func (c *Cursor) Next() int {
-	if c.i < c.end {
-		c.i++
-		return int(c.entries[c.i-1].slot)
-	}
-	return c.next()
-}
-
-// next is Next at the end of a run: it steps a ready list past the
-// hoisted entry, or takes a rotation's first ready warp, or the rest.
-func (c *Cursor) next() int {
-	if c.ranked {
-		slot := -1
-		switch {
-		case c.i == c.front:
-			c.front = -1
-			slot = int(c.entries[c.hoist].slot)
-		case c.i == c.hoist:
-			c.i++ // walked already, hoisted
-			fallthrough
-		default:
-			if c.i < len(c.entries) {
-				slot = int(c.entries[c.i].slot)
-				c.i++
-			}
-		}
-		c.rankedLim()
-		return slot
-	}
-	if !c.scanned {
-		c.scanned = true
-		for {
-			for pos := c.pos; pos < c.lim; pos++ {
-				if w := &c.views[pos]; w.HasWork {
-					c.pos = pos + 1
-					return w.Slot
-				}
-			}
-			if c.pos = c.lim; !c.nextRun() {
-				return -1
-			}
-		}
-	}
-	// The rest fits: rotate sized buf to the views. Only slot is
-	// written; nothing reads the other fields of a collected entry. Once
-	// the rest has been walked, this finds nothing left.
-	buf, n, views, pos, lim := c.buf[:cap(c.buf)], 0, c.views, c.pos, c.lim
-	for {
-		for ; pos < lim; pos++ {
-			if w := &views[pos]; w.HasWork {
-				buf[n].slot = int32(w.Slot)
-				n++
-			}
-		}
-		if c.pos = pos; !c.nextRun() {
-			break
-		}
-		pos, lim = c.pos, c.lim
-	}
-	if n == 0 {
-		return -1
-	}
-	c.entries, c.i, c.end = buf[:n], 1, n
-	return int(buf[0].slot)
-}
-
-// nextRun starts a rotation's next run once the current one is walked
-// (pos == lim) and reports whether there is one.
-func (c *Cursor) nextRun() bool {
-	if c.lim > c.start && c.start > c.lo { // [start, hi) done: wrap to [lo, start)
-		c.pos, c.lim = c.lo, c.start
-		return true
-	}
-	if c.total == 0 {
-		return false
-	}
-	if c.gi++; c.gi*c.group >= len(c.views) {
-		c.gi = 0
-	}
-	c.lo = c.gi * c.group
-	hi := min(c.lo+c.group, len(c.views))
-	c.total -= hi - c.lo
-	// off mod the group's length, without a division: off is at most
-	// one past a position in views, so for LRR's one group this
-	// subtracts at most once.
-	o := c.off
-	for o >= hi-c.lo {
-		o -= hi - c.lo
-	}
-	c.start = c.lo + o
-	c.pos, c.lim = c.start, hi
-	return true
-}
-
-// rankedLim ends the ready list's current run at the next position
-// where the walk departs from the list's order.
-func (c *Cursor) rankedLim() {
-	c.end = len(c.entries)
-	if c.front >= 0 {
-		c.end = c.front
-	} else if c.hoist >= c.i {
-		c.end = c.hoist
-	}
-}
-
-// drain appends the rest of the walk to out: Order for the policies
-// whose cursor is their only ranking, so each rotation exists once.
-func (c *Cursor) drain(out []int) []int {
-	for slot := c.Next(); slot >= 0; slot = c.Next() {
-		out = append(out, slot)
-	}
-	return out
 }

@@ -7,6 +7,8 @@ import (
 	"gpushare/internal/core"
 )
 
+// warps returns n views whose slot numbers are their positions, so a
+// test passes one number as both to Issued.
 func warps(n int) []WarpInfo {
 	ws := make([]WarpInfo, n)
 	for i := range ws {
@@ -22,7 +24,7 @@ func TestLRRRotation(t *testing.T) {
 	if order[0] != 0 {
 		t.Fatalf("initial order starts at %d", order[0])
 	}
-	s.Issued(1)
+	s.Issued(1, 1)
 	order = s.Order(ws, nil)
 	if order[0] != 2 || order[3] != 1 {
 		t.Fatalf("after issuing 1, order = %v (want rotation from 2)", order)
@@ -43,7 +45,7 @@ func TestGTOGreedyThenOldest(t *testing.T) {
 	if order[0] != 2 {
 		t.Fatalf("oldest first: %v", order)
 	}
-	s.Issued(3)
+	s.Issued(3, 3)
 	order = s.Order(ws, nil)
 	if order[0] != 3 {
 		t.Fatalf("greedy warp not hoisted: %v", order)
@@ -75,13 +77,13 @@ func TestOWFCategoryPriority(t *testing.T) {
 		}
 	}
 	// Greedy hoist applies within the top category only.
-	s.Issued(2)
+	s.Issued(2, 2)
 	order = s.Order(ws, nil)
 	if order[0] != 2 {
 		t.Fatalf("greedy owner not first: %v", order)
 	}
 	// A greedy non-owner never outranks owners or unshared warps.
-	s.Issued(0)
+	s.Issued(0, 0)
 	order = s.Order(ws, nil)
 	if order[0] == 0 {
 		t.Fatalf("non-owner hoisted above owners: %v", order)
@@ -98,8 +100,8 @@ func TestOWFDegeneratesToGTO(t *testing.T) {
 	ws[6].HasWork = false
 	for _, issue := range []int{-1, 3, 0, 5} {
 		if issue >= 0 {
-			owf.Issued(issue)
-			gto.Issued(issue)
+			owf.Issued(issue, issue)
+			gto.Issued(issue, issue)
 		}
 		a := owf.Order(ws, nil)
 		b := gto.Order(ws, nil)

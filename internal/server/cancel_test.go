@@ -50,10 +50,11 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	ctx := context.Background()
 
 	// With one worker the first job runs and the second sits queued.
-	// Scale the first job up so the cancel lands mid-simulation rather
-	// than racing a sub-millisecond run to completion.
+	// Scale the first job up (some 0.4s) so the cancel lands
+	// mid-simulation rather than racing the run to completion behind the
+	// queued job's submit and cancel.
 	slow := seededReq(9001)
-	slow.Scale = 8
+	slow.Scale = 32
 	running, err := c.Submit(ctx, slow)
 	if err != nil {
 		t.Fatalf("submit running: %v", err)
@@ -96,7 +97,8 @@ func TestCancelIsNotDeletion(t *testing.T) {
 	_, ts, c := startDaemon(t, server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8}})
 	ctx := context.Background()
 
-	st, err := c.Submit(ctx, seededReq(9003))
+	// A slow job, so the cancel lands before the run completes.
+	st, err := c.Submit(ctx, slowReq(9003))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -107,7 +109,7 @@ func TestCancelIsNotDeletion(t *testing.T) {
 
 	// A fresh client (no retry state) resubmits the same content key.
 	c2 := client.New(ts.URL)
-	got, err := c2.SubmitWait(ctx, seededReq(9003))
+	got, err := c2.SubmitWait(ctx, slowReq(9003))
 	if err != nil {
 		t.Fatalf("resubmit after cancel: %v", err)
 	}

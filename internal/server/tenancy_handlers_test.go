@@ -24,6 +24,12 @@ func TestSubmitTenancyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wide := config.Default()
+	wide.MaxThreadsPerSM, wide.NumSchedulers = 4096, 1
+	wideJSON, err := json.Marshal(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name, body, wantMsg string
 	}{
@@ -51,6 +57,9 @@ func TestSubmitTenancyValidation(t *testing.T) {
 		{"DynWarp config",
 			`{"tenancy":{"policy":"cosched","tenants":[{"workload":"gaussian"}]},"config":` + string(dynJSON) + `}`,
 			"DynWarp"},
+		{"more warps than a scheduler manages",
+			`{"tenancy":{"policy":"cosched","tenants":[{"workload":"gaussian"}]},"config":` + string(wideJSON) + `}`,
+			"NumSchedulers 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -194,9 +194,9 @@ func benchBlockedTicks(b *testing.B, cfg config.Config, k *kernel.Kernel, warm i
 // them blocked behind a full MSHR file. Each warp's first instruction
 // is a global load touching 32 distinct lines; the first to issue takes
 // all 32 MSHRs and then waits on the scoreboard for data that never
-// comes, and the rest can never issue their load. No cycle issues, so
-// after the first blocked walk each scheduler's slot is a census
-// replay.
+// comes, and the rest can never issue their load. No cycle issues, and
+// no warp's class is open, so the census charges each scheduler's slot
+// by popcount without ranking or asking anyone.
 func BenchmarkSMTickStalled(b *testing.B) {
 	kb := kernel.NewBuilder("stalled", 192)
 	kb.Params(1).SetRegs(12)
@@ -219,10 +219,10 @@ func BenchmarkSMTickStalled(b *testing.B) {
 // seven of the eight park at a barrier the eighth never reaches, and
 // that one spins on a dependent ALU chain — while the other block's
 // warps all wait on the Fig. 3 lock. The three spinning warps land on
-// one scheduler, whose LRR walk asks each lock-waiting warp in full
-// (tryIssue down to the failed TryAcquireReg) whenever a spinner's issue
-// or writeback has left it without a census; the other scheduler ranks
-// only lock-waiting warps (a census replay every cycle).
+// one scheduler, whose walk asks a spinner when its scoreboard is clear
+// and passes the lock-waiting warps by popcount once each has been seen
+// failing the lock at the current lock generation; the other scheduler
+// ranks only lock-waiting warps, charged by popcount every cycle.
 func BenchmarkSMTickLockWait(b *testing.B) {
 	kb := kernel.NewBuilder("lockwait", 256)
 	kb.SetRegs(36)

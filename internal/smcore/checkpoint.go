@@ -16,8 +16,8 @@ import (
 // state: the scheduler view buffers and incremental ready rankings
 // (RestoreState marks every warp dirty, so the first refresh re-snapshots
 // and re-Syncs every slot — reproducing the identical sorted ranking),
-// the censuses (dropped with the views; the first walk that issues
-// nothing re-derives them), each warp's cached next PC (re-read from the
+// the censuses (emptied, then rebuilt warp by warp by the same
+// refreshes), each warp's cached next PC (re-read from the
 // restored SIMT stack), the load-line counts (recounted from the MSHR
 // waiters and the load-line writebacks), the static issue metadata, and
 // the free lists (allocation identity is not machine state).
@@ -337,8 +337,13 @@ func (sm *SM) RestoreState(now int64, c Checkpoint) error {
 	sm.nextDyn = c.NextDyn
 	sm.finished = c.Finished
 	sm.Stats = c.Stats
+	// Every warp is queued, and its refresh classifies it into a census
+	// emptied here.
+	for si := range sm.census {
+		sm.resetCensus(si)
+	}
 	for ws := range sm.warps {
-		sm.markDirty(ws) // also drops the warp's scheduler's census
+		sm.markDirty(ws)
 	}
 	return nil
 }

@@ -25,14 +25,14 @@ func TestCheckpointDerivedStateAndLegacyFields(t *testing.T) {
 		mustLaunch(t, src, slot, slot)
 	}
 	// Tick the SM alone (no memory replies) until it is wedged on loads:
-	// both censuses are valid.
+	// both censuses hold blocked warps.
 	var now int64
 	for ; now < 2000; now++ {
 		if _, err := src.Tick(now); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !src.census[0].valid || !src.census[1].valid {
+	if censusEmpty(&src.census[0]) || censusEmpty(&src.census[1]) {
 		t.Fatalf("setup: SM never reached an all-blocked steady state: %+v mshr %d", src.Stats, src.mshr.Len())
 	}
 
@@ -65,7 +65,7 @@ func TestCheckpointDerivedStateAndLegacyFields(t *testing.T) {
 		dst.warps[ws].pc = 1 << 20
 	}
 	for si := range dst.census {
-		dst.census[si].valid = true
+		dst.census[si].of[classScoreboard], dst.census[si].lock = ^uint64(0), ^uint64(0)
 	}
 	dst.liveBlocks = 99
 	for i := range dst.lineCount {
@@ -78,8 +78,8 @@ func TestCheckpointDerivedStateAndLegacyFields(t *testing.T) {
 		t.Errorf("restored line counts %v, source has %v (which must hold a load in flight)", dst.lineCount, src.lineCount)
 	}
 	for si := range dst.census {
-		if dst.census[si].valid {
-			t.Fatalf("scheduler %d census survived the restore", si)
+		if !censusEmpty(&dst.census[si]) {
+			t.Fatalf("scheduler %d census survived the restore: %+v", si, dst.census[si])
 		}
 	}
 	if dst.ActiveBlocks() != src.ActiveBlocks() {
@@ -98,4 +98,9 @@ func TestCheckpointDerivedStateAndLegacyFields(t *testing.T) {
 	if !bytes.Equal(again, raw) {
 		t.Error("restoring a legacy payload and re-checkpointing changed the machine state")
 	}
+}
+
+// censusEmpty reports whether c has no class or lock bit set.
+func censusEmpty(c *census) bool {
+	return c.of == [numClasses]uint64{} && c.lock == 0
 }

@@ -27,14 +27,16 @@ import (
 //  2. Warp snapshots: each warp's sched.WarpInfo is cached and
 //     recomputed only when an event that can change one of its inputs
 //     fires (the markDirty callers). A warp's own issue, a writeback or
-//     a load completion moves nothing in its view; a writeback or a load
-//     completion drops only its scheduler's census (census.go), and the
-//     walk that issued takes none. The two-level policy's one extra
-//     input, whether the warp waits on a global load, is not in the view
-//     at all but read live through waitingLong. Schedulers that implement
-//     sched.Incremental additionally keep a maintained ready ranking
-//     fed from the same refresh, so a cycle's issue order costs a walk
-//     of the ready list instead of a per-cycle sort.
+//     a load completion moves nothing in its view; they move only the
+//     warp's bits in its scheduler's census (census.go, reclass), and a
+//     queued warp's bits are rewritten by the refresh that re-snapshots
+//     it. The two-level policy's one extra input, whether the warp waits
+//     on a global load, is not in the view at all but read live through
+//     waitingLong. Schedulers that implement sched.Incremental
+//     additionally keep a maintained ready ranking fed from the same
+//     refresh, so a cycle's ranking is a few runs of the ready list
+//     instead of a per-cycle sort, and the census masks shift with the
+//     list.
 //
 // Config.Reference disables idea 2: every cycle rebuilds every view
 // and ranks with the legacy sort, which is the reference the snapshot
@@ -116,14 +118,7 @@ func NewProgram(cfg *config.Config, k *kernel.Kernel, occ core.Occupancy) *Progr
 // statistics move. Category changes are handled pair-wide by
 // markPairDirty.
 func (sm *SM) markDirty(ws int) {
-	if sm.reference {
-		return
-	}
-	// Before the already-dirty return: takeCensus never leaves a census
-	// beside a queued warp, but RestoreState must not trust the queue
-	// state it overwrites.
-	sm.dropCensus(ws)
-	if sm.dirty[ws] {
+	if sm.reference || sm.dirty[ws] {
 		return
 	}
 	sm.dirty[ws] = true
@@ -162,23 +157,27 @@ func (sm *SM) markPairDirty(bs int) {
 	}
 }
 
-// refresh re-snapshots scheduler si's dirty warps and syncs its
-// incremental ready ranking, leaving schedInfo[si] equal to what a
-// from-scratch rebuild would produce.
+// refresh re-snapshots scheduler si's dirty warps, syncs its
+// incremental ready ranking, shifting the census with it, and
+// classifies each warp in the census, leaving schedInfo[si] equal to
+// what a from-scratch rebuild would produce.
 func (sm *SM) refresh(si int) {
 	dl := sm.dirtyList[si]
 	if len(dl) == 0 {
 		return
 	}
 	info := sm.schedInfo[si]
-	inc := sm.incr[si]
+	rl := sm.ready[si]
 	for _, ws := range dl {
 		sm.dirty[ws] = false
 		wi := sm.snapshotWarp(int(ws))
 		info[sm.slotPos[ws]] = wi
-		if inc != nil {
-			inc.Sync(wi)
+		if rl != nil {
+			if removed, inserted := rl.Sync(wi); removed >= 0 || inserted >= 0 {
+				sm.census[si].shift(removed, inserted)
+			}
 		}
+		sm.classify(int(ws))
 	}
 	sm.dirtyList[si] = dl[:0]
 }
@@ -268,8 +267,8 @@ func (sm *SM) AuditSnapshots(now int64) error {
 					sm.ID, ws, got, want)
 			}
 		}
-		if inc := sm.incr[si]; inc != nil {
-			if err := inc.AuditReady(sm.schedInfo[si]); err != nil {
+		if rl := sm.ready[si]; rl != nil {
+			if err := rl.Audit(sm.schedInfo[si]); err != nil {
 				return fmt.Errorf("SM%d scheduler %d: %w (ready set out of sync with warp snapshots)", sm.ID, si, err)
 			}
 		}

@@ -11,12 +11,12 @@ import (
 )
 
 // TestAuditCatchesStalePatchedState: the cached next PC is rewritten in
-// place after every issue, and a census is kept across cycles, derived
-// state nothing else would notice going stale, so the snapshot auditor
-// has to. A one-warp load-use kernel under the two-level policy is
-// ticked until the load has issued (no refresh involved: an issue
-// queues only a warp that finished or parked) and its scheduler has
-// taken a census of the warp waiting on it; each hand-made corruption
+// place after every issue, and a census class is kept across cycles,
+// derived state nothing else would notice going stale, so the snapshot
+// auditor has to. A one-warp load-use kernel under the two-level policy
+// is ticked until the load has issued (no refresh involved: an issue
+// queues only a warp that finished or parked) and its scheduler's
+// census holds the warp waiting on it; each hand-made corruption
 // must then be named by the audit, and the clean state must pass again;
 // so must a writeback planted a wheel span ahead, past the wheel's
 // contract, for the scoreboard audit. The two-level policy's
@@ -59,13 +59,14 @@ func TestAuditCatchesStalePatchedState(t *testing.T) {
 			ws, sm.dirty[ws], wc.pc, sm.waitingLong(ws))
 	}
 
-	// One more cycle blocks the warp on the load's destination: the walk
-	// issues nothing, so its scheduler takes a census.
+	// The load's issue reclassed the warp: its census holds it
+	// scoreboard-blocked on the load's destination.
 	cen := &sm.census[sm.slotSched[ws]]
-	tickUntil("a census of the blocked warp", func() bool { return cen.valid })
-	if n := cen.ten[0].n[classScoreboard]; n != 1 {
-		t.Fatalf("setup: census counts %d scoreboard-blocked warps, want 1", n)
+	at := uint64(1) << sm.slotPos[ws]
+	if cen.of != [numClasses]uint64{classScoreboard: at} || cen.lock != 0 {
+		t.Fatalf("setup: census %+v, want only the warp's bit %#x, scoreboard-blocked", *cen, at)
 	}
+	n := sm.rankLen(0)
 
 	for _, c := range []struct {
 		name    string
@@ -81,16 +82,27 @@ func TestAuditCatchesStalePatchedState(t *testing.T) {
 			wc.pc = -1
 			return func() { wc.pc = pc }
 		}, "SM0 warp 0: cached next PC -1, SIMT stack says 2 (missed PC sync)"},
-		{"census count moved to another class", func() func() {
-			n := cen.ten[0].n
-			cen.ten[0].n[classScoreboard]--
-			cen.ten[0].n[classClear+kindSP<<1]++
-			return func() { cen.ten[0].n = n }
-		}, "SM0 scheduler 0 tenant index 0: census counts [0 0 1 0 0 0 0 0 0 0] disagree with a recount of the ranked warps [0 1 0 0 0 0 0 0 0 0]"},
-		{"census kept beside a warp queued for re-snapshot", func() func() {
-			sm.dirtyList[0] = append(sm.dirtyList[0], ws)
-			return func() { sm.dirtyList[0] = sm.dirtyList[0][:0] }
-		}, "SM0 scheduler 0: census valid with 1 warps awaiting re-snapshot"},
+		{"census class moved to another class", func() func() {
+			cen.of[classScoreboard] &^= at
+			cen.of[classClear+kindSP] |= at
+			return func() { cen.of[classScoreboard], cen.of[classClear+kindSP] = at, 0 }
+		}, "SM0 scheduler 0 warp 0: census class sp (the warp records scoreboard), a recount of the warp's state says scoreboard (missed reclass)"},
+		{"census class dropped", func() func() {
+			cen.of[classScoreboard] = 0
+			return func() { cen.of[classScoreboard] = at }
+		}, "SM0 scheduler 0 warp 0: census class none (the warp records scoreboard), a recount of the warp's state says scoreboard (missed reclass)"},
+		{"warp's recorded class moved", func() func() {
+			wc.cls = classClear + kindGmem
+			return func() { wc.cls = classScoreboard }
+		}, "SM0 scheduler 0 warp 0: census class scoreboard (the warp records gmem), a recount of the warp's state says scoreboard (missed reclass)"},
+		{"census lock wait on a scoreboard-blocked warp", func() func() {
+			cen.lock = at
+			return func() { cen.lock = 0 }
+		}, fmt.Sprintf("SM0 scheduler 0: census lock waits %#x on warps that are not scoreboard-clear", at)},
+		{"census bit past the ranking", func() func() {
+			cen.of[classClear+kindGmem] = 1 << n
+			return func() { cen.of[classClear+kindGmem] = 0 }
+		}, fmt.Sprintf("SM0 scheduler 0: census bits %#x lie past its %d rank indices", uint64(1)<<n, n)},
 	} {
 		repair := c.corrupt()
 		if err := sm.AuditSnapshots(now); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -69,6 +69,10 @@ type warpCtx struct {
 	// written where the PC can change: block launch, RestoreState, right
 	// after Execute. It fills the struct's tail padding.
 	pc int32
+
+	// cls is the warp's class in its scheduler's census (census.go), the
+	// mask its bit is in. Derived, never checkpointed.
+	cls uint8
 }
 
 // nextPC reads the warp's next PC off the SIMT stack, -1 once it is empty.
@@ -115,9 +119,9 @@ type SM struct {
 	scheds     []sched.Scheduler
 	// schedWarps[i] lists the warp slots scheduler i manages.
 	schedWarps [][]int
-	// incr[i] is scheds[i] when the policy maintains an incremental
-	// ready ranking (sched.Incremental), nil otherwise.
-	incr []sched.Incremental
+	// ready[i] is scheds[i]'s ready list when the policy maintains an
+	// incremental ready ranking (sched.Incremental), nil otherwise.
+	ready []*sched.ReadyList
 
 	// Ready-set issue engine (meta.go). The static per-PC issue
 	// metadata lives in each tenantCtx; schedInfo[i] caches scheduler
@@ -133,8 +137,9 @@ type SM struct {
 	slotPos    []int32
 	reference  bool // Config.Reference: no cached views or censuses
 
-	// census[i] is scheduler i's class counts from its last walk
-	// (census.go). Derived state, like the views.
+	// census[i] is scheduler i's issue classes as bitmasks over its rank
+	// indices (census.go), always current for every warp not queued for
+	// re-snapshot. Derived state, like the views.
 	census []census
 
 	l1       *cache.Cache
@@ -162,7 +167,8 @@ type SM struct {
 	// spare rebuilt for another run reuses them: the warp states, the
 	// per-warp register counts, lineCount and recount, slotSched,
 	// slotPos and the dirty lists, and the per-scheduler windows of
-	// schedWarps, schedInfo, schedOrder and the censuses' counts.
+	// schedWarps, schedInfo, schedOrder and the censuses' per-tenant
+	// masks and lock generations.
 	states   warp.Arena
 	nregs    []int
 	lines    []uint8
@@ -170,16 +176,17 @@ type SM struct {
 	warpBuf  []int
 	infoBuf  []sched.WarpInfo
 	orderBuf []int
-	counts   []censusTenant
+	tenMasks []uint64
+	lockGens []uint32
 
 	// scratch buffers reused across cycles
 	lineBuf   []uint32
 	smemAddrs isa.Row // effective addresses of the scratchpad instruction being issued
-	// walk is the cursor of the scheduler walk in progress and walked
-	// the verdicts of the slots it has asked; schedulers walk one after
-	// another, so one of each serves them all.
-	walk   sched.Cursor
-	walked []verdict
+	// rank is the ranking of the scheduler walk in progress; schedulers
+	// walk one after another, so one serves them all. rankAlways says
+	// the policy's ranking moves its state, so it ranks every cycle.
+	rank       sched.Ranking
+	rankAlways bool
 }
 
 // SetFaults arms a fault-injection plan on this SM and its sharing

@@ -3,7 +3,6 @@ package smcore
 import (
 	"sync"
 
-	"gpushare/internal/sched"
 	"gpushare/internal/warp"
 )
 
@@ -69,8 +68,7 @@ func (sm *SM) release() {
 		blocks[i].env = warp.Env{}
 	}
 	clear(sm.scheds[:cap(sm.scheds)])
-	clear(sm.incr[:cap(sm.incr)])
-	sm.walk = sched.Cursor{}
+	clear(sm.ready[:cap(sm.ready)])
 }
 
 // resize returns s with n elements: s's own array when it holds n, a

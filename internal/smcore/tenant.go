@@ -181,9 +181,18 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 	sm.dirtyList = resize(sm.dirtyList, nsched)
 	sm.schedOrder = resize(sm.schedOrder, nsched)
 	sm.scheds = resize(sm.scheds, nsched)
-	sm.incr = resize(sm.incr, nsched)
+	sm.ready = resize(sm.ready, nsched)
+	if per := (nwarps + nsched - 1) / nsched; per > maxSchedWarps {
+		// config.Validate refuses a machine that could get here.
+		return nil, fmt.Errorf("SM%d: each of %d schedulers would manage up to %d warps, more than the %d a census word holds",
+			id, nsched, per, maxSchedWarps)
+	}
+	ntens := len(sm.tens)
 	sm.census = resize(sm.census, nsched)
-	sm.counts = resize(sm.counts, nsched*len(sm.tens))
+	sm.lockGens = resize(sm.lockGens, nsched*ntens)
+	if ntens > 1 {
+		sm.tenMasks = resize(sm.tenMasks, nsched*ntens)
+	}
 	at := 0
 	for si := range nsched {
 		n := (nwarps - si + nsched - 1) / nsched
@@ -201,7 +210,12 @@ func NewMulti(id int, cfg *config.Config, tens []TenantLaunch, ms *mem.System) (
 			sm.schedOrder[si] = orderBuf[at : at : at+n]
 		}
 		at += n
-		sm.census[si].ten = sm.counts[si*len(sm.tens) : (si+1)*len(sm.tens) : (si+1)*len(sm.tens)]
+		c := &sm.census[si]
+		lo, hi := si*ntens, (si+1)*ntens
+		c.gen, c.ten = sm.lockGens[lo:hi:hi], nil
+		if ntens > 1 {
+			c.ten = sm.tenMasks[lo:hi:hi]
+		}
 	}
 	sm.Reset()
 	return sm, nil
@@ -249,11 +263,11 @@ func (sm *SM) Reset() {
 	waitingLong := sm.waitingLong
 	for si := range sm.scheds {
 		sm.scheds[si] = sched.New(cfg.Sched, cfg.TwoLevelGroup, waitingLong)
-		inc, _ := sm.scheds[si].(sched.Incremental)
-		if sm.reference {
-			inc = nil // legacy ranking everywhere on the recompute path
+		sm.rankAlways = sched.RanksEveryCycle(sm.scheds[si])
+		sm.ready[si] = nil // the reference engine ranks with the legacy sort everywhere
+		if inc, ok := sm.scheds[si].(sched.Incremental); ok && !sm.reference {
+			sm.ready[si] = inc.Ready()
 		}
-		sm.incr[si] = inc
 		for pos, ws := range sm.schedWarps[si] {
 			sm.schedInfo[si][pos] = sched.WarpInfo{Slot: ws}
 		}
@@ -261,11 +275,9 @@ func (sm *SM) Reset() {
 		if sm.schedOrder[si] != nil {
 			sm.schedOrder[si] = sm.schedOrder[si][:0]
 		}
-		clear(sm.census[si].ten)
-		sm.census[si] = census{ten: sm.census[si].ten}
+		sm.resetCensus(si)
 	}
 	clear(sm.dirty)
-	sm.walk = sched.Cursor{}
 }
 
 // footprint prices the block slots held reports occupied with the one

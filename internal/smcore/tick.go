@@ -9,6 +9,7 @@ import (
 	"gpushare/internal/fault"
 	"gpushare/internal/isa"
 	"gpushare/internal/mem"
+	"gpushare/internal/sched"
 	"gpushare/internal/simerr"
 	"gpushare/internal/warp"
 )
@@ -45,63 +46,48 @@ func (sm *SM) Tick(now int64) (bool, error) {
 	sfuUsed := false
 
 	for si, sc := range sm.scheds {
-		// The reference engine ranks freshly rebuilt views with Order into
-		// a per-scheduler buffer. The fast path walks the ranking of its
-		// cached views through sm.walk, which computes the next candidate
-		// only when the previous one did not issue.
-		var order []int
-		var cen *census // nil in reference mode: every warp is asked every cycle
+		var ok, structural bool
+		var err error
 		if sm.reference {
-			order = sc.Order(sm.rebuildAll(si), sm.schedOrder[si][:0])
+			// The reference engine ranks freshly rebuilt views with Order
+			// into a per-scheduler buffer and asks every warp in full.
+			order := sc.Order(sm.rebuildAll(si), sm.schedOrder[si][:0])
 			sm.schedOrder[si] = order[:0]
-		} else {
-			cen = &sm.census[si]
-			if cen.valid {
-				// Nothing this scheduler ranks has changed since a walk
-				// that issued nothing: if every class is still blocked,
-				// this walk would only repeat that one's verdicts.
-				if ok, structural := sm.replayCensus(cen, now, memUsed, sfuUsed); ok {
-					sawStructural = sawStructural || structural
-					continue
-				}
-			}
-			sm.refresh(si)
-			sc.Begin(sm.schedInfo[si], &sm.walk)
-		}
-		cacheable := cen != nil
-		walked := sm.walked[:0] // every slot asked and not issued, with its class: the census's input
-		for n := 0; ; n++ {
-			var slot int
-			if cen == nil {
-				if n == len(order) {
+			for _, slot := range order {
+				var blocked bool
+				if ok, blocked, err = sm.tryIssue(slot, now, &memUsed, &sfuUsed); ok || err != nil {
+					if ok {
+						sc.Issued(slot, int(sm.slotPos[slot]))
+					}
 					break
 				}
-				slot = order[n]
-			} else if slot = sm.walk.Next(); slot < 0 {
-				break
+				structural = structural || blocked
 			}
-			ok, cls, err := sm.tryIssue(slot, now, &memUsed, &sfuUsed)
-			if err != nil {
-				return false, err
+		} else {
+			// The census: ask only the warps that can issue.
+			if len(sm.dirtyList[si]) != 0 {
+				sm.refresh(si)
 			}
-			if ok {
-				sc.Issued(slot)
-				issued++
-				cacheable = false
-				break
+			c := &sm.census[si]
+			var srt sorting
+			sm.sort(c, &srt, now, memUsed, sfuUsed)
+			if srt.try != 0 || sm.rankAlways {
+				sc.Begin(sm.schedInfo[si], &sm.rank)
 			}
-			walked = append(walked, verdict{slot: int32(slot), cls: cls})
-			if cls >= classClear {
-				sawStructural = true
-			}
-			if cls == classNone || cls == classUncached {
-				cacheable = false
+			if srt.try == 0 {
+				// Nobody can issue: the census answers the whole cycle.
+				structural = sm.charge(c, ^uint64(0), &srt)
+			} else {
+				ok, structural, err = sm.walk(si, sc, c, &srt, now, &memUsed, &sfuUsed)
 			}
 		}
-		sm.walked = walked
-		if cen != nil {
-			cen.valid = cacheable && sm.takeCensus(cen, si, walked)
+		if err != nil {
+			return false, err
 		}
+		if ok {
+			issued++
+		}
+		sawStructural = sawStructural || structural
 	}
 
 	if issued == 0 {
@@ -139,38 +125,93 @@ func dependencyMasks(in *isa.Instr) (regs uint64, preds uint8) {
 	return regs, preds
 }
 
-// tryIssue attempts to issue the next instruction of warp slot ws.
-// It returns (issued, class, err): class says why a candidate warp
-// could not issue (census.go) — classScoreboard is a data wait, every
-// higher class a structural block, which drives the stall/idle split;
-// a non-nil error is a functional execution fault that aborts the run.
-func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, error) {
-	wc := &sm.warps[ws]
-	if !wc.live || wc.finished || wc.atBarrier {
-		return false, classNone, nil
+// walk asks the warps of srt.try of scheduler si's census c, run by
+// run in the ranking Begin wrote into sm.rank — from the register lock
+// on — and stops at the first that issues; every warp the ranking put
+// before that one and the walk did not ask is charged by popcount
+// (charge). It reports whether a warp issued and whether any block on
+// the way was structural.
+func (sm *SM) walk(si int, sc sched.Scheduler, c *census, srt *sorting, now int64, memUsed, sfuUsed *bool) (issued, structural bool, err error) {
+	var passed uint64
+	for _, rg := range sm.rank.Ranges() {
+		run := span(int(rg.Lo), int(rg.Hi))
+		for m := run & srt.try; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			ws := sm.rankSlot(si, i)
+			res, err := sm.issue(ws, now, memUsed, sfuUsed)
+			if err != nil {
+				return false, false, err
+			}
+			if res == askIssued {
+				// The issue moved the warp's class; a warp it queued for
+				// re-snapshot is classified by its refresh.
+				if !sm.dirty[ws] {
+					sm.classifyAt(c, ws, i)
+				}
+				sc.Issued(ws, int(sm.slotPos[ws]))
+				passed |= run & (uint64(1)<<i - 1)
+				return true, sm.charge(c, passed, srt) || structural, nil
+			}
+			structural = true
+			if res == askLockWait {
+				sm.lockWait(c, sm.warps[ws].tn, i)
+			}
+		}
+		passed |= run
 	}
-	pc := wc.pc
-	if pc < 0 {
-		return false, classNone, nil
+	return false, sm.charge(c, passed, srt) || structural, nil
+}
+
+// tryIssue is the reference engine's full ask of warp slot ws: it
+// charges a scoreboard wait or a blocked unit kind itself, then goes on
+// to issue. It returns (issued, structural, err): structural says a
+// candidate warp was blocked by something other than its scoreboard,
+// which drives the stall/idle split; a non-nil error is a functional
+// execution fault that aborts the run.
+func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, bool, error) {
+	wc := &sm.warps[ws]
+	if !wc.live || wc.finished || wc.atBarrier || wc.pc < 0 {
+		return false, false, nil
 	}
 	t := &sm.tens[wc.tn]
-	me := &t.meta[pc]
+	me := &t.meta[wc.pc]
 
 	// Scoreboard: RAW on pending writes, WAW on the destination. The
 	// warp has issued everything before this instruction and waits for
 	// a result: a data wait, not a pipeline stall.
 	if me.regMask&wc.pendingRegs != 0 || me.predMask&wc.pendingPreds != 0 {
 		sm.countBlocked(t, reasonScoreboard, 1)
-		return false, classScoreboard, nil
+		return false, false, nil
 	}
 
 	// Structural hazards: execution unit, LSU, MSHR file.
-	cls := classClear + me.kind<<1
-	if r := sm.classReason(cls, now, *memUsed, *sfuUsed); r != reasonNone {
+	if r := sm.kindReason(me.kind, now, *memUsed, *sfuUsed); r != reasonNone {
 		sm.countBlocked(t, r, 1)
-		return false, cls, nil
+		return false, true, nil
 	}
+	res, err := sm.issue(ws, now, memUsed, sfuUsed)
+	return res == askIssued, res != askIssued, err
+}
 
+// What issue did with a warp. No lock generation moves without an
+// issue: a warp that newly takes the register lock makes its block the
+// pair's owner, which the dyn gate never stops, and no access needs the
+// scratchpad lock under register sharing. So the lock waits a walk
+// sorted out at its start hold until its issuer.
+const (
+	askIssued   uint8 = iota
+	askLockWait       // the register lock refused it
+	askBlocked        // the scratchpad lock or the dyn gate refused it
+)
+
+// issue asks scoreboard-clear candidate warp ws, whose unit kind is
+// free, the rest of tryIssue's checks — the register lock, the
+// scratchpad lock, the dyn gate — and issues it when all pass.
+func (sm *SM) issue(ws int, now int64, memUsed, sfuUsed *bool) (uint8, error) {
+	wc := &sm.warps[ws]
+	pc := wc.pc
+	t := &sm.tens[wc.tn]
+	me := &t.meta[pc]
 	bs := wc.w.BlockSlot
 	b := &sm.blocks[bs]
 	ls := bs - t.blockBase
@@ -183,7 +224,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 		epoch := t.shr.Epoch()
 		if !t.shr.TryAcquireReg(ls, wc.w.WarpInCta) {
 			sm.countBlocked(t, reasonLockWait, 1)
-			return false, cls | classLockWait, nil
+			return askLockWait, nil
 		}
 		if t.shr.Epoch() != epoch {
 			sm.markPairDirty(bs)
@@ -205,7 +246,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 				sm.Stats.BlockLockWait++
 				t.st.BlockLockWait++
 				sm.Stats.SharedMemWaits++
-				return false, classUncached, nil
+				return askBlocked, nil
 			}
 			if t.shr.Epoch() != epoch {
 				sm.markPairDirty(bs)
@@ -220,7 +261,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 		if sm.dynProb <= 0 || sm.randFloat() >= sm.dynProb {
 			sm.Stats.BlockDynGate++
 			t.st.BlockDynGate++
-			return false, classUncached, nil
+			return askBlocked, nil
 		}
 	}
 
@@ -228,7 +269,7 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 	res, err := wc.w.Execute(&me.op, &b.env, smemAddrs)
 	wc.pc = wc.nextPC()
 	if err != nil {
-		return false, classNone, &simerr.SimError{
+		return askBlocked, &simerr.SimError{
 			Kind: simerr.KindExec, Cycle: now, SM: sm.ID, Warp: ws,
 			Msg: fmt.Sprintf("functional fault executing pc %d (%s)", pc, t.launch.Kernel.Instrs[pc].String()), Err: err,
 		}
@@ -288,16 +329,15 @@ func (sm *SM) tryIssue(ws int, now int64, memUsed, sfuUsed *bool) (bool, uint8, 
 			"warp finished but its scheduler snapshot was not invalidated") {
 			// Injected fault: the scheduler keeps a ready snapshot for a
 			// finished warp. The snapshot auditor must catch this.
-			return true, classNone, nil
+			return askIssued, nil
 		}
 	}
-	// The walk that issued takes no census; the view moves only if the
-	// warp finished or parked. An early-release tenant's warp is queued
-	// anyway (markDirty).
+	// The view moves only if the warp finished or parked; an early-
+	// release tenant's warp is queued anyway.
 	if wc.finished || wc.atBarrier || t.futureShared != nil {
 		sm.markDirty(ws)
 	}
-	return true, classNone, nil
+	return askIssued, nil
 }
 
 // issueGlobalLoad coalesces a load into line transactions and routes each
@@ -368,18 +408,19 @@ func (sm *SM) retireWB(ev *wbEvent, now int64) {
 		return // slot was recycled; the event belongs to a dead warp
 	}
 	// The StaleCensus fault only takes opportunities where it matters:
-	// the warp is counted in a valid census, scoreboard-blocked, and this
-	// writeback lands its last operand.
-	counted := sm.faults.Armed(fault.StaleCensus) && sm.census[sm.slotSched[ws]].valid &&
-		!wc.atBarrier && !sm.scoreboardClear(ws)
+	// the census holds the warp scoreboard-blocked, and this writeback
+	// lands its last operand.
+	counted := wc.cls == classScoreboard && !sm.dirty[ws] && sm.faults.Armed(fault.StaleCensus)
 	wc.pendingRegs &^= ev.regMask
 	wc.pendingPreds &^= ev.predMask
 	if counted && sm.scoreboardClear(ws) &&
 		sm.faults.Trip(fault.StaleCensus, now, sm.ID, ws,
-			"writeback landed a counted warp's last operand but its scheduler's census was not dropped") {
-		return // injected fault: the census still counts the warp "scoreboard-blocked"
+			"writeback landed a scoreboard-blocked warp's last operand but its census class was not recomputed") {
+		return // injected fault: the census still holds the warp "scoreboard-blocked"
 	}
-	sm.dropCensus(ws)
+	if wc.cls == classScoreboard { // no other class moves when pending bits clear
+		sm.reclass(ws)
+	}
 }
 
 // retireLine retires one line of warp slot ws's load into register reg,
@@ -397,7 +438,9 @@ func (sm *SM) retireLine(ws int, gen uint32, reg uint8) {
 	}
 	wc.pendingRegs &^= 1 << reg
 	wc.loadRegs &^= 1 << reg
-	sm.dropCensus(ws)
+	if wc.cls == classScoreboard {
+		sm.reclass(ws)
+	}
 }
 
 // drainReplies pulls at most one memory reply per cycle (reply-network

@@ -59,12 +59,13 @@ go test -run '^$' -bench 'BenchmarkRunHotspot$|BenchmarkCoResident|BenchmarkBloc
     -benchmem -benchtime "$e2etime" -timeout 30m ./internal/gpu/ | tee -a "$out"
 
 echo "== checkpoint capture and restore (one MUM machine snapshot at cycle 60 000 per op; a whole MUM run checkpointed every 20 000 cycles per op; a decode and restore of MUM's cycle-100 000 snapshot per op)"
-# More ops than the end-to-end rows: a capture's encoding/json scratch
-# buffer comes from a per-P pool, so an op that runs on the other P of
-# a 2-CPU host regrows it to its largest section's size once, and over
-# three ops that one regrowth is a visible share of the op's time.
+# More ops than the end-to-end rows, on one P (-cpu 1): a capture's
+# encoding/json scratch buffer comes from a per-P pool, so with more Ps
+# an op that runs on another P regrows it to its largest section's size
+# once — one allocation more, which at three ops tipped allocs/op over
+# its baseline on unchanged code, and a visible share of the op's time.
 go test -run '^$' -bench 'BenchmarkCapture$|BenchmarkCheckpointRun$|BenchmarkRestore$' \
-    -benchmem -benchtime "$capturetime" -timeout 30m ./internal/gpu/ | tee -a "$out"
+    -cpu 1 -benchmem -benchtime "$capturetime" -timeout 30m ./internal/gpu/ | tee -a "$out"
 
 echo "== service layer (a fresh job through gsched vs straight to its worker; a gserved hit, whole HTTP round trip; a done status decoded by the fast path vs json.Unmarshal)"
 # BenchmarkFleetDispatch also prints worker-ms/job and dispatch-ms/job:

@@ -14,8 +14,8 @@
 # (no grid-per-scale literal; the footprint reaches a kernel through
 # Spec.program alone), that no scheduler view is patched in place
 # (no patchView, no WaitingLong in internal/), that the SM's issue
-# stage keeps one shortcut (the census: no issue cards, no card hit
-# path), that a global load is its warp's register (no load group, no
+# stage keeps one shortcut (the census class masks: no issue cards, no
+# card hit path, no census replay, no walked-verdict buffer), that a global load is its warp's register (no load group, no
 # pointer in a writeback event or an L1 MSHR key), that each cycle-path
 # delay has one timer (no writeback overflow map, no private relaunch
 # ring, no legacy journal import), that kernel text has one syntax
@@ -186,10 +186,14 @@ hits=$(grep -n -E 'patchView|WaitingLong' $(find internal -name '*.go' ! -name '
 [ -z "$hits" ] || { echo "an in-place scheduler-view patch or a cached WaitingLong is back:" >&2; echo "$hits" >&2; exit 1; }
 echo "   non-test Go lines in internal/{sched,smcore}: $(cat $(ls internal/sched/*.go internal/smcore/*.go | grep -v _test.go) | wc -l)"
 
-echo "== one SM shortcut (the per-scheduler census is the issue stage's only cache: no issue cards, no card hit path)"
-hits=$(grep -n -E 'issueCard|cardVerdict|classAt\(' $(find internal cmd -name '*.go' ! -name '*_test.go') || true)
+echo "== one SM shortcut (the per-scheduler census class masks are the issue stage's only cache: no issue cards, no census replay, no walked-verdict buffer)"
+go_src=$(find internal cmd -name '*.go' ! -name '*_test.go')
+hits=$(grep -n -E 'issueCard|cardVerdict|classAt\(' $go_src || true)
 [ -z "$hits" ] || { echo "a per-warp issue card or its hit path is back:" >&2; echo "$hits" >&2; exit 1; }
-echo "   non-test Go lines in internal/smcore: $(cat $(ls internal/smcore/*.go | grep -v _test.go) | wc -l)"
+# Code lines only: "walked" is an ordinary word in a comment.
+hits=$(grep -n -E 'replayCensus|takeCensus|\bwalked\b|\[\]verdict\b' $go_src | grep -v ':[[:space:]]*//' || true)
+[ -z "$hits" ] || { echo "a census replay or a walked-verdict buffer is back (the class masks are the one fast path):" >&2; echo "$hits" >&2; exit 1; }
+echo "   non-test Go lines in internal/{smcore,sched}: $(cat $(ls internal/smcore/*.go | grep -v _test.go) | wc -l) + $(cat $(ls internal/sched/*.go | grep -v _test.go) | wc -l)"
 
 echo "== a global load is its warp's register (no load group; the writeback wheel and the L1 MSHR hold values, not pointers)"
 sm_src=$(ls internal/smcore/*.go | grep -v _test.go)
@@ -369,7 +373,7 @@ start_crash_daemon() {
 start_crash_daemon "$smoketmp/crash1.log"
 code=$(curl -s -o "$smoketmp/crashjob.json" -w '%{http_code}' \
     -X POST "http://$addr/v1/jobs" \
-    -d '{"workload":"hotspot","scale":2}')
+    -d '{"workload":"hotspot","scale":8}')
 if [ "$code" != 202 ]; then
     echo "gserved crash-smoke submit: HTTP $code" >&2
     cat "$smoketmp/crashjob.json" >&2
@@ -383,7 +387,8 @@ if [ -z "$key" ]; then
 fi
 
 # Kill the daemon while the simulation is in flight (the job takes a
-# couple of seconds; the kill lands well inside it).
+# couple of seconds — hotspot at scale 8 runs ~2s alone, at scale 2 it
+# finishes in ~0.6s, before the kill — so the kill lands inside it).
 sleep 0.7
 kill -9 "$smokepid"
 wait "$smokepid" 2>/dev/null || true
@@ -478,9 +483,10 @@ start_daemon gsched "$smoketmp/gsched.log" \
 schedpid=$daemon_pid
 schedaddr=$daemon_addr
 
-# The first two jobs take ~5s each, so with one slot per worker both
-# workers are mid-job when the kill lands.
-sweep='{"jobs":[{"workload":"hotspot","scale":2},{"workload":"stencil","scale":2},{"workload":"sgemm","scale":2},{"workload":"gaussian","scale":2}]}'
+# The first two jobs take ~2s each alone (hotspot and stencil at scale
+# 8; at scale 2 they finish in ~0.6s, before the kill), so with one
+# slot per worker both workers are mid-job when the kill lands.
+sweep='{"jobs":[{"workload":"hotspot","scale":8},{"workload":"stencil","scale":8},{"workload":"sgemm","scale":2},{"workload":"gaussian","scale":2}]}'
 code=$(curl -s -o "$smoketmp/sweep.json" -w '%{http_code}' \
     -X POST "http://$schedaddr/v1/sweeps" -d "$sweep")
 if [ "$code" != 200 ]; then
