@@ -25,10 +25,12 @@ type DirSink struct {
 	dir  string
 	keep int // newest checkpoints retained; <= 0 keeps all
 
-	// Faults, when non-nil, arms crash-point injection on the write
-	// path (durability tests only): CrashAfterCheckpoint panics after a
-	// successful atomic write, TornCheckpoint truncates the just-renamed
-	// file and then panics — emulating a kill -9 at the worst moments.
+	// Faults, when non-nil, arms fault injection on the write path
+	// (tests only): CrashAfterCheckpoint panics after a successful
+	// atomic write, TornCheckpoint truncates the just-renamed file and
+	// then panics — emulating a kill -9 at the worst moments — and
+	// HoldAtCheckpoint blocks the run after a durable write until the
+	// plan is released.
 	Faults *fault.Plan
 
 	mu sync.Mutex
@@ -73,6 +75,9 @@ func (s *DirSink) Put(cycle int64, blob []byte) error {
 	if s.Faults.Trip(fault.CrashAfterCheckpoint, cycle, -1, -1,
 		fmt.Sprintf("crash immediately after checkpoint %s was durably written", ckName(cycle))) {
 		panic(&CrashPoint{Cycle: cycle, Detail: "injected crash after checkpoint write, before any journal commit"})
+	}
+	if s.Faults.Trip(fault.HoldAtCheckpoint, cycle, -1, -1, "run held after a durable checkpoint") {
+		s.Faults.Hold()
 	}
 	return nil
 }

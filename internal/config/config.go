@@ -138,6 +138,20 @@ type DRAMTiming struct {
 	TCDLR int // last-data-in to read command
 }
 
+// negative names the first negative timing, "" when there is none.
+func (t DRAMTiming) negative() string {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"TRRD", t.TRRD}, {"TWR", t.TWR}, {"TRCD", t.TRCD}, {"TRAS", t.TRAS},
+		{"TRP", t.TRP}, {"TRC", t.TRC}, {"TCL", t.TCL}, {"TCDLR", t.TCDLR}} {
+		if f.v < 0 {
+			return f.name
+		}
+	}
+	return ""
+}
+
 // Config is the full GPU configuration.
 type Config struct {
 	// SM array (Table I: 14 clusters x 1 core).
@@ -387,6 +401,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("CTALaunchLat must be non-negative, got %d", c.CTALaunchLat)
 	case c.DRAMBanksPerPartition <= 0 || c.DRAMRowBytes <= 0 || c.DRAMDataLat <= 0:
 		return fmt.Errorf("DRAM geometry must be positive")
+	case c.DRAMTiming.negative() != "":
+		// A negative timing schedules a DRAM command before the one it
+		// waits on: the channel answers before it is asked. Zero is legal.
+		return fmt.Errorf("DRAMTiming.%s must be non-negative, got %+v", c.DRAMTiming.negative(), c.DRAMTiming)
 	case c.L1HitLat < 1 || c.L2HitLat < 0:
 		// An L1 hit issued at cycle now is timed for now+L1HitLat, and the
 		// SM drains now's writebacks before it issues: zero would strand it.

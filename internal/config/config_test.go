@@ -104,6 +104,15 @@ func TestValidateHardening(t *testing.T) {
 		{"negative L2 sets", func(c *Config) { c.L2Sets = -4 }, "L2 geometry"},
 		{"zero DRAM row", func(c *Config) { c.DRAMRowBytes = 0 }, "DRAM geometry"},
 		{"zero DRAM data latency", func(c *Config) { c.DRAMDataLat = 0 }, "DRAM geometry"},
+		{"negative tCL and tRCD", func(c *Config) { c.DRAMTiming.TCL, c.DRAMTiming.TRCD = -500, -500 }, "DRAMTiming.TRCD"},
+		{"negative tRRD", func(c *Config) { c.DRAMTiming.TRRD = -1 }, "DRAMTiming.TRRD"},
+		{"negative tWR", func(c *Config) { c.DRAMTiming.TWR = -1 }, "DRAMTiming.TWR"},
+		{"negative tRAS", func(c *Config) { c.DRAMTiming.TRAS = -1 }, "DRAMTiming.TRAS"},
+		{"negative tRP", func(c *Config) { c.DRAMTiming.TRP = -1 }, "DRAMTiming.TRP"},
+		{"negative tRC", func(c *Config) { c.DRAMTiming.TRC = -1 }, "DRAMTiming.TRC"},
+		{"negative tCL", func(c *Config) { c.DRAMTiming.TCL = -1 }, "DRAMTiming.TCL"},
+		{"negative tCDLR", func(c *Config) { c.DRAMTiming.TCDLR = -1 }, "DRAMTiming.TCDLR"},
+		{"zero DRAM timings accepted", func(c *Config) { c.DRAMTiming = DRAMTiming{} }, ""},
 		{"audit knobs accepted", func(c *Config) { c.InvariantStride = 1024; c.ProgressWindow = 100_000 }, ""},
 		{"negative checkpoint stride", func(c *Config) { c.CheckpointStride = -1 }, "CheckpointStride"},
 		{"negative checkpoint stride large", func(c *Config) { c.CheckpointStride = -4096 }, "CheckpointStride"},

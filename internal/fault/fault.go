@@ -1,11 +1,14 @@
-// Package fault provides deterministic fault injection for the
-// simulator's invariant-checker tests. A Plan arms exactly one fault of
-// one kind; the hardware models call Trip at each opportunity (every
-// memory reply, every lease release, every barrier arrival) and the
-// plan fires on the Nth one, recording where it struck. Because the
+// Package fault provides deterministic fault injection for tests of
+// the invariant checker, the crash-recovery paths and the job services.
+// A Plan arms exactly one fault of one kind; the code under test calls
+// Trip at each opportunity (every memory reply, every lease release,
+// every barrier arrival, every checkpoint write, every dispatch) and
+// the plan fires on the Nth one, recording where it struck. Because the
 // simulator itself is deterministic, the same plan against the same
 // workload always corrupts the same event, so tests can assert the
-// precise detector that catches it.
+// precise detector that catches it. One kind corrupts nothing:
+// HoldAtCheckpoint stops a run at a known cycle until the test calls
+// Release, so a test can act on a job that is certainly still running.
 //
 // The package is a leaf (standard library only) so smcore, core, and
 // mem can consult a plan without import cycles.
@@ -34,6 +37,7 @@ const (
 	HeartbeatBlackhole        // a network partition: the worker stays alive but every coordinator probe to it is dropped
 	StaleCensus               // skip a census drop at a writeback: the census still counts the warp "scoreboard-blocked" after its operand landed
 	DRAMQueueOrder            // the two newest requests of a DRAM queue trade places: the queue is no longer arrival-ordered
+	HoldAtCheckpoint          // a checkpoint write, once durable, blocks (holding its sink) until Release: the run waits at that cycle
 )
 
 func (k Kind) String() string {
@@ -62,6 +66,8 @@ func (k Kind) String() string {
 		return "stale-census"
 	case DRAMQueueOrder:
 		return "dram-queue-order"
+	case HoldAtCheckpoint:
+		return "hold-at-checkpoint"
 	}
 	return "none"
 }
@@ -84,8 +90,10 @@ type Plan struct {
 	Warp     int
 	Detail   string
 
-	mu   sync.Mutex
-	seen int
+	mu      sync.Mutex
+	seen    int
+	held    chan struct{} // closed by Hold; made on first use
+	release chan struct{} // closed by Release; made on first use
 }
 
 // NewPlan derives a plan deterministically from a seed: the fault fires
@@ -144,6 +152,43 @@ func (p *Plan) Fired() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.Injected
+}
+
+// Hold is what a caller does when a HoldAtCheckpoint plan trips: it
+// reports the hold (Held's channel closes) and blocks until Release.
+// A plan trips once, so a plan holds at most one run.
+func (p *Plan) Hold() {
+	held, release := p.chans()
+	close(held)
+	<-release
+}
+
+// Held returns a channel that closes once a run is held.
+func (p *Plan) Held() <-chan struct{} {
+	held, _ := p.chans()
+	return held
+}
+
+// Release lets a held run go on. It may be called before the hold (the
+// hold then does not block), and more than once.
+func (p *Plan) Release() {
+	_, release := p.chans()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	select {
+	case <-release:
+	default:
+		close(release)
+	}
+}
+
+func (p *Plan) chans() (held, release chan struct{}) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.held == nil {
+		p.held, p.release = make(chan struct{}), make(chan struct{})
+	}
+	return p.held, p.release
 }
 
 // String describes the plan and, once fired, the injection record.

@@ -60,6 +60,19 @@ func sequentialStats(t *testing.T, req fleet.SubmitRequest) []byte {
 	return b
 }
 
+// holdFirstJob arms ro so that the first job its runner simulates
+// stops at that job's first checkpoint (cycle 1000 of gaussian's some
+// 6 400 at scale 1), durably written, until the returned plan is
+// released; cleanup releases it in any case. A test that must act while
+// a job runs holds it instead of sizing it by its run time.
+func holdFirstJob(t *testing.T, ro *runner.Options) *fault.Plan {
+	t.Helper()
+	plan := &fault.Plan{Kind: fault.HoldAtCheckpoint, Nth: 1}
+	ro.CheckpointDir, ro.CheckpointStride, ro.CheckpointFaults = t.TempDir(), 1000, plan
+	t.Cleanup(plan.Release)
+	return plan
+}
+
 // startWorker serves a gserved daemon and returns it with its base URL.
 // Cleanup closes the listener only — crash tests kill the server
 // deliberately and graceful paths drain explicitly.
@@ -341,11 +354,15 @@ func TestCoordinatorCrashAfterDispatchReplays(t *testing.T) {
 // partitioned worker keeps computing, every job yields exactly one
 // result (first terminal wins, content-key dedup).
 func TestHeartbeatBlackholeRequeuesWithoutDoubleCount(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tens of seconds of simulation under -race; covered by plain go test and check.sh -full")
-	}
-	_, w1 := startWorker(t, server.Options{})
-	_, w2 := startWorker(t, server.Options{})
+	// Each worker holds its first job at that job's first checkpoint, so
+	// the partitioned worker is still computing its job when its lease
+	// runs out: the job requeues, and both workers finish it once
+	// released.
+	var o1, o2 server.Options
+	h1 := holdFirstJob(t, &o1.Runner)
+	h2 := holdFirstJob(t, &o2.Runner)
+	_, w1 := startWorker(t, o1)
+	_, w2 := startWorker(t, o2)
 	blackhole := &fault.Plan{Kind: fault.HeartbeatBlackhole, Nth: 1}
 	_, base := startCoordinator(t, fleet.Options{
 		Workers:       []string{w1, w2},
@@ -354,14 +371,21 @@ func TestHeartbeatBlackholeRequeuesWithoutDoubleCount(t *testing.T) {
 		CoreOptions:   server.CoreOptions{Faults: blackhole},
 	})
 
-	// Enough moderately slow jobs that both workers hold one when the
-	// partition lands.
 	reqs := make([]fleet.SubmitRequest, 4)
 	keys := make([]string, 4)
 	for i := range reqs {
-		reqs[i] = seededReq(uint64(4300+i), 3)
+		reqs[i] = seededReq(uint64(4300+i), 1)
 		keys[i] = submitJob(t, base, reqs[i]).Key
 	}
+	st := fleetStatusz(t, base)
+	for deadline := time.Now().Add(10 * time.Second); st.WorkerDeaths == 0 && time.Now().Before(deadline); st = fleetStatusz(t, base) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if st.WorkerDeaths == 0 {
+		t.Fatal("the partitioned worker was never declared dead")
+	}
+	h1.Release()
+	h2.Release()
 	for i, key := range keys {
 		st := waitJob(t, base, key)
 		if st.State != fleet.JobDone {
@@ -374,14 +398,9 @@ func TestHeartbeatBlackholeRequeuesWithoutDoubleCount(t *testing.T) {
 	if !blackhole.Fired() {
 		t.Fatal("the blackhole crash point never fired")
 	}
-	// The partition is sticky, so the lease runs out whether or not the
-	// jobs outlast it; on a fast host they may not.
-	st := fleetStatusz(t, base)
-	for deadline := time.Now().Add(5 * time.Second); st.WorkerDeaths == 0 && time.Now().Before(deadline); st = fleetStatusz(t, base) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if st.WorkerDeaths == 0 {
-		t.Fatal("the partitioned worker was never declared dead")
+	st = fleetStatusz(t, base)
+	if st.Requeues == 0 {
+		t.Fatal("the partitioned worker's job was never requeued")
 	}
 	if st.Completed != 4 {
 		t.Fatalf("completed = %d, want exactly 4: duplicate executions must not double-count", st.Completed)
@@ -393,28 +412,21 @@ func TestHeartbeatBlackholeRequeuesWithoutDoubleCount(t *testing.T) {
 // resumes from its checkpoint trail (CkRestored > 0) instead of cycle
 // 0, and both finish byte-identical to sequential runs.
 func TestPreemptionResumesFromCheckpoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tens of seconds of simulation under -race; covered by plain go test and check.sh -full")
-	}
-	ckDir := t.TempDir()
-	srv, w1 := startWorker(t, server.Options{
-		Workers: 1,
-		Runner:  runner.Options{CheckpointDir: ckDir, CheckpointStride: 5_000},
-	})
+	opts := server.Options{Workers: 1}
+	plan := holdFirstJob(t, &opts.Runner)
+	srv, w1 := startWorker(t, opts)
 	_, base := startCoordinator(t, fleet.Options{Workers: []string{w1}})
 
-	low := seededReq(4400, 8) // slow enough to checkpoint before preemption
+	low := seededReq(4400, 1)
 	low.Priority = 0
 	lowKey := submitJob(t, base, low).Key
 
-	// Wait until the low job has durably checkpointed at least once, so
-	// the preemption has a trail to resume from.
-	deadline := time.Now().Add(60 * time.Second)
-	for srv.Runner().Counters().CkSaved == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the low-priority job never checkpointed")
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The low job holds at its first checkpoint, durably written, so the
+	// preemption lands mid-run and has a trail to resume from.
+	select {
+	case <-plan.Held():
+	case <-time.After(time.Minute):
+		t.Fatal("the low-priority job never checkpointed")
 	}
 
 	high := seededReq(4401, 1)
@@ -735,14 +747,21 @@ func TestCoordinatorAndWorkerAgreeOnJobKey(t *testing.T) {
 // instead of being requeued (and canceled again) forever. Preemption,
 // worker drain and lease expiry still requeue; their tests are above.
 func TestDeadlineThroughFleetTerminates(t *testing.T) {
-	_, w1 := startWorker(t, server.Options{})
+	// Each worker holds its first job at that job's first checkpoint, so
+	// every deadline below runs out mid-run: w1 runs the first admission,
+	// w2 the resubmission.
+	var o1, o2 server.Options
+	holdFirstJob(t, &o1.Runner)
+	holdFirstJob(t, &o2.Runner)
+	_, w1 := startWorker(t, o1)
+	_, w2 := startWorker(t, o2)
 	journal := filepath.Join(t.TempDir(), "gsched.journal")
 	_, base := startCoordinator(t, fleet.Options{
 		Workers:     []string{w1},
 		CoreOptions: server.CoreOptions{JournalPath: journal, MaxDeadline: 50 * time.Millisecond},
 	})
 
-	req := seededReq(4800, 16) // ~200ms of simulation, four times the -maxdeadline cap
+	req := seededReq(4800, 1)
 	req.DeadlineMillis = 30
 	key := submitJob(t, base, req).Key
 
@@ -762,7 +781,13 @@ func TestDeadlineThroughFleetTerminates(t *testing.T) {
 	}
 	// The canceled entry is transient: this POST re-admits the job, which
 	// runs its deadline — now the coordinator's -maxdeadline cap — out
-	// again.
+	// again, held on w2 (w1 has spent its hold).
+	if code := doJSON(t, "POST", base+"/v1/workers/"+urlID(w1)+"/drain", nil, nil); code != http.StatusOK {
+		t.Fatalf("drain w1 = %d", code)
+	}
+	if code := doJSON(t, "POST", base+"/v1/workers", fleet.RegisterRequest{URL: w2}, nil); code != http.StatusOK {
+		t.Fatalf("register w2 = %d", code)
+	}
 	req.DeadlineMillis = 60_000
 	var body server.ErrorBody
 	if code := doJSON(t, "POST", base+"/v1/jobs?wait=1", req, &body); code != http.StatusServiceUnavailable || body.Kind != "canceled" {

@@ -17,8 +17,8 @@ import (
 	"gpushare/internal/stats"
 )
 
-// cheapJob returns the fastest-simulating job in the suite (gaussian,
-// ~150ms at scale 1) with an optional configuration tweak.
+// cheapJob returns the fastest-simulating job in the suite (gaussian
+// at scale 1) with an optional configuration tweak.
 func cheapJob(mut func(*config.Config)) Job {
 	cfg := config.Default()
 	if mut != nil {
@@ -503,6 +503,73 @@ func TestCheckpointCrashRecovery(t *testing.T) {
 				t.Fatalf("%d checkpoint files survive a successful job", len(ents))
 			}
 		})
+	}
+}
+
+// TestHoldAtCheckpoint: the hold that the service tests act under. A
+// run held at its Nth checkpoint waits at exactly that cycle, with that
+// checkpoint durable and no later one written; once released it ends
+// byte-identical to an unheld run, and the plan never holds again.
+func TestHoldAtCheckpoint(t *testing.T) {
+	const stride, nth = 1000, 3
+	job := cheapJob(nil)
+	ref, err := New(Options{Workers: 1}).RunJob(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Cycles <= nth*stride {
+		t.Fatalf("%s runs %d cycles, too few to hold at checkpoint %d", job, ref.Cycles, nth)
+	}
+	refJSON, err := ref.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := job.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	plan := &fault.Plan{Kind: fault.HoldAtCheckpoint, Nth: nth}
+	t.Cleanup(plan.Release)
+	r := New(Options{Workers: 1, CheckpointDir: dir, CheckpointStride: stride, CheckpointFaults: plan})
+	done := make(chan Result, 1)
+	go func() { done <- r.Do(job) }()
+	select {
+	case <-plan.Held():
+	case res := <-done:
+		t.Fatalf("the run ended (%v) without holding", res.Err)
+	}
+	if plan.Cycle != nth*stride {
+		t.Fatalf("held at cycle %d, want checkpoint %d at cycle %d", plan.Cycle, nth, nth*stride)
+	}
+	trail, err := checkpoint.NewDirSink(filepath.Join(dir, key), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := trail.List(); len(got) == 0 || got[len(got)-1] != nth*stride {
+		t.Fatalf("checkpoints on disk while held = %v, want the newest at cycle %d", got, nth*stride)
+	}
+	select {
+	case res := <-done:
+		t.Fatalf("a held run ended (%v)", res.Err)
+	default:
+	}
+
+	plan.Release()
+	res := <-done
+	if res.Err != nil || res.Attempts != 1 {
+		t.Fatalf("released run = %d attempts, %v; want one clean attempt", res.Attempts, res.Err)
+	}
+	b, err := res.Stats.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, refJSON) {
+		t.Fatal("a held-then-released run differs from an unheld one")
+	}
+	if plan.Cycle != nth*stride || plan.Trip(fault.HoldAtCheckpoint, 0, -1, -1, "") {
+		t.Fatalf("the plan held again: %s", plan)
 	}
 }
 

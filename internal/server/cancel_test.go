@@ -46,19 +46,19 @@ func waitForState(t *testing.T, c *client.Client, key, want string) *server.JobS
 }
 
 func TestCancelQueuedAndRunning(t *testing.T) {
-	_, _, c := startDaemon(t, server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8}})
+	opts := server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8}}
+	plan := holdFirstJob(t, &opts.Runner)
+	_, _, c := startDaemon(t, opts)
 	ctx := context.Background()
 
-	// With one worker the first job runs and the second sits queued.
-	// Scale the first job up (some 0.4s) so the cancel lands
-	// mid-simulation rather than racing the run to completion behind the
-	// queued job's submit and cancel.
-	slow := seededReq(9001)
-	slow.Scale = 32
-	running, err := c.Submit(ctx, slow)
+	// With one worker the first job runs and the second sits queued. The
+	// first is held at its first checkpoint, so the cancel lands
+	// mid-simulation.
+	running, err := c.Submit(ctx, seededReq(9001))
 	if err != nil {
 		t.Fatalf("submit running: %v", err)
 	}
+	awaitHold(t, plan)
 	queued, err := c.Submit(ctx, seededReq(9002))
 	if err != nil {
 		t.Fatalf("submit queued: %v", err)
@@ -74,7 +74,8 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 		t.Fatalf("canceled job carries no error: %+v", st)
 	}
 
-	// Cancel the running job: it stops within one cancellation stride.
+	// Cancel the running job: its attempt returns on the canceled
+	// context although the simulation is still held.
 	if _, err := c.Cancel(ctx, running.Key); err != nil {
 		t.Fatalf("cancel running: %v", err)
 	}
@@ -94,14 +95,18 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 // cancellation means "stop computing", the admission slot is not
 // poisoned.
 func TestCancelIsNotDeletion(t *testing.T) {
-	_, ts, c := startDaemon(t, server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8}})
+	opts := server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 8}}
+	plan := holdFirstJob(t, &opts.Runner)
+	_, ts, c := startDaemon(t, opts)
 	ctx := context.Background()
 
-	// A slow job, so the cancel lands before the run completes.
-	st, err := c.Submit(ctx, slowReq(9003))
+	// The job is held at its first checkpoint, so the cancel lands before
+	// the run completes.
+	st, err := c.Submit(ctx, seededReq(9003))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
+	awaitHold(t, plan)
 	if _, err := c.Cancel(ctx, st.Key); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
@@ -109,7 +114,7 @@ func TestCancelIsNotDeletion(t *testing.T) {
 
 	// A fresh client (no retry state) resubmits the same content key.
 	c2 := client.New(ts.URL)
-	got, err := c2.SubmitWait(ctx, slowReq(9003))
+	got, err := c2.SubmitWait(ctx, seededReq(9003))
 	if err != nil {
 		t.Fatalf("resubmit after cancel: %v", err)
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"gpushare/internal/client"
+	"gpushare/internal/fault"
 	"gpushare/internal/runner"
 	"gpushare/internal/server"
 )
@@ -57,15 +58,34 @@ func startHoldDaemon(t *testing.T, s *server.Server) *holdDaemon {
 	return d
 }
 
-// holdOpts is one simulation at a time.
-var holdOpts = server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 4}}
+// holdFirstJob arms ro so that the first job its runner simulates
+// stops at that job's first checkpoint (cycle 1000 of gaussian's some
+// 6 400 at scale 1) until the returned plan is released. A test that
+// must act while a job runs waits for the hold (awaitHold), acts, and
+// releases; cleanup releases in any case. No job is sized by its run
+// time.
+func holdFirstJob(t *testing.T, ro *runner.Options) *fault.Plan {
+	t.Helper()
+	plan := &fault.Plan{Kind: fault.HoldAtCheckpoint, Nth: 1}
+	ro.CheckpointDir, ro.CheckpointStride, ro.CheckpointFaults = t.TempDir(), 1000, plan
+	t.Cleanup(plan.Release)
+	return plan
+}
 
-// slowReq is a job of some 0.2s on holdOpts (some 5s under the race
-// detector): long enough that a test acts while it is still running.
-func slowReq(seed uint64) server.SubmitRequest {
-	req := seededReq(seed)
-	req.Scale = 16
-	return req
+// awaitHold waits until plan holds a job.
+func awaitHold(t *testing.T, plan *fault.Plan) {
+	t.Helper()
+	select {
+	case <-plan.Held():
+	case <-time.After(time.Minute):
+		t.Fatal("no job reached its first checkpoint")
+	}
+}
+
+// holdOpts is one simulation at a time, the first one held.
+func holdOpts(t *testing.T) (server.Options, *fault.Plan) {
+	opts := server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 4}}
+	return opts, holdFirstJob(t, &opts.Runner)
 }
 
 // rawJSON performs one exchange outside internal/client, so the status
@@ -122,12 +142,14 @@ func TestHeldGetWithNothingToWaitFor(t *testing.T) {
 // TestHeldGetReleasedByDisconnect: a caller that goes away mid-hold
 // frees its handler while the job runs on.
 func TestHeldGetReleasedByDisconnect(t *testing.T) {
-	d := startHoldDaemon(t, server.MustNew(holdOpts))
+	opts, plan := holdOpts(t)
+	d := startHoldDaemon(t, server.MustNew(opts))
 	bg := context.Background()
-	st, err := d.c.Submit(bg, slowReq(9102))
+	st, err := d.c.Submit(bg, seededReq(9102))
 	if err != nil {
 		t.Fatal(err)
 	}
+	awaitHold(t, plan)
 
 	ctx, hangUp := context.WithCancel(bg)
 	waitErr := make(chan error, 1)
@@ -148,7 +170,7 @@ func TestHeldGetReleasedByDisconnect(t *testing.T) {
 		t.Fatal("Wait returned a status after its context was canceled")
 	}
 	if now, err := d.c.Get(bg, st.Key); err != nil || server.Terminal(now.State) {
-		t.Fatalf("job after the hang-up = %+v, %v; want it still going (the test needs a slower job otherwise)", now, err)
+		t.Fatalf("job after the hang-up = %+v, %v; want it still going", now, err)
 	}
 }
 
@@ -156,12 +178,14 @@ func TestHeldGetReleasedByDisconnect(t *testing.T) {
 // with 200 and the status — the coordinator has to see it to requeue —
 // where POST ?wait=1 answers the same job with a retryable 503.
 func TestHeldGetReportsCancelAsStatus(t *testing.T) {
-	d := startHoldDaemon(t, server.MustNew(holdOpts))
+	opts, plan := holdOpts(t)
+	d := startHoldDaemon(t, server.MustNew(opts))
 	bg := context.Background()
-	st, err := d.c.Submit(bg, slowReq(9103))
+	st, err := d.c.Submit(bg, seededReq(9103))
 	if err != nil {
 		t.Fatal(err)
 	}
+	awaitHold(t, plan)
 	type reply struct {
 		st  *server.JobStatus
 		err error
@@ -187,14 +211,15 @@ func TestHeldGetReportsCancelAsStatus(t *testing.T) {
 	}
 }
 
-// TestHoldExpiryIsAnOrdinaryReply: with a 10ms bound and a job of many
-// times that, GET ?wait= answers 200 non-terminal with Held, POST ?wait=1
-// answers 202, and a client with no retry budget at all still gets the
-// result, re-asking as each hold runs out.
+// TestHoldExpiryIsAnOrdinaryReply: with a 10ms bound and a job held at
+// its first checkpoint, GET ?wait= answers 200 non-terminal with Held,
+// POST ?wait=1 answers 202, and a client with no retry budget at all
+// still gets the result, re-asking as each hold runs out.
 func TestHoldExpiryIsAnOrdinaryReply(t *testing.T) {
-	d := startHoldDaemon(t, server.NewWithHold(holdOpts, 10*time.Millisecond))
+	opts, plan := holdOpts(t)
+	d := startHoldDaemon(t, server.NewWithHold(opts, 10*time.Millisecond))
 	bg := context.Background()
-	req := slowReq(9104)
+	req := seededReq(9104)
 	body := string(mustJSON(t, req))
 
 	var st server.JobStatus
@@ -215,9 +240,29 @@ func TestHoldExpiryIsAnOrdinaryReply(t *testing.T) {
 	}
 
 	before := d.waits.Load()
-	final, err := d.c.SubmitWait(bg, req)
-	if err != nil || final.State != server.StateDone || final.Stats == nil {
-		t.Fatalf("SubmitWait across expiring holds = %+v, %v; want done", final, err)
+	type reply struct {
+		st  *server.JobStatus
+		err error
+	}
+	got := make(chan reply, 1)
+	go func() {
+		st, err := d.c.SubmitWait(bg, req)
+		got <- reply{st, err}
+	}()
+	// The job stays held until the client has asked twice more, so each
+	// of those asks ran its hold out.
+	for d.waits.Load()-before < 2 {
+		select {
+		case r := <-got:
+			t.Fatalf("SubmitWait returned %+v, %v while the job was held", r.st, r.err)
+		default:
+		}
+		time.Sleep(time.Millisecond)
+	}
+	plan.Release()
+	r := <-got
+	if r.err != nil || r.st.State != server.StateDone || r.st.Stats == nil {
+		t.Fatalf("SubmitWait across expiring holds = %+v, %v; want done", r.st, r.err)
 	}
 	if n := d.waits.Load() - before; n < 2 {
 		t.Fatalf("the client sent %d held GETs for a job of many holds, want several", n)
@@ -228,12 +273,14 @@ func TestHoldExpiryIsAnOrdinaryReply(t *testing.T) {
 // whoever is waiting on them; the held request is answered by the job
 // finishing, well inside its bound.
 func TestDrainNotDelayedByHeldWaiters(t *testing.T) {
-	d := startHoldDaemon(t, server.MustNew(holdOpts))
+	opts, plan := holdOpts(t)
+	d := startHoldDaemon(t, server.MustNew(opts))
 	bg := context.Background()
-	st, err := d.c.Submit(bg, slowReq(9105))
+	st, err := d.c.Submit(bg, seededReq(9105))
 	if err != nil {
 		t.Fatal(err)
 	}
+	awaitHold(t, plan)
 	got := make(chan *server.JobStatus, 1)
 	go func() {
 		final, _ := d.c.Wait(bg, st.Key)
@@ -242,7 +289,13 @@ func TestDrainNotDelayedByHeldWaiters(t *testing.T) {
 	for d.waits.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if err := d.s.Drain(60 * time.Second); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- d.s.Drain(60 * time.Second) }()
+	for !d.s.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	plan.Release() // the drain began with the job still running
+	if err := <-drained; err != nil {
 		t.Fatalf("drain with a held waiter: %v", err)
 	}
 	select {

@@ -244,10 +244,7 @@ func TestJournalReplayLargerThanQueue(t *testing.T) {
 	reqs := make([]server.SubmitRequest, n)
 	for i := range keys {
 		req := seededReq(uint64(60 + i))
-		req.Scale = 2 // ~100ms each: the probes below land inside the backlog
-		job := reqJob(req)
-		job.Scale = req.Scale
-		key, err := job.Key()
+		key, err := reqJob(req).Key()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,6 +253,9 @@ func TestJournalReplayLargerThanQueue(t *testing.T) {
 	journalAccepts(t, jpath, keys, reqs)
 	opts := server.Options{Workers: 1, CoreOptions: server.CoreOptions{QueueDepth: 1, JournalPath: jpath},
 		Runner: runnerOptsWithCache(dir)}
+	// The first replayed job holds at its first checkpoint, so the other
+	// four are still queued when the probes below land.
+	plan := holdFirstJob(t, &opts.Runner)
 
 	s1 := server.MustNew(opts)
 	ts1 := newTestServer(t, s1)
@@ -277,6 +277,7 @@ func TestJournalReplayLargerThanQueue(t *testing.T) {
 	if _, err := c1.Submit(ctx, seededReq(70)); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("submit over a replayed backlog = %v, want 429", err)
 	}
+	plan.Release()
 	if err := s1.Drain(60 * time.Second); err != nil {
 		t.Fatalf("drain over a replayed backlog: %v", err)
 	}

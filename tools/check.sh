@@ -358,14 +358,14 @@ grep -q '"accepted":1' "$smoketmp/statusz.json" || {
 drain_daemon gserved "$smokepid" "$smoketmp/out.log"
 
 echo "== gserved crash-recovery smoke (kill -9 mid-job, journal replay)"
-# Start with a job journal and mid-simulation checkpoints, submit a
-# multi-second job, kill -9 the daemon mid-run, and verify that a fresh
-# daemon replays the journal and finishes the job.
+# Start with a job journal and mid-simulation checkpoints, submit a job,
+# kill -9 the daemon once the job runs and has checkpointed, and verify
+# that a fresh daemon replays the journal and finishes the job.
 start_crash_daemon() {
     start_daemon gserved "$1" \
         "$smoketmp/gserved" -addr 127.0.0.1:0 -cachedir "$smoketmp/cache2" \
         -journal "$smoketmp/journal" \
-        -checkpoint-dir "$smoketmp/ckpt" -checkpoint-stride 20000
+        -checkpoint-dir "$smoketmp/ckpt" -checkpoint-stride 10000
     smokepid=$daemon_pid
     addr=$daemon_addr
 }
@@ -373,7 +373,7 @@ start_crash_daemon() {
 start_crash_daemon "$smoketmp/crash1.log"
 code=$(curl -s -o "$smoketmp/crashjob.json" -w '%{http_code}' \
     -X POST "http://$addr/v1/jobs" \
-    -d '{"workload":"hotspot","scale":8}')
+    -d '{"workload":"hotspot","scale":2}')
 if [ "$code" != 202 ]; then
     echo "gserved crash-smoke submit: HTTP $code" >&2
     cat "$smoketmp/crashjob.json" >&2
@@ -386,10 +386,22 @@ if [ -z "$key" ]; then
     exit 1
 fi
 
-# Kill the daemon while the simulation is in flight (the job takes a
-# couple of seconds — hotspot at scale 8 runs ~2s alone, at scale 2 it
-# finishes in ~0.6s, before the kill — so the kill lands inside it).
-sleep 0.7
+# Kill the daemon while the simulation is in flight: poll /statusz
+# (every 10 ms, 30s budget) until the job, the daemon's only one, reads
+# running and its first checkpoint (cycle 10000 of some 225000) is
+# durable.
+i=0
+until curl -s -o "$smoketmp/crashrun.json" "http://$addr/statusz" &&
+    grep -q '"job_states":{"running":1}' "$smoketmp/crashrun.json" &&
+    ! grep -q '"CkSaved":0,' "$smoketmp/crashrun.json"; do
+    if [ $i -ge 3000 ]; then
+        echo "gserved crash-smoke job never ran with a checkpoint on disk:" >&2
+        cat "$smoketmp/crashrun.json" >&2
+        exit 1
+    fi
+    sleep 0.01
+    i=$((i + 1))
+done
 kill -9 "$smokepid"
 wait "$smokepid" 2>/dev/null || true
 
@@ -467,7 +479,7 @@ go build -o "$smoketmp/gsched" ./cmd/gsched
 start_fleet_worker() { # $1 = log file, $2 = cache dir
     start_daemon gserved "$1" \
         "$smoketmp/gserved" -addr 127.0.0.1:0 -cachedir "$2" \
-        -checkpoint-dir "$smoketmp/fleetckpt" -checkpoint-stride 20000
+        -checkpoint-dir "$smoketmp/fleetckpt" -checkpoint-stride 10000
 }
 
 start_fleet_worker "$smoketmp/w1.log" "$smoketmp/fleetcache1"
@@ -483,10 +495,9 @@ start_daemon gsched "$smoketmp/gsched.log" \
 schedpid=$daemon_pid
 schedaddr=$daemon_addr
 
-# The first two jobs take ~2s each alone (hotspot and stencil at scale
-# 8; at scale 2 they finish in ~0.6s, before the kill), so with one
-# slot per worker both workers are mid-job when the kill lands.
-sweep='{"jobs":[{"workload":"hotspot","scale":8},{"workload":"stencil","scale":8},{"workload":"sgemm","scale":2},{"workload":"gaussian","scale":2}]}'
+# With one slot per worker, the first two jobs (hotspot and stencil)
+# start at once, one on each worker.
+sweep='{"jobs":[{"workload":"hotspot","scale":2},{"workload":"stencil","scale":2},{"workload":"sgemm","scale":2},{"workload":"gaussian","scale":2}]}'
 code=$(curl -s -o "$smoketmp/sweep.json" -w '%{http_code}' \
     -X POST "http://$schedaddr/v1/sweeps" -d "$sweep")
 if [ "$code" != 200 ]; then
@@ -501,7 +512,20 @@ if [ "$(jq -r '.rejected // 0' "$smoketmp/sweep.json")" != 0 ]; then
 fi
 keys=$(jq -r '.jobs[].key' "$smoketmp/sweep.json")
 
-sleep 0.7
+# Kill w1 while both workers are mid-job: poll their /statusz (every
+# 10 ms, 30s budget) until each runs a job with a checkpoint on disk.
+midjob='.job_states.running >= 1 and .runner.CkSaved >= 1'
+i=0
+until curl -s "http://$w1addr/statusz" | jq -e "$midjob" >/dev/null &&
+    curl -s "http://$w2addr/statusz" | jq -e "$midjob" >/dev/null; do
+    if [ $i -ge 3000 ]; then
+        echo "fleet smoke: the two workers were never both mid-job with a checkpoint on disk" >&2
+        cat "$smoketmp/gsched.log" >&2
+        exit 1
+    fi
+    sleep 0.01
+    i=$((i + 1))
+done
 kill -9 "$w1pid"
 wait "$w1pid" 2>/dev/null || true
 
